@@ -297,7 +297,9 @@ class CollectiveResult:
     buffers: List[np.ndarray]
     traffic: Dict[str, int]
     #: simulator engine telemetry for this collective: events processed,
-    #: coalesced trains and train packets (fast-path coverage)
+    #: coalesced trains and train packets (fast-path coverage), folded
+    #: phases, and the control-plane bring-up it paid (``ctrl_pairs``,
+    #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``)
     engine: Dict[str, int] = field(default_factory=dict)
     #: trace snapshot clipped to this collective's window, when the
     #: communicator was built with ``trace=TraceConfig(...)``
@@ -972,15 +974,16 @@ class Communicator:
 
     def ensure_ctrl_pair(self, a: int, b: int) -> QueuePair:
         """Return rank *a*'s control QP toward rank *b*, creating the
-        connected pair (and posting its receive slots) on first use."""
+        connected pair on first use.  Both ends attach to their rank's
+        shared receive queue, so a new pair posts no receives of its own."""
         qp = self._ctrl_pairs.get((a, b))
         if qp is not None:
             return qp
         ea, eb = self.engines[a], self.engines[b]
         # Create on the control plane's *current* NIC — after a rail
         # migration, lazily-created pairs must land on the surviving plane.
-        qa = ea.ctrl.nic.create_qp(Transport.RC, recv_cq=ea.ctrl.recv_cq)
-        qb = eb.ctrl.nic.create_qp(Transport.RC, recv_cq=eb.ctrl.recv_cq)
+        qa = ea.ctrl.nic.create_qp(Transport.RC, recv_cq=ea.ctrl.recv_cq, srq=ea.ctrl.srq)
+        qb = eb.ctrl.nic.create_qp(Transport.RC, recv_cq=eb.ctrl.recv_cq, srq=eb.ctrl.srq)
         qa.connect(self.host_of(b), qb.qpn)
         qb.connect(self.host_of(a), qa.qpn)
         ea.ctrl.adopt_qp(b, qa)
@@ -1637,6 +1640,13 @@ class Communicator:
             "ff_aborts": ff.ff_aborts if ff is not None else 0,
             "sync_rounds": ff.total_sync_rounds() if ff is not None else 0,
             "boundary_msgs": ff.total_boundary_msgs() if ff is not None else 0,
+            # Control-plane bring-up (DESIGN.md §6g): pairs created, WRs
+            # posted to the per-rank SRQs, slabs added by the low-watermark
+            # rule, messages that found an SRQ dry and were parked.
+            "ctrl_pairs": len(self._ctrl_pairs) // 2,
+            "ctrl_recv_posted": sum(e.ctrl.srq.posted for e in self.engines),
+            "ctrl_srq_refills": sum(e.ctrl.srq_refills for e in self.engines),
+            "ctrl_parked": sum(e.ctrl.srq.parked_total for e in self.engines),
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:

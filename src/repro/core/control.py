@@ -9,7 +9,10 @@ Design notes
 ------------
 * Control QPs are created lazily and pairwise by the communicator; each
   rank's control QPs share one receive CQ drained by a single dispatcher
-  process (mirroring the single progress thread of the UCC backend).
+  process (mirroring the single progress thread of the UCC backend) and
+  one **shared receive queue** (DESIGN.md §6g): a slab of message slots
+  is registered and posted once per rank, not per connection, so bring-up
+  costs O(ranks) however many pairs the collectives end up creating.
 * Messages are tiny typed tuples sent as IB *inline* sends — no send-side
   buffer lifetime management.
 * The RNR barrier is a dissemination barrier: ``⌈log2 P⌉`` rounds, round k
@@ -24,8 +27,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR
-from repro.sim.events import Event
+from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
+from repro.sim.events import Event, Timeout
 from repro.sim.primitives import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,9 +65,17 @@ MSG_DEATH = 8
 #: requests regardless of the requester's rank)
 _ANY_SOURCE = {MSG_FETCH_REQ}
 
-_SLOT_BYTES = 32
-_SLOTS_PER_QP = 16
 _WORDS = 6  # mtype, key, src_rank, a0, a1, a2
+_SLOT_WORDS = 8  # 32-byte slots
+_SLOT_BYTES = _SLOT_WORDS * 4
+#: receive slots per slab.  Not a knob: a rank starts with one slab and
+#: the dispatcher adds another whenever it wakes to fewer than
+#: ``_LOW_WATERMARK`` free slots (the IB SRQ-limit event), so depth tracks
+#: the fan-in a rank actually sees.  A burst deeper than the posted slabs
+#: is parked by RC's RNR-retry, never dropped.
+_SLAB_SLOTS = 32
+_LOW_WATERMARK = 8
+_U32_MAX = 0xFFFFFFFF
 
 
 class CtrlMessage(tuple):
@@ -121,10 +132,13 @@ class ControlPlane:
         self._pair_fn = pair_fn
         self.per_message_cost = per_message_cost
         self.recv_cq: CompletionQueue = nic.create_cq(f"ctrl-r{rank}")
+        #: the one receive queue every control QP of this rank attaches to
+        self.srq: SharedReceiveQueue = nic.create_srq()
         self.qps: Dict[int, QueuePair] = {}
-        self._slot_mr = None
-        self._slot_qp: Dict[int, QueuePair] = {}
-        self._n_slots = 0
+        #: slot slabs: per slab, a ``(slots, words)`` uint32 view of its MR
+        self._slabs: List[np.ndarray] = []
+        #: cached, validated receive WRs; ``wr_id`` = index = global slot
+        self._wrs: List[RecvWR] = []
         self._inboxes: Dict[tuple, Store] = {}
         self.messages_sent = 0
         self.messages_received = 0
@@ -140,24 +154,35 @@ class ControlPlane:
     # -------------------------------------------------------------- plumbing
 
     def adopt_qp(self, peer_rank: int, qp: QueuePair) -> None:
-        """Register a connected control QP toward *peer_rank* and post its
-        receive slots (called by the communicator when pairing)."""
+        """Register a connected control QP toward *peer_rank* (called by
+        the communicator when pairing).  The QP must have been created on
+        this plane's SRQ; the first adoption posts the first slot slab."""
         if peer_rank in self.qps:
             raise ValueError(f"rank {self.rank}: ctrl QP to {peer_rank} already exists")
+        if qp.srq is not self.srq:
+            raise ValueError(f"rank {self.rank}: ctrl QP must be created on the plane's SRQ")
         self.qps[peer_rank] = qp
-        base = self._n_slots
-        self._n_slots += _SLOTS_PER_QP
-        mr = self.nic.memory.register(_SLOTS_PER_QP * _SLOT_BYTES)
-        for i in range(_SLOTS_PER_QP):
-            slot = base + i
-            self._slot_qp[slot] = qp
-            qp.post_recv(
-                RecvWR(wr_id=slot, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
-            )
-        # Keep per-QP MRs; remember via closure on the WRs (offsets local).
-        if self._slot_mr is None:
-            self._slot_mr = {}
-        self._slot_mr[qp.qpn] = mr
+        if not self._slabs:
+            self._post_slab()
+
+    def _post_slab(self) -> None:
+        """Register one more slab of message slots in the host memory (all
+        rails share it, so the slab survives a control-plane migration) and
+        post its receive WRs to the SRQ."""
+        base = len(self._wrs)
+        mr = self.nic.memory.register(_SLAB_SLOTS * _SLOT_BYTES)
+        self._slabs.append(mr.buf.view(np.uint32).reshape(_SLAB_SLOTS, _SLOT_WORDS))
+        wrs = [
+            RecvWR(wr_id=base + i, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
+            for i in range(_SLAB_SLOTS)
+        ]
+        self._wrs.extend(wrs)
+        self.srq.post_recv_batch(wrs)
+
+    @property
+    def srq_refills(self) -> int:
+        """Slabs added by the low-watermark rule (beyond the first)."""
+        return max(len(self._slabs) - 1, 0)
 
     def _qp_to(self, peer_rank: int) -> QueuePair:
         qp = self.qps.get(peer_rank)
@@ -171,12 +196,13 @@ class ControlPlane:
         """Post a control message (non-blocking, reliable, ordered per peer)."""
         if len(args) > _WORDS - 3:
             raise ValueError(f"control message supports up to {_WORDS - 3} args")
-        words = np.zeros(_WORDS, dtype=np.uint32)
-        words[0] = mtype
-        words[1] = key
-        words[2] = self.rank
-        for i, a in enumerate(args):
-            words[3 + i] = a
+        # Always _WORDS words on the wire, unused args zero.
+        fields = (mtype, key, self.rank, *args) + (0,) * (_WORDS - 3 - len(args))
+        if min(fields) < 0 or max(fields) > _U32_MAX:
+            raise ValueError(
+                f"control message (mtype={mtype}, key={key}, args={tuple(args)}) "
+                f"has a field that does not fit a uint32 word")
+        words = np.array(fields, dtype=np.uint32)
         qp = self._qp_to(dst_rank)
         qp.post_send(SendWR(wr_id=0, verb="send", inline_data=words, signaled=False))
         self.messages_sent += 1
@@ -201,44 +227,43 @@ class ControlPlane:
         return self._inbox(mtype, key, src).get()
 
     def _dispatch_loop(self):
-        mr_of = lambda qp: self._slot_mr[qp.qpn]  # noqa: E731
+        sim = self.sim
+        cq = self.recv_cq
+        srq = self.srq
+        free = srq.recv_queue
+        wrs = self._wrs
+        slabs = self._slabs
+        cost = self.per_message_cost
         while True:
-            yield self.recv_cq.wait()
-            for cqe in self.recv_cq.poll():
-                if self.per_message_cost > 0.0:
+            yield cq.wait()
+            if len(free) < _LOW_WATERMARK and len(wrs) + _SLAB_SLOTS <= srq.max_recv_wr:
+                # SRQ limit reached: this wake found the posted slabs
+                # (nearly) exhausted by the fan-in — add depth, up to the
+                # SRQ's capacity (beyond it RNR parking absorbs the rest).
+                self._post_slab()
+            for cqe in cq.poll():
+                if cost > 0.0:
                     # Progress-thread cycles spent on the control path.
-                    from repro.sim.events import Timeout
-
-                    yield Timeout(self.sim, self.per_message_cost)
+                    yield Timeout(sim, cost)
                 slot = cqe.wr_id
-                qp = self._slot_qp[slot]
-                mr = mr_of(qp)
-                local = slot % _SLOTS_PER_QP
-                words = mr.view(local * _SLOT_BYTES, _WORDS * 4).view(np.uint32)
-                msg = CtrlMessage(
-                    src_rank=int(words[2]),
-                    mtype=int(words[0]),
-                    key=int(words[1]),
-                    args=tuple(int(w) for w in words[3:_WORDS]),
-                )
+                mtype, key, src, a0, a1, a2 = (
+                    slabs[slot // _SLAB_SLOTS][slot % _SLAB_SLOTS, :_WORDS].tolist())
+                msg = CtrlMessage(src, mtype, key, (a0, a1, a2))
                 # Re-post the cached WR immediately (slot content consumed).
-                qp.post_recv(
-                    RecvWR(wr_id=slot, mr_key=mr.key, offset=local * _SLOT_BYTES,
-                           length=_SLOT_BYTES)
-                )
+                srq.post_recv_cached(wrs[slot])
                 self.messages_received += 1
-                self.last_heard[msg.src] = self.sim.now
-                if msg.mtype == MSG_PING:
+                self.last_heard[src] = sim.now
+                if mtype == MSG_PING:
                     # Liveness probe: the dispatcher answers directly — the
                     # PONG proves this rank's progress loop is alive, which
                     # is exactly the fail-stop property being tested.
-                    self.send(msg.src, MSG_PONG, msg.key)
+                    self.send(src, MSG_PONG, key)
                     continue
-                if msg.mtype == MSG_DEATH:
+                if mtype == MSG_DEATH:
                     if self.on_death is not None:
                         self.on_death(msg)
                     continue
-                self._inbox(msg.mtype, msg.key, msg.src).put(msg)
+                self._inbox(mtype, key, src).put(msg)
 
     # --------------------------------------------------------------- barrier
 

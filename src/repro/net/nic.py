@@ -34,7 +34,7 @@ import collections
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.link import Channel
 from repro.net.memory import Memory
@@ -52,6 +52,7 @@ __all__ = [
     "RecvWR",
     "CQE",
     "CompletionQueue",
+    "SharedReceiveQueue",
     "QueuePair",
     "Nic",
 ]
@@ -102,25 +103,45 @@ class SendWR:
 class RecvWR:
     """A receive-side work request: where an inbound message may land."""
 
+    __slots__ = ("wr_id", "mr_key", "offset", "length")
+
     wr_id: int
     mr_key: int
     offset: int
     length: int
 
 
-@dataclass
 class CQE:
-    """Completion queue entry."""
+    """Completion queue entry (slotted: one is allocated per completion)."""
 
-    wr_id: int
-    opcode: Opcode
-    qpn: int
-    byte_len: int = 0
-    imm: Optional[int] = None
-    src: Optional[int] = None
-    src_qpn: Optional[int] = None
-    ok: bool = True
-    timestamp: float = 0.0
+    __slots__ = ("wr_id", "opcode", "qpn", "byte_len", "imm", "src",
+                 "src_qpn", "ok", "timestamp")
+
+    def __init__(
+        self,
+        wr_id: int,
+        opcode: Opcode,
+        qpn: int,
+        byte_len: int = 0,
+        imm: Optional[int] = None,
+        src: Optional[int] = None,
+        src_qpn: Optional[int] = None,
+        ok: bool = True,
+        timestamp: float = 0.0,
+    ) -> None:
+        self.wr_id = wr_id
+        self.opcode = opcode
+        self.qpn = qpn
+        self.byte_len = byte_len
+        self.imm = imm
+        self.src = src
+        self.src_qpn = src_qpn
+        self.ok = ok
+        self.timestamp = timestamp
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "CQE(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class CompletionQueue:
@@ -187,27 +208,145 @@ class CompletionQueue:
         return len(self.items)
 
 
-class QueuePair:
-    """A simulated queue pair."""
+class _ReceiveQueue:
+    """A FIFO of posted receive WRs — a QP's own, or a shared one.
+
+    RC never drops: a message that finds the queue dry is *parked* on it
+    (the hardware RNR-retries below the software horizon) and completes,
+    in arrival order, as soon as WRs are posted.  ``parked`` therefore
+    being non-empty implies ``recv_queue`` is empty.
+    """
+
+    __slots__ = ("memory", "max_recv_wr", "recv_queue", "parked", "posted",
+                 "parked_total")
+
+    def __init__(self, memory: Memory, max_recv_wr: int,
+                 recv_queue: Optional[Deque[RecvWR]] = None) -> None:
+        self.memory = memory
+        self.max_recv_wr = max_recv_wr
+        self.recv_queue: Deque[RecvWR] = (
+            collections.deque() if recv_queue is None else recv_queue)
+        #: RC messages awaiting a WR, as ``(qp, segments, byte_len, imm,
+        #: src, src_qpn)`` — ``segments`` is None for a write-with-imm
+        #: notification (data already placed).  Allocated on first park.
+        self.parked: Optional[Deque[tuple]] = None
+        self.posted = 0  #: WRs ever posted (first posts and re-posts)
+        self.parked_total = 0  #: messages that found the queue dry
+
+    def _overflow(self, n: int) -> Exception:
+        return RuntimeError(
+            f"{self!r}: receive queue full — posting {n} WR(s) overflows "
+            f"{len(self.recv_queue)}/{self.max_recv_wr}"
+        )
+
+    def post_recv(self, wr: RecvWR) -> None:
+        if len(self.recv_queue) >= self.max_recv_wr:
+            raise self._overflow(1)
+        self.memory.lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
+        self.recv_queue.append(wr)
+        self.posted += 1
+        if self.parked:
+            _drain_parked(self)
+
+    def post_recv_cached(self, wr: RecvWR) -> None:
+        """Re-post a cached, previously validated WR (paper §V-A "fast
+        re-posting"): identical to :meth:`post_recv` minus the MR
+        validation, which already ran when the WR was first posted."""
+        if len(self.recv_queue) >= self.max_recv_wr:
+            raise self._overflow(1)
+        self.recv_queue.append(wr)
+        self.posted += 1
+        if self.parked:
+            _drain_parked(self)
+
+    def post_recv_batch(self, wrs: List[RecvWR]) -> None:
+        """Post many receive WRs at one instant (bulk repost / ring prime).
+
+        Equivalent to ``post_recv`` per WR — same validation, same parked
+        RC completions drained — with one capacity check up front and a
+        single queue extension.
+        """
+        if len(self.recv_queue) + len(wrs) > self.max_recv_wr:
+            raise self._overflow(len(wrs))
+        lookup = self.memory.lookup
+        for wr in wrs:
+            lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
+        self.recv_queue.extend(wrs)
+        self.posted += len(wrs)
+        if self.parked:
+            _drain_parked(self)
+
+
+def _drain_parked(rq: _ReceiveQueue) -> None:
+    """WRs were posted to *rq*: complete parked RC messages, oldest first
+    — whichever attached QP they arrived on."""
+    parked = rq.parked
+    queue = rq.recv_queue
+    while parked and queue:
+        qp, segments, byte_len, imm, src, src_qpn = parked.popleft()
+        qp.nic._complete_recv(qp, queue.popleft(), segments, byte_len, imm,
+                              src, src_qpn)
+
+
+class SharedReceiveQueue(_ReceiveQueue):
+    """``ibv_srq``: one receive queue feeding every QP created with
+    ``srq=`` on this host.  An inbound RC message takes the oldest WR
+    whichever QP it arrives on, so a fan-in of N connections needs one
+    pool of buffers instead of N.  The WRs name MRs in the host
+    :class:`Memory`, which all of a host's rail NICs share, so QPs on any
+    rail of the host may attach."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"<SRQ {len(self.recv_queue)} WRs>"
+
+
+#: shared empty attachment set of QPs that never joined a multicast group
+_NO_GROUPS: frozenset = frozenset()
+
+
+class QueuePair(_ReceiveQueue):
+    """A simulated queue pair.
+
+    Allocation-light: the default CQs are built on first access (a control
+    QP sends unsignaled and completes into its plane's shared receive CQ,
+    so it never needs either), the multicast attachment set on first
+    attach, and a QP created on an SRQ has no receive queue of its own.
+    """
+
+    __slots__ = ("nic", "qpn", "transport", "send_cq", "recv_cq", "srq",
+                 "peer", "mcast_groups", "rnr_drops", "batch_delivery")
 
     def __init__(
         self,
         nic: "Nic",
         qpn: int,
         transport: Transport,
-        send_cq: CompletionQueue,
-        recv_cq: CompletionQueue,
+        send_cq: Optional[CompletionQueue] = None,
+        recv_cq: Optional[CompletionQueue] = None,
         max_recv_wr: int = 8192,
+        srq: Optional[SharedReceiveQueue] = None,
     ) -> None:
+        if srq is None:
+            super().__init__(nic.memory, max_recv_wr)
+        else:
+            # IB gives an SRQ-attached QP no receive queue of its own:
+            # it consumes the SRQ's WRs (and parks on the SRQ), and any
+            # post through the QP overflows its zero capacity.
+            super().__init__(nic.memory, 0, srq.recv_queue)
+        self.srq = srq
         self.nic = nic
         self.qpn = qpn
         self.transport = transport
-        self.send_cq = send_cq
-        self.recv_cq = recv_cq
-        self.max_recv_wr = max_recv_wr
-        self.recv_queue: Deque[RecvWR] = collections.deque()
+        # NB: explicit None checks — an empty CompletionQueue is falsy.
+        # An omitted CQ is left unset and built by __getattr__ on demand.
+        if send_cq is not None:
+            self.send_cq = send_cq
+        if recv_cq is not None:
+            self.recv_cq = recv_cq
         self.peer: Optional[Tuple[int, int]] = None  # (host, qpn)
-        self.mcast_groups: Set[int] = set()
+        self.mcast_groups: AbstractSet[int] = _NO_GROUPS
         self.rnr_drops = 0
         #: opt-in to batched train delivery (one event per train instead of
         #: per-packet replay).  Only the progress engine sets this, and only
@@ -215,6 +354,23 @@ class QueuePair:
         #: multi-QP worker must observe cross-QP arrival interleaving, which
         #: batched delivery would reorder.
         self.batch_delivery = False
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: build the default CQ lazily.
+        if name == "send_cq" or name == "recv_cq":
+            cq = self.nic.create_cq()
+            setattr(self, name, cq)
+            return cq
+        raise AttributeError(name)
+
+    def __repr__(self) -> str:
+        return f"<QP {self.qpn} {self.transport.value} h{self.nic.host}>"
+
+    def _overflow(self, n: int) -> Exception:
+        if self.srq is not None:
+            return ValueError(
+                f"{self!r} is attached to an SRQ: post receives to the SRQ")
+        return super()._overflow(n)
 
     # ----------------------------------------------------------- connection
 
@@ -230,48 +386,16 @@ class QueuePair:
         if self.transport is Transport.RC:
             raise ValueError("RC transport does not support multicast")
         self.nic.attach_mcast(gid, self.qpn)
+        if self.mcast_groups is _NO_GROUPS:
+            self.mcast_groups = set()
         self.mcast_groups.add(gid)
 
     def detach_mcast(self, gid: int) -> None:
         self.nic.detach_mcast(gid, self.qpn)
-        self.mcast_groups.discard(gid)
+        if gid in self.mcast_groups:
+            self.mcast_groups.remove(gid)
 
     # ------------------------------------------------------------- posting
-
-    def post_recv(self, wr: RecvWR) -> None:
-        if len(self.recv_queue) >= self.max_recv_wr:
-            raise RuntimeError(f"QP {self.qpn}: receive queue full ({self.max_recv_wr})")
-        self.nic.memory.lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
-        self.recv_queue.append(wr)
-        self.nic._drain_rc_pending(self)
-
-    def post_recv_cached(self, wr: RecvWR) -> None:
-        """Re-post a cached, previously validated WR (paper §V-A "fast
-        re-posting"): identical to :meth:`post_recv` minus the MR
-        validation, which already ran when the WR was first posted."""
-        if len(self.recv_queue) >= self.max_recv_wr:
-            raise RuntimeError(f"QP {self.qpn}: receive queue full ({self.max_recv_wr})")
-        self.recv_queue.append(wr)
-        self.nic._drain_rc_pending(self)
-
-    def post_recv_batch(self, wrs: List[RecvWR]) -> None:
-        """Post many receive WRs at one instant (bulk repost / ring prime).
-
-        Equivalent to ``post_recv`` per WR — same validation, same parked
-        RC completions drained — with one capacity check up front and a
-        single queue extension.
-        """
-        if len(self.recv_queue) + len(wrs) > self.max_recv_wr:
-            raise RuntimeError(
-                f"QP {self.qpn}: posting {len(wrs)} WRs overflows receive "
-                f"queue ({len(self.recv_queue)}/{self.max_recv_wr})"
-            )
-        lookup = self.nic.memory.lookup
-        for wr in wrs:
-            lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
-        self.recv_queue.extend(wrs)
-        for _ in wrs:
-            self.nic._drain_rc_pending(self)
 
     def post_send(self, wr: SendWR) -> None:
         self._validate_send(wr)
@@ -320,7 +444,7 @@ class _Reassembly:
     segment is not necessarily the last to *arrive*.
     """
 
-    __slots__ = ("arrived", "segments", "byte_len", "first_ts", "imm")
+    __slots__ = ("arrived", "segments", "byte_len", "first_ts", "imm", "packets")
 
     def __init__(self, segments: int) -> None:
         self.arrived = 0
@@ -328,6 +452,8 @@ class _Reassembly:
         self.byte_len = 0
         self.first_ts = 0.0
         self.imm = None
+        #: RC SEND only: the segments held until a receive WR lands them
+        self.packets: Optional[List[Packet]] = None
 
 
 class Nic:
@@ -360,12 +486,6 @@ class Nic:
         self._mcast_attached: Dict[int, List[int]] = collections.defaultdict(list)
         # (src_host, src_qpn, msg_id) -> reassembly state
         self._reassembly: Dict[Tuple[int, int, int], _Reassembly] = {}
-        # RC sends that arrived before a recv WR was posted: per local qpn
-        self._rc_pending: Dict[int, Deque[Packet]] = collections.defaultdict(collections.deque)
-        # RC write-with-imm notifications parked for the same reason
-        self._parked_imm: Dict[int, List[tuple]] = {}
-        # fully-arrived RC sends awaiting a receive WR
-        self._rc_complete_sends: Dict[int, List[tuple]] = {}
         self.rnr_drops = 0
         self.packets_received = 0
         self.bytes_received = 0
@@ -381,23 +501,29 @@ class Nic:
     def create_cq(self, name: str = "") -> CompletionQueue:
         return CompletionQueue(self.sim, name or f"h{self.host}-cq")
 
+    def create_srq(self, max_wr: int = 8192) -> SharedReceiveQueue:
+        """``ibv_create_srq``: a receive queue QPs of this host can share."""
+        return SharedReceiveQueue(self.memory, max_wr)
+
     def create_qp(
         self,
         transport: Transport,
         send_cq: Optional[CompletionQueue] = None,
         recv_cq: Optional[CompletionQueue] = None,
         max_recv_wr: int = 8192,
+        srq: Optional[SharedReceiveQueue] = None,
     ) -> QueuePair:
+        """``ibv_create_qp``.  Omitted CQs are created on first use.  With
+        ``srq`` the QP (RC only) takes its receive WRs from that shared
+        queue and ``max_recv_wr`` is ignored, as in IB."""
+        if srq is not None:
+            if transport is not Transport.RC:
+                raise ValueError("only RC QPs can attach to an SRQ")
+            if srq.memory is not self.memory:
+                raise ValueError("SRQ belongs to another host's memory")
         qpn = next(self._qpn_counter)
-        # NB: explicit None checks — an empty CompletionQueue is falsy.
-        qp = QueuePair(
-            self,
-            qpn,
-            transport,
-            send_cq if send_cq is not None else self.create_cq(),
-            recv_cq if recv_cq is not None else self.create_cq(),
-            max_recv_wr=max_recv_wr,
-        )
+        qp = QueuePair(self, qpn, transport, send_cq, recv_cq,
+                       max_recv_wr=max_recv_wr, srq=srq)
         self.qps[qpn] = qp
         return qp
 
@@ -410,8 +536,9 @@ class Nic:
         """Re-home *qp* (and its multicast attachments) onto this NIC —
         the multi-rail plane-failover path.  A host's rail NICs share its
         Memory, so only the addressing moves: the QP keeps its receive
-        queue, CQs and posted WRs, gets a fresh QPN in this NIC's space,
-        and future sends leave through this NIC's plane."""
+        queue (its own or its SRQ), CQs, posted WRs and parked messages,
+        gets a fresh QPN in this NIC's space, and future sends leave
+        through this NIC's plane."""
         old = qp.nic
         if old is self:
             return
@@ -847,109 +974,79 @@ class Nic:
             if reliable:
                 # RC hardware RNR-retries until a receive shows up; the
                 # data is already placed, only the notification is parked.
-                self._parked_imm.setdefault(qp.qpn, []).append(
-                    (packet, state.byte_len, state.imm)
-                )
+                self._park(qp, None, state.byte_len, state.imm, packet)
             else:
                 qp.rnr_drops += 1
                 self.rnr_drops += 1
                 if self.trace is not None:
                     self.trace.instant("nic.rnr", self.sim.now)
             return
-        wr = qp.recv_queue.popleft()
-        if self.trace is not None:
-            self.trace.instant("nic.cqe", self.sim.now)
-        qp.recv_cq.push(
-            CQE(
-                wr_id=wr.wr_id,
-                opcode=Opcode.RECV_RDMA_WITH_IMM,
-                qpn=qp.qpn,
-                byte_len=state.byte_len,
-                imm=state.imm,
-                src=packet.src,
-                src_qpn=packet.src_qpn,
-            )
-        )
+        self._complete_recv(qp, qp.recv_queue.popleft(), None, state.byte_len,
+                            state.imm, packet.src, packet.src_qpn)
 
     def _deliver_rc_send(self, qp: QueuePair, packet: Packet) -> None:
-        key = (packet.src, packet.src_qpn or 0, packet.msg_id or 0)
-        state = self._reassembly.get(key)
-        if state is None:
-            state = self._reassembly[key] = _Reassembly(packet.msg_segments)
-        state.arrived += 1
-        state.byte_len += packet.payload_len
-        if packet.imm is not None:
-            state.imm = packet.imm
-        # Keep the segment's payload until a receive WR lands it.
-        self._rc_pending[qp.qpn].append(packet)
-        if state.arrived < state.segments:
-            return
-        del self._reassembly[key]
+        if packet.msg_segments == 1:
+            # Control messages: one segment, nothing to reassemble.
+            segments: Sequence[Packet] = (packet,)
+            byte_len = packet.payload_len
+            imm = packet.imm
+        else:
+            key = (packet.src, packet.src_qpn or 0, packet.msg_id or 0)
+            state = self._reassembly.get(key)
+            if state is None:
+                state = self._reassembly[key] = _Reassembly(packet.msg_segments)
+                state.packets = []
+            state.arrived += 1
+            state.byte_len += packet.payload_len
+            if packet.imm is not None:
+                state.imm = packet.imm
+            # Keep the segment's payload until a receive WR lands it.
+            state.packets.append(packet)
+            if state.arrived < state.segments:
+                return
+            del self._reassembly[key]
+            segments = state.packets
+            byte_len = state.byte_len
+            imm = state.imm
         if not qp.recv_queue:
             # RC never drops: hardware RNR-retries until a WR shows up.
-            self._rc_complete_sends.setdefault(qp.qpn, []).append(
-                (key, state.byte_len, state.imm, packet.src, packet.src_qpn)
-            )
+            self._park(qp, segments, byte_len, imm, packet)
             return
-        self._consume_rc_send(qp, key, state.byte_len, state.imm,
-                              packet.src, packet.src_qpn)
+        self._complete_recv(qp, qp.recv_queue.popleft(), segments, byte_len,
+                            imm, packet.src, packet.src_qpn)
 
-    def _consume_rc_send(self, qp: QueuePair, key, byte_len: int,
-                         imm: Optional[int], src, src_qpn) -> None:
-        wr = qp.recv_queue.popleft()
-        # Gather every parked segment of this message (any arrival order;
-        # placement is by segment sequence number).
-        segments = [p for p in self._rc_pending[qp.qpn]
-                    if (p.src, p.src_qpn or 0, p.msg_id or 0) == key]
-        self._rc_pending[qp.qpn] = collections.deque(
-            p for p in self._rc_pending[qp.qpn]
-            if (p.src, p.src_qpn or 0, p.msg_id or 0) != key
-        )
-        dst_mr = self.memory.lookup(wr.mr_key)
-        if byte_len > wr.length:
-            raise RuntimeError(
-                f"RC send of {byte_len} B larger than posted recv of {wr.length} B"
-            )
-        for p in segments:
-            if p.payload is not None and p.payload_len:
-                off = wr.offset + p.msg_seq * self.mtu
-                dst_mr.view(off, p.payload_len)[:] = p.payload[: p.payload_len]
+    def _park(self, qp: QueuePair, segments: Optional[Sequence[Packet]],
+              byte_len: int, imm: Optional[int], packet: Packet) -> None:
+        """Park a fully arrived RC message on *qp*'s receive queue — its
+        SRQ when it has one — until a WR is posted there."""
+        rq = qp.srq if qp.srq is not None else qp
+        if rq.parked is None:
+            rq.parked = collections.deque()
+        rq.parked.append((qp, segments, byte_len, imm, packet.src, packet.src_qpn))
+        rq.parked_total += 1
+
+    def _complete_recv(self, qp: QueuePair, wr: RecvWR,
+                       segments: Optional[Sequence[Packet]], byte_len: int,
+                       imm: Optional[int], src, src_qpn) -> None:
+        """Complete a whole inbound message into *wr*: land the segments of
+        a SEND (any arrival order; placement is by segment sequence number)
+        — a write-with-imm (``segments is None``) is already placed."""
+        if segments is None:
+            opcode = Opcode.RECV_RDMA_WITH_IMM
+        else:
+            opcode = Opcode.RECV
+            if byte_len > wr.length:
+                raise RuntimeError(
+                    f"RC send of {byte_len} B larger than posted recv of {wr.length} B"
+                )
+            dst_mr = self.memory.lookup(wr.mr_key)
+            for p in segments:
+                if p.payload is not None and p.payload_len:
+                    off = wr.offset + p.msg_seq * self.mtu
+                    dst_mr.view(off, p.payload_len)[:] = p.payload[: p.payload_len]
         if self.trace is not None:
             self.trace.instant("nic.cqe", self.sim.now)
-        qp.recv_cq.push(
-            CQE(
-                wr_id=wr.wr_id,
-                opcode=Opcode.RECV,
-                qpn=qp.qpn,
-                byte_len=byte_len,
-                imm=imm,
-                src=src,
-                src_qpn=src_qpn,
-            )
-        )
-
-    def _drain_rc_pending(self, qp: QueuePair) -> None:
-        """Called when a recv WR is posted: complete parked RC messages."""
-        parked = self._parked_imm.get(qp.qpn)
-        if parked and qp.recv_queue:
-            packet, byte_len, imm = parked.pop(0)
-            wr = qp.recv_queue.popleft()
-            qp.recv_cq.push(
-                CQE(
-                    wr_id=wr.wr_id,
-                    opcode=Opcode.RECV_RDMA_WITH_IMM,
-                    qpn=qp.qpn,
-                    byte_len=byte_len,
-                    imm=imm,
-                    src=packet.src,
-                    src_qpn=packet.src_qpn,
-                )
-            )
-            return
-        complete = self._rc_complete_sends.get(qp.qpn)
-        if complete and qp.recv_queue:
-            key, byte_len, imm, src, src_qpn = complete.pop(0)
-            self._consume_rc_send(qp, key, byte_len, imm, src, src_qpn)
+        qp.recv_cq.push(CQE(wr.wr_id, opcode, qp.qpn, byte_len, imm, src, src_qpn))
 
     # ----------------------------------------------------------- RDMA READ
 

@@ -503,3 +503,124 @@ def test_recv_queue_capacity_enforced():
     qp.post_recv(RecvWR(wr_id=1, mr_key=mr.key, offset=4, length=4))
     with pytest.raises(RuntimeError, match="full"):
         qp.post_recv(RecvWR(wr_id=2, mr_key=mr.key, offset=8, length=4))
+
+
+# ---------------------------------------------------------------------- SRQ
+
+
+def srq_fan_in(fabric, senders, dst=0):
+    """RC QPs from every host in *senders* to *dst*, the receiving ends all
+    attached to one SRQ completing into one CQ."""
+    nic = fabric.nic(dst)
+    srq = nic.create_srq()
+    cq = nic.create_cq("fan-in")
+    tx, rx = {}, {}
+    for h in senders:
+        qs = fabric.nic(h).create_qp(Transport.RC)
+        qr = nic.create_qp(Transport.RC, recv_cq=cq, srq=srq)
+        qs.connect(dst, qr.qpn)
+        qr.connect(h, qs.qpn)
+        tx[h], rx[h] = qs, qr
+    return srq, cq, tx, rx
+
+
+def test_srq_feeds_every_attached_qp():
+    """Two WRs posted once serve messages arriving on two different QPs."""
+    sim, fabric = make_fabric()
+    srq, cq, tx, rx = srq_fan_in(fabric, [1, 2])
+    r_mr = fabric.nic(0).memory.register(128)
+    srq.post_recv_batch([RecvWR(wr_id=i, mr_key=r_mr.key, offset=64 * i, length=64)
+                         for i in range(2)])
+    for h in (1, 2):
+        tx[h].post_send(SendWR(wr_id=h, verb="send", signaled=False,
+                               inline_data=np.full(8, h, dtype=np.uint8)))
+    sim.run()
+    cqes = cq.poll()
+    assert sorted(c.src for c in cqes) == [1, 2]
+    assert sorted(c.qpn for c in cqes) == sorted(q.qpn for q in rx.values())
+    for c in cqes:  # each message landed in the slot its WR named
+        assert (r_mr.buf[64 * c.wr_id: 64 * c.wr_id + 8] == c.src).all()
+    assert len(srq.recv_queue) == 0 and srq.posted == 2 and srq.parked_total == 0
+
+
+def test_srq_dry_parks_across_qps_in_arrival_order():
+    """Messages of *any* attached QP that find the SRQ dry complete in
+    arrival order as WRs are posted — RC never drops — mixing two-sided
+    sends and write-with-imm notifications."""
+    sim, fabric = make_fabric()
+    srq, cq, tx, rx = srq_fan_in(fabric, [1, 2, 3])
+    r_mr = fabric.nic(0).memory.register(256)
+    s_mr = fill(fabric.nic(2).memory.register(16))
+
+    def staggered():
+        tx[3].post_send(SendWR(wr_id=0, verb="send", signaled=False,
+                               inline_data=np.full(4, 3, dtype=np.uint8)))
+        yield sim.timeout(1e-6)
+        tx[2].post_send(SendWR(wr_id=0, verb="write", mr_key=s_mr.key, length=16,
+                               remote_key=r_mr.key, remote_offset=128, imm=22,
+                               signaled=False))
+        yield sim.timeout(1e-6)
+        tx[1].post_send(SendWR(wr_id=0, verb="send", signaled=False,
+                               inline_data=np.full(4, 1, dtype=np.uint8)))
+
+    sim.spawn(staggered())
+    sim.run()
+    assert len(cq) == 0 and srq.parked_total == 3
+    assert fabric.nic(0).rnr_drops == 0
+    srq.post_recv(RecvWR(wr_id=10, mr_key=r_mr.key, offset=0, length=32))
+    assert [(c.src, c.wr_id) for c in cq.poll()] == [(3, 10)]
+    srq.post_recv_batch([RecvWR(wr_id=11 + i, mr_key=r_mr.key, offset=32 * (i + 1),
+                                length=32) for i in range(3)])
+    cqes = cq.poll()
+    assert [(c.src, c.wr_id, c.opcode) for c in cqes] == [
+        (2, 11, Opcode.RECV_RDMA_WITH_IMM), (1, 12, Opcode.RECV)]
+    assert cqes[0].imm == 22
+    assert len(srq.recv_queue) == 1  # the third WR stays posted
+    assert not srq.parked
+
+
+def test_srq_multisegment_send_lands_by_sequence():
+    sim, fabric = make_fabric()
+    srq, cq, tx, rx = srq_fan_in(fabric, [1])
+    s_mr = fill(fabric.nic(1).memory.register(10000))
+    r_mr = fabric.nic(0).memory.register(16384)
+    tx[1].post_send(SendWR(wr_id=1, verb="send", mr_key=s_mr.key, length=10000, imm=3))
+    sim.run()
+    assert len(cq) == 0  # parked whole, segments held
+    srq.post_recv(RecvWR(wr_id=7, mr_key=r_mr.key, offset=0, length=16384))
+    (cqe,) = cq.poll()
+    assert (cqe.byte_len, cqe.imm, cqe.wr_id) == (10000, 3, 7)
+    assert np.array_equal(r_mr.buf[:10000], s_mr.buf)
+
+
+def test_srq_attached_qp_has_no_receive_queue_of_its_own():
+    sim, fabric = make_fabric()
+    nic = fabric.nic(0)
+    srq = nic.create_srq(max_wr=2)
+    qp = nic.create_qp(Transport.RC, srq=srq)
+    mr = nic.memory.register(64)
+    wr = RecvWR(wr_id=0, mr_key=mr.key, offset=0, length=8)
+    for post in (qp.post_recv, qp.post_recv_cached):
+        with pytest.raises(ValueError, match="SRQ"):
+            post(wr)
+    with pytest.raises(ValueError, match="SRQ"):
+        qp.post_recv_batch([wr])
+    srq.post_recv(wr)
+    srq.post_recv_cached(wr)
+    with pytest.raises(RuntimeError, match="full"):
+        srq.post_recv_cached(wr)
+    with pytest.raises(ValueError, match="RC"):
+        nic.create_qp(Transport.UD, srq=srq)
+    with pytest.raises(ValueError, match="host"):
+        fabric.nic(1).create_qp(Transport.RC, srq=srq)
+
+
+def test_default_cqs_are_per_qp_and_built_on_demand():
+    """Omitted CQs cost nothing until used, and are never shared: the
+    fetch path polls ``qp.send_cq`` expecting only that QP's completions."""
+    sim, fabric = make_fabric()
+    qa, qb = connect_rc(fabric, 0, 1)
+    assert qa.send_cq is qa.send_cq
+    assert qa.send_cq is not qb.send_cq and qa.send_cq is not qa.recv_cq
+    with pytest.raises(AttributeError):
+        qa.no_such_attribute

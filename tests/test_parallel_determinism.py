@@ -158,6 +158,10 @@ def test_allgather_bitwise_across_shards(transport, seed):
     assert runs[2].engine["shards"] == 2
     assert runs[4].engine["shards"] == 4
     assert runs[1].engine["sync_rounds"] == P
+    # control-plane bring-up is coordinator state: the equalities above
+    # hold it identical for every shard count and backend
+    assert runs[4].engine["ctrl_pairs"] == base.engine["ctrl_pairs"] > 0
+    assert pipes.engine["ctrl_recv_posted"] == base.engine["ctrl_recv_posted"] > 0
     # inline shards exchange no pipe messages; the fork backend does
     assert runs[2].engine["boundary_msgs"] == 0
     assert pipes.engine["boundary_msgs"] > 0

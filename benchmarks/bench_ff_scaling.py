@@ -21,9 +21,9 @@ Entry modes:
   allgather at 1024 AND 4096 hosts, a shard-equivalence axis at 1024
   (``parallel`` in {1, 2, 4} plus the multiprocessing pipe backend must
   all be bit-identical in virtual time), an ag4096/ag1024 wall-clock
-  scaling-ratio gate, a hard wall-clock budget, and ``ff_phases``
-  assertions that fail loudly if the fold silently disengages.  The
-  result table is persisted to
+  scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
+  the whole process, and ``ff_phases`` assertions that fail loudly if
+  the fold silently disengages.  The result table is persisted to
   ``benchmarks/results/ff_scaling_smoke.txt`` for artifact upload.
 * default — the full sweep (minutes: the ``pkt`` column at 2048 hosts
   is the cost being amortized), persisted to
@@ -37,6 +37,8 @@ agreement is the exactness contract, checked here on every run.
 from __future__ import annotations
 
 import argparse
+import gc
+import resource
 import sys
 import time
 from typing import Dict, List, Optional
@@ -58,6 +60,8 @@ MODES = {
 BCAST_PAYLOAD = 4 * MiB
 CHUNK = 4096
 AG_PER_RANK = KiB
+#: peak resident set the whole ``--smoke`` process may reach (MiB)
+SMOKE_RSS_BUDGET_MIB = 1024
 
 
 def run_broadcast(n_hosts: int, mode: str,
@@ -183,13 +187,16 @@ def smoke(budget_s: float) -> int:
 
     The 4096-host rows are the headline of the parallel-DES work: the
     allgather chain is O(P) folds, so quadrupling the rank count must
-    cost far less than the 16x a quadratic engine would pay.  The ratio
-    is measured against a 1024-rank run with the *same* per-rank payload
-    and cutoff so the comparison isolates scaling, not configuration.
-    Payloads shrink at 4096 (1 MiB broadcast, 128 B/rank allgather):
-    receive buffers are materialized per rank, so a 4 MiB broadcast at
-    4096 ranks would page in 16 GB of payload state — the engine cost
-    being measured here is per-chunk/per-link, not per-byte.
+    cost far less than the 16x a quadratic engine would pay.  Both
+    allgather rows carry the same per-rank payload and cutoff so the
+    ratio isolates scaling, not configuration.
+    The 4096-host rows run at the 1024-row payload sizes: a folded phase
+    records where each receiver's bytes come from instead of copying
+    them (DESIGN.md §6h), so the 4096-rank x 1 KiB allgather holds one
+    4 MiB gather image, not 4096 receive buffers of 4 MiB (16 GiB).  The
+    4096-host broadcast stops at 2 MiB because the fold's per-edge
+    arrival lists (hosts x chunks floats), not payload, reach the
+    process-wide RSS budget at 4 MiB; that budget is asserted at the end.
     """
     t0 = time.perf_counter()
     rows = []
@@ -201,6 +208,9 @@ def smoke(budget_s: float) -> int:
                      str(r["ff_phases"]), note])
         print(f"  smoke {kind} n={n} ({note}): wall={r['wall_s']:.2f}s "
               f"ff_phases={r['ff_phases']}", flush=True)
+        # A finished row's fabric and communicator reference each other;
+        # free them now so the RSS budget measures one row, not the sum.
+        gc.collect()
 
     b = run_broadcast(1024, "banded")
     row("broadcast", 1024, b)
@@ -209,7 +219,9 @@ def smoke(budget_s: float) -> int:
             f"broadcast fold disengaged (ff_phases={b['ff_phases']}, "
             "expected 1) — the run fell back to packet level")
 
-    a = run_allgather(1024, "banded")
+    # 100 ms static cutoff on both allgather rows: a 4096-rank chain runs
+    # ~13 ms of virtual time, past the 10 ms default slack.
+    a = run_allgather(1024, "banded", cutoff_alpha=100e-3)
     row("allgather", 1024, a)
     if a["ff_phases"] != 1024:
         failures.append(
@@ -217,25 +229,20 @@ def smoke(budget_s: float) -> int:
             "eligibility gates are rejecting clean phases")
 
     # --- 4096-host rows ----------------------------------------------------
-    b4 = run_broadcast(4096, "banded", payload=MiB)
-    row("broadcast", 4096, b4, note="1MiB")
+    b4 = run_broadcast(4096, "banded", payload=2 * MiB)
+    row("broadcast", 4096, b4, note="2MiB")
     if b4["ff_phases"] != 1:
         failures.append(
             f"4096-host broadcast fold disengaged "
             f"(ff_phases={b4['ff_phases']}, expected 1)")
 
-    # Matched-payload baseline for the scaling ratio: same 128 B/rank and
-    # the same 100 ms static cutoff (a 4096-rank chain runs ~13 ms of
-    # virtual time, past the 10 ms default slack).
-    a1m = run_allgather(1024, "banded", per_rank=128, cutoff_alpha=100e-3)
-    row("allgather", 1024, a1m, note="128B/rank")
-    a4 = run_allgather(4096, "banded", per_rank=128, cutoff_alpha=100e-3)
-    row("allgather", 4096, a4, note="128B/rank")
+    a4 = run_allgather(4096, "banded", cutoff_alpha=100e-3)
+    row("allgather", 4096, a4)
     if a4["ff_phases"] != 4096:
         failures.append(
             f"4096-rank allgather folded {a4['ff_phases']}/4096 phases — "
             "the chain fell back to packet level partway")
-    ratio = a4["wall_s"] / max(a1m["wall_s"], 1e-9)
+    ratio = a4["wall_s"] / max(a["wall_s"], 1e-9)
     rows.append(["ag4096/ag1024", "-", "-", f"{ratio:.2f}x",
                  "-", "-", "-", "wall ratio"])
     print(f"  smoke ag4096/ag1024 wall ratio: {ratio:.2f}x "
@@ -267,7 +274,15 @@ def smoke(budget_s: float) -> int:
 
     wall = time.perf_counter() - t0
     rows.append(["total", "-", "-", f"{wall:.2f}", "-", "-", "-", "-"])
+    rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rows.append(["peak_rss", "-", "-", "-", "-", "-", "-",
+                 f"{rss_mib:.0f} MiB"])
     report("ff_scaling_smoke", format_table(HEADERS, rows))
+    if rss_mib > SMOKE_RSS_BUDGET_MIB:
+        failures.append(
+            f"scaling smoke blew its memory budget: peak RSS "
+            f"{rss_mib:.0f} MiB > {SMOKE_RSS_BUDGET_MIB} MiB — receive "
+            "payloads are being materialised again")
     if wall > budget_s:
         failures.append(
             f"scaling smoke blew its wall-clock budget: {wall:.1f}s > "
@@ -275,7 +290,8 @@ def smoke(budget_s: float) -> int:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:
-        print(f"scaling smoke OK in {wall:.1f}s (budget {budget_s:.0f}s)")
+        print(f"scaling smoke OK in {wall:.1f}s (budget {budget_s:.0f}s), "
+              f"peak RSS {rss_mib:.0f} MiB (budget {SMOKE_RSS_BUDGET_MIB} MiB)")
     return 1 if failures else 0
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Union
 
@@ -49,6 +50,7 @@ from repro.core.request import (
 from repro.core.sequencer import BroadcastSequencer, effective_chains
 from repro.core.subgroups import SubgroupPlan
 from repro.net.fabric import Fabric
+from repro.net.memory import MemoryRegion
 from repro.net.nic import QueuePair, Transport
 from repro.net.topology import host_name
 from repro.obs import trace as obs_trace
@@ -72,6 +74,7 @@ __all__ = [
     "PhaseStats",
     "RankStats",
     "CollectiveResult",
+    "PayloadBuffers",
 ]
 
 
@@ -282,6 +285,26 @@ class RankStats:
     timer_trace: List[tuple] = field(default_factory=list)
 
 
+class PayloadBuffers(abc.Sequence):
+    """``CollectiveResult.buffers`` of an engine-backed collective: a
+    read-only sequence over the per-rank op regions (DESIGN.md §6h).
+    ``buffers[r]`` is rank *r*'s array and materialises exactly that rank;
+    the ``verify_*`` checks go through the regions and materialise none."""
+
+    def __init__(self, regions: List[MemoryRegion], dtype=np.uint8) -> None:
+        self.regions = regions
+        self.dtype = dtype
+
+    def __len__(self) -> int:
+        return len(self.regions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.regions)))]
+        buf = self.regions[index].buf
+        return buf if self.dtype == np.uint8 else buf.view(self.dtype)
+
+
 @dataclass
 class CollectiveResult:
     """Outcome of one collective across all ranks."""
@@ -294,12 +317,16 @@ class CollectiveResult:
     t_begin: float
     t_end: float
     ranks: List[RankStats]
-    buffers: List[np.ndarray]
+    #: per-rank result arrays; a :class:`PayloadBuffers` for the
+    #: engine-backed kinds (``buffers[r]`` materialises rank *r* on access)
+    buffers: Sequence[np.ndarray]
     traffic: Dict[str, int]
     #: simulator engine telemetry for this collective: events processed,
     #: coalesced trains and train packets (fast-path coverage), folded
-    #: phases, and the control-plane bring-up it paid (``ctrl_pairs``,
-    #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``)
+    #: phases, the control-plane bring-up it paid (``ctrl_pairs``,
+    #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``) and its
+    #: payload cost (``payload_bytes_copied`` / ``payload_bytes_placed`` /
+    #: ``payload_regions_materialized``, DESIGN.md §6h)
     engine: Dict[str, int] = field(default_factory=dict)
     #: trace snapshot clipped to this collective's window, when the
     #: communicator was built with ``trace=TraceConfig(...)``
@@ -404,18 +431,36 @@ class CollectiveResult:
             ),
         }
 
-    def verify_allgather(self, send_data: Sequence[np.ndarray]) -> bool:
-        expected = np.concatenate([np.ascontiguousarray(d).view(np.uint8).ravel()
-                                   for d in send_data])
+    def _holds(self, r: int, expected: np.ndarray, memo: Dict[object, List[int]],
+               lo: int = 0, hi: Optional[int] = None) -> bool:
+        """Exact check that bytes ``[lo, hi)`` (default: all) of rank *r*'s
+        buffer equal ``expected``'s.  Engine-backed results compare
+        segment-wise through the op regions, materialising nothing; *memo*
+        (one per *expected*) shares comparisons of a common source."""
+        bufs = self.buffers
+        if isinstance(bufs, PayloadBuffers):
+            region = bufs.regions[r]
+            if hi is None and region.nbytes != expected.nbytes:
+                return False
+            return region.equals(expected, memo, lo, hi)
+        if hi is None:
+            return bool(np.array_equal(bufs[r], expected))
+        return bool(np.array_equal(bufs[r][lo:hi], expected[lo:hi]))
+
+    def _survivors_hold(self, expected: np.ndarray) -> bool:
         dead = set(self.dead_ranks)
-        return all(np.array_equal(buf, expected)
-                   for r, buf in enumerate(self.buffers) if r not in dead)
+        memo: Dict[object, List[int]] = {}
+        return all(self._holds(r, expected, memo)
+                   for r in range(len(self.buffers)) if r not in dead)
+
+    def verify_allgather(self, send_data: Sequence[np.ndarray]) -> bool:
+        return self._survivors_hold(
+            np.concatenate([np.ascontiguousarray(d).view(np.uint8).ravel()
+                            for d in send_data]))
 
     def verify_broadcast(self, data: np.ndarray) -> bool:
-        expected = np.ascontiguousarray(data).view(np.uint8).ravel()
-        dead = set(self.dead_ranks)
-        return all(np.array_equal(buf, expected)
-                   for r, buf in enumerate(self.buffers) if r not in dead)
+        return self._survivors_hold(
+            np.ascontiguousarray(data).view(np.uint8).ravel())
 
     def verify_allgather_degraded(self, send_data: Sequence[np.ndarray]) -> bool:
         """Degraded-mode allgather check: on every *surviving* rank, every
@@ -424,12 +469,13 @@ class CollectiveResult:
         expected = np.concatenate([np.ascontiguousarray(d).view(np.uint8).ravel()
                                    for d in send_data])
         dead = set(self.dead_ranks)
-        for r, buf in enumerate(self.buffers):
+        memo: Dict[object, List[int]] = {}
+        for r in range(len(self.buffers)):
             if r in dead:
                 continue
             mask = self.validity[r] if self.validity is not None else None
             if mask is None:
-                if not np.array_equal(buf, expected):
+                if not self._holds(r, expected, memo):
                     return False
                 continue
             n_chunks = len(mask)
@@ -441,7 +487,7 @@ class CollectiveResult:
                 lo = i * chunk
                 hi = min(lo + chunk, len(expected))
                 if mask[i]:
-                    if not np.array_equal(buf[lo:hi], expected[lo:hi]):
+                    if not self._holds(r, expected, memo, lo, hi):
                         return False
                 elif i // chunks_per_rank not in dead:
                     return False  # hole outside any dead rank's shard
@@ -543,13 +589,13 @@ class OpHandle(CollectiveHandle):
     all-done event."""
 
     def __init__(self, comm: "Communicator", kind: Union[str, CollectiveKind],
-                 coll_id: int, ops: List[OpState], buffers: List[np.ndarray],
+                 coll_id: int, ops: List[OpState],
                  send_bytes: int, root: Optional[int] = None):
         self.comm = comm
         self.kind = CollectiveKind(kind)
         self.coll_id = coll_id
         self.ops = ops
-        self.buffers = buffers
+        self.buffers = PayloadBuffers([op.mr for op in ops])
         self.send_bytes = send_bytes
         self.root = root
         self.t_submit = comm.sim.now
@@ -575,6 +621,31 @@ class OpHandle(CollectiveHandle):
         for engine in self.comm.engines:
             engine.release_op(self.coll_id)
         self.comm._op_procs.pop(self.coll_id, None)
+
+    @staticmethod
+    def _payload_cost(live_ops: List[OpState]) -> Dict[str, int]:
+        """What the payload cost the simulator host (DESIGN.md §6h), read
+        off the op regions at result time.  A chunk lands exactly once
+        (``chunks_received`` + ``recovered_chunks`` count unique PSNs) and
+        any byte-level write materialises its region, so a rank's landed
+        bytes are placements while its region is still lazy and were
+        memcpy'd — per packet, by a fold commit into a materialised
+        region, or when the placements materialised — once it is not."""
+        copied = placed = materialized = 0
+        for op in live_ops:
+            plan = op.plan
+            last = plan.n_chunks - 1
+            landed = (op.stats["chunks_received"]
+                      + op.stats["recovered_chunks"]) * plan.chunk_size
+            if not op.send_lo <= last < op.send_hi and op.placed.test(last):
+                landed -= plan.chunk_size - plan.bounds(last)[1]
+            if op.mr.materialized:
+                materialized += 1
+                copied += landed
+            else:
+                placed += landed
+        return {"payload_bytes_copied": copied, "payload_bytes_placed": placed,
+                "payload_regions_materialized": materialized}
 
     def result(self, traffic: Optional[Dict[str, int]] = None,
                engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
@@ -627,7 +698,7 @@ class OpHandle(CollectiveHandle):
             ranks=ranks,
             buffers=self.buffers,
             traffic=traffic or {},
-            engine=engine or {},
+            engine={**(engine or {}), **self._payload_cost(live_ops)},
             trace=tracer.view(t_begin, t_end) if tracer is not None else None,
             dead_ranks=dead,
             validity=validity,
@@ -869,7 +940,7 @@ class ComposedHandle(CollectiveHandle):
         tracer = self.comm.tracer
         # The allgather ran over the reduced shards, so every surviving
         # rank's gather buffer *is* the full reduced vector.
-        buffers = [np.asarray(b).view(np.float32) for b in ag_res.buffers]
+        buffers = PayloadBuffers(ag_res.buffers.regions, dtype=np.float32)
         return CollectiveResult(
             kind=self.kind,
             comm_size=self.comm.size,
@@ -881,7 +952,8 @@ class ComposedHandle(CollectiveHandle):
             ranks=ag_res.ranks,
             buffers=buffers,
             traffic=traffic or {},
-            engine=engine or {},
+            # ag_res.engine holds the allgather phase's payload cost
+            engine={**ag_res.engine, **(engine or {})},
             trace=(tracer.view(rs_base.t_begin, ag_res.t_end)
                    if tracer is not None else None),
             dead_ranks=ag_res.dead_ranks,
@@ -1258,15 +1330,17 @@ class Communicator:
         sub = SubgroupPlan(plan.n_chunks, self.config.n_subgroups)
         if root in self.dead_ranks:
             raise ValueError(f"broadcast root {root} fail-stopped earlier")
-        ops, buffers, procs = [], [], []
+        ops, procs = [], []
         participants = self.survivors
+        position = {p: i for i, p in enumerate(participants)}
+        # Snapshot once per collective: a placement must never alias
+        # caller-owned memory (DESIGN.md §6h).
+        image = payload.copy()
         for r in range(self.size):
             engine = self.engines[r]
+            mr = engine.nic.memory.register(nbytes, key=RKEY_BASE + cid)
             if r == root:
-                buf = payload
-            else:
-                buf = np.zeros(nbytes, dtype=np.uint8)
-            mr = engine.nic.memory.register(buf, key=RKEY_BASE + cid)
+                mr.place(0, image, 0, nbytes)
             op = OpState(
                 sim=self.sim, coll_id=cid, kind="broadcast", rank=r,
                 comm_size=self.size, mr=mr, plan=plan, subgroups=sub,
@@ -1276,13 +1350,13 @@ class Communicator:
                 op.abandon()  # a dead host runs no software
             else:
                 engine.register_op(op)
-                proc = self.sim.spawn(engine.run_op(op, participants),
-                                      name=f"bcast-c{cid}-r{r}")
+                proc = self.sim.spawn(
+                    engine.run_op(op, participants, position[r]),
+                    name=f"bcast-c{cid}-r{r}")
                 procs.append((r, proc))
             ops.append(op)
-            buffers.append(mr.buf)
         self._op_procs[cid] = procs
-        return OpHandle(self, "broadcast", cid, ops, buffers, nbytes, root=root)
+        return OpHandle(self, "broadcast", cid, ops, nbytes, root=root)
 
     def broadcast_async(self, root: int, data: np.ndarray) -> OpHandle:
         """Start a Broadcast of *data* from rank *root*; returns a handle."""
@@ -1328,14 +1402,16 @@ class Communicator:
         n_chains = effective_chains(len(participants), self.config.n_chains)
         seq = BroadcastSequencer(len(participants), n_chains)
         chain_index = {r: i for i, r in enumerate(participants)}
-        ops, buffers, procs = [], [], []
+        ops, procs = [], []
+        # One snapshot of every contribution per collective: placements
+        # must never alias caller-owned memory (DESIGN.md §6h).
+        image = np.concatenate(payloads)
         for r in range(self.size):
             engine = self.engines[r]
-            buf = np.zeros(total, dtype=np.uint8)
+            mr = engine.nic.memory.register(total, key=RKEY_BASE + cid)
             # Own shard is placed locally — the paper's roots never receive
             # their own multicast back (the tree excludes the ingress port).
-            buf[r * nbytes : (r + 1) * nbytes] = payloads[r]
-            mr = engine.nic.memory.register(buf, key=RKEY_BASE + cid)
+            mr.place(r * nbytes, image, r * nbytes, nbytes)
             op = OpState(
                 sim=self.sim, coll_id=cid, kind="allgather", rank=r,
                 comm_size=self.size, mr=mr, plan=plan, subgroups=sub,
@@ -1344,7 +1420,6 @@ class Communicator:
             if r in self.dead_ranks:
                 op.abandon()
                 ops.append(op)
-                buffers.append(mr.buf)
                 continue
             for d in sorted(self.dead_ranks):
                 op.mark_void(d * chunks_per_rank, chunks_per_rank)
@@ -1358,6 +1433,7 @@ class Communicator:
                 engine.run_op(
                     op,
                     participants,
+                    idx,
                     activation_pred=participants[pred] if pred is not None else None,
                     activation_succ=participants[succ] if succ is not None else None,
                 ),
@@ -1365,9 +1441,8 @@ class Communicator:
             )
             procs.append((r, proc))
             ops.append(op)
-            buffers.append(mr.buf)
         self._op_procs[cid] = procs
-        return OpHandle(self, "allgather", cid, ops, buffers, nbytes)
+        return OpHandle(self, "allgather", cid, ops, nbytes)
 
     def allgather_async(self, send_data: Sequence[np.ndarray]) -> OpHandle:
         """Start an Allgather; ``send_data[r]`` is rank *r*'s contribution."""

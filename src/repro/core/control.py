@@ -207,14 +207,21 @@ class ControlPlane:
         qp.post_send(SendWR(wr_id=0, verb="send", inline_data=words, signaled=False))
         self.messages_sent += 1
 
-    def _inbox(self, mtype: int, key: int, src: Optional[int]) -> Store:
+    def _inbox(self, mtype: int, key: int, src: Optional[int]) -> Tuple[tuple, Store]:
         # Any-source types (servers) get one inbox per type; the message
         # itself carries the key and source.
         ib_key = (mtype,) if mtype in _ANY_SOURCE else (mtype, key, src)
         store = self._inboxes.get(ib_key)
         if store is None:
             store = self._inboxes[ib_key] = Store(self.sim)
-        return store
+        return ib_key, store
+
+    def _retire(self, ib_key: tuple, store: Store) -> None:
+        """Drop a keyed inbox that holds no message and no waiter: keys
+        are single-use (collective id, round, nonce), so a kept one is
+        never read again.  Any-source inboxes stay."""
+        if len(ib_key) == 3 and store.idle:
+            del self._inboxes[ib_key]
 
     def recv(self, mtype: int, key: int = 0, src: Optional[int] = None) -> Event:
         """Event yielding the next :class:`CtrlMessage` of this signature.
@@ -224,7 +231,10 @@ class ControlPlane:
         """
         if mtype not in _ANY_SOURCE and src is None:
             raise ValueError(f"mtype {mtype} requires an explicit source rank")
-        return self._inbox(mtype, key, src).get()
+        ib_key, store = self._inbox(mtype, key, src)
+        ev = store.get()
+        self._retire(ib_key, store)
+        return ev
 
     def _dispatch_loop(self):
         sim = self.sim
@@ -263,11 +273,14 @@ class ControlPlane:
                     if self.on_death is not None:
                         self.on_death(msg)
                     continue
-                self._inbox(mtype, key, src).put(msg)
+                ib_key, store = self._inbox(mtype, key, src)
+                store.put(msg)
+                self._retire(ib_key, store)
 
     # --------------------------------------------------------------- barrier
 
-    def barrier(self, tag: int, ranks: Optional[List[int]] = None):
+    def barrier(self, tag: int, ranks: Optional[List[int]] = None,
+                me: Optional[int] = None):
         """Dissemination barrier among *ranks* (generator; ``yield from`` it).
 
         ``tag`` must be unique per logical barrier instance (e.g. the
@@ -278,6 +291,10 @@ class ControlPlane:
         QPs (as an earlier revision did) is wrong in general — lazy QP
         creation means different ranks can observe different peer sets,
         deadlocking the dissemination pattern.
+
+        *me* is this rank's position in *ranks* when the caller already
+        knows it (the communicator's per-collective map); otherwise the
+        list is searched.
         """
         if ranks is None:
             raise ValueError(
@@ -285,7 +302,8 @@ class ControlPlane:
                 "list on every participant; deriving it from the lazily "
                 "created control QPs is unreliable"
             )
-        me = ranks.index(self.rank)
+        if me is None:
+            me = ranks.index(self.rank)
         p = len(ranks)
         k = 1
         rnd = 0

@@ -626,8 +626,8 @@ class RankEngine:
 
     # ------------------------------------------------------------- recovery
 
-    def run_recovery(self, op: OpState, participants: List[int], deadline_abs: float,
-                     monitor: Optional[List[int]] = None):
+    def run_recovery(self, op: OpState, participants: List[int], me: int,
+                     deadline_abs: float, monitor: Optional[List[int]] = None):
         """Slow path (§III-C), hardened: selective zero-copy fetch of
         missing chunks from ring neighbors.
 
@@ -654,6 +654,7 @@ class RankEngine:
         When *monitor* is set (liveness layer active), any confirmed death
         among those ranks raises :class:`PeerDeadError` out of the loop so
         the controller can re-plan instead of fetching from a corpse.
+        *me* is this rank's position in *participants*.
         """
         op.stats["recoveries"] += 1
         ff = self.comm.ff
@@ -664,7 +665,6 @@ class RankEngine:
             ff.preempt_vec()
         trc = self.trace
         recovery_t0 = self.sim.now
-        me = participants.index(self.rank)
         # Escalation order: the ring-left neighbor first, then progressively
         # farther-left ranks (under the chain schedule those are the ranks
         # most likely to already hold what we miss), wrapping the full ring.
@@ -1001,10 +1001,9 @@ class RankEngine:
             suspicion = min(suspicion * 2.0, cap)
             wait = suspicion
 
-    def _barrier_live(self, op: OpState, tag: int, ranks: List[int]):
+    def _barrier_live(self, op: OpState, tag: int, ranks: List[int], me: int):
         """The control plane's dissemination barrier with every receive
         routed through :meth:`_recv_live` (same wire pattern and keys)."""
-        me = ranks.index(self.rank)
         p = len(ranks)
         k = 1
         rnd = 0
@@ -1030,10 +1029,14 @@ class RankEngine:
         self,
         op: OpState,
         participants: List[int],
+        me: int,
         activation_pred: Optional[int] = None,
         activation_succ: Optional[int] = None,
     ):
-        """The lifecycle of one collective on this rank (a process).
+        """The lifecycle of one collective on this rank (a process); *me*
+        is this rank's position in *participants* (the communicator builds
+        one rank→position map per collective instead of every rank
+        searching the list).
 
         barrier → [wait activation] → multicast → [activate successor] →
         cutoff-timed wait → recovery* → final handshake.
@@ -1050,12 +1053,12 @@ class RankEngine:
         policy = self.config.failure_policy
         if policy is None:
             yield from self._run_op_inner(
-                op, participants, activation_pred, activation_succ, live=False
+                op, participants, me, activation_pred, activation_succ, live=False
             )
             return op
         try:
             yield from self._run_op_inner(
-                op, participants, activation_pred, activation_succ, live=True
+                op, participants, me, activation_pred, activation_succ, live=True
             )
         except PeerDeadError as err:
             yield from self._repair_and_complete(
@@ -1067,6 +1070,7 @@ class RankEngine:
         self,
         op: OpState,
         participants: List[int],
+        me: int,
         activation_pred: Optional[int],
         activation_succ: Optional[int],
         live: bool,
@@ -1075,9 +1079,9 @@ class RankEngine:
         op.mark_phase("start")
         if len(participants) > 1:
             if live:
-                yield from self._barrier_live(op, op.coll_id, participants)
+                yield from self._barrier_live(op, op.coll_id, participants, me)
             else:
-                yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants)
+                yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants, me=me)
         op.mark_phase("sync")
         # Cutoff timer (§III-C): N/B + α, where N bounds the bytes that
         # must cross the receive path.  For Allgather the chain schedule
@@ -1159,7 +1163,7 @@ class RankEngine:
                 op.mark_phase("recovery")
                 recovery_deadline_abs = self.sim.now + cfg.recovery_deadline
             yield from self.run_recovery(
-                op, participants, recovery_deadline_abs,
+                op, participants, me, recovery_deadline_abs,
                 monitor=participants if live else None,
             )
             deadline = self.sim.now + cfg.recovery_alpha
@@ -1172,7 +1176,6 @@ class RankEngine:
                 self.cutoff.observe((self.sim.now - armed_at) - expected)
         op.mark_phase("data")
         if len(participants) > 1:
-            me = participants.index(self.rank)
             left = participants[(me - 1) % len(participants)]
             right = participants[(me + 1) % len(participants)]
             self.ctrl.send(left, MSG_FINAL, op.coll_id)
@@ -1284,8 +1287,9 @@ class RankEngine:
             op.maybe_complete()
             return
         deadline_abs = self.sim.now + cfg.recovery_deadline
+        me = survivors.index(self.rank)
         while not op.data_done.triggered:
-            yield from self.run_recovery(op, survivors, deadline_abs,
+            yield from self.run_recovery(op, survivors, me, deadline_abs,
                                          monitor=survivors)
             # New chunks may have propagated to (or died with) peers since
             # the last sweep; re-derive what is permanently gone.

@@ -701,10 +701,12 @@ class FlowFastForward:
         # --- sender-side NIC/CQ state -------------------------------------
         engine.send_cq.total_pushed += n_batches
         # --- per-receiver state -------------------------------------------
-        lo_off, ln0 = op.plan.bounds(op.send_lo)
-        hi_off = op.plan.bounds(op.send_hi - 1)
-        src = op.mr.buf[lo_off:hi_off[0] + hi_off[1]]
-        payload_total = int(src.nbytes)
+        lo_off = op.plan.bounds(op.send_lo)[0]
+        hi_off, hi_len = op.plan.bounds(op.send_hi - 1)
+        payload_total = hi_off + hi_len - lo_off
+        # One shared source for every receiver (DESIGN §6h): the sender's
+        # bytes resolved through its placements, never materialised here.
+        src, src_off = op.mr.source(lo_off, payload_total)
         lens_total = sum(lens)
         psn_lo = op.send_lo
         single = n_chunks == 1
@@ -754,8 +756,8 @@ class FlowFastForward:
                 op_r.bitmap.set_range(psn_lo, n_chunks)
                 op_r.placed.set_range(psn_lo, n_chunks)
             # Payload: the real path stages through slot memory (UD) or
-            # places per packet (UC); byte-for-byte this is one slice copy.
-            op_r.mr.buf[lo_off:lo_off + payload_total] = src
+            # places per packet (UC); byte-for-byte this is one placement.
+            op_r.mr.place(lo_off, src, src_off, payload_total)
             op_r.stats["chunks_received"] += n_chunks
             op_r.ff_hold += 1
             rx.cursor = cursor
@@ -1271,8 +1273,9 @@ class _Vec1Session:
         env[nf] = fin_all if nf == 0 or fin_all > env[nf - 1] else env[nf - 1]
         self.nfolded = nf + 1
         lo = self.lo_offs[i]
-        self.gather[lo:lo + self.lens_i[i]] = \
-            op.mr.buf[lo:lo + self.lens_i[i]]
+        ln_i = self.lens_i[i]
+        src, src_off = op.mr.source(lo, ln_i)
+        self.gather[lo:lo + ln_i] = src[src_off:src_off + ln_i]
 
         # --- completions: delivered(r) == P-1 ----------------------------
         nf1 = nf + 1
@@ -1326,9 +1329,9 @@ class _Vec1Session:
         op_r.placed.set_range(0, self.P)
         lo = self.lo_offs[j]
         hi = lo + self.lens_i[j]
-        buf = op_r.mr.buf
-        buf[0:lo] = self.gather[0:lo]
-        buf[hi:self.buffer_len] = self.gather[hi:self.buffer_len]
+        mr = op_r.mr
+        mr.place(0, self.gather, 0, lo)
+        mr.place(hi, self.gather, hi, self.buffer_len - hi)
         op_r.stats["chunks_received"] += newly
         op_r.maybe_complete()
 
@@ -1361,8 +1364,7 @@ class _Vec1Session:
                 op_r.placed.set_range(psn0, cnt)
                 b0 = op_r.plan.bounds(psn0)[0]
                 b1_off, b1_len = op_r.plan.bounds(psn0 + cnt - 1)
-                op_r.mr.buf[b0:b1_off + b1_len] = \
-                    self.gather[b0:b1_off + b1_len]
+                op_r.mr.place(b0, self.gather, b0, b1_off + b1_len - b0)
             op_r.stats["chunks_received"] += got
             lf = float(last_fin[j])
             if lf > now:

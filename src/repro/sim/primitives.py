@@ -45,6 +45,11 @@ class Store:
     def full(self) -> bool:
         return self.capacity is not None and len(self.items) >= self.capacity
 
+    @property
+    def idle(self) -> bool:
+        """Nothing queued and nobody waiting on either endpoint."""
+        return not (self.items or self._getters or self._putters)
+
     def put(self, item: Any) -> Event:
         """Enqueue *item*; the returned event succeeds when it is accepted."""
         ev = Event(self.sim)

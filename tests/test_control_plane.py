@@ -324,3 +324,47 @@ def test_engine_counters_reconcile_with_the_srqs():
     eng2 = comm.broadcast(0, data).engine
     assert eng2["ctrl_pairs"] == 0
     assert eng2["ctrl_recv_posted"] == sum(p.srq.posted for p in planes) - eng["ctrl_recv_posted"]
+
+
+def _broadcast_loop(n_ops):
+    fabric = Fabric(Simulator(), Topology.leaf_spine(64, 8, 2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=1))
+    comm = Communicator(fabric)
+    data = np.arange(kib(16), dtype=np.uint8)
+    planes = [e.ctrl for e in comm.engines]
+    sizes, events = [], []
+    for _ in range(n_ops):
+        events.append(comm.broadcast(0, data).engine["sim_events"])
+        sizes.append([list(p._inboxes) for p in planes])
+    return fabric, planes, sizes, events
+
+
+def test_keyed_inboxes_are_dropped_once_drained(monkeypatch):
+    """Keyed inboxes are single-use (collective id, round, nonce): one that
+    holds no message and no waiter is dropped, so a long collective loop
+    keeps only the any-source server inbox per rank."""
+    any_source = [(mtype,) for mtype in control._ANY_SOURCE]
+    fabric, planes, sizes, events = _broadcast_loop(20)
+    for per_rank in sizes:  # flat from the first collective on
+        assert per_rank == [any_source] * 64
+    assert sum(p.messages_received for p in planes) > 20 * 6 * 64
+
+    # a message nobody waits for yet keeps its inbox until it is read
+    planes[0].send(1, MSG_FINAL, key=99)
+    fabric.sim.run()
+    assert (MSG_FINAL, 99, 0) in planes[1]._inboxes
+    got = fabric.sim.run_process(_take(planes[1], MSG_FINAL, 99, 0))
+    assert got.key == 99 and list(planes[1]._inboxes) == any_source
+    # ... and so does a waiter nobody has written to yet
+    ev = planes[1].recv(MSG_FINAL, 100, 0)
+    assert (MSG_FINAL, 100, 0) in planes[1]._inboxes
+    planes[0].send(1, MSG_FINAL, key=100)
+    fabric.sim.run()
+    assert ev.value.key == 100 and list(planes[1]._inboxes) == any_source
+
+    # dropping adds and removes no simulator event: the same loop with
+    # every inbox kept (the old behaviour) counts the same events
+    monkeypatch.setattr(control.ControlPlane, "_retire", lambda *_: None)
+    _, kept, kept_sizes, kept_events = _broadcast_loop(20)
+    assert kept_events == events
+    assert len(kept_sizes[-1][0]) > 20 * 6

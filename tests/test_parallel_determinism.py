@@ -158,6 +158,13 @@ def test_allgather_bitwise_across_shards(transport, seed):
     assert runs[2].engine["shards"] == 2
     assert runs[4].engine["shards"] == 4
     assert runs[1].engine["sync_rounds"] == P
+    # payload cost (DESIGN §6h) is read off coordinator-side op state:
+    # exact, and identical for the scalar fold, every shard count and the
+    # pipe backend — every received byte a placement, nothing materialised
+    for res in [base, pipes, *runs.values()]:
+        assert res.engine["payload_bytes_placed"] == P * (P - 1) * 1024
+        assert res.engine["payload_bytes_copied"] == 0
+        assert res.engine["payload_regions_materialized"] == 0
     # control-plane bring-up is coordinator state: the equalities above
     # hold it identical for every shard count and backend
     assert runs[4].engine["ctrl_pairs"] == base.engine["ctrl_pairs"] > 0

@@ -189,9 +189,11 @@ def inc_reduce_scatter(
         # the wire; an instantaneous post of the whole buffer would starve
         # concurrent collectives behind an infinite FIFO).
         for psn in range(tree.n_segments):
-            owner, off = tree.owner_of(psn)
+            # Shard ownership follows host order, so the owner's shard is
+            # the quotient ``owner_of`` itself takes.
+            _, off = tree.owner_of(psn)
             seg_len = tree.seg_len(psn)
-            src_off = (tree.members.index(owner) * shard_bytes) + off
+            src_off = (psn // tree.segs_per_shard) * shard_bytes + off
             if psn % 32 == 0:
                 yield Timeout(net.sim, cost_model.send_batch(min(32, tree.n_segments - psn)))
             finish = tree.inject(net.hosts[r], psn, data[src_off : src_off + seg_len])

@@ -322,8 +322,10 @@ class CollectiveResult:
     buffers: Sequence[np.ndarray]
     traffic: Dict[str, int]
     #: simulator engine telemetry for this collective: events processed,
-    #: coalesced trains and train packets (fast-path coverage), folded
-    #: phases, the control-plane bring-up it paid (``ctrl_pairs``,
+    #: coalesced trains and train packets (fast-path coverage), receive
+    #: CQEs batched by the workers and stamped ahead of their arrival by
+    #: the NICs (``stamped_cqes``, DESIGN.md §6c), folded phases, the
+    #: control-plane bring-up it paid (``ctrl_pairs``,
     #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``) and its
     #: payload cost (``payload_bytes_copied`` / ``payload_bytes_placed`` /
     #: ``payload_regions_materialized``, DESIGN.md §6h)
@@ -1710,6 +1712,7 @@ class Communicator:
             "train_packets": self.fabric.total_train_packets(),
             "cqe_batches": sum(e.cqe_batches for e in self.engines),
             "batched_cqes": sum(e.batched_cqes for e in self.engines),
+            "stamped_cqes": self.fabric.total_stamped_cqes(),
             "ff_phases": ff.ff_phases if ff is not None else 0,
             "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
             "ff_aborts": ff.ff_aborts if ff is not None else 0,

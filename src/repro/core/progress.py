@@ -145,15 +145,16 @@ class RankEngine:
         # is only exact when no sibling worker can interleave copies on
         # the shared engine mid-replay.
         self._batch_ud_ok = sum(1 for sgs in mapping if sgs) == 1
-        if cfg.recv_batching:
-            # Opt single-QP workers' QPs into batched train delivery: the
-            # NIC then pushes a whole train's CQEs in one event, stamped
-            # with their exact per-packet arrival instants.  A multi-QP
-            # worker must see cross-QP arrival interleaving, so its QPs
-            # keep per-packet delivery.
-            for sgs in mapping:
-                if len(sgs) == 1:
-                    self.sub_qps[sgs[0]].batch_delivery = True
+        #: QPs that take look-ahead delivery (DESIGN.md §6c): the NIC
+        #: consumes a packet when it is handed over and stamps the CQE
+        #: with its exact arrival instant, so a wire backlog reaches the
+        #: worker as one batch.  Only single-QP workers' QPs — a multi-QP
+        #: worker must see cross-QP arrival interleaving.
+        self._lookahead_qps = [
+            self.sub_qps[sgs[0]] for sgs in mapping
+            if cfg.recv_batching and len(sgs) == 1
+        ]
+        self._opt_in_lookahead()
         for worker_id, sgs in enumerate(mapping):
             if sgs:
                 self._recv_procs[worker_id] = self.sim.spawn(
@@ -231,11 +232,30 @@ class RankEngine:
         if op.coll_id in self.ops:
             raise ValueError(f"collective id {op.coll_id} already active on rank {self.rank}")
         self.ops[op.coll_id] = op
+        self._opt_in_lookahead()
 
     def release_op(self, coll_id: int) -> None:
         op = self.ops.pop(coll_id, None)
         if op is not None:
             self.nic.memory.deregister(op.mr.key)
+            self._opt_in_lookahead()
+
+    def _opt_in_lookahead(self) -> None:
+        """Look-ahead delivery needs packets to reach this rank in the
+        order the last hop transmitted them.  A chunk small enough for the
+        channels' control lane jumps the bulk queue, so the QPs opt out
+        while the registered ops could put both sizes on the wire (a
+        broadcast's short tail chunk behind full ones)."""
+        egress = self.nic.egress
+        lane = (egress.ctrl_bypass_bytes - self.nic.header_bytes
+                if egress is not None else 0)
+        plans = [op.plan for op in self.ops.values() if op.plan.n_chunks]
+        fifo = not (
+            any(pl.bounds(pl.n_chunks - 1)[1] <= lane for pl in plans)
+            and any(min(pl.chunk_size, pl.buffer_len) > lane for pl in plans)
+        )
+        for qp in self._lookahead_qps:
+            qp.batch_delivery = fifo
 
     # ----------------------------------------------------------- recv worker
 
@@ -278,7 +298,7 @@ class RankEngine:
                 for idx in range(start, len(cqes)):
                     cqe = cqes[idx]
                     if cqe.timestamp > self.sim.now:
-                        # Batch-delivered CQE whose packet has not "arrived"
+                        # Look-ahead CQE whose packet has not "arrived"
                         # yet: hold processing to its true arrival instant
                         # (per-packet delivery would have parked us here).
                         yield self.sim.wake_at(cqe.timestamp)

@@ -357,9 +357,7 @@ class Fabric:
         on."""
         self.fault_epoch += 1
         for nic in self.rail_nics[host]:
-            nic.dead = True
-            if nic.egress is not None:
-                nic.egress.down = True
+            nic.fail_stop()
         self.dead_hosts.add(host)
 
     def crash_switch(self, name: str) -> None:
@@ -558,6 +556,12 @@ class Fabric:
         return sum(nic.rnr_drops
                    for nics in self.rail_nics.values() for nic in nics)
 
+    def total_stamped_cqes(self) -> int:
+        """Receive CQEs pushed at hand-over instead of by an arrival event
+        (look-ahead delivery, DESIGN.md §6c)."""
+        return sum(nic.stamped_cqes
+                   for nics in self.rail_nics.values() for nic in nics)
+
     def reset_counters(self) -> None:
         for ch in self.channels.values():
             ch.reset_counters()
@@ -569,3 +573,4 @@ class Fabric:
                 nic.rnr_drops = 0
                 nic.packets_received = 0
                 nic.bytes_received = 0
+                nic.stamped_cqes = 0

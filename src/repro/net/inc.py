@@ -188,7 +188,7 @@ class IncTree:
         psn = packet.imm
         assert psn is not None
         key = (node, psn)
-        payload = packet.payload.view(np.float32).astype(np.float32)
+        payload = packet.payload.view(np.float32)
         count, acc = self._state.get(key, (0, None))
         acc = payload.copy() if acc is None else acc + payload
         count += 1

@@ -4,8 +4,15 @@ A full-duplex cable is modeled as two independent :class:`Channel` objects.
 Serialization is modeled with a ``busy_until`` watermark: a packet starts
 transmitting when the channel frees up, occupies it for
 ``wire_bytes / bandwidth`` seconds, then propagates for ``latency`` seconds
-(plus optional adaptive-routing jitter) before being handed to the
-destination node's ``receive``.
+(plus optional adaptive-routing jitter) before it reaches the destination
+node.
+
+The arrival instant and the drop decision are both known at the moment of
+the ``transmit`` call, so a destination that implements ``arrive`` /
+``arrive_train`` (switches and NICs) is handed the packet *then*, stamped
+with its arrival instant, and schedules whatever the arrival causes itself
+(DESIGN.md §6b/§6c).  A plain node gets ``receive`` by event at the
+arrival instant.
 
 Fault injection (:class:`FaultSpec`) models fabric drops: corrupted packets
 still consume wire time (they were transmitted!) but are never delivered.
@@ -32,6 +39,8 @@ __all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS
 #: transports).  RC traffic is retransmitted by hardware, so software never
 #: observes its losses.
 UNRELIABLE_KINDS: Set[PacketKind] = {PacketKind.UD_SEND, PacketKind.UC_WRITE}
+
+_NEVER = float("-inf")  #: a horizon nothing has been scheduled behind
 
 
 @dataclass
@@ -128,7 +137,11 @@ class Channel:
     src_name / dst_name:
         Node names, for identification in counters and routing.
     dst_node:
-        The object whose ``receive(packet, channel)`` is called on delivery.
+        The destination.  Either it implements ``arrive(packet, channel,
+        at)`` and ``arrive_train(train, channel)`` — called at transmit
+        time with the arrival instant(s) — or its ``receive(packet,
+        channel)`` / ``receive_train(train, channel)`` is called by event
+        at the (first) arrival instant.
     bandwidth:
         Bytes per second.
     latency:
@@ -151,6 +164,8 @@ class Channel:
         "src_name",
         "dst_name",
         "dst_node",
+        "_hands_over",
+        "horizon",
         "bandwidth",
         "latency",
         "fault",
@@ -191,6 +206,12 @@ class Channel:
         self.src_name = src_name
         self.dst_name = dst_name
         self.dst_node = dst_node
+        self._hands_over = hasattr(dst_node, "arrive")
+        #: latest arrival instant of anything the destination scheduled by
+        #: event (trains included).  Kept by a destination that may instead
+        #: consume a packet at hand-over (:meth:`Nic.arrive`): nothing handed
+        #: over later may overtake an arrival still in flight.
+        self.horizon = _NEVER
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.fault = fault
@@ -230,8 +251,9 @@ class Channel:
         """Queue *packet* for transmission; returns its serialization-finish
         time (the instant the last byte leaves this port).
 
-        Delivery to the destination node is scheduled internally; a dropped
-        packet still occupies the wire but is never delivered.
+        The packet is handed to the destination node (or its delivery
+        scheduled) before returning; a dropped packet still occupies the
+        wire but is never delivered.
         """
         now = self.sim.now
         if self.down:
@@ -273,9 +295,15 @@ class Channel:
                     raise RuntimeError(f"channel {self.name} needs an rng for jitter")
                 jitter = float(self.rng.uniform(0.0, self.fault.reorder_jitter))
 
-        deliver_at = finish + self.latency + jitter
-        self.sim.post_at(deliver_at, self.dst_node.receive, packet, self)
+        self._hand_over(packet, finish + self.latency + jitter)
         return finish
+
+    def _hand_over(self, packet: Packet, at: float) -> None:
+        """*packet* reaches the destination node at instant *at*."""
+        if self._hands_over:
+            self.dst_node.arrive(packet, self, at)
+        else:
+            self.sim.post_at(at, self.dst_node.receive, packet, self)
 
     # ------------------------------------------------------------ fast path
 
@@ -428,14 +456,15 @@ class Channel:
             if trc is not None:
                 trc.instant("link.train", first_start, {"pkts": len(survivors)})
             train = PacketTrain(survivors, surv_arrivals)
-            self.sim.post_at(
-                surv_arrivals[0], self.dst_node.receive_train, train, self
-            )
+            if self._hands_over:
+                self.dst_node.arrive_train(train, self)
+            else:
+                self.sim.post_at(
+                    surv_arrivals[0], self.dst_node.receive_train, train, self
+                )
         elif survivors:
             # A run gutted down to one survivor is just a packet.
-            self.sim.post_at(
-                surv_arrivals[0], self.dst_node.receive, survivors[0], self
-            )
+            self._hand_over(survivors[0], surv_arrivals[0])
         return finishes
 
     def _should_drop(self, packet: Packet, seq: int) -> bool:

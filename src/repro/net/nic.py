@@ -162,11 +162,13 @@ class CompletionQueue:
     def push_at(self, cqe: CQE, t: float) -> None:
         """Push a CQE stamped with an explicit completion instant *t*.
 
-        Batched train delivery pushes a whole train's CQEs in one event at
-        the first arrival, each stamped with its true per-packet arrival;
-        the consumer anchors its per-CQE processing at
-        ``max(previous end, cqe.timestamp)``, which reproduces per-packet
-        delivery timing exactly.
+        Look-ahead delivery (:meth:`Nic._receive_stamped`) pushes a CQE
+        when its packet is handed over, stamped with the packet's true
+        arrival instant ``t >= now``; the consumer anchors its per-CQE
+        processing at ``max(previous end, cqe.timestamp)``, which
+        reproduces per-packet delivery timing exactly.  An armed notify
+        callback fires at *t* — an idle consumer learns of a completion
+        when it happens, and finds everything stamped since behind it.
         """
         cqe.timestamp = t
         self.items.append(cqe)
@@ -174,7 +176,10 @@ class CompletionQueue:
         cb = self.notify_cb
         if cb is not None:
             self.notify_cb = None
-            cb()
+            if t > self.sim.now:
+                self.sim.post_at(t, cb)
+            else:
+                cb()
         while self._waiters:
             self._waiters.popleft().succeed()
 
@@ -348,11 +353,12 @@ class QueuePair(_ReceiveQueue):
         self.peer: Optional[Tuple[int, int]] = None  # (host, qpn)
         self.mcast_groups: AbstractSet[int] = _NO_GROUPS
         self.rnr_drops = 0
-        #: opt-in to batched train delivery (one event per train instead of
-        #: per-packet replay).  Only the progress engine sets this, and only
-        #: for QPs whose receive worker drains exactly this one QP — a
-        #: multi-QP worker must observe cross-QP arrival interleaving, which
-        #: batched delivery would reorder.
+        #: opt-in to look-ahead delivery (:meth:`Nic._receive_stamped`): a
+        #: multicast packet is consumed when it is handed over and its CQE
+        #: carries the arrival instant as a stamp.  Only the progress engine
+        #: sets this, and only for QPs whose receive worker drains exactly
+        #: this one QP — a multi-QP worker must observe cross-QP arrival
+        #: interleaving, which early CQEs would reorder.
         self.batch_delivery = False
 
     def __getattr__(self, name: str):
@@ -489,8 +495,11 @@ class Nic:
         self.rnr_drops = 0
         self.packets_received = 0
         self.bytes_received = 0
+        #: receive CQEs pushed at hand-over, stamped with their arrival
+        #: instant (look-ahead delivery), instead of by an arrival event
+        self.stamped_cqes = 0
         #: fail-stop flag: a dead NIC neither transmits nor receives, wire
-        #: or loopback (set by Fabric.crash_host, never cleared)
+        #: or loopback (set by :meth:`fail_stop`, never cleared)
         self.dead = False
         #: observability track (repro.obs.trace.Track) or None; records
         #: timestamps only, never schedules events.
@@ -747,18 +756,37 @@ class Nic:
 
     # ---------------------------------------------------------- receive path
 
-    def receive_train(self, train: PacketTrain, channel: Optional[Channel]) -> None:
-        """Replay a coalesced train's packets at their exact per-packet
-        arrival instants: deliver every packet due now, then chain ONE
-        event for the next pending arrival.  State-dependent receive
-        decisions (RNR drops, CQE timestamps, staging occupancy) therefore
-        see the same world as per-packet simulation.
+    def arrive(self, packet: Packet, channel: Channel, at: float) -> None:
+        """Hand-over from the delivering channel at transmit time; *at* is
+        the arrival instant.  The packet is consumed now, its CQE stamped
+        *at*, when nothing in between can change what this NIC does with
+        it (:meth:`_receive_stamped`, DESIGN.md §6c); otherwise
+        :meth:`receive` runs by event at *at*, and later hand-overs on
+        this channel wait behind that arrival."""
+        if self._receive_stamped(packet, at, channel):
+            return
+        if at > channel.horizon:
+            channel.horizon = at
+        self.sim.post_at(at, self.receive, packet, channel)
 
-        When the whole remaining train targets one batch-delivery QP and
-        no state-dependent decision can differ (:meth:`_train_batch_qp`),
-        the train is consumed HERE, in this one event: payloads land and
-        CQEs are pushed immediately, each stamped with its exact per-packet
-        arrival instant for the consumer to anchor on."""
+    def arrive_train(self, train: PacketTrain, channel: Channel) -> None:
+        """:meth:`arrive` for a coalesced train: one event at its first
+        arrival (:meth:`receive_train`)."""
+        arrivals = train.arrivals
+        if arrivals[-1] > channel.horizon:
+            channel.horizon = arrivals[-1]
+        self.sim.post_at(arrivals[0], self.receive_train, train, channel)
+
+    def receive_train(self, train: PacketTrain, channel: Optional[Channel]) -> None:
+        """Deliver a coalesced train's packets at their exact per-packet
+        arrival instants.  The drop decisions were made when the train was
+        built, so each pending packet is consumed here, ahead of its
+        arrival, with a stamped CQE (:meth:`_receive_stamped`).  The first
+        packet that cannot be — no receive WR posted yet, say — stops the
+        look-ahead: everything due now is delivered, and ONE event is
+        chained for the next pending arrival, so state-dependent receive
+        decisions (RNR drops, staging occupancy) see the same world as
+        per-packet simulation."""
         if self.dead:
             return
         pkts = train.packets
@@ -766,110 +794,107 @@ class Nic:
         n = len(pkts)
         i = train.next_idx
         now = self.sim.now
-        qp = self._train_batch_qp(pkts, i)
-        if qp is not None:
-            self._deliver_train_batch(qp, pkts, arr, i)
-            return
-        receive = self.receive
-        while i < n and arr[i] <= now:
-            receive(pkts[i], channel)
+        while i < n:
+            if not self._receive_stamped(pkts[i], arr[i]):
+                if arr[i] > now:
+                    train.next_idx = i
+                    self.sim.post_at(arr[i], self.receive_train, train, channel)
+                    return
+                self.receive(pkts[i], channel)
             i += 1
-        if i < n:
-            train.next_idx = i
-            self.sim.post_at(arr[i], self.receive_train, train, channel)
 
-    def _train_batch_qp(self, pkts: List[Packet], i: int) -> Optional[QueuePair]:
-        """Eligibility gate for batched train delivery.
+    def _receive_stamped(self, packet: Packet, at: float,
+                         channel: Optional[Channel] = None) -> bool:
+        """Look-ahead delivery: consume *packet* now, ahead of its arrival
+        at *at*, if that is indistinguishable from delivering it then.
+        Returns whether the packet was consumed.
 
-        Returns the single target QP when delivering ``pkts[i:]`` in one
-        event is bit-equivalent to per-packet replay, else ``None``:
-
-        * every packet is a multicast UD send (or single-segment multicast
-          UC write carrying an immediate) to the *same* group;
-        * exactly one local QP is attached to that group, and it opted in
-          via :attr:`QueuePair.batch_delivery`;
-        * enough receive WRs are posted for the whole train, and (UD) every
-          payload fits its WR — so no RNR/length drop can occur mid-train.
-          Inbound packets to one host serialize on its ingress link, so no
-          other arrival can observe the early queue pops mid-window.
+        Eligible is a multicast UD send (or single-segment multicast UC
+        write carrying an immediate) whose group has exactly one local QP
+        attached, opted in via :attr:`QueuePair.batch_delivery`, with a
+        fitting receive WR posted *now*.  Receive WRs are consumed in FIFO
+        order and hand-overs happen in wire order, so the packet takes the
+        WR it would take at *at*; a queue that is dry now may be
+        replenished by then, so that case is left to the arrival event.
+        No crash may be pending: a NIC that dies before *at* never sees
+        the packet (:meth:`fail_stop` takes back what was already
+        stamped).  *channel* is given for a single packet handed over at
+        transmit time; it must be FIFO and quiet — no fault armed, and
+        nothing it delivers by event still in flight, which a stamped CQE
+        would overtake into the CQ.  (A train's packets were vetted when
+        it was built and are handed over in order by its own event.)
         """
-        first = pkts[i]
-        kind = first.kind
+        kind = packet.kind
         if kind is PacketKind.UD_SEND:
             uc = False
-        elif kind is PacketKind.UC_WRITE:
+        elif (kind is PacketKind.UC_WRITE and packet.msg_segments == 1
+                and packet.imm is not None):
             uc = True
         else:
-            return None
-        if not first.is_multicast:
-            return None
-        gid = first.mcast_gid
-        n = len(pkts)
-        for k in range(i, n):
-            p = pkts[k]
-            if p.kind is not kind or not p.is_multicast or p.mcast_gid != gid:
-                return None
-            if uc and (p.msg_segments != 1 or p.imm is None):
-                return None
-        qpns = self._mcast_attached.get(gid)
+            return False
+        if packet.dst < MCAST_FLAG or self.dead or self.fabric.pending_crashes:
+            return False
+        if channel is not None and (
+                channel.horizon >= self.sim.now
+                or (channel.fault is not None and not channel.fault_inert())):
+            return False
+        qpns = self._mcast_attached.get(packet.dst - MCAST_FLAG)
         if qpns is None or len(qpns) != 1:
-            return None
-        qp = self.qps.get(next(iter(qpns)))
+            return False
+        qp = self.qps.get(qpns[0])
         if qp is None or not qp.batch_delivery:
-            return None
-        if len(qp.recv_queue) < n - i:
-            return None
+            return False
+        queue = qp.recv_queue
+        if not queue:
+            return False
+        n = packet.payload_len
         if uc:
-            lookup = self.memory.lookup
-            for k in range(i, n):
-                p = pkts[k]
-                try:
-                    lookup(p.ctx["remote_key"]).check(
-                        p.ctx["remote_offset"], p.payload_len)
-                except (KeyError, IndexError):
-                    return None  # UC would silently drop: replay per-packet
+            ctx = packet.ctx
+            try:
+                dst = self.memory.lookup(ctx["remote_key"]).view(
+                    ctx["remote_offset"], n)
+            except (KeyError, IndexError):
+                return False  # UC silently drops bad placements, at arrival
+            wr = queue.popleft()
+            opcode = Opcode.RECV_RDMA_WITH_IMM
         else:
-            for wr, k in zip(qp.recv_queue, range(i, n)):
-                if pkts[k].payload_len > wr.length:
-                    return None
-        return qp
+            wr = queue[0]
+            if n > wr.length:
+                return False  # length error, counted at arrival
+            queue.popleft()
+            dst = None
+            opcode = Opcode.RECV
+        if packet.payload is not None and n:
+            if dst is None:
+                dst = self.memory.lookup(wr.mr_key).view(wr.offset, n)
+            dst[:] = packet.payload[:n]
+        self.packets_received += 1
+        self.bytes_received += n
+        self.stamped_cqes += 1
+        if self.trace is not None:
+            self.trace.instant("nic.cqe", at)
+        qp.recv_cq.push_at(
+            CQE(wr.wr_id, opcode, qp.qpn, n, packet.imm, packet.src,
+                packet.src_qpn), at)
+        return True
 
-    def _deliver_train_batch(self, qp: QueuePair, pkts: List[Packet],
-                             arr, i: int) -> None:
-        """Consume ``pkts[i:]`` for *qp* now; CQEs carry arrival stamps."""
-        trc = self.trace
-        pop = qp.recv_queue.popleft
-        push_at = qp.recv_cq.push_at
-        lookup = self.memory.lookup
-        qpn = qp.qpn
-        uc = pkts[i].kind is PacketKind.UC_WRITE
-        opcode = Opcode.RECV_RDMA_WITH_IMM if uc else Opcode.RECV
-        mr_key = -1  # one-entry MR cache: a train lands in one region
-        mr = None
-        n_pkts = len(pkts) - i
-        self.packets_received += n_pkts
-        for k in range(i, len(pkts)):
-            pkt = pkts[k]
-            t = arr[k]
-            n = pkt.payload_len
-            self.bytes_received += n
-            wr = pop()
-            if uc:
-                ctx = pkt.ctx
-                key = ctx["remote_key"]
-                if key != mr_key:
-                    mr = lookup(key)
-                    mr_key = key
-                if pkt.payload is not None and n:
-                    mr.view(ctx["remote_offset"], n)[:] = pkt.payload[:n]
-            elif pkt.payload is not None and n > 0:
-                if wr.mr_key != mr_key:
-                    mr = lookup(wr.mr_key)
-                    mr_key = wr.mr_key
-                mr.view(wr.offset, n)[:] = pkt.payload[:n]
-            if trc is not None:
-                trc.instant("nic.cqe", t)
-            push_at(CQE(wr.wr_id, opcode, qpn, n, pkt.imm, pkt.src, pkt.src_qpn), t)
+    def fail_stop(self) -> None:
+        """Kill this NIC permanently: it neither transmits nor receives
+        from this instant on.  A packet consumed ahead of an arrival that
+        is now never going to happen is taken back out of its CQ — the
+        arrival event would have found the NIC dead."""
+        self.dead = True
+        if self.egress is not None:
+            self.egress.down = True
+        now = self.sim.now
+        for qp in self.qps.values():
+            if qp.mcast_groups:  # only multicast packets are ever stamped
+                cq = qp.recv_cq
+                while cq.items and cq.items[-1].timestamp > now:
+                    cqe = cq.items.pop()
+                    cq.total_pushed -= 1
+                    self.packets_received -= 1
+                    self.bytes_received -= cqe.byte_len
 
     def receive(self, packet: Packet, channel: Optional[Channel]) -> None:
         """Called by the delivering channel (or loopback)."""

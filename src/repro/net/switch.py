@@ -1,8 +1,8 @@
 """Switch model: unicast forwarding, multicast replication, port counters.
 
-A switch owns one egress :class:`~repro.net.link.Channel` per neighbor.  On
-receiving a packet it applies a fixed forwarding delay, then either forwards
-along the unicast table (``dst host → neighbor``) or, for multicast,
+A switch owns one egress :class:`~repro.net.link.Channel` per neighbor.  A
+fixed forwarding delay after a packet arrives it either forwards along the
+unicast table (``dst host → neighbor``) or, for multicast,
 replicates the packet to every port that is part of the group's spanning
 tree except the ingress port — exactly how IB switches flood a multicast
 LID along the spanning tree installed by the subnet manager.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.net.link import Channel
-from repro.net.packet import Packet, PacketTrain
+from repro.net.packet import Packet, PacketKind, PacketTrain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -66,8 +66,18 @@ class Switch:
 
     # ------------------------------------------------------------------ data
 
+    def arrive(self, packet: Packet, in_channel: Channel, at: float) -> None:
+        """Hand-over from the delivering channel at transmit time: the
+        packet reaches this switch at *at* and nothing about forwarding
+        depends on what happens in between, so the hop costs one event.
+        ``at + delay`` is the float expression :meth:`receive` would
+        evaluate at the arrival instant."""
+        self.sim.post_at(at + self.forwarding_delay, self._forward, packet,
+                         in_channel.src_name)
+
     def receive(self, packet: Packet, in_channel: Optional[Channel]) -> None:
-        """Entry point called by the delivering channel."""
+        """Entry point for a packet that is here *now* (direct injection;
+        channels use :meth:`arrive`)."""
         in_port = in_channel.src_name if in_channel is not None else None
         if self.forwarding_delay > 0.0:
             self.sim.post_later(self.forwarding_delay, self._forward, packet, in_port)
@@ -78,7 +88,7 @@ class Switch:
         if self.dead:
             self.packets_dropped_dead += 1
             return
-        if self.inc_handler is not None and packet.kind.name == "INC_REDUCE":
+        if self.inc_handler is not None and packet.kind is PacketKind.INC_REDUCE:
             self.inc_handler(self, packet, in_port)
             return
         if packet.is_multicast:
@@ -101,14 +111,11 @@ class Switch:
 
     # ------------------------------------------------------------- fast path
 
-    def receive_train(self, train: PacketTrain, in_channel: Optional[Channel]) -> None:
-        """Relay a coalesced train: one forwarding-delay event for the whole
-        run instead of one per packet (entry point for train deliveries)."""
-        in_port = in_channel.src_name if in_channel is not None else None
-        if self.forwarding_delay > 0.0:
-            self.sim.post_later(self.forwarding_delay, self._forward_train, train, in_port)
-        else:
-            self._forward_train(train, in_port)
+    def arrive_train(self, train: PacketTrain, in_channel: Channel) -> None:
+        """:meth:`arrive` for a coalesced train: one event for the whole
+        run, the forwarding delay after its first arrival."""
+        self.sim.post_at(train.arrivals[0] + self.forwarding_delay,
+                         self._forward_train, train, in_channel.src_name)
 
     def _forward_train(self, train: PacketTrain, in_port: Optional[str]) -> None:
         pkts = train.packets
@@ -116,7 +123,7 @@ class Switch:
             self.packets_dropped_dead += len(pkts)
             return
         first = pkts[0]
-        if self.inc_handler is not None and first.kind.name == "INC_REDUCE":
+        if self.inc_handler is not None and first.kind is PacketKind.INC_REDUCE:
             # INC traffic never rides trains (sent per-packet by the tree
             # logic); fan back out defensively if one ever shows up.
             for p in pkts:

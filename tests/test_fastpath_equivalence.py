@@ -38,7 +38,7 @@ NBYTES = 64 * KiB
 
 def _make_comm(seed: int, coalescing: bool, fault_factory=None,
                transport: str = "ud", recv_batching: bool = True,
-               straggler=None) -> Communicator:
+               straggler=None, n_chains: int = 1) -> Communicator:
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -54,7 +54,8 @@ def _make_comm(seed: int, coalescing: bool, fault_factory=None,
         fabric.set_straggler(host, spec)
     return Communicator(
         fabric, config=CollectiveConfig(chunk_size=4096, transport=transport,
-                                        recv_batching=recv_batching)
+                                        recv_batching=recv_batching,
+                                        n_chains=n_chains)
     )
 
 
@@ -178,8 +179,9 @@ def test_past_fault_windows_allow_coalescing() -> None:
 
 # ---------------------------------------------------------------------------
 # Receiver-batch fast path (DESIGN.md §6c): batched vs per-CQE datapath.
-# Coalescing stays ON for both runs — the NIC only delivers CQE trains for
-# wire-coalesced trains, so this axis is orthogonal to the one above.
+# Coalescing stays ON for both runs, so this axis is orthogonal to the one
+# above (the NIC stamps CQEs ahead of their arrival with or without trains;
+# the submit-kind axis below crosses the two).
 # ---------------------------------------------------------------------------
 
 
@@ -460,6 +462,11 @@ def test_ff_off_is_default() -> None:
 # the engine kinds above.  (The transports govern the allgather phase of
 # allreduce; the RC substrate of alltoall and the reduce-scatter phase is
 # transport-invariant by construction, which the axis also proves.)
+#
+# The ``_pchains`` kinds make every rank a concurrent allgather root
+# (``n_chains = P``, one chunk each): each receiver's backlog comes from
+# P - 1 different sources, never forms a train, and reaches the batch path
+# only through look-ahead delivery (DESIGN.md §6c).
 # ---------------------------------------------------------------------------
 
 
@@ -467,13 +474,19 @@ def _run_submit_kind(kind: str, seed: int, coalescing: bool,
                      fault_factory=None, transport: str = "ud",
                      recv_batching: bool = True, straggler=None):
     comm = _make_comm(seed, coalescing, fault_factory, transport,
-                      recv_batching, straggler)
+                      recv_batching, straggler,
+                      n_chains=P if kind.endswith("_pchains") else 1)
     rng = np.random.default_rng(seed)
-    if kind == "allreduce":
+    if kind.startswith("allreduce"):
         data = [rng.normal(size=P * 1024).astype(np.float32)
                 for _ in range(P)]
         res = comm.allreduce(data, algorithm="inc")
         assert res.verify_allreduce(data)
+    elif kind == "allgather_pchains":
+        data = [rng.integers(0, 256, 4 * KiB, dtype=np.uint8)
+                for _ in range(P)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
     else:
         data = [rng.integers(0, 256, 16 * KiB, dtype=np.uint8)
                 for _ in range(P)]
@@ -490,7 +503,8 @@ _SUBMIT_CONDITIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["allreduce", "alltoall"])
+@pytest.mark.parametrize("kind", ["allreduce", "alltoall",
+                                  "allgather_pchains", "allreduce_pchains"])
 @pytest.mark.parametrize("condition", sorted(_SUBMIT_CONDITIONS))
 @pytest.mark.parametrize("transport", ["ud", "uc"])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -505,16 +519,28 @@ def test_submit_kind_fastpath_equivalence(kind: str, condition: str,
                          recv_batching=False, **kw),
     ]
     ref_phases = [(ph.name, ph.t_begin, ph.t_end) for ph in res_ref.phases]
+    ref_rank_phases = [(r.rank, r.phases) for r in res_ref.ranks]
     for comm_v, res_v in variants:
         assert res_v.t_begin == res_ref.t_begin
         assert res_v.t_end == res_ref.t_end
         assert res_v.duration == res_ref.duration
         assert [(ph.name, ph.t_begin, ph.t_end)
                 for ph in res_v.phases] == ref_phases
+        assert [(r.rank, r.phases) for r in res_v.ranks] == ref_rank_phases
+        assert (comm_v.fabric.total_rnr_drops()
+                == comm_ref.fabric.total_rnr_drops())
         assert _channel_counters(comm_v.fabric) == _channel_counters(comm_ref.fabric)
         assert _switch_counters(comm_v.fabric) == _switch_counters(comm_ref.fabric)
         for bv, br in zip(res_v.buffers, res_ref.buffers):
             assert np.array_equal(bv, br)
+    # The per-CQE reference never sees a stamped or batched CQE ...
+    per_cqe = variants[1][1].engine
+    assert per_cqe["stamped_cqes"] == per_cqe["batched_cqes"] == 0
+    if kind.endswith("_pchains") and condition == "clean":
+        # ... and a clean cross-source backlog is batched, trains or not.
+        for res in (res_ref, variants[0][1]):
+            assert res.engine["stamped_cqes"] >= res.engine["batched_cqes"] > 0
+        assert variants[0][1].engine["trains"] == 0
 
 
 def test_coalescing_toggle_mid_simulation() -> None:

@@ -333,3 +333,77 @@ def test_straggler_spec_delay_windows():
     assert spec.delay_at(2.0) == 0.0
     with pytest.raises(ValueError):
         StragglerSpec(windows=[], extra_poll_delay=-1.0)
+
+
+# ------------------------------------------------- hand-over at transmit time
+
+
+class ArriveNode(SinkNode):
+    """A node that takes the hand-over: it is told at transmit time when
+    the packet (or train) reaches it."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.handed = []
+
+    def arrive(self, packet, channel, at):
+        self.handed.append((self.sim.now, at))
+
+    def arrive_train(self, train, channel):
+        self.handed.append((self.sim.now, list(train.arrivals)))
+
+
+def test_arrival_instant_is_handed_over_at_transmit_time():
+    sim = Simulator()
+    node, sink = ArriveNode(sim), SinkNode(sim)
+    ch = make_channel(sim, node, bandwidth=1e9, latency=5e-6)
+    ref = make_channel(sim, sink, bandwidth=1e9, latency=5e-6)
+    for c in (ch, ref):
+        c.transmit(pkt(n=1000, header=0))
+        c.transmit(pkt(n=1000, header=0))  # queues behind the first
+    assert [now for now, _ in node.handed] == [0.0, 0.0]
+    sim.run()
+    # The stamps are the instants a plain node's ``receive`` event fires.
+    assert [at for _, at in node.handed] == [t for t, _ in sink.received]
+    assert node.received == []  # nothing was scheduled on its behalf
+
+
+def test_train_is_handed_over_with_every_arrival_instant():
+    sim = Simulator()
+    node = ArriveNode(sim)
+    ch = make_channel(sim, node, bandwidth=1e9, latency=5e-6)
+    ch.transmit_train([pkt(n=1000, header=0) for _ in range(3)])
+    (now, arrivals), = node.handed
+    assert now == 0.0 and arrivals == pytest.approx([6e-6, 7e-6, 8e-6])
+    # A run gutted down to one survivor is handed over as a packet.
+    lossy = make_channel(sim, node, bandwidth=1e9, latency=5e-6,
+                         fault=FaultSpec(drop_packet_seqs={0}))
+    lossy.transmit_train([pkt(n=1000, header=0) for _ in range(2)])
+    assert node.handed[-1] == (0.0, pytest.approx(7e-6))
+
+
+def test_switch_hop_is_one_event_at_the_per_packet_instant():
+    from repro.net.switch import Switch
+
+    def hop(direct):
+        sim = Simulator()
+        sink = SinkNode(sim)
+        sw = Switch(sim, "s0", forwarding_delay=0.1e-6)
+        sw.add_port(Channel(sim, "s0", "b", sink, bandwidth=1e9, latency=1e-6))
+        sw.install_unicast(1, "b")
+        up = make_channel(sim, sw, bandwidth=1e9, latency=1.3e-6)
+        p = pkt(n=1000, header=0)
+        if direct:
+            # Reference: the packet is injected at its arrival instant and
+            # the switch adds its delay then (``now + delay``).
+            sim.post_at(up.latency + 1e-6, sw.receive, p, up)
+        else:
+            up.transmit(p)
+        sim.run()
+        return sim.events_processed, sink.received[0][0], up.horizon
+
+    events, t, horizon = hop(direct=False)
+    events_ref, t_ref, _ = hop(direct=True)
+    assert t == t_ref
+    assert events == 2 and events_ref == 3  # forward + sink, no arrival event
+    assert horizon == float("-inf")  # only a NIC keeps one

@@ -204,6 +204,38 @@ def test_fastpath_equivalence_holds_with_tracing():
     assert res_slow.trace.count("link.train") == 0
 
 
+def test_lookahead_stamps_reconcile_with_trace():
+    """Look-ahead delivery pushes a CQE when its packet is handed over,
+    but the ``nic.cqe`` instant it records is the packet's arrival — the
+    same instant per-packet delivery records — and the engine counters
+    reconcile with the instants."""
+    def allgather(batching: bool):
+        sim = Simulator()
+        fabric = Fabric(sim, Topology.leaf_spine(P, 2, 2),
+                        link_bandwidth=gbit_per_s(56),
+                        streams=RandomStreams(SEED))
+        comm = Communicator(
+            fabric, trace=TraceConfig(),
+            config=CollectiveConfig(chunk_size=4096, n_chains=P,
+                                    recv_batching=batching))
+        data = [np.full(4096, r, dtype=np.uint8) for r in range(P)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
+        return res
+
+    ahead, ref = allgather(True), allgather(False)
+    chunks = P * (P - 1)
+    assert ahead.engine["stamped_cqes"] == chunks
+    assert ref.engine["stamped_cqes"] == 0
+    instants = [sorted((r.track, r.ts) for r in res.trace.select(name="nic.cqe"))
+                for res in (ahead, ref)]
+    assert instants[0] == instants[1] and len(instants[0]) >= chunks
+    batched = sum(r.args["cqes"] for r in ahead.trace.select(name="cq.batch"))
+    assert batched == ahead.engine["batched_cqes"] <= chunks
+    assert ahead.trace.count("cq.batch") == ahead.engine["cqe_batches"] > 0
+    assert ref.trace.count("cq.batch") == 0
+
+
 # ------------------------------------------------------------ metric timelines
 
 

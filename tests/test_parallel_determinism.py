@@ -169,6 +169,10 @@ def test_allgather_bitwise_across_shards(transport, seed):
     # hold it identical for every shard count and backend
     assert runs[4].engine["ctrl_pairs"] == base.engine["ctrl_pairs"] > 0
     assert pipes.engine["ctrl_recv_posted"] == base.engine["ctrl_recv_posted"] > 0
+    # ... and so is look-ahead delivery (DESIGN §6c): a fully folded
+    # allgather hands no data packet to a NIC, whatever the shard count
+    for res in [base, pipes, *runs.values()]:
+        assert res.engine["stamped_cqes"] == 0
     # inline shards exchange no pipe messages; the fork backend does
     assert runs[2].engine["boundary_msgs"] == 0
     assert pipes.engine["boundary_msgs"] > 0
@@ -297,12 +301,14 @@ def test_mid_run_second_collective_preempts_bitwise(shards):
         comm.run(handles[0])
         t_end = comm.sim.now
         bufs = [bytes(op.mr.buf) for op in h1.ops]
-        return t_end, bufs
+        return t_end, bufs, comm.fabric.total_stamped_cqes()
 
     base = run(False, "off")
     res = run(True, shards)
     assert res[0] == base[0]
     assert res[1] == base[1]
+    # the packet-level remainder rides look-ahead delivery, identically
+    assert res[2] == base[2] > 0
 
 
 def test_recovery_path_preempts_vec_session():

@@ -322,3 +322,50 @@ def test_simulation_is_deterministic(seed):
         return res.duration, fabric.switch_egress_bytes(), fabric.total_drops()
 
     assert run() == run()
+
+
+# -------------------------------------------------------- look-ahead delivery
+
+
+@FAST
+@given(
+    script=st.lists(
+        st.tuples(
+            st.integers(0, 30),  # gap to the previous send, x 0.1 µs
+            st.integers(1, 4),  # source host
+            st.sampled_from(["packet", "packet", "train", "unicast"]),
+        ),
+        min_size=1, max_size=12,
+    ),
+    n_wrs=st.integers(0, 6),
+    reposts=st.lists(st.integers(0, 80), max_size=10),  # instants, x 0.1 µs
+)
+def test_lookahead_cq_is_wire_order_with_per_packet_stamps(script, n_wrs, reposts):
+    """Random interleavings of look-ahead (stamped) and event-delivered
+    arrivals from several sources on one downlink, with receive WRs running
+    dry and being re-posted at random instants: the CQ holds the packets in
+    wire order, each with the WR, stamp and RNR outcome per-packet delivery
+    gives it."""
+    from tests.test_net_nic import _mcast_run
+
+    sends, unicasts, t, imm = [], [], 0.0, 0
+    for gap, src, what in script:
+        t += gap * 0.1e-6
+        if what == "unicast":  # to a second QP: always an arrival event
+            unicasts.append((t, src))
+        elif what == "train":
+            sends.append((t, src, [imm, imm + 1, imm + 2]))
+            imm += 3
+        else:
+            sends.append((t, src, 4096, imm))
+            imm += 1
+    kw = dict(sends=sends, unicasts=unicasts,
+              wrs=[(i, 4096) for i in range(n_wrs)],
+              posts=[(r * 0.1e-6, 100 + i, 4096) for i, r in enumerate(reposts)])
+    (cq_a, rnr_a, nic_a), = _mcast_run(True, **kw)[1].values()
+    (cq_r, rnr_r, nic_r), = _mcast_run(False, **kw)[1].values()
+    assert cq_a == cq_r and rnr_a == rnr_r
+    assert nic_a.packets_received == nic_r.packets_received
+    stamps = [c[3] for c in cq_a]
+    assert stamps == sorted(stamps)
+    assert nic_r.stamped_cqes == 0

@@ -281,9 +281,9 @@ def _exhaustion_run(batching: bool):
                     link_bandwidth=gbit_per_s(56),
                     streams=RandomStreams(0), coalescing=True)
     # Host 5 stalls 3 µs per CQE poll mid-run: its staging ring drains,
-    # trains stop fitting in the posted WR count, and the NIC train-
-    # delivery gate must fall back to per-packet replay (RNR drops + the
-    # reliability slow path) exactly as the per-CQE datapath does.
+    # the NIC finds no receive WR to stamp a train's packets against, and
+    # look-ahead delivery must fall back to per-packet replay (RNR drops +
+    # the reliability slow path) exactly as the per-CQE datapath does.
     fabric.set_straggler(5, StragglerSpec(windows=[(20e-6, 60e-6)],
                                           extra_poll_delay=3e-6))
     comm = Communicator(fabric, config=CollectiveConfig(
@@ -314,28 +314,40 @@ def test_wr_exhaustion_mid_train_falls_back_per_cqe():
 # ------------------------------- satellite 4: observability contracts
 
 
-def _traced_run(traced: bool, batching: bool = True):
+def _traced_run(traced: bool, batching: bool = True, kind: str = "broadcast",
+                nbytes: int = 64 * KiB):
+    """A traced 16-host broadcast, or (``allgather_pchains``) an allgather
+    with every rank a concurrent root of one chunk — the cross-source
+    backlog that only look-ahead delivery turns into batches."""
     sim = Simulator()
     fabric = Fabric(sim, Topology.leaf_spine(16, 2, 2),
                     link_bandwidth=gbit_per_s(56),
                     streams=RandomStreams(1), coalescing=True)
     comm = Communicator(
         fabric,
-        config=CollectiveConfig(chunk_size=4096, recv_batching=batching),
+        config=CollectiveConfig(chunk_size=4096, recv_batching=batching,
+                                n_chains=16 if kind != "broadcast" else 1),
         trace=TraceConfig() if traced else None,
     )
-    data = np.arange(64 * KiB, dtype=np.uint8) % 251
-    res = comm.broadcast(0, data)
-    assert res.verify_broadcast(data)
+    if kind == "broadcast":
+        data = np.arange(nbytes, dtype=np.uint8) % 251
+        res = comm.broadcast(0, data)
+        assert res.verify_broadcast(data)
+    else:
+        data = [np.full(4096, r, dtype=np.uint8) for r in range(16)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
     return res
 
 
-def test_tracing_zero_perturbation_under_batch_fast_path():
-    res_on = _traced_run(traced=True)
-    res_off = _traced_run(traced=False)
+@pytest.mark.parametrize("kind", ["broadcast", "allgather_pchains"])
+def test_tracing_zero_perturbation_under_batch_fast_path(kind):
+    res_on = _traced_run(traced=True, kind=kind)
+    res_off = _traced_run(traced=False, kind=kind)
     assert res_on.duration == res_off.duration
     assert res_on.engine["sim_events"] == res_off.engine["sim_events"]
     assert res_on.engine["cqe_batches"] == res_off.engine["cqe_batches"] > 0
+    assert res_on.engine["stamped_cqes"] == res_off.engine["stamped_cqes"] > 0
     assert res_off.trace is None
 
 
@@ -354,9 +366,49 @@ def test_batch_tracepoints_emitted_and_reconciled():
         assert 1 <= r.args["segments"] <= r.args["copies"]
 
 
-def test_telemetry_counters_off_when_batching_disabled():
-    res = _traced_run(traced=True, batching=False)
+@pytest.mark.parametrize("kind", ["broadcast", "allgather_pchains"])
+def test_telemetry_counters_off_when_batching_disabled(kind):
+    res = _traced_run(traced=True, batching=False, kind=kind)
     assert res.engine["cqe_batches"] == 0
     assert res.engine["batched_cqes"] == 0
+    assert res.engine["stamped_cqes"] == 0
     assert res.trace.count("cq.batch") == 0
     assert res.trace.count("dma.copy_runs") == 0
+
+
+def test_cross_source_backlog_batches_without_trains():
+    res = _traced_run(traced=False, kind="allgather_pchains")
+    ref = _traced_run(traced=False, batching=False, kind="allgather_pchains")
+    assert res.engine["trains"] == 0
+    # Every chunk is consumed at hand-over; most reach the worker batched.
+    assert res.engine["stamped_cqes"] == 16 * 15
+    assert res.engine["batched_cqes"] > 16 * 15 // 2
+    assert res.engine["sim_events"] < ref.engine["sim_events"]
+    assert res.t_end == ref.t_end
+    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
+
+
+def test_mixed_lane_op_opts_out_of_lookahead():
+    """A chunk small enough for the channels' control lane overtakes full
+    chunks queued on the same link, so arrival order is no longer the last
+    hop's transmit order: while such an op is registered the engine keeps
+    per-packet delivery (and opts back in once it is released)."""
+    tail = _traced_run(traced=False, nbytes=64 * KiB + 40)
+    ref = _traced_run(traced=False, batching=False, nbytes=64 * KiB + 40)
+    assert tail.engine["stamped_cqes"] == tail.engine["cqe_batches"] == 0
+    assert tail.t_end == ref.t_end
+    assert [r.phases for r in tail.ranks] == [r.phases for r in ref.ranks]
+
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.leaf_spine(16, 2, 2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(1))
+    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
+    qp = comm.engines[1].sub_qps[0]
+    assert qp.batch_delivery
+    handle = comm.broadcast_async(0, np.zeros(8 * KiB + 40, dtype=np.uint8))
+    assert not qp.batch_delivery
+    comm.run(handle)
+    comm.release(handle)
+    assert qp.batch_delivery
+    # Uniformly small chunks ride one lane: still first-in first-out.
+    assert comm.broadcast(0, np.zeros(40, np.uint8)).engine["stamped_cqes"] == 15

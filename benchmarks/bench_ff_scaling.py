@@ -8,7 +8,6 @@ Sweeps the multicast broadcast across host counts and simulation engines:
   coalescing on): clean runs ride the CQE-train/coalesced-DMA fast path.
 * ``exact``  — flow-level fast-forward, bit-identical virtual time to
   ``pkt`` (the fold replays the per-packet arithmetic).
-* ``banded`` — closed-form per-edge streams, ≤0.5% virtual-time band.
 
 Every broadcast folds as a single phase (``staging_slots`` is sized to
 the chunk count so the receive queue covers the whole payload), so the
@@ -17,10 +16,8 @@ replaces: O(packets) event simulation with O(links) arithmetic.
 
 Entry modes:
 
-* ``--smoke`` — the CI ``scaling-smoke`` job: banded broadcast +
-  allgather at 1024 AND 4096 hosts, a shard-equivalence axis at 1024
-  (``parallel`` in {1, 2, 4} plus the multiprocessing pipe backend must
-  all be bit-identical in virtual time), an ag4096/ag1024 wall-clock
+* ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
+  allgather at 1024 AND 4096 hosts, an ag4096/ag1024 wall-clock
   scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
   the whole process, and ``ff_phases`` assertions that fail loudly if
   the fold silently disengages.  The result table is persisted to
@@ -30,8 +27,8 @@ Entry modes:
   ``benchmarks/results/ff_scaling.txt``; source of the EXPERIMENTS.md
   table.
 
-Virtual time is printed for every cell: ``pkt``/``exact``/``banded``
-agreement is the exactness contract, checked here on every run.
+Virtual time is printed for every cell: ``pkt``/``exact`` agreement is
+the exactness contract, checked here on every run.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ MODES = {
     "pkt": ("off", False),
     "train": ("off", True),
     "exact": ("exact", False),
-    "banded": ("banded", False),
 }
 
 BCAST_PAYLOAD = 4 * MiB
@@ -97,9 +93,7 @@ def run_broadcast(n_hosts: int, mode: str,
 
 def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
-                  cutoff_alpha: float = 10e-3,
-                  parallel: object = "off",
-                  force_process: bool = False) -> Dict[str, object]:
+                  cutoff_alpha: float = 10e-3) -> Dict[str, object]:
     ff, coalescing = MODES[mode]
     fabric = make_fabric(n_ranks, mtu=4096)
     fabric.set_coalescing(coalescing)
@@ -114,11 +108,8 @@ def run_allgather(n_ranks: int, mode: str,
         # pass a wider slack than the 10 ms default here.)
         adaptive_cutoff=False,
         cutoff_alpha=cutoff_alpha,
-        parallel=parallel,
     )
     comm = Communicator(fabric, config=cfg)
-    if force_process and comm.ff is not None:
-        comm.ff.force_process = True
     datas = [np.full(per_rank, r % 251, dtype=np.uint8) for r in range(n_ranks)]
     t0 = time.perf_counter()
     res = comm.allgather(datas)
@@ -129,9 +120,6 @@ def run_allgather(n_ranks: int, mode: str,
         "events": res.engine["sim_events"],
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
-        "shards": res.engine.get("shards", 0),
-        "sync_rounds": res.engine.get("sync_rounds", 0),
-        "boundary_msgs": res.engine.get("boundary_msgs", 0),
     }
 
 
@@ -154,16 +142,11 @@ def _rows(kind: str, sizes: List[int], modes: List[str],
             print(f"  {kind} n={n} {mode}: wall={r['wall_s']:.2f}s "
                   f"events={r['events']:,} virt={r['virtual_s'] * 1e6:.3f}us "
                   f"ff_phases={r['ff_phases']}", flush=True)
-        # Exactness contract: pkt and exact must agree bitwise; banded
-        # stays inside its declared band.
+        # Exactness contract: pkt and exact must agree bitwise.
         if "pkt" in virts and "exact" in virts:
             assert virts["exact"] == virts["pkt"], (
                 f"{kind} n={n}: exact diverged from packet-level "
                 f"({virts['exact']} != {virts['pkt']})")
-        if "pkt" in virts and "banded" in virts:
-            err = abs(virts["banded"] - virts["pkt"]) / virts["pkt"]
-            assert err <= 5e-3, (
-                f"{kind} n={n}: banded outside tolerance ({err:.2%})")
     return rows
 
 
@@ -173,20 +156,18 @@ HEADERS = ["collective", "hosts", "engine", "wall_s", "events",
 
 def full_sweep(bcast_hosts: List[int], ag_hosts: List[int]) -> int:
     rows = _rows("broadcast", bcast_hosts,
-                 ["pkt", "train", "exact", "banded"], run_broadcast)
+                 ["pkt", "train", "exact"], run_broadcast)
     rows += _rows("allgather", ag_hosts,
-                  ["pkt", "exact", "banded"], run_allgather)
+                  ["pkt", "exact"], run_allgather)
     report("ff_scaling", format_table(HEADERS, rows))
     return 0
 
 
 def smoke(budget_s: float) -> int:
-    """CI scaling-smoke: banded broadcast + allgather at 1024 AND 4096
-    hosts, a shard-equivalence axis at 1024, a wall-clock budget, and
-    fold-engagement assertions.
+    """CI scaling-smoke: folded broadcast + allgather at 1024 AND 4096
+    hosts, a wall-clock budget, and fold-engagement assertions.
 
-    The 4096-host rows are the headline of the parallel-DES work: the
-    allgather chain is O(P) folds, so quadrupling the rank count must
+    The 4096-host rows are the headline: the allgather chain is O(P) folds, so quadrupling the rank count must
     cost far less than the 16x a quadratic engine would pay.  Both
     allgather rows carry the same per-rank payload and cutoff so the
     ratio isolates scaling, not configuration.
@@ -203,7 +184,7 @@ def smoke(budget_s: float) -> int:
     failures = []
 
     def row(kind, n, r, note="-"):
-        rows.append([kind, str(n), "banded", f"{r['wall_s']:.2f}",
+        rows.append([kind, str(n), "exact", f"{r['wall_s']:.2f}",
                      f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
                      str(r["ff_phases"]), note])
         print(f"  smoke {kind} n={n} ({note}): wall={r['wall_s']:.2f}s "
@@ -212,7 +193,7 @@ def smoke(budget_s: float) -> int:
         # free them now so the RSS budget measures one row, not the sum.
         gc.collect()
 
-    b = run_broadcast(1024, "banded")
+    b = run_broadcast(1024, "exact")
     row("broadcast", 1024, b)
     if b["ff_phases"] != 1:
         failures.append(
@@ -221,7 +202,7 @@ def smoke(budget_s: float) -> int:
 
     # 100 ms static cutoff on both allgather rows: a 4096-rank chain runs
     # ~13 ms of virtual time, past the 10 ms default slack.
-    a = run_allgather(1024, "banded", cutoff_alpha=100e-3)
+    a = run_allgather(1024, "exact", cutoff_alpha=100e-3)
     row("allgather", 1024, a)
     if a["ff_phases"] != 1024:
         failures.append(
@@ -229,14 +210,14 @@ def smoke(budget_s: float) -> int:
             "eligibility gates are rejecting clean phases")
 
     # --- 4096-host rows ----------------------------------------------------
-    b4 = run_broadcast(4096, "banded", payload=2 * MiB)
+    b4 = run_broadcast(4096, "exact", payload=2 * MiB)
     row("broadcast", 4096, b4, note="2MiB")
     if b4["ff_phases"] != 1:
         failures.append(
             f"4096-host broadcast fold disengaged "
             f"(ff_phases={b4['ff_phases']}, expected 1)")
 
-    a4 = run_allgather(4096, "banded", cutoff_alpha=100e-3)
+    a4 = run_allgather(4096, "exact", cutoff_alpha=100e-3)
     row("allgather", 4096, a4)
     if a4["ff_phases"] != 4096:
         failures.append(
@@ -251,26 +232,6 @@ def smoke(budget_s: float) -> int:
         failures.append(
             f"allgather scaling regressed: 4096/1024 wall ratio "
             f"{ratio:.2f}x >= 16x — the chain is quadratic again")
-
-    # --- shard-equivalence axis at 1024 ------------------------------------
-    # The parallel engine must be bit-identical in virtual time to the
-    # sequential fold for any shard count, including the multiprocessing
-    # pipe backend.
-    for shards, pipes in [(1, False), (2, False), (4, False), (4, True)]:
-        r = run_allgather(1024, "banded", parallel=shards,
-                          force_process=pipes)
-        tag = f"shards={shards}" + ("+pipes" if pipes else "")
-        row("allgather", 1024, r, note=tag)
-        if r["virtual_s"] != a["virtual_s"]:
-            failures.append(
-                f"parallel engine diverged at {tag}: "
-                f"{r['virtual_s']} != {a['virtual_s']}")
-        if r["shards"] != shards:
-            failures.append(f"{tag}: shards gauge reported {r['shards']}")
-        if pipes and r["boundary_msgs"] == 0:
-            failures.append(
-                f"{tag}: pipe backend shipped no boundary messages — "
-                "the run silently stayed inline")
 
     wall = time.perf_counter() - t0
     rows.append(["total", "-", "-", f"{wall:.2f}", "-", "-", "-", "-"])
@@ -298,8 +259,8 @@ def smoke(budget_s: float) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="CI mode: banded 1024-host broadcast + allgather "
-                         "under a wall-clock budget")
+                    help="CI mode: folded 1024/4096-host broadcast + "
+                         "allgather under a wall-clock budget")
     ap.add_argument("--budget", type=float, default=300.0,
                     help="smoke wall-clock budget in seconds (default 300)")
     ap.add_argument("--hosts", type=str, default="188,512,1024,2048",

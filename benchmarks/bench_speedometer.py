@@ -17,9 +17,6 @@ scenarios that together cover the hot paths the fast-path PR optimizes:
 * ``ag1024``      1024-rank chain-scheduled allgather under exact
                   fast-forward — the scaling stress case for the
                   vectorized fold commit path
-* ``ag1024shard`` the same allgather through the parallel-DES engine
-                  (4 shards, inline backend) — virtual time and event
-                  count must match ``ag1024`` bit-for-bit
 * ``ar188``       188-host composed allreduce (INC reduce-scatter →
                   multicast allgather in one submission) — the paper
                   Appendix B shape at testbed scale
@@ -206,30 +203,6 @@ def scenario_ag1024(coalescing: bool, batching: bool = True,
     return _result(wall, res)
 
 
-def scenario_ag1024shard(coalescing: bool, batching: bool = True,
-                         ff: str | None = None) -> Dict[str, float]:
-    # ag1024 through the parallel-DES engine (4 shards, inline backend):
-    # virtual time and event count must match the sequential scenario
-    # bit-for-bit — this pins the shard merge determinism per commit.
-    # The pipe backend is exercised by bench_ff_scaling --smoke and the
-    # determinism tests; keeping the speedometer inline keeps its
-    # wall-clock a single-interpreter signal.
-    fabric = make_fabric(1024, mtu=4096)
-    fabric.set_coalescing(coalescing)
-    cfg = CollectiveConfig(chunk_size=KiB, transport="uc",
-                           recv_batching=batching,
-                           adaptive_cutoff=False, cutoff_alpha=10e-3,
-                           parallel=4,
-                           **_ff_kw(ff, default="exact"))
-    comm = Communicator(fabric, config=cfg)
-    data = [np.full(KiB, r % 251, dtype=np.uint8) for r in range(1024)]
-    t0 = time.perf_counter()
-    res = comm.allgather(data)
-    wall = time.perf_counter() - t0
-    assert res.verify_allgather(data), "allgather payload corrupted"
-    return _result(wall, res)
-
-
 def scenario_ar188(coalescing: bool, batching: bool = True,
                    ff: str | None = None) -> Dict[str, float]:
     fabric = make_fabric(188, mtu=4096)
@@ -271,20 +244,24 @@ SCENARIOS = {
     "fsdp": scenario_fsdp,
     "bcast1024": scenario_bcast1024,
     "ag1024": scenario_ag1024,
-    "ag1024shard": scenario_ag1024shard,
     "ar188": scenario_ar188,
     "a2a16": scenario_a2a16,
 }
 
-#: Scenarios whose wall-clock is event-loop dominated and therefore a
-#: meaningful simulator-speed signal.  ``bcast188`` (coarse),
-#: ``bcast1024``, ``ag1024``, and ``ar188`` are excluded: their
-#: wall-clock is dominated by first-touch page faults on the hundreds of
-#: MiB of per-rank staging/user buffers they allocate — a memory-subsystem
-#: measurement that swings 2x between runs.  Their *event count and
-#: virtual time* are still gated exactly; the CI wall budget for the
-#: 1024-host scale lives in ``bench_ff_scaling.py --smoke``.
-WALL_GATED = frozenset({"ag16", "bcast188hf", "lossy188", "fsdp", "a2a16"})
+#: Scenarios whose calibration-normalized wall-clock is steady enough to
+#: gate at the default 25 % tolerance.  Six consecutive runs on a quiet
+#: 2-core box spread 3–9 % around their median on every scenario listed
+#: here except ``a2a16`` (-4/+39 %: it is 30 ms of wall, so one scheduler
+#: hiccup shows); the 1024-host scenarios have been as steady as the rest
+#: since folded phases stopped materialising receive buffers (DESIGN.md
+#: §6h: 122 MiB peak RSS, not the former 0.7–1.2 GiB of first-touch page
+#: faults).  ``bcast188`` (coarse) stays out: the same six runs put it
+#: anywhere from 3.0 to 8.5 normalized units (-34/+85 %) — it runs at
+#: packet level through 188 staging rings of 256 x 64 KiB slots, so its
+#: wall is still first-touch page faults, a memory-subsystem measurement.
+#: Its *event count and virtual time* are gated exactly, like everyone's.
+WALL_GATED = frozenset({"ag16", "bcast188hf", "lossy188", "fsdp", "a2a16",
+                        "bcast1024", "ag1024", "ar188"})
 
 
 def run_all(coalescing: bool, batching: bool = True,
@@ -387,7 +364,7 @@ def main(argv=None) -> int:
                     help="disable the packet-train fast path")
     ap.add_argument("--per-cqe", action="store_true",
                     help="disable the receiver-batch fast path")
-    ap.add_argument("--ff", choices=("off", "exact", "banded"), default=None,
+    ap.add_argument("--ff", choices=("off", "exact"), default=None,
                     help="override every scenario's fast-forward mode "
                          "(default: each scenario's pinned mode); with "
                          "--check this is the flow-level equivalence gate")

@@ -23,7 +23,7 @@ single engine parameterization covers both the "fast CPU, cheap ops" and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.chunking import ImmLayout
 from repro.core.control import (
@@ -1086,6 +1086,33 @@ class RankEngine:
             )
         return op
 
+    def cutoff_allowance(self, op: OpState) -> Tuple[float, float]:
+        """The cutoff timer's arming bound (§III-C) as ``(expected, slack)``.
+
+        ``expected`` is N/B, where N bounds the bytes that must cross the
+        receive path.  For Allgather the chain schedule serializes roots,
+        so the whole op buffer is the right N.  B is the *effective*
+        receive rate: the link, or the progress engine's software rate
+        when the CPU is the bottleneck (a too-eager timer would trigger
+        spurious recoveries on weak cores).  ``slack`` is the adaptive α
+        (core/reliability.py): starts at the static α, tightens toward
+        SRTT + K·RTTVAR as clean ops accumulate, backs off after spurious
+        recoveries; ``adaptive_cutoff=False`` reproduces the paper's
+        fixed-α timer exactly.  The fast-forward's deadline gates call
+        this too, so they cannot drift from the timer they predict.
+        """
+        cfg = self.config
+        n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
+        sw_rate = (
+            self.cost.recv_rate(cfg.chunk_size, uc=cfg.transport == "uc") * n_workers
+            if self.cost.per_recv_chunk > 0
+            else float("inf")
+        )
+        recv_rate = min(self.fabric.link_bandwidth, sw_rate)
+        expected = op.plan.buffer_len / recv_rate
+        slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha
+        return expected, slack
+
     def _run_op_inner(
         self,
         op: OpState,
@@ -1103,25 +1130,7 @@ class RankEngine:
             else:
                 yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants, me=me)
         op.mark_phase("sync")
-        # Cutoff timer (§III-C): N/B + α, where N bounds the bytes that
-        # must cross the receive path.  For Allgather the chain schedule
-        # serializes roots, so the whole op buffer is the right N.  B is
-        # the *effective* receive rate: the link, or the progress engine's
-        # software rate when the CPU is the bottleneck (a too-eager timer
-        # would trigger spurious recoveries on weak cores).
-        n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
-        sw_rate = (
-            self.cost.recv_rate(cfg.chunk_size, uc=cfg.transport == "uc") * n_workers
-            if self.cost.per_recv_chunk > 0
-            else float("inf")
-        )
-        recv_rate = min(self.fabric.link_bandwidth, sw_rate)
-        expected = op.plan.buffer_len / recv_rate
-        # Adaptive slack (core/reliability.py): starts at the static α,
-        # tightens toward SRTT + K·RTTVAR as clean ops accumulate, backs
-        # off after spurious recoveries.  ``adaptive_cutoff=False``
-        # reproduces the paper's fixed-α timer exactly.
-        slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha
+        expected, slack = self.cutoff_allowance(op)
         armed_at = self.sim.now
         deadline = armed_at + expected + slack
         op.cutoff_deadline = deadline  # published for the batch-eligibility gate

@@ -65,14 +65,9 @@ TRACEPOINTS: Dict[str, Any] = {
     "repair.ctrl_migrate": ("i", "control plane migrated to a surviving rail"),
     "repair.void": ("i", "chunks voided as unrecoverable (args: chunks)"),
     "engine.watchdog": ("i", "simulator no-progress watchdog fired"),
-    "engine.ff_enter": ("i", "flow fast-forward fold began "
-                             "(args: chunks, mode)"),
+    "engine.ff_enter": ("i", "flow fast-forward fold began (args: chunks)"),
     "engine.ff_exit": ("i", "flow fast-forward fold committed "
                             "(args: until, send_done)"),
-    "engine.shard_sync": ("i", "parallel-DES lookahead window synchronized "
-                               "across shards (args: shards, phase)"),
-    "engine.boundary_xfer": ("i", "boundary injection streams shipped to "
-                                  "shards (args: msgs, bytes)"),
     # -- DPA scheduler ----------------------------------------------------
     "dpa.compute": ("X", "DPA thread occupies a core pipe for a segment"),
 }

@@ -10,8 +10,8 @@ processing, staging DMA drain) is folded arithmetically and committed as
 O(links) state mutations plus one "finisher" event per receiver, instead
 of O(packets) simulated events.
 
-Exactness contract (``fast_forward="exact"``)
----------------------------------------------
+Exactness contract
+------------------
 The fold replicates the **slow-path** float arithmetic expression by
 expression — ``max`` written as the same branch shapes, costs summed in
 the same order — so every committed instant (channel ``busy_until``, DMA
@@ -22,15 +22,6 @@ so matching the slow path matches every engine mode.  Event counts and
 receiver-batch telemetry (``cqe_batches`` / ``batched_cqes``) necessarily
 *drop* under fast-forward — that is the point — so equivalence checks
 compare virtual time, counters and payload digests, never event counts.
-
-Banded mode (``fast_forward="banded"``)
----------------------------------------
-Same gates, same committed byte/packet counters and payloads, but the
-per-edge busy chains are collapsed to closed forms over uniform arrival
-streams (O(1) per edge instead of O(chunks)): completion instants may
-deviate by up to the declared ±0.5% virtual-time tolerance
-(:data:`BANDED_TOLERANCE`).  This is what makes 1024–4096-host sweeps
-tractable.
 
 Eligibility gates (any failure falls back to packet level, permanently
 for the rest of that collective so cursors stay exact):
@@ -53,7 +44,6 @@ for the rest of that collective so cursors stay exact):
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -61,20 +51,16 @@ import numpy as np
 
 from repro.core.sequencer import effective_chains
 from repro.net.nic import RecvWR
-from repro.net.plan import PartitionError, partition_fabric
 from repro.net.topology import host_id, is_host
 from repro.sim.engine import _Callback
-from repro.sim.parallel import ParallelEngine
+from repro.sim.parallel import ReceiverLanes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
     from repro.core.ops import OpState
     from repro.core.progress import RankEngine
 
-__all__ = ["FlowFastForward", "BANDED_TOLERANCE"]
-
-#: declared virtual-time tolerance of ``fast_forward="banded"`` (relative)
-BANDED_TOLERANCE = 5e-3
+__all__ = ["FlowFastForward"]
 
 _INF = float("inf")
 
@@ -125,54 +111,11 @@ class FlowFastForward:
     def __init__(self, comm: "Communicator") -> None:
         self.comm = comm
         self.sim = comm.sim
-        self.mode = comm.config.fast_forward  # 'exact' | 'banded'
-        self.vec = comm.config.ff_vectorized
         # --- telemetry (summed into CollectiveResult.engine) ---
         self.ff_phases = 0  #: phases folded analytically
         self.ff_skipped_events = 0  #: estimated packet-level events avoided
         self.ff_aborts = 0  #: eligibility-gate bailouts (fell back)
         self._sessions: Dict[int, _Session] = {}
-        #: parallel host-level engine (lazy; reused across collectives)
-        self.par: Optional[ParallelEngine] = None
-        self._par_key = None
-        # Retired engines' counters (a partition change recreates the
-        # engine; telemetry must survive that).
-        self._sync_rounds_acc = 0
-        self._boundary_msgs_acc = 0
-        #: test hook: exercise the pipe backend below its size threshold
-        self.force_process = False
-
-    # ---------------------------------------------------- parallel plumbing
-
-    def _resolve_shards(self, n_rx: int) -> int:
-        knob = self.comm.config.parallel
-        if knob == "off":
-            return 1
-        if knob == "auto":
-            if n_rx < 256:
-                return 1
-            return min(4, os.cpu_count() or 1)
-        return max(1, int(knob))
-
-    def _get_par(self, slices: List[Tuple[int, int]], backend: str
-                 ) -> ParallelEngine:
-        key = (tuple(slices), backend)
-        if self.par is None or self._par_key != key:
-            if self.par is not None:
-                self._sync_rounds_acc += self.par.sync_rounds
-                self._boundary_msgs_acc += self.par.boundary_msgs
-                self.par.close()
-            self.par = ParallelEngine(slices, backend)
-            self._par_key = key
-        return self.par
-
-    def total_sync_rounds(self) -> int:
-        return self._sync_rounds_acc + (
-            self.par.sync_rounds if self.par is not None else 0)
-
-    def total_boundary_msgs(self) -> int:
-        return self._boundary_msgs_acc + (
-            self.par.boundary_msgs if self.par is not None else 0)
 
     def preempt_vec(self) -> None:
         """Flush every deferred vectorized session *now* — called before a
@@ -267,7 +210,7 @@ class FlowFastForward:
         vs = sess.vec
         if vs is not None:
             return vs.fold_phase(engine, op)
-        if (op.kind == "allgather" and n_chunks == 1 and self.vec
+        if (op.kind == "allgather" and n_chunks == 1
                 and not fabric._stragglers and not sess.vec_unsupported):
             vs = _Vec1Session.build(self, engine, op, participants, sess)
             if vs is None:
@@ -321,7 +264,7 @@ class FlowFastForward:
         rx_folds = sess.rx_folds
         del rx_folds[:]
         fin_max = send_done
-        if (self.vec and n_chunks >= 4 and not fabric._stragglers
+        if (n_chunks >= 4 and not fabric._stragglers
                 and n_chunks * len(arrivals_by_host) >= 512):
             # Matrix path: the per-receiver chains are independent, so the
             # chunk loop runs as [n_rx]-wide array ops (same expressions,
@@ -413,7 +356,6 @@ class FlowFastForward:
         unexpected receiver).
         """
         fabric = engine.fabric
-        banded = self.mode == "banded"
         n = len(wires)
         min_wire = min(wires)
         # Per-chunk train membership: a batch rides the wire as one train
@@ -475,19 +417,6 @@ class FlowFastForward:
                     start = t_inj if t_inj > prev else prev
                     prev = start + wires[0] / bw
                     outs_lat = [prev + lat]
-                elif banded:
-                    # Closed-form uniform-stream fold: O(1) per edge.
-                    first_in, last_in = inj[0], inj[-1]
-                    start0 = first_in if first_in > prev else prev
-                    out_first = start0 + wires[0] / bw
-                    serial = bytes_sum / bw
-                    tail = last_in + wires[-1] / bw
-                    queued = start0 + serial
-                    out_last = tail if tail > queued else queued
-                    step = (out_last - out_first) / (n - 1)
-                    outs_lat = [out_first + i * step + lat for i in range(n)]
-                    outs_lat[-1] = out_last + lat
-                    prev = out_last
                 else:
                     outs_lat = []
                     for i, t_inj in enumerate(inj):
@@ -643,7 +572,6 @@ class FlowFastForward:
     def _deadlines_clear(self, participants: List[int], cid: int,
                          t_hook: float, fin_max: float) -> bool:
         comm = self.comm
-        cfg = comm.config
         for r in participants:
             eng = comm.engines[r]
             op_r = eng.ops[cid]
@@ -655,19 +583,9 @@ class FlowFastForward:
                     return False
             else:
                 # Not yet armed: it will arm at >= t_hook with at least
-                # this expected + slack allowance (the controller's own
-                # formula), so this is a conservative lower bound.
-                n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
-                sw_rate = (
-                    eng.cost.recv_rate(cfg.chunk_size,
-                                       uc=cfg.transport == "uc") * n_workers
-                    if eng.cost.per_recv_chunk > 0
-                    else _INF
-                )
-                recv_rate = min(eng.fabric.link_bandwidth, sw_rate)
-                expected = op_r.plan.buffer_len / recv_rate
-                slack = (eng.cutoff.slack() if cfg.adaptive_cutoff
-                         else cfg.cutoff_alpha)
+                # the controller's own allowance, so this is a
+                # conservative lower bound.
+                expected, slack = eng.cutoff_allowance(op_r)
                 deadline = t_hook + expected + slack
             if fin_max >= deadline:
                 return False
@@ -681,8 +599,7 @@ class FlowFastForward:
         trc = engine.trace
         t_hook = sim.now
         if trc is not None:
-            trc.instant("engine.ff_enter", t_hook,
-                        {"chunks": n_chunks, "mode": self.mode})
+            trc.instant("engine.ff_enter", t_hook, {"chunks": n_chunks})
         # --- channel + switch counters, busy watermarks -------------------
         for ch, busy, packets, ch_bytes, payload, trains, train_pkts in chans:
             ch.busy_until = busy
@@ -810,9 +727,9 @@ class _Vec1Session:
       root → other leaves → hosts), so the per-switch fan-out reduces to
       one scalar up-chain plus one ``[n_leaves]`` vector of down-chains;
     * every host appears in exactly one leaf, so the P-1 receiver chains
-      are independent elementwise recurrences over ``[P]`` arrays —
-      computed by :class:`repro.sim.parallel.ShardCore`, optionally
-      sharded across processes along the fabric partition;
+      are independent elementwise recurrences over ``[P]`` arrays, one
+      lane per rank in ascending rank order — computed by
+      :class:`repro.sim.parallel.ReceiverLanes`;
     * phases are serialized by bypass-lane MSG_ACTIVATE control messages
       that never touch a channel's ``busy_until``, so **all** object-level
       commits (channel watermarks, counters, bitmaps, payload copies) can
@@ -823,10 +740,10 @@ class _Vec1Session:
     Exactness: every expression replicates the generic fold's float
     arithmetic elementwise (numpy float64 ops are the same IEEE-754
     operations), so committed instants are bit-identical to the scalar
-    engine for every shard count and backend.  Gate *strictness* may
-    diverge (this session caches conservative bounds where the scalar
-    fold recomputes); in exact mode that is invisible — the packet path
-    the abort falls back to is itself bitwise-identical to the fold.
+    engine.  Gate *strictness* may diverge (this session caches
+    conservative bounds where the scalar fold recomputes); that is
+    invisible — the packet path the abort falls back to is itself
+    bitwise-identical to the fold.
 
     Known seam: the scalar fold pops a receive WR per fold and re-posts
     it at the fold's finisher; this session leaves the queue untouched
@@ -852,15 +769,14 @@ class _Vec1Session:
         that is O(P) or O(tree); returns ``None`` (no state touched) when
         unsupported — the generic fold then takes over."""
         comm = ff.comm
-        cfg = comm.config
         fabric = comm.fabric
         engines = comm.engines
         cid = op.coll_id
-        ranks = list(participants)
+        ranks = sorted(participants)
         P = len(ranks)
         if P < 2 or len(set(ranks)) != P:
             return None
-        uc = cfg.transport == "uc"
+        uc = comm.config.transport == "uc"
         header = engine.nic.header_bytes
 
         ops: List["OpState"] = []
@@ -917,43 +833,10 @@ class _Vec1Session:
         if set(host_sw) != set(hosts):
             return None
 
-        # --- partition-aware ordering -------------------------------------
-        try:
-            part = partition_fabric(fabric, ff._resolve_shards(P))
-        except PartitionError:
-            return None
-        canon = {s: i for i, s in enumerate(fabric.topology.switch_names)}
-        if any(s not in canon for s in tree):
-            return None
-        bswitches = sorted(tree, key=lambda s: (part.switch_shard[s],
-                                                canon[s]))
+        # Position of each tree switch in the per-phase injection array
+        # the receiver lanes index by hosting switch.
+        bswitches = list(tree)
         bpos = {s: i for i, s in enumerate(bswitches)}
-        n_sh = part.n_shards
-        leaf_slices: List[Tuple[int, int]] = []
-        i = 0
-        for k in range(n_sh):
-            lo = i
-            while (i < len(bswitches)
-                   and part.switch_shard[bswitches[i]] == k):
-                i += 1
-            leaf_slices.append((lo, i))
-        if i != len(bswitches):
-            return None
-        host_of_rank = dict(zip(ranks, hosts))
-        perm = sorted(ranks, key=lambda r: (
-            part.switch_shard[host_sw[host_of_rank[r]]],
-            bpos[host_sw[host_of_rank[r]]], r))
-        pos = {r: j for j, r in enumerate(perm)}
-        rx_slices: List[Tuple[int, int]] = []
-        i = 0
-        for k in range(n_sh):
-            lo = i
-            while (i < P and part.switch_shard[
-                    host_sw[host_of_rank[perm[i]]]] == k):
-                i += 1
-            rx_slices.append((lo, i))
-        if i != P:
-            return None
 
         self = cls()
         self.ff = ff
@@ -964,12 +847,11 @@ class _Vec1Session:
         self.uc = uc
         self.P = P
         self.header = header
-        self.perm = perm
-        self.pos = pos
-        self.rank_order = sorted(range(P), key=lambda j: perm[j])
-        self.engines_p = [engines[r] for r in perm]
-        self.ops = [engines[r].ops[cid] for r in perm]
-        self.qps = [e.sub_qps[0] for e in self.engines_p]
+        self.ranks = ranks
+        self.pos = {r: j for j, r in enumerate(ranks)}
+        self.engines = [engines[r] for r in ranks]
+        self.ops = ops
+        self.qps = [e.sub_qps[0] for e in self.engines]
         self.epoch0 = fabric.fault_epoch
 
         # --- per-rank geometry, channels, wire sizes ----------------------
@@ -998,7 +880,7 @@ class _Vec1Session:
         s_bpos = np.empty(P, dtype=np.intp)
         for j in range(P):
             op_j = self.ops[j]
-            h = host_of_rank[perm[j]]
+            h = hosts[j]
             sw_name = host_sw[h]
             off, ln = op_j.plan.bounds(op_j.send_lo)
             lens_i.append(ln)
@@ -1006,7 +888,7 @@ class _Vec1Session:
             lo_offs.append(off)
             psns.append(op_j.send_lo)
             ch = fabric.switches[sw_name].ports.get(host_port[h])
-            eg = self.engines_p[j].nic.egress
+            eg = self.engines[j].nic.egress
             if (ch is None or ch.down or not ch.fault_inert()
                     or eg is None or eg.down or not eg.fault_inert()
                     or eg.dst_name != sw_name):
@@ -1078,13 +960,10 @@ class _Vec1Session:
         self.d_sw = d_sw
         self.s_bpos = s_bpos
         self.s_leafidx = np.array(
-            [leaf_idx.get(host_sw[host_of_rank[perm[j]]], -1)
-             for j in range(P)], dtype=np.intp)
-        self.root = root
+            [leaf_idx.get(host_sw[h], -1) for h in hosts], dtype=np.intp)
         self.root_bpos = bpos[root]
         self.d_root = float(fabric.switches[root].forwarding_delay)
         self.n_leaves = n_leaves
-        self.leaves = leaves
         self.up_ch = up_ch
         self.down_ch = down_ch
         self.up_busy = up_busy
@@ -1097,8 +976,7 @@ class _Vec1Session:
         self.leaf_bidx = np.array([bpos[s] for s in leaves], dtype=np.intp)
         self.tree_sw = [(fabric.switches[s], len(tree[s])) for s in tree]
         self.chans_per_phase = 1 + sum(len(p) - 1 for p in tree.values())
-        self.n_b = len(bswitches)
-        self.b_scratch = np.empty(self.n_b)
+        self.b_scratch = np.empty(len(bswitches))
 
         # --- hoisted per-phase gates --------------------------------------
         cost = engine.cost
@@ -1109,23 +987,13 @@ class _Vec1Session:
         md = _INF
         unarmed: List[int] = []
         expslack = np.zeros(P)
-        n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
         for j in range(P):
             d = self.ops[j].cutoff_deadline
             if d < _INF:
                 if d < md:
                     md = d
             else:
-                e = self.engines_p[j]
-                sw_rate = (
-                    e.cost.recv_rate(cfg.chunk_size, uc=uc) * n_workers
-                    if e.cost.per_recv_chunk > 0
-                    else _INF
-                )
-                recv_rate = min(fabric.link_bandwidth, sw_rate)
-                expected = self.ops[j].plan.buffer_len / recv_rate
-                slack = (e.cutoff.slack() if cfg.adaptive_cutoff
-                         else cfg.cutoff_alpha)
+                expected, slack = self.engines[j].cutoff_allowance(ops[j])
                 expslack[j] = expected + slack
                 unarmed.append(j)
         self.md = md
@@ -1142,32 +1010,15 @@ class _Vec1Session:
         self.sent = [False] * P
         self.completed = [False] * P
 
-        # --- shard engine --------------------------------------------------
-        backend = ("process"
-                   if n_sh > 1 and (P >= 8192 or ff.force_process)
-                   else "inline")
-        state = {
-            "uc": uc,
-            "c1": cost.cqe_poll + cost.cqe_process,
-            "c2": (cost.recv_repost if uc
-                   else cost.copy_issue + cost.recv_repost),
-            "min_deadline": _INF,  # deadline gating is coordinator-side
-            "leaf_of": s_bpos,
-            "bw": hd_bw,
-            "lat": hd_lat,
-            "hd_busy": hd_busy,
-            "cursor": np.zeros(P),
-            "last_arr": np.full(P, -_INF),
-        }
-        if not uc:
-            state["dma_bw"] = np.array(
-                [e.dma.bandwidth for e in self.engines_p])
-            state["dma_lat"] = np.array(
-                [e.dma.latency for e in self.engines_p])
-            state["dma_busy"] = np.array(
-                [e.dma.busy_until for e in self.engines_p])
-        self.par = ff._get_par(rx_slices, backend)
-        self.par.start_session(state, leaf_slices)
+        # --- receiver lanes ------------------------------------------------
+        dma = None if uc else (
+            np.array([e.dma.bandwidth for e in self.engines]),
+            np.array([e.dma.latency for e in self.engines]),
+            np.array([e.dma.busy_until for e in self.engines]))
+        self.lanes = ReceiverLanes(
+            s_bpos, cost.cqe_poll + cost.cqe_process,
+            cost.recv_repost if uc else cost.copy_issue + cost.recv_repost,
+            hd_bw, hd_lat, hd_busy, dma)
         return self
 
     # ------------------------------------------------------------ per phase
@@ -1253,9 +1104,7 @@ class _Vec1Session:
             dnew = None
         b[self.root_bpos] = inj_r
         b[self.s_bpos[i]] = inj_as
-        # --- shard sync: one lookahead window over the cut edges ---------
-        want_fins = nf >= self.P - 2
-        ok, fin_rx, fins = self.par.phase(w, ln, b, i, want_fins)
+        ok, fin_rx, fins = self.lanes.phase(w, ln, b, i)
         if not ok:
             return self.abort_flush()
         fin_all = fin_rx if fin_rx > send_done else send_done
@@ -1280,18 +1129,15 @@ class _Vec1Session:
         # --- completions: delivered(r) == P-1 ----------------------------
         nf1 = nf + 1
         if nf1 >= self.P - 1:
-            # Fixed ascending-rank order keeps the event heap identical
-            # for every shard count.
-            for j in self.rank_order:
+            # Lanes are in ascending rank order, and so are the events.
+            for j in range(self.P):
                 if self.completed[j]:
                     continue
                 if nf1 - (1 if self.sent[j] else 0) == self.P - 1:
                     self.completed[j] = True
                     sim.post_at(float(fins[j]), self._complete_rx, j)
         if nf1 == self.P:
-            state = self.par.final_state()
-            self.par.end_session()
-            self._flush_fabric(state)
+            self._flush_fabric(self.lanes.final_state())
             self.done = True
             self.sess.vec = None
 
@@ -1308,13 +1154,7 @@ class _Vec1Session:
         ff.ff_skipped_events += self.chans_per_phase + 3 * (self.P - 1) + 2
         trc = engine.trace
         if trc is not None:
-            trc.instant("engine.ff_enter", t_hook,
-                        {"chunks": 1, "mode": ff.mode})
-            trc.instant("engine.shard_sync", t_hook,
-                        {"shards": self.par.n_shards, "phase": nf})
-            trc.instant("engine.boundary_xfer", t_hook,
-                        {"msgs": 2 * self.par.n_shards,
-                         "bytes": 8 * self.n_b})
+            trc.instant("engine.ff_enter", t_hook, {"chunks": 1})
             trc.instant("engine.ff_exit", t_hook,
                         {"until": fin_all, "send_done": send_done})
         return send_done
@@ -1347,9 +1187,8 @@ class _Vec1Session:
         self.aborted = True
         sim = self.sim
         now = sim.now
-        self.par.rollback()  # drop any tentative (uncommitted) phase
-        state = self.par.final_state()
-        self.par.end_session()
+        self.lanes.rollback()  # drop any tentative (uncommitted) phase
+        state = self.lanes.final_state()
         self._flush_fabric(state)
         # --- per-rank partial bitmap/payload from the folded psn runs -----
         runs = self._psn_runs()
@@ -1421,7 +1260,7 @@ class _Vec1Session:
             pk = nf - (1 if sent_j else 0)
             own_w = wires_i[j] if sent_j else 0
             own_l = lens_i[j] if sent_j else 0
-            e = self.engines_p[j]
+            e = self.engines[j]
             ch = self.hd_ch[j]
             ch.busy_until = float(hd_busy[j])
             ch.bytes_sent += wf - own_w
@@ -1448,7 +1287,7 @@ class _Vec1Session:
                 dma.bytes_copied += lf_sum - own_l
                 dma.ops += pk
                 e.stagings[0].reposts += pk
-            rank = self.perm[j]
+            rank = self.ranks[j]
             rx = sess_rx.get(rank)
             if rx is None:
                 rx = sess_rx[rank] = _RxSession()

@@ -1,84 +1,68 @@
-"""Conservative parallel-DES engine for the vectorized fast-forward.
+"""Receiver-lane kernel of the fast-forward's Allgather session.
 
 The hybrid fast-forward (DESIGN §6d) reduces a fault-inert multicast
 phase to float chains: per-edge busy recurrences plus per-receiver
-CQE/DMA chains.  This module shards the *host-level* part of that
-computation — the leaf→host edges and every receiver's worker/DMA chain —
-across worker processes, along the switch-boundary partition computed by
-:func:`repro.net.plan.partition_fabric`.
+CQE/DMA chains.  The P−1 receiver chains of a single-chunk Allgather
+phase are independent (paper §IV-A), so the *host-level* part of that
+computation — the leaf→host edge and each receiver's worker/DMA chain —
+is one elementwise recurrence over ``[P]`` arrays, one lane per rank.
+:class:`repro.sim.fastforward._Vec1Session` advances the shared part of
+the tree (sender egress, up-link, root fan-out) and hands this kernel the
+resulting per-switch injection instants each phase.
 
-Conservative synchronization (Chandy–Misra–Bryant)
---------------------------------------------------
-Each shard owns the busy/cursor state of its hosts and their host links.
-All cross-shard influence travels over *cut edges* (spine→leaf), whose
-propagation latency is the partition's lookahead bound.  The coordinator
-advances the shared part of the fabric (sender egress, up-links, the
-root fan-out over the cut edges) and ships each shard the resulting
-per-leaf injection stream — the boundary "train" for that phase.  Because
-the boundary stream is computed *before* the shards advance, every shard
-can safely run its whole phase without null messages: the lookahead
-window always covers the phase.  Merging replies in fixed shard order
-keeps the global result deterministic, and since the per-host kernels
-are elementwise (`numpy` ``maximum``/adds — the same IEEE-754 operations
-the sequential fold evaluates per receiver), the merged virtual times
-are **bit-identical** for every shard count, pipes or not.
+Every expression replicates the scalar fold's arithmetic elementwise —
+``numpy`` ``maximum``/add are the same IEEE-754 operations, in the same
+order per lane — so the committed instants are bit-identical to the
+per-receiver loop (DESIGN §6d exactness contract).
 
-Protocol (one pipe round-trip per phase)
-----------------------------------------
-A ``phase`` request implicitly *commits* the shard's previous tentative
-phase and computes the new one into pending buffers; the reply carries
-the shard's gate verdict and local ``fin`` maximum.  If any shard (or a
-coordinator-side gate) vetoes the phase, ``rollback`` drops every
-shard's pending buffers — no state was mutated, exactly like the
-sequential fold's gates-before-commit ordering.  ``state`` commits and
-returns the final arrays for the coordinator's flush.
-
-The process backend is worthwhile when the per-phase host-level work
-dwarfs the ~0.1 ms pipe round-trip — packet-heavy shards or 10k+ hosts.
-At CI scales the inline backend (same kernels, same slicing, no IPC) is
-the default; both produce bitwise-identical state by construction.
+Protocol
+--------
+``phase`` implicitly *commits* the previous tentative phase and computes
+the new one into pending buffers.  If a gate the session evaluates after
+the kernel returns (the cutoff-deadline bound) vetoes the phase,
+``rollback`` drops the pending buffers — no state was mutated, exactly
+like the scalar fold's gates-before-commit ordering.  ``final_state``
+commits and returns the arrays for the session's flush.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ParallelEngine", "ShardCore"]
+__all__ = ["ReceiverLanes"]
 
 _NEG_INF = float("-inf")
 
 
-class ShardCore:
-    """Host-level chain state for one contiguous slice of receivers.
+class ReceiverLanes:
+    """Host-level chain state, one lane per rank of the collective.
 
-    All arrays are indexed by *local* receiver position.  ``leaf_of``
-    maps each local receiver to the local index of its hosting switch in
-    the boundary stream the coordinator ships each phase.
+    ``switch_of`` maps each lane to the index of its hosting switch in
+    the injection array the session passes each phase; ``hd_*`` describe
+    the switch→host channel, ``dma_*`` the staging drain (UD only: pass
+    ``dma=None`` for UC, whose fin is the worker cursor itself).
     """
 
-    def __init__(self, state: Dict[str, np.ndarray]) -> None:
-        self.uc = bool(state["uc"])
-        self.c1 = float(state["c1"])
-        self.c2 = float(state["c2"])
-        self.min_deadline = float(state["min_deadline"])
-        self.leaf_of = np.asarray(state["leaf_of"], dtype=np.intp)
-        self.bw = np.asarray(state["bw"], dtype=np.float64)
-        self.lat = np.asarray(state["lat"], dtype=np.float64)
-        self.hd_busy = np.array(state["hd_busy"], dtype=np.float64)
-        self.cursor = np.array(state["cursor"], dtype=np.float64)
-        self.last_arr = np.array(state["last_arr"], dtype=np.float64)
-        self.last_fin = np.full(len(self.hd_busy), _NEG_INF)
-        if not self.uc:
-            self.dma_busy = np.array(state["dma_busy"], dtype=np.float64)
-            self.dma_bw = np.asarray(state["dma_bw"], dtype=np.float64)
-            self.dma_lat = np.asarray(state["dma_lat"], dtype=np.float64)
+    def __init__(self, switch_of: np.ndarray, c1: float, c2: float,
+                 hd_bw: np.ndarray, hd_lat: np.ndarray, hd_busy: np.ndarray,
+                 dma: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+                 ) -> None:
+        n = len(hd_busy)
+        self.switch_of = switch_of
+        self.c1 = c1
+        self.c2 = c2
+        self.bw = hd_bw
+        self.lat = hd_lat
+        self.hd_busy = hd_busy
+        self.cursor = np.zeros(n)
+        self.last_arr = np.full(n, _NEG_INF)
+        self.last_fin = np.full(n, _NEG_INF)
+        self.uc = dma is None
+        if dma is not None:
+            self.dma_bw, self.dma_lat, self.dma_busy = dma
         self._pending: Optional[Tuple[np.ndarray, ...]] = None
-
-    # ------------------------------------------------------------- protocol
 
     def commit(self) -> None:
         p = self._pending
@@ -94,64 +78,46 @@ class ShardCore:
     def rollback(self) -> None:
         self._pending = None
 
-    def phase(self, w: float, ln: float, leaf_inj: np.ndarray,
-              sender_local: int, want_fins: bool):
+    def phase(self, w: float, ln: float, switch_inj: np.ndarray,
+              sender: int) -> Tuple[bool, float, Optional[np.ndarray]]:
         """Compute one phase into pending buffers (committing the previous
-        pending phase first).  Returns ``(ok, fin_max, fins | None)``.
-
-        Every expression below replicates the sequential fold's scalar
-        arithmetic elementwise — same operation shapes, same order — so
-        the committed instants are bit-identical to the per-receiver loop
-        (DESIGN §6d exactness contract).
+        pending phase first).  Returns ``(ok, fin_max, fins)``: the
+        strict non-interleave verdict, the latest receive finish, and the
+        per-lane finishes (the sender's lane keeps its previous one).
         """
         self.commit()
-        s = sender_local
-        if s >= 0:
-            # The sender receives nothing: compute the full vectors, then
-            # restore its lanes from the old state below.
-            save = (self.hd_busy[s], self.cursor[s], self.last_arr[s],
-                    self.last_fin[s],
-                    None if self.uc else self.dma_busy[s])
-        inj = leaf_inj[self.leaf_of]
+        s = sender
+        # The sender receives nothing: compute the full vectors, then
+        # restore its lanes from the old state below.
+        inj = switch_inj[self.switch_of]
         start = np.maximum(inj, self.hd_busy)
         hd_busy = start + w / self.bw
         a = hd_busy + self.lat
-        # Strict non-interleave gate (sender lane exempt).
         ok_arr = a > self.last_arr
-        if s >= 0:
-            ok_arr[s] = True
+        ok_arr[s] = True
         if not ok_arr.all():
             return False, _NEG_INF, None
         anchor = np.maximum(a, self.cursor)
         t = anchor + self.c1
         t = t + self.c2
         if self.uc:
-            fins = t  # UC fin is the worker cursor itself
+            fins = t.copy()
         else:
             d_start = np.maximum(t, self.dma_busy)
             dma_busy = d_start + ln / self.dma_bw
             fins = dma_busy + self.dma_lat
-        if s >= 0:
-            hd_busy[s] = save[0]
-            t[s] = save[1]
-            a[s] = save[2]
-            if not self.uc:
-                dma_busy[s] = save[4]
-            last_fin = fins.copy()
-            last_fin[s] = save[3]
-            out_fins = last_fin.copy()
-            out_fins[s] = _NEG_INF
-        else:
-            last_fin = fins
-            out_fins = fins
-        fin_max = float(out_fins.max()) if out_fins.size else _NEG_INF
-        if fin_max >= self.min_deadline:
-            return False, fin_max, None
+            dma_busy[s] = self.dma_busy[s]
+        hd_busy[s] = self.hd_busy[s]
+        t[s] = self.cursor[s]
+        a[s] = self.last_arr[s]
+        fins[s] = _NEG_INF
+        fin_max = float(fins.max())
+        fins[s] = self.last_fin[s]
         if self.uc:
-            self._pending = (hd_busy, t, a, last_fin)
+            self._pending = (hd_busy, t, a, fins)
         else:
-            self._pending = (hd_busy, t, a, last_fin, dma_busy)
-        return True, fin_max, (out_fins if want_fins else None)
+            self._pending = (hd_busy, t, a, fins, dma_busy)
+        return True, fin_max, fins
 
     def final_state(self) -> Dict[str, np.ndarray]:
         self.commit()
@@ -160,185 +126,3 @@ class ShardCore:
         if not self.uc:
             out["dma_busy"] = self.dma_busy
         return out
-
-
-def _worker_main(conn) -> None:  # pragma: no cover - exercised via pipes
-    """Child process loop: serve one ShardCore over a duplex pipe."""
-    core: Optional[ShardCore] = None
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        op = msg[0]
-        if op == "phase":
-            ok, fin_max, fins = core.phase(*msg[1:])
-            conn.send((ok, fin_max, fins))
-        elif op == "rollback":
-            core.rollback()
-            conn.send(True)
-        elif op == "state":
-            conn.send(core.final_state())
-        elif op == "session":
-            core = ShardCore(msg[1])
-            conn.send(True)
-        elif op == "end":
-            core = None
-            conn.send(True)
-        elif op == "stop":
-            conn.close()
-            return
-
-
-class ParallelEngine:
-    """Coordinator for N host-level shards (inline or worker processes).
-
-    ``slices`` gives each shard's contiguous [lo, hi) range over the
-    session's permuted receiver index space; the coordinator keeps the
-    permutation and slices every per-host array accordingly.
-    """
-
-    def __init__(self, slices: List[Tuple[int, int]],
-                 backend: str = "inline") -> None:
-        if backend not in ("inline", "process"):
-            raise ValueError(f"unknown parallel backend {backend!r}")
-        self.slices = slices
-        self.backend = backend
-        self.n_shards = len(slices)
-        # --- telemetry (summed into CollectiveResult.engine) ---
-        self.sync_rounds = 0  #: lookahead windows synchronized (phases)
-        self.boundary_msgs = 0  #: boundary-stream messages over pipes
-        self._cores: List[ShardCore] = []
-        self._procs: List = []
-        self._conns: List = []
-        self._n_rx = 0
-        if backend == "process":
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # non-POSIX: no fork, stay inline
-                self.backend = "inline"
-            else:
-                for _ in slices:
-                    parent, child = ctx.Pipe()
-                    proc = ctx.Process(target=_worker_main, args=(child,),
-                                       daemon=True)
-                    proc.start()
-                    child.close()
-                    self._conns.append(parent)
-                    self._procs.append(proc)
-                atexit.register(self.close)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def start_session(self, state: Dict[str, np.ndarray],
-                      leaf_shard_slices: List[Tuple[int, int]]) -> None:
-        """Ship each shard its slice of the per-receiver state arrays.
-
-        ``leaf_shard_slices`` gives, per shard, the [lo, hi) range of the
-        hosting-switch (boundary-stream) index space owned by that shard;
-        ``state['leaf_of']`` is pre-localized by the caller.
-        """
-        self._leaf_slices = leaf_shard_slices
-        self._n_rx = len(state["hd_busy"])
-        per_rx = ("leaf_of", "bw", "lat", "hd_busy", "cursor", "last_arr",
-                  "dma_bw", "dma_lat", "dma_busy")
-        shard_states = []
-        for (lo, hi), (llo, _lhi) in zip(self.slices, leaf_shard_slices):
-            sub = {k: (v[lo:hi] if k in per_rx else v)
-                   for k, v in state.items()}
-            # Localize the hosting-switch indices to the shard's slice of
-            # the boundary stream.
-            sub["leaf_of"] = state["leaf_of"][lo:hi] - llo
-            shard_states.append(sub)
-        if self.backend == "process":
-            for conn, sub in zip(self._conns, shard_states):
-                conn.send(("session", sub))
-            for conn in self._conns:
-                conn.recv()
-            self.boundary_msgs += 2 * self.n_shards
-            self._cores = []
-        else:
-            self._cores = [ShardCore(sub) for sub in shard_states]
-
-    def phase(self, w: float, ln: float, leaf_inj: np.ndarray,
-              sender_rx: int, want_fins: bool):
-        """Run one phase across every shard; deterministic shard-order
-        merge.  Returns ``(ok, fin_max, fins | None)``; on any veto the
-        committed shards are rolled back before returning."""
-        self.sync_rounds += 1
-        results = []
-        if self.backend == "process":
-            for k, ((lo, hi), (llo, lhi)) in enumerate(
-                    zip(self.slices, self._leaf_slices)):
-                s_local = sender_rx - lo if lo <= sender_rx < hi else -1
-                self._conns[k].send(("phase", w, ln, leaf_inj[llo:lhi],
-                                     s_local, want_fins))
-            self.boundary_msgs += 2 * self.n_shards
-            for conn in self._conns:
-                results.append(conn.recv())
-        else:
-            for k, ((lo, hi), (llo, lhi)) in enumerate(
-                    zip(self.slices, self._leaf_slices)):
-                s_local = sender_rx - lo if lo <= sender_rx < hi else -1
-                results.append(self._cores[k].phase(
-                    w, ln, leaf_inj[llo:lhi], s_local, want_fins))
-        if not all(r[0] for r in results):
-            self.rollback()
-            return False, _NEG_INF, None
-        fin_max = max(r[1] for r in results)
-        fins = None
-        if want_fins:
-            fins = np.empty(self._n_rx)
-            for (lo, hi), r in zip(self.slices, results):
-                fins[lo:hi] = r[2]
-        return True, fin_max, fins
-
-    def rollback(self) -> None:
-        if self.backend == "process":
-            for conn in self._conns:
-                conn.send(("rollback",))
-            for conn in self._conns:
-                conn.recv()
-            self.boundary_msgs += 2 * self.n_shards
-        else:
-            for core in self._cores:
-                core.rollback()
-
-    def final_state(self) -> Dict[str, np.ndarray]:
-        """Commit pending work and merge every shard's arrays."""
-        if self.backend == "process":
-            for conn in self._conns:
-                conn.send(("state",))
-            parts = [conn.recv() for conn in self._conns]
-            self.boundary_msgs += 2 * self.n_shards
-        else:
-            parts = [core.final_state() for core in self._cores]
-        merged: Dict[str, np.ndarray] = {}
-        for key in parts[0]:
-            merged[key] = np.empty(self._n_rx)
-            for (lo, hi), p in zip(self.slices, parts):
-                merged[key][lo:hi] = p[key]
-        return merged
-
-    def end_session(self) -> None:
-        if self.backend == "process":
-            for conn in self._conns:
-                conn.send(("end",))
-            for conn in self._conns:
-                conn.recv()
-        else:
-            self._cores = []
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-                conn.close()
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - cleanup path
-                proc.terminate()
-        self._conns = []
-        self._procs = []

@@ -11,8 +11,14 @@ import random
 
 import pytest
 
-from repro.net.plan import MulticastPlan, PlanError, plan_mcast, validate_plan, validate_disjointness
+from repro.net.fabric import Fabric
+from repro.net.plan import (MulticastPlan, PartitionError, PlanError,
+                            partition_fabric, plan_mcast, validate_disjointness,
+                            validate_partition, validate_plan)
 from repro.net.topology import Topology, host_name
+from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
+from repro.units import gbit_per_s
 
 
 def _families():
@@ -167,3 +173,55 @@ def test_validator_rejects_corrupt_plans():
         validate_plan(topo, MulticastPlan(
             gid=0, kind="fat_tree", root=good.root, tree=tree2,
             members=good.members, edge_rails=dict(good.edge_rails)))
+
+
+# ------------------------------------------------------------- partitions
+
+
+def _fabric(topo):
+    return Fabric(Simulator(), topo, link_bandwidth=gbit_per_s(56),
+                  streams=RandomStreams(1))
+
+
+PARTITION_FAMILIES = [
+    ("star", lambda: Topology.star(8)),
+    ("leaf_spine", lambda: Topology.leaf_spine(16, 4, 2)),
+    ("torus", lambda: Topology.torus([2, 2, 2])),
+    ("dragonfly", lambda: Topology.dragonfly(3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,make", PARTITION_FAMILIES,
+                         ids=[f[0] for f in PARTITION_FAMILIES])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_partition_invariants_across_families(name, make, k):
+    fabric = _fabric(make())
+    part = partition_fabric(fabric, k)
+    validate_partition(fabric, part)
+    topo = fabric.topology
+    # Effective shard count is clamped to host-bearing switches and the
+    # hosts are covered exactly once, in contiguous shard blocks.
+    assert 1 <= part.n_shards <= k
+    assert sorted(h for s in range(part.n_shards)
+                  for h in part.hosts_of(s)) == list(range(topo.n_hosts))
+    assert part.host_shard == sorted(part.host_shard)
+    # Deterministic: same fabric, same partition.
+    again = partition_fabric(fabric, k)
+    assert again.switch_shard == part.switch_shard
+    assert again.host_shard == part.host_shard
+    assert again.cut_edges == part.cut_edges
+    assert again.lookahead == part.lookahead
+    if part.cut_edges:
+        assert part.lookahead > 0.0
+
+
+def test_partition_rejects_zero_shards():
+    with pytest.raises(PartitionError):
+        partition_fabric(_fabric(Topology.star(4)), 0)
+
+
+def test_single_switch_partition_has_no_cuts():
+    part = partition_fabric(_fabric(Topology.star(8)), 4)
+    assert part.n_shards == 1
+    assert part.cut_edges == []
+    assert part.lookahead == float("inf")

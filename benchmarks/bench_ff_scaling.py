@@ -19,9 +19,11 @@ Entry modes:
 * ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
   allgather at 1024 AND 4096 hosts, an ag4096/ag1024 wall-clock
   scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
-  the whole process, and ``ff_phases`` assertions that fail loudly if
-  the fold silently disengages.  The result table is persisted to
-  ``benchmarks/results/ff_scaling_smoke.txt`` for artifact upload.
+  the whole process, and ``ff_phases`` / ``ctrl_folds`` assertions that
+  fail loudly if the data fold or the control-plane fold (barrier +
+  handshake, DESIGN.md §6i) silently disengages.  The result table is
+  persisted to ``benchmarks/results/ff_scaling_smoke.txt`` (commit and
+  command in its header) for artifact upload.
 * default — the full sweep (minutes: the ``pkt`` column at 2048 hosts
   is the cost being amortized), persisted to
   ``benchmarks/results/ff_scaling.txt``; source of the EXPERIMENTS.md
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import resource
+import subprocess
 import sys
 import time
 from typing import Dict, List, Optional
@@ -88,6 +91,7 @@ def run_broadcast(n_hosts: int, mode: str,
         "events": res.engine["sim_events"],
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
+        "ctrl_folds": res.engine.get("ctrl_folds", 0),
     }
 
 
@@ -120,6 +124,7 @@ def run_allgather(n_ranks: int, mode: str,
         "events": res.engine["sim_events"],
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
+        "ctrl_folds": res.engine.get("ctrl_folds", 0),
     }
 
 
@@ -188,7 +193,13 @@ def smoke(budget_s: float) -> int:
                      f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
                      str(r["ff_phases"]), note])
         print(f"  smoke {kind} n={n} ({note}): wall={r['wall_s']:.2f}s "
-              f"ff_phases={r['ff_phases']}", flush=True)
+              f"ff_phases={r['ff_phases']} ctrl_folds={r['ctrl_folds']}",
+              flush=True)
+        if r["ctrl_folds"] != 2:
+            failures.append(
+                f"{kind} n={n}: control-plane fold disengaged "
+                f"(ctrl_folds={r['ctrl_folds']}, expected barrier + "
+                "handshake = 2) — control ran at packet level")
         # A finished row's fabric and communicator reference each other;
         # free them now so the RSS budget measures one row, not the sum.
         gc.collect()
@@ -238,7 +249,13 @@ def smoke(budget_s: float) -> int:
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rows.append(["peak_rss", "-", "-", "-", "-", "-", "-",
                  f"{rss_mib:.0f} MiB"])
-    report("ff_scaling_smoke", format_table(HEADERS, rows))
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], capture_output=True,
+        text=True).stdout.strip() or "unknown"
+    report("ff_scaling_smoke",
+           f"# commit {commit}\n# command: PYTHONPATH=src python "
+           f"benchmarks/bench_ff_scaling.py --smoke\n"
+           + format_table(HEADERS, rows))
     if rss_mib > SMOKE_RSS_BUDGET_MIB:
         failures.append(
             f"scaling smoke blew its memory budget: peak RSS "

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 import numpy as np
 
 from repro.core.chunking import ChunkPlan, ImmLayout
+from repro.core.control import ControlFold
 from repro.core.costmodel import HostCostModel
 from repro.core.ops import OpState, RKEY_BASE
 from repro.core.progress import RankEngine
@@ -300,9 +301,11 @@ class CollectiveResult:
     #: CQEs batched by the workers and stamped ahead of their arrival by
     #: the NICs (``stamped_cqes``, DESIGN.md §6c), folded phases, the
     #: control-plane bring-up it paid (``ctrl_pairs``,
-    #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``) and its
-    #: payload cost (``payload_bytes_copied`` / ``payload_bytes_placed`` /
-    #: ``payload_regions_materialized``, DESIGN.md §6h)
+    #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``), the
+    #: control phases folded (``ctrl_folds``) or declined, by gate reason
+    #: (``ctrl_fold_misses``, a ``{reason: count}`` dict; DESIGN.md §6i), and
+    #: its payload cost (``payload_bytes_copied`` / ``payload_bytes_placed``
+    #: / ``payload_regions_materialized``, DESIGN.md §6h)
     engine: Dict[str, int] = field(default_factory=dict)
     #: trace snapshot clipped to this collective's window, when the
     #: communicator was built with ``trace=TraceConfig(...)``
@@ -597,6 +600,8 @@ class OpHandle(CollectiveHandle):
         for engine in self.comm.engines:
             engine.release_op(self.coll_id)
         self.comm._op_procs.pop(self.coll_id, None)
+        if self.comm.cf is not None:
+            self.comm.cf.forget(self.coll_id)
 
     @staticmethod
     def _payload_cost(live_ops: List[OpState]) -> Dict[str, int]:
@@ -999,6 +1004,10 @@ class Communicator:
         self.ff: Optional[FlowFastForward] = (
             FlowFastForward(self) if self.config.fast_forward != "off" else None
         )
+        #: control-plane fold (DESIGN.md §6i), active exactly when ``ff`` is
+        self.cf: Optional[ControlFold] = (
+            ControlFold(self) if self.ff is not None else None
+        )
         # --- fail-stop state -------------------------------------------
         #: ranks whose hosts fail-stopped (grows monotonically)
         self.dead_ranks: Set[int] = set()
@@ -1255,6 +1264,9 @@ class Communicator:
             # second collective's packets can observe channel state; the
             # overlap is only detected at the *next* fold hook — too late.
             self.ff.preempt_vec()
+            # ... and a folded control phase hands back its unserved tokens
+            for cid, rank, rnd in (self.cf.unfold() if self.cf is not None else ()):
+                dict(self._op_procs[cid])[rank].interrupt(rnd)
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)
         elif kind is CollectiveKind.ALLGATHER:
@@ -1678,8 +1690,9 @@ class Communicator:
             "rnr_drops": self.fabric.total_rnr_drops(),
         }
 
-    def _engine_snapshot(self) -> Dict[str, int]:
+    def _engine_snapshot(self) -> Dict[str, object]:
         ff = self.ff
+        cf = self.cf
         return {
             "sim_events": self.sim.events_processed,
             "trains": self.fabric.total_trains(),
@@ -1697,6 +1710,10 @@ class Communicator:
             "ctrl_recv_posted": sum(e.ctrl.srq.posted for e in self.engines),
             "ctrl_srq_refills": sum(e.ctrl.srq_refills for e in self.engines),
             "ctrl_parked": sum(e.ctrl.srq.parked_total for e in self.engines),
+            # Control-plane fold (DESIGN.md §6i): phases folded, and the
+            # phases declined by gate reason.
+            "ctrl_folds": cf.folds if cf is not None else 0,
+            "ctrl_fold_misses": dict(cf.misses) if cf is not None else {},
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:
@@ -1706,7 +1723,13 @@ class Communicator:
         after = self._snapshot()
         eng_after = self._engine_snapshot()
         traffic = {k: after[k] - before[k] for k in before}
-        engine = {k: eng_after[k] - eng_before[k] for k in eng_before}
+        engine = {k: eng_after[k] - eng_before[k] for k in eng_before
+                  if k != "ctrl_fold_misses"}
+        was = eng_before["ctrl_fold_misses"]
+        engine["ctrl_fold_misses"] = {
+            reason: n - was.get(reason, 0)
+            for reason, n in eng_after["ctrl_fold_misses"].items()
+            if n != was.get(reason, 0)}
         result = handle.result(traffic, engine)
         self.release(handle)
         return result

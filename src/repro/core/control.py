@@ -19,6 +19,8 @@ Design notes
   sending to ``(me + 2^k) mod P`` and waiting on ``(me − 2^k) mod P``.
   (The paper uses recursive doubling; dissemination has the same round
   count and works for any P, including the 188-rank testbed.)
+* Under ``fast_forward="exact"`` the barrier and the final handshake are
+  folded into one array pass per phase (:class:`ControlFold`, DESIGN.md §6i).
 """
 
 from __future__ import annotations
@@ -27,16 +29,22 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.core.sequencer import effective_chains
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
 from repro.sim.events import Event, Timeout
 from repro.sim.primitives import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.communicator import Communicator
+    from repro.core.ops import OpState
+    from repro.core.progress import RankEngine
     from repro.net.nic import Nic
     from repro.sim.engine import Simulator
 
 __all__ = [
     "ControlPlane",
+    "ControlFold",
+    "ControlFoldError",
     "CtrlMessage",
     "MSG_BARRIER",
     "MSG_ACTIVATE",
@@ -76,6 +84,11 @@ _SLOT_BYTES = _SLOT_WORDS * 4
 _SLAB_SLOTS = 32
 _LOW_WATERMARK = 8
 _U32_MAX = 0xFFFFFFFF
+_NEVER = float("-inf")
+
+
+class ControlFoldError(RuntimeError):
+    """A folded control phase met state its gates had excluded (internal)."""
 
 
 class CtrlMessage(tuple):
@@ -149,6 +162,8 @@ class ControlPlane:
         #: ``fn(msg: CtrlMessage)`` invoked for MSG_DEATH notices (installed
         #: by the progress engine); None drops them
         self.on_death: Optional[Callable[[CtrlMessage], None]] = None
+        #: when this rank's dispatcher ends its last *folded* service
+        self.fold_quiet = _NEVER  # the :class:`ControlFold` cursor
         self._dispatch_proc = sim.spawn(self._dispatch_loop(), name=f"ctrl-dispatch-r{rank}")
 
     # -------------------------------------------------------------- plumbing
@@ -196,13 +211,19 @@ class ControlPlane:
         """Post a control message (non-blocking, reliable, ordered per peer)."""
         if len(args) > _WORDS - 3:
             raise ValueError(f"control message supports up to {_WORDS - 3} args")
-        # Always _WORDS words on the wire, unused args zero.
-        fields = (mtype, key, self.rank, *args) + (0,) * (_WORDS - 3 - len(args))
-        if min(fields) < 0 or max(fields) > _U32_MAX:
+        # One pass: OR-ing the fields is negative iff one is, and fits the
+        # all-ones word iff every non-negative field does.
+        acc = mtype | key
+        for a in args:
+            acc |= a
+        if not 0 <= acc <= _U32_MAX:
             raise ValueError(
                 f"control message (mtype={mtype}, key={key}, args={tuple(args)}) "
                 f"has a field that does not fit a uint32 word")
-        words = np.array(fields, dtype=np.uint32)
+        # Always _WORDS words on the wire, unused args zero.
+        words = np.array(
+            (mtype, key, self.rank, *args) + (0,) * (_WORDS - 3 - len(args)),
+            dtype=np.uint32)
         qp = self._qp_to(dst_rank)
         qp.post_send(SendWR(wr_id=0, verb="send", inline_data=words, signaled=False))
         self.messages_sent += 1
@@ -246,21 +267,31 @@ class ControlPlane:
         cost = self.per_message_cost
         while True:
             yield cq.wait()
+            if sim.now < self.fold_quiet:
+                raise ControlFoldError(f"rank {self.rank}: message at {sim.now} "
+                                       f"inside the fold ending {self.fold_quiet}")
             if len(free) < _LOW_WATERMARK and len(wrs) + _SLAB_SLOTS <= srq.max_recv_wr:
                 # SRQ limit reached: this wake found the posted slabs
                 # (nearly) exhausted by the fan-in — add depth, up to the
                 # SRQ's capacity (beyond it RNR parking absorbs the rest).
                 self._post_slab()
             for cqe in cq.poll():
-                if cost > 0.0:
+                folded = type(cqe) is _Unfolded  # ControlFold.unfold's
+                if folded and cqe.until is not None:
+                    yield sim.wake_at(cqe.until)  # its service was under way
+                elif cost > 0.0:
                     # Progress-thread cycles spent on the control path.
                     yield Timeout(sim, cost)
-                slot = cqe.wr_id
-                mtype, key, src, a0, a1, a2 = (
-                    slabs[slot // _SLAB_SLOTS][slot % _SLAB_SLOTS, :_WORDS].tolist())
-                msg = CtrlMessage(src, mtype, key, (a0, a1, a2))
-                # Re-post the cached WR immediately (slot content consumed).
-                srq.post_recv_cached(wrs[slot])
+                if folded:  # no slot to decode or re-post
+                    msg = cqe.msg
+                    src, mtype, key, _ = msg
+                else:
+                    slot = cqe.wr_id
+                    mtype, key, src, a0, a1, a2 = (
+                        slabs[slot // _SLAB_SLOTS][slot % _SLAB_SLOTS, :_WORDS].tolist())
+                    msg = CtrlMessage(src, mtype, key, (a0, a1, a2))
+                    # Re-post the cached WR immediately (slot content consumed).
+                    srq.post_recv_cached(wrs[slot])
                 self.messages_received += 1
                 self.last_heard[src] = sim.now
                 if mtype == MSG_PING:
@@ -280,7 +311,7 @@ class ControlPlane:
     # --------------------------------------------------------------- barrier
 
     def barrier(self, tag: int, ranks: Optional[List[int]] = None,
-                me: Optional[int] = None):
+                me: Optional[int] = None, wait=None, resume: int = -1):
         """Dissemination barrier among *ranks* (generator; ``yield from`` it).
 
         ``tag`` must be unique per logical barrier instance (e.g. the
@@ -294,7 +325,11 @@ class ControlPlane:
 
         *me* is this rank's position in *ranks* when the caller already
         knows it (the communicator's per-collective map); otherwise the
-        list is searched.
+        list is searched.  *wait*, a generator ``wait(key, src)``, replaces
+        the blocking receive of each round's token (the progress engine
+        passes its liveness-bounded receive).  *resume* is the round an
+        unfolded barrier (:meth:`ControlFold.unfold`) picks up at: earlier
+        rounds are done and that round's token is already on the wire.
         """
         if ranks is None:
             raise ValueError(
@@ -305,15 +340,381 @@ class ControlPlane:
         if me is None:
             me = ranks.index(self.rank)
         p = len(ranks)
-        k = 1
-        rnd = 0
+        rnd = max(resume, 0)
+        k = 1 << rnd
         while k < p:
-            dst = ranks[(me + k) % p]
             src = ranks[(me - k) % p]
             key = (tag << 6) | rnd
-            self.send(dst, MSG_BARRIER, key)
-            msg = yield self.recv(MSG_BARRIER, key, src)
-            assert msg.mtype == MSG_BARRIER
+            if rnd != resume:
+                self.send(ranks[(me + k) % p], MSG_BARRIER, key)
+            if wait is None:
+                msg = yield self.recv(MSG_BARRIER, key, src)
+                assert msg.mtype == MSG_BARRIER
+            else:
+                yield from wait(key, src)
             k <<= 1
             rnd += 1
         return None
+
+
+# --------------------------------------------------------- control-plane fold
+
+
+class _Miss(Exception):
+    """A fold gate declined; ``args[0]`` is the typed reason."""
+
+
+class _Unfolded:
+    """A folded token handed back to a dispatcher's CQ in place of a CQE: the
+    decoded message and, if its service was under way, when that ends."""
+
+    __slots__ = ("msg", "until", "timestamp")
+
+    def __init__(self, msg: CtrlMessage, until: Optional[float]) -> None:
+        self.msg, self.until = msg, until
+
+
+class _Folded:
+    """One folded phase: ``ends``, when each position leaves it, and what
+    :meth:`ControlFold.unfold` needs — per round the inbox ``keys``, sender
+    positions ``srcs``, route matrices ``mats`` (over ``chans``) and when each
+    token was ``sent``, ``arrived`` and was ``served``, by destination
+    position; ``here`` marks the positions whose rank has entered."""
+
+    def __init__(self, **fields) -> None:
+        self.__dict__.update(fields)
+        self.here = np.zeros(len(self.ctrls), dtype=bool)
+
+
+class _Coll:
+    """One collective's fold state.  The first rank to reach a phase decides
+    it for all: ``at[phase]`` is ``False`` for packets, else the fold.  The
+    data fold publishes ``sent`` / ``done``: rank → ``run_send`` completion /
+    ``data_done`` instant."""
+
+    def __init__(self, t0: float) -> None:
+        self.t0 = t0  #: launch instant of every rank's controller
+        self.at: Dict[str, object] = {}
+        self.t_data: List[float] = []
+        self.sent: Dict[int, float] = {}
+        self.done: Dict[int, float] = {}
+
+
+class ControlFold:
+    """Closed-form RNR barrier and final handshake (DESIGN.md §6i).
+
+    A control packet rides every channel's bypass lane, so it never queues
+    and its arrival is the per-hop float chain ``((t + wire/bw) + latency)
+    + forwarding_delay`` along the unicast route; each rank's dispatcher is
+    a serial server charging ``ctrl_message`` per CQE in arrival order.
+    The dissemination barrier is then ⌈log2 P⌉ array steps over all ranks
+    and the ring handshake one more, in the packet path's own float
+    expressions.  On any gate miss nothing is committed and the packets run;
+    a collective admitted mid-phase takes the unserved tokens back out.
+    """
+
+    def __init__(self, comm: "Communicator") -> None:
+        self.comm = comm
+        self.sim = comm.sim
+        self.folds = 0  #: phases folded
+        self.misses: Dict[str, int] = {}  #: gate reason → phases declined
+        self._colls: Dict[int, _Coll] = {}
+        # Routes of one fabric.fault_epoch: channels by index (0: the null
+        # hop padding ragged routes), index tuples by (src host, dst host).
+        self._epoch = -1
+        self._chans: list = [None]
+        self._index: Dict[object, int] = {}
+        self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+
+    # ----------------------------------------------------------- engine hooks
+
+    def at(self, phase: str, engine: "RankEngine", op: "OpState",
+           participants: List[int], me: int) -> Optional[float]:
+        """When position *me* ends *phase* — ``"sync"`` the RNR barrier,
+        ``"final"`` the handshake — or ``None`` to run it at packet level."""
+        st = self._colls.get(op.coll_id)
+        if st is None:
+            st = self._colls[op.coll_id] = _Coll(self.sim.now)
+        if phase not in st.at:
+            fold = self._fold_sync if phase == "sync" else self._fold_final
+            try:
+                st.at[phase] = f = fold(op, participants, st)
+                self.folds += 1
+                self._note(engine, phase, "messages", len(f.ctrls) * len(f.keys))
+            except _Miss as miss:
+                st.at[phase] = False
+                self._note(engine, phase, "miss", miss.args[0])
+        f = st.at[phase]
+        if not f:
+            return None
+        expected = st.t0 if phase == "sync" else st.t_data[me]
+        if self.sim.now != expected:
+            raise ControlFoldError(f"position {me} reached folded {phase} at "
+                                   f"{self.sim.now}, predicted {expected}")
+        f.here[me] = True
+        return f.ends[me]
+
+    def _note(self, engine: "RankEngine", phase: str, what: str, arg) -> None:
+        if what == "miss":
+            self.misses[arg] = self.misses.get(arg, 0) + 1
+        if engine.trace is not None:
+            engine.trace.instant("engine.ctrl_fold", self.sim.now,
+                                 {"phase": phase, what: arg})
+
+    def publish(self, coll_id: int, which: str, rank: int, t: float) -> None:
+        """The data fold's hook: *rank*'s ``"sent"`` (``run_send`` completion)
+        or ``"done"`` (``data_done``) instant, for the handshake step."""
+        st = self._colls.get(coll_id)
+        if st is not None:
+            getattr(st, which)[rank] = t
+
+    def forget(self, coll_id: int) -> None:
+        self._colls.pop(coll_id, None)
+
+    def unfold(self) -> List[Tuple[int, int, int]]:
+        """Hand every folded token no dispatcher has served yet back to the
+        packet path: a collective is being admitted whose control messages
+        the folded instants never saw.  A token not yet sent is taken back
+        out of the counters, for its sender to send for real; one on the wire
+        reaches its dispatcher's CQ at the folded arrival, which the bypass
+        lane fixes whatever else is sent (it takes no SRQ slot).  Returns the
+        ranks to interrupt out of a folded sleep: ``(coll_id, rank, round)``,
+        the barrier round whose token the rank awaits."""
+        now, asleep = self.sim.now, []
+        for cid, st in self._colls.items():
+            for phase, f in st.at.items():
+                if not f or max(f.ends) <= now:
+                    continue
+                st.at[phase] = False
+                self.folds -= 1
+                sent = [f.here[src] & (t <= now) for src, t in zip(f.srcs, f.sent)]
+                self._count(f, -1, [~w for w in sent])
+                left = sum(d > now for d in f.served)  # tokens yet to be served
+                turn = np.arange(len(left))  # who acted first at equal instants
+                for k, (mtype, key) in enumerate(f.keys):
+                    # Events at one instant fire in the order of their causes:
+                    # a round's tokens as their senders last acted, the next
+                    # round's senders as they were served.
+                    order = np.lexsort((turn[f.srcs[k]], f.sent[k]))
+                    turn = np.lexsort((order.argsort(), f.arrived[k], f.served[k])).argsort()
+                    for i in order.tolist():
+                        c, a, d = f.ctrls[i], float(f.arrived[k][i]), float(f.served[k][i])
+                        msg = CtrlMessage(f.participants[f.srcs[k][i]], mtype, key, (0, 0, 0))
+                        if d <= now:
+                            if not f.here[i]:  # served ahead of the rank's ask
+                                c._inbox(mtype, key, msg.src)[1].put(msg)
+                            continue
+                        c.fold_quiet = _NEVER  # the CQ orders what is left
+                        if not sent[k][i]:
+                            continue
+                        c.messages_received -= 1  # counted when served
+                        # queued (the first of them mid-service) or on the wire
+                        mid = a <= now and k == len(f.keys) - left[i]
+                        self.sim.post_at(max(a, now), c.recv_cq.push,
+                                         _Unfolded(msg, d if mid else None))
+                asleep += [(cid, r, len(f.keys) - n) for r, here, end, n in zip(
+                    f.participants, f.here, f.ends, left.tolist()) if here and end > now]
+                self._note(self.comm.engines[0], phase, "miss", "preempted")
+        return asleep
+
+    # ------------------------------------------------------------------ gates
+
+    def _gate(self, op: "OpState", participants: List[int], fan_in: int):
+        """The gates that need no route; returns ``(planes, hosts, wire)``."""
+        comm = self.comm
+        if comm.config.failure_policy is not None:
+            raise _Miss("live")  # every receive is liveness-bounded
+        reason = comm.ff.gate(op, participants) or (
+            comm.fabric.stragglers_armed and "straggler")
+        if reason:
+            raise _Miss(reason)
+        # sent, not yet counted received: in flight, queued or mid-service
+        busy = sum(e.ctrl.messages_sent - e.ctrl.messages_received
+                   for e in comm.engines)
+        ctrls = [comm.engines[r].ctrl for r in participants]
+        for c in ctrls:
+            if busy or len(c.recv_cq):
+                raise _Miss("dispatcher_busy")
+            free = len(c.srq.recv_queue) if c._slabs else _SLAB_SLOTS
+            if free - fan_in < _LOW_WATERMARK:
+                raise _Miss("srq_depth")  # a slab would be posted mid-phase
+        if comm.fabric.fault_epoch != self._epoch:
+            self._epoch = comm.fabric.fault_epoch
+            self._chans, self._index, self._routes = [None], {}, {}
+        return (ctrls, np.array([comm.hosts[r] for r in participants]),
+                _WORDS * 4 + ctrls[0].nic.header_bytes)
+
+    # ----------------------------------------------------------------- routes
+
+    def _route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Channel indices of the unicast route host *src* → host *dst*."""
+        fabric = self.comm.fabric
+        index, chans = self._index, self._chans
+        ch = fabric.nics[src].egress
+        walk = []
+        while True:
+            i = index.get(ch)
+            if i is None:
+                i = index[ch] = len(chans)
+                chans.append(ch)
+            walk.append(i)
+            node = ch.dst_node
+            table = getattr(node, "unicast_table", None)
+            if table is None:  # a NIC
+                if node is not fabric.nics[dst]:
+                    raise _Miss("fault")
+                return tuple(walk)
+            neighbor = table.get(dst)
+            if neighbor is None or len(walk) > len(fabric.switches):
+                raise _Miss("fault")  # unroutable
+            ch = node.ports[neighbor]
+
+    def _matrix(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """``[n, hops]`` route matrix of the messages host ``src[i]`` → host
+        ``dst[i]``, short routes padded with the null hop."""
+        routes = self._routes
+        rows = [routes.get(p) or routes.setdefault(p, self._route(*p))
+                for p in zip(src.tolist(), dst.tolist())]
+        width = max(map(len, rows))
+        return np.array([r + (0,) * (width - len(r)) for r in rows],
+                        dtype=np.intp)
+
+    def _tables(self, wire: int):
+        """Gate every route channel, then the per-channel tables the hop
+        chain indexes: serialisation, latency, forwarding delay of the switch
+        the channel enters (0 for a host; all 0 on the null hop)."""
+        chans = self._chans[1:]
+        for ch in chans:
+            # down, armed, reaching RC packets, or queueing them behind bulk
+            if ch.down or wire > ch.ctrl_bypass_bytes or (
+                    ch.fault is not None and not (
+                        ch.fault_inert() and ch.fault.protect_reliable)):
+                raise _Miss("fault")
+        delay = {name: sw.forwarding_delay
+                 for name, sw in self.comm.fabric.switches.items()}
+        return (np.array([0.0] + [wire / ch.bandwidth for ch in chans]),
+                np.array([0.0] + [ch.latency for ch in chans]),
+                np.array([0.0] + [delay.get(ch.dst_name, 0.0) for ch in chans]))
+
+    @staticmethod
+    def _fly(t: np.ndarray, matrix: np.ndarray, tables) -> np.ndarray:
+        """Arrivals of packets sent at *t* along *matrix*, per hop
+        ``Channel.transmit``'s bypass branch (``finish = now + wire/bw``,
+        ``at = finish + latency``; ``+ jitter`` of 0.0 is the identity) then
+        ``Switch.arrive`` (``at + forwarding_delay``)."""
+        ser, lat, fwd = tables
+        for hop in matrix.T:
+            t = ((t + ser[hop]) + lat[hop]) + fwd[hop]
+        return t
+
+    # ------------------------------------------------------------------ folds
+
+    def _fold_sync(self, op: "OpState", participants: List[int], st: _Coll):
+        n = len(participants)
+        rounds = (n - 1).bit_length()
+        ctrls, hosts, wire = self._gate(op, participants, rounds)
+        pos = np.arange(n)
+        srcs = [(pos - (1 << k)) % n for k in range(rounds)]
+        mats = [self._matrix(hosts[src], hosts) for src in srcs]
+        # What follows the barrier: the ring's MSG_FINAL (right → me) and,
+        # packet-level along an allgather chain, MSG_ACTIVATE (pred → succ).
+        length = n // effective_chains(n, self.comm.config.n_chains)
+        succ = pos[pos % length != 0] if op.kind == "allgather" else pos[:0]
+        after_dst = np.concatenate([pos, succ])
+        after = self._matrix(
+            hosts[np.concatenate([(pos + 1) % n, succ - 1])], hosts[after_dst])
+        tables = self._tables(wire)
+        s = np.full(n, self.sim.now)
+        cursor = np.array([c.fold_quiet for c in ctrls])
+        sent, arrived, served = [], [np.full(n, _NEVER)], []
+        for src, mat in zip(srcs, mats):
+            sent.append(s[src])
+            a = self._fly(sent[-1], mat, tables)
+            # A later round's token overtaking an earlier is served first.
+            if not (a > arrived[-1]).all():
+                raise _Miss("reorder")
+            arrived.append(a)
+            cursor = np.maximum(a, cursor) + ctrls[0].per_message_cost
+            served.append(cursor)
+            s = np.maximum(s, cursor)
+        # A MSG_FINAL leaves once its sender holds all data, which was sent
+        # after every sender's t_sync — and a broadcast's then crossed the
+        # receiver's access link (the last real hop of any route to it).
+        # An activation leaves after its sender's t_sync and one doorbell.
+        leave = np.full(n, s.max())
+        if op.kind == "broadcast":
+            m, root = mats[0], participants.index(op.root)
+            leave = np.maximum(
+                s, s[root] + tables[1][m[pos, (m != 0).sum(axis=1) - 1]])
+            leave[root] = s[root]
+        leave = np.concatenate([
+            leave[(pos + 1) % n],
+            s[succ - 1] + self.comm.config.cost.send_batch(1)])
+        # Either must find the receiving dispatcher past its folded tokens.
+        if not (cursor[after_dst] <= self._fly(leave, after, tables)).all():
+            raise _Miss("overlap")
+        keys = [(MSG_BARRIER, (op.coll_id << 6) | k) for k in range(rounds)]
+        return self._commit(_Folded(
+            ends=s.tolist(), participants=participants, ctrls=ctrls, wire=wire,
+            keys=keys, srcs=srcs, mats=mats, sent=sent, arrived=arrived[1:],
+            served=served))
+
+    def _fold_final(self, op: "OpState", participants: List[int], st: _Coll):
+        n = len(participants)
+        ctrls, hosts, wire = self._gate(op, participants, 1)
+        t_data = np.empty(n)
+        for i, r in enumerate(participants):
+            o = self.comm.engines[r].ops[op.coll_id]
+            # A rank enters its data wait no earlier than it left the barrier.
+            sync = o.phases.get("sync", st.at["sync"] and st.at["sync"].ends[i])
+            if (o.stats["recoveries"] or sync is False
+                    or (r not in st.done and o.own_chunks != o.n_chunks)
+                    or (r not in st.sent and o.is_sender)):
+                raise _Miss("data_unfolded")
+            t_data[i] = max(sync, st.done.get(r, sync), st.sent.get(r, sync))
+        right = (np.arange(n) + 1) % n  # each rank sends MSG_FINAL leftwards
+        mat = self._matrix(hosts[right], hosts)
+        arrived = self._fly(t_data[right], mat, self._tables(wire))
+        cursor = np.array([c.fold_quiet for c in ctrls])
+        served = np.maximum(arrived, cursor) + ctrls[0].per_message_cost
+        st.t_data = t_data.tolist()
+        return self._commit(_Folded(
+            ends=np.maximum(t_data, served).tolist(), participants=participants,
+            ctrls=ctrls, wire=wire, keys=[(MSG_FINAL, op.coll_id)], srcs=[right],
+            mats=[mat], sent=[t_data[right]], arrived=[arrived], served=[served]))
+
+    def _commit(self, f: _Folded) -> _Folded:
+        """Leave behind what *f*'s tokens would have: the counters, each
+        sender's heartbeat at its receiver, and the dispatcher cursors."""
+        f.chans = self._chans  # this epoch's; a later one starts a new list
+        self._count(f, 1, [np.ones(len(f.ctrls), dtype=bool)] * len(f.srcs))
+        for c, quiet in zip(f.ctrls, f.served[-1].tolist()):
+            c.fold_quiet = quiet
+        for src, at in zip(f.srcs, f.served):
+            for c, j, t in zip(f.ctrls, src.tolist(), at.tolist()):
+                c.last_heard[f.participants[j]] = t
+        return f
+
+    def _count(self, f: _Folded, sign: int, which: List[np.ndarray]) -> None:
+        """Add (*sign* 1) or take back (-1) what the tokens *which* — per
+        round, a mask by destination position — leave in the counters: along
+        every route, at the receiving NIC, on both control planes."""
+        chans, n = f.chans, len(f.ctrls)
+        counts = sum(np.bincount(m[w].ravel(), minlength=len(chans))
+                     for m, w in zip(f.mats, which))
+        switches = self.comm.fabric.switches
+        payload = _WORDS * 4
+        for i in np.flatnonzero(counts[1:]) + 1:
+            ch, k = chans[i], sign * int(counts[i])
+            ch.packets_sent += k
+            ch.bytes_sent += k * f.wire
+            ch.payload_bytes_sent += k * payload
+            if ch.src_name in switches:
+                switches[ch.src_name].packets_forwarded += k
+        gave = sum(np.bincount(src[w], minlength=n) for src, w in zip(f.srcs, which))
+        for c, tx, rx in zip(f.ctrls, (sign * gave).tolist(),
+                             (sign * sum(which)).tolist()):
+            c.messages_sent += tx
+            c.messages_received += rx
+            c.nic.packets_received += rx
+            c.nic.bytes_received += rx * payload

@@ -49,7 +49,7 @@ from repro.core.reliability import (
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
 from repro.net.nic import RecvWR, SendWR, Transport
-from repro.sim.events import PASSIVE_WAIT, AnyOf, Timeout
+from repro.sim.events import PASSIVE_WAIT, AnyOf, Interrupt, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -1021,28 +1021,6 @@ class RankEngine:
             suspicion = min(suspicion * 2.0, cap)
             wait = suspicion
 
-    def _barrier_live(self, op: OpState, tag: int, ranks: List[int], me: int):
-        """The control plane's dissemination barrier with every receive
-        routed through :meth:`_recv_live` (same wire pattern and keys)."""
-        p = len(ranks)
-        k = 1
-        rnd = 0
-        while k < p:
-            dst = ranks[(me + k) % p]
-            src = ranks[(me - k) % p]
-            key = (tag << 6) | rnd
-            self.ctrl.send(dst, MSG_BARRIER, key)
-            # Escalation: a barrier token black-holed by a switch that died
-            # mid-barrier (before the SM sweep reroutes) is lost forever —
-            # RC retransmission is not modeled.  Once probes confirm the
-            # peer alive, proceed without the token; if it genuinely has
-            # not arrived yet, the cutoff/fetch recovery heals any chunks
-            # multicast before its windows were posted.
-            yield from self._recv_live(op, ranks, MSG_BARRIER, key, src,
-                                       "sync", escalate_live=3)
-            k <<= 1
-            rnd += 1
-
     # ---------------------------------------------------------- op controller
 
     def run_op(
@@ -1123,12 +1101,25 @@ class RankEngine:
         live: bool,
     ):
         cfg = self.config
+        cf = self.comm.cf  # control-plane fold; None unless fast-forwarding
         op.mark_phase("start")
         if len(participants) > 1:
-            if live:
-                yield from self._barrier_live(op, op.coll_id, participants, me)
-            else:
-                yield from self.ctrl.barrier(tag=op.coll_id, ranks=participants, me=me)
+            t_sync = cf and cf.at("sync", self, op, participants, me)
+            resume = -1  # the round an unfolded barrier picks up at
+            if t_sync is not None:
+                try:
+                    yield self.sim.wake_at(t_sync)
+                except Interrupt as unfolded:  # ControlFold.unfold
+                    t_sync, resume = None, unfolded.cause
+            if t_sync is None:
+                # Live: a token black-holed by a switch that died mid-barrier
+                # is lost for good (no RC retransmission): with the peer probed
+                # alive, go on; recovery heals chunks multicast too early.
+                yield from self.ctrl.barrier(
+                    op.coll_id, participants, me,
+                    wait=(lambda key, src: self._recv_live(
+                        op, participants, MSG_BARRIER, key, src, "sync",
+                        escalate_live=3)) if live else None, resume=resume)
         op.mark_phase("sync")
         expected, slack = self.cutoff_allowance(op)
         armed_at = self.sim.now
@@ -1204,10 +1195,19 @@ class RankEngine:
                 # Karn's rule: only clean ops contribute slack samples.
                 self.cutoff.observe((self.sim.now - armed_at) - expected)
         op.mark_phase("data")
-        if len(participants) > 1:
-            left = participants[(me - 1) % len(participants)]
+        t_final = (cf.at("final", self, op, participants, me)
+                   if cf is not None and len(participants) > 1 else None)
+        sent = t_final is not None  # the fold has sent our MSG_FINAL
+        if sent and t_final > self.sim.now:
+            try:
+                yield self.sim.wake_at(t_final)
+            except Interrupt:  # ControlFold.unfold: await the real token
+                t_final = None
+        if t_final is None and len(participants) > 1:
             right = participants[(me + 1) % len(participants)]
-            self.ctrl.send(left, MSG_FINAL, op.coll_id)
+            if not sent:
+                self.ctrl.send(participants[(me - 1) % len(participants)],
+                               MSG_FINAL, op.coll_id)
             if live:
                 # Escalation here means the right neighbour is alive but its
                 # MSG_FINAL was lost on a crashed element before reroute —

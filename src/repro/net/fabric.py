@@ -267,6 +267,12 @@ class Fabric:
         else:
             self._stragglers[host] = spec
 
+    @property
+    def stragglers_armed(self) -> bool:
+        """True while any slow-receiver injection is installed (a gate of
+        the flow-level and control-plane folds)."""
+        return bool(self._stragglers)
+
     def straggler_delay(self, host: int, now: float) -> float:
         """Extra per-poll delay currently injected on *host* (0 if none)."""
         spec = self._stragglers.get(host)

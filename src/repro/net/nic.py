@@ -36,6 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.net.link import Channel
 from repro.net.memory import Memory
 from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
@@ -574,13 +576,14 @@ class Nic:
         inline sends (payload snapshotted at post time, IB semantics).
         """
         if wr.inline_data is not None:
-            import numpy as _np
-
-            data = _np.asarray(wr.inline_data)
-            if data.dtype != _np.uint8:
-                data = data.view(_np.uint8)
+            data = np.asarray(wr.inline_data)
+            if data.dtype != np.uint8:
+                data = data.view(np.uint8)
             data = data.copy()
-            wr = SendWR(**{**wr.__dict__, "inline_data": None, "length": int(data.nbytes)})
+            wr = SendWR(wr.wr_id, wr.verb, wr.mr_key, wr.offset,
+                        int(data.nbytes), None, wr.imm, wr.dst, wr.dst_qpn,
+                        wr.mcast_gid, wr.remote_key, wr.remote_offset,
+                        wr.signaled)
         else:
             mr = self.memory.lookup(wr.mr_key) if wr.length > 0 else None
             data = mr.view(wr.offset, wr.length) if mr is not None else None

@@ -68,6 +68,8 @@ TRACEPOINTS: Dict[str, Any] = {
     "engine.ff_enter": ("i", "flow fast-forward fold began (args: chunks)"),
     "engine.ff_exit": ("i", "flow fast-forward fold committed "
                             "(args: until, send_done)"),
+    "engine.ctrl_fold": ("i", "control-plane phase folded or declined "
+                              "(args: phase, messages | miss)"),
     # -- DPA scheduler ----------------------------------------------------
     "dpa.compute": ("X", "DPA thread occupies a core pipe for a segment"),
 }

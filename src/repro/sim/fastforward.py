@@ -148,6 +148,8 @@ class FlowFastForward:
                 sess.vec = None
             self.ff_aborts += 1
             sess.poisoned = True
+        elif self.comm.cf is not None:
+            self.comm.cf.publish(op.coll_id, "sent", engine.rank, done)
         return done
 
     def _session(self, coll_id: int) -> _Session:
@@ -164,6 +166,24 @@ class FlowFastForward:
 
     # ------------------------------------------------------------------ gates
 
+    def gate(self, op: "OpState", participants: List[int]) -> Optional[str]:
+        """The O(1) fault-inert gates the data fold and the control fold
+        share; the reason of the first miss, or ``None``."""
+        comm = self.comm
+        fabric = comm.fabric
+        if fabric.topology.rails != 1:
+            # Multi-rail folds would need per-plane egress chains; the
+            # striped datapath (n_subgroups > 1) is gated by the caller.
+            return "rails"
+        if not comm.ff_exclusive(op.coll_id):
+            return "not_exclusive"
+        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
+                or fabric.dead_links or op.aborted or op.dead_ranks):
+            return "dead"
+        if fabric.pending_crashes:
+            return "pending_crash"
+        return None
+
     def _attempt(self, engine: "RankEngine", op: "OpState",
                  participants: List[int], sess: _Session) -> Optional[float]:
         comm = self.comm
@@ -175,13 +195,8 @@ class FlowFastForward:
             return None
         if cfg.n_subgroups != 1 or cfg.transport not in ("ud", "uc"):
             return None
-        if fabric.topology.rails != 1:
-            # Multi-rail folds would need per-plane egress chains; the
-            # striped datapath (n_subgroups > 1) is already gated above.
-            return None
-        if not comm.ff_exclusive(op.coll_id):
-            return None
-        if len(participants) < 2 or comm.size < 2:
+        if (len(participants) < 2 or comm.size < 2
+                or self.gate(op, participants) is not None):
             return None
         n_chunks = op.send_hi - op.send_lo
         if n_chunks <= 0:
@@ -195,11 +210,6 @@ class FlowFastForward:
             # serialize correctly.
             if effective_chains(len(participants), cfg.n_chains) != 1:
                 return None
-        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
-                or fabric.dead_links or fabric.pending_crashes):
-            return None
-        if op.aborted or op.dead_ranks:
-            return None
         engines = comm.engines
         cid = op.coll_id
 
@@ -211,7 +221,7 @@ class FlowFastForward:
         if vs is not None:
             return vs.fold_phase(engine, op)
         if (op.kind == "allgather" and n_chunks == 1
-                and not fabric._stragglers and not sess.vec_unsupported):
+                and not fabric.stragglers_armed and not sess.vec_unsupported):
             vs = _Vec1Session.build(self, engine, op, participants, sess)
             if vs is None:
                 sess.vec_unsupported = True
@@ -264,7 +274,7 @@ class FlowFastForward:
         rx_folds = sess.rx_folds
         del rx_folds[:]
         fin_max = send_done
-        if (n_chunks >= 4 and not fabric._stragglers
+        if (n_chunks >= 4 and not fabric.stragglers_armed
                 and n_chunks * len(arrivals_by_host) >= 512):
             # Matrix path: the per-receiver chains are independent, so the
             # chunk loop runs as [n_rx]-wide array ops (same expressions,
@@ -634,6 +644,7 @@ class FlowFastForward:
         # call + past-check overhead is pure constant-factor loss at scale.
         queue = sim._queue
         seq = sim._seq
+        cf = self.comm.cf  # told each finished receiver's ``data_done`` instant
         for rx_engine, op_r, qp, rx, fin, cursor, dma_busy, last_a in rx_folds:
             nic = rx_engine.nic
             nic.packets_received += n_chunks
@@ -677,6 +688,8 @@ class FlowFastForward:
             op_r.mr.place(lo_off, src, src_off, payload_total)
             op_r.stats["chunks_received"] += n_chunks
             op_r.ff_hold += 1
+            if cf is not None and op_r.bitmap.count == op_r.n_chunks:
+                cf.publish(op.coll_id, "done", op_r.rank, fin)
             rx.cursor = cursor
             rx.last_arrival = last_a
             if cursor > rx_engine.ff_resume_floor:
@@ -1129,6 +1142,7 @@ class _Vec1Session:
         # --- completions: delivered(r) == P-1 ----------------------------
         nf1 = nf + 1
         if nf1 >= self.P - 1:
+            cf = self.ff.comm.cf
             # Lanes are in ascending rank order, and so are the events.
             for j in range(self.P):
                 if self.completed[j]:
@@ -1136,6 +1150,8 @@ class _Vec1Session:
                 if nf1 - (1 if self.sent[j] else 0) == self.P - 1:
                     self.completed[j] = True
                     sim.post_at(float(fins[j]), self._complete_rx, j)
+                    if cf is not None:
+                        cf.publish(op.coll_id, "done", self.ranks[j], float(fins[j]))
         if nf1 == self.P:
             self._flush_fabric(self.lanes.final_state())
             self.done = True

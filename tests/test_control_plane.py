@@ -5,8 +5,10 @@ import gc
 import numpy as np
 import pytest
 
+from repro import CollectiveConfig, CrashSpec, FaultSpec, StragglerSpec
 from repro.core import control
 from repro.core.control import (
+    ControlFoldError,
     MSG_ACTIVATE,
     MSG_BARRIER,
     MSG_DEATH,
@@ -16,7 +18,9 @@ from repro.core.control import (
 )
 from repro.core.communicator import Communicator
 from repro.net import Fabric, Topology
+from repro.obs import TraceConfig
 from repro.sim import RandomStreams, Simulator
+from repro.sim.events import Timeout
 from repro.units import gbit_per_s, kib
 
 
@@ -368,3 +372,322 @@ def test_keyed_inboxes_are_dropped_once_drained(monkeypatch):
     _, kept, kept_sizes, kept_events = _broadcast_loop(20)
     assert kept_events == events
     assert len(kept_sizes[-1][0]) > 20 * 6
+
+
+# ------------------------------------------------- control-plane fold (§6i)
+#
+# With fast_forward="exact" the RNR barrier and the final handshake are one
+# array pass each (ControlFold); fast_forward="off" is the packet-level
+# oracle.  Everything either run leaves behind must be bit-equal.
+
+_SHAPES = {
+    "star2": (lambda: Topology.star(2), None),
+    "star3": (lambda: Topology.star(3), None),
+    "leaf_spine6": (lambda: Topology.leaf_spine(6, 2, 2), None),
+    "leaf_spine16": (lambda: Topology.leaf_spine(16, 4, 2), None),
+    "torus6": (lambda: Topology.torus((2, 3)), None),
+    "torus16": (lambda: Topology.torus((4, 4)), None),
+    "dragonfly6": (lambda: Topology.dragonfly(3, 2, 1), None),
+    "dragonfly16": (lambda: Topology.dragonfly(4, 2, 2), None),
+    "testbed3": (Topology.testbed_188, 3),
+}
+_KINDS = ["bcast0", "bcast_mid", "ag1", "ag4", "allreduce"]
+
+
+def _fold_run(topology, kind, ff, n_ranks=None, transport="uc", prepare=None,
+              after=None, **config):
+    """One collective of *kind* on a fresh fabric; ``prepare(fabric)`` runs
+    before the communicator is built, ``after(comm)`` right after."""
+    fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
+                    streams=RandomStreams(seed=1))
+    if prepare is not None:
+        prepare(fabric)
+    config.setdefault("chunk_size", 1024 if kind == "ag1" else 4096)
+    comm = Communicator(
+        fabric, hosts=None if n_ranks is None else range(n_ranks),
+        config=CollectiveConfig(transport=transport, fast_forward=ff, **config))
+    if after is not None:
+        after(comm)
+    n = comm.size
+    rng = np.random.default_rng(7)
+    if kind.startswith("bcast"):
+        data = rng.integers(0, 256, kib(24), dtype=np.uint8)
+        res = comm.broadcast(0 if kind == "bcast0" else n // 2, data)
+        assert res.verify_broadcast(data)
+    elif kind == "allreduce":
+        data = [rng.random(n * 256, dtype=np.float32) for _ in range(n)]
+        res = comm.allreduce(data, algorithm="inc")
+        assert res.verify_allreduce(data)
+    else:
+        size = config["chunk_size"] * (1 if kind == "ag1" else 4)
+        data = [rng.integers(0, 256, size, dtype=np.uint8) for _ in range(n)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
+    return comm, res
+
+
+def _left_behind(comm, res):
+    """Everything a control phase decides or counts, rank by rank."""
+    fabric = comm.fabric
+    return {
+        "phases": [(r.rank, r.phases) for r in res.ranks],
+        "duration": res.duration,
+        "traffic": res.traffic,
+        "per_switch_egress": fabric.per_switch_egress(),
+        "channels": {key: (ch.bytes_sent, ch.payload_bytes_sent, ch.packets_sent)
+                     for key, ch in fabric.channels.items()},
+        "forwarded": {name: sw.packets_forwarded
+                      for name, sw in fabric.switches.items()},
+        "nics": [(nic.packets_received, nic.bytes_received)
+                 for nic in fabric.nics.values()],
+        "messages": [(e.ctrl.messages_sent, e.ctrl.messages_received,
+                      e.ctrl.last_heard) for e in comm.engines],
+    }
+
+
+def _assert_fold_exact(topology, kind, **kw):
+    comm, res = _fold_run(topology, kind, "exact", **kw)
+    ref_comm, ref = _fold_run(topology, kind, "off", **kw)
+    got, want = _left_behind(comm, res), _left_behind(ref_comm, ref)
+    for key in want:
+        assert got[key] == want[key], key
+    assert ref.engine["ctrl_folds"] == 0 and ref.engine["ctrl_fold_misses"] == {}
+    return res, ref
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_folded_control_phases_match_the_packet_oracle(shape, kind):
+    topology, n_ranks = _SHAPES[shape]
+    transport = ("ud", "uc")[(list(_SHAPES).index(shape) + _KINDS.index(kind)) % 2]
+    res, ref = _assert_fold_exact(topology, kind, n_ranks=n_ranks,
+                                  transport=transport)
+    eng = res.engine
+    assert eng["ctrl_folds"] == 2 and eng["ctrl_fold_misses"] == {}
+    assert eng["sim_events"] < ref.engine["sim_events"]
+    if kind.startswith("bcast"):
+        assert eng["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
+
+
+@pytest.mark.parametrize("kind,transport", [
+    ("bcast_mid", "uc"), ("ag1", "ud"), ("allreduce", "uc")])
+def test_folded_control_phases_on_the_188_host_testbed(kind, transport):
+    # Non-power-of-two P: the dissemination pattern wraps.  The static
+    # cutoff is the ledger's: the adaptive one aborts the data fold here.
+    res, _ = _assert_fold_exact(Topology.testbed_188, kind, transport=transport,
+                                adaptive_cutoff=False, cutoff_alpha=10e-3)
+    assert res.engine["ctrl_folds"] == 2 and res.engine["ff_aborts"] == 0
+
+
+# One test per gate reason: the packet path ran, the result is the
+# oracle's, and the reason is on record.
+
+_LS16 = _SHAPES["leaf_spine16"][0]
+
+
+def _assert_declined(reason, kind="bcast0", misses=None, topology=_LS16, **kw):
+    """*misses* is the expected histogram; default: both phases, *reason*."""
+    misses = misses or {reason: 2}
+    res, ref = _assert_fold_exact(topology, kind, **kw)
+    eng = res.engine
+    assert eng["ctrl_fold_misses"] == misses
+    assert eng["ctrl_folds"] == 2 - sum(misses.values())
+    if eng["ctrl_folds"] == 0:  # the whole control plane is the oracle's
+        assert eng["ctrl_pairs"] == ref.engine["ctrl_pairs"] > 0
+    return res
+
+
+def test_fold_declines_under_a_failure_policy():
+    _assert_declined("live", failure_policy="degrade")
+
+
+def test_fold_declines_with_a_dead_rank():
+    _assert_declined(
+        "dead",
+        prepare=lambda fabric: fabric.schedule_crash(CrashSpec(at=0.0, host=15)),
+        after=lambda comm: comm.sim.run())  # the crash strikes
+
+
+def test_fold_declines_while_a_crash_is_pending():
+    _assert_declined("pending_crash", prepare=lambda fabric: fabric.schedule_crash(
+        CrashSpec(at=1.0, link=("leaf000", "spine000"))))
+
+
+def test_fold_declines_on_a_multi_rail_fabric():
+    _assert_declined("rails", topology=lambda: Topology.multi_rail(_LS16(), 2))
+
+
+@pytest.mark.parametrize("spec,misses", [
+    # inert for the data fold, but it reaches RC packets
+    (dict(protect_reliable=False), {"fault": 2}),
+    # armed (not fault_inert()): the data phase cannot fold either
+    (dict(flap_windows=[(1.0, 2.0)]), {"fault": 1, "data_unfolded": 1}),
+], ids=["affects_control", "armed"])
+def test_fold_declines_on_a_fault_along_a_route(spec, misses):
+    _assert_declined("fault", misses=misses,
+                     prepare=lambda fabric: fabric.set_fault_all(
+                         lambda src, dst: FaultSpec(**spec)))
+
+
+def test_fold_declines_off_the_bypass_lane():
+    def prepare(fabric):
+        fabric.channel("h3", "leaf000").ctrl_bypass_bytes = 0
+    _assert_declined("fault", prepare=prepare)
+
+
+def test_fold_declines_under_a_straggler():
+    spec = StragglerSpec(windows=[(0.0, 1e-3)], extra_poll_delay=300e-9)
+    _assert_declined("straggler",
+                     prepare=lambda fabric: fabric.set_straggler(3, spec))
+
+
+def test_fold_declines_with_a_control_message_in_flight():
+    # The stray is served long before the handshake, which then folds.
+    _assert_declined(
+        "dispatcher_busy", misses={"dispatcher_busy": 1},
+        after=lambda comm: comm.engines[2].ctrl.send(3, MSG_FINAL, key=999))
+
+
+def test_fold_declines_when_the_fan_in_would_cross_the_srq_watermark(monkeypatch):
+    monkeypatch.setattr(control, "_LOW_WATERMARK", control._SLAB_SLOTS - 1)
+    # log2(16) tokens per rank cross it; the handshake's one message does not.
+    _assert_declined("srq_depth", misses={"srq_depth": 1})
+
+
+def test_fold_declines_two_overlapping_collectives():
+    def both(ff):
+        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+        comm = Communicator(fabric, config=CollectiveConfig(
+            transport="uc", fast_forward=ff))
+        data = np.arange(kib(16), dtype=np.uint8)
+        handles = [comm.broadcast_async(0, data), comm.broadcast_async(5, data)]
+        comm.run(*handles)
+        return comm, [[op.phases for op in h.ops] for h in handles]
+    comm, phases = both("exact")
+    assert phases == both("off")[1]
+    assert comm.cf.folds == 0 and comm.cf.misses == {"not_exclusive": 4}
+
+
+def _admit_second(ff, delay, kinds):
+    """A *kinds[0]* collective (b: broadcast, a: allgather), then — *delay*
+    later, from a driver process — a *kinds[1]* one; what both leave behind."""
+    fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+    comm = Communicator(fabric, trace=TraceConfig(), config=CollectiveConfig(
+        transport="uc", fast_forward=ff))
+    data = np.arange(kib(4), dtype=np.uint8)
+    shards = [data[:1024] + r for r in range(comm.size)]
+    handles = []
+
+    def submit(kind, root):
+        handles.append(comm.broadcast_async(root, data) if kind == "b"
+                       else comm.allgather_async(shards))
+
+    def driver():
+        submit(kinds[0], 0)
+        yield Timeout(comm.sim, delay)
+        submit(kinds[1], 3)
+
+    comm.sim.drain([comm.sim.spawn(driver())])
+    comm.run(*handles)
+    res = handles[0].result({}, {})
+    left = _left_behind(comm, res)
+    del left["traffic"], left["duration"]
+    left["phases"] = [[op.phases for op in h.ops] for h in handles]
+    return comm, left, [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+
+
+@pytest.mark.parametrize("kinds,handshake", [("bb", 17e-6), ("ab", 70e-6), ("ba", 17e-6)])
+def test_a_collective_admitted_mid_fold_gets_the_unserved_tokens_back(
+        kinds, handshake, monkeypatch):
+    # The first collective's barrier (0-10 µs in) or handshake (from
+    # *handshake* on) has folded when the second is submitted: its tokens
+    # would reach dispatchers that still have folded ones to serve, so the
+    # fold hands those back (ControlFold.unfold).
+    mid_service = []
+    init = control._Unfolded.__init__
+    monkeypatch.setattr(control._Unfolded, "__init__", lambda self, msg, until: (
+        mid_service.append(until is not None), init(self, msg, until))[1])
+    preempted = []
+    for delay in [k * 1e-6 for k in range(11)] + [
+            handshake + k * 0.5e-6 for k in range(28)]:
+        comm, got, notes = _admit_second("exact", delay, kinds)
+        _, want, _ = _admit_second("off", delay, kinds)
+        for key in want:
+            assert got[key] == want[key], (delay, key)
+        phases = [n["phase"] for n in notes if n.get("miss") == "preempted"]
+        assert comm.cf.misses.get("preempted", 0) == len(phases)
+        preempted += phases
+        # a handed-back phase no longer counts as folded
+        assert comm.cf.folds + sum(comm.cf.misses.values()) == 4
+    assert preempted.count("sync") >= 11 and "final" in preempted
+    assert any(mid_service) and not all(mid_service)
+
+
+_LS6 = _SHAPES["leaf_spine6"][0]
+
+
+def _slow(src, dst, latency):
+    def prepare(fabric):
+        fabric.channel(src, dst).latency = latency
+    return prepare
+
+
+def test_fold_declines_when_a_later_token_would_overtake_an_earlier():
+    # h0's round-0 token to rank 1 crawls: rank 1's round-1 token, from
+    # rank 5, reaches its dispatcher first.
+    _assert_declined("reorder", misses={"reorder": 1}, topology=_LS6,
+                     prepare=_slow("h0", "leaf000", 10e-6))
+
+
+def test_fold_declines_when_an_activation_would_beat_a_folded_service():
+    # h0's slow egress skews the barrier exits of chain neighbours by more
+    # than the doorbell plus path an activation needs: it could land on a
+    # dispatcher that still has a folded token to serve.
+    _assert_declined("overlap", kind="ag1", misses={"overlap": 1},
+                     topology=_LS6, prepare=_slow("h0", "leaf000", 3e-6))
+
+
+def test_fold_declines_when_a_final_would_beat_a_folded_service():
+    # One slow leaf uplink skews the barrier by more than a data phase: a
+    # rank behind it is still in the barrier when its right neighbour is
+    # done — and still in it when the handshake is decided.
+    _assert_declined("overlap", misses={"overlap": 1, "dispatcher_busy": 1},
+                     topology=_LS6, prepare=_slow("leaf000", "spine000", 10e-6))
+
+
+def test_a_fault_between_the_barrier_fold_and_the_data_phase():
+    def arm(comm):  # 1 µs in: after the barrier folded, before anyone syncs
+        comm.sim.post_at(1e-6, comm.fabric.set_fault_all,
+                         lambda src, dst: FaultSpec(flap_windows=[(1.0, 2.0)]))
+    res = _assert_declined("data_unfolded", misses={"data_unfolded": 1},
+                           after=arm)
+    assert res.engine["ff_phases"] == 0 and res.engine["ff_aborts"] == 1
+
+
+def test_a_packet_inside_a_folded_window_is_a_typed_error():
+    def stray(comm):
+        comm.sim.post_at(1e-6, comm.engines[0].ctrl.send, 1, MSG_FINAL, 999)
+    with pytest.raises(ControlFoldError, match="rank 1"):
+        _fold_run(_LS16, "bcast0", "exact", after=stray)
+
+
+def test_ctrl_fold_tracepoint_and_zero_perturbation():
+    def run(trace, prepare=None):
+        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+        if prepare is not None:
+            prepare(fabric)
+        comm = Communicator(fabric, trace=trace, config=CollectiveConfig(
+            transport="uc", fast_forward="exact"))
+        return comm, comm.broadcast(0, np.arange(kib(16), dtype=np.uint8))
+
+    comm, res = run(TraceConfig())
+    plain_comm, plain = run(None)
+    assert [r.phases for r in res.ranks] == [r.phases for r in plain.ranks]
+    assert comm.sim.events_processed == plain_comm.sim.events_processed
+    folds = [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+    assert folds == [{"phase": "sync", "messages": 16 * 4},
+                     {"phase": "final", "messages": 16}]
+    assert res.engine["ctrl_folds"] == len(folds)
+    _, slow = run(TraceConfig(), _slow("h0", "leaf000", 10e-6))
+    assert {"phase": "sync", "miss": "reorder"} in [
+        r.args for r in slow.trace.select(name="engine.ctrl_fold")]

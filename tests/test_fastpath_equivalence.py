@@ -293,7 +293,8 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 
 def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
-            chunk_size: int = 4096, nbytes: Optional[int] = None):
+            chunk_size: int = 4096, nbytes: Optional[int] = None,
+            ctrl_fold: bool = True):
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -310,6 +311,8 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
         fabric, config=CollectiveConfig(chunk_size=chunk_size,
                                         transport=transport, fast_forward=ff)
     )
+    if not ctrl_fold:
+        comm.cf = None  # data fold only: barrier and handshake as packets
     rng = np.random.default_rng(seed)
     if kind == "broadcast":
         data = rng.integers(0, 256, nbytes or NBYTES, dtype=np.uint8)
@@ -365,6 +368,30 @@ def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ff_exact_clean_equivalence(kind: str, transport: str, seed: int) -> None:
     _assert_ff_exact(kind, seed, transport=transport)
+
+
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+@pytest.mark.parametrize("transport", ["ud", "uc"])
+def test_ff_exact_control_fold_axis(kind: str, transport: str) -> None:
+    # The control-plane fold (DESIGN.md §6i) against the same data fold with
+    # the barrier and the handshake left at packet level: every instant and
+    # counter agrees, and only the control packets' events are gone.
+    comm_cf, res_cf = _run_ff(kind, 0, "exact", transport=transport)
+    comm_pk, res_pk = _run_ff(kind, 0, "exact", transport=transport,
+                              ctrl_fold=False)
+    assert res_cf.duration == res_pk.duration
+    for rc, rp in zip(res_cf.ranks, res_pk.ranks):
+        assert rc.phases == rp.phases, f"rank {rc.rank} phase timestamps differ"
+    assert _channel_counters(comm_cf.fabric) == _channel_counters(comm_pk.fabric)
+    assert _switch_counters(comm_cf.fabric) == _switch_counters(comm_pk.fabric)
+    assert res_cf.traffic == res_pk.traffic
+    assert ([(e.ctrl.messages_sent, e.ctrl.messages_received)
+             for e in comm_cf.engines]
+            == [(e.ctrl.messages_sent, e.ctrl.messages_received)
+                for e in comm_pk.engines])
+    assert res_cf.engine["ff_phases"] == res_pk.engine["ff_phases"] > 0
+    assert res_cf.engine["ctrl_folds"] == 2 and res_pk.engine["ctrl_folds"] == 0
+    assert res_cf.engine["sim_events"] < res_pk.engine["sim_events"]
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])

@@ -7,6 +7,8 @@ validity, and end-to-end collective correctness under randomized fault
 injection.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core import Bitmap, BroadcastSequencer, ChunkPlan, ImmLayout, SubgroupPlan
 from repro.core.baselines.bcast import knomial_tree
-from repro.core.communicator import Communicator
+from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.costmodel import HostCostModel
 from repro.net import Fabric, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator, Store
+from repro.sim.events import Timeout
 from repro.units import gbit_per_s
 
 FAST = settings(max_examples=50, deadline=None)
@@ -369,3 +373,91 @@ def test_lookahead_cq_is_wire_order_with_per_packet_stamps(script, n_wrs, repost
     stamps = [c[3] for c in cq_a]
     assert stamps == sorted(stamps)
     assert nic_r.stamped_cqes == 0
+
+
+# ------------------------------------------------- control-plane fold (§6i)
+
+
+def _family(name: str, p: int) -> Topology:
+    if name == "star":
+        return Topology.star(p)
+    if name == "leaf_spine":
+        return Topology.leaf_spine(p, max(1, p // 6), 2)
+    if name == "torus":
+        side = max(2, int(np.ceil(np.sqrt(p))))
+        return Topology.torus((side, side))
+    return Topology.dragonfly(max(2, -(-p // 6)), 3, 2)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(["star", "leaf_spine", "torus", "dragonfly"]),
+    p=st.integers(2, 64),
+    latency=st.sampled_from([0.0, 0.25e-6, 1e-6, 3e-6]),
+    forwarding=st.sampled_from([0.0, 0.1e-6, 0.8e-6]),
+    ctrl_cost=st.sampled_from([0.0, 0.5e-6, 4e-6]),
+    root=st.integers(0, 63),
+)
+def test_control_fold_is_bit_exact_or_declines_with_a_reason(
+        family, p, latency, forwarding, ctrl_cost, root):
+    def run(ff):
+        fabric = Fabric(Simulator(), _family(family, p),
+                        link_bandwidth=gbit_per_s(56), link_latency=latency,
+                        switch_delay=forwarding, streams=RandomStreams(seed=3))
+        comm = Communicator(fabric, hosts=range(p), config=CollectiveConfig(
+            transport="uc", fast_forward=ff,
+            cost=replace(HostCostModel(), ctrl_message=ctrl_cost)))
+        data = np.arange(20_000, dtype=np.uint8)
+        res = comm.broadcast(root % p, data)
+        assert res.verify_broadcast(data)
+        return res, [(e.ctrl.messages_sent, e.ctrl.messages_received,
+                      e.ctrl.last_heard) for e in comm.engines]
+
+    (res, messages), (ref, ref_messages) = run("exact"), run("off")
+    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
+    assert res.duration == ref.duration and res.traffic == ref.traffic
+    assert messages == ref_messages
+    eng = res.engine
+    assert eng["ctrl_folds"] + sum(eng["ctrl_fold_misses"].values()) == 2
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(["star", "leaf_spine", "torus", "dragonfly"]),
+    p=st.integers(2, 40),
+    ctrl_cost=st.sampled_from([0.0, 0.35e-6, 2e-6]),
+    first=st.sampled_from(["broadcast", "allgather"]),
+    delay=st.floats(0.0, 40e-6),
+    root=st.integers(0, 39),
+)
+def test_a_collective_admitted_at_any_instant_leaves_the_oracles_state(
+        family, p, ctrl_cost, first, delay, root):
+    # Whatever the first collective has folded when the second is submitted
+    # — nothing yet, a barrier half served, a handshake — both finish as
+    # they do at packet level (ControlFold.unfold hands the rest back).
+    def run(ff):
+        fabric = Fabric(Simulator(), _family(family, p),
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=3))
+        comm = Communicator(fabric, hosts=range(p), config=CollectiveConfig(
+            transport="uc", fast_forward=ff,
+            cost=replace(HostCostModel(), ctrl_message=ctrl_cost)))
+        data = np.arange(4096, dtype=np.uint8)
+        handles = []
+
+        def driver():
+            handles.append(comm.broadcast_async(0, data) if first == "broadcast"
+                           else comm.allgather_async([data[:512]] * p))
+            yield Timeout(comm.sim, delay)
+            handles.append(comm.broadcast_async(root % p, data))
+
+        comm.sim.drain([comm.sim.spawn(driver())])
+        comm.run(*handles)
+        return ([[op.phases for op in h.ops] for h in handles],
+                {key: (ch.bytes_sent, ch.packets_sent)
+                 for key, ch in fabric.channels.items()},
+                [(e.ctrl.messages_sent, e.ctrl.messages_received,
+                  e.ctrl.last_heard) for e in comm.engines])
+
+    assert run("exact") == run("off")

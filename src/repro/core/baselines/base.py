@@ -74,7 +74,7 @@ class P2PNet:
         self.rkey = BASELINE_RKEY_BASE + self.op_id
         self._recv_cqs: Dict[int, CompletionQueue] = {}
         self._qps: Dict[tuple, QueuePair] = {}
-        self._dummy_mrs: Dict[int, int] = {}  # rank -> mr key for 0-len recvs
+        self._dummy_wrs: Dict[int, RecvWR] = {}  # rank -> its cached 0-len recv
 
     # ------------------------------------------------------------- plumbing
 
@@ -102,22 +102,27 @@ class P2PNet:
         qb.connect(self.hosts[a], qa.qpn)
         self._qps[(a, b)] = qa
         self._qps[(b, a)] = qb
-        self._post_dummies(a, qa)
-        self._post_dummies(b, qb)
+        self.post_dummies(a, qa)
+        self.post_dummies(b, qb)
         return qa
 
-    def _post_dummies(self, rank: int, qp: QueuePair) -> None:
-        key = self._dummy_mrs.get(rank)
-        if key is None:
-            key = self.nic(rank).memory.register(1).key
-            self._dummy_mrs[rank] = key
-        for i in range(self._DUMMY_POOL):
-            qp.post_recv(RecvWR(wr_id=i, mr_key=key, offset=0, length=0))
+    def dummy_wr(self, rank: int) -> RecvWR:
+        """*rank*'s zero-length receive WR — all a write-with-imm consumes
+        — minted and validated once, then posted and re-posted cached."""
+        wr = self._dummy_wrs.get(rank)
+        if wr is None:
+            mr = self.nic(rank).memory.register(1)
+            mr.check(0, 0)  # validate
+            wr = self._dummy_wrs[rank] = RecvWR(wr_id=0, mr_key=mr.key, offset=0, length=0)
+        return wr
+
+    def post_dummies(self, rank: int, qp: QueuePair, n: int = _DUMMY_POOL) -> None:
+        """Keep *n* zero-length receives posted on *rank*'s *qp*."""
+        qp.post_recv_cached_batch([self.dummy_wr(rank)] * n)
 
     def repost_dummy(self, rank: int, cqe: CQE) -> None:
         """Recycle the zero-length receive consumed by a write-with-imm."""
-        qp = self.nic(rank).qps[cqe.qpn]
-        qp.post_recv(RecvWR(wr_id=cqe.wr_id, mr_key=self._dummy_mrs[rank], offset=0, length=0))
+        self.nic(rank).qps[cqe.qpn].post_recv_cached(self._dummy_wrs[rank])
 
     # ----------------------------------------------------------- primitives
 

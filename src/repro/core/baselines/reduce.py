@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.baselines.base import P2PNet, run_baseline
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
-from repro.net.nic import RecvWR, Transport
+from repro.net.nic import Transport
 from repro.sim.events import Timeout
 from repro.units import gib_per_s
 
@@ -167,17 +167,14 @@ def inc_reduce_scatter(
         buf = np.zeros(shard_bytes, dtype=np.uint8)
         net.register(r, buf)
         buffers.append(buf)
-        nic = net.nic(r)
-        qp = nic.create_qp(Transport.RC, recv_cq=net.recv_cq(r))
-        dummy = nic.memory.register(1)
-        for i in range(64):
-            qp.post_recv(RecvWR(wr_id=i, mr_key=dummy.key, offset=0, length=0))
-        qps[r] = (qp, dummy.key)
+        qp = net.nic(r).create_qp(Transport.RC, recv_cq=net.recv_cq(r))
+        net.post_dummies(r, qp)
+        qps[r] = qp
 
     tree = fabric.create_inc_tree(
         members=[net.hosts[r] for r in range(p)],
         rkey=net.rkey,
-        qpn_of={net.hosts[r]: qps[r][0].qpn for r in range(p)},
+        qpn_of={net.hosts[r]: qps[r].qpn for r in range(p)},
         shard_bytes=shard_bytes,
         segment_bytes=segment_bytes,
     )
@@ -203,12 +200,12 @@ def inc_reduce_scatter(
         expected = tree.segs_per_shard
         got = 0
         cq = net.recv_cq(r)
-        qp, dummy_key = qps[r]
+        qp, wr = qps[r], net.dummy_wr(r)
         while got < expected:
             yield cq.wait()
-            for cqe in cq.poll():
+            for _cqe in cq.poll():
                 yield Timeout(net.sim, cost_model.cqe_poll + cost_model.cqe_process)
-                qp.post_recv(RecvWR(wr_id=cqe.wr_id, mr_key=dummy_key, offset=0, length=0))
+                qp.post_recv_cached(wr)
                 got += 1
         return net.sim.now
 
@@ -259,9 +256,7 @@ def inc_reduce(
     # members are pure contributors.
     result_buf = np.zeros(nbytes, dtype=np.uint8)
     net.register(root, result_buf)
-    nic = net.nic(root)
-    qp = nic.create_qp(Transport.RC, recv_cq=net.recv_cq(root))
-    dummy = nic.memory.register(1)
+    qp = net.nic(root).create_qp(Transport.RC, recv_cq=net.recv_cq(root))
 
     tree = fabric.create_inc_tree(
         members=list(net.hosts),
@@ -274,8 +269,8 @@ def inc_reduce(
     # The root drains the whole reduced buffer (not one shard), so keep a
     # receive posted for every in-flight segment — the 64-slot pool of the
     # scatter path would RNR-drop reliable writes on large buffers.
-    for i in range(max(64, tree.n_segments)):
-        qp.post_recv(RecvWR(wr_id=i, mr_key=dummy.key, offset=0, length=0))
+    net.post_dummies(root, qp, max(64, tree.n_segments))
+    wr = net.dummy_wr(root)
 
     def rank_proc(r: int):
         data = arrays[r].view(np.uint8)
@@ -294,10 +289,9 @@ def inc_reduce(
         cq = net.recv_cq(r)
         while got < expected:
             yield cq.wait()
-            for cqe in cq.poll():
+            for _cqe in cq.poll():
                 yield Timeout(net.sim, cost_model.cqe_poll + cost_model.cqe_process)
-                qp.post_recv(RecvWR(wr_id=cqe.wr_id, mr_key=dummy.key,
-                                    offset=0, length=0))
+                qp.post_recv_cached(wr)
                 got += 1
         return net.sim.now
 

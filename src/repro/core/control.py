@@ -187,12 +187,13 @@ class ControlPlane:
         base = len(self._wrs)
         mr = self.nic.memory.register(_SLAB_SLOTS * _SLOT_BYTES)
         self._slabs.append(mr.buf.view(np.uint32).reshape(_SLAB_SLOTS, _SLOT_WORDS))
+        mr.check(0, _SLAB_SLOTS * _SLOT_BYTES)  # the slots tile it: validate once
         wrs = [
             RecvWR(wr_id=base + i, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
             for i in range(_SLAB_SLOTS)
         ]
         self._wrs.extend(wrs)
-        self.srq.post_recv_batch(wrs)
+        self.srq.post_recv_cached_batch(wrs)
 
     @property
     def srq_refills(self) -> int:

@@ -91,7 +91,12 @@ class RankEngine:
         self.send_cq = self.nic.create_cq(f"send-r{rank}")
         self.sub_qps = []
         self.stagings: List[Optional[StagingRing]] = []
-        self._dummy_mr = self.nic.memory.register(1)  # zero-length UC recvs
+        # UC: the NIC places data and a receive only consumes an immediate,
+        # so every slot of every subgroup QP is one zero-length WR (§V-A
+        # cached re-post), validated here and posted ``staging_slots`` times.
+        dummy_mr = self.nic.memory.register(1)
+        dummy_mr.check(0, 0)  # validate
+        self._uc_wr = RecvWR(wr_id=0, mr_key=dummy_mr.key, offset=0, length=0)
         host = comm.host_of(rank)
         for sg in range(cfg.n_subgroups):
             # Each subgroup's QP lives on the NIC of the plane its
@@ -114,11 +119,7 @@ class RankEngine:
             if gid is not None:
                 qp.attach_mcast(gid)
             if uc:
-                # UC places data directly; receives only consume immediates.
-                qp.post_recv_batch([
-                    RecvWR(wr_id=i, mr_key=self._dummy_mr.key, offset=0, length=0)
-                    for i in range(cfg.staging_slots)
-                ])
+                qp.post_recv_cached_batch([self._uc_wr] * cfg.staging_slots)
                 self.stagings.append(None)
             else:
                 ring = StagingRing(nic_sg, cfg.staging_slots, cfg.chunk_size)
@@ -177,8 +178,6 @@ class RankEngine:
             var_gain=cfg.cutoff_var_gain,
             var_weight=cfg.cutoff_var_weight,
         )
-        #: named stream — recovery jitter is reproducible and per-rank
-        self._recovery_rng = self.fabric.streams.stream(f"recovery:r{rank}")
         self._fetch_nonce = 0
 
         # --- liveness layer (only active when config.failure_policy set) ---
@@ -311,8 +310,7 @@ class RankEngine:
                     if uc:
                         # Data already placed by the NIC; recycle the WR.
                         yield Timeout(self.sim, cost.recv_repost)
-                        qp.post_recv(RecvWR(wr_id=cqe.wr_id, mr_key=self._dummy_mr.key,
-                                            offset=0, length=0))
+                        qp.post_recv_cached(self._uc_wr)
                         if op is None:
                             continue
                         if op.bitmap.set(psn):
@@ -394,7 +392,7 @@ class RankEngine:
                 t = a + c1
                 t = t + c2
                 insts.append(t)
-                decoded.append((cqe.wr_id, psn, cid))
+                decoded.append((psn, cid))
             if len(decoded) < 2:
                 return 0, 0.0
             t_end = insts[-1]
@@ -402,8 +400,8 @@ class RankEngine:
                 return 0, 0.0
             post = self.sim.post_at
             replay = self._uc_replay
-            for (wr_id, psn, cid), when in zip(decoded, insts):
-                post(when, replay, qp, wr_id, psn, cid)
+            for (psn, cid), when in zip(decoded, insts):
+                post(when, replay, qp, psn, cid)
             k = len(decoded)
             self.cqe_batches += 1
             self.batched_cqes += k
@@ -540,12 +538,11 @@ class RankEngine:
             self.trace.counter("staging.hold", self.sim.now, staging.held)
         op.maybe_complete()
 
-    def _uc_replay(self, qp, wr_id: int, psn: int, cid: int) -> None:
+    def _uc_replay(self, qp, psn: int, cid: int) -> None:
         """Exact-instant replay of one batched UC CQE's effects: recycle
         the WR, update bitmaps, maybe complete (a bare callback — no
         Timeout events, no process resume)."""
-        qp.post_recv(RecvWR(wr_id=wr_id, mr_key=self._dummy_mr.key,
-                            offset=0, length=0))
+        qp.post_recv_cached(self._uc_wr)
         op = self.ops.get(cid)
         if op is None:
             return
@@ -779,6 +776,8 @@ class RankEngine:
         stalls = 0
         rounds = 0
         progressed = False
+        # Named stream — recovery jitter is reproducible and per-rank.
+        jitter_rng = self.fabric.streams.stream(f"recovery:r{self.rank}")
         while not op.data_done.triggered:
             self._check_recovery_deadline(op, deadline_abs)
             rounds += 1
@@ -812,7 +811,7 @@ class RankEngine:
             # completes meanwhile.
             delay = backoff_delay(
                 stalls, cfg.recovery_alpha, cfg.recovery_backoff,
-                cfg.recovery_alpha_max, cfg.recovery_jitter, self._recovery_rng,
+                cfg.recovery_alpha_max, cfg.recovery_jitter, jitter_rng,
             )
             delay = min(delay, max(deadline_abs - self.sim.now, 1e-9))
             op.record_timer(delay, "recovery-rearm")

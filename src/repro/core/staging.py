@@ -15,7 +15,7 @@ Slot lifecycle::
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Deque, Dict
+from typing import TYPE_CHECKING, Deque, List
 
 import numpy as np
 
@@ -51,10 +51,10 @@ class StagingRing:
         self._state = [_FREE] * n_slots
         self._free: Deque[int] = collections.deque(range(n_slots))
         #: cached receive work requests, one per slot (paper §V-A)
-        self._wrs: Dict[int, RecvWR] = {
-            s: RecvWR(wr_id=s, mr_key=self.mr.key, offset=s * slot_size, length=slot_size)
+        self._wrs: List[RecvWR] = [
+            RecvWR(wr_id=s, mr_key=self.mr.key, offset=s * slot_size, length=slot_size)
             for s in range(n_slots)
-        }
+        ]
         self.reposts = 0
         # Incremental occupancy counters: O(1) reads so per-CQE telemetry
         # (the staging.hold trace counter) never scans the slot array.
@@ -84,7 +84,9 @@ class StagingRing:
             wrs.append(self._wrs[slot])
             self._state[slot] = _POSTED
         if wrs:
-            qp.post_recv_batch(wrs)
+            # The slots tile the MR: validate the ring as one span, once.
+            qp.memory.lookup(self.mr.key).check(0, self.nbytes)
+            qp.post_recv_cached_batch(wrs)
             self._posted_count += len(wrs)
         return len(wrs)
 

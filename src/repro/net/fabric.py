@@ -166,9 +166,7 @@ class Fabric:
 
         # --- install unicast routing ---
         for sw_name, table in topology.unicast_tables().items():
-            sw = self.switches[sw_name]
-            for dst, neighbor in table.items():
-                sw.install_unicast(dst, neighbor)
+            self.switches[sw_name].install_unicast_table(table)
 
     # ------------------------------------------------------------- wiring
 
@@ -178,10 +176,6 @@ class Fabric:
         return self.switches[name]
 
     def _make_channel(self, src: str, dst: str) -> None:
-        fault = None
-        if self._default_fault is not None:
-            # Each channel gets its own copy so counters/seq state differ.
-            fault = self._default_fault.clone()
         rail = self.topology.rail_of_edge(src, dst)
         ch = Channel(
             self.sim,
@@ -190,10 +184,11 @@ class Fabric:
             self._node(dst, rail),
             bandwidth=self.link_bandwidth,
             latency=self.link_latency,
-            fault=fault,
-            rng=self.streams.stream(f"chan:{src}->{dst}"),
             coalescing=self.coalescing,
         )
+        if self._default_fault is not None:
+            # Each channel gets its own copy so counters/seq state differ.
+            self._arm(ch, self._default_fault.clone())
         self.channels[(src, dst)] = ch
         if is_host(src):
             self.rail_nics[host_id(src)][rail].egress = ch
@@ -244,16 +239,25 @@ class Fabric:
     def channel(self, src: str, dst: str) -> Channel:
         return self.channels[(src, dst)]
 
+    def _arm(self, ch: Channel, fault: Optional[FaultSpec]) -> None:
+        """The one way a fault spec reaches a channel: a channel gets its
+        RNG with its first fault (a clean fabric creates no stream).  The
+        streams are seeded by name, not by creation order, so the draws do
+        not depend on when the binding happens; it survives a clearing."""
+        if fault is not None and ch.rng is None:
+            ch.rng = self.streams.stream(f"chan:{ch.name}")
+        ch.fault = fault
+
     def set_fault(self, src: str, dst: str, fault: Optional[FaultSpec]) -> None:
         """Install a fault spec on one directed channel."""
         self.fault_epoch += 1
-        self.channels[(src, dst)].fault = fault
+        self._arm(self.channels[(src, dst)], fault)
 
     def set_fault_all(self, fault_factory) -> None:
         """Install ``fault_factory(src, dst) -> FaultSpec|None`` everywhere."""
         self.fault_epoch += 1
         for (src, dst), ch in self.channels.items():
-            ch.fault = fault_factory(src, dst)
+            self._arm(ch, fault_factory(src, dst))
 
     def set_straggler(self, host: int, spec: Optional[StragglerSpec]) -> None:
         """Install (or clear, with ``None``) a slow-receiver injection on
@@ -425,7 +429,7 @@ class Fabric:
             sw = self.switches[sw_name]
             if sw.dead:
                 continue
-            sw.unicast_table = dict(table)
+            sw.install_unicast_table(table)
 
     def rebuild_mcast_group(self, gid: int, members: Sequence[int],
                             exclude: Optional[Set[str]] = None) -> None:

@@ -153,7 +153,8 @@ class CompletionQueue:
         self.sim = sim
         self.name = name
         self.items: Deque[CQE] = collections.deque()
-        self._waiters: Deque[Event] = collections.deque()
+        #: parked :meth:`wait` events; allocated by the first one that parks
+        self._waiters: Optional[Deque[Event]] = None
         self.total_pushed = 0
         #: one-shot batch-notify callback (see :meth:`set_notify`)
         self.notify_cb = None
@@ -207,6 +208,8 @@ class CompletionQueue:
         ev = Event(self.sim)
         if self.items:
             ev.succeed()
+        elif self._waiters is None:
+            self._waiters = collections.deque((ev,))
         else:
             self._waiters.append(ev)
         return ev
@@ -266,22 +269,24 @@ class _ReceiveQueue:
         if self.parked:
             _drain_parked(self)
 
-    def post_recv_batch(self, wrs: List[RecvWR]) -> None:
-        """Post many receive WRs at one instant (bulk repost / ring prime).
-
-        Equivalent to ``post_recv`` per WR — same validation, same parked
-        RC completions drained — with one capacity check up front and a
-        single queue extension.
-        """
+    def post_recv_cached_batch(self, wrs: Sequence[RecvWR]) -> None:
+        """:meth:`post_recv_cached` for a run of WRs posted at one instant
+        (ring prime, bulk repost): one capacity check, one queue extension.
+        The same cached WR may fill the whole run."""
         if len(self.recv_queue) + len(wrs) > self.max_recv_wr:
             raise self._overflow(len(wrs))
-        lookup = self.memory.lookup
-        for wr in wrs:
-            lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
         self.recv_queue.extend(wrs)
         self.posted += len(wrs)
         if self.parked:
             _drain_parked(self)
+
+    def post_recv_batch(self, wrs: Sequence[RecvWR]) -> None:
+        """Equivalent to :meth:`post_recv` per WR: validate each against
+        the MR table, then :meth:`post_recv_cached_batch`."""
+        lookup = self.memory.lookup
+        for wr in wrs:
+            lookup(wr.mr_key).check(wr.offset, wr.length)  # validate
+        self.post_recv_cached_batch(wrs)
 
 
 def _drain_parked(rq: _ReceiveQueue) -> None:

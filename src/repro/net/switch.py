@@ -58,6 +58,14 @@ class Switch:
             raise ValueError(f"{self.name}: no port toward {neighbor}")
         self.unicast_table[dst_host] = neighbor
 
+    def install_unicast_table(self, table: Dict[int, str]) -> None:
+        """Replace the whole unicast table (fabric build, SM sweep) after
+        one check that every next hop has a port.  Takes *table* itself."""
+        missing = set(table.values()) - self.ports.keys()
+        if missing:
+            raise ValueError(f"{self.name}: no ports toward {sorted(missing)}")
+        self.unicast_table = table
+
     def install_mcast(self, gid: int, neighbors: Set[str]) -> None:
         missing = neighbors - set(self.ports)
         if missing:

@@ -718,9 +718,7 @@ class FlowFastForward:
         """The one committed event per receiver per fold: at the last
         chunk's done instant, restore the receive queue (the fold's
         reposts, in done order) and release the completion hold."""
-        append = qp.recv_queue.append
-        for wr in wrs:
-            append(wr)
+        qp.recv_queue.extend(wrs)
         if staging is not None:
             staging.reposts += len(wrs)
         op_r.ff_hold -= 1

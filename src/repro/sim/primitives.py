@@ -117,7 +117,8 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Event] = collections.deque()
+        #: FIFO of blocked acquirers; allocated by the first one that blocks
+        self._waiters: Optional[Deque[Event]] = None
 
     @property
     def available(self) -> int:
@@ -128,6 +129,8 @@ class Resource:
         if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed()
+        elif self._waiters is None:
+            self._waiters = collections.deque((ev,))
         else:
             self._waiters.append(ev)
         return ev

@@ -45,9 +45,14 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
+    @property
+    def count(self) -> int:
+        """Streams created so far (a clean fabric creates none)."""
+        return len(self._streams)
+
     def fork(self, salt: int) -> "RandomStreams":
         """A new independent family of streams (e.g., per benchmark repeat)."""
         return RandomStreams(seed=(self.seed * 0x9E3779B1 + salt) & 0x7FFFFFFF)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStreams(seed={self.seed}, streams={len(self._streams)})"
+        return f"RandomStreams(seed={self.seed}, streams={self.count})"

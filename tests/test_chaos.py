@@ -58,6 +58,32 @@ def test_smoke_broadcast_under_bursty_loss():
 
 
 @pytest.mark.chaos_smoke
+def test_smoke_fault_install_route_does_not_change_the_draws():
+    """A channel's RNG is bound when a fault reaches it, and the streams are
+    seeded by name: a lossy broadcast reads the same whether the fault came
+    with the constructor or through ``set_fault_all`` before the run."""
+    def run(at_construction):
+        spec = FaultSpec(gilbert_elliott=GE_SMOKE)
+        fabric = Fabric(
+            Simulator(), Topology.leaf_spine(16, n_leaf=2, n_spine=2),
+            link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=5),
+            default_fault=spec if at_construction else None)
+        if not at_construction:
+            assert fabric.streams.count == 0  # clean so far: no stream
+            fabric.set_fault_all(lambda s, d: spec.clone())
+        assert fabric.streams.count == len(fabric.channels)
+        data = rank_data(0, kib(128))
+        result = Communicator(fabric).broadcast(0, data)
+        assert result.verify_broadcast(data)
+        return (result.traffic["fabric_drops"], result.counter_total("recoveries"),
+                result.counter_total("fetch_rounds"), result.duration)
+
+    with_ctor, with_setter = run(True), run(False)
+    assert with_ctor == with_setter
+    assert with_ctor[0] > 0 and with_ctor[1] > 0  # chaos actually happened
+
+
+@pytest.mark.chaos_smoke
 def test_smoke_allgather_with_link_flap():
     comm = make_comm(4, topo=Topology.star(4), seed=12)
     # One host's downlink goes dark mid-collective; ctrl traffic survives

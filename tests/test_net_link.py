@@ -407,3 +407,54 @@ def test_switch_hop_is_one_event_at_the_per_packet_instant():
     assert t == t_ref
     assert events == 2 and events_ref == 3  # forward + sink, no arrival event
     assert horizon == float("-inf")  # only a NIC keeps one
+
+
+# ------------------------------------------ RNG streams are bound at fault install
+
+
+def _ud_pair(seed):
+    """A 2-host star with a UD pair h0 -> h1; returns what the tests drive."""
+    from repro.net import Fabric, RecvWR, SendWR, Topology, Transport
+
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.star(2), streams=RandomStreams(seed))
+    tx = fabric.nic(0).create_qp(Transport.UD)
+    rx = fabric.nic(1).create_qp(Transport.UD)
+    s_mr = fabric.nic(0).memory.register(64)
+    r_mr = fabric.nic(1).memory.register(64)
+    wr = RecvWR(wr_id=0, mr_key=r_mr.key, offset=0, length=64)
+
+    def burst(first_imm, n):
+        rx.post_recv_cached_batch([wr] * n)
+        for imm in range(first_imm, first_imm + n):
+            tx.post_send(SendWR(wr_id=imm, verb="send", mr_key=s_mr.key, length=64,
+                                imm=imm, dst=1, dst_qpn=rx.qpn))
+
+    return sim, fabric, rx, burst
+
+
+def test_clean_fabric_creates_no_stream_and_a_late_fault_draws_from_its_named_one():
+    """A channel gets its RNG with its first fault.  Streams are seeded by
+    name, so a fault installed from a callback mid-run draws exactly what
+    a fresh ``RandomStreams(seed).stream("chan:src->dst")`` yields, and
+    clearing then re-arming continues that sequence."""
+    sim, fabric, rx, burst = _ud_pair(seed=9)
+    ch = fabric.channel("h0", "sw000")
+    assert fabric.streams.count == 0 and ch.rng is None
+    burst(0, 4)  # clean: no draw, no stream
+    sim.post_at(50e-6, fabric.set_fault, "h0", "sw000", FaultSpec(drop_prob=0.5))
+    sim.post_at(60e-6, burst, 100, 32)
+    sim.post_at(200e-6, fabric.set_fault, "h0", "sw000", None)
+    sim.post_at(210e-6, burst, 200, 4)  # cleared: delivered, no draw
+    sim.post_at(300e-6, fabric.set_fault, "h0", "sw000", FaultSpec(drop_prob=0.5))
+    sim.post_at(310e-6, burst, 300, 32)
+    sim.run()
+    assert fabric.streams.count == 1  # the one armed channel, nothing else
+    assert ch.rng is fabric.streams.stream("chan:h0->sw000")
+    draws = RandomStreams(9).stream("chan:h0->sw000").random(64)
+    expected = (list(range(4))
+                + [100 + i for i in range(32) if draws[i] >= 0.5]
+                + list(range(200, 204))
+                + [300 + i for i in range(32) if draws[32 + i] >= 0.5])
+    assert [c.imm for c in rx.recv_cq.poll()] == expected
+    assert 0 < ch.packets_dropped < 64

@@ -580,6 +580,49 @@ def test_srq_dry_parks_across_qps_in_arrival_order():
     assert not srq.parked
 
 
+def test_cached_batch_post_counts_checks_capacity_and_drains_parked():
+    """``post_recv_cached_batch`` is ``post_recv_cached`` for a run: the
+    same overflow errors, ``posted += n``, parked RC messages completed —
+    and one cached WR may fill the whole run."""
+    sim, fabric = make_fabric()
+    qa, qb = connect_rc(fabric, 0, 1)
+    s_mr = fill(fabric.nic(0).memory.register(100))
+    r_mr = fabric.nic(1).memory.register(1000)
+    for imm in (1, 2):
+        qa.post_send(SendWR(wr_id=imm, verb="write", mr_key=s_mr.key, length=100,
+                            remote_key=r_mr.key, remote_offset=0, imm=imm))
+    sim.run()
+    assert len(qb.recv_cq) == 0 and qb.parked_total == 2
+    wr = RecvWR(wr_id=7, mr_key=r_mr.key, offset=0, length=0)
+    qb.post_recv_cached_batch([wr] * 5)
+    assert [(c.imm, c.wr_id) for c in qb.recv_cq.poll()] == [(1, 7), (2, 7)]
+    assert qb.posted == 5 and len(qb.recv_queue) == 3 and not qb.parked
+    with pytest.raises(RuntimeError, match="full"):
+        qb.post_recv_cached_batch([wr] * (qb.max_recv_wr - 2))
+    assert qb.posted == 5 and len(qb.recv_queue) == 3  # nothing half-posted
+    nic = fabric.nic(1)
+    attached = nic.create_qp(Transport.RC, srq=nic.create_srq())
+    with pytest.raises(ValueError, match="SRQ"):
+        attached.post_recv_cached_batch([wr])
+
+
+def test_post_recv_batch_still_validates_every_wr():
+    """Validation is kept, it is not repeated: the validating wrapper
+    rejects an unknown key and a span that leaves its MR, posting nothing."""
+    sim, fabric = make_fabric()
+    nic = fabric.nic(0)
+    qp = nic.create_qp(Transport.UD)
+    mr = nic.memory.register(256)
+    good = RecvWR(wr_id=0, mr_key=mr.key, offset=0, length=64)
+    with pytest.raises(KeyError):
+        qp.post_recv_batch([good, RecvWR(wr_id=1, mr_key=mr.key + 999, offset=0, length=8)])
+    with pytest.raises(IndexError):
+        qp.post_recv_batch([good, RecvWR(wr_id=2, mr_key=mr.key, offset=200, length=64)])
+    assert len(qp.recv_queue) == 0 and qp.posted == 0
+    qp.post_recv_batch([good])
+    assert len(qp.recv_queue) == 1 and qp.posted == 1
+
+
 def test_srq_multisegment_send_lands_by_sequence():
     sim, fabric = make_fabric()
     srq, cq, tx, rx = srq_fan_in(fabric, [1])

@@ -105,6 +105,31 @@ def test_unicast_tables_match_per_destination_reference():
         assert topo.unicast_tables() == reference, topo.kind
 
 
+def test_unicast_table_installer_rejects_a_next_hop_without_a_port(monkeypatch):
+    """Tables go to a switch whole, behind one check — at fabric build and
+    at an SM sweep alike (the sweep used to assign them unchecked)."""
+    from repro.net import Fabric
+    from repro.sim import Simulator
+
+    topo = Topology.leaf_spine(4, 2, 2)
+    good = topo.unicast_tables
+
+    def corrupted(exclude=None):
+        tables = good(exclude)
+        tables["leaf000"][3] = "spine007"  # no such neighbour
+        return tables
+
+    fabric = Fabric(Simulator(), topo)
+    before = dict(fabric.switches["leaf000"].unicast_table)
+    assert before == good()["leaf000"]
+    monkeypatch.setattr(topo, "unicast_tables", corrupted)
+    with pytest.raises(ValueError, match="leaf000: no ports toward .'spine007'"):
+        fabric.reroute_unicast()
+    assert fabric.switches["leaf000"].unicast_table == before  # untouched
+    with pytest.raises(ValueError, match="spine007"):
+        Fabric(Simulator(), topo)
+
+
 def test_path_endpoint_validation():
     topo = Topology.star(3)
     with pytest.raises(ValueError):

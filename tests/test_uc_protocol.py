@@ -98,3 +98,47 @@ def test_uc_faster_than_ud_per_chunk_software():
             transport=transport, chunk_size=4096, cost=weak))
         durations[transport] = comm.broadcast(0, data).duration
     assert durations["uc"] < durations["ud"]
+
+
+def test_uc_bringup_is_independent_of_ring_depth():
+    """Data-plane bring-up is O(ranks): a UC rank owns one cached receive
+    WR whatever ``staging_slots`` is, so the communicator allocates exactly
+    as many GC-tracked objects for a 16-deep ring as for a 2048-deep one."""
+    import gc
+
+    def build(slots):
+        fabric = Fabric(Simulator(), Topology.leaf_spine(64, 8, 4),
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(0))
+        gc.collect()
+        before = len(gc.get_objects())
+        comm = Communicator(fabric, config=CollectiveConfig(
+            transport="uc", chunk_size=4 * KiB, staging_slots=slots))
+        gc.collect()
+        return comm, len(gc.get_objects()) - before
+
+    build(16)  # warm the import-time and per-process caches
+    (shallow, n_shallow), (deep, n_deep) = build(16), build(2048)
+    assert n_shallow == n_deep
+    for comm, slots in ((shallow, 16), (deep, 2048)):
+        for engine in comm.engines:
+            for qp in engine.sub_qps:
+                assert len(qp.recv_queue) == qp.posted == slots
+    assert deep.fabric.streams.count == 0  # and no RNG on a clean fabric
+
+
+@pytest.mark.parametrize("recv_batching", [True, False])
+def test_uc_packet_level_broadcast_recycles_the_cached_wr(recv_batching):
+    """Every consumed receive is re-posted: after a packet-level broadcast
+    each queue is back at ``staging_slots`` deep, and ``posted`` counts the
+    first posts plus one re-post per chunk (values pinned at 618ceef, where
+    each re-post built and re-validated a fresh WR)."""
+    comm = uc_comm(64, topo=Topology.leaf_spine(64, 8, 4), chunk_size=4 * KiB,
+                   staging_slots=16, fast_forward="off",
+                   recv_batching=recv_batching)
+    data = np.random.default_rng(0).integers(0, 256, 64 * KiB, dtype=np.uint8)
+    res = comm.broadcast(0, data)
+    assert res.verify_broadcast(data) and res.engine["ff_phases"] == 0
+    assert bool(res.engine["cqe_batches"]) == recv_batching
+    qps = [qp for engine in comm.engines for qp in engine.sub_qps]
+    assert [len(qp.recv_queue) for qp in qps] == [16] * 64
+    assert [qp.posted for qp in qps] == [16] + [32] * 63

@@ -17,7 +17,8 @@ replaces: O(packets) event simulation with O(links) arithmetic.
 Entry modes:
 
 * ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
-  allgather at 1024 AND 4096 hosts, an ag4096/ag1024 wall-clock
+  allgather at 1024 AND 4096 hosts, a 1024-host composed INC allreduce
+  that must fold both phases, an ag4096/ag1024 wall-clock
   scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
   the whole process, and ``ff_phases`` / ``ctrl_folds`` assertions that
   fail loudly if the data fold or the control-plane fold (barrier +
@@ -59,6 +60,8 @@ MODES = {
 BCAST_PAYLOAD = 4 * MiB
 CHUNK = 4096
 AG_PER_RANK = KiB
+#: float32 elements per allreduce shard (128 B: 128 KiB contributed per rank)
+AR_SHARD_ELEMS = 32
 #: peak resident set the whole ``--smoke`` process may reach (MiB)
 SMOKE_RSS_BUDGET_MIB = 1024
 
@@ -134,6 +137,36 @@ def run_allgather(n_ranks: int, mode: str,
     }
 
 
+def run_allreduce(n_ranks: int, shard_elems: int = AR_SHARD_ELEMS,
+                  cutoff_alpha: float = 100e-3) -> Dict[str, object]:
+    """Composed INC allreduce on the production path: train coalescing on
+    (the reduce-scatter pass folds, DESIGN.md §6j) and the exact fold (the
+    allgather phases), with the allgather rows' static cutoff."""
+    t_setup = time.perf_counter()
+    fabric = make_fabric(n_ranks, mtu=4096)
+    cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc",
+                           fast_forward="exact", adaptive_cutoff=False,
+                           cutoff_alpha=cutoff_alpha)
+    comm = Communicator(fabric, config=cfg)
+    setup = time.perf_counter() - t_setup
+    # Small integers: every float32 partial sum is exact, in any order.
+    base = (np.arange(n_ranks * shard_elems, dtype=np.float32) % 251)
+    datas = [base + (r % 7) for r in range(n_ranks)]
+    t0 = time.perf_counter()
+    res = comm.allreduce(datas, algorithm="inc")
+    wall = time.perf_counter() - t0
+    assert res.verify_allreduce(datas), "allreduce payload corrupted"
+    return {
+        "setup_s": setup,
+        "wall_s": wall,
+        "events": res.engine["sim_events"],
+        "virtual_s": res.duration,
+        "ff_phases": res.engine.get("ff_phases", 0),
+        "ctrl_folds": res.engine.get("ctrl_folds", 0),
+        "inc_folds": res.engine.get("inc_folds", 0),
+    }
+
+
 def _rows(kind: str, sizes: List[int], modes: List[str],
           runner) -> List[List[str]]:
     rows = []
@@ -179,7 +212,8 @@ def full_sweep(bcast_hosts: List[int], ag_hosts: List[int]) -> int:
 
 def smoke(budget_s: float) -> int:
     """CI scaling-smoke: folded broadcast + allgather at 1024 AND 4096
-    hosts, a wall-clock budget, and fold-engagement assertions.
+    hosts, a folded 1024-host allreduce, a wall-clock budget, and
+    fold-engagement assertions.
 
     The 4096-host rows are the headline: the allgather chain is O(P) folds, so quadrupling the rank count must
     cost far less than the 16x a quadratic engine would pay.  Both
@@ -233,6 +267,16 @@ def smoke(budget_s: float) -> int:
         failures.append(
             f"allgather folded {a['ff_phases']}/1024 phases — "
             "eligibility gates are rejecting clean phases")
+
+    # Composed allreduce: the INC reduce-scatter pass and all 1024
+    # allgather phases fold.
+    ar = run_allreduce(1024)
+    row("allreduce", 1024, ar, note=f"inc_folds={ar['inc_folds']}")
+    if ar["inc_folds"] != 1 or ar["ff_phases"] != 1024:
+        failures.append(
+            f"allreduce n=1024 did not fold both phases (inc_folds="
+            f"{ar['inc_folds']}, expected 1; ff_phases={ar['ff_phases']}, "
+            "expected 1024)")
 
     # --- 4096-host rows ----------------------------------------------------
     b4 = run_broadcast(4096, "exact", payload=4 * MiB)

@@ -193,6 +193,7 @@ class PendingBaseline:
                  hosts: Sequence[int], send_bytes: int,
                  buffers: List[np.ndarray], rank_procs: List[Generator]):
         self.postprocess = None  # optional fn(result) -> result
+        fabric.unfold_inc()  # a folded INC pass must see this one's packets
         self.fabric = fabric
         self.algorithm = algorithm
         self.kind = kind

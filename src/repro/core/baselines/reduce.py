@@ -11,7 +11,7 @@ Both implementations reduce real float32 data, so tests verify sums.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.core.baselines.base import P2PNet, run_baseline
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
 from repro.net.nic import Transport
-from repro.sim.events import Timeout
+from repro.sim.events import Interrupt, Timeout
 from repro.units import gib_per_s
 
 __all__ = ["ring_reduce_scatter", "inc_reduce_scatter", "inc_reduce"]
@@ -133,6 +133,61 @@ def ring_reduce_scatter(
     return pending if defer else pending.finish()
 
 
+def _inc_ranks(net: P2PNet, tree, arrays: List[np.ndarray],
+               owners: Dict[int, tuple], exclusive) -> List[Generator]:
+    """One process per rank of an INC pass: inject the rank's whole
+    contribution up *tree* — batched like the multicast send path and
+    *paced at link rate* (real NICs arbitrate the wire; an instantaneous
+    post of the whole buffer would starve concurrent collectives behind an
+    infinite FIFO) — then serve the notifications of the segments it owns
+    (*owners*: host → ``(qp, cached recv WR)``).  The pass folds into one
+    sleep per rank when :meth:`IncTree.begin` allows (DESIGN.md §6j); a
+    handed-back rank resumes where the packet path would be."""
+    sim, cost = net.sim, net.cost
+    n = tree.n_segments
+    datas = [a.view(np.uint8) for a in arrays]
+    contrib = dict(zip(net.hosts, datas))
+    cqe_cost = cost.cqe_poll + cost.cqe_process
+
+    def rank_proc(r: int):
+        host, data = net.hosts[r], datas[r]
+        qp, wr = owners.get(host, (None, None))
+        state = (0, None, False, 0)
+        fold = tree.begin(exclusive, contrib, owners, cost.send_batch, cqe_cost)
+        if fold is not None:
+            try:
+                yield sim.wake_at(fold.done[host])
+                fold.woke(host)
+                return sim.now
+            except Interrupt as back:
+                state = back.cause
+        psn, wake, owed, got = state
+        if wake is not None and wake > sim.now:
+            yield sim.wake_at(wake)
+        while psn < n:
+            src, seg = tree.segment(psn)
+            if psn % 32 == 0 and not owed:
+                yield Timeout(sim, cost.send_batch(min(32, n - psn)))
+            owed = False
+            finish = tree.inject(host, psn, data[src:src + seg])
+            if finish > sim.now:
+                yield Timeout(sim, finish - sim.now)
+            psn += 1
+        if owed:  # resumed at the end of a notification's service
+            qp.post_recv_cached(wr)
+            got += 1
+        expected = tree.owned(host)
+        while got < expected:
+            yield qp.recv_cq.wait()
+            for _cqe in qp.recv_cq.poll():
+                yield Timeout(sim, cqe_cost)
+                qp.post_recv_cached(wr)
+                got += 1
+        return sim.now
+
+    return [rank_proc(r) for r in range(net.size)]
+
+
 def inc_reduce_scatter(
     fabric: Fabric,
     send_data: Sequence[np.ndarray],
@@ -140,12 +195,14 @@ def inc_reduce_scatter(
     cost: Optional[HostCostModel] = None,
     segment_bytes: int = 4096,
     defer: bool = False,
+    exclusive: Optional[Callable[[], bool]] = None,
 ):
     """SHARP-like Reduce-Scatter on the switch-reduction substrate.
 
     Each rank injects its whole contribution once (N bytes up); the tree
     reduces; each rank receives only its shard (N/P down) — the traffic
-    profile of paper Fig 3's "INC" column.
+    profile of paper Fig 3's "INC" column.  *exclusive* (the communicator's
+    "only collective in flight" test) lets the pass fold.
     """
     net = P2PNet(fabric, hosts, cost)
     p = net.size
@@ -158,60 +215,30 @@ def inc_reduce_scatter(
     elems = arrays[0].size
     shard = elems // p
     shard_bytes = shard * 4
-    cost_model = net.cost
 
     # Receive shard buffers under the symmetric rkey + notification QPs.
     buffers: List[np.ndarray] = []
-    qps = {}
+    owners = {}
     for r in range(p):
         buf = np.zeros(shard_bytes, dtype=np.uint8)
         net.register(r, buf)
         buffers.append(buf)
         qp = net.nic(r).create_qp(Transport.RC, recv_cq=net.recv_cq(r))
         net.post_dummies(r, qp)
-        qps[r] = qp
+        owners[net.hosts[r]] = (qp, net.dummy_wr(r))
 
     tree = fabric.create_inc_tree(
-        members=[net.hosts[r] for r in range(p)],
+        members=net.hosts,
         rkey=net.rkey,
-        qpn_of={net.hosts[r]: qps[r].qpn for r in range(p)},
+        qpn_of={h: qp.qpn for h, (qp, _) in owners.items()},
         shard_bytes=shard_bytes,
         segment_bytes=segment_bytes,
     )
-
-    def rank_proc(r: int):
-        data = arrays[r].view(np.uint8)
-        # Inject every segment of the full contribution, batched like the
-        # multicast send path and *paced at link rate* (real NICs arbitrate
-        # the wire; an instantaneous post of the whole buffer would starve
-        # concurrent collectives behind an infinite FIFO).
-        for psn in range(tree.n_segments):
-            # Shard ownership follows host order, so the owner's shard is
-            # the quotient ``owner_of`` itself takes.
-            _, off = tree.owner_of(psn)
-            seg_len = tree.seg_len(psn)
-            src_off = (psn // tree.segs_per_shard) * shard_bytes + off
-            if psn % 32 == 0:
-                yield Timeout(net.sim, cost_model.send_batch(min(32, tree.n_segments - psn)))
-            finish = tree.inject(net.hosts[r], psn, data[src_off : src_off + seg_len])
-            if finish > net.sim.now:
-                yield Timeout(net.sim, finish - net.sim.now)
-        # Await our own shard's segments.
-        expected = tree.segs_per_shard
-        got = 0
-        cq = net.recv_cq(r)
-        qp, wr = qps[r], net.dummy_wr(r)
-        while got < expected:
-            yield cq.wait()
-            for _cqe in cq.poll():
-                yield Timeout(net.sim, cost_model.cqe_poll + cost_model.cqe_process)
-                qp.post_recv_cached(wr)
-                got += 1
-        return net.sim.now
-
     pending = run_baseline(fabric, "inc_reduce_scatter", "reduce_scatter",
                            net.hosts, p * shard_bytes, buffers,
-                           [rank_proc(r) for r in range(p)], defer=True)
+                           _inc_ranks(net, tree, arrays, owners, exclusive),
+                           defer=True)
+    tree.procs = dict(zip(net.hosts, pending.procs))
 
     def _expose_shards(res):
         res.buffers = [buf.view(np.float32).copy() for buf in buffers]
@@ -229,6 +256,7 @@ def inc_reduce(
     cost: Optional[HostCostModel] = None,
     segment_bytes: int = 4096,
     defer: bool = False,
+    exclusive: Optional[Callable[[], bool]] = None,
 ):
     """Rooted Reduce on the switch-reduction substrate.
 
@@ -249,7 +277,6 @@ def inc_reduce(
     if any(a.size != elems for a in arrays):
         raise ValueError("all contributions must have the same length")
     nbytes = elems * 4
-    cost_model = net.cost
     root_host = net.hosts[root]
 
     # Only the root owns a result buffer and a notification QP; the other
@@ -270,34 +297,12 @@ def inc_reduce(
     # receive posted for every in-flight segment — the 64-slot pool of the
     # scatter path would RNR-drop reliable writes on large buffers.
     net.post_dummies(root, qp, max(64, tree.n_segments))
-    wr = net.dummy_wr(root)
-
-    def rank_proc(r: int):
-        data = arrays[r].view(np.uint8)
-        for psn in range(tree.n_segments):
-            _, off = tree.owner_of(psn)
-            seg_len = tree.seg_len(psn)
-            if psn % 32 == 0:
-                yield Timeout(net.sim, cost_model.send_batch(min(32, tree.n_segments - psn)))
-            finish = tree.inject(net.hosts[r], psn, data[off : off + seg_len])
-            if finish > net.sim.now:
-                yield Timeout(net.sim, finish - net.sim.now)
-        if r != root:
-            return net.sim.now
-        expected = tree.n_segments
-        got = 0
-        cq = net.recv_cq(r)
-        while got < expected:
-            yield cq.wait()
-            for _cqe in cq.poll():
-                yield Timeout(net.sim, cost_model.cqe_poll + cost_model.cqe_process)
-                qp.post_recv_cached(wr)
-                got += 1
-        return net.sim.now
-
+    owners = {root_host: (qp, net.dummy_wr(root))}
     pending = run_baseline(fabric, "inc_reduce", "reduce", net.hosts,
-                           nbytes, [result_buf], [rank_proc(r) for r in range(p)],
+                           nbytes, [result_buf],
+                           _inc_ranks(net, tree, arrays, owners, exclusive),
                            defer=True)
+    tree.procs = dict(zip(net.hosts, pending.procs))
 
     def _expose_root(res):
         res.buffers = [result_buf.view(np.float32).copy() if r == root

@@ -303,7 +303,9 @@ class CollectiveResult:
     #: control-plane bring-up it paid (``ctrl_pairs``,
     #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``), the
     #: control phases folded (``ctrl_folds``) or declined, by gate reason
-    #: (``ctrl_fold_misses``, a ``{reason: count}`` dict; DESIGN.md §6i), and
+    #: (``ctrl_fold_misses``, a ``{reason: count}`` dict; DESIGN.md §6i), the
+    #: INC passes folded (``inc_folds``) or declined (``inc_fold_misses``,
+    #: DESIGN.md §6j), and
     #: its payload cost (``payload_bytes_copied`` / ``payload_bytes_placed``
     #: / ``payload_regions_materialized``, DESIGN.md §6h)
     engine: Dict[str, int] = field(default_factory=dict)
@@ -1267,6 +1269,7 @@ class Communicator:
             # ... and a folded control phase hands back its unserved tokens
             for cid, rank, rnd in (self.cf.unfold() if self.cf is not None else ()):
                 dict(self._op_procs[cid])[rank].interrupt(rnd)
+        self.fabric.unfold_inc()  # ... and so does a folded INC pass
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)
         elif kind is CollectiveKind.ALLGATHER:
@@ -1454,7 +1457,7 @@ class Communicator:
         if algorithm == "inc":
             pending = inc_reduce_scatter(
                 self.fabric, send_data, self.hosts, cost,
-                segment_bytes=segment_bytes, defer=True,
+                segment_bytes=segment_bytes, defer=True, exclusive=self._alone,
             )
         elif algorithm == "ring":
             pending = ring_reduce_scatter(
@@ -1509,7 +1512,8 @@ class Communicator:
         from repro.core.baselines.reduce import inc_reduce
 
         pending = inc_reduce(self.fabric, send_data, root, self.hosts, cost,
-                             segment_bytes=segment_bytes, defer=True)
+                             segment_bytes=segment_bytes, defer=True,
+                             exclusive=self._alone)
         return BaselineHandle(self, CollectiveKind.REDUCE, pending, root=root)
 
     def reduce_async(
@@ -1681,6 +1685,10 @@ class Communicator:
         (handle,) = tuple(self._active.values())
         return handle.exclusive_coll_id() == coll_id
 
+    def _alone(self) -> bool:
+        """The INC fold's exclusivity test: one collective in flight."""
+        return len(self._active) == 1
+
     def _snapshot(self) -> Dict[str, int]:
         return {
             "switch_bytes": self.fabric.switch_egress_bytes(),
@@ -1714,6 +1722,9 @@ class Communicator:
             # phases declined by gate reason.
             "ctrl_folds": cf.folds if cf is not None else 0,
             "ctrl_fold_misses": dict(cf.misses) if cf is not None else {},
+            # INC passes folded (DESIGN.md §6j), and declined by reason
+            "inc_folds": self.fabric.inc_folds,
+            "inc_fold_misses": dict(self.fabric.inc_fold_misses),
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:
@@ -1724,12 +1735,12 @@ class Communicator:
         eng_after = self._engine_snapshot()
         traffic = {k: after[k] - before[k] for k in before}
         engine = {k: eng_after[k] - eng_before[k] for k in eng_before
-                  if k != "ctrl_fold_misses"}
-        was = eng_before["ctrl_fold_misses"]
-        engine["ctrl_fold_misses"] = {
-            reason: n - was.get(reason, 0)
-            for reason, n in eng_after["ctrl_fold_misses"].items()
-            if n != was.get(reason, 0)}
+                  if not k.endswith("_misses")}
+        for key in ("ctrl_fold_misses", "inc_fold_misses"):
+            was = eng_before[key]
+            engine[key] = {reason: n - was.get(reason, 0)
+                           for reason, n in eng_after[key].items()
+                           if n != was.get(reason, 0)}
         result = handle.result(traffic, engine)
         self.release(handle)
         return result

@@ -15,6 +15,7 @@ Slot lifecycle::
 from __future__ import annotations
 
 import collections
+import mmap
 from typing import TYPE_CHECKING, Deque, List
 
 import numpy as np
@@ -46,8 +47,12 @@ class StagingRing:
         # Backed at construction, not on first touch (net/memory.py): the
         # NIC writes every slot at packet level, and memory allocated here
         # is recycled across collectives where a late allocation pages in
-        # fresh (ar188 run_wall_s +7 % measured with a lazy ring).
-        self.mr = nic.memory.register(np.zeros(n_slots * slot_size, dtype=np.uint8))
+        # fresh (ar188 run_wall_s +7 % measured with a lazy ring).  An
+        # anonymous mapping, not the malloc heap: only slots a receive wrote
+        # become resident, whatever the heap held before (glibc heap rings
+        # left ar188's peak RSS at 476 or 526 MiB depending on layout).
+        self.mr = nic.memory.register(np.frombuffer(
+            mmap.mmap(-1, n_slots * slot_size), dtype=np.uint8))
         self._state = [_FREE] * n_slots
         self._free: Deque[int] = collections.deque(range(n_slots))
         #: cached receive work requests, one per slot (paper §V-A)

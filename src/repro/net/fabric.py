@@ -140,6 +140,11 @@ class Fabric:
         self._inc_gid_counter = itertools.count(1 << 16)  # disjoint from mcast gids
         self._hop_cache: Dict[Tuple[int, int], int] = {}
         self._inc_trees: Dict[int, object] = {}
+        #: INC passes folded into closed form (DESIGN.md §6j), passes that
+        #: ran at packet level by gate reason, and the folds still in flight
+        self.inc_folds = 0
+        self.inc_fold_misses: Dict[str, int] = {}
+        self._inc_live: list = []
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -248,14 +253,26 @@ class Fabric:
             ch.rng = self.streams.stream(f"chan:{ch.name}")
         ch.fault = fault
 
+    def _new_fault_epoch(self) -> None:
+        """A fault, straggler or crash is about to change: bump the epoch
+        the folds check, and hand any folded INC pass back to packets."""
+        self.fault_epoch += 1
+        self.unfold_inc()
+
+    def unfold_inc(self) -> None:
+        """Hand every in-flight INC fold back to the packet path, at the
+        current instant (a collective is being admitted beside it)."""
+        for fold in list(self._inc_live):
+            fold.unfold()
+
     def set_fault(self, src: str, dst: str, fault: Optional[FaultSpec]) -> None:
         """Install a fault spec on one directed channel."""
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         self._arm(self.channels[(src, dst)], fault)
 
     def set_fault_all(self, fault_factory) -> None:
         """Install ``fault_factory(src, dst) -> FaultSpec|None`` everywhere."""
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         for (src, dst), ch in self.channels.items():
             self._arm(ch, fault_factory(src, dst))
 
@@ -265,7 +282,7 @@ class Fabric:
         extra delay per CQE poll."""
         if not 0 <= host < self.n_hosts:
             raise ValueError(f"host {host} out of range")
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         if spec is None:
             self._stragglers.pop(host, None)
         else:
@@ -315,7 +332,7 @@ class Fabric:
             a, b = spec.link  # type: ignore[misc]
             if (a, b) not in self.channels and (b, a) not in self.channels:
                 raise ValueError(f"no link between {a!r} and {b!r}")
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         self.pending_crashes.add(spec)
         self.sim.post_at(spec.at, self._execute_crash, spec)
 
@@ -365,7 +382,7 @@ class Fabric:
         """Kill host *host* permanently: its NICs (every rail) stop
         transmitting and receiving (wire and loopback) from this instant
         on."""
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         for nic in self.rail_nics[host]:
             nic.fail_stop()
         self.dead_hosts.add(host)
@@ -373,7 +390,7 @@ class Fabric:
     def crash_switch(self, name: str) -> None:
         """Kill switch *name* permanently: it black-holes every packet and
         all its ports (both directions) go down."""
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         sw = self.switches[name]
         sw.dead = True
         for ch in sw.ports.values():
@@ -385,7 +402,7 @@ class Fabric:
 
     def crash_link(self, a: str, b: str) -> None:
         """Take the ``a ↔ b`` link hard-down, both directions."""
-        self.fault_epoch += 1
+        self._new_fault_epoch()
         found = False
         for pair in ((a, b), (b, a)):
             ch = self.channels.get(pair)

@@ -23,7 +23,7 @@ retransmits below the software's event horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from repro.net.packet import Packet, PacketKind, PacketTrain
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS"]
+__all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS",
+           "serialize"]
 
 #: Packet kinds subject to fault injection / reordering (unreliable
 #: transports).  RC traffic is retransmitted by hardware, so software never
@@ -510,3 +511,20 @@ class Channel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Channel {self.name} sent={self.packets_sent}p/{self.bytes_sent}B>"
+
+
+def serialize(calls: Sequence[float], wires: Sequence[int], bandwidth: float,
+              busy: float, bypass: int) -> List[float]:
+    """The finish instants :meth:`Channel.transmit` gives packets of
+    ``wires[i]`` bytes handed to a fault-free channel at ``calls[i]``, in
+    that order, from ``busy_until`` *busy* — in ``transmit``'s own float
+    expressions (the bulk queue, or the bypass lane at or below *bypass*
+    bytes).  Pure: the per-edge walk of a folded stream."""
+    finishes = []
+    for t, w in zip(calls, wires):
+        if w <= bypass:
+            finishes.append(t + w / bandwidth)
+        else:
+            busy = (t if t > busy else busy) + w / bandwidth
+            finishes.append(busy)
+    return finishes

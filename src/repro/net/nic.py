@@ -916,7 +916,8 @@ class Nic:
             if tree is not None:
                 from repro.net.topology import host_name
 
-                tree._accumulate(host_name(self.host), packet)
+                tree._accumulate(host_name(self.host), host_name(packet.src),
+                                 packet)
             return
         if packet.is_multicast:
             for qpn in list(self._mcast_attached.get(packet.mcast_gid, ())):

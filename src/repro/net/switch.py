@@ -131,12 +131,6 @@ class Switch:
             self.packets_dropped_dead += len(pkts)
             return
         first = pkts[0]
-        if self.inc_handler is not None and first.kind is PacketKind.INC_REDUCE:
-            # INC traffic never rides trains (sent per-packet by the tree
-            # logic); fan back out defensively if one ever shows up.
-            for p in pkts:
-                self._forward(p, in_port)
-            return
         d = self.forwarding_delay
         # Per-packet injection instants downstream: each packet would have
         # been forwarded ``d`` after its own arrival here.  ``a + d`` is the

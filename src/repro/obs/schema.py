@@ -70,6 +70,8 @@ TRACEPOINTS: Dict[str, Any] = {
                             "(args: until, send_done)"),
     "engine.ctrl_fold": ("i", "control-plane phase folded or declined "
                               "(args: phase, messages | miss)"),
+    "engine.inc_fold": ("i", "INC reduction pass folded or declined "
+                             "(args: psns | miss)"),
     # -- DPA scheduler ----------------------------------------------------
     "dpa.compute": ("X", "DPA thread occupies a core pipe for a segment"),
 }

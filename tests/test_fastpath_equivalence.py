@@ -608,11 +608,77 @@ def test_submit_kind_fastpath_equivalence(kind: str, condition: str,
     # The per-CQE reference never sees a stamped or batched CQE ...
     per_cqe = variants[1][1].engine
     assert per_cqe["stamped_cqes"] == per_cqe["batched_cqes"] == 0
+    if kind.startswith("allreduce"):
+        # ... and the reduce-scatter phase folds wherever trains run: INC
+        # and RC packets are immune to the Gilbert-Elliott loss, and a
+        # straggler only slows the multicast engine's receive path.
+        assert res_ref.engine["inc_folds"] == per_cqe["inc_folds"] == 1
+        assert variants[0][1].engine["inc_fold_misses"] == {"reference": 1}
     if kind.endswith("_pchains") and condition == "clean":
         # ... and a clean cross-source backlog is batched, trains or not.
         for res in (res_ref, variants[0][1]):
             assert res.engine["stamped_cqes"] >= res.engine["batched_cqes"] > 0
         assert variants[0][1].engine["trains"] == 0
+
+
+# ---------------------------------------------------------------------------
+# INC fold (DESIGN.md §6j): on the production path (coalescing on) a whole
+# reduce-scatter / reduce pass is one closed form; coalescing off is the
+# per-packet oracle.  Per kind, a segment shape the fold must get right:
+# ragged last segments, bypass-lane segments (32 B payloads ride the
+# control VL), and two segments per allreduce shard.
+# ---------------------------------------------------------------------------
+
+_INC_TOPOLOGIES = {
+    "leaf_spine": lambda: Topology.leaf_spine(16, 2, 2),
+    "testbed_188": Topology.testbed_188,
+    "fat_tree3": lambda: Topology.fat_tree3(16, 4, 4, 2),
+    "torus": lambda: Topology.torus([4, 4]),
+    "dragonfly": lambda: Topology.dragonfly(3, 2, 2),
+    "star": lambda: Topology.star(2),
+}
+_INC_ELEMS = {"reduce_scatter": 1100, "reduce": 8, "allreduce": 2048}
+
+
+def _run_inc(kind: str, topology: str, coalescing: bool):
+    fabric = Fabric(Simulator(), _INC_TOPOLOGIES[topology](),
+                    link_bandwidth=gbit_per_s(56), coalescing=coalescing)
+    comm = Communicator(fabric)
+    per = 64 if topology == "testbed_188" else _INC_ELEMS[kind]
+    rng = np.random.default_rng(0)
+    data = [rng.normal(size=comm.size * per).astype(np.float32)
+            for _ in range(comm.size)]
+    if kind == "reduce_scatter":
+        res = comm.reduce_scatter(data, algorithm="inc")
+    elif kind == "reduce":
+        res = comm.reduce(data, root=comm.size // 2)
+    else:
+        res = comm.allreduce(data, algorithm="inc")
+    return fabric, res
+
+
+@pytest.mark.parametrize("kind", sorted(_INC_ELEMS))
+@pytest.mark.parametrize("topology", sorted(_INC_TOPOLOGIES))
+def test_inc_fold_equivalence(kind: str, topology: str) -> None:
+    fab_f, folded = _run_inc(kind, topology, True)
+    fab_p, packets = _run_inc(kind, topology, False)
+    assert folded.engine["inc_folds"] == 1 and not folded.engine["inc_fold_misses"]
+    assert packets.engine["inc_folds"] == 0
+    assert packets.engine["inc_fold_misses"] == {"reference": 1}
+    assert ([(ph.name, ph.t_begin, ph.t_end) for ph in folded.phases]
+            == [(ph.name, ph.t_begin, ph.t_end) for ph in packets.phases])
+    assert [r.phases for r in folded.ranks] == [r.phases for r in packets.ranks]
+    assert _channel_counters(fab_f) == _channel_counters(fab_p)
+    assert _switch_counters(fab_f) == _switch_counters(fab_p)
+    assert ({h: (n.packets_received, n.bytes_received) for h, n in fab_f.nics.items()}
+            == {h: (n.packets_received, n.bytes_received) for h, n in fab_p.nics.items()})
+    if kind != "allreduce":  # (the allgather phase's trains move horizons)
+        assert ({k: (c.busy_until, c.horizon) for k, c in fab_f.channels.items()}
+                == {k: (c.busy_until, c.horizon) for k, c in fab_p.channels.items()})
+    assert folded.traffic == packets.traffic
+    for bf, bp in zip(folded.buffers, packets.buffers):
+        assert np.asarray(bf).tobytes() == np.asarray(bp).tobytes()
+    assert folded.engine["sim_events"] < packets.engine["sim_events"]
 
 
 def test_coalescing_toggle_mid_simulation() -> None:

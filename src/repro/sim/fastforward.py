@@ -10,6 +10,12 @@ processing, staging DMA drain) is folded arithmetically and committed as
 O(links) state mutations plus one "finisher" event per receiver, instead
 of O(packets) simulated events.
 
+Each stage has one spelling: every edge (sender egress, switch ports)
+walks :func:`repro.net.link.serialize`, every receiver is a lane of
+:func:`repro.sim.parallel.worker_step` (``_fold_receivers_vec`` at any
+size; the single-chunk Allgather session steps the same kernel through
+:class:`~repro.sim.parallel.ReceiverLanes`).
+
 Exactness contract
 ------------------
 The fold replicates the **slow-path** float arithmetic expression by
@@ -50,10 +56,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.sequencer import effective_chains
+from repro.net.link import serialize
 from repro.net.nic import RecvWR
 from repro.net.topology import host_id, is_host
 from repro.sim.engine import _Callback
-from repro.sim.parallel import ReceiverLanes
+from repro.sim.parallel import ReceiverLanes, worker_step
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -83,26 +90,20 @@ class _Session:
     ``poisoned`` latches on the first abort: once any phase of a
     collective ran at packet level, every later phase must too — the
     analytic worker cursors would otherwise drift from the real ones.
-
-    ``lens``/``wires``/``rx_folds`` are per-phase scratch buffers hoisted
-    to the session so the Allgather chain (O(P) phases) does not allocate
-    three fresh lists per phase.  ``vec`` holds the deferred-commit
-    vectorized session when the collective qualifies (see
+    ``rx`` holds each receiver's cursors across the collective's folds.
+    ``vec`` holds the deferred-commit session of the single-chunk
+    Allgather chain when the collective qualifies (see
     :class:`_Vec1Session`); ``vec_unsupported`` latches a shape rejection
     so the probe runs once per collective.
     """
 
-    __slots__ = ("poisoned", "rx", "vec", "vec_unsupported",
-                 "lens", "wires", "rx_folds")
+    __slots__ = ("poisoned", "rx", "vec", "vec_unsupported")
 
     def __init__(self) -> None:
         self.poisoned = False
         self.rx: Dict[int, _RxSession] = {}
         self.vec = None
         self.vec_unsupported = False
-        self.lens: List[int] = []
-        self.wires: List[int] = []
-        self.rx_folds: List[tuple] = []
 
 
 class FlowFastForward:
@@ -237,14 +238,8 @@ class FlowFastForward:
         uc = cfg.transport == "uc"
         plan = op.plan
         header = engine.nic.header_bytes
-        lens = sess.lens
-        del lens[:]
-        for psn in range(op.send_lo, op.send_hi):
-            lens.append(plan.bounds(psn)[1])
-        wires = sess.wires
-        del wires[:]
-        for ln in lens:
-            wires.append(ln + header)
+        lens = [plan.bounds(psn)[1] for psn in range(op.send_lo, op.send_hi)]
+        wires = [ln + header for ln in lens]
         gid = comm.mcast_gids[0]
 
         # --- sender fold: doorbell batching + egress busy chain -----------
@@ -271,30 +266,12 @@ class FlowFastForward:
 
         # --- receiver folds: worker chain + staging DMA drain -------------
         t_hook = sim.now
-        rx_folds = sess.rx_folds
-        del rx_folds[:]
-        fin_max = send_done
-        if (n_chunks >= 4 and not fabric.stragglers_armed
-                and n_chunks * len(arrivals_by_host) >= 512):
-            # Matrix path: the per-receiver chains are independent, so the
-            # chunk loop runs as [n_rx]-wide array ops (same expressions,
-            # same order — bitwise identical to _fold_receiver).
-            fin_max = self._fold_receivers_vec(
-                engines, rx_ranks, arrivals_by_host, cid, lens, uc, sess,
-                t_hook, rx_folds, fin_max)
-            if fin_max is None:
-                return None
-        else:
-            for host, arrivals in arrivals_by_host.items():
-                rank = rx_ranks[host]
-                fold = self._fold_receiver(engines[rank],
-                                           engines[rank].ops[cid],
-                                           arrivals, lens, uc, sess, t_hook)
-                if fold is None:
-                    return None
-                rx_folds.append(fold)
-                if fold[4] > fin_max:
-                    fin_max = fold[4]
+        rx_fold = self._fold_receivers_vec(engines, rx_ranks, arrivals_by_host,
+                                           cid, lens, uc, sess, t_hook)
+        if rx_fold is None:
+            return None
+        rx_folds, fin_max = rx_fold
+        fin_max = max(fin_max, send_done)
 
         # --- global deadline gate: the fold must land before any armed
         # (or arming) cutoff can fire, so recovery/fetch never observes the
@@ -303,8 +280,8 @@ class FlowFastForward:
             return None
 
         # --------------------------------------------------------- commit
-        self._commit(engine, op, sess, chans, switch_counts, rx_folds,
-                     lens, n_chunks, n_batches, send_done, fin_max, uc)
+        self._commit(engine, op, chans, switch_counts, rx_folds, lens,
+                     n_chunks, n_batches, send_done, fin_max, uc)
         return send_done
 
     # ---------------------------------------------------------- sender fold
@@ -325,25 +302,24 @@ class FlowFastForward:
             return None
         if len(engine.send_cq):  # stale completions would skew the replay
             return None
-        bw = egress.bandwidth
-        prev = egress.busy_until
+        busy = egress.busy_until
         t = self.sim.now
         finishes: List[float] = []
         batch_sizes: List[int] = []
         pending: List[float] = []  # signaled-CQE push instants, increasing
         p_lo = 0  # drained prefix of `pending`
         outstanding = 0
-        n = len(wires)
         max_out = cfg.max_outstanding_batches
-        for i in range(0, n, cfg.batch_size):
+        for i in range(0, len(wires), cfg.batch_size):
             batch = wires[i:i + cfg.batch_size]
             batch_sizes.append(len(batch))
             t = t + cost.send_batch(len(batch))
-            for w in batch:
-                start = t if t > prev else prev
-                prev = start + w / bw
-                finishes.append(prev)
-            pending.append(prev)
+            # One doorbell: the whole batch reaches the egress at ``t``.
+            fins = serialize([t] * len(batch), batch, egress.bandwidth, busy,
+                             bypass)
+            finishes += fins
+            busy = fins[-1]
+            pending.append(busy)
             outstanding += 1
             while outstanding >= max_out:
                 t, k, p_lo = _drain_cq(pending, p_lo, t)
@@ -389,9 +365,8 @@ class FlowFastForward:
         else:
             eg_flags = None
             eg_trains = eg_tp = 0
-        chans.append((egress, egress.busy_until
-                      if not egress_finishes else egress_finishes[-1],
-                      n, bytes_sum, payload_sum, eg_trains, eg_tp))
+        chans.append((egress, egress_finishes[-1], n, bytes_sum, payload_sum,
+                      eg_trains, eg_tp))
         stack: List[Tuple[str, str, List[float], Optional[List[bool]]]] = [
             (egress.dst_name, egress.src_name, arrivals0, eg_flags)
         ]
@@ -419,165 +394,91 @@ class FlowFastForward:
                     return None
                 if min_wire <= ch.ctrl_bypass_bytes:
                     return None
-                bw = ch.bandwidth
+                fins = serialize(inj, wires, ch.bandwidth, ch.busy_until,
+                                 ch.ctrl_bypass_bytes)
                 lat = ch.latency
-                prev = ch.busy_until
-                if n == 1:
-                    t_inj = inj[0]
-                    start = t_inj if t_inj > prev else prev
-                    prev = start + wires[0] / bw
-                    outs_lat = [prev + lat]
-                else:
-                    outs_lat = []
-                    for i, t_inj in enumerate(inj):
-                        start = t_inj if t_inj > prev else prev
-                        prev = start + wires[i] / bw
-                        outs_lat.append(prev + lat)
                 if flags is not None:
                     ch_flags = [f and ch.coalescing for f in flags]
                     trains, tp = _count_trains(ch_flags, batch_sizes)
                 else:
                     ch_flags = None
                     trains = tp = 0
-                chans.append((ch, prev, n, bytes_sum, payload_sum,
+                chans.append((ch, fins[-1], n, bytes_sum, payload_sum,
                               trains, tp))
                 switch_counts[sw] = switch_counts.get(sw, 0) + n
-                stack.append((ch.dst_name, name, outs_lat, ch_flags))
+                stack.append((ch.dst_name, name, [f + lat for f in fins],
+                              ch_flags))
         return chans, arrivals_by_host, switch_counts
 
     # --------------------------------------------------------- receiver fold
 
-    def _fold_receiver(self, rx_engine: "RankEngine", op_r: "OpState",
-                       arrivals: List[float], lens: List[int], uc: bool,
-                       sess: _Session, t_hook: float):
-        """Replicate the receive worker's per-CQE slow path and (UD) the
-        staging DMA drain for one receiver over this fold's arrivals.
-
-        Returns a flat tuple (not a dict): the Allgather chain schedule
-        runs this O(P) times per phase, O(P^2) per collective, so the
-        per-receiver constant is the scaling bottleneck.
-        """
-        qp = rx_engine.sub_qps[0]
-        n = len(arrivals)
-        # No-RNR gate: the NIC consumes one posted WR per arrival, and the
-        # fold's own reposts all land after its last arrival — so the
-        # currently posted depth alone must cover the fold.
-        if n > len(qp.recv_queue):
-            return None
-        rx = sess.rx.get(rx_engine.rank)
-        if rx is None:
-            rx = sess.rx[rx_engine.rank] = _RxSession()
-        # Strict non-interleave: FIFO busy chains guarantee later folds
-        # arrive strictly after earlier ones; a tie means contention the
-        # fold ordering cannot resolve.
-        if arrivals[0] <= rx.last_arrival:
-            return None
-        cost = rx_engine.cost
-        c1 = cost.cqe_poll + cost.cqe_process
-        t = rx.cursor
-        dma = rx_engine.dma
-        dma_busy = dma.busy_until
-        if uc:
-            c2 = cost.recv_repost
-            for a in arrivals:
-                anchor = a if a > t else t
-                t = (anchor + (c1 + 0.0))
-                t = t + c2
-            fin = t
-        else:
-            dma_bw = dma.bandwidth
-            dma_lat = dma.latency
-            c2 = cost.copy_issue + cost.recv_repost
-            for a, ln in zip(arrivals, lens):
-                anchor = a if a > t else t
-                t = (anchor + (c1 + 0.0))
-                t = t + c2
-                start = t if t > dma_busy else dma_busy
-                dma_busy = start + ln / dma_bw
-            fin = dma_busy + dma_lat
-        # Straggler veto over the whole folded window (every CQE-poll
-        # stall sample in [t_hook, fin] must be zero).
-        if not rx_engine.fabric.straggler_inert(rx_engine.nic.host,
-                                                t_hook, fin):
-            return None
-        return (rx_engine, op_r, qp, rx, fin, t, dma_busy, arrivals[-1])
-
     def _fold_receivers_vec(self, engines, rx_ranks, arrivals_by_host,
                             cid: int, lens: List[int], uc: bool,
-                            sess: _Session, t_hook: float,
-                            rx_folds: List[tuple], fin_max: float):
-        """Vectorized :meth:`_fold_receiver`: one ``[n_rx]`` array op chain
-        instead of a Python loop per receiver.
+                            sess: _Session, t_hook: float):
+        """Replicate every receiver's per-CQE worker slow path and (UD) its
+        staging DMA drain over this fold's arrivals: one ``[n_rx]`` lane
+        per receiver, stepped chunk by chunk through :func:`worker_step`.
 
-        ``numpy``'s elementwise ``maximum``/add are the same IEEE-754
-        operations the scalar expressions evaluate, in the same order per
-        receiver, so every fold tuple is bit-identical to the scalar path.
-        Only called with no straggler specs installed (``straggler_inert``
-        is then trivially true for every window — same gate outcome).
-        Returns the updated ``fin_max``, or ``None`` on any gate failure
-        (no state committed either way).
+        Returns ``(rx_folds, fin_max)`` — one flat commit tuple per
+        receiver and the latest receive finish — or ``None`` on any gate
+        failure (no state committed either way).
         """
         items = list(arrivals_by_host.items())
-        n_rx = len(items)
         n = len(lens)
-        rx_engines = []
-        ops_r = []
-        qps = []
-        rxs = []
-        t0 = np.empty(n_rx)
-        dma0 = np.empty(n_rx)
-        for k, (host, arrivals) in enumerate(items):
+        heads = []
+        t0 = []
+        dma0 = []
+        for host, arrivals in items:
             rank = rx_ranks[host]
             e = engines[rank]
             qp = e.sub_qps[0]
+            # No-RNR gate: the NIC consumes one posted WR per arrival, and
+            # the fold's own reposts all land after its last arrival — so
+            # the currently posted depth alone must cover the fold.
             if n > len(qp.recv_queue):
                 return None
             rx = sess.rx.get(rank)
             if rx is None:
                 rx = sess.rx[rank] = _RxSession()
+            # Strict non-interleave: FIFO busy chains guarantee later folds
+            # arrive strictly after earlier ones; a tie means contention the
+            # fold ordering cannot resolve.
             if arrivals[0] <= rx.last_arrival:
                 return None
-            rx_engines.append(e)
-            ops_r.append(e.ops[cid])
-            qps.append(qp)
-            rxs.append(rx)
-            t0[k] = rx.cursor
-            dma0[k] = e.dma.busy_until
+            heads.append((e, e.ops[cid], qp, rx))
+            t0.append(rx.cursor)
+            dma0.append(e.dma.busy_until)
         # Every rank shares the communicator's cost model object, so the
         # scalar constants are uniform across the receiver axis.
-        cost = rx_engines[0].cost
+        cost = heads[0][0].cost
         c1 = cost.cqe_poll + cost.cqe_process
-        # (n, n_rx) with contiguous per-chunk rows for the chunk loop.
-        cols = np.ascontiguousarray(np.array([a for _, a in items]).T)
-        t = t0
+        dma_busy = np.array(dma0)
         if uc:
             c2 = cost.recv_repost
-            for i in range(n):
-                anchor = np.maximum(cols[i], t)
-                t = anchor + c1
-                t = t + c2
-            fins = t
-            dma_busy = dma0
+            dma_bw = None
         else:
             c2 = cost.copy_issue + cost.recv_repost
-            dma_bw = np.array([e.dma.bandwidth for e in rx_engines])
-            dma_lat = np.array([e.dma.latency for e in rx_engines])
-            dma_busy = dma0
-            for i in range(n):
-                anchor = np.maximum(cols[i], t)
-                t = anchor + c1
-                t = t + c2
-                start = np.maximum(t, dma_busy)
-                dma_busy = start + lens[i] / dma_bw
-            fins = dma_busy + dma_lat
-        for k in range(n_rx):
-            fin = float(fins[k])
-            rx_folds.append((rx_engines[k], ops_r[k], qps[k], rxs[k], fin,
-                             float(t[k]), float(dma_busy[k]),
-                             items[k][1][-1]))
-            if fin > fin_max:
-                fin_max = fin
-        return fin_max
+            dma_bw = np.array([h[0].dma.bandwidth for h in heads])
+        # (n, n_rx) with contiguous per-chunk rows for the chunk loop.
+        cols = np.ascontiguousarray(np.array([a for _, a in items]).T)
+        t = np.array(t0)
+        for i in range(n):
+            t, dma_busy = worker_step(cols[i], t, c1, c2, lens[i], dma_bw,
+                                      dma_busy)
+        fins = t if uc else dma_busy + np.array([h[0].dma.latency
+                                                 for h in heads])
+        fabric = self.comm.fabric
+        if fabric.stragglers_armed:
+            # Straggler veto over each receiver's whole folded window
+            # (every CQE-poll stall sample in [t_hook, fin] must be zero).
+            for (host, _), fin in zip(items, fins.tolist()):
+                if not fabric.straggler_inert(host, t_hook, fin):
+                    return None
+        rx_folds = [(e, op_r, qp, rx, fin, cur, dma, arrivals[-1])
+                    for (e, op_r, qp, rx), fin, cur, dma, (_, arrivals)
+                    in zip(heads, fins.tolist(), t.tolist(),
+                           dma_busy.tolist(), items)]
+        return rx_folds, float(fins.max())
 
     def _deadlines_clear(self, participants: List[int], cid: int,
                          t_hook: float, fin_max: float) -> bool:
@@ -603,8 +504,8 @@ class FlowFastForward:
 
     # ---------------------------------------------------------------- commit
 
-    def _commit(self, engine, op, sess, chans, switch_counts, rx_folds,
-                lens, n_chunks, n_batches, send_done, fin_max, uc):
+    def _commit(self, engine, op, chans, switch_counts, rx_folds, lens,
+                n_chunks, n_batches, send_done, fin_max, uc):
         sim = self.sim
         trc = engine.trace
         t_hook = sim.now
@@ -636,7 +537,6 @@ class FlowFastForward:
         src, src_off = op.mr.source(lo_off, payload_total)
         lens_total = sum(lens)
         psn_lo = op.send_lo
-        single = n_chunks == 1
         finish = self._finish_fold
         # Finisher scheduling bypasses ``Simulator.post_at``: the Allgather
         # chain posts one finisher per receiver per phase (O(P^2) over the
@@ -652,37 +552,20 @@ class FlowFastForward:
             qp.recv_cq.total_pushed += n_chunks
             # The NIC consumed one posted WR per arrival; the worker (UD:
             # the DMA-drain callback) re-posts each at its done instant.
+            # UC WRs are zero-length dummies and UD ones the cached staging
+            # WRs, so each consumed WR is field-for-field its own repost.
             rq = qp.recv_queue
-            if single:
-                popped = rq.popleft()
-                if uc:
-                    # UC recv WRs are zero-length dummies; the consumed WR
-                    # is field-for-field the repost the worker would build.
-                    wrs = [popped]
-                    staging = None
-                else:
-                    wrs = [popped]
-                    staging = rx_engine.stagings[0]
-                    dma = rx_engine.dma
-                    dma.busy_until = dma_busy
-                    dma.bytes_copied += lens_total
-                    dma.ops += 1
-                op_r.bitmap.set(psn_lo)
-                op_r.placed.set(psn_lo)
+            wrs = [rq.popleft() for _ in range(n_chunks)]
+            if uc:
+                staging = None
             else:
-                popped = [rq.popleft() for _ in range(n_chunks)]
-                if uc:
-                    wrs = popped
-                    staging = None
-                else:
-                    wrs = popped
-                    staging = rx_engine.stagings[0]
-                    dma = rx_engine.dma
-                    dma.busy_until = dma_busy
-                    dma.bytes_copied += lens_total
-                    dma.ops += n_chunks
-                op_r.bitmap.set_range(psn_lo, n_chunks)
-                op_r.placed.set_range(psn_lo, n_chunks)
+                staging = rx_engine.stagings[0]
+                dma = rx_engine.dma
+                dma.busy_until = dma_busy
+                dma.bytes_copied += lens_total
+                dma.ops += n_chunks
+            op_r.bitmap.set_range(psn_lo, n_chunks)
+            op_r.placed.set_range(psn_lo, n_chunks)
             # Payload: the real path stages through slot memory (UD) or
             # places per packet (UC); byte-for-byte this is one placement.
             op_r.mr.place(lo_off, src, src_off, payload_total)
@@ -749,18 +632,17 @@ class _Vec1Session:
       global flush at the last fold (or at an abort).
 
     Exactness: every expression replicates the generic fold's float
-    arithmetic elementwise (numpy float64 ops are the same IEEE-754
-    operations), so committed instants are bit-identical to the scalar
-    engine.  Gate *strictness* may diverge (this session caches
-    conservative bounds where the scalar fold recomputes); that is
+    arithmetic elementwise, so committed instants are bit-identical to
+    the packet engine.  Gate *strictness* may diverge (this session caches
+    conservative bounds where the generic fold recomputes); that is
     invisible — the packet path the abort falls back to is itself
     bitwise-identical to the fold.
 
-    Known seam: the scalar fold pops a receive WR per fold and re-posts
+    Known seam: the generic fold pops a receive WR per chunk and re-posts
     it at the fold's finisher; this session leaves the queue untouched
     (the popped WR is field-for-field its own repost — UC dummies, UD
     cached staging WRs — so the rotation is unobservable).  After an
-    abort, queue *depth* can therefore transiently exceed the scalar
+    abort, queue *depth* can therefore transiently exceed the packet
     engine's until the pending finisher instants pass; a divergence would
     additionally require an RNR-drop in that window, i.e. a posted depth
     smaller than the phases in flight, which the no-RNR envelope gate
@@ -1222,7 +1104,7 @@ class _Vec1Session:
             lf = float(last_fin[j])
             if lf > now:
                 # The last folded receive is still "in flight": hold
-                # completion to its finisher instant, like the scalar fold.
+                # completion to its finisher instant, like the generic fold.
                 op_r.ff_hold += 1
                 sim.post_at(lf, self._release_hold, j)
         self.sess.vec = None

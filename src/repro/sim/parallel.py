@@ -1,19 +1,19 @@
-"""Receiver-lane kernel of the fast-forward's Allgather session.
+"""Receiver-lane kernels of the fast-forward's data fold.
 
 The hybrid fast-forward (DESIGN §6d) reduces a fault-inert multicast
 phase to float chains: per-edge busy recurrences plus per-receiver
-CQE/DMA chains.  The P−1 receiver chains of a single-chunk Allgather
-phase are independent (paper §IV-A), so the *host-level* part of that
-computation — the leaf→host edge and each receiver's worker/DMA chain —
-is one elementwise recurrence over ``[P]`` arrays, one lane per rank.
-:class:`repro.sim.fastforward._Vec1Session` advances the shared part of
-the tree (sender egress, up-link, root fan-out) and hands this kernel the
-resulting per-switch injection instants each phase.
+CQE/DMA chains.  The receiver chains are independent (paper §IV-A), so
+each is one lane of an elementwise recurrence: :func:`worker_step` is the
+one spelling of a receive worker handling one CQE, shared by the generic
+fold (``FlowFastForward._fold_receivers_vec``, ``[n_rx]`` lanes stepped
+chunk by chunk) and by :class:`ReceiverLanes`, the ``[P]``-lane state of
+the single-chunk Allgather session (``_Vec1Session``), which adds the
+leaf→host edge and hands the kernel each phase's per-switch injection
+instants.
 
-Every expression replicates the scalar fold's arithmetic elementwise —
-``numpy`` ``maximum``/add are the same IEEE-754 operations, in the same
-order per lane — so the committed instants are bit-identical to the
-per-receiver loop (DESIGN §6d exactness contract).
+``numpy`` ``maximum``/add are the same IEEE-754 operations the packet
+path evaluates, in the same order per lane, so the committed instants are
+bit-identical to it (DESIGN §6d exactness contract).
 
 Protocol
 --------
@@ -21,7 +21,7 @@ Protocol
 the new one into pending buffers.  If a gate the session evaluates after
 the kernel returns (the cutoff-deadline bound) vetoes the phase,
 ``rollback`` drops the pending buffers — no state was mutated, exactly
-like the scalar fold's gates-before-commit ordering.  ``final_state``
+like the generic fold's gates-before-commit ordering.  ``final_state``
 commits and returns the arrays for the session's flush.
 """
 
@@ -31,9 +31,21 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ReceiverLanes"]
+__all__ = ["ReceiverLanes", "worker_step"]
 
 _NEG_INF = float("-inf")
+
+
+def worker_step(a, cursor, c1: float, c2: float, ln: float, dma_bw,
+                dma_busy):
+    """One CQE per lane through the receive worker: the cursor
+    ``max(arrival, cursor) + (poll+process) + repost`` and, for UD
+    (``dma_bw`` not ``None``), the staging-DMA drain the worker issues.
+    Returns ``(cursor, dma_busy)``; UC passes ``dma_busy`` through."""
+    t = np.maximum(a, cursor) + c1 + c2
+    if dma_bw is not None:
+        dma_busy = np.maximum(t, dma_busy) + ln / dma_bw
+    return t, dma_busy
 
 
 class ReceiverLanes:
@@ -60,8 +72,7 @@ class ReceiverLanes:
         self.last_arr = np.full(n, _NEG_INF)
         self.last_fin = np.full(n, _NEG_INF)
         self.uc = dma is None
-        if dma is not None:
-            self.dma_bw, self.dma_lat, self.dma_busy = dma
+        self.dma_bw, self.dma_lat, self.dma_busy = dma or (None, None, None)
         self._pending: Optional[Tuple[np.ndarray, ...]] = None
 
     def commit(self) -> None:
@@ -97,14 +108,11 @@ class ReceiverLanes:
         ok_arr[s] = True
         if not ok_arr.all():
             return False, _NEG_INF, None
-        anchor = np.maximum(a, self.cursor)
-        t = anchor + self.c1
-        t = t + self.c2
+        t, dma_busy = worker_step(a, self.cursor, self.c1, self.c2, ln,
+                                  self.dma_bw, self.dma_busy)
         if self.uc:
             fins = t.copy()
         else:
-            d_start = np.maximum(t, self.dma_busy)
-            dma_busy = d_start + ln / self.dma_bw
             fins = dma_busy + self.dma_lat
             dma_busy[s] = self.dma_busy[s]
         hd_busy[s] = self.hd_busy[s]

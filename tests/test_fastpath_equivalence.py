@@ -283,10 +283,9 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 # Receiver-batch telemetry (cqe_batches/batched_cqes) is also excluded: a
 # folded phase never wakes the workers that would have batched.
 #
-# The default shape (P=16, 16 chunks of 4 KiB, 4-chunk allgather phases)
-# stays in the scalar receiver fold; ``n_ranks``/``chunk_size``/``nbytes``
-# move a case into the ``[n_rx]`` matrix fold or the single-chunk
-# allgather lane session (DESIGN.md §6f), which the code selects from
+# Every shape folds its receivers through one ``[n_rx]`` kernel; a
+# single-chunk allgather on a two-level tree (``n_ranks``/``chunk_size``/
+# ``nbytes``) runs the lane session (DESIGN.md §6f) instead, selected from
 # those sizes alone.
 # ---------------------------------------------------------------------------
 
@@ -414,13 +413,15 @@ def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
 
 
 def _count_calls(monkeypatch, cls, name: str) -> list:
-    """Spy on ``cls.name``: the returned list grows by one per call."""
+    """Spy on ``cls.name``: the returned list grows by one per call, by
+    the value that call returned."""
     calls = []
     real = getattr(cls, name)
 
     def spy(self, *args, **kwargs):
-        calls.append(name)
-        return real(self, *args, **kwargs)
+        out = real(self, *args, **kwargs)
+        calls.append(out)
+        return out
 
     monkeypatch.setattr(cls, name, spy)
     return calls
@@ -443,17 +444,65 @@ def test_ff_exact_lane_session_allgather(transport: str, monkeypatch) -> None:
     assert res.engine["payload_bytes_placed"] == n * (n - 1) * 1024
 
 
+@pytest.mark.parametrize("chunks,receivers", [(1, 3), (2, 7), (64, 31)],
+                         ids=["1x3", "2x7", "64x31"])
 @pytest.mark.parametrize("transport", ["ud", "uc"])
-def test_ff_exact_matrix_fold_broadcast(transport: str, monkeypatch) -> None:
-    # 64 chunks x 31 receivers >= 512: the receiver chains fold as
-    # [n_rx]-wide array ops, not the per-receiver scalar loop.
+def test_ff_exact_receiver_fold_broadcast(transport: str, chunks: int,
+                                          receivers: int, monkeypatch) -> None:
+    # One receiver kernel at every size: a one-chunk phase to three
+    # receivers and a 64 x 31 phase both fold their receiver chains as
+    # [n_rx]-wide lanes, once per folded phase.
     from repro.sim.fastforward import FlowFastForward
-    matrix = _count_calls(monkeypatch, FlowFastForward, "_fold_receivers_vec")
-    scalar = _count_calls(monkeypatch, FlowFastForward, "_fold_receiver")
-    res = _assert_ff_exact("broadcast", 0, transport=transport, n_ranks=32,
-                           chunk_size=1024, nbytes=64 * KiB)
-    assert res.engine["ff_phases"] == 1
-    assert len(matrix) == 1 and not scalar
+    folds = _count_calls(monkeypatch, FlowFastForward, "_fold_receivers_vec")
+    res = _assert_ff_exact("broadcast", 0, transport=transport,
+                           n_ranks=receivers + 1, chunk_size=1024,
+                           nbytes=chunks * 1024)
+    assert len(folds) == res.engine["ff_phases"] == 1
+
+
+@pytest.mark.parametrize("window,folds", [((1.0, 2.0), True),
+                                          ((0.0, 1e-3), False)],
+                         ids=["outside", "overlapping"])
+def test_ff_exact_receiver_fold_straggler_armed(window, folds: bool,
+                                                monkeypatch) -> None:
+    # A straggler spec installed on host 3 leaves the 64 x 31 phase in the
+    # same receiver kernel, which vetoes per receiver: a window far past
+    # the folded interval folds, one overlapping host 3's declines.
+    from repro.sim.fastforward import FlowFastForward
+    calls = _count_calls(monkeypatch, FlowFastForward, "_fold_receivers_vec")
+    spec = StragglerSpec(windows=[window], extra_poll_delay=300e-9)
+    res = _assert_ff_exact("broadcast", 0, straggler=(3, spec),
+                           expect_folds=folds, n_ranks=32, chunk_size=1024,
+                           nbytes=64 * KiB)
+    assert len(calls) == 1 and (calls[0] is not None) == folds
+    assert res.engine["ff_aborts"] == (0 if folds else 1)
+
+
+@pytest.mark.xfail(strict=True, reason="generic fold on non-two-level "
+                   "trees, ROADMAP item 2(i)")
+def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
+    # Twelve one-chunk phases fold on a dragonfly with zero-latency links
+    # and free control messages; two ranks' data/final instants come out
+    # one or two receive-cost quanta away from the packet engine.
+    from repro.core.costmodel import HostCostModel
+
+    def run(ff: str):
+        fabric = Fabric(Simulator(), Topology.dragonfly(3, 2, 2),
+                        link_latency=0.0, streams=RandomStreams(0))
+        comm = Communicator(fabric, config=CollectiveConfig(
+            chunk_size=4 * KiB, transport="uc", fast_forward=ff,
+            cost=HostCostModel(ctrl_message=0.0)))
+        rng = np.random.default_rng(0)
+        data = [rng.integers(0, 256, 4 * KiB, dtype=np.uint8)
+                for _ in range(comm.size)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
+        return res
+
+    res_ff, res_off = run("exact"), run("off")
+    assert res_ff.engine["ff_phases"] == 12
+    assert res_ff.engine["ff_aborts"] == 0
+    assert [r.phases for r in res_ff.ranks] == [r.phases for r in res_off.ranks]
 
 
 def test_ff_poisons_collective_after_fallback() -> None:

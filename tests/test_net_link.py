@@ -382,6 +382,51 @@ def test_train_is_handed_over_with_every_arrival_instant():
     assert node.handed[-1] == (0.0, pytest.approx(7e-6))
 
 
+def _transmit_at(calls, payloads, busy=0.0):
+    """Hand one packet per ``(instant, payload)`` to a clean 7 GB/s
+    channel starting from ``busy_until`` *busy*; returns the channel, the
+    finishes ``transmit`` returned and ``busy_until`` after each call."""
+    sim = Simulator()
+    ch = make_channel(sim, SinkNode(sim), bandwidth=7e9, latency=1e-6)
+    ch.busy_until = busy
+    finishes, busys = [], []
+
+    def send(n):
+        finishes.append(ch.transmit(pkt(n=n)))
+        busys.append(ch.busy_until)
+
+    for t, n in zip(calls, payloads):
+        sim.post_at(t, send, n)
+    sim.run()
+    return ch, finishes, busys
+
+
+def test_serialize_matches_transmit_on_a_backlogged_burst():
+    from repro.net.link import serialize
+
+    # Mixed wire sizes behind a 3 µs backlog, then a gap the queue drains in.
+    calls = [0.5e-6, 0.5e-6, 1e-6, 1e-6, 9e-6, 9e-6]
+    payloads = [1000, 4096, 136, 2048, 1000, 333]
+    ch, finishes, busys = _transmit_at(calls, payloads, busy=3e-6)
+    wires = [n + 64 for n in payloads]
+    assert serialize(calls, wires, ch.bandwidth, 3e-6,
+                     ch.ctrl_bypass_bytes) == finishes
+    assert busys[-1] == finishes[-1] and finishes[4] > 9e-6
+
+
+def test_serialize_bypass_packet_leaves_the_bulk_queue_alone():
+    from repro.net.link import serialize
+
+    calls = [0.0, 1e-7, 2e-7]
+    payloads = [1000, 64, 1000]  # the middle one is 128 B on the wire
+    ch, finishes, busys = _transmit_at(calls, payloads)
+    assert 64 + 64 <= ch.ctrl_bypass_bytes
+    assert serialize(calls, [n + 64 for n in payloads], ch.bandwidth, 0.0,
+                     ch.ctrl_bypass_bytes) == finishes
+    assert busys[1] == busys[0] == finishes[0]  # no bulk-lane advance
+    assert finishes[1] == 1e-7 + 128 / ch.bandwidth
+
+
 def test_switch_hop_is_one_event_at_the_per_packet_instant():
     from repro.net.switch import Switch
 

@@ -299,7 +299,8 @@ class CollectiveResult:
     #: simulator engine telemetry for this collective: events processed,
     #: coalesced trains and train packets (fast-path coverage), receive
     #: CQEs batched by the workers and stamped ahead of their arrival by
-    #: the NICs (``stamped_cqes``, DESIGN.md §6c), folded phases, the
+    #: the NICs (``stamped_cqes``, DESIGN.md §6c), receive CQEs for no
+    #: registered collective (``stray_cqes``), folded phases, the
     #: control-plane bring-up it paid (``ctrl_pairs``,
     #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``), the
     #: control phases folded (``ctrl_folds``) or declined, by gate reason
@@ -1025,6 +1026,7 @@ class Communicator:
         fabric.on_crash(self._on_fabric_crash)
         fabric.sweep_listeners.append(self._on_sm_sweep)
         self.sim.add_watchdog_diagnostic(self._watchdog_diagnostic)
+        self.sim.add_watchdog_settler(self._settle_engines)
 
     # ------------------------------------------------------------- plumbing
 
@@ -1184,6 +1186,10 @@ class Communicator:
                 {"dead_ranks": sorted(self.dead_ranks),
                  "dead_nodes": sorted(exclude)},
             )
+
+    def _settle_engines(self) -> None:
+        for engine in self.engines:
+            engine.settle()
 
     def _watchdog_diagnostic(self) -> str:
         """Per-rank state dump for the simulator hang watchdog."""
@@ -1708,6 +1714,7 @@ class Communicator:
             "cqe_batches": sum(e.cqe_batches for e in self.engines),
             "batched_cqes": sum(e.batched_cqes for e in self.engines),
             "stamped_cqes": self.fabric.total_stamped_cqes(),
+            "stray_cqes": sum(e.stray_cqes for e in self.engines),
             "ff_phases": ff.ff_phases if ff is not None else 0,
             "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
             "ff_aborts": ff.ff_aborts if ff is not None else 0,

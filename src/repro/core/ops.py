@@ -95,7 +95,6 @@ class OpState:
             "duplicates": 0,
             "recovered_chunks": 0,
             "recoveries": 0,
-            "stray_cqes": 0,
             "chunks_received": 0,
             "fetch_rounds": 0,
             "fetch_ack_timeouts": 0,

@@ -57,6 +57,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RankEngine"]
 
 
+class _CopyBatch:
+    """The DMA completions of one UD receive batch, applied in order by
+    :meth:`RankEngine.settle`: copy ``i`` lands ``slots[i]`` / ``psns[i]``
+    at ``done[i]``, with tie-break sequence number ``seq0 + i``;
+    ``next`` is the first not yet applied.  ``one_run``: the PSNs are one
+    ascending contiguous run, so any slice of them is a bitmap range."""
+
+    __slots__ = ("done", "seq0", "staging", "qp", "op", "slots", "psns",
+                 "one_run", "next")
+
+    def __init__(self, done: List[float], seq0: int, staging: StagingRing,
+                 qp, op: OpState, slots: List[int], psns: List[int],
+                 one_run: bool) -> None:
+        self.done = done
+        self.seq0 = seq0
+        self.staging = staging
+        self.qp = qp
+        self.op = op
+        self.slots = slots
+        self.psns = psns
+        self.one_run = one_run
+        self.next = 0
+
+
 class RankEngine:
     """The progress engine of one communicator rank."""
 
@@ -125,6 +149,10 @@ class RankEngine:
                 ring = StagingRing(nic_sg, cfg.staging_slots, cfg.chunk_size)
                 ring.prime(qp)
                 self.stagings.append(ring)
+                if cfg.recv_batching:
+                    # A dry queue may only look dry: re-posts of batched
+                    # copies that completed by now are still pending.
+                    qp.on_dry = self.settle
             self.sub_qps.append(qp)
 
         from repro.core.subgroups import SubgroupPlan
@@ -132,6 +160,13 @@ class RankEngine:
         #: receiver-batch telemetry, summed into CollectiveResult.engine
         self.cqe_batches = 0
         self.batched_cqes = 0
+        #: CQEs for no registered collective (e.g. a late duplicate after
+        #: release): recycled, never fatal — the RNR barrier keeps them
+        #: off the ingest side of live collectives
+        self.stray_cqes = 0
+        #: receive batches whose DMA completions are not all applied yet,
+        #: in completion order (:meth:`settle`); rarely more than two
+        self._pending: List[_CopyBatch] = []
         #: flow fast-forward: the folded receive-worker cursor.  A fold
         #: advances this rank's datapath without waking its workers; a
         #: worker that wakes for post-fold traffic must not anchor its
@@ -312,6 +347,7 @@ class RankEngine:
                         yield Timeout(self.sim, cost.recv_repost)
                         qp.post_recv_cached(self._uc_wr)
                         if op is None:
+                            self.stray_cqes += 1
                             continue
                         if op.bitmap.set(psn):
                             op.stats["chunks_received"] += 1
@@ -323,6 +359,7 @@ class RankEngine:
                     staging = self.stagings[sg]
                     assert staging is not None
                     slot = cqe.wr_id
+                    self.settle()
                     view = staging.on_cqe(slot)
                     trc = self.trace
                     if trc is not None:
@@ -330,19 +367,23 @@ class RankEngine:
                     if op is None or not op.bitmap.set(psn):
                         # Stray or duplicate chunk: recycle without copying.
                         if op is None:
-                            self._count_stray(cid)
+                            self.stray_cqes += 1
                         else:
                             op.stats["duplicates"] += 1
                         yield Timeout(self.sim, cost.recv_repost)
+                        self.settle()
                         staging.repost(slot, qp)
                         if trc is not None:
                             trc.counter("staging.hold", self.sim.now, staging.held)
                         continue
                     op.stats["chunks_received"] += 1
+                    # Counted with its bitmap bit: an earlier copy landing
+                    # while this one is being issued must not complete the
+                    # op ahead of this chunk's bytes.
+                    op.outstanding_copies += 1
                     off, ln = op.plan.bounds(psn)
                     yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
                     copy_done = self.dma.copy(view[:ln], op.mr.view(off, ln))
-                    op.outstanding_copies += 1
                     copy_done.subscribe(
                         self._make_copy_callback(op, staging, slot, qp, psn)
                     )
@@ -460,14 +501,17 @@ class RankEngine:
         the replay's own instants, because the op's last copy is still
         outstanding until past ``t_end`` and the recovery gate excluded
         every other bitmap reader.  Externally visible effects keep their
-        exact per-CQE instants: each slot's repost + ``placed`` bit ride
-        its own DMA completion callback via :meth:`DmaEngine.copy_runs`.
+        exact per-CQE instants: each slot's repost + ``placed`` bit is a
+        pending completion at its :meth:`DmaEngine.copy_runs` instant,
+        applied by :meth:`settle` — from one event at the batch's last
+        completion, or earlier by a reader that needs it.
         """
         k = len(psns)
         staging = self.stagings[sg]
         assert staging is not None
+        self.settle()
         slots = [cqe.wr_id for cqe in cqes]
-        views = staging.on_cqe_batch(slots)
+        staging.on_cqe_batch(slots)
         bitmap = op.bitmap
         i = 0
         while i < k:  # contiguous ascending PSN runs take the bulk path
@@ -478,13 +522,14 @@ class RankEngine:
                 bitmap.set_range(psns[i], j - i)
             else:
                 bitmap.set(psns[i])
+            if i == 0:
+                one_run = j == k
             i = j
         op.stats["chunks_received"] += k
         op.outstanding_copies += k
         bounds = op.plan.bounds
         mr_view = op.mr.view
         slot_size = staging.slot_size
-        done = self._batch_slot_done
         # Group adjacent slots (consecutive ring slots AND consecutive
         # full-size chunks) into spanning scatter-gather segments.
         segments = []
@@ -494,7 +539,7 @@ class RankEngine:
             psn = psns[idx]
             slot = slots[idx]
             off, ln = bounds(psn)
-            entry = (ln, issues[idx], done, (op, staging, slot, qp, psn))
+            entry = (ln, issues[idx])
             if (seg_ops
                     and slot == seg_slot0 + len(seg_ops)
                     and off == seg_off0 + seg_len
@@ -515,7 +560,12 @@ class RankEngine:
             mr_view(seg_off0, seg_len),
             seg_ops,
         ))
-        last_done = self.dma.copy_runs(segments)
+        done = self.dma.copy_runs(segments)
+        # One event stands in for the k completions; each keeps the
+        # tie-break position its own event would have had.
+        seq0 = self.sim.post_batch_at(done[-1], k, self.settle)
+        self._pending.append(
+            _CopyBatch(done, seq0, staging, qp, op, slots, psns, one_run))
         self.cqe_batches += 1
         self.batched_cqes += k
         trc = self.trace
@@ -523,19 +573,65 @@ class RankEngine:
             now = self.sim.now
             trc.instant("cq.batch", now, {"cqes": k})
             trc.counter("staging.hold", now, staging.held)
-            trc.complete("dma.copy_runs", issues[0], last_done - issues[0],
+            trc.complete("dma.copy_runs", issues[0], done[-1] - issues[0],
                          {"copies": k, "segments": len(segments)})
 
-    def _batch_slot_done(self, op: OpState, staging: StagingRing, slot: int,
-                         qp, psn: int) -> None:
-        """DMA-completion bookkeeping for one batched slot, at the exact
-        per-op completion instant (scheduled by :meth:`DmaEngine.copy_runs`
-        as a bound method + args — no per-slot closure allocation)."""
-        staging.repost(slot, qp)
-        op.outstanding_copies -= 1
-        op.placed.set(psn)
-        if self.trace is not None:
-            self.trace.counter("staging.hold", self.sim.now, staging.held)
+    def settle(self) -> None:
+        """Apply every pending batched DMA completion the event loop has
+        reached — due at an earlier instant, or at this one with a smaller
+        sequence number than the event firing now — in completion order:
+        re-post the staging WR, drop the op's outstanding copy, set the
+        ``placed`` bit, maybe complete the op.
+
+        Called by the batch's own event at its last completion, and first
+        by whichever reader would otherwise see state those completions
+        change: the NIC finding the receive queue dry
+        (:attr:`QueuePair.on_dry`), a neighbour's fetch or degrade scan
+        reading ``placed``, the fold's queue-depth gates, the watchdog,
+        and this rank's worker before it touches a staging ring.
+        ``data_done`` needs no reader: a batch's last completion is its
+        own event's, so ``outstanding_copies`` reaches zero on time.
+        """
+        pend = self._pending
+        sim = self.sim
+        now = sim._now
+        fired = sim._fired
+        while pend:
+            batch = pend[0]
+            done = batch.done
+            n = len(done)
+            i = j = batch.next
+            seq = batch.seq0 + j
+            while j < n and (done[j] < now or (done[j] == now and seq <= fired)):
+                j += 1
+                seq += 1
+            if j > i:
+                self._complete_copies(batch, i, j)
+            if j < n:
+                batch.next = j
+                return
+            del pend[0]
+
+    def _complete_copies(self, batch: "_CopyBatch", i: int, j: int) -> None:
+        """Completions ``[i, j)`` of *batch*, in one pass: the effects of
+        ``j - i`` per-copy callbacks, each traced at its own instant."""
+        n = j - i
+        staging = batch.staging
+        staging.repost_batch(batch.slots[i:j], batch.qp)
+        op = batch.op
+        op.outstanding_copies -= n
+        if batch.one_run:
+            op.placed.set_range(batch.psns[i], n)
+        else:
+            for psn in batch.psns[i:j]:
+                op.placed.set(psn)
+        trc = self.trace
+        if trc is not None:
+            held = staging.held + n
+            for when in batch.done[i:j]:
+                held -= 1
+                trc.counter("staging.hold", when, held)
+        self.sim.progress += n - 1  # maybe_complete counts the last one
         op.maybe_complete()
 
     def _uc_replay(self, qp, psn: int, cid: int) -> None:
@@ -545,6 +641,7 @@ class RankEngine:
         qp.post_recv_cached(self._uc_wr)
         op = self.ops.get(cid)
         if op is None:
+            self.stray_cqes += 1
             return
         if op.bitmap.set(psn):
             op.stats["chunks_received"] += 1
@@ -569,12 +666,6 @@ class RankEngine:
             op.maybe_complete()
 
         return _on_copy
-
-    def _count_stray(self, cid: int) -> None:
-        # A chunk for an unknown collective (e.g. a late duplicate after
-        # release); the RNR barrier prevents this on the ingest side, so
-        # it is only counted, never fatal.
-        self.stray_cqes = getattr(self, "stray_cqes", 0) + 1
 
     # ----------------------------------------------------------- send worker
 
@@ -791,8 +882,9 @@ class RankEngine:
             yield Timeout(
                 self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth
             )
-            peer_op = self.comm.engines[peer].ops.get(op.coll_id)
-            runs = self._fetchable_runs(op, peer_op)
+            peer_engine = self.comm.engines[peer]
+            peer_engine.settle()  # its placed bits, as of now
+            runs = self._fetchable_runs(op, peer_engine.ops.get(op.coll_id))
             if runs:
                 got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
                 if got:
@@ -1337,12 +1429,14 @@ class RankEngine:
                 dead_ranges.append((peer_op.send_lo, peer_op.send_hi))
         if not dead_ranges:
             return
-        surv_ops = [
-            o for o in (
-                self.comm.engines[s].ops.get(op.coll_id)
-                for s in survivors if s != self.rank
-            ) if o is not None
-        ]
+        surv_ops = []
+        for s in survivors:
+            if s != self.rank:
+                peer_engine = self.comm.engines[s]
+                peer_engine.settle()  # its placed bits, as of now
+                o = peer_engine.ops.get(op.coll_id)
+                if o is not None:
+                    surv_ops.append(o)
         voided = 0
         for start, count in op.bitmap.missing_runs():
             for lo, hi in dead_ranges:

@@ -95,23 +95,21 @@ class StagingRing:
             self._posted_count += len(wrs)
         return len(wrs)
 
-    def on_cqe_batch(self, slots) -> list:
-        """Bulk :meth:`on_cqe`: mark every slot held, return their views.
+    def on_cqe_batch(self, slots) -> None:
+        """Bulk :meth:`on_cqe`: mark every slot held.
 
         The receiver-batch fast path consumes a whole CQE train in one
-        wake; marking the train's slots held in one call keeps the
-        occupancy counters O(1) per batch instead of O(1) per slot."""
-        views = []
+        wake and copies out of the ring by spans, not per-slot views;
+        marking the train's slots held in one call keeps the occupancy
+        counters O(1) per batch instead of O(1) per slot."""
         state = self._state
         for slot in slots:
             self._check(slot)
             if state[slot] != _POSTED:
                 raise RuntimeError(f"slot {slot} completed but was not posted")
             state[slot] = _HELD
-            views.append(self.slot_view(slot))
-        self._posted_count -= len(views)
-        self._held_count += len(views)
-        return views
+        self._posted_count -= len(slots)
+        self._held_count += len(slots)
 
     def on_cqe(self, slot: int) -> np.ndarray:
         """Mark *slot* as held by the datapath; returns its memory view."""
@@ -125,14 +123,23 @@ class StagingRing:
 
     def repost(self, slot: int, qp: QueuePair) -> None:
         """Return a held slot to the receive queue (after its DMA drained)."""
-        self._check(slot)
-        if self._state[slot] != _HELD:
-            raise RuntimeError(f"slot {slot} reposted but was not held")
-        qp.post_recv_cached(self._wrs[slot])
-        self._state[slot] = _POSTED
-        self._held_count -= 1
-        self._posted_count += 1
-        self.reposts += 1
+        self.repost_batch((slot,), qp)
+
+    def repost_batch(self, slots, qp: QueuePair) -> None:
+        """:meth:`repost` for a run of held slots at one instant, in order:
+        one bulk WR post and O(1) occupancy updates per batch."""
+        state = self._state
+        for slot in slots:
+            self._check(slot)
+            if state[slot] != _HELD:
+                raise RuntimeError(f"slot {slot} reposted but was not held")
+            state[slot] = _POSTED
+        wrs = self._wrs
+        qp.post_recv_cached_batch([wrs[slot] for slot in slots])
+        n = len(slots)
+        self._held_count -= n
+        self._posted_count += n
+        self.reposts += n
 
     def slot_view(self, slot: int, length: int | None = None) -> np.ndarray:
         self._check(slot)

@@ -8,11 +8,13 @@ staging-to-user movement; the paper quotes 1–3 µs PCIe latency per copy.
 :class:`DmaEngine` models exactly that: a FIFO engine with finite bandwidth
 and a fixed per-op latency.  ``copy()`` returns an event that fires when
 the bytes have landed; the data is physically moved at completion time.
+``copy_runs()`` is the receive-batch form: it returns the completion
+instants and leaves what happens at them to the caller.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -23,14 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 __all__ = ["DmaEngine"]
-
-
-def _place_and_call(src: np.ndarray, dst: np.ndarray, cb, *args) -> None:
-    """First completion of a coalesced run: land the whole span, then run
-    the first slot's bookkeeping (span placement precedes any ``placed``
-    bit of the run, so remote readers never see stale bytes)."""
-    dst[:] = src
-    cb(*args)
 
 
 class DmaEngine:
@@ -86,54 +80,42 @@ class DmaEngine:
         self.sim.post_at(finish + self.latency, _complete)
         return done
 
-    def copy_runs(self, segments) -> float:
+    def copy_runs(self, segments) -> List[float]:
         """Scatter-gather batch: queue many copies with pre-computed issue
         instants, coalescing the data movement of adjacent slots.
 
         ``segments`` is a sequence of ``(src, dst, ops)`` where ``src`` /
         ``dst`` are spanning views over a run of adjacent staging slots /
-        user-buffer chunks, and ``ops`` is a list of per-slot
-        ``(nbytes, issue_time, callback, args)`` tuples in issue order
-        (issue times non-decreasing across the whole call).  ``callback``
-        is invoked as ``callback(*args)`` — passing a bound method plus an
-        args tuple avoids a closure allocation per op on the hot path.
+        user-buffer chunks, and ``ops`` lists the run's per-slot
+        ``(nbytes, issue_time)`` pairs in issue order (issue times
+        non-decreasing across the whole call).
 
-        Virtual-time behaviour is **bit-identical** to calling
+        Returns every op's completion instant, in op order — a pure chain
+        that posts no event.  The instants are **bit-identical** to calling
         :meth:`copy` once per op at its ``issue_time``: the engine chain
         (``start = max(issue, busy_until)``, ``finish = start + n/bw``)
-        replays the exact float sequence, and each op's ``callback`` runs
-        at its own ``finish + latency`` instant.  Only the data movement
-        is coalesced: a segment's whole span is placed at the segment's
-        *first* completion — early, never late, which is safe because
-        readers gate on per-chunk ``placed`` bits that the callbacks set
-        at the exact per-op instants.
-
-        Returns the completion instant of the last op.
+        replays the exact float sequence.  Each span's bytes move now, at
+        issue — early, never late, which is safe because readers gate on
+        per-chunk ``placed`` bits the caller sets at the returned instants.
         """
         bw = self.bandwidth
         lat = self.latency
         busy = self.busy_until
-        post = self.sim.post_at
-        n_ops = 0
+        done: List[float] = []
         total = 0
         for src, dst, ops in segments:
             if src.nbytes != dst.nbytes:
                 raise ValueError(f"size mismatch: {src.nbytes} != {dst.nbytes}")
-            first = True
-            for nbytes, when, cb, args in ops:
+            dst[:] = src
+            for nbytes, when in ops:
                 start = when if when > busy else busy
                 busy = start + nbytes / bw
                 total += nbytes
-                n_ops += 1
-                if first:
-                    post(busy + lat, _place_and_call, src, dst, cb, *args)
-                    first = False
-                else:
-                    post(busy + lat, cb, *args)
+                done.append(busy + lat)
         self.busy_until = busy
         self.bytes_copied += total
-        self.ops += n_ops
-        return busy + lat
+        self.ops += len(done)
+        return done
 
     @property
     def queue_depth_time(self) -> float:

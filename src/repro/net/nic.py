@@ -34,7 +34,7 @@ import collections
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -328,7 +328,8 @@ class QueuePair(_ReceiveQueue):
     """
 
     __slots__ = ("nic", "qpn", "transport", "send_cq", "recv_cq", "srq",
-                 "peer", "mcast_groups", "rnr_drops", "batch_delivery")
+                 "peer", "mcast_groups", "rnr_drops", "batch_delivery",
+                 "on_dry")
 
     def __init__(
         self,
@@ -367,6 +368,11 @@ class QueuePair(_ReceiveQueue):
         #: this one QP — a multi-QP worker must observe cross-QP arrival
         #: interleaving, which early CQEs would reorder.
         self.batch_delivery = False
+        #: called when a UD receive finds the queue empty, before the NIC
+        #: acts on it: the owner applies re-posts it has deferred to
+        #: instants already reached (the progress engine's batched DMA
+        #: completions).  ``None`` when nothing is ever deferred.
+        self.on_dry: Optional[Callable[[], None]] = None
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: build the default CQ lazily.
@@ -853,6 +859,8 @@ class Nic:
         if qp is None or not qp.batch_delivery:
             return False
         queue = qp.recv_queue
+        if not queue and qp.on_dry is not None:
+            qp.on_dry()
         if not queue:
             return False
         n = packet.payload_len
@@ -946,6 +954,8 @@ class Nic:
 
     def _deliver_ud(self, qp: QueuePair, packet: Packet) -> None:
         trc = self.trace
+        if not qp.recv_queue and qp.on_dry is not None:
+            qp.on_dry()
         if not qp.recv_queue:
             qp.rnr_drops += 1
             self.rnr_drops += 1

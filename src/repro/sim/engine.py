@@ -140,6 +140,11 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now: float = float(start_time)
         self._seq: int = 0
+        #: `seq` of the event firing now (or last fired): with `_now` it is
+        #: the loop's position in the total (time, seq) order, which
+        #: :meth:`post_batch_at` callers compare their lazily applied
+        #: entries against.
+        self._fired: int = 0
         # Heap of (time, seq, event).  `seq` breaks ties deterministically.
         self._queue: List[Tuple[float, int, Any]] = []
         self._running = False
@@ -160,6 +165,7 @@ class Simulator:
         self._wd_last_progress: int = -1
         self._wd_armed = False
         self._wd_diagnostics: List[Callable[[], str]] = []
+        self._wd_settlers: List[Callable[[], None]] = []
         self._wd_trace: Optional[Any] = None
 
     # ------------------------------------------------------------------ clock
@@ -194,6 +200,26 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {when} < now {self._now}")
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (when, seq, _Callback(fn, args)))
+
+    def post_batch_at(self, when: float, k: int, fn: Callable[..., Any],
+                      *args: Any) -> int:
+        """Post ``fn(*args)`` at ``when`` in the tie-break position the
+        last of ``k`` back-to-back :meth:`post_at` calls would take, and
+        return the first of the ``k`` sequence numbers reserved.
+
+        For a caller that stands one event in for ``k`` completions due at
+        or before ``when``: completion *i* keeps sequence number
+        ``first + i`` and counts as reached once ``(when_i, first + i) <=
+        (_now, _fired)``, so a reader that applies due completions early
+        sees exactly what ``k`` separate events would have left, and no
+        other event's tie-break moves.
+        """
+        if when < self._now:
+            raise SimulationError(f"cannot schedule at {when} < now {self._now}")
+        first = self._seq + 1
+        self._seq = seq = self._seq + k
+        heapq.heappush(self._queue, (when, seq, _Callback(fn, args)))
+        return first
 
     def post_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Invoke ``fn(*args)`` after ``delay`` seconds — fire-and-forget."""
@@ -252,6 +278,12 @@ class Simulator:
         """Register a callable whose string output joins the hang report."""
         self._wd_diagnostics.append(provider)
 
+    def add_watchdog_settler(self, settle: Callable[[], None]) -> None:
+        """Register a callable each watchdog check runs first, so progress
+        a model applies lazily (:meth:`post_batch_at`) is counted by the
+        instant it is due, not by when a reader happens to apply it."""
+        self._wd_settlers.append(settle)
+
     def install_watchdog(self, interval: float, trace: Optional[Any] = None) -> None:
         """Arm the hang watchdog: every ``interval`` virtual seconds, verify
         that :meth:`note_progress` was called since the previous check.
@@ -279,6 +311,8 @@ class Simulator:
             # rather than keep the queue alive forever.
             self._wd_armed = False
             return
+        for settle in self._wd_settlers:
+            settle()
         if self.progress == self._wd_last_progress:
             report = self.watchdog_report()
             if self._wd_trace is not None:
@@ -323,7 +357,7 @@ class Simulator:
         """Process the single next event; returns its timestamp."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, self._fired, event = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
         if self.trace_hook is not None:
@@ -356,12 +390,14 @@ class Simulator:
                     while queue:
                         entry = heappop(queue)
                         self._now = entry[0]
+                        self._fired = entry[1]
                         processed += 1
                         entry[2]._fire()
                 else:
                     while queue:
                         entry = heappop(queue)
                         self._now = entry[0]
+                        self._fired = entry[1]
                         processed += 1
                         hook(entry[0])
                         entry[2]._fire()
@@ -369,11 +405,13 @@ class Simulator:
                 while queue:
                     if until is not None and queue[0][0] > until:
                         self._now = until
+                        self._fired = self._seq  # every entry <= until ran
                         break
                     if max_events is not None and processed >= max_events:
                         break
                     entry = heappop(queue)
                     self._now = entry[0]
+                    self._fired = entry[1]
                     processed += 1
                     if hook is not None:
                         hook(entry[0])
@@ -383,6 +421,7 @@ class Simulator:
             self.events_processed += processed
         if until is not None and not self._queue and self._now < until:
             self._now = until
+            self._fired = self._seq
         return self._now
 
     def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
@@ -440,6 +479,7 @@ class Simulator:
                         )
                     entry = heappop(queue)
                     self._now = entry[0]
+                    self._fired = entry[1]
                     processed += 1
                     entry[2]._fire()
             else:
@@ -453,6 +493,7 @@ class Simulator:
                         raise SimulationError(f"horizon {until} reached with events pending")
                     entry = heappop(queue)
                     self._now = entry[0]
+                    self._fired = entry[1]
                     processed += 1
                     if hook is not None:
                         hook(entry[0])

@@ -435,6 +435,7 @@ class FlowFastForward:
             # No-RNR gate: the NIC consumes one posted WR per arrival, and
             # the fold's own reposts all land after its last arrival — so
             # the currently posted depth alone must cover the fold.
+            e.settle()
             if n > len(qp.recv_queue):
                 return None
             rx = sess.rx.get(rank)
@@ -874,6 +875,8 @@ class _Vec1Session:
         # --- hoisted per-phase gates --------------------------------------
         cost = engine.cost
         self.sb1 = cost.send_batch(1)
+        for e in self.engines:
+            e.settle()
         self.init_min_qlen = min(len(qp.recv_queue) for qp in self.qps)
         if self.init_min_qlen < 1:
             return None

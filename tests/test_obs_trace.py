@@ -55,7 +55,7 @@ def _lossy(s: str, d: str) -> FaultSpec:
 
 
 def _make_comm(seed: int = SEED, lossy: bool = True, traced: bool = True,
-               coalescing: bool = True) -> Communicator:
+               coalescing: bool = True, batching: bool = True) -> Communicator:
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -68,7 +68,8 @@ def _make_comm(seed: int = SEED, lossy: bool = True, traced: bool = True,
         fabric.set_fault_all(_lossy)
     return Communicator(
         fabric,
-        config=CollectiveConfig(chunk_size=4096, transport="ud"),
+        config=CollectiveConfig(chunk_size=4096, transport="ud",
+                                recv_batching=batching),
         trace=TraceConfig() if traced else None,
     )
 
@@ -250,6 +251,19 @@ def test_metric_timelines(lossy_traced):
     assert any(u > 0 for _, u in util), "busy link shows zero utilization"
     occ = view.staging_occupancy(1)
     assert occ and all(v >= 0 for _, v in occ)
+    assert res.engine["cqe_batches"] > 0
+    # One sample per DMA completion, at its instant, although a receive
+    # batch posts one event for all of its copies: the instants where the
+    # held count steps down are the per-CQE reference's copy completions.
+    ref = _bcast(_make_comm(batching=False)).trace.staging_occupancy(1)
+
+    def releases(series):
+        return [t for (_, before), (t, v) in zip(series, series[1:])
+                if v < before]
+
+    assert releases(occ) == releases(ref)
+    assert len(releases(occ)) == res.ranks[1].counters["chunks_received"]
+    assert occ[-1][1] == 0.0
     out = view.outstanding_batches(0)  # rank 0 is the broadcast sender
     assert out and max(v for _, v in out) >= 1
     retries = view.retry_events()

@@ -4,23 +4,30 @@ The end-to-end bit-equivalence battery lives in
 ``test_fastpath_equivalence.py``; this file covers the building blocks
 (``wake_at``, passive parking, ``copy_runs``, bitmap ranges, bulk staging
 and WR posting), the WR-exhaustion fallback, multicast fan-out ``ctx``
-isolation, and the observability contracts (zero perturbation, telemetry
-reconciliation).
+isolation, the lazily settled batch completions and their readers, stray
+CQE accounting, and the observability contracts (zero perturbation,
+telemetry reconciliation).
 """
 
 from __future__ import annotations
+
+import collections
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.bitmap import Bitmap
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.costmodel import HostCostModel
+from repro.core.progress import RankEngine
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
 from repro.net.fabric import Fabric
 from repro.net.faults import StragglerSpec
-from repro.net.nic import RecvWR, Transport
-from repro.net.packet import Packet, PacketKind, PacketTrain
+from repro.net.link import FaultSpec
+from repro.net.nic import CompletionQueue, RecvWR, Transport
+from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
 from repro.net.topology import Topology
 from repro.obs import TraceConfig
 from repro.sim.engine import Simulator
@@ -120,44 +127,33 @@ def test_copy_runs_matches_sequential_copy_bit_for_bit():
         off += nbytes
     sim_a.run()
 
-    # Batched: same schedule through copy_runs as one span segment.
+    # Batched: same schedule through copy_runs as one span segment — a
+    # pure chain that returns the instants and posts nothing.
     sim_b = Simulator()
     eng_b = DmaEngine(sim_b)
     src_b = src_a.copy()
     dst_b = np.zeros(total, dtype=np.uint8)
-    done_b = []
-
-    def record(_):
-        done_b.append(sim_b.now)
-
-    ops = [(nbytes, when, record, (None,)) for nbytes, when in sched]
-    last = eng_b.copy_runs([(src_b, dst_b, ops)])
-    sim_b.run()
+    done_b = eng_b.copy_runs([(src_b, dst_b, list(sched))])
+    assert not sim_b._queue
 
     assert done_b == done_a  # exact float equality, op for op
-    assert last == done_a[-1]
     assert eng_b.busy_until == eng_a.busy_until
     assert eng_b.bytes_copied == eng_a.bytes_copied == total
     assert eng_b.ops == eng_a.ops == len(sched)
     assert np.array_equal(dst_b, src_b)
 
 
-def test_copy_runs_places_span_at_first_completion():
+def test_copy_runs_places_span_at_issue():
     sim = Simulator()
     eng = DmaEngine(sim)
     src = np.full(8192, 7, dtype=np.uint8)
     dst = np.zeros(8192, dtype=np.uint8)
-    snapshots = []
-
-    def peek(_):
-        snapshots.append(dst.copy())
-
-    ops = [(4096, 0.0, peek, (None,)), (4096, 0.0, peek, (None,))]
-    eng.copy_runs([(src, dst, ops)])
-    sim.run()
-    # Whole span already landed when the FIRST op's callback ran.
-    assert np.array_equal(snapshots[0], src)
-    assert len(snapshots) == 2
+    done = eng.copy_runs([(src, dst, [(4096, 1e-6), (4096, 1e-6)])])
+    # The whole span landed at the call, before either completion instant
+    # (early, never late: readers gate on the caller's placed bits).
+    assert np.array_equal(dst, src)
+    assert sim.now < done[0] < done[1]
+    assert eng.busy_until + eng.latency == done[1]
 
 
 def test_copy_runs_rejects_size_mismatch():
@@ -203,8 +199,7 @@ def test_on_cqe_batch_bulk_hold():
     _, nic, qp = _ud_qp()
     ring = StagingRing(nic, n_slots=8, slot_size=64)
     assert ring.prime(qp) == 8
-    views = ring.on_cqe_batch([0, 3, 4])
-    assert len(views) == 3 and all(v.nbytes == 64 for v in views)
+    ring.on_cqe_batch([0, 3, 4])
     assert ring.held == 3 and ring.posted == 5
     with pytest.raises(RuntimeError):
         ring.on_cqe_batch([3])  # already held
@@ -309,6 +304,190 @@ def test_wr_exhaustion_mid_train_falls_back_per_cqe():
     assert res_b.reliability_summary() == res_s.reliability_summary()
     assert res_b.duration == res_s.duration
     assert res_b.t_end == res_s.t_end
+
+
+# ------------------------------------- lazily settled batch completions
+#
+# A UD receive batch posts one engine event, at its last DMA completion;
+# each completion's effects (re-post, placed bit, outstanding copy) are
+# applied by that event or earlier by a reader that needs them.  Every
+# case runs batched against the per-CQE reference and demands identical
+# phases, RNR drops and CQ sequences, and a spy on RankEngine.settle
+# shows the early path was taken.
+
+NIC_READERS = ("_deliver_ud", "_receive_stamped")
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Completions each settle caller applied, keyed by the calling
+    function; entries due exactly now are also counted under
+    ``(caller, "tie-applied" | "tie-deferred")``."""
+    seen = collections.Counter()
+    settle = RankEngine.settle
+
+    def pending(engine):
+        return [(batch.done[i], batch.seq0 + i) for batch in engine._pending
+                for i in range(batch.next, len(batch.done))]
+
+    def spy(engine):
+        caller = sys._getframe(1).f_code.co_name
+        now, fired = engine.sim.now, engine.sim._fired
+        before = pending(engine)
+        for when, seq in before:
+            if when == now:
+                seen[caller, "tie-applied" if seq <= fired
+                     else "tie-deferred"] += 1
+        settle(engine)
+        applied = len(before) - len(pending(engine))
+        if applied:
+            seen[caller] += applied
+
+    monkeypatch.setattr(RankEngine, "settle", spy)
+    return seen
+
+
+@pytest.fixture
+def cq_log(monkeypatch):
+    """Every CQ's pushes as ``(wr_id, src, imm, timestamp)``, by CQ name."""
+    log = collections.defaultdict(list)
+    push_at = CompletionQueue.push_at
+
+    def spy(cq, cqe, t):
+        log[cq.name].append((cqe.wr_id, cqe.src, cqe.imm, t))
+        push_at(cq, cqe, t)
+
+    monkeypatch.setattr(CompletionQueue, "push_at", spy)
+    return log
+
+
+def _ud_bcast(batching, cq_log, topology, nchunks, fabric_kw=None,
+              dma=None, fault=None, **cfg):
+    """One UD broadcast; returns what must match the per-CQE reference."""
+    cq_log.clear()
+    sim = Simulator()
+    fabric = Fabric(sim, topology, streams=RandomStreams(0),
+                    **(fabric_kw or {"link_bandwidth": gbit_per_s(56)}))
+    if fault is not None:
+        fabric.set_fault_all(lambda s, d: fault)
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=4096, recv_batching=batching, **cfg))
+    if dma is not None:
+        for e in comm.engines:
+            e.dma = DmaEngine(sim, **dma)
+    data = np.arange(nchunks * 4096, dtype=np.uint8) % 251
+    res = comm.broadcast(0, data)
+    assert res.verify_broadcast(data)
+    return {"phases": [r.phases for r in res.ranks],
+            "rnr_drops": fabric.total_rnr_drops(),
+            "reliability": res.reliability_summary(),
+            "cqs": dict(cq_log)}, res
+
+
+def _vs_per_cqe(cq_log, settled, **kw):
+    ref, _ = _ud_bcast(False, cq_log, **kw)
+    assert not settled  # the reference defers nothing
+    got, res = _ud_bcast(True, cq_log, **kw)
+    assert got == ref
+    assert res.engine["cqe_batches"] > 0
+    return got, res
+
+
+def test_dry_queue_settles_due_reposts(cq_log, settled):
+    """RNR regime: a 4-slot ring runs dry while batched copies are still
+    completing, so the NIC settles the re-posts already due before it
+    decides to drop."""
+    got, _ = _vs_per_cqe(cq_log, settled, topology=Topology.leaf_spine(16, 2, 2),
+                         nchunks=16, staging_slots=4)
+    assert got["rnr_drops"] > 0
+    assert sum(settled[r] for r in NIC_READERS) > 0
+
+
+def test_fetch_settles_neighbour_placed_bits(cq_log, settled):
+    """A lossy broadcast with a copy engine slower than the wire and an
+    eager cutoff: recoveries read neighbours' ``placed`` bits while those
+    neighbours' batched copies are still landing."""
+    got, _ = _vs_per_cqe(cq_log, settled, topology=Topology.leaf_spine(16, 2, 2),
+                         nchunks=64, dma={"bandwidth": 2.0 ** 32},
+                         fault=FaultSpec(drop_prob=0.01),
+                         cutoff_alpha=20e-6, adaptive_cutoff=False)
+    assert got["reliability"]["recoveries"] > 0
+    assert settled["_fetch_attempt"] > 0
+
+
+#: one wire slot: a 4096 B chunk plus 64 B of header at 4160 * 2**20 B/s.
+#: Copies take one slot too and every cost is dyadic, so DMA completions
+#: and packet arrivals land on exactly the same instants.
+_W = 2.0 ** -20
+_TIE = dict(topology=Topology.star(2), nchunks=16,
+            fabric_kw={"link_bandwidth": 4160 * 2 ** 20, "link_latency": 0.0,
+                       "switch_delay": 0.0},
+            dma={"bandwidth": 2.0 ** 32, "latency": _W},
+            cost=HostCostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                               ctrl_message=4 * _W))
+
+
+@pytest.mark.parametrize("slots, reader, side", [
+    # the arrival event precedes the completion's slot: an RNR drop
+    (2, "_deliver_ud", "tie-deferred"),
+    # the completion precedes the worker's next batch: its slot is free
+    (4, "_apply_ud_batch", "tie-applied"),
+])
+def test_same_instant_tie_resolves_in_event_order(cq_log, settled, slots,
+                                                  reader, side):
+    _vs_per_cqe(cq_log, settled, staging_slots=slots, **_TIE)
+    assert settled[reader, side] > 0
+
+
+@pytest.mark.parametrize("batching", [False, True])
+def test_copy_in_issue_keeps_op_open(batching):
+    """Regression: the per-CQE path counted a copy only once it was issued,
+    so an earlier copy landing while the last chunk's copy was being
+    issued completed the op with that chunk's bytes still in staging."""
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.star(4), link_bandwidth=2.0 ** 31,
+                    link_latency=0.0, switch_delay=0.0,
+                    streams=RandomStreams(0))
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=4096, staging_slots=8, recv_batching=batching))
+    for e in comm.engines:
+        e.dma = DmaEngine(sim, bandwidth=2.0 ** 32, latency=2.0 ** -20)
+    data = np.arange(64 * KiB, dtype=np.uint8) % 251
+    assert comm.broadcast(0, data).verify_broadcast(data)
+
+
+# ------------------------------------------------------------- stray CQEs
+
+
+@pytest.mark.parametrize("transport", ["ud", "uc"])
+def test_late_duplicate_after_release_counts_one_stray(transport):
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.star(4), link_bandwidth=gbit_per_s(56),
+                    streams=RandomStreams(0))
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=4096, transport=transport))
+    data = np.arange(8 * KiB, dtype=np.uint8)
+    first = comm.broadcast(0, data)
+    assert first.engine["stray_cqes"] == 0
+    rx = comm.engines[1]
+    qp = rx.sub_qps[0]
+    # Chunk 0 of the released collective (a fresh communicator's first
+    # id is 0), multicast once more.
+    dup = Packet(src=comm.host_of(0), dst=MCAST_FLAG + comm.mcast_gids[0],
+                 kind=PacketKind.UD_SEND if transport == "ud"
+                 else PacketKind.UC_WRITE,
+                 payload=data[:4096], payload_len=4096,
+                 imm=comm.imm.encode(0, 0))
+    if transport == "uc":
+        # Aimed at a live zero-length region: only the immediate lands.
+        dup.payload, dup.payload_len = None, 0
+        dup.ctx = {"remote_key": rx._uc_wr.mr_key, "remote_offset": 0}
+    sim.post_at(sim.now + 1e-6, rx.nic.receive, dup, None)
+    second = comm.broadcast(0, data)
+    assert second.verify_broadcast(data)
+    assert second.engine["stray_cqes"] == 1
+    assert rx.stray_cqes == 1
+    assert len(qp.recv_queue) == comm.config.staging_slots  # recycled
 
 
 # ------------------------------- satellite 4: observability contracts

@@ -17,9 +17,10 @@ replaces: O(packets) event simulation with O(links) arithmetic.
 Entry modes:
 
 * ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
-  allgather at 1024 AND 4096 hosts, a 1024-host composed INC allreduce
-  that must fold both phases, an ag4096/ag1024 wall-clock
-  scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
+  allgather at 1024 AND 4096 hosts, a 1024-host allgather of four chunks
+  per rank that must stay within 4x the wall of the one-chunk row, a
+  1024-host composed INC allreduce that must fold both phases, an
+  ag4096/ag1024 wall-clock scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
   the whole process, and ``ff_phases`` / ``ctrl_folds`` assertions that
   fail loudly if the data fold or the control-plane fold (barrier +
   handshake, DESIGN.md §6i) silently disengages.  The result table is
@@ -103,13 +104,14 @@ def run_broadcast(n_hosts: int, mode: str,
 
 def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
-                  cutoff_alpha: float = 10e-3) -> Dict[str, object]:
+                  cutoff_alpha: float = 10e-3,
+                  chunk: Optional[int] = None) -> Dict[str, object]:
     ff, coalescing = MODES[mode]
     t_setup = time.perf_counter()
     fabric = make_fabric(n_ranks, mtu=4096)
     fabric.set_coalescing(coalescing)
     cfg = CollectiveConfig(
-        chunk_size=per_rank,
+        chunk_size=chunk or per_rank,
         transport="uc",
         fast_forward=ff,
         # The chain-serialized allgather is activation-latency bound; the
@@ -212,8 +214,8 @@ def full_sweep(bcast_hosts: List[int], ag_hosts: List[int]) -> int:
 
 def smoke(budget_s: float) -> int:
     """CI scaling-smoke: folded broadcast + allgather at 1024 AND 4096
-    hosts, a folded 1024-host allreduce, a wall-clock budget, and
-    fold-engagement assertions.
+    hosts, a four-chunk-per-rank 1024-host allgather, a folded 1024-host
+    allreduce, a wall-clock budget, and fold-engagement assertions.
 
     The 4096-host rows are the headline: the allgather chain is O(P) folds, so quadrupling the rank count must
     cost far less than the 16x a quadratic engine would pay.  Both
@@ -225,9 +227,7 @@ def smoke(budget_s: float) -> int:
     4 MiB gather image, not 4096 receive buffers of 4 MiB (16 GiB).  The
     4096-host broadcast runs 4 MiB: a rank's receive ring is one cached
     WR posted ``staging_slots`` times (DESIGN.md §6g), where 4096 x 1024
-    receive WR objects used to stand in front of the run.  It stops short
-    of 8 MiB because of the fold's per-edge arrival lists (hosts x chunks
-    floats, ROADMAP item 2), not payload and no longer bring-up; the
+    receive WR objects used to stand in front of the run.  The
     process-wide RSS budget is asserted at the end.
     """
     t0 = time.perf_counter()
@@ -267,6 +267,20 @@ def smoke(budget_s: float) -> int:
         failures.append(
             f"allgather folded {a['ff_phases']}/1024 phases — "
             "eligibility gates are rejecting clean phases")
+
+    # Four 1 KiB chunks per rank: the same session folds a multi-chunk
+    # phase, so it costs the same O(P) events and a small constant factor
+    # more wall, not one event per receiver per phase.
+    a4 = run_allgather(1024, "exact", per_rank=4 * KiB, chunk=KiB,
+                       cutoff_alpha=100e-3)
+    row("allgather", 1024, a4, note="4x1KiB")
+    if a4["ff_phases"] != 1024:
+        failures.append(
+            f"4-chunk allgather folded {a4['ff_phases']}/1024 phases")
+    if a4["wall_s"] > 4.0 * a["wall_s"]:
+        failures.append(
+            f"4-chunk allgather wall {a4['wall_s']:.2f}s > 4x the 1-chunk "
+            f"row's {a['wall_s']:.2f}s — multi-chunk phases left the session")
 
     # Composed allreduce: the INC reduce-scatter pass and all 1024
     # allgather phases fold.

@@ -300,7 +300,9 @@ class CollectiveResult:
     #: coalesced trains and train packets (fast-path coverage), receive
     #: CQEs batched by the workers and stamped ahead of their arrival by
     #: the NICs (``stamped_cqes``, DESIGN.md §6c), receive CQEs for no
-    #: registered collective (``stray_cqes``), folded phases, the
+    #: registered collective (``stray_cqes``), data phases folded
+    #: (``ff_phases``) or declined, by gate reason (``ff_misses``, a
+    #: ``{reason: count}`` dict summing to ``ff_aborts``; DESIGN.md §6d), the
     #: control-plane bring-up it paid (``ctrl_pairs``,
     #: ``ctrl_recv_posted``, ``ctrl_srq_refills``, ``ctrl_parked``), the
     #: control phases folded (``ctrl_folds``) or declined, by gate reason
@@ -1271,7 +1273,7 @@ class Communicator:
             # A deferred-commit fast-forward session must flush before a
             # second collective's packets can observe channel state; the
             # overlap is only detected at the *next* fold hook — too late.
-            self.ff.preempt_vec()
+            self.ff.preempt()
             # ... and a folded control phase hands back its unserved tokens
             for cid, rank, rnd in (self.cf.unfold() if self.cf is not None else ()):
                 dict(self._op_procs[cid])[rank].interrupt(rnd)
@@ -1718,6 +1720,8 @@ class Communicator:
             "ff_phases": ff.ff_phases if ff is not None else 0,
             "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
             "ff_aborts": ff.ff_aborts if ff is not None else 0,
+            # ... and the phases it declined, by gate reason
+            "ff_misses": dict(ff.misses) if ff is not None else {},
             # Control-plane bring-up (DESIGN.md §6g): pairs created, WRs
             # posted to the per-rank SRQs, slabs added by the low-watermark
             # rule, messages that found an SRQ dry and were parked.
@@ -1743,7 +1747,7 @@ class Communicator:
         traffic = {k: after[k] - before[k] for k in before}
         engine = {k: eng_after[k] - eng_before[k] for k in eng_before
                   if not k.endswith("_misses")}
-        for key in ("ctrl_fold_misses", "inc_fold_misses"):
+        for key in ("ff_misses", "ctrl_fold_misses", "inc_fold_misses"):
             was = eng_before[key]
             engine[key] = {reason: n - was.get(reason, 0)
                            for reason, n in eng_after[key].items()

@@ -770,7 +770,7 @@ class RankEngine:
             # An unscheduled crash (no fault_epoch hook between the crash
             # and this cutoff) can leave a deferred-commit session live;
             # recovery traffic must see fully committed channel state.
-            ff.preempt_vec()
+            ff.preempt()
         trc = self.trace
         recovery_t0 = self.sim.now
         # Escalation order: the ring-left neighbor first, then progressively

@@ -1,4 +1,4 @@
-"""Fabric partitioning for the conservative parallel-DES engine (DESIGN §6f).
+"""Fabric partitioning for the conservative parallel-DES engine (since removed).
 
 The parallel fast-forward engine shards per-host simulation state across
 worker processes.  The shard boundary runs along *switch* edges: every

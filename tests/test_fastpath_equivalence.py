@@ -274,7 +274,7 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flow-level fast-forward (DESIGN.md §"Hybrid flow-level fast-forward"):
+# Flow-level fast-forward (DESIGN.md §6d, "Data fold"):
 # ff=exact must be bit-identical in virtual time and result digests to the
 # packet-level engine — the only thing the fold is ever compared against.
 # Event counts necessarily DROP under fast-forward (that is the point), so
@@ -283,24 +283,24 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 # Receiver-batch telemetry (cqe_batches/batched_cqes) is also excluded: a
 # folded phase never wakes the workers that would have batched.
 #
-# Every shape folds its receivers through one ``[n_rx]`` kernel; a
-# single-chunk allgather on a two-level tree (``n_ranks``/``chunk_size``/
-# ``nbytes``) runs the lane session (DESIGN.md §6f) instead, selected from
-# those sizes alone.
+# One session folds every shape (DESIGN.md §6d): a broadcast is one phase,
+# an allgather one phase per sender, on any multicast tree.
 # ---------------------------------------------------------------------------
 
 
 def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
             chunk_size: int = 4096, nbytes: Optional[int] = None,
-            ctrl_fold: bool = True):
+            ctrl_fold: bool = True, topology=None, coalescing: bool = True,
+            **config):
     sim = Simulator()
     fabric = Fabric(
         sim,
-        Topology.leaf_spine(n_ranks, 2, 2),
+        topology() if topology else Topology.leaf_spine(n_ranks, 2, 2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed),
     )
+    fabric.set_coalescing(coalescing)
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
     if straggler is not None:
@@ -308,7 +308,8 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
         fabric.set_straggler(host, spec)
     comm = Communicator(
         fabric, config=CollectiveConfig(chunk_size=chunk_size,
-                                        transport=transport, fast_forward=ff)
+                                        transport=transport, fast_forward=ff,
+                                        **config)
     )
     if not ctrl_fold:
         comm.cf = None  # data fold only: barrier and handshake as packets
@@ -319,9 +320,11 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
         assert res.verify_broadcast(data)
     else:
         data = [rng.integers(0, 256, nbytes or 16 * KiB, dtype=np.uint8)
-                for _ in range(n_ranks)]
+                for _ in range(comm.size)]
         res = comm.allgather(data)
         assert res.verify_allgather(data)
+    misses = res.engine["ff_misses"]
+    assert sum(misses.values()) == res.engine["ff_aborts"]
     return comm, res
 
 
@@ -398,8 +401,12 @@ def test_ff_exact_control_fold_axis(kind: str, transport: str) -> None:
 def test_ff_exact_lossy_equivalence(kind: str, seed: int) -> None:
     # Armed drop machinery fails every channel's fault_inert() probe, so
     # the eligibility gate must veto all folds — and the run must then be
-    # trivially identical to the packet engine.
-    _assert_ff_exact(kind, seed, fault_factory=_lossy, expect_folds=False)
+    # trivially identical to the packet engine.  The first phase names
+    # the gate; every later one says the collective already fell back.
+    res = _assert_ff_exact(kind, seed, fault_factory=_lossy,
+                           expect_folds=False)
+    later = {"poisoned": P - 1} if kind == "allgather" else {}
+    assert res.engine["ff_misses"] == {"fault": 1, **later}
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
@@ -412,29 +419,80 @@ def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
     _assert_ff_exact(kind, seed, straggler=(3, spec), expect_folds=False)
 
 
+@pytest.mark.parametrize("kind,setup,misses", [
+    ("allgather", {"n_chains": 4}, {"chains": 1, "poisoned": P - 1}),
+    ("broadcast", {"n_subgroups": 2}, {"subgroups": 1}),
+], ids=["chains", "subgroups"])
+def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
+    # The paper's chains and subgroups are not folded yet: each declined
+    # phase is counted under the gate that declined it.
+    _, res = _run_ff(kind, 0, "exact", **setup)
+    assert res.engine["ff_phases"] == 0
+    assert res.engine["ff_misses"] == misses
+
+
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+def test_ff_exact_without_coalescing(kind: str) -> None:
+    # A phase's trains are counted once, from the one coalescing flag every
+    # tree channel shares: with the packet-train path off there are none.
+    res = _assert_ff_exact(kind, 0, coalescing=False)
+    assert res.engine["trains"] == 0
+    assert res.engine["ff_phases"] == (1 if kind == "broadcast" else P)
+
+
 def _count_calls(monkeypatch, cls, name: str) -> list:
     """Spy on ``cls.name``: the returned list grows by one per call, by
-    the value that call returned."""
+    the value that call returned (``None`` when it raised)."""
     calls = []
     real = getattr(cls, name)
 
     def spy(self, *args, **kwargs):
-        out = real(self, *args, **kwargs)
-        calls.append(out)
+        calls.append(None)
+        out = calls[-1] = real(self, *args, **kwargs)
         return out
 
     monkeypatch.setattr(cls, name, spy)
     return calls
 
 
+def _phase_spy(monkeypatch) -> list:
+    from repro.sim.fastforward import _Session
+    return _count_calls(monkeypatch, _Session, "phase")
+
+
+# The exactness matrix: every multicast tree family × every fold shape ×
+# both transports folds every phase and matches the reference.
+_FF_TOPOLOGIES = {
+    "leaf_spine": lambda: Topology.leaf_spine(16, 4, 2),
+    "fat_tree3": lambda: Topology.fat_tree3(16, 4, 4, 2),
+    "torus": lambda: Topology.torus((4, 4)),
+    "dragonfly": lambda: Topology.dragonfly(4, 2, 2),
+    "star": lambda: Topology.star(16),
+}
+_FF_SHAPES = {  # kind, shape, phases folded
+    "bcast16": ("broadcast", {}, 1),  # 16 x 4 KiB chunks
+    "ag1": ("allgather", {"chunk_size": 1024, "nbytes": 1024}, 16),
+    "ag4": ("allgather", {}, 16),  # 4 x 4 KiB chunks per rank
+}
+
+
+@pytest.mark.parametrize("transport", ["ud", "uc"])
+@pytest.mark.parametrize("shape", sorted(_FF_SHAPES))
+@pytest.mark.parametrize("topology", sorted(_FF_TOPOLOGIES))
+def test_ff_exact_matrix(topology: str, shape: str, transport: str) -> None:
+    kind, kw, phases = _FF_SHAPES[shape]
+    res = _assert_ff_exact(kind, 0, transport=transport,
+                           topology=_FF_TOPOLOGIES[topology], **kw)
+    assert res.engine["ff_phases"] == phases
+    assert res.engine["ff_aborts"] == 0
+
+
 @pytest.mark.parametrize("transport", ["ud", "uc"])
 def test_ff_exact_lane_session_allgather(transport: str, monkeypatch) -> None:
-    # 32 ranks x one 1 KiB chunk each: every phase is a single-chunk
-    # multicast on a two-level tree, so the whole chain runs in the
-    # deferred-commit lane session.
-    from repro.sim.fastforward import _Vec1Session
+    # 32 ranks x one 1 KiB chunk each: the whole chain runs in one
+    # deferred-commit session, and no byte is copied.
     n = 32
-    folds = _count_calls(monkeypatch, _Vec1Session, "fold_phase")
+    folds = _phase_spy(monkeypatch)
     res = _assert_ff_exact("allgather", 0, transport=transport, n_ranks=n,
                            chunk_size=1024, nbytes=1024)
     assert len(folds) == res.engine["ff_phases"] == n
@@ -449,11 +507,9 @@ def test_ff_exact_lane_session_allgather(transport: str, monkeypatch) -> None:
 @pytest.mark.parametrize("transport", ["ud", "uc"])
 def test_ff_exact_receiver_fold_broadcast(transport: str, chunks: int,
                                           receivers: int, monkeypatch) -> None:
-    # One receiver kernel at every size: a one-chunk phase to three
-    # receivers and a 64 x 31 phase both fold their receiver chains as
-    # [n_rx]-wide lanes, once per folded phase.
-    from repro.sim.fastforward import FlowFastForward
-    folds = _count_calls(monkeypatch, FlowFastForward, "_fold_receivers_vec")
+    # One session at every size: a one-chunk phase to three receivers and
+    # a 64 x 31 phase are both one phase of the same session.
+    folds = _phase_spy(monkeypatch)
     res = _assert_ff_exact("broadcast", 0, transport=transport,
                            n_ranks=receivers + 1, chunk_size=1024,
                            nbytes=chunks * 1024)
@@ -466,20 +522,19 @@ def test_ff_exact_receiver_fold_broadcast(transport: str, chunks: int,
 def test_ff_exact_receiver_fold_straggler_armed(window, folds: bool,
                                                 monkeypatch) -> None:
     # A straggler spec installed on host 3 leaves the 64 x 31 phase in the
-    # same receiver kernel, which vetoes per receiver: a window far past
-    # the folded interval folds, one overlapping host 3's declines.
-    from repro.sim.fastforward import FlowFastForward
-    calls = _count_calls(monkeypatch, FlowFastForward, "_fold_receivers_vec")
+    # session, which vetoes per receiver: a window far past the folded
+    # interval folds, one overlapping host 3's declines.
+    calls = _phase_spy(monkeypatch)
     spec = StragglerSpec(windows=[window], extra_poll_delay=300e-9)
     res = _assert_ff_exact("broadcast", 0, straggler=(3, spec),
                            expect_folds=folds, n_ranks=32, chunk_size=1024,
                            nbytes=64 * KiB)
     assert len(calls) == 1 and (calls[0] is not None) == folds
-    assert res.engine["ff_aborts"] == (0 if folds else 1)
+    assert res.engine["ff_misses"] == ({} if folds else {"straggler": 1})
 
 
-@pytest.mark.xfail(strict=True, reason="generic fold on non-two-level "
-                   "trees, ROADMAP item 2(i)")
+@pytest.mark.xfail(strict=True, reason="a later phase reaches a shared "
+                   "edge before an earlier phase's packet, ROADMAP item 2(i)")
 def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
     # Twelve one-chunk phases fold on a dragonfly with zero-latency links
     # and free control messages; two ranks' data/final instants come out

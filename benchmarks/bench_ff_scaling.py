@@ -21,9 +21,10 @@ Entry modes:
   per rank that must stay within 4x the wall of the one-chunk row, a
   1024-host composed INC allreduce that must fold both phases, an
   ag4096/ag1024 wall-clock scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
-  the whole process, and ``ff_phases`` / ``ctrl_folds`` assertions that
-  fail loudly if the data fold or the control-plane fold (barrier +
-  handshake, DESIGN.md §6i) silently disengages.  The result table is
+  the whole process, and ``ff_phases`` / ``ctrl_folds`` / ``ctrl_pairs``
+  assertions that fail loudly if the data fold or the control-plane fold
+  (barrier, handshake and an allgather's activations, DESIGN.md §6i)
+  silently disengages.  The result table is
   persisted to ``benchmarks/results/ff_scaling_smoke.txt`` (commit and
   command in its header) for artifact upload.
 * default — the full sweep (minutes: the ``pkt`` column at 2048 hosts
@@ -99,6 +100,7 @@ def run_broadcast(n_hosts: int, mode: str,
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
         "ctrl_folds": res.engine.get("ctrl_folds", 0),
+        "ctrl_pairs": res.engine.get("ctrl_pairs", 0),
     }
 
 
@@ -136,6 +138,7 @@ def run_allgather(n_ranks: int, mode: str,
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
         "ctrl_folds": res.engine.get("ctrl_folds", 0),
+        "ctrl_pairs": res.engine.get("ctrl_pairs", 0),
     }
 
 
@@ -165,6 +168,7 @@ def run_allreduce(n_ranks: int, shard_elems: int = AR_SHARD_ELEMS,
         "virtual_s": res.duration,
         "ff_phases": res.engine.get("ff_phases", 0),
         "ctrl_folds": res.engine.get("ctrl_folds", 0),
+        "ctrl_pairs": res.engine.get("ctrl_pairs", 0),
         "inc_folds": res.engine.get("inc_folds", 0),
     }
 
@@ -200,7 +204,8 @@ HEADERS = ["collective", "hosts", "engine", "wall_s", "events",
            "virtual_us", "ff_phases", "speedup_vs_pkt"]
 #: the smoke table: bring-up (fabric + communicator build, outside the
 #: timed call) in its own column instead of hidden in ``total``
-SMOKE_HEADERS = HEADERS[:3] + ["setup_s"] + HEADERS[3:]
+SMOKE_HEADERS = (HEADERS[:3] + ["setup_s"] + HEADERS[3:7] + ["ctrl_pairs"]
+                 + HEADERS[7:])
 
 
 def full_sweep(bcast_hosts: List[int], ag_hosts: List[int]) -> int:
@@ -238,16 +243,19 @@ def smoke(budget_s: float) -> int:
         rows.append([kind, str(n), "exact", f"{r['setup_s']:.2f}",
                      f"{r['wall_s']:.2f}",
                      f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
-                     str(r["ff_phases"]), note])
+                     str(r["ff_phases"]), str(r["ctrl_pairs"]), note])
         print(f"  smoke {kind} n={n} ({note}): setup={r['setup_s']:.2f}s "
-              f"wall={r['wall_s']:.2f}s "
-              f"ff_phases={r['ff_phases']} ctrl_folds={r['ctrl_folds']}",
+              f"wall={r['wall_s']:.2f}s ff_phases={r['ff_phases']} "
+              f"ctrl_folds={r['ctrl_folds']} ctrl_pairs={r['ctrl_pairs']}",
               flush=True)
-        if r["ctrl_folds"] != 2:
+        # barrier + handshake, and an allgather chain's activations
+        expected = 2 if kind == "broadcast" else 3
+        if r["ctrl_folds"] != expected or r["ctrl_pairs"]:
             failures.append(
                 f"{kind} n={n}: control-plane fold disengaged "
-                f"(ctrl_folds={r['ctrl_folds']}, expected barrier + "
-                "handshake = 2) — control ran at packet level")
+                f"(ctrl_folds={r['ctrl_folds']}, expected {expected}; "
+                f"ctrl_pairs={r['ctrl_pairs']}, expected 0) — control ran "
+                "at packet level")
         # A finished row's fabric and communicator reference each other;
         # free them now so the RSS budget measures one row, not the sum.
         gc.collect()
@@ -308,7 +316,7 @@ def smoke(budget_s: float) -> int:
             "the chain fell back to packet level partway")
     ratio = a4["wall_s"] / max(a["wall_s"], 1e-9)
     rows.append(["ag4096/ag1024", "-", "-", "-", f"{ratio:.2f}x",
-                 "-", "-", "-", "wall ratio"])
+                 "-", "-", "-", "-", "wall ratio"])
     print(f"  smoke ag4096/ag1024 wall ratio: {ratio:.2f}x "
           "(a quadratic engine would pay 16x)", flush=True)
     if ratio >= 16.0:
@@ -317,9 +325,9 @@ def smoke(budget_s: float) -> int:
             f"{ratio:.2f}x >= 16x — the chain is quadratic again")
 
     wall = time.perf_counter() - t0
-    rows.append(["total", "-", "-", "-", f"{wall:.2f}", "-", "-", "-", "-"])
+    rows.append(["total", "-", "-", "-", f"{wall:.2f}", "-", "-", "-", "-", "-"])
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    rows.append(["peak_rss", "-", "-", "-", "-", "-", "-", "-",
+    rows.append(["peak_rss", "-", "-", "-", "-", "-", "-", "-", "-",
                  f"{rss_mib:.0f} MiB"])
     commit = subprocess.run(
         ["git", "describe", "--always", "--dirty"], capture_output=True,

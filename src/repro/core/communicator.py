@@ -995,6 +995,8 @@ class Communicator:
             else []
         )
         self._ctrl_pairs: Dict[tuple, QueuePair] = {}
+        #: control messages sent and not yet served, over every rank
+        self.ctrl_in_flight = [0]
         self.engines: List[RankEngine] = []
         for r in range(self.size):
             self.engines.append(RankEngine(self, r))
@@ -1275,8 +1277,8 @@ class Communicator:
             # overlap is only detected at the *next* fold hook — too late.
             self.ff.preempt()
             # ... and a folded control phase hands back its unserved tokens
-            for cid, rank, rnd in (self.cf.unfold() if self.cf is not None else ()):
-                dict(self._op_procs[cid])[rank].interrupt(rnd)
+            if self.cf is not None:
+                self.cf.unfold()
         self.fabric.unfold_inc()  # ... and so does a folded INC pass
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)

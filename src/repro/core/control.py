@@ -8,11 +8,9 @@ recovery layer, and the final-handshake packets in the virtual ring.
 Design notes
 ------------
 * Control QPs are created lazily and pairwise by the communicator; each
-  rank's control QPs share one receive CQ drained by a single dispatcher
-  process (mirroring the single progress thread of the UCC backend) and
-  one **shared receive queue** (DESIGN.md §6g): a slab of message slots
-  is registered and posted once per rank, not per connection, so bring-up
-  costs O(ranks) however many pairs the collectives end up creating.
+  rank's share one receive CQ drained by a single dispatcher process (the
+  UCC backend's progress thread) and one **shared receive queue** (DESIGN.md
+  §6g), so bring-up costs O(ranks) however many pairs are created.
 * Messages are tiny typed tuples sent as IB *inline* sends — no send-side
   buffer lifetime management.
 * The RNR barrier is a dissemination barrier: ``⌈log2 P⌉`` rounds, round k
@@ -20,16 +18,19 @@ Design notes
   (The paper uses recursive doubling; dissemination has the same round
   count and works for any P, including the 188-rank testbed.)
 * Under ``fast_forward="exact"`` the barrier and the final handshake are
-  folded into one array pass per phase (:class:`ControlFold`, DESIGN.md §6i).
+  folded into one array pass per phase, and an allgather chain's
+  activations into one delivery event each (:class:`ControlFold`,
+  DESIGN.md §6i).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.sequencer import effective_chains
+from repro.net.link import bypass_arrival, bypass_clear, bypass_fly, bypass_tables
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
 from repro.sim.events import Event, Timeout
 from repro.sim.primitives import Store
@@ -41,20 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.nic import Nic
     from repro.sim.engine import Simulator
 
-__all__ = [
-    "ControlPlane",
-    "ControlFold",
-    "ControlFoldError",
-    "CtrlMessage",
-    "MSG_BARRIER",
-    "MSG_ACTIVATE",
-    "MSG_FETCH_REQ",
-    "MSG_FETCH_ACK",
-    "MSG_FINAL",
-    "MSG_PING",
-    "MSG_PONG",
-    "MSG_DEATH",
-]
+__all__ = ["ControlPlane", "ControlFold", "ControlFoldError", "CtrlMessage",
+           "MSG_BARRIER", "MSG_ACTIVATE", "MSG_FETCH_REQ", "MSG_FETCH_ACK",
+           "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH"]
 
 MSG_BARRIER = 1
 MSG_ACTIVATE = 2
@@ -91,44 +81,16 @@ class ControlFoldError(RuntimeError):
     """A folded control phase met state its gates had excluded (internal)."""
 
 
-class CtrlMessage(tuple):
-    """``(src_rank, mtype, key, args)`` — a decoded control message."""
-
-    __slots__ = ()
-
-    def __new__(cls, src_rank: int, mtype: int, key: int, args: Tuple[int, ...]):
-        return super().__new__(cls, (src_rank, mtype, key, args))
-
-    @property
-    def src(self) -> int:
-        return self[0]
-
-    @property
-    def mtype(self) -> int:
-        return self[1]
-
-    @property
-    def key(self) -> int:
-        return self[2]
-
-    @property
-    def args(self) -> Tuple[int, ...]:
-        return self[3]
+#: ``(src, mtype, key, args)`` — a decoded control message
+CtrlMessage = namedtuple("CtrlMessage", "src mtype key args")
 
 
 class ControlPlane:
-    """Per-rank control-plane endpoint.
+    """Per-rank control-plane endpoint of communicator rank *rank* on *nic*.
 
-    Parameters
-    ----------
-    sim, nic:
-        Simulator and this rank's NIC.
-    rank:
-        Communicator-relative rank of this endpoint.
-    pair_fn:
-        ``pair_fn(peer_rank) -> QueuePair`` — supplied by the communicator;
-        creates/returns the local RC QP connected to *peer_rank*'s control
-        plane (creating the remote end too).
+    ``pair_fn(peer_rank) -> QueuePair``, supplied by the communicator,
+    creates or returns the local RC QP connected to *peer_rank*'s control
+    plane (creating the remote end too).
     """
 
     def __init__(
@@ -138,6 +100,7 @@ class ControlPlane:
         rank: int,
         pair_fn: Callable[[int], QueuePair],
         per_message_cost: float = 0.0,
+        in_flight: Optional[List[int]] = None,
     ) -> None:
         self.sim = sim
         self.nic = nic
@@ -155,6 +118,9 @@ class ControlPlane:
         self._inboxes: Dict[tuple, Store] = {}
         self.messages_sent = 0
         self.messages_received = 0
+        #: ``[n]``: messages sent and not yet served, shared by every plane
+        #: of one communicator (the control fold's O(1) idle test)
+        self.in_flight = [0] if in_flight is None else in_flight
         #: peer rank → virtual time of the last message heard from it.
         #: Every control message doubles as a liveness heartbeat, so the
         #: suspicion logic can often clear a peer without spending a probe.
@@ -169,8 +135,7 @@ class ControlPlane:
     # -------------------------------------------------------------- plumbing
 
     def adopt_qp(self, peer_rank: int, qp: QueuePair) -> None:
-        """Register a connected control QP toward *peer_rank* (called by
-        the communicator when pairing).  The QP must have been created on
+        """Register a connected control QP toward *peer_rank*, created on
         this plane's SRQ; the first adoption posts the first slot slab."""
         if peer_rank in self.qps:
             raise ValueError(f"rank {self.rank}: ctrl QP to {peer_rank} already exists")
@@ -200,12 +165,6 @@ class ControlPlane:
         """Slabs added by the low-watermark rule (beyond the first)."""
         return max(len(self._slabs) - 1, 0)
 
-    def _qp_to(self, peer_rank: int) -> QueuePair:
-        qp = self.qps.get(peer_rank)
-        if qp is None:
-            qp = self._pair_fn(peer_rank)
-        return qp
-
     # ------------------------------------------------------------- messaging
 
     def send(self, dst_rank: int, mtype: int, key: int, args: Sequence[int] = ()) -> None:
@@ -225,9 +184,10 @@ class ControlPlane:
         words = np.array(
             (mtype, key, self.rank, *args) + (0,) * (_WORDS - 3 - len(args)),
             dtype=np.uint32)
-        qp = self._qp_to(dst_rank)
+        qp = self.qps.get(dst_rank) or self._pair_fn(dst_rank)
         qp.post_send(SendWR(wr_id=0, verb="send", inline_data=words, signaled=False))
         self.messages_sent += 1
+        self.in_flight[0] += 1
 
     def _inbox(self, mtype: int, key: int, src: Optional[int]) -> Tuple[tuple, Store]:
         # Any-source types (servers) get one inbox per type; the message
@@ -247,10 +207,8 @@ class ControlPlane:
 
     def recv(self, mtype: int, key: int = 0, src: Optional[int] = None) -> Event:
         """Event yielding the next :class:`CtrlMessage` of this signature.
-
         ``src`` is required except for any-source types (FETCH_REQ), whose
-        single inbox receives requests from every rank and collective.
-        """
+        single inbox receives requests from every rank and collective."""
         if mtype not in _ANY_SOURCE and src is None:
             raise ValueError(f"mtype {mtype} requires an explicit source rank")
         ib_key, store = self._inbox(mtype, key, src)
@@ -294,6 +252,7 @@ class ControlPlane:
                     # Re-post the cached WR immediately (slot content consumed).
                     srq.post_recv_cached(wrs[slot])
                 self.messages_received += 1
+                self.in_flight[0] -= 1
                 self.last_heard[src] = sim.now
                 if mtype == MSG_PING:
                     # Liveness probe: the dispatcher answers directly — the
@@ -317,12 +276,8 @@ class ControlPlane:
 
         ``tag`` must be unique per logical barrier instance (e.g. the
         collective id); rounds are disambiguated in the key's low bits.
-
         *ranks* is required: every participant must pass the **same**
-        ordered list.  Deriving it from the set of already-created control
-        QPs (as an earlier revision did) is wrong in general — lazy QP
-        creation means different ranks can observe different peer sets,
-        deadlocking the dissemination pattern.
+        ordered list (lazily created QPs give ranks different peer sets).
 
         *me* is this rank's position in *ranks* when the caller already
         knows it (the communicator's per-collective map); otherwise the
@@ -333,11 +288,8 @@ class ControlPlane:
         rounds are done and that round's token is already on the wire.
         """
         if ranks is None:
-            raise ValueError(
-                "ControlPlane.barrier requires an explicit, identical `ranks` "
-                "list on every participant; deriving it from the lazily "
-                "created control QPs is unreliable"
-            )
+            raise ValueError("ControlPlane.barrier requires an explicit, "
+                             "identical `ranks` list on every participant")
         if me is None:
             me = ranks.index(self.rank)
         p = len(ranks)
@@ -391,7 +343,9 @@ class _Coll:
     """One collective's fold state.  The first rank to reach a phase decides
     it for all: ``at[phase]`` is ``False`` for packets, else the fold.  The
     data fold publishes ``sent`` / ``done``: rank → ``run_send`` completion /
-    ``data_done`` instant."""
+    ``data_done`` instant.  ``act`` is the activation chain: ``None`` while
+    undecided, ``False`` at packet level, else its last folded token
+    ``[plane, msg, arrived, start, served, tail]`` (``tail``: the last)."""
 
     def __init__(self, t0: float) -> None:
         self.t0 = t0  #: launch instant of every rank's controller
@@ -399,19 +353,20 @@ class _Coll:
         self.t_data: List[float] = []
         self.sent: Dict[int, float] = {}
         self.done: Dict[int, float] = {}
+        self.act: Optional[list] = None
 
 
 class ControlFold:
-    """Closed-form RNR barrier and final handshake (DESIGN.md §6i).
+    """Closed-form RNR barrier, chain activations and final handshake
+    (DESIGN.md §6i).
 
-    A control packet rides every channel's bypass lane, so it never queues
-    and its arrival is the per-hop float chain ``((t + wire/bw) + latency)
-    + forwarding_delay`` along the unicast route; each rank's dispatcher is
-    a serial server charging ``ctrl_message`` per CQE in arrival order.
-    The dissemination barrier is then ⌈log2 P⌉ array steps over all ranks
-    and the ring handshake one more, in the packet path's own float
-    expressions.  On any gate miss nothing is committed and the packets run;
-    a collective admitted mid-phase takes the unserved tokens back out.
+    A control packet rides every channel's bypass lane, so its arrival is a
+    fixed float chain along the unicast route (``net.link.bypass_fly``);
+    each rank's dispatcher is a serial server charging ``ctrl_message`` per
+    CQE in arrival order.  The dissemination barrier is then ⌈log2 P⌉ array
+    steps over all ranks, the ring handshake one more and an activation from
+    a folded data phase one scalar step.  On any gate miss nothing is
+    committed and the packets run; :meth:`unfold` takes unserved tokens back.
     """
 
     def __init__(self, comm: "Communicator") -> None:
@@ -426,6 +381,7 @@ class ControlFold:
         self._chans: list = [None]
         self._index: Dict[object, int] = {}
         self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        comm.fabric.epoch_listeners.append(self.unfold)
 
     # ----------------------------------------------------------- engine hooks
 
@@ -472,15 +428,15 @@ class ControlFold:
     def forget(self, coll_id: int) -> None:
         self._colls.pop(coll_id, None)
 
-    def unfold(self) -> List[Tuple[int, int, int]]:
-        """Hand every folded token no dispatcher has served yet back to the
-        packet path: a collective is being admitted whose control messages
-        the folded instants never saw.  A token not yet sent is taken back
-        out of the counters, for its sender to send for real; one on the wire
-        reaches its dispatcher's CQ at the folded arrival, which the bypass
-        lane fixes whatever else is sent (it takes no SRQ slot).  Returns the
-        ranks to interrupt out of a folded sleep: ``(coll_id, rank, round)``,
-        the barrier round whose token the rank awaits."""
+    def unfold(self) -> None:
+        """Hand every folded phase not over yet — barrier, handshake or
+        activation chain — back to the packet path: a collective is being
+        admitted, a recovery started or the fault state is about to change.
+        A token not yet sent is taken back out of the counters, for its
+        sender to send for real; one on the wire reaches its dispatcher's CQ
+        at the folded arrival, which the bypass lane fixes (it takes no SRQ
+        slot).  A rank asleep in a folded phase is interrupted with the
+        barrier round whose token it awaits."""
         now, asleep = self.sim.now, []
         for cid, st in self._colls.items():
             for phase, f in st.at.items():
@@ -509,6 +465,7 @@ class ControlFold:
                         if not sent[k][i]:
                             continue
                         c.messages_received -= 1  # counted when served
+                        c.in_flight[0] += 1
                         # queued (the first of them mid-service) or on the wire
                         mid = a <= now and k == len(f.keys) - left[i]
                         self.sim.post_at(max(a, now), c.recv_cq.push,
@@ -516,7 +473,89 @@ class ControlFold:
                 asleep += [(cid, r, len(f.keys) - n) for r, here, end, n in zip(
                     f.participants, f.here, f.ends, left.tolist()) if here and end > now]
                 self._note(self.comm.engines[0], phase, "miss", "preempted")
-        return asleep
+            tok = st.act
+            if tok and not (tok[5] and tok[4] <= now):
+                st.act = False
+                self.folds -= 1
+                self._note(self.comm.engines[0], "activate", "miss", "preempted")
+                c, msg, a, start, served, _ = tok
+                if served > now:
+                    tok[0] = None  # not delivered by the fold
+                    c.fold_quiet = _NEVER
+                    c.messages_received -= 1
+                    c.in_flight[0] += 1
+                    self.sim.post_at(max(a, now), c.recv_cq.push,
+                                     _Unfolded(msg, served if start <= now else None))
+        for cid, rank, rnd in asleep:
+            dict(self.comm._op_procs[cid])[rank].interrupt(rnd)
+
+    # ------------------------------------------------------------ activation
+
+    def activate(self, engine: "RankEngine", op: "OpState",
+                 participants: List[int], me: int) -> bool:
+        """Position *me*'s ``MSG_ACTIVATE`` to the next, sent now.  ``True``
+        when folded: arriving at ``A``, it is served at ``D = max(A,
+        fold_quiet) + cost``, when one event puts it in the successor's inbox."""
+        comm, st = self.comm, self._colls.get(op.coll_id)
+        src, dst = participants[me], participants[me + 1]
+        c = comm.engines[dst].ctrl
+        wire = _WORDS * 4 + c.nic.header_bytes
+        chans = comm.fabric.unicast_route(comm.hosts[src], comm.hosts[dst])
+        if chans is None or not all(bypass_clear(ch, wire) for ch in chans):
+            chans = None  # unroutable, or a channel would touch the packet
+        else:
+            a = bypass_arrival(self.sim.now, chans, wire)
+        try:
+            if st is None or st.act is False:
+                raise _Miss(None)  # the chain runs at packet level
+            horizon = comm.ff.horizon(op.coll_id)  # None unless the data fold is live
+            if comm.config.failure_policy is not None:
+                raise _Miss("live")
+            if horizon is None:
+                raise _Miss("data_unfolded")
+            if c.in_flight[0] or len(c.recv_cq):
+                raise _Miss("dispatcher_busy")
+            if chans is None:
+                raise _Miss("fault")
+            quiet, sync = c.fold_quiet, st.at.get("sync")
+            # Served in arrival order: after every folded barrier token.
+            if a < quiet and not (sync and a > sync.arrived[-1][me + 1]):
+                raise _Miss("overlap")
+            start = a if a > quiet else quiet
+            served = start + c.per_message_cost
+            if served >= horizon:
+                raise _Miss("deadline")  # a cutoff could fire first
+        except _Miss as miss:
+            if miss.args[0] is not None:
+                self.folds -= st.act is not None  # folded so far: packets on
+                st.act = False
+                self._note(engine, "activate", "miss", miss.args[0])
+            if self.sim.now < c.fold_quiet and not (chans and a >= c.fold_quiet):
+                self.unfold()  # the packet would land in a folded window
+            return False
+        if st.act is None:
+            self.folds += 1
+            self._note(engine, "activate", "messages", len(participants) - 1)
+        for ch in chans:
+            self._charge(ch, 1, wire)
+        comm.engines[src].ctrl.messages_sent += 1
+        c.messages_received += 1
+        c.nic.packets_received += 1
+        c.nic.bytes_received += _WORDS * 4
+        c.last_heard[src] = c.fold_quiet = served
+        st.act = [c, CtrlMessage(src, MSG_ACTIVATE, op.coll_id, (0, 0, 0)),
+                  a, start, served, me + 2 == len(participants)]
+        self.sim.post_at(served, self._deliver, st.act)
+        return True
+
+    @staticmethod
+    def _deliver(tok: list) -> None:
+        """A folded activation's service ends, unless :meth:`unfold` took it."""
+        c, msg = tok[0], tok[1]
+        if c is not None:
+            ib_key, store = c._inbox(MSG_ACTIVATE, msg.key, msg.src)
+            store.try_put(msg)
+            c._retire(ib_key, store)
 
     # ------------------------------------------------------------------ gates
 
@@ -529,12 +568,9 @@ class ControlFold:
             comm.fabric.stragglers_armed and "straggler")
         if reason:
             raise _Miss(reason)
-        # sent, not yet counted received: in flight, queued or mid-service
-        busy = sum(e.ctrl.messages_sent - e.ctrl.messages_received
-                   for e in comm.engines)
         ctrls = [comm.engines[r].ctrl for r in participants]
-        for c in ctrls:
-            if busy or len(c.recv_cq):
+        for c in ctrls:  # in flight, queued or mid-service
+            if c.in_flight[0] or len(c.recv_cq):
                 raise _Miss("dispatcher_busy")
             free = len(c.srq.recv_queue) if c._slabs else _SLAB_SLOTS
             if free - fan_in < _LOW_WATERMARK:
@@ -549,26 +585,15 @@ class ControlFold:
 
     def _route(self, src: int, dst: int) -> Tuple[int, ...]:
         """Channel indices of the unicast route host *src* → host *dst*."""
-        fabric = self.comm.fabric
+        walk = self.comm.fabric.unicast_route(src, dst)
+        if walk is None:
+            raise _Miss("fault")  # unroutable
         index, chans = self._index, self._chans
-        ch = fabric.nics[src].egress
-        walk = []
-        while True:
-            i = index.get(ch)
-            if i is None:
-                i = index[ch] = len(chans)
+        for ch in walk:
+            if ch not in index:
+                index[ch] = len(chans)
                 chans.append(ch)
-            walk.append(i)
-            node = ch.dst_node
-            table = getattr(node, "unicast_table", None)
-            if table is None:  # a NIC
-                if node is not fabric.nics[dst]:
-                    raise _Miss("fault")
-                return tuple(walk)
-            neighbor = table.get(dst)
-            if neighbor is None or len(walk) > len(fabric.switches):
-                raise _Miss("fault")  # unroutable
-            ch = node.ports[neighbor]
+        return tuple(map(index.__getitem__, walk))
 
     def _matrix(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """``[n, hops]`` route matrix of the messages host ``src[i]`` → host
@@ -581,32 +606,10 @@ class ControlFold:
                         dtype=np.intp)
 
     def _tables(self, wire: int):
-        """Gate every route channel, then the per-channel tables the hop
-        chain indexes: serialisation, latency, forwarding delay of the switch
-        the channel enters (0 for a host; all 0 on the null hop)."""
-        chans = self._chans[1:]
-        for ch in chans:
-            # down, armed, reaching RC packets, or queueing them behind bulk
-            if ch.down or wire > ch.ctrl_bypass_bytes or (
-                    ch.fault is not None and not (
-                        ch.fault_inert() and ch.fault.protect_reliable)):
-                raise _Miss("fault")
-        delay = {name: sw.forwarding_delay
-                 for name, sw in self.comm.fabric.switches.items()}
-        return (np.array([0.0] + [wire / ch.bandwidth for ch in chans]),
-                np.array([0.0] + [ch.latency for ch in chans]),
-                np.array([0.0] + [delay.get(ch.dst_name, 0.0) for ch in chans]))
-
-    @staticmethod
-    def _fly(t: np.ndarray, matrix: np.ndarray, tables) -> np.ndarray:
-        """Arrivals of packets sent at *t* along *matrix*, per hop
-        ``Channel.transmit``'s bypass branch (``finish = now + wire/bw``,
-        ``at = finish + latency``; ``+ jitter`` of 0.0 is the identity) then
-        ``Switch.arrive`` (``at + forwarding_delay``)."""
-        ser, lat, fwd = tables
-        for hop in matrix.T:
-            t = ((t + ser[hop]) + lat[hop]) + fwd[hop]
-        return t
+        """Gate every route channel; the tables :func:`bypass_fly` indexes."""
+        if not all(bypass_clear(ch, wire) for ch in self._chans[1:]):
+            raise _Miss("fault")
+        return bypass_tables(self._chans[1:], wire)
 
     # ------------------------------------------------------------------ folds
 
@@ -617,20 +620,17 @@ class ControlFold:
         pos = np.arange(n)
         srcs = [(pos - (1 << k)) % n for k in range(rounds)]
         mats = [self._matrix(hosts[src], hosts) for src in srcs]
-        # What follows the barrier: the ring's MSG_FINAL (right → me) and,
-        # packet-level along an allgather chain, MSG_ACTIVATE (pred → succ).
-        length = n // effective_chains(n, self.comm.config.n_chains)
-        succ = pos[pos % length != 0] if op.kind == "allgather" else pos[:0]
-        after_dst = np.concatenate([pos, succ])
-        after = self._matrix(
-            hosts[np.concatenate([(pos + 1) % n, succ - 1])], hosts[after_dst])
+        # What follows the barrier: the ring's MSG_FINAL (right → me).  An
+        # activation is folded with its real instant, or unfolds the barrier.
+        right = (pos + 1) % n
+        after = self._matrix(hosts[right], hosts)
         tables = self._tables(wire)
         s = np.full(n, self.sim.now)
         cursor = np.array([c.fold_quiet for c in ctrls])
         sent, arrived, served = [], [np.full(n, _NEVER)], []
         for src, mat in zip(srcs, mats):
             sent.append(s[src])
-            a = self._fly(sent[-1], mat, tables)
+            a = bypass_fly(sent[-1], mat, tables)
             # A later round's token overtaking an earlier is served first.
             if not (a > arrived[-1]).all():
                 raise _Miss("reorder")
@@ -641,18 +641,14 @@ class ControlFold:
         # A MSG_FINAL leaves once its sender holds all data, which was sent
         # after every sender's t_sync — and a broadcast's then crossed the
         # receiver's access link (the last real hop of any route to it).
-        # An activation leaves after its sender's t_sync and one doorbell.
         leave = np.full(n, s.max())
         if op.kind == "broadcast":
             m, root = mats[0], participants.index(op.root)
             leave = np.maximum(
                 s, s[root] + tables[1][m[pos, (m != 0).sum(axis=1) - 1]])
             leave[root] = s[root]
-        leave = np.concatenate([
-            leave[(pos + 1) % n],
-            s[succ - 1] + self.comm.config.cost.send_batch(1)])
-        # Either must find the receiving dispatcher past its folded tokens.
-        if not (cursor[after_dst] <= self._fly(leave, after, tables)).all():
+        # It must find the receiving dispatcher past its folded tokens.
+        if not (cursor <= bypass_fly(leave[right], after, tables)).all():
             raise _Miss("overlap")
         keys = [(MSG_BARRIER, (op.coll_id << 6) | k) for k in range(rounds)]
         return self._commit(_Folded(
@@ -675,7 +671,7 @@ class ControlFold:
             t_data[i] = max(sync, st.done.get(r, sync), st.sent.get(r, sync))
         right = (np.arange(n) + 1) % n  # each rank sends MSG_FINAL leftwards
         mat = self._matrix(hosts[right], hosts)
-        arrived = self._fly(t_data[right], mat, self._tables(wire))
+        arrived = bypass_fly(t_data[right], mat, self._tables(wire))
         cursor = np.array([c.fold_quiet for c in ctrls])
         served = np.maximum(arrived, cursor) + ctrls[0].per_message_cost
         st.t_data = t_data.tolist()
@@ -703,15 +699,9 @@ class ControlFold:
         chans, n = f.chans, len(f.ctrls)
         counts = sum(np.bincount(m[w].ravel(), minlength=len(chans))
                      for m, w in zip(f.mats, which))
-        switches = self.comm.fabric.switches
         payload = _WORDS * 4
         for i in np.flatnonzero(counts[1:]) + 1:
-            ch, k = chans[i], sign * int(counts[i])
-            ch.packets_sent += k
-            ch.bytes_sent += k * f.wire
-            ch.payload_bytes_sent += k * payload
-            if ch.src_name in switches:
-                switches[ch.src_name].packets_forwarded += k
+            self._charge(chans[i], sign * int(counts[i]), f.wire)
         gave = sum(np.bincount(src[w], minlength=n) for src, w in zip(f.srcs, which))
         for c, tx, rx in zip(f.ctrls, (sign * gave).tolist(),
                              (sign * sum(which)).tolist()):
@@ -719,3 +709,13 @@ class ControlFold:
             c.messages_received += rx
             c.nic.packets_received += rx
             c.nic.bytes_received += rx * payload
+
+    def _charge(self, ch, k: int, wire: int) -> None:
+        """*k* control packets (negative: taken back) crossed channel *ch*."""
+        ch.packets_sent += k
+        ch.bytes_sent += k * wire
+        ch.payload_bytes_sent += k * _WORDS * 4
+        sw = self.comm.fabric.switches.get(ch.src_name)
+        if sw is not None:
+            sw.packets_forwarded += k
+

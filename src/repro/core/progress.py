@@ -108,6 +108,7 @@ class RankEngine:
             rank,
             pair_fn=lambda peer: comm.ensure_ctrl_pair(rank, peer),
             per_message_cost=self.cost.ctrl_message,
+            in_flight=comm.ctrl_in_flight,
         )
 
         cfg = self.config
@@ -769,8 +770,11 @@ class RankEngine:
         if ff is not None:
             # An unscheduled crash (no fault_epoch hook between the crash
             # and this cutoff) can leave a deferred-commit session live;
-            # recovery traffic must see fully committed channel state.
+            # recovery traffic must see fully committed channel state —
+            # and no folded control token may be served around it.
             ff.preempt()
+            if self.comm.cf is not None:
+                self.comm.cf.unfold()
         trc = self.trace
         recovery_t0 = self.sim.now
         # Escalation order: the ring-left neighbor first, then progressively
@@ -1256,7 +1260,8 @@ class RankEngine:
                 if trc is not None:
                     trc.instant("seq.activate", self.sim.now,
                                 {"succ": activation_succ})
-                self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
+                if not (cf and cf.activate(self, op, participants, me)):
+                    self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
                 op.mark_phase("activated")
         recovery_deadline_abs: Optional[float] = None
         while not op.data_done.triggered:

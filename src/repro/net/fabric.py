@@ -145,6 +145,9 @@ class Fabric:
         self.inc_folds = 0
         self.inc_fold_misses: Dict[str, int] = {}
         self._inc_live: list = []
+        #: callbacks run at every fault_epoch bump, before the change (the
+        #: control fold hands its in-flight activations back)
+        self.epoch_listeners: list = []
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -258,6 +261,8 @@ class Fabric:
         the folds check, and hand any folded INC pass back to packets."""
         self.fault_epoch += 1
         self.unfold_inc()
+        for listener in self.epoch_listeners:
+            listener()
 
     def unfold_inc(self) -> None:
         """Hand every in-flight INC fold back to the packet path, at the
@@ -467,6 +472,23 @@ class Fabric:
         group.members = members_set
         group.tree = plan.tree
         group.plan = plan
+
+    def unicast_route(self, src, dst: int) -> Optional[List[Channel]]:
+        """The channels a unicast packet from *src* — a host, or a switch by
+        name — to host *dst* crosses by the installed tables; ``None`` when
+        it would not reach *dst*'s NIC."""
+        if isinstance(src, str):
+            node, walk = self.switches[src], []
+        else:
+            walk = [self.nics[src].egress]
+            node = walk[0].dst_node
+        while getattr(node, "unicast_table", None) is not None:
+            neighbor = node.unicast_table.get(dst)
+            if neighbor is None or len(walk) > len(self.switches):
+                return None  # unroutable, or a loop
+            walk.append(node.ports[neighbor])
+            node = walk[-1].dst_node
+        return walk if node is self.nics[dst] else None
 
     def one_way_delay(self, src: int, dst) -> float:
         """Propagation-only delay estimate host→host (for ack modeling)."""

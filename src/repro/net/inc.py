@@ -370,15 +370,8 @@ class IncFold:
 
     def _route(self, owner: int) -> list:
         """Channels of the root's unicast write to *owner*."""
-        fabric = self.tree.fabric
-        node, walk = fabric.switches[self.tree.root], []
-        while getattr(node, "unicast_table", None) is not None:
-            neighbor = node.unicast_table.get(owner)
-            if neighbor is None or len(walk) > len(fabric.switches):
-                raise _Miss("dead")
-            walk.append(node.ports[neighbor])
-            node = walk[-1].dst_node
-        if node is not fabric.nic(owner):
+        walk = self.tree.fabric.unicast_route(self.tree.root, owner)
+        if walk is None:
             raise _Miss("dead")
         return walk
 

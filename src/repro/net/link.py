@@ -34,7 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 __all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS",
-           "serialize"]
+           "serialize", "bypass_clear", "bypass_arrival", "bypass_tables",
+           "bypass_fly"]
 
 #: Packet kinds subject to fault injection / reordering (unreliable
 #: transports).  RC traffic is retransmitted by hardware, so software never
@@ -528,3 +529,45 @@ def serialize(calls: Sequence[float], wires: Sequence[int], bandwidth: float,
             busy = (t if t > busy else busy) + w / bandwidth
             finishes.append(busy)
     return finishes
+
+
+# A packet at or below ``ctrl_bypass_bytes`` never queues, so its flight is
+# a fixed float chain per hop: ``Channel.transmit``'s bypass branch
+# (``finish = t + wire/bw``, ``at = finish + latency``; ``+ jitter`` of 0.0
+# is the identity), then ``Switch.arrive`` (``at + forwarding_delay``; 0.0
+# into a NIC).  The control fold evaluates it scalar and by route matrix.
+
+def bypass_clear(ch: Channel, wire: int) -> bool:
+    """Whether *ch* carries a *wire*-byte RC packet on its bypass lane
+    untouched: up, within the lane, and no fault that is armed or reaches
+    RC packets."""
+    return not (ch.down or wire > ch.ctrl_bypass_bytes or (
+        ch.fault is not None and not (ch.fault_inert() and ch.fault.protect_reliable)))
+
+
+def _forwarding_delay(ch: Channel) -> float:
+    return getattr(ch.dst_node, "forwarding_delay", 0.0)
+
+
+def bypass_arrival(t: float, chans: Sequence[Channel], wire: int) -> float:
+    """When a *wire*-byte packet injected at *t* leaves the last of *chans*."""
+    for ch in chans:
+        t = ((t + wire / ch.bandwidth) + ch.latency) + _forwarding_delay(ch)
+    return t
+
+
+def bypass_tables(chans: Sequence[Channel], wire: int):
+    """Per channel: serialisation, latency and forwarding delay, behind a
+    null hop 0 of zeros that pads short rows of a route matrix."""
+    return (np.array([0.0] + [wire / ch.bandwidth for ch in chans]),
+            np.array([0.0] + [ch.latency for ch in chans]),
+            np.array([0.0] + [_forwarding_delay(ch) for ch in chans]))
+
+
+def bypass_fly(t: np.ndarray, matrix: np.ndarray, tables) -> np.ndarray:
+    """:func:`bypass_arrival` of packets injected at ``t[i]`` along row *i*
+    of *matrix*, channel indices into *tables*."""
+    ser, lat, fwd = tables
+    for hop in matrix.T:
+        t = ((t + ser[hop]) + lat[hop]) + fwd[hop]
+    return t

@@ -68,6 +68,7 @@ TRACEPOINTS: Dict[str, Any] = {
     "engine.ff_enter": ("i", "flow fast-forward fold began (args: chunks)"),
     "engine.ff_exit": ("i", "flow fast-forward fold committed "
                             "(args: until, send_done)"),
+    "engine.ff_miss": ("i", "flow fast-forward phase declined (args: reason)"),
     "engine.ctrl_fold": ("i", "control-plane phase folded or declined "
                               "(args: phase, messages | miss)"),
     "engine.inc_fold": ("i", "INC reduction pass folded or declined "

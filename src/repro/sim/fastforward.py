@@ -92,8 +92,13 @@ class FlowFastForward:
         """Phases that ran at packet level although offered to the fold."""
         return sum(self.misses.values())
 
-    def _miss(self, reason: str) -> None:
+    def _miss(self, reason: str, engine: Optional["RankEngine"] = None) -> None:
+        """Count one declined phase under *reason*, and trace it on
+        *engine*'s track (rank 0's when the decline is no rank's hook)."""
         self.misses[reason] = self.misses.get(reason, 0) + 1
+        trc = (engine or self.comm.engines[0]).trace
+        if trc is not None:
+            trc.instant("engine.ff_miss", self.sim.now, {"reason": reason})
 
     def preempt(self) -> None:
         """Flush every live session *now* — called before a second
@@ -134,11 +139,21 @@ class FlowFastForward:
             if sess is not None:
                 sess.abort()
             self._sessions[cid] = None
-            self._miss(miss.args[0])
+            self._miss(miss.args[0], engine)
             return None
         if self.comm.cf is not None:
             self.comm.cf.publish(cid, "sent", engine.rank, done)
         return done
+
+    def horizon(self, coll_id: int) -> Optional[float]:
+        """While *coll_id*'s session is live in this fault epoch, a lower
+        bound on when any of its waiting ranks' cutoffs can fire (the control
+        fold's activation gate); else ``None``."""
+        sess = self._sessions.get(coll_id)
+        if (sess is None or not sess.live
+                or sess.epoch != self.comm.fabric.fault_epoch):
+            return None
+        return sess._deadline(self.sim.now)
 
     def gate(self, op: "OpState", participants: List[int]) -> Optional[str]:
         """The O(1) fault-inert gates the data fold and the control fold

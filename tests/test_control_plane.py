@@ -1,11 +1,13 @@
 """Tests for the RC control plane: messaging, inboxes, barrier."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import CollectiveConfig, CrashSpec, FaultSpec, StragglerSpec
+from repro import (CollectiveConfig, CrashSpec, FaultSpec, HostCostModel,
+                   StragglerSpec)
 from repro.core import control
 from repro.core.control import (
     ControlFoldError,
@@ -445,6 +447,11 @@ def _left_behind(comm, res):
     }
 
 
+def _phases(kind):
+    """Control phases a collective of *kind* offers to the fold."""
+    return 2 if kind.startswith("bcast") else 3
+
+
 def _assert_fold_exact(topology, kind, **kw):
     comm, res = _fold_run(topology, kind, "exact", **kw)
     ref_comm, ref = _fold_run(topology, kind, "off", **kw)
@@ -463,10 +470,10 @@ def test_folded_control_phases_match_the_packet_oracle(shape, kind):
     res, ref = _assert_fold_exact(topology, kind, n_ranks=n_ranks,
                                   transport=transport)
     eng = res.engine
-    assert eng["ctrl_folds"] == 2 and eng["ctrl_fold_misses"] == {}
+    # barrier, handshake and, along an allgather chain, the activations
+    assert eng["ctrl_folds"] == _phases(kind) and eng["ctrl_fold_misses"] == {}
     assert eng["sim_events"] < ref.engine["sim_events"]
-    if kind.startswith("bcast"):
-        assert eng["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
+    assert eng["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
 
 
 @pytest.mark.parametrize("kind,transport", [
@@ -476,7 +483,7 @@ def test_folded_control_phases_on_the_188_host_testbed(kind, transport):
     # cutoff is the ledger's: the adaptive one aborts the data fold here.
     res, _ = _assert_fold_exact(Topology.testbed_188, kind, transport=transport,
                                 adaptive_cutoff=False, cutoff_alpha=10e-3)
-    assert res.engine["ctrl_folds"] == 2 and res.engine["ff_aborts"] == 0
+    assert res.engine["ctrl_folds"] == _phases(kind) and res.engine["ff_aborts"] == 0
 
 
 # One test per gate reason: the packet path ran, the result is the
@@ -486,12 +493,12 @@ _LS16 = _SHAPES["leaf_spine16"][0]
 
 
 def _assert_declined(reason, kind="bcast0", misses=None, topology=_LS16, **kw):
-    """*misses* is the expected histogram; default: both phases, *reason*."""
-    misses = misses or {reason: 2}
+    """*misses* is the expected histogram; default: every phase, *reason*."""
+    misses = misses or {reason: _phases(kind)}
     res, ref = _assert_fold_exact(topology, kind, **kw)
     eng = res.engine
     assert eng["ctrl_fold_misses"] == misses
-    assert eng["ctrl_folds"] == 2 - sum(misses.values())
+    assert eng["ctrl_folds"] == _phases(kind) - sum(misses.values())
     if eng["ctrl_folds"] == 0:  # the whole control plane is the oracle's
         assert eng["ctrl_pairs"] == ref.engine["ctrl_pairs"] > 0
     return res
@@ -618,7 +625,8 @@ def test_a_collective_admitted_mid_fold_gets_the_unserved_tokens_back(
         assert comm.cf.misses.get("preempted", 0) == len(phases)
         preempted += phases
         # a handed-back phase no longer counts as folded
-        assert comm.cf.folds + sum(comm.cf.misses.values()) == 4
+        assert comm.cf.folds + sum(comm.cf.misses.values()) == sum(
+            _phases("bcast" if k == "b" else "ag") for k in kinds)
     assert preempted.count("sync") >= 11 and "final" in preempted
     assert any(mid_service) and not all(mid_service)
 
@@ -639,12 +647,97 @@ def test_fold_declines_when_a_later_token_would_overtake_an_earlier():
                      prepare=_slow("h0", "leaf000", 10e-6))
 
 
-def test_fold_declines_when_an_activation_would_beat_a_folded_service():
-    # h0's slow egress skews the barrier exits of chain neighbours by more
-    # than the doorbell plus path an activation needs: it could land on a
-    # dispatcher that still has a folded token to serve.
-    _assert_declined("overlap", kind="ag1", misses={"overlap": 1},
-                     topology=_LS6, prepare=_slow("h0", "leaf000", 3e-6))
+def test_an_activation_inside_a_folded_barrier_window_folds_exactly(monkeypatch):
+    # A slow access link into h1 and a 2 µs dispatcher skew the barrier: the
+    # activation h0 -> h1 reaches a dispatcher that still has folded barrier
+    # tokens to serve.  It arrived after all of them, so it is served after
+    # them — at its real instant, with the oracle's counters.
+    early = []  # per activation: folded, arriving before the cursor
+    real = control.ControlFold.activate
+
+    def spy(self, engine, op, participants, me):
+        quiet = self.comm.engines[participants[me + 1]].ctrl.fold_quiet
+        folded = real(self, engine, op, participants, me)
+        early.append(folded and self._colls[op.coll_id].act[2] < quiet)
+        return folded
+    monkeypatch.setattr(control.ControlFold, "activate", spy)
+    res, _ = _assert_fold_exact(_LS6, "ag1", prepare=_slow("leaf000", "h1", 2e-6),
+                                cost=replace(HostCostModel(), ctrl_message=2e-6))
+    assert early[0] and len(early) == 5
+    assert res.engine["ctrl_folds"] == 3 and res.engine["ctrl_fold_misses"] == {}
+    assert res.engine["ctrl_pairs"] == 0
+
+
+def test_a_queued_activation_is_handed_back_behind_the_barrier_tokens():
+    # The same skewed chain, and a broadcast admitted while the first
+    # activation waits in h1's queue behind folded barrier tokens: the CQ
+    # gets the barrier's tokens, then the activation, and serves them as the
+    # packet path does.
+    cost = replace(HostCostModel(), ctrl_message=2e-6)
+    tokens = []
+    real = control.ControlFold.activate
+
+    def spy(self, engine, op, participants, me):
+        folded = real(self, engine, op, participants, me)
+        tokens.append(list(self._colls[op.coll_id].act) if folded else None)
+        return folded
+
+    def run(ff, at):
+        fabric = Fabric(Simulator(), _LS6(), link_bandwidth=gbit_per_s(56),
+                        streams=RandomStreams(seed=1))
+        _slow("leaf000", "h1", 2e-6)(fabric)
+        comm = Communicator(fabric, config=CollectiveConfig(
+            transport="uc", chunk_size=1024, fast_forward=ff, cost=cost))
+        data = np.arange(kib(4), dtype=np.uint8)
+        handles = []
+
+        def driver():
+            handles.append(comm.allgather_async([data[:1024] + r for r in range(6)]))
+            if at is not None:
+                yield Timeout(comm.sim, at)
+                handles.append(comm.broadcast_async(3, data))
+
+        comm.sim.drain([comm.sim.spawn(driver())])
+        comm.run(*handles)
+        left = _left_behind(comm, handles[0].result({}, {}))
+        left["phases"] = [[op.phases for op in h.ops] for h in handles]
+        del left["traffic"], left["duration"]
+        return comm, left
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control.ControlFold, "activate", spy)
+        run("exact", None)
+    _, _, arrived, start, _, _ = tokens[0]
+    assert arrived < start  # queued behind the barrier
+    at = (arrived + start) / 2
+    comm, got = run("exact", at)
+    _, want = run("off", at)
+    for key in want:
+        assert got[key] == want[key], key
+    assert comm.cf.misses["preempted"] == 2  # the barrier and the chain
+
+
+def test_an_activation_overtaking_a_folded_barrier_token_unfolds_the_barrier():
+    # With the dispatcher's default cost the same activation arrives before
+    # h1's last barrier token: it is sent for real, and the barrier's
+    # unserved tokens are handed back first so the CQ serves it in order.
+    _assert_declined("overlap", kind="ag1", topology=_LS6,
+                     misses={"overlap": 1, "preempted": 1},
+                     prepare=_slow("leaf000", "h1", 2e-6))
+
+
+@pytest.mark.parametrize("link,misses", [
+    (("leaf000", "h1"), {"data_unfolded": 2, "preempted": 1}),
+    (("leaf000", "h2"), {"data_unfolded": 2}),
+], ids=["early", "late"])
+def test_packet_level_activations_never_land_in_a_folded_window(link, misses):
+    # Two chains: the data phases run at packet level, and so do the
+    # activations.  One that would reach a dispatcher inside its folded
+    # barrier unfolds the barrier first (h1); one that arrives after it
+    # leaves the barrier folded (h2).
+    res, _ = _assert_fold_exact(_LS6, "ag1", n_chains=2, prepare=_slow(*link, 2e-6))
+    assert res.engine["ctrl_fold_misses"] == misses
+    assert res.engine["ff_misses"] == {"chains": 1, "poisoned": 5}
 
 
 def test_fold_declines_when_a_final_would_beat_a_folded_service():
@@ -659,8 +752,10 @@ def test_a_fault_between_the_barrier_fold_and_the_data_phase():
     def arm(comm):  # 1 µs in: after the barrier folded, before anyone syncs
         comm.sim.post_at(1e-6, comm.fabric.set_fault_all,
                          lambda src, dst: FaultSpec(flap_windows=[(1.0, 2.0)]))
-    res = _assert_declined("data_unfolded", misses={"data_unfolded": 1},
-                           after=arm)
+    # The fault-epoch change hands the folded barrier back: its unsent
+    # tokens go out as packets, under the new fault state.
+    res, _ = _assert_fold_exact(_LS16, "bcast0", after=arm)
+    assert res.engine["ctrl_fold_misses"] == {"preempted": 1, "data_unfolded": 1}
     assert res.engine["ff_phases"] == 0 and res.engine["ff_aborts"] == 1
 
 
@@ -672,13 +767,16 @@ def test_a_packet_inside_a_folded_window_is_a_typed_error():
 
 
 def test_ctrl_fold_tracepoint_and_zero_perturbation():
-    def run(trace, prepare=None):
+    def run(trace, prepare=None, kind="bcast", ff="exact"):
         fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
         if prepare is not None:
             prepare(fabric)
         comm = Communicator(fabric, trace=trace, config=CollectiveConfig(
-            transport="uc", fast_forward="exact"))
-        return comm, comm.broadcast(0, np.arange(kib(16), dtype=np.uint8))
+            transport="uc", fast_forward=ff))
+        data = np.arange(kib(16), dtype=np.uint8)
+        if kind == "bcast":
+            return comm, comm.broadcast(0, data)
+        return comm, comm.allgather([data[:1024] + r for r in range(comm.size)])
 
     comm, res = run(TraceConfig())
     plain_comm, plain = run(None)
@@ -691,3 +789,21 @@ def test_ctrl_fold_tracepoint_and_zero_perturbation():
     _, slow = run(TraceConfig(), _slow("h0", "leaf000", 10e-6))
     assert {"phase": "sync", "miss": "reorder"} in [
         r.args for r in slow.trace.select(name="engine.ctrl_fold")]
+
+    # An allgather's 15 activations fold as one phase: one instant, not one
+    # per token, and every rank's seq.activate where the packet path has it.
+    comm, res = run(TraceConfig(), kind="ag")
+    plain_comm, plain = run(None, kind="ag")
+    _, ref = run(TraceConfig(), kind="ag", ff="off")
+    assert [r.phases for r in res.ranks] == [r.phases for r in plain.ranks]
+    assert comm.sim.events_processed == plain_comm.sim.events_processed
+    folds = [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+    assert folds == [{"phase": "sync", "messages": 16 * 4},
+                     {"phase": "activate", "messages": 15},
+                     {"phase": "final", "messages": 16}]
+    assert res.engine["ctrl_folds"] == 3 and res.engine["ctrl_pairs"] == 0
+
+    def activations(r):
+        return [(e.ts, e.track, e.args) for e in r.trace.select(name="seq.activate")]
+    assert len(activations(res)) == 15
+    assert activations(res) == activations(ref)

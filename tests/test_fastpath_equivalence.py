@@ -22,13 +22,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.net.fabric import Fabric
 from repro.net.faults import GilbertElliott, StragglerSpec
 from repro.net.link import FaultSpec
 from repro.net.topology import Topology
+from repro.obs import TraceConfig
 from repro.sim.engine import Simulator
+from repro.sim.events import Timeout
 from repro.sim.random import RandomStreams
 from repro.units import KiB, gbit_per_s
 
@@ -292,7 +296,7 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
             chunk_size: int = 4096, nbytes: Optional[int] = None,
             ctrl_fold: bool = True, topology=None, coalescing: bool = True,
-            **config):
+            trace=None, **config):
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -307,9 +311,9 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
         host, spec = straggler
         fabric.set_straggler(host, spec)
     comm = Communicator(
-        fabric, config=CollectiveConfig(chunk_size=chunk_size,
-                                        transport=transport, fast_forward=ff,
-                                        **config)
+        fabric, trace=trace,
+        config=CollectiveConfig(chunk_size=chunk_size, transport=transport,
+                                fast_forward=ff, **config)
     )
     if not ctrl_fold:
         comm.cf = None  # data fold only: barrier and handshake as packets
@@ -392,7 +396,9 @@ def test_ff_exact_control_fold_axis(kind: str, transport: str) -> None:
             == [(e.ctrl.messages_sent, e.ctrl.messages_received)
                 for e in comm_pk.engines])
     assert res_cf.engine["ff_phases"] == res_pk.engine["ff_phases"] > 0
-    assert res_cf.engine["ctrl_folds"] == 2 and res_pk.engine["ctrl_folds"] == 0
+    # barrier, handshake and, along an allgather chain, the activations
+    assert res_cf.engine["ctrl_folds"] == (3 if kind == "allgather" else 2)
+    assert res_pk.engine["ctrl_folds"] == 0
     assert res_cf.engine["sim_events"] < res_pk.engine["sim_events"]
 
 
@@ -425,10 +431,14 @@ def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
 ], ids=["chains", "subgroups"])
 def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
     # The paper's chains and subgroups are not folded yet: each declined
-    # phase is counted under the gate that declined it.
-    _, res = _run_ff(kind, 0, "exact", **setup)
+    # phase is counted under the gate that declined it, and traced with it.
+    _, res = _run_ff(kind, 0, "exact", trace=TraceConfig(), **setup)
     assert res.engine["ff_phases"] == 0
     assert res.engine["ff_misses"] == misses
+    traced: Dict[str, int] = {}
+    for ev in res.trace.select(name="engine.ff_miss"):
+        traced[ev.args["reason"]] = traced.get(ev.args["reason"], 0) + 1
+    assert traced == misses
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
@@ -485,6 +495,98 @@ def test_ff_exact_matrix(topology: str, shape: str, transport: str) -> None:
                            topology=_FF_TOPOLOGIES[topology], **kw)
     assert res.engine["ff_phases"] == phases
     assert res.engine["ff_aborts"] == 0
+
+
+def _control_left(comm: Communicator):
+    """What control packets leave beyond the wire counters: every NIC's rx
+    counters, every plane's message counts and heartbeats."""
+    return ([(nic.packets_received, nic.bytes_received)
+             for nic in comm.fabric.nics.values()],
+            [(e.ctrl.messages_sent, e.ctrl.messages_received, e.ctrl.last_heard)
+             for e in comm.engines])
+
+
+# The activation fold (DESIGN.md §6i) over the same tree families: an
+# allgather chain's 15 activations leave what their packets would, and the
+# folded run builds no RC pair at all.
+@pytest.mark.parametrize("chunks", [1, 4])
+@pytest.mark.parametrize("transport", ["ud", "uc"])
+@pytest.mark.parametrize("topology", sorted(_FF_TOPOLOGIES))
+def test_ff_exact_activation_fold_matrix(topology: str, transport: str,
+                                         chunks: int) -> None:
+    kw = dict(transport=transport, topology=_FF_TOPOLOGIES[topology],
+              chunk_size=1024, nbytes=1024 * chunks)
+    comm, res = _run_ff("allgather", 0, "exact", **kw)
+    ref_comm, ref = _run_ff("allgather", 0, "off", **kw)
+    assert res.duration == ref.duration
+    for rf, ro in zip(res.ranks, ref.ranks):
+        assert rf.phases == ro.phases, f"rank {rf.rank} phase timestamps differ"
+    assert _channel_counters(comm.fabric) == _channel_counters(ref_comm.fabric)
+    assert _switch_counters(comm.fabric) == _switch_counters(ref_comm.fabric)
+    assert _control_left(comm) == _control_left(ref_comm)
+    assert res.engine["ff_phases"] == P and res.engine["ff_aborts"] == 0
+    assert res.engine["ctrl_folds"] == 3 and res.engine["ctrl_fold_misses"] == {}
+    assert res.engine["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
+
+
+def _chain_then_broadcast(ff: str, topology, transport: str, at: float):
+    """A 16-rank allgather, then a broadcast submitted at *at* from a
+    driver process; what both collectives leave behind."""
+    fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
+                    streams=RandomStreams(0))
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=1024, transport=transport, fast_forward=ff))
+    data = np.arange(4 * KiB, dtype=np.uint8)
+    handles = []
+
+    def driver():
+        handles.append(comm.allgather_async([data[:1024] + r for r in range(P)]))
+        yield Timeout(comm.sim, at)
+        handles.append(comm.broadcast_async(3, data))
+
+    comm.sim.drain([comm.sim.spawn(driver())])
+    comm.run(*handles)
+    left = ([[op.phases for op in h.ops] for h in handles],
+            _channel_counters(fabric), _switch_counters(fabric),
+            _control_left(comm))
+    return comm, left
+
+
+_CHAIN_WINDOW: Dict[Tuple[str, str], Tuple[float, float]] = {}
+
+
+def _chain_window(topology: str, transport: str) -> Tuple[float, float]:
+    """First and last ``send_done`` of the chain's activating ranks."""
+    key = (topology, transport)
+    if key not in _CHAIN_WINDOW:
+        _, res = _run_ff("allgather", 0, "exact", transport=transport,
+                         topology=_FF_TOPOLOGIES[topology], chunk_size=1024,
+                         nbytes=1024)
+        sends = sorted(r.phases["activated"] for r in res.ranks
+                       if "activated" in r.phases)
+        _CHAIN_WINDOW[key] = (sends[0], sends[-1])
+    return _CHAIN_WINDOW[key]
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(topology=st.sampled_from(sorted(_FF_TOPOLOGIES)),
+       transport=st.sampled_from(["ud", "uc"]),
+       frac=st.floats(0.01, 0.99))
+def test_a_collective_admitted_mid_chain_gets_the_activations_back(
+        topology: str, transport: str, frac: float) -> None:
+    # Whenever inside the chain the broadcast is admitted — an activation on
+    # the wire, queued, in service, or between two of them — the chain goes
+    # back to the packet path and both collectives end as they do there.
+    lo, hi = _chain_window(topology, transport)
+    at = lo + frac * (hi - lo)
+    comm, got = _chain_then_broadcast("exact", _FF_TOPOLOGIES[topology],
+                                      transport, at)
+    _, want = _chain_then_broadcast("off", _FF_TOPOLOGIES[topology],
+                                    transport, at)
+    assert got == want
+    assert comm.cf.misses.get("preempted", 0) >= 1
+    assert comm.cf.folds + sum(comm.cf.misses.values()) == 5
 
 
 @pytest.mark.parametrize("transport", ["ud", "uc"])

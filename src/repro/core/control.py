@@ -99,8 +99,8 @@ class ControlPlane:
         nic: "Nic",
         rank: int,
         pair_fn: Callable[[int], QueuePair],
+        in_flight: List[int],
         per_message_cost: float = 0.0,
-        in_flight: Optional[List[int]] = None,
     ) -> None:
         self.sim = sim
         self.nic = nic
@@ -120,7 +120,7 @@ class ControlPlane:
         self.messages_received = 0
         #: ``[n]``: messages sent and not yet served, shared by every plane
         #: of one communicator (the control fold's O(1) idle test)
-        self.in_flight = [0] if in_flight is None else in_flight
+        self.in_flight = in_flight
         #: peer rank → virtual time of the last message heard from it.
         #: Every control message doubles as a liveness heartbeat, so the
         #: suspicion logic can often clear a peer without spending a probe.

@@ -145,8 +145,8 @@ class Fabric:
         self.inc_folds = 0
         self.inc_fold_misses: Dict[str, int] = {}
         self._inc_live: list = []
-        #: callbacks run at every fault_epoch bump, before the change (the
-        #: control fold hands its in-flight activations back)
+        #: callbacks run at every fault_epoch bump, before the change (a
+        #: communicator's control fold hands its unserved tokens back)
         self.epoch_listeners: list = []
 
         # --- build nodes ---
@@ -258,7 +258,8 @@ class Fabric:
 
     def _new_fault_epoch(self) -> None:
         """A fault, straggler or crash is about to change: bump the epoch
-        the folds check, and hand any folded INC pass back to packets."""
+        the folds check, and hand any folded INC pass — and, through the
+        listeners, any folded control token — back to packets."""
         self.fault_epoch += 1
         self.unfold_inc()
         for listener in self.epoch_listeners:

@@ -506,6 +506,8 @@ def _assert_declined(reason, kind="bcast0", misses=None, topology=_LS16, **kw):
 
 def test_fold_declines_under_a_failure_policy():
     _assert_declined("live", failure_policy="degrade")
+    # barrier, activation chain and handshake
+    _assert_declined("live", kind="ag1", failure_policy="degrade")
 
 
 def test_fold_declines_with_a_dead_rank():
@@ -553,6 +555,17 @@ def test_fold_declines_with_a_control_message_in_flight():
     _assert_declined(
         "dispatcher_busy", misses={"dispatcher_busy": 1},
         after=lambda comm: comm.engines[2].ctrl.send(3, MSG_FINAL, key=999))
+
+
+def test_an_activation_declines_with_a_control_message_in_flight():
+    # A stray message is on its way to rank 2 when rank 1 activates it: the
+    # token would queue behind it, which the folded cursor cannot see, so
+    # the chain goes on at packet level (the handshake still folds).
+    t = _fold_run(_LS16, "ag1", "off")[1].ranks[1].phases["activated"]
+    _assert_declined(
+        "dispatcher_busy", kind="ag1", misses={"dispatcher_busy": 1},
+        after=lambda comm: comm.sim.post_at(
+            t - 0.2e-6, comm.engines[9].ctrl.send, 2, MSG_FINAL, 999))
 
 
 def test_fold_declines_when_the_fan_in_would_cross_the_srq_watermark(monkeypatch):
@@ -645,6 +658,16 @@ def test_fold_declines_when_a_later_token_would_overtake_an_earlier():
     # rank 5, reaches its dispatcher first.
     _assert_declined("reorder", misses={"reorder": 1}, topology=_LS6,
                      prepare=_slow("h0", "leaf000", 10e-6))
+
+
+def test_an_activation_behind_a_skewed_barrier_folds_exactly():
+    # h0's slow egress skews the barrier exits of chain neighbours by more
+    # than a doorbell and a path: the barrier's old lower bound on an
+    # activation's arrival declined the barrier here.  The activation now
+    # folds at its real instant, with the oracle's instants and counters.
+    res, _ = _assert_fold_exact(_LS6, "ag1", prepare=_slow("h0", "leaf000", 3e-6))
+    assert res.engine["ctrl_folds"] == 3 and res.engine["ctrl_fold_misses"] == {}
+    assert res.engine["ctrl_pairs"] == 0
 
 
 def test_an_activation_inside_a_folded_barrier_window_folds_exactly(monkeypatch):

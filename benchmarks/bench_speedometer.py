@@ -23,9 +23,11 @@ scenarios that together cover the hot paths the fast-path PR optimizes:
 * ``a2a16``       16-rank personalized alltoall over unicast RC QPs
                   (the MoE expert-parallel exchange)
 
-Virtual-time outputs (durations) and event counts are deterministic:
-any change to either is a *semantic* change, not noise, and fails the
-``--check`` gate outright.  Wall-clock is machine-dependent, so the gate
+Virtual-time outputs (durations), event counts and each scenario's
+traffic fingerprint (packets and bytes sent and dropped on every channel,
+packets every switch forwarded, packets and RNR drops at every NIC, each
+summed over the fabric) are deterministic: any change to them is a
+*semantic* change, not noise, and fails the ``--check`` gate outright.  Wall-clock is machine-dependent, so the gate
 normalizes it by a calibration loop (pure-Python event churn) measured on
 the same machine at the same moment, and compares the *normalized* cost
 against the committed baseline with a tolerance (default 25%).
@@ -81,7 +83,23 @@ def calibrate() -> float:
     return time.perf_counter() - t0
 
 
-def _result(wall: float, res) -> Dict[str, float]:
+def traffic(fabric) -> Dict[str, int]:
+    """The fabric's traffic fingerprint: channel, switch and NIC packet
+    counters, each summed over the fabric."""
+    chans = fabric.channels.values()
+    nics = [nic for rail in fabric.rail_nics.values() for nic in rail]
+    return {
+        "packets_sent": sum(ch.packets_sent for ch in chans),
+        "bytes_sent": sum(ch.bytes_sent for ch in chans),
+        "packets_dropped": sum(ch.packets_dropped for ch in chans),
+        "packets_forwarded": sum(sw.packets_forwarded
+                                 for sw in fabric.switches.values()),
+        "packets_received": sum(nic.packets_received for nic in nics),
+        "rnr_drops": sum(nic.rnr_drops for nic in nics),
+    }
+
+
+def _result(wall: float, res, fabric) -> Dict[str, object]:
     return {
         "wall_s": wall,
         "virtual_s": res.duration,
@@ -89,6 +107,7 @@ def _result(wall: float, res) -> Dict[str, float]:
         "trains": res.engine["trains"],
         "train_packets": res.engine["train_packets"],
         "ff_phases": res.engine.get("ff_phases", 0),
+        "traffic": traffic(fabric),
     }
 
 
@@ -108,7 +127,7 @@ def _bcast(n_hosts: int, nbytes: int, chunk: int, coalescing: bool,
     res = comm.broadcast(0, data)
     wall = time.perf_counter() - t0
     assert res.verify_broadcast(data), "broadcast payload corrupted"
-    return _result(wall, res)
+    return _result(wall, res, fabric)
 
 
 def _ff_kw(ff: str | None, default: str = "off") -> Dict[str, str]:
@@ -129,7 +148,7 @@ def scenario_ag16(coalescing: bool, batching: bool = True,
     res = comm.allgather(data)
     wall = time.perf_counter() - t0
     assert res.verify_allgather(data), "allgather payload corrupted"
-    return _result(wall, res)
+    return _result(wall, res, fabric)
 
 
 def scenario_bcast188(coalescing: bool, batching: bool = True,
@@ -171,6 +190,7 @@ def scenario_fsdp(coalescing: bool, batching: bool = True,
         "trains": fabric.total_trains(),
         "train_packets": fabric.total_train_packets(),
         "ff_phases": 0,
+        "traffic": traffic(fabric),
     }
 
 
@@ -200,7 +220,7 @@ def scenario_ag1024(coalescing: bool, batching: bool = True,
     res = comm.allgather(data)
     wall = time.perf_counter() - t0
     assert res.verify_allgather(data), "allgather payload corrupted"
-    return _result(wall, res)
+    return _result(wall, res, fabric)
 
 
 def scenario_ar188(coalescing: bool, batching: bool = True,
@@ -217,7 +237,7 @@ def scenario_ar188(coalescing: bool, batching: bool = True,
     res = comm.allreduce(data, algorithm="inc")
     wall = time.perf_counter() - t0
     assert res.verify_allreduce(data), "allreduce payload corrupted"
-    return _result(wall, res)
+    return _result(wall, res, fabric)
 
 
 def scenario_a2a16(coalescing: bool, batching: bool = True,
@@ -233,7 +253,7 @@ def scenario_a2a16(coalescing: bool, batching: bool = True,
     res = comm.alltoall(data)
     wall = time.perf_counter() - t0
     assert res.verify_alltoall(data), "alltoall payload corrupted"
-    return _result(wall, res)
+    return _result(wall, res, fabric)
 
 
 SCENARIOS = {
@@ -330,6 +350,12 @@ def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> i
             failures.append(
                 f"{name}: event count changed {base['events']} -> {cur['events']} "
                 "(semantic change — regenerate the baseline deliberately)"
+            )
+        if same_config and cur["traffic"] != base["traffic"]:
+            failures.append(
+                f"{name}: traffic fingerprint changed {base['traffic']} -> "
+                f"{cur['traffic']} (semantic change — regenerate the baseline "
+                "deliberately)"
             )
         if cur["virtual_s"] != base["virtual_s"]:
             failures.append(

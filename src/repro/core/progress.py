@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.core.chunking import ImmLayout
+from repro.core.chunking import IMM_BITS, ImmLayout
 from repro.core.control import (
     MSG_ACTIVATE,
     MSG_BARRIER,
@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
 
 __all__ = ["RankEngine"]
+
+_IMM_MAX = (1 << IMM_BITS) - 1  #: largest immediate a CQE may carry
 
 
 class _CopyBatch:
@@ -417,14 +419,23 @@ class RankEngine:
         cost = self.cost
         now = self.sim.now
         c1 = cost.cqe_poll + cost.cqe_process
+        # ImmLayout.decode, hoisted: an immediate outside 32 bits goes to
+        # decode itself, which raises.
+        decode = self.imm.decode
+        mask = self.imm.max_psns - 1
+        shift = self.imm.psn_bits
         if uc:
             c2 = cost.recv_repost
-            decode = self.imm.decode
             t = now
             insts = []
-            decoded = []
+            psns = []
+            cids = []
             for cqe in cqes:
-                psn, cid = decode(cqe.imm or 0)
+                imm = cqe.imm or 0
+                if not 0 <= imm <= _IMM_MAX:
+                    decode(imm)
+                psn = imm & mask
+                cid = imm >> shift
                 op = self.ops.get(cid)
                 if op is not None and psn >= op.bitmap.n_bits:
                     break  # corrupt PSN: let the slow path raise in-process
@@ -434,17 +445,18 @@ class RankEngine:
                 t = a + c1
                 t = t + c2
                 insts.append(t)
-                decoded.append((psn, cid))
-            if len(decoded) < 2:
+                psns.append(psn)
+                cids.append(cid)
+            k = len(psns)
+            if k < 2:
                 return 0, 0.0
             t_end = insts[-1]
             if not self.fabric.straggler_inert(self.nic.host, now, t_end):
                 return 0, 0.0
             post = self.sim.post_at
             replay = self._uc_replay
-            for (psn, cid), when in zip(decoded, insts):
+            for psn, cid, when in zip(psns, cids, insts):
                 post(when, replay, qp, psn, cid)
-            k = len(decoded)
             self.cqe_batches += 1
             self.batched_cqes += k
             if self.trace is not None:
@@ -453,7 +465,6 @@ class RankEngine:
 
         if not self._batch_ud_ok:
             return 0, 0.0
-        decode = self.imm.decode
         ops_map = self.ops
         c2 = cost.copy_issue + cost.recv_repost
         t = now
@@ -465,8 +476,10 @@ class RankEngine:
             imm = cqe.imm
             if imm is None:
                 break
-            psn, cid = decode(imm)
-            o = ops_map.get(cid)
+            if not 0 <= imm <= _IMM_MAX:
+                decode(imm)
+            psn = imm & mask
+            o = ops_map.get(imm >> shift)
             if o is None or (op is not None and o is not op):
                 break
             if op is None:
@@ -528,40 +541,36 @@ class RankEngine:
             i = j
         op.stats["chunks_received"] += k
         op.outstanding_copies += k
-        bounds = op.plan.bounds
-        mr_view = op.mr.view
+        # ChunkPlan.bounds, hoisted: a PSN out of range goes to bounds
+        # itself, which raises.
+        plan = op.plan
+        chunk = plan.chunk_size
+        buffer_len = plan.buffer_len
+        n_chunks = plan.n_chunks
         slot_size = staging.slot_size
         # Group adjacent slots (consecutive ring slots AND consecutive
-        # full-size chunks) into spanning scatter-gather segments.
-        segments = []
-        seg_slot0 = seg_off0 = seg_len = -1
-        seg_ops: List[tuple] = []
-        for idx in range(k):
-            psn = psns[idx]
-            slot = slots[idx]
-            off, ln = bounds(psn)
-            entry = (ln, issues[idx])
-            if (seg_ops
-                    and slot == seg_slot0 + len(seg_ops)
-                    and off == seg_off0 + seg_len
-                    and seg_ops[-1][0] == slot_size):
-                seg_ops.append(entry)
-                seg_len += ln
-            else:
-                if seg_ops:
-                    segments.append((
-                        staging.mr.view(seg_slot0 * slot_size, seg_len),
-                        mr_view(seg_off0, seg_len),
-                        seg_ops,
-                    ))
-                seg_slot0, seg_off0, seg_len = slot, off, ln
-                seg_ops = [entry]
-        segments.append((
-            staging.mr.view(seg_slot0 * slot_size, seg_len),
-            mr_view(seg_off0, seg_len),
-            seg_ops,
-        ))
-        done = self.dma.copy_runs(segments)
+        # full-size chunks) into spanning scatter-gather segments:
+        # ``[first slot, buffer offset, bytes, per-op (bytes, issue)]``.
+        runs: List[list] = []
+        for psn, slot, issue in zip(psns, slots, issues):
+            if not 0 <= psn < n_chunks:
+                plan.bounds(psn)
+            off = psn * chunk
+            ln = min(chunk, buffer_len - off)
+            if runs:
+                run = runs[-1]
+                ops = run[3]
+                if (slot == run[0] + len(ops) and off == run[1] + run[2]
+                        and ops[-1][0] == slot_size):
+                    ops.append((ln, issue))
+                    run[2] += ln
+                    continue
+            runs.append([slot, off, ln, [(ln, issue)]])
+        src = staging.mr.buf
+        dst = op.mr.buf
+        done = self.dma.copy_runs([
+            (src[s * slot_size:s * slot_size + n], dst[o:o + n], ops)
+            for s, o, n, ops in runs])
         # One event stands in for the k completions; each keeps the
         # tie-break position its own event would have had.
         seq0 = self.sim.post_batch_at(done[-1], k, self.settle)
@@ -575,7 +584,7 @@ class RankEngine:
             trc.instant("cq.batch", now, {"cqes": k})
             trc.counter("staging.hold", now, staging.held)
             trc.complete("dma.copy_runs", issues[0], done[-1] - issues[0],
-                         {"copies": k, "segments": len(segments)})
+                         {"copies": k, "segments": len(runs)})
 
     def settle(self) -> None:
         """Apply every pending batched DMA completion the event loop has

@@ -116,8 +116,3 @@ class DmaEngine:
         self.bytes_copied += total
         self.ops += len(done)
         return done
-
-    @property
-    def queue_depth_time(self) -> float:
-        """Seconds of work currently queued ahead of a new op."""
-        return max(0.0, self.busy_until - self.sim.now)

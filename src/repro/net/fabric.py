@@ -17,12 +17,14 @@ the reliability tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.faults import CrashSpec, StragglerSpec
 from repro.net.link import Channel, FaultSpec
 from repro.net.nic import Nic
+from repro.net.packet import MCAST_FLAG
 from repro.net.plan import MulticastPlan, plan_mcast
 from repro.net.switch import Switch
 from repro.net.topology import Topology, host_id, host_name, is_host
@@ -138,7 +140,6 @@ class Fabric:
         self.mcast_groups: Dict[int, McastGroup] = {}
         self._gid_counter = itertools.count(0)
         self._inc_gid_counter = itertools.count(1 << 16)  # disjoint from mcast gids
-        self._hop_cache: Dict[Tuple[int, int], int] = {}
         self._inc_trees: Dict[int, object] = {}
         #: INC passes folded into closed form (DESIGN.md §6j), passes that
         #: ran at packet level by gate reason, and the folds still in flight
@@ -308,7 +309,7 @@ class Fabric:
     def straggler_inert(self, host: int, t0: float, t1: float) -> bool:
         """True when every straggler sample on *host* over ``[t0, t1]``
         would return 0 — the receiver-batch eligibility gate (the host-side
-        mirror of :meth:`Channel._train_inert`)."""
+        mirror of :meth:`Channel.fault_inert`)."""
         spec = self._stragglers.get(host)
         return spec is None or spec.inert_over(t0, t1)
 
@@ -466,7 +467,7 @@ class Fabric:
         members_set = set(int(m) for m in members)
         plan = plan_mcast(self.topology, gid, sorted(members_set), exclude)
         for sw in self.switches.values():
-            sw.mcast_table.pop(gid, None)
+            sw.remove_mcast(gid)
         for node, neighbors in plan.tree.items():
             if not is_host(node):
                 self.switches[node].install_mcast(gid, set(neighbors))
@@ -491,17 +492,17 @@ class Fabric:
             node = walk[-1].dst_node
         return walk if node is self.nics[dst] else None
 
-    def one_way_delay(self, src: int, dst) -> float:
-        """Propagation-only delay estimate host→host (for ack modeling)."""
-        if isinstance(dst, int) and dst >= 0 and dst < self.n_hosts and not isinstance(dst, bool):
-            key = (src, dst)
-            hops = self._hop_cache.get(key)
-            if hops is None:
-                hops = len(self.topology.path(src, dst)) - 1 if src != dst else 0
-                self._hop_cache[key] = hops
-            return hops * self.link_latency
-        # Multicast destination: use tree depth bound (2 hops in leaf-spine).
-        return 2 * self.link_latency
+    def one_way_delay(self, src: int, dst: int) -> float:
+        """Propagation-only delay estimate host→host (for ack modeling).
+        *dst* is any integral host id, or a multicast destination
+        (``MCAST_FLAG + gid``); anything else raises."""
+        dst = operator.index(dst)
+        if dst >= MCAST_FLAG:
+            # Multicast destination: use tree depth bound (2 hops in leaf-spine).
+            return 2 * self.link_latency
+        if not 0 <= dst < self.n_hosts:
+            raise ValueError(f"one_way_delay: {dst} is not a host id")
+        return self.topology.hops(src, dst) * self.link_latency
 
     # ------------------------------------------------------------- multicast
 

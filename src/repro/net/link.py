@@ -23,7 +23,7 @@ retransmits below the software's event horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ __all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS
 
 #: Packet kinds subject to fault injection / reordering (unreliable
 #: transports).  RC traffic is retransmitted by hardware, so software never
-#: observes its losses.
-UNRELIABLE_KINDS: Set[PacketKind] = {PacketKind.UD_SEND, PacketKind.UC_WRITE}
+#: observes its losses.  A tuple: a per-packet membership test compares
+#: identities instead of calling ``Enum.__hash__``.
+UNRELIABLE_KINDS: Tuple[PacketKind, ...] = (PacketKind.UD_SEND, PacketKind.UC_WRITE)
 
 _NEVER = float("-inf")  #: a horizon nothing has been scheduled behind
 
@@ -258,54 +259,51 @@ class Channel:
         wire but is never delivered.
         """
         now = self.sim.now
+        wire = packet.payload_len + packet.header_bytes
         if self.down:
-            self.bytes_dropped += packet.wire_bytes
+            self.bytes_dropped += wire
             self.packets_dropped += 1
             return now
         bandwidth = self.bandwidth
-        if self.fault is not None:
+        dropped = False
+        jitter = 0.0
+        fault = self.fault
+        if fault is not None:
             # Degraded-bandwidth periods slow the wire itself, for every
             # transport (evaluated at transmit start — a DES approximation).
-            bandwidth *= self.fault.bandwidth_factor(now)
-        if packet.wire_bytes <= self.ctrl_bypass_bytes:
+            bandwidth *= fault.bandwidth_factor(now)
+            if fault.affects(packet):
+                seq = self._droppable_seq
+                self._droppable_seq = seq + 1
+                dropped = self._should_drop(packet, seq)
+                if not dropped and fault.reorder_jitter > 0.0:
+                    if self.rng is None:
+                        raise RuntimeError(f"channel {self.name} needs an rng for jitter")
+                    jitter = float(self.rng.uniform(0.0, fault.reorder_jitter))
+        trc = self.trace
+        if wire <= self.ctrl_bypass_bytes:
             # High-priority VL: negligible wire time, no bulk queuing.
-            start = now
-            finish = now + packet.wire_bytes / bandwidth
+            finish = now + wire / bandwidth
         else:
             start = now if now > self.busy_until else self.busy_until
-            finish = start + packet.wire_bytes / bandwidth
+            finish = start + wire / bandwidth
             self.busy_until = finish
-        self.bytes_sent += packet.wire_bytes
+            if trc is not None:
+                trc.complete("link.busy", start, finish - start)
+        self.bytes_sent += wire
         self.payload_bytes_sent += packet.payload_len
         self.packets_sent += 1
-        trc = self.trace
-        if trc is not None and packet.wire_bytes > self.ctrl_bypass_bytes:
-            trc.complete("link.busy", start, finish - start)
-
-        jitter = 0.0
-        if self.fault is not None and self.fault.affects(packet):
-            seq = self._droppable_seq
-            self._droppable_seq += 1
-            if self._should_drop(packet, seq):
-                self.bytes_dropped += packet.wire_bytes
-                self.packets_dropped += 1
-                if trc is not None:
-                    trc.instant("link.drop", finish)
-                return finish
-            if self.fault.reorder_jitter > 0.0:
-                if self.rng is None:
-                    raise RuntimeError(f"channel {self.name} needs an rng for jitter")
-                jitter = float(self.rng.uniform(0.0, self.fault.reorder_jitter))
-
-        self._hand_over(packet, finish + self.latency + jitter)
-        return finish
-
-    def _hand_over(self, packet: Packet, at: float) -> None:
-        """*packet* reaches the destination node at instant *at*."""
-        if self._hands_over:
-            self.dst_node.arrive(packet, self, at)
+        if dropped:
+            self.bytes_dropped += wire
+            self.packets_dropped += 1
+            if trc is not None:
+                trc.instant("link.drop", finish)
+        elif self._hands_over:
+            self.dst_node.arrive(packet, self, finish + self.latency + jitter)
         else:
-            self.sim.post_at(at, self.dst_node.receive, packet, self)
+            self.sim.post_at(finish + self.latency + jitter, self.dst_node.receive,
+                             packet, self)
+        return finish
 
     # ------------------------------------------------------------ fast path
 
@@ -333,31 +331,15 @@ class Channel:
                 return False
         return True
 
-    def _drop_inert(self) -> bool:
-        """True when no drop machinery is armed: every packet transmitted
-        from now on is delivered (flap outages are covered by
-        :meth:`_timing_inert`, which only passes once all windows have
-        elapsed)."""
-        f = self.fault
-        if f is None:
-            return True
-        return not (
-            f.drop_prob > 0.0
-            or f.drop_packet_seqs
-            or f.drop_predicate is not None
-            or f.gilbert_elliott is not None
-        )
-
-    def _train_inert(self) -> bool:
-        """Fully inert: neither timing nor loss faults can touch a packet
-        from now on (the flow-level fast-forward eligibility predicate)."""
-        return self._timing_inert() and self._drop_inert()
-
     def fault_inert(self) -> bool:
         """Public inertness probe for analytic layers (flow fast-forward):
         the channel is up and provably cannot drop, delay, or reorder any
-        future packet."""
-        return not self.down and self._train_inert()
+        future packet — timing faults are quiescent (:meth:`_timing_inert`,
+        which also covers flap outages) and no drop machinery is armed."""
+        f = self.fault
+        return not self.down and self._timing_inert() and (f is None or not (
+            f.drop_prob > 0.0 or f.drop_packet_seqs
+            or f.drop_predicate is not None or f.gilbert_elliott is not None))
 
     def transmit_train(self, packets: Sequence[Packet], injections: Optional[Sequence[float]] = None):
         """Transmit a back-to-back run of same-flow packets.
@@ -394,7 +376,8 @@ class Channel:
             self.coalescing
             and n > 1
             and self._timing_inert()
-            and all(p.wire_bytes > self.ctrl_bypass_bytes for p in packets)
+            and all(p.payload_len + p.header_bytes > self.ctrl_bypass_bytes
+                    for p in packets)
         )
         if not eligible:
             if injections is None:
@@ -421,24 +404,28 @@ class Channel:
         bytes_sum = 0
         payload_sum = 0
         fault = self.fault
+        # A spec that spares no transport reaches every packet (what
+        # FaultSpec.affects would answer, without the call per packet).
+        reach_all = fault is not None and not fault.protect_reliable
         trc = self.trace
-        first_inj = now if injections is None else injections[0]
-        first_start = first_inj if first_inj > prev else prev
-        for i, p in enumerate(packets):
-            inj = now if injections is None else injections[i]
+        if injections is None:
+            injections = [now] * n
+        first_start = injections[0] if injections[0] > prev else prev
+        for p, inj in zip(packets, injections):
             start = inj if inj > prev else prev
-            prev = start + p.wire_bytes / bandwidth
+            wire = p.payload_len + p.header_bytes
+            prev = start + wire / bandwidth
             finishes.append(prev)
-            bytes_sum += p.wire_bytes
+            bytes_sum += wire
             payload_sum += p.payload_len
-            if fault is not None and fault.affects(p):
+            if fault is not None and (reach_all or p.kind in UNRELIABLE_KINDS):
                 # Same droppable index and RNG consumption order as the
                 # per-packet path.  A dropped packet still burned its wire
                 # time above; it just never arrives.
                 seq = self._droppable_seq
-                self._droppable_seq += 1
+                self._droppable_seq = seq + 1
                 if self._should_drop(p, seq):
-                    self.bytes_dropped += p.wire_bytes
+                    self.bytes_dropped += wire
                     self.packets_dropped += 1
                     if trc is not None:
                         trc.instant("link.drop", prev)
@@ -466,13 +453,17 @@ class Channel:
                 )
         elif survivors:
             # A run gutted down to one survivor is just a packet.
-            self._hand_over(survivors[0], surv_arrivals[0])
+            if self._hands_over:
+                self.dst_node.arrive(survivors[0], self, surv_arrivals[0])
+            else:
+                self.sim.post_at(surv_arrivals[0], self.dst_node.receive,
+                                 survivors[0], self)
         return finishes
 
     def _should_drop(self, packet: Packet, seq: int) -> bool:
         fault = self.fault
         assert fault is not None
-        if fault.in_flap(self.sim.now):
+        if fault.flap_windows and fault.in_flap(self.sim.now):
             return True  # link down: full outage window
         if seq in fault.drop_packet_seqs:
             return True

@@ -503,6 +503,9 @@ class Nic:
         self._qpn_counter = itertools.count(1)
         self._msg_counter = itertools.count(1)
         self._mcast_attached: Dict[int, List[int]] = collections.defaultdict(list)
+        #: gid → the group's one attached QP, or False (:meth:`_stamp_qp`);
+        #: cleared by every QP create, adopt, attach and detach
+        self._stamp_qps: Dict[int, object] = {}
         # (src_host, src_qpn, msg_id) -> reassembly state
         self._reassembly: Dict[Tuple[int, int, int], _Reassembly] = {}
         self.rnr_drops = 0
@@ -547,12 +550,14 @@ class Nic:
         qp = QueuePair(self, qpn, transport, send_cq, recv_cq,
                        max_recv_wr=max_recv_wr, srq=srq)
         self.qps[qpn] = qp
+        self._stamp_qps.clear()
         return qp
 
     def attach_mcast(self, gid: int, qpn: int) -> None:
         self.fabric.register_mcast_member(gid, self.host)
         if qpn not in self._mcast_attached[gid]:
             self._mcast_attached[gid].append(qpn)
+        self._stamp_qps.clear()
 
     def adopt_qp(self, qp: QueuePair) -> None:
         """Re-home *qp* (and its multicast attachments) onto this NIC —
@@ -568,15 +573,18 @@ class Nic:
         for gid in gids:
             old.detach_mcast(gid, qp.qpn)
         old.qps.pop(qp.qpn, None)
+        old._stamp_qps.clear()
         qp.qpn = next(self._qpn_counter)
         qp.nic = self
         self.qps[qp.qpn] = qp
+        self._stamp_qps.clear()
         for gid in gids:
             self.attach_mcast(gid, qp.qpn)
 
     def detach_mcast(self, gid: int, qpn: int) -> None:
         if qpn in self._mcast_attached.get(gid, ()):
             self._mcast_attached[gid].remove(qpn)
+        self._stamp_qps.clear()
 
     # ------------------------------------------------------------- send path
 
@@ -606,11 +614,8 @@ class Nic:
             qp.peer[1] if qp.peer else None
         )
         if wr.verb == "send":
-            kind = {
-                Transport.UD: PacketKind.UD_SEND,
-                Transport.RC: PacketKind.RC_SEND,
-                Transport.UC: PacketKind.RC_SEND,  # UC two-sided behaves alike
-            }[qp.transport]
+            # UC two-sided behaves like RC
+            kind = PacketKind.UD_SEND if qp.transport is Transport.UD else PacketKind.RC_SEND
         else:  # write
             kind = PacketKind.UC_WRITE if qp.transport is Transport.UC else PacketKind.RC_WRITE
 
@@ -636,12 +641,10 @@ class Nic:
                 msg_id=msg_id,
                 msg_seq=seg,
                 msg_segments=n_seg,
+                ctx={"remote_key": wr.remote_key,
+                     "remote_offset": wr.remote_offset + lo}
+                if wr.verb == "write" else None,
             )
-            if wr.verb == "write":
-                pkt.ctx = {
-                    "remote_key": wr.remote_key,
-                    "remote_offset": wr.remote_offset + lo,
-                }
             packets.append(pkt)
         return wr, packets, dst
 
@@ -838,6 +841,14 @@ class Nic:
         would overtake into the CQ.  (A train's packets were vetted when
         it was built and are handed over in order by its own event.)
         """
+        gid = packet.dst - MCAST_FLAG
+        if gid < 0:
+            return False
+        qp = self._stamp_qps.get(gid)
+        if qp is None:
+            qp = self._stamp_qp(gid)
+        if not qp or not qp.batch_delivery:
+            return False
         kind = packet.kind
         if kind is PacketKind.UD_SEND:
             uc = False
@@ -846,17 +857,11 @@ class Nic:
             uc = True
         else:
             return False
-        if packet.dst < MCAST_FLAG or self.dead or self.fabric.pending_crashes:
+        if self.dead or self.fabric.pending_crashes:
             return False
         if channel is not None and (
                 channel.horizon >= self.sim.now
                 or (channel.fault is not None and not channel.fault_inert())):
-            return False
-        qpns = self._mcast_attached.get(packet.dst - MCAST_FLAG)
-        if qpns is None or len(qpns) != 1:
-            return False
-        qp = self.qps.get(qpns[0])
-        if qp is None or not qp.batch_delivery:
             return False
         queue = qp.recv_queue
         if not queue and qp.on_dry is not None:
@@ -880,10 +885,11 @@ class Nic:
             queue.popleft()
             dst = None
             opcode = Opcode.RECV
-        if packet.payload is not None and n:
+        payload = packet.payload
+        if payload is not None and n:
             if dst is None:
                 dst = self.memory.lookup(wr.mr_key).view(wr.offset, n)
-            dst[:] = packet.payload[:n]
+            dst[:] = payload if len(payload) == n else payload[:n]
         self.packets_received += 1
         self.bytes_received += n
         self.stamped_cqes += 1
@@ -893,6 +899,14 @@ class Nic:
             CQE(wr.wr_id, opcode, qp.qpn, n, packet.imm, packet.src,
                 packet.src_qpn), at)
         return True
+
+    def _stamp_qp(self, gid: int):
+        """The QP look-ahead delivery may stamp a group-*gid* packet into:
+        the group's one attached local QP, or ``False``; cached."""
+        qpns = self._mcast_attached.get(gid)
+        qp = qpns is not None and len(qpns) == 1 and self.qps.get(qpns[0], False)
+        self._stamp_qps[gid] = qp
+        return qp
 
     def fail_stop(self) -> None:
         """Kill this NIC permanently: it neither transmits nor receives

@@ -10,10 +10,14 @@ Packet sizes on the wire include a configurable per-packet header overhead
 or payload bytes.
 
 :class:`Packet` is a hand-written ``__slots__`` class rather than a
-dataclass: packet construction and fan-out cloning are the hottest
-allocation sites in the simulator, and slotted instances are both smaller
-and faster to create (``dataclass(slots=True)`` needs Python ≥3.10; the CI
-matrix includes 3.9).
+dataclass: packet construction is a hot allocation site, and slotted
+instances are both smaller and faster to create (``dataclass(slots=True)``
+needs Python ≥3.10; the CI matrix includes 3.9).
+
+A packet is immutable once built: a switch replicates a multicast packet
+by handing the *same* object to every egress port, and every receiver
+reads that one object (DESIGN.md §6b).  Its ``ctx`` is therefore a
+read-only mapping.
 
 :class:`PacketTrain` is the fast-path unit: a back-to-back run of packets
 of one flow that a fault-free channel serialized with a single event (see
@@ -23,8 +27,8 @@ of one flow that a fault-free channel serialized with a single event (see
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Any, List, Optional, Sequence
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +38,8 @@ __all__ = ["PacketKind", "Packet", "PacketTrain", "MCAST_FLAG"]
 #: (``MCAST_FLAG + gid``), mirroring the IB multicast LID range.
 MCAST_FLAG = 1 << 24
 
-_packet_ids = itertools.count()
+#: the ``ctx`` of every packet built without one
+_NO_CTX: Mapping = MappingProxyType({})
 
 
 class PacketKind(enum.Enum):
@@ -81,8 +86,8 @@ class Packet:
         which message this segment belongs to, its index, and the total
         segment count.
     ctx:
-        Free-form per-packet context used by NIC internals (e.g. remote
-        address of a write segment).
+        Read-only per-packet context used by NIC internals (e.g. remote
+        address of a write segment): a view of the dict given at build.
     """
 
     __slots__ = (
@@ -99,7 +104,6 @@ class Packet:
         "msg_seq",
         "msg_segments",
         "ctx",
-        "pkt_id",
     )
 
     def __init__(
@@ -132,8 +136,7 @@ class Packet:
         self.msg_id = msg_id
         self.msg_seq = msg_seq
         self.msg_segments = msg_segments
-        self.ctx: dict = ctx if ctx is not None else {}
-        self.pkt_id = next(_packet_ids)
+        self.ctx: Mapping = MappingProxyType(ctx) if ctx else _NO_CTX
 
     # ------------------------------------------------------------------ size
 
@@ -153,36 +156,10 @@ class Packet:
             raise ValueError("not a multicast packet")
         return self.dst - MCAST_FLAG
 
-    def clone_for_fanout(self) -> "Packet":
-        """A shallow copy used when a switch replicates a multicast packet.
-
-        The payload view is shared — replication does not copy data, just
-        as a real switch replicates frames out of its shared buffer.  The
-        ``ctx`` dict is **copied**: it is mutable per-delivery protocol
-        state, and sharing one dict across fanout clones would let one
-        receiver's NIC observe another's mutations.
-        """
-        ctx = self.ctx
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            kind=self.kind,
-            payload=self.payload,
-            payload_len=self.payload_len,
-            header_bytes=self.header_bytes,
-            imm=self.imm,
-            qpn=self.qpn,
-            src_qpn=self.src_qpn,
-            msg_id=self.msg_id,
-            msg_seq=self.msg_seq,
-            msg_segments=self.msg_segments,
-            ctx=dict(ctx) if ctx else None,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = f"mcast:{self.mcast_gid}" if self.is_multicast else str(self.dst)
         return (
-            f"<Packet #{self.pkt_id} {self.kind.value} {self.src}->{dst} "
+            f"<Packet {self.kind.value} {self.src}->{dst} "
             f"len={self.payload_len} imm={self.imm}>"
         )
 
@@ -206,13 +183,6 @@ class PacketTrain:
 
     def __len__(self) -> int:
         return len(self.packets)
-
-    def clone_for_fanout(self) -> "PacketTrain":
-        """Replicate for one multicast egress; arrival times are shared
-        (read-only), packet clones share payload views."""
-        return PacketTrain(
-            [p.clone_for_fanout() for p in self.packets], self.arrivals
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PacketTrain n={len(self.packets)} t0={self.arrivals[0]:.9f}>"

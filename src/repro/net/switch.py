@@ -5,15 +5,16 @@ fixed forwarding delay after a packet arrives it either forwards along the
 unicast table (``dst host → neighbor``) or, for multicast,
 replicates the packet to every port that is part of the group's spanning
 tree except the ingress port — exactly how IB switches flood a multicast
-LID along the spanning tree installed by the subnet manager.
+LID along the spanning tree installed by the subnet manager.  A replica is
+the packet object itself: packets are immutable (DESIGN.md §6b).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.net.link import Channel
-from repro.net.packet import Packet, PacketKind, PacketTrain
+from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -34,6 +35,9 @@ class Switch:
         self.unicast_table: Dict[int, str] = {}
         #: multicast gid → set of tree-adjacent neighbor names
         self.mcast_table: Dict[int, Set[str]] = {}
+        #: ``(gid, ingress port)`` → egress channels (:meth:`_egress_of`);
+        #: every write of ``mcast_table`` drops them
+        self._egress: Dict[Tuple[int, Optional[str]], List[Channel]] = {}
         #: optional in-network-compute hook: ``fn(switch, packet, in_port)``
         #: consumes INC_REDUCE packets (installed by repro.net.inc)
         self.inc_handler = None
@@ -71,6 +75,25 @@ class Switch:
         if missing:
             raise ValueError(f"{self.name}: no ports toward {sorted(missing)}")
         self.mcast_table[gid] = set(neighbors)
+        self._egress.clear()
+
+    def remove_mcast(self, gid: int) -> None:
+        """Forget group *gid*'s tree: its packets are dropped as unroutable."""
+        self.mcast_table.pop(gid, None)
+        self._egress.clear()
+
+    def _egress_of(self, gid: int, in_port: Optional[str]) -> Optional[List[Channel]]:
+        """The channels a group-*gid* packet arriving on *in_port* is
+        replicated to — every tree port but the ingress one, in name order,
+        compiled on first use — or ``None`` when the group has no tree here."""
+        egress = self._egress.get((gid, in_port))
+        if egress is None:
+            tree_ports = self.mcast_table.get(gid)
+            if tree_ports is None:
+                return None
+            egress = [self.ports[n] for n in sorted(tree_ports) if n != in_port]
+            self._egress[(gid, in_port)] = egress
+        return egress
 
     # ------------------------------------------------------------------ data
 
@@ -99,18 +122,17 @@ class Switch:
         if self.inc_handler is not None and packet.kind is PacketKind.INC_REDUCE:
             self.inc_handler(self, packet, in_port)
             return
-        if packet.is_multicast:
-            tree_ports = self.mcast_table.get(packet.mcast_gid)
-            if tree_ports is None:
+        dst = packet.dst
+        if dst >= MCAST_FLAG:
+            egress = self._egress_of(dst - MCAST_FLAG, in_port)
+            if egress is None:
                 self.packets_dropped_no_route += 1
                 return
-            for neighbor in sorted(tree_ports):
-                if neighbor == in_port:
-                    continue
-                self.ports[neighbor].transmit(packet.clone_for_fanout())
-                self.packets_forwarded += 1
+            for ch in egress:
+                ch.transmit(packet)
+            self.packets_forwarded += len(egress)
         else:
-            neighbor = self.unicast_table.get(packet.dst)
+            neighbor = self.unicast_table.get(dst)
             if neighbor is None:
                 self.packets_dropped_no_route += 1
                 return
@@ -138,16 +160,13 @@ class Switch:
         inj = [a + d for a in train.arrivals] if d > 0.0 else train.arrivals
         n = len(pkts)
         trc = self.trace
-        if first.is_multicast:
-            tree_ports = self.mcast_table.get(first.mcast_gid)
-            if tree_ports is None:
+        if first.dst >= MCAST_FLAG:
+            egress = self._egress_of(first.dst - MCAST_FLAG, in_port)
+            if egress is None:
                 self.packets_dropped_no_route += n
                 return
-            for neighbor in sorted(tree_ports):
-                if neighbor == in_port:
-                    continue
-                clone = [p.clone_for_fanout() for p in pkts]
-                self.ports[neighbor].transmit_train(clone, injections=inj)
+            for ch in egress:
+                ch.transmit_train(pkts, injections=inj)
                 self.packets_forwarded += n
                 if trc is not None:
                     trc.instant("switch.relay", self.sim.now, {"pkts": n})

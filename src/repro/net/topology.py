@@ -298,6 +298,13 @@ class Topology:
         assert candidates, "BFS invariant violated"
         return candidates[dst % len(candidates)]
 
+    def hops(self, src: int, dst: int) -> int:
+        """``len(path(src, dst)) - 1``, read off the cached distance field."""
+        hops = self._distances_to(dst).get(host_name(src))
+        if hops is None:
+            raise ValueError(f"h{src} cannot reach h{dst}")
+        return hops
+
     def path(self, src: int, dst: int) -> List[str]:
         """Node names along the deterministic route from host src to dst."""
         node = host_name(src)

@@ -171,3 +171,56 @@ def test_switch_forwarding_delay_applies():
     sim.run()
     assert sim.now >= 5e-6
     assert len(sink.got) == 1
+
+
+def _mcast_counters(replan_after_traffic: bool):
+    """A 16-host leaf-spine whose all-host multicast tree is re-planned
+    around the spine it first used — after one multicast has crossed it,
+    or before any traffic — then carries one more multicast from h0.
+    Returns the tree change and the second multicast's per-channel and
+    per-switch counters."""
+    from repro.net import RecvWR, SendWR, Transport
+
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.leaf_spine(16, 4, 2))
+    members = list(range(16))
+    gid = fabric.create_mcast_group(members)
+    qps = [fabric.nic(h).create_qp(Transport.UD) for h in members]
+    wrs = []
+    for h, qp in enumerate(qps):
+        qp.attach_mcast(gid)
+        mr = fabric.nic(h).memory.register(4096)
+        wrs.append(RecvWR(wr_id=0, mr_key=mr.key, offset=0, length=4096))
+
+    def multicast(imm):
+        for qp, wr in zip(qps, wrs):
+            qp.post_recv(wr)
+        qps[0].post_send(SendWR(wr_id=imm, verb="send", mr_key=wrs[0].mr_key,
+                                length=4096, imm=imm, mcast_gid=gid))
+        sim.run()
+
+    old = fabric.mcast_groups[gid].tree
+    spine = next(n for n in old if n.startswith("spine"))
+    if replan_after_traffic:
+        multicast(0)
+    fabric.rebuild_mcast_group(gid, members, exclude={spine})
+    new = fabric.mcast_groups[gid].tree
+    fabric.reset_counters()
+    multicast(1)
+    channels = {k: (ch.packets_sent, ch.bytes_sent, ch.packets_dropped)
+                for k, ch in fabric.channels.items()}
+    switches = {k: (sw.packets_forwarded, sw.packets_dropped_no_route)
+                for k, sw in fabric.switches.items()}
+    return spine in old and spine not in new, channels, switches
+
+
+def test_replanned_tree_drops_the_compiled_egress_lists():
+    """A switch compiles a group's egress channels on its first packet;
+    re-planning the tree must drop them, or the next multicast still
+    replicates along the old tree."""
+    moved, channels, switches = _mcast_counters(replan_after_traffic=True)
+    _, ref_channels, ref_switches = _mcast_counters(replan_after_traffic=False)
+    assert moved
+    assert channels == ref_channels
+    assert switches == ref_switches
+    assert sum(n for n, _ in switches.values()) > 0

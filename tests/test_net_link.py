@@ -174,13 +174,27 @@ def test_multicast_flag_encoding():
         _ = q.mcast_gid
 
 
-def test_clone_for_fanout_shares_payload():
-    buf = np.arange(10, dtype=np.uint8)
-    p = Packet(src=0, dst=mcast_dst(0), kind=PacketKind.UD_SEND, payload=buf)
-    c = p.clone_for_fanout()
-    assert c.payload is p.payload
-    assert c.pkt_id != p.pkt_id
-    assert c.payload_len == 10
+def test_leaf_fan_out_hands_every_port_the_packet_itself():
+    """A switch replicates a multicast packet by reference: every egress
+    port but the ingress one carries the very object that came in."""
+    from repro.net.switch import Switch
+
+    sim = Simulator()
+    sinks = {h: SinkNode(sim) for h in ("h0", "h1", "h2", "h3")}
+    sw = Switch(sim, "leaf")
+    for h, sink in sinks.items():
+        sw.add_port(Channel(sim, "leaf", h, sink, bandwidth=1e9, latency=1e-6))
+    sw.install_mcast(0, set(sinks))
+    up = Channel(sim, "h0", "leaf", sw, bandwidth=1e9, latency=1e-6)
+    p = Packet(src=0, dst=mcast_dst(0), kind=PacketKind.UD_SEND,
+               payload=np.arange(10, dtype=np.uint8))
+    up.transmit(p)
+    sim.run()
+    assert sinks["h0"].received == []
+    for h in ("h1", "h2", "h3"):
+        (_, got), = sinks[h].received
+        assert got is p
+    assert sw.packets_forwarded == 3
 
 
 def test_invalid_channel_params():

@@ -899,6 +899,40 @@ def test_lookahead_dead_or_down_elements_never_stamp():
     assert cqes == [] and nic.stamped_cqes == 0
 
 
+def test_lookahead_follows_attachment_changes_after_traffic():
+    """The NIC caches each group's single attached QP; attaching a second
+    QP, detaching one, or opting out takes effect on the next packet."""
+    sim, fabric = make_fabric(Topology.star(2))
+    gid = fabric.create_mcast_group([0, 1])
+    tx = fabric.nic(0).create_qp(Transport.UD)
+    smr = fill(fabric.nic(0).memory.register(64))
+    nic = fabric.nic(1)
+    mr = nic.memory.register(1 << 12)
+
+    def receiver():
+        qp = nic.create_qp(Transport.UD)
+        qp.attach_mcast(gid)
+        qp.batch_delivery = True
+        for i in range(4):
+            qp.post_recv(RecvWR(wr_id=i, mr_key=mr.key, offset=64 * i, length=64))
+        return qp
+
+    def send(imm):
+        tx.post_send(SendWR(wr_id=imm, verb="send", mr_key=smr.key, length=64,
+                            imm=imm, mcast_gid=gid, signaled=False))
+        sim.run()
+        return nic.stamped_cqes, len(a.recv_cq), len(b.recv_cq) if b else 0
+
+    a, b = receiver(), None
+    assert send(0) == (1, 1, 0)
+    b = receiver()  # two attached: both get it, by the arrival event
+    assert send(1) == (1, 2, 1)
+    a.detach_mcast(gid)  # one attached again: stamped into it
+    assert send(2) == (2, 2, 2)
+    b.batch_delivery = False
+    assert send(3) == (2, 2, 3)
+
+
 def test_lookahead_multi_rail_stamps_on_the_groups_own_rail():
     topo = Topology.multi_rail(Topology.star(5), 2)
     sends = [(0.0, src, 4096, 10 + 2 * src + g) for src in (1, 2, 3, 4)

@@ -346,3 +346,38 @@ def test_connected_rail_partial_spine_death_keeps_plane():
     # Both plane-0 spines dead: leaves can't reach each other in-plane.
     dead = {"spine000.r0", "spine001.r0"}
     assert topo.connected_rail(list(range(8)), exclude=dead) == 1
+
+
+@pytest.mark.parametrize("topo", [
+    Topology.back_to_back(),
+    Topology.star(4),
+    Topology.leaf_spine(12, 3, 2),
+    Topology.torus((3, 3), hosts_per_node=2),
+    Topology.dragonfly(3, 2, 2),
+    Topology.multi_rail(Topology.leaf_spine(8, 2, 2), 2),
+], ids=["b2b", "star", "leaf_spine", "torus", "dragonfly", "multi_rail"])
+def test_hops_match_the_walked_path(topo):
+    for src in range(topo.n_hosts):
+        for dst in range(topo.n_hosts):
+            assert topo.hops(src, dst) == len(topo.path(src, dst)) - 1
+
+
+def test_one_way_delay_takes_any_integral_host_id():
+    """A numpy host id gets its route's hop count, not the multicast
+    estimate; an id that names no host raises."""
+    import numpy as np
+
+    from repro.net import Fabric
+    from repro.net.packet import mcast_dst
+    from repro.sim import Simulator
+
+    fabric = Fabric(Simulator(), Topology.leaf_spine(8, 2, 2))
+    lat = fabric.link_latency
+    assert fabric.one_way_delay(0, 1) == 2 * lat  # same leaf
+    assert fabric.one_way_delay(0, 7) == 4 * lat  # across a spine
+    assert fabric.one_way_delay(np.int64(0), np.int64(7)) == 4 * lat
+    assert fabric.one_way_delay(0, np.int32(0)) == 0.0
+    assert fabric.one_way_delay(0, mcast_dst(3)) == 2 * lat
+    for bad in (8, -1, 1.0, "h1"):
+        with pytest.raises((ValueError, TypeError)):
+            fabric.one_way_delay(0, bad)

@@ -50,12 +50,32 @@ def test_event_counts_match_baseline():
         assert cur["virtual_s"] == base["virtual_s"], (
             f"{name}: virtual completion time drifted from the baseline"
         )
+        assert cur["traffic"] == base["traffic"], (
+            f"{name}: channel/switch/NIC packet counters drifted from the "
+            "baseline — the packet path sent, forwarded or delivered "
+            "something else"
+        )
         # The per-CQE slow path must reach the same virtual time (the
         # receiver-batch fast path is bit-equivalent by construction).
         slow = speedo.SCENARIOS[name](coalescing=True, batching=False)
         assert slow["virtual_s"] == base["virtual_s"], (
             f"{name}: per-CQE datapath diverged from the batched baseline"
         )
+
+
+def test_check_gates_the_traffic_fingerprint(capsys):
+    """``--check`` fails on any traffic counter that moved, with events
+    and virtual time unchanged."""
+    import copy
+
+    speedo = _load_speedometer()
+    with open(BASELINE) as fh:
+        baseline = json.load(fh)
+    results = copy.deepcopy(baseline)
+    assert speedo.check(results, str(BASELINE), tolerance=0.25) == 0
+    results["scenarios"]["ar188"]["traffic"]["packets_forwarded"] += 1
+    assert speedo.check(results, str(BASELINE), tolerance=0.25) == 1
+    assert "ar188: traffic fingerprint changed" in capsys.readouterr().out
 
 
 def test_lossy188_forms_trains():

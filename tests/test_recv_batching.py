@@ -26,8 +26,8 @@ from repro.net.dma import DmaEngine
 from repro.net.fabric import Fabric
 from repro.net.faults import StragglerSpec
 from repro.net.link import FaultSpec
-from repro.net.nic import CompletionQueue, RecvWR, Transport
-from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
+from repro.net.nic import CompletionQueue, RecvWR, SendWR, Transport
+from repro.net.packet import MCAST_FLAG, Packet, PacketKind
 from repro.net.topology import Topology
 from repro.obs import TraceConfig
 from repro.sim.engine import Simulator
@@ -238,33 +238,70 @@ def test_post_recv_cached_skips_validation_but_honors_capacity():
         qp.post_recv_cached(wr)
 
 
-# ------------------------------------------- satellite 1: fan-out ctx clones
+# ----------------------------------------- fan-out replicas are one object
 
 
-def test_packet_clone_for_fanout_copies_ctx():
-    payload = np.zeros(16, dtype=np.uint8)
-    pkt = Packet(src=0, dst=1, kind=PacketKind.UC_WRITE, payload=payload,
-                 ctx={"remote_key": 5, "remote_offset": 128})
-    clone = pkt.clone_for_fanout()
-    assert clone.ctx == pkt.ctx
-    clone.ctx["remote_offset"] = 999
-    clone.ctx["extra"] = True
-    # One receiver's NIC mutating its delivery state must not leak into
-    # the sibling clone (regression: fan-out used to share one dict).
-    assert pkt.ctx == {"remote_key": 5, "remote_offset": 128}
-    assert clone.payload is pkt.payload  # data replication stays zero-copy
+class _TrainSink:
+    """Takes the hand-over of whatever a channel delivers."""
+
+    def __init__(self):
+        self.trains = []
+
+    def arrive(self, packet, channel, at):
+        raise AssertionError("a train relay arrived as single packets")
+
+    def arrive_train(self, train, channel):
+        self.trains.append(train)
 
 
-def test_train_clone_for_fanout_isolates_every_packet_ctx():
-    pkts = [Packet(src=0, dst=1, kind=PacketKind.UC_WRITE,
-                   payload=np.zeros(8, dtype=np.uint8),
-                   ctx={"remote_offset": i}) for i in range(4)]
-    train = PacketTrain(pkts, arrivals=[1e-6 * i for i in range(4)])
-    clone = train.clone_for_fanout()
-    assert clone.arrivals is train.arrivals  # read-only, shared
-    for i, (orig, cp) in enumerate(zip(train.packets, clone.packets)):
-        cp.ctx["remote_offset"] = -1
-        assert orig.ctx["remote_offset"] == i
+def test_train_relay_hands_every_receiver_the_same_packets():
+    from repro.net.link import Channel
+    from repro.net.packet import mcast_dst
+    from repro.net.switch import Switch
+
+    sim = Simulator()
+    sinks = {h: _TrainSink() for h in ("h1", "h2", "h3")}
+    sw = Switch(sim, "leaf")
+    for h, sink in sinks.items():
+        sw.add_port(Channel(sim, "leaf", h, sink, bandwidth=1e9, latency=1e-6))
+    sw.add_port(Channel(sim, "leaf", "h0", _TrainSink(), bandwidth=1e9,
+                        latency=1e-6))
+    sw.install_mcast(0, set(sinks) | {"h0"})
+    up = Channel(sim, "h0", "leaf", sw, bandwidth=1e9, latency=1e-6)
+    pkts = [Packet(src=0, dst=mcast_dst(0), kind=PacketKind.UC_WRITE,
+                   payload=np.zeros(1024, dtype=np.uint8),
+                   ctx={"remote_key": 5, "remote_offset": 1024 * i})
+            for i in range(4)]
+    up.transmit_train(pkts)
+    sim.run()
+    for sink in sinks.values():
+        (train,) = sink.trains
+        assert all(got is sent for got, sent in zip(train.packets, pkts))
+        assert len(train.packets) == 4
+    # No receiver can write what its siblings read: the ctx is read-only.
+    delivered = sinks["h1"].trains[0].packets[2]
+    with pytest.raises(TypeError):
+        delivered.ctx["remote_offset"] = 999
+    assert dict(delivered.ctx) == {"remote_key": 5, "remote_offset": 2048}
+
+
+def test_delivered_packet_ctx_is_read_only():
+    """A UC write segment the NIC built carries its remote address in a
+    ctx no receiver may write; one built without a ctx has an empty one."""
+    fabric = Fabric(Simulator(), Topology.star(2))
+    qp = fabric.nic(0).create_qp(Transport.UC)
+    qp.connect(1, 1)
+    mr = fabric.nic(0).memory.register(np.zeros(64, dtype=np.uint8))
+    _, (seg,), _ = fabric.nic(0)._build_send_packets(
+        qp, SendWR(wr_id=0, verb="write", mr_key=mr.key, length=64,
+                   remote_key=7, remote_offset=128))
+    assert dict(seg.ctx) == {"remote_key": 7, "remote_offset": 128}
+    with pytest.raises(TypeError):
+        seg.ctx["remote_offset"] = 0
+    bare = Packet(src=0, dst=1, kind=PacketKind.UD_SEND, payload_len=8)
+    assert len(bare.ctx) == 0
+    with pytest.raises(TypeError):
+        bare.ctx["extra"] = True
 
 
 # ---------------------------------------- satellite 3: WR exhaustion fallback

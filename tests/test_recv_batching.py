@@ -286,18 +286,27 @@ def test_train_relay_hands_every_receiver_the_same_packets():
 
 
 def test_delivered_packet_ctx_is_read_only():
-    """A UC write segment the NIC built carries its remote address in a
-    ctx no receiver may write; one built without a ctx has an empty one."""
-    fabric = Fabric(Simulator(), Topology.star(2))
-    qp = fabric.nic(0).create_qp(Transport.UC)
-    qp.connect(1, 1)
-    mr = fabric.nic(0).memory.register(np.zeros(64, dtype=np.uint8))
-    _, (seg,), _ = fabric.nic(0)._build_send_packets(
-        qp, SendWR(wr_id=0, verb="write", mr_key=mr.key, length=64,
-                   remote_key=7, remote_offset=128))
-    assert dict(seg.ctx) == {"remote_key": 7, "remote_offset": 128}
+    """A UC write segment reaches its receiver with the remote address in
+    a ctx no receiver may write; a packet built without one has an empty
+    ctx, just as read-only."""
+    sim = Simulator()
+    fabric = Fabric(sim, Topology.star(2))
+    tx = fabric.nic(0).create_qp(Transport.UC)
+    tx.connect(1, fabric.nic(1).create_qp(Transport.UC).qpn)
+    src = fabric.nic(0).memory.register(np.full(64, 7, dtype=np.uint8))
+    dst = fabric.nic(1).memory.register(np.zeros(256, dtype=np.uint8))
+    nic = fabric.nic(1)
+    delivered = []
+    arrive = nic.arrive
+    nic.arrive = lambda p, ch, at: (delivered.append(p), arrive(p, ch, at))
+    tx.post_send(SendWR(wr_id=0, verb="write", mr_key=src.key, length=64,
+                        remote_key=dst.key, remote_offset=128, signaled=False))
+    sim.run()
+    (seg,) = delivered
+    assert dict(seg.ctx) == {"remote_key": dst.key, "remote_offset": 128}
     with pytest.raises(TypeError):
         seg.ctx["remote_offset"] = 0
+    assert (dst.buf[128:192] == 7).all()
     bare = Packet(src=0, dst=1, kind=PacketKind.UD_SEND, payload_len=8)
     assert len(bare.ctx) == 0
     with pytest.raises(TypeError):

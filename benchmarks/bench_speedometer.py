@@ -23,11 +23,14 @@ scenarios that together cover the hot paths the fast-path PR optimizes:
 * ``a2a16``       16-rank personalized alltoall over unicast RC QPs
                   (the MoE expert-parallel exchange)
 
-Virtual-time outputs (durations), event counts and each scenario's
+Virtual-time outputs (durations), event counts, each scenario's
 traffic fingerprint (packets and bytes sent and dropped on every channel,
 packets every switch forwarded, packets and RNR drops at every NIC, each
-summed over the fabric) are deterministic: any change to them is a
-*semantic* change, not noise, and fails the ``--check`` gate outright.  Wall-clock is machine-dependent, so the gate
+summed over the fabric) and its payload cost (``payload_regions_materialized``
+/ ``payload_bytes_copied``: op regions that became byte arrays, and the
+landed bytes memcpy'd into them; ``None`` where the collective reports
+none) are deterministic: any change to them is a *semantic* change, not
+noise, and fails the ``--check`` gate outright.  Wall-clock is machine-dependent, so the gate
 normalizes it by a calibration loop (pure-Python event churn) measured on
 the same machine at the same moment, and compares the *normalized* cost
 against the committed baseline with a tolerance (default 25%).
@@ -62,6 +65,9 @@ from repro.units import KiB, MiB
 from repro.workloads.fsdp import run_fsdp_backward_pipeline
 
 CALIBRATION_EVENTS = 200_000
+
+#: ``CollectiveResult.engine`` payload counters gated exactly
+PAYLOAD_KEYS = ("payload_regions_materialized", "payload_bytes_copied")
 
 
 def calibrate() -> float:
@@ -108,6 +114,7 @@ def _result(wall: float, res, fabric) -> Dict[str, object]:
         "train_packets": res.engine["train_packets"],
         "ff_phases": res.engine.get("ff_phases", 0),
         "traffic": traffic(fabric),
+        **{key: res.engine.get(key) for key in PAYLOAD_KEYS},
     }
 
 
@@ -191,6 +198,7 @@ def scenario_fsdp(coalescing: bool, batching: bool = True,
         "train_packets": fabric.total_train_packets(),
         "ff_phases": 0,
         "traffic": traffic(fabric),
+        **{key: None for key in PAYLOAD_KEYS},
     }
 
 
@@ -357,6 +365,12 @@ def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> i
                 f"{cur['traffic']} (semantic change — regenerate the baseline "
                 "deliberately)"
             )
+        for key in PAYLOAD_KEYS:
+            if same_config and cur.get(key) != base.get(key):
+                failures.append(
+                    f"{name}: {key} changed {base.get(key)} -> {cur.get(key)} "
+                    "(semantic change — regenerate the baseline deliberately)"
+                )
         if cur["virtual_s"] != base["virtual_s"]:
             failures.append(
                 f"{name}: virtual time changed {base['virtual_s']!r} -> "

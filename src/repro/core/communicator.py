@@ -519,22 +519,21 @@ class CollectiveResult:
         all contributions.  Degraded completions (a rank fail-stopped during
         the allgather phase) are checked through the validity masks: valid
         chunks must match the reduction, missing chunks must belong to a
-        dead rank's shard."""
+        dead rank's shard.  Engine-backed buffers are compared through their
+        regions (:meth:`MemoryRegion.allclose`) and none is materialised."""
         arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
                   for d in send_data]
         total = arrays[0].copy()
         for a in arrays[1:]:
             total += a
         dead = set(self.dead_ranks)
-        for r, buf in enumerate(self.buffers):
+        memo: Dict[object, List[int]] = {}
+        for r in range(len(self.buffers)):
             if r in dead:
                 continue
-            vals = np.asarray(buf)
-            if vals.dtype != np.float32:
-                vals = vals.view(np.float32)
             mask = self.validity[r] if self.validity is not None else None
             if mask is None:
-                if not np.allclose(vals, total, rtol=rtol, atol=atol):
+                if not self._close(r, total, memo, rtol, atol):
                     return False
                 continue
             n_chunks = len(mask)
@@ -544,12 +543,34 @@ class CollectiveResult:
                 lo = i * elems
                 hi = min(lo + elems, total.size)
                 if mask[i]:
-                    if not np.allclose(vals[lo:hi], total[lo:hi],
-                                       rtol=rtol, atol=atol):
+                    if not self._close(r, total, memo, rtol, atol, lo, hi):
                         return False
                 elif i // chunks_per_rank not in dead:
                     return False  # hole outside any dead rank's shard
         return True
+
+    def _close(self, r: int, total: np.ndarray, memo: Dict[object, List[int]],
+               rtol: float, atol: float, lo: int = 0,
+               hi: Optional[int] = None) -> bool:
+        """Whether float32 elements ``[lo, hi)`` (default: all) of rank *r*'s
+        buffer are within ``rtol`` / ``atol`` of *total*'s.  Engine-backed
+        results compare piece-wise through the op regions, materialising
+        nothing; *memo* (one per *total* and tolerance) shares comparisons
+        of a common source."""
+        bufs = self.buffers
+        if isinstance(bufs, PayloadBuffers):
+            region = bufs.regions[r]
+            if hi is None:
+                if region.nbytes != total.nbytes:
+                    return False
+                hi = total.size
+            return region.allclose(total, memo, rtol, atol, 4 * lo, 4 * hi)
+        vals = np.asarray(bufs[r])
+        if vals.dtype != np.float32:
+            vals = vals.view(np.float32)
+        if hi is None:
+            return bool(np.allclose(vals, total, rtol=rtol, atol=atol))
+        return bool(np.allclose(vals[lo:hi], total[lo:hi], rtol=rtol, atol=atol))
 
     def verify_alltoall(self, send_data: Sequence[np.ndarray]) -> bool:
         """True when rank *r*'s receive buffer is the concatenation of
@@ -612,11 +633,13 @@ class OpHandle(CollectiveHandle):
     def _payload_cost(live_ops: List[OpState]) -> Dict[str, int]:
         """What the payload cost the simulator host (DESIGN.md §6h), read
         off the op regions at result time.  A chunk lands exactly once
-        (``chunks_received`` + ``recovered_chunks`` count unique PSNs) and
-        any byte-level write materialises its region, so a rank's landed
-        bytes are placements while its region is still lazy and were
-        memcpy'd — per packet, by a fold commit into a materialised
-        region, or when the placements materialised — once it is not."""
+        (``chunks_received`` + ``recovered_chunks`` count unique PSNs), and
+        every landing — a NIC write, a DMA copy, a fold commit — is a
+        placement, so a rank's landed bytes are placements while its
+        region is still lazy.  They were memcpy'd once it is not: a region
+        materialises only on a byte-level touch (``buffers[r]``, an
+        explicit ``view``) or when its piece map outgrows its bytes, and
+        from then on every landing copies."""
         copied = placed = materialized = 0
         for op in live_ops:
             plan = op.plan

@@ -363,7 +363,7 @@ class RankEngine:
                     assert staging is not None
                     slot = cqe.wr_id
                     self.settle()
-                    view = staging.on_cqe(slot)
+                    staging.on_cqe(slot)
                     trc = self.trace
                     if trc is not None:
                         trc.counter("staging.hold", self.sim.now, staging.held)
@@ -386,7 +386,8 @@ class RankEngine:
                     op.outstanding_copies += 1
                     off, ln = op.plan.bounds(psn)
                     yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
-                    copy_done = self.dma.copy(view[:ln], op.mr.view(off, ln))
+                    copy_done = self.dma.copy(
+                        (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
                     copy_done.subscribe(
                         self._make_copy_callback(op, staging, slot, qp, psn)
                     )
@@ -566,11 +567,9 @@ class RankEngine:
                     run[2] += ln
                     continue
             runs.append([slot, off, ln, [(ln, issue)]])
-        src = staging.mr.buf
-        dst = op.mr.buf
+        src, dst = staging.mr, op.mr
         done = self.dma.copy_runs([
-            (src[s * slot_size:s * slot_size + n], dst[o:o + n], ops)
-            for s, o, n, ops in runs])
+            ((src, s * slot_size), (dst, o), ops) for s, o, _, ops in runs])
         # One event stands in for the k completions; each keeps the
         # tie-break position its own event would have had.
         seq0 = self.sim.post_batch_at(done[-1], k, self.settle)

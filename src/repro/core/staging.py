@@ -7,6 +7,12 @@ a slot of a staging ring; the PSN in the completion's immediate data then
 tells the datapath *where* in the user buffer the chunk belongs, and a
 non-blocking DMA copy moves it there while further receives proceed.
 
+The ring is a size-registered, lazy memory region (DESIGN.md §6h): a
+landing places the packet's payload reference into its slot and the DMA
+copy moves that reference on, so the ring holds at most one piece per
+slot (plus the tail of an older datagram a shorter one left in place) and
+never materialises bytes.
+
 Slot lifecycle::
 
     FREE --post_recv--> POSTED --CQE--> HELD --copy done, repost--> POSTED
@@ -15,10 +21,7 @@ Slot lifecycle::
 from __future__ import annotations
 
 import collections
-import mmap
 from typing import TYPE_CHECKING, Deque, List
-
-import numpy as np
 
 from repro.net.nic import QueuePair, RecvWR
 
@@ -44,15 +47,7 @@ class StagingRing:
         self.nic = nic
         self.n_slots = n_slots
         self.slot_size = slot_size
-        # Backed at construction, not on first touch (net/memory.py): the
-        # NIC writes every slot at packet level, and memory allocated here
-        # is recycled across collectives where a late allocation pages in
-        # fresh (ar188 run_wall_s +7 % measured with a lazy ring).  An
-        # anonymous mapping, not the malloc heap: only slots a receive wrote
-        # become resident, whatever the heap held before (glibc heap rings
-        # left ar188's peak RSS at 476 or 526 MiB depending on layout).
-        self.mr = nic.memory.register(np.frombuffer(
-            mmap.mmap(-1, n_slots * slot_size), dtype=np.uint8))
+        self.mr = nic.memory.register(n_slots * slot_size)
         self._state = [_FREE] * n_slots
         self._free: Deque[int] = collections.deque(range(n_slots))
         #: cached receive work requests, one per slot (paper §V-A)
@@ -99,9 +94,9 @@ class StagingRing:
         """Bulk :meth:`on_cqe`: mark every slot held.
 
         The receiver-batch fast path consumes a whole CQE train in one
-        wake and copies out of the ring by spans, not per-slot views;
-        marking the train's slots held in one call keeps the occupancy
-        counters O(1) per batch instead of O(1) per slot."""
+        wake and copies out of the ring by spans; marking the train's
+        slots held in one call keeps the occupancy counters O(1) per batch
+        instead of O(1) per slot."""
         state = self._state
         for slot in slots:
             self._check(slot)
@@ -111,15 +106,15 @@ class StagingRing:
         self._posted_count -= len(slots)
         self._held_count += len(slots)
 
-    def on_cqe(self, slot: int) -> np.ndarray:
-        """Mark *slot* as held by the datapath; returns its memory view."""
+    def on_cqe(self, slot: int) -> None:
+        """Mark *slot* as held by the datapath (its bytes are at
+        ``slot * slot_size`` of :attr:`mr`)."""
         self._check(slot)
         if self._state[slot] != _POSTED:
             raise RuntimeError(f"slot {slot} completed but was not posted")
         self._state[slot] = _HELD
         self._posted_count -= 1
         self._held_count += 1
-        return self.slot_view(slot)
 
     def repost(self, slot: int, qp: QueuePair) -> None:
         """Return a held slot to the receive queue (after its DMA drained)."""
@@ -140,10 +135,6 @@ class StagingRing:
         self._held_count -= n
         self._posted_count += n
         self.reposts += n
-
-    def slot_view(self, slot: int, length: int | None = None) -> np.ndarray:
-        self._check(slot)
-        return self.mr.view(slot * self.slot_size, length or self.slot_size)
 
     def _check(self, slot: int) -> None:
         if not 0 <= slot < self.n_slots:

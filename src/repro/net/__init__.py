@@ -2,7 +2,7 @@
 
 This package models everything between two user buffers on different hosts:
 
-* :mod:`repro.net.packet` — packets/datagrams with zero-copy payload views.
+* :mod:`repro.net.packet` — packets/datagrams with payloads by reference.
 * :mod:`repro.net.link` — bandwidth/latency channels with fault injection,
   reordering, and per-direction traffic counters.
 * :mod:`repro.net.switch` — forwarding + multicast replication + counters.

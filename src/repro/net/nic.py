@@ -592,8 +592,12 @@ class Nic:
         """Materialize the wire packets of a non-read send WR.
 
         Returns ``(wr, packets, dst)`` — ``wr`` is replaced by a copy for
-        inline sends (payload snapshotted at post time, IB semantics).
+        inline sends (payload snapshotted at post time, IB semantics).  The
+        packets refer to what the region holds now
+        (:meth:`MemoryRegion.source`): a lazy region's snapshot, a copy of a
+        materialised region's bytes.
         """
+        base = 0
         if wr.inline_data is not None:
             data = np.asarray(wr.inline_data)
             if data.dtype != np.uint8:
@@ -603,9 +607,10 @@ class Nic:
                         int(data.nbytes), None, wr.imm, wr.dst, wr.dst_qpn,
                         wr.mcast_gid, wr.remote_key, wr.remote_offset,
                         wr.signaled)
+        elif wr.length > 0:
+            data, base = self.memory.lookup(wr.mr_key).source(wr.offset, wr.length)
         else:
-            mr = self.memory.lookup(wr.mr_key) if wr.length > 0 else None
-            data = mr.view(wr.offset, wr.length) if mr is not None else None
+            data = None
         if wr.mcast_gid is not None:
             dst = MCAST_FLAG + wr.mcast_gid
         else:
@@ -627,12 +632,12 @@ class Nic:
         for seg in range(n_seg):
             lo = seg * self.mtu
             hi = min(length, lo + self.mtu)
-            payload = data[lo:hi] if data is not None and hi > lo else None
             pkt = Packet(
                 src=self.host,
                 dst=dst,
                 kind=kind,
-                payload=payload,
+                payload=data if hi > lo else None,
+                payload_off=base + lo,
                 payload_len=hi - lo,
                 header_bytes=self.header_bytes,
                 imm=wr.imm if seg == n_seg - 1 else None,
@@ -872,8 +877,9 @@ class Nic:
         if uc:
             ctx = packet.ctx
             try:
-                dst = self.memory.lookup(ctx["remote_key"]).view(
-                    ctx["remote_offset"], n)
+                mr = self.memory.lookup(ctx["remote_key"])
+                off = ctx["remote_offset"]
+                mr.check(off, n)
             except (KeyError, IndexError):
                 return False  # UC silently drops bad placements, at arrival
             wr = queue.popleft()
@@ -883,13 +889,14 @@ class Nic:
             if n > wr.length:
                 return False  # length error, counted at arrival
             queue.popleft()
-            dst = None
+            mr = None
             opcode = Opcode.RECV
-        payload = packet.payload
-        if payload is not None and n:
-            if dst is None:
-                dst = self.memory.lookup(wr.mr_key).view(wr.offset, n)
-            dst[:] = payload if len(payload) == n else payload[:n]
+        src = packet.payload_src
+        if src is not None and n:
+            if mr is None:
+                mr = self.memory.lookup(wr.mr_key)
+                off = wr.offset
+            mr.place(off, src, packet.payload_off, n)
         self.packets_received += 1
         self.bytes_received += n
         self.stamped_cqes += 1
@@ -984,8 +991,9 @@ class Nic:
             if trc is not None:
                 trc.instant("nic.rnr", self.sim.now)
             return
-        if packet.payload is not None and n > 0:
-            self.memory.lookup(wr.mr_key).view(wr.offset, n)[:] = packet.payload[:n]
+        if packet.payload_src is not None and n > 0:
+            self.memory.lookup(wr.mr_key).place(
+                wr.offset, packet.payload_src, packet.payload_off, n)
         if trc is not None:
             trc.instant("nic.cqe", self.sim.now)
         qp.recv_cq.push(
@@ -1004,15 +1012,15 @@ class Nic:
         # Place the segment directly at its remote address.
         ctx = packet.ctx
         try:
-            dst = self.memory.lookup(ctx["remote_key"]).view(
-                ctx["remote_offset"], packet.payload_len
-            )
+            mr = self.memory.lookup(ctx["remote_key"])
+            off = ctx["remote_offset"]
+            mr.check(off, packet.payload_len)
         except (KeyError, IndexError):
             if reliable:
                 raise  # RC would fatally NAK; surface the protocol bug
             return  # UC silently drops bad placements
-        if packet.payload is not None and packet.payload_len:
-            dst[:] = packet.payload[: packet.payload_len]
+        if packet.payload_src is not None and packet.payload_len:
+            mr.place(off, packet.payload_src, packet.payload_off, packet.payload_len)
         key = (packet.src, packet.src_qpn or 0, packet.msg_id or 0)
         state = self._reassembly.get(key)
         if state is None:
@@ -1099,9 +1107,9 @@ class Nic:
                 )
             dst_mr = self.memory.lookup(wr.mr_key)
             for p in segments:
-                if p.payload is not None and p.payload_len:
-                    off = wr.offset + p.msg_seq * self.mtu
-                    dst_mr.view(off, p.payload_len)[:] = p.payload[: p.payload_len]
+                if p.payload_src is not None and p.payload_len:
+                    dst_mr.place(wr.offset + p.msg_seq * self.mtu,
+                                 p.payload_src, p.payload_off, p.payload_len)
         if self.trace is not None:
             self.trace.instant("nic.cqe", self.sim.now)
         qp.recv_cq.push(CQE(wr.wr_id, opcode, qp.qpn, byte_len, imm, src, src_qpn))
@@ -1113,7 +1121,7 @@ class Nic:
         ctx = packet.ctx
         src_mr = self.memory.lookup(ctx["remote_key"])
         length = ctx["length"]
-        data = src_mr.view(ctx["remote_offset"], length)
+        data, base = src_mr.source(ctx["remote_offset"], length)
         n_seg = max(1, -(-length // self.mtu))
         msg_id = next(self._msg_counter)
         resps = []
@@ -1124,7 +1132,8 @@ class Nic:
                 src=self.host,
                 dst=packet.src,
                 kind=PacketKind.RC_READ_RESP,
-                payload=data[lo:hi],
+                payload=data if hi > lo else None,
+                payload_off=base + lo,
                 payload_len=hi - lo,
                 header_bytes=self.header_bytes,
                 qpn=packet.src_qpn,
@@ -1144,10 +1153,10 @@ class Nic:
 
     def _absorb_read_response(self, qp: QueuePair, packet: Packet) -> None:
         ctx = packet.ctx
-        if packet.payload is not None and packet.payload_len:
-            self.memory.lookup(ctx["sink_key"]).view(
-                ctx["sink_offset"], packet.payload_len
-            )[:] = packet.payload[: packet.payload_len]
+        if packet.payload_src is not None and packet.payload_len:
+            self.memory.lookup(ctx["sink_key"]).place(
+                ctx["sink_offset"], packet.payload_src, packet.payload_off,
+                packet.payload_len)
         key = (packet.src, packet.src_qpn or 0, packet.msg_id or 0)
         state = self._reassembly.get(key)
         if state is None:

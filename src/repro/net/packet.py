@@ -1,9 +1,11 @@
 """Packets on the simulated wire.
 
-A :class:`Packet` is the unit the link/switch layer moves around.  Payloads
-are **zero-copy views** into the sender's registered memory (numpy slices);
-the receive path copies out of the view on delivery, mirroring how real
-RDMA hardware DMA-reads the source buffer at transmit time.
+A :class:`Packet` is the unit the link/switch layer moves around.  Its
+payload is a **reference** ``(array, offset, length)`` to the bytes the
+sender's memory region held at post (``MemoryRegion.source``): a lazy
+region's immutable snapshot, or a private copy of a materialised region's
+bytes.  The receive path places that reference into the destination
+region (``MemoryRegion.place``); no byte is copied on the wire.
 
 Packet sizes on the wire include a configurable per-packet header overhead
 (IB LRH+GRH+BTH+ICRC etc.); traffic counters can report either wire bytes
@@ -66,9 +68,11 @@ class Packet:
         Destination host id, or ``MCAST_FLAG + gid`` for multicast.
     kind:
         The :class:`PacketKind`.
-    payload:
-        Zero-copy ``numpy`` view of the payload bytes (may be ``None`` for
-        header-only packets such as read requests).
+    payload_src / payload_off:
+        The ``uint8`` array holding the payload and the payload's offset in
+        it (``payload_src`` is ``None`` for header-only packets such as read
+        requests).  The array is never written while a packet refers to it.
+        :attr:`payload` is the payload as a view.
     payload_len:
         Length in bytes of the payload (kept explicitly so header-only
         packets can still declare a logical length, e.g. read requests).
@@ -94,7 +98,8 @@ class Packet:
         "src",
         "dst",
         "kind",
-        "payload",
+        "payload_src",
+        "payload_off",
         "payload_len",
         "header_bytes",
         "imm",
@@ -121,13 +126,15 @@ class Packet:
         msg_seq: int = 0,
         msg_segments: int = 1,
         ctx: Optional[dict] = None,
+        payload_off: int = 0,
     ) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
-        self.payload = payload
+        self.payload_src = payload
+        self.payload_off = payload_off
         if payload is not None and payload_len == 0:
-            payload_len = int(payload.nbytes)
+            payload_len = int(payload.nbytes) - payload_off
         self.payload_len = payload_len
         self.header_bytes = header_bytes
         self.imm = imm
@@ -137,6 +144,16 @@ class Packet:
         self.msg_seq = msg_seq
         self.msg_segments = msg_segments
         self.ctx: Mapping = MappingProxyType(ctx) if ctx else _NO_CTX
+
+    @property
+    def payload(self) -> Optional[np.ndarray]:
+        """The payload bytes as a read-only-by-contract view (``None`` for a
+        header-only packet)."""
+        src = self.payload_src
+        if src is None:
+            return None
+        off = self.payload_off
+        return src[off : off + self.payload_len]
 
     # ------------------------------------------------------------------ size
 

@@ -196,9 +196,9 @@ def test_staging_lifecycle():
     ring, qp = make_ring(2)
     ring.prime(qp)
     qp.recv_queue.popleft()  # hardware consumed slot 0
-    view = ring.on_cqe(0)
-    assert view.nbytes == 4096
+    assert ring.on_cqe(0) is None  # the slot's bytes stay in ring.mr
     assert ring.held == 1
+    assert ring.mr.nbytes == 2 * 4096 and not ring.mr.materialized
     ring.repost(0, qp)
     assert ring.posted == 2
     assert ring.reposts == 1

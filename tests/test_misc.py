@@ -54,32 +54,70 @@ def test_pretty_formatting():
 def test_dma_copy_moves_data_at_completion():
     sim = Simulator()
     dma = DmaEngine(sim, bandwidth=1e9, latency=1e-6)
-    src = np.arange(1000, dtype=np.uint8)
-    dst = np.zeros(1000, dtype=np.uint8)
-    ev = dma.copy(src, dst)
-    assert not np.array_equal(dst, src)  # not yet
+    mem = Memory(0)
+    src = mem.register(np.arange(1000, dtype=np.uint8))
+    dst = mem.register(1000)
+    ev = dma.copy((src, 0), (dst, 0), 1000)
+    assert not dst.equals(src.buf, {})  # not yet
     sim.run()
     assert ev.triggered
-    assert np.array_equal(dst, src)
+    assert dst.equals(src.buf, {})
+    assert not dst.materialized  # moved as a piece, not as bytes
     assert sim.now == pytest.approx(1000 / 1e9 + 1e-6)
 
 
 def test_dma_queues_back_to_back():
     sim = Simulator()
     dma = DmaEngine(sim, bandwidth=1e9, latency=0.0)
-    bufs = [(np.full(1000, i, dtype=np.uint8), np.zeros(1000, dtype=np.uint8))
+    mem = Memory(0)
+    bufs = [(mem.register(np.full(1000, i, dtype=np.uint8)), mem.register(1000))
             for i in range(3)]
-    events = [dma.copy(s, d) for s, d in bufs]
+    events = [dma.copy((s, 0), (d, 0), 1000) for s, d in bufs]
     sim.drain(events)
     assert sim.now == pytest.approx(3e-6)
     assert dma.ops == 3 and dma.bytes_copied == 3000
+    assert all(bytes(d.buf) == bytes(s.buf) for s, d in bufs)
 
 
 def test_dma_size_mismatch_rejected():
+    # A copy larger than either end is refused at issue, before it queues.
     sim = Simulator()
     dma = DmaEngine(sim)
-    with pytest.raises(ValueError):
-        dma.copy(np.zeros(10, dtype=np.uint8), np.zeros(20, dtype=np.uint8))
+    mem = Memory(0)
+    small, big = mem.register(10), mem.register(20)
+    with pytest.raises(IndexError):
+        dma.copy((small, 0), (big, 0), 20)
+    with pytest.raises(IndexError):
+        dma.copy((big, 0), (small, 0), 20)
+    with pytest.raises(IndexError):
+        dma.copy((big, 15), (big, 0), 10)
+    assert dma.ops == 0 and dma.busy_until == 0.0 and not sim._queue
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_dma_reads_a_held_slot_when_it_moves(lazy):
+    # Both slots are overwritten after issue, before completion: copy()
+    # reads at completion, copy_runs() moved at issue — the bytes a byte
+    # copy at those instants leaves, on a lazy ring and a materialised one.
+    n = 1024
+    old = np.full(n, 1, dtype=np.uint8)
+    new = np.arange(n, dtype=np.uint8)
+    sim = Simulator()
+    dma = DmaEngine(sim, bandwidth=1e9, latency=1e-6)
+    mem = Memory(0)
+    ring = mem.register(2 * n if lazy else np.zeros(2 * n, dtype=np.uint8))
+    at_completion, at_issue = mem.register(n), mem.register(n)
+    ring.place(0, old, 0, n)
+    ring.place(n, old, 0, n)
+    ev = dma.copy((ring, 0), (at_completion, 0), n)
+    (done,) = dma.copy_runs([((ring, n), (at_issue, 0), [(n, 0.0)])])
+    ring.place(0, new, 0, n)
+    ring.place(n, new, 0, n)
+    sim.run()
+    assert ev.triggered and sim.now < done
+    assert bytes(at_completion.buf) == bytes(new)
+    assert bytes(at_issue.buf) == bytes(old)
+    assert ring.materialized is not lazy
 
 
 def test_dma_invalid_bandwidth():

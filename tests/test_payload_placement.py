@@ -1,7 +1,8 @@
 """Deferred payload placement (DESIGN.md §6h) end to end.
 
-A folded phase records *where* each receiver's bytes come from instead of
-copying them; only a byte-level touch materialises a region.  These tests
+A folded phase, a NIC landing and a DMA copy record *where* each
+receiver's bytes come from instead of copying them; only a byte-level
+touch materialises a region.  These tests
 pin that rule by counting regions (deterministic, no timing), hold folded
 payloads byte-equal to the per-packet engine's — including across a
 mid-session ``abort_flush`` and a post-fold recovery fetch — and check
@@ -81,18 +82,26 @@ def test_folded_run_materialises_nothing_until_indexed(kind):
 
 
 @pytest.mark.parametrize("kind", ["allgather", "broadcast"])
-def test_per_packet_run_materialises_every_region(kind):
-    # Who touches the memory decides: every NIC write is a byte-level touch.
+def test_per_packet_run_places_every_region(kind):
+    # A NIC landing and a DMA copy are placements too: the packet path
+    # moves references and materialises nothing.
     P = 256
     data, res = _run(kind, P, "off")
     received = (P * (P - 1) * 256) if kind == "allgather" else (P - 1) * 16384
     assert res.engine["ff_phases"] == 0
-    assert res.engine["payload_regions_materialized"] == P
-    assert res.engine["payload_bytes_placed"] == 0
-    assert res.engine["payload_bytes_copied"] == received
-    assert materialized(res) == list(range(P))
+    assert res.engine["payload_regions_materialized"] == 0
+    assert res.engine["payload_bytes_copied"] == 0
+    assert res.engine["payload_bytes_placed"] == received
     verify = res.verify_allgather if kind == "allgather" else res.verify_broadcast
     assert verify(data)
+    if kind == "allgather":
+        wrong = [d.copy() for d in data]
+        wrong[P // 2][7] ^= 1
+    else:
+        wrong = data.copy()
+        wrong[-1] ^= 0x80
+    assert not verify(wrong)  # exact: one flipped byte anywhere fails
+    assert materialized(res) == []
 
 
 def test_verify_is_exact_on_placed_regions():
@@ -164,11 +173,13 @@ def test_mid_session_abort_flush_equals_per_packet(transport):
     # packets than it does at packet level — true before lazy regions too)
     assert [bytes(b) for b in folded.buffers] == [bytes(b) for b in packet.buffers]
     assert folded.verify_allgather(ag_data(P, 1024))
-    # every landed byte was either still a placement or memcpy'd
+    # every landed byte was either still a placement or memcpy'd, and the
+    # packet path after the abort places too: nothing was memcpy'd
     eng = folded.engine
     assert eng["payload_bytes_copied"] + eng["payload_bytes_placed"] \
         == P * (P - 1) * 1024
-    assert eng["payload_regions_materialized"] > 0
+    assert eng["payload_regions_materialized"] == 0
+    assert eng["payload_bytes_copied"] == 0
 
 
 def test_post_fold_recovery_fetch_reads_placed_region():
@@ -226,3 +237,41 @@ def test_allreduce_buffers_are_lazy_float_views():
     assert res.verify_allreduce(data)
     assert {"payload_bytes_copied", "payload_bytes_placed",
             "payload_regions_materialized"} <= set(res.engine)
+
+
+def test_verify_allreduce_compares_through_the_regions():
+    P = 8
+    data = [(np.arange(2048) % 97 + r).astype(np.float32) for r in range(P)]
+    res = make_comm(P, ff="off").allreduce(data)
+    assert res.verify_allreduce(data)
+    assert materialized(res) == []  # no rank's buffer was built to compare
+    for r, elem in [(0, 0), (3, 1000), (P - 1, 2047)]:  # one element off
+        wrong = [d.copy() for d in data]
+        wrong[r][elem] += 1.0
+        assert not res.verify_allreduce(wrong)
+    assert materialized(res) == []
+    total = np.sum(data, axis=0)
+    assert np.array_equal(res.buffers[5], total)  # and indexing still reads it
+    assert materialized(res) == [5]
+
+
+def test_staging_rings_hold_pieces_not_bytes():
+    # Three collectives through one communicator's UD rings, each wrapping
+    # a ring many times: a ring is a piece per slot at most, never bytes.
+    P, slots = 8, 16
+    fabric = Fabric(Simulator(), Topology.leaf_spine(P, 4, 2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(11))
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=1024, transport="ud", staging_slots=slots))
+    bdata, adata = bc_data(96 * 1024), ag_data(P, 8 * 1024)
+    results = [comm.broadcast(0, bdata), comm.allgather(adata),
+               comm.broadcast(5, bdata)]
+    assert results[0].verify_broadcast(bdata)
+    assert results[1].verify_allgather(adata)
+    assert results[2].verify_broadcast(bdata)
+    rings = [ring for e in comm.engines for ring in e.stagings]
+    assert len(rings) == P and all(ring.reposts > slots for ring in rings)
+    for ring in rings:
+        assert not ring.mr.materialized
+        assert 0 < len(ring.mr._lo) <= slots
+    assert all(res.engine["payload_regions_materialized"] == 0 for res in results)

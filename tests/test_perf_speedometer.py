@@ -50,6 +50,8 @@ def test_event_counts_match_baseline():
         assert cur["virtual_s"] == base["virtual_s"], (
             f"{name}: virtual completion time drifted from the baseline"
         )
+        for key in speedo.PAYLOAD_KEYS:
+            assert cur[key] == base[key], f"{name}: {key} drifted"
         assert cur["traffic"] == base["traffic"], (
             f"{name}: channel/switch/NIC packet counters drifted from the "
             "baseline — the packet path sent, forwarded or delivered "
@@ -76,6 +78,23 @@ def test_check_gates_the_traffic_fingerprint(capsys):
     results["scenarios"]["ar188"]["traffic"]["packets_forwarded"] += 1
     assert speedo.check(results, str(BASELINE), tolerance=0.25) == 1
     assert "ar188: traffic fingerprint changed" in capsys.readouterr().out
+
+
+def test_check_gates_the_payload_cost(capsys):
+    """``--check`` fails when a scenario materialises or memcpy's payload
+    it did not before, with everything else unchanged."""
+    import copy
+
+    speedo = _load_speedometer()
+    with open(BASELINE) as fh:
+        baseline = json.load(fh)
+    for name, base in baseline["scenarios"].items():
+        assert all(key in base for key in speedo.PAYLOAD_KEYS), name
+    for key in speedo.PAYLOAD_KEYS:
+        results = copy.deepcopy(baseline)
+        results["scenarios"]["ar188"][key] += 1
+        assert speedo.check(results, str(BASELINE), tolerance=0.25) == 1
+        assert f"ar188: {key} changed" in capsys.readouterr().out
 
 
 def test_lossy188_forms_trains():

@@ -23,6 +23,7 @@ from repro.core.costmodel import HostCostModel
 from repro.core.progress import RankEngine
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
+from repro.net.memory import Memory
 from repro.net.fabric import Fabric
 from repro.net.faults import StragglerSpec
 from repro.net.link import FaultSpec
@@ -112,15 +113,16 @@ def test_copy_runs_matches_sequential_copy_bit_for_bit():
     sim_a = Simulator()
     eng_a = DmaEngine(sim_a)
     total = sum(n for n, _ in sched)
-    src_a = np.arange(total, dtype=np.uint64).astype(np.uint8)
-    dst_a = np.zeros(total, dtype=np.uint8)
+    image = np.arange(total, dtype=np.uint64).astype(np.uint8)
+    mem_a = Memory(0)
+    src_a, dst_a = mem_a.register(total), mem_a.register(total)
+    src_a.place(0, image, 0, total)
     done_a = []
     off = 0
     for nbytes, when in sched:
-        s, e = off, off + nbytes
 
-        def issue(s=s, e=e):
-            ev = eng_a.copy(src_a[s:e], dst_a[s:e])
+        def issue(off=off, nbytes=nbytes):
+            ev = eng_a.copy((src_a, off), (dst_a, off), nbytes)
             ev.subscribe(lambda _e: done_a.append(sim_a.now))
 
         sim_a.post_at(when, issue)
@@ -131,36 +133,46 @@ def test_copy_runs_matches_sequential_copy_bit_for_bit():
     # pure chain that returns the instants and posts nothing.
     sim_b = Simulator()
     eng_b = DmaEngine(sim_b)
-    src_b = src_a.copy()
-    dst_b = np.zeros(total, dtype=np.uint8)
-    done_b = eng_b.copy_runs([(src_b, dst_b, list(sched))])
+    mem_b = Memory(0)
+    src_b, dst_b = mem_b.register(total), mem_b.register(total)
+    src_b.place(0, image, 0, total)
+    done_b = eng_b.copy_runs([((src_b, 0), (dst_b, 0), list(sched))])
     assert not sim_b._queue
 
     assert done_b == done_a  # exact float equality, op for op
     assert eng_b.busy_until == eng_a.busy_until
     assert eng_b.bytes_copied == eng_a.bytes_copied == total
     assert eng_b.ops == eng_a.ops == len(sched)
-    assert np.array_equal(dst_b, src_b)
+    for dst in (dst_a, dst_b):
+        assert dst.equals(image, {})
+        assert not dst.materialized and len(dst._lo) == 1  # one piece
 
 
 def test_copy_runs_places_span_at_issue():
     sim = Simulator()
     eng = DmaEngine(sim)
-    src = np.full(8192, 7, dtype=np.uint8)
-    dst = np.zeros(8192, dtype=np.uint8)
-    done = eng.copy_runs([(src, dst, [(4096, 1e-6), (4096, 1e-6)])])
+    mem = Memory(0)
+    src = mem.register(np.full(8192, 7, dtype=np.uint8))
+    dst = mem.register(np.zeros(8192, dtype=np.uint8))
+    done = eng.copy_runs([((src, 0), (dst, 0), [(4096, 1e-6), (4096, 1e-6)])])
     # The whole span landed at the call, before either completion instant
     # (early, never late: readers gate on the caller's placed bits).
-    assert np.array_equal(dst, src)
+    assert np.array_equal(dst.buf, src.buf)
     assert sim.now < done[0] < done[1]
     assert eng.busy_until + eng.latency == done[1]
 
 
 def test_copy_runs_rejects_size_mismatch():
+    # A span larger than either end raises before the engine chain moves.
     sim = Simulator()
     eng = DmaEngine(sim)
-    with pytest.raises(ValueError):
-        eng.copy_runs([(np.zeros(8, np.uint8), np.zeros(4, np.uint8), [])])
+    mem = Memory(0)
+    small, big = mem.register(4), mem.register(8)
+    with pytest.raises(IndexError):
+        eng.copy_runs([((big, 0), (small, 0), [(8, 0.0)])])
+    with pytest.raises(IndexError):
+        eng.copy_runs([((small, 0), (big, 0), [(4, 0.0), (4, 0.0)])])
+    assert eng.ops == 0 and eng.busy_until == 0.0
 
 
 # ------------------------------------------------------------------- bitmap
@@ -526,7 +538,7 @@ def test_late_duplicate_after_release_counts_one_stray(transport):
                  imm=comm.imm.encode(0, 0))
     if transport == "uc":
         # Aimed at a live zero-length region: only the immediate lands.
-        dup.payload, dup.payload_len = None, 0
+        dup.payload_src, dup.payload_len = None, 0
         dup.ctx = {"remote_key": rx._uc_wr.mr_key, "remote_offset": 0}
     sim.post_at(sim.now + 1e-6, rx.nic.receive, dup, None)
     second = comm.broadcast(0, data)

@@ -2,12 +2,18 @@
 
 Sweeps the multicast broadcast across host counts and simulation engines:
 
-* ``pkt``    — packet-level reference: ``fast_forward='off'`` with train
-  coalescing disabled; every wire packet is a simulated event.
-* ``train``  — the packet-train engine (``fast_forward='off'``,
-  coalescing on): clean runs ride the CQE-train/coalesced-DMA fast path.
-* ``exact``  — flow-level fast-forward, bit-identical virtual time to
-  ``pkt`` (the fold replays the per-packet arithmetic).
+* ``pkt``    — the reference engine: ``Fabric(reference=True)``, so every
+  wire packet and every receive CQE is a simulated event.
+* ``train``  — the production engine without the fold
+  (``fast_forward='off'``): clean runs ride packet trains, look-ahead
+  delivery and CQE batches.
+* ``exact``  — the production engine with the flow-level fast-forward,
+  bit-identical virtual time to ``pkt`` (the fold replays the per-packet
+  arithmetic).
+
+The committed ``ff_scaling.txt`` predates the one engine switch: its
+``pkt`` column ran with CQE batching on (only trains off), so its events
+and walls are not the reference engine's.  Virtual times are unaffected.
 
 Every broadcast folds as a single phase (``staging_slots`` is sized to
 the chunk count so the receive queue covers the whole payload), so the
@@ -52,10 +58,10 @@ from repro.bench import format_table, make_fabric, report
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.units import KiB, MiB
 
-#: engine mode -> (fast_forward knob, train coalescing)
+#: engine mode -> (fast_forward knob, reference engine)
 MODES = {
-    "pkt": ("off", False),
-    "train": ("off", True),
+    "pkt": ("off", True),
+    "train": ("off", False),
     "exact": ("exact", False),
 }
 
@@ -70,10 +76,9 @@ SMOKE_RSS_BUDGET_MIB = 1024
 
 def run_broadcast(n_hosts: int, mode: str,
                   payload: int = BCAST_PAYLOAD) -> Dict[str, object]:
-    ff, coalescing = MODES[mode]
+    ff, reference = MODES[mode]
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_hosts, mtu=CHUNK)
-    fabric.set_coalescing(coalescing)
+    fabric = make_fabric(n_hosts, mtu=CHUNK, reference=reference)
     cfg = CollectiveConfig(
         chunk_size=CHUNK,
         transport="uc",
@@ -108,10 +113,9 @@ def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
                   cutoff_alpha: float = 10e-3,
                   chunk: Optional[int] = None) -> Dict[str, object]:
-    ff, coalescing = MODES[mode]
+    ff, reference = MODES[mode]
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_ranks, mtu=4096)
-    fabric.set_coalescing(coalescing)
+    fabric = make_fabric(n_ranks, mtu=4096, reference=reference)
     cfg = CollectiveConfig(
         chunk_size=chunk or per_rank,
         transport="uc",
@@ -144,9 +148,9 @@ def run_allgather(n_ranks: int, mode: str,
 
 def run_allreduce(n_ranks: int, shard_elems: int = AR_SHARD_ELEMS,
                   cutoff_alpha: float = 100e-3) -> Dict[str, object]:
-    """Composed INC allreduce on the production path: train coalescing on
-    (the reduce-scatter pass folds, DESIGN.md §6j) and the exact fold (the
-    allgather phases), with the allgather rows' static cutoff."""
+    """Composed INC allreduce on the production path: the reduce-scatter
+    pass folds (DESIGN.md §6j) and so do the allgather phases (the exact
+    fold), with the allgather rows' static cutoff."""
     t_setup = time.perf_counter()
     fabric = make_fabric(n_ranks, mtu=4096)
     cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc",

@@ -39,7 +39,7 @@ Usage::
 
     python benchmarks/bench_speedometer.py                  # table
     python benchmarks/bench_speedometer.py --json           # machine output
-    python benchmarks/bench_speedometer.py --per-packet     # fast path off
+    python benchmarks/bench_speedometer.py --reference      # reference engine
     python benchmarks/bench_speedometer.py \
         --check benchmarks/results/speedometer_baseline.json --tolerance 0.25
 """
@@ -118,16 +118,14 @@ def _result(wall: float, res, fabric) -> Dict[str, object]:
     }
 
 
-def _bcast(n_hosts: int, nbytes: int, chunk: int, coalescing: bool,
-           batching: bool, fault_factory=None,
-           coarse: bool = True, **cfg_kw) -> Dict[str, float]:
-    fabric = make_fabric(n_hosts, mtu=chunk)
-    fabric.set_coalescing(coalescing)
+def _bcast(n_hosts: int, nbytes: int, chunk: int, reference: bool,
+           fault_factory=None, coarse: bool = True,
+           **cfg_kw) -> Dict[str, float]:
+    fabric = make_fabric(n_hosts, mtu=chunk, reference=reference)
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
-    cfg = (coarse_config(chunk, recv_batching=batching, **cfg_kw) if coarse
-           else CollectiveConfig(chunk_size=chunk, recv_batching=batching,
-                                 **cfg_kw))
+    cfg = (coarse_config(chunk, **cfg_kw) if coarse
+           else CollectiveConfig(chunk_size=chunk, **cfg_kw))
     comm = Communicator(fabric, config=cfg)
     data = (np.arange(nbytes, dtype=np.uint32) % 251).astype(np.uint8)
     t0 = time.perf_counter()
@@ -143,12 +141,9 @@ def _ff_kw(ff: str | None, default: str = "off") -> Dict[str, str]:
     return {"fast_forward": default if ff is None else ff}
 
 
-def scenario_ag16(coalescing: bool, batching: bool = True,
-                  ff: str | None = None) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=4096)
-    fabric.set_coalescing(coalescing)
+def scenario_ag16(reference: bool, ff: str | None = None) -> Dict[str, float]:
+    fabric = make_fabric(16, mtu=4096, reference=reference)
     comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096,
-                                                       recv_batching=batching,
                                                        **_ff_kw(ff)))
     data = [np.full(64 * KiB, r % 251, dtype=np.uint8) for r in range(16)]
     t0 = time.perf_counter()
@@ -158,36 +153,33 @@ def scenario_ag16(coalescing: bool, batching: bool = True,
     return _result(wall, res, fabric)
 
 
-def scenario_bcast188(coalescing: bool, batching: bool = True,
+def scenario_bcast188(reference: bool,
                       ff: str | None = None) -> Dict[str, float]:
-    return _bcast(188, MiB, 64 * KiB, coalescing, batching, **_ff_kw(ff))
+    return _bcast(188, MiB, 64 * KiB, reference, **_ff_kw(ff))
 
 
-def scenario_bcast188hf(coalescing: bool, batching: bool = True,
+def scenario_bcast188hf(reference: bool,
                         ff: str | None = None) -> Dict[str, float]:
-    return _bcast(188, MiB, 4096, coalescing, batching, coarse=False,
-                  **_ff_kw(ff))
+    return _bcast(188, MiB, 4096, reference, coarse=False, **_ff_kw(ff))
 
 
-def scenario_lossy188(coalescing: bool, batching: bool = True,
+def scenario_lossy188(reference: bool,
                       ff: str | None = None) -> Dict[str, float]:
     ge = GilbertElliott(p_good_bad=0.01, p_bad_good=0.3,
                         drop_good=0.001, drop_bad=0.10)
-    return _bcast(188, 256 * KiB, 64 * KiB, coalescing, batching,
+    return _bcast(188, 256 * KiB, 64 * KiB, reference,
                   fault_factory=lambda s, d: FaultSpec(gilbert_elliott=ge),
                   **_ff_kw(ff))
 
 
-def scenario_fsdp(coalescing: bool, batching: bool = True,
-                  ff: str | None = None) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=16 * KiB)
-    fabric.set_coalescing(coalescing)
+def scenario_fsdp(reference: bool, ff: str | None = None) -> Dict[str, float]:
+    fabric = make_fabric(16, mtu=16 * KiB, reference=reference)
     sim = fabric.sim
     ev0 = sim.events_processed
     t0 = time.perf_counter()
     virtual = run_fsdp_backward_pipeline(
         fabric, "optimal", [64 * KiB, 64 * KiB, 32 * KiB],
-        config=coarse_config(16 * KiB, recv_batching=batching, **_ff_kw(ff)),
+        config=coarse_config(16 * KiB, **_ff_kw(ff)),
     )
     wall = time.perf_counter() - t0
     return {
@@ -202,24 +194,22 @@ def scenario_fsdp(coalescing: bool, batching: bool = True,
     }
 
 
-def scenario_bcast1024(coalescing: bool, batching: bool = True,
+def scenario_bcast1024(reference: bool,
                        ff: str | None = None) -> Dict[str, float]:
     # Pinned to exact fast-forward: packet-level 1024-host runs belong to
     # bench_ff_scaling.py, not the per-commit speedometer.
-    return _bcast(1024, 512 * KiB, 4096, coalescing, batching, coarse=False,
+    return _bcast(1024, 512 * KiB, 4096, reference, coarse=False,
                   transport="uc", **_ff_kw(ff, default="exact"))
 
 
-def scenario_ag1024(coalescing: bool, batching: bool = True,
+def scenario_ag1024(reference: bool,
                     ff: str | None = None) -> Dict[str, float]:
-    fabric = make_fabric(1024, mtu=4096)
-    fabric.set_coalescing(coalescing)
+    fabric = make_fabric(1024, mtu=4096, reference=reference)
     # The chain-serialized 1024-step schedule outruns the adaptive cutoff's
     # ``buffer/B + alpha`` deadline model (activation latency dominates at
     # this scale), so the scenario pins a static cutoff wide enough that no
     # spurious recovery fires — in either engine.
     cfg = CollectiveConfig(chunk_size=KiB, transport="uc",
-                           recv_batching=batching,
                            adaptive_cutoff=False, cutoff_alpha=10e-3,
                            **_ff_kw(ff, default="exact"))
     comm = Communicator(fabric, config=cfg)
@@ -231,12 +221,11 @@ def scenario_ag1024(coalescing: bool, batching: bool = True,
     return _result(wall, res, fabric)
 
 
-def scenario_ar188(coalescing: bool, batching: bool = True,
+def scenario_ar188(reference: bool,
                    ff: str | None = None) -> Dict[str, float]:
-    fabric = make_fabric(188, mtu=4096)
-    fabric.set_coalescing(coalescing)
+    fabric = make_fabric(188, mtu=4096, reference=reference)
     comm = Communicator(fabric, config=coarse_config(
-        4096, n_chains=188, recv_batching=batching, **_ff_kw(ff)))
+        4096, n_chains=188, **_ff_kw(ff)))
     # 1024 float32 elements per shard (4 KiB, one chunk) x 188 shards.
     elems = 188 * 1024
     data = [(np.arange(elems, dtype=np.float32) % 251) + r
@@ -248,12 +237,9 @@ def scenario_ar188(coalescing: bool, batching: bool = True,
     return _result(wall, res, fabric)
 
 
-def scenario_a2a16(coalescing: bool, batching: bool = True,
-                   ff: str | None = None) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=4096)
-    fabric.set_coalescing(coalescing)
+def scenario_a2a16(reference: bool, ff: str | None = None) -> Dict[str, float]:
+    fabric = make_fabric(16, mtu=4096, reference=reference)
     comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096,
-                                                       recv_batching=batching,
                                                        **_ff_kw(ff)))
     data = [(np.arange(64 * KiB, dtype=np.uint32) % 251 + r).astype(np.uint8)
             for r in range(16)]
@@ -292,8 +278,8 @@ WALL_GATED = frozenset({"ag16", "bcast188hf", "lossy188", "fsdp", "a2a16",
                         "bcast1024", "ag1024", "ar188"})
 
 
-def run_all(coalescing: bool, batching: bool = True,
-            profile_top: int = 0, ff: str | None = None,
+def run_all(reference: bool = False, profile_top: int = 0,
+            ff: str | None = None,
             skip: frozenset = frozenset()) -> Dict[str, object]:
     cal = calibrate()
     scenarios: Dict[str, Dict[str, float]] = {}
@@ -303,7 +289,7 @@ def run_all(coalescing: bool, batching: bool = True,
         if profile_top:
             prof = cProfile.Profile()
             prof.enable()
-        r = fn(coalescing, batching, ff)
+        r = fn(reference, ff)
         if profile_top:
             prof.disable()
             _print_hotspots(name, prof, profile_top)
@@ -311,8 +297,7 @@ def run_all(coalescing: bool, batching: bool = True,
         r["normalized_cost"] = r["wall_s"] / cal
         scenarios[name] = r
     return {
-        "coalescing": coalescing,
-        "recv_batching": batching,
+        "reference": reference,
         "fast_forward": ff,
         "skipped": sorted(skip),
         "calibration_s": cal,
@@ -334,14 +319,13 @@ def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> i
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     # When the run used a different fast-path configuration than the
-    # committed baseline (--per-packet / --per-cqe / --ff), event counts
-    # and wall-clock are not comparable — but virtual time still must
-    # match *exactly*: the train, CQE-batch, and exact fast-forward
-    # engines are all proven bit-equivalent to the slow path, so this
-    # mode turns --check into an equivalence gate.
+    # committed baseline (--reference / --ff), event counts and
+    # wall-clock are not comparable — but virtual time still must match
+    # *exactly*: the production engine and the exact fast-forward are both
+    # proven bit-equivalent to the reference, so this mode turns --check
+    # into an equivalence gate.
     same_config = (
-        results.get("coalescing") == baseline.get("coalescing", True)
-        and results.get("recv_batching") == baseline.get("recv_batching", True)
+        results.get("reference") == baseline.get("reference", False)
         and results.get("fast_forward") == baseline.get("fast_forward")
     )
     skipped = set(results.get("skipped", ()))
@@ -400,10 +384,9 @@ def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> i
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--json", action="store_true", help="emit JSON to stdout")
-    ap.add_argument("--per-packet", action="store_true",
-                    help="disable the packet-train fast path")
-    ap.add_argument("--per-cqe", action="store_true",
-                    help="disable the receiver-batch fast path")
+    ap.add_argument("--reference", action="store_true",
+                    help="run the per-packet, per-CQE reference engine "
+                         "(Fabric(reference=True))")
     ap.add_argument("--ff", choices=("off", "exact"), default=None,
                     help="override every scenario's fast-forward mode "
                          "(default: each scenario's pinned mode); with "
@@ -425,8 +408,7 @@ def main(argv=None) -> int:
     if unknown:
         ap.error(f"unknown scenario(s) in --skip: {', '.join(sorted(unknown))}")
 
-    results = run_all(coalescing=not args.per_packet,
-                      batching=not args.per_cqe,
+    results = run_all(reference=args.reference,
                       profile_top=args.profile,
                       ff=args.ff, skip=skip)
 
@@ -451,9 +433,8 @@ def main(argv=None) -> int:
         ))
     print(f"calibration: {results['calibration_s']:.3f}s "
           f"for {CALIBRATION_EVENTS:,} events "
-          f"(coalescing={'on' if results['coalescing'] else 'off'}, "
-          f"recv_batching={'on' if results['recv_batching'] else 'off'}, "
-          f"ff={results['fast_forward'] or 'per-scenario'})")
+          f"({'reference' if results['reference'] else 'production'} "
+          f"engine, ff={results['fast_forward'] or 'per-scenario'})")
     print(format_table(
         ("scenario", "wall s", "virt us", "events", "ev/s", "norm", "trains"),
         rows,

@@ -25,6 +25,7 @@ def make_fabric(
     mtu: int = 4096,
     seed: int = 0,
     topo_params: Optional[dict] = None,
+    reference: bool = False,
 ) -> Fabric:
     """A fresh simulator + fabric for one benchmark run.
 
@@ -35,6 +36,7 @@ def make_fabric(
     ``mtu`` doubles as the *simulation granularity* knob: benches that only
     need byte-accurate traffic or large-message timing raise it so one
     simulated packet stands for many wire packets (documented per bench).
+    ``reference`` selects the per-packet, per-CQE reference engine.
     """
     if topo == "auto":
         if n_hosts == 188:
@@ -59,6 +61,7 @@ def make_fabric(
         link_bandwidth=gbit_per_s(link_gbit),
         mtu=mtu,
         streams=RandomStreams(seed),
+        reference=reference,
     )
 
 

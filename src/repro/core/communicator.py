@@ -122,17 +122,13 @@ class CollectiveConfig:
     staging_slots: int = 256
     #: immediate-data bits allocated to the PSN (Fig 7 trade-off)
     psn_bits: int = 24
-    #: receiver-batch fast path: consume an eligible CQE train in one
-    #: process wake (aggregated timeout, run-coalesced DMA, bulk WR
-    #: repost).  Virtual-time results are bit-identical either way; off
-    #: reproduces the per-CQE datapath event-for-event.
-    recv_batching: bool = True
     #: flow-level fast-forward: analytically advance fault-inert multicast
     #: phases to the phase boundary in O(links) instead of O(packets).
     #: ``"off"`` — packet/train level everywhere.  ``"exact"`` —
     #: bit-identical virtual time to the packet-level engine (the fold
     #: replicates the slow-path float arithmetic; any eligibility-gate
-    #: failure falls back transparently).
+    #: failure falls back transparently).  On a ``Fabric(reference=True)``
+    #: every fold declines with ``reference``.
     fast_forward: str = "off"
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
     cutoff_alpha: float = 200e-6
@@ -185,14 +181,13 @@ class CollectiveConfig:
             raise ValueError(
                 f"UD chunk_size {self.chunk_size} exceeds fabric MTU {fabric.mtu}"
             )
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.n_subgroups < 1:
-            raise ValueError("n_subgroups must be >= 1")
+        for name in ("chunk_size", "n_subgroups", "n_chains", "batch_size",
+                     "max_outstanding_batches", "staging_slots",
+                     "fetch_stall_rounds", "liveness_probe_retries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.recv_workers is not None and self.recv_workers < 1:
             raise ValueError("recv_workers must be >= 1")
-        if self.staging_slots < 1:
-            raise ValueError("staging_slots must be >= 1")
         if self.cutoff_alpha < 0 or self.recovery_alpha < 0:
             raise ValueError("cutoff_alpha and recovery_alpha must be >= 0")
         if not 0 < self.cutoff_alpha_min <= self.cutoff_alpha_max:
@@ -214,8 +209,6 @@ class CollectiveConfig:
             raise ValueError("recovery_jitter must be >= 0")
         if self.fetch_ack_timeout <= 0:
             raise ValueError("fetch_ack_timeout must be > 0")
-        if self.fetch_stall_rounds < 1:
-            raise ValueError("fetch_stall_rounds must be >= 1")
         if self.recovery_deadline <= 0:
             raise ValueError("recovery_deadline must be > 0")
         if self.failure_policy is not None:
@@ -223,8 +216,6 @@ class CollectiveConfig:
             self.failure_policy = FailurePolicy(self.failure_policy)
         if self.liveness_probe_timeout <= 0:
             raise ValueError("liveness_probe_timeout must be > 0")
-        if self.liveness_probe_retries < 1:
-            raise ValueError("liveness_probe_retries must be >= 1")
         if self.suspicion_timeout <= 0:
             raise ValueError("suspicion_timeout must be > 0")
         if self.fast_forward not in ("off", "exact"):

@@ -511,6 +511,8 @@ class ControlFold:
             horizon = comm.ff.horizon(op.coll_id)  # None unless the data fold is live
             if comm.config.failure_policy is not None:
                 raise _Miss("live")
+            if comm.fabric.reference:
+                raise _Miss("reference")  # the data fold's first gate
             if horizon is None:
                 raise _Miss("data_unfolded")
             if c.in_flight[0] or len(c.recv_cq):

@@ -152,7 +152,7 @@ class RankEngine:
                 ring = StagingRing(nic_sg, cfg.staging_slots, cfg.chunk_size)
                 ring.prime(qp)
                 self.stagings.append(ring)
-                if cfg.recv_batching:
+                if not self.fabric.reference:
                     # A dry queue may only look dry: re-posts of batched
                     # copies that completed by now are still pending.
                     qp.on_dry = self.settle
@@ -191,7 +191,7 @@ class RankEngine:
         #: worker must see cross-QP arrival interleaving.
         self._lookahead_qps = [
             self.sub_qps[sgs[0]] for sgs in mapping
-            if cfg.recv_batching and len(sgs) == 1
+            if not self.fabric.reference and len(sgs) == 1
         ]
         self._opt_in_lookahead()
         for worker_id, sgs in enumerate(mapping):
@@ -312,7 +312,7 @@ class RankEngine:
         cost = self.cost
         uc = cfg.transport == "uc"
         qps = [self.sub_qps[sg] for sg in subgroups]
-        batching = cfg.recv_batching
+        batching = not self.fabric.reference
         wake = self._recv_procs[worker_id].wake
         while True:
             if not any(len(qp.recv_cq) for qp in qps):

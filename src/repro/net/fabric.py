@@ -76,12 +76,13 @@ class Fabric:
         Named RNG streams for fault injection / jitter.
     default_fault:
         Fault spec cloned onto every channel (fabric-wide BER / jitter).
-    coalescing:
-        Enable the packet-train fast path on every channel (default on;
-        channels with live fault schedules fall back to per-packet
-        simulation automatically).  Disable to force per-packet mode
-        everywhere — virtual-time results are identical, only wall-clock
-        differs (see DESIGN.md §"Simulator fast path").
+    reference:
+        Run the reference engine: every packet and every receive CQE is
+        its own event, and no fold engages.  The default ``False`` is the
+        production engine — packet trains, look-ahead delivery, CQE
+        batches and the folds — with virtual time, traffic and payloads
+        identical to the reference; only wall-clock differs (DESIGN.md
+        "Two paths, one semantics").
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class Fabric:
         switch_delay: float = 0.1 * US,
         streams: Optional[RandomStreams] = None,
         default_fault: Optional[FaultSpec] = None,
-        coalescing: bool = True,
+        reference: bool = False,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -106,7 +107,7 @@ class Fabric:
         self.loopback_delay = 0.5 * US
         self.streams = streams or RandomStreams(seed=0)
         self._default_fault = default_fault
-        self.coalescing = bool(coalescing)
+        self.reference = bool(reference)
 
         self.nics: Dict[int, Nic] = {}
         self.switches: Dict[str, Switch] = {}
@@ -193,7 +194,7 @@ class Fabric:
             self._node(dst, rail),
             bandwidth=self.link_bandwidth,
             latency=self.link_latency,
-            coalescing=self.coalescing,
+            coalescing=not self.reference,
         )
         if self._default_fault is not None:
             # Each channel gets its own copy so counters/seq state differ.
@@ -584,13 +585,6 @@ class Fabric:
 
     def per_switch_egress(self) -> Dict[str, int]:
         return {name: sw.egress_wire_bytes for name, sw in self.switches.items()}
-
-    def set_coalescing(self, enabled: bool) -> None:
-        """Toggle the packet-train fast path on every channel (used by the
-        equivalence suite to force per-packet mode)."""
-        self.coalescing = bool(enabled)
-        for ch in self.channels.values():
-            ch.coalescing = self.coalescing
 
     def total_trains(self) -> int:
         """Coalesced trains moved across all channels (fast-path telemetry)."""

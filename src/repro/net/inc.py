@@ -310,7 +310,7 @@ class IncFold:
         self.tree, self.sim = tree, fabric.sim
         self.contrib, self.owners = contrib, owners
         now = self.sim.now
-        if not fabric.coalescing:
+        if fabric.reference:
             raise _Miss("reference")
         if tree.root is None:
             raise _Miss("switchless")

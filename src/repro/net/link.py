@@ -156,10 +156,10 @@ class Channel:
         when the fault spec uses probabilities or jitter.
     coalescing:
         Allow :meth:`transmit_train` to move back-to-back packet runs as
-        one event when the channel is fault-free (the simulator fast
-        path).  Disabling it forces per-packet simulation everywhere —
-        used by the equivalence suite; virtual-time results are identical
-        either way.
+        one event when the channel's timing is inert (the production
+        path).  :class:`~repro.net.fabric.Fabric` builds every channel with
+        ``coalescing = not reference``; off, every packet is its own event
+        and virtual-time results are identical.
     """
 
     __slots__ = (

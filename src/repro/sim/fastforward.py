@@ -43,8 +43,9 @@ equivalence checks compare virtual time, counters and payloads.
 
 Every gate that declines names its reason in :attr:`FlowFastForward.misses`
 (``CollectiveResult.engine["ff_misses"]``); a collective that declined
-once runs its remaining phases at packet level (``poisoned``), because the
-fold's cursors can no longer follow the real ones.
+once runs its remaining phases at packet level (``poisoned``, unless a
+shared gate such as ``reference`` names a phase's reason first), because
+the fold's cursors can no longer follow the real ones.
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ class FlowFastForward:
                 del self._sessions[c]
         sess = self._sessions.get(cid)
         try:
-            if sess is None and cid in self._sessions:
-                raise _Miss("poisoned")
             reason = self.gate(op, participants)
             if reason is not None:
                 raise _Miss(reason)
+            if sess is None and cid in self._sessions:
+                raise _Miss("poisoned")
             if sess is None:
                 sess = self._sessions[cid] = _Session(self, engine, op,
                                                       participants)
@@ -157,9 +158,12 @@ class FlowFastForward:
 
     def gate(self, op: "OpState", participants: List[int]) -> Optional[str]:
         """The O(1) fault-inert gates the data fold and the control fold
-        share; the reason of the first miss, or ``None``."""
+        share; the reason of the first miss, or ``None``.  A reference
+        fabric declines first, with the word the INC fold uses too."""
         comm = self.comm
         fabric = comm.fabric
+        if fabric.reference:
+            return "reference"
         if fabric.topology.rails != 1:
             return "rails"
         if not comm.ff_exclusive(op.coll_id):
@@ -305,8 +309,6 @@ class _Session:
             raise _Miss("tree")  # receivers must be exactly the tree's hosts
         if not all(ch.fault_inert() for ch in T.chans):
             raise _Miss("fault")
-        if len({ch.coalescing for ch in T.chans}) != 1:
-            raise _Miss("coalescing_mixed")
         for e in engines:
             e.settle()
         self.ff = ff
@@ -315,7 +317,6 @@ class _Session:
         self.T = T
         self.epoch = fabric.fault_epoch
         self.uc = cfg.transport == "uc"
-        self.coal = T.chans[0].coalescing
         self.bypass = max(ch.ctrl_bypass_bytes for ch in T.chans)
         self.qlen = min(len(e.sub_qps[0].recv_queue) for e in engines)
         self.ranks = ranks
@@ -398,8 +399,6 @@ class _Session:
         if len(engine.send_cq):  # stale completions would skew the replay
             raise _Miss("stale_cq")
         eg = self.eg[i]
-        if eg.coalescing != self.coal:
-            raise _Miss("coalescing_mixed")
         deadline = self._deadline(t_hook)
         if deadline <= t_hook:
             raise _Miss("deadline")
@@ -469,7 +468,7 @@ class _Session:
         self.down_busy = db
         self.lanes.commit(state)
         self.sent[i] = True
-        trains = [b for b in batches if b >= 2] if self.coal else []
+        trains = [b for b in batches if b >= 2]
         self.phases.append((i, op.send_lo, n, sum(wires), sum(lens),
                             len(trains), sum(trains), len(batches)))
         env.append(fin_all if not env or fin_all > env[-1] else env[-1])

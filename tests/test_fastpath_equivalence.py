@@ -1,19 +1,15 @@
-"""Proof of equivalence for the simulator fast paths.
+"""Proof of equivalence between the simulator's two paths.
 
-Two independent fast paths are proven here, each against its own slow
-path:
+Virtual time has one semantics and two engines (DESIGN.md "Two paths, one
+semantics"): ``Fabric(reference=True)`` simulates every packet and every
+receive CQE as its own event, and the default production engine adds
+packet trains (§6b), look-ahead delivery and CQE batches (§6c) and the
+folds (§6d, §6i, §6j).  Every scenario here runs on both, and the two runs
+must agree *exactly* — completion times, per-rank phase timestamps,
+per-channel byte/packet/drop counters, switch forwarding counters, RNR
+drops, the reliability summary, and the received payloads.
 
-* the **packet-train** fast path (wire side, PR 2): every scenario is
-  executed with channel coalescing on and off, and the two runs must
-  agree *exactly* — completion times, per-rank phase timestamps,
-  per-channel byte/packet/drop counters, switch forwarding counters, the
-  reliability summary, and the received payloads;
-* the **receiver-batch** fast path (host side, DESIGN.md §6c): the same
-  battery toggles ``recv_batching`` instead, across clean / lossy /
-  reordered / straggler conditions × {broadcast, allgather} × {ud, uc}.
-
-Any float divergence, however small, is a bug in the fast path (see
-DESIGN.md §"Simulator fast path" and §6c).
+Any float divergence, however small, is a bug in the production path.
 """
 
 from __future__ import annotations
@@ -40,16 +36,16 @@ P = 16
 NBYTES = 64 * KiB
 
 
-def _make_comm(seed: int, coalescing: bool, fault_factory=None,
-               transport: str = "ud", recv_batching: bool = True,
-               straggler=None, n_chains: int = 1) -> Communicator:
+def _make_comm(seed: int, reference: bool = False, fault_factory=None,
+               transport: str = "ud", straggler=None,
+               **config) -> Communicator:
     sim = Simulator()
     fabric = Fabric(
         sim,
         Topology.leaf_spine(P, 2, 2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed),
-        coalescing=coalescing,
+        reference=reference,
     )
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
@@ -58,8 +54,7 @@ def _make_comm(seed: int, coalescing: bool, fault_factory=None,
         fabric.set_straggler(host, spec)
     return Communicator(
         fabric, config=CollectiveConfig(chunk_size=4096, transport=transport,
-                                        recv_batching=recv_batching,
-                                        n_chains=n_chains)
+                                        **config)
     )
 
 
@@ -78,11 +73,8 @@ def _switch_counters(fabric: Fabric) -> Dict[str, Tuple[int, int]]:
     }
 
 
-def _run(kind: str, seed: int, coalescing: bool, fault_factory=None,
-         transport: str = "ud", recv_batching: bool = True,
-         straggler=None):
-    comm = _make_comm(seed, coalescing, fault_factory, transport,
-                      recv_batching, straggler)
+def _run(kind: str, seed: int, reference: bool, **kw):
+    comm = _make_comm(seed, reference, **kw)
     rng = np.random.default_rng(seed)
     if kind == "broadcast":
         data = rng.integers(0, 256, NBYTES, dtype=np.uint8)
@@ -97,40 +89,6 @@ def _run(kind: str, seed: int, coalescing: bool, fault_factory=None,
     return comm, res
 
 
-def _assert_equivalent(kind: str, seed: int, fault_factory=None,
-                       transport: str = "ud",
-                       expect_trains: bool = True) -> None:
-    comm_fast, res_fast = _run(kind, seed, True, fault_factory, transport)
-    comm_slow, res_slow = _run(kind, seed, False, fault_factory, transport)
-
-    # Virtual-time agreement must be exact, not approximate.
-    assert res_fast.t_begin == res_slow.t_begin
-    assert res_fast.t_end == res_slow.t_end
-    assert res_fast.duration == res_slow.duration
-    for rf, rs in zip(res_fast.ranks, res_slow.ranks):
-        assert rf.phases == rs.phases, f"rank {rf.rank} phase timestamps differ"
-
-    # Byte-exact telemetry on every port and switch.
-    assert _channel_counters(comm_fast.fabric) == _channel_counters(comm_slow.fabric)
-    assert _switch_counters(comm_fast.fabric) == _switch_counters(comm_slow.fabric)
-    assert res_fast.traffic == res_slow.traffic
-
-    # Slow-path bookkeeping (recoveries, fetch rounds, retries) agrees too.
-    assert res_fast.reliability_summary() == res_slow.reliability_summary()
-
-    # Payloads byte-identical.
-    for bf, bs in zip(res_fast.buffers, res_slow.buffers):
-        assert np.array_equal(bf, bs)
-
-    if expect_trains:
-        assert res_fast.engine["trains"] > 0, "fast path never engaged"
-    else:
-        assert res_fast.engine["trains"] == 0, (
-            "fast path must stay off while a live fault schedule exists"
-        )
-    assert res_slow.engine["trains"] == 0
-
-
 def _lossy(s: str, d: str) -> FaultSpec:
     return FaultSpec(gilbert_elliott=GilbertElliott(
         p_good_bad=0.02, p_bad_good=0.3, drop_good=0.002, drop_bad=0.15))
@@ -140,131 +98,74 @@ def _reordered(s: str, d: str) -> FaultSpec:
     return FaultSpec(reorder_jitter=3e-6)
 
 
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_clean_equivalence(kind: str, seed: int) -> None:
-    _assert_equivalent(kind, seed)
+def _stale(s: str, d: str) -> FaultSpec:
+    # Live at the first transmissions only: channels coalesce once it
+    # expires, mid-run.
+    return FaultSpec(flap_windows=[(0.0, 1e-9)])
 
 
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_lossy_equivalence(kind: str, seed: int) -> None:
-    # Drop machinery no longer forces the per-packet slow path: the train
-    # walk evaluates each packet's drop decision inline, in the identical
-    # RNG consumption order, and delivers the survivors as one train.
-    # Lossy channels must therefore still coalesce — and stay bit-exact.
-    _assert_equivalent(kind, seed, fault_factory=_lossy, expect_trains=True)
+#: condition -> (run options, production path forms trains, production
+#: path batches CQEs).  Drop decisions are evaluated inside a train walk in
+#: the identical RNG order, so lossy channels still coalesce; reorder
+#: jitter keeps every channel per-packet, but receive backlogs still form
+#: CQE batches.  Host 3's straggler window (+300
+#: ns per CQE poll) sends its batches back to per-CQE while the other hosts
+#: keep batching.
+_CONDITIONS = {
+    "clean": ({}, True, True),
+    "lossy": ({"fault_factory": _lossy}, True, True),
+    "reordered": ({"fault_factory": _reordered}, False, True),
+    "straggler": ({"straggler": (3, StragglerSpec(
+        windows=[(0.0, 1e-3)], extra_poll_delay=300e-9))}, True, True),
+    "uc": ({"transport": "uc"}, True, True),
+    "stale_fault": ({"fault_factory": _stale}, True, True),
+}
+_CASES = [(c, k, s) for c in _CONDITIONS for k in ("broadcast", "allgather")
+          for s in ((0, 1, 2) if c == "clean" else (0, 1))]
 
 
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_reordered_equivalence(kind: str, seed: int) -> None:
-    _assert_equivalent(kind, seed, fault_factory=_reordered,
-                       expect_trains=False)
+@pytest.mark.parametrize("condition,kind,seed", _CASES,
+                         ids=[f"{c}-{k}-{s}" for c, k, s in _CASES])
+def test_reference_equivalence(condition: str, kind: str, seed: int) -> None:
+    kw, trains, batches = _CONDITIONS[condition]
+    comm_p, res_p = _run(kind, seed, False, **kw)
+    comm_r, res_r = _run(kind, seed, True, **kw)
+
+    # Virtual-time agreement must be exact, not approximate.
+    assert res_p.t_begin == res_r.t_begin
+    assert res_p.t_end == res_r.t_end
+    assert res_p.duration == res_r.duration
+    for rp, rr in zip(res_p.ranks, res_r.ranks):
+        assert rp.phases == rr.phases, f"rank {rp.rank} phase timestamps differ"
+
+    # Byte-exact telemetry on every port, switch and receive queue.
+    assert _channel_counters(comm_p.fabric) == _channel_counters(comm_r.fabric)
+    assert _switch_counters(comm_p.fabric) == _switch_counters(comm_r.fabric)
+    assert res_p.traffic == res_r.traffic
+    assert comm_p.fabric.total_rnr_drops() == comm_r.fabric.total_rnr_drops()
+
+    # Slow-path bookkeeping (recoveries, fetch rounds, retries) agrees too.
+    assert res_p.reliability_summary() == res_r.reliability_summary()
+
+    # Payloads byte-identical.
+    for bp, br in zip(res_p.buffers, res_r.buffers):
+        assert np.array_equal(bp, br)
+
+    # The reference takes no shortcut; production takes what it may.
+    for key in ("trains", "stamped_cqes", "cqe_batches", "batched_cqes"):
+        assert res_r.engine[key] == 0, key
+    assert bool(res_p.engine["trains"]) == trains
+    assert bool(res_p.engine["cqe_batches"]) == batches
+    assert res_p.engine["batched_cqes"] >= 2 * res_p.engine["cqe_batches"]
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_uc_transport_equivalence(seed: int) -> None:
-    _assert_equivalent("broadcast", seed, transport="uc")
-
-
-def test_past_fault_windows_allow_coalescing() -> None:
-    """A fault spec whose windows are entirely in the past is inert: the
-    fast path re-engages and still matches per-packet results exactly."""
-    def stale(s: str, d: str) -> FaultSpec:
-        return FaultSpec(flap_windows=[(0.0, 1e-9)])
-
-    # The collective starts at t=0, so the window is still live at first
-    # transmissions; channels coalesce only after it expires.  Results
-    # must agree regardless of the mid-run switchover.
-    _assert_equivalent("broadcast", 0, fault_factory=stale,
-                       expect_trains=True)
-
-
-# ---------------------------------------------------------------------------
-# Receiver-batch fast path (DESIGN.md §6c): batched vs per-CQE datapath.
-# Coalescing stays ON for both runs, so this axis is orthogonal to the one
-# above (the NIC stamps CQEs ahead of their arrival with or without trains;
-# the submit-kind axis below crosses the two).
-# ---------------------------------------------------------------------------
-
-
-def _assert_batching_equivalent(kind: str, seed: int, fault_factory=None,
-                                transport: str = "ud", straggler=None,
-                                expect_batches: bool = True) -> None:
-    comm_b, res_b = _run(kind, seed, True, fault_factory, transport,
-                         recv_batching=True, straggler=straggler)
-    comm_s, res_s = _run(kind, seed, True, fault_factory, transport,
-                         recv_batching=False, straggler=straggler)
-
-    assert res_b.t_begin == res_s.t_begin
-    assert res_b.t_end == res_s.t_end
-    assert res_b.duration == res_s.duration
-    for rb, rs in zip(res_b.ranks, res_s.ranks):
-        assert rb.phases == rs.phases, f"rank {rb.rank} phase timestamps differ"
-
-    assert _channel_counters(comm_b.fabric) == _channel_counters(comm_s.fabric)
-    assert _switch_counters(comm_b.fabric) == _switch_counters(comm_s.fabric)
-    assert res_b.traffic == res_s.traffic
-    assert res_b.reliability_summary() == res_s.reliability_summary()
-    assert comm_b.fabric.total_rnr_drops() == comm_s.fabric.total_rnr_drops()
-
-    for bf, bs in zip(res_b.buffers, res_s.buffers):
-        assert np.array_equal(bf, bs)
-
-    if expect_batches:
-        assert res_b.engine["cqe_batches"] > 0, "batch fast path never engaged"
-        assert res_b.engine["batched_cqes"] >= 2 * res_b.engine["cqe_batches"]
-    assert res_s.engine["cqe_batches"] == 0
-    assert res_s.engine["batched_cqes"] == 0
-
-
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_recv_batching_clean_equivalence(kind: str, seed: int) -> None:
-    _assert_batching_equivalent(kind, seed)
-
-
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_recv_batching_lossy_equivalence(kind: str, seed: int) -> None:
-    # Live faults keep channels per-packet, so no CQE trains ever form;
-    # the assertion proves the batched configuration degrades to exactly
-    # the per-CQE datapath when the wire gives it nothing to batch.
-    _assert_batching_equivalent(kind, seed, fault_factory=_lossy,
-                                expect_batches=False)
-
-
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_recv_batching_reordered_equivalence(kind: str, seed: int) -> None:
-    _assert_batching_equivalent(kind, seed, fault_factory=_reordered,
-                                expect_batches=False)
-
-
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_recv_batching_straggler_equivalence(kind: str, seed: int) -> None:
-    # Host 3 pays +300 ns per CQE poll inside the window; the worker gate
-    # (fabric.straggler_inert) must force its batches back to per-CQE
-    # while other hosts keep batching, with bit-identical results.
-    spec = StragglerSpec(windows=[(0.0, 1e-3)], extra_poll_delay=300e-9)
-    _assert_batching_equivalent(kind, seed, straggler=(3, spec))
-
-
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_recv_batching_uc_equivalence(kind: str, seed: int) -> None:
-    _assert_batching_equivalent(kind, seed, transport="uc")
-
-
-def test_recv_batching_straggler_window_suppresses_batches() -> None:
+def test_straggler_window_suppresses_batches() -> None:
     """With every host straggling over the whole run, the eligibility gate
     must keep the batch counter at zero — and results still match."""
     spec = StragglerSpec(windows=[(0.0, 1.0)], extra_poll_delay=250e-9)
 
-    def run(batching: bool):
-        comm = _make_comm(0, True, recv_batching=batching)
+    def run(reference: bool):
+        comm = _make_comm(0, reference)
         for h in range(P):
             comm.fabric.set_straggler(h, spec)
         data = np.arange(NBYTES, dtype=np.uint8) % 251
@@ -272,9 +173,9 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
         assert res.verify_broadcast(data)
         return res
 
-    res_b, res_s = run(True), run(False)
-    assert res_b.engine["cqe_batches"] == 0
-    assert res_b.duration == res_s.duration
+    res_p, res_r = run(False), run(True)
+    assert res_p.engine["cqe_batches"] == 0
+    assert res_p.duration == res_r.duration
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +196,7 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
             chunk_size: int = 4096, nbytes: Optional[int] = None,
-            ctrl_fold: bool = True, topology=None, coalescing: bool = True,
-            trace=None, **config):
+            ctrl_fold: bool = True, topology=None, trace=None, **config):
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -304,7 +204,6 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed),
     )
-    fabric.set_coalescing(coalescing)
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
     if straggler is not None:
@@ -441,13 +340,28 @@ def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
     assert traced == misses
 
 
-@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
-def test_ff_exact_without_coalescing(kind: str) -> None:
-    # A phase's trains are counted once, from the one coalescing flag every
-    # tree channel shares: with the packet-train path off there are none.
-    res = _assert_ff_exact(kind, 0, coalescing=False)
-    assert res.engine["trains"] == 0
-    assert res.engine["ff_phases"] == (1 if kind == "broadcast" else P)
+@pytest.mark.parametrize("kind", ["broadcast", "allgather", "allreduce"])
+def test_ff_exact_declines_on_the_reference_path(kind: str) -> None:
+    # Fabric(reference=True) is the oracle even with the fold asked for:
+    # the data, control and INC folds decline every phase they are offered
+    # with the one word, and the run is fast_forward="off"'s bit for bit.
+    run = _run_submit_kind if kind == "allreduce" else _run
+    comm, res = run(kind, 0, True, fast_forward="exact")
+    ref_comm, ref = run(kind, 0, True, fast_forward="off")
+    keys = ("ff_misses", "ctrl_fold_misses") + (
+        ("inc_fold_misses",) if kind == "allreduce" else ())
+    for key in keys:
+        assert set(res.engine[key]) == {"reference"}, key
+    assert res.engine["ff_phases"] == res.engine["ctrl_folds"] == 0
+    assert res.engine["inc_folds"] == 0
+    assert ([(ph.name, ph.t_begin, ph.t_end) for ph in res.phases]
+            == [(ph.name, ph.t_begin, ph.t_end) for ph in ref.phases])
+    assert res.duration == ref.duration
+    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
+    assert _channel_counters(comm.fabric) == _channel_counters(ref_comm.fabric)
+    assert _switch_counters(comm.fabric) == _switch_counters(ref_comm.fabric)
+    assert res.traffic == ref.traffic
+    assert res.engine["sim_events"] == ref.engine["sim_events"]
 
 
 def _count_calls(monkeypatch, cls, name: str) -> list:
@@ -685,7 +599,7 @@ def test_ff_mixed_mode_across_collectives() -> None:
         return FaultSpec(flap_windows=[(0.0, 2e-5)])
 
     def run(ff: str):
-        comm = _make_comm(0, True, fault_factory=stale)
+        comm = _make_comm(0, fault_factory=stale)
         comm.config.fast_forward = ff
         comm.ff = None
         if ff != "off":
@@ -723,21 +637,25 @@ def test_ff_off_is_default() -> None:
 
 
 def test_engine_selection_knobs_are_gone() -> None:
-    # One fold mode, selected from observable sizes: there is no field
-    # left to pick a tier, a backend or a shard count with.
+    # One engine switch, Fabric(reference=...), and one fold mode selected
+    # from observable sizes: there is no field left to pick a tier, a
+    # backend, a shard count or a receive path with.
     import dataclasses
-    assert len(dataclasses.fields(CollectiveConfig)) == 30
-    for knob in ("parallel", "ff_" + "vectorized"):
+    assert len(dataclasses.fields(CollectiveConfig)) == 29
+    for knob in ("parallel", "ff_" + "vectorized", "recv_" + "batching"):
         with pytest.raises(TypeError):
             CollectiveConfig(**{knob: 1})
+    with pytest.raises(TypeError):
+        Fabric(Simulator(), Topology.star(2), **{"coal" + "escing": True})
+    assert not hasattr(Fabric, "set_" + "coalescing")
 
 
 # ---------------------------------------------------------------------------
 # Unified-submission kinds (allreduce = INC RS → multicast AG composed in
-# one submission; alltoall = RC rotation schedule).  Both fast paths —
-# packet-train coalescing and receiver batching — must stay bit-identical
-# on these kinds across the same clean/lossy/straggler × {ud, uc} axes as
-# the engine kinds above.  (The transports govern the allgather phase of
+# one submission; alltoall = RC rotation schedule).  The production path
+# must stay bit-identical to the reference on these kinds across the same
+# clean/lossy/straggler × {ud, uc} axes as the engine kinds above.  (The
+# transports govern the allgather phase of
 # allreduce; the RC substrate of alltoall and the reduce-scatter phase is
 # transport-invariant by construction, which the axis also proves.)
 #
@@ -748,12 +666,9 @@ def test_engine_selection_knobs_are_gone() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_submit_kind(kind: str, seed: int, coalescing: bool,
-                     fault_factory=None, transport: str = "ud",
-                     recv_batching: bool = True, straggler=None):
-    comm = _make_comm(seed, coalescing, fault_factory, transport,
-                      recv_batching, straggler,
-                      n_chains=P if kind.endswith("_pchains") else 1)
+def _run_submit_kind(kind: str, seed: int, reference: bool, **kw):
+    comm = _make_comm(seed, reference,
+                      n_chains=P if kind.endswith("_pchains") else 1, **kw)
     rng = np.random.default_rng(seed)
     if kind.startswith("allreduce"):
         data = [rng.normal(size=P * 1024).astype(np.float32)
@@ -789,48 +704,41 @@ _SUBMIT_CONDITIONS = {
 def test_submit_kind_fastpath_equivalence(kind: str, condition: str,
                                           transport: str, seed: int) -> None:
     kw = _SUBMIT_CONDITIONS[condition]
-    comm_ref, res_ref = _run_submit_kind(kind, seed, True,
-                                         transport=transport, **kw)
-    variants = [
-        _run_submit_kind(kind, seed, False, transport=transport, **kw),
-        _run_submit_kind(kind, seed, True, transport=transport,
-                         recv_batching=False, **kw),
-    ]
-    ref_phases = [(ph.name, ph.t_begin, ph.t_end) for ph in res_ref.phases]
-    ref_rank_phases = [(r.rank, r.phases) for r in res_ref.ranks]
-    for comm_v, res_v in variants:
-        assert res_v.t_begin == res_ref.t_begin
-        assert res_v.t_end == res_ref.t_end
-        assert res_v.duration == res_ref.duration
-        assert [(ph.name, ph.t_begin, ph.t_end)
-                for ph in res_v.phases] == ref_phases
-        assert [(r.rank, r.phases) for r in res_v.ranks] == ref_rank_phases
-        assert (comm_v.fabric.total_rnr_drops()
-                == comm_ref.fabric.total_rnr_drops())
-        assert _channel_counters(comm_v.fabric) == _channel_counters(comm_ref.fabric)
-        assert _switch_counters(comm_v.fabric) == _switch_counters(comm_ref.fabric)
-        for bv, br in zip(res_v.buffers, res_ref.buffers):
-            assert np.array_equal(bv, br)
-    # The per-CQE reference never sees a stamped or batched CQE ...
-    per_cqe = variants[1][1].engine
-    assert per_cqe["stamped_cqes"] == per_cqe["batched_cqes"] == 0
+    comm_p, res_p = _run_submit_kind(kind, seed, False,
+                                     transport=transport, **kw)
+    comm_r, res_r = _run_submit_kind(kind, seed, True,
+                                     transport=transport, **kw)
+    assert res_p.t_begin == res_r.t_begin
+    assert res_p.t_end == res_r.t_end
+    assert res_p.duration == res_r.duration
+    assert ([(ph.name, ph.t_begin, ph.t_end) for ph in res_p.phases]
+            == [(ph.name, ph.t_begin, ph.t_end) for ph in res_r.phases])
+    assert ([(r.rank, r.phases) for r in res_p.ranks]
+            == [(r.rank, r.phases) for r in res_r.ranks])
+    assert comm_p.fabric.total_rnr_drops() == comm_r.fabric.total_rnr_drops()
+    assert _channel_counters(comm_p.fabric) == _channel_counters(comm_r.fabric)
+    assert _switch_counters(comm_p.fabric) == _switch_counters(comm_r.fabric)
+    for bp, br in zip(res_p.buffers, res_r.buffers):
+        assert np.array_equal(bp, br)
+    # The reference never sees a train, a stamped or a batched CQE ...
+    ref = res_r.engine
+    assert ref["trains"] == ref["stamped_cqes"] == ref["batched_cqes"] == 0
     if kind.startswith("allreduce"):
-        # ... and the reduce-scatter phase folds wherever trains run: INC
-        # and RC packets are immune to the Gilbert-Elliott loss, and a
-        # straggler only slows the multicast engine's receive path.
-        assert res_ref.engine["inc_folds"] == per_cqe["inc_folds"] == 1
-        assert variants[0][1].engine["inc_fold_misses"] == {"reference": 1}
+        # ... nor a fold, while the production path folds the reduce-scatter
+        # phase: INC and RC packets are immune to the Gilbert-Elliott loss,
+        # and a straggler only slows the multicast engine's receive path.
+        assert res_p.engine["inc_folds"] == 1
+        assert ref["inc_folds"] == 0
+        assert ref["inc_fold_misses"] == {"reference": 1}
     if kind.endswith("_pchains") and condition == "clean":
-        # ... and a clean cross-source backlog is batched, trains or not.
-        for res in (res_ref, variants[0][1]):
-            assert res.engine["stamped_cqes"] >= res.engine["batched_cqes"] > 0
-        assert variants[0][1].engine["trains"] == 0
+        # ... and a clean cross-source backlog is batched.
+        assert res_p.engine["stamped_cqes"] >= res_p.engine["batched_cqes"] > 0
 
 
 # ---------------------------------------------------------------------------
-# INC fold (DESIGN.md §6j): on the production path (coalescing on) a whole
-# reduce-scatter / reduce pass is one closed form; coalescing off is the
-# per-packet oracle.  Per kind, a segment shape the fold must get right:
+# INC fold (DESIGN.md §6j): on the production path a whole reduce-scatter /
+# reduce pass is one closed form; Fabric(reference=True) is the per-packet
+# oracle.  Per kind, a segment shape the fold must get right:
 # ragged last segments, bypass-lane segments (32 B payloads ride the
 # control VL), and two segments per allreduce shard.
 # ---------------------------------------------------------------------------
@@ -846,9 +754,9 @@ _INC_TOPOLOGIES = {
 _INC_ELEMS = {"reduce_scatter": 1100, "reduce": 8, "allreduce": 2048}
 
 
-def _run_inc(kind: str, topology: str, coalescing: bool):
+def _run_inc(kind: str, topology: str, reference: bool):
     fabric = Fabric(Simulator(), _INC_TOPOLOGIES[topology](),
-                    link_bandwidth=gbit_per_s(56), coalescing=coalescing)
+                    link_bandwidth=gbit_per_s(56), reference=reference)
     comm = Communicator(fabric)
     per = 64 if topology == "testbed_188" else _INC_ELEMS[kind]
     rng = np.random.default_rng(0)
@@ -866,8 +774,8 @@ def _run_inc(kind: str, topology: str, coalescing: bool):
 @pytest.mark.parametrize("kind", sorted(_INC_ELEMS))
 @pytest.mark.parametrize("topology", sorted(_INC_TOPOLOGIES))
 def test_inc_fold_equivalence(kind: str, topology: str) -> None:
-    fab_f, folded = _run_inc(kind, topology, True)
-    fab_p, packets = _run_inc(kind, topology, False)
+    fab_f, folded = _run_inc(kind, topology, False)
+    fab_p, packets = _run_inc(kind, topology, True)
     assert folded.engine["inc_folds"] == 1 and not folded.engine["inc_fold_misses"]
     assert packets.engine["inc_folds"] == 0
     assert packets.engine["inc_fold_misses"] == {"reference": 1}
@@ -885,16 +793,3 @@ def test_inc_fold_equivalence(kind: str, topology: str) -> None:
     for bf, bp in zip(folded.buffers, packets.buffers):
         assert np.asarray(bf).tobytes() == np.asarray(bp).tobytes()
     assert folded.engine["sim_events"] < packets.engine["sim_events"]
-
-
-def test_coalescing_toggle_mid_simulation() -> None:
-    """set_coalescing() flips every channel and is honored immediately."""
-    comm = _make_comm(0, True)
-    comm.fabric.set_coalescing(False)
-    assert all(not ch.coalescing for ch in comm.fabric.channels.values())
-    data = np.arange(NBYTES, dtype=np.uint8) % 251
-    res = comm.broadcast(0, data)
-    assert res.engine["trains"] == 0
-    comm.fabric.set_coalescing(True)
-    res2 = comm.broadcast(0, data)
-    assert res2.engine["trains"] > 0

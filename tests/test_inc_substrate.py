@@ -127,8 +127,9 @@ def test_fsdp_backward_pipeline_optimal_beats_ring():
 
 
 # ---------------------------------------------------------------------------
-# Reduction order and the INC fold (DESIGN.md §6j): coalescing on folds a
-# whole pass into closed form, coalescing off is the per-packet oracle.
+# Reduction order and the INC fold (DESIGN.md §6j): the production engine
+# folds a whole pass into closed form, Fabric(reference=True) is the
+# per-packet oracle.
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -147,7 +148,7 @@ def _ls16():
     return Topology.leaf_spine(16, 2, 2)
 
 
-def _inc(coalescing, kind="reduce_scatter", topology=_ls16, hosts=None,
+def _inc(reference, kind="reduce_scatter", topology=_ls16, hosts=None,
          prepare=None, beside=None, admit=None, trace=None, per=4096,
          segment_bytes=4096):
     """One INC *kind* on a fresh fabric, with the handles *beside(comm,
@@ -156,7 +157,7 @@ def _inc(coalescing, kind="reduce_scatter", topology=_ls16, hosts=None,
     communicator, the results and everything the run left behind (channel
     horizons only without an allgather, whose trains move them)."""
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
-                    coalescing=coalescing)
+                    reference=reference)
     if prepare is not None:
         prepare(fabric)
     comm = Communicator(fabric, hosts=hosts, trace=trace)
@@ -194,10 +195,10 @@ def _inc(coalescing, kind="reduce_scatter", topology=_ls16, hosts=None,
 
 
 def _same_as_packets(**kw):
-    """Fold (coalescing on) and oracle leave the same everything behind;
-    returns the folded run's communicator and results."""
-    comm, results, left = _inc(True, **kw)
-    assert left == _inc(False, **kw)[2]
+    """Fold (production engine) and oracle leave the same everything
+    behind; returns the folded run's communicator and results."""
+    comm, results, left = _inc(False, **kw)
+    assert left == _inc(True, **kw)[2]
     return comm, results
 
 
@@ -212,15 +213,15 @@ def _tree_order_sum(tree, contrib, node):
     return acc
 
 
-@pytest.mark.parametrize("coalescing", [False, True])
-def test_reduction_order_is_tree_order_not_arrival_order(coalescing):
+@pytest.mark.parametrize("reference", [False, True])
+def test_reduction_order_is_tree_order_not_arrival_order(reference):
     # 3 µs more access latency puts h3's contributions last at its leaf,
     # behind hosts that sort after it; the sum keeps the tree-child order.
     def slow(fabric):
         fabric.channel("h3", "leaf000").latency += 3e-6
 
-    comm, (res,), left = _inc(coalescing, prepare=slow)
-    _, _, plain = _inc(coalescing)
+    comm, (res,), left = _inc(reference, prepare=slow)
+    _, _, plain = _inc(reference)
     assert left["buffers"] == plain["buffers"]
     assert left["ranks"] != plain["ranks"]  # the latency did move time
     (tree,) = comm.fabric._inc_trees.values()
@@ -262,7 +263,7 @@ def test_inc_fold_declines_with_a_reason(reason):
 
 
 def test_inc_fold_declines_on_the_reference_path():
-    comm, _, _ = _inc(False)
+    comm, _, _ = _inc(True)
     assert comm.fabric.inc_folds == 0
     assert comm.fabric.inc_fold_misses == {"reference": 1}
 
@@ -321,7 +322,7 @@ def test_a_collective_admitted_at_any_instant_of_a_fold(delay, second, kind):
 
 def test_folded_pass_keeps_link_traces_and_reports_itself():
     (comm_f, (folded,), _), (_, (packets,), _) = (
-        _inc(c, trace=TraceConfig()) for c in (True, False))
+        _inc(c, trace=TraceConfig()) for c in (False, True))
     ports = {r.track for r in packets.trace.select(name="link.busy")}
     assert len(ports) == 36
     for port in ports:

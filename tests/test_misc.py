@@ -216,6 +216,18 @@ def test_config_rejects_bad_values():
             Fabric(Simulator(), Topology.star(2)))
 
 
+@pytest.mark.parametrize("field", ["batch_size", "max_outstanding_batches",
+                                   "n_chains"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_counts_below_one(field, value):
+    # Unchecked, batch_size=-1 posted no multicast WR at all and every chunk
+    # arrived by recovery; the others failed mid-run with a bare range(),
+    # drain or division error.
+    fabric = Fabric(Simulator(), Topology.star(4))
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        Communicator(fabric, config=CollectiveConfig(**{field: value}))
+
+
 def test_broadcast_root_range_checked():
     comm = make_comm(4)
     with pytest.raises(ValueError, match="root"):

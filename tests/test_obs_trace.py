@@ -55,21 +55,20 @@ def _lossy(s: str, d: str) -> FaultSpec:
 
 
 def _make_comm(seed: int = SEED, lossy: bool = True, traced: bool = True,
-               coalescing: bool = True, batching: bool = True) -> Communicator:
+               reference: bool = False) -> Communicator:
     sim = Simulator()
     fabric = Fabric(
         sim,
         Topology.leaf_spine(P, 2, 2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed),
-        coalescing=coalescing,
+        reference=reference,
     )
     if lossy:
         fabric.set_fault_all(_lossy)
     return Communicator(
         fabric,
-        config=CollectiveConfig(chunk_size=4096, transport="ud",
-                                recv_batching=batching),
+        config=CollectiveConfig(chunk_size=4096, transport="ud"),
         trace=TraceConfig() if traced else None,
     )
 
@@ -192,8 +191,8 @@ def test_tracing_does_not_perturb_simulation():
 
 
 def test_fastpath_equivalence_holds_with_tracing():
-    res_fast = _bcast(_make_comm(lossy=False, coalescing=True))
-    res_slow = _bcast(_make_comm(lossy=False, coalescing=False))
+    res_fast = _bcast(_make_comm(lossy=False))
+    res_slow = _bcast(_make_comm(lossy=False, reference=True))
     assert res_fast.engine["trains"] > 0
     assert res_fast.t_end == res_slow.t_end
     assert res_fast.traffic == res_slow.traffic
@@ -210,21 +209,20 @@ def test_lookahead_stamps_reconcile_with_trace():
     but the ``nic.cqe`` instant it records is the packet's arrival — the
     same instant per-packet delivery records — and the engine counters
     reconcile with the instants."""
-    def allgather(batching: bool):
+    def allgather(reference: bool):
         sim = Simulator()
         fabric = Fabric(sim, Topology.leaf_spine(P, 2, 2),
                         link_bandwidth=gbit_per_s(56),
-                        streams=RandomStreams(SEED))
+                        streams=RandomStreams(SEED), reference=reference)
         comm = Communicator(
             fabric, trace=TraceConfig(),
-            config=CollectiveConfig(chunk_size=4096, n_chains=P,
-                                    recv_batching=batching))
+            config=CollectiveConfig(chunk_size=4096, n_chains=P))
         data = [np.full(4096, r, dtype=np.uint8) for r in range(P)]
         res = comm.allgather(data)
         assert res.verify_allgather(data)
         return res
 
-    ahead, ref = allgather(True), allgather(False)
+    ahead, ref = allgather(False), allgather(True)
     chunks = P * (P - 1)
     assert ahead.engine["stamped_cqes"] == chunks
     assert ref.engine["stamped_cqes"] == 0
@@ -255,7 +253,7 @@ def test_metric_timelines(lossy_traced):
     # One sample per DMA completion, at its instant, although a receive
     # batch posts one event for all of its copies: the instants where the
     # held count steps down are the per-CQE reference's copy completions.
-    ref = _bcast(_make_comm(batching=False)).trace.staging_occupancy(1)
+    ref = _bcast(_make_comm(reference=True)).trace.staging_occupancy(1)
 
     def releases(series):
         return [t for (_, before), (t, v) in zip(series, series[1:])

@@ -41,7 +41,7 @@ def test_event_counts_match_baseline():
     # perf job's business, not tier-1's.
     for name in ("ag16", "fsdp"):
         base = baseline["scenarios"][name]
-        cur = speedo.SCENARIOS[name](coalescing=True)
+        cur = speedo.SCENARIOS[name](reference=False)
         assert cur["events"] == base["events"], (
             f"{name}: simulator event count drifted from the committed "
             f"baseline ({base['events']} -> {cur['events']}); if the "
@@ -57,11 +57,11 @@ def test_event_counts_match_baseline():
             "baseline — the packet path sent, forwarded or delivered "
             "something else"
         )
-        # The per-CQE slow path must reach the same virtual time (the
-        # receiver-batch fast path is bit-equivalent by construction).
-        slow = speedo.SCENARIOS[name](coalescing=True, batching=False)
+        # The reference engine must reach the same virtual time (the
+        # production engine is bit-equivalent by construction).
+        slow = speedo.SCENARIOS[name](reference=True)
         assert slow["virtual_s"] == base["virtual_s"], (
-            f"{name}: per-CQE datapath diverged from the batched baseline"
+            f"{name}: the reference engine diverged from the baseline"
         )
 
 
@@ -104,7 +104,7 @@ def test_lossy188_forms_trains():
     Inert-window evaluation must keep clean runs on the train fast path.
     """
     speedo = _load_speedometer()
-    cur = speedo.SCENARIOS["lossy188"](coalescing=True)
+    cur = speedo.SCENARIOS["lossy188"](reference=False)
     assert cur["trains"] > 0, (
         "lossy188 formed no packet trains — the coalescing eligibility "
         "check is treating every faulted channel as per-packet again"
@@ -118,5 +118,5 @@ def test_lossy188_forms_trains():
 )
 def test_speedometer_wall_clock_gate():
     speedo = _load_speedometer()
-    results = speedo.run_all(coalescing=True)
+    results = speedo.run_all(reference=False)
     assert speedo.check(results, str(BASELINE), tolerance=0.25) == 0

@@ -328,19 +328,19 @@ def test_delivered_packet_ctx_is_read_only():
 # ---------------------------------------- satellite 3: WR exhaustion fallback
 
 
-def _exhaustion_run(batching: bool):
+def _exhaustion_run(reference: bool):
     sim = Simulator()
     fabric = Fabric(sim, Topology.leaf_spine(16, 2, 2),
                     link_bandwidth=gbit_per_s(56),
-                    streams=RandomStreams(0), coalescing=True)
+                    streams=RandomStreams(0), reference=reference)
     # Host 5 stalls 3 µs per CQE poll mid-run: its staging ring drains,
     # the NIC finds no receive WR to stamp a train's packets against, and
     # look-ahead delivery must fall back to per-packet replay (RNR drops +
-    # the reliability slow path) exactly as the per-CQE datapath does.
+    # the reliability slow path) exactly as the reference engine does.
     fabric.set_straggler(5, StragglerSpec(windows=[(20e-6, 60e-6)],
                                           extra_poll_delay=3e-6))
     comm = Communicator(fabric, config=CollectiveConfig(
-        chunk_size=4096, staging_slots=16, recv_batching=batching))
+        chunk_size=4096, staging_slots=16))
     data = np.arange(256 * KiB, dtype=np.uint32).astype(np.uint8)
     res = comm.broadcast(0, data)
     assert res.verify_broadcast(data)
@@ -348,8 +348,8 @@ def _exhaustion_run(batching: bool):
 
 
 def test_wr_exhaustion_mid_train_falls_back_per_cqe():
-    fab_b, res_b = _exhaustion_run(batching=True)
-    fab_s, res_s = _exhaustion_run(batching=False)
+    fab_b, res_b = _exhaustion_run(reference=False)
+    fab_s, res_s = _exhaustion_run(reference=True)
 
     # The scenario genuinely exhausts receive WRs…
     assert fab_b.total_rnr_drops() > 0
@@ -369,7 +369,7 @@ def test_wr_exhaustion_mid_train_falls_back_per_cqe():
 # A UD receive batch posts one engine event, at its last DMA completion;
 # each completion's effects (re-post, placed bit, outstanding copy) are
 # applied by that event or earlier by a reader that needs them.  Every
-# case runs batched against the per-CQE reference and demands identical
+# case runs batched against the reference engine and demands identical
 # phases, RNR drops and CQ sequences, and a spy on RankEngine.settle
 # shows the early path was taken.
 
@@ -419,17 +419,18 @@ def cq_log(monkeypatch):
     return log
 
 
-def _ud_bcast(batching, cq_log, topology, nchunks, fabric_kw=None,
+def _ud_bcast(reference, cq_log, topology, nchunks, fabric_kw=None,
               dma=None, fault=None, **cfg):
-    """One UD broadcast; returns what must match the per-CQE reference."""
+    """One UD broadcast; returns what must match the reference engine."""
     cq_log.clear()
     sim = Simulator()
     fabric = Fabric(sim, topology, streams=RandomStreams(0),
+                    reference=reference,
                     **(fabric_kw or {"link_bandwidth": gbit_per_s(56)}))
     if fault is not None:
         fabric.set_fault_all(lambda s, d: fault)
     comm = Communicator(fabric, config=CollectiveConfig(
-        chunk_size=4096, recv_batching=batching, **cfg))
+        chunk_size=4096, **cfg))
     if dma is not None:
         for e in comm.engines:
             e.dma = DmaEngine(sim, **dma)
@@ -442,10 +443,10 @@ def _ud_bcast(batching, cq_log, topology, nchunks, fabric_kw=None,
             "cqs": dict(cq_log)}, res
 
 
-def _vs_per_cqe(cq_log, settled, **kw):
-    ref, _ = _ud_bcast(False, cq_log, **kw)
+def _vs_reference(cq_log, settled, **kw):
+    ref, _ = _ud_bcast(True, cq_log, **kw)
     assert not settled  # the reference defers nothing
-    got, res = _ud_bcast(True, cq_log, **kw)
+    got, res = _ud_bcast(False, cq_log, **kw)
     assert got == ref
     assert res.engine["cqe_batches"] > 0
     return got, res
@@ -455,8 +456,9 @@ def test_dry_queue_settles_due_reposts(cq_log, settled):
     """RNR regime: a 4-slot ring runs dry while batched copies are still
     completing, so the NIC settles the re-posts already due before it
     decides to drop."""
-    got, _ = _vs_per_cqe(cq_log, settled, topology=Topology.leaf_spine(16, 2, 2),
-                         nchunks=16, staging_slots=4)
+    got, _ = _vs_reference(cq_log, settled,
+                           topology=Topology.leaf_spine(16, 2, 2),
+                           nchunks=16, staging_slots=4)
     assert got["rnr_drops"] > 0
     assert sum(settled[r] for r in NIC_READERS) > 0
 
@@ -465,10 +467,11 @@ def test_fetch_settles_neighbour_placed_bits(cq_log, settled):
     """A lossy broadcast with a copy engine slower than the wire and an
     eager cutoff: recoveries read neighbours' ``placed`` bits while those
     neighbours' batched copies are still landing."""
-    got, _ = _vs_per_cqe(cq_log, settled, topology=Topology.leaf_spine(16, 2, 2),
-                         nchunks=64, dma={"bandwidth": 2.0 ** 32},
-                         fault=FaultSpec(drop_prob=0.01),
-                         cutoff_alpha=20e-6, adaptive_cutoff=False)
+    got, _ = _vs_reference(cq_log, settled,
+                           topology=Topology.leaf_spine(16, 2, 2),
+                           nchunks=64, dma={"bandwidth": 2.0 ** 32},
+                           fault=FaultSpec(drop_prob=0.01),
+                           cutoff_alpha=20e-6, adaptive_cutoff=False)
     assert got["reliability"]["recoveries"] > 0
     assert settled["_fetch_attempt"] > 0
 
@@ -493,21 +496,21 @@ _TIE = dict(topology=Topology.star(2), nchunks=16,
 ])
 def test_same_instant_tie_resolves_in_event_order(cq_log, settled, slots,
                                                   reader, side):
-    _vs_per_cqe(cq_log, settled, staging_slots=slots, **_TIE)
+    _vs_reference(cq_log, settled, staging_slots=slots, **_TIE)
     assert settled[reader, side] > 0
 
 
-@pytest.mark.parametrize("batching", [False, True])
-def test_copy_in_issue_keeps_op_open(batching):
+@pytest.mark.parametrize("reference", [False, True])
+def test_copy_in_issue_keeps_op_open(reference):
     """Regression: the per-CQE path counted a copy only once it was issued,
     so an earlier copy landing while the last chunk's copy was being
     issued completed the op with that chunk's bytes still in staging."""
     sim = Simulator()
     fabric = Fabric(sim, Topology.star(4), link_bandwidth=2.0 ** 31,
                     link_latency=0.0, switch_delay=0.0,
-                    streams=RandomStreams(0))
+                    streams=RandomStreams(0), reference=reference)
     comm = Communicator(fabric, config=CollectiveConfig(
-        chunk_size=4096, staging_slots=8, recv_batching=batching))
+        chunk_size=4096, staging_slots=8))
     for e in comm.engines:
         e.dma = DmaEngine(sim, bandwidth=2.0 ** 32, latency=2.0 ** -20)
     data = np.arange(64 * KiB, dtype=np.uint8) % 251
@@ -551,18 +554,18 @@ def test_late_duplicate_after_release_counts_one_stray(transport):
 # ------------------------------- satellite 4: observability contracts
 
 
-def _traced_run(traced: bool, batching: bool = True, kind: str = "broadcast",
-                nbytes: int = 64 * KiB):
+def _traced_run(traced: bool, reference: bool = False,
+                kind: str = "broadcast", nbytes: int = 64 * KiB):
     """A traced 16-host broadcast, or (``allgather_pchains``) an allgather
     with every rank a concurrent root of one chunk — the cross-source
     backlog that only look-ahead delivery turns into batches."""
     sim = Simulator()
     fabric = Fabric(sim, Topology.leaf_spine(16, 2, 2),
                     link_bandwidth=gbit_per_s(56),
-                    streams=RandomStreams(1), coalescing=True)
+                    streams=RandomStreams(1), reference=reference)
     comm = Communicator(
         fabric,
-        config=CollectiveConfig(chunk_size=4096, recv_batching=batching,
+        config=CollectiveConfig(chunk_size=4096,
                                 n_chains=16 if kind != "broadcast" else 1),
         trace=TraceConfig() if traced else None,
     )
@@ -605,7 +608,7 @@ def test_batch_tracepoints_emitted_and_reconciled():
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather_pchains"])
 def test_telemetry_counters_off_when_batching_disabled(kind):
-    res = _traced_run(traced=True, batching=False, kind=kind)
+    res = _traced_run(traced=True, reference=True, kind=kind)
     assert res.engine["cqe_batches"] == 0
     assert res.engine["batched_cqes"] == 0
     assert res.engine["stamped_cqes"] == 0
@@ -615,7 +618,7 @@ def test_telemetry_counters_off_when_batching_disabled(kind):
 
 def test_cross_source_backlog_batches_without_trains():
     res = _traced_run(traced=False, kind="allgather_pchains")
-    ref = _traced_run(traced=False, batching=False, kind="allgather_pchains")
+    ref = _traced_run(traced=False, reference=True, kind="allgather_pchains")
     assert res.engine["trains"] == 0
     # Every chunk is consumed at hand-over; most reach the worker batched.
     assert res.engine["stamped_cqes"] == 16 * 15
@@ -631,7 +634,7 @@ def test_mixed_lane_op_opts_out_of_lookahead():
     hop's transmit order: while such an op is registered the engine keeps
     per-packet delivery (and opts back in once it is released)."""
     tail = _traced_run(traced=False, nbytes=64 * KiB + 40)
-    ref = _traced_run(traced=False, batching=False, nbytes=64 * KiB + 40)
+    ref = _traced_run(traced=False, reference=True, nbytes=64 * KiB + 40)
     assert tail.engine["stamped_cqes"] == tail.engine["cqe_batches"] == 0
     assert tail.t_end == ref.t_end
     assert [r.phases for r in tail.ranks] == [r.phases for r in ref.ranks]

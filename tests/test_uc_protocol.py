@@ -16,10 +16,10 @@ from repro.sim import RandomStreams, Simulator
 from repro.units import KiB, gbit_per_s
 
 
-def uc_comm(n=4, topo=None, seed=0, **cfg):
+def uc_comm(n=4, topo=None, seed=0, reference=False, **cfg):
     sim = Simulator()
     fabric = Fabric(sim, topo or Topology.star(n), link_bandwidth=gbit_per_s(56),
-                    streams=RandomStreams(seed))
+                    streams=RandomStreams(seed), reference=reference)
     config = CollectiveConfig(transport="uc", **cfg)
     return Communicator(fabric, config=config)
 
@@ -126,19 +126,19 @@ def test_uc_bringup_is_independent_of_ring_depth():
     assert deep.fabric.streams.count == 0  # and no RNG on a clean fabric
 
 
-@pytest.mark.parametrize("recv_batching", [True, False])
-def test_uc_packet_level_broadcast_recycles_the_cached_wr(recv_batching):
+@pytest.mark.parametrize("reference", [False, True])
+def test_uc_packet_level_broadcast_recycles_the_cached_wr(reference):
     """Every consumed receive is re-posted: after a packet-level broadcast
     each queue is back at ``staging_slots`` deep, and ``posted`` counts the
     first posts plus one re-post per chunk (values pinned at 618ceef, where
     each re-post built and re-validated a fresh WR)."""
     comm = uc_comm(64, topo=Topology.leaf_spine(64, 8, 4), chunk_size=4 * KiB,
                    staging_slots=16, fast_forward="off",
-                   recv_batching=recv_batching)
+                   reference=reference)
     data = np.random.default_rng(0).integers(0, 256, 64 * KiB, dtype=np.uint8)
     res = comm.broadcast(0, data)
     assert res.verify_broadcast(data) and res.engine["ff_phases"] == 0
-    assert bool(res.engine["cqe_batches"]) == recv_batching
+    assert bool(res.engine["cqe_batches"]) != reference
     qps = [qp for engine in comm.engines for qp in engine.sub_qps]
     assert [len(qp.recv_queue) for qp in qps] == [16] * 64
     assert [qp.posted for qp in qps] == [16] + [32] * 63

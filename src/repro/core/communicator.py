@@ -39,7 +39,11 @@ from repro.core.control import ControlFold
 from repro.core.costmodel import HostCostModel
 from repro.core.ops import OpState, RKEY_BASE
 from repro.core.progress import RankEngine
-from repro.core.reliability import CollectiveAbortedError
+from repro.core.reliability import (
+    CUTOFF_ALPHA_MAX,
+    CUTOFF_ALPHA_MIN,
+    CollectiveAbortedError,
+)
 from repro.core.request import (
     ROOTED_KINDS,
     CollectiveHandle,
@@ -102,14 +106,20 @@ class FailurePolicy(str, enum.Enum):
 
 @dataclass
 class CollectiveConfig:
-    """Tunables of the multicast collective stack (paper §IV–V)."""
+    """Tunables of the multicast collective stack (paper §IV–V).
 
+    Three groups: the paper's protocol knobs (what :mod:`repro.tune`
+    searches), the engine's ``fast_forward`` mode, and the reliability
+    policy.  The slow path's and the liveness layer's remaining timers,
+    gains and budgets are constants of :mod:`repro.core.reliability`.
+    """
+
+    # --- protocol -------------------------------------------------------
     #: chunk/datagram payload size; must be ≤ fabric MTU for UD transport
     chunk_size: int = 4096
-    #: multicast subgroups — packet parallelism (§IV-C)
+    #: multicast subgroups — packet parallelism (§IV-C); each subgroup
+    #: has one receive worker per rank
     n_subgroups: int = 1
-    #: receive workers (default: one per subgroup, the paper's mapping)
-    recv_workers: Optional[int] = None
     #: parallel broadcast chains M in the Allgather sequencer (§IV-A)
     n_chains: int = 1
     #: 'ud' (staging + copy) or 'uc' (direct placement, §V-B)
@@ -120,8 +130,8 @@ class CollectiveConfig:
     max_outstanding_batches: int = 4
     #: staging-ring slots per subgroup (receive queue depth)
     staging_slots: int = 256
-    #: immediate-data bits allocated to the PSN (Fig 7 trade-off)
-    psn_bits: int = 24
+
+    # --- engine ---------------------------------------------------------
     #: flow-level fast-forward: analytically advance fault-inert multicast
     #: phases to the phase boundary in O(links) instead of O(packets).
     #: ``"off"`` — packet/train level everywhere.  ``"exact"`` —
@@ -130,31 +140,14 @@ class CollectiveConfig:
     #: failure falls back transparently).  On a ``Fabric(reference=True)``
     #: every fold declines with ``reference``.
     fast_forward: str = "off"
+
+    # --- reliability ----------------------------------------------------
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
     cutoff_alpha: float = 200e-6
-    #: re-arm slack between recovery rounds
-    recovery_alpha: float = 200e-6
-    #: adapt the cutoff slack from observed delivery (TCP-RTO-style EWMA);
-    #: the first op always uses the static ``cutoff_alpha``
+    #: adapt the cutoff slack from observed delivery (TCP-RTO-style EWMA,
+    #: clamped to ``[CUTOFF_ALPHA_MIN, CUTOFF_ALPHA_MAX]``); the first op
+    #: always uses the static ``cutoff_alpha``
     adaptive_cutoff: bool = True
-    #: clamp range for the adaptive slack
-    cutoff_alpha_min: float = 20e-6
-    cutoff_alpha_max: float = 2e-3
-    #: EWMA gains and deviation weight (RFC 6298's α/β/K)
-    cutoff_gain: float = 0.125
-    cutoff_var_gain: float = 0.25
-    cutoff_var_weight: float = 4.0
-    #: exponential backoff of the re-arm delay across recovery rounds
-    recovery_backoff: float = 2.0
-    recovery_alpha_max: float = 2e-3
-    #: deterministic jitter on recovery re-arms, as a fraction of the delay
-    recovery_jitter: float = 0.25
-    #: how long a requester waits for a neighbor's FETCH_ACK before
-    #: treating it as unresponsive and escalating to the next neighbor
-    fetch_ack_timeout: float = 500e-6
-    #: fetch rounds with zero recovered chunks tolerated on one neighbor
-    #: before escalating to the next ring neighbor
-    fetch_stall_rounds: int = 3
     #: total virtual time an op may spend in recovery before raising a
     #: :class:`~repro.core.reliability.ReliabilityError` instead of hanging
     recovery_deadline: float = 0.25
@@ -162,15 +155,7 @@ class CollectiveConfig:
     #: :attr:`FailurePolicy.ABORT` or :attr:`FailurePolicy.DEGRADE`
     #: (accepts the strings "abort"/"degrade")
     failure_policy: Optional["FailurePolicy"] = None
-    #: one PING round-trip allowance before a probe retry (scaled up by
-    #: the fabric diameter at probe time)
-    liveness_probe_timeout: float = 500e-6
-    #: unanswered PINGs before a peer is confirmed dead
-    liveness_probe_retries: int = 3
-    #: floor on the no-progress suspicion timer; the effective timer is
-    #: ``max(this, 4 × CutoffEstimator.slack())`` so a congested fabric
-    #: that legitimately slows delivery also slows suspicion
-    suspicion_timeout: float = 2e-3
+
     #: software datapath cost model
     cost: HostCostModel = field(default_factory=HostCostModel)
 
@@ -182,42 +167,27 @@ class CollectiveConfig:
                 f"UD chunk_size {self.chunk_size} exceeds fabric MTU {fabric.mtu}"
             )
         for name in ("chunk_size", "n_subgroups", "n_chains", "batch_size",
-                     "max_outstanding_batches", "staging_slots",
-                     "fetch_stall_rounds", "liveness_probe_retries"):
+                     "max_outstanding_batches", "staging_slots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.recv_workers is not None and self.recv_workers < 1:
-            raise ValueError("recv_workers must be >= 1")
-        if self.cutoff_alpha < 0 or self.recovery_alpha < 0:
-            raise ValueError("cutoff_alpha and recovery_alpha must be >= 0")
-        if not 0 < self.cutoff_alpha_min <= self.cutoff_alpha_max:
-            raise ValueError("need 0 < cutoff_alpha_min <= cutoff_alpha_max")
+        if self.cutoff_alpha < 0:
+            raise ValueError("cutoff_alpha must be >= 0")
         if self.adaptive_cutoff and not (
-            self.cutoff_alpha_min <= self.cutoff_alpha <= self.cutoff_alpha_max
+            CUTOFF_ALPHA_MIN <= self.cutoff_alpha <= CUTOFF_ALPHA_MAX
         ):
             # The estimator clamps its *adapted* slack to this range; a
             # starting point outside it would be silently overridden from
             # the second op on — reject the contradiction instead.
             raise ValueError(
                 f"cutoff_alpha {self.cutoff_alpha} outside the adaptive clamp "
-                f"range [{self.cutoff_alpha_min}, {self.cutoff_alpha_max}]; "
-                "widen the range or disable adaptive_cutoff"
+                f"range [{CUTOFF_ALPHA_MIN}, {CUTOFF_ALPHA_MAX}]; "
+                "disable adaptive_cutoff"
             )
-        if self.recovery_backoff < 1.0:
-            raise ValueError("recovery_backoff must be >= 1")
-        if self.recovery_jitter < 0:
-            raise ValueError("recovery_jitter must be >= 0")
-        if self.fetch_ack_timeout <= 0:
-            raise ValueError("fetch_ack_timeout must be > 0")
         if self.recovery_deadline <= 0:
             raise ValueError("recovery_deadline must be > 0")
         if self.failure_policy is not None:
             # Accept the plain strings; normalize so engines compare enums.
             self.failure_policy = FailurePolicy(self.failure_policy)
-        if self.liveness_probe_timeout <= 0:
-            raise ValueError("liveness_probe_timeout must be > 0")
-        if self.suspicion_timeout <= 0:
-            raise ValueError("suspicion_timeout must be > 0")
         if self.fast_forward not in ("off", "exact"):
             raise ValueError(
                 f"fast_forward must be 'off' or 'exact', "
@@ -1001,7 +971,7 @@ class Communicator:
         if trace is not None and trace.enabled and obs_trace.ENABLED:
             self.tracer = Tracer(trace)
             fabric.install_tracer(self.tracer)
-        self.imm = ImmLayout(self.config.psn_bits)
+        self.imm = ImmLayout()
         # Replicated multicast groups — the subgroups of §IV-C.
         self.mcast_gids: List[int] = (
             [fabric.create_mcast_group(self.hosts) for _ in range(self.config.n_subgroups)]

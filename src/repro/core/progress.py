@@ -3,10 +3,10 @@
 One :class:`RankEngine` is the software stack of one participant:
 
 * per-subgroup multicast QPs (UD or UC) with staging rings (UD),
-* **receive workers** — one process per worker, each draining the CQs of
-  its assigned subgroups: decode immediate → (collective, PSN), update the
-  bitmap, issue the staging→user DMA copy, re-post the receive
-  (flow-direction and packet parallelism),
+* **receive workers** — one process per subgroup, each draining that
+  subgroup's CQ: decode immediate → (collective, PSN), update the bitmap,
+  issue the staging→user DMA copy, re-post the receive (flow-direction
+  and packet parallelism),
 * a **send worker** path — the multicast scheduler: batched WQE posting
   with doorbell moderation and bounded outstanding batches,
 * the **control plane** (RC): RNR barrier, chain activation, fetch
@@ -40,6 +40,15 @@ from repro.core.control import (
 from repro.core.costmodel import HostCostModel
 from repro.core.ops import OpState
 from repro.core.reliability import (
+    FETCH_ACK_TIMEOUT,
+    FETCH_STALL_ROUNDS,
+    LIVENESS_PROBE_RETRIES,
+    LIVENESS_PROBE_TIMEOUT,
+    RECOVERY_ALPHA,
+    RECOVERY_ALPHA_MAX,
+    RECOVERY_BACKOFF,
+    RECOVERY_JITTER,
+    SUSPICION_TIMEOUT,
     CollectiveAbortedError,
     CutoffEstimator,
     PeerDeadError,
@@ -158,8 +167,6 @@ class RankEngine:
                     qp.on_dry = self.settle
             self.sub_qps.append(qp)
 
-        from repro.core.subgroups import SubgroupPlan
-
         #: receiver-batch telemetry, summed into CollectiveResult.engine
         self.cqe_batches = 0
         self.batched_cqes = 0
@@ -176,29 +183,20 @@ class RankEngine:
         #: cost chain before this instant (it was "busy" inside the fold).
         self.ff_resume_floor = 0.0
         self._recv_procs: Dict[int, object] = {}
-        n_workers = cfg.recv_workers or cfg.n_subgroups
-        mapping = [
-            sgs for sgs in SubgroupPlan.worker_mapping(cfg.n_subgroups, n_workers)
-        ]
         # The UD batch fast path pre-computes this rank's DMA chain; that
         # is only exact when no sibling worker can interleave copies on
         # the shared engine mid-replay.
-        self._batch_ud_ok = sum(1 for sgs in mapping if sgs) == 1
+        self._batch_ud_ok = cfg.n_subgroups == 1
         #: QPs that take look-ahead delivery (DESIGN.md §6c): the NIC
         #: consumes a packet when it is handed over and stamps the CQE
         #: with its exact arrival instant, so a wire backlog reaches the
-        #: worker as one batch.  Only single-QP workers' QPs — a multi-QP
-        #: worker must see cross-QP arrival interleaving.
-        self._lookahead_qps = [
-            self.sub_qps[sgs[0]] for sgs in mapping
-            if not self.fabric.reference and len(sgs) == 1
-        ]
+        #: worker as one batch.
+        self._lookahead_qps = [] if self.fabric.reference else list(self.sub_qps)
         self._opt_in_lookahead()
-        for worker_id, sgs in enumerate(mapping):
-            if sgs:
-                self._recv_procs[worker_id] = self.sim.spawn(
-                    self._recv_worker(worker_id, sgs), name=f"rxw{worker_id}-r{rank}"
-                )
+        for sg in range(cfg.n_subgroups):
+            self._recv_procs[sg] = self.sim.spawn(
+                self._recv_worker(sg), name=f"rxw{sg}-r{rank}"
+            )
         self._fetch_proc = self.sim.spawn(self._fetch_server(), name=f"fetchsrv-r{rank}")
 
         from repro.sim.primitives import Resource
@@ -208,14 +206,7 @@ class RankEngine:
         # QP's send CQ are attributable to exactly one controller.
         self._recovery_lock = Resource(self.sim, 1)
         #: adaptive cutoff slack, persistent across this rank's collectives
-        self.cutoff = CutoffEstimator(
-            alpha0=cfg.cutoff_alpha,
-            alpha_min=cfg.cutoff_alpha_min,
-            alpha_max=cfg.cutoff_alpha_max,
-            gain=cfg.cutoff_gain,
-            var_gain=cfg.cutoff_var_gain,
-            var_weight=cfg.cutoff_var_weight,
-        )
+        self.cutoff = CutoffEstimator(cfg.cutoff_alpha)
         self._fetch_nonce = 0
 
         # --- liveness layer (only active when config.failure_policy set) ---
@@ -296,10 +287,11 @@ class RankEngine:
 
     # ----------------------------------------------------------- recv worker
 
-    def _recv_worker(self, worker_id: int, subgroups: List[int]):
-        """Receive datapath (paper Fig 6): poll → bitmap → copy → re-post.
+    def _recv_worker(self, sg: int):
+        """Receive datapath of subgroup *sg* (paper Fig 6): poll → bitmap →
+        copy → re-post.
 
-        Each wake polls a snapshot of CQEs per CQ.  When the receiver-batch
+        Each wake polls a snapshot of the CQ.  When the receiver-batch
         eligibility gate holds for a prefix of the snapshot
         (:meth:`_try_recv_batch`), that prefix is consumed in **one**
         process wake — the per-CQE instants are replayed through bare
@@ -311,86 +303,83 @@ class RankEngine:
         cfg = self.config
         cost = self.cost
         uc = cfg.transport == "uc"
-        qps = [self.sub_qps[sg] for sg in subgroups]
+        qp = self.sub_qps[sg]
+        staging = self.stagings[sg]  # None under UC
         batching = not self.fabric.reference
-        wake = self._recv_procs[worker_id].wake
+        wake = self._recv_procs[sg].wake
         while True:
-            if not any(len(qp.recv_cq) for qp in qps):
-                for qp in qps:
-                    qp.recv_cq.set_notify(wake)
+            if not len(qp.recv_cq):
+                qp.recv_cq.set_notify(wake)
                 yield PASSIVE_WAIT
                 if self.ff_resume_floor > self.sim.now:
                     # A flow-level fold advanced this worker's datapath
                     # past `now` without waking it; anchor post-fold CQE
                     # processing where the packet-level chain would have.
                     yield self.sim.wake_at(self.ff_resume_floor)
-            for sg, qp in zip(subgroups, qps):
-                cqes = qp.recv_cq.poll()
-                start = 0
-                if batching and len(cqes) >= 2:
-                    batched, t_end = self._try_recv_batch(sg, qp, cqes, uc)
-                    if batched:
-                        start = batched
-                        yield self.sim.wake_at(t_end)
-                for idx in range(start, len(cqes)):
-                    cqe = cqes[idx]
-                    if cqe.timestamp > self.sim.now:
-                        # Look-ahead CQE whose packet has not "arrived"
-                        # yet: hold processing to its true arrival instant
-                        # (per-packet delivery would have parked us here).
-                        yield self.sim.wake_at(cqe.timestamp)
-                    # Straggler injection: a slow receiver pays extra per
-                    # poll, so its staging ring backs up into RNR drops.
-                    stall = self.fabric.straggler_delay(self.nic.host, self.sim.now)
-                    yield Timeout(self.sim, cost.cqe_poll + cost.cqe_process + stall)
-                    psn, cid = self.imm.decode(cqe.imm or 0)
-                    op = self.ops.get(cid)
-                    if uc:
-                        # Data already placed by the NIC; recycle the WR.
-                        yield Timeout(self.sim, cost.recv_repost)
-                        qp.post_recv_cached(self._uc_wr)
-                        if op is None:
-                            self.stray_cqes += 1
-                            continue
-                        if op.bitmap.set(psn):
-                            op.stats["chunks_received"] += 1
-                            op.placed.set(psn)  # UC: NIC placed it already
-                        else:
-                            op.stats["duplicates"] += 1
-                        op.maybe_complete()
+            cqes = qp.recv_cq.poll()
+            start = 0
+            if batching and len(cqes) >= 2:
+                batched, t_end = self._try_recv_batch(sg, qp, cqes, uc)
+                if batched:
+                    start = batched
+                    yield self.sim.wake_at(t_end)
+            for idx in range(start, len(cqes)):
+                cqe = cqes[idx]
+                if cqe.timestamp > self.sim.now:
+                    # Look-ahead CQE whose packet has not "arrived"
+                    # yet: hold processing to its true arrival instant
+                    # (per-packet delivery would have parked us here).
+                    yield self.sim.wake_at(cqe.timestamp)
+                # Straggler injection: a slow receiver pays extra per
+                # poll, so its staging ring backs up into RNR drops.
+                stall = self.fabric.straggler_delay(self.nic.host, self.sim.now)
+                yield Timeout(self.sim, cost.cqe_poll + cost.cqe_process + stall)
+                psn, cid = self.imm.decode(cqe.imm or 0)
+                op = self.ops.get(cid)
+                if uc:
+                    # Data already placed by the NIC; recycle the WR.
+                    yield Timeout(self.sim, cost.recv_repost)
+                    qp.post_recv_cached(self._uc_wr)
+                    if op is None:
+                        self.stray_cqes += 1
                         continue
-                    staging = self.stagings[sg]
-                    assert staging is not None
-                    slot = cqe.wr_id
+                    if op.bitmap.set(psn):
+                        op.stats["chunks_received"] += 1
+                        op.placed.set(psn)  # UC: NIC placed it already
+                    else:
+                        op.stats["duplicates"] += 1
+                    op.maybe_complete()
+                    continue
+                slot = cqe.wr_id
+                self.settle()
+                staging.on_cqe(slot)
+                trc = self.trace
+                if trc is not None:
+                    trc.counter("staging.hold", self.sim.now, staging.held)
+                if op is None or not op.bitmap.set(psn):
+                    # Stray or duplicate chunk: recycle without copying.
+                    if op is None:
+                        self.stray_cqes += 1
+                    else:
+                        op.stats["duplicates"] += 1
+                    yield Timeout(self.sim, cost.recv_repost)
                     self.settle()
-                    staging.on_cqe(slot)
-                    trc = self.trace
+                    staging.repost(slot, qp)
                     if trc is not None:
                         trc.counter("staging.hold", self.sim.now, staging.held)
-                    if op is None or not op.bitmap.set(psn):
-                        # Stray or duplicate chunk: recycle without copying.
-                        if op is None:
-                            self.stray_cqes += 1
-                        else:
-                            op.stats["duplicates"] += 1
-                        yield Timeout(self.sim, cost.recv_repost)
-                        self.settle()
-                        staging.repost(slot, qp)
-                        if trc is not None:
-                            trc.counter("staging.hold", self.sim.now, staging.held)
-                        continue
-                    op.stats["chunks_received"] += 1
-                    # Counted with its bitmap bit: an earlier copy landing
-                    # while this one is being issued must not complete the
-                    # op ahead of this chunk's bytes.
-                    op.outstanding_copies += 1
-                    off, ln = op.plan.bounds(psn)
-                    yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
-                    copy_done = self.dma.copy(
-                        (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
-                    copy_done.subscribe(
-                        self._make_copy_callback(op, staging, slot, qp, psn)
-                    )
+                    continue
+                op.stats["chunks_received"] += 1
+                # Counted with its bitmap bit: an earlier copy landing
+                # while this one is being issued must not complete the
+                # op ahead of this chunk's bytes.
+                op.outstanding_copies += 1
+                off, ln = op.plan.bounds(psn)
+                yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
+                copy_done = self.dma.copy(
+                    (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
+                copy_done.subscribe(
+                    self._make_copy_callback(op, staging, slot, qp, psn)
+                )
 
     # ----------------------------------------------------- recv batch fast path
 
@@ -758,8 +747,8 @@ class RankEngine:
         Hardening beyond the paper's description:
 
         * the FETCH_ACK rendezvous is timeout-bounded — an unresponsive
-          neighbor costs ``fetch_ack_timeout``, not a hang;
-        * a neighbor that yields nothing for ``fetch_stall_rounds`` rounds
+          neighbor costs ``FETCH_ACK_TIMEOUT``, not a hang;
+        * a neighbor that yields nothing for ``FETCH_STALL_ROUNDS`` rounds
           (unresponsive, or itself unrecovered) is **escalated past**: the
           requester rotates to the next-farther left ring neighbor;
         * re-polls back off exponentially with deterministic per-rank
@@ -843,14 +832,13 @@ class RankEngine:
         Returns ``(progressed, rounds)``; the caller escalates to the next
         ring neighbor when a session ends without the op completing.
         """
-        cfg = self.config
         self._fetch_nonce = (self._fetch_nonce + 1) & 0xFF
         # Rendezvous key carries a nonce so a late ACK from an abandoned
         # attempt can never satisfy a newer one.
         key = (op.coll_id << 8) | self._fetch_nonce
         self.ctrl.send(peer, MSG_FETCH_REQ, key)
         ack = self.ctrl.recv(MSG_FETCH_ACK, key, peer)
-        wait = min(cfg.fetch_ack_timeout, max(deadline_abs - self.sim.now, 1e-9))
+        wait = min(FETCH_ACK_TIMEOUT, max(deadline_abs - self.sim.now, 1e-9))
         yield AnyOf(self.sim, [ack, op.data_done, Timeout(self.sim, wait)])
         if op.data_done.triggered:
             return True, 0
@@ -907,15 +895,15 @@ class RankEngine:
                     break
             else:
                 stalls += 1
-                if stalls >= cfg.fetch_stall_rounds:
+                if stalls >= FETCH_STALL_ROUNDS:
                     return progressed, rounds
             # Nothing (more) available yet: let the multicast path and the
             # neighbor's own recovery make progress, then retry — backing
             # off while stalled, waking immediately if the fast path
             # completes meanwhile.
             delay = backoff_delay(
-                stalls, cfg.recovery_alpha, cfg.recovery_backoff,
-                cfg.recovery_alpha_max, cfg.recovery_jitter, jitter_rng,
+                stalls, RECOVERY_ALPHA, RECOVERY_BACKOFF,
+                RECOVERY_ALPHA_MAX, RECOVERY_JITTER, jitter_rng,
             )
             delay = min(delay, max(deadline_abs - self.sim.now, 1e-9))
             op.record_timer(delay, "recovery-rearm")
@@ -1000,24 +988,23 @@ class RankEngine:
         self.comm.note_death(rank)
 
     def _suspicion_timeout(self) -> float:
-        """No-progress suspicion timer: the configured floor, widened by the
-        adaptive cutoff estimator so a congested-but-healthy fabric that
-        legitimately slows delivery also slows suspicion.  Always larger
-        than the fabric's SM reroute delay has to be assumed by the config
-        (the default 2 ms floor clears the 1 ms sweep), so a switch-down
-        blackout window cannot confirm a live peer dead."""
-        return max(self.config.suspicion_timeout, 4.0 * self.cutoff.slack())
+        """No-progress suspicion timer: the ``SUSPICION_TIMEOUT`` floor,
+        widened by the adaptive cutoff estimator so a congested-but-healthy
+        fabric that legitimately slows delivery also slows suspicion.  The
+        floor must exceed the fabric's SM reroute delay (2 ms clears the
+        1 ms sweep), so a switch-down blackout window cannot confirm a live
+        peer dead."""
+        return max(SUSPICION_TIMEOUT, 4.0 * self.cutoff.slack())
 
     def _probe(self, peer: int):
         """PING *peer* until it answers or the retry budget is exhausted.
         Returns True when the peer is (now) confirmed dead."""
         if peer in self.confirmed_dead:
             return True
-        cfg = self.config
         peer_host = self.comm.host_of(peer)
-        wait = max(cfg.liveness_probe_timeout,
+        wait = max(LIVENESS_PROBE_TIMEOUT,
                    4.0 * self.fabric.one_way_delay(self.nic.host, peer_host))
-        for _ in range(cfg.liveness_probe_retries):
+        for _ in range(LIVENESS_PROBE_RETRIES):
             self._probe_nonce = (self._probe_nonce + 1) & 0xFFFF
             key = self._probe_nonce
             pong = self.ctrl.recv(MSG_PONG, key, peer)
@@ -1174,8 +1161,9 @@ class RankEngine:
         receive path.  For Allgather the chain schedule serializes roots,
         so the whole op buffer is the right N.  B is the *effective*
         receive rate: the link, or the progress engine's software rate
-        when the CPU is the bottleneck (a too-eager timer would trigger
-        spurious recoveries on weak cores).  ``slack`` is the adaptive α
+        (one receive worker per subgroup) when the CPU is the bottleneck
+        (a too-eager timer would trigger spurious recoveries on weak
+        cores).  ``slack`` is the adaptive α
         (core/reliability.py): starts at the static α, tightens toward
         SRTT + K·RTTVAR as clean ops accumulate, backs off after spurious
         recoveries; ``adaptive_cutoff=False`` reproduces the paper's
@@ -1183,9 +1171,9 @@ class RankEngine:
         this too, so they cannot drift from the timer they predict.
         """
         cfg = self.config
-        n_workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
         sw_rate = (
-            self.cost.recv_rate(cfg.chunk_size, uc=cfg.transport == "uc") * n_workers
+            self.cost.recv_rate(cfg.chunk_size, uc=cfg.transport == "uc")
+            * cfg.n_subgroups
             if self.cost.per_recv_chunk > 0
             else float("inf")
         )
@@ -1290,7 +1278,7 @@ class RankEngine:
                 op, participants, me, recovery_deadline_abs,
                 monitor=participants if live else None,
             )
-            deadline = self.sim.now + cfg.recovery_alpha
+            deadline = self.sim.now + RECOVERY_ALPHA
             op.cutoff_deadline = deadline
         if cfg.adaptive_cutoff:
             if op.stats["recoveries"]:

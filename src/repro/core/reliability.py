@@ -19,6 +19,11 @@ recovery ring.  This module provides:
 * :func:`backoff_delay` — bounded exponential backoff with deterministic
   jitter (the caller passes its named RNG stream) used between recovery
   rounds so retries neither thrash nor synchronize across ranks.
+
+The constants below are the slow path's and the liveness layer's fixed
+policy; only the starting slack (``CollectiveConfig.cutoff_alpha``), the
+adaptive switch, the recovery deadline and the failure policy are
+configurable.
 """
 
 from __future__ import annotations
@@ -34,6 +39,37 @@ __all__ = [
     "CutoffEstimator",
     "backoff_delay",
 ]
+
+#: clamp range of the adaptive cutoff slack
+CUTOFF_ALPHA_MIN = 20e-6
+CUTOFF_ALPHA_MAX = 2e-3
+#: EWMA gains and deviation weight of the estimator (RFC 6298's α/β/K)
+CUTOFF_GAIN = 0.125
+CUTOFF_VAR_GAIN = 0.25
+CUTOFF_VAR_WEIGHT = 4.0
+#: re-arm slack between recovery rounds, its exponential backoff across
+#: stalled rounds, the backoff's cap, and a deterministic jitter on each
+#: re-arm as a fraction of the delay
+RECOVERY_ALPHA = 200e-6
+RECOVERY_BACKOFF = 2.0
+RECOVERY_ALPHA_MAX = 2e-3
+RECOVERY_JITTER = 0.25
+#: how long a requester waits for a neighbor's FETCH_ACK before treating
+#: it as unresponsive and escalating to the next neighbor
+FETCH_ACK_TIMEOUT = 500e-6
+#: fetch rounds with zero recovered chunks tolerated on one neighbor
+#: before escalating to the next ring neighbor
+FETCH_STALL_ROUNDS = 3
+#: one PING round-trip allowance before a probe retry (scaled up by the
+#: fabric diameter at probe time), and the unanswered PINGs before a peer
+#: is confirmed dead
+LIVENESS_PROBE_TIMEOUT = 500e-6
+LIVENESS_PROBE_RETRIES = 3
+#: floor on the no-progress suspicion timer; the effective timer is
+#: ``max(this, 4 × CutoffEstimator.slack())``.  It must exceed
+#: ``Fabric.sm_reroute_delay`` so a switch-down blackout cannot confirm a
+#: live peer dead.
+SUSPICION_TIMEOUT = 2e-3
 
 
 class ReliabilityError(RuntimeError):
@@ -156,26 +192,12 @@ class CutoffEstimator:
     arming the cutoff timer.  With no history it equals the configured
     static α, so the first collective behaves exactly like the paper's
     fixed-timer protocol; every clean completion then tightens it toward
-    ``SRTT + K·RTTVAR`` (clamped to ``[alpha_min, alpha_max]``).
+    ``SRTT + K·RTTVAR`` (clamped to
+    ``[CUTOFF_ALPHA_MIN, CUTOFF_ALPHA_MAX]``).
     """
 
-    def __init__(
-        self,
-        alpha0: float,
-        alpha_min: float,
-        alpha_max: float,
-        gain: float = 0.125,
-        var_gain: float = 0.25,
-        var_weight: float = 4.0,
-    ) -> None:
-        if not 0.0 < alpha_min <= alpha_max:
-            raise ValueError("need 0 < alpha_min <= alpha_max")
+    def __init__(self, alpha0: float) -> None:
         self.alpha0 = alpha0
-        self.alpha_min = alpha_min
-        self.alpha_max = alpha_max
-        self.gain = gain
-        self.var_gain = var_gain
-        self.var_weight = var_weight
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
         self.backoff = 1.0
@@ -188,10 +210,10 @@ class CutoffEstimator:
         if self.srtt is None:
             base = self.alpha0
         else:
-            base = self.srtt + self.var_weight * self.rttvar
+            base = self.srtt + CUTOFF_VAR_WEIGHT * self.rttvar
         # Floor before backing off (TCP's min-RTO still doubles): a
         # fully-tightened timer must still widen after spurious firings.
-        return min(max(base, self.alpha_min) * self.backoff, self.alpha_max)
+        return min(max(base, CUTOFF_ALPHA_MIN) * self.backoff, CUTOFF_ALPHA_MAX)
 
     def observe(self, sample: float) -> None:
         """Feed one clean (recovery-free) op's slack sample."""
@@ -200,8 +222,8 @@ class CutoffEstimator:
             self.srtt = sample
             self.rttvar = sample / 2.0
         else:
-            self.rttvar += self.var_gain * (abs(self.srtt - sample) - self.rttvar)
-            self.srtt += self.gain * (sample - self.srtt)
+            self.rttvar += CUTOFF_VAR_GAIN * (abs(self.srtt - sample) - self.rttvar)
+            self.srtt += CUTOFF_GAIN * (sample - self.srtt)
         # A clean op halves any recovery backoff (slow-start style decay).
         self.backoff = max(1.0, self.backoff / 2.0)
         self.samples += 1

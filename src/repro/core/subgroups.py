@@ -3,13 +3,12 @@
 The Allgather receive path must absorb ``(P-1)×`` more bytes than the send
 path injects.  To scale it, the traffic is spread over several *multicast
 subgroups* (replicated multicast groups), each carrying a contiguous block
-of every sender's buffer.  Each receive worker polls the CQ of one or more
-subgroups, keeping bitmap updates thread-local.
+of every sender's buffer.  Each subgroup has one receive worker polling
+its CQ, keeping bitmap updates thread-local (paper's example: 1 send
+worker serving 4 send QPs, 4 receive workers mapped one-to-one).
 
 :class:`SubgroupPlan` is the pure arithmetic: which chunk of a sender's
-buffer travels on which subgroup, and how workers map to subgroups
-(paper's example: 1 send worker serving 4 send QPs, 4 receive workers
-mapped one-to-one).
+buffer travels on which subgroup.
 """
 
 from __future__ import annotations
@@ -76,17 +75,3 @@ class SubgroupPlan:
             end_off, end_len = plan.bounds(hi - 1)
             out.append((sg, off, end_off + end_len - off))
         return out
-
-    @staticmethod
-    def worker_mapping(n_subgroups: int, n_workers: int) -> List[List[int]]:
-        """Round-robin assignment of subgroups to receive workers.
-
-        Returns ``n_workers`` lists of subgroup indices.  With
-        ``n_workers == n_subgroups`` this is the paper's one-to-one map.
-        """
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        mapping: List[List[int]] = [[] for _ in range(n_workers)]
-        for sg in range(n_subgroups):
-            mapping[sg % n_workers].append(sg)
-        return mapping

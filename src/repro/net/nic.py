@@ -364,9 +364,8 @@ class QueuePair(_ReceiveQueue):
         #: opt-in to look-ahead delivery (:meth:`Nic._receive_stamped`): a
         #: multicast packet is consumed when it is handed over and its CQE
         #: carries the arrival instant as a stamp.  Only the progress engine
-        #: sets this, and only for QPs whose receive worker drains exactly
-        #: this one QP — a multi-QP worker must observe cross-QP arrival
-        #: interleaving, which early CQEs would reorder.
+        #: sets this, on the subgroup QPs (each drained by its own receive
+        #: worker).
         self.batch_delivery = False
         #: called when a UD receive finds the queue empty, before the NIC
         #: acts on it: the owner applies re-posts it has deferred to

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.core.reliability import CUTOFF_ALPHA_MIN
 from repro.models.boundary import node_boundary_table
 from repro.models.footprint import ProtocolFootprint
 from repro.models.speedup import (
@@ -147,7 +148,6 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
     # the root/sender posting costs.  UD coarse candidates keep per-byte
     # cost constant (coarse_config rescales per-chunk costs); UC pays
     # per-CQE costs once per chunk — the Fig 15 amortization.
-    workers = max(cfg.recv_workers or cfg.n_subgroups, 1)
     if uc:
         n_recv_chunks = recv_bytes / chunk
         per_chunk = cfg.cost.per_recv_chunk_uc
@@ -156,7 +156,7 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
         # by chunk/BASE_CHUNK), so normalize back to per-base-unit cost.
         n_recv_chunks = recv_bytes / BASE_CHUNK
         per_chunk = cfg.cost.per_recv_chunk / max(chunk / BASE_CHUNK, 1.0)
-    recv_cpu = n_recv_chunks * per_chunk / workers
+    recv_cpu = n_recv_chunks * per_chunk / cfg.n_subgroups  # one worker each
     send_chunks = (n if scenario.collective == "allgather" else n) / chunk
     n_batches = math.ceil(send_chunks / cfg.batch_size)
     send_cpu = send_chunks * cfg.cost.send_wqe + n_batches * cfg.cost.doorbell
@@ -192,8 +192,7 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
     if loss > 0.0 and scenario.collective != "alltoall":
         total_chunks = (p if scenario.collective == "allgather" else 1) * n / chunk
         expected_lost = loss * total_chunks
-        slack = (cfg.cutoff_alpha_min if cfg.adaptive_cutoff
-                 else cfg.cutoff_alpha)
+        slack = CUTOFF_ALPHA_MIN if cfg.adaptive_cutoff else cfg.cutoff_alpha
         fetch_rtt = 2 * hop_latency + 2 * cfg.cost.ctrl_message
         recovery = slack + expected_lost * (fetch_rtt + chunk / bandwidth)
 

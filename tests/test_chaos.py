@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import CollectiveConfig, Communicator
-from repro.core.reliability import ReliabilityError
+from repro.core.reliability import CUTOFF_ALPHA_MAX, FETCH_ACK_TIMEOUT, ReliabilityError
 from repro.net import Fabric, GilbertElliott, StragglerSpec, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator
@@ -196,7 +196,7 @@ def test_soak_back_to_back_collectives_on_degrading_fabric():
         assert comm.broadcast(0, data).verify_broadcast(data)
     engine = comm.engines[1]
     assert engine.cutoff.samples >= 2  # warmups observed
-    assert engine.cutoff.slack() <= engine.cutoff.alpha_max
+    assert engine.cutoff.slack() <= CUTOFF_ALPHA_MAX
 
 
 # -------------------------------------------------- adaptive vs static alpha
@@ -274,9 +274,7 @@ def test_unreachable_neighbors_raise_reliability_error():
     """When the whole fabric (including RC) dies mid-collective, recovery
     cannot succeed; the op must fail loudly within the configured deadline
     instead of hanging the simulation."""
-    cfg = CollectiveConfig(
-        recovery_deadline=3e-3, fetch_ack_timeout=200e-6, fetch_stall_rounds=2
-    )
+    cfg = CollectiveConfig(recovery_deadline=3e-3)
     comm = make_comm(4, topo=Topology.star(4), config=cfg, seed=42)
     # Total outage from 20 µs on (after barrier/activation, mid-data),
     # including reliable transports: hosts are truly unreachable.
@@ -291,7 +289,7 @@ def test_unreachable_neighbors_raise_reliability_error():
     err = exc_info.value
     assert err.missing_chunks > 0
     assert err.counters["fetch_ack_timeouts"] >= 1
-    assert err.elapsed <= cfg.recovery_deadline + cfg.fetch_ack_timeout
+    assert err.elapsed <= cfg.recovery_deadline + FETCH_ACK_TIMEOUT
     # ... and the failure arrived promptly, not after a hang.
     assert comm.sim.now < 0.1
 
@@ -302,8 +300,7 @@ def test_escalation_past_unresponsive_neighbor():
     neighbor rather than retrying the dead one forever."""
     from repro.core.control import MSG_FETCH_REQ
 
-    cfg = CollectiveConfig(fetch_ack_timeout=100e-6, fetch_stall_rounds=2)
-    comm = make_comm(4, topo=Topology.star(4), config=cfg, seed=43)
+    comm = make_comm(4, topo=Topology.star(4), seed=43)
     data = rank_data(0, kib(128))
 
     # Surgical outage: only rank 3's fetch requests toward rank 2 die (a

@@ -304,12 +304,6 @@ def test_subgroup_paper_example():
     assert recv_per_qp == 30 * 1024 * 1024
 
 
-def test_subgroup_worker_mapping():
-    assert SubgroupPlan.worker_mapping(4, 4) == [[0], [1], [2], [3]]
-    assert SubgroupPlan.worker_mapping(4, 2) == [[0, 2], [1, 3]]
-    assert SubgroupPlan.worker_mapping(2, 4) == [[0], [1], [], []]
-
-
 def test_subgroup_validation():
     with pytest.raises(ValueError):
         SubgroupPlan(4, 0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import CollectiveConfig, Communicator, FailurePolicy
-from repro.core.reliability import CollectiveAbortedError
+from repro.core.reliability import SUSPICION_TIMEOUT, CollectiveAbortedError
 from repro.net import CrashSpec, Fabric, GilbertElliott, StragglerSpec, Topology
 from repro.net.faults import normalize_windows
 from repro.net.link import FaultSpec
@@ -339,7 +339,7 @@ def test_back_to_back_collectives_after_repair():
     assert second.verify_broadcast(data)
     assert second.dead_ranks == [5]
     # No fresh suspicion cycle: the second op finishes in healthy time.
-    assert comm.sim.now - t_mid < comm.config.suspicion_timeout
+    assert comm.sim.now - t_mid < SUSPICION_TIMEOUT
 
 
 # ------------------------------------------------------- window validation

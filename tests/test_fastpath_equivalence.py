@@ -705,18 +705,48 @@ def test_ff_off_is_default() -> None:
             CollectiveConfig(fast_forward=bad).validate(fabric)
 
 
+CONFIG_FIELDS = {
+    # protocol
+    "chunk_size", "n_subgroups", "n_chains", "transport", "batch_size",
+    "max_outstanding_batches", "staging_slots",
+    # engine
+    "fast_forward",
+    # reliability
+    "cutoff_alpha", "adaptive_cutoff", "recovery_deadline", "failure_policy",
+    "cost",
+}
+
+#: fields that became constants of repro.core.reliability, or (receive
+#: workers, PSN width) fixed by the design: one worker per subgroup, the
+#: 24-bit immediate layout
+RETIRED_CONFIG_FIELDS = (
+    "recv_workers", "psn_bits",
+    "recovery_alpha", "cutoff_alpha_min", "cutoff_alpha_max",
+    "cutoff_gain", "cutoff_var_gain", "cutoff_var_weight",
+    "recovery_backoff", "recovery_alpha_max", "recovery_jitter",
+    "fetch_ack_timeout", "fetch_stall_rounds",
+    "liveness_probe_timeout", "liveness_probe_retries", "suspicion_timeout",
+)
+
+
 def test_engine_selection_knobs_are_gone() -> None:
     # One engine switch, Fabric(reference=...), and one fold mode selected
     # from observable sizes: there is no field left to pick a tier, a
     # backend, a shard count or a receive path with.
     import dataclasses
-    assert len(dataclasses.fields(CollectiveConfig)) == 29
+    assert {f.name for f in dataclasses.fields(CollectiveConfig)} == CONFIG_FIELDS
     for knob in ("parallel", "ff_" + "vectorized", "recv_" + "batching"):
         with pytest.raises(TypeError):
             CollectiveConfig(**{knob: 1})
     with pytest.raises(TypeError):
         Fabric(Simulator(), Topology.star(2), **{"coal" + "escing": True})
     assert not hasattr(Fabric, "set_" + "coalescing")
+
+
+@pytest.mark.parametrize("name", RETIRED_CONFIG_FIELDS)
+def test_retired_config_field_is_rejected(name: str) -> None:
+    with pytest.raises(TypeError):
+        CollectiveConfig(**{name: 1})
 
 
 # ---------------------------------------------------------------------------

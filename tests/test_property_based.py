@@ -185,14 +185,6 @@ def test_subgroups_partition_chunks(n_chunks, n_subgroups):
     assert seen == list(range(n_chunks))
 
 
-@FAST
-@given(n_subgroups=st.integers(1, 16), n_workers=st.integers(1, 16))
-def test_worker_mapping_covers_all_subgroups(n_subgroups, n_workers):
-    mapping = SubgroupPlan.worker_mapping(n_subgroups, n_workers)
-    flat = sorted(sg for worker in mapping for sg in worker)
-    assert flat == list(range(n_subgroups))
-
-
 # -------------------------------------------------------------- knomial tree
 
 

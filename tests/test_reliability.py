@@ -2,16 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.reliability import CutoffEstimator, ReliabilityError, backoff_delay
-from repro.sim import RandomStreams
+from repro.bench import make_fabric
+from repro.core import CollectiveConfig, Communicator, HostCostModel
+from repro.core.reliability import (
+    CUTOFF_ALPHA_MAX,
+    CUTOFF_ALPHA_MIN,
+    SUSPICION_TIMEOUT,
+    CutoffEstimator,
+    ReliabilityError,
+    backoff_delay,
+)
+from repro.net import Fabric, Topology
+from repro.sim import RandomStreams, Simulator
+from repro.units import KiB, MiB
 
 
-def make_est(**kw):
-    defaults = dict(alpha0=200e-6, alpha_min=20e-6, alpha_max=2e-3)
-    defaults.update(kw)
-    return CutoffEstimator(**defaults)
+def make_est():
+    return CutoffEstimator(alpha0=200e-6)
 
 
 def test_initial_slack_is_static_alpha():
@@ -25,19 +35,19 @@ def test_clean_samples_tighten_slack():
         est.observe(10e-6)
     # SRTT → 10 µs, RTTVAR → 0, so slack converges near SRTT (clamped).
     assert est.slack() < 60e-6
-    assert est.slack() >= est.alpha_min
+    assert est.slack() >= CUTOFF_ALPHA_MIN
 
 
 def test_slack_clamped_to_bounds():
     est = make_est()
     for _ in range(50):
         est.observe(0.0)
-    assert est.slack() == est.alpha_min
+    assert est.slack() == CUTOFF_ALPHA_MIN
     for _ in range(50):
         est.on_recovery()
-    # Backoff is capped at 64x, and the result never exceeds alpha_max.
-    assert est.slack() == pytest.approx(min(64 * est.alpha_min, est.alpha_max))
-    assert est.slack() <= est.alpha_max
+    # Backoff is capped at 64x, and the result never exceeds the clamp.
+    assert est.slack() == pytest.approx(min(64 * CUTOFF_ALPHA_MIN, CUTOFF_ALPHA_MAX))
+    assert est.slack() <= CUTOFF_ALPHA_MAX
 
 
 def test_recovery_backs_off_and_clean_ops_decay():
@@ -45,7 +55,7 @@ def test_recovery_backs_off_and_clean_ops_decay():
     est.observe(10e-6)
     tight = est.slack()
     est.on_recovery()
-    assert est.slack() == pytest.approx(min(tight * 2, est.alpha_max))
+    assert est.slack() == pytest.approx(min(tight * 2, CUTOFF_ALPHA_MAX))
     est.observe(10e-6)  # decays the backoff again
     assert est.slack() < tight * 2
 
@@ -70,17 +80,14 @@ def test_trace_records_samples_and_recoveries():
 
 
 def test_estimator_validates_bounds():
-    with pytest.raises(ValueError):
-        CutoffEstimator(alpha0=1e-4, alpha_min=0.0, alpha_max=1e-3)
-    with pytest.raises(ValueError):
-        CutoffEstimator(alpha0=1e-4, alpha_min=2e-3, alpha_max=1e-3)
+    assert 0 < CUTOFF_ALPHA_MIN <= CUTOFF_ALPHA_MAX
 
 
 def test_negative_samples_clamped():
     est = make_est()
     est.observe(-5.0)  # delivery faster than the N/B ideal: clamp to 0
     assert est.srtt == 0.0
-    assert est.slack() == est.alpha_min
+    assert est.slack() == CUTOFF_ALPHA_MIN
 
 
 def test_backoff_delay_growth_and_cap():
@@ -107,3 +114,27 @@ def test_reliability_error_renders_diagnostics():
     assert "fetch_ack_timeouts=4" in text
     assert isinstance(err, RuntimeError)
     assert err.counters["fetch_ack_timeouts"] == 4
+
+
+def test_suspicion_floor_clears_the_sm_reroute_delay():
+    # A switch-down blackout lasts until the SM sweep reroutes around it;
+    # a suspicion timer shorter than that would confirm live peers dead.
+    fabric = Fabric(Simulator(), Topology.star(2))
+    assert SUSPICION_TIMEOUT > fabric.sm_reroute_delay
+
+
+@pytest.mark.parametrize("n_subgroups", [1, 2, 4])
+def test_weak_core_broadcast_needs_no_recovery(n_subgroups):
+    # The cutoff timer's N/B counts one receive worker per subgroup; a
+    # rate that counted workers with no subgroup to drain would fire the
+    # timer before a weak core could finish a clean broadcast.
+    fabric = make_fabric(8, mtu=16 * KiB, link_gbit=200)
+    config = CollectiveConfig(chunk_size=16 * KiB, n_subgroups=n_subgroups,
+                              cost=HostCostModel().scaled(8.0))
+    comm = Communicator(fabric, config=config)
+    data = np.random.default_rng(3).integers(0, 256, 2 * MiB, dtype=np.uint8)
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    summary = result.reliability_summary()
+    assert summary["recoveries"] == summary["fetch_rounds"] == 0
+    assert all(len(e._recv_procs) == n_subgroups for e in comm.engines)

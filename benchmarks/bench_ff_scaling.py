@@ -1,23 +1,16 @@
 """Fig. 16-style host-count scaling of the flow-level fast-forward engine.
 
-Sweeps the multicast broadcast across host counts and simulation engines:
+Sweeps the multicast broadcast across host counts and the two engines:
 
-* ``pkt``    — the reference engine: ``Fabric(reference=True)``, so every
-  wire packet and every receive CQE is a simulated event.
-* ``train``  — the production engine without the fold
-  (``fast_forward='off'``): clean runs ride packet trains, look-ahead
-  delivery and CQE batches.
-* ``exact``  — the production engine with the flow-level fast-forward,
-  bit-identical virtual time to ``pkt`` (the fold replays the per-packet
-  arithmetic).
-
-The committed ``ff_scaling.txt`` predates the one engine switch: its
-``pkt`` column ran with CQE batching on (only trains off), so its events
-and walls are not the reference engine's.  Virtual times are unaffected.
+* ``reference`` — ``Fabric(reference=True)``: every wire packet and every
+  receive CQE is a simulated event.
+* ``default``   — the production engine: the flow-level fold takes every
+  clean phase, bit-identical in virtual time to ``reference`` (the fold
+  replays the per-packet arithmetic).
 
 Every broadcast folds as a single phase (``staging_slots`` is sized to
 the chunk count so the receive queue covers the whole payload), so the
-wall-clock ratio ``pkt / exact`` measures exactly what the engine
+wall-clock ratio ``reference / default`` measures exactly what the engine
 replaces: O(packets) event simulation with O(links) arithmetic.
 
 Entry modes:
@@ -33,13 +26,13 @@ Entry modes:
   silently disengages.  The result table is
   persisted to ``benchmarks/results/ff_scaling_smoke.txt`` (commit and
   command in its header) for artifact upload.
-* default — the full sweep (minutes: the ``pkt`` column at 2048 hosts
-  is the cost being amortized), persisted to
-  ``benchmarks/results/ff_scaling.txt``; source of the EXPERIMENTS.md
-  table.
+* default — the full sweep (minutes: the ``reference`` column at 2048
+  hosts is the cost being amortized), persisted to
+  ``benchmarks/results/ff_scaling.txt`` (commit and command in its
+  header); source of the EXPERIMENTS.md table.
 
-Virtual time is printed for every cell: ``pkt``/``exact`` agreement is
-the exactness contract, checked here on every run.
+Virtual time is printed for every cell: ``reference``/``default``
+agreement is the exactness contract, checked here on every run.
 """
 
 from __future__ import annotations
@@ -58,12 +51,8 @@ from repro.bench import format_table, make_fabric, report
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.units import KiB, MiB
 
-#: engine mode -> (fast_forward knob, reference engine)
-MODES = {
-    "pkt": ("off", True),
-    "train": ("off", False),
-    "exact": ("exact", False),
-}
+#: engine mode -> ``Fabric(reference=...)``
+MODES = {"reference": True, "default": False}
 
 BCAST_PAYLOAD = 4 * MiB
 CHUNK = 4096
@@ -76,13 +65,11 @@ SMOKE_RSS_BUDGET_MIB = 1024
 
 def run_broadcast(n_hosts: int, mode: str,
                   payload: int = BCAST_PAYLOAD) -> Dict[str, object]:
-    ff, reference = MODES[mode]
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_hosts, mtu=CHUNK, reference=reference)
+    fabric = make_fabric(n_hosts, mtu=CHUNK, reference=MODES[mode])
     cfg = CollectiveConfig(
         chunk_size=CHUNK,
         transport="uc",
-        fast_forward=ff,
         # Cover the whole payload with posted recv WRs so the phase is
         # fold-eligible end to end (the no-RNR gate needs the posted
         # depth to absorb every chunk of a folded phase).
@@ -113,13 +100,11 @@ def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
                   cutoff_alpha: float = 10e-3,
                   chunk: Optional[int] = None) -> Dict[str, object]:
-    ff, reference = MODES[mode]
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_ranks, mtu=4096, reference=reference)
+    fabric = make_fabric(n_ranks, mtu=4096, reference=MODES[mode])
     cfg = CollectiveConfig(
         chunk_size=chunk or per_rank,
         transport="uc",
-        fast_forward=ff,
         # The chain-serialized allgather is activation-latency bound; the
         # adaptive cutoff's bandwidth-based deadline under-estimates it
         # at this scale, so pin a static slack that covers the chain.
@@ -149,13 +134,12 @@ def run_allgather(n_ranks: int, mode: str,
 def run_allreduce(n_ranks: int, shard_elems: int = AR_SHARD_ELEMS,
                   cutoff_alpha: float = 100e-3) -> Dict[str, object]:
     """Composed INC allreduce on the production path: the reduce-scatter
-    pass folds (DESIGN.md §6j) and so do the allgather phases (the exact
+    pass folds (DESIGN.md §6j) and so do the allgather phases (the data
     fold), with the allgather rows' static cutoff."""
     t_setup = time.perf_counter()
     fabric = make_fabric(n_ranks, mtu=4096)
     cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc",
-                           fast_forward="exact", adaptive_cutoff=False,
-                           cutoff_alpha=cutoff_alpha)
+                           adaptive_cutoff=False, cutoff_alpha=cutoff_alpha)
     comm = Communicator(fabric, config=cfg)
     setup = time.perf_counter() - t_setup
     # Small integers: every float32 partial sum is exact, in any order.
@@ -186,38 +170,44 @@ def _rows(kind: str, sizes: List[int], modes: List[str],
         for mode in modes:
             r = runner(n, mode)
             virts[mode] = r["virtual_s"]
-            if mode == "pkt":
+            if mode == "reference":
                 base_wall = r["wall_s"]
             speedup = (f"{base_wall / r['wall_s']:.1f}x"
-                       if base_wall and mode != "pkt" else "-")
+                       if base_wall and mode != "reference" else "-")
             rows.append([kind, str(n), mode, f"{r['wall_s']:.2f}",
                          f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
                          str(r["ff_phases"]), speedup])
             print(f"  {kind} n={n} {mode}: wall={r['wall_s']:.2f}s "
                   f"events={r['events']:,} virt={r['virtual_s'] * 1e6:.3f}us "
                   f"ff_phases={r['ff_phases']}", flush=True)
-        # Exactness contract: pkt and exact must agree bitwise.
-        if "pkt" in virts and "exact" in virts:
-            assert virts["exact"] == virts["pkt"], (
-                f"{kind} n={n}: exact diverged from packet-level "
-                f"({virts['exact']} != {virts['pkt']})")
+        # Exactness contract: both engines agree bitwise.
+        assert virts["default"] == virts["reference"], (
+            f"{kind} n={n}: the default engine diverged from the reference "
+            f"({virts['default']} != {virts['reference']})")
     return rows
 
 
 HEADERS = ["collective", "hosts", "engine", "wall_s", "events",
-           "virtual_us", "ff_phases", "speedup_vs_pkt"]
+           "virtual_us", "ff_phases", "speedup_vs_reference"]
 #: the smoke table: bring-up (fabric + communicator build, outside the
 #: timed call) in its own column instead of hidden in ``total``
 SMOKE_HEADERS = (HEADERS[:3] + ["setup_s"] + HEADERS[3:7] + ["ctrl_pairs"]
                  + HEADERS[7:])
 
 
-def full_sweep(bcast_hosts: List[int], ag_hosts: List[int]) -> int:
-    rows = _rows("broadcast", bcast_hosts,
-                 ["pkt", "train", "exact"], run_broadcast)
-    rows += _rows("allgather", ag_hosts,
-                  ["pkt", "exact"], run_allgather)
-    report("ff_scaling", format_table(HEADERS, rows))
+def _header(argv: List[str]) -> str:
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], capture_output=True,
+        text=True).stdout.strip() or "unknown"
+    return (f"# commit {commit}\n# command: PYTHONPATH=src python "
+            f"benchmarks/bench_ff_scaling.py {' '.join(argv)}".rstrip() + "\n")
+
+
+def full_sweep(bcast_hosts: List[int], ag_hosts: List[int],
+               argv: List[str]) -> int:
+    rows = _rows("broadcast", bcast_hosts, list(MODES), run_broadcast)
+    rows += _rows("allgather", ag_hosts, list(MODES), run_allgather)
+    report("ff_scaling", _header(argv) + format_table(HEADERS, rows))
     return 0
 
 
@@ -244,7 +234,7 @@ def smoke(budget_s: float) -> int:
     failures = []
 
     def row(kind, n, r, note="-"):
-        rows.append([kind, str(n), "exact", f"{r['setup_s']:.2f}",
+        rows.append([kind, str(n), "default", f"{r['setup_s']:.2f}",
                      f"{r['wall_s']:.2f}",
                      f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
                      str(r["ff_phases"]), str(r["ctrl_pairs"]), note])
@@ -264,7 +254,7 @@ def smoke(budget_s: float) -> int:
         # free them now so the RSS budget measures one row, not the sum.
         gc.collect()
 
-    b = run_broadcast(1024, "exact")
+    b = run_broadcast(1024, "default")
     row("broadcast", 1024, b)
     if b["ff_phases"] != 1:
         failures.append(
@@ -273,7 +263,7 @@ def smoke(budget_s: float) -> int:
 
     # 100 ms static cutoff on both allgather rows: a 4096-rank chain runs
     # ~13 ms of virtual time, past the 10 ms default slack.
-    a = run_allgather(1024, "exact", cutoff_alpha=100e-3)
+    a = run_allgather(1024, "default", cutoff_alpha=100e-3)
     row("allgather", 1024, a)
     if a["ff_phases"] != 1024:
         failures.append(
@@ -283,7 +273,7 @@ def smoke(budget_s: float) -> int:
     # Four 1 KiB chunks per rank: the same session folds a multi-chunk
     # phase, so it costs the same O(P) events and a small constant factor
     # more wall, not one event per receiver per phase.
-    a4 = run_allgather(1024, "exact", per_rank=4 * KiB, chunk=KiB,
+    a4 = run_allgather(1024, "default", per_rank=4 * KiB, chunk=KiB,
                        cutoff_alpha=100e-3)
     row("allgather", 1024, a4, note="4x1KiB")
     if a4["ff_phases"] != 1024:
@@ -305,14 +295,14 @@ def smoke(budget_s: float) -> int:
             "expected 1024)")
 
     # --- 4096-host rows ----------------------------------------------------
-    b4 = run_broadcast(4096, "exact", payload=4 * MiB)
+    b4 = run_broadcast(4096, "default", payload=4 * MiB)
     row("broadcast", 4096, b4, note="4MiB")
     if b4["ff_phases"] != 1:
         failures.append(
             f"4096-host broadcast fold disengaged "
             f"(ff_phases={b4['ff_phases']}, expected 1)")
 
-    a4 = run_allgather(4096, "exact", cutoff_alpha=100e-3)
+    a4 = run_allgather(4096, "default", cutoff_alpha=100e-3)
     row("allgather", 4096, a4)
     if a4["ff_phases"] != 4096:
         failures.append(
@@ -333,13 +323,8 @@ def smoke(budget_s: float) -> int:
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rows.append(["peak_rss", "-", "-", "-", "-", "-", "-", "-", "-",
                  f"{rss_mib:.0f} MiB"])
-    commit = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], capture_output=True,
-        text=True).stdout.strip() or "unknown"
     report("ff_scaling_smoke",
-           f"# commit {commit}\n# command: PYTHONPATH=src python "
-           f"benchmarks/bench_ff_scaling.py --smoke\n"
-           + format_table(SMOKE_HEADERS, rows))
+           _header(["--smoke"]) + format_table(SMOKE_HEADERS, rows))
     if rss_mib > SMOKE_RSS_BUDGET_MIB:
         failures.append(
             f"scaling smoke blew its memory budget: peak RSS "
@@ -373,7 +358,7 @@ def main() -> int:
         return smoke(args.budget)
     bcast_hosts = [int(x) for x in args.hosts.split(",") if x]
     ag_hosts = [int(x) for x in args.ag_hosts.split(",") if x]
-    return full_sweep(bcast_hosts, ag_hosts)
+    return full_sweep(bcast_hosts, ag_hosts, sys.argv[1:])
 
 
 if __name__ == "__main__":

@@ -11,12 +11,10 @@ scenarios that together cover the hot paths the fast-path PR optimizes:
 * ``lossy188``    Gilbert-Elliott lossy 188-node broadcast — exercises
                   the per-packet slow path + recovery machinery
 * ``fsdp``        3-layer FSDP backward pipeline (overlapping AG+RS)
-* ``bcast1024``   1024-host broadcast under the flow-level fast-forward
-                  engine (``fast_forward="exact"``) — the Tbit-scale
-                  configuration the packet-level engine cannot reach in CI
-* ``ag1024``      1024-rank chain-scheduled allgather under exact
-                  fast-forward — the scaling stress case for the
-                  vectorized fold commit path
+* ``bcast1024``   1024-host broadcast, folded — the Tbit-scale
+                  configuration the reference engine cannot reach in CI
+* ``ag1024``      1024-rank chain-scheduled allgather, folded — the
+                  scaling stress case for the vectorized fold commit path
 * ``ar188``       188-host composed allreduce (INC reduce-scatter →
                   multicast allgather in one submission) — the paper
                   Appendix B shape at testbed scale
@@ -135,16 +133,9 @@ def _bcast(n_hosts: int, nbytes: int, chunk: int, reference: bool,
     return _result(wall, res, fabric)
 
 
-def _ff_kw(ff: str | None, default: str = "off") -> Dict[str, str]:
-    """Config override for a scenario's fast-forward mode.  ``ff`` is the
-    run-wide ``--ff`` override; ``default`` is the scenario's pinned mode."""
-    return {"fast_forward": default if ff is None else ff}
-
-
-def scenario_ag16(reference: bool, ff: str | None = None) -> Dict[str, float]:
+def scenario_ag16(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(16, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096,
-                                                       **_ff_kw(ff)))
+    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
     data = [np.full(64 * KiB, r % 251, dtype=np.uint8) for r in range(16)]
     t0 = time.perf_counter()
     res = comm.allgather(data)
@@ -153,33 +144,29 @@ def scenario_ag16(reference: bool, ff: str | None = None) -> Dict[str, float]:
     return _result(wall, res, fabric)
 
 
-def scenario_bcast188(reference: bool,
-                      ff: str | None = None) -> Dict[str, float]:
-    return _bcast(188, MiB, 64 * KiB, reference, **_ff_kw(ff))
+def scenario_bcast188(reference: bool) -> Dict[str, float]:
+    return _bcast(188, MiB, 64 * KiB, reference)
 
 
-def scenario_bcast188hf(reference: bool,
-                        ff: str | None = None) -> Dict[str, float]:
-    return _bcast(188, MiB, 4096, reference, coarse=False, **_ff_kw(ff))
+def scenario_bcast188hf(reference: bool) -> Dict[str, float]:
+    return _bcast(188, MiB, 4096, reference, coarse=False)
 
 
-def scenario_lossy188(reference: bool,
-                      ff: str | None = None) -> Dict[str, float]:
+def scenario_lossy188(reference: bool) -> Dict[str, float]:
     ge = GilbertElliott(p_good_bad=0.01, p_bad_good=0.3,
                         drop_good=0.001, drop_bad=0.10)
     return _bcast(188, 256 * KiB, 64 * KiB, reference,
-                  fault_factory=lambda s, d: FaultSpec(gilbert_elliott=ge),
-                  **_ff_kw(ff))
+                  fault_factory=lambda s, d: FaultSpec(gilbert_elliott=ge))
 
 
-def scenario_fsdp(reference: bool, ff: str | None = None) -> Dict[str, float]:
+def scenario_fsdp(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(16, mtu=16 * KiB, reference=reference)
     sim = fabric.sim
     ev0 = sim.events_processed
     t0 = time.perf_counter()
     virtual = run_fsdp_backward_pipeline(
         fabric, "optimal", [64 * KiB, 64 * KiB, 32 * KiB],
-        config=coarse_config(16 * KiB, **_ff_kw(ff)),
+        config=coarse_config(16 * KiB),
     )
     wall = time.perf_counter() - t0
     return {
@@ -194,24 +181,21 @@ def scenario_fsdp(reference: bool, ff: str | None = None) -> Dict[str, float]:
     }
 
 
-def scenario_bcast1024(reference: bool,
-                       ff: str | None = None) -> Dict[str, float]:
-    # Pinned to exact fast-forward: packet-level 1024-host runs belong to
-    # bench_ff_scaling.py, not the per-commit speedometer.
+def scenario_bcast1024(reference: bool) -> Dict[str, float]:
+    # Reference-engine 1024-host runs belong to bench_ff_scaling.py, not
+    # the per-commit speedometer.
     return _bcast(1024, 512 * KiB, 4096, reference, coarse=False,
-                  transport="uc", **_ff_kw(ff, default="exact"))
+                  transport="uc")
 
 
-def scenario_ag1024(reference: bool,
-                    ff: str | None = None) -> Dict[str, float]:
+def scenario_ag1024(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(1024, mtu=4096, reference=reference)
     # The chain-serialized 1024-step schedule outruns the adaptive cutoff's
     # ``buffer/B + alpha`` deadline model (activation latency dominates at
     # this scale), so the scenario pins a static cutoff wide enough that no
     # spurious recovery fires — in either engine.
     cfg = CollectiveConfig(chunk_size=KiB, transport="uc",
-                           adaptive_cutoff=False, cutoff_alpha=10e-3,
-                           **_ff_kw(ff, default="exact"))
+                           adaptive_cutoff=False, cutoff_alpha=10e-3)
     comm = Communicator(fabric, config=cfg)
     data = [np.full(KiB, r % 251, dtype=np.uint8) for r in range(1024)]
     t0 = time.perf_counter()
@@ -221,11 +205,9 @@ def scenario_ag1024(reference: bool,
     return _result(wall, res, fabric)
 
 
-def scenario_ar188(reference: bool,
-                   ff: str | None = None) -> Dict[str, float]:
+def scenario_ar188(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(188, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=coarse_config(
-        4096, n_chains=188, **_ff_kw(ff)))
+    comm = Communicator(fabric, config=coarse_config(4096, n_chains=188))
     # 1024 float32 elements per shard (4 KiB, one chunk) x 188 shards.
     elems = 188 * 1024
     data = [(np.arange(elems, dtype=np.float32) % 251) + r
@@ -237,10 +219,9 @@ def scenario_ar188(reference: bool,
     return _result(wall, res, fabric)
 
 
-def scenario_a2a16(reference: bool, ff: str | None = None) -> Dict[str, float]:
+def scenario_a2a16(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(16, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096,
-                                                       **_ff_kw(ff)))
+    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
     data = [(np.arange(64 * KiB, dtype=np.uint32) % 251 + r).astype(np.uint8)
             for r in range(16)]
     t0 = time.perf_counter()
@@ -279,7 +260,6 @@ WALL_GATED = frozenset({"ag16", "bcast188hf", "lossy188", "fsdp", "a2a16",
 
 
 def run_all(reference: bool = False, profile_top: int = 0,
-            ff: str | None = None,
             skip: frozenset = frozenset()) -> Dict[str, object]:
     cal = calibrate()
     scenarios: Dict[str, Dict[str, float]] = {}
@@ -289,7 +269,7 @@ def run_all(reference: bool = False, profile_top: int = 0,
         if profile_top:
             prof = cProfile.Profile()
             prof.enable()
-        r = fn(reference, ff)
+        r = fn(reference)
         if profile_top:
             prof.disable()
             _print_hotspots(name, prof, profile_top)
@@ -298,7 +278,6 @@ def run_all(reference: bool = False, profile_top: int = 0,
         scenarios[name] = r
     return {
         "reference": reference,
-        "fast_forward": ff,
         "skipped": sorted(skip),
         "calibration_s": cal,
         "calibration_events": CALIBRATION_EVENTS,
@@ -318,16 +297,12 @@ def _print_hotspots(name: str, prof: cProfile.Profile, top: int) -> None:
 def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> int:
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    # When the run used a different fast-path configuration than the
-    # committed baseline (--reference / --ff), event counts and
-    # wall-clock are not comparable — but virtual time still must match
-    # *exactly*: the production engine and the exact fast-forward are both
+    # When the run used the other engine than the committed baseline
+    # (--reference), event counts and wall-clock are not comparable — but
+    # virtual time still must match *exactly*: the production engine is
     # proven bit-equivalent to the reference, so this mode turns --check
     # into an equivalence gate.
-    same_config = (
-        results.get("reference") == baseline.get("reference", False)
-        and results.get("fast_forward") == baseline.get("fast_forward")
-    )
+    same_config = results.get("reference") == baseline.get("reference", False)
     skipped = set(results.get("skipped", ()))
     failures = []
     for name, base in baseline["scenarios"].items():
@@ -387,10 +362,6 @@ def main(argv=None) -> int:
     ap.add_argument("--reference", action="store_true",
                     help="run the per-packet, per-CQE reference engine "
                          "(Fabric(reference=True))")
-    ap.add_argument("--ff", choices=("off", "exact"), default=None,
-                    help="override every scenario's fast-forward mode "
-                         "(default: each scenario's pinned mode); with "
-                         "--check this is the flow-level equivalence gate")
     ap.add_argument("--skip", default="", metavar="NAMES",
                     help="comma-separated scenarios to leave out (the "
                          "check gate ignores their baseline entries)")
@@ -409,8 +380,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown scenario(s) in --skip: {', '.join(sorted(unknown))}")
 
     results = run_all(reference=args.reference,
-                      profile_top=args.profile,
-                      ff=args.ff, skip=skip)
+                      profile_top=args.profile, skip=skip)
 
     if args.check:
         return check(results, args.check, args.tolerance)
@@ -434,7 +404,7 @@ def main(argv=None) -> int:
     print(f"calibration: {results['calibration_s']:.3f}s "
           f"for {CALIBRATION_EVENTS:,} events "
           f"({'reference' if results['reference'] else 'production'} "
-          f"engine, ff={results['fast_forward'] or 'per-scenario'})")
+          "engine)")
     print(format_table(
         ("scenario", "wall s", "virt us", "events", "ev/s", "norm", "trains"),
         rows,

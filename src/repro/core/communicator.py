@@ -108,10 +108,12 @@ class FailurePolicy(str, enum.Enum):
 class CollectiveConfig:
     """Tunables of the multicast collective stack (paper §IV–V).
 
-    Three groups: the paper's protocol knobs (what :mod:`repro.tune`
-    searches), the engine's ``fast_forward`` mode, and the reliability
-    policy.  The slow path's and the liveness layer's remaining timers,
-    gains and budgets are constants of :mod:`repro.core.reliability`.
+    Two groups: the paper's protocol knobs (what :mod:`repro.tune`
+    searches) and the reliability policy.  The slow path's and the
+    liveness layer's remaining timers, gains and budgets are constants of
+    :mod:`repro.core.reliability`.  No field selects an engine: the folds
+    (DESIGN.md §6c) always try and decline phase by phase with a typed
+    reason, and ``Fabric(reference=True)`` is the per-packet oracle.
     """
 
     # --- protocol -------------------------------------------------------
@@ -130,16 +132,6 @@ class CollectiveConfig:
     max_outstanding_batches: int = 4
     #: staging-ring slots per subgroup (receive queue depth)
     staging_slots: int = 256
-
-    # --- engine ---------------------------------------------------------
-    #: flow-level fast-forward: analytically advance fault-inert multicast
-    #: phases to the phase boundary in O(links) instead of O(packets).
-    #: ``"off"`` — packet/train level everywhere.  ``"exact"`` —
-    #: bit-identical virtual time to the packet-level engine (the fold
-    #: replicates the slow-path float arithmetic; any eligibility-gate
-    #: failure falls back transparently).  On a ``Fabric(reference=True)``
-    #: every fold declines with ``reference``.
-    fast_forward: str = "off"
 
     # --- reliability ----------------------------------------------------
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
@@ -188,11 +180,6 @@ class CollectiveConfig:
         if self.failure_policy is not None:
             # Accept the plain strings; normalize so engines compare enums.
             self.failure_policy = FailurePolicy(self.failure_policy)
-        if self.fast_forward not in ("off", "exact"):
-            raise ValueError(
-                f"fast_forward must be 'off' or 'exact', "
-                f"got {self.fast_forward!r}"
-            )
 
 
 @dataclass
@@ -587,8 +574,7 @@ class OpHandle(CollectiveHandle):
         for engine in self.comm.engines:
             engine.release_op(self.coll_id)
         self.comm._op_procs.pop(self.coll_id, None)
-        if self.comm.cf is not None:
-            self.comm.cf.forget(self.coll_id)
+        self.comm.cf.forget(self.coll_id)
 
     @staticmethod
     def _payload_cost(live_ops: List[OpState]) -> Dict[str, int]:
@@ -991,14 +977,10 @@ class Communicator:
         #: coll_id, but that is an engine detail, not the tracking key)
         self._active: Dict[int, CollectiveHandle] = {}
         self._api_track = None  # lazy obs track for submission tracepoints
-        #: flow-level fast-forward engine (None when the knob is off)
-        self.ff: Optional[FlowFastForward] = (
-            FlowFastForward(self) if self.config.fast_forward != "off" else None
-        )
-        #: control-plane fold (DESIGN.md §6i), active exactly when ``ff`` is
-        self.cf: Optional[ControlFold] = (
-            ControlFold(self) if self.ff is not None else None
-        )
+        #: the data fold (DESIGN.md §6d) and the control-plane fold (§6i);
+        #: on a ``Fabric(reference=True)`` both decline every phase
+        self.ff = FlowFastForward(self)
+        self.cf = ControlFold(self)
         # --- fail-stop state -------------------------------------------
         #: ranks whose hosts fail-stopped (grows monotonically)
         self.dead_ranks: Set[int] = set()
@@ -1255,14 +1237,12 @@ class Communicator:
                 rank=-1, coll_id=-1, kind=str(kind), phase="submit",
                 dead_ranks=sorted(self.dead_ranks),
             )
-        if self.ff is not None:
-            # A deferred-commit fast-forward session must flush before a
-            # second collective's packets can observe channel state; the
-            # overlap is only detected at the *next* fold hook — too late.
-            self.ff.preempt()
-            # ... and a folded control phase hands back its unserved tokens
-            if self.cf is not None:
-                self.cf.unfold()
+        # A deferred-commit fast-forward session must flush before a second
+        # collective's packets can observe channel state; the overlap is
+        # only detected at the *next* fold hook — too late.
+        self.ff.preempt()
+        # ... and a folded control phase hands back its unserved tokens
+        self.cf.unfold()
         self.fabric.unfold_inc()  # ... and so does a folded INC pass
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)
@@ -1673,11 +1653,10 @@ class Communicator:
         the flow-level fast-forward's single-collective gate (the fold
         cannot serialize link contention between concurrent collectives).
         A composed collective counts as exclusive while its *current* phase
-        is exactly this engine op."""
-        if len(self._active) != 1:
-            return False
-        (handle,) = tuple(self._active.values())
-        return handle.exclusive_coll_id() == coll_id
+        is exactly this engine op; a completed handle not yet released is
+        not in flight."""
+        live = [h for h in self._active.values() if not h.complete]
+        return len(live) == 1 and live[0].exclusive_coll_id() == coll_id
 
     def _alone(self) -> bool:
         """The INC fold's exclusivity test: one collective in flight."""
@@ -1694,7 +1673,6 @@ class Communicator:
 
     def _engine_snapshot(self) -> Dict[str, object]:
         ff = self.ff
-        cf = self.cf
         return {
             "sim_events": self.sim.events_processed,
             "trains": self.fabric.total_trains(),
@@ -1703,11 +1681,11 @@ class Communicator:
             "batched_cqes": sum(e.batched_cqes for e in self.engines),
             "stamped_cqes": self.fabric.total_stamped_cqes(),
             "stray_cqes": sum(e.stray_cqes for e in self.engines),
-            "ff_phases": ff.ff_phases if ff is not None else 0,
-            "ff_skipped_events": ff.ff_skipped_events if ff is not None else 0,
-            "ff_aborts": ff.ff_aborts if ff is not None else 0,
+            "ff_phases": ff.ff_phases,
+            "ff_skipped_events": ff.ff_skipped_events,
+            "ff_aborts": ff.ff_aborts,
             # ... and the phases it declined, by gate reason
-            "ff_misses": dict(ff.misses) if ff is not None else {},
+            "ff_misses": dict(ff.misses),
             # Control-plane bring-up (DESIGN.md §6g): pairs created, WRs
             # posted to the per-rank SRQs, slabs added by the low-watermark
             # rule, messages that found an SRQ dry and were parked.
@@ -1717,8 +1695,8 @@ class Communicator:
             "ctrl_parked": sum(e.ctrl.srq.parked_total for e in self.engines),
             # Control-plane fold (DESIGN.md §6i): phases folded, and the
             # phases declined by gate reason.
-            "ctrl_folds": cf.folds if cf is not None else 0,
-            "ctrl_fold_misses": dict(cf.misses) if cf is not None else {},
+            "ctrl_folds": self.cf.folds,
+            "ctrl_fold_misses": dict(self.cf.misses),
             # INC passes folded (DESIGN.md §6j), and declined by reason
             "inc_folds": self.fabric.inc_folds,
             "inc_fold_misses": dict(self.fabric.inc_fold_misses),

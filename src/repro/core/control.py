@@ -17,10 +17,10 @@ Design notes
   sending to ``(me + 2^k) mod P`` and waiting on ``(me − 2^k) mod P``.
   (The paper uses recursive doubling; dissemination has the same round
   count and works for any P, including the 188-rank testbed.)
-* Under ``fast_forward="exact"`` the barrier and the final handshake are
-  folded into one array pass per phase, and an allgather chain's
-  activations into one delivery event each (:class:`ControlFold`,
-  DESIGN.md §6i).
+* The barrier and the final handshake fold into one array pass per phase,
+  and an allgather chain's activations into one delivery event each
+  (:class:`ControlFold`, DESIGN.md §6i), wherever their gates let them;
+  on a ``Fabric(reference=True)`` every control message is a packet.
 """
 
 from __future__ import annotations

@@ -60,6 +60,8 @@ from repro.net.dma import DmaEngine
 from repro.net.nic import RecvWR, SendWR, Transport
 from repro.sim.events import PASSIVE_WAIT, AnyOf, Interrupt, Timeout
 
+_INF = float("inf")
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
 
@@ -182,6 +184,12 @@ class RankEngine:
         #: worker that wakes for post-fold traffic must not anchor its
         #: cost chain before this instant (it was "busy" inside the fold).
         self.ff_resume_floor = 0.0
+        #: per subgroup, ``[when, copy]``: when its receive worker is done
+        #: with every CQE it has polled — ``now`` once parked, the end of
+        #: the last step once that step's bitmap bit is set, ``inf`` before
+        #: — and the bytes of the staging copy it issues then (0: none).
+        #: A data-fold session starts from it (DESIGN §6d).
+        self.rx_free = [[0.0, 0] for _ in range(cfg.n_subgroups)]
         self._recv_procs: Dict[int, object] = {}
         # The UD batch fast path pre-computes this rank's DMA chain; that
         # is only exact when no sibling worker can interleave copies on
@@ -307,8 +315,11 @@ class RankEngine:
         staging = self.stagings[sg]  # None under UC
         batching = not self.fabric.reference
         wake = self._recv_procs[sg].wake
+        rx_free = self.rx_free[sg]
         while True:
             if not len(qp.recv_cq):
+                rx_free[0] = self.sim.now
+                rx_free[1] = 0
                 qp.recv_cq.set_notify(wake)
                 yield PASSIVE_WAIT
                 if self.ff_resume_floor > self.sim.now:
@@ -317,11 +328,18 @@ class RankEngine:
                     # processing where the packet-level chain would have.
                     yield self.sim.wake_at(self.ff_resume_floor)
             cqes = qp.recv_cq.poll()
+            rx_free[0] = _INF
+            rx_free[1] = 0
+            last = len(cqes) - 1
             start = 0
-            if batching and len(cqes) >= 2:
+            if batching and last > 0:
                 batched, t_end = self._try_recv_batch(sg, qp, cqes, uc)
                 if batched:
                     start = batched
+                    if start > last and not uc:
+                        # every bit set and every copy issued: only the
+                        # worker's own replay is left
+                        rx_free[0] = t_end
                     yield self.sim.wake_at(t_end)
             for idx in range(start, len(cqes)):
                 cqe = cqes[idx]
@@ -374,6 +392,9 @@ class RankEngine:
                 # op ahead of this chunk's bytes.
                 op.outstanding_copies += 1
                 off, ln = op.plan.bounds(psn)
+                if idx == last:  # the copy issues as the step ends
+                    rx_free[0] = self.sim.now + (cost.copy_issue + cost.recv_repost)
+                    rx_free[1] = ln
                 yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
                 copy_done = self.dma.copy(
                     (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
@@ -763,15 +784,12 @@ class RankEngine:
         *me* is this rank's position in *participants*.
         """
         op.stats["recoveries"] += 1
-        ff = self.comm.ff
-        if ff is not None:
-            # An unscheduled crash (no fault_epoch hook between the crash
-            # and this cutoff) can leave a deferred-commit session live;
-            # recovery traffic must see fully committed channel state —
-            # and no folded control token may be served around it.
-            ff.preempt()
-            if self.comm.cf is not None:
-                self.comm.cf.unfold()
+        # An unscheduled crash (no fault_epoch hook between the crash and
+        # this cutoff) can leave a deferred-commit session live; recovery
+        # traffic must see fully committed channel state — and no folded
+        # control token may be served around it.
+        self.comm.ff.preempt()
+        self.comm.cf.unfold()
         trc = self.trace
         recovery_t0 = self.sim.now
         # Escalation order: the ring-left neighbor first, then progressively
@@ -1192,10 +1210,10 @@ class RankEngine:
         live: bool,
     ):
         cfg = self.config
-        cf = self.comm.cf  # control-plane fold; None unless fast-forwarding
+        cf = self.comm.cf  # control-plane fold
         op.mark_phase("start")
         if len(participants) > 1:
-            t_sync = cf and cf.at("sync", self, op, participants, me)
+            t_sync = cf.at("sync", self, op, participants, me)
             resume = -1  # the round an unfolded barrier picks up at
             if t_sync is not None:
                 try:
@@ -1243,20 +1261,21 @@ class RankEngine:
             # tree busy chains, receiver datapaths) and jump straight to
             # the send-done instant.  Any gate failure falls back to the
             # packet-level path below with no state committed.
-            ff = self.comm.ff
-            ff_done = (
-                ff.try_advance(self, op, participants) if ff is not None else None
-            )
+            ff_done = self.comm.ff.try_advance(self, op, participants)
             if ff_done is None:
                 yield from self.run_send(op)
-            elif ff_done > self.sim.now:
-                yield self.sim.wake_at(ff_done)
+            else:
+                # The fold holds the send path until the instant its
+                # run_send would have returned.
+                if ff_done > self.sim.now:
+                    yield self.sim.wake_at(ff_done)
+                self._send_lock.release()
             op.mark_phase("send_done")
             if activation_succ is not None:
                 if trc is not None:
                     trc.instant("seq.activate", self.sim.now,
                                 {"succ": activation_succ})
-                if not (cf and cf.activate(self, op, participants, me)):
+                if not cf.activate(self, op, participants, me):
                     self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
                 op.mark_phase("activated")
         recovery_deadline_abs: Optional[float] = None
@@ -1288,7 +1307,7 @@ class RankEngine:
                 self.cutoff.observe((self.sim.now - armed_at) - expected)
         op.mark_phase("data")
         t_final = (cf.at("final", self, op, participants, me)
-                   if cf is not None and len(participants) > 1 else None)
+                   if len(participants) > 1 else None)
         sent = t_final is not None  # the fold has sent our MSG_FINAL
         if sent and t_final > self.sim.now:
             try:

@@ -4,10 +4,11 @@ When a multicast phase is provably fault-inert — no drop machinery armed
 on any tree channel, no straggler window, no pending crash, no concurrent
 collective that could contend — the whole phase (send batching, per-link
 busy chains, switch relays, receive-worker processing, staging DMA drain)
-is folded arithmetically instead of simulated packet by packet.
+is folded arithmetically instead of simulated packet by packet.  The
+fold always tries; a ``Fabric(reference=True)`` declines every phase.
 
-One :class:`_Session` per collective does it, for a broadcast (one phase)
-or an allgather of any chunk count (one phase per sender), on any
+A :class:`_Session` folds a collective's phases, for a broadcast (one
+phase) or an allgather of any chunk count (one phase per sender), on any
 multicast tree:
 
 * **Compiled tree** (:class:`_Tree`, once per ``fault_epoch``): the
@@ -37,15 +38,26 @@ The fold replicates the **slow-path** float arithmetic expression by
 expression — ``max`` written as the same branch shapes, costs summed in
 the same order — so every committed instant (channel ``busy_until``, DMA
 watermarks, worker cursors, ``data_done``) is bit-identical to the
-packet-level engine (``fast_forward="off"``).  Event counts and
-receiver-batch telemetry necessarily *drop* under fast-forward, so
+reference engine (``Fabric(reference=True)``).  Event counts and
+receiver-batch telemetry necessarily *drop* under the fold, so
 equivalence checks compare virtual time, counters and payloads.
 
+Declines and re-entry
+---------------------
 Every gate that declines names its reason in :attr:`FlowFastForward.misses`
-(``CollectiveResult.engine["ff_misses"]``); a collective that declined
-once runs its remaining phases at packet level (``poisoned``, unless a
-shared gate such as ``reference`` names a phase's reason first), because
-the fold's cursors can no longer follow the real ones.
+(``CollectiveResult.engine["ff_misses"]``), once per phase offered.  The
+gates a collective fails for its whole life (``transport``,
+``subgroups``, ``chains``, ``segmented``, ``tree``) are evaluated once,
+at its first phase.  After any other decline the collective is not
+latched to packet level: a later phase starts a new session as soon as
+the fabric is quiescent (:func:`_unsettled` — ``busy`` while an earlier
+phase's packets, CQEs, copies or sends are still under way, ``missing``
+while a rank lacks a chunk of a phase already sent), counting only the
+senders not yet sent.  A phase whose first packet would reach an edge no
+later than an earlier phase's last declines (``overtake``), unless the
+edge serves them at the same instants in either order (busy throughout,
+one packet size) or is a host edge the lanes recompute in arrival order
+(:meth:`~repro.sim.parallel.ReceiverLanes._merged`).
 """
 
 from __future__ import annotations
@@ -68,6 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FlowFastForward"]
 
 _INF = float("inf")
+_NEG_INF = float("-inf")
 
 
 class _Miss(Exception):
@@ -84,8 +97,11 @@ class FlowFastForward:
         self.ff_phases = 0  #: phases folded analytically
         self.ff_skipped_events = 0  #: estimated packet-level events avoided
         self.misses: Dict[str, int] = {}  #: gate reason → phases declined
-        #: coll_id → its session; ``None`` once the collective fell back
+        #: coll_id → its current session; ``None`` after a decline, until
+        #: a later phase finds the fabric quiescent and starts another
         self._sessions: Dict[int, Optional[_Session]] = {}
+        #: coll_id → the static gate it fails (``None``: it passes them)
+        self._static: Dict[int, Optional[str]] = {}
         self._tree: Optional[_Tree] = None
 
     @property
@@ -105,7 +121,7 @@ class FlowFastForward:
         """Flush every live session *now* — called before a second
         collective is admitted, or a recovery starts, whose packets would
         otherwise observe the deferred channel state.  The collective
-        simply stops folding."""
+        folds again once a later phase finds the fabric quiescent."""
         for cid, sess in self._sessions.items():
             if sess is not None and sess.live:
                 sess.abort()
@@ -120,30 +136,37 @@ class FlowFastForward:
         Returns the sender's ``run_send`` completion instant, or ``None``
         to run the phase at packet level."""
         cid = op.coll_id
-        if cid not in self._sessions:
+        sessions = self._sessions
+        if cid not in sessions:
             # Coll-ids grow monotonically; forget finished collectives.
             active = {c for e in self.comm.engines for c in e.ops}
-            for c in [c for c in self._sessions if c not in active]:
-                del self._sessions[c]
-        sess = self._sessions.get(cid)
+            for c in [c for c in sessions if c not in active]:
+                del sessions[c]
+                self._static.pop(c, None)
+            sessions[cid] = None
+        sess = sessions[cid]
         try:
             reason = self.gate(op, participants)
+            if reason is None:
+                if cid not in self._static:
+                    self._static[cid] = _static_miss(self, op, participants)
+                reason = self._static[cid]
             if reason is not None:
                 raise _Miss(reason)
-            if sess is None and cid in self._sessions:
-                raise _Miss("poisoned")
-            if sess is None:
-                sess = self._sessions[cid] = _Session(self, engine, op,
-                                                      participants)
+            if sess is None or not sess.live:
+                sess = sessions[cid] = _Session(self, engine, op,
+                                                participants)
             done = sess.phase(engine, op)
         except _Miss as miss:
             if sess is not None:
                 sess.abort()
-            self._sessions[cid] = None
+            sessions[cid] = None
             self._miss(miss.args[0], engine)
             return None
-        if self.comm.cf is not None:
-            self.comm.cf.publish(cid, "sent", engine.rank, done)
+        # The folded send holds the send path until ``run_send`` would
+        # have returned; the sender's controller releases it then.
+        engine._send_lock.try_acquire()
+        self.comm.cf.publish(cid, "sent", engine.rank, done)
         return done
 
     def horizon(self, coll_id: int) -> Optional[float]:
@@ -257,19 +280,54 @@ class _Tree:
         dbw = np.array([1.0] + [ch.bandwidth for ch in down[1:]])
         dlat = np.array([0.0] + [ch.latency for ch in down[1:]])
         d = np.array(self.d)
-        pa = np.array(par, dtype=np.intp)
+        pa = self.pa = np.array(par, dtype=np.intp)
         self.levels = [(lo, hi, pa[lo:hi], dbw[lo:hi], dlat[lo:hi], d[lo:hi])
                        for lo, hi in bounds]
         self.chans = (up[1:] + down[1:]
                       + [ch for _, hd, eg in self.host.values()
                          for ch in (hd, eg)])
+        #: every channel with its destination's forwarding delay: its last
+        #: packet is gone once ``(busy_until + latency) + delay`` is past
+        self.drain = ([(up[c], self.d[par[c]]) for c in range(1, self.S)]
+                      + [(down[c], self.d[c]) for c in range(1, self.S)]
+                      + [(ch, d) for c, hd, eg in self.host.values()
+                         for ch, d in ((hd, 0.0), (eg, self.d[c]))])
         self.faulty = {ch for ch in self.chans if ch.fault is not None}
         #: channels one phase crosses: the egress plus every out-port
         self.chans_per_phase = 1 + sum(k - 1 for k in self.nports)
 
 
+def _static_miss(ff: FlowFastForward, op: "OpState",
+                 participants: List[int]) -> Optional[str]:
+    """The gates a collective passes or fails for its whole life: evaluated
+    once, at the first phase the shared gates let through, and the reason
+    of every phase it offers after that."""
+    comm = ff.comm
+    cfg = comm.config
+    if cfg.transport not in ("ud", "uc"):
+        return "transport"
+    if cfg.n_subgroups != 1:
+        return "subgroups"
+    # The sequencer's own fallback arithmetic: concurrent chains would
+    # contend on shared tree links, which the fold cannot serialize.
+    if (op.kind == "allgather"
+            and effective_chains(len(participants), cfg.n_chains) != 1):
+        return "chains"
+    if op.plan.chunk_size > comm.fabric.mtu:
+        return "segmented"  # one wire segment per chunk
+    try:
+        T = ff.tree(comm.mcast_gids[0])
+    except _Miss as miss:
+        return miss.args[0]
+    if sorted(comm.host_of(r) for r in participants) != sorted(T.host):
+        return "tree"  # receivers must be exactly the tree's hosts
+    return None
+
+
 class _Session:
-    """The data fold of one collective, built at its first folded phase.
+    """The data fold of a collective's phases, from the first phase
+    offered — or, after a decline, from a later one that finds the fabric
+    quiescent — to its last.
 
     Between phases the session holds the fold's state in arrays — egress,
     up- and down-channel watermarks, the receiver lanes — and the payload
@@ -285,17 +343,6 @@ class _Session:
         comm = ff.comm
         cfg = comm.config
         fabric = comm.fabric
-        if cfg.transport not in ("ud", "uc"):
-            raise _Miss("transport")
-        if cfg.n_subgroups != 1:
-            raise _Miss("subgroups")
-        # The sequencer's own fallback arithmetic: concurrent chains would
-        # contend on shared tree links, which the fold cannot serialize.
-        if (op.kind == "allgather"
-                and effective_chains(len(participants), cfg.n_chains) != 1):
-            raise _Miss("chains")
-        if op.plan.chunk_size > fabric.mtu:
-            raise _Miss("segmented")  # one wire segment per chunk
         T = ff.tree(comm.mcast_gids[0])
         ranks = sorted(participants)
         engines = [comm.engines[r] for r in ranks]
@@ -304,13 +351,15 @@ class _Session:
             raise _Miss("dead")
         if any(o.stats["recoveries"] for o in ops):
             raise _Miss("recovery")
-        hosts = [comm.host_of(r) for r in ranks]
-        if sorted(hosts) != sorted(T.host):
-            raise _Miss("tree")  # receivers must be exactly the tree's hosts
         if not all(ch.fault_inert() for ch in T.chans):
             raise _Miss("fault")
         for e in engines:
             e.settle()
+        #: senders whose phase already ran, folded or at packet level
+        sent = [o.is_sender and "send_done" in o.phases for o in ops]
+        reason = _unsettled(ff.sim.now, T, engines, ops, sent)
+        if reason is not None:
+            raise _Miss(reason)
         self.ff = ff
         self.sim = ff.sim
         self.fabric = fabric
@@ -323,6 +372,9 @@ class _Session:
         self.pos = {r: j for j, r in enumerate(ranks)}
         self.engines = engines
         self.ops = ops
+        hosts = [comm.host_of(r) for r in ranks]
+        if any(h not in T.host for h in hosts):
+            raise _Miss("tree")  # recompiled in a later epoch without one
         self.hosts = hosts
         att = [T.host[h] for h in hosts]
         self.sw_of = [a[0] for a in att]
@@ -332,18 +384,39 @@ class _Session:
         self.up_busy = [0.0] + [ch.busy_until for ch in T.up[1:]]
         self.down_busy = np.array([0.0] + [ch.busy_until
                                            for ch in T.down[1:]])
+        #: per up-channel: when it was last handed a folded packet, and
+        #: since when it has been busy without a break
+        self.up_last = [_NEG_INF] * T.S
+        self.up_since = [_NEG_INF] * T.S
+        #: per switch, when it last forwarded a folded packet; and the last
+        #: phase's ``(rows, down_busy before it, sender path, fwd_last
+        #: before it, wires)``, for :meth:`_down_overtakes`
+        self.fwd_last: Optional[np.ndarray] = None
+        self._prev = None
+        #: every folded packet's wire size while they all share one; 0 once
+        #: they differ
+        self.wire: Optional[int] = None
         cost = engine.cost
+        free = [e.rx_free[0] for e in engines]
+        #: lane -> when its worker issues the staging copy of its last
+        #: packet-level CQE, for those still to issue one
+        self.copy_at = {j: f[0] for j, f in enumerate(free) if f[1]}
         dma = None if self.uc else (
             np.array([e.dma.bandwidth for e in engines]),
             np.array([e.dma.latency for e in engines]),
-            np.array([e.dma.busy_until for e in engines]))
+            # ... the fold's copies queue behind that copy
+            np.array([e.dma.busy_until if not f[1] else (
+                f[0] if f[0] > e.dma.busy_until else e.dma.busy_until)
+                + f[1] / e.dma.bandwidth for e, f in zip(engines, free)]))
         self.lanes = ReceiverLanes(
             np.array(self.sw_of, dtype=np.intp),
             cost.cqe_poll + cost.cqe_process,
             cost.recv_repost if self.uc else cost.copy_issue + cost.recv_repost,
             np.array([ch.bandwidth for ch in self.hd]),
             np.array([ch.latency for ch in self.hd]),
-            np.array([ch.busy_until for ch in self.hd]), dma)
+            np.array([ch.busy_until for ch in self.hd]),
+            np.array([max(f[0], e.ff_resume_floor)
+                      for e, f in zip(engines, free)]), dma)
         # --- cutoff deadlines of the ranks still waiting for data --------
         self.md = _INF  # earliest armed deadline
         self.unarmed: Dict[int, float] = {}  # lane -> its arming allowance
@@ -371,8 +444,10 @@ class _Session:
         self.own = [(o.plan.bounds(o.send_lo)[0],
                      sum(o.plan.bounds(o.send_hi - 1)))
                     if o.is_sender else (0, 0) for o in ops]
-        self.senders = sum(o.is_sender for o in ops)
-        self.sent = [False] * len(ranks)
+        self.senders = sum(o.is_sender for o in ops) - sum(sent)
+        self.sent = sent
+        #: the session folds every phase, so the gather image is whole
+        self.whole = not any(sent)
         #: per folded phase: (lane, first psn, chunks, wire bytes, payload
         #: bytes, trains, train packets, doorbell batches)
         self.phases: List[tuple] = []
@@ -380,6 +455,7 @@ class _Session:
         self.cum = [0]  # chunks folded before each phase
         self.ptr = 0  # phases wholly finished by the current hook
         self.gather = np.empty(op.plan.buffer_len, dtype=np.uint8)
+        self._run_memo = (0, [])
         self.live = True
 
     # ------------------------------------------------------------ per phase
@@ -396,6 +472,8 @@ class _Session:
         i = self.pos.get(engine.rank, -1)
         if i < 0 or not self.live or self.sent[i] or op is not self.ops[i]:
             raise _Miss("order")
+        if engine._send_lock.in_use:  # another send owns the send path
+            raise _Miss("send_busy")
         if len(engine.send_cq):  # stale completions would skew the replay
             raise _Miss("stale_cq")
         eg = self.eg[i]
@@ -416,6 +494,17 @@ class _Session:
         if min(wires) <= self.bypass:
             raise _Miss("bypass")  # every data packet rides the bulk queue
 
+        # Every edge must be handed this phase's first packet after an
+        # earlier phase's last, or serve them in the other order.  Only when
+        # it was busy all along and every packet has one size does that
+        # leave the same departure instants (a work-conserving server with
+        # equal service times); anywhere else the fold cannot order them.
+        sizes = set(wires)
+        if self.wire is None:
+            self.wire = wires[0] if len(sizes) == 1 else 0
+        elif sizes != {self.wire}:
+            self.wire = 0
+
         # --- sender, then the up-chain from its switch to the root -------
         send_done, eg_fins, batches = _fold_sender(
             engine, t_hook, wires, eg.bandwidth, self.eg_busy[i])
@@ -423,12 +512,17 @@ class _Session:
         lat = eg.latency
         inj = [(f + lat) + T.d[c] for f in eg_fins]
         masks = {}  # depth -> (switch on the sender's path, its injections)
-        up = {}
+        up = {}  # switch -> its up-channel's (busy, busy since, last handed)
         while c:
             masks[T.depth[c]] = (c, inj)
+            if inj[0] <= self.up_last[c] and (
+                    not self.wire or inj[0] < self.up_since[c]):
+                raise _Miss("overtake")
             ch = T.up[c]
-            fins = serialize(inj, wires, ch.bandwidth, self.up_busy[c], 0)
-            up[c] = fins[-1]
+            busy = self.up_busy[c]
+            fins = serialize(inj, wires, ch.bandwidth, busy, 0)
+            up[c] = (fins[-1], _busy_since(inj, fins, busy, self.up_since[c]),
+                     inj[-1])
             p = T.par[c]
             lat = ch.latency
             inj = [(f + lat) + T.d[p] for f in fins]
@@ -447,12 +541,17 @@ class _Session:
                 if m is not None:  # the sender's path: no down hop
                     db[m[0]] = self.down_busy[m[0]]
                     row[m[0]] = m[1][k]
+        path = [m[0] for m in masks.values()]
+        if self.fwd_last is not None:
+            over = rows[0] <= self.fwd_last  # by forwarding switch
+            if over.any():
+                self._down_overtakes(rows, over, path)
         # --- receivers ---------------------------------------------------
         got = self.lanes.phase(rows, wires, lens, i)
         if got is None:
-            raise _Miss("interleave")
-        state, fin_rx = got
-        fins = state[3]
+            raise _Miss("overtake")
+        state, fin_rx, prev_fin = got
+        fins = state.last_fin
         for j in self.strag:
             if j != i and not self.fabric.straggler_inert(
                     self.hosts[j], t_hook, float(fins[j])):
@@ -463,14 +562,20 @@ class _Session:
 
         # ------------------------------------------------------- commit
         self.eg_busy[i] = eg_fins[-1]
-        for c, busy in up.items():
+        for c, (busy, since, last) in up.items():
             self.up_busy[c] = busy
+            self.up_since[c] = since
+            self.up_last[c] = last
+        self._prev = (rows, self.down_busy, path, self.fwd_last, wires)
         self.down_busy = db
+        self.fwd_last = rows[n - 1]
         self.lanes.commit(state)
         self.sent[i] = True
         trains = [b for b in batches if b >= 2]
         self.phases.append((i, op.send_lo, n, sum(wires), sum(lens),
                             len(trains), sum(trains), len(batches)))
+        if env and prev_fin > env[-1]:
+            env[-1] = prev_fin  # a lane served the two phases interleaved
         env.append(fin_all if not env or fin_all > env[-1] else env[-1])
         self.cum.append(self.cum[-1] + n)
         lo = op.plan.bounds(op.send_lo)[0]
@@ -516,6 +621,33 @@ class _Session:
                         {"until": fin_all, "send_done": send_done})
         return send_done
 
+    def _down_overtakes(self, rows: np.ndarray, over: np.ndarray,
+                        path: List[int]) -> None:
+        """Raise ``overtake`` unless every down-channel whose switch
+        forwards this phase's first packet no later than the previous
+        phase's last serves both in an order that cannot matter: it was
+        busy without a break from before that packet through the previous
+        phase's packets there (recomputed from its watermark before them)
+        and every packet of the session has one size."""
+        T = self.T
+        p_rows, p_busy, p_path, p_fwd, p_wires = self._prev
+        for c in np.flatnonzero(over[T.pa]).tolist():
+            if c == 0 or c in path:
+                continue  # no down-channel, or none on this sender's path
+            par = T.par[c]
+            first = rows[0][par]
+            if p_fwd is not None and first <= p_fwd[par]:
+                raise _Miss("overtake")  # an older phase's packets too
+            if c in p_path:
+                continue  # the previous phase did not use this channel
+            calls = [row[par] for row in p_rows]
+            fins = serialize(calls, p_wires, T.down[c].bandwidth, p_busy[c], 0)
+            # A period begun before the previous phase is counted from its
+            # first packet there, which can only decline more.
+            if not self.wire or first < _busy_since(calls, fins, p_busy[c],
+                                                    calls[0]):
+                raise _Miss("overtake")
+
     def _deadline(self, t_hook: float) -> float:
         """A lower bound on every waiting rank's cutoff deadline: armed
         ones exactly, unarmed ones by the controller's own allowance from
@@ -540,8 +672,16 @@ class _Session:
         newly = o.bitmap.set_range(0, o.n_chunks)
         o.placed.set_range(0, o.n_chunks)
         lo, hi = self.own[j]
-        o.mr.place(0, self.gather, 0, lo)
-        o.mr.place(hi, self.gather, hi, len(self.gather) - hi)
+        if self.whole:
+            o.mr.place(0, self.gather, 0, lo)
+            o.mr.place(hi, self.gather, hi, len(self.gather) - hi)
+        else:  # the phases before the session landed at packet level
+            for psn, n in self._runs():
+                a = o.plan.bounds(psn)[0]
+                b = sum(o.plan.bounds(psn + n - 1))
+                for x, y in ((a, min(b, lo)), (max(a, hi), b)):
+                    if x < y:
+                        o.mr.place(x, self.gather, x, y - x)
         o.stats["chunks_received"] += newly
         o.maybe_complete()
 
@@ -563,12 +703,7 @@ class _Session:
         if not self.phases:
             return
         self._flush()
-        runs: List[List[int]] = []
-        for lo, n in sorted((p[1], p[2]) for p in self.phases):
-            if runs and runs[-1][0] + runs[-1][1] == lo:
-                runs[-1][1] += n
-            else:
-                runs.append([lo, n])
+        runs = self._runs()
         now = self.sim.now
         for j, o in enumerate(self.ops):
             if self.finished[j]:
@@ -585,6 +720,19 @@ class _Session:
             if fin > now:
                 o.ff_hold += 1
                 self.sim.post_at(fin, self._release, j)
+
+    def _runs(self) -> List[List[int]]:
+        """The folded phases' chunks as ascending ``[first psn, count]``
+        runs, adjacent phases joined."""
+        if self._run_memo[0] != len(self.phases):
+            runs: List[List[int]] = []
+            for lo, n in sorted((p[1], p[2]) for p in self.phases):
+                if runs and runs[-1][0] + runs[-1][1] == lo:
+                    runs[-1][1] += n
+                else:
+                    runs.append([lo, n])
+            self._run_memo = (len(self.phases), runs)
+        return self._run_memo[1]
 
     def _flush(self) -> None:
         """Write every deferred channel, switch, NIC and DMA counter and
@@ -616,7 +764,14 @@ class _Session:
             e.nic.bytes_received += payload
             e.sub_qps[0].recv_cq.total_pushed += packets
             if not self.uc:
-                e.dma.busy_until = float(lanes.dma_busy[j])
+                busy = float(lanes.dma_busy[j])
+                at = self.copy_at.get(j, _NEG_INF)
+                if at > self.sim.now:
+                    # The worker issues its own copy first, on the old
+                    # watermark; the fold's queue behind it.
+                    self.sim.post_at(at, setattr, e.dma, "busy_until", busy)
+                else:
+                    e.dma.busy_until = busy
                 e.dma.bytes_copied += payload
                 e.dma.ops += packets
                 e.stagings[0].reposts += packets
@@ -630,6 +785,40 @@ class _Session:
         packets = int(total[0])
         for sw, k in zip(T.switches, T.nports):
             sw.packets_forwarded += packets * (k - 1)
+
+
+def _busy_since(calls: List[float], fins: List[float], busy: float,
+                since: float) -> float:
+    """When the busy period that :func:`serialize`'s last finish *fins*
+    ends began, for packets handed to an edge at *calls* while it was busy
+    until *busy* — since *since* if none of them found it idle."""
+    for at, prev in zip(calls, [busy] + fins[:-1]):
+        if at > prev:
+            since = at
+    return since
+
+
+def _unsettled(now: float, T: _Tree, engines, ops, sent) -> Optional[str]:
+    """Why a session cannot start from the objects' state, or ``None``.
+    ``busy``: something an earlier phase sent is still on its way — a tree
+    channel's last packet has not arrived (or, into a switch, not been
+    forwarded), a receive CQE is queued, a worker is mid-step
+    (:attr:`RankEngine.rx_free`) or would wait for its fold floor, or a
+    send is under way.  ``missing``: a rank lacks a chunk of a phase
+    already sent, which only recovery can deliver."""
+    for ch, d in T.drain:
+        if (ch.busy_until + ch.latency) + d >= now:
+            return "busy"
+    for e in engines:
+        free = e.rx_free[0][0]
+        if (len(e.sub_qps[0].recv_cq) or free == _INF or e._send_lock.in_use
+                or (free > now and e.ff_resume_floor > free)):
+            return "busy"
+    unsent = sum(o.own_chunks for o, s in zip(ops, sent) if not s)
+    for o, s in zip(ops, sent):
+        if o.n_chunks - o.bitmap.count != unsent - (0 if s else o.own_chunks):
+            return "missing"
+    return None
 
 
 def _count(ch, busy: float, counts: List[int], faulty) -> None:

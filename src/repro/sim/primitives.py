@@ -135,6 +135,14 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, without an event; ``False`` when
+        none is free."""
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise RuntimeError("release() without matching acquire()")

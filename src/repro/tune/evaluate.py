@@ -1,11 +1,14 @@
 """Simulation-in-the-loop candidate scoring.
 
 Each surviving candidate runs one short seeded collective through the
-real packet-level engine (the same plumbing the benchmark harness uses),
-with the observability plane attached so the paper's evaluation metrics
-— link utilization and staging-ring occupancy — become secondary
-objectives: at equal completion time the tuner prefers headroom in the
-staging ring and a busier bottleneck link.
+production engine, folds included (the same plumbing the benchmark
+harness uses), with the observability plane attached so the paper's
+evaluation metrics — link utilization and staging-ring occupancy —
+become secondary objectives: at equal completion time the tuner prefers
+headroom in the staging ring and a busier bottleneck link.  Link
+utilization is read off the channels' byte counters, which a folded phase
+commits exactly; staging occupancy off the trace, where only phases run
+at packet level hold slots.
 
 Tracing perturbs nothing (DESIGN.md §8 pins zero virtual-time
 perturbation with the tracer attached), so a tuned profile's measured
@@ -58,15 +61,13 @@ class Measurement:
         )
 
 
-def _link_util_peak(view: Optional[TraceView], duration: float) -> float:
-    if view is None or duration <= 0:
+def _link_util_peak(fabric, duration: float) -> float:
+    """The busiest channel's serialization time over the run's duration
+    (a fresh fabric per evaluation, so its counters are this run's)."""
+    if duration <= 0:
         return 0.0
-    busy: Dict[str, float] = {}
-    for r in view.select(name="link.busy", ph="X"):
-        busy[r.track] = busy.get(r.track, 0.0) + r.value
-    if not busy:
-        return 0.0
-    return min(1.0, max(busy.values()) / duration)
+    busy = max(ch.bytes_sent / ch.bandwidth for ch in fabric.channels.values())
+    return min(1.0, busy / duration)
 
 
 def _staging_peak(view: Optional[TraceView]) -> int:
@@ -112,6 +113,7 @@ def evaluate(
         throughput=result.throughput,
         sim_events=int(result.engine.get("sim_events", 0)),
         verified=verified,
-        link_util_peak=_link_util_peak(result.trace, result.duration),
+        link_util_peak=(_link_util_peak(fabric, result.duration)
+                        if trace else 0.0),
         staging_peak_frac=peak / capacity if capacity else 0.0,
     )

@@ -24,6 +24,7 @@ from repro.obs import TraceConfig
 from repro.sim import RandomStreams, Simulator
 from repro.sim.events import Timeout
 from repro.units import gbit_per_s, kib
+from tests.unfolded import unfold
 
 
 def make_planes(n=4):
@@ -297,6 +298,7 @@ def test_bring_up_budget_is_per_rank_not_per_pair(n_ranks):
     fabric = Fabric(Simulator(), Topology.leaf_spine(n_ranks, 8, 4),
                     link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=1))
     comm = Communicator(fabric)
+    unfold(comm)  # the control messages run as packets
     data = np.arange(kib(64), dtype=np.uint8)
     gc.collect()
     objs = len(gc.get_objects())
@@ -320,6 +322,7 @@ def test_bring_up_budget_is_per_rank_not_per_pair(n_ranks):
 
 def test_engine_counters_reconcile_with_the_srqs():
     sim, comm, planes = make_planes(8)
+    unfold(comm)  # the control messages run as packets
     data = np.arange(kib(16), dtype=np.uint8)
     eng = comm.broadcast(0, data).engine
     assert eng["ctrl_pairs"] == sum(len(p.qps) for p in planes) // 2 > 0
@@ -336,6 +339,7 @@ def _broadcast_loop(n_ops):
     fabric = Fabric(Simulator(), Topology.leaf_spine(64, 8, 2),
                     link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=1))
     comm = Communicator(fabric)
+    unfold(comm)  # the control messages run as packets
     data = np.arange(kib(16), dtype=np.uint8)
     planes = [e.ctrl for e in comm.engines]
     sizes, events = [], []
@@ -378,9 +382,9 @@ def test_keyed_inboxes_are_dropped_once_drained(monkeypatch):
 
 # ------------------------------------------------- control-plane fold (§6i)
 #
-# With fast_forward="exact" the RNR barrier and the final handshake are one
-# array pass each (ControlFold); fast_forward="off" is the packet-level
-# oracle.  Everything either run leaves behind must be bit-equal.
+# The RNR barrier and the final handshake are one array pass each
+# (ControlFold); Fabric(reference=True) is the packet-level oracle.
+# Everything either run leaves behind must be bit-equal.
 
 _SHAPES = {
     "star2": (lambda: Topology.star(2), None),
@@ -396,18 +400,18 @@ _SHAPES = {
 _KINDS = ["bcast0", "bcast_mid", "ag1", "ag4", "allreduce"]
 
 
-def _fold_run(topology, kind, ff, n_ranks=None, transport="uc", prepare=None,
-              after=None, **config):
+def _fold_run(topology, kind, reference=False, n_ranks=None, transport="uc",
+              prepare=None, after=None, **config):
     """One collective of *kind* on a fresh fabric; ``prepare(fabric)`` runs
     before the communicator is built, ``after(comm)`` right after."""
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
-                    streams=RandomStreams(seed=1))
+                    streams=RandomStreams(seed=1), reference=reference)
     if prepare is not None:
         prepare(fabric)
     config.setdefault("chunk_size", 1024 if kind == "ag1" else 4096)
     comm = Communicator(
         fabric, hosts=None if n_ranks is None else range(n_ranks),
-        config=CollectiveConfig(transport=transport, fast_forward=ff, **config))
+        config=CollectiveConfig(transport=transport, **config))
     if after is not None:
         after(comm)
     n = comm.size
@@ -453,12 +457,12 @@ def _phases(kind):
 
 
 def _assert_fold_exact(topology, kind, **kw):
-    comm, res = _fold_run(topology, kind, "exact", **kw)
-    ref_comm, ref = _fold_run(topology, kind, "off", **kw)
+    comm, res = _fold_run(topology, kind, **kw)
+    ref_comm, ref = _fold_run(topology, kind, True, **kw)
     got, want = _left_behind(comm, res), _left_behind(ref_comm, ref)
     for key in want:
         assert got[key] == want[key], key
-    assert ref.engine["ctrl_folds"] == 0 and ref.engine["ctrl_fold_misses"] == {}
+    assert ref.engine["ctrl_folds"] == 0
     return res, ref
 
 
@@ -561,7 +565,7 @@ def test_an_activation_declines_with_a_control_message_in_flight():
     # A stray message is on its way to rank 2 when rank 1 activates it: the
     # token would queue behind it, which the folded cursor cannot see, so
     # the chain goes on at packet level (the handshake still folds).
-    t = _fold_run(_LS16, "ag1", "off")[1].ranks[1].phases["activated"]
+    t = _fold_run(_LS16, "ag1", True)[1].ranks[1].phases["activated"]
     _assert_declined(
         "dispatcher_busy", kind="ag1", misses={"dispatcher_busy": 1},
         after=lambda comm: comm.sim.post_at(
@@ -575,25 +579,30 @@ def test_fold_declines_when_the_fan_in_would_cross_the_srq_watermark(monkeypatch
 
 
 def test_fold_declines_two_overlapping_collectives():
-    def both(ff):
+    # The oracle is the production engine with the folds kept out: two
+    # collectives sharing a channel are where its packet trains still
+    # differ from the reference engine's packets (ROADMAP item 7).
+    def both(fold):
         fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
-        comm = Communicator(fabric, config=CollectiveConfig(
-            transport="uc", fast_forward=ff))
+        comm = Communicator(fabric, config=CollectiveConfig(transport="uc"))
+        if not fold:
+            unfold(comm)
         data = np.arange(kib(16), dtype=np.uint8)
         handles = [comm.broadcast_async(0, data), comm.broadcast_async(5, data)]
         comm.run(*handles)
         return comm, [[op.phases for op in h.ops] for h in handles]
-    comm, phases = both("exact")
-    assert phases == both("off")[1]
+    comm, phases = both(True)
+    assert phases == both(False)[1]
     assert comm.cf.folds == 0 and comm.cf.misses == {"not_exclusive": 4}
 
 
-def _admit_second(ff, delay, kinds):
+def _admit_second(reference, delay, kinds):
     """A *kinds[0]* collective (b: broadcast, a: allgather), then — *delay*
     later, from a driver process — a *kinds[1]* one; what both leave behind."""
-    fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+    fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56),
+                    reference=reference)
     comm = Communicator(fabric, trace=TraceConfig(), config=CollectiveConfig(
-        transport="uc", fast_forward=ff))
+        transport="uc"))
     data = np.arange(kib(4), dtype=np.uint8)
     shards = [data[:1024] + r for r in range(comm.size)]
     handles = []
@@ -630,8 +639,8 @@ def test_a_collective_admitted_mid_fold_gets_the_unserved_tokens_back(
     preempted = []
     for delay in [k * 1e-6 for k in range(11)] + [
             handshake + k * 0.5e-6 for k in range(28)]:
-        comm, got, notes = _admit_second("exact", delay, kinds)
-        _, want, _ = _admit_second("off", delay, kinds)
+        comm, got, notes = _admit_second(False, delay, kinds)
+        _, want, _ = _admit_second(True, delay, kinds)
         for key in want:
             assert got[key] == want[key], (delay, key)
         phases = [n["phase"] for n in notes if n.get("miss") == "preempted"]
@@ -681,7 +690,8 @@ def test_an_activation_inside_a_folded_barrier_window_folds_exactly(monkeypatch)
     def spy(self, engine, op, participants, me):
         quiet = self.comm.engines[participants[me + 1]].ctrl.fold_quiet
         folded = real(self, engine, op, participants, me)
-        early.append(folded and self._colls[op.coll_id].act[2] < quiet)
+        if not self.comm.fabric.reference:
+            early.append(folded and self._colls[op.coll_id].act[2] < quiet)
         return folded
     monkeypatch.setattr(control.ControlFold, "activate", spy)
     res, _ = _assert_fold_exact(_LS6, "ag1", prepare=_slow("leaf000", "h1", 2e-6),
@@ -705,12 +715,12 @@ def test_a_queued_activation_is_handed_back_behind_the_barrier_tokens():
         tokens.append(list(self._colls[op.coll_id].act) if folded else None)
         return folded
 
-    def run(ff, at):
+    def run(reference, at):
         fabric = Fabric(Simulator(), _LS6(), link_bandwidth=gbit_per_s(56),
-                        streams=RandomStreams(seed=1))
+                        streams=RandomStreams(seed=1), reference=reference)
         _slow("leaf000", "h1", 2e-6)(fabric)
         comm = Communicator(fabric, config=CollectiveConfig(
-            transport="uc", chunk_size=1024, fast_forward=ff, cost=cost))
+            transport="uc", chunk_size=1024, cost=cost))
         data = np.arange(kib(4), dtype=np.uint8)
         handles = []
 
@@ -729,12 +739,12 @@ def test_a_queued_activation_is_handed_back_behind_the_barrier_tokens():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(control.ControlFold, "activate", spy)
-        run("exact", None)
+        run(False, None)
     _, _, arrived, start, _, _ = tokens[0]
     assert arrived < start  # queued behind the barrier
     at = (arrived + start) / 2
-    comm, got = run("exact", at)
-    _, want = run("off", at)
+    comm, got = run(False, at)
+    _, want = run(True, at)
     for key in want:
         assert got[key] == want[key], key
     assert comm.cf.misses["preempted"] == 2  # the barrier and the chain
@@ -760,7 +770,7 @@ def test_packet_level_activations_never_land_in_a_folded_window(link, misses):
     # leaves the barrier folded (h2).
     res, _ = _assert_fold_exact(_LS6, "ag1", n_chains=2, prepare=_slow(*link, 2e-6))
     assert res.engine["ctrl_fold_misses"] == misses
-    assert res.engine["ff_misses"] == {"chains": 1, "poisoned": 5}
+    assert res.engine["ff_misses"] == {"chains": 6}
 
 
 def test_fold_declines_when_a_final_would_beat_a_folded_service():
@@ -786,16 +796,17 @@ def test_a_packet_inside_a_folded_window_is_a_typed_error():
     def stray(comm):
         comm.sim.post_at(1e-6, comm.engines[0].ctrl.send, 1, MSG_FINAL, 999)
     with pytest.raises(ControlFoldError, match="rank 1"):
-        _fold_run(_LS16, "bcast0", "exact", after=stray)
+        _fold_run(_LS16, "bcast0", after=stray)
 
 
 def test_ctrl_fold_tracepoint_and_zero_perturbation():
-    def run(trace, prepare=None, kind="bcast", ff="exact"):
-        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+    def run(trace, prepare=None, kind="bcast", reference=False):
+        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56),
+                        reference=reference)
         if prepare is not None:
             prepare(fabric)
         comm = Communicator(fabric, trace=trace, config=CollectiveConfig(
-            transport="uc", fast_forward=ff))
+            transport="uc"))
         data = np.arange(kib(16), dtype=np.uint8)
         if kind == "bcast":
             return comm, comm.broadcast(0, data)
@@ -817,7 +828,7 @@ def test_ctrl_fold_tracepoint_and_zero_perturbation():
     # per token, and every rank's seq.activate where the packet path has it.
     comm, res = run(TraceConfig(), kind="ag")
     plain_comm, plain = run(None, kind="ag")
-    _, ref = run(TraceConfig(), kind="ag", ff="off")
+    _, ref = run(TraceConfig(), kind="ag", reference=True)
     assert [r.phases for r in res.ranks] == [r.phases for r in plain.ranks]
     assert comm.sim.events_processed == plain_comm.sim.events_processed
     folds = [r.args for r in res.trace.select(name="engine.ctrl_fold")]

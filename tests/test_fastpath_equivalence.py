@@ -31,6 +31,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Timeout
 from repro.sim.random import RandomStreams
 from repro.units import KiB, gbit_per_s
+from tests.unfolded import unfold
 
 P = 16
 NBYTES = 64 * KiB
@@ -73,8 +74,10 @@ def _switch_counters(fabric: Fabric) -> Dict[str, Tuple[int, int]]:
     }
 
 
-def _run(kind: str, seed: int, reference: bool, **kw):
+def _run(kind: str, seed: int, reference: bool, fold: bool = True, **kw):
     comm = _make_comm(seed, reference, **kw)
+    if not fold:
+        unfold(comm)
     rng = np.random.default_rng(seed)
     if kind == "broadcast":
         data = rng.integers(0, 256, NBYTES, dtype=np.uint8)
@@ -102,10 +105,11 @@ def _stale(s: str, d: str) -> FaultSpec:
     return FaultSpec(flap_windows=[(0.0, 1e-9)])
 
 
-def _assert_equivalent(kind: str, seed: int, **kw):
+def _assert_equivalent(kind: str, seed: int, fold: bool = True, **kw):
     """Run *kind* on both engines and assert they agree exactly; return the
-    production run so the caller can check which shortcuts it took."""
-    comm_p, res_p = _run(kind, seed, False, **kw)
+    production run so the caller can check which shortcuts it took.  With
+    *fold* false the production run keeps the folds from taking a phase."""
+    comm_p, res_p = _run(kind, seed, False, fold, **kw)
     comm_r, res_r = _run(kind, seed, True, **kw)
 
     # Virtual-time agreement must be exact, not approximate.
@@ -185,7 +189,8 @@ def test_past_fault_windows_allow_coalescing() -> None:
 # ---------------------------------------------------------------------------
 # Receive-CQE batches (§6c): every condition leaves a receive backlog the
 # production path batches, reorder jitter included (look-ahead delivery
-# still stamps CQEs ahead of their arrival).
+# still stamps CQEs ahead of their arrival).  The folds are kept from
+# taking a phase: a folded phase wakes no worker that would batch.
 # ---------------------------------------------------------------------------
 
 
@@ -197,19 +202,21 @@ def _assert_batches(res) -> None:
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_recv_batching_clean_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed))
+    _assert_batches(_assert_equivalent(kind, seed, fold=False))
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_lossy_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fault_factory=_lossy))
+    _assert_batches(_assert_equivalent(kind, seed, fold=False,
+                                       fault_factory=_lossy))
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_reordered_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fault_factory=_reordered))
+    _assert_batches(_assert_equivalent(kind, seed, fold=False,
+                                       fault_factory=_reordered))
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
@@ -219,13 +226,15 @@ def test_recv_batching_straggler_equivalence(kind: str, seed: int) -> None:
     # (fabric.straggler_inert) must send its batches back to per-CQE
     # while the other hosts keep batching, with bit-identical results.
     spec = StragglerSpec(windows=[(0.0, 1e-3)], extra_poll_delay=300e-9)
-    _assert_batches(_assert_equivalent(kind, seed, straggler=(3, spec)))
+    _assert_batches(_assert_equivalent(kind, seed, fold=False,
+                                       straggler=(3, spec)))
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_uc_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, transport="uc"))
+    _assert_batches(_assert_equivalent(kind, seed, fold=False,
+                                       transport="uc"))
 
 
 def test_recv_batching_straggler_window_suppresses_batches() -> None:
@@ -262,16 +271,18 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
+def _run_ff(kind: str, seed: int, reference: bool, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
             chunk_size: int = 4096, nbytes: Optional[int] = None,
-            ctrl_fold: bool = True, topology=None, trace=None, **config):
+            ctrl_fold: bool = True, data_fold: bool = True, topology=None,
+            trace=None, **config):
     sim = Simulator()
     fabric = Fabric(
         sim,
         topology() if topology else Topology.leaf_spine(n_ranks, 2, 2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed),
+        reference=reference,
     )
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
@@ -281,10 +292,10 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
     comm = Communicator(
         fabric, trace=trace,
         config=CollectiveConfig(chunk_size=chunk_size, transport=transport,
-                                fast_forward=ff, **config)
+                                **config)
     )
-    if not ctrl_fold:
-        comm.cf = None  # data fold only: barrier and handshake as packets
+    if not (ctrl_fold and data_fold):
+        unfold(comm, data=not data_fold)
     rng = np.random.default_rng(seed)
     if kind == "broadcast":
         data = rng.integers(0, 256, nbytes or NBYTES, dtype=np.uint8)
@@ -303,9 +314,9 @@ def _run_ff(kind: str, seed: int, ff: str, fault_factory=None,
 def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
                      transport: str = "ud", straggler=None,
                      expect_folds: bool = True, **shape):
-    comm_ff, res_ff = _run_ff(kind, seed, "exact", fault_factory,
+    comm_ff, res_ff = _run_ff(kind, seed, False, fault_factory,
                               transport, straggler, **shape)
-    comm_off, res_off = _run_ff(kind, seed, "off", fault_factory,
+    comm_off, res_off = _run_ff(kind, seed, True, fault_factory,
                                 transport, straggler, **shape)
 
     assert res_ff.t_begin == res_off.t_begin
@@ -319,9 +330,12 @@ def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
     assert _switch_counters(comm_ff.fabric) == _switch_counters(comm_off.fabric)
     assert res_ff.traffic == res_off.traffic
     assert res_ff.reliability_summary() == res_off.reliability_summary()
-    # The fold mirrors the train counters the packet engine would produce.
-    assert res_ff.engine["trains"] == res_off.engine["trains"]
-    assert res_ff.engine["train_packets"] == res_off.engine["train_packets"]
+    # The fold mirrors the train counters the production engine's packet
+    # level would produce.
+    _, res_pk = _run_ff(kind, seed, False, fault_factory, transport,
+                        straggler, data_fold=False, **shape)
+    assert res_ff.engine["trains"] == res_pk.engine["trains"]
+    assert res_ff.engine["train_packets"] == res_pk.engine["train_packets"]
 
     for bf, bo in zip(res_ff.buffers, res_off.buffers):
         assert np.array_equal(bf, bo)
@@ -350,8 +364,8 @@ def test_ff_exact_control_fold_axis(kind: str, transport: str) -> None:
     # The control-plane fold (DESIGN.md §6i) against the same data fold with
     # the barrier and the handshake left at packet level: every instant and
     # counter agrees, and only the control packets' events are gone.
-    comm_cf, res_cf = _run_ff(kind, 0, "exact", transport=transport)
-    comm_pk, res_pk = _run_ff(kind, 0, "exact", transport=transport,
+    comm_cf, res_cf = _run_ff(kind, 0, False, transport=transport)
+    comm_pk, res_pk = _run_ff(kind, 0, False, transport=transport,
                               ctrl_fold=False)
     assert res_cf.duration == res_pk.duration
     for rc, rp in zip(res_cf.ranks, res_pk.ranks):
@@ -375,12 +389,10 @@ def test_ff_exact_control_fold_axis(kind: str, transport: str) -> None:
 def test_ff_exact_lossy_equivalence(kind: str, seed: int) -> None:
     # Armed drop machinery fails every channel's fault_inert() probe, so
     # the eligibility gate must veto all folds — and the run must then be
-    # trivially identical to the packet engine.  The first phase names
-    # the gate; every later one says the collective already fell back.
+    # trivially identical to the packet engine.  Every phase names the gate.
     res = _assert_ff_exact(kind, seed, fault_factory=_lossy,
                            expect_folds=False)
-    later = {"poisoned": P - 1} if kind == "allgather" else {}
-    assert res.engine["ff_misses"] == {"fault": 1, **later}
+    assert res.engine["ff_misses"] == {"fault": P if kind == "allgather" else 1}
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
@@ -394,13 +406,13 @@ def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
 
 
 @pytest.mark.parametrize("kind,setup,misses", [
-    ("allgather", {"n_chains": 4}, {"chains": 1, "poisoned": P - 1}),
+    ("allgather", {"n_chains": 4}, {"chains": P}),
     ("broadcast", {"n_subgroups": 2}, {"subgroups": 1}),
 ], ids=["chains", "subgroups"])
 def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
     # The paper's chains and subgroups are not folded yet: each declined
     # phase is counted under the gate that declined it, and traced with it.
-    _, res = _run_ff(kind, 0, "exact", trace=TraceConfig(), **setup)
+    _, res = _run_ff(kind, 0, False, trace=TraceConfig(), **setup)
     assert res.engine["ff_phases"] == 0
     assert res.engine["ff_misses"] == misses
     traced: Dict[str, int] = {}
@@ -411,26 +423,27 @@ def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather", "allreduce"])
 def test_ff_exact_declines_on_the_reference_path(kind: str) -> None:
-    # Fabric(reference=True) is the oracle even with the fold asked for:
-    # the data, control and INC folds decline every phase they are offered
-    # with the one word, and the run is fast_forward="off"'s bit for bit.
+    # Fabric(reference=True) is the oracle: the data, control and INC folds
+    # decline every phase they are offered with the one word, and the
+    # production run, which folds, matches it bit for bit.
     run = _run_submit_kind if kind == "allreduce" else _run
-    comm, res = run(kind, 0, True, fast_forward="exact")
-    ref_comm, ref = run(kind, 0, True, fast_forward="off")
+    comm, res = run(kind, 0, True)
+    prod_comm, prod = run(kind, 0, False)
     keys = ("ff_misses", "ctrl_fold_misses") + (
         ("inc_fold_misses",) if kind == "allreduce" else ())
     for key in keys:
         assert set(res.engine[key]) == {"reference"}, key
     assert res.engine["ff_phases"] == res.engine["ctrl_folds"] == 0
     assert res.engine["inc_folds"] == 0
+    assert prod.engine["ff_phases"] > 0 and prod.engine["ctrl_folds"] > 0
     assert ([(ph.name, ph.t_begin, ph.t_end) for ph in res.phases]
-            == [(ph.name, ph.t_begin, ph.t_end) for ph in ref.phases])
-    assert res.duration == ref.duration
-    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
-    assert _channel_counters(comm.fabric) == _channel_counters(ref_comm.fabric)
-    assert _switch_counters(comm.fabric) == _switch_counters(ref_comm.fabric)
-    assert res.traffic == ref.traffic
-    assert res.engine["sim_events"] == ref.engine["sim_events"]
+            == [(ph.name, ph.t_begin, ph.t_end) for ph in prod.phases])
+    assert res.duration == prod.duration
+    assert [r.phases for r in res.ranks] == [r.phases for r in prod.ranks]
+    assert _channel_counters(comm.fabric) == _channel_counters(prod_comm.fabric)
+    assert _switch_counters(comm.fabric) == _switch_counters(prod_comm.fabric)
+    assert res.traffic == prod.traffic
+    assert res.engine["sim_events"] > prod.engine["sim_events"]
 
 
 def _count_calls(monkeypatch, cls, name: str) -> list:
@@ -499,8 +512,8 @@ def test_ff_exact_activation_fold_matrix(topology: str, transport: str,
                                          chunks: int) -> None:
     kw = dict(transport=transport, topology=_FF_TOPOLOGIES[topology],
               chunk_size=1024, nbytes=1024 * chunks)
-    comm, res = _run_ff("allgather", 0, "exact", **kw)
-    ref_comm, ref = _run_ff("allgather", 0, "off", **kw)
+    comm, res = _run_ff("allgather", 0, False, **kw)
+    ref_comm, ref = _run_ff("allgather", 0, True, **kw)
     assert res.duration == ref.duration
     for rf, ro in zip(res.ranks, ref.ranks):
         assert rf.phases == ro.phases, f"rank {rf.rank} phase timestamps differ"
@@ -512,13 +525,18 @@ def test_ff_exact_activation_fold_matrix(topology: str, transport: str,
     assert res.engine["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
 
 
-def _chain_then_broadcast(ff: str, topology, transport: str, at: float):
+def _chain_then_broadcast(fold: bool, topology, transport: str, at: float):
     """A 16-rank allgather, then a broadcast submitted at *at* from a
-    driver process; what both collectives leave behind."""
+    driver process; what both collectives leave behind.  Without *fold*
+    the folds are kept out: two collectives sharing a channel are where
+    the production engine's packet trains still differ from the reference
+    engine's packets (ROADMAP item 7), so that is the oracle here."""
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
                     streams=RandomStreams(0))
     comm = Communicator(fabric, config=CollectiveConfig(
-        chunk_size=1024, transport=transport, fast_forward=ff))
+        chunk_size=1024, transport=transport))
+    if not fold:
+        unfold(comm)
     data = np.arange(4 * KiB, dtype=np.uint8)
     handles = []
 
@@ -542,7 +560,7 @@ def _chain_window(topology: str, transport: str) -> Tuple[float, float]:
     """First and last ``send_done`` of the chain's activating ranks."""
     key = (topology, transport)
     if key not in _CHAIN_WINDOW:
-        _, res = _run_ff("allgather", 0, "exact", transport=transport,
+        _, res = _run_ff("allgather", 0, False, transport=transport,
                          topology=_FF_TOPOLOGIES[topology], chunk_size=1024,
                          nbytes=1024)
         sends = sorted(r.phases["activated"] for r in res.ranks
@@ -563,9 +581,9 @@ def test_a_collective_admitted_mid_chain_gets_the_activations_back(
     # back to the packet path and both collectives end as they do there.
     lo, hi = _chain_window(topology, transport)
     at = lo + frac * (hi - lo)
-    comm, got = _chain_then_broadcast("exact", _FF_TOPOLOGIES[topology],
+    comm, got = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
                                       transport, at)
-    _, want = _chain_then_broadcast("off", _FF_TOPOLOGIES[topology],
+    _, want = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
                                     transport, at)
     assert got == want
     assert comm.cf.misses.get("preempted", 0) >= 1
@@ -618,19 +636,19 @@ def test_ff_exact_receiver_fold_straggler_armed(window, folds: bool,
     assert res.engine["ff_misses"] == ({} if folds else {"straggler": 1})
 
 
-@pytest.mark.xfail(strict=True, reason="a later phase reaches a shared "
-                   "edge before an earlier phase's packet, ROADMAP item 2(i)")
 def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
-    # Twelve one-chunk phases fold on a dragonfly with zero-latency links
-    # and free control messages; two ranks' data/final instants come out
-    # one or two receive-cost quanta away from the packet engine.
+    # Twelve one-chunk phases on a dragonfly with zero-latency links and
+    # free control messages: a later phase would reach a shared edge before
+    # an earlier phase's packet, which the fold cannot order.  It declines
+    # that phase with `overtake`, and the run matches the reference.
     from repro.core.costmodel import HostCostModel
 
-    def run(ff: str):
+    def run(reference: bool):
         fabric = Fabric(Simulator(), Topology.dragonfly(3, 2, 2),
-                        link_latency=0.0, streams=RandomStreams(0))
+                        link_latency=0.0, streams=RandomStreams(0),
+                        reference=reference)
         comm = Communicator(fabric, config=CollectiveConfig(
-            chunk_size=4 * KiB, transport="uc", fast_forward=ff,
+            chunk_size=4 * KiB, transport="uc",
             cost=HostCostModel(ctrl_message=0.0)))
         rng = np.random.default_rng(0)
         data = [rng.integers(0, 256, 4 * KiB, dtype=np.uint8)
@@ -639,41 +657,70 @@ def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
         assert res.verify_allgather(data)
         return res
 
-    res_ff, res_off = run("exact"), run("off")
-    assert res_ff.engine["ff_phases"] == 12
-    assert res_ff.engine["ff_aborts"] == 0
-    assert [r.phases for r in res_ff.ranks] == [r.phases for r in res_off.ranks]
+    res, ref = run(False), run(True)
+    assert res.engine["ff_misses"].get("overtake") == 1
+    assert 0 < res.engine["ff_phases"] < 12
+    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
+    assert res.duration == ref.duration and res.traffic == ref.traffic
 
 
-def test_ff_poisons_collective_after_fallback() -> None:
-    """Within ONE collective, any packet-level fallback must veto every
-    later fold of the same collective: a fallback phase moves the real
-    receive-worker cursors, which the analytic fold can no longer track.
-    A flap window covering the first phases forces exactly that."""
+def test_ff_folded_send_holds_the_send_path_for_a_later_collective() -> None:
+    # A 300,000 B broadcast folds on star(2); an allgather posted 26.96 µs
+    # later reaches its run_send while the folded send has not returned.
+    # The reference's allgather waits for the send path there, so the fold
+    # holds it until the folded send's completion instant: every rank's
+    # phases of both collectives match the reference.
+    def run(reference: bool):
+        fabric = Fabric(Simulator(), Topology.star(2),
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(0),
+                        reference=reference)
+        comm = Communicator(fabric, config=CollectiveConfig())
+        data = (np.arange(300_000) % 251).astype(np.uint8)
+        handles = []
+
+        def driver():
+            handles.append(comm.broadcast_async(0, data))
+            yield Timeout(comm.sim, 26.96e-6)
+            handles.append(comm.allgather_async(
+                [data[:4096] + r for r in range(2)]))
+
+        comm.sim.drain([comm.sim.spawn(driver())])
+        comm.run(*handles)
+        return comm, [[op.phases for op in h.ops] for h in handles]
+
+    comm, got = run(False)
+    _, want = run(True)
+    assert comm.ff.ff_phases == 1 and comm.ff.misses == {"not_exclusive": 2}
+    assert got == want
+
+
+def test_ff_lost_chunks_keep_later_phases_at_packet_level() -> None:
+    """A phase that falls back does not latch the collective, but a later
+    one folds only from a quiescent fabric that owes no rank a chunk: a
+    flap window over the first phase loses its packets, so every later
+    phase declines — `missing` while a rank lacks them, `busy` while the
+    chain's packets are in flight — and the run stays bit-identical."""
     def stale(s: str, d: str) -> FaultSpec:
         return FaultSpec(flap_windows=[(0.0, 2e-5)])
 
-    comm_ff, res_ff = _run_ff("allgather", 0, "exact", fault_factory=stale)
-    assert res_ff.engine["ff_phases"] == 0
-    assert res_ff.engine["ff_aborts"] > 0
-    # ... and the run is still bit-identical to the packet engine.
-    _assert_ff_exact("allgather", 0, fault_factory=stale, expect_folds=False)
+    res = _assert_ff_exact("allgather", 0, fault_factory=stale,
+                           expect_folds=False)
+    misses = res.engine["ff_misses"]
+    assert misses["fault"] == 1 and misses["missing"] >= 1
+    assert set(misses) == {"fault", "missing", "busy"}
+    assert res.engine["ff_aborts"] == P
+    assert res.reliability_summary()["recoveries"] > 0
 
 
 def test_ff_mixed_mode_across_collectives() -> None:
     """A fault window that expires between collectives poisons nothing
     permanently: the first broadcast (window live) runs packet-level, the
-    second folds — and both match the packet engine bit-for-bit."""
+    second folds — and both match the reference bit-for-bit."""
     def stale(s: str, d: str) -> FaultSpec:
         return FaultSpec(flap_windows=[(0.0, 2e-5)])
 
-    def run(ff: str):
-        comm = _make_comm(0, fault_factory=stale)
-        comm.config.fast_forward = ff
-        comm.ff = None
-        if ff != "off":
-            from repro.sim.fastforward import FlowFastForward
-            comm.ff = FlowFastForward(comm)
+    def run(reference: bool):
+        comm = _make_comm(0, reference, fault_factory=stale)
         rng = np.random.default_rng(0)
         data1 = rng.integers(0, 256, NBYTES, dtype=np.uint8)
         data2 = rng.integers(0, 256, NBYTES, dtype=np.uint8)
@@ -683,8 +730,8 @@ def test_ff_mixed_mode_across_collectives() -> None:
         assert res2.verify_broadcast(data2)
         return res1, res2
 
-    (ff1, ff2) = run("exact")
-    (off1, off2) = run("off")
+    (ff1, ff2) = run(False)
+    (off1, off2) = run(True)
     assert ff1.engine["ff_phases"] == 0, "window was live: must not fold"
     assert ff2.engine["ff_phases"] > 0, "window expired: second op must fold"
     for rf, ro in [(ff1, off1), (ff2, off2)]:
@@ -694,33 +741,20 @@ def test_ff_mixed_mode_across_collectives() -> None:
             assert a.phases == b.phases
 
 
-def test_ff_off_is_default() -> None:
-    cfg = CollectiveConfig()
-    assert cfg.fast_forward == "off"
-    fabric = Fabric(Simulator(), Topology.star(4), streams=RandomStreams(0))
-    # (retired names are spelled in pieces here so that a repo-wide grep
-    # for them stays empty)
-    for bad in ("bogus", "band" + "ed"):
-        with pytest.raises(ValueError):
-            CollectiveConfig(fast_forward=bad).validate(fabric)
-
-
 CONFIG_FIELDS = {
     # protocol
     "chunk_size", "n_subgroups", "n_chains", "transport", "batch_size",
     "max_outstanding_batches", "staging_slots",
-    # engine
-    "fast_forward",
     # reliability
     "cutoff_alpha", "adaptive_cutoff", "recovery_deadline", "failure_policy",
     "cost",
 }
 
 #: fields that became constants of repro.core.reliability, or (receive
-#: workers, PSN width) fixed by the design: one worker per subgroup, the
-#: 24-bit immediate layout
+#: workers, PSN width, fold mode) fixed by the design: one worker per
+#: subgroup, the 24-bit immediate layout, folds that always try
 RETIRED_CONFIG_FIELDS = (
-    "recv_workers", "psn_bits",
+    "recv_workers", "psn_bits", "fast_" + "forward",
     "recovery_alpha", "cutoff_alpha_min", "cutoff_alpha_max",
     "cutoff_gain", "cutoff_var_gain", "cutoff_var_weight",
     "recovery_backoff", "recovery_alpha_max", "recovery_jitter",

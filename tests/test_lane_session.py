@@ -1,8 +1,8 @@
 """Behaviour of the deferred-commit data-fold session (DESIGN §6d).
 
 The session is a *performance* layer: virtual time, payloads, traffic and
-per-rank phases must be bit-identical to the packet-level reference
-(``fast_forward="off"``) — on the happy path (also covered, with channel
+per-rank phases must be bit-identical to the per-packet reference
+(``Fabric(reference=True)``) — on the happy path (also covered, with channel
 and switch counters, by the fast-forward axis of
 ``test_fastpath_equivalence.py``) and on every path that ends a live
 session early: a fault installed mid-run, a second collective submitted
@@ -29,16 +29,17 @@ from repro.units import gbit_per_s
 CHUNK = 512
 
 
-def make_comm(P: int, ff: str, *, transport: str = "ud",
+def make_comm(P: int, reference: bool = False, *, transport: str = "ud",
               chunk_size: int = 1024) -> Communicator:
     fabric = Fabric(
         Simulator(),
         Topology.leaf_spine(P, 4, 2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(7),
+        reference=reference,
     )
     return Communicator(fabric, config=CollectiveConfig(
-        chunk_size=chunk_size, transport=transport, fast_forward=ff))
+        chunk_size=chunk_size, transport=transport))
 
 
 def ag_data(P: int, nbytes: int = 1024):
@@ -61,8 +62,8 @@ def test_allreduce_allgather_phase_folds_bitwise():
     # packet level.
     P = 16
     data = [np.full(2048, r + 1, dtype=np.float32) for r in range(P)]
-    ref = make_comm(P, "off").allreduce(data)
-    res = make_comm(P, "exact").allreduce(data)
+    ref = make_comm(P, True).allreduce(data)
+    res = make_comm(P).allreduce(data)
     assert res.verify_allreduce(data)
     assert res.engine["ff_phases"] == P
     assert_same_run(res, ref)
@@ -77,19 +78,19 @@ def test_lossy_from_start_falls_back_identically(transport):
     P = 16
     data = ag_data(P, 512)
 
-    def run(ff):
-        comm = make_comm(P, ff, transport=transport)
+    def run(reference):
+        comm = make_comm(P, reference, transport=transport)
         comm.fabric.set_fault_all(
             lambda src, dst: FaultSpec(drop_packet_seqs={2, 5}))
         return comm.allgather(data)
 
-    ref, res = run("off"), run("exact")
+    ref, res = run(True), run(False)
     assert res.engine["ff_phases"] == 0
     assert_same_run(res, ref)
 
 
-def _run_with_fault_at(ff: str, t_inject: float, drop_seq: int, data):
-    comm = make_comm(len(data), ff, chunk_size=CHUNK)
+def _run_with_fault_at(reference: bool, t_inject: float, drop_seq: int, data):
+    comm = make_comm(len(data), reference, chunk_size=CHUNK)
     fabric = comm.fabric
     comm.sim.post_at(
         t_inject,
@@ -108,13 +109,14 @@ def test_mid_run_fault_install_flushes_bitwise(t_inject, chunks=1):
     # mid-chain.
     P = 16
     data = ag_data(P, CHUNK * chunks)
-    ref = _run_with_fault_at("off", t_inject, 10_000, data)
-    res = _run_with_fault_at("exact", t_inject, 10_000, data)
-    # the abort must interrupt a *live* session for the test to mean much
+    ref = _run_with_fault_at(True, t_inject, 10_000, data)
+    res = _run_with_fault_at(False, t_inject, 10_000, data)
+    # the abort must interrupt a *live* session for the test to mean much;
+    # every later phase finds the armed fault and names it
     folded = res.engine["ff_phases"]
     assert 0 < folded < P
     assert res.engine["ff_misses"] == {"fault_epoch": 1,
-                                       "poisoned": P - folded - 1}
+                                       "fault": P - folded - 1}
     assert_same_run(res, ref)
 
 
@@ -132,7 +134,7 @@ def test_mid_run_dropping_fault_recovers_from_flushed_state(t_inject, chunks=1):
     # must complete from the flushed bitmaps and deliver every byte.
     P = 16
     data = ag_data(P, CHUNK * chunks)
-    res = _run_with_fault_at("exact", t_inject, 0, data)
+    res = _run_with_fault_at(False, t_inject, 0, data)
     assert 0 < res.engine["ff_phases"] < P
     assert res.traffic["fabric_drops"] > 0
     assert res.reliability_summary()["recoveries"] > 0
@@ -147,33 +149,38 @@ def test_mid_run_dropping_fault_recovers_from_flushed_state_4_chunks(t_inject):
 def test_mid_run_second_collective_preempts_bitwise(chunks=1):
     # A second collective submitted mid-run must preempt the session (its
     # packets would otherwise observe stale channel state); both
-    # collectives then run packet-level and the combined timeline must
-    # match the reference's exactly.
+    # collectives then run packet-level until the broadcast completes, and
+    # the allgather folds again once a phase finds the fabric quiescent.
+    # The combined timeline must match the reference's exactly.
     P = 16
     data = ag_data(P, CHUNK * chunks)
     bdata = np.full(4096, 99, dtype=np.uint8)
     t_submit = 2e-5
 
-    def run(ff):
-        comm = make_comm(P, ff, chunk_size=CHUNK)
+    def run(reference):
+        comm = make_comm(P, reference, chunk_size=CHUNK)
         handles = []
+        at = []
         h1 = comm.allgather_async(data)
-        comm.sim.post_at(
-            t_submit,
-            lambda: handles.append(comm.broadcast_async(0, bdata)))
+
+        def submit():
+            at.append(comm.ff.ff_phases)
+            handles.append(comm.broadcast_async(0, bdata))
+
+        comm.sim.post_at(t_submit, submit)
         comm.run(h1)
         comm.run(handles[0])
-        t_end = comm.sim.now
-        bufs = [bytes(op.mr.buf) for op in h1.ops]
-        folded = comm.ff.misses if comm.ff is not None else {}
-        return t_end, bufs, folded, comm.fabric.total_stamped_cqes()
+        return (comm.sim.now, [bytes(op.mr.buf) for op in h1.ops],
+                [op.phases for op in h1.ops], comm.ff, at[0],
+                comm.fabric.total_stamped_cqes())
 
-    ref, res = run("off"), run("exact")
-    assert res[2]["preempted"] == 1  # a live session was preempted
-    assert res[0] == ref[0]
-    assert res[1] == ref[1]
+    ref, res = run(True), run(False)
+    ff, folded_at_preemption = res[3], res[4]
+    assert ff.misses["preempted"] == 1  # a live session was preempted
+    assert ff.ff_phases > folded_at_preemption  # ... and a later one folds
+    assert res[:3] == ref[:3]
     # the packet-level remainder rides look-ahead delivery
-    assert res[3] > 0
+    assert res[5] > 0
 
 
 def test_mid_run_second_collective_preempts_bitwise_4_chunks():
@@ -183,7 +190,7 @@ def test_mid_run_second_collective_preempts_bitwise_4_chunks():
 def test_preempt_on_idle_engine_is_a_noop(chunks=1):
     # The recovery path calls preempt() whether or not a session is live
     # (the live case is the mid-run fault test above).
-    comm = make_comm(8, "exact", chunk_size=CHUNK)
+    comm = make_comm(8, chunk_size=CHUNK)
     comm.ff.preempt()
     res = comm.allgather(ag_data(8, CHUNK * chunks))
     assert res.engine["ff_phases"] == 8

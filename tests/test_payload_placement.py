@@ -23,12 +23,13 @@ from repro.sim.random import RandomStreams
 from repro.units import gbit_per_s
 
 
-def make_comm(P: int, *, ff: str, transport: str = "uc", chunk_size: int = 1024,
-              leaves: int = 4) -> Communicator:
+def make_comm(P: int, *, reference: bool = False, transport: str = "uc",
+              chunk_size: int = 1024, leaves: int = 4) -> Communicator:
     fabric = Fabric(Simulator(), Topology.leaf_spine(P, leaves, 2),
-                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(11))
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(11),
+                    reference=reference)
     return Communicator(fabric, config=CollectiveConfig(
-        chunk_size=chunk_size, transport=transport, fast_forward=ff,
+        chunk_size=chunk_size, transport=transport,
         # a static slack that covers the activation-bound chain, so every
         # clean phase folds (the adaptive deadline under-estimates it)
         adaptive_cutoff=False, cutoff_alpha=100e-3))
@@ -49,20 +50,20 @@ def materialized(res) -> list:
 # ------------------------------------------------------------ memory budget
 
 
-def _run(kind: str, P: int, ff: str):
+def _run(kind: str, P: int, reference: bool):
     if kind == "allgather":
         data = ag_data(P, 256)
-        comm = make_comm(P, ff=ff, chunk_size=256, leaves=16)
+        comm = make_comm(P, reference=reference, chunk_size=256, leaves=16)
         return data, comm.allgather(data)
     data = bc_data(16384)
-    comm = make_comm(P, ff=ff, chunk_size=4096, leaves=16)
+    comm = make_comm(P, reference=reference, chunk_size=4096, leaves=16)
     return data, comm.broadcast(0, data)
 
 
 @pytest.mark.parametrize("kind", ["allgather", "broadcast"])
 def test_folded_run_materialises_nothing_until_indexed(kind):
     P = 256
-    data, res = _run(kind, P, "exact")
+    data, res = _run(kind, P, False)
     verify = res.verify_allgather if kind == "allgather" else res.verify_broadcast
     received = (P * (P - 1) * 256) if kind == "allgather" else (P - 1) * 16384
     assert res.engine["ff_phases"] == (P if kind == "allgather" else 1)
@@ -86,7 +87,7 @@ def test_per_packet_run_places_every_region(kind):
     # A NIC landing and a DMA copy are placements too: the packet path
     # moves references and materialises nothing.
     P = 256
-    data, res = _run(kind, P, "off")
+    data, res = _run(kind, P, True)
     received = (P * (P - 1) * 256) if kind == "allgather" else (P - 1) * 16384
     assert res.engine["ff_phases"] == 0
     assert res.engine["payload_regions_materialized"] == 0
@@ -107,7 +108,7 @@ def test_per_packet_run_places_every_region(kind):
 def test_verify_is_exact_on_placed_regions():
     P = 16
     data = ag_data(P, 1024)
-    res = make_comm(P, ff="exact").allgather(data)
+    res = make_comm(P).allgather(data)
     assert materialized(res) == []
     assert res.verify_allgather(data)
     for r, byte in [(0, 0), (5, 517), (P - 1, 1023)]:  # one flipped byte anywhere
@@ -117,7 +118,7 @@ def test_verify_is_exact_on_placed_regions():
     assert not res.verify_allgather([d[:512] for d in data])
     assert materialized(res) == []
     bdata = bc_data(8192)
-    bres = make_comm(P, ff="exact").broadcast(3, bdata)
+    bres = make_comm(P).broadcast(3, bdata)
     assert bres.verify_broadcast(bdata)
     wrong = bdata.copy()
     wrong[-1] ^= 0x80
@@ -133,21 +134,22 @@ def test_verify_is_exact_on_placed_regions():
 def test_folded_buffers_equal_per_packet(kind, transport):
     P = 16
 
-    def run(ff):
-        comm = make_comm(P, ff=ff, transport=transport)
+    def run(reference):
+        comm = make_comm(P, reference=reference, transport=transport)
         if kind == "allgather":
             return comm.allgather(ag_data(P, 2048))  # two chunks per rank
         return comm.broadcast(2, bc_data(24 * 1024))
 
-    folded, packet = run("exact"), run("off")
+    folded, packet = run(False), run(True)
     assert folded.engine["ff_phases"] > 0 and packet.engine["ff_phases"] == 0
     assert folded.duration == packet.duration
     assert materialized(folded) == []
     assert [bytes(b) for b in folded.buffers] == [bytes(b) for b in packet.buffers]
 
 
-def _allgather_with_fault(P: int, ff: str, transport: str, t_inject: float, fault):
-    comm = make_comm(P, ff=ff, transport=transport)
+def _allgather_with_fault(P: int, reference: bool, transport: str,
+                          t_inject: float, fault):
+    comm = make_comm(P, reference=reference, transport=transport)
     comm.sim.post_at(t_inject, lambda: fault(comm.fabric))
     return comm.allgather(ag_data(P, 1024))
 
@@ -158,14 +160,14 @@ def test_mid_session_abort_flush_equals_per_packet(transport):
     # session: the flushed placements are partial, the packet path then
     # writes into those partly placed regions and recovery fills the drops.
     P = 16
-    clean = make_comm(P, ff="exact", transport=transport).allgather(ag_data(P, 1024))
+    clean = make_comm(P, transport=transport).allgather(ag_data(P, 1024))
     t_inject = clean.t_begin + 0.45 * clean.duration
 
     def fault(fabric):
         fabric.set_fault_all(lambda src, dst: FaultSpec(drop_packet_seqs={0}))
 
-    folded = _allgather_with_fault(P, "exact", transport, t_inject, fault)
-    packet = _allgather_with_fault(P, "off", transport, t_inject, fault)
+    folded = _allgather_with_fault(P, False, transport, t_inject, fault)
+    packet = _allgather_with_fault(P, True, transport, t_inject, fault)
     assert 0 < folded.engine["ff_phases"] < P  # the abort hit a live session
     assert folded.counter_total("recoveries") > 0
     # (virtual time is not compared: a fold commits its in-flight packets
@@ -189,15 +191,15 @@ def test_post_fold_recovery_fetch_reads_placed_region():
     # packet-level send — when rank 0's recovery RDMA-reads from it.
     P = 16
     data = ag_data(P, 1024)
-    clean = make_comm(P, ff="exact").allgather(data)
+    clean = make_comm(P).allgather(data)
     t_inject = clean.ranks[P - 2].phases["send_done"] + 1e-9
 
     def fault(fabric):
         fabric.set_fault_all(
             lambda src, dst: FaultSpec(drop_packet_seqs={0}) if dst == "h0" else None)
 
-    folded = _allgather_with_fault(P, "exact", "uc", t_inject, fault)
-    packet = _allgather_with_fault(P, "off", "uc", t_inject, fault)
+    folded = _allgather_with_fault(P, False, "uc", t_inject, fault)
+    packet = _allgather_with_fault(P, True, "uc", t_inject, fault)
     assert folded.engine["ff_phases"] == P - 1
     rank0 = next(r for r in folded.ranks if r.rank == 0)
     assert rank0.counters["recovered_chunks"] == 1
@@ -212,7 +214,7 @@ def test_caller_mutation_after_result_does_not_reach_buffers():
     P = 8
     data = ag_data(P, 1024)
     keep = np.concatenate(data)
-    res = make_comm(P, ff="exact").allgather(data)
+    res = make_comm(P).allgather(data)
     for d in data:
         d[:] = 0xEE
     assert materialized(res) == []
@@ -220,7 +222,7 @@ def test_caller_mutation_after_result_does_not_reach_buffers():
         assert np.array_equal(res.buffers[r], keep)
     bdata = bc_data(8192)
     keep = bdata.copy()
-    res = make_comm(P, ff="exact").broadcast(0, bdata)
+    res = make_comm(P).broadcast(0, bdata)
     bdata[:] = 0
     assert all(np.array_equal(res.buffers[r], keep) for r in range(P))
     # ... and writing a result buffer does not reach the other ranks'
@@ -231,7 +233,7 @@ def test_caller_mutation_after_result_does_not_reach_buffers():
 def test_allreduce_buffers_are_lazy_float_views():
     P = 8
     data = [np.full(1024, r + 1, dtype=np.float32) for r in range(P)]
-    res = make_comm(P, ff="off").allreduce(data)
+    res = make_comm(P).allreduce(data)
     assert isinstance(res.buffers, PayloadBuffers)
     assert res.buffers[3].dtype == np.float32
     assert res.verify_allreduce(data)
@@ -242,7 +244,7 @@ def test_allreduce_buffers_are_lazy_float_views():
 def test_verify_allreduce_compares_through_the_regions():
     P = 8
     data = [(np.arange(2048) % 97 + r).astype(np.float32) for r in range(P)]
-    res = make_comm(P, ff="off").allreduce(data)
+    res = make_comm(P).allreduce(data)
     assert res.verify_allreduce(data)
     assert materialized(res) == []  # no rank's buffer was built to compare
     for r, elem in [(0, 0), (3, 1000), (P - 1, 2047)]:  # one element off

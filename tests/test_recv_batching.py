@@ -36,6 +36,7 @@ from repro.sim.events import PASSIVE_WAIT
 from repro.sim.process import Process
 from repro.sim.random import RandomStreams
 from repro.units import KiB, gbit_per_s
+from tests.unfolded import unfold
 
 # ------------------------------------------------------------- sim primitives
 
@@ -431,6 +432,7 @@ def _ud_bcast(reference, cq_log, topology, nchunks, fabric_kw=None,
         fabric.set_fault_all(lambda s, d: fault)
     comm = Communicator(fabric, config=CollectiveConfig(
         chunk_size=4096, **cfg))
+    unfold(comm)  # the batch path and every control CQE, as the reference
     if dma is not None:
         for e in comm.engines:
             e.dma = DmaEngine(sim, **dma)
@@ -569,6 +571,7 @@ def _traced_run(traced: bool, reference: bool = False,
                                 n_chains=16 if kind != "broadcast" else 1),
         trace=TraceConfig() if traced else None,
     )
+    unfold(comm)  # a folded phase wakes no worker that would batch
     if kind == "broadcast":
         data = np.arange(nbytes, dtype=np.uint8) % 251
         res = comm.broadcast(0, data)

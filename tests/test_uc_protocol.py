@@ -14,6 +14,7 @@ from repro.net import Fabric, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator
 from repro.units import KiB, gbit_per_s
+from tests.unfolded import unfold
 
 
 def uc_comm(n=4, topo=None, seed=0, reference=False, **cfg):
@@ -133,8 +134,8 @@ def test_uc_packet_level_broadcast_recycles_the_cached_wr(reference):
     first posts plus one re-post per chunk (values pinned at 618ceef, where
     each re-post built and re-validated a fresh WR)."""
     comm = uc_comm(64, topo=Topology.leaf_spine(64, 8, 4), chunk_size=4 * KiB,
-                   staging_slots=16, fast_forward="off",
-                   reference=reference)
+                   staging_slots=16, reference=reference)
+    unfold(comm)  # the packet level, which the fold would skip
     data = np.random.default_rng(0).integers(0, 256, 64 * KiB, dtype=np.uint8)
     res = comm.broadcast(0, data)
     assert res.verify_broadcast(data) and res.engine["ff_phases"] == 0

@@ -18,6 +18,8 @@ Entry modes:
 * ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
   allgather at 1024 AND 4096 hosts, a 1024-host allgather of four chunks
   per rank that must stay within 4x the wall of the one-chunk row, a
+  1024-host allgather of 32 concurrent chains that must fold every phase
+  within 2x the wall of the one-chain row, a
   1024-host composed INC allreduce that must fold both phases, an
   ag4096/ag1024 wall-clock scaling-ratio gate, a hard wall-clock budget, a peak-RSS budget for
   the whole process, and ``ff_phases`` / ``ctrl_folds`` / ``ctrl_pairs``
@@ -99,7 +101,8 @@ def run_broadcast(n_hosts: int, mode: str,
 def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
                   cutoff_alpha: float = 10e-3,
-                  chunk: Optional[int] = None) -> Dict[str, object]:
+                  chunk: Optional[int] = None,
+                  n_chains: int = 1, **config) -> Dict[str, object]:
     t_setup = time.perf_counter()
     fabric = make_fabric(n_ranks, mtu=4096, reference=MODES[mode])
     cfg = CollectiveConfig(
@@ -112,6 +115,8 @@ def run_allgather(n_ranks: int, mode: str,
         # pass a wider slack than the 10 ms default here.)
         adaptive_cutoff=False,
         cutoff_alpha=cutoff_alpha,
+        n_chains=n_chains,
+        **config,
     )
     comm = Communicator(fabric, config=cfg)
     setup = time.perf_counter() - t_setup
@@ -283,6 +288,22 @@ def smoke(budget_s: float) -> int:
         failures.append(
             f"4-chunk allgather wall {a4['wall_s']:.2f}s > 4x the 1-chunk "
             f"row's {a['wall_s']:.2f}s — multi-chunk phases left the session")
+
+    # Thirty-two concurrent chains (paper Appendix A): every tree edge
+    # merges their packets in arrival order, so the session folds all 1024
+    # phases in at most twice the single-chain row's wall.  The posted
+    # receive depth covers every chunk: with 1 KiB chunks a receive worker
+    # is slower than its link, so 32 chains at once would run the queue dry.
+    ac = run_allgather(1024, "default", cutoff_alpha=100e-3, n_chains=32,
+                       staging_slots=1024)
+    row("allgather", 1024, ac, note="32 chains")
+    if ac["ff_phases"] != 1024:
+        failures.append(
+            f"32-chain allgather folded {ac['ff_phases']}/1024 phases")
+    if ac["wall_s"] > 2.0 * a["wall_s"]:
+        failures.append(
+            f"32-chain allgather wall {ac['wall_s']:.2f}s > 2x the 1-chain "
+            f"row's {a['wall_s']:.2f}s — concurrent chains left the merge")
 
     # Composed allreduce: the INC reduce-scatter pass and all 1024
     # allgather phases fold.

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.core.sequencer import effective_chains
 from repro.net.link import bypass_arrival, bypass_clear, bypass_fly, bypass_tables
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
 from repro.sim.events import Event, Timeout
@@ -343,9 +344,11 @@ class _Coll:
     """One collective's fold state.  The first rank to reach a phase decides
     it for all: ``at[phase]`` is ``False`` for packets, else the fold.  The
     data fold publishes ``sent`` / ``done``: rank → ``run_send`` completion /
-    ``data_done`` instant.  ``act`` is the activation chain: ``None`` while
-    undecided, ``False`` at packet level, else its last folded token
-    ``[plane, msg, arrived, start, served, tail]`` (``tail``: the last)."""
+    ``data_done`` instant.  ``act`` holds the activation chains: ``None``
+    while undecided, ``False`` at packet level, else their folded tokens
+    ``[plane, msg, arrived, start, served]`` not yet served when the last
+    was sent, in the order they were sent; ``acts`` counts the activations
+    still to send (one fewer than its ranks per chain in all)."""
 
     def __init__(self, t0: float) -> None:
         self.t0 = t0  #: launch instant of every rank's controller
@@ -354,6 +357,7 @@ class _Coll:
         self.sent: Dict[int, float] = {}
         self.done: Dict[int, float] = {}
         self.act: Optional[list] = None
+        self.acts = 0
 
 
 class ControlFold:
@@ -473,19 +477,21 @@ class ControlFold:
                 asleep += [(cid, r, len(f.keys) - n) for r, here, end, n in zip(
                     f.participants, f.here, f.ends, left.tolist()) if here and end > now]
                 self._note(self.comm.engines[0], phase, "miss", "preempted")
-            tok = st.act
-            if tok and not (tok[5] and tok[4] <= now):
+            toks = st.act
+            if isinstance(toks, list) and (
+                    st.acts or any(t[4] > now for t in toks)):
                 st.act = False
                 self.folds -= 1
                 self._note(self.comm.engines[0], "activate", "miss", "preempted")
-                c, msg, a, start, served, _ = tok
-                if served > now:
-                    tok[0] = None  # not delivered by the fold
-                    c.fold_quiet = _NEVER
-                    c.messages_received -= 1
-                    c.in_flight[0] += 1
-                    self.sim.post_at(max(a, now), c.recv_cq.push,
-                                     _Unfolded(msg, served if start <= now else None))
+                for tok in toks:  # (each chain's, in the order they were sent)
+                    c, msg, a, start, served = tok
+                    if served > now:
+                        tok[0] = None  # not delivered by the fold
+                        c.fold_quiet = _NEVER
+                        c.messages_received -= 1
+                        c.in_flight[0] += 1
+                        self.sim.post_at(max(a, now), c.recv_cq.push,
+                                         _Unfolded(msg, served if start <= now else None))
         for cid, rank, rnd in asleep:
             dict(self.comm._op_procs[cid])[rank].interrupt(rnd)
 
@@ -537,7 +543,9 @@ class ControlFold:
             return False
         if st.act is None:
             self.folds += 1
-            self._note(engine, "activate", "messages", len(participants) - 1)
+            st.act, st.acts = [], len(participants) - effective_chains(
+                len(participants), comm.config.n_chains)
+            self._note(engine, "activate", "messages", st.acts)
         for ch in chans:
             self._charge(ch, 1, wire)
         comm.engines[src].ctrl.messages_sent += 1
@@ -545,9 +553,12 @@ class ControlFold:
         c.nic.packets_received += 1
         c.nic.bytes_received += _WORDS * 4
         c.last_heard[src] = c.fold_quiet = served
-        st.act = [c, CtrlMessage(src, MSG_ACTIVATE, op.coll_id, (0, 0, 0)),
-                  a, start, served, me + 2 == len(participants)]
-        self.sim.post_at(served, self._deliver, st.act)
+        now = self.sim.now
+        st.act = [t for t in st.act if t[4] > now]
+        st.act.append([c, CtrlMessage(src, MSG_ACTIVATE, op.coll_id, (0, 0, 0)),
+                       a, start, served])
+        st.acts -= 1
+        self.sim.post_at(served, self._deliver, st.act[-1])
         return True
 
     @staticmethod

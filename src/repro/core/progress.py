@@ -70,6 +70,17 @@ __all__ = ["RankEngine"]
 _IMM_MAX = (1 << IMM_BITS) - 1  #: largest immediate a CQE may carry
 
 
+def _held_at(staging: StagingRing, t: float, held: int) -> int:
+    """What the per-CQE path's ``staging.hold`` reads after the copy that
+    completes at *t*: the *held* slots the ring marks, less those a receive
+    batch marked ahead of a CQE poll instant still after *t*."""
+    staging.releases.popleft()
+    takes = staging.early_takes
+    while takes and takes[0] <= t:
+        takes.popleft()
+    return held - len(takes)
+
+
 class _CopyBatch:
     """The DMA completions of one UD receive batch, applied in order by
     :meth:`RankEngine.settle`: copy ``i`` lands ``slots[i]`` / ``psns[i]``
@@ -398,6 +409,8 @@ class RankEngine:
                 yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
                 copy_done = self.dma.copy(
                     (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
+                if trc is not None:
+                    staging.releases.append(self.dma.busy_until + self.dma.latency)
                 copy_done.subscribe(
                     self._make_copy_callback(op, staging, slot, qp, psn)
                 )
@@ -481,6 +494,7 @@ class RankEngine:
         t = now
         op = None
         psns: List[int] = []
+        takes: List[float] = []
         issues: List[float] = []
         seen = set()
         for cqe in cqes:
@@ -505,6 +519,7 @@ class RankEngine:
             if a < t:
                 a = t
             t = a + c1
+            takes.append(t)
             t = t + c2
             issues.append(t)
         k = len(psns)
@@ -515,10 +530,11 @@ class RankEngine:
             return 0, 0.0  # the cutoff could fire (and recover) mid-replay
         if not self.fabric.straggler_inert(self.nic.host, now, t_end):
             return 0, 0.0
-        self._apply_ud_batch(sg, qp, op, cqes[:k], psns, issues)
+        self._apply_ud_batch(sg, qp, op, cqes[:k], psns, takes, issues)
         return k, t_end
 
-    def _apply_ud_batch(self, sg: int, qp, op: OpState, cqes, psns, issues) -> None:
+    def _apply_ud_batch(self, sg: int, qp, op: OpState, cqes, psns, takes,
+                        issues) -> None:
         """Consume an eligible UD CQE train at the current instant.
 
         Local-only state (bitmap bits, stats, outstanding-copy count,
@@ -529,7 +545,9 @@ class RankEngine:
         exact per-CQE instants: each slot's repost + ``placed`` bit is a
         pending completion at its :meth:`DmaEngine.copy_runs` instant,
         applied by :meth:`settle` — from one event at the batch's last
-        completion, or earlier by a reader that needs it.
+        completion, or earlier by a reader that needs it.  The trace
+        samples the staging ring at each CQE's poll instant (*takes*), as
+        the per-CQE path does.
         """
         k = len(psns)
         staging = self.stagings[sg]
@@ -591,7 +609,18 @@ class RankEngine:
         if trc is not None:
             now = self.sim.now
             trc.instant("cq.batch", now, {"cqes": k})
-            trc.counter("staging.hold", now, staging.held)
+            # Slot i is taken at takes[i]; a copy completing at that very
+            # instant releases its slot after the take (its event is
+            # scheduled later), so only earlier completions count.
+            held = staging.held - k
+            ends = list(staging.releases) + done
+            r = 0
+            for i, t in enumerate(takes):
+                while r < held + i and ends[r] < t:
+                    r += 1
+                trc.counter("staging.hold", t, held + i + 1 - r)
+            staging.releases.extend(done)
+            staging.early_takes.extend(takes)
             trc.complete("dma.copy_runs", issues[0], done[-1] - issues[0],
                          {"copies": k, "segments": len(runs)})
 
@@ -649,7 +678,7 @@ class RankEngine:
             held = staging.held + n
             for when in batch.done[i:j]:
                 held -= 1
-                trc.counter("staging.hold", when, held)
+                trc.counter("staging.hold", when, _held_at(staging, when, held))
         self.sim.progress += n - 1  # maybe_complete counts the last one
         op.maybe_complete()
 
@@ -681,7 +710,8 @@ class RankEngine:
             if trc is not None:
                 now = self.sim.now
                 trc.complete("dma.copy", issued_at, now - issued_at)
-                trc.counter("staging.hold", now, staging.held)
+                trc.counter("staging.hold", now,
+                            _held_at(staging, now, staging.held))
             op.maybe_complete()
 
         return _on_copy

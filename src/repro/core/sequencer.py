@@ -25,10 +25,9 @@ def effective_chains(n_ranks: int, n_chains: int) -> int:
     """The chain count the Allgather scheduler actually runs with.
 
     The communicator falls back to a single chain when ``M`` does not
-    divide ``P`` (rather than rejecting the collective).  The flow-level
-    fast-forward layer keys an eligibility gate on this same arithmetic:
-    only a single-chain schedule has at most one active root, which is
-    what makes a phase's tree traffic contention-free and foldable.
+    divide ``P`` (rather than rejecting the collective).  Any chain count
+    folds: the data fold merges the concurrent roots' packets on every
+    tree edge (DESIGN.md §6d).
     """
     return n_chains if n_ranks % n_chains == 0 else 1
 

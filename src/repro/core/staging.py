@@ -60,6 +60,11 @@ class StagingRing:
         # (the staging.hold trace counter) never scans the slot array.
         self._posted_count = 0
         self._held_count = 0
+        #: traced runs only: the completion instant of each held slot's
+        #: copy, in order, and the CQE poll instants of slots a receive
+        #: batch marked held ahead of them (``core.progress._held_at``)
+        self.releases: Deque[float] = collections.deque()
+        self.early_takes: Deque[float] = collections.deque()
 
     @property
     def nbytes(self) -> int:

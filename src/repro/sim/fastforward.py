@@ -8,19 +8,18 @@ is folded arithmetically instead of simulated packet by packet.  The
 fold always tries; a ``Fabric(reference=True)`` declines every phase.
 
 A :class:`_Session` folds a collective's phases, for a broadcast (one
-phase) or an allgather of any chunk count (one phase per sender), on any
-multicast tree:
+phase) or an allgather of any chunk and chain count (one phase per
+sender), on any multicast tree:
 
 * **Compiled tree** (:class:`_Tree`, once per ``fault_epoch``): the
   group's switches in breadth-first order from one root, each with its
   up- and down-channel, and every attached host's switch→host channel
   and NIC egress.
-* **One phase**: the sender's doorbell batches (:func:`_fold_sender`), a
-  scalar up-chain from the sender's switch to the root, one vectorised
-  busy-chain step per tree level per chunk over the down-channels (the
-  sender's own path masked), and one
-  :meth:`~repro.sim.parallel.ReceiverLanes.phase` over the receiver lanes.
-  Every edge is :func:`repro.net.link.serialize`'s expression.
+* **One phase**: the sender's doorbell batches (:func:`_fold_sender`),
+  then every tree edge (:class:`~repro.sim.parallel.TreeEdges`) and
+  receiver lane (:class:`~repro.sim.parallel.ReceiverLanes`) serving the
+  session's packets FIFO in the order they reach it — concurrent chains
+  included — in :func:`repro.net.link.serialize`'s expressions.
 * **Deferred commit**: a phase commits only the session's watermark
   arrays and the sender's bytes into the session's gather image.  Each
   rank gets one completion event at its ``data_done`` instant; channel,
@@ -47,17 +46,13 @@ Declines and re-entry
 Every gate that declines names its reason in :attr:`FlowFastForward.misses`
 (``CollectiveResult.engine["ff_misses"]``), once per phase offered.  The
 gates a collective fails for its whole life (``transport``,
-``subgroups``, ``chains``, ``segmented``, ``tree``) are evaluated once,
-at its first phase.  After any other decline the collective is not
-latched to packet level: a later phase starts a new session as soon as
-the fabric is quiescent (:func:`_unsettled` — ``busy`` while an earlier
-phase's packets, CQEs, copies or sends are still under way, ``missing``
-while a rank lacks a chunk of a phase already sent), counting only the
-senders not yet sent.  A phase whose first packet would reach an edge no
-later than an earlier phase's last declines (``overtake``), unless the
-edge serves them at the same instants in either order (busy throughout,
-one packet size) or is a host edge the lanes recompute in arrival order
-(:meth:`~repro.sim.parallel.ReceiverLanes._merged`).
+``subgroups``, ``segmented``, ``tree``) are evaluated once, at its first
+phase.  After any other decline the collective is not latched to packet
+level: a later phase starts a new session as soon as the fabric is
+quiescent (:func:`_unsettled` — ``busy`` while an earlier phase's
+packets, CQEs, copies or sends are still under way, ``missing`` while a
+rank lacks a chunk of a phase already sent), counting only the senders
+not yet sent.
 """
 
 from __future__ import annotations
@@ -67,10 +62,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.sequencer import effective_chains
 from repro.net.link import serialize
 from repro.net.topology import host_id, is_host
-from repro.sim.parallel import ReceiverLanes
+from repro.sim.parallel import ReceiverLanes, TreeEdges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -270,8 +264,13 @@ class _Tree:
         self.S = len(names)
         self.par = par
         self.depth = [0] * self.S
+        #: ``anc[c, x]``: switch ``x`` is on the path from ``c`` to the root
+        self.anc = np.eye(self.S, dtype=bool)
+        self.kids: List[List[int]] = [[] for _ in range(self.S)]
         for c in range(1, self.S):
             self.depth[c] = self.depth[par[c]] + 1
+            self.anc[c] |= self.anc[par[c]]
+            self.kids[par[c]].append(c)
         self.switches = sws
         self.nports = [len(ports[name]) for name in names]
         self.up = up
@@ -308,11 +307,6 @@ def _static_miss(ff: FlowFastForward, op: "OpState",
         return "transport"
     if cfg.n_subgroups != 1:
         return "subgroups"
-    # The sequencer's own fallback arithmetic: concurrent chains would
-    # contend on shared tree links, which the fold cannot serialize.
-    if (op.kind == "allgather"
-            and effective_chains(len(participants), cfg.n_chains) != 1):
-        return "chains"
     if op.plan.chunk_size > comm.fabric.mtu:
         return "segmented"  # one wire segment per chunk
     try:
@@ -380,22 +374,18 @@ class _Session:
         self.sw_of = [a[0] for a in att]
         self.hd = [a[1] for a in att]
         self.eg = [a[2] for a in att]
+        self.hd_bw = max(ch.bandwidth for ch in self.hd)
         self.eg_busy = [ch.busy_until for ch in self.eg]
-        self.up_busy = [0.0] + [ch.busy_until for ch in T.up[1:]]
-        self.down_busy = np.array([0.0] + [ch.busy_until
-                                           for ch in T.down[1:]])
-        #: per up-channel: when it was last handed a folded packet, and
-        #: since when it has been busy without a break
-        self.up_last = [_NEG_INF] * T.S
-        self.up_since = [_NEG_INF] * T.S
-        #: per switch, when it last forwarded a folded packet; and the last
-        #: phase's ``(rows, down_busy before it, sender path, fwd_last
-        #: before it, wires)``, for :meth:`_down_overtakes`
-        self.fwd_last: Optional[np.ndarray] = None
-        self._prev = None
-        #: every folded packet's wire size while they all share one; 0 once
-        #: they differ
-        self.wire: Optional[int] = None
+        self.edges = TreeEdges(T, np.array(self.sw_of, dtype=np.intp),
+                               [ch.latency for ch in self.eg])
+        #: while the lanes have served every pending packet: per pending
+        #: phase, ``(its latest forward, its packets, lanes before it,
+        #: up- and down-channel watermarks after it)``
+        self.snaps: List[tuple] = []
+        #: else the lanes have served the pending packets that reach them
+        #: before ``cut``, and the phases from ``defer_from`` on are pending
+        self.deferred, self.cut, self.defer_from = False, _NEG_INF, 0
+        self.drops: List[tuple] = []  # (worker past them, packets) served
         cost = engine.cost
         free = [e.rx_free[0] for e in engines]
         #: lane -> when its worker issues the staging copy of its last
@@ -409,7 +399,7 @@ class _Session:
                 f[0] if f[0] > e.dma.busy_until else e.dma.busy_until)
                 + f[1] / e.dma.bandwidth for e, f in zip(engines, free)]))
         self.lanes = ReceiverLanes(
-            np.array(self.sw_of, dtype=np.intp),
+            self.edges.switch_of,
             cost.cqe_poll + cost.cqe_process,
             cost.recv_repost if self.uc else cost.copy_issue + cost.recv_repost,
             np.array([ch.bandwidth for ch in self.hd]),
@@ -417,6 +407,8 @@ class _Session:
             np.array([ch.busy_until for ch in self.hd]),
             np.array([max(f[0], e.ff_resume_floor)
                       for e, f in zip(engines, free)]), dma)
+        if dma is not None and engine.trace is not None:
+            self.lanes.hold = ()  # traced: each lane's staging holds
         # --- cutoff deadlines of the ranks still waiting for data --------
         self.md = _INF  # earliest armed deadline
         self.unarmed: Dict[int, float] = {}  # lane -> its arming allowance
@@ -482,76 +474,55 @@ class _Session:
             raise _Miss("deadline")
         lens = [op.plan.bounds(p)[1] for p in range(op.send_lo, op.send_hi)]
         n = len(lens)
+        self._advance(t_hook)
         # No-RNR envelope: the posted depth at build must cover every
-        # chunk still in flight, this phase's included.
+        # chunk still in flight, this phase's included: a phase's until its
+        # finish; while the lanes are deferred, a packet's until they serve
+        # it and the worker steps past it.
         env = self.env
-        while self.ptr < len(env) and env[self.ptr] <= t_hook:
+        stop = self.defer_from if self.deferred else len(env)
+        while self.ptr < stop and env[self.ptr] <= t_hook:
             self.ptr += 1
-        if self.cum[-1] - self.cum[self.ptr] + n > self.qlen:
-            raise _Miss("qlen")
+        flight = self.cum[stop] - self.cum[self.ptr] + n
+        if self.deferred:
+            flight += len(self.edges.rows()[2]) + sum(k for t, k in self.drops
+                                               if t > t_hook)
         header = engine.nic.header_bytes
         wires = [ln + header for ln in lens]
+        # A worker that steps at least as fast as its edge delivers holds
+        # one packet, and at most one more from its step under way at build.
+        lanes = self.lanes
+        if flight > self.qlen and not (
+                self.qlen > 2 and lanes.c1 + lanes.c2 <= min(wires) / self.hd_bw):
+            raise _Miss("qlen")
         if min(wires) <= self.bypass:
             raise _Miss("bypass")  # every data packet rides the bulk queue
 
-        # Every edge must be handed this phase's first packet after an
-        # earlier phase's last, or serve them in the other order.  Only when
-        # it was busy all along and every packet has one size does that
-        # leave the same departure instants (a work-conserving server with
-        # equal service times); anywhere else the fold cannot order them.
-        sizes = set(wires)
-        if self.wire is None:
-            self.wire = wires[0] if len(sizes) == 1 else 0
-        elif sizes != {self.wire}:
-            self.wire = 0
-
-        # --- sender, then the up-chain from its switch to the root -------
+        # --- the sender, then every tree edge ----------------------------
         send_done, eg_fins, batches = _fold_sender(
             engine, t_hook, wires, eg.bandwidth, self.eg_busy[i])
-        c = self.sw_of[i]
-        lat = eg.latency
-        inj = [(f + lat) + T.d[c] for f in eg_fins]
-        masks = {}  # depth -> (switch on the sender's path, its injections)
-        up = {}  # switch -> its up-channel's (busy, busy since, last handed)
-        while c:
-            masks[T.depth[c]] = (c, inj)
-            if inj[0] <= self.up_last[c] and (
-                    not self.wire or inj[0] < self.up_since[c]):
-                raise _Miss("overtake")
-            ch = T.up[c]
-            busy = self.up_busy[c]
-            fins = serialize(inj, wires, ch.bandwidth, busy, 0)
-            up[c] = (fins[-1], _busy_since(inj, fins, busy, self.up_since[c]),
-                     inj[-1])
-            p = T.par[c]
-            lat = ch.latency
-            inj = [(f + lat) + T.d[p] for f in fins]
-            c = p
-        # --- down the tree, one level at a time per chunk ----------------
-        db = self.down_busy.copy()
-        rows = np.empty((n, T.S))
-        for k, w in enumerate(wires):
-            row = rows[k]
-            row[0] = inj[k]
-            for depth, (lo, hi, par, bw, dlat, d) in enumerate(T.levels, 1):
-                new = np.maximum(row[par], db[lo:hi]) + w / bw
-                db[lo:hi] = new
-                row[lo:hi] = (new + dlat) + d
-                m = masks.get(depth)
-                if m is not None:  # the sender's path: no down hop
-                    db[m[0]] = self.down_busy[m[0]]
-                    row[m[0]] = m[1][k]
-        path = [m[0] for m in masks.values()]
-        if self.fwd_last is not None:
-            over = rows[0] <= self.fwd_last  # by forwarding switch
-            if over.any():
-                self._down_overtakes(rows, over, path)
+        edges = self.edges
+        pend, rows = edges.add(i, eg_fins, wires, lens)
+        if pend is None:
+            raise _Miss("tie")
         # --- receivers ---------------------------------------------------
-        got = self.lanes.phase(rows, wires, lens, i)
-        if got is None:
-            raise _Miss("overtake")
-        state, fin_rx, prev_fin = got
-        fins = state.last_fin
+        eager = rows is not None and not self.deferred
+        if eager:
+            state, fins = lanes.phase(rows, wires, lens, i)
+        else:
+            # From the lanes before the oldest pending phase, every packet
+            # not yet served: exactly at the last phase, else bounded.
+            F, _, W, L, src, _ = edges.rows(pend)
+            base = (lanes.state if self.deferred or not self.snaps
+                    else self.snaps[0][2])
+            state = None
+            fins = np.full(len(self.ranks),  # (pend[4]: the latest forwards)
+                           lanes.bound(base, float(pend[4].max()), W, L))
+            if fins[0] >= deadline or len(self.phases) + 1 == self.senders:
+                state = lanes.settle(base, F, W, L, src, self.cut if
+                                     self.deferred else _NEG_INF, _INF)
+                fins = state.last_fin
+        fin_rx = float(fins.max())
         for j in self.strag:
             if j != i and not self.fabric.straggler_inert(
                     self.hosts[j], t_hook, float(fins[j])):
@@ -562,21 +533,27 @@ class _Session:
 
         # ------------------------------------------------------- commit
         self.eg_busy[i] = eg_fins[-1]
-        for c, (busy, since, last) in up.items():
-            self.up_busy[c] = busy
-            self.up_since[c] = since
-            self.up_last[c] = last
-        self._prev = (rows, self.down_busy, path, self.fwd_last, wires)
-        self.down_busy = db
-        self.fwd_last = rows[n - 1]
-        self.lanes.commit(state)
+        edges.commit(pend)
+        if eager:
+            self.snaps.append((rows[n - 1].max(), n, lanes.state, edges.up,
+                               edges.down))
+            lanes.commit(state)
+            env.append(fin_all if not env or fin_all > env[-1] else env[-1])
+        else:
+            if not self.deferred:  # back to the lanes before the pending
+                if self.snaps:
+                    lanes.commit(self.snaps[0][2])
+                self.defer_from = len(self.phases) - len(self.snaps)
+                self.snaps = []
+                self.deferred = True
+                self.cut = _NEG_INF
+            env.append(env[-1] if env else fin_all)
+            if state is not None and len(self.phases) + 1 == self.senders:
+                self._settle(_INF, state)
         self.sent[i] = True
         trains = [b for b in batches if b >= 2]
         self.phases.append((i, op.send_lo, n, sum(wires), sum(lens),
                             len(trains), sum(trains), len(batches)))
-        if env and prev_fin > env[-1]:
-            env[-1] = prev_fin  # a lane served the two phases interleaved
-        env.append(fin_all if not env or fin_all > env[-1] else env[-1])
         self.cum.append(self.cum[-1] + n)
         lo = op.plan.bounds(op.send_lo)[0]
         ln = sum(lens)
@@ -595,7 +572,12 @@ class _Session:
         cf = self.ff.comm.cf
         for j in sorted(done) if done else ():
             self.finished[j] = True
-            fin = float(fins[j])
+            if self.deferred:  # only its own phase is left: none reaches it
+                F, _, W, L, src, _ = edges.rows()
+                fin = float(lanes.settle(lanes.state, F, W, L, src, self.cut,
+                                         _INF, [j]).last_fin[0])
+            else:
+                fin = float(lanes.last_fin[j])
             sim.post_at(fin, self._complete, j)
             if cf is not None:
                 cf.publish(op.coll_id, "done", self.ranks[j], fin)
@@ -621,32 +603,41 @@ class _Session:
                         {"until": fin_all, "send_done": send_done})
         return send_done
 
-    def _down_overtakes(self, rows: np.ndarray, over: np.ndarray,
-                        path: List[int]) -> None:
-        """Raise ``overtake`` unless every down-channel whose switch
-        forwards this phase's first packet no later than the previous
-        phase's last serves both in an order that cannot matter: it was
-        busy without a break from before that packet through the previous
-        phase's packets there (recomputed from its watermark before them)
-        and every packet of the session has one size."""
-        T = self.T
-        p_rows, p_busy, p_path, p_fwd, p_wires = self._prev
-        for c in np.flatnonzero(over[T.pa]).tolist():
-            if c == 0 or c in path:
-                continue  # no down-channel, or none on this sender's path
-            par = T.par[c]
-            first = rows[0][par]
-            if p_fwd is not None and first <= p_fwd[par]:
-                raise _Miss("overtake")  # an older phase's packets too
-            if c in p_path:
-                continue  # the previous phase did not use this channel
-            calls = [row[par] for row in p_rows]
-            fins = serialize(calls, p_wires, T.down[c].bandwidth, p_busy[c], 0)
-            # A period begun before the previous phase is counted from its
-            # first packet there, which can only decline more.
-            if not self.wire or first < _busy_since(calls, fins, p_busy[c],
-                                                    calls[0]):
-                raise _Miss("overtake")
+    def _advance(self, t_hook: float) -> None:
+        """Drop the pending packets no later phase can reach ahead of — every
+        forward before *t_hook* — once the lanes have served them."""
+        if self.deferred:
+            self.edges.leave(t_hook)
+            final = self.edges.rows()[0].max(1, initial=_NEG_INF) < t_hook
+            if final.any() and 2 * final.sum() >= len(final):
+                self._settle(t_hook)
+            return
+        k = rows = 0
+        while k < len(self.snaps) and self.snaps[k][0] < t_hook:
+            rows += self.snaps[k][1]
+            k += 1
+        if k:  # every channel served them last: its watermark then is a base
+            self.edges.drop_front(rows, *self.snaps[k - 1][3:])
+            del self.snaps[:k]
+
+    def _settle(self, hi: float, state=None) -> None:
+        """Serve the lanes every pending packet reaching them before *hi*
+        (*state*: that, computed already), then drop what is final."""
+        lanes, edges = self.lanes, self.edges
+        F, _, W, L, src, _ = edges.rows()
+        lanes.commit(state or lanes.settle(lanes.state, F, W, L, src,
+                                           self.cut, hi))
+        self.cut = hi
+        final = F.max(1, initial=_NEG_INF) < hi
+        if final.all():  # every phase served: their finishes are known
+            self.deferred = False
+            env, start = self.env, self.defer_from
+            fin = max([float(lanes.last_fin.max())] + env[start - 1:start])
+            env[start:] = [fin] * (len(env) - start)
+        if hi < _INF:  # (at the end, the flush reads them)
+            edges.drop(final)
+            self.drops = [] if not self.deferred else self.drops + [
+                (float(lanes.cursor.max()), int(final.sum()))]
 
     def _deadline(self, t_hook: float) -> float:
         """A lower bound on every waiting rank's cutoff deadline: armed
@@ -702,6 +693,8 @@ class _Session:
         self.live = False
         if not self.phases:
             return
+        if self.deferred:
+            self._settle(_INF)
         self._flush()
         runs = self._runs()
         now = self.sim.now
@@ -779,23 +772,29 @@ class _Session:
             if cursor > e.ff_resume_floor:
                 e.ff_resume_floor = cursor
         for c in range(1, T.S):
-            _count(T.up[c], self.up_busy[c], below[c].tolist(), faulty)
-            _count(T.down[c], float(self.down_busy[c]),
+            _count(T.up[c], float(self.edges.up[c]), below[c].tolist(), faulty)
+            _count(T.down[c], float(self.edges.down[c]),
                    (total - below[c]).tolist(), faulty)
         packets = int(total[0])
         for sw, k in zip(T.switches, T.nports):
             sw.packets_forwarded += packets * (k - 1)
-
-
-def _busy_since(calls: List[float], fins: List[float], busy: float,
-                since: float) -> float:
-    """When the busy period that :func:`serialize`'s last finish *fins*
-    ends began, for packets handed to an edge at *calls* while it was busy
-    until *busy* — since *since* if none of them found it idle."""
-    for at, prev in zip(calls, [busy] + fins[:-1]):
-        if at > prev:
-            since = at
-    return since
+        if lanes.hold is not None:  # each lane's peak of held staging slots
+            for e, (held, t) in zip(self.engines, lanes.peaks()):
+                if held:
+                    e.trace.counter("staging.hold", t, held)
+        # A switch forwarding a packet after every lane is done sends it down
+        # branches without a receiver, maybe after the collective ends: it
+        # is counted when the switch forwards it.
+        F, _, W, L, src, _ = self.edges.rows()
+        fin = max(float(lanes.last_fin.max()), self.sim.now)
+        up = T.anc[self.edges.switch_of[src]]  # the sender is below
+        for r, c in zip(*np.nonzero(F > fin)):
+            args = (T.switches[c], T.nports[c] - 1,
+                    [T.down[k] for k in T.kids[c] if not up[r, k]]
+                    + ([T.up[c]] if c and up[r, c] else []),
+                    int(W[r]), int(L[r]), faulty)
+            _forward(*args, -1)
+            self.sim.post_at(float(F[r, c]), _forward, *args, 1)
 
 
 def _unsettled(now: float, T: _Tree, engines, ops, sent) -> Optional[str]:
@@ -835,6 +834,18 @@ def _count(ch, busy: float, counts: List[int], faulty) -> None:
         # Data packets are always fault-affected kinds; keep the droppable
         # index in lockstep (the spec is inert, so no RNG is consumed).
         ch._droppable_seq += packets
+
+
+def _forward(sw, ports: int, chans, wire: int, payload: int, faulty,
+             sign: int) -> None:
+    """*sw* forwards one packet onto *chans* (``sign`` -1 takes it back)."""
+    sw.packets_forwarded += sign * ports
+    for ch in chans:
+        ch.packets_sent += sign
+        ch.bytes_sent += sign * wire
+        ch.payload_bytes_sent += sign * payload
+        if ch in faulty:
+            ch._droppable_seq += sign
 
 
 def _fold_sender(engine: "RankEngine", t: float, wires: List[int],

@@ -1,37 +1,37 @@
-"""Receiver lanes of the fast-forward's data fold (DESIGN §6d).
+"""Tree edges and receiver lanes of the fast-forward's data fold (DESIGN §6d).
 
-The receive chains of a multicast phase are independent (paper §IV-A), so
-the data fold keeps one lane per rank of the collective, in ascending rank
-order: the switch→host edge's busy chain, the receive worker's cursor and
-(UD) the staging-DMA drain.  :func:`worker_step` is the one spelling of a
-receive worker handling one CQE; :meth:`ReceiverLanes.phase` steps every
-lane through it once per chunk of a phase, and
-:meth:`ReceiverLanes._merged` one lane through two phases' packets in the
-order they reach its edge.
-
-``numpy`` ``maximum``/add are the same IEEE-754 operations the packet path
-evaluates, in the same order per lane, so the committed instants are
-bit-identical to it.
-
-``phase`` only reads the lane state: it returns the new state, which the
-session hands to ``commit`` once every gate it evaluates afterwards (the
-cutoff deadline, stragglers) has passed — gates before commit.
+Every edge serves the folded packets FIFO in the order they reach it.
+:class:`TreeEdges` holds the up- and down-channels under the packets of
+concurrently pending phases (concurrent chains included).  The receive
+chains are independent (paper §IV-A): :class:`ReceiverLanes` keeps one
+lane per rank — the switch→host edge's busy chain, the receive worker's
+cursor (:func:`worker_step`) and (UD) the staging-DMA drain.  ``numpy``
+``maximum``/add are the same IEEE-754 operations the packet path
+evaluates, in the same order per lane, so the instants are bit-identical
+to it.  Nothing here commits by itself: each step returns a new state,
+which the session commits once every gate after it has passed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LaneState", "ReceiverLanes", "worker_step"]
+from repro.net.link import serialize
 
+__all__ = ["LaneState", "ReceiverLanes", "TreeEdges", "worker_step"]
+
+_INF = float("inf")
 _NEG_INF = float("-inf")
 
 #: what a phase leaves in the lanes, per lane: the switch→host edge's busy
-#: watermark, the worker cursor, the last receive finish, the DMA watermark
-LaneState = namedtuple("LaneState", "hd_busy cursor last_fin dma_busy")
+#: watermark, the worker cursor, the last receive finish, the DMA watermark;
+#: and, when traced (UD), the staging holds so far: ``None`` untraced, else
+#: ``()`` or ``(earlier, take, release)`` — per lane, when the worker takes
+#: a slot (``nan``: none) and when its copy releases it
+LaneState = namedtuple("LaneState", "hd_busy cursor last_fin dma_busy hold")
 
 
 def worker_step(a, cursor, c1: float, c2: float, copy, dma_busy):
@@ -50,7 +50,8 @@ class ReceiverLanes:
     """Host-level chain state, one lane per rank of the collective.
 
     ``switch_of`` maps each lane to the index of its hosting switch in the
-    per-chunk injection rows the session passes each phase; ``hd_*``
+    per-packet forwarding rows the session passes (``rows[k][switch]`` is
+    when that switch hands packet ``k`` to its host edges); ``hd_*``
     describe the switch→host channel, ``dma_*`` the staging drain (UD
     only: pass ``dma=None`` for UC, whose finish is the worker cursor).
     """
@@ -69,100 +70,375 @@ class ReceiverLanes:
         self.cursor = cursor
         self.last_fin = np.full(len(hd_busy), _NEG_INF)
         self.dma_bw, self.dma_lat, self.dma_busy = dma or (None, None, None)
-        #: per switch, when it last handed its hosts' edges a packet
-        self.sw_last: Optional[np.ndarray] = None
-        #: the lanes and ``sw_last`` before the last committed phase, and
-        #: that phase's ``(inj, wires, lens, sender)``, for :meth:`_merged`
-        self._prev = None
-        self._inputs = None
+        self.hold = None
+        self.lane = np.arange(len(hd_busy))
         #: per-lane serialization / copy times by size, computed once
         self._ser: Dict[int, np.ndarray] = {}
         self._copy: Dict[int, np.ndarray] = {}
 
-    def phase(self, inj: np.ndarray, wires, lens, sender: int):
-        """One phase of ``len(wires)`` chunks, chunk ``k`` injected at
-        ``inj[k][switch]``.  Returns ``(state, fin_max, prev_fin)`` — the
-        new lane state for :meth:`commit`, the latest receive finish, and
-        the latest finish of a lane whose edge serves this phase's packets
-        among the previous phase's (:meth:`_merged`), which ends that
-        phase too — or ``None`` when a lane's edge would serve this phase
-        ahead of an older phase's packets.  The sender's lane receives
-        nothing and keeps its state."""
+    @property
+    def state(self) -> LaneState:
+        return LaneState(self.hd_busy, self.cursor, self.last_fin,
+                         self.dma_busy, self.hold)
+
+    def phase(self, rows: np.ndarray, wires, lens, sender: int):
+        """One phase of ``len(wires)`` packets that reach every lane's edge
+        after all packets before them.  Returns ``(state, fins)``: the new
+        lane state for :meth:`commit` and each lane's finish, ``-inf`` on
+        the sender's, which receives nothing and keeps its state."""
         s = sender
-        check = ()
-        if self.sw_last is not None:
-            over = inj[0] <= self.sw_last
-            if over.any():  # a host edge handed this phase first, maybe
-                check = [j for j in np.flatnonzero(over[self.switch_of]).tolist()
-                         if j != s]
-        hd, cur, dma = self.hd_busy, self.cursor, self.dma_busy
+        hd, cur, dma, hold = self.hd_busy, self.cursor, self.dma_busy, self.hold
         for k, w in enumerate(wires):
             ser = self._ser.get(w)
             if ser is None:
                 ser = self._ser[w] = w / self.bw
-            hd = np.maximum(inj[k][self.switch_of], hd) + ser
+            hd = np.maximum(rows[k][self.switch_of], hd) + ser
             a = hd + self.lat
             copy = None
             if dma is not None:
                 copy = self._copy.get(lens[k])
                 if copy is None:
                     copy = self._copy[lens[k]] = lens[k] / self.dma_bw
+            take = None if hold is None else np.maximum(a, cur) + self.c1
             cur, dma = worker_step(a, cur, self.c1, self.c2, copy, dma)
+            if take is not None and dma is not None:
+                take[s] = np.nan
+                hold = (hold, take, dma + self.dma_lat)
         fins = cur.copy() if dma is None else dma + self.dma_lat
-        hd[s] = self.hd_busy[s]
-        cur[s] = self.cursor[s]
+        out = fins.copy()
+        hd[s], cur[s], fins[s], out[s] = (self.hd_busy[s], self.cursor[s],
+                                          self.last_fin[s], _NEG_INF)
         if dma is not None:
             dma[s] = self.dma_busy[s]
-        prev_fin = _NEG_INF
-        for j in check:
-            exact = self._merged(j, inj, wires, lens)
-            if exact is None:
-                return None
-            if exact:
-                hd[j], cur[j], fins[j], d = exact
-                if dma is not None:
-                    dma[j] = d
-                prev_fin = max(prev_fin, fins[j])
-        self._inputs = (inj, wires, lens, s)
-        fins[s] = _NEG_INF
-        fin_max = float(fins.max())
-        fins[s] = self.last_fin[s]
-        return LaneState(hd, cur, fins, dma), fin_max, prev_fin
+        return LaneState(hd, cur, fins, dma, hold), out
 
-    def _merged(self, j: int, inj, wires, lens):
-        """Lane *j*, whose switch handed the previous phase's last packet
-        no earlier than this phase's first.  ``()`` when the previous phase
-        did not use *j*'s edge (its sender's) and this one does not
-        overtake the one before; else the lane through both phases with its
-        edge serving their packets in the order they reach it, from the
-        state before the previous phase — the same float expressions as
-        :meth:`phase` — as ``(hd, cursor, finish, dma)``.  ``None`` when
-        this phase also overtakes an older one's packets, or two reach the
-        edge at one instant."""
-        pre, pre_sw, p_inj, p_wires, p_lens, p_s = self._prev
-        col = self.switch_of[j]
-        if pre_sw is not None and inj[0][col] <= pre_sw[col]:
-            return None
-        if j == p_s:
-            return ()
-        packets = sorted([(p_inj[k][col], w, ln) for k, (w, ln)
-                          in enumerate(zip(p_wires, p_lens))]
-                         + [(inj[k][col], w, ln) for k, (w, ln)
-                            in enumerate(zip(wires, lens))])
-        if any(x[0] == y[0] for x, y in zip(packets, packets[1:])):
-            return None
-        hd, cur = pre.hd_busy[j], pre.cursor[j]
-        dma = None if pre.dma_busy is None else pre.dma_busy[j]
-        for at, w, ln in packets:
-            hd = np.maximum(at, hd) + w / self.bw[j]
-            copy = None if dma is None else ln / self.dma_bw[j]
-            cur, dma = worker_step(hd + self.lat[j], cur, self.c1, self.c2,
-                                   copy, dma)
-        return hd, cur, cur if dma is None else dma + self.dma_lat[j], dma
+    def settle(self, state: LaneState, rows: np.ndarray, wires: np.ndarray,
+               lens: np.ndarray, src: np.ndarray, lo: float, hi: float,
+               lanes=None) -> LaneState:
+        """Step *lanes* (all by default) from *state* through the packets of
+        *rows* (forwarding rows of concurrently pending phases; ``src``: each
+        packet's sender lane, which does not receive it) whose arrival at
+        the lane's switch is in ``[lo, hi)``, each lane in its own arrival
+        order: a per-column-sorted lane matrix, stepped one row at a time.
+        Equal arrivals keep row order.  Returns the lanes' new state."""
+        js = self.lane if lanes is None else np.asarray(lanes)
+        a = rows[:, self.switch_of[js]]
+        ok = (a >= lo) & (a < hi) & (src[:, None] != js)
+        order = np.argsort(np.where(ok, a, _INF), axis=0, kind="stable")
+        a = np.take_along_axis(a, order, 0)
+        ok = np.take_along_axis(ok, order, 0)
+        ws, ls = wires[order], lens[order]
+        hd, cur, fin = state.hd_busy[js], state.cursor[js], state.last_fin[js]
+        dma = None if state.dma_busy is None else state.dma_busy[js]
+        hold = state.hold if lanes is None and dma is not None else None
+        bw, lat = self.bw[js], self.lat[js]
+        for k in range(int(ok.sum(0).max()) if ok.size else 0):
+            v = ok[k]
+            h = np.maximum(a[k], hd) + ws[k] / bw
+            copy = None if dma is None else ls[k] / self.dma_bw[js]
+            take = None if hold is None else np.maximum(h + lat, cur) + self.c1
+            c, d = worker_step(h + lat, cur, self.c1, self.c2, copy, dma)
+            if take is not None:
+                hold = (hold, np.where(v, take, np.nan), d + self.dma_lat[js])
+            f = c if d is None else d + self.dma_lat[js]
+            if not v.all():
+                h, c, f = np.where(v, h, hd), np.where(v, c, cur), np.where(v, f, fin)
+                d = None if d is None else np.where(v, d, dma)
+            hd, cur, fin, dma = h, c, f, d
+        return LaneState(hd, cur, fin, dma, state.hold if hold is None else hold)
+
+    def bound(self, state: LaneState, last: float, wires: np.ndarray,
+              lens: np.ndarray) -> float:
+        """An upper bound on every lane's finish once it has served, from
+        *state*, packets of *wires* / *lens* bytes arriving no later than
+        *last*: a FIFO tandem is monotone in its
+        arrivals and its work, so the edge, worker and DMA are bounded by
+        one FIFO server with the largest of their service times, from a
+        start covering all three and the last arrival, plus one worker step
+        and one copy (and a relative margin for the exact walk's rounding)."""
+        cost = self.c1 + self.c2
+        copy = 0.0 if state.dma_busy is None else lens / self.dma_bw.min()
+        serve = np.maximum(np.maximum(wires / self.bw.min(), cost), copy)
+        start = np.maximum(state.hd_busy, state.cursor - self.lat)
+        tail = self.lat + cost
+        if state.dma_busy is not None:
+            start = np.maximum(start, state.dma_busy - tail)
+            tail = tail + np.max(copy) + self.dma_lat
+        return (max(start.max(), last) + serve.sum() + tail.max()) * (1 + 1e-9)
 
     def commit(self, state: LaneState) -> None:
-        inj, wires = self._inputs[:2]
-        self._prev = (LaneState(self.hd_busy, self.cursor, self.last_fin,
-                                self.dma_busy), self.sw_last, *self._inputs)
-        self.sw_last = inj[len(wires) - 1]
-        self.hd_busy, self.cursor, self.last_fin, self.dma_busy = state
+        self.hd_busy, self.cursor, self.last_fin, self.dma_busy, self.hold = state
+
+    def peaks(self):
+        """Per lane, the most staging slots its worker held at once —
+        taken at the CQE poll, released when the copy completes — and when
+        that peak is first reached; ``(0, None)`` for a lane that held none."""
+        takes, releases, node = [], [], self.hold
+        while node:
+            node, take, release = node
+            takes.append(take)
+            releases.append(release)
+        out = []
+        for take, release in zip(np.array(takes[::-1]).T, np.array(releases[::-1]).T):
+            ok = take == take
+            take, release = take[ok], release[ok]
+            held = np.arange(1, len(take) + 1) - np.searchsorted(
+                release, take, side="left")
+            k = int(held.argmax()) if len(held) else 0
+            out.append((int(held[k]), float(take[k])) if len(held) else (0, None))
+        return out
+
+
+class TreeEdges:
+    """The multicast tree's up- and down-channels under the session's
+    pending packets — those a later phase could still reach an edge ahead
+    of, or a lane has not served: per packet, when each switch forwards it
+    (``F``), when the edge into each switch delivers it (``D``), its wire
+    and payload bytes and sender lane.  Every edge serves its packets FIFO
+    in arrival order.  A packet every switch with tree ports below it has
+    forwarded before a later phase's hook can no longer be overtaken: it
+    leaves the ``tree`` rows and its deliveries stay in a base watermark.
+    ``switch_of``: each lane's switch; ``eg_lat``: its NIC-egress latency."""
+
+    def __init__(self, tree, switch_of: np.ndarray, eg_lat) -> None:
+        T = self.T = tree
+        self.switch_of = switch_of
+        self.eg_lat = eg_lat
+        self.up = np.array([0.0] + [ch.busy_until for ch in T.up[1:]])
+        self.down = np.array([0.0] + [ch.busy_until for ch in T.down[1:]])
+        self.base_up, self.base_down = self.up, self.down
+        self._ser: Dict[int, List[np.ndarray]] = {}  # per size, per level
+        self._rows = (np.empty((0, T.S)), np.empty((0, T.S)), np.empty(0),
+                      np.empty(0), np.empty(0, dtype=np.intp),
+                      np.empty(0, dtype=bool))  # F D W L src tree
+        self._blocks: List[tuple] = []  # phases appended since
+        self.size = None  # the one packet size so far (0: several)
+        self.last = np.full(T.S, _NEG_INF)  # latest forward, per switch
+        self.inner = np.array([bool(k) for k in T.kids])  # switches with kids
+
+    def rows(self, state=None):
+        """The pending packets' ``(F, D, W, L, src, tree)`` — with a
+        phase :meth:`add` returned *state* for, not committed yet."""
+        if self._blocks:
+            self._rows = self._join(self._blocks)
+            self._blocks = []
+        if state is None:
+            return self._rows
+        if state[0] is None:  # joined once: commit takes the arrays
+            state[:2] = self._join([state[1]]), None
+        return state[0]
+
+    def _join(self, blocks) -> tuple:
+        """The rows with *blocks* — ``(F, D, wires, lens, sender)`` per
+        appended phase — after them."""
+        n = [len(b[2]) for b in blocks]
+        return tuple(np.concatenate([r, *x]) for r, x in zip(self._rows, (
+            [b[0] for b in blocks], [b[1] for b in blocks],
+            [np.array(b[2], dtype=float) for b in blocks],
+            [np.array(b[3], dtype=float) for b in blocks],
+            [np.full(k, b[4], dtype=np.intp) for k, b in zip(n, blocks)],
+            [np.ones(k, dtype=bool) for k in n])))
+
+    def add(self, i: int, fins: List[float], wires: List[int],
+            lens: List[int]):
+        """Lane *i*'s phase, its egress finishes *fins*, merged into the
+        pending packets: ``(state, rows)`` — the state for :meth:`commit`
+        (:meth:`rows` reads the packets in it) and, if it reaches every
+        tree edge and every switch's host edges after all pending packets,
+        the phase's forwarding rows —, or ``(None, None)`` when packets of
+        two sizes would reach one switch at one instant (of one size, either
+        order leaves every instant as it is: they go on to the same
+        subtree)."""
+        T = self.T
+        n = len(wires)
+        size = wires[0] if self.size in (None, wires[0]) and min(wires) == max(
+            wires) else 0
+        ties = bool(size)
+        rows = self._append(i, fins, wires, ties)
+        if rows is not None:
+            rows, dep, up, down, lanes = rows
+            state, last = [None, (rows, dep, wires, lens, i)], rows[-1]
+            if not lanes:
+                rows = None  # a host edge is handed it earlier
+        else:
+            F, D, W, L, src, tree = self.rows()
+            W = np.concatenate([W, wires])
+            src = np.concatenate([src, np.full(n, i, dtype=np.intp)])
+            tree = np.concatenate([tree, np.ones(n, dtype=bool)])
+            F, D, up, down = self._merge(i, fins, W, src, tree)
+            state = [(F, D, W, np.concatenate([L, lens]), src, tree), None]
+            last = F.max(0)
+        if rows is None and not ties:
+            F, _, W = self.rows(state)[:3]
+            for a in F.T:
+                k = np.argsort(a, kind="stable")
+                if ((a[k[1:]] == a[k[:-1]]) & (W[k[1:]] != W[k[:-1]])).any():
+                    return None, None
+        return state + [up, down, np.maximum(self.last, last), size], rows
+
+    def commit(self, state) -> None:
+        full, block = state[:2]
+        if full is not None:
+            self._rows, self._blocks = full, []
+        else:
+            self._blocks.append(block)
+        self.up, self.down, self.last, self.size = state[2:]
+
+    def leave(self, t: float) -> None:
+        """The rows every inner switch forwarded before *t* leave the tree."""
+        *rows, tree = self.rows()
+        out = tree & (rows[0][:, self.inner].max(1, initial=_NEG_INF) < t)
+        self._base(out)
+        self._rows = (*rows, tree & ~out)
+
+    def _append(self, i: int, fins: List[float], wires: List[int],
+                ties: bool):
+        """The phase's packets if each reaches every tree edge after all
+        the pending ones (or, *ties*: every packet of one size, no earlier)
+        — ``(forwarding rows, delivery rows, up- and down-channel
+        watermarks, whether every switch forwards it after them too)`` —
+        else ``None``: a scalar up-chain from the sender's switch to the
+        root, then one vectorised busy-chain step per tree level per chunk,
+        the sender's path masked."""
+        T = self.T
+        n = len(wires)
+        c = int(self.switch_of[i])
+        inj, dep = [(f + self.eg_lat[i]) + T.d[c] for f in fins], fins
+        masks = {}  # depth -> (switch on the sender's path, arrivals, deliveries)
+        up = self.up.copy()
+        while c:
+            masks[T.depth[c]] = (c, inj, dep)
+            ch = T.up[c]
+            dep = serialize(inj, wires, ch.bandwidth, float(up[c]), 0)
+            up[c] = dep[-1]
+            p = T.par[c]
+            inj = [(f + ch.latency) + T.d[p] for f in dep]
+            c = p
+        rows, deps = np.empty((n, T.S)), np.empty((n, T.S))
+        rows[:, 0], deps[:, 0] = inj, dep
+        busy = self.down  # each down-channel's watermark before packet k
+        for k, w in enumerate(wires):
+            ser = self._ser.get(w)
+            if ser is None:
+                ser = self._ser[w] = [w / bw for _, _, _, bw, _, _ in T.levels]
+            row, drow = rows[k], deps[k]
+            for depth, (lo, hi, par, _, dlat, d) in enumerate(T.levels, 1):
+                new = np.maximum(row[par], busy[lo:hi]) + ser[depth - 1]
+                drow[lo:hi] = new
+                row[lo:hi] = (new + dlat) + d
+                m = masks.get(depth)
+                if m is not None:  # the sender's path: no down hop
+                    row[m[0]], drow[m[0]] = m[1][k], m[2][k]
+            busy = drow
+            if k == 0:  # after the latest forward at every switch, or
+                lanes = (row >= self.last if ties else row > self.last).all()
+                if not lanes:  # at least each channel's latest arrival
+                    F, _, _, _, src, tree = self.rows()
+                    F, on = F[tree], T.anc[self.switch_of[i]]
+                    below = T.anc[self.switch_of[src[tree]]]
+                    at = np.where(on, row, row[T.pa])[1:]
+                    last = np.where(on, np.where(below, F, _NEG_INF).max(
+                        0, initial=_NEG_INF), np.where(
+                        below, _NEG_INF, F[:, T.pa]).max(0, initial=_NEG_INF))[1:]
+                    if not (at >= last if ties else at > last).all():
+                        return None
+        down = deps[n - 1].copy()  # (the root and the sender's path keep theirs)
+        for c in [0] + [m[0] for m in masks.values()]:
+            down[c] = self.down[c]
+        return rows, deps, up, down, lanes
+
+    def _merge(self, i: int, fins: List[float], W: np.ndarray, src, tree):
+        """The phase's packets among the tree rows on every edge: up the
+        sender's path, then down the tree a level at a time, each edge
+        re-served from the earliest arrival a change touched."""
+        T = self.T
+        n = len(fins)
+        rows = np.flatnonzero(tree)
+        F, D = (np.vstack([x, np.full((n, T.S), np.nan)])
+                for x in self.rows()[:2])
+        out = F, D
+        F, D, W = F[rows], D[rows], W[rows]
+        below = T.anc[self.switch_of[src[rows]]]  # the sender is below
+        theta = np.full(T.S, _INF)  # earliest arrival changed, per switch
+        c = self.switch_of[i]
+        F[-n:, c] = [(f + self.eg_lat[i]) + T.d[c] for f in fins]
+        D[-n:, c] = fins
+        theta[c] = F[-n, c]
+        up, down = self.up.copy(), self.down.copy()
+        while c:  # the up-channels on the sender's path, then down the tree
+            p, ch = T.par[c], T.up[c]
+            k = np.array([c])
+            up[c] = self._serve(F, D, W, theta, k, np.array([p]), below[:, k],
+                                ch.bandwidth, ch.latency, T.d[p],
+                                self.base_up[k], up[k])[0]
+            c = p
+        for lo, hi, par, bw, lat, d in T.levels:
+            down[lo:hi] = self._serve(F, D, W, theta, par, np.arange(lo, hi),
+                                      ~below[:, lo:hi], bw, lat, d,
+                                      self.base_down[lo:hi], down[lo:hi])
+        out[0][rows], out[1][rows] = F, D
+        return out[0], out[1], up, down
+
+    def _serve(self, F, D, W, theta, src, dst, mine, bw, lat, d, base, busy):
+        """Re-serve the channels ``src[j] → dst[j]`` (watermarks *busy*,
+        *base* before the rows dropped; *mine*: the rows each carries), each
+        from its first packet at or after ``theta[src[j]]``, in the order
+        they reach it — :func:`~repro.net.link.serialize`'s expression, one
+        sorted matrix for all.  A packet delivered at a new instant lowers
+        ``theta`` downstream to the earlier of its old and new arrival.
+        Returns the channels' watermarks."""
+        a = F[:, src]
+        late = mine & (a >= theta[src])
+        rows = np.flatnonzero(late.any(1))
+        if not rows.size:
+            return busy
+        out = busy
+        busy = np.maximum(np.where(mine & ~late, D[:, dst], _NEG_INF).max(0), base)
+        late, a = late[rows], a[rows]
+        order = np.argsort(np.where(late, a, _INF), axis=0, kind="stable")
+        late = np.take_along_axis(late, order, 0)
+        # (a packet a channel does not serve arrives at -inf and takes no
+        # time: ``max(-inf, busy) + 0.0`` is ``busy``, bit for bit)
+        a = np.where(late, np.take_along_axis(a, order, 0), _NEG_INF)
+        serve = np.where(late, W[rows][order] / bw, 0.0)
+        dep = np.empty_like(a)
+        for k in range(int(late.sum(0).max())):
+            busy = np.maximum(a[k], busy) + serve[k]
+            dep[k] = busy
+        r, j = rows[order], np.broadcast_to(np.arange(len(dst)), late.shape)
+        moved = late & (dep != D[r, dst[j]])  # (a new row's nan never equals)
+        r, t, dep = r[moved], dst[j[moved]], dep[moved]
+        f = (dep + np.broadcast_to(lat, dst.shape)[j[moved]]) + np.broadcast_to(
+            d, dst.shape)[j[moved]]
+        old = F[r, t]
+        np.minimum.at(theta, t, f)
+        np.minimum.at(theta, t[old == old], old[old == old])
+        D[r, t], F[r, t] = dep, f
+        return np.where(late.any(0), busy, out)
+
+    def drop_front(self, n: int, up: np.ndarray, down: np.ndarray) -> None:
+        """Forget the first *n* pending packets, all appended, after which
+        the channels' watermarks were *up* and *down*."""
+        while n and not len(self._rows[2]):
+            n -= len(self._blocks.pop(0)[2])
+        if n:
+            self._rows = tuple(x[n:] for x in self.rows())
+        self.base_up, self.base_down = up, down
+
+    def drop(self, mask: np.ndarray) -> None:
+        """Forget the pending packets in *mask*."""
+        rows = self.rows()
+        self._base(mask & rows[5])
+        self._rows = tuple(x[~mask] for x in rows)
+
+    def _base(self, mask: np.ndarray) -> None:
+        """Keep the deliveries of the rows in *mask* in the base watermarks."""
+        if not mask.any():
+            return
+        T = self.T
+        _, D, _, _, src, _ = self.rows()
+        D, below = D[mask], T.anc[self.switch_of[src[mask]]]
+        self.base_down = np.maximum(self.base_down,
+                                    np.where(below, _NEG_INF, D).max(0))
+        self.base_up = np.maximum(self.base_up,
+                                  np.where(below, D[:, T.pa], _NEG_INF).max(0))

@@ -7,8 +7,11 @@ evaluation metrics — link utilization and staging-ring occupancy —
 become secondary objectives: at equal completion time the tuner prefers
 headroom in the staging ring and a busier bottleneck link.  Link
 utilization is read off the channels' byte counters, which a folded phase
-commits exactly; staging occupancy off the trace, where only phases run
-at packet level hold slots.
+commits exactly; staging occupancy off the trace, where a folded session
+records each receiver's peak of held slots (DESIGN.md §6d) and a
+packet-level CQE batch samples each slot at its CQE's poll instant: both
+read the per-CQE reference's count, so folded and unfolded candidates
+compare on one scale.
 
 Tracing perturbs nothing (DESIGN.md §8 pins zero virtual-time
 perturbation with the tracer attached), so a tuned profile's measured

@@ -406,19 +406,22 @@ def test_ff_exact_straggler_equivalence(kind: str, seed: int) -> None:
 
 
 @pytest.mark.parametrize("kind,setup,misses", [
-    ("allgather", {"n_chains": 4}, {"chains": P}),
+    ("allgather", {"n_chains": 4}, {}),
     ("broadcast", {"n_subgroups": 2}, {"subgroups": 1}),
 ], ids=["chains", "subgroups"])
 def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
-    # The paper's chains and subgroups are not folded yet: each declined
-    # phase is counted under the gate that declined it, and traced with it.
+    # The paper's chains fold (every edge merges their packets) and match
+    # the reference; subgroups are not folded yet: each declined phase is
+    # counted under the gate that declined it, and traced with it.
     _, res = _run_ff(kind, 0, False, trace=TraceConfig(), **setup)
-    assert res.engine["ff_phases"] == 0
+    assert res.engine["ff_phases"] == (0 if misses else P)
     assert res.engine["ff_misses"] == misses
     traced: Dict[str, int] = {}
     for ev in res.trace.select(name="engine.ff_miss"):
         traced[ev.args["reason"]] = traced.get(ev.args["reason"], 0) + 1
     assert traced == misses
+    if not misses:
+        _assert_ff_exact(kind, 0, **setup)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather", "allreduce"])
@@ -525,7 +528,8 @@ def test_ff_exact_activation_fold_matrix(topology: str, transport: str,
     assert res.engine["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
 
 
-def _chain_then_broadcast(fold: bool, topology, transport: str, at: float):
+def _chain_then_broadcast(fold: bool, topology, transport: str, at: float,
+                          n_chains: int = 1):
     """A 16-rank allgather, then a broadcast submitted at *at* from a
     driver process; what both collectives leave behind.  Without *fold*
     the folds are kept out: two collectives sharing a channel are where
@@ -534,7 +538,7 @@ def _chain_then_broadcast(fold: bool, topology, transport: str, at: float):
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
                     streams=RandomStreams(0))
     comm = Communicator(fabric, config=CollectiveConfig(
-        chunk_size=1024, transport=transport))
+        chunk_size=1024, transport=transport, n_chains=n_chains))
     if not fold:
         unfold(comm)
     data = np.arange(4 * KiB, dtype=np.uint8)
@@ -590,6 +594,72 @@ def test_a_collective_admitted_mid_chain_gets_the_activations_back(
     assert comm.cf.folds + sum(comm.cf.misses.values()) == 5
 
 
+_CHAINS_WINDOW: Dict[Tuple[str, str, int], Tuple[float, float]] = {}
+
+
+def _chains_window(topology: str, transport: str, n_chains: int
+                   ) -> Tuple[float, float]:
+    """First ``sync`` and last ``send_done`` of an *n_chains* allgather
+    run alone: the span in which its data phases are sent."""
+    key = (topology, transport, n_chains)
+    if key not in _CHAINS_WINDOW:
+        _, res = _run_ff("allgather", 0, False, transport=transport,
+                         topology=_FF_TOPOLOGIES[topology], chunk_size=1024,
+                         nbytes=1024, n_chains=n_chains)
+        _CHAINS_WINDOW[key] = (min(r.phases["sync"] for r in res.ranks),
+                               max(r.phases["send_done"] for r in res.ranks))
+    return _CHAINS_WINDOW[key]
+
+
+#: cases whose folded run differs from the packet path: the broadcast
+#: preempts a session whose folded packets are still in flight, and the
+#: flush commits their channel watermarks ahead of packet-level packets
+#: that reach those channels first (ROADMAP item 7(i))
+_IN_FLIGHT_AT_ABORT = {
+    ("dragonfly", "ud", 8, 0), ("dragonfly", "ud", 16, 0),
+    ("dragonfly", "ud", 16, 1), ("dragonfly", "uc", 8, 0),
+    ("dragonfly", "uc", 16, 0), ("dragonfly", "uc", 16, 1),
+    ("fat_tree3", "ud", 16, 0), ("fat_tree3", "ud", 16, 1),
+    ("leaf_spine", "ud", 16, 1), ("torus", "ud", 16, 0),
+    ("torus", "uc", 16, 1),
+}
+
+
+def _mid_chains_cases():
+    """Two instants per topology, transport and chain count, sampled once
+    over the data window (a fraction of it) from a fixed seed."""
+    rng = np.random.default_rng(0)
+    for topology in sorted(_FF_TOPOLOGIES):
+        for transport in ("ud", "uc"):
+            for n_chains in (2, 4, 8, 16):
+                for k, frac in enumerate(rng.uniform(0.0, 1.0, 2).tolist()):
+                    key = (topology, transport, n_chains, k)
+                    marks = [pytest.mark.xfail(
+                        strict=True, reason="ROADMAP item 7(i): in-flight "
+                        "folded packets flushed ahead of packet-level ones")
+                    ] if key in _IN_FLIGHT_AT_ABORT else []
+                    yield pytest.param(*key[:3], frac, marks=marks,
+                                       id="-".join(map(str, key)))
+
+
+@pytest.mark.parametrize("topology,transport,n_chains,frac",
+                         list(_mid_chains_cases()))
+def test_a_collective_admitted_mid_chains_gets_every_chains_activations_back(
+        topology: str, transport: str, n_chains: int, frac: float) -> None:
+    # Concurrent chains fold their data phases and their activations;
+    # whenever a broadcast is admitted while they are sent, every chain's
+    # folded activations and phases not over yet go back to the packet
+    # path, and both collectives end as they do there.
+    lo, hi = _chains_window(topology, transport, n_chains)
+    at = lo + frac * (hi - lo)
+    comm, got = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
+                                      transport, at, n_chains)
+    _, want = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
+                                    transport, at, n_chains)
+    assert got == want
+    assert comm.ff.ff_phases or comm.cf.misses.get("preempted")  # folds ran
+
+
 @pytest.mark.parametrize("transport", ["ud", "uc"])
 def test_ff_exact_lane_session_allgather(transport: str, monkeypatch) -> None:
     # 32 ranks x one 1 KiB chunk each: the whole chain runs in one
@@ -636,32 +706,68 @@ def test_ff_exact_receiver_fold_straggler_armed(window, folds: bool,
     assert res.engine["ff_misses"] == ({} if folds else {"straggler": 1})
 
 
-def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
-    # Twelve one-chunk phases on a dragonfly with zero-latency links and
-    # free control messages: a later phase would reach a shared edge before
-    # an earlier phase's packet, which the fold cannot order.  It declines
-    # that phase with `overtake`, and the run matches the reference.
+def _dragonfly_allgather(reference: bool, seed: int, **latencies):
+    """A 4 KiB-per-rank UC allgather on ``dragonfly(3, 2, 2)`` with free
+    control messages (*latencies*: the fabric's link and switch delays)."""
     from repro.core.costmodel import HostCostModel
 
-    def run(reference: bool):
-        fabric = Fabric(Simulator(), Topology.dragonfly(3, 2, 2),
-                        link_latency=0.0, streams=RandomStreams(0),
-                        reference=reference)
-        comm = Communicator(fabric, config=CollectiveConfig(
-            chunk_size=4 * KiB, transport="uc",
-            cost=HostCostModel(ctrl_message=0.0)))
-        rng = np.random.default_rng(0)
-        data = [rng.integers(0, 256, 4 * KiB, dtype=np.uint8)
-                for _ in range(comm.size)]
-        res = comm.allgather(data)
-        assert res.verify_allgather(data)
-        return res
+    fabric = Fabric(Simulator(), Topology.dragonfly(3, 2, 2),
+                    streams=RandomStreams(seed), reference=reference,
+                    **latencies)
+    comm = Communicator(fabric, config=CollectiveConfig(
+        chunk_size=4 * KiB, transport="uc",
+        cost=HostCostModel(ctrl_message=0.0)))
+    rng = np.random.default_rng(seed)
+    data = [rng.integers(0, 256, 4 * KiB, dtype=np.uint8)
+            for _ in range(comm.size)]
+    res = comm.allgather(data)
+    assert res.verify_allgather(data)
+    return res
 
-    res, ref = run(False), run(True)
-    assert res.engine["ff_misses"].get("overtake") == 1
-    assert 0 < res.engine["ff_phases"] < 12
+
+def test_ff_exact_dragonfly_allgather_regression_seed() -> None:
+    # Twelve one-chunk phases on a dragonfly with zero-latency links and
+    # free control messages: a later phase reaches a shared edge before an
+    # earlier phase's packet.  The edge serves them in arrival order, so
+    # all twelve phases fold and the run matches the reference.
+    res = _dragonfly_allgather(False, 0, link_latency=0.0)
+    ref = _dragonfly_allgather(True, 0, link_latency=0.0)
+    assert res.engine["ff_phases"] == 12, res.engine["ff_misses"]
+    assert res.engine["ff_misses"] == {}
     assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
     assert res.duration == ref.duration and res.traffic == ref.traffic
+
+
+def test_ff_exact_dragonfly_allgather_overtaken_phase() -> None:
+    # With 0.1 us on every link and switch, a phase folded while an earlier
+    # one's packets are still in the tree overtakes them on a shared edge.
+    # Declining it used to leave the overtaken packets' future edge state
+    # committed, where the packet-level phase queued behind it (rank 11's
+    # data 0.46 us late); the merge folds every phase, exactly.
+    lat = dict(link_latency=0.1e-6, switch_delay=0.1e-6)
+    res = _dragonfly_allgather(False, 1, **lat)
+    ref = _dragonfly_allgather(True, 1, **lat)
+    assert res.engine["ff_phases"] == 12 and res.engine["ff_misses"] == {}
+    assert [r.phases for r in res.ranks] == [r.phases for r in ref.ranks]
+    assert res.duration == ref.duration and res.traffic == ref.traffic
+    for a, b in zip(res.buffers, ref.buffers):
+        assert np.array_equal(a, b)
+
+
+def test_packets_of_two_sizes_at_one_instant_are_a_tie() -> None:
+    # Two phases whose packets reach the one switch of star(3) at one
+    # instant: of one size either order leaves every instant as it is, of
+    # two sizes the order decides them, so the merge declines (`tie`).
+    from repro.sim.parallel import TreeEdges
+
+    comm = Communicator(Fabric(Simulator(), Topology.star(3)))
+    edges = TreeEdges(comm.ff.tree(comm.mcast_gids[0]),
+                      np.zeros(3, dtype=np.intp), [0.0] * 3)
+    state, rows = edges.add(0, [1e-6], [1088], [1024])
+    assert rows is not None
+    edges.commit(state)
+    assert edges.add(1, [1e-6], [4160], [4096]) == (None, None)
+    assert edges.add(1, [1e-6], [1088], [1024])[1] is not None
 
 
 def test_ff_folded_send_holds_the_send_path_for_a_later_collective() -> None:
@@ -799,9 +905,12 @@ def test_retired_config_field_is_rejected(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_submit_kind(kind: str, seed: int, reference: bool, **kw):
+def _run_submit_kind(kind: str, seed: int, reference: bool,
+                     data_fold: bool = True, **kw):
     comm = _make_comm(seed, reference,
                       n_chains=P if kind.endswith("_pchains") else 1, **kw)
+    if not data_fold:
+        unfold(comm, control=False)
     rng = np.random.default_rng(seed)
     if kind.startswith("allreduce"):
         data = [rng.normal(size=P * 1024).astype(np.float32)
@@ -864,8 +973,12 @@ def test_submit_kind_fastpath_equivalence(kind: str, condition: str,
         assert ref["inc_folds"] == 0
         assert ref["inc_fold_misses"] == {"reference": 1}
     if kind.endswith("_pchains") and condition == "clean":
-        # ... and a clean cross-source backlog is batched.
-        assert res_p.engine["stamped_cqes"] >= res_p.engine["batched_cqes"] > 0
+        # ... while the data fold merges the P concurrent chains; at packet
+        # level, the clean cross-source backlog is batched.
+        assert res_p.engine["ff_phases"] == P
+        _, pk = _run_submit_kind(kind, seed, False, data_fold=False,
+                                 transport=transport, **kw)
+        assert pk.engine["stamped_cqes"] >= pk.engine["batched_cqes"] > 0
 
 
 # ---------------------------------------------------------------------------

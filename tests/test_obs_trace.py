@@ -254,16 +254,16 @@ def test_metric_timelines(lossy_traced):
     occ = view.staging_occupancy(1)
     assert occ and all(v >= 0 for _, v in occ)
     assert res.engine["cqe_batches"] > 0
-    # One sample per DMA completion, at its instant, although a receive
-    # batch posts one event for all of its copies: the instants where the
-    # held count steps down are the per-CQE reference's copy completions.
+    # One sample per CQE poll and per DMA completion, at its instant,
+    # although a receive batch marks its slots held at once and posts one
+    # event for all of its copies: the timeline is the per-CQE reference's.
     ref = _bcast(_make_comm(reference=True)).trace.staging_occupancy(1)
+    assert occ == ref
 
     def releases(series):
         return [t for (_, before), (t, v) in zip(series, series[1:])
                 if v < before]
 
-    assert releases(occ) == releases(ref)
     assert len(releases(occ)) == res.ranks[1].counters["chunks_received"]
     assert occ[-1][1] == 0.0
     out = view.outstanding_batches(0)  # rank 0 is the broadcast sender

@@ -4,6 +4,7 @@ store round-trips, cache-hit semantics, API/CLI resolution, and the
 """
 
 import dataclasses
+import functools
 import json
 import os
 
@@ -14,6 +15,7 @@ from repro.core.communicator import CollectiveConfig, Communicator
 from repro.net.fabric import Fabric
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
+from repro.tune import scenario as scenario_module
 from repro.tune import (
     ProfileStore,
     Scenario,
@@ -28,6 +30,7 @@ from repro.tune import (
     size_bucket,
 )
 from repro.units import KiB
+from tests.unfolded import unfold
 
 TINY = Scenario(collective="allgather", n_hosts=8, topo="star",
                 msg_bytes=64 * KiB, seed=0)
@@ -169,6 +172,43 @@ def test_evaluate_without_trace_same_virtual_time():
     untraced = evaluate(TINY, knobs, trace=False)
     assert untraced.duration == traced.duration
     assert untraced.link_util_peak == 0.0  # metrics need the tracer
+
+
+#: the committed torus profile's shape: 16 ranks in 8 concurrent chains
+TORUS_CHAINED = (Scenario(collective="allgather", n_hosts=16, topo="torus",
+                          msg_bytes=64 * KiB, seed=0,
+                          topo_params='{"dims": [4, 4], "hosts_per_node": 1}'),
+                 {"n_chains": 8, "staging_slots": 128, "batch_size": 8,
+                  "max_outstanding_batches": 2})
+
+
+@pytest.mark.parametrize("case", ["tiny", "torus_chained"])
+def test_folded_staging_peak_matches_the_packet_path(case, monkeypatch):
+    # A folded phase holds no staging slot at packet level; the session
+    # traces each lane's peak instead (a slot is held from the worker's
+    # CQE poll until its copy completes).  The packet path's receive
+    # batches sample every slot at its CQE's poll instant too, so the
+    # tuner reads the same staging headroom from the fold, from the
+    # production engine at packet level and from the per-CQE reference.
+    scenario, extra = (TINY, {}) if case == "tiny" else TORUS_CHAINED
+    knobs = {**SearchSpace.default(scenario).baseline_knobs(), **extra}
+    folded = evaluate(scenario, knobs)
+    init = Communicator.__init__
+
+    def unfolded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        unfold(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Communicator, "__init__", unfolded_init)
+        packets = evaluate(scenario, knobs)
+    monkeypatch.setattr(scenario_module, "Fabric",
+                        functools.partial(Fabric, reference=True))
+    ref = evaluate(scenario, knobs)
+    assert folded.duration == packets.duration == ref.duration
+    assert 0.0 < folded.staging_peak_frac == packets.staging_peak_frac
+    assert packets.staging_peak_frac == ref.staging_peak_frac
+    assert folded.sim_events < packets.sim_events
 
 
 TINY_AR = Scenario(collective="allreduce", n_hosts=8, topo="star",

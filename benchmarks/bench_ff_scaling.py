@@ -16,7 +16,9 @@ replaces: O(packets) event simulation with O(links) arithmetic.
 Entry modes:
 
 * ``--smoke`` — the CI ``scaling-smoke`` job: folded broadcast +
-  allgather at 1024 AND 4096 hosts, a 1024-host allgather of four chunks
+  allgather at 1024 AND 4096 hosts, two lossy 1024-host broadcasts that
+  must fold (1e-6 Bernoulli loss on every link; one forced drop on a
+  spine link, whose leaf's hosts must recover), a 1024-host allgather of four chunks
   per rank that must stay within 4x the wall of the one-chunk row, a
   1024-host allgather of 32 concurrent chains that must fold every phase
   within 2x the wall of the one-chain row, a
@@ -51,6 +53,7 @@ import numpy as np
 
 from repro.bench import format_table, make_fabric, report
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.net.link import FaultSpec
 from repro.units import KiB, MiB
 
 #: engine mode -> ``Fabric(reference=...)``
@@ -65,8 +68,9 @@ AR_SHARD_ELEMS = 32
 SMOKE_RSS_BUDGET_MIB = 1024
 
 
-def run_broadcast(n_hosts: int, mode: str,
-                  payload: int = BCAST_PAYLOAD) -> Dict[str, object]:
+def run_broadcast(n_hosts: int, mode: str, payload: int = BCAST_PAYLOAD,
+                  fault=None) -> Dict[str, object]:
+    """*fault*: ``fault(comm)`` arms loss after the warm-up broadcast."""
     t_setup = time.perf_counter()
     fabric = make_fabric(n_hosts, mtu=CHUNK, reference=MODES[mode])
     cfg = CollectiveConfig(
@@ -82,6 +86,8 @@ def run_broadcast(n_hosts: int, mode: str,
     # Warm-up: establishes the lazily-built control-plane QP mesh so the
     # timed section measures the data path, not one-time setup.
     comm.broadcast(0, np.zeros(64 * KiB, dtype=np.uint8))
+    if fault is not None:
+        fault(comm)
     data = np.arange(payload, dtype=np.uint8) % 251
     t0 = time.perf_counter()
     res = comm.broadcast(0, data)
@@ -95,7 +101,23 @@ def run_broadcast(n_hosts: int, mode: str,
         "ff_phases": res.engine.get("ff_phases", 0),
         "ctrl_folds": res.engine.get("ctrl_folds", 0),
         "ctrl_pairs": res.engine.get("ctrl_pairs", 0),
+        "drops": res.traffic["fabric_drops"],
+        "recoveries": res.reliability_summary()["recoveries"],
     }
+
+
+def _bernoulli(comm: Communicator) -> None:
+    """A 1e-6 drop probability on every link."""
+    comm.fabric.set_fault_all(lambda src, dst: FaultSpec(drop_prob=1e-6))
+
+
+def _spine_drop(comm: Communicator) -> None:
+    """One forced drop on the multicast root's link to the last host's
+    leaf: that leaf's hosts lose the first chunk."""
+    fabric = comm.fabric
+    leaf = fabric.topology.attach_point(comm.size - 1)
+    root = fabric.topology.mcast_root(comm.mcast_gids[0])
+    fabric.set_fault(root, leaf, FaultSpec(drop_packet_seqs={0}))
 
 
 def run_allgather(n_ranks: int, mode: str,
@@ -247,9 +269,11 @@ def smoke(budget_s: float) -> int:
               f"wall={r['wall_s']:.2f}s ff_phases={r['ff_phases']} "
               f"ctrl_folds={r['ctrl_folds']} ctrl_pairs={r['ctrl_pairs']}",
               flush=True)
-        # barrier + handshake, and an allgather chain's activations
-        expected = 2 if kind == "broadcast" else 3
-        if r["ctrl_folds"] != expected or r["ctrl_pairs"]:
+        # barrier + handshake, and an allgather chain's activations; a
+        # recovery leaves the handshake (and its fetch pairs) at packet level
+        lossy = bool(r.get("recoveries"))
+        expected = (2 if kind == "broadcast" else 3) - lossy
+        if r["ctrl_folds"] != expected or (r["ctrl_pairs"] and not lossy):
             failures.append(
                 f"{kind} n={n}: control-plane fold disengaged "
                 f"(ctrl_folds={r['ctrl_folds']}, expected {expected}; "
@@ -265,6 +289,18 @@ def smoke(budget_s: float) -> int:
         failures.append(
             f"broadcast fold disengaged (ff_phases={b['ff_phases']}, "
             "expected 1) — the run fell back to packet level")
+
+    # Loss folds too (DESIGN.md §6d): each tree channel draws its drops in
+    # the order it serves the packets, and the ranks left with holes recover
+    # at packet level from what the fold committed.
+    for fault, note in ((_bernoulli, "1e-6 loss"), (_spine_drop, "spine drop")):
+        lb = run_broadcast(1024, "default", fault=fault)
+        row("broadcast", 1024, lb, note=f"{note}, {lb['recoveries']} recoveries")
+        if lb["ff_phases"] != 1:
+            failures.append(f"lossy broadcast ({note}) folded "
+                            f"{lb['ff_phases']}/1 phases")
+        if fault is _spine_drop and not lb["recoveries"]:
+            failures.append("spine drop: no host recovered the lost chunk")
 
     # 100 ms static cutoff on both allgather rows: a 4096-rank chain runs
     # ~13 ms of virtual time, past the 10 ms default slack.

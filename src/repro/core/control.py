@@ -561,6 +561,15 @@ class ControlFold:
         self.sim.post_at(served, self._deliver, st.act[-1])
         return True
 
+    def activation_floor(self, src: int, dst: int, t: float) -> float:
+        """A lower bound on when rank *dst* holds an activation rank *src*
+        sends at *t*, folded or not: a zero-byte flight down the bypass
+        lane, then one dispatcher service."""
+        comm = self.comm
+        chans = comm.fabric.unicast_route(comm.hosts[src], comm.hosts[dst])
+        return (bypass_arrival(t, chans or (), 0)
+                + comm.engines[dst].ctrl.per_message_cost)
+
     @staticmethod
     def _deliver(tok: list) -> None:
         """A folded activation's service ends, unless :meth:`unfold` took it."""

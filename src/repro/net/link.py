@@ -34,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
 __all__ = ["FaultSpec", "Channel", "GilbertElliott", "Window", "UNRELIABLE_KINDS",
-           "serialize", "bypass_clear", "bypass_arrival", "bypass_tables",
-           "bypass_fly"]
+           "DropTape", "serialize", "bypass_clear", "bypass_arrival",
+           "bypass_tables", "bypass_fly"]
 
 #: Packet kinds subject to fault injection / reordering (unreliable
 #: transports).  RC traffic is retransmitted by hardware, so software never
@@ -332,14 +332,84 @@ class Channel:
         return True
 
     def fault_inert(self) -> bool:
-        """Public inertness probe for analytic layers (flow fast-forward):
-        the channel is up and provably cannot drop, delay, or reorder any
-        future packet — timing faults are quiescent (:meth:`_timing_inert`,
-        which also covers flap outages) and no drop machinery is armed."""
+        """Inertness probe: the channel is up and provably cannot drop,
+        delay, or reorder any future packet — timing faults are quiescent
+        (:meth:`_timing_inert`, which also covers flap outages) and no drop
+        machinery is armed.  Look-ahead delivery stamps a single packet only
+        through such a channel; the data fold asks :meth:`fold_drops`,
+        which lets replayable drop machinery through."""
         f = self.fault
         return not self.down and self._timing_inert() and (f is None or not (
             f.drop_prob > 0.0 or f.drop_packet_seqs
             or f.drop_predicate is not None or f.gilbert_elliott is not None))
+
+    def fold_drops(self) -> Optional[str]:
+        """How the data fold treats this channel: ``None`` when nothing
+        armed can drop a packet (:meth:`fault_inert`), ``"drops"`` when its
+        drops are a function of the droppable index alone and so replayable
+        by :meth:`draw_drops` — Bernoulli, Gilbert–Elliott, forced seqs —
+        else the fold's reason to decline: ``"fault"`` (down, a timing
+        fault, a ``drop_predicate``) or ``"lossy"`` (drops that reach RC
+        packets, whose draws would interleave with the fold's)."""
+        f = self.fault
+        if self.down or not (f is None or self._timing_inert()
+                             and f.drop_predicate is None):
+            return "fault"
+        if f is None or self.fault_inert():
+            return None
+        return "drops" if f.protect_reliable else "lossy"
+
+    def draw_drops(self, k: int) -> np.ndarray:
+        """The drop decisions of the next *k* droppable packets, drawn as a
+        block: what *k* calls of :meth:`_should_drop` return, leaving the
+        droppable index, the Gilbert–Elliott state and the RNG where they
+        leave them.  Only for a channel :meth:`fold_drops` lets through (no
+        predicate, no live flap window)."""
+        f = self.fault
+        seq = self._droppable_seq
+        self._droppable_seq = seq + k
+        drop = np.zeros(k, dtype=bool)
+        drop[[s - seq for s in f.drop_packet_seqs if seq <= s < seq + k]] = True
+        ge, p = f.gilbert_elliott, f.drop_prob
+        if ge is None:
+            free = np.flatnonzero(~drop)
+            if p > 0.0 and len(free):
+                if self.rng is None:
+                    raise RuntimeError(f"channel {self.name} needs an rng for drop_prob")
+                drop[free] = self.rng.random(len(free)) < p
+            return drop
+        if self.rng is None:
+            raise RuntimeError(f"channel {self.name} needs an rng for burst loss")
+        bg = self.rng.bit_generator
+        state = bg.state
+        # At most one transition, one state-loss and one Bernoulli value each.
+        u = self.rng.random(int(k - drop.sum()) * (
+            1 + (ge.drop_good > 0.0 or ge.drop_bad > 0.0) + (p > 0.0))).tolist()
+        i = 0
+        bad = self._ge_bad
+        drops = drop.tolist()
+        for x, forced in enumerate(drops):
+            if forced:
+                continue  # (no value drawn, the chain left as it is)
+            if bad is None:
+                bad = ge.start_bad
+            if bad:
+                if u[i] < ge.p_bad_good:
+                    bad = False
+            elif u[i] < ge.p_good_bad:
+                bad = True
+            i += 1
+            q = ge.drop_bad if bad else ge.drop_good
+            if q > 0.0:
+                i += 1
+                drops[x] = u[i - 1] < q
+            if p > 0.0 and not drops[x]:
+                i += 1
+                drops[x] = u[i - 1] < p
+        bg.state = state
+        _consume(self.rng, i)
+        self._ge_bad = bad
+        return np.array(drops, dtype=bool)
 
     def transmit_train(self, packets: Sequence[Packet], injections: Optional[Sequence[float]] = None):
         """Transmit a back-to-back run of same-flow packets.
@@ -505,6 +575,73 @@ class Channel:
         return f"<Channel {self.name} sent={self.packets_sent}p/{self.bytes_sent}B>"
 
 
+def _consume(rng: np.random.Generator, n: int) -> None:
+    """Move *rng* past its next *n* doubles (one 64-bit output each)."""
+    advance = getattr(rng.bit_generator, "advance", None)
+    if advance is not None:
+        advance(n)
+    elif n:
+        rng.random(n)
+
+
+class DropTape:
+    """A channel's drop decisions for the packets it serves next, drawn
+    ahead (:meth:`Channel.draw_drops`) and committed later.
+
+    Decision *m* belongs to the *m*-th droppable packet the channel serves
+    from the tape's start, whichever packet that turns out to be: drops are
+    a function of the droppable index alone.  The channel itself is left as
+    it was until :meth:`commit` moves it past exactly the decisions used —
+    droppable index, Gilbert–Elliott state and RNG — so a caller may read
+    further ahead than it ends up serving.
+    """
+
+    __slots__ = ("ch", "start", "cur", "drops")
+
+    def __init__(self, ch: Channel) -> None:
+        self.ch = ch
+        self.start = self.cur = _state(ch)  # before the first, after the last
+        self.drops = np.zeros(0, dtype=bool)
+
+    def take(self, lo: int, hi: int) -> np.ndarray:
+        """Decisions ``[lo, hi)``, drawing the missing ones."""
+        have = len(self.drops)
+        if hi > have:
+            self.cur, more = _drawn(self.ch, self.cur, hi - have)
+            self.drops = np.concatenate([self.drops, more])
+        return self.drops[lo:hi]
+
+    def commit(self, used: int) -> None:
+        """Leave the channel as *used* transmissions from the start would:
+        where the last drawn decision left it, else drawn again up to
+        *used* (a session that read past what it served)."""
+        state = self.cur if used == len(self.drops) else _drawn(
+            self.ch, self.start, used)[0]
+        _set_state(self.ch, state)
+
+
+def _drawn(ch: Channel, state: tuple, k: int):
+    """``(state after, decisions)``: *k* decisions drawn from *state*,
+    leaving *ch* as it was."""
+    keep = _state(ch)
+    _set_state(ch, state)
+    drops = ch.draw_drops(k)
+    state = _state(ch)
+    _set_state(ch, keep)
+    return state, drops
+
+
+def _state(ch: Channel) -> tuple:
+    return (ch._droppable_seq, ch._ge_bad,
+            None if ch.rng is None else ch.rng.bit_generator.state)
+
+
+def _set_state(ch: Channel, state: tuple) -> None:
+    ch._droppable_seq, ch._ge_bad, rng = state
+    if rng is not None:
+        ch.rng.bit_generator.state = rng
+
+
 def serialize(calls: Sequence[float], wires: Sequence[int], bandwidth: float,
               busy: float, bypass: int) -> List[float]:
     """The finish instants :meth:`Channel.transmit` gives packets of
@@ -530,10 +667,12 @@ def serialize(calls: Sequence[float], wires: Sequence[int], bandwidth: float,
 
 def bypass_clear(ch: Channel, wire: int) -> bool:
     """Whether *ch* carries a *wire*-byte RC packet on its bypass lane
-    untouched: up, within the lane, and no fault that is armed or reaches
-    RC packets."""
+    untouched: up, within the lane, and no fault that can reach an RC
+    packet — one that spares reliable transports and has no timing fault
+    live or ahead; its drops touch only UD/UC packets."""
     return not (ch.down or wire > ch.ctrl_bypass_bytes or (
-        ch.fault is not None and not (ch.fault_inert() and ch.fault.protect_reliable)))
+        ch.fault is not None and not (ch.fault.protect_reliable
+                                      and ch._timing_inert())))
 
 
 def _forwarding_delay(ch: Channel) -> float:

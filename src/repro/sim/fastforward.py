@@ -1,11 +1,16 @@
 """Flow-level fast-forward: the data fold of a fault-inert collective.
 
-When a multicast phase is provably fault-inert — no drop machinery armed
-on any tree channel, no straggler window, no pending crash, no concurrent
-collective that could contend — the whole phase (send batching, per-link
-busy chains, switch relays, receive-worker processing, staging DMA drain)
-is folded arithmetically instead of simulated packet by packet.  The
-fold always tries; a ``Fabric(reference=True)`` declines every phase.
+When a multicast phase's timing is provably fault-inert — no timing fault
+or drop predicate on any tree channel, no straggler window, no pending
+crash, no concurrent collective that could contend — the whole phase (send
+batching, per-link busy chains, switch relays, receive-worker processing,
+staging DMA drain) is folded arithmetically instead of simulated packet by
+packet.  Drops armed on tree channels fold too
+(:class:`~repro.sim.parallel.TreeDrops`): each channel draws them in the
+order it serves the packets, and a rank left with holes gets its survivors
+and no completion — its cutoff fires at packet level and recovery goes on
+from there.  The fold always tries; a ``Fabric(reference=True)`` declines
+every phase.
 
 A :class:`_Session` folds a collective's phases, for a broadcast (one
 phase) or an allgather of any chunk and chain count (one phase per
@@ -62,9 +67,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.sequencer import effective_chains
 from repro.net.link import serialize
 from repro.net.topology import host_id, is_host
-from repro.sim.parallel import ReceiverLanes, TreeEdges
+from repro.sim.parallel import (ReceiverLanes, TreeDrops, TreeEdges,
+                                count_channel, forward_packet, without)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -338,15 +345,18 @@ class _Session:
         cfg = comm.config
         fabric = comm.fabric
         T = ff.tree(comm.mcast_gids[0])
-        ranks = sorted(participants)
+        ranks, self.order = sorted(participants), participants
         engines = [comm.engines[r] for r in ranks]
         ops = [e.ops.get(op.coll_id) for e in engines]
         if any(o is None or o.aborted for o in ops):
             raise _Miss("dead")
         if any(o.stats["recoveries"] for o in ops):
             raise _Miss("recovery")
-        if not all(ch.fault_inert() for ch in T.chans):
-            raise _Miss("fault")
+        drops = {ch.fold_drops() for ch in T.chans}
+        if "fault" in drops or "lossy" in drops or ("drops" in drops and (
+                op.kind != "broadcast" and effective_chains(len(ranks), cfg.n_chains) > 1)):
+            # (concurrent chains draw in an order only a merge of them knows)
+            raise _Miss("fault" if "fault" in drops else "lossy")
         for e in engines:
             e.settle()
         #: senders whose phase already ran, folded or at packet level
@@ -376,6 +386,9 @@ class _Session:
         self.eg = [a[2] for a in att]
         self.hd_bw = max(ch.bandwidth for ch in self.hd)
         self.eg_busy = [ch.busy_until for ch in self.eg]
+        self.loss = TreeDrops(T, np.array(self.sw_of), self.hd, self.eg) if (
+            "drops" in drops) else None
+        self.holes = {} if self.loss is None else self.loss.holes
         self.edges = TreeEdges(T, np.array(self.sw_of, dtype=np.intp),
                                [ch.latency for ch in self.eg])
         #: while the lanes have served every pending packet: per pending
@@ -501,14 +514,16 @@ class _Session:
         # --- the sender, then every tree edge ----------------------------
         send_done, eg_fins, batches = _fold_sender(
             engine, t_hook, wires, eg.bandwidth, self.eg_busy[i])
-        edges = self.edges
-        pend, rows = edges.add(i, eg_fins, wires, lens)
+        edges, reach, got = self.edges, None, None
+        if self.loss is not None:
+            reach, got, lost = self.loss.phase(i, op.send_lo, wires, lens, batches)
+        pend, rows = edges.add(i, eg_fins, wires, lens, reach)
         if pend is None:
-            raise _Miss("tie")
+            raise _Miss("tie" if reach is None else "lossy")
         # --- receivers ---------------------------------------------------
         eager = rows is not None and not self.deferred
         if eager:
-            state, fins = lanes.phase(rows, wires, lens, i)
+            state, fins = lanes.phase(rows, wires, lens, i, got)
         else:
             # From the lanes before the oldest pending phase, every packet
             # not yet served: exactly at the last phase, else bounded.
@@ -528,12 +543,24 @@ class _Session:
                     self.hosts[j], t_hook, float(fins[j])):
                 raise _Miss("straggler")
         fin_all = fin_rx if fin_rx > send_done else send_done
+        if reach is not None:  # every forward, host edges' losses included
+            fin_all = max(fin_all, float(rows.max()))
+            if len(self.phases) + 1 < self.senders:  # the chain's next root
+                j = self.pos[self.order[self.order.index(engine.rank) + 1]]
+                o, b = self.ops[j], engine.cost.send_batch(1)
+                first = self.ff.comm.cf.activation_floor(engine.rank, o.rank, send_done) + b
+                span = o.own_chunks * (o.plan.bounds(o.send_hi - 1)[1] + header)
+                if not self.loss.clear(pend[4], j, first,
+                                       first + span / self.eg[j].bandwidth + b):
+                    raise _Miss("lossy")  # their draws could meet these packets
         if fin_all >= deadline:
             raise _Miss("deadline")
 
         # ------------------------------------------------------- commit
         self.eg_busy[i] = eg_fins[-1]
         edges.commit(pend)
+        if got is not None:
+            self.loss.commit(lost)
         if eager:
             self.snaps.append((rows[n - 1].max(), n, lanes.state, edges.up,
                                edges.down))
@@ -567,7 +594,7 @@ class _Session:
         done = []
         while due and due[0][0] <= self.cum[-1]:
             t, j = heappop(due)
-            if t == target[j] and not self.finished[j]:
+            if t == target[j] and not self.finished[j] and j not in self.holes:
                 done.append(j)
         cf = self.ff.comm.cf
         for j in sorted(done) if done else ():
@@ -582,8 +609,7 @@ class _Session:
             if cf is not None:
                 cf.publish(op.coll_id, "done", self.ranks[j], fin)
         if len(self.phases) == self.senders:
-            self._flush()
-            self.live = False
+            self.abort()
         # --- watchdog liveness over the folded window --------------------
         if sim._wd_armed and sim._wd_interval > 0.0:
             step = sim._wd_interval / 2.0
@@ -684,10 +710,11 @@ class _Session:
     # -------------------------------------------------------------- flush
 
     def abort(self) -> None:
-        """End the session early: flush every folded phase, then give each
-        rank still waiting the chunks it has received so far (bitmap,
-        payload, stats), holding its completion until its last folded
-        receive finishes.  The packet path resumes from this state."""
+        """End the session — early, or at its last phase: flush every folded
+        phase, then give each rank still waiting, or left with holes, the
+        chunks it has received so far (bitmap, payload, stats), holding its
+        completion until its last folded receive finishes.  The packet path
+        resumes from this state."""
         if not self.live:
             return
         self.live = False
@@ -696,13 +723,12 @@ class _Session:
         if self.deferred:
             self._settle(_INF)
         self._flush()
-        runs = self._runs()
         now = self.sim.now
         for j, o in enumerate(self.ops):
             if self.finished[j]:
                 continue  # its completion event commits everything
             got = 0
-            for psn, n in runs:
+            for psn, n in without(self._runs(), self.holes.get(j, ())):
                 got += o.bitmap.set_range(psn, n)
                 o.placed.set_range(psn, n)
                 lo = o.plan.bounds(psn)[0]
@@ -743,16 +769,18 @@ class _Session:
         total = per[:, :5].sum(axis=0)
         for c in range(T.S - 1, 0, -1):
             below[T.par[c]] += below[c]
-        faulty = T.faulty
-        lanes = self.lanes
+        faulty, lanes, loss = T.faulty, self.lanes, self.loss
+        count = count_channel if loss is None else loss.count
+        if loss is not None:
+            loss.flush()
         for j, e in enumerate(self.engines):
             mine = per[j].tolist()
             if mine[0]:
-                _count(self.eg[j], self.eg_busy[j], mine[:5], faulty)
+                count(self.eg[j], self.eg_busy[j], mine[:5], faulty)
                 e.send_cq.total_pushed += mine[5]
             rx = (total - per[j, :5]).tolist()
-            _count(self.hd[j], float(lanes.hd_busy[j]), rx, faulty)
-            packets, payload = rx[0], rx[2]
+            count(self.hd[j], float(lanes.hd_busy[j]), rx, faulty)
+            packets, payload = (rx[0], rx[2]) if loss is None else loss.rx[j].tolist()
             e.nic.packets_received += packets
             e.nic.bytes_received += payload
             e.sub_qps[0].recv_cq.total_pushed += packets
@@ -772,11 +800,11 @@ class _Session:
             if cursor > e.ff_resume_floor:
                 e.ff_resume_floor = cursor
         for c in range(1, T.S):
-            _count(T.up[c], float(self.edges.up[c]), below[c].tolist(), faulty)
-            _count(T.down[c], float(self.edges.down[c]),
-                   (total - below[c]).tolist(), faulty)
-        packets = int(total[0])
-        for sw, k in zip(T.switches, T.nports):
+            count(T.up[c], float(self.edges.up[c]), below[c].tolist(), faulty)
+            count(T.down[c], float(self.edges.down[c]),
+                  (total - below[c]).tolist(), faulty)
+        fwd = [int(total[0])] * T.S if loss is None else loss.fwd.tolist()
+        for sw, k, packets in zip(T.switches, T.nports, fwd):
             sw.packets_forwarded += packets * (k - 1)
         if lanes.hold is not None:  # each lane's peak of held staging slots
             for e, (held, t) in zip(self.engines, lanes.peaks()):
@@ -789,12 +817,12 @@ class _Session:
         fin = max(float(lanes.last_fin.max()), self.sim.now)
         up = T.anc[self.edges.switch_of[src]]  # the sender is below
         for r, c in zip(*np.nonzero(F > fin)):
-            args = (T.switches[c], T.nports[c] - 1,
-                    [T.down[k] for k in T.kids[c] if not up[r, k]]
-                    + ([T.up[c]] if c and up[r, c] else []),
-                    int(W[r]), int(L[r]), faulty)
-            _forward(*args, -1)
-            self.sim.post_at(float(F[r, c]), _forward, *args, 1)
+            to = [(T.down[k], k) for k in T.kids[c] if not up[r, k]] + (
+                [(T.up[c], T.par[c])] if c and up[r, c] else [])
+            args = (T.switches[c], T.nports[c] - 1, [ch for ch, _ in to], int(W[r]),
+                    int(L[r]), faulty, {ch for ch, k in to if F[r, k] == _NEG_INF})
+            forward_packet(*args, -1)  # (lost: -inf past the edge that lost it)
+            self.sim.post_at(float(F[r, c]), forward_packet, *args, 1)
 
 
 def _unsettled(now: float, T: _Tree, engines, ops, sent) -> Optional[str]:
@@ -818,34 +846,6 @@ def _unsettled(now: float, T: _Tree, engines, ops, sent) -> Optional[str]:
         if o.n_chunks - o.bitmap.count != unsent - (0 if s else o.own_chunks):
             return "missing"
     return None
-
-
-def _count(ch, busy: float, counts: List[int], faulty) -> None:
-    """Commit one channel: its watermark and ``(packets, wire bytes,
-    payload bytes, trains, train packets)``."""
-    packets, wire, payload, trains, train_packets = counts
-    ch.busy_until = busy
-    ch.packets_sent += packets
-    ch.bytes_sent += wire
-    ch.payload_bytes_sent += payload
-    ch.trains_sent += trains
-    ch.train_packets += train_packets
-    if ch in faulty:
-        # Data packets are always fault-affected kinds; keep the droppable
-        # index in lockstep (the spec is inert, so no RNG is consumed).
-        ch._droppable_seq += packets
-
-
-def _forward(sw, ports: int, chans, wire: int, payload: int, faulty,
-             sign: int) -> None:
-    """*sw* forwards one packet onto *chans* (``sign`` -1 takes it back)."""
-    sw.packets_forwarded += sign * ports
-    for ch in chans:
-        ch.packets_sent += sign
-        ch.bytes_sent += sign * wire
-        ch.payload_bytes_sent += sign * payload
-        if ch in faulty:
-            ch._droppable_seq += sign
 
 
 def _fold_sender(engine: "RankEngine", t: float, wires: List[int],

@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.net.link import serialize
+from repro.net.link import DropTape, serialize
 
-__all__ = ["LaneState", "ReceiverLanes", "TreeEdges", "worker_step"]
+__all__ = ["LaneState", "ReceiverLanes", "TreeDrops", "TreeEdges",
+           "count_channel", "forward_packet", "without", "worker_step"]
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
@@ -81,18 +82,23 @@ class ReceiverLanes:
         return LaneState(self.hd_busy, self.cursor, self.last_fin,
                          self.dma_busy, self.hold)
 
-    def phase(self, rows: np.ndarray, wires, lens, sender: int):
+    def phase(self, rows: np.ndarray, wires, lens, sender: int, got=None):
         """One phase of ``len(wires)`` packets that reach every lane's edge
         after all packets before them.  Returns ``(state, fins)``: the new
         lane state for :meth:`commit` and each lane's finish, ``-inf`` on
-        the sender's, which receives nothing and keeps its state."""
+        the sender's, which receives nothing and keeps its state.  Under
+        loss, ``got[k]`` masks the lanes packet *k* survives to: its edge
+        serves it if its switch forwards it (``rows`` not ``-inf``), the
+        worker only if the edge delivers it."""
         s = sender
         hd, cur, dma, hold = self.hd_busy, self.cursor, self.dma_busy, self.hold
         for k, w in enumerate(wires):
             ser = self._ser.get(w)
             if ser is None:
                 ser = self._ser[w] = w / self.bw
-            hd = np.maximum(rows[k][self.switch_of], hd) + ser
+            a = rows[k][self.switch_of]
+            h = np.maximum(a, hd) + ser
+            hd = h if got is None else np.where(a > _NEG_INF, h, hd)
             a = hd + self.lat
             copy = None
             if dma is not None:
@@ -100,11 +106,21 @@ class ReceiverLanes:
                 if copy is None:
                     copy = self._copy[lens[k]] = lens[k] / self.dma_bw
             take = None if hold is None else np.maximum(a, cur) + self.c1
-            cur, dma = worker_step(a, cur, self.c1, self.c2, copy, dma)
+            c, d = worker_step(a, cur, self.c1, self.c2, copy, dma)
+            if got is None:
+                cur, dma = c, d
+            else:  # (``max(-inf, cursor) + c1 + c2`` would still step)
+                g = got[k]
+                cur = np.where(g, c, cur)
+                dma = None if d is None else np.where(g, d, dma)
+                if take is not None:
+                    take[~g] = np.nan
             if take is not None and dma is not None:
                 take[s] = np.nan
                 hold = (hold, take, dma + self.dma_lat)
         fins = cur.copy() if dma is None else dma + self.dma_lat
+        if got is not None:  # a lane that got nothing keeps its last finish
+            fins = np.where(got.any(0), fins, self.last_fin)
         out = fins.copy()
         hd[s], cur[s], fins[s], out[s] = (self.hd_busy[s], self.cursor[s],
                                           self.last_fin[s], _NEG_INF)
@@ -189,6 +205,173 @@ class ReceiverLanes:
         return out
 
 
+class TreeDrops:
+    """The drops of a session whose tree channels have drop machinery
+    armed.  Every channel with a fault reads its decisions off a
+    :class:`~repro.net.link.DropTape` in the order it serves the session's
+    packets — a phase's after every pending one (the session folds a lossy
+    phase only then), so in packet order.  A packet dropped on an edge is
+    absent from every edge and host edge below it.  Per channel it keeps
+    the counters the flush commits — survivor counts, and a train where at
+    least two packets of a doorbell batch reach and leave the channel, as
+    :meth:`~repro.net.link.Channel.transmit_train` counts them — and per
+    switch and lane what reached it.  ``switch_of``/``hd``/``eg``: each
+    lane's switch, switch→host channel and NIC egress."""
+
+    def __init__(self, tree, switch_of: np.ndarray, hd, eg) -> None:
+        self.T = tree
+        self.switch_of = switch_of
+        self.hd, self.eg = hd, eg
+        self.tapes = {ch: DropTape(ch) for ch in tree.faulty}
+        self.used = dict.fromkeys(self.tapes, 0)  #: decisions committed
+        #: per channel: packets, wire bytes, payload bytes, trains, train
+        #: packets, drops, dropped wire bytes
+        self.counts: Dict[object, np.ndarray] = {}
+        self.fwd = np.zeros(tree.S, dtype=np.int64)  #: packets per switch
+        self.rx = np.zeros((len(hd), 2), dtype=np.int64)  #: packets, payload
+        self.holes: Dict[int, List[int]] = {}  #: lane -> the chunks it lost
+        #: per switch, the least time a packet any host injects takes to
+        #: reach it: no wire time, no queueing
+        self.near = self._reach(np.array([eg.latency + tree.d[c]
+                                          for c, _, eg in tree.host.values()]),
+                                [c for c, _, _ in tree.host.values()])
+        self._from: Dict[int, np.ndarray] = {}  # the same from one lane
+
+    def _reach(self, at: np.ndarray, switches) -> np.ndarray:
+        """Per switch, the earliest of *at* carried on from *switches* along
+        the tree, each hop its latency and the forwarding delay."""
+        T = self.T
+        t = np.full(T.S, _INF)
+        np.minimum.at(t, switches, at)
+        for c in range(T.S - 1, 0, -1):  # up, then down the tree
+            p = T.par[c]
+            t[p] = min(t[p], (t[c] + T.up[c].latency) + T.d[p])
+        for c in range(1, T.S):
+            t[c] = min(t[c], (t[T.par[c]] + T.down[c].latency) + T.d[c])
+        return t
+
+    def clear(self, last: np.ndarray, lane: int, first: float,
+              later: float) -> bool:
+        """Whether every switch forwards all it has forwarded so far
+        (*last*) before any packet of a later phase can reach it: the next
+        root, lane *lane*, calls its egress no sooner than *first*, and any
+        root after it no sooner than *later*.  Then every channel serves
+        the folded packets ahead of the next phases', whether those fold or
+        not: a session that ends early leaves no draw out of order."""
+        lane = int(lane)
+        own = self._from.get(lane)
+        if own is None:
+            c = int(self.switch_of[lane])
+            own = self._from[lane] = self._reach(
+                np.array([self.eg[lane].latency + self.T.d[c]]), [c])
+        return bool((last < np.minimum(first + own, later + self.near)).all())
+
+    def phase(self, i: int, psn: int, wires, lens, batches):
+        """Lane *i*'s phase, chunks from *psn* on: ``(reach, got, pending)``
+        — per packet the switches it reaches and the lanes it survives to,
+        and what :meth:`commit` adds once the phase folds."""
+        T, n = self.T, len(wires)
+        W, L = np.array(wires), np.array(lens)
+        starts = np.cumsum([0] + list(batches[:-1]))
+        counts, used = {}, {}
+
+        def serve(ch, mask):  # the packets *mask* reaching *ch*: survivors
+            k = int(mask.sum())
+            tape, alive = self.tapes.get(ch), mask
+            lost = np.zeros(n, dtype=bool)
+            if tape is not None and k:
+                at = self.used[ch]
+                lost[mask] = tape.take(at, at + k)
+                alive = mask & ~lost
+                used[ch] = k
+            got = np.add.reduceat(mask, starts), np.add.reduceat(alive, starts)
+            train = (got[0] >= 2) & (got[1] >= 2)
+            counts[ch] = (k, W[mask].sum(), L[mask].sum(), train.sum(),
+                          got[1][train].sum(), lost.sum(), W[lost].sum())
+            return alive
+
+        reach = np.zeros((n, T.S), dtype=bool)
+        c = int(self.switch_of[i])
+        reach[:, c] = serve(self.eg[i], np.ones(n, dtype=bool))
+        on = T.anc[c]
+        while c:
+            reach[:, T.par[c]] = serve(T.up[c], reach[:, c])
+            c = T.par[c]
+        for c in range(1, T.S):  # (breadth-first: every parent first)
+            if not on[c]:
+                reach[:, c] = serve(T.down[c], reach[:, T.par[c]])
+        got = np.zeros((n, len(self.hd)), dtype=bool)
+        for j, ch in enumerate(self.hd):
+            if j != i:
+                got[:, j] = serve(ch, reach[:, self.switch_of[j]])
+        miss = ~got
+        miss[:, i] = False
+        holes = {j: (psn + np.flatnonzero(miss[:, j])).tolist()
+                 for j in np.flatnonzero(miss.any(0)).tolist()}
+        return reach, got, (counts, used, reach.sum(0), got.sum(0), L @ got,
+                            holes)
+
+    def commit(self, pending) -> None:
+        counts, used, fwd, packets, payload, holes = pending
+        for j, lost in holes.items():
+            self.holes.setdefault(j, []).extend(lost)
+        for ch, row in counts.items():
+            have = self.counts.get(ch)
+            self.counts[ch] = np.array(row) if have is None else have + row
+        for ch, k in used.items():
+            self.used[ch] += k
+        self.fwd += fwd
+        self.rx[:, 0] += packets
+        self.rx[:, 1] += payload
+
+    def count(self, ch, busy: float, *_) -> None:
+        """:func:`count_channel` with this session's counts of *ch* in
+        place of the phase records."""
+        row = self.counts.get(ch)
+        row = [0] * 7 if row is None else row.tolist()
+        count_channel(ch, busy, row[:5], ())
+        ch.packets_dropped += row[5]
+        ch.bytes_dropped += row[6]
+
+    def flush(self) -> None:
+        """Move every tape's channel past the decisions the session used."""
+        for ch, tape in self.tapes.items():
+            tape.commit(self.used[ch])
+
+
+def count_channel(ch, busy: float, counts: List[int], faulty) -> None:
+    """Commit one channel: its watermark and ``(packets, wire bytes,
+    payload bytes, trains, train packets)``."""
+    packets, wire, payload, trains, train_packets = counts
+    ch.busy_until = busy
+    ch.packets_sent += packets
+    ch.bytes_sent += wire
+    ch.payload_bytes_sent += payload
+    ch.trains_sent += trains
+    ch.train_packets += train_packets
+    if ch in faulty:
+        # Data packets are always fault-affected kinds: the droppable index
+        # moves in lockstep (no drop machinery is armed, no RNG is consumed;
+        # under loss the tapes move it instead).
+        ch._droppable_seq += packets
+
+
+def forward_packet(sw, ports: int, chans, wire: int, payload: int, faulty,
+                   lost, sign: int) -> None:
+    """*sw* forwards one packet onto *chans*, lost on those in *lost*
+    (``sign`` -1 takes it back)."""
+    sw.packets_forwarded += sign * ports
+    for ch in chans:
+        ch.packets_sent += sign
+        ch.bytes_sent += sign * wire
+        ch.payload_bytes_sent += sign * payload
+        if ch in faulty:
+            ch._droppable_seq += sign
+        if ch in lost:
+            ch.packets_dropped += sign
+            ch.bytes_dropped += sign * wire
+
+
 class TreeEdges:
     """The multicast tree's up- and down-channels under the session's
     pending packets — those a later phase could still reach an edge ahead
@@ -240,7 +423,7 @@ class TreeEdges:
             [np.ones(k, dtype=bool) for k in n])))
 
     def add(self, i: int, fins: List[float], wires: List[int],
-            lens: List[int]):
+            lens: List[int], reach: Optional[np.ndarray] = None):
         """Lane *i*'s phase, its egress finishes *fins*, merged into the
         pending packets: ``(state, rows)`` — the state for :meth:`commit`
         (:meth:`rows` reads the packets in it) and, if it reaches every
@@ -248,16 +431,23 @@ class TreeEdges:
         the phase's forwarding rows —, or ``(None, None)`` when packets of
         two sizes would reach one switch at one instant (of one size, either
         order leaves every instant as it is: they go on to the same
-        subtree)."""
+        subtree).  Under loss (``reach[k, c]``: packet *k* reaches switch
+        *c*) a packet is ``-inf`` where it does not arrive, and the phase
+        must come strictly after every pending packet, edges and host edges
+        alike — the order each channel draws its drops in — else
+        ``(None, None)``."""
         T = self.T
         n = len(wires)
         size = wires[0] if self.size in (None, wires[0]) and min(wires) == max(
             wires) else 0
-        ties = bool(size)
-        rows = self._append(i, fins, wires, ties)
+        ties = bool(size) and reach is None
+        rows = self._append(i, fins, wires, ties, reach)
+        if reach is not None and (rows is None or not rows[4]):
+            return None, None
         if rows is not None:
             rows, dep, up, down, lanes = rows
-            state, last = [None, (rows, dep, wires, lens, i)], rows[-1]
+            state = [None, (rows, dep, wires, lens, i)]
+            last = rows[-1] if reach is None else rows.max(0)
             if not lanes:
                 rows = None  # a host edge is handed it earlier
         else:
@@ -292,27 +482,37 @@ class TreeEdges:
         self._rows = (*rows, tree & ~out)
 
     def _append(self, i: int, fins: List[float], wires: List[int],
-                ties: bool):
+                ties: bool, reach: Optional[np.ndarray] = None):
         """The phase's packets if each reaches every tree edge after all
         the pending ones (or, *ties*: every packet of one size, no earlier)
         — ``(forwarding rows, delivery rows, up- and down-channel
         watermarks, whether every switch forwards it after them too)`` —
         else ``None``: a scalar up-chain from the sender's switch to the
         root, then one vectorised busy-chain step per tree level per chunk,
-        the sender's path masked."""
+        the sender's path masked.  Under loss an edge serves only what
+        *reach* says its source switch forwards; a delivery row then holds
+        the edge's watermark where the edge does not serve the packet."""
         T = self.T
         n = len(wires)
         c = int(self.switch_of[i])
         inj, dep = [(f + self.eg_lat[i]) + T.d[c] for f in fins], fins
+        if reach is not None:
+            inj = _arrived(inj, reach[:, c])
         masks = {}  # depth -> (switch on the sender's path, arrivals, deliveries)
         up = self.up.copy()
         while c:
             masks[T.depth[c]] = (c, inj, dep)
             ch = T.up[c]
-            dep = serialize(inj, wires, ch.bandwidth, float(up[c]), 0)
-            up[c] = dep[-1]
             p = T.par[c]
+            # (a packet the edge does not serve — ``-inf``, zero bytes — leaves
+            # its watermark: ``max(-inf, busy) + 0.0`` is ``busy``)
+            dep = serialize(inj, wires if reach is None else [
+                w if t > _NEG_INF else 0 for t, w in zip(inj, wires)],
+                ch.bandwidth, float(up[c]), -1)
+            up[c] = dep[-1]
             inj = [(f + ch.latency) + T.d[p] for f in dep]
+            if reach is not None:
+                inj = _arrived(inj, reach[:, p])
             c = p
         rows, deps = np.empty((n, T.S)), np.empty((n, T.S))
         rows[:, 0], deps[:, 0] = inj, dep
@@ -324,28 +524,47 @@ class TreeEdges:
             row, drow = rows[k], deps[k]
             for depth, (lo, hi, par, _, dlat, d) in enumerate(T.levels, 1):
                 new = np.maximum(row[par], busy[lo:hi]) + ser[depth - 1]
-                drow[lo:hi] = new
-                row[lo:hi] = (new + dlat) + d
+                if reach is None:
+                    drow[lo:hi] = new
+                    row[lo:hi] = (new + dlat) + d
+                else:  # an edge its source does not forward it to is idle
+                    drow[lo:hi] = np.where(reach[k, par], new, busy[lo:hi])
+                    row[lo:hi] = np.where(reach[k, lo:hi], (new + dlat) + d,
+                                          _NEG_INF)
                 m = masks.get(depth)
                 if m is not None:  # the sender's path: no down hop
                     row[m[0]], drow[m[0]] = m[1][k], m[2][k]
             busy = drow
-            if k == 0:  # after the latest forward at every switch, or
-                lanes = (row >= self.last if ties else row > self.last).all()
-                if not lanes:  # at least each channel's latest arrival
-                    F, _, _, _, src, tree = self.rows()
-                    F, on = F[tree], T.anc[self.switch_of[i]]
-                    below = T.anc[self.switch_of[src[tree]]]
-                    at = np.where(on, row, row[T.pa])[1:]
-                    last = np.where(on, np.where(below, F, _NEG_INF).max(
-                        0, initial=_NEG_INF), np.where(
-                        below, _NEG_INF, F[:, T.pa]).max(0, initial=_NEG_INF))[1:]
-                    if not (at >= last if ties else at > last).all():
-                        return None
+            if k == 0 and reach is None:
+                lanes = self._after(i, row, ties)
+                if lanes is None:
+                    return None
+        if reach is not None:  # each switch's first arrival decides
+            lanes = self._after(i, np.where(reach.any(0), rows[
+                reach.argmax(0), np.arange(T.S)], _INF), False)
+            if lanes is None:
+                return None
         down = deps[n - 1].copy()  # (the root and the sender's path keep theirs)
         for c in [0] + [m[0] for m in masks.values()]:
             down[c] = self.down[c]
         return rows, deps, up, down, lanes
+
+    def _after(self, i: int, row: np.ndarray, ties: bool) -> Optional[bool]:
+        """Whether a phase whose first packets reach the switches at *row*
+        comes after the latest pending forward at every switch (``True``),
+        or only after each tree channel's latest arrival (``False``), or
+        neither (``None``); with *ties* an equal instant counts as after."""
+        T = self.T
+        if (row >= self.last if ties else row > self.last).all():
+            return True
+        F, _, _, _, src, tree = self.rows()
+        F, on = F[tree], T.anc[self.switch_of[i]]
+        below = T.anc[self.switch_of[src[tree]]]
+        at = np.where(on, row, row[T.pa])[1:]
+        last = np.where(on, np.where(below, F, _NEG_INF).max(
+            0, initial=_NEG_INF), np.where(
+            below, _NEG_INF, F[:, T.pa]).max(0, initial=_NEG_INF))[1:]
+        return False if (at >= last if ties else at > last).all() else None
 
     def _merge(self, i: int, fins: List[float], W: np.ndarray, src, tree):
         """The phase's packets among the tree rows on every edge: up the
@@ -442,3 +661,22 @@ class TreeEdges:
                                     np.where(below, _NEG_INF, D).max(0))
         self.base_up = np.maximum(self.base_up,
                                   np.where(below, D[:, T.pa], _NEG_INF).max(0))
+
+
+def _arrived(instants: List[float], reached: np.ndarray) -> List[float]:
+    """*instants* where *reached*, ``-inf`` where the packet was lost."""
+    return [t if r else _NEG_INF for t, r in zip(instants, reached.tolist())]
+
+
+
+def without(runs: List[List[int]], holes) -> List[List[int]]:
+    """``[first psn, count]`` *runs* without the chunks in *holes*."""
+    out = []
+    for psn, n in runs:
+        for h in sorted(h for h in holes if psn <= h < psn + n):
+            if h > psn:
+                out.append([psn, h - psn])
+            n, psn = n - (h + 1 - psn), h + 1
+        if n:
+            out.append([psn, n])
+    return out

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import (CollectiveConfig, CrashSpec, FaultSpec, HostCostModel,
-                   StragglerSpec)
+from repro import (CollectiveConfig, CrashSpec, FaultSpec, GilbertElliott,
+                   HostCostModel, StragglerSpec)
 from repro.core import control
 from repro.core.control import (
     ControlFoldError,
@@ -540,6 +540,20 @@ def test_fold_declines_on_a_fault_along_a_route(spec, misses):
     _assert_declined("fault", misses=misses,
                      prepare=lambda fabric: fabric.set_fault_all(
                          lambda src, dst: FaultSpec(**spec)))
+
+
+@pytest.mark.parametrize("kind", ["bcast0", "ag1"])
+def test_fold_takes_a_route_whose_loss_spares_rc(kind):
+    # Gilbert-Elliott loss that spares reliable transports cannot touch a
+    # control packet: the barrier (and an allgather's activations) fold
+    # bit for bit, and only the handshake waits for the recoveries.
+    loss = GilbertElliott(p_good_bad=0.02, p_bad_good=0.3, drop_good=0.002,
+                          drop_bad=0.15)
+    res = _assert_declined("data_unfolded", kind, misses={"data_unfolded": 1},
+                           prepare=lambda fabric: fabric.set_fault_all(
+                               lambda src, dst: FaultSpec(gilbert_elliott=loss)))
+    assert res.traffic["fabric_drops"] > 0
+    assert res.reliability_summary()["recoveries"] > 0
 
 
 def test_fold_declines_off_the_bypass_lane():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.faults import GilbertElliott, StragglerSpec, Window
-from repro.net.link import Channel, FaultSpec
+from repro.net.link import Channel, DropTape, FaultSpec
 from repro.net.packet import Packet, PacketKind, mcast_dst
 from repro.sim import RandomStreams, Simulator
 
@@ -517,3 +519,57 @@ def test_clean_fabric_creates_no_stream_and_a_late_fault_draws_from_its_named_on
                 + [300 + i for i in range(32) if draws[32 + i] >= 0.5])
     assert [c.imm for c in rx.recv_cq.poll()] == expected
     assert 0 < ch.packets_dropped < 64
+
+
+# ------------------------------------------------------------ block draws
+
+
+@st.composite
+def drop_specs(draw):
+    """Bernoulli, Gilbert-Elliott (a state may never lose), forced seqs and
+    their mixes."""
+    ge = None
+    if draw(st.booleans()):
+        ge = GilbertElliott(
+            p_good_bad=draw(st.sampled_from([0.0, 0.05, 0.3])),
+            p_bad_good=draw(st.sampled_from([0.1, 0.5, 1.0])),
+            drop_good=draw(st.sampled_from([0.0, 0.01])),
+            drop_bad=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            start_bad=draw(st.booleans()))
+    return FaultSpec(drop_prob=draw(st.sampled_from([0.0, 0.02, 0.5])),
+                     drop_packet_seqs=set(draw(st.lists(st.integers(0, 40),
+                                                        max_size=5))),
+                     gilbert_elliott=ge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=drop_specs(), seed=st.integers(0, 3), before=st.integers(0, 8),
+       k=st.integers(0, 30), extra=st.integers(0, 30))
+def test_block_draw_is_k_sequential_drop_decisions(spec, seed, before, k, extra):
+    # The data fold's one drop model: a block of k decisions leaves the
+    # mask, droppable index, Gilbert-Elliott state and RNG exactly where k
+    # calls of the per-packet path leave them on a twin channel.
+    sim = Simulator()
+    block, twin, taped = (make_channel(sim, SinkNode(sim), fault=spec.clone(),
+                                       seed=seed) for _ in range(3))
+
+    def one(ch):
+        seq = ch._droppable_seq
+        ch._droppable_seq = seq + 1
+        return ch._should_drop(pkt(), seq)
+
+    for ch in (block, twin, taped):  # some packets before the block
+        [one(ch) for _ in range(before)]
+    mask = block.draw_drops(k)
+    want = [one(twin) for _ in range(k)]
+    assert mask.tolist() == want
+    # a tape may draw further ahead than the packets it ends up serving
+    tape = DropTape(taped)
+    assert tape.take(0, k).tolist() == want
+    tape.take(k, k + extra)
+    tape.commit(k)
+    for ch in (block, taped):
+        assert ch._droppable_seq == twin._droppable_seq
+        assert ch._ge_bad == twin._ge_bad
+    nxt = twin.rng.random()
+    assert block.rng.random() == nxt and taped.rng.random() == nxt

@@ -242,8 +242,12 @@ def test_lookahead_stamps_reconcile_with_trace():
 # ------------------------------------------------------------ metric timelines
 
 
-def test_metric_timelines(lossy_traced):
-    _, res = lossy_traced
+def test_metric_timelines():
+    # The packet path's timelines: the data fold would take this lossy
+    # broadcast's multicast phase and trace only each lane's peak.
+    comm = _make_comm()
+    unfold(comm, control=False)
+    res = _bcast(comm)
     view = res.trace
     ports = [t for g, t in view.tracks() if g == "link"]
     assert ports

@@ -202,8 +202,9 @@ def _rows(kind: str, sizes: List[int], modes: List[str],
             speedup = (f"{base_wall / r['wall_s']:.1f}x"
                        if base_wall and mode != "reference" else "-")
             rows.append([kind, str(n), mode, f"{r['wall_s']:.2f}",
-                         f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
-                         str(r["ff_phases"]), speedup])
+                         f"{r['events']:,}", f"{r['events'] / n:.1f}",
+                         f"{r['virtual_s'] * 1e6:.3f}", str(r["ff_phases"]),
+                         speedup])
             print(f"  {kind} n={n} {mode}: wall={r['wall_s']:.2f}s "
                   f"events={r['events']:,} virt={r['virtual_s'] * 1e6:.3f}us "
                   f"ff_phases={r['ff_phases']}", flush=True)
@@ -215,11 +216,11 @@ def _rows(kind: str, sizes: List[int], modes: List[str],
 
 
 HEADERS = ["collective", "hosts", "engine", "wall_s", "events",
-           "virtual_us", "ff_phases", "speedup_vs_reference"]
+           "events_per_rank", "virtual_us", "ff_phases", "speedup_vs_reference"]
 #: the smoke table: bring-up (fabric + communicator build, outside the
 #: timed call) in its own column instead of hidden in ``total``
-SMOKE_HEADERS = (HEADERS[:3] + ["setup_s"] + HEADERS[3:7] + ["ctrl_pairs"]
-                 + HEADERS[7:])
+SMOKE_HEADERS = (HEADERS[:3] + ["setup_s"] + HEADERS[3:8] + ["ctrl_pairs"]
+                 + HEADERS[8:])
 
 
 def _header(argv: List[str]) -> str:
@@ -262,8 +263,8 @@ def smoke(budget_s: float) -> int:
 
     def row(kind, n, r, note="-"):
         rows.append([kind, str(n), "default", f"{r['setup_s']:.2f}",
-                     f"{r['wall_s']:.2f}",
-                     f"{r['events']:,}", f"{r['virtual_s'] * 1e6:.3f}",
+                     f"{r['wall_s']:.2f}", f"{r['events']:,}",
+                     f"{r['events'] / n:.1f}", f"{r['virtual_s'] * 1e6:.3f}",
                      str(r["ff_phases"]), str(r["ctrl_pairs"]), note])
         print(f"  smoke {kind} n={n} ({note}): setup={r['setup_s']:.2f}s "
               f"wall={r['wall_s']:.2f}s ff_phases={r['ff_phases']} "
@@ -367,7 +368,7 @@ def smoke(budget_s: float) -> int:
             "the chain fell back to packet level partway")
     ratio = a4["wall_s"] / max(a["wall_s"], 1e-9)
     rows.append(["ag4096/ag1024", "-", "-", "-", f"{ratio:.2f}x",
-                 "-", "-", "-", "-", "wall ratio"])
+                 "-", "-", "-", "-", "-", "wall ratio"])
     print(f"  smoke ag4096/ag1024 wall ratio: {ratio:.2f}x "
           "(a quadratic engine would pay 16x)", flush=True)
     if ratio >= 16.0:
@@ -376,9 +377,9 @@ def smoke(budget_s: float) -> int:
             f"{ratio:.2f}x >= 16x — the chain is quadratic again")
 
     wall = time.perf_counter() - t0
-    rows.append(["total", "-", "-", "-", f"{wall:.2f}", "-", "-", "-", "-", "-"])
+    rows.append(["total", "-", "-", "-", f"{wall:.2f}", "-", "-", "-", "-", "-", "-"])
     rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    rows.append(["peak_rss", "-", "-", "-", "-", "-", "-", "-", "-",
+    rows.append(["peak_rss", "-", "-", "-", "-", "-", "-", "-", "-", "-",
                  f"{rss_mib:.0f} MiB"])
     report("ff_scaling_smoke",
            _header(["--smoke"]) + format_table(SMOKE_HEADERS, rows))

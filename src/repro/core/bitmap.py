@@ -9,17 +9,16 @@ The implementation stores bits in a list of Python-int words: per-bit
 ``set``/``test`` with native int masks is ≈10× faster than numpy uint64
 scalar arithmetic, and these run once per received packet — the hottest
 protocol-side operation in the simulator.  Scans for missing chunks (the
-reliability slow path) convert to numpy on demand and stay vectorized,
-including the run-coalescing used by the fetch layer.  :meth:`set_range`
-is the bulk path used when a coalesced packet train or a fetched run
-lands many consecutive chunks at once.
+reliability slow path) stay on the words too: a run of missing chunks is
+a run of one bits of a complemented word, found with two int operations.
+:meth:`set_range` is the bulk path used when a coalesced packet train or a
+fetched run lands many consecutive chunks at once, :meth:`fill` the one a
+folded phase uses.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import numpy as np
 
 __all__ = ["Bitmap"]
 
@@ -27,8 +26,27 @@ _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
 
 
+def _runs(words: List[int]) -> List[Tuple[int, int]]:
+    """``(start, length)`` of every run of one bits of the bit string whose
+    64-bit words are *words*, little end first."""
+    runs: List[Tuple[int, int]] = []
+    for base in range(0, len(words) * _WORD_BITS, _WORD_BITS):
+        w = words[base >> 6]
+        while w:
+            low = w & -w
+            above = w + low  # carries through the run: its first bit past it
+            start = base + low.bit_length() - 1
+            end = base + (above & -above).bit_length() - 1
+            if runs and sum(runs[-1]) == start:  # it goes on from the last word
+                runs[-1] = (runs[-1][0], end - runs[-1][0])
+            else:
+                runs.append((start, end - start))
+            w &= above
+    return runs
+
+
 class Bitmap:
-    """Fixed-size bitmap with O(1) set/test and vectorized missing-scan."""
+    """Fixed-size bitmap with O(1) set/test and a word-level missing-scan."""
 
     __slots__ = ("n_bits", "_words", "_set_count")
 
@@ -55,35 +73,36 @@ class Bitmap:
         self._set_count += 1
         return True
 
+    def _masks(self, start: int, n: int) -> List[Tuple[int, int]]:
+        """``(word, mask)`` of every word bits ``[start, start + n)`` touch."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        end = start + n
+        if n and not (0 <= start and end <= self.n_bits):
+            raise IndexError(f"range [{start}, {end}) out of range ({self.n_bits})")
+        return [(w, (1 << min(end - (w << 6), _WORD_BITS)) - (1 << max(start - (w << 6), 0)))
+                for w in range(start >> 6, (end + 63) >> 6)] if n else []
+
     def set_range(self, start: int, n: int) -> int:
         """Set bits ``[start, start + n)`` in bulk; returns how many were
         newly set.  The coalesced-train receive path and the fetch layer
         use this instead of ``n`` per-bit calls."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return 0
-        end = start + n
-        if not (0 <= start and end <= self.n_bits):
-            raise IndexError(
-                f"range [{start}, {end}) out of range ({self.n_bits})"
-            )
         words = self._words
         newly = 0
-        w_lo, b_lo = start >> 6, start & 63
-        w_hi, b_hi = (end - 1) >> 6, ((end - 1) & 63) + 1
-        for w in range(w_lo, w_hi + 1):
-            mask = _WORD_MASK
-            if w == w_lo:
-                mask &= _WORD_MASK << b_lo
-            if w == w_hi:
-                mask &= _WORD_MASK >> (_WORD_BITS - b_hi)
-            word = words[w]
-            add = mask & ~word
+        for w, mask in self._masks(start, n):
+            add = mask & ~words[w]
             if add:
-                words[w] = word | mask
+                words[w] |= mask
                 newly += bin(add).count("1")
         self._set_count += newly
+        return newly
+
+    def fill(self) -> int:
+        """Set every bit; returns how many were newly set."""
+        newly = self.n_bits - self._set_count
+        full, rest = divmod(self.n_bits, _WORD_BITS)
+        self._words = [_WORD_MASK] * full + ([(1 << rest) - 1] if rest else [])
+        self._set_count = self.n_bits
         return newly
 
     def clear(self, i: int) -> None:
@@ -107,27 +126,7 @@ class Bitmap:
         word test per 64 bits.  The receiver-batch eligibility gate uses
         this as its duplicate probe over a contiguous PSN train instead of
         ``n`` per-bit :meth:`test` calls."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if n == 0:
-            return False
-        end = start + n
-        if not (0 <= start and end <= self.n_bits):
-            raise IndexError(
-                f"range [{start}, {end}) out of range ({self.n_bits})"
-            )
-        words = self._words
-        w_lo, b_lo = start >> 6, start & 63
-        w_hi, b_hi = (end - 1) >> 6, ((end - 1) & 63) + 1
-        for w in range(w_lo, w_hi + 1):
-            mask = _WORD_MASK
-            if w == w_lo:
-                mask &= _WORD_MASK << b_lo
-            if w == w_hi:
-                mask &= _WORD_MASK >> (_WORD_BITS - b_hi)
-            if words[w] & mask:
-                return True
-        return False
+        return any(self._words[w] & mask for w, mask in self._masks(start, n))
 
     def test(self, i: int) -> bool:
         if not 0 <= i < self.n_bits:
@@ -141,53 +140,33 @@ class Bitmap:
 
     def all_set(self, n: int | None = None) -> bool:
         """True if the first *n* bits (default: all) are set."""
-        n = self.n_bits if n is None else n
-        if n >= self.n_bits:
-            return self._set_count == self.n_bits
-        return not self.missing(n)
-
-    def _missing_array(self, n: int) -> np.ndarray:
-        words = np.array(self._words, dtype=np.uint64)
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
-        return np.flatnonzero(bits == 0)
+        return not self.missing_runs(self.n_bits if n is None else min(n, self.n_bits))
 
     def missing(self, n: int | None = None) -> List[int]:
-        """Indices of unset bits among the first *n* (vectorized scan)."""
-        n = self.n_bits if n is None else n
-        if n <= 0:
-            return []
-        if n > self.n_bits:
-            raise IndexError(f"n={n} exceeds bitmap size {self.n_bits}")
-        if self._set_count == self.n_bits:
-            return []
-        return self._missing_array(n).tolist()
+        """Indices of unset bits among the first *n*."""
+        return [i for start, k in self.missing_runs(n) for i in range(start, start + k)]
 
-    def missing_runs(self, n: int | None = None) -> List[tuple]:
-        """Missing bits coalesced into ``(start, length)`` runs — the shape
-        the fetch layer wants for issuing contiguous RDMA Reads.
-
-        Vectorized: run boundaries are the places where the sorted missing
-        indices jump by more than one.  The full bitmap is the common case
-        on the clean path (every chunk delivered), so it short-circuits
-        before touching numpy.
+    def missing_runs(self, n: int | None = None,
+                     among: "Bitmap | None" = None) -> List[tuple]:
+        """Missing bits among the first *n* coalesced into ``(start,
+        length)`` runs — the shape the fetch layer wants for issuing
+        contiguous RDMA Reads; with *among*, only the bits set there (what
+        a neighbour has placed).  Word by word, on the complemented words.
         """
         n = self.n_bits if n is None else n
-        if n <= 0:
+        if n <= 0 or self._set_count == self.n_bits:
             return []
         if n > self.n_bits:
             raise IndexError(f"n={n} exceeds bitmap size {self.n_bits}")
-        if self._set_count == self.n_bits:
-            return []
-        miss = self._missing_array(n)
-        if miss.size == 0:
-            return []
-        breaks = np.flatnonzero(np.diff(miss) > 1)
-        starts = miss[np.concatenate(([0], breaks + 1))]
-        ends = miss[np.concatenate((breaks, [miss.size - 1]))]
-        runs: List[Tuple[int, int]] = [
-            (int(s), int(e - s + 1)) for s, e in zip(starts, ends)
-        ]
-        return runs
+        full, rest = divmod(n, _WORD_BITS)
+        words = self._words[:full + (rest > 0)]
+        if among is None:
+            words = [~w & _WORD_MASK for w in words]
+        else:
+            words = [a & ~w for a, w in zip(among._words, words)]
+        if rest:
+            words[-1] &= (1 << rest) - 1
+        return _runs(words)
 
     def missing_runs_ref(self, n: int | None = None) -> List[tuple]:
         """Pure-Python reference for :meth:`missing_runs` — one linear

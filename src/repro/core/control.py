@@ -131,7 +131,9 @@ class ControlPlane:
         self.on_death: Optional[Callable[[CtrlMessage], None]] = None
         #: when this rank's dispatcher ends its last *folded* service
         self.fold_quiet = _NEVER  # the :class:`ControlFold` cursor
-        self._dispatch_proc = sim.spawn(self._dispatch_loop(), name=f"ctrl-dispatch-r{rank}")
+        self._dispatch_proc = sim.spawn(self._dispatch_loop(), name=f"ctrl-dispatch-r{rank}",
+                                        parked=True)
+        self.recv_cq.set_notify(self._dispatch_proc.wake)
 
     # -------------------------------------------------------------- plumbing
 
@@ -225,8 +227,7 @@ class ControlPlane:
         wrs = self._wrs
         slabs = self._slabs
         cost = self.per_message_cost
-        while True:
-            yield cq.wait()
+        while True:  # (woken by a CQE: the first time by the armed notify)
             if sim.now < self.fold_quiet:
                 raise ControlFoldError(f"rank {self.rank}: message at {sim.now} "
                                        f"inside the fold ending {self.fold_quiet}")
@@ -268,6 +269,7 @@ class ControlPlane:
                 ib_key, store = self._inbox(mtype, key, src)
                 store.put(msg)
                 self._retire(ib_key, store)
+            yield cq.wait()
 
     # --------------------------------------------------------------- barrier
 
@@ -353,6 +355,7 @@ class _Coll:
     def __init__(self, t0: float) -> None:
         self.t0 = t0  #: launch instant of every rank's controller
         self.at: Dict[str, object] = {}
+        self.routes: Optional[tuple] = None  #: :meth:`ControlFold._walk`'s
         self.t_data: List[float] = []
         self.sent: Dict[int, float] = {}
         self.done: Dict[int, float] = {}
@@ -379,12 +382,6 @@ class ControlFold:
         self.folds = 0  #: phases folded
         self.misses: Dict[str, int] = {}  #: gate reason → phases declined
         self._colls: Dict[int, _Coll] = {}
-        # Routes of one fabric.fault_epoch: channels by index (0: the null
-        # hop padding ragged routes), index tuples by (src host, dst host).
-        self._epoch = -1
-        self._chans: list = [None]
-        self._index: Dict[object, int] = {}
-        self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         comm.fabric.epoch_listeners.append(self.unfold)
 
     # ----------------------------------------------------------- engine hooks
@@ -506,7 +503,7 @@ class ControlFold:
         src, dst = participants[me], participants[me + 1]
         c = comm.engines[dst].ctrl
         wire = _WORDS * 4 + c.nic.header_bytes
-        chans = comm.fabric.unicast_route(comm.hosts[src], comm.hosts[dst])
+        chans = self._act_route(op, participants, me)
         if chans is None or not all(bypass_clear(ch, wire) for ch in chans):
             chans = None  # unroutable, or a channel would touch the packet
         else:
@@ -561,28 +558,35 @@ class ControlFold:
         self.sim.post_at(served, self._deliver, st.act[-1])
         return True
 
-    def activation_floor(self, src: int, dst: int, t: float) -> float:
-        """A lower bound on when rank *dst* holds an activation rank *src*
+    def activation_floor(self, op: "OpState", participants: List[int], me: int,
+                         t: float) -> float:
+        """A lower bound on when position *me* + 1 holds an activation *me*
         sends at *t*, folded or not: a zero-byte flight down the bypass
         lane, then one dispatcher service."""
-        comm = self.comm
-        chans = comm.fabric.unicast_route(comm.hosts[src], comm.hosts[dst])
-        return (bypass_arrival(t, chans or (), 0)
-                + comm.engines[dst].ctrl.per_message_cost)
+        return (bypass_arrival(t, self._act_route(op, participants, me) or (), 0)
+                + self.comm.engines[participants[me + 1]].ctrl.per_message_cost)
+
+    def _act_route(self, op: "OpState", participants: List[int], me: int):
+        """The channels of position *me*'s activation (barrier round 0's
+        route to *me* + 1), or ``None`` when it is unroutable."""
+        table, _, mats, ok = self._walk(
+            self._colls.get(op.coll_id) or _Coll(0.0), participants)
+        return [table.chans[i] for i in mats[0, me + 1] if i] if ok[0, me + 1] else None
 
     @staticmethod
     def _deliver(tok: list) -> None:
-        """A folded activation's service ends, unless :meth:`unfold` took it."""
+        """A folded activation's service ends, unless :meth:`unfold` took it:
+        a successor waiting for it resumes in this event."""
         c, msg = tok[0], tok[1]
         if c is not None:
             ib_key, store = c._inbox(MSG_ACTIVATE, msg.key, msg.src)
-            store.try_put(msg)
+            store.try_put(msg, at_once=True)
             c._retire(ib_key, store)
 
     # ------------------------------------------------------------------ gates
 
     def _gate(self, op: "OpState", participants: List[int], fan_in: int):
-        """The gates that need no route; returns ``(planes, hosts, wire)``."""
+        """The gates that need no route; returns ``(planes, wire)``."""
         comm = self.comm
         if comm.config.failure_policy is not None:
             raise _Miss("live")  # every receive is liveness-bounded
@@ -597,56 +601,49 @@ class ControlFold:
             free = len(c.srq.recv_queue) if c._slabs else _SLAB_SLOTS
             if free - fan_in < _LOW_WATERMARK:
                 raise _Miss("srq_depth")  # a slab would be posted mid-phase
-        if comm.fabric.fault_epoch != self._epoch:
-            self._epoch = comm.fabric.fault_epoch
-            self._chans, self._index, self._routes = [None], {}, {}
-        return (ctrls, np.array([comm.hosts[r] for r in participants]),
-                _WORDS * 4 + ctrls[0].nic.header_bytes)
+        return ctrls, _WORDS * 4 + ctrls[0].nic.header_bytes
 
     # ----------------------------------------------------------------- routes
 
-    def _route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Channel indices of the unicast route host *src* → host *dst*."""
-        walk = self.comm.fabric.unicast_route(src, dst)
-        if walk is None:
-            raise _Miss("fault")  # unroutable
-        index, chans = self._index, self._chans
-        for ch in walk:
-            if ch not in index:
-                index[ch] = len(chans)
-                chans.append(ch)
-        return tuple(map(index.__getitem__, walk))
+    def _walk(self, st: _Coll, participants: List[int]):
+        """``(table, srcs, mats, ok)``: every control message of *st*'s
+        collective, by destination position, routed in one walk of the
+        fabric's route table — row *k* barrier round *k*'s (sender ``srcs[k]
+        = me - 2^k``; round 0 is also the activations'), the last row the
+        handshake's (``me + 1``) — and ``ok`` where a route exists."""
+        table = self.comm.fabric.route_table()
+        if st.routes is None or st.routes[0] is not table:
+            n = len(participants)
+            hosts = np.array([self.comm.hosts[r] for r in participants])
+            pos = np.arange(n)
+            srcs = np.array([(pos - (1 << k)) % n for k in range(
+                (n - 1).bit_length())] + [(pos + 1) % n])
+            mats, ok = table.walk(hosts[srcs].ravel(), np.tile(hosts, len(srcs)))
+            st.routes = (table, srcs, mats.reshape(len(srcs), n, -1), ok.reshape(-1, n))
+        return st.routes
 
-    def _matrix(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """``[n, hops]`` route matrix of the messages host ``src[i]`` → host
-        ``dst[i]``, short routes padded with the null hop."""
-        routes = self._routes
-        rows = [routes.get(p) or routes.setdefault(p, self._route(*p))
-                for p in zip(src.tolist(), dst.tolist())]
-        width = max(map(len, rows))
-        return np.array([r + (0,) * (width - len(r)) for r in rows],
-                        dtype=np.intp)
-
-    def _tables(self, wire: int):
-        """Gate every route channel; the tables :func:`bypass_fly` indexes."""
-        if not all(bypass_clear(ch, wire) for ch in self._chans[1:]):
+    def _tables(self, mats: np.ndarray, ok: np.ndarray, wire: int):
+        """Gate the routes *mats* — each one found (*ok*), and every channel
+        clear; the tables :func:`bypass_fly` indexes."""
+        chans = self.comm.fabric.route_table().chans
+        used = np.unique(mats)
+        used = used[used != 0].tolist()
+        if not ok.all() or not all(bypass_clear(chans[i], wire) for i in used):
             raise _Miss("fault")
-        return bypass_tables(self._chans[1:], wire)
+        return bypass_tables(chans, used, wire)
 
     # ------------------------------------------------------------------ folds
 
     def _fold_sync(self, op: "OpState", participants: List[int], st: _Coll):
         n = len(participants)
         rounds = (n - 1).bit_length()
-        ctrls, hosts, wire = self._gate(op, participants, rounds)
-        pos = np.arange(n)
-        srcs = [(pos - (1 << k)) % n for k in range(rounds)]
-        mats = [self._matrix(hosts[src], hosts) for src in srcs]
+        ctrls, wire = self._gate(op, participants, rounds)
         # What follows the barrier: the ring's MSG_FINAL (right → me).  An
         # activation is folded with its real instant, or unfolds the barrier.
-        right = (pos + 1) % n
-        after = self._matrix(hosts[right], hosts)
-        tables = self._tables(wire)
+        _, walked_from, walked, ok = self._walk(st, participants)
+        tables = self._tables(walked, ok, wire)
+        srcs, right = list(walked_from[:rounds]), walked_from[rounds]
+        mats, after = list(walked[:rounds]), walked[rounds]
         s = np.full(n, self.sim.now)
         cursor = np.array([c.fold_quiet for c in ctrls])
         sent, arrived, served = [], [np.full(n, _NEVER)], []
@@ -667,7 +664,7 @@ class ControlFold:
         if op.kind == "broadcast":
             m, root = mats[0], participants.index(op.root)
             leave = np.maximum(
-                s, s[root] + tables[1][m[pos, (m != 0).sum(axis=1) - 1]])
+                s, s[root] + tables[1][m[np.arange(n), (m != 0).sum(axis=1) - 1]])
             leave[root] = s[root]
         # It must find the receiving dispatcher past its folded tokens.
         if not (cursor <= bypass_fly(leave[right], after, tables)).all():
@@ -680,7 +677,7 @@ class ControlFold:
 
     def _fold_final(self, op: "OpState", participants: List[int], st: _Coll):
         n = len(participants)
-        ctrls, hosts, wire = self._gate(op, participants, 1)
+        ctrls, wire = self._gate(op, participants, 1)
         t_data = np.empty(n)
         for i, r in enumerate(participants):
             o = self.comm.engines[r].ops[op.coll_id]
@@ -691,9 +688,9 @@ class ControlFold:
                     or (r not in st.sent and o.is_sender)):
                 raise _Miss("data_unfolded")
             t_data[i] = max(sync, st.done.get(r, sync), st.sent.get(r, sync))
-        right = (np.arange(n) + 1) % n  # each rank sends MSG_FINAL leftwards
-        mat = self._matrix(hosts[right], hosts)
-        arrived = bypass_fly(t_data[right], mat, self._tables(wire))
+        _, srcs, walked, ok = self._walk(st, participants)
+        right, mat = srcs[-1], walked[-1]  # each rank sends MSG_FINAL leftwards
+        arrived = bypass_fly(t_data[right], mat, self._tables(mat, ok[-1], wire))
         cursor = np.array([c.fold_quiet for c in ctrls])
         served = np.maximum(arrived, cursor) + ctrls[0].per_message_cost
         st.t_data = t_data.tolist()
@@ -705,7 +702,7 @@ class ControlFold:
     def _commit(self, f: _Folded) -> _Folded:
         """Leave behind what *f*'s tokens would have: the counters, each
         sender's heartbeat at its receiver, and the dispatcher cursors."""
-        f.chans = self._chans  # this epoch's; a later one starts a new list
+        f.chans = self.comm.fabric.route_table().chans
         self._count(f, 1, [np.ones(len(f.ctrls), dtype=bool)] * len(f.srcs))
         for c, quiet in zip(f.ctrls, f.served[-1].tolist()):
             c.fold_quiet = quiet

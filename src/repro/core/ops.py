@@ -146,9 +146,9 @@ class OpState:
     def missing_chunks(self) -> int:
         return self.n_chunks - self.bitmap.count
 
-    def maybe_complete(self) -> None:
+    def maybe_complete(self, at_once: bool = False) -> None:
         """Trigger ``data_done`` once every chunk is present *and* every
-        staging copy has drained."""
+        staging copy has drained (*at_once*: :meth:`Event.succeed_now`)."""
         self.sim.progress += 1
         if self.ff_hold:
             return
@@ -157,7 +157,7 @@ class OpState:
             and self.bitmap.count == self.n_chunks
             and self.outstanding_copies == 0
         ):
-            self.data_done.succeed()
+            (self.data_done.succeed_now if at_once else self.data_done.succeed)()
 
     # ----------------------------------------------------------- fail-stop
 

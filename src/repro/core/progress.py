@@ -200,7 +200,7 @@ class RankEngine:
         #: the last step once that step's bitmap bit is set, ``inf`` before
         #: — and the bytes of the staging copy it issues then (0: none).
         #: A data-fold session starts from it (DESIGN §6d).
-        self.rx_free = [[0.0, 0] for _ in range(cfg.n_subgroups)]
+        self.rx_free = [[self.sim.now, 0] for _ in range(cfg.n_subgroups)]
         self._recv_procs: Dict[int, object] = {}
         # The UD batch fast path pre-computes this rank's DMA chain; that
         # is only exact when no sibling worker can interleave copies on
@@ -212,11 +212,15 @@ class RankEngine:
         #: worker as one batch.
         self._lookahead_qps = [] if self.fabric.reference else list(self.sub_qps)
         self._opt_in_lookahead()
+        # The daemons start parked, with no kickoff event: the first CQE, or
+        # the first request in the fetch server's inbox, wakes them.
         for sg in range(cfg.n_subgroups):
-            self._recv_procs[sg] = self.sim.spawn(
-                self._recv_worker(sg), name=f"rxw{sg}-r{rank}"
-            )
-        self._fetch_proc = self.sim.spawn(self._fetch_server(), name=f"fetchsrv-r{rank}")
+            proc = self._recv_procs[sg] = self.sim.spawn(
+                self._recv_worker(sg), name=f"rxw{sg}-r{rank}", parked=True)
+            self.sub_qps[sg].recv_cq.set_notify(proc.wake)
+        self._fetch_proc = self.sim.spawn(self._fetch_server(), name=f"fetchsrv-r{rank}",
+                                          parked=True)
+        self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].notify = self._fetch_proc.wake
 
         from repro.sim.primitives import Resource
 
@@ -327,6 +331,9 @@ class RankEngine:
         batching = not self.fabric.reference
         wake = self._recv_procs[sg].wake
         rx_free = self.rx_free[sg]
+        # (started parked: the first CQE woke it, as after every park below)
+        if self.ff_resume_floor > self.sim.now:
+            yield self.sim.wake_at(self.ff_resume_floor)
         while True:
             if not len(qp.recv_cq):
                 rx_free[0] = self.sim.now
@@ -960,25 +967,10 @@ class RankEngine:
 
     @staticmethod
     def _fetchable_runs(op: OpState, peer_op: Optional[OpState]):
-        """Intersect our missing runs with the neighbor's placed chunks,
-        coalescing into contiguous fetchable pieces."""
-        runs: List[tuple] = []
+        """Our missing chunks the neighbor has placed, as contiguous runs."""
         if peer_op is None:
-            return runs
-        for start, count in op.bitmap.missing_runs():
-            run = None
-            for p in range(start, start + count):
-                if peer_op.placed.test(p):
-                    if run is None:
-                        run = [p, 1]
-                    else:
-                        run[1] += 1
-                elif run is not None:
-                    runs.append(tuple(run))
-                    run = None
-            if run is not None:
-                runs.append(tuple(run))
-        return runs
+            return []
+        return op.bitmap.missing_runs(among=peer_op.placed)
 
     def _fetch_runs(self, op: OpState, qp, runs, deadline_abs: float):
         """RDMA-READ the given (start, count) chunk runs from the neighbor
@@ -1016,9 +1008,10 @@ class RankEngine:
         """Answer FETCH_REQs: acknowledge the rendezvous immediately — the
         requester then pulls whatever chunks are placed, re-polling as our
         own receive/recovery paths fill the buffer."""
+        _, msg = self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].try_get()  # the one that woke us
         while True:
-            msg = yield self.ctrl.recv(MSG_FETCH_REQ)
             self.ctrl.send(msg.src, MSG_FETCH_ACK, msg.key)
+            msg = yield self.ctrl.recv(MSG_FETCH_REQ)
 
     # ------------------------------------------------------------- liveness
 
@@ -1230,6 +1223,16 @@ class RankEngine:
         slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha
         return expected, slack
 
+    def _arm(self, op: OpState, t: float) -> Tuple[float, float, float]:
+        """Leave the barrier at *t* and arm the cutoff timer from there (its
+        deadline published for the batch-eligibility gate): ``(expected,
+        slack, deadline)``."""
+        op.phases["sync"] = t
+        expected, slack = self.cutoff_allowance(op)
+        op.cutoff_deadline = deadline = t + expected + slack
+        op.timer_trace.append((t, expected + slack, "cutoff-arm"))
+        return expected, slack, deadline
+
     def _run_op_inner(
         self,
         op: OpState,
@@ -1241,35 +1244,55 @@ class RankEngine:
     ):
         cfg = self.config
         cf = self.comm.cf  # control-plane fold
-        op.mark_phase("start")
-        if len(participants) > 1:
-            t_sync = cf.at("sync", self, op, participants, me)
-            resume = -1  # the round an unfolded barrier picks up at
-            if t_sync is not None:
-                try:
-                    yield self.sim.wake_at(t_sync)
-                except Interrupt as unfolded:  # ControlFold.unfold
-                    t_sync, resume = None, unfolded.cause
-            if t_sync is None:
-                # Live: a token black-holed by a switch that died mid-barrier
-                # is lost for good (no RC retransmission): with the peer probed
-                # alive, go on; recovery heals chunks multicast too early.
-                yield from self.ctrl.barrier(
-                    op.coll_id, participants, me,
-                    wait=(lambda key, src: self._recv_live(
-                        op, participants, MSG_BARRIER, key, src, "sync",
-                        escalate_live=3)) if live else None, resume=resume)
-        op.mark_phase("sync")
-        expected, slack = self.cutoff_allowance(op)
-        armed_at = self.sim.now
-        deadline = armed_at + expected + slack
-        op.cutoff_deadline = deadline  # published for the batch-eligibility gate
-        op.record_timer(expected + slack, "cutoff-arm")
+        sim = self.sim
         trc = self.trace
+        op.mark_phase("start")
+        multi = len(participants) > 1
+        t_sync = cf.at("sync", self, op, participants, me) if multi else None
+        # A rank that only waits past a folded barrier is not woken at its
+        # exit: the exit is stamped, and the first wait resumes it no
+        # earlier, or is interrupted by an unfold before then.
+        stamp = t_sync is not None and not (op.is_sender and activation_pred is None)
+        resume = -1  # the round an unfolded barrier picks up at
+        if t_sync is not None and not stamp:
+            try:
+                yield sim.wake_at(t_sync)
+            except Interrupt as unfolded:  # ControlFold.unfold
+                t_sync, resume = None, unfolded.cause
+        if t_sync is None and multi:
+            # Live: a token black-holed by a switch that died mid-barrier
+            # is lost for good (no RC retransmission): with the peer probed
+            # alive, go on; recovery heals chunks multicast too early.
+            yield from self.ctrl.barrier(
+                op.coll_id, participants, me,
+                wait=(lambda key, src: self._recv_live(
+                    op, participants, MSG_BARRIER, key, src, "sync",
+                    escalate_live=3)) if live else None, resume=resume)
+        armed_at = t_sync if stamp else sim.now
+        expected, slack, deadline = self._arm(op, armed_at)
+        first = None  # the stamped first wait: the activation, or the data
+        if stamp:
+            first = (self.ctrl.recv(MSG_ACTIVATE, op.coll_id, activation_pred)
+                     if op.is_sender else AnyOf(sim, [op.data_done, sim.wake_at(
+                         armed_at + max(deadline - armed_at, 1e-9))]))
+            try:
+                if not first.triggered:
+                    yield first
+                if sim.now < t_sync:
+                    yield sim.wake_at(t_sync)
+            except Interrupt as unfolded:  # before the exit: unstamp it
+                del op.phases["sync"]
+                op.timer_trace.pop()
+                op.cutoff_deadline = _INF
+                yield from self.ctrl.barrier(op.coll_id, participants, me,
+                                             resume=unfolded.cause)
+                armed_at = sim.now
+                expected, slack, deadline = self._arm(op, armed_at)
+                first = first if op.is_sender else None
         if trc is not None:
             trc.instant("reliability.arm", armed_at,
                         {"timeout": expected + slack})
-        if op.is_sender and len(participants) > 1:
+        if op.is_sender and multi:
             if activation_pred is not None:
                 if live:
                     # Floor the suspicion at the op's own cutoff bound —
@@ -1282,10 +1305,11 @@ class RankEngine:
                         op, participants, MSG_ACTIVATE,
                         op.coll_id, activation_pred, "activation",
                         escalate_live=2,
-                        min_timeout=max(deadline - self.sim.now, 0.0),
+                        min_timeout=max(deadline - sim.now, 0.0),
                     )
-                else:
-                    yield self.ctrl.recv(MSG_ACTIVATE, op.coll_id, activation_pred)
+                elif first is None or not first.triggered:
+                    yield first or self.ctrl.recv(MSG_ACTIVATE, op.coll_id,
+                                                  activation_pred)
             # Flow-level fast-forward: when the whole multicast phase is
             # provably fault-inert, fold it analytically (sender batching,
             # tree busy chains, receiver datapaths) and jump straight to
@@ -1297,54 +1321,63 @@ class RankEngine:
             else:
                 # The fold holds the send path until the instant its
                 # run_send would have returned.
-                if ff_done > self.sim.now:
-                    yield self.sim.wake_at(ff_done)
+                if ff_done > sim.now:
+                    yield sim.wake_at(ff_done)
                 self._send_lock.release()
             op.mark_phase("send_done")
             if activation_succ is not None:
                 if trc is not None:
-                    trc.instant("seq.activate", self.sim.now,
+                    trc.instant("seq.activate", sim.now,
                                 {"succ": activation_succ})
                 if not cf.activate(self, op, participants, me):
                     self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
                 op.mark_phase("activated")
         recovery_deadline_abs: Optional[float] = None
+        # (a receiver's stamped first wait may have ended at its cutoff)
+        waited = first is not None and not op.is_sender
         while not op.data_done.triggered:
             if live:
                 self._check_live(op, participants, "data")
-            remaining = max(deadline - self.sim.now, 1e-9)
-            yield AnyOf(self.sim, [op.data_done, Timeout(self.sim, remaining)])
-            if op.data_done.triggered:
-                break
+            if not waited:
+                remaining = max(deadline - sim.now, 1e-9)
+                yield AnyOf(sim, [op.data_done, Timeout(sim, remaining)])
+                if op.data_done.triggered:
+                    break
+            waited = False
             if live:
                 self._check_live(op, participants, "data")
             if trc is not None:
-                trc.instant("reliability.fire", self.sim.now)
+                trc.instant("reliability.fire", sim.now)
             if recovery_deadline_abs is None:
                 op.mark_phase("recovery")
-                recovery_deadline_abs = self.sim.now + cfg.recovery_deadline
+                recovery_deadline_abs = sim.now + cfg.recovery_deadline
             yield from self.run_recovery(
                 op, participants, me, recovery_deadline_abs,
                 monitor=participants if live else None,
             )
-            deadline = self.sim.now + RECOVERY_ALPHA
+            deadline = sim.now + RECOVERY_ALPHA
             op.cutoff_deadline = deadline
         if cfg.adaptive_cutoff:
             if op.stats["recoveries"]:
                 self.cutoff.on_recovery()
             else:
                 # Karn's rule: only clean ops contribute slack samples.
-                self.cutoff.observe((self.sim.now - armed_at) - expected)
+                self.cutoff.observe((sim.now - armed_at) - expected)
         op.mark_phase("data")
-        t_final = (cf.at("final", self, op, participants, me)
-                   if len(participants) > 1 else None)
+        t_final = cf.at("final", self, op, participants, me) if multi else None
         sent = t_final is not None  # the fold has sent our MSG_FINAL
-        if sent and t_final > self.sim.now:
+        if sent and t_final > sim.now:
+            # op_done fires at the folded handshake's end and resumes this
+            # rank in the same event — unless an unfold took the phase back.
+            due = [op.op_done]
+            sim.post_at(t_final, lambda: due and not due[0].triggered
+                        and due[0].succeed_now())
             try:
-                yield self.sim.wake_at(t_final)
+                yield op.op_done
             except Interrupt:  # ControlFold.unfold: await the real token
+                due.clear()
                 t_final = None
-        if t_final is None and len(participants) > 1:
+        if t_final is None and multi:
             right = participants[(me + 1) % len(participants)]
             if not sent:
                 self.ctrl.send(participants[(me - 1) % len(participants)],

@@ -21,6 +21,8 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.net.faults import CrashSpec, StragglerSpec
 from repro.net.link import Channel, FaultSpec
 from repro.net.nic import Nic
@@ -34,7 +36,7 @@ from repro.units import US, gbit_per_s
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Fabric", "McastGroup"]
+__all__ = ["Fabric", "McastGroup", "RouteTable"]
 
 
 @dataclass
@@ -52,6 +54,48 @@ class McastGroup:
     def rail(self) -> int:
         return self.plan.rail if self.plan is not None else 0
 
+
+class RouteTable:
+    """The installed unicast tables as int32 arrays, to walk many routes at
+    once; channels are numbered by their place in ``chans``, after the null
+    hop 0 that pads short routes."""
+
+    def __init__(self, fabric: "Fabric") -> None:
+        self.chans: List[Optional[Channel]] = [None, *fabric.channels.values()]
+        index = {id(ch): i for i, ch in enumerate(self.chans)}
+        switch = {name: s for s, name in enumerate(fabric.switches)}
+        host = {id(nic): -2 - h for h, nic in fabric.nics.items()}
+        #: per channel, the switch it enters, or ``-2 - h`` for host h's
+        #: rail-0 NIC (-1: another NIC)
+        self.into = np.array([0] + [switch.get(ch.dst_name, host.get(id(ch.dst_node), -1))
+                                    for ch in self.chans[1:]], dtype=np.int32)
+        self.egress = np.array([index[id(nic.egress)] for nic in fabric.nics.values()],
+                               dtype=np.int32)
+        #: ``next[s, h]``: switch *s*'s channel toward host *h* (-1: none)
+        self.next = np.full((len(switch), len(fabric.nics)), -1, dtype=np.int32)
+        for s, sw in enumerate(fabric.switches.values()):
+            port, table = {nb: index[id(ch)] for nb, ch in sw.ports.items()}, sw.unicast_table
+            self.next[s, np.fromiter(table, np.intp, len(table))] = np.fromiter(
+                map(port.__getitem__, table.values()), np.int32, len(table))
+
+    def walk(self, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`Fabric.unicast_route` of host ``src[i]`` to host ``dst[i]``
+        for every *i*, in one next-hop walk: ``(routes, ok)``, ``ok[i]``
+        false where that is ``None``."""
+        hops = [self.egress[src]]
+        last = hops[0].copy()
+        at = self.into[last]
+        live = np.flatnonzero(at >= 0)
+        for _ in range(len(self.next)):  # a longer walk loops
+            if not len(live):
+                break
+            ch = self.next[at[live], dst[live]]
+            live, ch = live[ch >= 0], ch[ch >= 0]
+            hops.append(np.zeros_like(last))
+            hops[-1][live] = last[live] = ch
+            at[live] = self.into[ch]
+            live = live[at[live] >= 0]
+        return np.stack(hops, axis=1), at == -2 - dst
 
 class Fabric:
     """A runnable network instance.
@@ -150,6 +194,7 @@ class Fabric:
         #: callbacks run at every fault_epoch bump, before the change (a
         #: communicator's control fold hands its unserved tokens back)
         self.epoch_listeners: list = []
+        self._routes: Optional[RouteTable] = None
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -263,6 +308,7 @@ class Fabric:
         the folds check, and hand any folded INC pass — and, through the
         listeners, any folded control token — back to packets."""
         self.fault_epoch += 1
+        self._routes = None
         self.unfold_inc()
         for listener in self.epoch_listeners:
             listener()
@@ -455,6 +501,7 @@ class Fabric:
             if sw.dead:
                 continue
             sw.install_unicast_table(table)
+        self._routes = None
 
     def rebuild_mcast_group(self, gid: int, members: Sequence[int],
                             exclude: Optional[Set[str]] = None) -> None:
@@ -492,6 +539,13 @@ class Fabric:
             walk.append(node.ports[neighbor])
             node = walk[-1].dst_node
         return walk if node is self.nics[dst] else None
+
+    def route_table(self) -> RouteTable:
+        """The installed unicast tables as arrays: built on first use, and
+        again after a fault-epoch change or a reroute."""
+        if self._routes is None:
+            self._routes = RouteTable(self)
+        return self._routes
 
     def one_way_delay(self, src: int, dst: int) -> float:
         """Propagation-only delay estimate host→host (for ack modeling).

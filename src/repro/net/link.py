@@ -686,12 +686,14 @@ def bypass_arrival(t: float, chans: Sequence[Channel], wire: int) -> float:
     return t
 
 
-def bypass_tables(chans: Sequence[Channel], wire: int):
-    """Per channel: serialisation, latency and forwarding delay, behind a
-    null hop 0 of zeros that pads short rows of a route matrix."""
-    return (np.array([0.0] + [wire / ch.bandwidth for ch in chans]),
-            np.array([0.0] + [ch.latency for ch in chans]),
-            np.array([0.0] + [_forwarding_delay(ch) for ch in chans]))
+def bypass_tables(chans: Sequence[Channel], used: Sequence[int], wire: int):
+    """Per channel ``chans[i]``, *i* in *used*: serialisation, latency and
+    forwarding delay, indexed by *i*; zeros elsewhere, so the null hop 0
+    that pads short rows of a route matrix adds nothing."""
+    tables = np.zeros((3, len(chans)))
+    tables[:, used] = np.array([(wire / ch.bandwidth, ch.latency, _forwarding_delay(ch))
+                                for ch in map(chans.__getitem__, used)]).reshape(-1, 3).T
+    return tuple(tables)
 
 
 def bypass_fly(t: np.ndarray, matrix: np.ndarray, tables) -> np.ndarray:

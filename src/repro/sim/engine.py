@@ -339,15 +339,17 @@ class Simulator:
 
     # -------------------------------------------------------------- processes
 
-    def spawn(self, generator: Generator, name: Optional[str] = None):
+    def spawn(self, generator: Generator, name: Optional[str] = None,
+              parked: bool = False):
         """Start a process from a generator; returns the :class:`Process`.
 
         The process begins execution at the current instant (before time
-        advances), mirroring simpy semantics.
+        advances), mirroring simpy semantics; a ``parked`` one (a daemon)
+        at its first :meth:`Process.wake`, with no kickoff event.
         """
         from repro.sim.process import Process  # local import to avoid a cycle
 
-        proc = Process(self, generator, name=name)
+        proc = Process(self, generator, name=name, parked=parked)
         self._processes.append(proc)
         return proc
 

@@ -56,6 +56,8 @@ class _PassiveWait:
 #: The one shared passive-wait sentinel (identity-compared by Process).
 PASSIVE_WAIT = _PassiveWait()
 
+_AT_ONCE = 2  #: ``Event._fired`` of an event fired by :meth:`Event.succeed_now`
+
 
 class Interrupt(Exception):
     """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`.
@@ -94,7 +96,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """Callbacks already executed?"""
-        return self._fired
+        return bool(self._fired)
 
     @property
     def ok(self) -> bool:
@@ -117,6 +119,20 @@ class Event:
         self._value = value
         self.sim.schedule(self, delay)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """:meth:`succeed` and fire inside the caller — a queue entry at this
+        instant with nothing left that the callbacks could see out of order
+        — instead of from a zero-delay entry; so does an :class:`AnyOf` it
+        decides, and a process waiting on either resumes here."""
+        if self._triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks, self._fired = self.callbacks, None, _AT_ONCE
+        for cb in callbacks:
+            cb(self)
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Fix a failure outcome and schedule the event ``delay`` from now."""
@@ -230,7 +246,10 @@ class AnyOf(_Condition):
     def _on_child(self, child: Event) -> None:
         if self._done:
             return
-        if child.ok:
+        if child._fired == _AT_ONCE:
+            self._done = True
+            self.succeed_now(child)
+        elif child.ok:
             self._resolve_ok(child)
         else:
             child.defuse()

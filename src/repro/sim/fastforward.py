@@ -546,9 +546,10 @@ class _Session:
         if reach is not None:  # every forward, host edges' losses included
             fin_all = max(fin_all, float(rows.max()))
             if len(self.phases) + 1 < self.senders:  # the chain's next root
-                j = self.pos[self.order[self.order.index(engine.rank) + 1]]
+                k = self.order.index(engine.rank)
+                j = self.pos[self.order[k + 1]]
                 o, b = self.ops[j], engine.cost.send_batch(1)
-                first = self.ff.comm.cf.activation_floor(engine.rank, o.rank, send_done) + b
+                first = self.ff.comm.cf.activation_floor(op, self.order, k, send_done) + b
                 span = o.own_chunks * (o.plan.bounds(o.send_hi - 1)[1] + header)
                 if not self.loss.clear(pend[4], j, first,
                                        first + span / self.eg[j].bandwidth + b):
@@ -686,8 +687,8 @@ class _Session:
         """One event per rank, at its exact ``data_done`` instant: commit
         its bitmap, payload and stats, then let the op complete."""
         o = self.ops[j]
-        newly = o.bitmap.set_range(0, o.n_chunks)
-        o.placed.set_range(0, o.n_chunks)
+        newly = o.bitmap.fill()
+        o.placed.fill()
         lo, hi = self.own[j]
         if self.whole:
             o.mr.place(0, self.gather, 0, lo)
@@ -700,7 +701,7 @@ class _Session:
                     if x < y:
                         o.mr.place(x, self.gather, x, y - x)
         o.stats["chunks_received"] += newly
-        o.maybe_complete()
+        o.maybe_complete(at_once=True)  # a waiting rank resumes in this event
 
     def _release(self, j: int) -> None:
         o = self.ops[j]

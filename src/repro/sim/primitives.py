@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Any, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from repro.sim.events import Event
 
@@ -37,6 +37,8 @@ class Store:
         self.items: Deque[Any] = collections.deque()
         self._getters: Deque[Event] = collections.deque()
         self._putters: Deque[tuple] = collections.deque()  # (event, item)
+        #: one-shot callback run by the next :meth:`put` that queues its item
+        self.notify: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -61,14 +63,19 @@ class Store:
         elif not self.full:
             self.items.append(item)
             ev.succeed()
+            if self.notify is not None:
+                self.notify, notify = None, self.notify
+                notify()
         else:
             self._putters.append((ev, item))
         return ev
 
-    def try_put(self, item: Any) -> bool:
-        """Non-waitable put; returns False if the store is full."""
+    def try_put(self, item: Any, at_once: bool = False) -> bool:
+        """Non-waitable put; returns False if the store is full.  *at_once*:
+        a waiting getter fires inside this call (:meth:`Event.succeed_now`)."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            getter.succeed_now(item) if at_once else getter.succeed(item)
             return True
         if self.full:
             return False

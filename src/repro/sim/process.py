@@ -31,17 +31,19 @@ class Process(Event):
 
     __slots__ = ("gen", "name", "_target", "_resume_cb")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None) -> None:
+    def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None,
+                 parked: bool = False) -> None:
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", None) or repr(gen)
         #: The event this process is currently waiting on (None if running
-        #: or finished).
-        self._target: Optional[Event] = None
+        #: or finished); a parked one's first wake() starts it.
+        self._target: Optional[Event] = PASSIVE_WAIT if parked else None
         self._resume_cb = self._on_target_fired
-        # Kick off at the current instant through a zero-delay callback so
-        # that spawn order == first-execution order (deterministic).
-        sim.post_later(0.0, self._resume, None, True)
+        if not parked:
+            # Kick off at the current instant through a zero-delay callback
+            # so that spawn order == first-execution order (deterministic).
+            sim.post_later(0.0, self._resume, None, True)
 
     # ----------------------------------------------------------------- state
 
@@ -104,6 +106,9 @@ class Process(Event):
         self._triggered = True
         self._ok = ok
         self._value = value
+        if ok and not self.callbacks:  # nobody joins it: no zero-delay event
+            self._fired, self.callbacks = True, None  # (a later join bounces)
+            return
         self.sim.schedule(self, 0.0)
 
     def wake(self, value: Any = None) -> bool:

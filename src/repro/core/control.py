@@ -267,7 +267,7 @@ class ControlPlane:
                         self.on_death(msg)
                     continue
                 ib_key, store = self._inbox(mtype, key, src)
-                store.put(msg)
+                store.try_put(msg)  # (an inbox is unbounded: nobody waits on the put)
                 self._retire(ib_key, store)
             yield cq.wait()
 
@@ -460,7 +460,7 @@ class ControlFold:
                         msg = CtrlMessage(f.participants[f.srcs[k][i]], mtype, key, (0, 0, 0))
                         if d <= now:
                             if not f.here[i]:  # served ahead of the rank's ask
-                                c._inbox(mtype, key, msg.src)[1].put(msg)
+                                c._inbox(mtype, key, msg.src)[1].try_put(msg)
                             continue
                         c.fold_quiet = _NEVER  # the CQ orders what is left
                         if not sent[k][i]:

@@ -183,6 +183,7 @@ class Topology:
                     f"(missing rail(s) {missing})")
             self._host_ports[i] = [p for p in ports if p is not None]
         self._dist_cache: Dict[int, Dict[str, int]] = {}
+        self._fields_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------- accessors
 
@@ -299,11 +300,59 @@ class Topology:
         return candidates[dst % len(candidates)]
 
     def hops(self, src: int, dst: int) -> int:
-        """``len(path(src, dst)) - 1``, read off the cached distance field."""
-        hops = self._distances_to(dst).get(host_name(src))
-        if hops is None:
+        """``len(path(src, dst)) - 1`` on the intact graph: a direct link,
+        else one hop onto a switch *src* plugs into plus that switch's
+        distance in the field of *dst*'s attachment group
+        (:meth:`_fields`)."""
+        if src == dst:
+            return 0
+        if host_name(dst) in self.adjacency[host_name(src)]:
+            return 1
+        _, _, att, fields = self._fields()
+        dist = fields[att[dst]]
+        reach = [dist[s] for s in att[src] if dist[s] > 0]
+        if not reach:
             raise ValueError(f"h{src} cannot reach h{dst}")
-        return hops
+        return 1 + min(reach)
+
+    def _fields(self) -> tuple:
+        """The clean graph's switch distance fields, built once: ``(switch
+        names, each switch's switch neighbours in adjacency order — the
+        order :meth:`next_hop`'s tie-break depends on —, each host's
+        attachment switches, {attachment group: per switch its hop count
+        to a host of the group, -1 if none}``).  Hosts do not
+        forward, so every host behind the same attachment switches shares
+        one field: one multi-source switch-graph BFS seeded at those
+        switches with distance 1, exactly the switch distances a
+        host-rooted BFS gives (the host itself is distance 0)."""
+        if self._fields_cache is not None:
+            return self._fields_cache
+        sw_names = self.switch_names
+        sw_id = {sw: i for i, sw in enumerate(sw_names)}
+        sw_nbrs: List[List[int]] = [
+            [sw_id[n] for n in self.adjacency[sw] if not is_host(n)]
+            for sw in sw_names
+        ]
+        att = [tuple(sw_id[n] for n in self.adjacency[host_name(dst)]
+                     if not is_host(n)) for dst in range(self.n_hosts)]
+        fields: Dict[Tuple[int, ...], List[int]] = {}
+        for group in dict.fromkeys(att):
+            dist = [-1] * len(sw_names)
+            queue = collections.deque()
+            for s in group:
+                if dist[s] < 0:
+                    dist[s] = 1
+                    queue.append(s)
+            while queue:
+                u = queue.popleft()
+                d_next = dist[u] + 1
+                for v in sw_nbrs[u]:
+                    if dist[v] < 0:
+                        dist[v] = d_next
+                        queue.append(v)
+            fields[group] = dist
+        self._fields_cache = (sw_names, sw_nbrs, att, fields)
+        return self._fields_cache
 
     def path(self, src: int, dst: int) -> List[str]:
         """Node names along the deterministic route from host src to dst."""
@@ -325,8 +374,9 @@ class Topology:
         attachment switches shares one distance field (hosts do not
         forward, so a route to host *dst* is a switch-graph route to an
         attachment switch of *dst* plus the final host hop), so one
-        multi-source switch-graph BFS per attachment group replaces one
-        host-rooted BFS per destination.  Candidate lists keep adjacency
+        multi-source switch-graph BFS per attachment group (:meth:`_fields`,
+        kept for :meth:`hops`) replaces one host-rooted BFS per
+        destination.  Candidate lists keep adjacency
         order and the ``dst % len(candidates)`` tie-break, so the tables
         are identical entry-for-entry to the per-destination build — at
         4096 hosts this is the difference between minutes and seconds of
@@ -349,40 +399,15 @@ class Topology:
                         tables[sw][dst] = self.next_hop(sw, dst, exclude)
             return tables
 
-        sw_names = self.switch_names
-        sw_id = {sw: i for i, sw in enumerate(sw_names)}
-        n_sw = len(sw_names)
-        # Switch-only adjacency in original adjacency order (the order the
-        # next_hop candidate tie-break depends on).
-        sw_nbrs: List[List[int]] = [
-            [sw_id[n] for n in self.adjacency[sw] if not is_host(n)]
-            for sw in sw_names
-        ]
+        sw_names, sw_nbrs, att, fields = self._fields()
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for dst in range(self.n_hosts):
-            att = tuple(sw_id[n] for n in self.adjacency[host_name(dst)]
-                        if not is_host(n))
-            groups.setdefault(att, []).append(dst)
+        for dst, group in enumerate(att):
+            groups.setdefault(group, []).append(dst)
 
         tables = {sw: {} for sw in sw_names}
-        for att, dsts in groups.items():
-            # Multi-source BFS seeded at the attachment switches with
-            # distance 1 — exactly the switch distances the host-rooted
-            # BFS produces (the host itself is distance 0).
-            dist = [-1] * n_sw
-            queue = collections.deque()
-            for s in att:
-                if dist[s] < 0:
-                    dist[s] = 1
-                    queue.append(s)
-            while queue:
-                u = queue.popleft()
-                d_next = dist[u] + 1
-                for v in sw_nbrs[u]:
-                    if dist[v] < 0:
-                        dist[v] = d_next
-                        queue.append(v)
-            for si in range(n_sw):
+        for group, dsts in groups.items():
+            dist = fields[group]
+            for si in range(len(sw_names)):
                 d = dist[si]
                 if d < 0:
                     continue  # unreachable: entry absent, as before

@@ -522,21 +522,24 @@ class _Session:
             raise _Miss("tie" if reach is None else "lossy")
         # --- receivers ---------------------------------------------------
         eager = rows is not None and not self.deferred
+        end = len(self.phases) + 1 == self.senders
         if eager:
             state, fins = lanes.phase(rows, wires, lens, i, got)
         else:
             # From the lanes before the oldest pending phase, every packet
-            # not yet served: exactly at the last phase, else bounded.
-            F, _, W, L, src, _ = edges.rows(pend)
+            # not yet served: exactly at the last phase, else bounded — on
+            # the edges' exact forwards where their bound could fail a gate.
             base = (lanes.state if self.deferred or not self.snaps
                     else self.snaps[0][2])
-            state = None
-            fins = np.full(len(self.ranks),  # (pend[4]: the latest forwards)
-                           lanes.bound(base, float(pend[4].max()), W, L))
-            if fins[0] >= deadline or len(self.phases) + 1 == self.senders:
-                state = lanes.settle(base, F, W, L, src, self.cut if
-                                     self.deferred else _NEG_INF, _INF)
-                fins = state.last_fin
+            state, W, L = None, *edges.rows(pend)[2:4]
+            fin = lanes.bound(base, edges.bound(pend), W, L)
+            if fin >= deadline or end or self.strag:
+                packets = edges.settle(pend)
+                fin = lanes.bound(base, edges.bound(pend), W, L)
+                if fin >= deadline or end:
+                    state = lanes.settle(base, packets, self.cut if
+                                         self.deferred else _NEG_INF, _INF)
+            fins = np.full(len(self.ranks), fin) if state is None else state.last_fin
         fin_rx = float(fins.max())
         for j in self.strag:
             if j != i and not self.fabric.straggler_inert(
@@ -545,7 +548,7 @@ class _Session:
         fin_all = fin_rx if fin_rx > send_done else send_done
         if reach is not None:  # every forward, host edges' losses included
             fin_all = max(fin_all, float(rows.max()))
-            if len(self.phases) + 1 < self.senders:  # the chain's next root
+            if not end:  # the chain's next root
                 k = self.order.index(engine.rank)
                 j = self.pos[self.order[k + 1]]
                 o, b = self.ops[j], engine.cost.send_batch(1)
@@ -572,19 +575,16 @@ class _Session:
                 if self.snaps:
                     lanes.commit(self.snaps[0][2])
                 self.defer_from = len(self.phases) - len(self.snaps)
-                self.snaps = []
-                self.deferred = True
-                self.cut = _NEG_INF
+                self.snaps, self.deferred, self.cut = [], True, _NEG_INF
             env.append(env[-1] if env else fin_all)
-            if state is not None and len(self.phases) + 1 == self.senders:
+            if state is not None and end:
                 self._settle(_INF, state)
         self.sent[i] = True
         trains = [b for b in batches if b >= 2]
         self.phases.append((i, op.send_lo, n, sum(wires), sum(lens),
                             len(trains), sum(trains), len(batches)))
         self.cum.append(self.cum[-1] + n)
-        lo = op.plan.bounds(op.send_lo)[0]
-        ln = sum(lens)
+        lo, ln = op.plan.bounds(op.send_lo)[0], sum(lens)
         src, so = op.mr.source(lo, ln)
         self.gather[lo:lo + ln] = src[so:so + ln]
         # --- completions: one event per rank, in ascending rank order ----
@@ -601,8 +601,7 @@ class _Session:
         for j in sorted(done) if done else ():
             self.finished[j] = True
             if self.deferred:  # only its own phase is left: none reaches it
-                F, _, W, L, src, _ = edges.rows()
-                fin = float(lanes.settle(lanes.state, F, W, L, src, self.cut,
+                fin = float(lanes.settle(lanes.state, edges.settle(), self.cut,
                                          _INF, [j]).last_fin[0])
             else:
                 fin = float(lanes.last_fin[j])
@@ -633,9 +632,11 @@ class _Session:
     def _advance(self, t_hook: float) -> None:
         """Drop the pending packets no later phase can reach ahead of — every
         forward before *t_hook* — once the lanes have served them."""
+        edges = self.edges
         if self.deferred:
-            self.edges.leave(t_hook)
-            final = self.edges.rows()[0].max(1, initial=_NEG_INF) < t_hook
+            if edges.fresh and 2 * edges.forwarded_by(t_hook) < len(edges.rows()[2]):
+                return  # fewer than half can be final: no settle below either
+            final = edges.settle()[0].max(1, initial=_NEG_INF) < t_hook
             if final.any() and 2 * final.sum() >= len(final):
                 self._settle(t_hook)
             return
@@ -644,18 +645,17 @@ class _Session:
             rows += self.snaps[k][1]
             k += 1
         if k:  # every channel served them last: its watermark then is a base
-            self.edges.drop_front(rows, *self.snaps[k - 1][3:])
+            edges.drop_front(rows, *self.snaps[k - 1][3:])
             del self.snaps[:k]
 
     def _settle(self, hi: float, state=None) -> None:
         """Serve the lanes every pending packet reaching them before *hi*
         (*state*: that, computed already), then drop what is final."""
         lanes, edges = self.lanes, self.edges
-        F, _, W, L, src, _ = edges.rows()
-        lanes.commit(state or lanes.settle(lanes.state, F, W, L, src,
-                                           self.cut, hi))
+        packets = edges.settle()
+        lanes.commit(state or lanes.settle(lanes.state, packets, self.cut, hi))
         self.cut = hi
-        final = F.max(1, initial=_NEG_INF) < hi
+        final = packets[0].max(1, initial=_NEG_INF) < hi
         if final.all():  # every phase served: their finishes are known
             self.deferred = False
             env, start = self.env, self.defer_from
@@ -814,7 +814,7 @@ class _Session:
         # A switch forwarding a packet after every lane is done sends it down
         # branches without a receiver, maybe after the collective ends: it
         # is counted when the switch forwards it.
-        F, _, W, L, src, _ = self.edges.rows()
+        F, _, W, L, src = self.edges.rows()
         fin = max(float(lanes.last_fin.max()), self.sim.now)
         up = T.anc[self.edges.switch_of[src]]  # the sender is below
         for r, c in zip(*np.nonzero(F > fin)):

@@ -2,14 +2,15 @@
 
 Every edge serves the folded packets FIFO in the order they reach it.
 :class:`TreeEdges` holds the up- and down-channels under the packets of
-concurrently pending phases (concurrent chains included).  The receive
-chains are independent (paper §IV-A): :class:`ReceiverLanes` keeps one
-lane per rank — the switch→host edge's busy chain, the receive worker's
-cursor (:func:`worker_step`) and (UD) the staging-DMA drain.  ``numpy``
-``maximum``/add are the same IEEE-754 operations the packet path
-evaluates, in the same order per lane, so the instants are bit-identical
-to it.  Nothing here commits by itself: each step returns a new state,
-which the session commits once every gate after it has passed.
+concurrently pending phases (concurrent chains included), and serves a
+phase that does not append only once something needs its exact forwards.
+The receive chains are independent (paper §IV-A): :class:`ReceiverLanes`
+keeps one lane per rank — the switch→host edge's busy chain, the receive
+worker's cursor (:func:`worker_step`) and (UD) the staging-DMA drain.
+``numpy`` ``maximum``/add are the same IEEE-754 operations the packet
+path evaluates, in the same order per lane, so the instants are
+bit-identical to it.  Nothing here commits by itself: each step returns a
+new state, which the session commits once every gate after it has passed.
 """
 
 from __future__ import annotations
@@ -128,32 +129,42 @@ class ReceiverLanes:
             dma[s] = self.dma_busy[s]
         return LaneState(hd, cur, fins, dma, hold), out
 
-    def settle(self, state: LaneState, rows: np.ndarray, wires: np.ndarray,
-               lens: np.ndarray, src: np.ndarray, lo: float, hi: float,
+    def settle(self, state: LaneState, packets: tuple, lo: float, hi: float,
                lanes=None) -> LaneState:
-        """Step *lanes* (all by default) from *state* through the packets of
-        *rows* (forwarding rows of concurrently pending phases; ``src``: each
-        packet's sender lane, which does not receive it) whose arrival at
-        the lane's switch is in ``[lo, hi)``, each lane in its own arrival
-        order: a per-column-sorted lane matrix, stepped one row at a time.
-        Equal arrivals keep row order.  Returns the lanes' new state."""
+        """Step *lanes* (all by default) from *state* through the *packets*
+        of concurrently pending phases (:meth:`TreeEdges.rows`: forwarding
+        rows, wire and payload bytes and each packet's sender lane, which
+        does not receive it) whose arrival at the lane's switch is in
+        ``[lo, hi)``, each lane in its own arrival order: the rows sorted
+        per switch (equal arrivals keep row order), spread to its lanes — a
+        lane skips its own packets — and stepped one row at a time.
+        Returns the lanes' new state."""
+        rows, _, wires, lens, src = packets
         js = self.lane if lanes is None else np.asarray(lanes)
-        a = rows[:, self.switch_of[js]]
-        ok = (a >= lo) & (a < hi) & (src[:, None] != js)
-        order = np.argsort(np.where(ok, a, _INF), axis=0, kind="stable")
-        a = np.take_along_axis(a, order, 0)
-        ok = np.take_along_axis(ok, order, 0)
-        ws, ls = wires[order], lens[order]
+        sws, col = np.unique(self.switch_of[js], return_inverse=True)
+        a = rows[:, sws]
+        win = (a >= lo) & (a < hi)
+        r = np.flatnonzero(win.any(1))  # the rows some lane serves now
+        a, win = a[r], win[r]
+        order = np.argsort(np.where(win, a, _INF), axis=0, kind="stable")
+        steps = int(win.sum(0).max()) if win.size else 0
+        order = order[:steps]
+        a = np.take_along_axis(a, order, 0)[:, col]
+        ok = np.take_along_axis(win, order, 0)[:, col]
+        order = r[order][:, col]
+        ok &= src[order] != js
         hd, cur, fin = state.hd_busy[js], state.cursor[js], state.last_fin[js]
         dma = None if state.dma_busy is None else state.dma_busy[js]
         hold = state.hold if lanes is None and dma is not None else None
-        bw, lat = self.bw[js], self.lat[js]
-        for k in range(int(ok.sum(0).max()) if ok.size else 0):
+        lat = self.lat[js]
+        ser = wires[order] / self.bw[js]
+        copy = None if dma is None else lens[order] / self.dma_bw[js]
+        for k in range(steps):
             v = ok[k]
-            h = np.maximum(a[k], hd) + ws[k] / bw
-            copy = None if dma is None else ls[k] / self.dma_bw[js]
+            h = np.maximum(a[k], hd) + ser[k]
             take = None if hold is None else np.maximum(h + lat, cur) + self.c1
-            c, d = worker_step(h + lat, cur, self.c1, self.c2, copy, dma)
+            c, d = worker_step(h + lat, cur, self.c1, self.c2,
+                               None if copy is None else copy[k], dma)
             if take is not None:
                 hold = (hold, np.where(v, take, np.nan), d + self.dma_lat[js])
             f = c if d is None else d + self.dma_lat[js]
@@ -378,10 +389,14 @@ class TreeEdges:
     of, or a lane has not served: per packet, when each switch forwards it
     (``F``), when the edge into each switch delivers it (``D``), its wire
     and payload bytes and sender lane.  Every edge serves its packets FIFO
-    in arrival order.  A packet every switch with tree ports below it has
-    forwarded before a later phase's hook can no longer be overtaken: it
-    leaves the ``tree`` rows and its deliveries stay in a base watermark.
-    ``switch_of``: each lane's switch; ``eg_lat``: its NIC-egress latency."""
+    in arrival order; a dropped packet's deliveries stay in a base
+    watermark.
+
+    Like the lanes, the edges defer: a phase that does not append after
+    every pending packet is *fresh* — known only where its sender's switch
+    forwards it — until :meth:`settle` serves every fresh packet at once;
+    :meth:`bound` bounds the forwards meanwhile.  ``switch_of``: each
+    lane's switch; ``eg_lat``: its NIC-egress latency."""
 
     def __init__(self, tree, switch_of: np.ndarray, eg_lat) -> None:
         T = self.T = tree
@@ -390,81 +405,98 @@ class TreeEdges:
         self.up = np.array([0.0] + [ch.busy_until for ch in T.up[1:]])
         self.down = np.array([0.0] + [ch.busy_until for ch in T.down[1:]])
         self.base_up, self.base_down = self.up, self.down
+        # per switch: its up-channel's bandwidth and latency, its parent's
+        # forwarding delay, its down-channel's bandwidth
+        self.ubw = np.array([1.0] + [ch.bandwidth for ch in T.up[1:]])
+        self.ulat = np.array([0.0] + [ch.latency for ch in T.up[1:]])
+        self.pd = np.array(T.d)[T.pa]
+        self.dbw = np.array([1.0] + [ch.bandwidth for ch in T.down[1:]])
         self._ser: Dict[int, List[np.ndarray]] = {}  # per size, per level
         self._rows = (np.empty((0, T.S)), np.empty((0, T.S)), np.empty(0),
-                      np.empty(0), np.empty(0, dtype=np.intp),
-                      np.empty(0, dtype=bool))  # F D W L src tree
-        self._blocks: List[tuple] = []  # phases appended since
+                      np.empty(0), np.empty(0, dtype=np.intp))  # F D W L src
+        self._blocks: List[tuple] = []  # phases added since
         self.size = None  # the one packet size so far (0: several)
-        self.last = np.full(T.S, _NEG_INF)  # latest forward, per switch
-        self.inner = np.array([bool(k) for k in T.kids])  # switches with kids
+        self.last = np.full(T.S, _NEG_INF)  # latest served forward, per switch
+        self.fresh = 0  # the last pending packets, not served yet
+        #: per switch, the latest forward there of the rows sent from below
+        #: it and at its parent of the rest — ``None`` until needed, at
+        #: least the exact values once rows drop
+        self._tops: Optional[tuple] = None
 
     def rows(self, state=None):
-        """The pending packets' ``(F, D, W, L, src, tree)`` — with a
-        phase :meth:`add` returned *state* for, not committed yet."""
+        """The pending packets' ``(F, D, W, L, src)`` — with a
+        phase :meth:`add` returned *state* for, not committed yet.  A fresh
+        packet's ``F`` and ``D`` are ``nan`` past its sender's switch."""
         if self._blocks:
             self._rows = self._join(self._blocks)
             self._blocks = []
         if state is None:
             return self._rows
         if state[0] is None:  # joined once: commit takes the arrays
-            state[:2] = self._join([state[1]]), None
+            state[0] = self._join([state[1]])
         return state[0]
 
     def _join(self, blocks) -> tuple:
         """The rows with *blocks* — ``(F, D, wires, lens, sender)`` per
-        appended phase — after them."""
+        added phase — after them."""
         n = [len(b[2]) for b in blocks]
         return tuple(np.concatenate([r, *x]) for r, x in zip(self._rows, (
             [b[0] for b in blocks], [b[1] for b in blocks],
             [np.array(b[2], dtype=float) for b in blocks],
             [np.array(b[3], dtype=float) for b in blocks],
-            [np.full(k, b[4], dtype=np.intp) for k, b in zip(n, blocks)],
-            [np.ones(k, dtype=bool) for k in n])))
+            [np.full(k, b[4], dtype=np.intp) for k, b in zip(n, blocks)])))
 
     def add(self, i: int, fins: List[float], wires: List[int],
             lens: List[int], reach: Optional[np.ndarray] = None):
-        """Lane *i*'s phase, its egress finishes *fins*, merged into the
-        pending packets: ``(state, rows)`` — the state for :meth:`commit`
+        """Lane *i*'s phase, its egress finishes *fins*, among the pending
+        packets: ``(state, rows)`` — the state for :meth:`commit`
         (:meth:`rows` reads the packets in it) and, if it reaches every
         tree edge and every switch's host edges after all pending packets,
         the phase's forwarding rows —, or ``(None, None)`` when packets of
         two sizes would reach one switch at one instant (of one size, either
         order leaves every instant as it is: they go on to the same
-        subtree).  Under loss (``reach[k, c]``: packet *k* reaches switch
-        *c*) a packet is ``-inf`` where it does not arrive, and the phase
-        must come strictly after every pending packet, edges and host edges
-        alike — the order each channel draws its drops in — else
-        ``(None, None)``."""
+        subtree).  A phase that does not append, or comes while fresh
+        packets are pending, is fresh; with packets of two sizes it is
+        served at once, for the tie check on its exact arrivals.  Under
+        loss (``reach[k, c]``: packet *k* reaches switch *c*) a packet is
+        ``-inf`` where it does not arrive, and the phase must come strictly
+        after every pending packet, edges and host edges alike — the order
+        each channel draws its drops in — else ``(None, None)``."""
         T = self.T
         n = len(wires)
         size = wires[0] if self.size in (None, wires[0]) and min(wires) == max(
             wires) else 0
         ties = bool(size) and reach is None
-        rows = self._append(i, fins, wires, ties, reach)
+        rows = None if self.fresh else self._append(i, fins, wires, ties, reach)
         if reach is not None and (rows is None or not rows[4]):
             return None, None
         if rows is not None:
             rows, dep, up, down, lanes = rows
-            state = [None, (rows, dep, wires, lens, i)]
-            last = rows[-1] if reach is None else rows.max(0)
+            state = [None, (rows, dep, wires, lens, i), up, down, np.maximum(
+                self.last, rows[-1] if reach is None else rows.max(0)), size, 0]
             if not lanes:
                 rows = None  # a host edge is handed it earlier
         else:
-            F, D, W, L, src, tree = self.rows()
-            W = np.concatenate([W, wires])
-            src = np.concatenate([src, np.full(n, i, dtype=np.intp)])
-            tree = np.concatenate([tree, np.ones(n, dtype=bool)])
-            F, D, up, down = self._merge(i, fins, W, src, tree)
-            state = [(F, D, W, np.concatenate([L, lens]), src, tree), None]
-            last = F.max(0)
+            c = int(self.switch_of[i])
+            F, D = np.full((n, T.S), np.nan), np.full((n, T.S), np.nan)
+            F[:, c] = [(f + self.eg_lat[i]) + T.d[c] for f in fins]
+            D[:, c] = fins
+            state = [None, (F, D, wires, lens, i), self.up, self.down,
+                     self.last, size, self.fresh + n]
         if rows is None and not ties:
-            F, _, W = self.rows(state)[:3]
-            for a in F.T:
-                k = np.argsort(a, kind="stable")
-                if ((a[k[1:]] == a[k[:-1]]) & (W[k[1:]] != W[k[:-1]])).any():
-                    return None, None
-        return state + [up, down, np.maximum(self.last, last), size], rows
+            F, _, W = self.settle(state)[:3]
+            if self._tied(F, W):
+                return None, None
+        return state, rows
+
+    @staticmethod
+    def _tied(F: np.ndarray, W: np.ndarray) -> bool:
+        """Whether packets of two sizes reach one switch at one instant."""
+        for a in F.T:
+            k = np.argsort(a, kind="stable")
+            if ((a[k[1:]] == a[k[:-1]]) & (W[k[1:]] != W[k[:-1]])).any():
+                return True
+        return False
 
     def commit(self, state) -> None:
         full, block = state[:2]
@@ -472,14 +504,76 @@ class TreeEdges:
             self._rows, self._blocks = full, []
         else:
             self._blocks.append(block)
-        self.up, self.down, self.last, self.size = state[2:]
+        if block is None or state[6]:  # served, or fresh
+            self._tops = None
+        elif self._tops is not None:  # appended: its forwards join the tops
+            F, below = block[0].max(0), self.T.anc[self.switch_of[block[4]]]
+            self._tops = (
+                np.maximum(self._tops[0], np.where(below, F, _NEG_INF)),
+                np.maximum(self._tops[1], np.where(below, _NEG_INF, F[self.T.pa])))
+        self.up, self.down, self.last, self.size, self.fresh = state[2:]
 
-    def leave(self, t: float) -> None:
-        """The rows every inner switch forwarded before *t* leave the tree."""
-        *rows, tree = self.rows()
-        out = tree & (rows[0][:, self.inner].max(1, initial=_NEG_INF) < t)
-        self._base(out)
-        self._rows = (*rows, tree & ~out)
+    def settle(self, state=None) -> tuple:
+        """:meth:`rows` — committed, or with *state* — once every fresh
+        packet is served (:meth:`_serve`; nothing to do when none is)."""
+        if state is None:
+            if self.fresh:
+                self._rows, self.up, self.down, self.last = self._serve(
+                    self.rows(), self.fresh, self.up, self.down, self.last)
+                self.fresh, self._tops = 0, None
+            return self.rows()
+        if state[6]:
+            state[0], state[2], state[3], state[4] = self._serve(
+                self.rows(state), state[6], *state[2:5])
+            state[1], state[6] = None, 0
+        return self.rows(state)
+
+    def bound(self, state=None) -> float:
+        """An upper bound on every pending forward, exact when no packet is
+        fresh.  Else an edge delivers each packet it carries by the later
+        of its watermark before them and the packet's arrival, plus the
+        wire time of them all (FIFO): so a bound on the forwards at a
+        switch bounds them past its up-channel — from the injections, a
+        level at a time up to the root — then past every down-channel from
+        the root, with :meth:`ReceiverLanes.bound`'s relative margin."""
+        fresh, last = (self.fresh, self.last) if state is None else (
+            state[6], state[4])
+        if not fresh:
+            return float(last.max())
+        T = self.T
+        F, _, W, _, src = self.rows(state)
+        sw = self.switch_of[src]
+        at = np.full(T.S, _NEG_INF)  # per switch, its latest forward
+        np.maximum.at(at, sw, F[np.arange(len(sw)), sw])
+        carried = W @ T.anc[sw]  # bytes up each switch's up-channel
+        for lo, hi, par, *_ in reversed(T.levels):
+            k = carried[lo:hi] > 0
+            np.maximum.at(at, par[k], ((np.maximum(
+                self.base_up[lo:hi], at[lo:hi]) + carried[lo:hi] / self.ubw[
+                lo:hi]) + self.ulat[lo:hi] + self.pd[lo:hi])[k])
+        carried = W.sum() - carried  # ... and down its down-channel
+        for lo, hi, par, bw, lat, d in T.levels:
+            k = carried[lo:hi] > 0
+            at[lo:hi] = np.where(k, np.maximum(at[lo:hi], (np.maximum(
+                self.base_down[lo:hi], at[par]) + carried[lo:hi] / bw)
+                + lat + d), at[lo:hi])
+        return float(at.max()) * (1 + 1e-9)
+
+    def forwarded_by(self, t: float) -> int:
+        """At most how many pending packets every switch forwards before
+        *t*, fresh ones unserved: a down-channel delivers the k-th of the
+        packets it carries no sooner than k wire times of the smallest
+        after the earliest injection among them, and forwards them below
+        after that; every other packet may be done."""
+        F, _, W, _, src = self.rows()
+        n = len(W)
+        sw = self.switch_of[src]
+        off = ~self.T.anc[sw][:, 1:]  # the packets down each down-channel
+        k = off.sum(0)
+        first = np.where(off, F[np.arange(n), sw][:, None], _INF).min(
+            0, initial=_INF)
+        done = np.floor((t - first) / (W.min() / self.dbw[1:])) + 1
+        return int((n - k + np.clip(done, 0, k)).min(initial=n))
 
     def _append(self, i: int, fins: List[float], wires: List[int],
                 ties: bool, reach: Optional[np.ndarray] = None):
@@ -557,48 +651,48 @@ class TreeEdges:
         T = self.T
         if (row >= self.last if ties else row > self.last).all():
             return True
-        F, _, _, _, src, tree = self.rows()
-        F, on = F[tree], T.anc[self.switch_of[i]]
-        below = T.anc[self.switch_of[src[tree]]]
+        on = T.anc[self.switch_of[i]]
         at = np.where(on, row, row[T.pa])[1:]
-        last = np.where(on, np.where(below, F, _NEG_INF).max(
-            0, initial=_NEG_INF), np.where(
-            below, _NEG_INF, F[:, T.pa]).max(0, initial=_NEG_INF))[1:]
-        return False if (at >= last if ties else at > last).all() else None
 
-    def _merge(self, i: int, fins: List[float], W: np.ndarray, src, tree):
-        """The phase's packets among the tree rows on every edge: up the
-        sender's path, then down the tree a level at a time, each edge
-        re-served from the earliest arrival a change touched."""
+        def clear() -> bool:
+            last = np.where(on, *self._tops)[1:]
+            return bool((at >= last if ties else at > last).all())
+
+        if self._tops is not None and clear():
+            return False
+        F, _, _, _, src = self.rows()
+        below = T.anc[self.switch_of[src]]
+        self._tops = (np.where(below, F, _NEG_INF).max(0, initial=_NEG_INF),
+                      np.where(below, _NEG_INF, F[:, T.pa]).max(0, initial=_NEG_INF))
+        return False if clear() else None
+
+    def _serve(self, rows, k: int, up, down, last):
+        """*rows* with their last *k*, fresh, served on every edge they
+        cross: the up-channels a level at a time from the deepest, then the
+        down-channels from the root, each edge re-served from the earliest
+        arrival a change touched there (``theta``; :meth:`_queue`).
+        Returns the rows, the up- and down-channel watermarks and the
+        latest forward per switch."""
         T = self.T
-        n = len(fins)
-        rows = np.flatnonzero(tree)
-        F, D = (np.vstack([x, np.full((n, T.S), np.nan)])
-                for x in self.rows()[:2])
-        out = F, D
-        F, D, W = F[rows], D[rows], W[rows]
-        below = T.anc[self.switch_of[src[rows]]]  # the sender is below
+        F, D, W, L, src = rows
+        below = T.anc[self.switch_of[src]]  # the sender is below
         theta = np.full(T.S, _INF)  # earliest arrival changed, per switch
-        c = self.switch_of[i]
-        F[-n:, c] = [(f + self.eg_lat[i]) + T.d[c] for f in fins]
-        D[-n:, c] = fins
-        theta[c] = F[-n, c]
-        up, down = self.up.copy(), self.down.copy()
-        while c:  # the up-channels on the sender's path, then down the tree
-            p, ch = T.par[c], T.up[c]
-            k = np.array([c])
-            up[c] = self._serve(F, D, W, theta, k, np.array([p]), below[:, k],
-                                ch.bandwidth, ch.latency, T.d[p],
-                                self.base_up[k], up[k])[0]
-            c = p
-        for lo, hi, par, bw, lat, d in T.levels:
-            down[lo:hi] = self._serve(F, D, W, theta, par, np.arange(lo, hi),
-                                      ~below[:, lo:hi], bw, lat, d,
-                                      self.base_down[lo:hi], down[lo:hi])
-        out[0][rows], out[1][rows] = F, D
-        return out[0], out[1], up, down
+        new = np.arange(len(W) - k, len(W))
+        c = self.switch_of[src[new]]  # (a fresh packet is known here only)
+        np.minimum.at(theta, c, F[new, c])
+        up, down = up.copy(), down.copy()
+        for lo, hi, par, *_ in reversed(T.levels):
+            up[lo:hi] = self._queue(
+                F, D, W, theta, np.arange(lo, hi), par, below[:, lo:hi],
+                self.ubw[lo:hi], self.ulat[lo:hi], self.pd[lo:hi],
+                self.base_up[lo:hi], up[lo:hi])
+        for lo, hi, par, bw, lat, dl in T.levels:
+            down[lo:hi] = self._queue(
+                F, D, W, theta, par, np.arange(lo, hi), ~below[:, lo:hi],
+                bw, lat, dl, self.base_down[lo:hi], down[lo:hi])
+        return (F, D, W, L, src), up, down, np.maximum(last, F.max(0))
 
-    def _serve(self, F, D, W, theta, src, dst, mine, bw, lat, d, base, busy):
+    def _queue(self, F, D, W, theta, src, dst, mine, bw, lat, d, base, busy):
         """Re-serve the channels ``src[j] → dst[j]`` (watermarks *busy*,
         *base* before the rows dropped; *mine*: the rows each carries), each
         from its first packet at or after ``theta[src[j]]``, in the order
@@ -647,7 +741,7 @@ class TreeEdges:
     def drop(self, mask: np.ndarray) -> None:
         """Forget the pending packets in *mask*."""
         rows = self.rows()
-        self._base(mask & rows[5])
+        self._base(mask)
         self._rows = tuple(x[~mask] for x in rows)
 
     def _base(self, mask: np.ndarray) -> None:
@@ -655,7 +749,7 @@ class TreeEdges:
         if not mask.any():
             return
         T = self.T
-        _, D, _, _, src, _ = self.rows()
+        _, D, _, _, src = self.rows()
         D, below = D[mask], T.anc[self.switch_of[src[mask]]]
         self.base_down = np.maximum(self.base_down,
                                     np.where(below, _NEG_INF, D).max(0))

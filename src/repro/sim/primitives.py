@@ -37,7 +37,7 @@ class Store:
         self.items: Deque[Any] = collections.deque()
         self._getters: Deque[Event] = collections.deque()
         self._putters: Deque[tuple] = collections.deque()  # (event, item)
-        #: one-shot callback run by the next :meth:`put` that queues its item
+        #: one-shot callback run by the next put that queues its item
         self.notify: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
@@ -61,26 +61,30 @@ class Store:
             getter.succeed(item)
             ev.succeed()
         elif not self.full:
-            self.items.append(item)
             ev.succeed()
-            if self.notify is not None:
-                self.notify, notify = None, self.notify
-                notify()
+            self._queue(item)
         else:
             self._putters.append((ev, item))
         return ev
 
     def try_put(self, item: Any, at_once: bool = False) -> bool:
-        """Non-waitable put; returns False if the store is full.  *at_once*:
-        a waiting getter fires inside this call (:meth:`Event.succeed_now`)."""
+        """Non-waitable put: :meth:`put` without its acceptance event;
+        returns False if the store is full.  *at_once*: a waiting getter
+        fires inside this call (:meth:`Event.succeed_now`)."""
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed_now(item) if at_once else getter.succeed(item)
             return True
         if self.full:
             return False
-        self.items.append(item)
+        self._queue(item)
         return True
+
+    def _queue(self, item: Any) -> None:
+        self.items.append(item)
+        if self.notify is not None:
+            self.notify, notify = None, self.notify
+            notify()
 
     def get(self) -> Event:
         """Dequeue; the returned event succeeds with the item."""

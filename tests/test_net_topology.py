@@ -362,6 +362,41 @@ def test_hops_match_the_walked_path(topo):
             assert topo.hops(src, dst) == len(topo.path(src, dst)) - 1
 
 
+@pytest.mark.parametrize("topo", [
+    Topology.back_to_back(),
+    Topology.leaf_spine(12, 3, 2),
+    Topology.fat_tree3(16, 4, 4, 2),
+    Topology.testbed_188(),
+    Topology.multi_rail(Topology.fat_tree3(16, 4, 4, 2), 2),
+], ids=["b2b", "leaf_spine", "fat_tree3", "testbed_188", "multi_rail"])
+def test_hops_equal_the_host_rooted_distance_field(topo):
+    # ``hops`` reads the attachment-group fields the table build keeps; the
+    # per-destination BFS stays the oracle, and a fabric's one-way delays
+    # (every fetch attempt and signaled RC completion) run none of it.
+    from repro.net import Fabric
+    from repro.sim import Simulator
+
+    fabric = Fabric(Simulator(), topo)
+    for src in range(topo.n_hosts):
+        fabric.one_way_delay(src, topo.n_hosts - 1 - src)
+    assert topo._dist_cache == {}
+    for dst in range(topo.n_hosts):
+        dist = topo._distances_to(dst)
+        for src in range(topo.n_hosts):
+            assert topo.hops(src, dst) == dist[host_name(src)]
+
+
+def test_hops_keep_the_intact_graph_after_a_reroute():
+    from repro.net import Fabric
+    from repro.sim import Simulator
+
+    topo = Topology.leaf_spine(8, 2, 2)
+    fabric = Fabric(Simulator(), topo)
+    want = [[topo.hops(s, d) for d in range(8)] for s in range(8)]
+    fabric.reroute_unicast({topo.switch_names[-1]})
+    assert [[topo.hops(s, d) for d in range(8)] for s in range(8)] == want
+
+
 def test_one_way_delay_takes_any_integral_host_id():
     """A numpy host id gets its route's hop count, not the multicast
     estimate; an id that names no host raises."""

@@ -98,6 +98,18 @@ def test_store_try_put_try_get():
     assert store.try_get() == (False, None)
 
 
+def test_store_try_put_runs_the_notify_and_schedules_nothing():
+    # A put nobody waits on: the item queues, the one-shot notify runs once
+    # (the parked fetch server's wake), and no acceptance event is queued.
+    sim = Simulator()
+    store, woken = Store(sim), []
+    store.notify = lambda: woken.append(sim.now)
+    assert store.try_put("a") and store.try_put("b")
+    assert woken == [0.0] and store.notify is None and len(store) == 2
+    sim.run()
+    assert sim.events_processed == 0
+
+
 def test_store_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):

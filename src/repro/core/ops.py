@@ -119,13 +119,6 @@ class OpState:
         return self.send_hi - self.send_lo
 
     @property
-    def expected_recv_bytes(self) -> int:
-        """Bytes this rank must receive from the network."""
-        own_lo_off = self.send_lo * self.plan.chunk_size
-        own_hi_off = min(self.send_hi * self.plan.chunk_size, self.plan.buffer_len)
-        return self.plan.buffer_len - (own_hi_off - own_lo_off)
-
-    @property
     def is_sender(self) -> bool:
         return self.send_hi > self.send_lo
 
@@ -175,13 +168,6 @@ class OpState:
             self.valid_mask = np.ones(self.n_chunks, dtype=bool)
         self.valid_mask[start:start + count] = False
         self.bitmap.set_range(start, count)
-
-    @property
-    def void_chunks(self) -> int:
-        """Chunks marked permanently missing by :meth:`mark_void`."""
-        if self.valid_mask is None:
-            return 0
-        return int(self.n_chunks - int(self.valid_mask.sum()))
 
     def abandon(self) -> None:
         """Tear the op down without completing it (its rank died, or the

@@ -24,10 +24,6 @@ class DpaSpec:
     def total_threads(self) -> int:
         return self.n_cores * self.threads_per_core
 
-    def cores_for(self, n_threads: int) -> int:
-        """Compact placement: cores touched by *n_threads* (§VI-C)."""
-        return -(-n_threads // self.threads_per_core)
-
 
 @dataclass(frozen=True)
 class CpuSpec:

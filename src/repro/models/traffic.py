@@ -272,9 +272,6 @@ class MultiRailTraffic:
         1/n_rails stripe (host links counted once per plane used)."""
         return self.base.mcast_tree_links() * self.n_rails
 
-    def speedup_bound(self) -> float:
-        return float(self.n_rails)
-
     def bcast_time_bound(self, nbytes: int, link_bandwidth: float) -> float:
         """Each plane injects only its stripe: N/(n_rails·B)."""
         return nbytes / (self.n_rails * link_bandwidth)

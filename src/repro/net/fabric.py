@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -55,28 +55,21 @@ class McastGroup:
         return self.plan.rail if self.plan is not None else 0
 
 
+@dataclass(eq=False)
 class RouteTable:
-    """The installed unicast tables as int32 arrays, to walk many routes at
-    once; channels are numbered by their place in ``chans``, after the null
-    hop 0 that pads short routes."""
+    """The fabric's unicast routes — the one routing state, whose rows the
+    switches forward by — as int32 arrays, to walk many routes at once;
+    channels are numbered by their place in ``chans``, after the null hop 0
+    that pads short routes.  A reroute installs a new table."""
 
-    def __init__(self, fabric: "Fabric") -> None:
-        self.chans: List[Optional[Channel]] = [None, *fabric.channels.values()]
-        index = {id(ch): i for i, ch in enumerate(self.chans)}
-        switch = {name: s for s, name in enumerate(fabric.switches)}
-        host = {id(nic): -2 - h for h, nic in fabric.nics.items()}
-        #: per channel, the switch it enters, or ``-2 - h`` for host h's
-        #: rail-0 NIC (-1: another NIC)
-        self.into = np.array([0] + [switch.get(ch.dst_name, host.get(id(ch.dst_node), -1))
-                                    for ch in self.chans[1:]], dtype=np.int32)
-        self.egress = np.array([index[id(nic.egress)] for nic in fabric.nics.values()],
-                               dtype=np.int32)
-        #: ``next[s, h]``: switch *s*'s channel toward host *h* (-1: none)
-        self.next = np.full((len(switch), len(fabric.nics)), -1, dtype=np.int32)
-        for s, sw in enumerate(fabric.switches.values()):
-            port, table = {nb: index[id(ch)] for nb, ch in sw.ports.items()}, sw.unicast_table
-            self.next[s, np.fromiter(table, np.intp, len(table))] = np.fromiter(
-                map(port.__getitem__, table.values()), np.int32, len(table))
+    chans: List[Optional[Channel]]
+    #: per channel, the switch it enters, or ``-2 - h`` for host h's rail-0
+    #: NIC (-1: another NIC)
+    into: np.ndarray
+    #: per host, its rail-0 NIC's egress channel
+    egress: np.ndarray
+    #: ``next[s, h]``: switch *s*'s channel toward host *h* (-1: none)
+    next: np.ndarray
 
     def walk(self, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`Fabric.unicast_route` of host ``src[i]`` to host ``dst[i]``
@@ -96,6 +89,7 @@ class RouteTable:
             at[live] = self.into[ch]
             live = live[at[live] >= 0]
         return np.stack(hops, axis=1), at == -2 - dst
+
 
 class Fabric:
     """A runnable network instance.
@@ -194,7 +188,6 @@ class Fabric:
         #: callbacks run at every fault_epoch bump, before the change (a
         #: communicator's control fold hands its unserved tokens back)
         self.epoch_listeners: list = []
-        self._routes: Optional[RouteTable] = None
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -220,8 +213,26 @@ class Fabric:
             self._make_channel(b, a)
 
         # --- install unicast routing ---
-        for sw_name, table in topology.unicast_tables().items():
-            self.switches[sw_name].install_unicast_table(table)
+        # Channels are numbered after the null hop 0: every switch's ports
+        # in adjacency order, so that a next-hop position is an offset from
+        # the switch's first port (:meth:`_adopt_routes`), then every NIC's
+        # egress.
+        chans: List[Optional[Channel]] = [None]
+        for name, sw in self.switches.items():
+            chans += map(sw.ports.__getitem__, topology.adjacency[name])
+        egress = []
+        for nics in self.rail_nics.values():
+            egress.append(len(chans))
+            chans += [nic.egress for nic in nics]
+        switch = {name: s for s, name in enumerate(self.switches)}
+        host = {id(nic): -2 - h for h, nic in self.nics.items()}
+        self._routes = RouteTable(
+            chans,
+            np.array([0] + [switch.get(ch.dst_name, host.get(id(ch.dst_node), -1))
+                            for ch in chans[1:]], dtype=np.int32),
+            np.array(egress, dtype=np.int32),
+            np.full((len(switch), len(self.nics)), -1, dtype=np.int32))
+        self._adopt_routes(topology.next_hop_table())
 
     # ------------------------------------------------------------- wiring
 
@@ -308,7 +319,6 @@ class Fabric:
         the folds check, and hand any folded INC pass — and, through the
         listeners, any folded control token — back to packets."""
         self.fault_epoch += 1
-        self._routes = None
         self.unfold_inc()
         for listener in self.epoch_listeners:
             listener()
@@ -490,18 +500,31 @@ class Fabric:
         return out
 
     def reroute_unicast(self, exclude: Optional[Set[str]] = None) -> None:
-        """Reprogram every surviving switch's unicast table with routes
-        that detour around ``exclude`` (default: the current dead set) —
-        the subnet-manager sweep after a hard failure."""
+        """Install routes that detour around ``exclude`` (default: the
+        current dead set) — the subnet-manager sweep after a hard failure;
+        an excluded switch is left with no routes."""
         if exclude is None:
             exclude = self.dead_node_names()
-        tables = self.topology.unicast_tables(exclude)
-        for sw_name, table in tables.items():
-            sw = self.switches[sw_name]
-            if sw.dead:
-                continue
-            sw.install_unicast_table(table)
-        self._routes = None
+        self._adopt_routes(self.topology.next_hop_table(exclude))
+
+    def _adopt_routes(self, hops: np.ndarray) -> None:
+        """Install the topology's next-hop table (adjacency positions, -1
+        for none) after one check that every hop names a port: map it to
+        channel numbers once, as a new :class:`RouteTable`, and hand every
+        switch its row."""
+        degree = np.array([len(sw.ports) for sw in self.switches.values()], dtype=np.int32)
+        bad = np.argwhere((hops < -1) | (hops >= degree[:, None]))
+        if len(bad):
+            s, h = bad[0]
+            raise ValueError(f"{self.topology.switch_names[s]}: no port at "
+                             f"position {hops[s, h]} toward h{h}")
+        first = np.cumsum(degree, dtype=np.int32) - degree + 1  # each switch's port 0
+        nxt = np.where(hops < 0, -1, hops + first[:, None])
+        self._routes = replace(self._routes, next=nxt)
+        lut = np.empty(len(self._routes.chans) + 1, dtype=object)  # lut[-1]: None
+        lut[:-1] = self._routes.chans
+        for sw, row in zip(self.switches.values(), nxt):
+            sw.route_row = lut[row].tolist()
 
     def rebuild_mcast_group(self, gid: int, members: Sequence[int],
                             exclude: Optional[Set[str]] = None) -> None:
@@ -525,26 +548,24 @@ class Fabric:
 
     def unicast_route(self, src, dst: int) -> Optional[List[Channel]]:
         """The channels a unicast packet from *src* — a host, or a switch by
-        name — to host *dst* crosses by the installed tables; ``None`` when
-        it would not reach *dst*'s NIC."""
+        name — to host *dst* crosses by the route table, one hop at a time;
+        ``None`` when it would not reach *dst*'s NIC."""
+        rt = self._routes
         if isinstance(src, str):
-            node, walk = self.switches[src], []
+            at, walk = self.topology.switch_names.index(src), []
         else:
-            walk = [self.nics[src].egress]
-            node = walk[0].dst_node
-        while getattr(node, "unicast_table", None) is not None:
-            neighbor = node.unicast_table.get(dst)
-            if neighbor is None or len(walk) > len(self.switches):
+            c = int(rt.egress[src])
+            at, walk = int(rt.into[c]), [rt.chans[c]]
+        while at >= 0:
+            c = int(rt.next[at, dst])
+            if c < 0 or len(walk) > len(self.switches):
                 return None  # unroutable, or a loop
-            walk.append(node.ports[neighbor])
-            node = walk[-1].dst_node
-        return walk if node is self.nics[dst] else None
+            at = int(rt.into[c])
+            walk.append(rt.chans[c])
+        return walk if at == -2 - dst else None
 
     def route_table(self) -> RouteTable:
-        """The installed unicast tables as arrays: built on first use, and
-        again after a fault-epoch change or a reroute."""
-        if self._routes is None:
-            self._routes = RouteTable(self)
+        """The installed unicast routes; a reroute replaces the object."""
         return self._routes
 
     def one_way_delay(self, src: int, dst: int) -> float:

@@ -34,6 +34,7 @@ import numpy as np
 from repro.net.link import serialize
 from repro.net.nic import CQE, Opcode
 from repro.net.packet import MCAST_FLAG, Packet, PacketKind
+from repro.net.switch import Switch
 from repro.net.topology import host_id, host_name, is_host
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -230,9 +231,7 @@ class IncTree:
         owner = self.owner_of(psn)[0]
         down = self._down(psn, acc)
         if role is not None:
-            sw = self.fabric.switches[node]
-            neighbor = sw.unicast_table[owner]
-            sw.ports[neighbor].transmit(down)
+            self.fabric.switches[node].route_row[owner].transmit(down)
         else:
             # Host root (back-to-back): deliver locally or over the wire.
             nic = self.fabric.nic(self._host_root)
@@ -453,7 +452,7 @@ class IncFold:
                 node = ch.dst_node
                 for p, call, fin in zip(ps, calls, fins):
                     self.hops[p].append((ch, call, fin))
-                    if getattr(node, "unicast_table", None) is None:
+                    if not isinstance(node, Switch):
                         self.arrive[p] = fin + ch.latency
                         continue
                     t[p] = (fin + ch.latency) + node.forwarding_delay
@@ -512,7 +511,7 @@ class IncFold:
             self._charge(ch, calls, fins, ps[:k])
             if ch.src_name != tree.root:
                 fabric.switches[ch.src_name].packets_forwarded += k
-            if k and getattr(ch.dst_node, "unicast_table", None) is None:
+            if k and not isinstance(ch.dst_node, Switch):
                 ch.horizon = max(ch.horizon, max(self.arrive[p] for p in ps[:k]))
         for o, (qp, wr) in self.owners.items():
             ps, serve, end = self.chains[o]

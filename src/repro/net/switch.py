@@ -1,12 +1,13 @@
 """Switch model: unicast forwarding, multicast replication, port counters.
 
 A switch owns one egress :class:`~repro.net.link.Channel` per neighbor.  A
-fixed forwarding delay after a packet arrives it either forwards along the
-unicast table (``dst host → neighbor``) or, for multicast,
-replicates the packet to every port that is part of the group's spanning
-tree except the ingress port — exactly how IB switches flood a multicast
-LID along the spanning tree installed by the subnet manager.  A replica is
-the packet object itself: packets are immutable (DESIGN.md §6b).
+fixed forwarding delay after a packet arrives it either forwards along its
+row of the fabric's unicast route table (``dst host → channel``) or, for
+multicast, replicates the packet to every port that is part of the group's
+spanning tree except the ingress port — exactly how IB switches flood a
+multicast LID along the spanning tree installed by the subnet manager.
+A replica is the packet object itself: packets are immutable (DESIGN.md
+§6b).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ class Switch:
         self.forwarding_delay = float(forwarding_delay)
         #: neighbor node name → egress channel toward that neighbor
         self.ports: Dict[str, Channel] = {}
-        #: destination host id → neighbor name
-        self.unicast_table: Dict[int, str] = {}
+        #: destination host id → egress channel (None: no route); the
+        #: switch's row of the fabric's route table, set by the fabric
+        self.route_row: List[Optional[Channel]] = []
         #: multicast gid → set of tree-adjacent neighbor names
         self.mcast_table: Dict[int, Set[str]] = {}
         #: ``(gid, ingress port)`` → egress channels (:meth:`_egress_of`);
@@ -56,19 +58,6 @@ class Switch:
     def add_port(self, channel: Channel) -> None:
         """Register the egress channel toward ``channel.dst_name``."""
         self.ports[channel.dst_name] = channel
-
-    def install_unicast(self, dst_host: int, neighbor: str) -> None:
-        if neighbor not in self.ports:
-            raise ValueError(f"{self.name}: no port toward {neighbor}")
-        self.unicast_table[dst_host] = neighbor
-
-    def install_unicast_table(self, table: Dict[int, str]) -> None:
-        """Replace the whole unicast table (fabric build, SM sweep) after
-        one check that every next hop has a port.  Takes *table* itself."""
-        missing = set(table.values()) - self.ports.keys()
-        if missing:
-            raise ValueError(f"{self.name}: no ports toward {sorted(missing)}")
-        self.unicast_table = table
 
     def install_mcast(self, gid: int, neighbors: Set[str]) -> None:
         missing = neighbors - set(self.ports)
@@ -132,11 +121,12 @@ class Switch:
                 ch.transmit(packet)
             self.packets_forwarded += len(egress)
         else:
-            neighbor = self.unicast_table.get(dst)
-            if neighbor is None:
+            row = self.route_row
+            ch = row[dst] if 0 <= dst < len(row) else None
+            if ch is None:
                 self.packets_dropped_no_route += 1
                 return
-            self.ports[neighbor].transmit(packet)
+            ch.transmit(packet)
             self.packets_forwarded += 1
 
     # ------------------------------------------------------------- fast path
@@ -171,11 +161,12 @@ class Switch:
                 if trc is not None:
                     trc.instant("switch.relay", self.sim.now, {"pkts": n})
         else:
-            neighbor = self.unicast_table.get(first.dst)
-            if neighbor is None:
+            row = self.route_row
+            ch = row[first.dst] if 0 <= first.dst < len(row) else None
+            if ch is None:
                 self.packets_dropped_no_route += n
                 return
-            self.ports[neighbor].transmit_train(pkts, injections=inj)
+            ch.transmit_train(pkts, injections=inj)
             self.packets_forwarded += n
             if trc is not None:
                 trc.instant("switch.relay", self.sim.now, {"pkts": n})

@@ -21,6 +21,8 @@ import collections
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 __all__ = [
     "Topology",
     "TopologyError",
@@ -76,6 +78,31 @@ def torus_id(coord: Sequence[int], dims: Sequence[int]) -> int:
     for c, size in zip(coord, dims):
         rank = rank * size + c
     return rank
+
+
+def _group_fields(sw_nbrs: List[List[int]], att: List[Tuple[int, ...]],
+                  dead: Iterable[int]) -> Dict[Tuple[int, ...], List[int]]:
+    """One multi-source BFS per attachment group over the switch graph
+    (:meth:`Topology._fields`), every group a level at a time: a switch is
+    reached at level *d* + 1 when it neighbours a level-*d* switch, one
+    frontier-by-adjacency product per level.  The *dead* switches read -2
+    and are never entered."""
+    groups = list(dict.fromkeys(att))
+    adj = np.zeros((len(sw_nbrs), len(sw_nbrs)), dtype=np.float32)
+    for u, vs in enumerate(sw_nbrs):
+        adj[u, vs] = 1.0
+    dist = np.full((len(groups), len(sw_nbrs)), -1)
+    dist[:, list(dead)] = -2
+    frontier = np.zeros(dist.shape, dtype=bool)
+    for g, group in enumerate(groups):
+        frontier[g, list(group)] = True
+    frontier &= dist == -1
+    d = 1
+    while frontier.any():
+        dist[frontier] = d
+        frontier = (frontier.astype(np.float32) @ adj > 0) & (dist == -1)
+        d += 1
+    return dict(zip(groups, dist.tolist()))
 
 
 class Topology:
@@ -315,44 +342,32 @@ class Topology:
             raise ValueError(f"h{src} cannot reach h{dst}")
         return 1 + min(reach)
 
-    def _fields(self) -> tuple:
-        """The clean graph's switch distance fields, built once: ``(switch
-        names, each switch's switch neighbours in adjacency order — the
-        order :meth:`next_hop`'s tie-break depends on —, each host's
-        attachment switches, {attachment group: per switch its hop count
-        to a host of the group, -1 if none}``).  Hosts do not
-        forward, so every host behind the same attachment switches shares
-        one field: one multi-source switch-graph BFS seeded at those
-        switches with distance 1, exactly the switch distances a
-        host-rooted BFS gives (the host itself is distance 0)."""
-        if self._fields_cache is not None:
+    def _fields(self, exclude: Optional[Set[str]] = None) -> tuple:
+        """The switch distance fields: ``(switch names, each switch's switch
+        neighbours in adjacency order — the order :meth:`next_hop`'s
+        tie-break depends on —, each host's attachment switches,
+        {attachment group: per switch its hop count to a host of the group,
+        -1 if none}``).  Hosts do not forward, so every host behind the same
+        attachment switches shares one field: one multi-source switch-graph
+        BFS seeded at those switches with distance 1, exactly the switch
+        distances a host-rooted BFS gives (the host itself is distance 0).
+        The clean graph's fields are built once; with ``exclude`` they are
+        built fresh around the named switches, which read -2."""
+        if self._fields_cache is None:
+            sw_id = {sw: i for i, sw in enumerate(self.switch_names)}
+            sw_nbrs: List[List[int]] = [
+                [sw_id[n] for n in self.adjacency[sw] if not is_host(n)]
+                for sw in self.switch_names
+            ]
+            att = [tuple(sw_id[n] for n in self.adjacency[host_name(dst)]
+                         if not is_host(n)) for dst in range(self.n_hosts)]
+            self._fields_cache = (self.switch_names, sw_nbrs, att,
+                                  _group_fields(sw_nbrs, att, ()))
+        if not exclude:
             return self._fields_cache
-        sw_names = self.switch_names
-        sw_id = {sw: i for i, sw in enumerate(sw_names)}
-        sw_nbrs: List[List[int]] = [
-            [sw_id[n] for n in self.adjacency[sw] if not is_host(n)]
-            for sw in sw_names
-        ]
-        att = [tuple(sw_id[n] for n in self.adjacency[host_name(dst)]
-                     if not is_host(n)) for dst in range(self.n_hosts)]
-        fields: Dict[Tuple[int, ...], List[int]] = {}
-        for group in dict.fromkeys(att):
-            dist = [-1] * len(sw_names)
-            queue = collections.deque()
-            for s in group:
-                if dist[s] < 0:
-                    dist[s] = 1
-                    queue.append(s)
-            while queue:
-                u = queue.popleft()
-                d_next = dist[u] + 1
-                for v in sw_nbrs[u]:
-                    if dist[v] < 0:
-                        dist[v] = d_next
-                        queue.append(v)
-            fields[group] = dist
-        self._fields_cache = (sw_names, sw_nbrs, att, fields)
-        return self._fields_cache
+        sw_names, sw_nbrs, att, _ = self._fields_cache
+        dead = [i for i, sw in enumerate(sw_names) if sw in exclude]
+        return sw_names, sw_nbrs, att, _group_fields(sw_nbrs, att, dead)
 
     def path(self, src: int, dst: int) -> List[str]:
         """Node names along the deterministic route from host src to dst."""
@@ -363,69 +378,59 @@ class Topology:
             out.append(node)
         return out
 
-    def unicast_tables(self, exclude: Optional[Set[str]] = None) -> Dict[str, Dict[int, str]]:
-        """Per-switch forwarding tables: ``switch → {dst_host → neighbor}``.
+    def next_hop_table(self, exclude: Optional[Set[str]] = None) -> np.ndarray:
+        """Every switch's :meth:`next_hop` toward every host, as int32
+        ``[switch, host]`` (switches in ``switch_names`` order): the next
+        hop's position in ``adjacency[switch]``, -1 where there is none.
 
-        With ``exclude``, routes detour around the named dead nodes
-        (excluded switches get empty tables; unreachable destinations are
-        simply absent from the surviving tables).
+        With ``exclude``, routes detour around the named dead nodes: an
+        excluded switch's row and an excluded host's column read -1, as does
+        every destination a surviving switch can no longer reach.
 
-        The clean-path build is grouped: every host behind the same set of
-        attachment switches shares one distance field (hosts do not
-        forward, so a route to host *dst* is a switch-graph route to an
-        attachment switch of *dst* plus the final host hop), so one
-        multi-source switch-graph BFS per attachment group (:meth:`_fields`,
-        kept for :meth:`hops`) replaces one host-rooted BFS per
-        destination.  Candidate lists keep adjacency
-        order and the ``dst % len(candidates)`` tie-break, so the tables
-        are identical entry-for-entry to the per-destination build — at
-        4096 hosts this is the difference between minutes and seconds of
-        fabric construction.
+        A route to host *dst* is a switch-graph route to an attachment
+        switch of *dst* plus the host hop, so the build runs per attachment
+        group over its distance field (:meth:`_fields`): a switch's
+        candidates are its switch neighbours one hop closer, in adjacency
+        order, and *dst* takes candidate ``dst % n_candidates`` — entry for
+        entry the per-destination :meth:`next_hop`, in numpy over the
+        group's switches and destinations.
         """
-        if exclude:
-            # Repair-time reroute: rare, and the exclusion set breaks the
-            # shared-distance-field argument at excluded nodes.  Keep the
-            # simple per-destination build.
-            tables: Dict[str, Dict[int, str]] = {
-                sw: {} for sw in self.switch_names}
-            for dst in range(self.n_hosts):
-                if host_name(dst) in exclude:
-                    continue
-                dist = self._distances_to(dst, exclude)
-                for sw in self.switch_names:
-                    if sw in exclude:
-                        continue
-                    if sw in dist and dist[sw] > 0:
-                        tables[sw][dst] = self.next_hop(sw, dst, exclude)
-            return tables
-
-        sw_names, sw_nbrs, att, fields = self._fields()
+        sw_names, sw_nbrs, att, fields = self._fields(exclude)
+        n_sw = len(sw_names)
+        table = np.full((n_sw, self.n_hosts), -1, dtype=np.int32)
+        # Per switch, its switch neighbours and their adjacency positions,
+        # padded with a virtual neighbour n_sw whose distance matches no
+        # candidate; and every host hop (the last hop of a route).
+        width = max(map(len, sw_nbrs), default=0)
+        nbr = np.full((n_sw, width), n_sw, dtype=np.intp)
+        pos = np.zeros((n_sw, width), dtype=np.int32)
+        last: List[Tuple[int, int, int]] = []
+        switches = set(sw_names)
+        for s, sw in enumerate(sw_names):
+            adj = self.adjacency[sw]
+            nbr[s, :len(sw_nbrs[s])] = sw_nbrs[s]
+            pos[s, :len(sw_nbrs[s])] = [j for j, n in enumerate(adj) if n in switches]
+            last += [(s, host_id(n), j) for j, n in enumerate(adj) if n not in switches]
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for dst, group in enumerate(att):
             groups.setdefault(group, []).append(dst)
-
-        tables = {sw: {} for sw in sw_names}
         for group, dsts in groups.items():
-            dist = fields[group]
-            for si in range(len(sw_names)):
-                d = dist[si]
-                if d < 0:
-                    continue  # unreachable: entry absent, as before
-                tbl = tables[sw_names[si]]
-                if d == 1:
-                    # Attachment switch of every dst in the group: the only
-                    # distance-0 candidate is the destination host itself.
-                    for dst in dsts:
-                        tbl[dst] = host_name(dst)
-                    continue
-                target = d - 1
-                cands = [sw_names[v] for v in sw_nbrs[si]
-                         if dist[v] == target]
-                assert cands, "BFS invariant violated"
-                n_c = len(cands)
-                for dst in dsts:
-                    tbl[dst] = cands[dst % n_c]
-        return tables
+            dist = np.array(fields[group] + [0])
+            rows = np.flatnonzero(dist > 1)
+            cand = dist[nbr[rows]] == dist[rows, None] - 1
+            r, k = np.nonzero(cand)  # row by row, in adjacency order
+            n_c = np.bincount(r, minlength=len(rows))
+            assert n_c.all(), "BFS invariant violated"
+            d = np.array(dsts)
+            pick = (np.cumsum(n_c) - n_c)[:, None] + d % n_c[:, None]
+            table[np.ix_(rows, d)] = pos[rows[r], k][pick]
+        if last:
+            s, h, j = np.array(last).T
+            table[s, h] = j
+        if exclude:
+            table[[s for s, sw in enumerate(sw_names) if sw in exclude]] = -1
+            table[:, [h for h in range(self.n_hosts) if host_name(h) in exclude]] = -1
+        return table
 
     # ------------------------------------------------------------- multicast
 

@@ -180,10 +180,6 @@ class Barrier:
         self.generation = 0
         self._waiting: List[Event] = []
 
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiting)
-
     def wait(self) -> Event:
         ev = Event(self.sim)
         self._waiting.append(ev)

@@ -52,11 +52,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event currently being waited on (for debugging/tests)."""
-        return self._target
-
     # ------------------------------------------------------------- execution
 
     def _resume(self, value: Any, ok: bool) -> None:

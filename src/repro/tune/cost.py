@@ -60,7 +60,7 @@ def _host_hops(scenario: Scenario) -> int:
         topo: Topology = scenario._topology()
         # Farthest pair from host 0 is representative on the symmetric
         # shapes the tuner targets (star / leaf-spine / testbed).
-        hops = max(len(topo.path(0, d)) - 1 for d in range(1, topo.n_hosts))
+        hops = max(topo.hops(0, d) for d in range(1, topo.n_hosts))
         _HOPS_CACHE[key] = hops
     return _HOPS_CACHE[key]
 

@@ -131,12 +131,17 @@ class _Sink:
 
 
 def test_switch_drops_unroutable_unicast():
+    from repro.net.link import Channel
+
     sim = Simulator()
+    sink = _Sink()
     sw = Switch(sim, "s0")
-    pkt = Packet(src=0, dst=99, kind=PacketKind.UD_SEND, payload_len=10)
-    sw.receive(pkt, None)
+    sw.add_port(Channel(sim, "s0", "h0", sink, bandwidth=1e12, latency=0.0))
+    sw.route_row = [sw.ports["h0"], None]
+    for dst in (99, 1, -2):  # no such host, no route, not a host id
+        sw.receive(Packet(src=0, dst=dst, kind=PacketKind.UD_SEND, payload_len=10), None)
     sim.run()
-    assert sw.packets_dropped_no_route == 1
+    assert sw.packets_dropped_no_route == 3 and sink.got == []
 
 
 def test_switch_drops_unknown_mcast_group():
@@ -151,8 +156,6 @@ def test_switch_drops_unknown_mcast_group():
 def test_switch_table_install_validates_ports():
     sim = Simulator()
     sw = Switch(sim, "s0")
-    with pytest.raises(ValueError, match="no port"):
-        sw.install_unicast(0, "nowhere")
     with pytest.raises(ValueError, match="no ports"):
         sw.install_mcast(0, {"nowhere"})
 
@@ -165,7 +168,7 @@ def test_switch_forwarding_delay_applies():
     sw = Switch(sim, "s0", forwarding_delay=5e-6)
     ch = Channel(sim, "s0", "h0", sink, bandwidth=1e12, latency=0.0)
     sw.add_port(ch)
-    sw.install_unicast(0, "h0")
+    sw.route_row = [ch]
     pkt = Packet(src=1, dst=0, kind=PacketKind.UD_SEND, payload_len=100, header_bytes=0)
     sw.receive(pkt, None)
     sim.run()

@@ -451,7 +451,7 @@ def test_switch_hop_is_one_event_at_the_per_packet_instant():
         sink = SinkNode(sim)
         sw = Switch(sim, "s0", forwarding_delay=0.1e-6)
         sw.add_port(Channel(sim, "s0", "b", sink, bandwidth=1e9, latency=1e-6))
-        sw.install_unicast(1, "b")
+        sw.route_row = [None, sw.ports["b"]]
         up = make_channel(sim, sw, bandwidth=1e9, latency=1.3e-6)
         p = pkt(n=1000, header=0)
         if direct:

@@ -1,5 +1,6 @@
 """Unit tests for topology construction and routing."""
 
+import numpy as np
 import pytest
 
 from repro.net.topology import (
@@ -78,55 +79,78 @@ def test_ecmp_spreads_across_spines():
 
 def test_unicast_tables_complete():
     topo = Topology.leaf_spine(8, n_leaf=2, n_spine=2)
-    tables = topo.unicast_tables()
-    for sw in topo.switch_names:
-        for dst in range(8):
-            assert dst in tables[sw]
+    table = topo.next_hop_table()
+    assert table.shape == (4, 8) and table.dtype == np.int32
+    assert (table >= 0).all()
+
+
+def _next_hop_reference(topo, exclude=None):
+    """:meth:`Topology.next_hop` of every (switch, host) pair, as positions
+    in the switch's adjacency list (-1: no entry)."""
+    exclude = exclude or set()
+    ref = np.full((len(topo.switch_names), topo.n_hosts), -1)
+    for dst in range(topo.n_hosts):
+        if host_name(dst) in exclude:
+            continue
+        dist = topo._distances_to(dst, exclude)
+        for s, sw in enumerate(topo.switch_names):
+            if sw not in exclude and dist.get(sw, 0) > 0:
+                ref[s, dst] = topo.adjacency[sw].index(topo.next_hop(sw, dst, exclude))
+    return ref
 
 
 def test_unicast_tables_match_per_destination_reference():
-    """The grouped multi-source-BFS table build must be entry-for-entry
-    identical to routing each (switch, dst) pair through next_hop."""
-    fams = [
-        Topology.star(6),
-        Topology.leaf_spine(32, n_leaf=4, n_spine=3),
-        Topology.multi_rail(Topology.leaf_spine(16, 4, 2), 2),
-        Topology.torus([2, 2, 2]),
-        Topology.torus([3, 3], hosts_per_node=2),
-        Topology.dragonfly(3, 2, 2),
+    """The grouped, vectorised table build must be entry-for-entry
+    identical to routing each (switch, dst) pair through next_hop — on the
+    intact graph and around every kind of dead node."""
+    fat = Topology.fat_tree3(32, 4, 4, 2)
+    leaf_spine = Topology.leaf_spine(32, n_leaf=4, n_spine=3)
+    cases = [
+        (Topology.star(6), None),
+        (leaf_spine, None),
+        (leaf_spine, {"spine001"}),
+        (leaf_spine, {"leaf002"}),
+        (leaf_spine, {"h5"}),
+        (leaf_spine, {"spine000", "h9"}),
+        (Topology.multi_rail(Topology.leaf_spine(16, 4, 2), 2), None),
+        (Topology.multi_rail(Topology.leaf_spine(16, 4, 2), 2), {"leaf001.r0"}),
+        (Topology.torus([2, 2, 2]), None),
+        (Topology.torus([3, 3], hosts_per_node=2), None),
+        (Topology.dragonfly(3, 2, 2), None),
+        (fat, None),
+        (fat, {"mid002"}),
+        (fat, {"core001"}),
+        (fat, {"leaf000", "h31"}),
+        (Topology.testbed_188(), None),
+        (Topology.testbed_188(), {"spine004", "leaf003", "h100"}),
     ]
-    for topo in fams:
-        reference = {sw: {} for sw in topo.switch_names}
-        for dst in range(topo.n_hosts):
-            dist = topo._distances_to(dst)
-            for sw in topo.switch_names:
-                if sw in dist and dist[sw] > 0:
-                    reference[sw][dst] = topo.next_hop(sw, dst)
-        assert topo.unicast_tables() == reference, topo.kind
+    for topo, exclude in cases:
+        assert (topo.next_hop_table(exclude)
+                == _next_hop_reference(topo, exclude)).all(), (topo.kind, exclude)
 
 
 def test_unicast_table_installer_rejects_a_next_hop_without_a_port(monkeypatch):
-    """Tables go to a switch whole, behind one check — at fabric build and
-    at an SM sweep alike (the sweep used to assign them unchecked)."""
+    """A table is adopted whole, behind one check that every hop names a
+    port — at fabric build and at an SM sweep alike."""
     from repro.net import Fabric
     from repro.sim import Simulator
 
     topo = Topology.leaf_spine(4, 2, 2)
-    good = topo.unicast_tables
+    good = topo.next_hop_table
 
     def corrupted(exclude=None):
-        tables = good(exclude)
-        tables["leaf000"][3] = "spine007"  # no such neighbour
-        return tables
+        table = good(exclude)
+        table[topo.switch_names.index("leaf000"), 3] = 7  # leaf000 has 4 ports
+        return table
 
     fabric = Fabric(Simulator(), topo)
-    before = dict(fabric.switches["leaf000"].unicast_table)
-    assert before == good()["leaf000"]
-    monkeypatch.setattr(topo, "unicast_tables", corrupted)
-    with pytest.raises(ValueError, match="leaf000: no ports toward .'spine007'"):
+    before, row = fabric.route_table(), list(fabric.switches["leaf000"].route_row)
+    monkeypatch.setattr(topo, "next_hop_table", corrupted)
+    with pytest.raises(ValueError, match="leaf000: no port at position 7 toward h3"):
         fabric.reroute_unicast()
-    assert fabric.switches["leaf000"].unicast_table == before  # untouched
-    with pytest.raises(ValueError, match="spine007"):
+    assert fabric.route_table() is before  # untouched
+    assert fabric.switches["leaf000"].route_row == row
+    with pytest.raises(ValueError, match="leaf000: no port"):
         Fabric(Simulator(), topo)
 
 

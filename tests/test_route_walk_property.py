@@ -1,12 +1,13 @@
 """The control fold's route walk against the per-pair oracle.
 
 ``Fabric.route_table().walk`` finds the unicast route of every control
-message of a collective in one next-hop walk over the installed tables
+message of a collective in one next-hop walk over the route table
 (DESIGN.md §6i); ``Fabric.unicast_route`` walks one pair at a time.  They
 must agree pair for pair — the channels, and which pairs have no route —
 on every topology family, after a switch death and its repair, and on
 tables broken on purpose (a missing entry, a loop).  A pair without a
-route declines the fold with ``fault``.
+route declines the fold with ``fault``.  The tables are broken in the
+array itself; the switches' rows, which forward packets, are left alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.net.fabric import Fabric
-from repro.net.topology import Topology, is_host
+from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.units import gbit_per_s, kib
 
@@ -68,10 +69,11 @@ def test_the_route_walk_follows_a_switch_death_and_its_repair(data, family):
     comm = Communicator(fabric)
     before = fabric.route_table()
     dead = data.draw(st.sampled_from(sorted(fabric.switches)))
-    fabric.crash_switch(dead)  # a new fault epoch; the tables still name it
-    assert fabric.route_table() is not before
+    fabric.crash_switch(dead)  # a new fault epoch; the routes still name it
+    assert fabric.route_table() is before
     _agree(fabric, data.draw(pairs(fabric.n_hosts)))
-    comm.repair_topology()  # routes around it
+    comm.repair_topology()  # routes around it, in a new table
+    assert fabric.route_table() is not before
     _agree(fabric, data.draw(pairs(fabric.n_hosts)))
 
 
@@ -80,15 +82,18 @@ def test_the_route_walk_follows_a_switch_death_and_its_repair(data, family):
 @given(data=st.data(), family=st.sampled_from(sorted(FAMILIES)))
 def test_the_route_walk_finds_no_route_where_the_oracle_finds_none(data, family):
     fabric = Fabric(Simulator(), FAMILIES[family]())
+    table = fabric.route_table()
     broken = set()
     for _ in range(data.draw(st.integers(1, 4))):
-        sw = fabric.switches[data.draw(st.sampled_from(sorted(fabric.switches)))]
+        s = data.draw(st.integers(0, len(fabric.switches) - 1))
+        ports = list(fabric.switches.values())[s].ports
         dst = data.draw(st.integers(0, fabric.n_hosts - 1))
         broken.add(dst)
         if data.draw(st.booleans()):
-            sw.unicast_table.pop(dst, None)  # unroutable
+            table.next[s, dst] = -1  # unroutable
         else:  # back to any neighbour: a loop or a wrong end
-            sw.unicast_table[dst] = data.draw(st.sampled_from(sorted(sw.ports)))
+            ch = ports[data.draw(st.sampled_from(sorted(ports)))]
+            table.next[s, dst] = table.chans.index(ch)
     # ... and every host's route to each broken destination
     _agree(fabric, data.draw(pairs(fabric.n_hosts))
            + [(src, dst) for dst in sorted(broken) for src in range(fabric.n_hosts)])
@@ -97,9 +102,8 @@ def test_the_route_walk_finds_no_route_where_the_oracle_finds_none(data, family)
 def test_an_unroutable_control_message_declines_the_fold_with_fault():
     fabric = Fabric(Simulator(), Topology.leaf_spine(16, 4, 2),
                     link_bandwidth=gbit_per_s(56))
-    leaf = next(name for name, sw in fabric.switches.items()
-                if "h1" in sw.ports and not is_host(name))
-    del fabric.switches[leaf].unicast_table[1]  # nothing reaches h1
+    leaf = fabric.topology.switch_names.index(fabric.topology.attach_point(1))
+    fabric.route_table().next[leaf, 1] = -1  # nothing reaches h1
     comm = Communicator(fabric, config=CollectiveConfig(transport="uc"))
     comm.broadcast_async(0, np.arange(kib(16), dtype=np.uint8))
     comm.sim.run(until=0.0)  # every rank has reached its barrier

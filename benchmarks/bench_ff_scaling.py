@@ -122,7 +122,6 @@ def _spine_drop(comm: Communicator) -> None:
 
 def run_allgather(n_ranks: int, mode: str,
                   per_rank: int = AG_PER_RANK,
-                  cutoff_alpha: float = 10e-3,
                   chunk: Optional[int] = None,
                   n_chains: int = 1, **config) -> Dict[str, object]:
     t_setup = time.perf_counter()
@@ -130,13 +129,6 @@ def run_allgather(n_ranks: int, mode: str,
     cfg = CollectiveConfig(
         chunk_size=chunk or per_rank,
         transport="uc",
-        # The chain-serialized allgather is activation-latency bound; the
-        # adaptive cutoff's bandwidth-based deadline under-estimates it
-        # at this scale, so pin a static slack that covers the chain.
-        # (4096-rank chains run ~13 ms of virtual time, so their callers
-        # pass a wider slack than the 10 ms default here.)
-        adaptive_cutoff=False,
-        cutoff_alpha=cutoff_alpha,
         n_chains=n_chains,
         **config,
     )
@@ -158,15 +150,14 @@ def run_allgather(n_ranks: int, mode: str,
     }
 
 
-def run_allreduce(n_ranks: int, shard_elems: int = AR_SHARD_ELEMS,
-                  cutoff_alpha: float = 100e-3) -> Dict[str, object]:
+def run_allreduce(n_ranks: int,
+                  shard_elems: int = AR_SHARD_ELEMS) -> Dict[str, object]:
     """Composed INC allreduce on the production path: the reduce-scatter
     pass folds (DESIGN.md §6j) and so do the allgather phases (the data
-    fold), with the allgather rows' static cutoff."""
+    fold)."""
     t_setup = time.perf_counter()
     fabric = make_fabric(n_ranks, mtu=4096)
-    cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc",
-                           adaptive_cutoff=False, cutoff_alpha=cutoff_alpha)
+    cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc")
     comm = Communicator(fabric, config=cfg)
     setup = time.perf_counter() - t_setup
     # Small integers: every float32 partial sum is exact, in any order.
@@ -246,8 +237,8 @@ def smoke(budget_s: float) -> int:
 
     The 4096-host rows are the headline: the allgather chain is O(P) folds, so quadrupling the rank count must
     cost far less than the 16x a quadratic engine would pay.  Both
-    allgather rows carry the same per-rank payload and cutoff so the
-    ratio isolates scaling, not configuration.
+    allgather rows carry the same per-rank payload and configuration so
+    the ratio isolates scaling.
     The 4096-host rows run at the 1024-row payload sizes: a folded phase
     records where each receiver's bytes come from instead of copying
     them (DESIGN.md §6h), so the 4096-rank x 1 KiB allgather holds one
@@ -303,9 +294,7 @@ def smoke(budget_s: float) -> int:
         if fault is _spine_drop and not lb["recoveries"]:
             failures.append("spine drop: no host recovered the lost chunk")
 
-    # 100 ms static cutoff on both allgather rows: a 4096-rank chain runs
-    # ~13 ms of virtual time, past the 10 ms default slack.
-    a = run_allgather(1024, "default", cutoff_alpha=100e-3)
+    a = run_allgather(1024, "default")
     row("allgather", 1024, a)
     if a["ff_phases"] != 1024:
         failures.append(
@@ -315,8 +304,7 @@ def smoke(budget_s: float) -> int:
     # Four 1 KiB chunks per rank: the same session folds a multi-chunk
     # phase, so it costs the same O(P) events and a small constant factor
     # more wall, not one event per receiver per phase.
-    a4 = run_allgather(1024, "default", per_rank=4 * KiB, chunk=KiB,
-                       cutoff_alpha=100e-3)
+    a4 = run_allgather(1024, "default", per_rank=4 * KiB, chunk=KiB)
     row("allgather", 1024, a4, note="4x1KiB")
     if a4["ff_phases"] != 1024:
         failures.append(
@@ -331,8 +319,7 @@ def smoke(budget_s: float) -> int:
     # phases in at most twice the single-chain row's wall.  The posted
     # receive depth covers every chunk: with 1 KiB chunks a receive worker
     # is slower than its link, so 32 chains at once would run the queue dry.
-    ac = run_allgather(1024, "default", cutoff_alpha=100e-3, n_chains=32,
-                       staging_slots=1024)
+    ac = run_allgather(1024, "default", n_chains=32, staging_slots=1024)
     row("allgather", 1024, ac, note="32 chains")
     if ac["ff_phases"] != 1024:
         failures.append(
@@ -360,7 +347,7 @@ def smoke(budget_s: float) -> int:
             f"4096-host broadcast fold disengaged "
             f"(ff_phases={b4['ff_phases']}, expected 1)")
 
-    a4 = run_allgather(4096, "default", cutoff_alpha=100e-3)
+    a4 = run_allgather(4096, "default")
     row("allgather", 4096, a4)
     if a4["ff_phases"] != 4096:
         failures.append(

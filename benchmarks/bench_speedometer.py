@@ -190,12 +190,7 @@ def scenario_bcast1024(reference: bool) -> Dict[str, float]:
 
 def scenario_ag1024(reference: bool) -> Dict[str, float]:
     fabric = make_fabric(1024, mtu=4096, reference=reference)
-    # The chain-serialized 1024-step schedule outruns the adaptive cutoff's
-    # ``buffer/B + alpha`` deadline model (activation latency dominates at
-    # this scale), so the scenario pins a static cutoff wide enough that no
-    # spurious recovery fires — in either engine.
-    cfg = CollectiveConfig(chunk_size=KiB, transport="uc",
-                           adaptive_cutoff=False, cutoff_alpha=10e-3)
+    cfg = CollectiveConfig(chunk_size=KiB, transport="uc")
     comm = Communicator(fabric, config=cfg)
     data = [np.full(KiB, r % 251, dtype=np.uint8) for r in range(1024)]
     t0 = time.perf_counter()

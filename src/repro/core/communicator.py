@@ -6,9 +6,9 @@ exposes all six collectives through one submission surface:
 ``submit(CollectiveRequest) -> CollectiveHandle`` dispatches on
 :class:`CollectiveKind`; the per-kind methods (``broadcast``,
 ``allgather``, ``reduce_scatter``, ``reduce``, ``allreduce``,
-``alltoall`` plus their ``*_async`` variants) are thin wrappers that
-build the request for you, letting callers overlap several collectives
-(the FSDP interleaving scenario of paper §II-A).
+``alltoall``) build the request, submit it and run it to completion.
+Submitting several requests before running them overlaps the
+collectives (the FSDP interleaving scenario of paper §II-A).
 
 Example
 -------
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 import numpy as np
 
 from repro.core.chunking import ChunkPlan, ImmLayout
-from repro.core.control import ControlFold
+from repro.core.control import MESSAGE_BYTES, ControlFold
 from repro.core.costmodel import HostCostModel
 from repro.core.ops import OpState, RKEY_BASE
 from repro.core.progress import RankEngine
@@ -54,6 +54,7 @@ from repro.core.request import (
 )
 from repro.core.sequencer import BroadcastSequencer, effective_chains
 from repro.core.subgroups import SubgroupPlan
+from repro.models.schedule import chain_hops, chain_schedule
 from repro.net.fabric import Fabric
 from repro.net.memory import MemoryRegion
 from repro.net.nic import QueuePair, Transport
@@ -1208,8 +1209,8 @@ class Communicator:
         The one entry point for all six kinds: the request has already
         validated its field combinations eagerly; this checks the parts
         that need the communicator (root range, contribution count) and
-        dispatches on :class:`CollectiveKind`.  The per-kind methods are
-        thin wrappers over this.
+        dispatches on :class:`CollectiveKind`; the blocking per-kind methods
+        build a request and run it through here.
         """
         if not isinstance(request, CollectiveRequest):
             raise CollectiveRequestError(
@@ -1278,12 +1279,23 @@ class Communicator:
             )
         return handle
 
+    def _expected(self, nbytes: int, root_bytes: int = 0, hops=()) -> float:
+        """The cutoff timer's expected term (:mod:`repro.models.schedule`):
+        *nbytes* received, roots of *root_bytes* activated along *hops*."""
+        cfg, fabric = self.config, self.fabric
+        return chain_schedule(
+            nbytes, fabric.link_bandwidth, cfg.cost, chunk=cfg.chunk_size,
+            uc=cfg.transport == "uc", n_subgroups=cfg.n_subgroups,
+            root_bytes=root_bytes, batch_size=cfg.batch_size, hops=hops,
+            mtu=fabric.mtu, header_bytes=fabric.header_bytes,
+            ctrl_bytes=MESSAGE_BYTES + fabric.header_bytes,
+            link_latency=fabric.link_latency,
+            switch_delay=fabric.switch_delay).expected
+
     # ------------------------------------------------------------ broadcast
 
     def _launch_broadcast(self, root: int, data: np.ndarray) -> OpHandle:
         """Build + start a Broadcast of *data* from rank *root*."""
-        if not 0 <= root < self.size:
-            raise ValueError(f"root {root} out of range")
         payload = self._as_bytes(data)
         nbytes = payload.nbytes
         if nbytes == 0:
@@ -1298,6 +1310,7 @@ class Communicator:
         ops, procs = [], []
         participants = self.survivors
         position = {p: i for i, p in enumerate(participants)}
+        expected = self._expected(nbytes)
         # Snapshot once per collective: a placement must never alias
         # caller-owned memory (DESIGN.md §6h).
         image = payload.copy()
@@ -1310,6 +1323,7 @@ class Communicator:
                 sim=self.sim, coll_id=cid, kind="broadcast", rank=r,
                 comm_size=self.size, mr=mr, plan=plan, subgroups=sub,
                 send_lo=0, send_hi=plan.n_chunks if r == root else 0, root=root,
+                expected=expected,
             )
             if r in self.dead_ranks:
                 op.abandon()  # a dead host runs no software
@@ -1323,11 +1337,6 @@ class Communicator:
         self._op_procs[cid] = procs
         return OpHandle(self, "broadcast", cid, ops, nbytes, root=root)
 
-    def broadcast_async(self, root: int, data: np.ndarray) -> OpHandle:
-        """Start a Broadcast of *data* from rank *root*; returns a handle."""
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.BROADCAST, data=data, root=root))
-
     # ------------------------------------------------------------ allgather
 
     def _launch_allgather(self, send_data: Sequence[np.ndarray]) -> OpHandle:
@@ -1336,8 +1345,6 @@ class Communicator:
         All contributions must have equal byte size, divisible by the chunk
         size so shard boundaries align with chunk boundaries.
         """
-        if len(send_data) != self.size:
-            raise ValueError(f"need {self.size} send buffers, got {len(send_data)}")
         payloads = [self._as_bytes(d) for d in send_data]
         nbytes = payloads[0].nbytes
         if nbytes == 0:
@@ -1367,6 +1374,8 @@ class Communicator:
         n_chains = effective_chains(len(participants), self.config.n_chains)
         seq = BroadcastSequencer(len(participants), n_chains)
         chain_index = {r: i for i, r in enumerate(participants)}
+        expected = self._expected(total, nbytes, chain_hops(
+            self.fabric.topology, [self.hosts[r] for r in participants], n_chains))
         ops, procs = [], []
         # One snapshot of every contribution per collective: placements
         # must never alias caller-owned memory (DESIGN.md §6h).
@@ -1381,6 +1390,7 @@ class Communicator:
                 sim=self.sim, coll_id=cid, kind="allgather", rank=r,
                 comm_size=self.size, mr=mr, plan=plan, subgroups=sub,
                 send_lo=r * chunks_per_rank, send_hi=(r + 1) * chunks_per_rank,
+                expected=expected,
             )
             if r in self.dead_ranks:
                 op.abandon()
@@ -1409,11 +1419,6 @@ class Communicator:
         self._op_procs[cid] = procs
         return OpHandle(self, "allgather", cid, ops, nbytes)
 
-    def allgather_async(self, send_data: Sequence[np.ndarray]) -> OpHandle:
-        """Start an Allgather; ``send_data[r]`` is rank *r*'s contribution."""
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.ALLGATHER, data=send_data))
-
     # -------------------------------------------------------- reduce-scatter
 
     def _launch_reduce_scatter(
@@ -1441,26 +1446,6 @@ class Communicator:
             raise ValueError(f"unknown reduce-scatter algorithm {algorithm!r}")
         return ReduceScatterHandle(self, pending)
 
-    def reduce_scatter_async(
-        self,
-        send_data: Sequence[np.ndarray],
-        algorithm: str = "inc",
-        cost: Optional[HostCostModel] = None,
-        segment_bytes: int = 4096,
-    ) -> ReduceScatterHandle:
-        """Start a Reduce-Scatter; ``send_data[r]`` is rank *r*'s float32
-        contribution and rank *r* ends up with reduced shard *r*.
-
-        ``algorithm`` picks the substrate: ``"inc"`` (in-network compute,
-        paper Fig 3 — the FSDP companion of multicast Allgather) or
-        ``"ring"``.  ``cost`` defaults to the baseline
-        :class:`HostCostModel` (RS runs on the RC P2P datapath, not this
-        communicator's multicast engine, so its cost model is independent).
-        """
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.REDUCE_SCATTER, data=send_data,
-            algorithm=algorithm, cost=cost, segment_bytes=segment_bytes))
-
     def reduce_scatter(
         self,
         send_data: Sequence[np.ndarray],
@@ -1468,11 +1453,19 @@ class Communicator:
         cost: Optional[HostCostModel] = None,
         segment_bytes: int = 4096,
     ) -> CollectiveResult:
-        """Reduce-Scatter; runs the simulation to completion."""
-        return self._run_sync(
-            self.reduce_scatter_async(send_data, algorithm=algorithm,
-                                      cost=cost, segment_bytes=segment_bytes)
-        )
+        """Reduce-Scatter; runs the simulation to completion.
+        ``send_data[r]`` is rank *r*'s float32 contribution and rank *r*
+        ends up with reduced shard *r*.
+
+        ``algorithm`` picks the substrate: ``"inc"`` (in-network compute,
+        paper Fig 3 — the FSDP companion of multicast Allgather) or
+        ``"ring"``.  ``cost`` defaults to the baseline
+        :class:`HostCostModel` (RS runs on the RC P2P datapath, not this
+        communicator's multicast engine, so its cost model is independent).
+        """
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.REDUCE_SCATTER, data=send_data,
+            algorithm=algorithm, cost=cost, segment_bytes=segment_bytes)))
 
     # ---------------------------------------------------------------- reduce
 
@@ -1490,20 +1483,6 @@ class Communicator:
                              exclusive=self._alone)
         return BaselineHandle(self, CollectiveKind.REDUCE, pending, root=root)
 
-    def reduce_async(
-        self,
-        send_data: Sequence[np.ndarray],
-        root: int,
-        cost: Optional[HostCostModel] = None,
-        segment_bytes: int = 4096,
-    ) -> BaselineHandle:
-        """Start a rooted Reduce on the INC substrate: every rank
-        contributes float32 data; rank *root* ends up with the full
-        reduced buffer (everyone else holds nothing)."""
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.REDUCE, data=send_data, root=root,
-            cost=cost, segment_bytes=segment_bytes))
-
     def reduce(
         self,
         send_data: Sequence[np.ndarray],
@@ -1511,11 +1490,12 @@ class Communicator:
         cost: Optional[HostCostModel] = None,
         segment_bytes: int = 4096,
     ) -> CollectiveResult:
-        """Rooted Reduce; runs the simulation to completion."""
-        return self._run_sync(
-            self.reduce_async(send_data, root, cost=cost,
-                              segment_bytes=segment_bytes)
-        )
+        """Rooted Reduce on the INC substrate; runs the simulation to
+        completion.  Every rank contributes float32 data; rank *root* ends
+        up with the full reduced buffer (everyone else holds nothing)."""
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.REDUCE, data=send_data, root=root,
+            cost=cost, segment_bytes=segment_bytes)))
 
     # ------------------------------------------------------------- allreduce
 
@@ -1559,21 +1539,6 @@ class Communicator:
             send_bytes=elems * 4,
         )
 
-    def allreduce_async(
-        self,
-        send_data: Sequence[np.ndarray],
-        algorithm: str = "inc",
-        cost: Optional[HostCostModel] = None,
-        segment_bytes: int = 4096,
-    ) -> ComposedHandle:
-        """Start an Allreduce composed as reduce-scatter → allgather inside
-        one submission (paper Appendix B): the INC tree reduces and shards,
-        then the multicast engine gathers the reduced shards.  ``algorithm``
-        picks the reduce-scatter substrate ("inc" or "ring")."""
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.ALLREDUCE, data=send_data,
-            algorithm=algorithm, cost=cost, segment_bytes=segment_bytes))
-
     def allreduce(
         self,
         send_data: Sequence[np.ndarray],
@@ -1581,11 +1546,14 @@ class Communicator:
         cost: Optional[HostCostModel] = None,
         segment_bytes: int = 4096,
     ) -> CollectiveResult:
-        """Allreduce; runs the simulation to completion."""
-        return self._run_sync(
-            self.allreduce_async(send_data, algorithm=algorithm, cost=cost,
-                                 segment_bytes=segment_bytes)
-        )
+        """Allreduce composed as reduce-scatter → allgather inside one
+        submission (paper Appendix B): the INC tree reduces and shards,
+        then the multicast engine gathers the reduced shards.  ``algorithm``
+        picks the reduce-scatter substrate ("inc" or "ring").  Runs the
+        simulation to completion."""
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.ALLREDUCE, data=send_data,
+            algorithm=algorithm, cost=cost, segment_bytes=segment_bytes)))
 
     # -------------------------------------------------------------- alltoall
 
@@ -1611,30 +1579,20 @@ class Communicator:
                                chunk_bytes=chunk_bytes, defer=True)
         return BaselineHandle(self, CollectiveKind.ALLTOALL, pending)
 
-    def alltoall_async(
-        self,
-        send_data: Sequence[np.ndarray],
-        cost: Optional[HostCostModel] = None,
-        chunk_bytes: Optional[int] = None,
-    ) -> BaselineHandle:
-        """Start an Alltoall (MoE expert-parallel traffic): ``send_data[r]``
-        holds P equal blocks; block *i* lands as block *r* of rank *i*'s
-        receive buffer.  Runs over unicast RC QPs with a rotation schedule
-        so the instantaneous traffic matrix stays a permutation."""
-        return self.submit(CollectiveRequest(
-            kind=CollectiveKind.ALLTOALL, data=send_data, cost=cost,
-            chunk_bytes=chunk_bytes))
-
     def alltoall(
         self,
         send_data: Sequence[np.ndarray],
         cost: Optional[HostCostModel] = None,
         chunk_bytes: Optional[int] = None,
     ) -> CollectiveResult:
-        """Alltoall; runs the simulation to completion."""
-        return self._run_sync(
-            self.alltoall_async(send_data, cost=cost, chunk_bytes=chunk_bytes)
-        )
+        """Alltoall (MoE expert-parallel traffic); runs the simulation to
+        completion.  ``send_data[r]`` holds P equal blocks; block *i* lands
+        as block *r* of rank *i*'s receive buffer.  Runs over unicast RC
+        QPs with a rotation schedule so the instantaneous traffic matrix
+        stays a permutation."""
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.ALLTOALL, data=send_data, cost=cost,
+            chunk_bytes=chunk_bytes)))
 
     # ------------------------------------------------------------ execution
 
@@ -1722,8 +1680,11 @@ class Communicator:
 
     def broadcast(self, root: int, data: np.ndarray) -> CollectiveResult:
         """Broadcast *data* from *root*; runs the simulation to completion."""
-        return self._run_sync(self.broadcast_async(root, data))
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.BROADCAST, data=data, root=root)))
 
     def allgather(self, send_data: Sequence[np.ndarray]) -> CollectiveResult:
-        """Allgather; runs the simulation to completion."""
-        return self._run_sync(self.allgather_async(send_data))
+        """Allgather; ``send_data[r]`` is rank *r*'s contribution.  Runs the
+        simulation to completion."""
+        return self._run_sync(self.submit(CollectiveRequest(
+            kind=CollectiveKind.ALLGATHER, data=send_data)))

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ControlPlane", "ControlFold", "ControlFoldError", "CtrlMessage",
            "MSG_BARRIER", "MSG_ACTIVATE", "MSG_FETCH_REQ", "MSG_FETCH_ACK",
-           "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH"]
+           "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH", "MESSAGE_BYTES"]
 
 MSG_BARRIER = 1
 MSG_ACTIVATE = 2
@@ -65,6 +65,8 @@ MSG_DEATH = 8
 _ANY_SOURCE = {MSG_FETCH_REQ}
 
 _WORDS = 6  # mtype, key, src_rank, a0, a1, a2
+#: a control message's payload on the wire, before the packet header
+MESSAGE_BYTES = _WORDS * 4
 _SLOT_WORDS = 8  # 32-byte slots
 _SLOT_BYTES = _SLOT_WORDS * 4
 #: receive slots per slab.  Not a knob: a rank starts with one slab and

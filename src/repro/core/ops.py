@@ -48,6 +48,7 @@ class OpState:
     send_lo: int = 0  #: first PSN this rank multicasts
     send_hi: int = 0  #: one past the last PSN this rank multicasts
     root: Optional[int] = None  #: broadcast root rank (None for allgather)
+    expected: float = 0.0  #: the cutoff's expected term (models.schedule)
 
     bitmap: Bitmap = field(init=False)
     #: chunks whose bytes have actually landed in the op buffer (a chunk is

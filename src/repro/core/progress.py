@@ -1198,30 +1198,18 @@ class RankEngine:
     def cutoff_allowance(self, op: OpState) -> Tuple[float, float]:
         """The cutoff timer's arming bound (§III-C) as ``(expected, slack)``.
 
-        ``expected`` is N/B, where N bounds the bytes that must cross the
-        receive path.  For Allgather the chain schedule serializes roots,
-        so the whole op buffer is the right N.  B is the *effective*
-        receive rate: the link, or the progress engine's software rate
-        (one receive worker per subgroup) when the CPU is the bottleneck
-        (a too-eager timer would trigger spurious recoveries on weak
-        cores).  ``slack`` is the adaptive α
+        ``expected`` is the collective's chain schedule from the arm
+        (:mod:`repro.models.schedule`, computed once at launch); a
+        Broadcast's is the paper's N/B.  ``slack`` is the adaptive α
         (core/reliability.py): starts at the static α, tightens toward
         SRTT + K·RTTVAR as clean ops accumulate, backs off after spurious
-        recoveries; ``adaptive_cutoff=False`` reproduces the paper's
-        fixed-α timer exactly.  The fast-forward's deadline gates call
-        this too, so they cannot drift from the timer they predict.
+        recoveries; ``adaptive_cutoff=False`` is the paper's fixed α.  The
+        fast-forward's deadline gates call this too, so they cannot drift
+        from the timer they predict.
         """
         cfg = self.config
-        sw_rate = (
-            self.cost.recv_rate(cfg.chunk_size, uc=cfg.transport == "uc")
-            * cfg.n_subgroups
-            if self.cost.per_recv_chunk > 0
-            else float("inf")
-        )
-        recv_rate = min(self.fabric.link_bandwidth, sw_rate)
-        expected = op.plan.buffer_len / recv_rate
         slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha
-        return expected, slack
+        return op.expected, slack
 
     def _arm(self, op: OpState, t: float) -> Tuple[float, float, float]:
         """Leave the barrier at *t* and arm the cutoff timer from there (its

@@ -7,7 +7,7 @@ tail), and on a degraded fabric it can fire spuriously and thrash the
 recovery ring.  This module provides:
 
 * :class:`CutoffEstimator` — a TCP-RTO-style adaptive slack: an EWMA of
-  the observed slack (actual data-phase duration minus the ``N/B`` ideal)
+  the observed slack (actual data-phase duration minus the expected time)
   plus a weighted mean-deviation term (RFC 6298's SRTT/RTTVAR), with
   exponential backoff applied whenever an op needed recovery and decayed
   again by clean ops.  Karn's rule applies: ops that entered recovery do
@@ -188,7 +188,7 @@ class CollectiveAbortedError(RuntimeError):
 class CutoffEstimator:
     """Adaptive cutoff slack (RFC 6298 adapted to delivery slack).
 
-    ``slack()`` is what the op controller adds to the ``N/B`` ideal when
+    ``slack()`` is what the op controller adds to the expected time when
     arming the cutoff timer.  With no history it equals the configured
     static α, so the first collective behaves exactly like the paper's
     fixed-timer protocol; every clean completion then tightens it toward

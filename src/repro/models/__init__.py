@@ -6,6 +6,9 @@
   node boundary for {INC + Mcast} vs {Ring + Ring}.
 * :mod:`repro.models.memory` — Fig 7's bitmap/receive-buffer sizing as a
   function of PSN bits in the 32-bit immediate.
+* :mod:`repro.models.schedule` — a multicast collective's expected time
+  as one chain schedule (wire, software, sequencing, fill): what the
+  cutoff timer arms from and the tuner ranks with.
 * :mod:`repro.models.speedup` — Appendix B's concurrent {AG, RS} speedup
   ``S = 2 − 2/P`` and alpha-beta time models for cross-validating the
   packet-level simulator.

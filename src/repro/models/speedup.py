@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+from repro.models.schedule import chain_schedule, chain_steps
+
 __all__ = [
     "concurrent_speedup",
     "bandwidth_shares_ring",
@@ -68,18 +70,18 @@ def time_ring_allgather(n: int, p: int, bandwidth: float, latency: float = 0.0,
 
 def time_mcast_allgather(n: int, p: int, bandwidth: float, latency: float = 0.0,
                          sync_overhead: float = 0.0, n_chains: int = 1) -> float:
-    """Chain-sequenced multicast roots: receive path absorbs P·N total,
-    plus the RNR barrier and per-activation latency."""
+    """Chain-sequenced multicast roots: the schedule's wire term (P·N
+    received), plus the RNR barrier and one *latency* per chain step."""
     if p < 2:
         return 0.0
-    steps = p // max(n_chains, 1)
-    return sync_overhead + p * n / bandwidth + steps * latency
+    return (sync_overhead + chain_schedule(p * n, bandwidth).wire
+            + chain_steps(p, n_chains) * latency)
 
 
 def time_mcast_bcast(n: int, p: int, bandwidth: float, latency: float = 0.0,
                      sync_overhead: float = 0.0) -> float:
-    """Constant-time Broadcast: one buffer serialization + tree depth."""
-    return sync_overhead + n / bandwidth + latency
+    """Constant-time Broadcast: the schedule's wire term + tree depth."""
+    return sync_overhead + chain_schedule(n, bandwidth).wire + latency
 
 
 def time_inc_reduce_scatter(n: int, p: int, bandwidth: float,

@@ -140,6 +140,7 @@ class Fabric:
         self.topology = topology
         self.link_bandwidth = float(link_bandwidth)
         self.link_latency = float(link_latency)
+        self.switch_delay = float(switch_delay)
         self.mtu = int(mtu)
         self.header_bytes = int(header_bytes)
         self.loopback_delay = 0.5 * US
@@ -236,18 +237,15 @@ class Fabric:
 
     # ------------------------------------------------------------- wiring
 
-    def _node(self, name: str, rail: int = 0):
-        if is_host(name):
-            return self.rail_nics[host_id(name)][rail]
-        return self.switches[name]
-
     def _make_channel(self, src: str, dst: str) -> None:
+        # Each end is looked up once: a name that is not a switch is a host.
         rail = self.topology.rail_of_edge(src, dst)
+        node = self.switches.get(dst)
         ch = Channel(
             self.sim,
             src,
             dst,
-            self._node(dst, rail),
+            node if node is not None else self.rail_nics[host_id(dst)][rail],
             bandwidth=self.link_bandwidth,
             latency=self.link_latency,
             coalescing=not self.reference,
@@ -256,10 +254,11 @@ class Fabric:
             # Each channel gets its own copy so counters/seq state differ.
             self._arm(ch, self._default_fault.clone())
         self.channels[(src, dst)] = ch
-        if is_host(src):
+        sw = self.switches.get(src)
+        if sw is None:
             self.rail_nics[host_id(src)][rail].egress = ch
         else:
-            self.switches[src].add_port(ch)
+            sw.add_port(ch)
 
     # -------------------------------------------------------- observability
 

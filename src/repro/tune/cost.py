@@ -1,13 +1,13 @@
 """Analytic pre-pruning: rank candidates with the closed-form models.
 
 Simulating a knob point at 188 nodes costs seconds of wall-clock; the
-analytic models cost microseconds.  This module combines the paper's
-models — the alpha-beta collective times (:mod:`repro.models.speedup`),
-the node-boundary byte counts (:mod:`repro.models.boundary`), and the
-protocol footprint (:mod:`repro.models.footprint`) — with the
-:class:`~repro.core.costmodel.HostCostModel` software roofline into a
-single completion-time estimate per candidate, then keeps only the most
-promising points for simulation.
+analytic models cost microseconds.  This module takes the collective's
+chain schedule (:mod:`repro.models.schedule` — wire, receive software,
+chain activations and pipeline fill, the same terms the cutoff timer
+arms from) and adds two terms of its own, the expected recovery under
+the scenario's fault profile and the staging-ring risk
+(:mod:`repro.models.footprint`), into a single completion-time estimate
+per candidate, then keeps only the most promising points for simulation.
 
 The estimate is a *ranking* device, not a clock: the fidelity contract
 (enforced by ``tests/test_tune_fidelity.py``) is rank correlation with
@@ -18,20 +18,16 @@ discard the true optimum.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
+from repro.core.control import MESSAGE_BYTES
 from repro.core.reliability import CUTOFF_ALPHA_MIN
-from repro.models.boundary import node_boundary_table
+from repro.core.sequencer import effective_chains
 from repro.models.footprint import ProtocolFootprint
-from repro.models.speedup import (
-    time_composed_allreduce,
-    time_mcast_allgather,
-    time_mcast_bcast,
-    time_p2p_alltoall,
-)
-from repro.net.topology import Topology
+from repro.models.schedule import Schedule, chain_hops, chain_schedule
+from repro.models.speedup import time_inc_reduce_scatter
 from repro.tune.scenario import Scenario
 from repro.tune.store import config_from_knobs
 from repro.units import gbit_per_s
@@ -49,39 +45,36 @@ BASE_CHUNK = 4096
 #: feeds the expected-recovery term so cutoff knobs rank on lossy keys
 EFFECTIVE_LOSS = {"clean": 0.0, "bernoulli": 1e-3, "burst": 0.01}
 
-_HOPS_CACHE: Dict[Tuple[str, int, str], int] = {}
-
-
+@lru_cache(maxsize=None)
 def _host_hops(scenario: Scenario) -> int:
     """Worst-case host-to-host hop count of the scenario's topology
-    (links on the path, switches included as hops via their delay)."""
-    key = (scenario.resolved_topo, scenario.n_hosts, scenario.topo_params)
-    if key not in _HOPS_CACHE:
-        topo: Topology = scenario._topology()
-        # Farthest pair from host 0 is representative on the symmetric
-        # shapes the tuner targets (star / leaf-spine / testbed).
-        hops = max(topo.hops(0, d) for d in range(1, topo.n_hosts))
-        _HOPS_CACHE[key] = hops
-    return _HOPS_CACHE[key]
+    (links on the path, switches included as hops via their delay).
+    The farthest pair from host 0 is representative on the symmetric
+    shapes the tuner targets (star / leaf-spine / testbed)."""
+    topo = scenario._topology()
+    return max(topo.hops(0, d) for d in range(1, topo.n_hosts))
+
+
+@lru_cache(maxsize=None)
+def _chain_hops(scenario: Scenario, n_chains: int) -> List[List[int]]:
+    """The activation routes of the scenario's chains (rank *r* on host
+    *r*, as the evaluator builds them)."""
+    return chain_hops(scenario._topology(), range(scenario.n_hosts), n_chains)
 
 
 @dataclass(frozen=True)
-class CostEstimate:
-    """Decomposed completion-time prediction for one candidate."""
+class CostEstimate(Schedule):
+    """Decomposed completion-time prediction for one candidate: the chain
+    schedule's terms, then the tuner's own two."""
 
-    wire: float  #: serialization of the bottleneck NIC direction
-    software: float  #: worker-loop roofline (receive + send posting)
-    sequencing: float  #: chain-activation / barrier critical path
-    fill: float  #: batch-assembly and store-and-forward pipeline fill
     recovery: float  #: expected slow-path cost under the fault profile
     staging_risk: float  #: overrun risk premium for undersized staging
 
     @property
     def total(self) -> float:
-        """The scalar the pruner ranks on: a roofline of wire vs
-        software, plus the additive latency terms."""
-        return (max(self.wire, self.software) + self.sequencing
-                + self.fill + self.recovery + self.staging_risk)
+        """The scalar the pruner ranks on: the schedule's whole data
+        phase, plus the expected recovery and the staging risk."""
+        return super().total + self.recovery + self.staging_risk
 
     def breakdown(self) -> Dict[str, float]:
         return {
@@ -96,7 +89,9 @@ class CostEstimate:
 
 
 def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
-    """Analytic completion-time estimate for one knob assignment."""
+    """Analytic completion-time estimate for one knob assignment: the
+    collective's chain schedule (:func:`repro.models.schedule.chain_schedule`)
+    plus the expected recovery and staging-risk terms."""
     cfg = config_from_knobs(knobs)
     p = scenario.n_hosts
     n = scenario.bucket
@@ -106,33 +101,27 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
     hops = _host_hops(scenario)
     hop_latency = hops * LINK_LATENCY + max(hops - 1, 0) * SWITCH_DELAY
 
-    # --- wire: the Fig 3 node-boundary bytes through the bottleneck
-    # direction, inflated by per-datagram header overhead.  UD datagrams
-    # carry one chunk; UC chunks are split at the base MTU on the wire.
-    datagram = chunk if not uc else min(chunk, BASE_CHUNK)
-    header_factor = 1.0 + HEADER_BYTES / datagram
-    boundary = node_boundary_table(n, p)[("allgather", "mcast")]
-    if scenario.collective == "allgather":
-        # Receive path absorbs every peer's buffer; the sequenced chain
-        # keeps the shared tree busy with P·N total serialized payload.
-        wire = time_mcast_allgather(
-            n * header_factor, p, bandwidth, latency=0.0, n_chains=cfg.n_chains)
-        recv_bytes = boundary.recv
-    elif scenario.collective == "allreduce":
-        # INC reduce-scatter serializes the full contribution up the tree,
-        # then the multicast allgather redistributes the N/P shards — the
-        # composed chain moves ~2N through the bottleneck NIC.
-        wire = time_composed_allreduce(
-            n * header_factor, p, bandwidth, n_chains=cfg.n_chains)
-        recv_bytes = n
-    elif scenario.collective == "alltoall":
-        # Rotation-scheduled unicast: (P−1) permutation steps of one
-        # N/P block each; receive and send demands are symmetric.
-        wire = time_p2p_alltoall(n * header_factor, p, bandwidth)
-        recv_bytes = n - n // p
+    # The receive path and the roots as the communicator launches them: P
+    # shards (an allreduce's reduced N/P ones, after its INC reduce-scatter),
+    # a block per peer (alltoall) or one root's buffer (broadcast).
+    if scenario.collective in ("allgather", "allreduce"):
+        root_bytes = n if scenario.collective == "allgather" else n // 4 // p * 4
+        nbytes = p * root_bytes
+        chains = _chain_hops(scenario, effective_chains(p, cfg.n_chains))
     else:
-        wire = time_mcast_bcast(n * header_factor, p, bandwidth)
-        recv_bytes = n
+        root_bytes, chains = n, ()
+        nbytes = n - n // p if scenario.collective == "alltoall" else n
+    sent = min(chunk, root_bytes)  # a shard below the chunk is one chunk
+    sched = chain_schedule(
+        nbytes, bandwidth, cfg.cost, chunk=sent, uc=uc,
+        n_subgroups=cfg.n_subgroups, root_bytes=root_bytes,
+        batch_size=cfg.batch_size, hops=chains, depth=hops,
+        mtu=BASE_CHUNK if uc else sent, header_bytes=HEADER_BYTES,
+        ctrl_bytes=MESSAGE_BYTES + HEADER_BYTES, link_latency=LINK_LATENCY,
+        switch_delay=SWITCH_DELAY)
+    wire = sched.wire
+    if scenario.collective == "allreduce":
+        wire += time_inc_reduce_scatter(n, p, bandwidth)
 
     # Multi-rail striping: subgroup g plans its tree on plane g mod rails,
     # so the bottleneck NIC direction is split across min(subgroups, rails)
@@ -143,45 +132,6 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
         planes = min(max(cfg.n_subgroups, 1), max(rails, 1))
         if planes > 1:
             wire /= planes
-
-    # --- software roofline: worker time to drain the receive path plus
-    # the root/sender posting costs.  UD coarse candidates keep per-byte
-    # cost constant (coarse_config rescales per-chunk costs); UC pays
-    # per-CQE costs once per chunk — the Fig 15 amortization.
-    if uc:
-        n_recv_chunks = recv_bytes / chunk
-        per_chunk = cfg.cost.per_recv_chunk_uc
-    else:
-        # cfg.cost is the coarse-calibrated model (per-chunk costs scaled
-        # by chunk/BASE_CHUNK), so normalize back to per-base-unit cost.
-        n_recv_chunks = recv_bytes / BASE_CHUNK
-        per_chunk = cfg.cost.per_recv_chunk / max(chunk / BASE_CHUNK, 1.0)
-    recv_cpu = n_recv_chunks * per_chunk / cfg.n_subgroups  # one worker each
-    send_chunks = (n if scenario.collective == "allgather" else n) / chunk
-    n_batches = math.ceil(send_chunks / cfg.batch_size)
-    send_cpu = send_chunks * cfg.cost.send_wqe + n_batches * cfg.cost.doorbell
-    software = max(recv_cpu, send_cpu)
-
-    # --- sequencing: allgather roots activate in ceil(P / chains) steps,
-    # each a control message over the fabric; broadcast pays one barrier.
-    step = cfg.cost.ctrl_message + hop_latency
-    if scenario.collective == "allgather":
-        steps = math.ceil(p / max(cfg.n_chains, 1))
-        sequencing = steps * step
-    elif scenario.collective == "allreduce":
-        # One INC-tree completion barrier, then the shard allgather's
-        # chain activations.
-        steps = math.ceil(p / max(cfg.n_chains, 1))
-        sequencing = (steps + 1) * step
-    else:
-        # broadcast's start barrier / alltoall's rotation kickoff
-        sequencing = step
-
-    # --- pipeline fill: assembling the first send batch before the
-    # doorbell rings, plus store-and-forward of one datagram per hop.
-    wqe = cfg.cost.send_wqe
-    fill = (min(cfg.batch_size, send_chunks) * wqe + cfg.cost.doorbell
-            + hops * (datagram + HEADER_BYTES) / bandwidth)
 
     # --- expected recovery: lost chunks wait out the cutoff slack and a
     # fetch round-trip on the reliable ring (§III-C).
@@ -212,14 +162,8 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
             deficit = (burst_bytes - fp.staging_bytes) / bandwidth
             staging_risk = deficit
 
-    return CostEstimate(
-        wire=wire,
-        software=software,
-        sequencing=sequencing,
-        fill=fill,
-        recovery=recovery,
-        staging_risk=staging_risk,
-    )
+    return CostEstimate(wire, sched.software, sched.sequencing, sched.fill,
+                        recovery=recovery, staging_risk=staging_risk)
 
 
 def prune(

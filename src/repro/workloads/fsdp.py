@@ -95,8 +95,8 @@ def run_concurrent_pair(
     elif mode == "optimal":
         # Both collectives run through the unified submission surface: the
         # multicast AG engine and the INC RS substrate started together,
-        # drained by a single run() over the pair.  (submit() is asserted
-        # bit-identical in virtual time to the old *_async composition by
+        # drained by a single run() over the pair.  (Asserted bit-identical
+        # in virtual time to submitting the pair by hand by
         # tests/test_submit_api.py.)
         comm = Communicator(fabric, hosts, config)
         ag = comm.submit(CollectiveRequest(

@@ -19,6 +19,7 @@ from repro.core.control import (
     MSG_FINAL,
 )
 from repro.core.communicator import Communicator
+from repro.core.request import CollectiveRequest
 from repro.net import Fabric, Topology
 from repro.obs import TraceConfig
 from repro.sim import RandomStreams, Simulator
@@ -602,7 +603,8 @@ def test_fold_declines_two_overlapping_collectives():
         if not fold:
             unfold(comm)
         data = np.arange(kib(16), dtype=np.uint8)
-        handles = [comm.broadcast_async(0, data), comm.broadcast_async(5, data)]
+        handles = [comm.submit(CollectiveRequest(kind="broadcast", data=data, root=root))
+                   for root in (0, 5)]
         comm.run(*handles)
         return comm, [[op.phases for op in h.ops] for h in handles]
     comm, phases = both(True)
@@ -622,8 +624,9 @@ def _admit_second(reference, delay, kinds):
     handles = []
 
     def submit(kind, root):
-        handles.append(comm.broadcast_async(root, data) if kind == "b"
-                       else comm.allgather_async(shards))
+        handles.append(comm.submit(
+            CollectiveRequest(kind="broadcast", data=data, root=root) if kind == "b"
+            else CollectiveRequest(kind="allgather", data=shards)))
 
     def driver():
         submit(kinds[0], 0)
@@ -739,10 +742,12 @@ def test_a_queued_activation_is_handed_back_behind_the_barrier_tokens():
         handles = []
 
         def driver():
-            handles.append(comm.allgather_async([data[:1024] + r for r in range(6)]))
+            handles.append(comm.submit(CollectiveRequest(
+                kind="allgather", data=[data[:1024] + r for r in range(6)])))
             if at is not None:
                 yield Timeout(comm.sim, at)
-                handles.append(comm.broadcast_async(3, data))
+                handles.append(comm.submit(
+                    CollectiveRequest(kind="broadcast", data=data, root=3)))
 
         comm.sim.drain([comm.sim.spawn(driver())])
         comm.run(*handles)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CollectiveConfig, Communicator
 from repro.core.costmodel import HostCostModel
+from repro.core.request import CollectiveRequest
 from repro.net import Fabric, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator
@@ -243,8 +244,8 @@ def test_two_concurrent_broadcasts():
     comm = make_comm(4)
     d0 = rank_data(0, kib(32))
     d1 = rank_data(1, kib(32))
-    h0 = comm.broadcast_async(0, d0)
-    h1 = comm.broadcast_async(1, d1)
+    h0 = comm.submit(CollectiveRequest(kind="broadcast", data=d0, root=0))
+    h1 = comm.submit(CollectiveRequest(kind="broadcast", data=d1, root=1))
     comm.run(h0, h1)
     r0, r1 = h0.result(), h1.result()
     assert r0.verify_broadcast(d0)
@@ -255,8 +256,8 @@ def test_concurrent_broadcast_and_allgather():
     comm = make_comm(4)
     bd = rank_data(9, kib(32))
     ad = [rank_data(r, kib(16)) for r in range(4)]
-    hb = comm.broadcast_async(1, bd)
-    ha = comm.allgather_async(ad)
+    hb = comm.submit(CollectiveRequest(kind="broadcast", data=bd, root=1))
+    ha = comm.submit(CollectiveRequest(kind="allgather", data=ad))
     comm.run(hb, ha)
     assert hb.result().verify_broadcast(bd)
     assert ha.result().verify_allgather(ad)

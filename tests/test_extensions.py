@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import Communicator, Fabric, Simulator, Topology
+from repro.core.request import CollectiveRequest
 from repro.models import ProtocolFootprint, communicators_fitting_llc
 from repro.models.footprint import BF3_MAX_RECV_QUEUE
 from repro.net.packet import Packet, PacketKind, mcast_dst
@@ -71,7 +72,7 @@ def test_many_communicators_run_on_one_fabric():
     for i, comm in enumerate(comms):
         data = [np.full(8192, 10 * i + r, dtype=np.uint8) for r in range(3)]
         datasets.append(data)
-        handles.append(comm.allgather_async(data))
+        handles.append(comm.submit(CollectiveRequest(kind="allgather", data=data)))
     sim.drain([h.done_event for h in handles])
     for handle, data in zip(handles, datasets):
         assert handle.result().verify_allgather(data)

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.request import CollectiveRequest
 from repro.net.fabric import Fabric
 from repro.net.faults import GilbertElliott, StragglerSpec
 from repro.net.link import FaultSpec
@@ -545,9 +546,10 @@ def _chain_then_broadcast(fold: bool, topology, transport: str, at: float,
     handles = []
 
     def driver():
-        handles.append(comm.allgather_async([data[:1024] + r for r in range(P)]))
+        handles.append(comm.submit(CollectiveRequest(
+            kind="allgather", data=[data[:1024] + r for r in range(P)])))
         yield Timeout(comm.sim, at)
-        handles.append(comm.broadcast_async(3, data))
+        handles.append(comm.submit(CollectiveRequest(kind="broadcast", data=data, root=3)))
 
     comm.sim.drain([comm.sim.spawn(driver())])
     comm.run(*handles)
@@ -785,10 +787,10 @@ def test_ff_folded_send_holds_the_send_path_for_a_later_collective() -> None:
         handles = []
 
         def driver():
-            handles.append(comm.broadcast_async(0, data))
+            handles.append(comm.submit(CollectiveRequest(kind="broadcast", data=data, root=0)))
             yield Timeout(comm.sim, 26.96e-6)
-            handles.append(comm.allgather_async(
-                [data[:4096] + r for r in range(2)]))
+            handles.append(comm.submit(CollectiveRequest(
+                kind="allgather", data=[data[:4096] + r for r in range(2)])))
 
         comm.sim.drain([comm.sim.spawn(driver())])
         comm.run(*handles)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.core.progress import RankEngine
+from repro.core.request import CollectiveRequest
 from repro.net.fabric import Fabric
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -82,8 +83,9 @@ def _interrupted(oracle, first, at, act):
     handles = []
 
     def driver():
-        handles.append(comm.allgather_async(shards) if first == "allgather"
-                       else comm.broadcast_async(0, data))
+        handles.append(comm.submit(
+            CollectiveRequest(kind="allgather", data=shards) if first == "allgather"
+            else CollectiveRequest(kind="broadcast", data=data, root=0)))
         yield Timeout(comm.sim, at)
         act(comm, handles, data)
 
@@ -93,7 +95,7 @@ def _interrupted(oracle, first, at, act):
 
 
 def _admit(comm, handles, data):
-    handles.append(comm.broadcast_async(3, data))
+    handles.append(comm.submit(CollectiveRequest(kind="broadcast", data=data, root=3)))
 
 
 def _new_epoch(comm, handles, data):

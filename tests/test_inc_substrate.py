@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.request import CollectiveRequest
 from repro.net import Fabric, RecvWR, Topology, Transport
 from repro.net.inc import IncTree
 from repro.sim import Simulator
@@ -165,11 +166,12 @@ def _inc(reference, kind="reduce_scatter", topology=_ls16, hosts=None,
     data = [rng.normal(size=comm.size * per).astype(np.float32)
             for _ in range(comm.size)]
     if kind == "reduce_scatter":
-        handles = [comm.reduce_scatter_async(data, segment_bytes=segment_bytes)]
+        handles = [comm.submit(CollectiveRequest(
+            kind="reduce_scatter", data=data, segment_bytes=segment_bytes))]
     elif kind == "reduce":
-        handles = [comm.reduce_async(data, root=1)]
+        handles = [comm.submit(CollectiveRequest(kind="reduce", data=data, root=1))]
     else:
-        handles = [comm.allreduce_async(data)]
+        handles = [comm.submit(CollectiveRequest(kind="allreduce", data=data))]
     if beside is not None:
         handles += beside(comm, data)
     if admit is not None:
@@ -243,7 +245,7 @@ def _stray(fabric):
 _DECLINES = {
     "switchless": dict(topology=Topology.back_to_back),
     "not_exclusive": dict(beside=lambda comm, data: [
-        comm.reduce_scatter_async(data)]),
+        comm.submit(CollectiveRequest(kind="reduce_scatter", data=data))]),
     "dead": dict(hosts=range(8), prepare=lambda f: f.crash_host(15)),
     "pending_crash": dict(hosts=range(8), prepare=lambda f: f.schedule_crash(
         CrashSpec(at=1.0, host="h15"))),
@@ -288,7 +290,7 @@ def test_admission_mid_fold_hands_back(monkeypatch):
                         lambda self: (calls.append(self.sim.now), real(self))[1])
     for kind in ("reduce_scatter", "reduce", "allreduce"):
         comm, _ = _same_as_packets(kind=kind, admit=_after(
-            17e-6, lambda c, d: [c.reduce_scatter_async(d)]))
+            17e-6, lambda c, d: [c.submit(CollectiveRequest(kind="reduce_scatter", data=d))]))
         assert calls[-1] == 17e-6
         assert comm.fabric.inc_fold_misses == {"preempted": 1, "not_exclusive": 1}
     assert len(calls) == 3
@@ -313,10 +315,11 @@ def test_bandwidth_window_installed_mid_fold(delay):
 def test_a_collective_admitted_at_any_instant_of_a_fold(delay, second, kind):
     def admit(comm, data):
         if second == "reduce_scatter":
-            return [comm.reduce_scatter_async(data)]
+            return [comm.submit(CollectiveRequest(kind="reduce_scatter", data=data))]
         if second == "reduce":
-            return [comm.reduce_async(data, root=7)]
-        return [comm.alltoall_async([d.view(np.uint8) for d in data])]
+            return [comm.submit(CollectiveRequest(kind="reduce", data=data, root=7))]
+        return [comm.submit(CollectiveRequest(
+            kind="alltoall", data=[d.view(np.uint8) for d in data]))]
     _same_as_packets(kind=kind, admit=_after(delay, admit))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.request import CollectiveRequest
 from repro.net.fabric import Fabric
 from repro.net.link import FaultSpec
 from repro.net.topology import Topology
@@ -171,11 +172,11 @@ def test_mid_run_second_collective_preempts_bitwise(chunks=1):
         comm = make_comm(P, reference, chunk_size=CHUNK)
         handles = []
         at = []
-        h1 = comm.allgather_async(data)
+        h1 = comm.submit(CollectiveRequest(kind="allgather", data=data))
 
         def submit():
             at.append(comm.ff.ff_phases)
-            handles.append(comm.broadcast_async(0, bdata))
+            handles.append(comm.submit(CollectiveRequest(kind="broadcast", data=bdata, root=0)))
 
         comm.sim.post_at(t_submit, submit)
         comm.run(h1)

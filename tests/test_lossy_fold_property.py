@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.request import CollectiveRequest
 from repro.net.fabric import Fabric
 from repro.net.faults import GilbertElliott
 from repro.net.link import FaultSpec
@@ -189,9 +190,9 @@ def test_a_broadcast_admitted_into_a_lossy_session(t_submit, transport) -> None:
         data = [np.full(512, (3 * r + 1) % 251, dtype=np.uint8)
                 for r in range(16)]
         later = []
-        first = comm.allgather_async(data)
-        comm.sim.post_at(t_submit, lambda: later.append(comm.broadcast_async(
-            0, np.full(4096, 99, dtype=np.uint8))))
+        first = comm.submit(CollectiveRequest(kind="allgather", data=data))
+        comm.sim.post_at(t_submit, lambda: later.append(comm.submit(CollectiveRequest(
+            kind="broadcast", data=np.full(4096, 99, dtype=np.uint8), root=0))))
         comm.run(first)
         comm.run(later[0])
         chans = {k: (c.packets_sent, c.packets_dropped, c._droppable_seq,

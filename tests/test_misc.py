@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CollectiveConfig, Communicator, Fabric, Simulator, Topology
+from repro.core.request import CollectiveRequest
 from repro.net.dma import DmaEngine
 from repro.net.memory import Memory
 from repro.units import (
@@ -303,8 +304,8 @@ def test_two_communicators_share_fabric():
     c2 = Communicator(fabric, hosts=[4, 5, 6, 7])
     d1 = [np.full(8192, r, dtype=np.uint8) for r in range(4)]
     d2 = [np.full(8192, 100 + r, dtype=np.uint8) for r in range(4)]
-    h1 = c1.allgather_async(d1)
-    h2 = c2.allgather_async(d2)
+    h1 = c1.submit(CollectiveRequest(kind="allgather", data=d1))
+    h2 = c2.submit(CollectiveRequest(kind="allgather", data=d2))
     sim.drain([h1.done_event, h2.done_event])
     assert h1.result().verify_allgather(d1)
     assert h2.result().verify_allgather(d2)

@@ -33,6 +33,7 @@ from repro.core.communicator import (
     Communicator,
     PhaseBreakdown,
 )
+from repro.core.request import CollectiveRequest
 from repro.dpa import MTCoreSim, Segment
 from repro.dpa.isa import Trace as IsaTrace
 from repro.net.fabric import Fabric
@@ -356,7 +357,7 @@ def test_reduce_scatter_matches_baseline_bit_for_bit(algorithm):
 
 def test_reduce_scatter_async_handle_protocol():
     comm = Communicator(_plain_fabric())
-    handle = comm.reduce_scatter_async(_rs_data(8))
+    handle = comm.submit(CollectiveRequest(kind="reduce_scatter", data=_rs_data(8)))
     assert not handle.complete
     # Baseline handles carry no immediate-data coll_id (the old negative-id
     # convention is gone); they are tracked by handle_id instead.

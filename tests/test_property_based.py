@@ -18,6 +18,7 @@ from repro.core import Bitmap, BroadcastSequencer, ChunkPlan, ImmLayout, Subgrou
 from repro.core.baselines.bcast import knomial_tree
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.core.costmodel import HostCostModel
+from repro.core.request import CollectiveRequest
 from repro.net import Fabric, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator, Store
@@ -446,10 +447,13 @@ def test_a_collective_admitted_at_any_instant_leaves_the_oracles_state(
         handles = []
 
         def driver():
-            handles.append(comm.broadcast_async(0, data) if first == "broadcast"
-                           else comm.allgather_async([data[:512]] * p))
+            handles.append(comm.submit(
+                CollectiveRequest(kind="broadcast", data=data, root=0)
+                if first == "broadcast"
+                else CollectiveRequest(kind="allgather", data=[data[:512]] * p)))
             yield Timeout(comm.sim, delay)
-            handles.append(comm.broadcast_async(root % p, data))
+            handles.append(comm.submit(CollectiveRequest(
+                kind="broadcast", data=data, root=root % p)))
 
         comm.sim.drain([comm.sim.spawn(driver())])
         comm.run(*handles)

@@ -21,6 +21,7 @@ from repro.core.bitmap import Bitmap
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.core.costmodel import HostCostModel
 from repro.core.progress import RankEngine
+from repro.core.request import CollectiveRequest
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
 from repro.net.memory import Memory
@@ -648,7 +649,8 @@ def test_mixed_lane_op_opts_out_of_lookahead():
     comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
     qp = comm.engines[1].sub_qps[0]
     assert qp.batch_delivery
-    handle = comm.broadcast_async(0, np.zeros(8 * KiB + 40, dtype=np.uint8))
+    handle = comm.submit(CollectiveRequest(
+        kind="broadcast", data=np.zeros(8 * KiB + 40, dtype=np.uint8), root=0))
     assert not qp.batch_delivery
     comm.run(handle)
     comm.release(handle)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.communicator import CollectiveConfig, Communicator
+from repro.core.request import CollectiveRequest
 from repro.net.fabric import Fabric
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -105,6 +106,7 @@ def test_an_unroutable_control_message_declines_the_fold_with_fault():
     leaf = fabric.topology.switch_names.index(fabric.topology.attach_point(1))
     fabric.route_table().next[leaf, 1] = -1  # nothing reaches h1
     comm = Communicator(fabric, config=CollectiveConfig(transport="uc"))
-    comm.broadcast_async(0, np.arange(kib(16), dtype=np.uint8))
+    comm.submit(CollectiveRequest(
+        kind="broadcast", data=np.arange(kib(16), dtype=np.uint8), root=0))
     comm.sim.run(until=0.0)  # every rank has reached its barrier
     assert comm.cf.misses == {"fault": 1} and comm.cf.folds == 0

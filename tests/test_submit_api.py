@@ -10,8 +10,8 @@ Covers the four contracts of the submission redesign:
   and results exposing uniform ``.kind`` / ``.phases`` / ``.trace``.
 * **Composed-collective identity** — a ``submit()``-composed allreduce is
   bit-identical in virtual time and payload bytes to manually chaining
-  ``reduce_scatter`` then ``allgather``; the FSDP optimal pair through
-  ``submit()`` matches the ``*_async`` composition exactly.
+  ``reduce_scatter`` then ``allgather``; the FSDP optimal pair of
+  ``workloads.fsdp`` matches submitting the same pair by hand exactly.
 * **Crash semantics** — a fail-stop during the reduce-scatter phase
   aborts the composed collective with a typed error; one during the
   allgather phase completes degraded with validity masks; baseline-backed
@@ -209,8 +209,8 @@ def test_rooted_results_carry_root():
 
 def test_no_negative_coll_id_convention():
     comm = make_comm(4, topo=Topology.star(4))
-    handle = comm.reduce_scatter_async([_f32(1024, seed=r) for r in range(4)],
-                                       algorithm="inc")
+    handle = comm.submit(CollectiveRequest(
+        kind="reduce_scatter", data=[_f32(1024, seed=r) for r in range(4)], algorithm="inc"))
     assert handle.coll_id is None
     assert handle.handle_id >= 0
     handle.wait()
@@ -283,8 +283,8 @@ def test_allreduce_bit_identical_to_manual_chain(seed: int):
 
 
 def test_fsdp_submit_pair_matches_async_composition():
-    """workloads.fsdp optimal mode (submit-based) must be bit-identical in
-    virtual time to the manual ``*_async`` composition of the same pair."""
+    """workloads.fsdp optimal mode must be bit-identical in virtual time to
+    the same pair submitted by hand and run together."""
     from repro.bench import coarse_config, make_fabric
     from repro.workloads.fsdp import _ag_data, _rs_data, run_concurrent_pair
 
@@ -296,8 +296,9 @@ def test_fsdp_submit_pair_matches_async_composition():
 
     fabric = make_fabric(P, mtu=chunk)
     comm = Communicator(fabric, config=cfg)
-    ag = comm.allgather_async(_ag_data(P, 64 * KiB))
-    rs = comm.reduce_scatter_async(_rs_data(P, 64 * KiB * P), algorithm="inc")
+    ag = comm.submit(CollectiveRequest(kind="allgather", data=_ag_data(P, 64 * KiB)))
+    rs = comm.submit(CollectiveRequest(
+        kind="reduce_scatter", data=_rs_data(P, 64 * KiB * P), algorithm="inc"))
     comm.run(ag, rs)
     makespan = max(ag.result().t_end, rs.result().t_end)
     assert res.makespan == makespan
@@ -366,7 +367,7 @@ def test_allreduce_rs_phase_crash_aborts_typed():
     comm = make_comm(config=_crash_cfg(), seed=41)
     comm.fabric.schedule_crash(CrashSpec(at=5e-6, host=9))
     data = _allreduce_payload(P, P * 1024)
-    handle = comm.allreduce_async(data, algorithm="inc")
+    handle = comm.submit(CollectiveRequest(kind="allreduce", data=data, algorithm="inc"))
     assert isinstance(handle, ComposedHandle)
     with pytest.raises(CollectiveAbortedError) as exc:
         comm.run(handle)

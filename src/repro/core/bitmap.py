@@ -11,9 +11,9 @@ scalar arithmetic, and these run once per received packet — the hottest
 protocol-side operation in the simulator.  Scans for missing chunks (the
 reliability slow path) stay on the words too: a run of missing chunks is
 a run of one bits of a complemented word, found with two int operations.
-:meth:`set_range` is the bulk path used when a coalesced packet train or a
-fetched run lands many consecutive chunks at once, :meth:`fill` the one a
-folded phase uses.
+:meth:`set_range` is the bulk path used when a fetched run or a folded
+session's runs land many consecutive chunks at once, :meth:`fill` the one
+a folded phase uses.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class Bitmap:
 
     def set_range(self, start: int, n: int) -> int:
         """Set bits ``[start, start + n)`` in bulk; returns how many were
-        newly set.  The coalesced-train receive path and the fetch layer
-        use this instead of ``n`` per-bit calls."""
+        newly set.  The fetch layer and the data fold use this instead of
+        ``n`` per-bit calls."""
         words = self._words
         newly = 0
         for w, mask in self._masks(start, n):
@@ -123,9 +123,8 @@ class Bitmap:
 
     def any_set_in_range(self, start: int, n: int) -> bool:
         """True if any bit in ``[start, start + n)`` is set — one masked
-        word test per 64 bits.  The receiver-batch eligibility gate uses
-        this as its duplicate probe over a contiguous PSN train instead of
-        ``n`` per-bit :meth:`test` calls."""
+        word test per 64 bits, instead of ``n`` per-bit :meth:`test`
+        calls."""
         return any(self._words[w] & mask for w, mask in self._masks(start, n))
 
     def test(self, i: int) -> bool:

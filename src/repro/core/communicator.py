@@ -113,8 +113,8 @@ class CollectiveConfig:
     searches) and the reliability policy.  The slow path's and the
     liveness layer's remaining timers, gains and budgets are constants of
     :mod:`repro.core.reliability`.  No field selects an engine: the folds
-    (DESIGN.md §6c) always try and decline phase by phase with a typed
-    reason, and ``Fabric(reference=True)`` is the per-packet oracle.
+    (DESIGN.md §6d, §6i, §6j) always try and decline phase by phase with a
+    typed reason, and ``Fabric(reference=True)`` is the per-packet oracle.
     """
 
     # --- protocol -------------------------------------------------------
@@ -245,11 +245,9 @@ class CollectiveResult:
     #: engine-backed kinds (``buffers[r]`` materialises rank *r* on access)
     buffers: Sequence[np.ndarray]
     traffic: Dict[str, int]
-    #: simulator engine telemetry for this collective: events processed,
-    #: coalesced trains and train packets (fast-path coverage), receive
-    #: CQEs batched by the workers and stamped ahead of their arrival by
-    #: the NICs (``stamped_cqes``, DESIGN.md §6c), receive CQEs for no
-    #: registered collective (``stray_cqes``), data phases folded
+    #: simulator engine telemetry for this collective: events processed
+    #: (``sim_events``), receive CQEs for no registered collective
+    #: (``stray_cqes``), data phases folded
     #: (``ff_phases``) or declined, by gate reason (``ff_misses``, a
     #: ``{reason: count}`` dict summing to ``ff_aborts``; DESIGN.md §6d), the
     #: control-plane bring-up it paid (``ctrl_pairs``,
@@ -997,7 +995,6 @@ class Communicator:
         fabric.on_crash(self._on_fabric_crash)
         fabric.sweep_listeners.append(self._on_sm_sweep)
         self.sim.add_watchdog_diagnostic(self._watchdog_diagnostic)
-        self.sim.add_watchdog_settler(self._settle_engines)
 
     # ------------------------------------------------------------- plumbing
 
@@ -1157,10 +1154,6 @@ class Communicator:
                 {"dead_ranks": sorted(self.dead_ranks),
                  "dead_nodes": sorted(exclude)},
             )
-
-    def _settle_engines(self) -> None:
-        for engine in self.engines:
-            engine.settle()
 
     def _watchdog_diagnostic(self) -> str:
         """Per-rank state dump for the simulator hang watchdog."""
@@ -1633,11 +1626,13 @@ class Communicator:
         ff = self.ff
         return {
             "sim_events": self.sim.events_processed,
-            "trains": self.fabric.total_trains(),
-            "train_packets": self.fabric.total_train_packets(),
-            "cqe_batches": sum(e.cqe_batches for e in self.engines),
-            "batched_cqes": sum(e.batched_cqes for e in self.engines),
-            "stamped_cqes": self.fabric.total_stamped_cqes(),
+            # Retired counters of the deleted packet trains and CQE
+            # batches, kept at 0 for their one reader, the perf ledger
+            # (benchmarks/perf/harness.py).
+            "trains": 0,
+            "train_packets": 0,
+            "cqe_batches": 0,
+            "batched_cqes": 0,
             "stray_cqes": sum(e.stray_cqes for e in self.engines),
             "ff_phases": ff.ff_phases,
             "ff_skipped_events": ff.ff_skipped_events,

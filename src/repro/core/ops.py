@@ -66,9 +66,9 @@ class OpState:
     #: cutoff/recovery timer decisions: (virtual time, timeout armed, why)
     timer_trace: List[Tuple[float, float, str]] = field(init=False)
     #: absolute instant the controller's cutoff timer will next fire
-    #: (+inf until armed).  The receiver-batch eligibility gate refuses a
-    #: batch whose replay window straddles this instant, so no recovery
-    #: can read or mutate the bitmap mid-replay.
+    #: (+inf until armed).  A receive worker publishes no step end past
+    #: it (``RankEngine._plan_step``), nor does the data fold fold a phase
+    #: past it: a recovery may set bits from then on.
     cutoff_deadline: float = field(init=False, default=float("inf"))
     #: per-chunk validity (True = real payload landed).  ``None`` until the
     #: first :meth:`mark_void` — the healthy path never allocates it.

@@ -23,9 +23,10 @@ single engine parameterization covers both the "fast CPU, cheap ops" and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+import collections
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.chunking import IMM_BITS, ImmLayout
+from repro.core.chunking import ImmLayout
 from repro.core.control import (
     MSG_ACTIVATE,
     MSG_BARRIER,
@@ -65,44 +66,26 @@ _INF = float("inf")
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
 
-__all__ = ["RankEngine"]
-
-_IMM_MAX = (1 << IMM_BITS) - 1  #: largest immediate a CQE may carry
+__all__ = ["RankEngine", "RxStep"]
 
 
-def _held_at(staging: StagingRing, t: float, held: int) -> int:
-    """What the per-CQE path's ``staging.hold`` reads after the copy that
-    completes at *t*: the *held* slots the ring marks, less those a receive
-    batch marked ahead of a CQE poll instant still after *t*."""
-    staging.releases.popleft()
-    takes = staging.early_takes
-    while takes and takes[0] <= t:
-        takes.popleft()
-    return held - len(takes)
+class RxStep:
+    """What a receive worker will have done once through every CQE it has
+    polled (:meth:`RankEngine._plan_step`): the instant it is ``free`` —
+    ``inf`` for a step that cannot be told ahead —, the ``(issue instant,
+    bytes)`` of the staging ``copies`` it has still to issue, the DMA
+    watermark a fold leaves behind them (``dma_after``, ``None``: none),
+    and ``(op, psn)`` of each chunk the step sets (``new``).  One per
+    worker, rewritten in place at each poll and park."""
 
+    __slots__ = ("free", "copies", "dma_after", "new")
 
-class _CopyBatch:
-    """The DMA completions of one UD receive batch, applied in order by
-    :meth:`RankEngine.settle`: copy ``i`` lands ``slots[i]`` / ``psns[i]``
-    at ``done[i]``, with tie-break sequence number ``seq0 + i``;
-    ``next`` is the first not yet applied.  ``one_run``: the PSNs are one
-    ascending contiguous run, so any slice of them is a bitmap range."""
+    def __init__(self, free: float) -> None:
+        self.free = free
+        self.copies: Deque[Tuple[float, int]] = collections.deque()
+        self.dma_after: Optional[float] = None
+        self.new: List[Tuple[OpState, int]] = []
 
-    __slots__ = ("done", "seq0", "staging", "qp", "op", "slots", "psns",
-                 "one_run", "next")
-
-    def __init__(self, done: List[float], seq0: int, staging: StagingRing,
-                 qp, op: OpState, slots: List[int], psns: List[int],
-                 one_run: bool) -> None:
-        self.done = done
-        self.seq0 = seq0
-        self.staging = staging
-        self.qp = qp
-        self.op = op
-        self.slots = slots
-        self.psns = psns
-        self.one_run = one_run
-        self.next = 0
 
 
 class RankEngine:
@@ -174,44 +157,22 @@ class RankEngine:
                 ring = StagingRing(nic_sg, cfg.staging_slots, cfg.chunk_size)
                 ring.prime(qp)
                 self.stagings.append(ring)
-                if not self.fabric.reference:
-                    # A dry queue may only look dry: re-posts of batched
-                    # copies that completed by now are still pending.
-                    qp.on_dry = self.settle
             self.sub_qps.append(qp)
 
-        #: receiver-batch telemetry, summed into CollectiveResult.engine
-        self.cqe_batches = 0
-        self.batched_cqes = 0
         #: CQEs for no registered collective (e.g. a late duplicate after
         #: release): recycled, never fatal — the RNR barrier keeps them
         #: off the ingest side of live collectives
         self.stray_cqes = 0
-        #: receive batches whose DMA completions are not all applied yet,
-        #: in completion order (:meth:`settle`); rarely more than two
-        self._pending: List[_CopyBatch] = []
         #: flow fast-forward: the folded receive-worker cursor.  A fold
         #: advances this rank's datapath without waking its workers; a
         #: worker that wakes for post-fold traffic must not anchor its
         #: cost chain before this instant (it was "busy" inside the fold).
         self.ff_resume_floor = 0.0
-        #: per subgroup, ``[when, copy]``: when its receive worker is done
-        #: with every CQE it has polled — ``now`` once parked, the end of
-        #: the last step once that step's bitmap bit is set, ``inf`` before
-        #: — and the bytes of the staging copy it issues then (0: none).
-        #: A data-fold session starts from it (DESIGN §6d).
-        self.rx_free = [[self.sim.now, 0] for _ in range(cfg.n_subgroups)]
+        #: per subgroup, its receive worker's :class:`RxStep` — free
+        #: ``now`` while parked.  A data-fold session starts from it
+        #: (DESIGN §6d).
+        self.rx_step = [RxStep(self.sim.now) for _ in range(cfg.n_subgroups)]
         self._recv_procs: Dict[int, object] = {}
-        # The UD batch fast path pre-computes this rank's DMA chain; that
-        # is only exact when no sibling worker can interleave copies on
-        # the shared engine mid-replay.
-        self._batch_ud_ok = cfg.n_subgroups == 1
-        #: QPs that take look-ahead delivery (DESIGN.md §6c): the NIC
-        #: consumes a packet when it is handed over and stamps the CQE
-        #: with its exact arrival instant, so a wire backlog reaches the
-        #: worker as one batch.
-        self._lookahead_qps = [] if self.fabric.reference else list(self.sub_qps)
-        self._opt_in_lookahead()
         # The daemons start parked, with no kickoff event: the first CQE, or
         # the first request in the fetch server's inbox, wakes them.
         for sg in range(cfg.n_subgroups):
@@ -283,61 +244,36 @@ class RankEngine:
         if op.coll_id in self.ops:
             raise ValueError(f"collective id {op.coll_id} already active on rank {self.rank}")
         self.ops[op.coll_id] = op
-        self._opt_in_lookahead()
 
     def release_op(self, coll_id: int) -> None:
         op = self.ops.pop(coll_id, None)
         if op is not None:
             self.nic.memory.deregister(op.mr.key)
-            self._opt_in_lookahead()
-
-    def _opt_in_lookahead(self) -> None:
-        """Look-ahead delivery needs packets to reach this rank in the
-        order the last hop transmitted them.  A chunk small enough for the
-        channels' control lane jumps the bulk queue, so the QPs opt out
-        while the registered ops could put both sizes on the wire (a
-        broadcast's short tail chunk behind full ones)."""
-        egress = self.nic.egress
-        lane = (egress.ctrl_bypass_bytes - self.nic.header_bytes
-                if egress is not None else 0)
-        plans = [op.plan for op in self.ops.values() if op.plan.n_chunks]
-        fifo = not (
-            any(pl.bounds(pl.n_chunks - 1)[1] <= lane for pl in plans)
-            and any(min(pl.chunk_size, pl.buffer_len) > lane for pl in plans)
-        )
-        for qp in self._lookahead_qps:
-            qp.batch_delivery = fifo
 
     # ----------------------------------------------------------- recv worker
 
     def _recv_worker(self, sg: int):
         """Receive datapath of subgroup *sg* (paper Fig 6): poll → bitmap →
-        copy → re-post.
+        copy → re-post, one CQE at a time.
 
-        Each wake polls a snapshot of the CQ.  When the receiver-batch
-        eligibility gate holds for a prefix of the snapshot
-        (:meth:`_try_recv_batch`), that prefix is consumed in **one**
-        process wake — the per-CQE instants are replayed through bare
-        callbacks and one absolute-time sleep — and any remainder falls
-        back to the per-CQE slow path below, mid-batch, at the exact
-        virtual time the slow path would have reached it.  Idle waits park
-        on the CQ notify edge instead of allocating Event/AnyOf wrappers.
+        Each wake polls a snapshot of the CQ and publishes where the step
+        over it ends (:meth:`_plan_step`).  Idle waits park on the CQ
+        notify edge instead of allocating Event/AnyOf wrappers.
         """
         cfg = self.config
         cost = self.cost
         uc = cfg.transport == "uc"
         qp = self.sub_qps[sg]
         staging = self.stagings[sg]  # None under UC
-        batching = not self.fabric.reference
         wake = self._recv_procs[sg].wake
-        rx_free = self.rx_free[sg]
+        step = self.rx_step[sg]
         # (started parked: the first CQE woke it, as after every park below)
         if self.ff_resume_floor > self.sim.now:
             yield self.sim.wake_at(self.ff_resume_floor)
         while True:
             if not len(qp.recv_cq):
-                rx_free[0] = self.sim.now
-                rx_free[1] = 0
+                step.free = self.sim.now
+                step.new.clear()
                 qp.recv_cq.set_notify(wake)
                 yield PASSIVE_WAIT
                 if self.ff_resume_floor > self.sim.now:
@@ -346,26 +282,8 @@ class RankEngine:
                     # processing where the packet-level chain would have.
                     yield self.sim.wake_at(self.ff_resume_floor)
             cqes = qp.recv_cq.poll()
-            rx_free[0] = _INF
-            rx_free[1] = 0
-            last = len(cqes) - 1
-            start = 0
-            if batching and last > 0:
-                batched, t_end = self._try_recv_batch(sg, qp, cqes, uc)
-                if batched:
-                    start = batched
-                    if start > last and not uc:
-                        # every bit set and every copy issued: only the
-                        # worker's own replay is left
-                        rx_free[0] = t_end
-                    yield self.sim.wake_at(t_end)
-            for idx in range(start, len(cqes)):
-                cqe = cqes[idx]
-                if cqe.timestamp > self.sim.now:
-                    # Look-ahead CQE whose packet has not "arrived"
-                    # yet: hold processing to its true arrival instant
-                    # (per-packet delivery would have parked us here).
-                    yield self.sim.wake_at(cqe.timestamp)
+            self._plan_step(step, cqes, uc)
+            for cqe in cqes:
                 # Straggler injection: a slow receiver pays extra per
                 # poll, so its staging ring backs up into RNR drops.
                 stall = self.fabric.straggler_delay(self.nic.host, self.sim.now)
@@ -387,7 +305,6 @@ class RankEngine:
                     op.maybe_complete()
                     continue
                 slot = cqe.wr_id
-                self.settle()
                 staging.on_cqe(slot)
                 trc = self.trace
                 if trc is not None:
@@ -399,7 +316,6 @@ class RankEngine:
                     else:
                         op.stats["duplicates"] += 1
                     yield Timeout(self.sim, cost.recv_repost)
-                    self.settle()
                     staging.repost(slot, qp)
                     if trc is not None:
                         trc.counter("staging.hold", self.sim.now, staging.held)
@@ -410,300 +326,69 @@ class RankEngine:
                 # op ahead of this chunk's bytes.
                 op.outstanding_copies += 1
                 off, ln = op.plan.bounds(psn)
-                if idx == last:  # the copy issues as the step ends
-                    rx_free[0] = self.sim.now + (cost.copy_issue + cost.recv_repost)
-                    rx_free[1] = ln
                 yield Timeout(self.sim, cost.copy_issue + cost.recv_repost)
                 copy_done = self.dma.copy(
                     (staging.mr, slot * staging.slot_size), (op.mr, off), ln)
-                if trc is not None:
-                    staging.releases.append(self.dma.busy_until + self.dma.latency)
+                if step.copies:
+                    step.copies.popleft()
+                    if not step.copies and step.dma_after is not None:
+                        # a fold's copies queue behind this step's last
+                        self.dma.busy_until = step.dma_after
                 copy_done.subscribe(
                     self._make_copy_callback(op, staging, slot, qp, psn)
                 )
 
-    # ----------------------------------------------------- recv batch fast path
+    def unset(self, op: OpState) -> int:
+        """Chunks of *op* that subgroup 0's worker sets in its step under
+        way and has not set yet."""
+        new = self.rx_step[0].new
+        return sum(o is op and not op.bitmap.test(psn)
+                   for o, psn in new) if new else 0
 
-    def _try_recv_batch(self, sg: int, qp, cqes, uc: bool):
-        """Gate + apply the receiver-batch fast path over a CQE snapshot.
-
-        Returns ``(n_batched, t_end)``: the batched prefix length (0 when
-        the gate fails outright) and the absolute instant the worker must
-        resume — exactly where the per-CQE path would have finished the
-        prefix.  The replayed schedule is additive in the same order the
-        slow path adds its Timeouts, so every instant is bit-identical.
-
-        Eligibility (any miss ⇒ the offending CQE and everything after it
-        take the slow path):
-
-        * no straggler window overlaps the projected replay window
-          (stall terms are exactly ``0.0``, which is float-inert);
-        * UD only: a single receive worker owns this rank's DMA engine,
-          every CQE decodes to the *same* live op, carries an immediate,
-          is neither a duplicate nor an in-batch repeat, and the op has no
-          recovery active or armable inside the window (the bitmap has no
-          concurrent reader/writer, so bits may be set eagerly at t0);
-        * UC: per-CQE effects are replayed verbatim at their exact
-          instants (duplicates included — they do not alter UC timing),
-          so only the straggler check applies.
-        """
+    def _plan_step(self, step: RxStep, cqes, uc: bool) -> None:
+        """Rewrite *step* for a worker that polled *cqes* now.  Its step
+        costs, per CQE, ``cqe_poll + cqe_process``, then ``copy_issue +
+        recv_repost`` for a new UD chunk and ``recv_repost`` for anything
+        else — unless a straggler window may stall a poll, a CQE is for no
+        registered collective (one may register meanwhile), or the cutoff
+        may start a recovery that sets a bit the step expects to set: then
+        the step's end is unknown."""
         cost = self.cost
-        now = self.sim.now
+        now = t = self.sim.now
         c1 = cost.cqe_poll + cost.cqe_process
-        # ImmLayout.decode, hoisted: an immediate outside 32 bits goes to
-        # decode itself, which raises.
-        decode = self.imm.decode
-        mask = self.imm.max_psns - 1
-        shift = self.imm.psn_bits
-        if uc:
-            c2 = cost.recv_repost
-            t = now
-            insts = []
-            psns = []
-            cids = []
-            for cqe in cqes:
-                imm = cqe.imm or 0
-                if not 0 <= imm <= _IMM_MAX:
-                    decode(imm)
-                psn = imm & mask
-                cid = imm >> shift
-                op = self.ops.get(cid)
-                if op is not None and psn >= op.bitmap.n_bits:
-                    break  # corrupt PSN: let the slow path raise in-process
-                a = cqe.timestamp  # anchor: arrival if the worker would idle
-                if a < t:
-                    a = t
-                t = a + c1
-                t = t + c2
-                insts.append(t)
-                psns.append(psn)
-                cids.append(cid)
-            k = len(psns)
-            if k < 2:
-                return 0, 0.0
-            t_end = insts[-1]
-            if not self.fabric.straggler_inert(self.nic.host, now, t_end):
-                return 0, 0.0
-            post = self.sim.post_at
-            replay = self._uc_replay
-            for psn, cid, when in zip(psns, cids, insts):
-                post(when, replay, qp, psn, cid)
-            self.cqe_batches += 1
-            self.batched_cqes += k
-            if self.trace is not None:
-                self.trace.instant("cq.batch", now, {"cqes": k})
-            return k, t_end
-
-        if not self._batch_ud_ok:
-            return 0, 0.0
-        ops_map = self.ops
-        c2 = cost.copy_issue + cost.recv_repost
-        t = now
-        op = None
-        psns: List[int] = []
-        takes: List[float] = []
-        issues: List[float] = []
+        copies, new = step.copies, step.new
+        copies.clear()
+        new.clear()
+        step.dma_after = None
+        step.free = _INF
         seen = set()
         for cqe in cqes:
-            imm = cqe.imm
-            if imm is None:
+            try:
+                psn, cid = self.imm.decode(cqe.imm or 0)
+            except ValueError:  # (the step raises it)
                 break
-            if not 0 <= imm <= _IMM_MAX:
-                decode(imm)
-            psn = imm & mask
-            o = ops_map.get(imm >> shift)
-            if o is None or (op is not None and o is not op):
+            op = self.ops.get(cid)
+            if op is None or psn >= op.n_chunks:
                 break
-            if op is None:
-                if o.stats["recoveries"]:
-                    break  # a recovery may hold bitmap state mid-flight
-                op = o
-            if psn >= op.bitmap.n_bits or psn in seen or op.bitmap.test(psn):
-                break
-            seen.add(psn)
-            psns.append(psn)
-            a = cqe.timestamp  # anchor: arrival if the worker would idle
-            if a < t:
-                a = t
-            t = a + c1
-            takes.append(t)
-            t = t + c2
-            issues.append(t)
-        k = len(psns)
-        if k < 2:
-            return 0, 0.0
-        t_end = issues[-1]
-        if op.cutoff_deadline <= t_end:
-            return 0, 0.0  # the cutoff could fire (and recover) mid-replay
-        if not self.fabric.straggler_inert(self.nic.host, now, t_end):
-            return 0, 0.0
-        self._apply_ud_batch(sg, qp, op, cqes[:k], psns, takes, issues)
-        return k, t_end
-
-    def _apply_ud_batch(self, sg: int, qp, op: OpState, cqes, psns, takes,
-                        issues) -> None:
-        """Consume an eligible UD CQE train at the current instant.
-
-        Local-only state (bitmap bits, stats, outstanding-copy count,
-        staging holds) moves to t0 in bulk — nothing can observe it before
-        the replay's own instants, because the op's last copy is still
-        outstanding until past ``t_end`` and the recovery gate excluded
-        every other bitmap reader.  Externally visible effects keep their
-        exact per-CQE instants: each slot's repost + ``placed`` bit is a
-        pending completion at its :meth:`DmaEngine.copy_runs` instant,
-        applied by :meth:`settle` — from one event at the batch's last
-        completion, or earlier by a reader that needs it.  The trace
-        samples the staging ring at each CQE's poll instant (*takes*), as
-        the per-CQE path does.
-        """
-        k = len(psns)
-        staging = self.stagings[sg]
-        assert staging is not None
-        self.settle()
-        slots = [cqe.wr_id for cqe in cqes]
-        staging.on_cqe_batch(slots)
-        bitmap = op.bitmap
-        i = 0
-        while i < k:  # contiguous ascending PSN runs take the bulk path
-            j = i + 1
-            while j < k and psns[j] == psns[j - 1] + 1:
-                j += 1
-            if j - i > 1:
-                bitmap.set_range(psns[i], j - i)
+            t = t + c1
+            if (cid, psn) in seen or op.bitmap.test(psn):
+                t = t + cost.recv_repost
+                continue
+            seen.add((cid, psn))
+            new.append((op, psn))
+            if uc:
+                t = t + cost.recv_repost
             else:
-                bitmap.set(psns[i])
-            if i == 0:
-                one_run = j == k
-            i = j
-        op.stats["chunks_received"] += k
-        op.outstanding_copies += k
-        # ChunkPlan.bounds, hoisted: a PSN out of range goes to bounds
-        # itself, which raises.
-        plan = op.plan
-        chunk = plan.chunk_size
-        buffer_len = plan.buffer_len
-        n_chunks = plan.n_chunks
-        slot_size = staging.slot_size
-        # Group adjacent slots (consecutive ring slots AND consecutive
-        # full-size chunks) into spanning scatter-gather segments:
-        # ``[first slot, buffer offset, bytes, per-op (bytes, issue)]``.
-        runs: List[list] = []
-        for psn, slot, issue in zip(psns, slots, issues):
-            if not 0 <= psn < n_chunks:
-                plan.bounds(psn)
-            off = psn * chunk
-            ln = min(chunk, buffer_len - off)
-            if runs:
-                run = runs[-1]
-                ops = run[3]
-                if (slot == run[0] + len(ops) and off == run[1] + run[2]
-                        and ops[-1][0] == slot_size):
-                    ops.append((ln, issue))
-                    run[2] += ln
-                    continue
-            runs.append([slot, off, ln, [(ln, issue)]])
-        src, dst = staging.mr, op.mr
-        done = self.dma.copy_runs([
-            ((src, s * slot_size), (dst, o), ops) for s, o, _, ops in runs])
-        # One event stands in for the k completions; each keeps the
-        # tie-break position its own event would have had.
-        seq0 = self.sim.post_batch_at(done[-1], k, self.settle)
-        self._pending.append(
-            _CopyBatch(done, seq0, staging, qp, op, slots, psns, one_run))
-        self.cqe_batches += 1
-        self.batched_cqes += k
-        trc = self.trace
-        if trc is not None:
-            now = self.sim.now
-            trc.instant("cq.batch", now, {"cqes": k})
-            # Slot i is taken at takes[i]; a copy completing at that very
-            # instant releases its slot after the take (its event is
-            # scheduled later), so only earlier completions count.
-            held = staging.held - k
-            ends = list(staging.releases) + done
-            r = 0
-            for i, t in enumerate(takes):
-                while r < held + i and ends[r] < t:
-                    r += 1
-                trc.counter("staging.hold", t, held + i + 1 - r)
-            staging.releases.extend(done)
-            staging.early_takes.extend(takes)
-            trc.complete("dma.copy_runs", issues[0], done[-1] - issues[0],
-                         {"copies": k, "segments": len(runs)})
-
-    def settle(self) -> None:
-        """Apply every pending batched DMA completion the event loop has
-        reached — due at an earlier instant, or at this one with a smaller
-        sequence number than the event firing now — in completion order:
-        re-post the staging WR, drop the op's outstanding copy, set the
-        ``placed`` bit, maybe complete the op.
-
-        Called by the batch's own event at its last completion, and first
-        by whichever reader would otherwise see state those completions
-        change: the NIC finding the receive queue dry
-        (:attr:`QueuePair.on_dry`), a neighbour's fetch or degrade scan
-        reading ``placed``, the fold's queue-depth gates, the watchdog,
-        and this rank's worker before it touches a staging ring.
-        ``data_done`` needs no reader: a batch's last completion is its
-        own event's, so ``outstanding_copies`` reaches zero on time.
-        """
-        pend = self._pending
-        sim = self.sim
-        now = sim._now
-        fired = sim._fired
-        while pend:
-            batch = pend[0]
-            done = batch.done
-            n = len(done)
-            i = j = batch.next
-            seq = batch.seq0 + j
-            while j < n and (done[j] < now or (done[j] == now and seq <= fired)):
-                j += 1
-                seq += 1
-            if j > i:
-                self._complete_copies(batch, i, j)
-            if j < n:
-                batch.next = j
+                t = t + (cost.copy_issue + cost.recv_repost)
+                copies.append((t, op.plan.bounds(psn)[1]))
+        else:
+            if not any(op.stats["recoveries"] or op.cutoff_deadline <= t
+                       for op, _ in new) \
+                    and self.fabric.straggler_inert(self.nic.host, now, t):
+                step.free = t
                 return
-            del pend[0]
-
-    def _complete_copies(self, batch: "_CopyBatch", i: int, j: int) -> None:
-        """Completions ``[i, j)`` of *batch*, in one pass: the effects of
-        ``j - i`` per-copy callbacks, each traced at its own instant."""
-        n = j - i
-        staging = batch.staging
-        staging.repost_batch(batch.slots[i:j], batch.qp)
-        op = batch.op
-        op.outstanding_copies -= n
-        if batch.one_run:
-            op.placed.set_range(batch.psns[i], n)
-        else:
-            for psn in batch.psns[i:j]:
-                op.placed.set(psn)
-        trc = self.trace
-        if trc is not None:
-            held = staging.held + n
-            for when in batch.done[i:j]:
-                held -= 1
-                trc.counter("staging.hold", when, _held_at(staging, when, held))
-        self.sim.progress += n - 1  # maybe_complete counts the last one
-        op.maybe_complete()
-
-    def _uc_replay(self, qp, psn: int, cid: int) -> None:
-        """Exact-instant replay of one batched UC CQE's effects: recycle
-        the WR, update bitmaps, maybe complete (a bare callback — no
-        Timeout events, no process resume)."""
-        qp.post_recv_cached(self._uc_wr)
-        op = self.ops.get(cid)
-        if op is None:
-            self.stray_cqes += 1
-            return
-        if op.bitmap.set(psn):
-            op.stats["chunks_received"] += 1
-            op.placed.set(psn)
-        else:
-            op.stats["duplicates"] += 1
-        op.maybe_complete()
+        new.clear()
+        copies.clear()
 
     def _make_copy_callback(self, op: OpState, staging: StagingRing, slot: int, qp,
                             psn: int):
@@ -717,8 +402,7 @@ class RankEngine:
             if trc is not None:
                 now = self.sim.now
                 trc.complete("dma.copy", issued_at, now - issued_at)
-                trc.counter("staging.hold", now,
-                            _held_at(staging, now, staging.held))
+                trc.counter("staging.hold", now, staging.held)
             op.maybe_complete()
 
         return _on_copy
@@ -757,8 +441,8 @@ class RankEngine:
                             signaled=last,
                         )
                     items.append((qp, wr))
-                # One doorbell for the whole batch: lets the NIC serialize
-                # consecutive same-destination WRs as a single packet train.
+                # One doorbell for the whole batch (its cost is the
+                # send_batch Timeout above).
                 if self.fabric.topology.rails == 1:
                     self.nic.post_send_batch(items)
                 else:
@@ -938,7 +622,6 @@ class RankEngine:
                 self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth
             )
             peer_engine = self.comm.engines[peer]
-            peer_engine.settle()  # its placed bits, as of now
             runs = self._fetchable_runs(op, peer_engine.ops.get(op.coll_id))
             if runs:
                 got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
@@ -1213,8 +896,8 @@ class RankEngine:
 
     def _arm(self, op: OpState, t: float) -> Tuple[float, float, float]:
         """Leave the barrier at *t* and arm the cutoff timer from there (its
-        deadline published for the batch-eligibility gate): ``(expected,
-        slack, deadline)``."""
+        deadline published for :meth:`_plan_step` and the data fold):
+        ``(expected, slack, deadline)``."""
         op.phases["sync"] = t
         expected, slack = self.cutoff_allowance(op)
         op.cutoff_deadline = deadline = t + expected + slack
@@ -1503,9 +1186,7 @@ class RankEngine:
         surv_ops = []
         for s in survivors:
             if s != self.rank:
-                peer_engine = self.comm.engines[s]
-                peer_engine.settle()  # its placed bits, as of now
-                o = peer_engine.ops.get(op.coll_id)
+                o = self.comm.engines[s].ops.get(op.coll_id)
                 if o is not None:
                     surv_ops.append(o)
         voided = 0

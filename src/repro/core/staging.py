@@ -60,11 +60,6 @@ class StagingRing:
         # (the staging.hold trace counter) never scans the slot array.
         self._posted_count = 0
         self._held_count = 0
-        #: traced runs only: the completion instant of each held slot's
-        #: copy, in order, and the CQE poll instants of slots a receive
-        #: batch marked held ahead of them (``core.progress._held_at``)
-        self.releases: Deque[float] = collections.deque()
-        self.early_takes: Deque[float] = collections.deque()
 
     @property
     def nbytes(self) -> int:
@@ -95,22 +90,6 @@ class StagingRing:
             self._posted_count += len(wrs)
         return len(wrs)
 
-    def on_cqe_batch(self, slots) -> None:
-        """Bulk :meth:`on_cqe`: mark every slot held.
-
-        The receiver-batch fast path consumes a whole CQE train in one
-        wake and copies out of the ring by spans; marking the train's
-        slots held in one call keeps the occupancy counters O(1) per batch
-        instead of O(1) per slot."""
-        state = self._state
-        for slot in slots:
-            self._check(slot)
-            if state[slot] != _POSTED:
-                raise RuntimeError(f"slot {slot} completed but was not posted")
-            state[slot] = _HELD
-        self._posted_count -= len(slots)
-        self._held_count += len(slots)
-
     def on_cqe(self, slot: int) -> None:
         """Mark *slot* as held by the datapath (its bytes are at
         ``slot * slot_size`` of :attr:`mr`)."""
@@ -123,23 +102,14 @@ class StagingRing:
 
     def repost(self, slot: int, qp: QueuePair) -> None:
         """Return a held slot to the receive queue (after its DMA drained)."""
-        self.repost_batch((slot,), qp)
-
-    def repost_batch(self, slots, qp: QueuePair) -> None:
-        """:meth:`repost` for a run of held slots at one instant, in order:
-        one bulk WR post and O(1) occupancy updates per batch."""
-        state = self._state
-        for slot in slots:
-            self._check(slot)
-            if state[slot] != _HELD:
-                raise RuntimeError(f"slot {slot} reposted but was not held")
-            state[slot] = _POSTED
-        wrs = self._wrs
-        qp.post_recv_cached_batch([wrs[slot] for slot in slots])
-        n = len(slots)
-        self._held_count -= n
-        self._posted_count += n
-        self.reposts += n
+        self._check(slot)
+        if self._state[slot] != _HELD:
+            raise RuntimeError(f"slot {slot} reposted but was not held")
+        self._state[slot] = _POSTED
+        qp.post_recv_cached(self._wrs[slot])
+        self._held_count -= 1
+        self._posted_count += 1
+        self.reposts += 1
 
     def _check(self, slot: int) -> None:
         if not 0 <= slot < self.n_slots:

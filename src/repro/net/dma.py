@@ -11,14 +11,13 @@ The engine charges the copy's time; the data moves by reference
 (:meth:`MemoryRegion.copy_to`: ``source`` → ``place`` per piece, DESIGN.md
 §6h), so a copy between lazy regions moves pieces, not bytes.  ``copy()``
 returns an event that fires when the bytes have landed and moves them at
-completion time.  ``copy_runs()`` is the receive-batch form: it moves the
-bytes at issue, returns the completion instants and leaves what happens at
-them to the caller.
+completion time; ``after()`` is the watermark copies still to be issued
+will leave, in ``copy()``'s own floats.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.sim.events import Event
 from repro.units import US, gib_per_s
@@ -88,39 +87,10 @@ class DmaEngine:
         self.sim.post_at(finish + self.latency, _complete)
         return done
 
-    def copy_runs(self, segments) -> List[float]:
-        """Scatter-gather batch: queue many copies with pre-computed issue
-        instants.
-
-        ``segments`` is a sequence of ``(src, dst, ops)`` where ``src`` /
-        ``dst`` are the ``(region, offset)`` starts of a run of adjacent
-        staging slots / user-buffer chunks, and ``ops`` lists the run's
-        per-slot ``(nbytes, issue_time)`` pairs in issue order (issue times
-        non-decreasing across the whole call).
-
-        Returns every op's completion instant, in op order — a pure chain
-        that posts no event.  The instants are **bit-identical** to calling
-        :meth:`copy` once per op at its ``issue_time``: the engine chain
-        (``start = max(issue, busy_until)``, ``finish = start + n/bw``)
-        replays the exact float sequence.  Each span's bytes move now, at
-        issue — early, never late, which is safe because readers gate on
-        per-chunk ``placed`` bits the caller sets at the returned instants.
-        """
-        bw = self.bandwidth
-        lat = self.latency
+    def after(self, copies) -> float:
+        """:attr:`busy_until` once *copies*, ``(issue instant, bytes)`` in
+        issue order, are queued with :meth:`copy` — the same floats."""
         busy = self.busy_until
-        done: List[float] = []
-        total = 0
-        for (src_mr, s), (dst_mr, d), ops in segments:
-            span = 0
-            for nbytes, when in ops:
-                start = when if when > busy else busy
-                busy = start + nbytes / bw
-                span += nbytes
-                done.append(busy + lat)
-            src_mr.copy_to(s, dst_mr, d, span)
-            total += span
-        self.busy_until = busy
-        self.bytes_copied += total
-        self.ops += len(done)
-        return done
+        for when, nbytes in copies:
+            busy = (when if when > busy else busy) + nbytes / self.bandwidth
+        return busy

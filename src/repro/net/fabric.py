@@ -115,12 +115,12 @@ class Fabric:
     default_fault:
         Fault spec cloned onto every channel (fabric-wide BER / jitter).
     reference:
-        Run the reference engine: every packet and every receive CQE is
-        its own event, and no fold engages.  The default ``False`` is the
-        production engine — packet trains, look-ahead delivery, CQE
-        batches and the folds — with virtual time, traffic and payloads
-        identical to the reference; only wall-clock differs (DESIGN.md
-        "Two paths, one semantics").
+        Run the reference engine: no fold engages, so every packet and
+        every receive CQE is its own event.  The default ``False`` is the
+        production engine: the same packet path, with the folds trying
+        every phase (the data fold, the control-plane fold, the INC fold)
+        — virtual time, traffic and payloads identical to the reference;
+        only wall-clock differs (DESIGN.md "Two paths, one semantics").
     """
 
     def __init__(
@@ -151,6 +151,8 @@ class Fabric:
         self.nics: Dict[int, Nic] = {}
         self.switches: Dict[str, Switch] = {}
         self.channels: Dict[Tuple[str, str], Channel] = {}
+        #: the channels out of a host, in build order (NIC egresses)
+        self._host_channels: List[Channel] = []
         self._stragglers: Dict[int, StragglerSpec] = {}
         #: bumped on every fault/straggler/crash mutation.  The vectorized
         #: fast-forward hoists its O(P) per-phase eligibility scans to
@@ -248,7 +250,6 @@ class Fabric:
             node if node is not None else self.rail_nics[host_id(dst)][rail],
             bandwidth=self.link_bandwidth,
             latency=self.link_latency,
-            coalescing=not self.reference,
         )
         if self._default_fault is not None:
             # Each channel gets its own copy so counters/seq state differ.
@@ -257,6 +258,7 @@ class Fabric:
         sw = self.switches.get(src)
         if sw is None:
             self.rail_nics[host_id(src)][rail].egress = ch
+            self._host_channels.append(ch)
         else:
             sw.add_port(ch)
 
@@ -265,7 +267,7 @@ class Fabric:
     def install_tracer(self, tracer) -> None:
         """Attach a :class:`repro.obs.trace.Tracer` to the whole fabric.
 
-        Gives every channel, NIC and switch its observability track and
+        Gives every channel and NIC its observability track and
         hooks the engine's dispatch histogram.  Call before traffic flows;
         passing ``None`` detaches everything.
         """
@@ -276,8 +278,6 @@ class Fabric:
             for nics in self.rail_nics.values():
                 for nic in nics:
                     nic.trace = None
-            for sw in self.switches.values():
-                sw.trace = None
             return
         self.sim.trace_hook = tracer.on_engine_event
         for (src, dst), ch in sorted(self.channels.items()):
@@ -285,8 +285,6 @@ class Fabric:
         for h in sorted(self.rail_nics):
             for r, nic in enumerate(self.rail_nics[h]):
                 nic.trace = tracer.track("nic", f"h{h}" if r == 0 else f"h{h}.r{r}")
-        for name in sorted(self.switches):
-            self.switches[name].trace = tracer.track("switch", name)
 
     # ------------------------------------------------------------ accessors
 
@@ -364,8 +362,9 @@ class Fabric:
 
     def straggler_inert(self, host: int, t0: float, t1: float) -> bool:
         """True when every straggler sample on *host* over ``[t0, t1]``
-        would return 0 — the receiver-batch eligibility gate (the host-side
-        mirror of :meth:`Channel.fault_inert`)."""
+        would return 0 — where a receive worker's step and a folded
+        receiver can be told ahead (the host-side mirror of
+        :meth:`Channel.fault_inert`)."""
         spec = self._stragglers.get(host)
         return spec is None or spec.inert_over(t0, t1)
 
@@ -651,34 +650,18 @@ class Fabric:
 
     def host_injected_bytes(self, payload_only: bool = False) -> int:
         """Bytes hosts pushed into the fabric (NIC send path)."""
-        total = 0
-        for (src, _dst), ch in self.channels.items():
-            if is_host(src):
-                total += ch.payload_bytes_sent if payload_only else ch.bytes_sent
-        return total
+        if payload_only:
+            return sum(ch.payload_bytes_sent for ch in self._host_channels)
+        return sum(ch.bytes_sent for ch in self._host_channels)
 
     def per_switch_egress(self) -> Dict[str, int]:
         return {name: sw.egress_wire_bytes for name, sw in self.switches.items()}
-
-    def total_trains(self) -> int:
-        """Coalesced trains moved across all channels (fast-path telemetry)."""
-        return sum(ch.trains_sent for ch in self.channels.values())
-
-    def total_train_packets(self) -> int:
-        """Packets that rode coalesced trains (vs per-packet events)."""
-        return sum(ch.train_packets for ch in self.channels.values())
 
     def total_drops(self) -> int:
         return sum(ch.packets_dropped for ch in self.channels.values())
 
     def total_rnr_drops(self) -> int:
         return sum(nic.rnr_drops
-                   for nics in self.rail_nics.values() for nic in nics)
-
-    def total_stamped_cqes(self) -> int:
-        """Receive CQEs pushed at hand-over instead of by an arrival event
-        (look-ahead delivery, DESIGN.md §6c)."""
-        return sum(nic.stamped_cqes
                    for nics in self.rail_nics.values() for nic in nics)
 
     def reset_counters(self) -> None:
@@ -692,4 +675,3 @@ class Fabric:
                 nic.rnr_drops = 0
                 nic.packets_received = 0
                 nic.bytes_received = 0
-                nic.stamped_cqes = 0

@@ -154,8 +154,8 @@ def normalize_windows(windows: Iterable) -> Tuple[Window, ...]:
 def windows_inert_after(windows: Iterable[Window], t: float) -> bool:
     """True when every window has fully elapsed by virtual time ``t`` —
     no sample at or after ``t`` can land inside one, so a timing model
-    (train coalescing, flow-level fast-forward) that evaluates the whole
-    future transfer at nominal rates is exact."""
+    (the folds) that evaluates the whole future transfer at nominal rates
+    is exact."""
     return all(w.end <= t for w in windows)
 
 

@@ -8,11 +8,13 @@ transmitting when the channel frees up, occupies it for
 node.
 
 The arrival instant and the drop decision are both known at the moment of
-the ``transmit`` call, so a destination that implements ``arrive`` /
-``arrive_train`` (switches and NICs) is handed the packet *then*, stamped
-with its arrival instant, and schedules whatever the arrival causes itself
-(DESIGN.md §6b/§6c).  A plain node gets ``receive`` by event at the
-arrival instant.
+the ``transmit`` call, so a destination that implements ``arrive``
+(switches and NICs) is handed the packet *then*, stamped with its arrival
+instant, and schedules whatever the arrival causes itself (DESIGN.md
+§6b).  A plain node gets ``receive`` by event at the arrival instant.
+Every packet is its own transmission, on the reference path and the
+production path alike; what the production path skips is left to the
+folds (``repro.sim.fastforward``, ``repro.net.inc``).
 
 Fault injection (:class:`FaultSpec`) models fabric drops: corrupted packets
 still consume wire time (they were transmitted!) but are never delivered.
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.net.faults import GilbertElliott, Window, normalize_windows
-from repro.net.packet import Packet, PacketKind, PacketTrain
+from repro.net.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -141,10 +143,9 @@ class Channel:
         Node names, for identification in counters and routing.
     dst_node:
         The destination.  Either it implements ``arrive(packet, channel,
-        at)`` and ``arrive_train(train, channel)`` — called at transmit
-        time with the arrival instant(s) — or its ``receive(packet,
-        channel)`` / ``receive_train(train, channel)`` is called by event
-        at the (first) arrival instant.
+        at)`` — called at transmit time with the arrival instant — or its
+        ``receive(packet, channel)`` is called by event at the arrival
+        instant.
     bandwidth:
         Bytes per second.
     latency:
@@ -154,12 +155,6 @@ class Channel:
     rng:
         numpy Generator for this channel's stochastic decisions; required
         when the fault spec uses probabilities or jitter.
-    coalescing:
-        Allow :meth:`transmit_train` to move back-to-back packet runs as
-        one event when the channel's timing is inert (the production
-        path).  :class:`~repro.net.fabric.Fabric` builds every channel with
-        ``coalescing = not reference``; off, every packet is its own event
-        and virtual-time results are identical.
     """
 
     __slots__ = (
@@ -173,7 +168,6 @@ class Channel:
         "latency",
         "fault",
         "rng",
-        "coalescing",
         "busy_until",
         "ctrl_bypass_bytes",
         "bytes_sent",
@@ -182,8 +176,6 @@ class Channel:
         "bytes_dropped",
         "packets_dropped",
         "down",
-        "trains_sent",
-        "train_packets",
         "_droppable_seq",
         "_ge_bad",
         "trace",
@@ -199,7 +191,6 @@ class Channel:
         latency: float,
         fault: Optional[FaultSpec] = None,
         rng: Optional[np.random.Generator] = None,
-        coalescing: bool = True,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -210,16 +201,14 @@ class Channel:
         self.dst_name = dst_name
         self.dst_node = dst_node
         self._hands_over = hasattr(dst_node, "arrive")
-        #: latest arrival instant of anything the destination scheduled by
-        #: event (trains included).  Kept by a destination that may instead
-        #: consume a packet at hand-over (:meth:`Nic.arrive`): nothing handed
-        #: over later may overtake an arrival still in flight.
+        #: latest arrival instant of anything a NIC destination scheduled
+        #: by event (:meth:`Nic.arrive`); the INC fold reads it to know
+        #: the channel quiet, and moves it over what it folds
         self.horizon = _NEVER
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.fault = fault
         self.rng = rng
-        self.coalescing = coalescing
         self.busy_until = 0.0
         #: Packets at or below this wire size ride a high-priority virtual
         #: lane: they do not wait behind (or add to) the bulk-data queue.
@@ -235,8 +224,6 @@ class Channel:
         #: fail-stop flag: a downed port drops everything instantly (set by
         #: Fabric.crash_link / crash_switch, never cleared)
         self.down = False
-        self.trains_sent = 0  #: coalesced trains moved as one event
-        self.train_packets = 0  #: packets carried inside those trains
         self._droppable_seq = 0  #: index among fault-affected packets
         self._ge_bad: Optional[bool] = None  #: Gilbert–Elliott chain state
         #: observability track (repro.obs.trace.Track) or None; tracing
@@ -305,18 +292,14 @@ class Channel:
                              packet, self)
         return finish
 
-    # ------------------------------------------------------------ fast path
+    # ------------------------------------------------------- fold probes
 
     def _timing_inert(self) -> bool:
         """True when the fault state cannot perturb any packet's *timing*
         from now on: no reordering jitter, and no flap/bandwidth window
-        that is active now or scheduled for the future.  This is the
-        coalescing eligibility gate: a train's busy-chain walk evaluates
-        every packet's serialization at the nominal bandwidth and in FIFO
-        order, which is exact iff timing faults are quiescent.  *Drop*
-        machinery does not break the walk — drops are evaluated inside it
-        (see :meth:`transmit_train`) with the identical RNG consumption
-        order, so lossy channels still coalesce between loss decisions."""
+        that is active now or scheduled for the future — every packet is
+        serialized at the nominal bandwidth, in FIFO order, as the folds'
+        busy-chain walks (:func:`serialize`) assume."""
         f = self.fault
         if f is None:
             return True
@@ -335,9 +318,8 @@ class Channel:
         """Inertness probe: the channel is up and provably cannot drop,
         delay, or reorder any future packet — timing faults are quiescent
         (:meth:`_timing_inert`, which also covers flap outages) and no drop
-        machinery is armed.  Look-ahead delivery stamps a single packet only
-        through such a channel; the data fold asks :meth:`fold_drops`,
-        which lets replayable drop machinery through."""
+        machinery is armed.  The data fold asks :meth:`fold_drops`, which
+        lets replayable drop machinery through."""
         f = self.fault
         return not self.down and self._timing_inert() and (f is None or not (
             f.drop_prob > 0.0 or f.drop_packet_seqs
@@ -411,125 +393,6 @@ class Channel:
         self._ge_bad = bad
         return np.array(drops, dtype=bool)
 
-    def transmit_train(self, packets: Sequence[Packet], injections: Optional[Sequence[float]] = None):
-        """Transmit a back-to-back run of same-flow packets.
-
-        When the channel's *timing* faults are quiescent (see
-        :meth:`_timing_inert`) the whole run is serialized with one
-        ``busy_until`` walk; byte/packet counters and every per-packet
-        serialization/arrival instant are computed with the same float
-        arithmetic as :meth:`transmit`, so virtual-time results are
-        bit-identical.  Drop machinery (Bernoulli, Gilbert–Elliott,
-        deterministic seqs, predicates) does not force the slow path: each
-        packet's drop decision is evaluated inside the walk in transmit
-        order — the identical RNG consumption order — and the surviving
-        packets are delivered as one :class:`PacketTrain` (or per-packet
-        when fewer than two survive).  Only timing faults (jitter, live
-        flap/bandwidth windows) defer to the per-packet slow path.
-
-        ``injections`` gives per-packet transmit-start instants (a switch
-        relaying a train injects each packet as it arrives); ``None`` means
-        all packets are injected now (a sender bursting a batch).  Returns
-        per-packet serialization-finish times, or ``None`` when packets
-        with future injection instants were deferred to the slow path.
-        """
-        n = len(packets)
-        if n == 0:
-            return []
-        now = self.sim.now
-        if self.down:
-            for p in packets:
-                self.bytes_dropped += p.wire_bytes
-            self.packets_dropped += n
-            return [now] * n
-        eligible = (
-            self.coalescing
-            and n > 1
-            and self._timing_inert()
-            and all(p.payload_len + p.header_bytes > self.ctrl_bypass_bytes
-                    for p in packets)
-        )
-        if not eligible:
-            if injections is None:
-                return [self.transmit(p) for p in packets]
-            finishes = []
-            all_now = True
-            post_at = self.sim.post_at
-            for p, inj in zip(packets, injections):
-                if inj <= now:
-                    finishes.append(self.transmit(p))
-                else:
-                    # Replay the per-packet injection instants the slow
-                    # path would have seen.
-                    all_now = False
-                    post_at(inj, self.transmit, p)
-            return finishes if all_now else None
-
-        bandwidth = self.bandwidth
-        latency = self.latency
-        prev = self.busy_until
-        finishes = []
-        survivors = []
-        surv_arrivals = []
-        bytes_sum = 0
-        payload_sum = 0
-        fault = self.fault
-        # A spec that spares no transport reaches every packet (what
-        # FaultSpec.affects would answer, without the call per packet).
-        reach_all = fault is not None and not fault.protect_reliable
-        trc = self.trace
-        if injections is None:
-            injections = [now] * n
-        first_start = injections[0] if injections[0] > prev else prev
-        for p, inj in zip(packets, injections):
-            start = inj if inj > prev else prev
-            wire = p.payload_len + p.header_bytes
-            prev = start + wire / bandwidth
-            finishes.append(prev)
-            bytes_sum += wire
-            payload_sum += p.payload_len
-            if fault is not None and (reach_all or p.kind in UNRELIABLE_KINDS):
-                # Same droppable index and RNG consumption order as the
-                # per-packet path.  A dropped packet still burned its wire
-                # time above; it just never arrives.
-                seq = self._droppable_seq
-                self._droppable_seq = seq + 1
-                if self._should_drop(p, seq):
-                    self.bytes_dropped += wire
-                    self.packets_dropped += 1
-                    if trc is not None:
-                        trc.instant("link.drop", prev)
-                    continue
-            survivors.append(p)
-            surv_arrivals.append(prev + latency)
-        self.busy_until = prev
-        self.bytes_sent += bytes_sum
-        self.payload_bytes_sent += payload_sum
-        self.packets_sent += n
-        if trc is not None:
-            # One merged busy interval for the whole run.
-            trc.complete("link.busy", first_start, prev - first_start)
-        if len(survivors) >= 2:
-            self.trains_sent += 1
-            self.train_packets += len(survivors)
-            if trc is not None:
-                trc.instant("link.train", first_start, {"pkts": len(survivors)})
-            train = PacketTrain(survivors, surv_arrivals)
-            if self._hands_over:
-                self.dst_node.arrive_train(train, self)
-            else:
-                self.sim.post_at(
-                    surv_arrivals[0], self.dst_node.receive_train, train, self
-                )
-        elif survivors:
-            # A run gutted down to one survivor is just a packet.
-            if self._hands_over:
-                self.dst_node.arrive(survivors[0], self, surv_arrivals[0])
-            else:
-                self.sim.post_at(surv_arrivals[0], self.dst_node.receive,
-                                 survivors[0], self)
-        return finishes
-
     def _should_drop(self, packet: Packet, seq: int) -> bool:
         fault = self.fault
         assert fault is not None
@@ -568,8 +431,6 @@ class Channel:
         self.packets_sent = 0
         self.bytes_dropped = 0
         self.packets_dropped = 0
-        self.trains_sent = 0
-        self.train_packets = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Channel {self.name} sent={self.packets_sent}p/{self.bytes_sent}B>"

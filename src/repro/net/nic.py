@@ -34,13 +34,13 @@ import collections
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.link import Channel
 from repro.net.memory import Memory
-from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
+from repro.net.packet import MCAST_FLAG, Packet, PacketKind
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,13 +165,10 @@ class CompletionQueue:
     def push_at(self, cqe: CQE, t: float) -> None:
         """Push a CQE stamped with an explicit completion instant *t*.
 
-        Look-ahead delivery (:meth:`Nic._receive_stamped`) pushes a CQE
-        when its packet is handed over, stamped with the packet's true
-        arrival instant ``t >= now``; the consumer anchors its per-CQE
-        processing at ``max(previous end, cqe.timestamp)``, which
-        reproduces per-packet delivery timing exactly.  An armed notify
-        callback fires at *t* — an idle consumer learns of a completion
-        when it happens, and finds everything stamped since behind it.
+        The INC fold (:class:`repro.net.inc.IncFold`) hands a pass back by
+        pushing the CQEs of the packets that arrived before it, stamped
+        with their arrival instants.  An armed notify callback fires at
+        *t*, at once when *t* has passed.
         """
         cqe.timestamp = t
         self.items.append(cqe)
@@ -328,8 +325,7 @@ class QueuePair(_ReceiveQueue):
     """
 
     __slots__ = ("nic", "qpn", "transport", "send_cq", "recv_cq", "srq",
-                 "peer", "mcast_groups", "rnr_drops", "batch_delivery",
-                 "on_dry")
+                 "peer", "mcast_groups", "rnr_drops")
 
     def __init__(
         self,
@@ -361,17 +357,6 @@ class QueuePair(_ReceiveQueue):
         self.peer: Optional[Tuple[int, int]] = None  # (host, qpn)
         self.mcast_groups: AbstractSet[int] = _NO_GROUPS
         self.rnr_drops = 0
-        #: opt-in to look-ahead delivery (:meth:`Nic._receive_stamped`): a
-        #: multicast packet is consumed when it is handed over and its CQE
-        #: carries the arrival instant as a stamp.  Only the progress engine
-        #: sets this, on the subgroup QPs (each drained by its own receive
-        #: worker).
-        self.batch_delivery = False
-        #: called when a UD receive finds the queue empty, before the NIC
-        #: acts on it: the owner applies re-posts it has deferred to
-        #: instants already reached (the progress engine's batched DMA
-        #: completions).  ``None`` when nothing is ever deferred.
-        self.on_dry: Optional[Callable[[], None]] = None
 
     def __getattr__(self, name: str):
         # Reached only for an unset slot: build the default CQ lazily.
@@ -502,17 +487,11 @@ class Nic:
         self._qpn_counter = itertools.count(1)
         self._msg_counter = itertools.count(1)
         self._mcast_attached: Dict[int, List[int]] = collections.defaultdict(list)
-        #: gid → the group's one attached QP, or False (:meth:`_stamp_qp`);
-        #: cleared by every QP create, adopt, attach and detach
-        self._stamp_qps: Dict[int, object] = {}
         # (src_host, src_qpn, msg_id) -> reassembly state
         self._reassembly: Dict[Tuple[int, int, int], _Reassembly] = {}
         self.rnr_drops = 0
         self.packets_received = 0
         self.bytes_received = 0
-        #: receive CQEs pushed at hand-over, stamped with their arrival
-        #: instant (look-ahead delivery), instead of by an arrival event
-        self.stamped_cqes = 0
         #: fail-stop flag: a dead NIC neither transmits nor receives, wire
         #: or loopback (set by :meth:`fail_stop`, never cleared)
         self.dead = False
@@ -549,14 +528,12 @@ class Nic:
         qp = QueuePair(self, qpn, transport, send_cq, recv_cq,
                        max_recv_wr=max_recv_wr, srq=srq)
         self.qps[qpn] = qp
-        self._stamp_qps.clear()
         return qp
 
     def attach_mcast(self, gid: int, qpn: int) -> None:
         self.fabric.register_mcast_member(gid, self.host)
         if qpn not in self._mcast_attached[gid]:
             self._mcast_attached[gid].append(qpn)
-        self._stamp_qps.clear()
 
     def adopt_qp(self, qp: QueuePair) -> None:
         """Re-home *qp* (and its multicast attachments) onto this NIC —
@@ -572,18 +549,15 @@ class Nic:
         for gid in gids:
             old.detach_mcast(gid, qp.qpn)
         old.qps.pop(qp.qpn, None)
-        old._stamp_qps.clear()
         qp.qpn = next(self._qpn_counter)
         qp.nic = self
         self.qps[qp.qpn] = qp
-        self._stamp_qps.clear()
         for gid in gids:
             self.attach_mcast(gid, qp.qpn)
 
     def detach_mcast(self, gid: int, qpn: int) -> None:
         if qpn in self._mcast_attached.get(gid, ()):
             self._mcast_attached[gid].remove(qpn)
-        self._stamp_qps.clear()
 
     # ------------------------------------------------------------- send path
 
@@ -671,39 +645,27 @@ class Nic:
             self._execute_read(qp, wr)
             return
         wr, packets, dst = self._build_send_packets(qp, wr)
-        last_finish = self._transmit_burst(packets)[-1]
+        for pkt in packets:
+            last_finish = self._transmit(pkt)
         self._complete_send(qp, wr, dst, last_finish)
 
     def post_send_batch(self, items) -> None:
-        """Post a sequence of ``(qp, wr)`` send WRs at the current instant.
-
-        The semantic equivalent of calling ``qp.post_send(wr)`` for each
-        item in order, but back-to-back wire runs toward one destination
-        are handed to the egress channel as a single packet train, which a
-        fault-free channel moves with one event instead of one per packet.
-        The doorbell-batched multicast send worker (§V-A) posts through
-        this path.
-        """
+        """Post a sequence of ``(qp, wr)`` send WRs at the current instant
+        with one doorbell (§V-A): ``qp.post_send(wr)`` for each item in
+        order, every packet through :meth:`_transmit`, except that the
+        send completions of a back-to-back run toward one destination are
+        scheduled after the run's last packet.  The doorbell-batched
+        multicast send worker posts through this path."""
         trc = self.trace
         if trc is not None:
             items = list(items)
             trc.instant("nic.doorbell", self.sim.now, {"wrs": len(items)})
-        run_pkts: List[Packet] = []
-        run_meta: List[tuple] = []  # (qp, wr, dst, n_packets)
-        run_dst: Optional[int] = None
+        run: List[tuple] = []  # (qp, wr, dst, last finish) not completed yet
 
         def flush() -> None:
-            nonlocal run_pkts, run_meta, run_dst
-            if not run_pkts:
-                return
-            finishes = self._transmit_burst(run_pkts)
-            i = 0
-            for fqp, fwr, fdst, n in run_meta:
-                i += n
-                self._complete_send(fqp, fwr, fdst, finishes[i - 1])
-            run_pkts = []
-            run_meta = []
-            run_dst = None
+            for args in run:
+                self._complete_send(*args)
+            run.clear()
 
         for qp, wr in items:
             qp._validate_send(wr)
@@ -712,16 +674,14 @@ class Nic:
                 self._execute_read(qp, wr)
                 continue
             wr, packets, dst = self._build_send_packets(qp, wr)
-            if dst != run_dst:
+            if run and dst != run[-1][2]:
                 flush()
-            if dst == self.host:
-                # Loopback never trains; keep the per-packet turnaround.
-                last_finish = self._transmit_burst(packets)[-1]
+            for pkt in packets:
+                last_finish = self._transmit(pkt)
+            if dst == self.host:  # loopback completes per WR
                 self._complete_send(qp, wr, dst, last_finish)
-                continue
-            run_dst = dst
-            run_pkts.extend(packets)
-            run_meta.append((qp, wr, dst, len(packets)))
+            else:
+                run.append((qp, wr, dst, last_finish))
         flush()
 
     def _execute_read(self, qp: QueuePair, wr: SendWR) -> None:
@@ -760,177 +720,21 @@ class Nic:
             raise RuntimeError(f"NIC h{self.host} is not wired to the fabric")
         return self.egress.transmit(pkt)
 
-    def _transmit_burst(self, pkts: List[Packet]) -> List[float]:
-        """Transmit a same-destination packet run built at this instant;
-        returns per-packet serialization-finish times.  Multi-packet wire
-        runs go out as a train (coalesced when the channel allows it)."""
-        if self.dead:
-            now = self.sim.now
-            return [now for _ in pkts]
-        if pkts[0].dst == self.host:
-            return [self._transmit(p) for p in pkts]
-        if self.egress is None:
-            raise RuntimeError(f"NIC h{self.host} is not wired to the fabric")
-        if len(pkts) == 1:
-            return [self.egress.transmit(pkts[0])]
-        return self.egress.transmit_train(pkts)
-
     # ---------------------------------------------------------- receive path
 
     def arrive(self, packet: Packet, channel: Channel, at: float) -> None:
-        """Hand-over from the delivering channel at transmit time; *at* is
-        the arrival instant.  The packet is consumed now, its CQE stamped
-        *at*, when nothing in between can change what this NIC does with
-        it (:meth:`_receive_stamped`, DESIGN.md §6c); otherwise
-        :meth:`receive` runs by event at *at*, and later hand-overs on
-        this channel wait behind that arrival."""
-        if self._receive_stamped(packet, at, channel):
-            return
+        """Hand-over from the delivering channel at transmit time: *at* is
+        the arrival instant, where :meth:`receive` runs by event."""
         if at > channel.horizon:
             channel.horizon = at
         self.sim.post_at(at, self.receive, packet, channel)
 
-    def arrive_train(self, train: PacketTrain, channel: Channel) -> None:
-        """:meth:`arrive` for a coalesced train: one event at its first
-        arrival (:meth:`receive_train`)."""
-        arrivals = train.arrivals
-        if arrivals[-1] > channel.horizon:
-            channel.horizon = arrivals[-1]
-        self.sim.post_at(arrivals[0], self.receive_train, train, channel)
-
-    def receive_train(self, train: PacketTrain, channel: Optional[Channel]) -> None:
-        """Deliver a coalesced train's packets at their exact per-packet
-        arrival instants.  The drop decisions were made when the train was
-        built, so each pending packet is consumed here, ahead of its
-        arrival, with a stamped CQE (:meth:`_receive_stamped`).  The first
-        packet that cannot be — no receive WR posted yet, say — stops the
-        look-ahead: everything due now is delivered, and ONE event is
-        chained for the next pending arrival, so state-dependent receive
-        decisions (RNR drops, staging occupancy) see the same world as
-        per-packet simulation."""
-        if self.dead:
-            return
-        pkts = train.packets
-        arr = train.arrivals
-        n = len(pkts)
-        i = train.next_idx
-        now = self.sim.now
-        while i < n:
-            if not self._receive_stamped(pkts[i], arr[i]):
-                if arr[i] > now:
-                    train.next_idx = i
-                    self.sim.post_at(arr[i], self.receive_train, train, channel)
-                    return
-                self.receive(pkts[i], channel)
-            i += 1
-
-    def _receive_stamped(self, packet: Packet, at: float,
-                         channel: Optional[Channel] = None) -> bool:
-        """Look-ahead delivery: consume *packet* now, ahead of its arrival
-        at *at*, if that is indistinguishable from delivering it then.
-        Returns whether the packet was consumed.
-
-        Eligible is a multicast UD send (or single-segment multicast UC
-        write carrying an immediate) whose group has exactly one local QP
-        attached, opted in via :attr:`QueuePair.batch_delivery`, with a
-        fitting receive WR posted *now*.  Receive WRs are consumed in FIFO
-        order and hand-overs happen in wire order, so the packet takes the
-        WR it would take at *at*; a queue that is dry now may be
-        replenished by then, so that case is left to the arrival event.
-        No crash may be pending: a NIC that dies before *at* never sees
-        the packet (:meth:`fail_stop` takes back what was already
-        stamped).  *channel* is given for a single packet handed over at
-        transmit time; it must be FIFO and quiet — no fault armed, and
-        nothing it delivers by event still in flight, which a stamped CQE
-        would overtake into the CQ.  (A train's packets were vetted when
-        it was built and are handed over in order by its own event.)
-        """
-        gid = packet.dst - MCAST_FLAG
-        if gid < 0:
-            return False
-        qp = self._stamp_qps.get(gid)
-        if qp is None:
-            qp = self._stamp_qp(gid)
-        if not qp or not qp.batch_delivery:
-            return False
-        kind = packet.kind
-        if kind is PacketKind.UD_SEND:
-            uc = False
-        elif (kind is PacketKind.UC_WRITE and packet.msg_segments == 1
-                and packet.imm is not None):
-            uc = True
-        else:
-            return False
-        if self.dead or self.fabric.pending_crashes:
-            return False
-        if channel is not None and (
-                channel.horizon >= self.sim.now
-                or (channel.fault is not None and not channel.fault_inert())):
-            return False
-        queue = qp.recv_queue
-        if not queue and qp.on_dry is not None:
-            qp.on_dry()
-        if not queue:
-            return False
-        n = packet.payload_len
-        if uc:
-            ctx = packet.ctx
-            try:
-                mr = self.memory.lookup(ctx["remote_key"])
-                off = ctx["remote_offset"]
-                mr.check(off, n)
-            except (KeyError, IndexError):
-                return False  # UC silently drops bad placements, at arrival
-            wr = queue.popleft()
-            opcode = Opcode.RECV_RDMA_WITH_IMM
-        else:
-            wr = queue[0]
-            if n > wr.length:
-                return False  # length error, counted at arrival
-            queue.popleft()
-            mr = None
-            opcode = Opcode.RECV
-        src = packet.payload_src
-        if src is not None and n:
-            if mr is None:
-                mr = self.memory.lookup(wr.mr_key)
-                off = wr.offset
-            mr.place(off, src, packet.payload_off, n)
-        self.packets_received += 1
-        self.bytes_received += n
-        self.stamped_cqes += 1
-        if self.trace is not None:
-            self.trace.instant("nic.cqe", at)
-        qp.recv_cq.push_at(
-            CQE(wr.wr_id, opcode, qp.qpn, n, packet.imm, packet.src,
-                packet.src_qpn), at)
-        return True
-
-    def _stamp_qp(self, gid: int):
-        """The QP look-ahead delivery may stamp a group-*gid* packet into:
-        the group's one attached local QP, or ``False``; cached."""
-        qpns = self._mcast_attached.get(gid)
-        qp = qpns is not None and len(qpns) == 1 and self.qps.get(qpns[0], False)
-        self._stamp_qps[gid] = qp
-        return qp
-
     def fail_stop(self) -> None:
         """Kill this NIC permanently: it neither transmits nor receives
-        from this instant on.  A packet consumed ahead of an arrival that
-        is now never going to happen is taken back out of its CQ — the
-        arrival event would have found the NIC dead."""
+        from this instant on."""
         self.dead = True
         if self.egress is not None:
             self.egress.down = True
-        now = self.sim.now
-        for qp in self.qps.values():
-            if qp.mcast_groups:  # only multicast packets are ever stamped
-                cq = qp.recv_cq
-                while cq.items and cq.items[-1].timestamp > now:
-                    cqe = cq.items.pop()
-                    cq.total_pushed -= 1
-                    self.packets_received -= 1
-                    self.bytes_received -= cqe.byte_len
 
     def receive(self, packet: Packet, channel: Optional[Channel]) -> None:
         """Called by the delivering channel (or loopback)."""
@@ -974,8 +778,6 @@ class Nic:
 
     def _deliver_ud(self, qp: QueuePair, packet: Packet) -> None:
         trc = self.trace
-        if not qp.recv_queue and qp.on_dry is not None:
-            qp.on_dry()
         if not qp.recv_queue:
             qp.rnr_drops += 1
             self.rnr_drops += 1
@@ -1148,7 +950,8 @@ class Nic:
                 },
             )
             resps.append(resp)
-        self._transmit_burst(resps)
+        for resp in resps:
+            self._transmit(resp)
 
     def _absorb_read_response(self, qp: QueuePair, packet: Packet) -> None:
         ctx = packet.ctx

@@ -18,23 +18,18 @@ needs Python ≥3.10; the CI matrix includes 3.9).
 
 A packet is immutable once built: a switch replicates a multicast packet
 by handing the *same* object to every egress port, and every receiver
-reads that one object (DESIGN.md §6b).  Its ``ctx`` is therefore a
-read-only mapping.
-
-:class:`PacketTrain` is the fast-path unit: a back-to-back run of packets
-of one flow that a fault-free channel serialized with a single event (see
-:meth:`repro.net.link.Channel.transmit_train`).
+reads that one object.  Its ``ctx`` is therefore a read-only mapping.
 """
 
 from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
-__all__ = ["PacketKind", "Packet", "PacketTrain", "MCAST_FLAG"]
+__all__ = ["PacketKind", "Packet", "MCAST_FLAG"]
 
 #: Destination ids at or above this value denote multicast group ids
 #: (``MCAST_FLAG + gid``), mirroring the IB multicast LID range.
@@ -179,30 +174,6 @@ class Packet:
             f"<Packet {self.kind.value} {self.src}->{dst} "
             f"len={self.payload_len} imm={self.imm}>"
         )
-
-
-class PacketTrain:
-    """A back-to-back run of same-flow packets moved as one queue event.
-
-    ``arrivals[i]`` is the exact per-packet delivery instant the per-packet
-    slow path would have produced; receivers replay them via a chained
-    delivery (one pending event per train, never one per packet), so CQE
-    timestamps and RNR decisions are identical to per-packet simulation.
-    ``next_idx`` is the receiver-side replay cursor.
-    """
-
-    __slots__ = ("packets", "arrivals", "next_idx")
-
-    def __init__(self, packets: List[Packet], arrivals: Sequence[float]) -> None:
-        self.packets = packets
-        self.arrivals = arrivals
-        self.next_idx = 0
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PacketTrain n={len(self.packets)} t0={self.arrivals[0]:.9f}>"
 
 
 def mcast_dst(gid: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.net.link import Channel
-from repro.net.packet import MCAST_FLAG, Packet, PacketKind, PacketTrain
+from repro.net.packet import MCAST_FLAG, Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
@@ -49,9 +49,6 @@ class Switch:
         #: (set by Fabric.crash_switch, never cleared — crashes are permanent)
         self.dead = False
         self.packets_dropped_dead = 0
-        #: observability track or None (see repro.obs); only train relays
-        #: are traced — per-packet egress is visible on the link tracks.
-        self.trace = None
 
     # ----------------------------------------------------------------- wiring
 
@@ -128,48 +125,6 @@ class Switch:
                 return
             ch.transmit(packet)
             self.packets_forwarded += 1
-
-    # ------------------------------------------------------------- fast path
-
-    def arrive_train(self, train: PacketTrain, in_channel: Channel) -> None:
-        """:meth:`arrive` for a coalesced train: one event for the whole
-        run, the forwarding delay after its first arrival."""
-        self.sim.post_at(train.arrivals[0] + self.forwarding_delay,
-                         self._forward_train, train, in_channel.src_name)
-
-    def _forward_train(self, train: PacketTrain, in_port: Optional[str]) -> None:
-        pkts = train.packets
-        if self.dead:
-            self.packets_dropped_dead += len(pkts)
-            return
-        first = pkts[0]
-        d = self.forwarding_delay
-        # Per-packet injection instants downstream: each packet would have
-        # been forwarded ``d`` after its own arrival here.  ``a + d`` is the
-        # same float expression the per-packet call_later path evaluates.
-        inj = [a + d for a in train.arrivals] if d > 0.0 else train.arrivals
-        n = len(pkts)
-        trc = self.trace
-        if first.dst >= MCAST_FLAG:
-            egress = self._egress_of(first.dst - MCAST_FLAG, in_port)
-            if egress is None:
-                self.packets_dropped_no_route += n
-                return
-            for ch in egress:
-                ch.transmit_train(pkts, injections=inj)
-                self.packets_forwarded += n
-                if trc is not None:
-                    trc.instant("switch.relay", self.sim.now, {"pkts": n})
-        else:
-            row = self.route_row
-            ch = row[first.dst] if 0 <= first.dst < len(row) else None
-            if ch is None:
-                self.packets_dropped_no_route += n
-                return
-            ch.transmit_train(pkts, injections=inj)
-            self.packets_forwarded += n
-            if trc is not None:
-                trc.instant("switch.relay", self.sim.now, {"pkts": n})
 
     # -------------------------------------------------------------- counters
 

@@ -28,10 +28,8 @@ TRACEPOINTS: Dict[str, Any] = {
     # -- simulation engine ------------------------------------------------
     "engine.dispatch": ("C", "events dispatched per virtual-time bin"),
     # -- links / switches -------------------------------------------------
-    "link.busy": ("X", "port busy interval for one packet (or train)"),
-    "link.train": ("i", "packet-train coalesced onto the wire (args: pkts)"),
+    "link.busy": ("X", "port busy interval for one packet"),
     "link.drop": ("i", "packet dropped by the channel fault model"),
-    "switch.relay": ("i", "switch forwarded a packet train (args: pkts)"),
     # -- NIC --------------------------------------------------------------
     "nic.doorbell": ("i", "send doorbell rung for a WR batch (args: wrs)"),
     "nic.cqe": ("i", "completion queue entry delivered to the host"),
@@ -39,9 +37,6 @@ TRACEPOINTS: Dict[str, Any] = {
     "nic.outstanding": ("C", "in-flight send batches for a rank"),
     # -- host datapath ----------------------------------------------------
     "dma.copy": ("X", "staging-slot to user-buffer copy"),
-    "dma.copy_runs": ("X", "run-coalesced staging-to-user DMA batch "
-                          "(args: copies, segments)"),
-    "cq.batch": ("i", "receiver consumed a CQE train in one wake (args: cqes)"),
     "staging.hold": ("C", "staging-ring slots held (received, not copied)"),
     # -- control plane ----------------------------------------------------
     "comm.submit": ("i", "collective submitted on the unified surface "

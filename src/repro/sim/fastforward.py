@@ -42,9 +42,9 @@ The fold replicates the **slow-path** float arithmetic expression by
 expression — ``max`` written as the same branch shapes, costs summed in
 the same order — so every committed instant (channel ``busy_until``, DMA
 watermarks, worker cursors, ``data_done``) is bit-identical to the
-reference engine (``Fabric(reference=True)``).  Event counts and
-receiver-batch telemetry necessarily *drop* under the fold, so
-equivalence checks compare virtual time, counters and payloads.
+reference engine (``Fabric(reference=True)``).  Event counts
+necessarily *drop* under the fold, so equivalence checks compare virtual
+time, counters and payloads.
 
 Declines and re-entry
 ---------------------
@@ -357,8 +357,6 @@ class _Session:
                 op.kind != "broadcast" and effective_chains(len(ranks), cfg.n_chains) > 1)):
             # (concurrent chains draw in an order only a merge of them knows)
             raise _Miss("fault" if "fault" in drops else "lossy")
-        for e in engines:
-            e.settle()
         #: senders whose phase already ran, folded or at packet level
         sent = [o.is_sender and "send_done" in o.phases for o in ops]
         reason = _unsettled(ff.sim.now, T, engines, ops, sent)
@@ -400,17 +398,13 @@ class _Session:
         self.deferred, self.cut, self.defer_from = False, _NEG_INF, 0
         self.drops: List[tuple] = []  # (worker past them, packets) served
         cost = engine.cost
-        free = [e.rx_free[0] for e in engines]
-        #: lane -> when its worker issues the staging copy of its last
-        #: packet-level CQE, for those still to issue one
-        self.copy_at = {j: f[0] for j, f in enumerate(free) if f[1]}
+        # Each worker's step under way (RankEngine.rx_step): the fold's
+        # packets queue behind it, and its copies on the DMA engine.
+        steps = [e.rx_step[0] for e in engines]
         dma = None if self.uc else (
             np.array([e.dma.bandwidth for e in engines]),
             np.array([e.dma.latency for e in engines]),
-            # ... the fold's copies queue behind that copy
-            np.array([e.dma.busy_until if not f[1] else (
-                f[0] if f[0] > e.dma.busy_until else e.dma.busy_until)
-                + f[1] / e.dma.bandwidth for e, f in zip(engines, free)]))
+            np.array([e.dma.after(f.copies) for e, f in zip(engines, steps)]))
         self.lanes = ReceiverLanes(
             self.edges.switch_of,
             cost.cqe_poll + cost.cqe_process,
@@ -418,8 +412,8 @@ class _Session:
             np.array([ch.bandwidth for ch in self.hd]),
             np.array([ch.latency for ch in self.hd]),
             np.array([ch.busy_until for ch in self.hd]),
-            np.array([max(f[0], e.ff_resume_floor)
-                      for e, f in zip(engines, free)]), dma)
+            np.array([max(f.free, e.ff_resume_floor)
+                      for e, f in zip(engines, steps)]), dma)
         if dma is not None and engine.trace is not None:
             self.lanes.hold = ()  # traced: each lane's staging holds
         # --- cutoff deadlines of the ranks still waiting for data --------
@@ -441,7 +435,8 @@ class _Session:
         # A rank is complete once the chunks folded, less its own, reach
         # what it lacked at build: ``target`` is that folded count, and
         # ``due`` a heap of (target, lane) entries, stale ones included.
-        self.target = [o.n_chunks - o.bitmap.count for o in ops]
+        self.target = [o.n_chunks - o.bitmap.count - e.unset(o)
+                       for e, o in zip(engines, ops)]
         self.finished = [not n for n in self.target]
         self.due = [(n, j) for j, n in enumerate(self.target) if n]
         heapify(self.due)
@@ -454,7 +449,7 @@ class _Session:
         #: the session folds every phase, so the gather image is whole
         self.whole = not any(sent)
         #: per folded phase: (lane, first psn, chunks, wire bytes, payload
-        #: bytes, trains, train packets, doorbell batches)
+        #: bytes, doorbell batches)
         self.phases: List[tuple] = []
         self.env: List[float] = []  # running max of each phase's finish
         self.cum = [0]  # chunks folded before each phase
@@ -516,7 +511,7 @@ class _Session:
             engine, t_hook, wires, eg.bandwidth, self.eg_busy[i])
         edges, reach, got = self.edges, None, None
         if self.loss is not None:
-            reach, got, lost = self.loss.phase(i, op.send_lo, wires, lens, batches)
+            reach, got, lost = self.loss.phase(i, op.send_lo, wires, lens)
         pend, rows = edges.add(i, eg_fins, wires, lens, reach)
         if pend is None:
             raise _Miss("tie" if reach is None else "lossy")
@@ -580,9 +575,8 @@ class _Session:
             if state is not None and end:
                 self._settle(_INF, state)
         self.sent[i] = True
-        trains = [b for b in batches if b >= 2]
         self.phases.append((i, op.send_lo, n, sum(wires), sum(lens),
-                            len(trains), sum(trains), len(batches)))
+                            len(batches)))
         self.cum.append(self.cum[-1] + n)
         lo, ln = op.plan.bounds(op.send_lo)[0], sum(lens)
         src, so = op.mr.source(lo, ln)
@@ -762,12 +756,12 @@ class _Session:
         host's switch→host channel, the phases sent from below a switch on
         its up-channel and the rest on its down-channel."""
         T = self.T
-        per = np.zeros((len(self.ranks), 6), dtype=np.int64)
-        below = np.zeros((T.S, 5), dtype=np.int64)
+        per = np.zeros((len(self.ranks), 4), dtype=np.int64)
+        below = np.zeros((T.S, 3), dtype=np.int64)
         for rec in self.phases:
             per[rec[0]] += rec[2:]
-            below[self.sw_of[rec[0]]] += rec[2:7]
-        total = per[:, :5].sum(axis=0)
+            below[self.sw_of[rec[0]]] += rec[2:5]
+        total = per[:, :3].sum(axis=0)
         for c in range(T.S - 1, 0, -1):
             below[T.par[c]] += below[c]
         faulty, lanes, loss = T.faulty, self.lanes, self.loss
@@ -777,9 +771,9 @@ class _Session:
         for j, e in enumerate(self.engines):
             mine = per[j].tolist()
             if mine[0]:
-                count(self.eg[j], self.eg_busy[j], mine[:5], faulty)
-                e.send_cq.total_pushed += mine[5]
-            rx = (total - per[j, :5]).tolist()
+                count(self.eg[j], self.eg_busy[j], mine[:3], faulty)
+                e.send_cq.total_pushed += mine[3]
+            rx = (total - per[j, :3]).tolist()
             count(self.hd[j], float(lanes.hd_busy[j]), rx, faulty)
             packets, payload = (rx[0], rx[2]) if loss is None else loss.rx[j].tolist()
             e.nic.packets_received += packets
@@ -787,11 +781,11 @@ class _Session:
             e.sub_qps[0].recv_cq.total_pushed += packets
             if not self.uc:
                 busy = float(lanes.dma_busy[j])
-                at = self.copy_at.get(j, _NEG_INF)
-                if at > self.sim.now:
-                    # The worker issues its own copy first, on the old
-                    # watermark; the fold's queue behind it.
-                    self.sim.post_at(at, setattr, e.dma, "busy_until", busy)
+                step = e.rx_step[0]
+                if step.copies:
+                    # The worker issues its own copies first, on the old
+                    # watermark; it leaves the fold's behind them.
+                    step.dma_after = busy
                 else:
                     e.dma.busy_until = busy
                 e.dma.bytes_copied += payload
@@ -830,21 +824,23 @@ def _unsettled(now: float, T: _Tree, engines, ops, sent) -> Optional[str]:
     """Why a session cannot start from the objects' state, or ``None``.
     ``busy``: something an earlier phase sent is still on its way — a tree
     channel's last packet has not arrived (or, into a switch, not been
-    forwarded), a receive CQE is queued, a worker is mid-step
-    (:attr:`RankEngine.rx_free`) or would wait for its fold floor, or a
-    send is under way.  ``missing``: a rank lacks a chunk of a phase
-    already sent, which only recovery can deliver."""
+    forwarded), a receive CQE is queued, a worker is in a step whose end
+    is unknown (:attr:`RankEngine.rx_step`) or would wait for its fold
+    floor, or a send is under way.  ``missing``: a rank lacks a chunk of
+    a phase already sent — counting those its worker's step sets —, which
+    only recovery can deliver."""
     for ch, d in T.drain:
         if (ch.busy_until + ch.latency) + d >= now:
             return "busy"
     for e in engines:
-        free = e.rx_free[0][0]
+        free = e.rx_step[0].free
         if (len(e.sub_qps[0].recv_cq) or free == _INF or e._send_lock.in_use
                 or (free > now and e.ff_resume_floor > free)):
             return "busy"
     unsent = sum(o.own_chunks for o, s in zip(ops, sent) if not s)
-    for o, s in zip(ops, sent):
-        if o.n_chunks - o.bitmap.count != unsent - (0 if s else o.own_chunks):
+    for e, o, s in zip(engines, ops, sent):
+        if (o.n_chunks - o.bitmap.count - e.unset(o)
+                != unsent - (0 if s else o.own_chunks)):
             return "missing"
     return None
 

@@ -223,10 +223,8 @@ class TreeDrops:
     packets — a phase's after every pending one (the session folds a lossy
     phase only then), so in packet order.  A packet dropped on an edge is
     absent from every edge and host edge below it.  Per channel it keeps
-    the counters the flush commits — survivor counts, and a train where at
-    least two packets of a doorbell batch reach and leave the channel, as
-    :meth:`~repro.net.link.Channel.transmit_train` counts them — and per
-    switch and lane what reached it.  ``switch_of``/``hd``/``eg``: each
+    the counters the flush commits, and per switch and lane what reached
+    it.  ``switch_of``/``hd``/``eg``: each
     lane's switch, switch→host channel and NIC egress."""
 
     def __init__(self, tree, switch_of: np.ndarray, hd, eg) -> None:
@@ -235,8 +233,8 @@ class TreeDrops:
         self.hd, self.eg = hd, eg
         self.tapes = {ch: DropTape(ch) for ch in tree.faulty}
         self.used = dict.fromkeys(self.tapes, 0)  #: decisions committed
-        #: per channel: packets, wire bytes, payload bytes, trains, train
-        #: packets, drops, dropped wire bytes
+        #: per channel: packets, wire bytes, payload bytes, drops, dropped
+        #: wire bytes
         self.counts: Dict[object, np.ndarray] = {}
         self.fwd = np.zeros(tree.S, dtype=np.int64)  #: packets per switch
         self.rx = np.zeros((len(hd), 2), dtype=np.int64)  #: packets, payload
@@ -277,13 +275,12 @@ class TreeDrops:
                 np.array([self.eg[lane].latency + self.T.d[c]]), [c])
         return bool((last < np.minimum(first + own, later + self.near)).all())
 
-    def phase(self, i: int, psn: int, wires, lens, batches):
+    def phase(self, i: int, psn: int, wires, lens):
         """Lane *i*'s phase, chunks from *psn* on: ``(reach, got, pending)``
         — per packet the switches it reaches and the lanes it survives to,
         and what :meth:`commit` adds once the phase folds."""
         T, n = self.T, len(wires)
         W, L = np.array(wires), np.array(lens)
-        starts = np.cumsum([0] + list(batches[:-1]))
         counts, used = {}, {}
 
         def serve(ch, mask):  # the packets *mask* reaching *ch*: survivors
@@ -295,10 +292,8 @@ class TreeDrops:
                 lost[mask] = tape.take(at, at + k)
                 alive = mask & ~lost
                 used[ch] = k
-            got = np.add.reduceat(mask, starts), np.add.reduceat(alive, starts)
-            train = (got[0] >= 2) & (got[1] >= 2)
-            counts[ch] = (k, W[mask].sum(), L[mask].sum(), train.sum(),
-                          got[1][train].sum(), lost.sum(), W[lost].sum())
+            counts[ch] = (k, W[mask].sum(), L[mask].sum(), lost.sum(),
+                          W[lost].sum())
             return alive
 
         reach = np.zeros((n, T.S), dtype=bool)
@@ -339,10 +334,10 @@ class TreeDrops:
         """:func:`count_channel` with this session's counts of *ch* in
         place of the phase records."""
         row = self.counts.get(ch)
-        row = [0] * 7 if row is None else row.tolist()
-        count_channel(ch, busy, row[:5], ())
-        ch.packets_dropped += row[5]
-        ch.bytes_dropped += row[6]
+        row = [0] * 5 if row is None else row.tolist()
+        count_channel(ch, busy, row[:3], ())
+        ch.packets_dropped += row[3]
+        ch.bytes_dropped += row[4]
 
     def flush(self) -> None:
         """Move every tape's channel past the decisions the session used."""
@@ -352,14 +347,12 @@ class TreeDrops:
 
 def count_channel(ch, busy: float, counts: List[int], faulty) -> None:
     """Commit one channel: its watermark and ``(packets, wire bytes,
-    payload bytes, trains, train packets)``."""
-    packets, wire, payload, trains, train_packets = counts
+    payload bytes)``."""
+    packets, wire, payload = counts
     ch.busy_until = busy
     ch.packets_sent += packets
     ch.bytes_sent += wire
     ch.payload_bytes_sent += payload
-    ch.trains_sent += trains
-    ch.train_packets += train_packets
     if ch in faulty:
         # Data packets are always fault-affected kinds: the droppable index
         # moves in lockstep (no drop machinery is armed, no RNG is consumed;

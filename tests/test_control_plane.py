@@ -299,7 +299,7 @@ def test_bring_up_budget_is_per_rank_not_per_pair(n_ranks):
     fabric = Fabric(Simulator(), Topology.leaf_spine(n_ranks, 8, 4),
                     link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=1))
     comm = Communicator(fabric)
-    unfold(comm)  # the control messages run as packets
+    unfold(comm, data=False)  # the control messages run as packets
     data = np.arange(kib(64), dtype=np.uint8)
     gc.collect()
     objs = len(gc.get_objects())
@@ -323,7 +323,7 @@ def test_bring_up_budget_is_per_rank_not_per_pair(n_ranks):
 
 def test_engine_counters_reconcile_with_the_srqs():
     sim, comm, planes = make_planes(8)
-    unfold(comm)  # the control messages run as packets
+    unfold(comm, data=False)  # the control messages run as packets
     data = np.arange(kib(16), dtype=np.uint8)
     eng = comm.broadcast(0, data).engine
     assert eng["ctrl_pairs"] == sum(len(p.qps) for p in planes) // 2 > 0
@@ -340,7 +340,7 @@ def _broadcast_loop(n_ops):
     fabric = Fabric(Simulator(), Topology.leaf_spine(64, 8, 2),
                     link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=1))
     comm = Communicator(fabric)
-    unfold(comm)  # the control messages run as packets
+    unfold(comm, data=False)  # the control messages run as packets
     data = np.arange(kib(16), dtype=np.uint8)
     planes = [e.ctrl for e in comm.engines]
     sizes, events = [], []
@@ -594,21 +594,17 @@ def test_fold_declines_when_the_fan_in_would_cross_the_srq_watermark(monkeypatch
 
 
 def test_fold_declines_two_overlapping_collectives():
-    # The oracle is the production engine with the folds kept out: two
-    # collectives sharing a channel are where its packet trains still
-    # differ from the reference engine's packets (ROADMAP item 7).
-    def both(fold):
-        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56))
+    def both(reference):
+        fabric = Fabric(Simulator(), _LS16(), link_bandwidth=gbit_per_s(56),
+                        reference=reference)
         comm = Communicator(fabric, config=CollectiveConfig(transport="uc"))
-        if not fold:
-            unfold(comm)
         data = np.arange(kib(16), dtype=np.uint8)
         handles = [comm.submit(CollectiveRequest(kind="broadcast", data=data, root=root))
                    for root in (0, 5)]
         comm.run(*handles)
         return comm, [[op.phases for op in h.ops] for h in handles]
-    comm, phases = both(True)
-    assert phases == both(False)[1]
+    comm, phases = both(False)
+    assert phases == both(True)[1]
     assert comm.cf.folds == 0 and comm.cf.misses == {"not_exclusive": 4}
 
 

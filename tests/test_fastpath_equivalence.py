@@ -2,12 +2,12 @@
 
 Virtual time has one semantics and two engines (DESIGN.md "Two paths, one
 semantics"): ``Fabric(reference=True)`` simulates every packet and every
-receive CQE as its own event, and the default production engine adds
-packet trains (§6b), look-ahead delivery and CQE batches (§6c) and the
-folds (§6d, §6i, §6j).  Every scenario here runs on both, and the two runs
-must agree *exactly* — completion times, per-rank phase timestamps,
-per-channel byte/packet/drop counters, switch forwarding counters, RNR
-drops, the reliability summary, and the received payloads.
+receive CQE as its own event, and the default production engine runs the
+same packet path with the folds (§6d, §6i, §6j) trying every phase.  Every
+scenario here runs on both, and the two runs must agree *exactly* —
+completion times, per-rank phase timestamps, per-channel byte/packet/drop
+counters, switch forwarding counters, RNR drops, the reliability summary,
+and the received payloads.
 
 Any float divergence, however small, is a bug in the production path.
 """
@@ -85,7 +85,7 @@ def _run(kind: str, seed: int, reference: bool, fold: bool = True, **kw):
         res = comm.broadcast(0, data)
         assert res.verify_broadcast(data)
     else:
-        # 4 chunks per rank so senders have multi-packet runs to coalesce.
+        # 4 chunks per rank: every sender posts a multi-packet burst.
         data = [rng.integers(0, 256, 16 * KiB, dtype=np.uint8)
                 for _ in range(P)]
         res = comm.allgather(data)
@@ -107,9 +107,9 @@ def _stale(s: str, d: str) -> FaultSpec:
 
 
 def _assert_equivalent(kind: str, seed: int, fold: bool = True, **kw):
-    """Run *kind* on both engines and assert they agree exactly; return the
-    production run so the caller can check which shortcuts it took.  With
-    *fold* false the production run keeps the folds from taking a phase."""
+    """Run *kind* on both engines and assert they agree exactly; return
+    both runs' results, production first.  With *fold* false the
+    production run keeps the folds from taking a phase."""
     comm_p, res_p = _run(kind, seed, False, fold, **kw)
     comm_r, res_r = _run(kind, seed, True, **kw)
 
@@ -133,115 +133,110 @@ def _assert_equivalent(kind: str, seed: int, fold: bool = True, **kw):
     for bp, br in zip(res_p.buffers, res_r.buffers):
         assert np.array_equal(bp, br)
 
-    # The reference takes no shortcut.
-    for key in ("trains", "stamped_cqes", "cqe_batches", "batched_cqes"):
-        assert res_r.engine[key] == 0, key
-    return res_p
+    # Below the folds there is one packet path: event for event.
+    if not fold:
+        assert res_p.engine["sim_events"] == res_r.engine["sim_events"]
+    return res_p, res_r
 
 
 # ---------------------------------------------------------------------------
-# Packet trains (§6b): the production path coalesces wherever the wire
-# allows it.  Drop decisions are evaluated inside a train walk in the
-# identical RNG order, so lossy channels still coalesce; reorder jitter
-# keeps every channel per-packet.
+# The production engine, folds on, under every fault condition.
 # ---------------------------------------------------------------------------
-
-
-def _assert_trains(res, expect_trains: bool = True) -> None:
-    if expect_trains:
-        assert res.engine["trains"] > 0, "packet trains never engaged"
-    else:
-        assert res.engine["trains"] == 0, (
-            "packet trains must stay off while reorder jitter is live"
-        )
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_clean_equivalence(kind: str, seed: int) -> None:
-    _assert_trains(_assert_equivalent(kind, seed))
+    _assert_equivalent(kind, seed)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_lossy_equivalence(kind: str, seed: int) -> None:
-    _assert_trains(_assert_equivalent(kind, seed, fault_factory=_lossy))
+    _assert_equivalent(kind, seed, fault_factory=_lossy)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_reordered_equivalence(kind: str, seed: int) -> None:
-    _assert_trains(_assert_equivalent(kind, seed, fault_factory=_reordered),
-                   expect_trains=False)
+    _assert_equivalent(kind, seed, fault_factory=_reordered)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_uc_transport_equivalence(seed: int) -> None:
-    _assert_trains(_assert_equivalent("broadcast", seed, transport="uc"))
+    _assert_equivalent("broadcast", seed, transport="uc")
 
 
-def test_past_fault_windows_allow_coalescing() -> None:
+def test_past_fault_windows_equivalence() -> None:
     """A fault spec whose windows are entirely in the past is inert: the
-    window is live at the first transmissions, channels coalesce once it
-    expires mid-run, and results still match the reference exactly."""
-    _assert_trains(_assert_equivalent("broadcast", 0, fault_factory=_stale))
+    window is live at the first transmissions and expires mid-run, and
+    results still match the reference exactly."""
+    _assert_equivalent("broadcast", 0, fault_factory=_stale)
 
 
 # ---------------------------------------------------------------------------
-# Receive-CQE batches (§6c): every condition leaves a receive backlog the
-# production path batches, reorder jitter included (look-ahead delivery
-# still stamps CQEs ahead of their arrival).  The folds are kept from
-# taking a phase: a folded phase wakes no worker that would batch.
+# One packet path below the folds: with both folds kept from taking a
+# phase, the production engine runs the reference's per-packet, per-CQE
+# code — event for event.  (The ``recv_batching`` axes are named for the
+# receive-batch tier they covered until it was deleted; they now pin the
+# per-CQE receive path under each condition.)
 # ---------------------------------------------------------------------------
 
 
-def _assert_batches(res) -> None:
-    assert res.engine["cqe_batches"] > 0, "CQE batches never engaged"
-    assert res.engine["batched_cqes"] >= 2 * res.engine["cqe_batches"]
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+def test_one_packet_path_below_the_folds(kind: str) -> None:
+    res, ref = _assert_equivalent(kind, 0, fold=False)
+    assert res.engine["ff_phases"] == res.engine["ctrl_folds"] == 0
+    assert res.engine["sim_events"] == ref.engine["sim_events"]
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_recv_batching_clean_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fold=False))
+    _assert_equivalent(kind, seed, fold=False)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_lossy_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fold=False,
-                                       fault_factory=_lossy))
+    _assert_equivalent(kind, seed, fold=False, fault_factory=_lossy)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_reordered_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fold=False,
-                                       fault_factory=_reordered))
+    _assert_equivalent(kind, seed, fold=False, fault_factory=_reordered)
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_straggler_equivalence(kind: str, seed: int) -> None:
-    # Host 3 pays +300 ns per CQE poll inside the window; the worker gate
-    # (fabric.straggler_inert) must send its batches back to per-CQE
-    # while the other hosts keep batching, with bit-identical results.
+    # Host 3 pays +300 ns per CQE poll inside the window: its worker
+    # cannot tell its steps ahead, the other hosts' can.
     spec = StragglerSpec(windows=[(0.0, 1e-3)], extra_poll_delay=300e-9)
-    _assert_batches(_assert_equivalent(kind, seed, fold=False,
-                                       straggler=(3, spec)))
+    _assert_equivalent(kind, seed, fold=False, straggler=(3, spec))
 
 
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_recv_batching_uc_equivalence(kind: str, seed: int) -> None:
-    _assert_batches(_assert_equivalent(kind, seed, fold=False,
-                                       transport="uc"))
+    _assert_equivalent(kind, seed, fold=False, transport="uc")
 
 
-def test_recv_batching_straggler_window_suppresses_batches() -> None:
-    """With every host straggling over the whole run, the eligibility gate
-    must keep the batch counter at zero — and results still match."""
+def test_recv_batching_straggler_window_suppresses_batches(monkeypatch) -> None:
+    """With every host straggling over the whole run, no worker can tell
+    a step's end ahead, so no phase folds — and results still match."""
+    from repro.core.progress import RankEngine
+
     spec = StragglerSpec(windows=[(0.0, 1.0)], extra_poll_delay=250e-9)
+    ends = []
+    plan = RankEngine._plan_step
+
+    def spy(self, step, *args):
+        plan(self, step, *args)
+        ends.append(step.free)
+
+    monkeypatch.setattr(RankEngine, "_plan_step", spy)
 
     def run(reference: bool):
         comm = _make_comm(0, reference)
@@ -250,10 +245,11 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
         data = np.arange(NBYTES, dtype=np.uint8) % 251
         res = comm.broadcast(0, data)
         assert res.verify_broadcast(data)
-        return res
+        return comm, res
 
-    res_p, res_r = run(False), run(True)
-    assert res_p.engine["cqe_batches"] == 0
+    (_, res_p), (_, res_r) = run(False), run(True)
+    assert ends and set(ends) == {float("inf")}
+    assert res_p.engine["ff_phases"] == 0
     assert res_p.duration == res_r.duration
 
 
@@ -263,9 +259,7 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 # packet-level engine — the only thing the fold is ever compared against.
 # Event counts necessarily DROP under fast-forward (that is the point), so
 # this axis never compares sim_events; the wire/host counters it mirrors
-# (bytes, packets, trains, switch forwards, traffic) must still agree.
-# Receiver-batch telemetry (cqe_batches/batched_cqes) is also excluded: a
-# folded phase never wakes the workers that would have batched.
+# (bytes, packets, switch forwards, traffic) must still agree.
 #
 # One session folds every shape (DESIGN.md §6d): a broadcast is one phase,
 # an allgather one phase per sender, on any multicast tree.
@@ -275,7 +269,7 @@ def test_recv_batching_straggler_window_suppresses_batches() -> None:
 def _run_ff(kind: str, seed: int, reference: bool, fault_factory=None,
             transport: str = "ud", straggler=None, n_ranks: int = P,
             chunk_size: int = 4096, nbytes: Optional[int] = None,
-            ctrl_fold: bool = True, data_fold: bool = True, topology=None,
+            ctrl_fold: bool = True, topology=None,
             trace=None, **config):
     sim = Simulator()
     fabric = Fabric(
@@ -295,8 +289,8 @@ def _run_ff(kind: str, seed: int, reference: bool, fault_factory=None,
         config=CollectiveConfig(chunk_size=chunk_size, transport=transport,
                                 **config)
     )
-    if not (ctrl_fold and data_fold):
-        unfold(comm, data=not data_fold)
+    if not ctrl_fold:
+        unfold(comm, data=False)
     rng = np.random.default_rng(seed)
     if kind == "broadcast":
         data = rng.integers(0, 256, nbytes or NBYTES, dtype=np.uint8)
@@ -331,12 +325,6 @@ def _assert_ff_exact(kind: str, seed: int, fault_factory=None,
     assert _switch_counters(comm_ff.fabric) == _switch_counters(comm_off.fabric)
     assert res_ff.traffic == res_off.traffic
     assert res_ff.reliability_summary() == res_off.reliability_summary()
-    # The fold mirrors the train counters the production engine's packet
-    # level would produce.
-    _, res_pk = _run_ff(kind, seed, False, fault_factory, transport,
-                        straggler, data_fold=False, **shape)
-    assert res_ff.engine["trains"] == res_pk.engine["trains"]
-    assert res_ff.engine["train_packets"] == res_pk.engine["train_packets"]
 
     for bf, bo in zip(res_ff.buffers, res_off.buffers):
         assert np.array_equal(bf, bo)
@@ -529,19 +517,14 @@ def test_ff_exact_activation_fold_matrix(topology: str, transport: str,
     assert res.engine["ctrl_pairs"] == 0 < ref.engine["ctrl_pairs"]
 
 
-def _chain_then_broadcast(fold: bool, topology, transport: str, at: float,
-                          n_chains: int = 1):
+def _chain_then_broadcast(reference: bool, topology, transport: str,
+                          at: float, n_chains: int = 1):
     """A 16-rank allgather, then a broadcast submitted at *at* from a
-    driver process; what both collectives leave behind.  Without *fold*
-    the folds are kept out: two collectives sharing a channel are where
-    the production engine's packet trains still differ from the reference
-    engine's packets (ROADMAP item 7), so that is the oracle here."""
+    driver process; what both collectives leave behind."""
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
-                    streams=RandomStreams(0))
+                    streams=RandomStreams(0), reference=reference)
     comm = Communicator(fabric, config=CollectiveConfig(
         chunk_size=1024, transport=transport, n_chains=n_chains))
-    if not fold:
-        unfold(comm)
     data = np.arange(4 * KiB, dtype=np.uint8)
     handles = []
 
@@ -587,9 +570,9 @@ def test_a_collective_admitted_mid_chain_gets_the_activations_back(
     # back to the packet path and both collectives end as they do there.
     lo, hi = _chain_window(topology, transport)
     at = lo + frac * (hi - lo)
-    comm, got = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
+    comm, got = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
                                       transport, at)
-    _, want = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
+    _, want = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
                                     transport, at)
     assert got == want
     assert comm.cf.misses.get("preempted", 0) >= 1
@@ -654,9 +637,9 @@ def test_a_collective_admitted_mid_chains_gets_every_chains_activations_back(
     # path, and both collectives end as they do there.
     lo, hi = _chains_window(topology, transport, n_chains)
     at = lo + frac * (hi - lo)
-    comm, got = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
+    comm, got = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
                                       transport, at, n_chains)
-    _, want = _chain_then_broadcast(False, _FF_TOPOLOGIES[topology],
+    _, want = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
                                     transport, at, n_chains)
     assert got == want
     assert comm.ff.ff_phases or comm.cf.misses.get("preempted")  # folds ran
@@ -672,7 +655,6 @@ def test_ff_exact_lane_session_allgather(transport: str, monkeypatch) -> None:
                            chunk_size=1024, nbytes=1024)
     assert len(folds) == res.engine["ff_phases"] == n
     assert res.engine["ff_aborts"] == 0
-    assert res.engine["stamped_cqes"] == 0
     assert res.engine["payload_bytes_copied"] == 0
     assert res.engine["payload_bytes_placed"] == n * (n - 1) * 1024
 
@@ -902,17 +884,13 @@ def test_retired_config_field_is_rejected(name: str) -> None:
 #
 # The ``_pchains`` kinds make every rank a concurrent allgather root
 # (``n_chains = P``, one chunk each): each receiver's backlog comes from
-# P - 1 different sources, never forms a train, and reaches the batch path
-# only through look-ahead delivery (DESIGN.md §6c).
+# P - 1 different sources.
 # ---------------------------------------------------------------------------
 
 
-def _run_submit_kind(kind: str, seed: int, reference: bool,
-                     data_fold: bool = True, **kw):
+def _run_submit_kind(kind: str, seed: int, reference: bool, **kw):
     comm = _make_comm(seed, reference,
                       n_chains=P if kind.endswith("_pchains") else 1, **kw)
-    if not data_fold:
-        unfold(comm, control=False)
     rng = np.random.default_rng(seed)
     if kind.startswith("allreduce"):
         data = [rng.normal(size=P * 1024).astype(np.float32)
@@ -964,23 +942,17 @@ def test_submit_kind_fastpath_equivalence(kind: str, condition: str,
     assert _switch_counters(comm_p.fabric) == _switch_counters(comm_r.fabric)
     for bp, br in zip(res_p.buffers, res_r.buffers):
         assert np.array_equal(bp, br)
-    # The reference never sees a train, a stamped or a batched CQE ...
     ref = res_r.engine
-    assert ref["trains"] == ref["stamped_cqes"] == ref["batched_cqes"] == 0
     if kind.startswith("allreduce"):
-        # ... nor a fold, while the production path folds the reduce-scatter
+        # The reference never folds, while the production path folds the reduce-scatter
         # phase: INC and RC packets are immune to the Gilbert-Elliott loss,
         # and a straggler only slows the multicast engine's receive path.
         assert res_p.engine["inc_folds"] == 1
         assert ref["inc_folds"] == 0
         assert ref["inc_fold_misses"] == {"reference": 1}
     if kind.endswith("_pchains") and condition == "clean":
-        # ... while the data fold merges the P concurrent chains; at packet
-        # level, the clean cross-source backlog is batched.
+        # The data fold merges the P concurrent chains.
         assert res_p.engine["ff_phases"] == P
-        _, pk = _run_submit_kind(kind, seed, False, data_fold=False,
-                                 transport=transport, **kw)
-        assert pk.engine["stamped_cqes"] >= pk.engine["batched_cqes"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1006,7 @@ def test_inc_fold_equivalence(kind: str, topology: str) -> None:
     assert _switch_counters(fab_f) == _switch_counters(fab_p)
     assert ({h: (n.packets_received, n.bytes_received) for h, n in fab_f.nics.items()}
             == {h: (n.packets_received, n.bytes_received) for h, n in fab_p.nics.items()})
-    if kind != "allreduce":  # (the allgather phase's trains move horizons)
+    if kind != "allreduce":  # (the data fold leaves the allgather's horizons)
         assert ({k: (c.busy_until, c.horizon) for k, c in fab_f.channels.items()}
                 == {k: (c.busy_until, c.horizon) for k, c in fab_p.channels.items()})
     assert folded.traffic == packets.traffic

@@ -24,7 +24,6 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Timeout
 from repro.sim.random import RandomStreams
 from repro.units import gbit_per_s, kib
-from tests.unfolded import unfold
 
 #: cutoff pinned, as the ledger's ``ag1024``: no stale timer fires in-run
 _PINNED = dict(adaptive_cutoff=False, cutoff_alpha=10e-3)
@@ -71,13 +70,10 @@ def _left_behind(comm, handles):
     }
 
 
-def _interrupted(oracle, first, at, act):
-    """A 16-rank *first* collective; *at* seconds in, ``act(comm, handles)``.
-    *oracle*: ``None`` (production), ``"reference"`` or ``"unfolded"`` (the
-    production engine with the folds kept out)."""
-    comm = _comm(16, oracle == "reference")
-    if oracle == "unfolded":
-        unfold(comm)
+def _interrupted(reference, first, at, act):
+    """A 16-rank *first* collective; *at* seconds in, ``act(comm, handles)``;
+    on the reference engine or the production one."""
+    comm = _comm(16, reference)
     data = np.arange(kib(4), dtype=np.uint8)
     shards = [data[:1024] + r for r in range(16)]
     handles = []
@@ -102,14 +98,10 @@ def _new_epoch(comm, handles, data):
     comm.fabric.set_fault("h0", "leaf000", None)  # changes nothing but the epoch
 
 
-def _assert_as(oracle, first, at, act):
-    """What the production run leaves equals what *oracle*'s leaves.  With
-    a second collective admitted that is the production engine with the
-    folds kept out: where two collectives share a channel, the packet
-    trains still differ from the reference engine's packets (ROADMAP item
-    7, at the parent commit too)."""
-    comm, got = _interrupted(None, first, at, act)
-    _, want = _interrupted(oracle, first, at, act)
+def _assert_as_reference(first, at, act):
+    """What the production run leaves equals what the reference's leaves."""
+    comm, got = _interrupted(False, first, at, act)
+    _, want = _interrupted(True, first, at, act)
     for key in want:
         assert got[key] == want[key], (at, key)
     return comm
@@ -123,8 +115,7 @@ _MID_CHAIN = [18e-6 + k * 2.7e-6 for k in range(20)]
 def test_a_chain_interrupted_mid_way_leaves_what_the_packet_path_leaves(act):
     handed_back = 0
     for at in _MID_CHAIN:
-        comm = _assert_as("unfolded" if act is _admit else "reference",
-                          "allgather", at, act)
+        comm = _assert_as_reference("allgather", at, act)
         handed_back += comm.cf.misses.get("preempted", 0)
     assert handed_back >= len(_MID_CHAIN)  # each one took the chain back
 
@@ -141,10 +132,10 @@ def test_an_unfold_before_a_stamped_barrier_exit_rearms_there(first, monkeypatch
         arms.append(op.rank), real(self, op, t))[1])
     for at in [k * 1.4e-6 for k in range(1, 11)]:
         arms.clear()
-        _interrupted(None, first, at, _admit)
+        _interrupted(False, first, at, _admit)
         # the first collective's 15 stamped ranks arm twice
         assert len(arms) == 16 + 15 + 16, at
-        _assert_as("unfolded", first, at, _admit)
+        _assert_as_reference(first, at, _admit)
         # ... where the reference engine's packet barrier exits and arms
         arms_at = [[(phases["sync"], timers[0]) for phases, timers in zip(
             left["phases"][0], left["timers"][0])] for _, left in (

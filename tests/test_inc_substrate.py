@@ -156,7 +156,7 @@ def _inc(reference, kind="reduce_scatter", topology=_ls16, hosts=None,
     data)* submitted right after it and *admit(comm, data)* run as a
     simulator process whose returned handles join the run.  Returns the
     communicator, the results and everything the run left behind (channel
-    horizons only without an allgather, whose trains move them)."""
+    horizons only without an allgather, whose folded phases leave them)."""
     fabric = Fabric(Simulator(), topology(), link_bandwidth=gbit_per_s(56),
                     reference=reference)
     if prepare is not None:

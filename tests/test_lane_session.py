@@ -182,16 +182,13 @@ def test_mid_run_second_collective_preempts_bitwise(chunks=1):
         comm.run(h1)
         comm.run(handles[0])
         return (comm.sim.now, [bytes(op.mr.buf) for op in h1.ops],
-                [op.phases for op in h1.ops], comm.ff, at[0],
-                comm.fabric.total_stamped_cqes())
+                [op.phases for op in h1.ops], comm.ff, at[0])
 
     ref, res = run(True), run(False)
     ff, folded_at_preemption = res[3], res[4]
     assert ff.misses["preempted"] == 1  # a live session was preempted
     assert ff.ff_phases > folded_at_preemption  # ... and a later one folds
     assert res[:3] == ref[:3]
-    # the packet-level remainder rides look-ahead delivery
-    assert res[5] > 0
 
 
 def test_mid_run_second_collective_preempts_bitwise_4_chunks():

@@ -29,7 +29,6 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.units import gbit_per_s
-from tests.unfolded import unfold
 
 #: the tree families of the fold's exactness matrix, at 16 hosts
 FAMILIES = {
@@ -76,7 +75,7 @@ def forced_channel(fabric: Fabric):
     return T.host[h][1], [h]
 
 
-def _run(case, reference: bool, fold: bool = True):
+def _run(case, reference: bool):
     fabric = _fabric(case, reference)
     below: Optional[List[int]] = None
     if case["loss"] == "bernoulli":
@@ -90,8 +89,6 @@ def _run(case, reference: bool, fold: bool = True):
         fabric.set_fault(ch.src_name, ch.dst_name, FaultSpec(drop_packet_seqs={0}))
     comm = Communicator(fabric, config=CollectiveConfig(
         chunk_size=1024, transport=case["transport"], n_chains=case["chains"]))
-    if not fold:
-        unfold(comm, control=False)
     rng = np.random.default_rng(case["seed"])
     if case["kind"] == "broadcast":
         data = rng.integers(0, 256, 8 * 1024, dtype=np.uint8)
@@ -136,10 +133,9 @@ def test_lossy_fold_matches_the_reference(case) -> None:
     if case["kind"] == "allgather" and case["chains"] > 1:
         # Concurrent chains' draws interleave in an order only a merge of
         # their packets knows: every phase declines, and the run is the
-        # production packet path's (which ROADMAP item 7 compares with the
-        # reference).
+        # packet path's, which the reference runs too.
         assert res.engine["ff_phases"] == 0 and misses == {"lossy": comm.size}
-        _assert_same(_left(comm, res), _left(*_run(case, False, fold=False)[:2]))
+        _assert_same(_left(comm, res), _left(*_run(case, True)[:2]))
     else:
         # A chain's phase folds only if the next roots' packets cannot meet
         # its own on any channel (``lossy``); until its packets are through,
@@ -157,9 +153,6 @@ def test_lossy_fold_matches_the_reference(case) -> None:
         assert sorted(recovered) == below
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the production "
-                   "packet path's trains of concurrent chains draw a train's "
-                   "drops at once, the reference one packet at a time")
 def test_concurrent_chains_under_loss_match_the_reference() -> None:
     case = dict(family="dragonfly", kind="allgather", chains=4, transport="ud",
                 loss="gilbert_elliott", drop_good=0.0, seed=1)
@@ -173,20 +166,17 @@ def test_concurrent_chains_under_loss_match_the_reference() -> None:
 def test_a_broadcast_admitted_into_a_lossy_session(t_submit, transport) -> None:
     # A broadcast submitted mid-allgather preempts the lossy session: the
     # flush commits the folded phases' draws with their watermarks, and the
-    # run equals the production engine's packet path (two collectives on one
-    # channel are where that path still differs from the reference: ROADMAP
-    # item 7).
+    # run equals the reference's.
     ge = GilbertElliott(p_good_bad=0.05, p_bad_good=0.3, drop_good=0.01,
                         drop_bad=0.3)
 
-    def run(fold: bool):
+    def run(reference: bool):
         fabric = Fabric(Simulator(), Topology.leaf_spine(16, 4, 2),
-                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(7))
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(7),
+                        reference=reference)
         fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=ge))
         comm = Communicator(fabric, config=CollectiveConfig(
             chunk_size=512, transport=transport))
-        if not fold:
-            unfold(comm, control=False)
         data = [np.full(512, (3 * r + 1) % 251, dtype=np.uint8)
                 for r in range(16)]
         later = []
@@ -203,7 +193,7 @@ def test_a_broadcast_admitted_into_a_lossy_session(t_submit, transport) -> None:
                 [op.stats for op in first.ops + later[0].ops],
                 chans), comm.ff
 
-    folded, ff = run(True)
-    packets, _ = run(False)
+    folded, ff = run(False)
+    packets, _ = run(True)
     assert ff.ff_phases > 0 and ff.misses.get("preempted") == 1
     _assert_same(folded, packets)

@@ -356,7 +356,7 @@ def test_straggler_spec_delay_windows():
 
 class ArriveNode(SinkNode):
     """A node that takes the hand-over: it is told at transmit time when
-    the packet (or train) reaches it."""
+    the packet reaches it."""
 
     def __init__(self, sim):
         super().__init__(sim)
@@ -364,9 +364,6 @@ class ArriveNode(SinkNode):
 
     def arrive(self, packet, channel, at):
         self.handed.append((self.sim.now, at))
-
-    def arrive_train(self, train, channel):
-        self.handed.append((self.sim.now, list(train.arrivals)))
 
 
 def test_arrival_instant_is_handed_over_at_transmit_time():
@@ -382,20 +379,6 @@ def test_arrival_instant_is_handed_over_at_transmit_time():
     # The stamps are the instants a plain node's ``receive`` event fires.
     assert [at for _, at in node.handed] == [t for t, _ in sink.received]
     assert node.received == []  # nothing was scheduled on its behalf
-
-
-def test_train_is_handed_over_with_every_arrival_instant():
-    sim = Simulator()
-    node = ArriveNode(sim)
-    ch = make_channel(sim, node, bandwidth=1e9, latency=5e-6)
-    ch.transmit_train([pkt(n=1000, header=0) for _ in range(3)])
-    (now, arrivals), = node.handed
-    assert now == 0.0 and arrivals == pytest.approx([6e-6, 7e-6, 8e-6])
-    # A run gutted down to one survivor is handed over as a packet.
-    lossy = make_channel(sim, node, bandwidth=1e9, latency=5e-6,
-                         fault=FaultSpec(drop_packet_seqs={0}))
-    lossy.transmit_train([pkt(n=1000, header=0) for _ in range(2)])
-    assert node.handed[-1] == (0.0, pytest.approx(7e-6))
 
 
 def _transmit_at(calls, payloads, busy=0.0):

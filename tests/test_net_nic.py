@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.net import Fabric, Opcode, RecvWR, SendWR, Topology, Transport
-from repro.net.faults import CrashSpec
 from repro.net.link import FaultSpec
 from repro.sim import Simulator
 from repro.units import gbit_per_s
@@ -670,278 +669,53 @@ def test_default_cqs_are_per_qp_and_built_on_demand():
         qa.no_such_attribute
 
 
-# ---------------------------------------------------- look-ahead delivery
-#
-# Every test runs one send script twice — the receiver's QP opted in to
-# look-ahead delivery or not — and compares what software can observe: the
-# receive CQ as ``(wr_id, src, imm, timestamp)`` and the RNR drop count.
+# ------------------------------------------- receive decisions at arrival
 
 
-class _Instants:
-    """A stand-in NIC track that keeps ``(name, ts)`` of every instant."""
-
-    def __init__(self):
-        self.seen = []
-
-    def instant(self, name, ts, args=None):
-        self.seen.append((name, ts))
-
-
-def _mcast_run(ahead, sends, *, wrs=((0, 4096), (1, 4096), (2, 4096), (3, 4096)),
-               posts=(), unicasts=(), at=(), uc=False, topo=None, gids=1):
-    """Hosts 1.. multicast to host 0.
-
-    ``sends``: ``(t, src, length, imm)`` single sends, or ``(t, src, [imm,
-    ...])`` doorbell batches of full-size sends (a packet train); ``wrs``:
-    ``(wr_id, length)`` posted up front; ``posts``: ``(t, wr_id, length)``
-    posted later; ``unicasts``: ``(t, src)`` sends to a second, plain QP on
-    host 0 (delivered by event); ``at``: ``(t, fn(fabric))`` hooks.  With
-    ``gids > 1`` group *g* carries the sends whose ``imm % gids == g``.
-    Returns ``(fabric, {gid: (cqes, rnr_drops, nic)})``.
-    """
-    topo = topo or Topology.star(5)
-    sim, fabric = make_fabric(topo)
-    members = list(range(topo.n_hosts))
-    transport = Transport.UC if uc else Transport.UD
-    rkey = 4242
-    qps = {}
-    for g in range(gids):
-        gid = fabric.create_mcast_group(members)
-        for h in members:
-            nic = fabric.rail_nic(h, fabric.mcast_groups[gid].rail)
-            qp = nic.create_qp(transport)
-            qp.attach_mcast(gid)
-            qps[gid, h] = qp
-            if g == 0 and uc:
-                nic.memory.register(1 << 16, key=rkey)
-    out = {}
-    for g in range(gids):
-        rqp = qps[g, 0]
-        rqp.batch_delivery = ahead
-        rnic = rqp.nic
-        rnic.trace = _Instants()
-        sink = rnic.memory.register(1 << 16)
-
-        def post(wr_id, length, rqp=rqp, sink=sink):
-            rqp.post_recv(RecvWR(wr_id=wr_id, mr_key=sink.key,
-                                 offset=(wr_id % 16) * 4096, length=length))
-
-        for wr_id, length in wrs:
-            post(wr_id, 0 if uc else length)
-        for t, wr_id, length in posts:
-            sim.post_at(t, post, wr_id, 0 if uc else length)
-        out[g] = rqp
-
-    def wr(src, length, imm):
-        nic = qps[imm % gids, src].nic
-        mr = fill(nic.memory.register(4096), src)
-        if uc:
-            return SendWR(wr_id=imm, verb="write", mr_key=mr.key, length=length,
-                          remote_key=rkey, remote_offset=(imm % 16) * 4096,
-                          imm=imm, mcast_gid=imm % gids, signaled=False)
-        return SendWR(wr_id=imm, verb="send", mr_key=mr.key, length=length,
-                      imm=imm, mcast_gid=imm % gids, signaled=False)
-
-    for send in sends:
-        if len(send) == 4:
-            t, src, length, imm = send
-            sim.post_at(t, qps[imm % gids, src].post_send, wr(src, length, imm))
-        else:
-            t, src, imms = send
-            qp = qps[imms[0] % gids, src]
-            sim.post_at(t, qp.nic.post_send_batch,
-                        [(qp, wr(src, 4096, imm)) for imm in imms])
-    plain = fabric.nic(0).create_qp(Transport.UD)
-    pmr = fabric.nic(0).memory.register(4096)
-    for i, (t, src) in enumerate(unicasts):
-        plain.post_recv(RecvWR(wr_id=i, mr_key=pmr.key, offset=0, length=4096))
-        sqp = fabric.nic(src).create_qp(Transport.UD)
-        smr = fabric.nic(src).memory.register(4096)
-        sim.post_at(t, sqp.post_send, SendWR(
-            wr_id=i, verb="send", mr_key=smr.key, length=4096, dst=0,
-            dst_qpn=plain.qpn, signaled=False))
-    for t, fn in at:
-        sim.post_at(t, fn, fabric)
-    sim.run()
-    return fabric, {
-        g: ([(c.wr_id, c.src, c.imm, c.timestamp) for c in rqp.recv_cq.poll()],
-            rqp.rnr_drops, rqp.nic)
-        for g, rqp in out.items()
-    }
-
-
-def _same_as_per_packet(traces=True, **kw):
-    """Run the script both ways; assert the observables agree and return
-    the look-ahead run's ``(cqes, rnr_drops, nic)`` for group 0."""
-    _, ahead = _mcast_run(True, **kw)
-    _, ref = _mcast_run(False, **kw)
-    for g in ref:
-        cq_a, rnr_a, nic_a = ahead[g]
-        cq_r, rnr_r, nic_r = ref[g]
-        assert cq_a == cq_r
-        assert rnr_a == rnr_r
-        assert nic_a.packets_received == nic_r.packets_received
-        assert nic_a.bytes_received == nic_r.bytes_received
-        assert nic_r.stamped_cqes == 0
-        # Trace instants carry the arrival stamp, not the hand-over time.
-        assert not traces or sorted(nic_a.trace.seen) == sorted(nic_r.trace.seen)
-    return ahead[0]
-
-
-#: four sources, one full-size packet each, all at once: the downlink into
-#: host 0 serializes them, so all but the first are a wire backlog
-_BURST = [(0.0, src, 4096, 10 + src) for src in (1, 2, 3, 4)]
-
-
-@pytest.mark.parametrize("uc", [False, True])
-def test_lookahead_stamps_a_cross_source_backlog(uc):
-    cqes, rnr, nic = _same_as_per_packet(sends=_BURST, uc=uc)
-    assert len(cqes) == 4 and rnr == 0
-    assert nic.stamped_cqes == 4
-    stamps = [c[3] for c in cqes]
-    assert stamps == sorted(stamps) and len(set(stamps)) == 4
-    assert [c[1] for c in cqes] == [1, 2, 3, 4]  # CQ order == wire order
-
-
-def test_lookahead_waits_behind_an_arrival_still_in_flight():
-    # A unicast (not eligible: delivered by event) is on the downlink when
-    # the multicast burst is handed over; nothing may overtake it into the
-    # CQ, and look-ahead resumes once it has arrived.
-    sends = [(0.2e-6, src, 4096, imm) for _, src, _, imm in _BURST]
-    sends.append((20e-6, 2, 4096, 30))
-    cqes, _, nic = _same_as_per_packet(sends=sends, unicasts=[(0.0, 1)],
-                                       wrs=[(i, 4096) for i in range(5)])
-    assert len(cqes) == 5
-    assert nic.stamped_cqes == 1
-
-
-def test_lookahead_hands_a_train_over_in_order_and_singles_wait_behind_it():
-    sends = [(0.0, 1, [10, 11, 12]), (0.1e-6, 2, 4096, 20), (30e-6, 3, 4096, 30)]
-    cqes, rnr, nic = _same_as_per_packet(
-        sends=sends, wrs=[(i, 4096) for i in range(5)])
-    assert [c[2] for c in cqes] == [10, 11, 12, 20, 30] and rnr == 0
-    # The train is stamped by its own event; the single right behind it
-    # arrives by event; the late one finds the channel quiet again.
-    assert nic.stamped_cqes == 4
-
-
-def test_lookahead_dry_queue_falls_back_to_the_arrival_event():
-    # Two WRs for four packets.  A WR posted before the third arrival
-    # rescues it (the queue was dry at hand-over, not at arrival); the
-    # fourth finds nothing and is an RNR drop — at its arrival instant.
-    _, ref = _mcast_run(False, sends=_BURST)
-    stamps = [c[3] for c in ref[0][0]]
-    cqes, rnr, nic = _same_as_per_packet(
-        sends=_BURST, wrs=[(0, 4096), (1, 4096)],
-        posts=[((stamps[1] + stamps[2]) / 2, 7, 4096)])
-    assert [c[0] for c in cqes] == [0, 1, 7] and rnr == 1
-    assert nic.stamped_cqes == 2
-
-
-def test_lookahead_short_wr_is_a_length_error_at_arrival():
-    cqes, rnr, nic = _same_as_per_packet(
-        sends=_BURST, wrs=[(0, 4096), (1, 1024), (2, 4096), (3, 4096)])
-    assert [c[0] for c in cqes] == [0, 2, 3] and rnr == 1
-    # Packets behind the failed one wait for its arrival event.
-    assert nic.stamped_cqes < 3
-
-
-def _arm(fault):
-    return lambda fabric: fabric.set_fault("sw000", "h0", fault)
-
-
-@pytest.mark.parametrize("gate", [
-    _arm(FaultSpec(reorder_jitter=1e-9)),
-    _arm(FaultSpec(flap_windows=[(1.0, 2.0)])),
-    _arm(FaultSpec(bandwidth_windows=[(1.0, 2.0, 0.5)])),
-    _arm(FaultSpec(drop_packet_seqs={99})),
-    lambda fabric: fabric.schedule_crash(CrashSpec(at=1.0, link=("h3", "sw000"))),
-], ids=["jitter", "flap", "bandwidth", "loss", "pending-crash"])
-def test_lookahead_is_off_while_a_fault_or_crash_is_armed(gate):
-    cqes, rnr, nic = _same_as_per_packet(sends=_BURST, at=[(0.0, gate)])
-    assert len(cqes) == 4 and rnr == 0
-    assert nic.stamped_cqes == 0
-
-
-def test_lookahead_after_handover_fault_leaves_stamped_packets_alone():
-    # The drop decision is made at transmit time on both paths: a fault
-    # installed while stamped packets are "in flight" cannot touch them.
-    kill = _arm(FaultSpec(drop_prob=1.0))
-    cqes, _, nic = _same_as_per_packet(sends=_BURST, at=[(2.0e-6, kill)])
-    assert len(cqes) == 4 and nic.stamped_cqes == 4
-
-
-def test_lookahead_crash_after_handover_takes_back_unarrived_packets():
-    _, ref = _mcast_run(False, sends=_BURST)
-    stamps = [c[3] for c in ref[0][0]]
-    mid = (stamps[1] + stamps[2]) / 2
-    handed_over = 2.0e-6  # all four are on the downlink, none has arrived
-    assert handed_over < stamps[0]
-    for when, crash in (
-            (mid, lambda fabric: fabric.crash_host(0)),
-            (handed_over, lambda fabric: fabric.schedule_crash(
-                CrashSpec(at=mid, host=0)))):
-        # (A trace is append-only: it keeps the instants of what the crash
-        # took back, so it is the one observable not compared here.)
-        cqes, rnr, nic = _same_as_per_packet(sends=_BURST, at=[(when, crash)],
-                                             traces=False)
-        # Host 0 died between the second and third arrival.
-        assert [c[3] for c in cqes] == stamps[:2] and rnr == 0
-        assert nic.packets_received == 2 and nic.stamped_cqes == 4
-
-
-def test_lookahead_dead_or_down_elements_never_stamp():
-    cqes, _, nic = _same_as_per_packet(
-        sends=_BURST, at=[(0.0, lambda fabric: fabric.crash_host(0))])
-    assert cqes == [] and nic.stamped_cqes == 0
-    cqes, _, nic = _same_as_per_packet(
-        sends=_BURST, at=[(0.0, lambda fabric: fabric.crash_link("sw000", "h0"))])
-    assert cqes == [] and nic.stamped_cqes == 0
-
-
-def test_lookahead_follows_attachment_changes_after_traffic():
-    """The NIC caches each group's single attached QP; attaching a second
-    QP, detaching one, or opting out takes effect on the next packet."""
-    sim, fabric = make_fabric(Topology.star(2))
-    gid = fabric.create_mcast_group([0, 1])
-    tx = fabric.nic(0).create_qp(Transport.UD)
-    smr = fill(fabric.nic(0).memory.register(64))
-    nic = fabric.nic(1)
-    mr = nic.memory.register(1 << 12)
-
-    def receiver():
-        qp = nic.create_qp(Transport.UD)
+def _burst_into_host0(at=()):
+    """Hosts 1-4 each multicast one full-size UD datagram to host 0 at
+    once, two receive WRs posted; ``at``: ``(t, fn(fabric, post))`` hooks,
+    ``post(wr_id)`` posting one more WR.  Returns host 0's CQ as
+    ``(wr_id, src, timestamp)``, its RNR drops and its NIC."""
+    sim, fabric = make_fabric(Topology.star(5))
+    gid = fabric.create_mcast_group(list(range(5)))
+    qps = [fabric.nic(h).create_qp(Transport.UD) for h in range(5)]
+    for qp in qps:
         qp.attach_mcast(gid)
-        qp.batch_delivery = True
-        for i in range(4):
-            qp.post_recv(RecvWR(wr_id=i, mr_key=mr.key, offset=64 * i, length=64))
-        return qp
+    sink = fabric.nic(0).memory.register(1 << 16)
 
-    def send(imm):
-        tx.post_send(SendWR(wr_id=imm, verb="send", mr_key=smr.key, length=64,
-                            imm=imm, mcast_gid=gid, signaled=False))
-        sim.run()
-        return nic.stamped_cqes, len(a.recv_cq), len(b.recv_cq) if b else 0
+    def post(wr_id):
+        qps[0].post_recv(RecvWR(wr_id=wr_id, mr_key=sink.key,
+                                offset=(wr_id % 16) * 4096, length=4096))
 
-    a, b = receiver(), None
-    assert send(0) == (1, 1, 0)
-    b = receiver()  # two attached: both get it, by the arrival event
-    assert send(1) == (1, 2, 1)
-    a.detach_mcast(gid)  # one attached again: stamped into it
-    assert send(2) == (2, 2, 2)
-    b.batch_delivery = False
-    assert send(3) == (2, 2, 3)
+    post(0)
+    post(1)
+    for h in range(1, 5):
+        mr = fill(fabric.nic(h).memory.register(4096), h)
+        qps[h].post_send(SendWR(wr_id=h, verb="send", mr_key=mr.key,
+                                length=4096, imm=h, mcast_gid=gid,
+                                signaled=False))
+    for t, fn in at:
+        sim.post_at(t, fn, fabric, post)
+    sim.run()
+    cqes = [(c.wr_id, c.src, c.timestamp) for c in qps[0].recv_cq.poll()]
+    return cqes, qps[0].rnr_drops, fabric.nic(0)
 
 
-def test_lookahead_multi_rail_stamps_on_the_groups_own_rail():
-    topo = Topology.multi_rail(Topology.star(5), 2)
-    sends = [(0.0, src, 4096, 10 + 2 * src + g) for src in (1, 2, 3, 4)
-             for g in (0, 1)]
-    fabric, ahead = _mcast_run(True, sends=sends, topo=topo, gids=2)
-    _, ref = _mcast_run(False, sends=sends, topo=topo, gids=2)
-    for g in (0, 1):
-        assert ahead[g][0] == ref[g][0] and len(ahead[g][0]) == 4
-        nic = ahead[g][2]
-        assert nic is fabric.rail_nic(0, g) and nic.stamped_cqes == 4
-    # Each plane keeps its own horizon: one per downlink channel.
-    assert fabric.rail_nic(0, 0) is not fabric.rail_nic(0, 1)
+def test_receive_decisions_are_made_at_arrival():
+    # The four datagrams are handed to host 0's NIC when the downlink
+    # transmits them, and each is received — WR taken, RNR decided, CQE
+    # stamped — at its own arrival instant: a WR posted between two
+    # arrivals rescues the later one, a crash between them drops it.
+    cqes, rnr, _ = _burst_into_host0()
+    arrivals = [t for _, _, t in cqes]
+    assert [c[:2] for c in cqes] == [(0, 1), (1, 2)] and rnr == 2
+    late = arrivals[1] + 1e-9  # after the second arrival, before the third
+    cqes, rnr, _ = _burst_into_host0(at=[(late, lambda f, post: post(7))])
+    assert [c[:2] for c in cqes] == [(0, 1), (1, 2), (7, 3)] and rnr == 1
+    assert [t for _, _, t in cqes][:2] == arrivals
+    cqes, rnr, nic = _burst_into_host0(
+        at=[(1e-9, lambda f, post: post(7)),
+            (late, lambda f, post: f.crash_host(0))])
+    assert [c[:2] for c in cqes] == [(0, 1), (1, 2)] and rnr == 0
+    assert nic.packets_received == 2

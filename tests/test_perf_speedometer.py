@@ -97,20 +97,6 @@ def test_check_gates_the_payload_cost(capsys):
         assert f"ar188: {key} changed" in capsys.readouterr().out
 
 
-def test_lossy188_forms_trains():
-    """Regression: loss-fault specs used to disqualify every packet run
-    from train coalescing even when the evaluated window dropped nothing,
-    so the lossy188 scenario ran per-packet end to end (trains == 0).
-    Inert-window evaluation must keep clean runs on the train fast path.
-    """
-    speedo = _load_speedometer()
-    cur = speedo.SCENARIOS["lossy188"](reference=False)
-    assert cur["trains"] > 0, (
-        "lossy188 formed no packet trains — the coalescing eligibility "
-        "check is treating every faulted channel as per-packet again"
-    )
-
-
 @pytest.mark.perf
 @pytest.mark.skipif(
     not os.environ.get("RUN_PERF"),

@@ -24,7 +24,6 @@ from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator, Store
 from repro.sim.events import Timeout
 from repro.units import gbit_per_s
-from tests.unfolded import unfold
 
 FAST = settings(max_examples=50, deadline=None)
 SLOW = settings(
@@ -322,53 +321,6 @@ def test_simulation_is_deterministic(seed):
     assert run() == run()
 
 
-# -------------------------------------------------------- look-ahead delivery
-
-
-@FAST
-@given(
-    script=st.lists(
-        st.tuples(
-            st.integers(0, 30),  # gap to the previous send, x 0.1 µs
-            st.integers(1, 4),  # source host
-            st.sampled_from(["packet", "packet", "train", "unicast"]),
-        ),
-        min_size=1, max_size=12,
-    ),
-    n_wrs=st.integers(0, 6),
-    reposts=st.lists(st.integers(0, 80), max_size=10),  # instants, x 0.1 µs
-)
-def test_lookahead_cq_is_wire_order_with_per_packet_stamps(script, n_wrs, reposts):
-    """Random interleavings of look-ahead (stamped) and event-delivered
-    arrivals from several sources on one downlink, with receive WRs running
-    dry and being re-posted at random instants: the CQ holds the packets in
-    wire order, each with the WR, stamp and RNR outcome per-packet delivery
-    gives it."""
-    from tests.test_net_nic import _mcast_run
-
-    sends, unicasts, t, imm = [], [], 0.0, 0
-    for gap, src, what in script:
-        t += gap * 0.1e-6
-        if what == "unicast":  # to a second QP: always an arrival event
-            unicasts.append((t, src))
-        elif what == "train":
-            sends.append((t, src, [imm, imm + 1, imm + 2]))
-            imm += 3
-        else:
-            sends.append((t, src, 4096, imm))
-            imm += 1
-    kw = dict(sends=sends, unicasts=unicasts,
-              wrs=[(i, 4096) for i in range(n_wrs)],
-              posts=[(r * 0.1e-6, 100 + i, 4096) for i, r in enumerate(reposts)])
-    (cq_a, rnr_a, nic_a), = _mcast_run(True, **kw)[1].values()
-    (cq_r, rnr_r, nic_r), = _mcast_run(False, **kw)[1].values()
-    assert cq_a == cq_r and rnr_a == rnr_r
-    assert nic_a.packets_received == nic_r.packets_received
-    stamps = [c[3] for c in cq_a]
-    assert stamps == sorted(stamps)
-    assert nic_r.stamped_cqes == 0
-
-
 # ------------------------------------------------- control-plane fold (§6i)
 
 
@@ -431,18 +383,15 @@ def test_a_collective_admitted_at_any_instant_leaves_the_oracles_state(
         family, p, ctrl_cost, first, delay, root):
     # Whatever the first collective has folded when the second is submitted
     # — nothing yet, a barrier half served, a handshake — both finish as
-    # they do at packet level (ControlFold.unfold hands the rest back).
-    # The oracle is the production engine with the folds kept out: two
-    # collectives sharing a channel are where its packet trains still
-    # differ from the reference engine's packets (ROADMAP item 7).
-    def run(fold):
+    # they do on the reference engine (ControlFold.unfold hands the rest
+    # back).
+    def run(reference):
         fabric = Fabric(Simulator(), _family(family, p),
-                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=3))
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=3),
+                        reference=reference)
         comm = Communicator(fabric, hosts=range(p), config=CollectiveConfig(
             transport="uc",
             cost=replace(HostCostModel(), ctrl_message=ctrl_cost)))
-        if not fold:
-            unfold(comm)
         data = np.arange(4096, dtype=np.uint8)
         handles = []
 
@@ -463,4 +412,4 @@ def test_a_collective_admitted_at_any_instant_leaves_the_oracles_state(
                 [(e.ctrl.messages_sent, e.ctrl.messages_received,
                   e.ctrl.last_heard) for e in comm.engines])
 
-    assert run(True) == run(False)
+    assert run(False) == run(True)

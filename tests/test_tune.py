@@ -30,7 +30,6 @@ from repro.tune import (
     size_bucket,
 )
 from repro.units import KiB
-from tests.unfolded import unfold
 
 TINY = Scenario(collective="allgather", n_hosts=8, topo="star",
                 msg_bytes=64 * KiB, seed=0)
@@ -186,29 +185,17 @@ TORUS_CHAINED = (Scenario(collective="allgather", n_hosts=16, topo="torus",
 def test_folded_staging_peak_matches_the_packet_path(case, monkeypatch):
     # A folded phase holds no staging slot at packet level; the session
     # traces each lane's peak instead (a slot is held from the worker's
-    # CQE poll until its copy completes).  The packet path's receive
-    # batches sample every slot at its CQE's poll instant too, so the
-    # tuner reads the same staging headroom from the fold, from the
-    # production engine at packet level and from the per-CQE reference.
+    # CQE poll until its copy completes), so the tuner reads the same
+    # staging headroom from the fold and from the per-CQE reference.
     scenario, extra = (TINY, {}) if case == "tiny" else TORUS_CHAINED
     knobs = {**SearchSpace.default(scenario).baseline_knobs(), **extra}
     folded = evaluate(scenario, knobs)
-    init = Communicator.__init__
-
-    def unfolded_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        unfold(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(Communicator, "__init__", unfolded_init)
-        packets = evaluate(scenario, knobs)
     monkeypatch.setattr(scenario_module, "Fabric",
                         functools.partial(Fabric, reference=True))
     ref = evaluate(scenario, knobs)
-    assert folded.duration == packets.duration == ref.duration
-    assert 0.0 < folded.staging_peak_frac == packets.staging_peak_frac
-    assert packets.staging_peak_frac == ref.staging_peak_frac
-    assert folded.sim_events < packets.sim_events
+    assert folded.duration == ref.duration
+    assert 0.0 < folded.staging_peak_frac == ref.staging_peak_frac
+    assert folded.sim_events < ref.sim_events
 
 
 TINY_AR = Scenario(collective="allreduce", n_hosts=8, topo="star",

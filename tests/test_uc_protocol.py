@@ -139,7 +139,6 @@ def test_uc_packet_level_broadcast_recycles_the_cached_wr(reference):
     data = np.random.default_rng(0).integers(0, 256, 64 * KiB, dtype=np.uint8)
     res = comm.broadcast(0, data)
     assert res.verify_broadcast(data) and res.engine["ff_phases"] == 0
-    assert bool(res.engine["cqe_batches"]) != reference
     qps = [qp for engine in comm.engines for qp in engine.sub_qps]
     assert [len(qp.recv_queue) for qp in qps] == [16] * 64
     assert [qp.posted for qp in qps] == [16] + [32] * 63

@@ -1,11 +1,10 @@
-"""The production engine at packet level, for tests of what runs beneath
-the folds.
+"""Keep the folds from taking a phase, one of them or both.
 
-The data and control folds (DESIGN.md §6c) take every phase their gates
-let through, so on a clean fabric the default engine's packet trains,
-look-ahead delivery, CQE batches and packet-level control plane are only
-reached where a gate declines.  Tests of those mechanisms keep the folds
-from taking a phase instead.
+The data fold (DESIGN.md §6d) and the control-plane fold (§6i) take every
+phase their gates let through.  A test of what one fold leaves to the
+packet path keeps just that fold out; a test that the production engine's
+packet path is the reference's keeps both out.  A test that only wants the
+packet level as its oracle runs ``Fabric(reference=True)`` instead.
 """
 
 

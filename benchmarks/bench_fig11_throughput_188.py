@@ -8,10 +8,12 @@ Shape criteria (paper §VI-B): the multicast Broadcast is the fastest
 hardware); Allgather multicast ≈ ring for FSDP-typical sizes (both are
 receive-path bound).
 
-Memory note: an Allgather materializes P² · N bytes of simulated buffers
-(every rank holds everyone's data), so the 188-node Allgather points use
-16 KiB shards (≈ 550 MB of buffers) and the paper's 128–256 KiB FSDP
-shard sizes are validated at 32 nodes, where they fit comfortably.
+Memory note: an Allgather does not materialize its P² · N bytes.  Buffers
+are lazily backed (DESIGN.md §6h): a rank's region records where its bytes
+come from, and ``verify_allgather`` compares them without materializing,
+so a 188-node multicast Allgather of the paper's 128 KiB FSDP shard peaks
+under 200 MiB of resident memory (4 KiB UD chunks).  The 188-node point
+here uses 16 KiB shards; the 128–256 KiB shard sizes run at 32 nodes.
 Simulation granularity: one simulated chunk = up to 64 KiB of wire
 traffic, with per-chunk software costs rescaled (see repro.bench).
 """

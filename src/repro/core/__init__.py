@@ -32,7 +32,7 @@ from repro.core.communicator import (
 )
 from repro.core.costmodel import HostCostModel
 from repro.core.sequencer import BroadcastSequencer
-from repro.core.staging import StagingRing
+from repro.core.staging import StagingRing, recv_table
 from repro.core.subgroups import SubgroupPlan
 
 __all__ = [
@@ -49,4 +49,5 @@ __all__ = [
     "RankStats",
     "StagingRing",
     "SubgroupPlan",
+    "recv_table",
 ]

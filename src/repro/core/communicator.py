@@ -30,7 +30,7 @@ import enum
 import itertools
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -53,11 +53,12 @@ from repro.core.request import (
     PhaseStats,
 )
 from repro.core.sequencer import BroadcastSequencer, effective_chains
+from repro.core.staging import recv_table
 from repro.core.subgroups import SubgroupPlan
 from repro.models.schedule import chain_hops, chain_schedule
 from repro.net.fabric import Fabric
 from repro.net.memory import MemoryRegion
-from repro.net.nic import QueuePair, Transport
+from repro.net.nic import QueuePair, RecvWR, Transport
 from repro.net.topology import host_name
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceConfig, Tracer, TraceView
@@ -963,9 +964,19 @@ class Communicator:
             if self.size >= 2
             else []
         )
+        #: UD: per subgroup, the receive WRs every rank's staging ring
+        #: posts, under one symmetric key per subgroup (a host registers
+        #: every subgroup's ring in its one memory, whatever the rail)
+        self.recv_tables: Tuple[Tuple[RecvWR, ...], ...] = (
+            tuple(recv_table(self.config.staging_slots, self.config.chunk_size)
+                  for _ in range(self.config.n_subgroups))
+            if self.config.transport == "ud" else ())
         self._ctrl_pairs: Dict[tuple, QueuePair] = {}
         #: control messages sent and not yet served, over every rank
         self.ctrl_in_flight = [0]
+        #: per slab index, the receive WRs every rank's control plane posts
+        #: for that slab (grown by the first plane to need it)
+        self.ctrl_slab_tables: List[Tuple[RecvWR, ...]] = []
         self.engines: List[RankEngine] = []
         for r in range(self.size):
             self.engines.append(RankEngine(self, r))

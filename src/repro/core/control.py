@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.sequencer import effective_chains
 from repro.net.link import bypass_arrival, bypass_clear, bypass_fly, bypass_tables
+from repro.net.memory import new_key
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
 from repro.sim.events import Event, Timeout
 from repro.sim.primitives import Store
@@ -80,6 +81,16 @@ _U32_MAX = 0xFFFFFFFF
 _NEVER = float("-inf")
 
 
+def _slab_table(index: int) -> Tuple[RecvWR, ...]:
+    """The receive WRs of every plane's slab *index*: slot *i* is global
+    slot ``index · _SLAB_SLOTS + i`` at ``i · _SLOT_BYTES`` of a region
+    registered under one fresh symmetric key."""
+    key = new_key()
+    base = index * _SLAB_SLOTS
+    return tuple(RecvWR(wr_id=base + i, mr_key=key, offset=i * _SLOT_BYTES,
+                        length=_SLOT_BYTES) for i in range(_SLAB_SLOTS))
+
+
 class ControlFoldError(RuntimeError):
     """A folded control phase met state its gates had excluded (internal)."""
 
@@ -103,6 +114,7 @@ class ControlPlane:
         rank: int,
         pair_fn: Callable[[int], QueuePair],
         in_flight: List[int],
+        slab_tables: List[Tuple[RecvWR, ...]],
         per_message_cost: float = 0.0,
     ) -> None:
         self.sim = sim
@@ -116,7 +128,10 @@ class ControlPlane:
         self.qps: Dict[int, QueuePair] = {}
         #: slot slabs: per slab, a ``(slots, words)`` uint32 view of its MR
         self._slabs: List[np.ndarray] = []
-        #: cached, validated receive WRs; ``wr_id`` = index = global slot
+        #: per slab index, its cached receive WRs, shared by every plane
+        #: of one communicator (:func:`_slab_table`)
+        self._slab_tables = slab_tables
+        #: the posted slabs' WRs; ``wr_id`` = index = global slot
         self._wrs: List[RecvWR] = []
         self._inboxes: Dict[tuple, Store] = {}
         self.messages_sent = 0
@@ -152,16 +167,16 @@ class ControlPlane:
 
     def _post_slab(self) -> None:
         """Register one more slab of message slots in the host memory (all
-        rails share it, so the slab survives a control-plane migration) and
-        post its receive WRs to the SRQ."""
-        base = len(self._wrs)
-        mr = self.nic.memory.register(_SLAB_SLOTS * _SLOT_BYTES)
+        rails share it, so the slab survives a control-plane migration)
+        under its table's symmetric key and post the table's WRs to the
+        SRQ."""
+        index = len(self._slabs)
+        if index == len(self._slab_tables):
+            self._slab_tables.append(_slab_table(index))
+        wrs = self._slab_tables[index]
+        mr = self.nic.memory.register(_SLAB_SLOTS * _SLOT_BYTES, key=wrs[0].mr_key)
         self._slabs.append(mr.buf.view(np.uint32).reshape(_SLAB_SLOTS, _SLOT_WORDS))
         mr.check(0, _SLAB_SLOTS * _SLOT_BYTES)  # the slots tile it: validate once
-        wrs = [
-            RecvWR(wr_id=base + i, mr_key=mr.key, offset=i * _SLOT_BYTES, length=_SLOT_BYTES)
-            for i in range(_SLAB_SLOTS)
-        ]
         self._wrs.extend(wrs)
         self.srq.post_recv_cached_batch(wrs)
 

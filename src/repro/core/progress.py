@@ -116,6 +116,7 @@ class RankEngine:
             pair_fn=lambda peer: comm.ensure_ctrl_pair(rank, peer),
             per_message_cost=self.cost.ctrl_message,
             in_flight=comm.ctrl_in_flight,
+            slab_tables=comm.ctrl_slab_tables,
         )
 
         cfg = self.config
@@ -126,9 +127,12 @@ class RankEngine:
         # UC: the NIC places data and a receive only consumes an immediate,
         # so every slot of every subgroup QP is one zero-length WR (§V-A
         # cached re-post), validated here and posted ``staging_slots`` times.
-        dummy_mr = self.nic.memory.register(1)
-        dummy_mr.check(0, 0)  # validate
-        self._uc_wr = RecvWR(wr_id=0, mr_key=dummy_mr.key, offset=0, length=0)
+        # UD: each subgroup's ring posts the communicator's shared table.
+        self._uc_wr: Optional[RecvWR] = None
+        if uc:
+            dummy_mr = self.nic.memory.register(1)
+            dummy_mr.check(0, 0)  # validate
+            self._uc_wr = RecvWR(wr_id=0, mr_key=dummy_mr.key, offset=0, length=0)
         host = comm.host_of(rank)
         for sg in range(cfg.n_subgroups):
             # Each subgroup's QP lives on the NIC of the plane its
@@ -154,7 +158,7 @@ class RankEngine:
                 qp.post_recv_cached_batch([self._uc_wr] * cfg.staging_slots)
                 self.stagings.append(None)
             else:
-                ring = StagingRing(nic_sg, cfg.staging_slots, cfg.chunk_size)
+                ring = StagingRing(nic_sg, comm.recv_tables[sg])
                 ring.prime(qp)
                 self.stagings.append(ring)
             self.sub_qps.append(qp)

@@ -13,6 +13,11 @@ copy moves that reference on, so the ring holds at most one piece per
 slot (plus the tail of an older datagram a shorter one left in place) and
 never materialises bytes.
 
+A posted slot is an immutable descriptor, so the cached receive WRs are
+built once per subgroup, not once per rank (:func:`recv_table`): every
+rank registers its ring under the table's symmetric key in its own host
+memory, and its NIC resolves that key there.
+
 Slot lifecycle::
 
     FREE --post_recv--> POSTED --CQE--> HELD --copy done, repost--> POSTED
@@ -21,40 +26,53 @@ Slot lifecycle::
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Deque, List
+from typing import TYPE_CHECKING, Deque, Sequence, Tuple
 
+from repro.net.memory import new_key
 from repro.net.nic import QueuePair, RecvWR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.nic import Nic
 
-__all__ = ["StagingRing"]
+__all__ = ["StagingRing", "recv_table"]
 
 _FREE, _POSTED, _HELD = 0, 1, 2
+
+
+def recv_table(n_slots: int, slot_size: int) -> Tuple[RecvWR, ...]:
+    """The cached receive WRs of one ring shape (paper §V-A "fast
+    re-posting"): slot *s* is ``wr_id = s`` at ``offset = s · slot_size``
+    of a region registered under one fresh symmetric key.  Every ring
+    built from the table posts these very objects."""
+    if n_slots < 1 or slot_size < 1:
+        raise ValueError("n_slots and slot_size must be >= 1")
+    key = new_key()
+    return tuple(RecvWR(wr_id=s, mr_key=key, offset=s * slot_size, length=slot_size)
+                 for s in range(n_slots))
 
 
 class StagingRing:
     """A ring of receive slots backed by one registered memory region.
 
     The work-request id of each posted receive is the slot index, so a CQE
-    maps back to its slot in O(1).  All receive WRs are cached and re-posted
-    verbatim — the "fast re-posting" optimization of paper §V-A.
+    maps back to its slot in O(1).  The receive WRs are a :func:`recv_table`,
+    shared with every other ring built from it and re-posted verbatim — the
+    "fast re-posting" optimization of paper §V-A.  The ring registers its
+    region under the table's key in *nic*'s host memory.
     """
 
-    def __init__(self, nic: "Nic", n_slots: int, slot_size: int) -> None:
-        if n_slots < 1 or slot_size < 1:
-            raise ValueError("n_slots and slot_size must be >= 1")
+    def __init__(self, nic: "Nic", wrs: Sequence[RecvWR]) -> None:
+        if not wrs:
+            raise ValueError("a staging ring needs at least one slot")
+        n_slots = len(wrs)
         self.nic = nic
         self.n_slots = n_slots
-        self.slot_size = slot_size
-        self.mr = nic.memory.register(n_slots * slot_size)
+        self.slot_size = wrs[0].length
+        self.mr = nic.memory.register(n_slots * self.slot_size, key=wrs[0].mr_key)
         self._state = [_FREE] * n_slots
         self._free: Deque[int] = collections.deque(range(n_slots))
-        #: cached receive work requests, one per slot (paper §V-A)
-        self._wrs: List[RecvWR] = [
-            RecvWR(wr_id=s, mr_key=self.mr.key, offset=s * slot_size, length=slot_size)
-            for s in range(n_slots)
-        ]
+        #: the shared cached receive WRs, one per slot (paper §V-A)
+        self._wrs = wrs
         self.reposts = 0
         # Incremental occupancy counters: O(1) reads so per-CQE telemetry
         # (the staging.hold trace counter) never scans the slot array.

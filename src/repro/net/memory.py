@@ -26,9 +26,18 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Memory", "MemoryRegion"]
+__all__ = ["Memory", "MemoryRegion", "new_key"]
 
 _key_counter = itertools.count(1)
+
+
+def new_key() -> int:
+    """A fresh MR key, held by no region on any host: the one
+    :meth:`Memory.register` assigns, or a *symmetric* key for
+    ``register(..., key=...)`` on many hosts, so that one cached receive
+    WR names the same-shaped region on every one of them."""
+    return next(_key_counter)
+
 
 #: host memory one recorded piece costs (four list slots plus their ints).
 #: A region whose piece map would outweigh its own bytes materialises —
@@ -407,7 +416,7 @@ class Memory:
             if buf.ndim != 1:
                 raise ValueError("register a flat uint8 buffer")
         if key is None:
-            key = next(_key_counter)
+            key = new_key()
         if key in self._regions:
             raise ValueError(f"key {key} already registered on host {self.host}")
         mr = MemoryRegion(key, buf, self.host)

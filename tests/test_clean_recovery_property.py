@@ -145,3 +145,20 @@ def test_each_activation_costs_the_chain_what_the_schedule_says(transport, chunk
             fabric.topology, [a, a + 1])) - 2 * nbytes / fabric.link_bandwidth
         assert sent[a + 1] - sent[a] - nbytes / fabric.link_bandwidth == (
             pytest.approx(step, rel=1e-9))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the default 256-slot staging ring overruns: 17 concurrent chains of "
+    "1 KiB UD chunks outrun one receive worker (256 RNR drops, 8 recoveries)"))
+def test_the_default_ring_keeps_up_with_concurrent_1k_chains() -> None:
+    """The clean-run property's 17-chain case, at the default
+    ``staging_slots`` instead of a receive posted per chunk."""
+    fabric = Fabric(Simulator(), FAMILIES["dragonfly"](),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(0))
+    comm = Communicator(fabric, hosts=range(17), config=CollectiveConfig(
+        chunk_size=1024, n_chains=17))
+    rng = np.random.default_rng(0)
+    data = [rng.integers(0, 256, 32 * 1024, dtype=np.uint8) for _ in range(17)]
+    res = comm.allgather(data)
+    assert res.verify_allgather(data)
+    assert res.reliability_summary()["recoveries"] == 0

@@ -12,6 +12,7 @@ from repro.core import (
     ImmLayout,
     StagingRing,
     SubgroupPlan,
+    recv_table,
 )
 from repro.net import Fabric, RecvWR, Topology, Transport
 from repro.sim import Simulator
@@ -182,7 +183,7 @@ def make_ring(n_slots=4, slot=4096):
     fabric = Fabric(sim, Topology.star(2), link_bandwidth=gbit_per_s(56))
     nic = fabric.nic(0)
     qp = nic.create_qp(Transport.UD, max_recv_wr=n_slots)
-    return StagingRing(nic, n_slots, slot), qp
+    return StagingRing(nic, recv_table(n_slots, slot)), qp
 
 
 def test_staging_prime_posts_all():
@@ -228,8 +229,11 @@ def test_staging_memory_footprint():
 def test_staging_invalid_params():
     sim = Simulator()
     fabric = Fabric(sim, Topology.star(2))
+    for n_slots, slot in ((0, 4096), (4, 0)):
+        with pytest.raises(ValueError):
+            recv_table(n_slots, slot)
     with pytest.raises(ValueError):
-        StagingRing(fabric.nic(0), 0, 4096)
+        StagingRing(fabric.nic(0), ())
 
 
 # ----------------------------------------------------------------- Sequencer

@@ -10,13 +10,12 @@ constant (the schedule changes, the bytes do not).
 
 import numpy as np
 
-from repro.bench import coarse_config, format_table, make_fabric, report
-from repro.core.communicator import Communicator
+from repro.bench import format_table, make_fabric, report
+from repro.core.communicator import CollectiveConfig, Communicator
 from repro.units import KiB
 
 P = 16
 SHARD = 64 * KiB
-CHUNK = 16 * KiB
 CHAINS = (1, 2, 4, 8, 16)
 
 
@@ -24,8 +23,7 @@ def run_sweep():
     out = {}
     data = [np.full(SHARD, r % 251, dtype=np.uint8) for r in range(P)]
     for m in CHAINS:
-        fabric = make_fabric(P, mtu=CHUNK)
-        comm = Communicator(fabric, config=coarse_config(CHUNK, n_chains=m))
+        comm = Communicator(make_fabric(P), config=CollectiveConfig(n_chains=m))
         res = comm.allgather(data)
         assert res.verify_allgather(data)
         out[m] = (

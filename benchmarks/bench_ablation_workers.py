@@ -13,23 +13,25 @@ import numpy as np
 from repro.bench import format_table, make_fabric, report
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.core.costmodel import HostCostModel
-from repro.units import KiB, MiB, to_gbit_per_s
+from repro.units import MiB, to_gbit_per_s
 
 SIZE = 2 * MiB
-CHUNK = 16 * KiB
 WORKERS = (1, 2, 4)
 
-#: inflated per-chunk costs: a "weak" progress core that a 200 Gbit/s link
-#: outruns (models the CPU-starved deployments of §V-B)
-WEAK_CORE = HostCostModel().scaled(8.0)
+#: a "weak" progress core, twice as slow per operation as the default,
+#: that a 200 Gbit/s link outruns (models the CPU-starved deployments of
+#: §V-B): one worker drains about 39 Gbit/s of 4 KiB datagrams
+WEAK_CORE = HostCostModel().scaled(2.0)
 
 
 def run_sweep():
     out = {}
     data = np.random.default_rng(3).integers(0, 256, SIZE, dtype=np.uint8)
     for w in WORKERS:
-        fabric = make_fabric(8, mtu=CHUNK, link_gbit=200)
-        config = CollectiveConfig(chunk_size=CHUNK, n_subgroups=w, cost=WEAK_CORE)
+        fabric = make_fabric(8, link_gbit=200)
+        # A 4 MiB ring (1024 slots) holds the whole message: one worker
+        # falls behind the link without overrunning its ring.
+        config = CollectiveConfig(n_subgroups=w, staging_slots=1024, cost=WEAK_CORE)
         comm = Communicator(fabric, config=config)
         res = comm.broadcast(0, data)
         assert res.verify_broadcast(data)

@@ -7,12 +7,12 @@ tracks ``S = 2 − 2/P`` (the closed form assumes an RS input of N·(P−1);
 ours is N·P, so the ideal ratio is ``2(P−1)/(P+1)``, shown alongside).
 """
 
-from repro.bench import coarse_config, format_table, make_fabric, report
+from repro.bench import format_table, make_fabric, report
+from repro.core.communicator import CollectiveConfig
 from repro.models import concurrent_speedup
 from repro.units import KiB
 from repro.workloads import run_concurrent_pair
 
-CHUNK = 16 * KiB
 AG_BYTES = 64 * KiB
 SIZES = (4, 8, 16)
 
@@ -21,13 +21,11 @@ def run_appb():
     rows = []
     measured = {}
     for p in SIZES:
-        f_ring = make_fabric(p, mtu=CHUNK)
-        ring = run_concurrent_pair(f_ring, "ring", AG_BYTES)
-        f_opt = make_fabric(p, mtu=CHUNK)
+        ring = run_concurrent_pair(make_fabric(p), "ring", AG_BYTES)
         # Maximal chain parallelism overlaps the chain-activation gaps
         # (§IV-A); the receive path remains the binding resource.
         opt = run_concurrent_pair(
-            f_opt, "optimal", AG_BYTES, config=coarse_config(CHUNK, n_chains=p)
+            make_fabric(p), "optimal", AG_BYTES, config=CollectiveConfig(n_chains=p)
         )
         assert ring.correct and opt.correct
         s = ring.makespan / opt.makespan

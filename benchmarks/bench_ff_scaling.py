@@ -72,7 +72,7 @@ def run_broadcast(n_hosts: int, mode: str, payload: int = BCAST_PAYLOAD,
                   fault=None) -> Dict[str, object]:
     """*fault*: ``fault(comm)`` arms loss after the warm-up broadcast."""
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_hosts, mtu=CHUNK, reference=MODES[mode])
+    fabric = make_fabric(n_hosts, reference=MODES[mode])
     cfg = CollectiveConfig(
         chunk_size=CHUNK,
         transport="uc",
@@ -125,7 +125,7 @@ def run_allgather(n_ranks: int, mode: str,
                   chunk: Optional[int] = None,
                   n_chains: int = 1, **config) -> Dict[str, object]:
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_ranks, mtu=4096, reference=MODES[mode])
+    fabric = make_fabric(n_ranks, reference=MODES[mode])
     cfg = CollectiveConfig(
         chunk_size=chunk or per_rank,
         transport="uc",
@@ -156,7 +156,7 @@ def run_allreduce(n_ranks: int,
     pass folds (DESIGN.md §6j) and so do the allgather phases (the data
     fold)."""
     t_setup = time.perf_counter()
-    fabric = make_fabric(n_ranks, mtu=4096)
+    fabric = make_fabric(n_ranks)
     cfg = CollectiveConfig(chunk_size=shard_elems * 4, transport="uc")
     comm = Communicator(fabric, config=cfg)
     setup = time.perf_counter() - t_setup

@@ -27,7 +27,7 @@ def measured_allgather_boundary(p=8, n=64 * KiB):
     data = [np.full(n, r, dtype=np.uint8) for r in range(p)]
     out = {}
     for algo in ("mcast", "ring"):
-        fabric = make_fabric(p, mtu=8 * KiB, link_gbit=56)
+        fabric = make_fabric(p, link_gbit=56)
         if algo == "mcast":
             comm = Communicator(fabric)
             res = comm.allgather(data)

@@ -5,20 +5,16 @@ synchronization, multicast datapath and final handshake, across node
 counts and message sizes.  Shape criteria: synchronization dominates only
 small messages / small scale; from 16 nodes and large buffers the
 datapath takes ~all of the time (paper: 99 %).
-
-Simulation granularity: 16 KiB chunks (one simulated datagram stands for
-four 4 KiB wire datagrams; per-chunk software costs are scaled to match).
 """
 
 import numpy as np
 
-from repro.bench import coarse_config, format_table, make_fabric, report
+from repro.bench import format_table, make_fabric, report
 from repro.core.communicator import Communicator
 from repro.units import KiB, pretty_bytes
 
 NODES = (4, 16)
 SIZES = (16 * KiB, 256 * KiB, 1024 * KiB)
-CHUNK = 16 * KiB
 
 
 def run_breakdown():
@@ -26,8 +22,7 @@ def run_breakdown():
     fractions = {}
     for p in NODES:
         for n in SIZES:
-            fabric = make_fabric(p, mtu=CHUNK)
-            comm = Communicator(fabric, config=coarse_config(CHUNK))
+            comm = Communicator(make_fabric(p))
             data = [np.full(n, r % 251, dtype=np.uint8) for r in range(p)]
             res = comm.allgather(data)
             assert res.verify_allgather(data)

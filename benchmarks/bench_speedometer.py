@@ -1,13 +1,11 @@
 """Speedometer — the simulator's perf-regression harness.
 
-Measures wall-clock, simulator events, and events/sec on four pinned
-scenarios that together cover the hot paths the fast-path PR optimizes:
+Measures wall-clock, simulator events, and events/sec on pinned
+scenarios that together cover the simulator's hot paths, every one at
+the fabric's 4 KiB MTU:
 
 * ``ag16``        clean 16-rank allgather (NIC receive + DMA datapath)
-* ``bcast188``    clean 188-node coarse broadcast (paper Fig 11 shape)
-* ``bcast188hf``  clean 188-node *fine-grained* broadcast (mtu 4096,
-                  1 MiB) — the headline scenario for the >=2x wall-clock
-                  claim; dominated by per-packet channel/switch events
+* ``bcast188hf``  clean 188-node 1 MiB broadcast (paper Fig 11 shape)
 * ``lossy188``    Gilbert-Elliott lossy 188-node broadcast — exercises
                   the per-packet slow path + recovery machinery
 * ``fsdp``        3-layer FSDP backward pipeline (overlapping AG+RS)
@@ -32,7 +30,7 @@ noise, and fails the ``--check`` gate outright.  Wall-clock is
 machine-dependent, so the gate normalizes it by a calibration loop
 (pure-Python event churn) measured on the same machine around the run,
 and compares the *normalized* cost against the committed baseline
-with a tolerance (default 25%).  A wall-gated scenario runs
+with a tolerance (default 25%).  Each scenario runs
 ``WALL_RUNS`` times, each run next to its own calibration sample (half
 before it, half after), and reports its median run: the baseline is
 written (``--json``) and checked (``--check``) by the same protocol.
@@ -59,13 +57,13 @@ from typing import Dict
 
 import numpy as np
 
-from repro.bench import coarse_config, format_table, make_fabric
+from repro.bench import format_table, make_fabric
 from repro.core.communicator import CollectiveConfig, Communicator
 from repro.net.faults import GilbertElliott
 from repro.net.link import FaultSpec
 from repro.sim.engine import Simulator
 from repro.units import KiB, MiB
-from repro.workloads.fsdp import run_fsdp_backward_pipeline
+from repro.workloads.fsdp import pair_payloads, run_fsdp_backward_pipeline
 
 CALIBRATION_EVENTS = 200_000
 
@@ -119,15 +117,12 @@ def _result(wall: float, res, fabric) -> Dict[str, object]:
     }
 
 
-def _bcast(n_hosts: int, nbytes: int, chunk: int, reference: bool,
-           fault_factory=None, coarse: bool = True,
-           **cfg_kw) -> Dict[str, float]:
-    fabric = make_fabric(n_hosts, mtu=chunk, reference=reference)
+def _bcast(n_hosts: int, nbytes: int, reference: bool,
+           fault_factory=None, **cfg_kw) -> Dict[str, float]:
+    fabric = make_fabric(n_hosts, reference=reference)
     if fault_factory is not None:
         fabric.set_fault_all(fault_factory)
-    cfg = (coarse_config(chunk, **cfg_kw) if coarse
-           else CollectiveConfig(chunk_size=chunk, **cfg_kw))
-    comm = Communicator(fabric, config=cfg)
+    comm = Communicator(fabric, config=CollectiveConfig(**cfg_kw))
     data = (np.arange(nbytes, dtype=np.uint32) % 251).astype(np.uint8)
     t0 = time.perf_counter()
     res = comm.broadcast(0, data)
@@ -137,8 +132,8 @@ def _bcast(n_hosts: int, nbytes: int, chunk: int, reference: bool,
 
 
 def scenario_ag16(reference: bool) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
+    fabric = make_fabric(16, reference=reference)
+    comm = Communicator(fabric)
     data = [np.full(64 * KiB, r % 251, dtype=np.uint8) for r in range(16)]
     t0 = time.perf_counter()
     res = comm.allgather(data)
@@ -147,30 +142,26 @@ def scenario_ag16(reference: bool) -> Dict[str, float]:
     return _result(wall, res, fabric)
 
 
-def scenario_bcast188(reference: bool) -> Dict[str, float]:
-    return _bcast(188, MiB, 64 * KiB, reference)
-
-
 def scenario_bcast188hf(reference: bool) -> Dict[str, float]:
-    return _bcast(188, MiB, 4096, reference, coarse=False)
+    return _bcast(188, MiB, reference)
 
 
 def scenario_lossy188(reference: bool) -> Dict[str, float]:
     ge = GilbertElliott(p_good_bad=0.01, p_bad_good=0.3,
                         drop_good=0.001, drop_bad=0.10)
-    return _bcast(188, 256 * KiB, 64 * KiB, reference,
+    return _bcast(188, 256 * KiB, reference,
                   fault_factory=lambda s, d: FaultSpec(gilbert_elliott=ge))
 
 
 def scenario_fsdp(reference: bool) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=16 * KiB, reference=reference)
+    fabric = make_fabric(16, reference=reference)
+    layers = [64 * KiB, 64 * KiB, 32 * KiB]
+    payloads = [pair_payloads(16, shard) for shard in layers]
     sim = fabric.sim
     ev0 = sim.events_processed
     t0 = time.perf_counter()
-    virtual = run_fsdp_backward_pipeline(
-        fabric, "optimal", [64 * KiB, 64 * KiB, 32 * KiB],
-        config=coarse_config(16 * KiB),
-    )
+    virtual = run_fsdp_backward_pipeline(fabric, "optimal", layers,
+                                         payloads=payloads)
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
@@ -185,12 +176,11 @@ def scenario_fsdp(reference: bool) -> Dict[str, float]:
 def scenario_bcast1024(reference: bool) -> Dict[str, float]:
     # Reference-engine 1024-host runs belong to bench_ff_scaling.py, not
     # the per-commit speedometer.
-    return _bcast(1024, 512 * KiB, 4096, reference, coarse=False,
-                  transport="uc")
+    return _bcast(1024, 512 * KiB, reference, transport="uc")
 
 
 def scenario_ag1024(reference: bool) -> Dict[str, float]:
-    fabric = make_fabric(1024, mtu=4096, reference=reference)
+    fabric = make_fabric(1024, reference=reference)
     cfg = CollectiveConfig(chunk_size=KiB, transport="uc")
     comm = Communicator(fabric, config=cfg)
     data = [np.full(KiB, r % 251, dtype=np.uint8) for r in range(1024)]
@@ -202,8 +192,8 @@ def scenario_ag1024(reference: bool) -> Dict[str, float]:
 
 
 def scenario_ar188(reference: bool) -> Dict[str, float]:
-    fabric = make_fabric(188, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=coarse_config(4096, n_chains=188))
+    fabric = make_fabric(188, reference=reference)
+    comm = Communicator(fabric, config=CollectiveConfig(n_chains=188))
     # 1024 float32 elements per shard (4 KiB, one chunk) x 188 shards.
     elems = 188 * 1024
     data = [(np.arange(elems, dtype=np.float32) % 251) + r
@@ -216,8 +206,8 @@ def scenario_ar188(reference: bool) -> Dict[str, float]:
 
 
 def scenario_a2a16(reference: bool) -> Dict[str, float]:
-    fabric = make_fabric(16, mtu=4096, reference=reference)
-    comm = Communicator(fabric, config=CollectiveConfig(chunk_size=4096))
+    fabric = make_fabric(16, reference=reference)
+    comm = Communicator(fabric)
     data = [(np.arange(64 * KiB, dtype=np.uint32) % 251 + r).astype(np.uint8)
             for r in range(16)]
     t0 = time.perf_counter()
@@ -229,7 +219,6 @@ def scenario_a2a16(reference: bool) -> Dict[str, float]:
 
 SCENARIOS = {
     "ag16": scenario_ag16,
-    "bcast188": scenario_bcast188,
     "bcast188hf": scenario_bcast188hf,
     "lossy188": scenario_lossy188,
     "fsdp": scenario_fsdp,
@@ -239,22 +228,15 @@ SCENARIOS = {
     "a2a16": scenario_a2a16,
 }
 
-#: Scenarios whose calibration-normalized wall-clock is steady enough to
-#: gate at the default 25 % tolerance.  Six consecutive runs on a quiet
-#: 2-core box spread 3–9 % around their median on every scenario listed
-#: here except ``a2a16`` (-4/+39 %: it is 30 ms of wall, so one scheduler
-#: hiccup shows); the 1024-host scenarios have been as steady as the rest
-#: since folded phases stopped materialising receive buffers (DESIGN.md
-#: §6h: 122 MiB peak RSS, not the former 0.7–1.2 GiB of first-touch page
-#: faults).  ``bcast188`` (coarse) stays out: the same six runs put it
-#: anywhere from 3.0 to 8.5 normalized units (-34/+85 %) — it runs at
-#: packet level through 188 staging rings of 256 x 64 KiB slots, so its
-#: wall is still first-touch page faults, a memory-subsystem measurement.
-#: Its *event count and virtual time* are gated exactly, like everyone's.
-WALL_GATED = frozenset({"ag16", "bcast188hf", "lossy188", "fsdp", "a2a16",
-                        "bcast1024", "ag1024", "ar188"})
-
-#: runs of a wall-gated scenario, each from a collected heap and
+#: Every scenario's calibration-normalized wall-clock is gated at the
+#: default 25 % tolerance.  Six consecutive runs on a quiet 2-core box
+#: spread 3–9 % around their median on every scenario except ``a2a16``
+#: (-4/+39 %: it is 30 ms of wall, so one scheduler hiccup shows); the
+#: 1024-host scenarios have been as steady as the rest since folded
+#: phases stopped materialising receive buffers (DESIGN.md §6h: 122 MiB
+#: peak RSS, not the former 0.7–1.2 GiB of first-touch page faults).
+#:
+#: runs of a scenario, each from a collected heap and
 #: normalized by a calibration sample taken next to it — half of its
 #: events right before the run, half right after; the scenario reports its
 #: median run
@@ -269,7 +251,7 @@ def run_all(reference: bool = False, profile_top: int = 0,
         if name in skip:
             continue
         runs = []
-        for _ in range(WALL_RUNS if name in WALL_GATED and not profile_top else 1):
+        for _ in range(1 if profile_top else WALL_RUNS):
             gc.collect()  # no earlier run's garbage in this one's wall
             before = calibrate(CALIBRATION_EVENTS // 2)
             if profile_top:
@@ -345,7 +327,7 @@ def check(results: Dict[str, object], baseline_path: str, tolerance: float) -> i
                 f"{cur['virtual_s']!r}"
             )
         # Wall-clock: compare calibration-normalized cost with tolerance.
-        if not same_config or name not in WALL_GATED:
+        if not same_config:
             continue
         limit = base["normalized_cost"] * (1.0 + tolerance)
         if cur["normalized_cost"] > limit:

@@ -8,10 +8,8 @@ fraction of that bound.  The multi-rail rows additionally report the
 measured speedup over the single-rail fat-tree base at the same size —
 the acceptance figure for Nezha-style rail striping.
 
-Runs coarse-grained (one simulated datagram per 64 KiB chunk, datapath
-costs rescaled by :func:`repro.bench.coarse_config`) so the 188-host
-cells finish in CI seconds.  ``--smoke`` trims the sweep to the 16-host
-row per family for the CI ``topology-smoke`` job.
+Every cell runs 4 KiB UD datagrams.  ``--smoke`` trims the sweep to
+the 16-host row per family for the CI ``topology-smoke`` job.
 
 Results are persisted to ``benchmarks/results/topology_sweep.txt`` —
 the source of the EXPERIMENTS.md achieved-vs-bound table.
@@ -24,13 +22,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.bench import coarse_config, format_table, make_fabric, report
-from repro.core.communicator import Communicator
+from repro.bench import format_table, make_fabric, report
+from repro.core.communicator import CollectiveConfig, Communicator
 from repro.models import DragonflyTraffic, FatTreeTraffic, MultiRailTraffic, TorusTraffic
 from repro.units import KiB, MiB, gbit_per_s
 
 LINK_GBIT = 56.0
-CHUNK = 64 * KiB
 BCAST_PAYLOAD = 4 * MiB
 AG_SHARD = 256 * KiB
 
@@ -84,10 +81,10 @@ SHAPES: Dict[str, Dict[int, tuple]] = {
 def _run(collective: str, kind: str, n_hosts: int,
          params: Optional[dict]) -> float:
     fabric = make_fabric(n_hosts, topo=kind, link_gbit=LINK_GBIT,
-                         mtu=CHUNK, topo_params=params)
+                         topo_params=params)
     # 4 subgroups: the paper's operating point, and on 2-rail fabrics
     # the striping needs a rail-count multiple to spread planes.
-    cfg = coarse_config(CHUNK, n_subgroups=4)
+    cfg = CollectiveConfig(n_subgroups=4)
     comm = Communicator(fabric, config=cfg)
     if collective == "broadcast":
         data = np.zeros(BCAST_PAYLOAD, dtype=np.uint8)

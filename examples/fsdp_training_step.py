@@ -15,22 +15,22 @@ and reports the measured speedup against the paper's ``S = 2 − 2/P``.
 Run:  python examples/fsdp_training_step.py
 """
 
-from repro.bench import coarse_config, format_table, make_fabric
+from repro.bench import format_table, make_fabric
+from repro.core.communicator import CollectiveConfig
 from repro.models import concurrent_speedup
 from repro.units import KiB
 from repro.workloads import run_concurrent_pair
 
 LAYER_SHARD = 64 * KiB  # per-rank parameter shard per "layer"
-CHUNK = 16 * KiB
 
 
 def main() -> None:
     rows = []
     for p in (4, 8, 16):
-        ring = run_concurrent_pair(make_fabric(p, mtu=CHUNK), "ring", LAYER_SHARD)
+        ring = run_concurrent_pair(make_fabric(p), "ring", LAYER_SHARD)
         optimal = run_concurrent_pair(
-            make_fabric(p, mtu=CHUNK), "optimal", LAYER_SHARD,
-            config=coarse_config(CHUNK, n_chains=p),
+            make_fabric(p), "optimal", LAYER_SHARD,
+            config=CollectiveConfig(n_chains=p),
         )
         assert ring.correct and optimal.correct, "data verification failed"
         speedup = ring.makespan / optimal.makespan

@@ -10,7 +10,7 @@ Run:  python examples/traffic_telemetry.py
 
 import numpy as np
 
-from repro.bench import coarse_config, format_table, make_fabric
+from repro.bench import format_table, make_fabric
 from repro.core.baselines import ring_allgather
 from repro.core.communicator import Communicator
 from repro.units import KiB, pretty_bytes
@@ -22,12 +22,11 @@ MSG = 64 * KiB
 def main() -> None:
     data = [np.full(MSG, r % 251, dtype=np.uint8) for r in range(P)]
 
-    f_mc = make_fabric(P, mtu=MSG)
-    comm = Communicator(f_mc, config=coarse_config(MSG))
-    res = comm.allgather(data)
+    f_mc = make_fabric(P)
+    res = Communicator(f_mc).allgather(data)
     assert res.verify_allgather(data)
 
-    f_ring = make_fabric(P, mtu=MSG)
+    f_ring = make_fabric(P)
     ring = ring_allgather(f_ring, data)
     expected = np.concatenate(data)
     assert all(np.array_equal(b, expected) for b in ring.buffers)

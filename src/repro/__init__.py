@@ -41,7 +41,6 @@ from repro.core.communicator import (
     PhaseBreakdown,
     PhaseStats,
     RankStats,
-    ReduceScatterHandle,
 )
 from repro.core.costmodel import HostCostModel
 from repro.core.reliability import (
@@ -85,7 +84,6 @@ __all__ = [
     "PhaseStats",
     "RandomStreams",
     "RankStats",
-    "ReduceScatterHandle",
     "ReliabilityError",
     "Simulator",
     "StragglerSpec",

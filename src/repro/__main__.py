@@ -67,17 +67,17 @@ def _experiments() -> int:
 
 
 def _speedup(args: list) -> int:
-    from repro.bench import coarse_config, make_fabric
+    from repro.bench import make_fabric
+    from repro.core.communicator import CollectiveConfig
     from repro.models import concurrent_speedup
     from repro.units import KiB
     from repro.workloads import run_concurrent_pair
 
     sizes = [int(a) for a in args] or [4, 8, 16]
-    chunk = 16 * KiB
     for p in sizes:
-        ring = run_concurrent_pair(make_fabric(p, mtu=chunk), "ring", 64 * KiB)
-        opt = run_concurrent_pair(make_fabric(p, mtu=chunk), "optimal", 64 * KiB,
-                                  config=coarse_config(chunk, n_chains=p))
+        ring = run_concurrent_pair(make_fabric(p), "ring", 64 * KiB)
+        opt = run_concurrent_pair(make_fabric(p), "optimal", 64 * KiB,
+                                  config=CollectiveConfig(n_chains=p))
         print(f"P={p}: measured {ring.makespan / opt.makespan:.2f}x, "
               f"paper S=2-2/P = {concurrent_speedup(p):.2f}x")
     return 0

@@ -1,7 +1,6 @@
 """Shared machinery for the benchmark harness in ``benchmarks/``."""
 
 from repro.bench.runner import (
-    coarse_config,
     format_table,
     make_fabric,
     paper_vs_measured,
@@ -10,7 +9,6 @@ from repro.bench.runner import (
 from repro.bench import reference
 
 __all__ = [
-    "coarse_config",
     "format_table",
     "make_fabric",
     "paper_vs_measured",

@@ -4,85 +4,41 @@ and result reporting (stdout + ``benchmarks/results/*.txt``)."""
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from repro.core.communicator import CollectiveConfig
-from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
-from repro.net.topology import Topology
+from repro.net.topology import TopologySpec, auto_spec
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.units import gbit_per_s
 
-__all__ = ["make_fabric", "coarse_config", "format_table", "report",
-           "paper_vs_measured"]
+__all__ = ["make_fabric", "format_table", "report", "paper_vs_measured"]
 
 
 def make_fabric(
     n_hosts: int = 16,
     topo: str = "auto",
     link_gbit: float = 56.0,
-    mtu: int = 4096,
     seed: int = 0,
     topo_params: Optional[dict] = None,
     reference: bool = False,
 ) -> Fabric:
-    """A fresh simulator + fabric for one benchmark run.
+    """A fresh simulator + fabric for one benchmark run, at the 4 KiB MTU.
 
-    ``topo='auto'`` picks a star for tiny clusters, the paper's 188-node
-    testbed shape when asked for 188 hosts, and a leaf-spine otherwise.
-    Zoo kinds (``torus``/``dragonfly``/``multi_rail``/…) route through
+    ``topo='auto'`` is :func:`~repro.net.topology.auto_spec`'s shape for
+    ``n_hosts``; any other kind builds through
     :class:`~repro.net.topology.TopologySpec` with ``topo_params``.
-    ``mtu`` doubles as the *simulation granularity* knob: benches that only
-    need byte-accurate traffic or large-message timing raise it so one
-    simulated packet stands for many wire packets (documented per bench).
     ``reference`` selects the per-packet, per-CQE reference engine.
     """
-    if topo == "auto":
-        if n_hosts == 188:
-            topology = Topology.testbed_188()
-        elif n_hosts <= 8:
-            topology = Topology.star(n_hosts)
-        else:
-            n_leaf = max(2, -(-n_hosts // 16))
-            topology = Topology.leaf_spine(n_hosts, n_leaf, max(2, n_leaf // 2))
-    elif topo == "star":
-        topology = Topology.star(n_hosts)
-    elif topo == "testbed_188":
-        topology = Topology.testbed_188()
-    elif topo == "back_to_back":
-        topology = Topology.back_to_back()
-    else:
-        from repro.net.topology import TopologySpec
-        topology = TopologySpec(topo, n_hosts, dict(topo_params or {})).build()
+    spec = (auto_spec(n_hosts) if topo == "auto"
+            else TopologySpec(topo, n_hosts, dict(topo_params or {})))
     return Fabric(
         Simulator(),
-        topology,
+        spec.build(),
         link_bandwidth=gbit_per_s(link_gbit),
-        mtu=mtu,
         streams=RandomStreams(seed),
         reference=reference,
     )
-
-
-def coarse_config(chunk_bytes: int, **overrides) -> CollectiveConfig:
-    """A config for coarse-grained timing runs: one simulated chunk stands
-    for ``chunk_bytes / 4096`` real datagrams.  Per-chunk datapath costs
-    are scaled by the aggregation factor so total software time stays
-    calibrated; per-batch and per-control-message costs are *not* scaled —
-    they are paid per operation, not per byte."""
-    factor = max(1.0, chunk_bytes / 4096)
-    base = HostCostModel()
-    cost = HostCostModel(
-        cqe_poll=base.cqe_poll * factor,
-        cqe_process=base.cqe_process * factor,
-        recv_repost=base.recv_repost * factor,
-        copy_issue=base.copy_issue * factor,
-        send_wqe=base.send_wqe * factor,
-        doorbell=base.doorbell,
-        ctrl_message=base.ctrl_message,
-    )
-    return CollectiveConfig(chunk_size=chunk_bytes, cost=cost, **overrides)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -9,7 +9,6 @@ software half of each operation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
@@ -17,16 +16,11 @@ import numpy as np
 
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
+from repro.net.memory import new_key
 from repro.net.nic import CQE, CompletionQueue, QueuePair, RecvWR, SendWR, Transport
 from repro.sim.events import Timeout
 
 __all__ = ["P2PNet", "BaselineResult", "PendingBaseline", "run_baseline"]
-
-#: symmetric rkey space for baseline op buffers (disjoint from the
-#: multicast protocol's RKEY_BASE = 1<<20 range)
-BASELINE_RKEY_BASE = 1 << 22
-
-_op_ids = itertools.count(0)
 
 
 @dataclass
@@ -70,8 +64,7 @@ class P2PNet:
         self.hosts = list(hosts) if hosts is not None else list(range(fabric.n_hosts))
         self.size = len(self.hosts)
         self.cost = cost if cost is not None else HostCostModel()
-        self.op_id = next(_op_ids)
-        self.rkey = BASELINE_RKEY_BASE + self.op_id
+        self.rkey = new_key()  #: the op buffers' symmetric key on every rank
         self._recv_cqs: Dict[int, CompletionQueue] = {}
         self._qps: Dict[tuple, QueuePair] = {}
         self._dummy_wrs: Dict[int, RecvWR] = {}  # rank -> its cached 0-len recv

@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.chunking import ChunkPlan, ImmLayout
 from repro.core.control import MESSAGE_BYTES, ControlFold
 from repro.core.costmodel import HostCostModel
-from repro.core.ops import OpState, RKEY_BASE
+from repro.core.ops import OpState
 from repro.core.progress import RankEngine
 from repro.core.reliability import (
     CUTOFF_ALPHA_MAX,
@@ -57,7 +57,7 @@ from repro.core.staging import recv_table
 from repro.core.subgroups import SubgroupPlan
 from repro.models.schedule import chain_hops, chain_schedule
 from repro.net.fabric import Fabric
-from repro.net.memory import MemoryRegion
+from repro.net.memory import MemoryRegion, new_key
 from repro.net.nic import QueuePair, RecvWR, Transport
 from repro.net.topology import host_name
 from repro.obs import trace as obs_trace
@@ -76,7 +76,6 @@ __all__ = [
     "OpHandle",
     "BaselineHandle",
     "ComposedHandle",
-    "ReduceScatterHandle",
     "PhaseBreakdown",
     "PhaseStats",
     "RankStats",
@@ -788,13 +787,6 @@ class BaselineHandle(CollectiveHandle):
         )
 
 
-class ReduceScatterHandle(BaselineHandle):
-    """Back-compat constructor: a Reduce-Scatter :class:`BaselineHandle`."""
-
-    def __init__(self, comm: "Communicator", pending) -> None:
-        super().__init__(comm, CollectiveKind.REDUCE_SCATTER, pending)
-
-
 class ComposedHandle(CollectiveHandle):
     """A collective composed from a plan of sub-collectives run
     back-to-back inside one submission — allreduce is the INC
@@ -1318,9 +1310,10 @@ class Communicator:
         # Snapshot once per collective: a placement must never alias
         # caller-owned memory (DESIGN.md §6h).
         image = payload.copy()
+        key = new_key()
         for r in range(self.size):
             engine = self.engines[r]
-            mr = engine.nic.memory.register(nbytes, key=RKEY_BASE + cid)
+            mr = engine.nic.memory.register(nbytes, key=key)
             if r == root:
                 mr.place(0, image, 0, nbytes)
             op = OpState(
@@ -1384,9 +1377,10 @@ class Communicator:
         # One snapshot of every contribution per collective: placements
         # must never alias caller-owned memory (DESIGN.md §6h).
         image = np.concatenate(payloads)
+        key = new_key()
         for r in range(self.size):
             engine = self.engines[r]
-            mr = engine.nic.memory.register(total, key=RKEY_BASE + cid)
+            mr = engine.nic.memory.register(total, key=key)
             # Own shard is placed locally — the paper's roots never receive
             # their own multicast back (the tree excludes the ingress port).
             mr.place(r * nbytes, image, r * nbytes, nbytes)
@@ -1431,7 +1425,7 @@ class Communicator:
         algorithm: str,
         cost: Optional[HostCostModel],
         segment_bytes: int,
-    ) -> ReduceScatterHandle:
+    ) -> BaselineHandle:
         from repro.core.baselines.reduce import (
             inc_reduce_scatter,
             ring_reduce_scatter,
@@ -1448,7 +1442,7 @@ class Communicator:
             )
         else:
             raise ValueError(f"unknown reduce-scatter algorithm {algorithm!r}")
-        return ReduceScatterHandle(self, pending)
+        return BaselineHandle(self, CollectiveKind.REDUCE_SCATTER, pending)
 
     def reduce_scatter(
         self,

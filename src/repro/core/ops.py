@@ -24,12 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.memory import MemoryRegion
     from repro.sim.engine import Simulator
 
-__all__ = ["OpState", "RKEY_BASE"]
-
-#: Base of the symmetric rkey space: op buffers are registered with key
-#: ``RKEY_BASE + coll_id`` on every participant, so the fetch layer can
-#: RDMA-read a neighbor's buffer at the same (key, offset) it uses locally.
-RKEY_BASE = 1 << 20
+__all__ = ["OpState"]
 
 
 @dataclass
@@ -42,7 +37,9 @@ class OpState:
     rank: int
     comm_size: int
     mr: "MemoryRegion"  #: the op buffer (send buffer on a bcast root,
-    #: receive buffer otherwise), symmetric rkey
+    #: receive buffer otherwise), under the collective's symmetric key
+    #: (one ``new_key()`` per collective), so the fetch layer can RDMA-read
+    #: a neighbor's buffer at the same (key, offset) it uses locally
     plan: ChunkPlan  #: global chunk plan over the op buffer
     subgroups: SubgroupPlan  #: partition of a *per-sender* block
     send_lo: int = 0  #: first PSN this rank multicasts

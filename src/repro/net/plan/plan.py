@@ -2,11 +2,10 @@
 
 A plan is everything the fabric/SM layer needs to program one multicast
 group: the root, the spanning-tree adjacency, which rail (plane) the
-group lives in, the per-edge rail assignment, and a chain-count hint for
-the sequenced allgather.  The validator proves the structural invariants
-every consumer relies on — spanning, tree-ness, plane purity, hosts as
-leaves — plus the cross-plan link-load bound the paper's edge-disjoint
-chain argument needs.
+group lives in and the per-edge rail assignment.  The validator proves
+the structural invariants every consumer relies on — spanning,
+tree-ness, plane purity, hosts as leaves — plus the cross-plan link-load
+bound the paper's edge-disjoint chain argument needs.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class MulticastPlan:
         edges belong to this gid alone — the fat-tree spine argument) or
         ``"shared"`` (trees of different gids may overlap; per-link load
         is bounded by the validator instead).
-    n_chains_hint:
-        Planner-recommended sequencer chain count — always ≥ 1 and a
-        divisor of ``len(members)``.
     """
 
     gid: int
@@ -70,7 +66,6 @@ class MulticastPlan:
     rail: int = 0
     edge_rails: Dict[Tuple[str, str], int] = field(default_factory=dict)
     disjointness: str = "shared"
-    n_chains_hint: int = 1
 
     # ---------------------------------------------------------------- views
 
@@ -85,24 +80,10 @@ class MulticastPlan:
     def tree_nodes(self) -> List[str]:
         return sorted(self.tree)
 
-    def chains(self, n_chains: Optional[int] = None) -> List[List[int]]:
-        """Partition members into ``n_chains`` round-robin chains.
-
-        ``None`` uses the plan's own hint.  Mirrors the sequencer's
-        striding so chain *c* owns members ``c, c+M, c+2M, …`` of the
-        sorted member list.
-        """
-        m = self.n_chains_hint if n_chains is None else n_chains
-        if m < 1 or len(self.members) % m:
-            raise PlanError(
-                f"chain count {m} does not divide {len(self.members)} members")
-        return [list(self.members[c::m]) for c in range(m)]
-
     def describe(self) -> str:
         return (f"plan(gid={self.gid}, kind={self.kind}, root={self.root}, "
                 f"rail={self.rail}, members={len(self.members)}, "
-                f"edges={len(self.tree_edges())}, "
-                f"chains={self.n_chains_hint}, {self.disjointness})")
+                f"edges={len(self.tree_edges())}, {self.disjointness})")
 
 
 def validate_plan(

@@ -35,15 +35,6 @@ def _edge_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def _chain_hint(n_members: int, capacity: int) -> int:
-    """Largest chain count ≤ *capacity* that divides the member count."""
-    best = 1
-    for m in range(1, max(1, min(n_members, capacity)) + 1):
-        if n_members % m == 0:
-            best = m
-    return best
-
-
 def _plan_edge_rails(topo: Topology, tree: Dict[str, Set[str]]) -> Dict[Tuple[str, str], int]:
     rails: Dict[Tuple[str, str], int] = {}
     for node, nbrs in tree.items():
@@ -55,13 +46,12 @@ def _plan_edge_rails(topo: Topology, tree: Dict[str, Set[str]]) -> Dict[Tuple[st
 
 def _finish(topo: Topology, gid: int, kind: str, root: str,
             tree: Dict[str, Set[str]], members: Sequence[int],
-            rail: int, disjointness: str, capacity: int) -> MulticastPlan:
+            rail: int, disjointness: str) -> MulticastPlan:
     members = tuple(sorted(set(members)))
     return MulticastPlan(
         gid=gid, kind=kind, root=root, tree=tree, members=members,
         rail=rail, edge_rails=_plan_edge_rails(topo, tree),
         disjointness=disjointness,
-        n_chains_hint=_chain_hint(len(members), capacity),
     )
 
 
@@ -90,14 +80,14 @@ def _plan_fat_tree(topo: Topology, gid: int, members: Sequence[int],
     if root is None:  # switchless back-to-back: root at the lower host
         root = host_name(min(members))
         return _finish(topo, gid, "fat_tree", root, tree, members,
-                       rail=0, disjointness="shared", capacity=1)
+                       rail=0, disjointness="shared")
     cores = [c for c in topo.core_switches if not (exclude and c in exclude)]
     # The spine edge-disjointness argument needs root diversity: with a
     # single core (star) every gid roots at the same switch and root
     # edges are inherently shared.
     disjointness = "exclusive-root" if len(cores) > 1 else "shared"
     return _finish(topo, gid, "fat_tree", root, tree, members,
-                   rail=0, disjointness=disjointness, capacity=len(cores))
+                   rail=0, disjointness=disjointness)
 
 
 # ------------------------------------------------------------------- torus
@@ -112,7 +102,7 @@ def _plan_torus(topo: Topology, gid: int, members: Sequence[int],
         tree = topo.mcast_tree(gid, members, exclude)
         root = topo.mcast_root(gid, exclude)
         return _finish(topo, gid, "torus", root, tree, members,
-                       rail=0, disjointness="shared", capacity=2 * len(dims))
+                       rail=0, disjointness="shared")
     root = topo.mcast_root(gid, exclude)
     root_rid = topo.core_switches.index(root)
     root_coord = torus_coord(root_rid, dims)
@@ -149,7 +139,7 @@ def _plan_torus(topo: Topology, gid: int, members: Sequence[int],
             parent[h] = router
     tree = _tree_from_parents(parent)
     return _finish(topo, gid, "torus", root, tree, live,
-                   rail=0, disjointness="shared", capacity=2 * len(dims))
+                   rail=0, disjointness="shared")
 
 
 # ---------------------------------------------------------------- dragonfly
@@ -163,7 +153,7 @@ def _plan_dragonfly(topo: Topology, gid: int, members: Sequence[int],
         tree = topo.mcast_tree(gid, members, exclude)
         root = topo.mcast_root(gid, exclude)
         return _finish(topo, gid, "dragonfly", root, tree, members,
-                       rail=0, disjointness="shared", capacity=R)
+                       rail=0, disjointness="shared")
 
     def rname(g: int, r: int) -> str:
         return f"g{g:02d}r{r:02d}"
@@ -196,7 +186,7 @@ def _plan_dragonfly(topo: Topology, gid: int, members: Sequence[int],
             parent[h] = router
     tree = _tree_from_parents(parent)
     return _finish(topo, gid, "dragonfly", root, tree, live,
-                   rail=0, disjointness="shared", capacity=R)
+                   rail=0, disjointness="shared")
 
 
 # --------------------------------------------------------------- multi-rail
@@ -222,14 +212,11 @@ def _plan_multi_rail(topo: Topology, gid: int, members: Sequence[int],
         except (TopologyError, ValueError) as err:
             last_err = err
             continue
-        cores = [c for c in topo.core_switches
-                 if topo.switch_rail.get(c, 0) == rail and c not in dead]
         # A failed-over group squats on another plane's spines; its
         # root edges are no longer exclusively its own.
         disjointness = "exclusive-root" if attempt == 0 else "shared"
         return _finish(topo, gid, "multi_rail", root, tree, members,
-                       rail=rail, disjointness=disjointness,
-                       capacity=len(cores))
+                       rail=rail, disjointness=disjointness)
     raise PlanError(
         f"gid {gid}: no surviving plane can host the group "
         f"({topo.rails} rails tried): {last_err}")

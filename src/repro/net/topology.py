@@ -27,6 +27,7 @@ __all__ = [
     "Topology",
     "TopologyError",
     "TopologySpec",
+    "auto_spec",
     "host_name",
     "host_id",
     "is_host",
@@ -766,10 +767,13 @@ class TopologySpec:
         if self.kind == "back_to_back":
             return Topology.back_to_back()
         if self.kind == "leaf_spine":
+            # Unsized, a leaf-spine takes 16 hosts per leaf (at least two
+            # leaves) and half as many spines (at least two).
+            n_leaf = self.params.get("n_leaf") or max(2, -(-self.n_hosts // 16))
             return Topology.leaf_spine(
                 self.n_hosts,
-                n_leaf=self._param("n_leaf"),
-                n_spine=self._param("n_spine"),
+                n_leaf=n_leaf,
+                n_spine=self.params.get("n_spine") or max(2, n_leaf // 2),
                 hosts_per_leaf=self.params.get("hosts_per_leaf"),
             )
         if self.kind == "testbed_188":
@@ -834,3 +838,11 @@ class TopologySpec:
             params = dict(self.build().params)
         return {"kind": self.kind, "n_hosts": self.n_hosts,
                 "params": norm(params)}
+
+
+def auto_spec(n_hosts: int) -> TopologySpec:
+    """The shape ``topo="auto"`` stands for at *n_hosts*: a star up to 8
+    hosts, the paper's testbed at 188, an unsized leaf-spine otherwise."""
+    if n_hosts == 188:
+        return TopologySpec("testbed_188", n_hosts)
+    return TopologySpec("star" if n_hosts <= 8 else "leaf_spine", n_hosts)

@@ -38,7 +38,7 @@ __all__ = ["CostEstimate", "predict_time", "prune"]
 LINK_LATENCY = 1e-6
 SWITCH_DELAY = 0.1e-6
 HEADER_BYTES = 64
-#: base calibration granularity of the software cost model
+#: the evaluator's fabric MTU: one UD datagram, one wire packet
 BASE_CHUNK = 4096
 
 #: effective per-packet loss probability of each named fault profile —
@@ -116,7 +116,7 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
         nbytes, bandwidth, cfg.cost, chunk=sent, uc=uc,
         n_subgroups=cfg.n_subgroups, root_bytes=root_bytes,
         batch_size=cfg.batch_size, hops=chains, depth=hops,
-        mtu=BASE_CHUNK if uc else sent, header_bytes=HEADER_BYTES,
+        mtu=BASE_CHUNK, header_bytes=HEADER_BYTES,
         ctrl_bytes=MESSAGE_BYTES + HEADER_BYTES, link_latency=LINK_LATENCY,
         switch_delay=SWITCH_DELAY)
     wire = sched.wire

@@ -92,8 +92,7 @@ def evaluate(
     bit-reproducible.
     """
     cfg = config_from_knobs(knobs)
-    mtu = cfg.chunk_size if scenario.transport == "ud" else 4096
-    fabric = scenario.build_fabric(mtu=mtu)
+    fabric = scenario.build_fabric()
     comm = Communicator(
         fabric, config=cfg, trace=TraceConfig() if trace else None)
     payloads = scenario.make_payload()

@@ -23,7 +23,7 @@ import numpy as np
 from repro.net.fabric import Fabric
 from repro.net.faults import CrashSpec, GilbertElliott
 from repro.net.link import FaultSpec
-from repro.net.topology import Topology, TopologySpec
+from repro.net.topology import Topology, TopologySpec, auto_spec
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.units import gbit_per_s
@@ -142,15 +142,9 @@ class Scenario:
 
     @property
     def resolved_topo(self) -> str:
-        """The concrete topology name 'auto' picks (mirrors
-        :func:`repro.bench.runner.make_fabric`)."""
-        if self.topo != "auto":
-            return self.topo
-        if self.n_hosts == 188:
-            return "testbed_188"
-        if self.n_hosts <= 8:
-            return "star"
-        return "leaf_spine"
+        """The concrete topology name: 'auto' resolves through
+        :func:`~repro.net.topology.auto_spec`, as in ``make_fabric``."""
+        return auto_spec(self.n_hosts).kind if self.topo == "auto" else self.topo
 
     def key(self) -> Dict[str, object]:
         """The canonical (JSON-safe, order-independent) tuning key.
@@ -202,34 +196,15 @@ class Scenario:
         return json.loads(self.topo_params) if self.topo_params else {}
 
     def _topology(self) -> Topology:
-        name = self.resolved_topo
-        if name in ("torus", "dragonfly", "multi_rail") or self.topo_params:
-            return TopologySpec(name, self.n_hosts, self._params()).build()
-        if name == "star":
-            return Topology.star(self.n_hosts)
-        if name == "testbed_188":
-            return Topology.testbed_188()
-        if name == "back_to_back":
-            return Topology.back_to_back()
-        if name == "leaf_spine":
-            n_leaf = max(2, -(-self.n_hosts // 16))
-            return Topology.leaf_spine(self.n_hosts, n_leaf, max(2, n_leaf // 2))
-        raise ValueError(f"unknown topo {name!r}")
+        return TopologySpec(self.resolved_topo, self.n_hosts,
+                            self._params()).build()
 
-    def build_fabric(self, mtu: int = 4096) -> Fabric:
-        """A fresh seeded fabric for one evaluation.
-
-        ``mtu`` doubles as the simulation-granularity knob exactly as in
-        the benchmark harness: UD candidates simulate with ``mtu ==
-        chunk_size`` and datapath costs rescaled (see
-        :func:`repro.bench.runner.coarse_config`), so one simulated
-        packet stands for many wire packets without decalibrating.
-        """
+    def build_fabric(self) -> Fabric:
+        """A fresh seeded fabric for one evaluation, at the 4 KiB MTU."""
         fabric = Fabric(
             Simulator(),
             self._topology(),
             link_bandwidth=gbit_per_s(self.link_gbit),
-            mtu=mtu,
             streams=RandomStreams(self.seed),
         )
         factory = FAULT_PROFILES[self.fault_profile]

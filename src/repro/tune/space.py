@@ -5,15 +5,15 @@ deployment point can express (chunks no larger than the message, chains
 no longer than the communicator, subgroup counts that still leave every
 subgroup at least one chunk), then every enumerated candidate is checked
 against the real :meth:`~repro.core.communicator.CollectiveConfig.validate`
-on a fabric with the candidate's evaluation MTU — the tuner can never
-propose a config the Communicator would reject.
+on a 4 KiB-MTU fabric — the tuner can never propose a config the
+Communicator would reject.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.communicator import CollectiveConfig
 from repro.models.footprint import BF3_MAX_RECV_QUEUE
@@ -24,10 +24,10 @@ from repro.tune.scenario import Scenario
 
 __all__ = ["KnobDomain", "SearchSpace"]
 
-#: finest chunk granularity (the IB MTU the cost models are calibrated at)
+#: the fabric MTU: a UD datagram carries exactly one chunk of it
 BASE_CHUNK = 4096
-#: coarsest chunk the tuner considers (fig 15's sweep ceiling)
-MAX_CHUNK = 64 * 1024
+#: the UC chunk sweep, up to fig 15's 64 KiB ceiling
+UC_CHUNKS = (4096, 8192, 16384, 32768, 65536)
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,19 @@ class SearchSpace:
     def default(cls, scenario: Scenario) -> "SearchSpace":
         """The stock grid for a scenario (a few hundred points at most).
 
-        Chunk sizes are powers of two from the base MTU up to the
-        message bucket; parallelism knobs stop at the paper's §IV-C
-        operating points (4 subgroups / 4 chains); batching and staging
-        cover the §V-A and §III-D regimes.  Lossy fault profiles add the
-        cutoff-timer family (§III-C) — on a clean fabric the cutoff
-        never fires, so searching it would waste evaluations.
+        A UD chunk is one datagram, so its domain is the MTU alone; a UC
+        chunk is one CQE over many wire packets (§V-B), so UC sweeps
+        powers of two from the MTU up to the message bucket.  Parallelism
+        knobs stop at the paper's §IV-C operating points (4 subgroups /
+        4 chains); batching and staging cover the §V-A and §III-D regimes.
+        Lossy fault profiles add the cutoff-timer family (§III-C) — on a
+        clean fabric the cutoff never fires, so searching it would waste
+        evaluations.
         """
         n = scenario.bucket
-        chunks = tuple(
-            c for c in (4096, 8192, 16384, 32768, 65536)
-            if BASE_CHUNK <= c <= min(MAX_CHUNK, n) and n % c == 0
-        ) or (min(BASE_CHUNK, n),)
+        chunks = (min(BASE_CHUNK, n),)
+        if scenario.transport == "uc":
+            chunks = tuple(c for c in UC_CHUNKS if c <= n and n % c == 0) or chunks
         max_par = max(1, n // max(chunks))
         sub_pool = (1, 2, 4)
         chain_pool = (1, 2, 4)
@@ -152,23 +153,6 @@ class SearchSpace:
             return False
         return True
 
-    def evaluation_mtu(self, chunk: int) -> int:
-        """The fabric MTU a candidate simulates at.
-
-        UD datagrams carry one chunk, so the simulation granularity
-        follows the chunk (exactly like the benchmark harness); UC
-        chunks legitimately span multiple base-MTU packets (§V-B).
-        """
-        return chunk if self.scenario.transport == "ud" else BASE_CHUNK
-
-    def _validation_fabric(self, mtu: int,
-                           cache: Dict[int, Fabric]) -> Fabric:
-        # validate() needs a real fabric only for its MTU; a 2-host one
-        # is enough and keeps enumeration at 188 hosts instant.
-        if mtu not in cache:
-            cache[mtu] = Fabric(Simulator(), Topology.back_to_back(), mtu=mtu)
-        return cache[mtu]
-
     def candidates(self) -> List[Dict[str, object]]:
         """Every valid knob assignment, in deterministic order.
 
@@ -178,16 +162,16 @@ class SearchSpace:
         """
         from repro.tune.store import config_from_knobs
 
-        fabrics: Dict[int, Fabric] = {}
+        # validate() needs a real fabric only for its MTU; a 2-host one
+        # is enough and keeps enumeration at 188 hosts instant.
+        fabric = Fabric(Simulator(), Topology.back_to_back())
         out: List[Dict[str, object]] = []
         for knobs in self._grid():
             if not self._structurally_valid(knobs):
                 continue
             knobs = dict(knobs, transport=self.scenario.transport)
-            cfg = config_from_knobs(knobs)
             try:
-                cfg.validate(self._validation_fabric(
-                    self.evaluation_mtu(cfg.chunk_size), fabrics))
+                config_from_knobs(knobs).validate(fabric)
             except ValueError:
                 continue
             out.append(knobs)

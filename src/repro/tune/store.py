@@ -40,22 +40,9 @@ DEFAULT_PROFILE_DIR = os.path.join(os.path.dirname(__file__), "profiles")
 
 
 def config_from_knobs(knobs: Dict[str, object]) -> CollectiveConfig:
-    """Materialize a :class:`CollectiveConfig` from a profile knob dict.
-
-    UD knob sets use the benchmark harness's coarse-granularity
-    calibration (one simulated chunk stands for ``chunk/4096`` wire
-    datagrams, per-chunk software costs rescaled accordingly); UC chunks
-    are genuinely one CQE each (§V-B), so their per-chunk costs stay at
-    the base calibration — exactly the Fig 15 amortization effect.
-    """
-    from repro.bench.runner import coarse_config
-
-    knobs = dict(knobs)
-    chunk = int(knobs.pop("chunk_size", 4096))
-    transport = str(knobs.pop("transport", "ud"))
-    if transport == "ud":
-        return coarse_config(chunk, transport=transport, **knobs)
-    return CollectiveConfig(chunk_size=chunk, transport=transport, **knobs)
+    """Materialize a :class:`CollectiveConfig` from a profile knob dict
+    (every key is a ``CollectiveConfig`` field)."""
+    return CollectiveConfig(**knobs)
 
 
 def _jsonable(value):

@@ -9,6 +9,7 @@
 
 from repro.workloads.fsdp import (
     FsdpPairResult,
+    pair_payloads,
     run_concurrent_pair,
     run_fsdp_backward_pipeline,
 )
@@ -16,6 +17,7 @@ from repro.workloads.osu import SweepPoint, sweep
 
 __all__ = [
     "FsdpPairResult",
+    "pair_payloads",
     "SweepPoint",
     "run_concurrent_pair",
     "run_fsdp_backward_pipeline",

@@ -14,7 +14,7 @@ hosts, so they genuinely contend for the simulated links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.core.request import CollectiveKind, CollectiveRequest
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
 
-__all__ = ["FsdpPairResult", "run_concurrent_pair"]
+__all__ = ["FsdpPairResult", "pair_payloads", "run_concurrent_pair",
+           "run_fsdp_backward_pipeline"]
 
 
 @dataclass
@@ -51,6 +52,12 @@ def _rs_data(p: int, nbytes: int, seed: int = 1) -> List[np.ndarray]:
     return [rng.normal(size=elems).astype(np.float32) for _ in range(p)]
 
 
+def pair_payloads(p: int, ag_bytes: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The seeded inputs of one pair: *p* Allgather shards of *ag_bytes*
+    and *p* float32 Reduce-Scatter contributions of ``ag_bytes · p``."""
+    return _ag_data(p, ag_bytes), _rs_data(p, ag_bytes * p)
+
+
 def run_concurrent_pair(
     fabric: Fabric,
     mode: str,
@@ -59,6 +66,7 @@ def run_concurrent_pair(
     config: Optional[CollectiveConfig] = None,
     cost: Optional[HostCostModel] = None,
     verify: bool = True,
+    payloads: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None,
 ) -> FsdpPairResult:
     """Run {Allgather, Reduce-Scatter} concurrently in the given *mode*.
 
@@ -66,12 +74,12 @@ def run_concurrent_pair(
     multicast AG (the paper's protocol) + INC RS.  The RS input size
     matches the AG receive size (Appendix B's symmetric setup): the RS
     contribution is ``ag_bytes · P`` so each RS shard is ``ag_bytes``.
+    ``payloads`` is the pair's :func:`pair_payloads`, made here if omitted.
     """
     sim = fabric.sim
     hosts = list(hosts) if hosts is not None else list(range(fabric.n_hosts))
     p = len(hosts)
-    ag_data = _ag_data(p, ag_bytes)
-    rs_data = _rs_data(p, ag_bytes * p)
+    ag_data, rs_data = payloads or pair_payloads(p, ag_bytes)
     t0 = sim.now
 
     if mode == "ring":
@@ -136,6 +144,7 @@ def run_fsdp_backward_pipeline(
     hosts: Optional[Sequence[int]] = None,
     config: Optional[CollectiveConfig] = None,
     cost: Optional[HostCostModel] = None,
+    payloads: Optional[Sequence[Tuple[List[np.ndarray], List[np.ndarray]]]] = None,
 ) -> float:
     """A multi-layer FSDP backward pass: for each layer ``i`` the gradient
     Reduce-Scatter overlaps the parameter Allgather of layer ``i−1``
@@ -145,13 +154,16 @@ def run_fsdp_backward_pipeline(
     Layers are processed back-to-front; each stage launches the pair for
     its layer concurrently and waits for both before moving on (the
     compute between stages is not modeled — this isolates the
-    communication pipeline the paper optimizes).
+    communication pipeline the paper optimizes).  ``payloads`` holds each
+    layer's :func:`pair_payloads`, in layer order (made here if omitted).
     """
+    shards = list(layer_shards)
     total = 0.0
     t0 = fabric.sim.now
-    for shard in reversed(list(layer_shards)):
+    for shard, data in reversed(list(zip(shards, payloads or [None] * len(shards)))):
         res = run_concurrent_pair(fabric, mode, shard, hosts=hosts,
-                                  config=config, cost=cost, verify=False)
+                                  config=config, cost=cost, verify=False,
+                                  payloads=data)
         total = fabric.sim.now - t0
         if not res.correct:  # pragma: no cover - verify=False above
             raise AssertionError("pipeline data corruption")

@@ -1,5 +1,5 @@
 """Static check: every keyword a caller passes to ``CollectiveConfig(...)``
-or ``coarse_config(...)`` names a declared field.
+names a declared field.
 
 The figure benches and the examples are not collected by the test suite,
 so a stale knob name there would otherwise surface only at the next
@@ -8,23 +8,15 @@ figure regeneration.  This parses their source instead of running them.
 
 import ast
 import dataclasses
-import inspect
 from pathlib import Path
 
-from repro.bench import coarse_config
 from repro.core import CollectiveConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "benchmarks", "examples")
 
 FIELDS = {f.name for f in dataclasses.fields(CollectiveConfig)}
-ACCEPTED = {
-    "CollectiveConfig": FIELDS,
-    "coarse_config": FIELDS | {
-        name for name, p in inspect.signature(coarse_config).parameters.items()
-        if p.kind is not inspect.Parameter.VAR_KEYWORD
-    },
-}
+ACCEPTED = {"CollectiveConfig": FIELDS}
 
 
 def _callee(node: ast.Call):

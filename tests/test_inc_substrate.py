@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.communicator import CollectiveConfig
 from repro.core.request import CollectiveRequest
 from repro.net import Fabric, RecvWR, Topology, Transport
 from repro.net.inc import IncTree
 from repro.sim import Simulator
 from repro.units import gbit_per_s
 from repro.workloads import run_concurrent_pair
-from repro.bench import coarse_config, make_fabric
+from repro.bench import make_fabric
 from repro.units import KiB
 
 
@@ -96,19 +97,19 @@ def test_tree_validation():
 
 def test_fsdp_pair_modes_validated():
     with pytest.raises(ValueError, match="mode"):
-        run_concurrent_pair(make_fabric(4, mtu=16 * KiB), "hybrid", 64 * KiB)
+        run_concurrent_pair(make_fabric(4), "hybrid", 64 * KiB)
 
 
 def test_fsdp_pair_ring_mode_correct():
-    res = run_concurrent_pair(make_fabric(4, mtu=16 * KiB), "ring", 32 * KiB)
+    res = run_concurrent_pair(make_fabric(4), "ring", 32 * KiB)
     assert res.correct
     assert res.makespan >= max(res.ag_duration, res.rs_duration) * 0.99
 
 
 def test_fsdp_pair_optimal_mode_correct():
     res = run_concurrent_pair(
-        make_fabric(4, mtu=16 * KiB), "optimal", 32 * KiB,
-        config=coarse_config(16 * KiB, n_chains=4),
+        make_fabric(4), "optimal", 32 * KiB,
+        config=CollectiveConfig(n_chains=4),
     )
     assert res.correct
 
@@ -120,10 +121,10 @@ def test_fsdp_backward_pipeline_optimal_beats_ring():
 
     layers = [32 * KiB, 64 * KiB, 32 * KiB]
     t_ring = run_fsdp_backward_pipeline(
-        make_fabric(8, mtu=16 * KiB), "ring", layers)
+        make_fabric(8), "ring", layers)
     t_opt = run_fsdp_backward_pipeline(
-        make_fabric(8, mtu=16 * KiB), "optimal", layers,
-        config=coarse_config(16 * KiB, n_chains=8))
+        make_fabric(8), "optimal", layers,
+        config=CollectiveConfig(n_chains=8))
     assert t_opt < t_ring
 
 

@@ -49,10 +49,6 @@ def test_plans_validate_on_random_member_subsets(name, topo, seed):
         plan = plan_mcast(topo, gid, members)
         validate_plan(topo, plan)
         assert plan.members == tuple(members)
-        # The chain hint always partitions the members evenly — the
-        # sequencer (allgather's chain schedule) relies on it.
-        chains = plan.chains()
-        assert sorted(m for c in chains for m in c) == members
 
 
 @pytest.mark.parametrize("name,topo", FAMILIES, ids=[n for n, _ in FAMILIES])

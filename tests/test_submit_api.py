@@ -285,16 +285,14 @@ def test_allreduce_bit_identical_to_manual_chain(seed: int):
 def test_fsdp_submit_pair_matches_async_composition():
     """workloads.fsdp optimal mode must be bit-identical in virtual time to
     the same pair submitted by hand and run together."""
-    from repro.bench import coarse_config, make_fabric
+    from repro.bench import make_fabric
     from repro.workloads.fsdp import _ag_data, _rs_data, run_concurrent_pair
 
-    chunk = 16 * KiB
-    cfg = coarse_config(chunk, n_chains=P)
-    res = run_concurrent_pair(make_fabric(P, mtu=chunk), "optimal", 64 * KiB,
-                              config=cfg)
+    cfg = CollectiveConfig(n_chains=P)
+    res = run_concurrent_pair(make_fabric(P), "optimal", 64 * KiB, config=cfg)
     assert res.correct
 
-    fabric = make_fabric(P, mtu=chunk)
+    fabric = make_fabric(P)
     comm = Communicator(fabric, config=cfg)
     ag = comm.submit(CollectiveRequest(kind="allgather", data=_ag_data(P, 64 * KiB)))
     rs = comm.submit(CollectiveRequest(
@@ -336,12 +334,10 @@ def test_allreduce_188_hosts_tracks_analytic_bound():
     ``2·N/B`` chain bound (the Appendix B accounting: the composed chain
     serializes the bytes the concurrent pair overlaps, so bandwidth
     optimality of each phase is exactly what the bound checks)."""
-    from repro.bench import coarse_config
-
     p, shard = 188, 4096
     nbytes = shard * p
     comm = make_comm(p, topo=Topology.testbed_188(), link_gbit=10.0,
-                     config=coarse_config(4096, n_chains=p))
+                     config=CollectiveConfig(n_chains=p))
     data = [_f32(nbytes // 4, seed=r) for r in range(p)]
     res = comm.allreduce(data, algorithm="inc", segment_bytes=4096)
     assert res.verify_allreduce(data)
@@ -419,3 +415,35 @@ def test_submit_rejects_baseline_kinds_on_dead_membership():
     # The engine kinds still degrade instead of refusing.
     res = comm.allgather([_u8(16 * KiB, seed=r) for r in range(P)])
     assert res.degraded and res.dead_ranks == [3]
+
+
+def _two_overlapping_broadcasts(reference: bool):
+    """Hosts 0-11 and 4-15 of one fabric each submit a 64 KiB broadcast,
+    both registered before either runs; returns their end instants."""
+    fabric = Fabric(Simulator(), Topology.leaf_spine(16, 2, 2),
+                    link_bandwidth=gbit_per_s(56), reference=reference)
+    comms = (Communicator(fabric, hosts=range(0, 12)),
+             Communicator(fabric, hosts=range(4, 16)))
+    data = [_u8(64 * KiB, seed=1), _u8(64 * KiB, seed=2)]
+    handles = [comm.submit(CollectiveRequest(kind="broadcast", data=d, root=0))
+               for comm, d in zip(comms, data)]
+    for comm, handle in zip(comms, handles):
+        comm.run(handle)
+    results = [h.result() for h in handles]
+    assert all(res.verify_broadcast(d) for res, d in zip(results, data))
+    return [res.t_end for res in results]
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["production", "reference"])
+def test_two_communicators_sharing_hosts_submit_together(reference):
+    """Every collective takes its own symmetric memory key, so two
+    communicators whose members overlap can both have a collective
+    registered on a shared host at once."""
+    _two_overlapping_broadcasts(reference)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the folds' exclusivity test is per communicator: each one folds its "
+    "broadcast as if alone on the fabric"))
+def test_two_communicators_sharing_hosts_match_the_reference():
+    assert _two_overlapping_broadcasts(False) == _two_overlapping_broadcasts(True)

@@ -117,7 +117,17 @@ def test_baseline_knobs_equal_stock_config():
     assert cfg.chunk_size == stock.chunk_size
     assert cfg.n_chains == stock.n_chains
     assert cfg.batch_size == stock.batch_size
-    assert cfg.cost == stock.cost  # chunk 4096 -> scale factor 1
+    assert cfg.cost == stock.cost
+
+
+def test_ud_chunk_domain_is_the_mtu_and_uc_sweeps():
+    """A UD chunk is one datagram: the tuner never searches it past the
+    4 KiB MTU.  A UC chunk is one CQE over many packets (§V-B), so UC
+    keeps its chunk sweep."""
+    ud = SearchSpace.default(TINY)
+    assert ud.domains["chunk_size"].values == (4096,)
+    uc = SearchSpace.default(dataclasses.replace(TINY, transport="uc"))
+    assert uc.domains["chunk_size"].values == (4096, 8192, 16384, 32768, 65536)
 
 
 # ---------------------------------------------------------------- cost model
@@ -319,8 +329,9 @@ def test_committed_profiles_roundtrip_and_validate():
             f"{profile.slug} is not byte-stable")
         # The stored knobs materialize into a validating config.
         cfg = profile.config()
-        mtu = cfg.chunk_size if cfg.transport == "ud" else 4096
-        cfg.validate(Fabric(Simulator(), Topology.back_to_back(), mtu=mtu))
+        cfg.validate(Fabric(Simulator(), Topology.back_to_back()))
+        if cfg.transport == "ud":
+            assert cfg.chunk_size <= 4096
 
 
 def test_committed_profiles_cover_the_188_node_points():

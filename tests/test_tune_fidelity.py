@@ -57,13 +57,18 @@ def grid(scenario, max_points=18):
     return [ranked[int(i * stride)] for i in range(max_points)]
 
 
-def test_cost_model_rank_correlates_with_simulation():
-    points = grid(SCN)
-    assert len(points) >= 8, "grid too small to establish a ranking"
+#: the UC scenario: its chunk domain still sweeps (§V-B), so its grid has
+#: the most distinct predicted-time levels
+UC = dataclasses.replace(SCN, transport="uc")
+
+
+def _assert_rank_correlates(scn, min_points):
+    points = grid(scn)
+    assert len(points) >= min_points, "grid too small to establish a ranking"
     predicted = [est.total for _, est in points]
     measured = []
     for knobs, _ in points:
-        m = evaluate(SCN, knobs, trace=False)
+        m = evaluate(scn, knobs, trace=False)
         assert m.verified
         measured.append(m.duration)
     rho = spearman(predicted, measured)
@@ -72,22 +77,37 @@ def test_cost_model_rank_correlates_with_simulation():
         f"predicted={predicted}\nmeasured={measured}")
 
 
-def test_true_optimum_survives_pruning():
-    """The pruner's keep-set must contain the simulated optimum of the
-    measured grid — otherwise pre-pruning silently caps achievable
-    quality and the search budget is wasted on also-rans."""
-    points = grid(SCN)
-    measured = [(evaluate(SCN, knobs, trace=False).duration, knobs)
+def test_cost_model_rank_correlates_with_simulation():
+    _assert_rank_correlates(UC, min_points=8)
+
+
+def test_cost_model_rank_correlates_on_the_ud_grid():
+    # A UD chunk is the MTU, so the UD grid has only 6 predicted-time
+    # levels (chains, subgroups, batching, staging).
+    _assert_rank_correlates(SCN, min_points=6)
+
+
+def _assert_optimum_survives_pruning(scn):
+    points = grid(scn)
+    measured = [(evaluate(scn, knobs, trace=False).duration, knobs)
                 for knobs, _ in points]
     best_duration, best_knobs = min(measured, key=lambda t: t[0])
-    kept = prune(SCN, [k for k, _ in points], keep=6)
-    kept_durations = [evaluate(SCN, knobs, trace=False).duration
+    kept = prune(scn, [k for k, _ in points], keep=6)
+    kept_durations = [evaluate(scn, knobs, trace=False).duration
                       for knobs, _ in kept]
     # The kept set need not contain the exact argmin knobs, but its best
     # measured time must match the grid optimum (within one chunk's slack).
     assert min(kept_durations) <= best_duration * 1.05, (
         f"pruner dropped the optimum: grid best {best_duration * 1e6:.1f} µs "
         f"({best_knobs}), kept best {min(kept_durations) * 1e6:.1f} µs")
+
+
+def test_true_optimum_survives_pruning():
+    """The pruner's keep-set must contain the simulated optimum of the
+    measured grid — otherwise pre-pruning silently caps achievable
+    quality and the search budget is wasted on also-rans."""
+    _assert_optimum_survives_pruning(SCN)
+    _assert_optimum_survives_pruning(UC)
 
 
 def test_model_orders_the_chain_knob_correctly():
@@ -106,8 +126,7 @@ def test_model_orders_the_chain_knob_correctly():
 def test_model_tracks_transport_cost_structure():
     """UC amortizes per-CQE software cost over multi-MTU chunks (Fig 15):
     the model's software term must fall as UC chunk size grows."""
-    uc = dataclasses.replace(SCN, transport="uc")
-    base = SearchSpace.default(uc).baseline_knobs()
-    small = predict_time(uc, {**base, "chunk_size": 4096})
-    large = predict_time(uc, {**base, "chunk_size": 16 * KiB})
+    base = SearchSpace.default(UC).baseline_knobs()
+    small = predict_time(UC, {**base, "chunk_size": 4096})
+    large = predict_time(UC, {**base, "chunk_size": 16 * KiB})
     assert large.software < small.software

@@ -8,7 +8,7 @@ the closed-form entries.
 import numpy as np
 
 from repro.bench import format_table, make_fabric, report
-from repro.core.baselines import inc_reduce_scatter, ring_allgather, ring_reduce_scatter
+from repro.core.baselines import ring_allgather
 from repro.core.communicator import Communicator
 from repro.models import node_boundary_table
 from repro.units import KiB
@@ -29,11 +29,10 @@ def measured_allgather_boundary(p=8, n=64 * KiB):
     for algo in ("mcast", "ring"):
         fabric = make_fabric(p, link_gbit=56)
         if algo == "mcast":
-            comm = Communicator(fabric)
-            res = comm.allgather(data)
-            assert res.verify_allgather(data)
+            res = Communicator(fabric).allgather(data)
         else:
             res = ring_allgather(fabric, data)
+        assert res.verify_allgather(data)
         out[algo] = fabric.host_injected_bytes(payload_only=True) / p
     return out
 

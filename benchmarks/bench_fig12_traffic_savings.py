@@ -4,8 +4,12 @@ The paper scrapes the port counters of all 18 SX6036 switches while
 running Broadcast and Allgather with 64 KiB messages (10 iterations) and
 finds the multicast algorithms move 1.5–2× fewer bytes than the P2P
 baselines.  We do the same against the simulated fabric's per-port
-(xmit + rcv) counters.
+(xmit + rcv) counters.  Every run, multicast or P2P, verifies its
+payloads through its result regions, which hold references, not bytes
+(DESIGN.md §6h): the whole figure peaks under 512 MiB.
 """
+
+import resource
 
 import numpy as np
 
@@ -15,37 +19,33 @@ from repro.core.communicator import Communicator
 
 P = 188
 MSG = reference.FIG12["msg_bytes"]  # 64 KiB
+PEAK_RSS_MIB = 512
 
 
-def measure(fn):
-    """Switch-port payload bytes of one ``fn(fabric)`` on a fresh fabric.
-    The counters are deterministic, so one run stands for the paper's 10
-    iterations (and the ring's 188 × 188 × 64 KiB of receive buffers are
-    held once, not once per iteration)."""
+def measure(run, expected):
+    """Switch-port payload bytes of one ``run(fabric)`` on a fresh fabric,
+    after its result verifies against *expected*.  The counters are
+    deterministic, so one run stands for the paper's 10 iterations."""
     fabric = make_fabric(P)
-    fn(fabric)
+    res = run(fabric)
+    verify = res.verify_broadcast if res.kind == "broadcast" else res.verify_allgather
+    assert verify(expected), f"{res.kind} payload corrupted"
     return fabric.switch_port_traffic(payload_only=True)
 
 
 def run_fig12():
     data = np.arange(MSG, dtype=np.uint8)
     ag_data = [np.full(MSG, r % 251, dtype=np.uint8) for r in range(P)]
-
-    def mcast_bcast(fabric):
-        res = Communicator(fabric).broadcast(0, data)
-        assert res.verify_broadcast(data)
-
-    def mcast_ag(fabric):
-        res = Communicator(fabric).allgather(ag_data)
-        assert res.verify_allgather(ag_data)
-
-    return {
-        "bcast_mcast": measure(mcast_bcast),
-        "bcast_knomial": measure(lambda f: knomial_broadcast(f, 0, data, radix=4)),
-        "bcast_bintree": measure(lambda f: binary_tree_broadcast(f, 0, data)),
-        "ag_mcast": measure(mcast_ag),
-        "ag_ring": measure(lambda f: ring_allgather(f, ag_data)),
+    t = {
+        "bcast_mcast": measure(lambda f: Communicator(f).broadcast(0, data), data),
+        "bcast_knomial": measure(lambda f: knomial_broadcast(f, 0, data, radix=4), data),
+        "bcast_bintree": measure(lambda f: binary_tree_broadcast(f, 0, data), data),
+        "ag_mcast": measure(lambda f: Communicator(f).allgather(ag_data), ag_data),
+        "ag_ring": measure(lambda f: ring_allgather(f, ag_data), ag_data),
     }
+    rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert rss_mib <= PEAK_RSS_MIB, f"peak RSS {rss_mib:.0f} MiB"
+    return t
 
 
 def test_fig12_traffic_savings(benchmark):

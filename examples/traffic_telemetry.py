@@ -28,8 +28,7 @@ def main() -> None:
 
     f_ring = make_fabric(P)
     ring = ring_allgather(f_ring, data)
-    expected = np.concatenate(data)
-    assert all(np.array_equal(b, expected) for b in ring.buffers)
+    assert ring.verify_allgather(data)
 
     mc_total = f_mc.switch_port_traffic(payload_only=True)
     ring_total = f_ring.switch_port_traffic(payload_only=True)

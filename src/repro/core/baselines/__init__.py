@@ -20,10 +20,13 @@ traffic comparisons are apples-to-apples:
 
 All baselines use RC transport: RDMA writes with immediate notifications,
 hardware reliability — the production configuration whose *send-path* cost
-the paper's Insight 1 lower-bounds at Ω(N·(P−1)) bytes.
+the paper's Insight 1 lower-bounds at Ω(N·(P−1)) bytes.  Like the
+multicast path, each lands in lazily backed memory regions and returns a
+:class:`~repro.core.communicator.CollectiveResult` whose ``buffers`` is a
+:class:`~repro.net.memory.PayloadBuffers` (DESIGN.md §6h).
 """
 
-from repro.core.baselines.base import BaselineResult, P2PNet
+from repro.core.baselines.base import P2PNet
 from repro.core.baselines.allgather import (
     linear_allgather,
     recursive_doubling_allgather,
@@ -38,7 +41,6 @@ from repro.core.baselines.reduce import (
 )
 
 __all__ = [
-    "BaselineResult",
     "P2PNet",
     "binary_tree_broadcast",
     "inc_reduce",

@@ -1,22 +1,26 @@
 """P2P Allgather baselines: ring, linear, recursive doubling.
 
 All three share the structure: every rank registers a ``P·N`` receive
-buffer under a symmetric rkey, places its own shard, then moves shards
-with RDMA writes + immediate notifications.  They differ only in the
-communication schedule — which is precisely the paper's point: **no P2P
-schedule can avoid sending each shard P−1 times** (Insight 1); they can
-only trade step count against per-step message size.
+region under a symmetric rkey, places its own shard from one snapshot of
+the contributions, then moves shards with RDMA writes + immediate
+notifications — by reference, as the multicast path does (DESIGN.md
+§6h).  They differ only in the communication schedule — which is
+precisely the paper's point: **no P2P schedule can avoid sending each
+shard P−1 times** (Insight 1); they can only trade step count against
+per-step message size.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.baselines.base import BaselineResult, P2PNet, run_baseline
+from repro.core.baselines.base import P2PNet, run_baseline
+from repro.core.communicator import CollectiveResult
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
+from repro.net.memory import PayloadBuffers
 
 __all__ = ["ring_allgather", "linear_allgather", "recursive_doubling_allgather"]
 
@@ -26,13 +30,13 @@ def _prepare(net: P2PNet, send_data: Sequence[np.ndarray]):
     n = payloads[0].nbytes
     if any(p.nbytes != n for p in payloads):
         raise ValueError("all send buffers must have the same size")
-    buffers = []
+    image = np.concatenate(payloads)  # one snapshot per collective
+    regions = []
     for r in range(net.size):
-        buf = np.zeros(n * net.size, dtype=np.uint8)
-        buf[r * n : (r + 1) * n] = payloads[r]
-        net.register(r, buf)
-        buffers.append(buf)
-    return n, buffers
+        mr = net.register(r, n * net.size)
+        mr.place(r * n, image, r * n, n)
+        regions.append(mr)
+    return n, PayloadBuffers(regions)
 
 
 def ring_allgather(
@@ -73,7 +77,7 @@ def linear_allgather(
     send_data: Sequence[np.ndarray],
     hosts: Optional[Sequence[int]] = None,
     cost: Optional[HostCostModel] = None,
-) -> BaselineResult:
+) -> CollectiveResult:
     """The naive schedule: every rank writes its shard to all P−1 peers."""
     net = P2PNet(fabric, hosts, cost)
     p = net.size
@@ -100,7 +104,7 @@ def recursive_doubling_allgather(
     send_data: Sequence[np.ndarray],
     hosts: Optional[Sequence[int]] = None,
     cost: Optional[HostCostModel] = None,
-) -> BaselineResult:
+) -> CollectiveResult:
     """log2(P) pairwise exchanges of doubling extents (P must be 2^k)."""
     net = P2PNet(fabric, hosts, cost)
     p = net.size

@@ -12,13 +12,14 @@ permutation and no receiver is hot-spotted.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.baselines.base import P2PNet, run_baseline
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
+from repro.net.memory import PayloadBuffers, new_key
 
 __all__ = ["p2p_alltoall"]
 
@@ -62,17 +63,18 @@ def p2p_alltoall(
             f"{chunks_per_block} chunks per block exceeds the per-QP "
             f"notification pool ({P2PNet._DUMMY_POOL}); use a larger chunk")
 
-    # Per-rank layout under the symmetric rkey: [recv P·b | send P·b].
-    # The local block never touches the wire (direct copy, like the
-    # allgather roots placing their own shard).
-    buffers: List[np.ndarray] = []
+    # Per rank: a P·b receive region under the symmetric rkey, and the
+    # P·b send region under a key of its own, both placed from one
+    # snapshot.  The local block never touches the wire (direct copy, like
+    # the allgather roots placing their own shard).
+    image = np.concatenate(payloads)
+    send_key = new_key()
+    recv = []
     for r in range(p):
-        buf = np.zeros(2 * p * block, dtype=np.uint8)
-        buf[p * block :] = payloads[r]
-        buf[r * block : (r + 1) * block] = payloads[r][r * block : (r + 1) * block]
-        net.register(r, buf)
-        buffers.append(buf)
-    send_base = p * block
+        net.register(r, nbytes, send_key).place(0, image, r * nbytes, nbytes)
+        mr = net.register(r, nbytes)
+        mr.place(r * block, image, r * nbytes + r * block, block)
+        recv.append(mr)
 
     def rank_proc(r: int):
         for step in range(1, p):
@@ -80,21 +82,16 @@ def p2p_alltoall(
             for c in range(chunks_per_block):
                 yield from net.write(
                     r, dst,
-                    offset=send_base + dst * block + c * chunk,
+                    offset=dst * block + c * chunk,
                     length=chunk,
                     imm=step * chunks_per_block + c,
                     remote_offset=r * block + c * chunk,
+                    local_key=send_key,
                 )
         yield from net.wait_notifications(r, (p - 1) * chunks_per_block)
         return net.sim.now
 
-    pending = run_baseline(fabric, "p2p_alltoall", "alltoall", net.hosts,
-                           nbytes, buffers, [rank_proc(r) for r in range(p)],
-                           defer=True)
-
-    def _expose_recv(res):
-        res.buffers = [buf[: p * block].copy() for buf in buffers]
-        return res
-
-    pending.postprocess = _expose_recv
-    return pending if defer else pending.finish()
+    return run_baseline(fabric, "p2p_alltoall", "alltoall", net.hosts,
+                        nbytes, PayloadBuffers(recv),
+                        [rank_proc(r) for r in range(p)], defer=defer,
+                        chunk_size=chunk)

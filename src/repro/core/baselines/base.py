@@ -4,48 +4,25 @@
 needs: lazily-created RC QP pairs between ranks, a shared per-rank receive
 CQ, a pool of zero-length receives for write-with-immediate notifications,
 and generator helpers that charge :class:`HostCostModel` time for the
-software half of each operation.
+software half of each operation.  :class:`PendingBaseline` turns the rank
+processes into one :class:`CollectiveResult`, as the engine-backed kinds'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.communicator import CollectiveResult, PhaseBreakdown, RankStats
 from repro.core.costmodel import HostCostModel
+from repro.core.request import CollectiveKind
 from repro.net.fabric import Fabric
-from repro.net.memory import new_key
+from repro.net.memory import MemoryRegion, PayloadBuffers, new_key
 from repro.net.nic import CQE, CompletionQueue, QueuePair, RecvWR, SendWR, Transport
 from repro.sim.events import Timeout
 
-__all__ = ["P2PNet", "BaselineResult", "PendingBaseline", "run_baseline"]
-
-
-@dataclass
-class BaselineResult:
-    """Timing/traffic outcome of one baseline collective."""
-
-    algorithm: str
-    kind: str
-    comm_size: int
-    send_bytes: int
-    t_begin: float
-    t_end: float
-    rank_times: List[float]
-    buffers: List[np.ndarray]
-    traffic: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_begin
-
-    @property
-    def throughput(self) -> float:
-        """Collective payload over completion time (Fig 11 metric)."""
-        total = self.send_bytes * self.comm_size if self.kind != "broadcast" else self.send_bytes
-        return total / self.duration if self.duration > 0 else float("inf")
+__all__ = ["P2PNet", "PendingBaseline", "run_baseline"]
 
 
 class P2PNet:
@@ -80,9 +57,12 @@ class P2PNet:
             cq = self._recv_cqs[rank] = self.nic(rank).create_cq(f"p2p-r{rank}")
         return cq
 
-    def register(self, rank: int, buf: np.ndarray):
-        """Register *buf* as rank's op buffer under the symmetric rkey."""
-        return self.nic(rank).memory.register(buf, key=self.rkey)
+    def register(self, rank: int, buf_or_size: Union[np.ndarray, int],
+                 key: Optional[int] = None) -> MemoryRegion:
+        """Register a region on *rank* — lazily backed when given a size —
+        under *key* (default: the op buffers' symmetric rkey)."""
+        return self.nic(rank).memory.register(
+            buf_or_size, key=self.rkey if key is None else key)
 
     def qp(self, a: int, b: int) -> QueuePair:
         """Rank *a*'s RC QP toward rank *b* (pair created on first use)."""
@@ -120,23 +100,28 @@ class P2PNet:
     # ----------------------------------------------------------- primitives
 
     def post_write(self, a: int, b: int, offset: int, length: int, imm: int,
-                   remote_offset: Optional[int] = None, signaled: bool = True) -> None:
+                   remote_offset: Optional[int] = None, signaled: bool = True,
+                   local_key: Optional[int] = None) -> None:
         """Post (non-blocking) an RDMA write rank *a* → rank *b* between the
-        symmetric op buffers, with an immediate notification."""
+        symmetric op buffers (the source: *local_key*'s, when given), with
+        an immediate notification."""
         self.qp(a, b).post_send(
             SendWR(
-                wr_id=imm, verb="write", mr_key=self.rkey, offset=offset,
-                length=length, imm=imm, remote_key=self.rkey,
+                wr_id=imm, verb="write",
+                mr_key=self.rkey if local_key is None else local_key,
+                offset=offset, length=length, imm=imm, remote_key=self.rkey,
                 remote_offset=offset if remote_offset is None else remote_offset,
                 signaled=signaled,
             )
         )
 
     def write(self, a: int, b: int, offset: int, length: int, imm: int,
-              remote_offset: Optional[int] = None) -> Generator:
+              remote_offset: Optional[int] = None,
+              local_key: Optional[int] = None) -> Generator:
         """Generator: post a write and charge the post-side software cost."""
         yield Timeout(self.sim, self.cost.send_batch(1))
-        self.post_write(a, b, offset, length, imm, remote_offset)
+        self.post_write(a, b, offset, length, imm, remote_offset,
+                        local_key=local_key)
 
     def wait_notifications(self, rank: int, n: int,
                            on_cqe: Optional[Callable[[CQE], object]] = None) -> Generator:
@@ -180,19 +165,24 @@ def _telemetry(fabric: Fabric) -> Dict[str, int]:
 class PendingBaseline:
     """A baseline collective whose rank processes are running but not yet
     awaited — lets callers overlap several collectives on one fabric
-    (the FSDP interleaving study of Appendix B)."""
+    (the FSDP interleaving study of Appendix B).
+
+    *buffers* holds each rank's result region; *chunk_size* is the
+    baseline's RC write (default: the whole contribution, for a baseline
+    that does not segment)."""
 
     def __init__(self, fabric: Fabric, algorithm: str, kind: str,
                  hosts: Sequence[int], send_bytes: int,
-                 buffers: List[np.ndarray], rank_procs: List[Generator]):
-        self.postprocess = None  # optional fn(result) -> result
+                 buffers: PayloadBuffers, rank_procs: List[Generator],
+                 root: Optional[int] = None, chunk_size: Optional[int] = None):
         fabric.unfold_inc()  # a folded INC pass must see this one's packets
         self.fabric = fabric
-        self.algorithm = algorithm
-        self.kind = kind
+        self.kind = CollectiveKind(kind)
         self.hosts = list(hosts)
         self.send_bytes = send_bytes
+        self.chunk_size = send_bytes if chunk_size is None else chunk_size
         self.buffers = buffers
+        self.root = root
         self._before = _telemetry(fabric)
         self.t_begin = fabric.sim.now
         self.procs = [fabric.sim.spawn(p, name=f"{algorithm}-r{i}")
@@ -202,30 +192,37 @@ class PendingBaseline:
     def complete(self) -> bool:
         return all(p.triggered for p in self.procs)
 
-    def finish(self) -> BaselineResult:
+    def finish(self) -> CollectiveResult:
         """Run the simulation until this collective completes; build the
-        result (idempotent telemetry: delta since start)."""
+        result (idempotent telemetry: delta since start).  A rank's one
+        phase spans the whole collective, all of it on the datapath."""
         self.fabric.sim.drain(self.procs)
         for p in self.procs:
             if not p.ok:
                 raise p.value
         after = _telemetry(self.fabric)
-        rank_times = [p.value if isinstance(p.value, float) else self.fabric.sim.now
-                      for p in self.procs]
-        result = BaselineResult(
-            algorithm=self.algorithm,
+        t0 = self.t_begin
+        ranks = []
+        for r, p in enumerate(self.procs):
+            t = p.value if isinstance(p.value, float) else self.fabric.sim.now
+            ranks.append(RankStats(
+                r, {"start": t0, "final": t},
+                PhaseBreakdown(sync=0.0, multicast=t - t0, handshake=0.0,
+                               total=t - t0),
+                {}))
+        return CollectiveResult(
             kind=self.kind,
             comm_size=len(self.hosts),
             send_bytes=self.send_bytes,
-            t_begin=self.t_begin,
-            t_end=max(rank_times),
-            rank_times=rank_times,
+            chunk_size=self.chunk_size,
+            transport="rc",
+            t_begin=t0,
+            t_end=max(rs.phases["final"] for rs in ranks),
+            ranks=ranks,
             buffers=self.buffers,
             traffic={k: after[k] - self._before[k] for k in self._before},
+            root=self.root,
         )
-        if self.postprocess is not None:
-            result = self.postprocess(result)
-        return result
 
 
 def run_baseline(
@@ -234,14 +231,16 @@ def run_baseline(
     kind: str,
     hosts: Sequence[int],
     send_bytes: int,
-    buffers: List[np.ndarray],
+    buffers: PayloadBuffers,
     rank_procs: List[Generator],
     defer: bool = False,
+    root: Optional[int] = None,
+    chunk_size: Optional[int] = None,
 ):
     """Spawn one process per rank; run to completion (default) or return a
     :class:`PendingBaseline` for overlapped execution (``defer=True``)."""
     pending = PendingBaseline(fabric, algorithm, kind, hosts, send_bytes,
-                              buffers, rank_procs)
+                              buffers, rank_procs, root, chunk_size)
     if defer:
         return pending
     return pending.finish()

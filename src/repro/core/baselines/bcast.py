@@ -15,14 +15,15 @@ root (``rel = (rank − root) mod P``) so any root works.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.baselines.base import BaselineResult, P2PNet, run_baseline
+from repro.core.baselines.base import P2PNet, run_baseline
+from repro.core.communicator import CollectiveResult
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
+from repro.net.memory import PayloadBuffers
 from repro.units import kib
 
 __all__ = ["knomial_broadcast", "binary_tree_broadcast", "knomial_tree"]
@@ -61,6 +62,16 @@ def knomial_tree(p: int, radix: int) -> Tuple[List[Optional[int]], List[List[int
     return parent, children
 
 
+def _prepare(net: P2PNet, root: int, data: np.ndarray):
+    """Register every rank's message-sized region; the root's holds a
+    snapshot of *data*, which the trees forward by reference."""
+    image = np.ascontiguousarray(data).reshape(-1).view(np.uint8).copy()
+    n = image.nbytes
+    regions = [net.register(r, n) for r in range(net.size)]
+    regions[root].place(0, image, 0, n)
+    return n, PayloadBuffers(regions)
+
+
 def knomial_broadcast(
     fabric: Fabric,
     root: int,
@@ -68,20 +79,14 @@ def knomial_broadcast(
     hosts: Optional[Sequence[int]] = None,
     cost: Optional[HostCostModel] = None,
     radix: int = 4,
-) -> BaselineResult:
+) -> CollectiveResult:
     """Non-pipelined k-nomial tree Broadcast (UCC's knomial)."""
     net = P2PNet(fabric, hosts, cost)
     p = net.size
-    payload = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-    n = payload.nbytes
-    buffers = []
-    for r in range(p):
-        buf = payload if r == root else np.zeros(n, dtype=np.uint8)
-        net.register(r, buf)
-        buffers.append(buf)
+    n, buffers = _prepare(net, root, data)
     if p == 1:
         return run_baseline(fabric, "knomial_broadcast", "broadcast", net.hosts,
-                            n, buffers, [_noop(net)])
+                            n, buffers, [_noop(net)], root=root)
     parent, children = knomial_tree(p, radix)
 
     def rank_proc(r: int):
@@ -95,7 +100,7 @@ def knomial_broadcast(
         return net.sim.now
 
     return run_baseline(fabric, "knomial_broadcast", "broadcast", net.hosts, n,
-                        buffers, [rank_proc(r) for r in range(p)])
+                        buffers, [rank_proc(r) for r in range(p)], root=root)
 
 
 def binary_tree_broadcast(
@@ -106,20 +111,14 @@ def binary_tree_broadcast(
     cost: Optional[HostCostModel] = None,
     segment_bytes: int = kib(64),
     window: int = 8,
-) -> BaselineResult:
+) -> CollectiveResult:
     """Pipelined binary-tree Broadcast with bounded in-flight segments."""
     net = P2PNet(fabric, hosts, cost)
     p = net.size
-    payload = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-    n = payload.nbytes
-    buffers = []
-    for r in range(p):
-        buf = payload if r == root else np.zeros(n, dtype=np.uint8)
-        net.register(r, buf)
-        buffers.append(buf)
+    n, buffers = _prepare(net, root, data)
     if p == 1:
         return run_baseline(fabric, "binary_tree_broadcast", "broadcast",
-                            net.hosts, n, buffers, [_noop(net)])
+                            net.hosts, n, buffers, [_noop(net)], root=root)
     n_seg = max(1, -(-n // segment_bytes))
 
     def rank_proc(r: int):
@@ -143,7 +142,8 @@ def binary_tree_broadcast(
         return net.sim.now
 
     return run_baseline(fabric, "binary_tree_broadcast", "broadcast", net.hosts,
-                        n, buffers, [rank_proc(r) for r in range(p)])
+                        n, buffers, [rank_proc(r) for r in range(p)], root=root,
+                        chunk_size=min(segment_bytes, n))
 
 
 def _noop(net: P2PNet):

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.baselines.base import P2PNet, run_baseline
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
+from repro.net.memory import PayloadBuffers
 from repro.net.nic import Transport
 from repro.sim.events import Interrupt, Timeout
 from repro.units import gib_per_s
@@ -56,30 +57,24 @@ def ring_reduce_scatter(
     elems = arrays[0].size
     shard = elems // p
     shard_bytes = shard * 4
-    buffers: List[np.ndarray] = []
-    f32_views: List[np.ndarray] = []
+    # Each rank computes on bytes: its working buffer (P working shards +
+    # 1 scratch slot for the incoming block) is a plain array under the
+    # symmetric rkey.  The reduced shard is handed on into a shard-sized
+    # result region (copy_to) when the rank is done.
+    works, f32_views, outs = [], [], []
     for r in range(p):
-        # Layout: P working shards + 1 scratch slot for the incoming block.
         buf = np.zeros((p + 1) * shard_bytes, dtype=np.uint8)
         f32 = buf.view(np.float32)
         f32[: p * shard] = arrays[r]
-        net.register(r, buf)
-        buffers.append(buf)
+        works.append(net.register(r, buf))
         f32_views.append(f32)
+        outs.append(net.nic(r).memory.register(shard_bytes))
+    buffers = PayloadBuffers(outs, dtype=np.float32)
     if p == 1:
-        # Honor defer like the p >= 2 path: a deferred single-rank RS must
-        # still hand back a PendingBaseline (the Communicator wrapper
-        # relies on it), and finishing immediately stays bit-identical.
-        pending = run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
-                               net.hosts, shard_bytes, buffers, [_noop(net)],
-                               defer=True)
-
-        def _expose_single(res):
-            res.buffers = [f32_views[0][:shard].copy()]
-            return res
-
-        pending.postprocess = _expose_single
-        return pending if defer else pending.finish()
+        works[0].copy_to(0, outs[0], 0, shard_bytes)
+        return run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
+                            net.hosts, shard_bytes, buffers, [_noop(net)],
+                            defer=defer)
     scratch_off = p * shard_bytes
 
     def rank_proc(r: int):
@@ -117,20 +112,13 @@ def ring_reduce_scatter(
             if step < p - 2:
                 yield from net.write(r, left, 0, 0, imm=step)  # grant credit
             yield from net.drain_send_cq(r, right, 1)
+        works[r].copy_to(r * shard_bytes, outs[r], 0, shard_bytes)
         return net.sim.now
 
-    pending = run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
-                           net.hosts, p * shard_bytes, buffers,
-                           [rank_proc(r) for r in range(p)], defer=True)
-
-    def _expose_shards(res):
-        # Expose each rank's reduced shard as its buffer.
-        res.buffers = [f32_views[r][r * shard : (r + 1) * shard].copy()
-                       for r in range(p)]
-        return res
-
-    pending.postprocess = _expose_shards
-    return pending if defer else pending.finish()
+    return run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
+                        net.hosts, p * shard_bytes, buffers,
+                        [rank_proc(r) for r in range(p)], defer=defer,
+                        chunk_size=shard_bytes)
 
 
 def _inc_ranks(net: P2PNet, tree, arrays: List[np.ndarray],
@@ -216,13 +204,11 @@ def inc_reduce_scatter(
     shard = elems // p
     shard_bytes = shard * 4
 
-    # Receive shard buffers under the symmetric rkey + notification QPs.
-    buffers: List[np.ndarray] = []
+    # Receive shard regions under the symmetric rkey + notification QPs.
+    regions = []
     owners = {}
     for r in range(p):
-        buf = np.zeros(shard_bytes, dtype=np.uint8)
-        net.register(r, buf)
-        buffers.append(buf)
+        regions.append(net.register(r, shard_bytes))
         qp = net.nic(r).create_qp(Transport.RC, recv_cq=net.recv_cq(r))
         net.post_dummies(r, qp)
         owners[net.hosts[r]] = (qp, net.dummy_wr(r))
@@ -235,16 +221,11 @@ def inc_reduce_scatter(
         segment_bytes=segment_bytes,
     )
     pending = run_baseline(fabric, "inc_reduce_scatter", "reduce_scatter",
-                           net.hosts, p * shard_bytes, buffers,
+                           net.hosts, p * shard_bytes,
+                           PayloadBuffers(regions, dtype=np.float32),
                            _inc_ranks(net, tree, arrays, owners, exclusive),
-                           defer=True)
+                           defer=True, chunk_size=segment_bytes)
     tree.procs = dict(zip(net.hosts, pending.procs))
-
-    def _expose_shards(res):
-        res.buffers = [buf.view(np.float32).copy() for buf in buffers]
-        return res
-
-    pending.postprocess = _expose_shards
     return pending if defer else pending.finish()
 
 
@@ -279,10 +260,9 @@ def inc_reduce(
     nbytes = elems * 4
     root_host = net.hosts[root]
 
-    # Only the root owns a result buffer and a notification QP; the other
-    # members are pure contributors.
-    result_buf = np.zeros(nbytes, dtype=np.uint8)
-    net.register(root, result_buf)
+    # Only the root owns a result region and a notification QP; the other
+    # members are pure contributors, with zero-length regions.
+    regions = [net.register(r, nbytes if r == root else 0) for r in range(p)]
     qp = net.nic(root).create_qp(Transport.RC, recv_cq=net.recv_cq(root))
 
     tree = fabric.create_inc_tree(
@@ -299,17 +279,10 @@ def inc_reduce(
     net.post_dummies(root, qp, max(64, tree.n_segments))
     owners = {root_host: (qp, net.dummy_wr(root))}
     pending = run_baseline(fabric, "inc_reduce", "reduce", net.hosts,
-                           nbytes, [result_buf],
+                           nbytes, PayloadBuffers(regions, dtype=np.float32),
                            _inc_ranks(net, tree, arrays, owners, exclusive),
-                           defer=True)
+                           defer=True, root=root, chunk_size=segment_bytes)
     tree.procs = dict(zip(net.hosts, pending.procs))
-
-    def _expose_root(res):
-        res.buffers = [result_buf.view(np.float32).copy() if r == root
-                       else np.zeros(0, dtype=np.float32) for r in range(p)]
-        return res
-
-    pending.postprocess = _expose_root
     return pending if defer else pending.finish()
 
 

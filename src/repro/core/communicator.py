@@ -26,9 +26,9 @@ Example
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
-from collections import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -57,7 +57,7 @@ from repro.core.staging import recv_table
 from repro.core.subgroups import SubgroupPlan
 from repro.models.schedule import chain_hops, chain_schedule
 from repro.net.fabric import Fabric
-from repro.net.memory import MemoryRegion, new_key
+from repro.net.memory import PayloadBuffers, new_key
 from repro.net.nic import QueuePair, RecvWR, Transport
 from repro.net.topology import host_name
 from repro.obs import trace as obs_trace
@@ -209,26 +209,6 @@ class RankStats:
     timer_trace: List[tuple] = field(default_factory=list)
 
 
-class PayloadBuffers(abc.Sequence):
-    """``CollectiveResult.buffers`` of an engine-backed collective: a
-    read-only sequence over the per-rank op regions (DESIGN.md §6h).
-    ``buffers[r]`` is rank *r*'s array and materialises exactly that rank;
-    the ``verify_*`` checks go through the regions and materialise none."""
-
-    def __init__(self, regions: List[MemoryRegion], dtype=np.uint8) -> None:
-        self.regions = regions
-        self.dtype = dtype
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.regions)))]
-        buf = self.regions[index].buf
-        return buf if self.dtype == np.uint8 else buf.view(self.dtype)
-
-
 @dataclass
 class CollectiveResult:
     """Outcome of one collective across all ranks."""
@@ -241,9 +221,9 @@ class CollectiveResult:
     t_begin: float
     t_end: float
     ranks: List[RankStats]
-    #: per-rank result arrays; a :class:`PayloadBuffers` for the
-    #: engine-backed kinds (``buffers[r]`` materialises rank *r* on access)
-    buffers: Sequence[np.ndarray]
+    #: per-rank result regions (``buffers[r]`` materialises rank *r*'s
+    #: array on access; the ``verify_*`` checks materialise none)
+    buffers: PayloadBuffers
     traffic: Dict[str, int]
     #: simulator engine telemetry for this collective: events processed
     #: (``sim_events``), receive CQEs for no registered collective
@@ -345,18 +325,19 @@ class CollectiveResult:
 
     def reliability_summary(self) -> Dict[str, object]:
         """Aggregate slow-path telemetry across ranks: recovery/round
-        counters, escalations, and the merged per-rank retry histogram."""
+        counters, escalations, and the retry histogram — ``{fetch rounds:
+        recovery invocations}`` over every rank's invocations."""
         histogram: Dict[int, int] = {}
         for r in self.ranks:
-            for invocation, rounds in enumerate(r.retry_histogram):
-                histogram[invocation] = histogram.get(invocation, 0) + rounds
+            for rounds in r.retry_histogram:
+                histogram[rounds] = histogram.get(rounds, 0) + 1
         return {
             "recoveries": self.counter_total("recoveries"),
             "recovered_chunks": self.counter_total("recovered_chunks"),
             "fetch_rounds": self.counter_total("fetch_rounds"),
             "fetch_ack_timeouts": self.counter_total("fetch_ack_timeouts"),
             "neighbor_escalations": self.counter_total("neighbor_escalations"),
-            "retry_histogram": histogram,
+            "retry_histogram": dict(sorted(histogram.items())),
             "max_timer_rearms": max(
                 (len(r.timer_trace) for r in self.ranks), default=0
             ),
@@ -365,18 +346,13 @@ class CollectiveResult:
     def _holds(self, r: int, expected: np.ndarray, memo: Dict[object, List[int]],
                lo: int = 0, hi: Optional[int] = None) -> bool:
         """Exact check that bytes ``[lo, hi)`` (default: all) of rank *r*'s
-        buffer equal ``expected``'s.  Engine-backed results compare
-        segment-wise through the op regions, materialising nothing; *memo*
-        (one per *expected*) shares comparisons of a common source."""
-        bufs = self.buffers
-        if isinstance(bufs, PayloadBuffers):
-            region = bufs.regions[r]
-            if hi is None and region.nbytes != expected.nbytes:
-                return False
-            return region.equals(expected, memo, lo, hi)
-        if hi is None:
-            return bool(np.array_equal(bufs[r], expected))
-        return bool(np.array_equal(bufs[r][lo:hi], expected[lo:hi]))
+        region equal ``expected``'s, segment-wise through its pieces,
+        materialising nothing; *memo* (one per *expected*) shares
+        comparisons of a common source."""
+        region = self.buffers.regions[r]
+        if hi is None and region.nbytes != expected.nbytes:
+            return False
+        return region.equals(expected, memo, lo, hi)
 
     def _survivors_hold(self, expected: np.ndarray) -> bool:
         dead = set(self.dead_ranks)
@@ -428,37 +404,21 @@ class CollectiveResult:
                               rtol: float = 1e-3, atol: float = 1e-3) -> bool:
         """True when each rank holds its reduced float32 shard (within
         floating-point accumulation-order tolerance)."""
-        arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
-                  for d in send_data]
-        total = arrays[0].copy()
-        for a in arrays[1:]:
-            total += a
+        total = _sum_f32(send_data)
         shard = total.size // self.comm_size
-        return all(
-            np.allclose(self.buffers[r], total[r * shard:(r + 1) * shard],
-                        rtol=rtol, atol=atol)
-            for r in range(self.comm_size)
-        )
+        return len(self.buffers) == self.comm_size and all(
+            self._close(r, total[r * shard:(r + 1) * shard], {}, rtol, atol)
+            for r in range(self.comm_size))
 
     def verify_reduce(self, send_data: Sequence[np.ndarray],
                       rtol: float = 1e-3, atol: float = 1e-3) -> bool:
         """True when the root holds the full reduced float32 buffer and
         every other rank holds nothing (rooted Reduce)."""
-        arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
-                  for d in send_data]
-        total = arrays[0].copy()
-        for a in arrays[1:]:
-            total += a
-        for r, buf in enumerate(self.buffers):
-            vals = np.asarray(buf)
-            if vals.dtype != np.float32:
-                vals = vals.view(np.float32)
-            if r == self.root:
-                if not np.allclose(vals, total, rtol=rtol, atol=atol):
-                    return False
-            elif vals.size:
-                return False
-        return True
+        total = _sum_f32(send_data)
+        return all(
+            self._close(r, total, {}, rtol, atol) if r == self.root
+            else not region.nbytes
+            for r, region in enumerate(self.buffers.regions))
 
     def verify_allreduce(self, send_data: Sequence[np.ndarray],
                          rtol: float = 1e-3, atol: float = 1e-3) -> bool:
@@ -466,13 +426,8 @@ class CollectiveResult:
         all contributions.  Degraded completions (a rank fail-stopped during
         the allgather phase) are checked through the validity masks: valid
         chunks must match the reduction, missing chunks must belong to a
-        dead rank's shard.  Engine-backed buffers are compared through their
-        regions (:meth:`MemoryRegion.allclose`) and none is materialised."""
-        arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
-                  for d in send_data]
-        total = arrays[0].copy()
-        for a in arrays[1:]:
-            total += a
+        dead rank's shard."""
+        total = _sum_f32(send_data)
         dead = set(self.dead_ranks)
         memo: Dict[object, List[int]] = {}
         for r in range(len(self.buffers)):
@@ -500,24 +455,15 @@ class CollectiveResult:
                rtol: float, atol: float, lo: int = 0,
                hi: Optional[int] = None) -> bool:
         """Whether float32 elements ``[lo, hi)`` (default: all) of rank *r*'s
-        buffer are within ``rtol`` / ``atol`` of *total*'s.  Engine-backed
-        results compare piece-wise through the op regions, materialising
-        nothing; *memo* (one per *total* and tolerance) shares comparisons
-        of a common source."""
-        bufs = self.buffers
-        if isinstance(bufs, PayloadBuffers):
-            region = bufs.regions[r]
-            if hi is None:
-                if region.nbytes != total.nbytes:
-                    return False
-                hi = total.size
-            return region.allclose(total, memo, rtol, atol, 4 * lo, 4 * hi)
-        vals = np.asarray(bufs[r])
-        if vals.dtype != np.float32:
-            vals = vals.view(np.float32)
+        region are within ``rtol`` / ``atol`` of *total*'s, piece-wise,
+        materialising nothing; *memo* (one per *total* and tolerance)
+        shares comparisons of a common source."""
+        region = self.buffers.regions[r]
         if hi is None:
-            return bool(np.allclose(vals, total, rtol=rtol, atol=atol))
-        return bool(np.allclose(vals[lo:hi], total[lo:hi], rtol=rtol, atol=atol))
+            if region.nbytes != total.nbytes:
+                return False
+            hi = total.size
+        return region.allclose(total, memo, rtol, atol, 4 * lo, 4 * hi)
 
     def verify_alltoall(self, send_data: Sequence[np.ndarray]) -> bool:
         """True when rank *r*'s receive buffer is the concatenation of
@@ -526,14 +472,20 @@ class CollectiveResult:
                     for d in send_data]
         block = payloads[0].nbytes // self.comm_size
         dead = set(self.dead_ranks)
-        for r, buf in enumerate(self.buffers):
-            if r in dead:
-                continue
-            expected = np.concatenate(
-                [pl[r * block:(r + 1) * block] for pl in payloads])
-            if not np.array_equal(np.asarray(buf).view(np.uint8), expected):
-                return False
-        return True
+        return all(
+            self._holds(r, np.concatenate(
+                [pl[r * block:(r + 1) * block] for pl in payloads]), {})
+            for r in range(len(self.buffers)) if r not in dead)
+
+
+def _sum_f32(send_data: Sequence[np.ndarray]) -> np.ndarray:
+    """The float32 sum of every rank's contribution, in rank order."""
+    arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
+              for d in send_data]
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        total += a
+    return total
 
 
 class OpHandle(CollectiveHandle):
@@ -692,16 +644,12 @@ class BaselineHandle(CollectiveHandle):
     engine path with the liveness layer off.
     """
 
-    def __init__(self, comm: "Communicator", kind: Union[str, CollectiveKind],
-                 pending, transport: str = "rc",
-                 root: Optional[int] = None) -> None:
+    def __init__(self, comm: "Communicator", pending) -> None:
         self.comm = comm
-        self.kind = CollectiveKind(kind)
+        self.kind = pending.kind
         self.coll_id = None
         self.pending = pending
         self.send_bytes = pending.send_bytes
-        self.root = root
-        self.transport = transport
         self.t_submit = comm.sim.now
         self._base = None
         self._crash_dead: Set[int] = set()
@@ -734,9 +682,9 @@ class BaselineHandle(CollectiveHandle):
                 if p.alive:
                     p.kill()
 
-    def _finish(self):
-        """Materialize the baseline result (idempotent; a no-op drain when
-        everything already triggered — bit-identical payloads either way)."""
+    def _finish(self) -> CollectiveResult:
+        """The baseline's own result (idempotent; a no-op drain when
+        everything already triggered)."""
         if self._base is None:
             self._base = self.pending.finish()
         return self._base
@@ -754,36 +702,13 @@ class BaselineHandle(CollectiveHandle):
                 phase=str(self.kind), dead_ranks=dead,
             )
         base = self._finish()
-        ranks = []
-        for r, t in enumerate(base.rank_times):
-            elapsed = t - base.t_begin
-            ranks.append(
-                RankStats(
-                    r,
-                    {"start": base.t_begin, "final": t},
-                    PhaseBreakdown(sync=0.0, multicast=elapsed,
-                                   handshake=0.0, total=elapsed),
-                    {},
-                )
-            )
         tracer = self.comm.tracer
-        return CollectiveResult(
-            kind=self.kind,
-            comm_size=base.comm_size,
-            send_bytes=base.send_bytes,
-            chunk_size=self.comm.config.chunk_size,
-            transport=self.transport,
-            t_begin=base.t_begin,
-            t_end=base.t_end,
-            ranks=ranks,
-            buffers=base.buffers,
+        return dataclasses.replace(
+            base,
             traffic=dict(base.traffic) if traffic is None else traffic,
             engine=engine or {},
             trace=(tracer.view(base.t_begin, base.t_end)
                    if tracer is not None else None),
-            root=self.root,
-            phase_stats=[PhaseStats(str(self.kind), str(self.kind),
-                                    base.t_begin, base.t_end)],
         )
 
 
@@ -973,11 +898,8 @@ class Communicator:
         for r in range(self.size):
             self.engines.append(RankEngine(self, r))
         self._coll_ids = itertools.count(0)
-        self._handle_ids = itertools.count(0)
-        #: in-flight handles by handle_id (one id space for every kind;
-        #: engine-backed sub-ops additionally carry an immediate-data
-        #: coll_id, but that is an engine detail, not the tracking key)
-        self._active: Dict[int, CollectiveHandle] = {}
+        # In-flight handles live on the fabric (``fabric.collectives``), so
+        # the folds' exclusivity tests see every communicator's.
         self._api_track = None  # lazy obs track for submission tracepoints
         #: the data fold (DESIGN.md §6d) and the control-plane fold (§6i);
         #: on a ``Fabric(reference=True)`` both decline every phase
@@ -997,6 +919,7 @@ class Communicator:
         self._ctrl_rail = 0
         fabric.on_crash(self._on_fabric_crash)
         fabric.sweep_listeners.append(self._on_sm_sweep)
+        fabric.admit_listeners.append(self._preempt_folds)
         self.sim.add_watchdog_diagnostic(self._watchdog_diagnostic)
 
     # ------------------------------------------------------------- plumbing
@@ -1056,7 +979,7 @@ class Communicator:
             op.abandon()
         # Baseline-substrate and composed handles manage their own rank
         # processes; let each apply the failure policy to its current phase.
-        for handle in list(self._active.values()):
+        for handle in self._in_flight():
             handle.on_crash(rank)
 
     def _on_sm_sweep(self) -> None:
@@ -1234,13 +1157,11 @@ class Communicator:
                 rank=-1, coll_id=-1, kind=str(kind), phase="submit",
                 dead_ranks=sorted(self.dead_ranks),
             )
-        # A deferred-commit fast-forward session must flush before a second
-        # collective's packets can observe channel state; the overlap is
-        # only detected at the *next* fold hook — too late.
-        self.ff.preempt()
-        # ... and a folded control phase hands back its unserved tokens
-        self.cf.unfold()
-        self.fabric.unfold_inc()  # ... and so does a folded INC pass
+        # Every fold on the fabric, this communicator's or another's, hands
+        # back before a second collective's packets can observe channel
+        # state; the overlap is only detected at the *next* fold hook — too
+        # late.
+        self.fabric.preempt_folds()
         if kind is CollectiveKind.BROADCAST:
             handle = self._launch_broadcast(request.root, request.data)
         elif kind is CollectiveKind.ALLGATHER:
@@ -1264,8 +1185,7 @@ class Communicator:
         return self._register(handle)
 
     def _register(self, handle: CollectiveHandle) -> CollectiveHandle:
-        handle.handle_id = next(self._handle_ids)
-        self._active[handle.handle_id] = handle
+        handle.handle_id = self.fabric.admit(handle)
         if self.tracer is not None:
             if self._api_track is None:
                 self._api_track = self.tracer.track("comm", "api")
@@ -1442,7 +1362,7 @@ class Communicator:
             )
         else:
             raise ValueError(f"unknown reduce-scatter algorithm {algorithm!r}")
-        return BaselineHandle(self, CollectiveKind.REDUCE_SCATTER, pending)
+        return BaselineHandle(self, pending)
 
     def reduce_scatter(
         self,
@@ -1479,7 +1399,7 @@ class Communicator:
         pending = inc_reduce(self.fabric, send_data, root, self.hosts, cost,
                              segment_bytes=segment_bytes, defer=True,
                              exclusive=self._alone)
-        return BaselineHandle(self, CollectiveKind.REDUCE, pending, root=root)
+        return BaselineHandle(self, pending)
 
     def reduce(
         self,
@@ -1575,7 +1495,7 @@ class Communicator:
                 chunk_bytes = c
         pending = p2p_alltoall(self.fabric, send_data, self.hosts, cost,
                                chunk_bytes=chunk_bytes, defer=True)
-        return BaselineHandle(self, CollectiveKind.ALLTOALL, pending)
+        return BaselineHandle(self, pending)
 
     def alltoall(
         self,
@@ -1596,27 +1516,40 @@ class Communicator:
 
     def run(self, *handles: CollectiveHandle) -> None:
         """Advance the simulation until every handle completes."""
-        targets = handles or tuple(self._active.values())
+        targets = handles or self._in_flight()
         self.sim.drain([ev for h in targets for ev in h.wait_events])
 
     def release(self, handle: CollectiveHandle) -> None:
         """Free the op's registered buffers and id (after completion)."""
         handle._release()
-        self._active.pop(handle.handle_id, None)
+        self.fabric.collectives.pop(handle.handle_id, None)
+
+    def _in_flight(self) -> List[CollectiveHandle]:
+        """This communicator's handles submitted and not yet released."""
+        return [h for h in self.fabric.collectives.values() if h.comm is self]
+
+    def _preempt_folds(self) -> None:
+        """Hand this communicator's folded phases back to packets: a
+        deferred-commit data session flushes, a folded control phase
+        returns its unserved tokens (a fabric admit listener)."""
+        self.ff.preempt()
+        self.cf.unfold()
 
     def ff_exclusive(self, coll_id: int) -> bool:
-        """True when engine op *coll_id* is the only collective in flight —
-        the flow-level fast-forward's single-collective gate (the fold
-        cannot serialize link contention between concurrent collectives).
+        """True when engine op *coll_id* is the only collective in flight on
+        the fabric, any communicator's — the flow-level fast-forward's
+        single-collective gate (the fold cannot serialize link contention
+        between concurrent collectives).
         A composed collective counts as exclusive while its *current* phase
         is exactly this engine op; a completed handle not yet released is
         not in flight."""
-        live = [h for h in self._active.values() if not h.complete]
-        return len(live) == 1 and live[0].exclusive_coll_id() == coll_id
+        live = [h for h in self.fabric.collectives.values() if not h.complete]
+        return (len(live) == 1 and live[0].comm is self
+                and live[0].exclusive_coll_id() == coll_id)
 
     def _alone(self) -> bool:
-        """The INC fold's exclusivity test: one collective in flight."""
-        return len(self._active) == 1
+        """The INC fold's exclusivity test: one collective on the fabric."""
+        return len(self.fabric.collectives) == 1
 
     def _snapshot(self) -> Dict[str, int]:
         return {

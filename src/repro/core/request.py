@@ -173,12 +173,12 @@ class CollectiveRequest:
                 raise CollectiveRequestError("chunk_bytes must be >= 1")
 
         if kind is CollectiveKind.BROADCAST:
-            if not hasattr(self.data, "dtype"):
+            if not isinstance(self.data, np.ndarray):
                 raise CollectiveRequestError(
                     "broadcast takes the root's single ndarray payload"
                 )
         else:
-            if hasattr(self.data, "dtype") or not isinstance(self.data, Sequence):
+            if isinstance(self.data, np.ndarray) or not isinstance(self.data, Sequence):
                 raise CollectiveRequestError(
                     f"{kind} takes a sequence of per-rank contributions"
                 )
@@ -186,7 +186,7 @@ class CollectiveRequest:
                 raise CollectiveRequestError(f"{kind} needs at least one contribution")
 
     def _arrays(self) -> List[Any]:
-        if hasattr(self.data, "dtype"):
+        if isinstance(self.data, np.ndarray):
             return [self.data]
         return list(self.data) if isinstance(self.data, Sequence) else [self.data]
 
@@ -226,7 +226,7 @@ class CollectiveHandle:
     ``wait_events`` is the driver-facing face: the simulator events
     :meth:`Communicator.run` must drain for this handle.  The old
     negative-coll_id convention is gone — handles are tracked by a
-    communicator-local ``handle_id`` and only engine-backed (sub-)ops
+    fabric-wide ``handle_id`` and only engine-backed (sub-)ops
     carry an immediate-data ``coll_id``.
     """
 

@@ -191,6 +191,13 @@ class Fabric:
         #: callbacks run at every fault_epoch bump, before the change (a
         #: communicator's control fold hands its unserved tokens back)
         self.epoch_listeners: list = []
+        #: every communicator's collectives submitted and not yet released,
+        #: by handle id — the folds' exclusivity tests read this one table
+        self.collectives: Dict[int, object] = {}
+        self._handle_ids = itertools.count(0)
+        #: callbacks that hand a communicator's folded phases back when a
+        #: collective is admitted anywhere on the fabric
+        self.admit_listeners: list = []
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -319,6 +326,20 @@ class Fabric:
         self.unfold_inc()
         for listener in self.epoch_listeners:
             listener()
+
+    def preempt_folds(self) -> None:
+        """A collective is being admitted: hand every folded phase on the
+        fabric back to packets — each communicator's data and control
+        folds, then every INC pass."""
+        for listener in self.admit_listeners:
+            listener()
+        self.unfold_inc()
+
+    def admit(self, handle) -> int:
+        """Record *handle* as in flight; returns its fabric-wide id."""
+        handle_id = next(self._handle_ids)
+        self.collectives[handle_id] = handle
+        return handle_id
 
     def unfold_inc(self) -> None:
         """Hand every in-flight INC fold back to the packet path, at the

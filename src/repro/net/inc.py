@@ -496,7 +496,7 @@ class IncFold:
         served, before *upto* would have: channel ``bytes_sent`` /
         ``payload_bytes_sent`` / ``packets_sent`` / ``busy_until`` /
         ``horizon``, relay ``packets_forwarded``, the owners' NIC
-        ``packets_received`` / ``bytes_received``, MR bytes, receive-queue
+        ``packets_received`` / ``bytes_received``, MR pieces, receive-queue
         WRs and CQ entries."""
         tree = self.tree
         fabric = tree.fabric
@@ -513,6 +513,9 @@ class IncFold:
                 fabric.switches[ch.src_name].packets_forwarded += k
             if k and not isinstance(ch.dst_node, Switch):
                 ch.horizon = max(ch.horizon, max(self.arrive[p] for p in ps[:k]))
+        # The reduced vector is never written after the fold computed it:
+        # a landing records a piece of it, as the packet path's does.
+        reduced = self.vec.view(np.uint8)
         for o, (qp, wr) in self.owners.items():
             ps, serve, end = self.chains[o]
             nic, cq = fabric.nic(o), qp.recv_cq
@@ -525,7 +528,7 @@ class IncFold:
             cq.total_pushed += polled
             for j, p in enumerate(arrived):
                 off, n = self.owner[p][1], int(self.L[p])
-                mr.view(off, n)[:] = self._part(tree.root, p).view(np.uint8)
+                mr.place(off, reduced, self.src[p], n)
                 nic.packets_received += 1
                 nic.bytes_received += n
                 if nic.trace is not None:

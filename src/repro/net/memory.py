@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import abc
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Memory", "MemoryRegion", "new_key"]
+__all__ = ["Memory", "MemoryRegion", "PayloadBuffers", "new_key"]
 
 _key_counter = itertools.count(1)
 
@@ -388,6 +389,26 @@ def _memo_entry(memo: Dict[object, List[int]], src: Optional[np.ndarray],
     if todo is None:
         todo = memo[key] = [-_FAR, _FAR]
     return todo
+
+
+class PayloadBuffers(abc.Sequence):
+    """A collective result's ``buffers``: a read-only sequence over the
+    per-rank result regions, read as *dtype*.  ``buffers[r]`` is rank
+    *r*'s array and materialises exactly that rank; the result's
+    ``verify_*`` checks go through :attr:`regions` and materialise none."""
+
+    def __init__(self, regions: List[MemoryRegion], dtype=np.uint8) -> None:
+        self.regions = regions
+        self.dtype = dtype
+
+    def __len__(self) -> int:
+        return len(self.regions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.regions)))]
+        buf = self.regions[index].buf
+        return buf if self.dtype == np.uint8 else buf.view(self.dtype)
 
 
 class Memory:

@@ -142,6 +142,27 @@ def test_smoke_reliability_telemetry_populated():
         assert any(reason == "cutoff-arm" for _, _, reason in r.timer_trace)
 
 
+def test_retry_histogram_counts_invocations_by_rounds():
+    """``retry_histogram`` is ``{fetch rounds: recovery invocations}`` over
+    every rank: its counts sum to the recoveries and its weighted sum to
+    the fetch rounds.  On this lossy broadcast the ranks escalate
+    differently, so several round counts show up."""
+    comm = make_comm(seed=2)
+    comm.fabric.set_fault_all(lambda src, dst: FaultSpec(drop_prob=0.05))
+    data = rank_data(0, kib(256))
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    summary = result.reliability_summary()
+    by_hand: dict = {}
+    for r in result.ranks:
+        for rounds in r.retry_histogram:
+            by_hand[rounds] = by_hand.get(rounds, 0) + 1
+    assert summary["retry_histogram"] == by_hand
+    assert len(by_hand) > 1
+    assert sum(by_hand.values()) == summary["recoveries"]
+    assert sum(k * n for k, n in by_hand.items()) == summary["fetch_rounds"]
+
+
 # -------------------------------------------------------------------- soak
 
 

@@ -442,8 +442,7 @@ def test_two_communicators_sharing_hosts_submit_together(reference):
     _two_overlapping_broadcasts(reference)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the folds' exclusivity test is per communicator: each one folds its "
-    "broadcast as if alone on the fabric"))
 def test_two_communicators_sharing_hosts_match_the_reference():
+    """The folds' exclusivity test is fabric-wide: neither communicator
+    folds its broadcast while the other's is in flight."""
     assert _two_overlapping_broadcasts(False) == _two_overlapping_broadcasts(True)

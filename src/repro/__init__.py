@@ -27,7 +27,6 @@ Quickstart
 """
 
 from repro.core.communicator import (
-    BaselineHandle,
     CollectiveConfig,
     CollectiveHandle,
     CollectiveKind,
@@ -61,7 +60,6 @@ from repro.sim.random import RandomStreams
 __version__ = "1.0.0"
 
 __all__ = [
-    "BaselineHandle",
     "CollectiveAbortedError",
     "CollectiveConfig",
     "CollectiveHandle",

@@ -54,9 +54,6 @@ def ring_allgather(
     net = P2PNet(fabric, hosts, cost)
     p = net.size
     n, buffers = _prepare(net, send_data)
-    if p == 1:
-        return run_baseline(fabric, "ring_allgather", "allgather", net.hosts, n,
-                            buffers, [_trivial(net)])
 
     def rank_proc(r: int):
         right = (r + 1) % p
@@ -68,7 +65,7 @@ def ring_allgather(
         yield from net.drain_send_cq(r, right, p - 1)
         return net.sim.now
 
-    return run_baseline(fabric, "ring_allgather", "allgather", net.hosts, n,
+    return run_baseline(net, "ring_allgather", "allgather", n,
                         buffers, [rank_proc(r) for r in range(p)], defer=defer)
 
 
@@ -82,9 +79,6 @@ def linear_allgather(
     net = P2PNet(fabric, hosts, cost)
     p = net.size
     n, buffers = _prepare(net, send_data)
-    if p == 1:
-        return run_baseline(fabric, "linear_allgather", "allgather", net.hosts, n,
-                            buffers, [_trivial(net)])
 
     def rank_proc(r: int):
         for i in range(1, p):
@@ -95,7 +89,7 @@ def linear_allgather(
             yield from net.drain_send_cq(r, (r + i) % p, 1)
         return net.sim.now
 
-    return run_baseline(fabric, "linear_allgather", "allgather", net.hosts, n,
+    return run_baseline(net, "linear_allgather", "allgather", n,
                         buffers, [rank_proc(r) for r in range(p)])
 
 
@@ -111,9 +105,6 @@ def recursive_doubling_allgather(
     if p & (p - 1):
         raise ValueError(f"recursive doubling requires a power-of-two size, got {p}")
     n, buffers = _prepare(net, send_data)
-    if p == 1:
-        return run_baseline(fabric, "recursive_doubling_allgather", "allgather",
-                            net.hosts, n, buffers, [_trivial(net)])
 
     def rank_proc(r: int):
         k = 1
@@ -128,11 +119,5 @@ def recursive_doubling_allgather(
             step += 1
         return net.sim.now
 
-    return run_baseline(fabric, "recursive_doubling_allgather", "allgather",
-                        net.hosts, n, buffers, [rank_proc(r) for r in range(p)])
-
-
-def _trivial(net: P2PNet):
-    """Single-rank degenerate collective."""
-    yield net.sim.timeout(0.0)
-    return net.sim.now
+    return run_baseline(net, "recursive_doubling_allgather", "allgather",
+                        n, buffers, [rank_proc(r) for r in range(p)])

@@ -91,7 +91,7 @@ def p2p_alltoall(
         yield from net.wait_notifications(r, (p - 1) * chunks_per_block)
         return net.sim.now
 
-    return run_baseline(fabric, "p2p_alltoall", "alltoall", net.hosts,
-                        nbytes, PayloadBuffers(recv),
+    return run_baseline(net, "p2p_alltoall", "alltoall", nbytes,
+                        PayloadBuffers(recv),
                         [rank_proc(r) for r in range(p)], defer=defer,
                         chunk_size=chunk)

@@ -84,9 +84,6 @@ def knomial_broadcast(
     net = P2PNet(fabric, hosts, cost)
     p = net.size
     n, buffers = _prepare(net, root, data)
-    if p == 1:
-        return run_baseline(fabric, "knomial_broadcast", "broadcast", net.hosts,
-                            n, buffers, [_noop(net)], root=root)
     parent, children = knomial_tree(p, radix)
 
     def rank_proc(r: int):
@@ -99,7 +96,7 @@ def knomial_broadcast(
             yield from net.drain_send_cq(r, child, 1)
         return net.sim.now
 
-    return run_baseline(fabric, "knomial_broadcast", "broadcast", net.hosts, n,
+    return run_baseline(net, "knomial_broadcast", "broadcast", n,
                         buffers, [rank_proc(r) for r in range(p)], root=root)
 
 
@@ -116,9 +113,6 @@ def binary_tree_broadcast(
     net = P2PNet(fabric, hosts, cost)
     p = net.size
     n, buffers = _prepare(net, root, data)
-    if p == 1:
-        return run_baseline(fabric, "binary_tree_broadcast", "broadcast",
-                            net.hosts, n, buffers, [_noop(net)], root=root)
     n_seg = max(1, -(-n // segment_bytes))
 
     def rank_proc(r: int):
@@ -141,11 +135,6 @@ def binary_tree_broadcast(
             yield from net.drain_send_cq(r, child, sent[child])
         return net.sim.now
 
-    return run_baseline(fabric, "binary_tree_broadcast", "broadcast", net.hosts,
-                        n, buffers, [rank_proc(r) for r in range(p)], root=root,
+    return run_baseline(net, "binary_tree_broadcast", "broadcast", n,
+                        buffers, [rank_proc(r) for r in range(p)], root=root,
                         chunk_size=min(segment_bytes, n))
-
-
-def _noop(net: P2PNet):
-    yield net.sim.timeout(0.0)
-    return net.sim.now

@@ -18,8 +18,7 @@ import numpy as np
 from repro.core.baselines.base import P2PNet, run_baseline
 from repro.core.costmodel import HostCostModel
 from repro.net.fabric import Fabric
-from repro.net.memory import PayloadBuffers
-from repro.net.nic import Transport
+from repro.net.memory import PayloadBuffers, new_key
 from repro.sim.events import Interrupt, Timeout
 from repro.units import gib_per_s
 
@@ -29,7 +28,7 @@ __all__ = ["ring_reduce_scatter", "inc_reduce_scatter", "inc_reduce"]
 REDUCE_BW = gib_per_s(20)
 
 
-def _check_inputs(send_data: Sequence[np.ndarray], p: int) -> np.ndarray:
+def _check_inputs(send_data: Sequence[np.ndarray], p: int) -> List[np.ndarray]:
     arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1) for d in send_data]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
@@ -68,13 +67,10 @@ def ring_reduce_scatter(
         f32[: p * shard] = arrays[r]
         works.append(net.register(r, buf))
         f32_views.append(f32)
-        outs.append(net.nic(r).memory.register(shard_bytes))
+        outs.append(net.register(r, shard_bytes, new_key()))
     buffers = PayloadBuffers(outs, dtype=np.float32)
-    if p == 1:
+    if p == 1:  # the lone rank's contribution is its reduced shard
         works[0].copy_to(0, outs[0], 0, shard_bytes)
-        return run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
-                            net.hosts, shard_bytes, buffers, [_noop(net)],
-                            defer=defer)
     scratch_off = p * shard_bytes
 
     def rank_proc(r: int):
@@ -115,8 +111,8 @@ def ring_reduce_scatter(
         works[r].copy_to(r * shard_bytes, outs[r], 0, shard_bytes)
         return net.sim.now
 
-    return run_baseline(fabric, "ring_reduce_scatter", "reduce_scatter",
-                        net.hosts, p * shard_bytes, buffers,
+    return run_baseline(net, "ring_reduce_scatter", "reduce_scatter",
+                        p * shard_bytes, buffers,
                         [rank_proc(r) for r in range(p)], defer=defer,
                         chunk_size=shard_bytes)
 
@@ -209,7 +205,7 @@ def inc_reduce_scatter(
     owners = {}
     for r in range(p):
         regions.append(net.register(r, shard_bytes))
-        qp = net.nic(r).create_qp(Transport.RC, recv_cq=net.recv_cq(r))
+        qp = net.create_qp(r)
         net.post_dummies(r, qp)
         owners[net.hosts[r]] = (qp, net.dummy_wr(r))
 
@@ -220,8 +216,8 @@ def inc_reduce_scatter(
         shard_bytes=shard_bytes,
         segment_bytes=segment_bytes,
     )
-    pending = run_baseline(fabric, "inc_reduce_scatter", "reduce_scatter",
-                           net.hosts, p * shard_bytes,
+    pending = run_baseline(net, "inc_reduce_scatter", "reduce_scatter",
+                           p * shard_bytes,
                            PayloadBuffers(regions, dtype=np.float32),
                            _inc_ranks(net, tree, arrays, owners, exclusive),
                            defer=True, chunk_size=segment_bytes)
@@ -252,18 +248,14 @@ def inc_reduce(
         raise ValueError("INC reduce needs at least 2 ranks")
     if not 0 <= root < p:
         raise ValueError(f"root {root} out of range for {p} ranks")
-    arrays = [np.ascontiguousarray(d, dtype=np.float32).reshape(-1)
-              for d in send_data]
-    elems = arrays[0].size
-    if any(a.size != elems for a in arrays):
-        raise ValueError("all contributions must have the same length")
-    nbytes = elems * 4
+    arrays = _check_inputs(send_data, 1)
+    nbytes = arrays[0].nbytes
     root_host = net.hosts[root]
 
     # Only the root owns a result region and a notification QP; the other
     # members are pure contributors, with zero-length regions.
     regions = [net.register(r, nbytes if r == root else 0) for r in range(p)]
-    qp = net.nic(root).create_qp(Transport.RC, recv_cq=net.recv_cq(root))
+    qp = net.create_qp(root)
 
     tree = fabric.create_inc_tree(
         members=list(net.hosts),
@@ -278,14 +270,9 @@ def inc_reduce(
     # scatter path would RNR-drop reliable writes on large buffers.
     net.post_dummies(root, qp, max(64, tree.n_segments))
     owners = {root_host: (qp, net.dummy_wr(root))}
-    pending = run_baseline(fabric, "inc_reduce", "reduce", net.hosts,
-                           nbytes, PayloadBuffers(regions, dtype=np.float32),
+    pending = run_baseline(net, "inc_reduce", "reduce", nbytes,
+                           PayloadBuffers(regions, dtype=np.float32),
                            _inc_ranks(net, tree, arrays, owners, exclusive),
                            defer=True, root=root, chunk_size=segment_bytes)
     tree.procs = dict(zip(net.hosts, pending.procs))
     return pending if defer else pending.finish()
-
-
-def _noop(net: P2PNet):
-    yield net.sim.timeout(0.0)
-    return net.sim.now

@@ -26,11 +26,10 @@ Example
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +73,6 @@ __all__ = [
     "FailurePolicy",
     "Communicator",
     "OpHandle",
-    "BaselineHandle",
     "ComposedHandle",
     "PhaseBreakdown",
     "PhaseStats",
@@ -264,11 +262,9 @@ class CollectiveResult:
     def phases(self) -> List[PhaseStats]:
         """Uniform phase timeline across all six kinds: composed
         collectives report one entry per sub-collective, simple kinds a
-        single entry spanning the whole window."""
-        if self.phase_stats:
-            return list(self.phase_stats)
-        return [PhaseStats(str(self.kind), str(self.kind),
-                           self.t_begin, self.t_end)]
+        single entry spanning the whole window (a copy of the handle's
+        ``phases`` at completion)."""
+        return list(self.phase_stats)
 
     @property
     def degraded(self) -> bool:
@@ -375,26 +371,33 @@ class CollectiveResult:
         chunk marked missing must belong to a dead rank's shard."""
         expected = np.concatenate([np.ascontiguousarray(d).view(np.uint8).ravel()
                                    for d in send_data])
-        dead = set(self.dead_ranks)
         memo: Dict[object, List[int]] = {}
+        return self._valid_chunks_match(
+            len(expected),
+            lambda r, lo, hi: self._holds(r, expected, memo, lo, hi))
+
+    def _valid_chunks_match(self, n: int, match) -> bool:
+        """Whether every surviving rank's region matches: wholly
+        (``match(r, 0, None)``) without a validity mask, else chunk by
+        chunk over ``[lo, hi)`` of its *n* units, where a chunk marked
+        missing must belong to a dead rank's shard.  Shards are
+        chunk-aligned by construction, so chunk i's owner is i // (chunks
+        per rank)."""
+        dead = set(self.dead_ranks)
         for r in range(len(self.buffers)):
             if r in dead:
                 continue
             mask = self.validity[r] if self.validity is not None else None
             if mask is None:
-                if not self._holds(r, expected, memo):
+                if not match(r, 0, None):
                     return False
                 continue
-            n_chunks = len(mask)
-            # Shards are chunk-aligned by construction, so the owner of
-            # chunk i is i // (chunks per rank).
-            chunks_per_rank = n_chunks // self.comm_size
-            chunk = (len(expected) + n_chunks - 1) // n_chunks
-            for i in range(n_chunks):
-                lo = i * chunk
-                hi = min(lo + chunk, len(expected))
-                if mask[i]:
-                    if not self._holds(r, expected, memo, lo, hi):
+            chunks_per_rank = len(mask) // self.comm_size
+            per_chunk = -(-n // len(mask))
+            for i, valid in enumerate(mask):
+                lo = i * per_chunk
+                if valid:
+                    if not match(r, lo, min(lo + per_chunk, n)):
                         return False
                 elif i // chunks_per_rank not in dead:
                     return False  # hole outside any dead rank's shard
@@ -428,28 +431,10 @@ class CollectiveResult:
         chunks must match the reduction, missing chunks must belong to a
         dead rank's shard."""
         total = _sum_f32(send_data)
-        dead = set(self.dead_ranks)
         memo: Dict[object, List[int]] = {}
-        for r in range(len(self.buffers)):
-            if r in dead:
-                continue
-            mask = self.validity[r] if self.validity is not None else None
-            if mask is None:
-                if not self._close(r, total, memo, rtol, atol):
-                    return False
-                continue
-            n_chunks = len(mask)
-            chunks_per_rank = n_chunks // self.comm_size
-            elems = (total.size + n_chunks - 1) // n_chunks
-            for i in range(n_chunks):
-                lo = i * elems
-                hi = min(lo + elems, total.size)
-                if mask[i]:
-                    if not self._close(r, total, memo, rtol, atol, lo, hi):
-                        return False
-                elif i // chunks_per_rank not in dead:
-                    return False  # hole outside any dead rank's shard
-        return True
+        return self._valid_chunks_match(
+            total.size,
+            lambda r, lo, hi: self._close(r, total, memo, rtol, atol, lo, hi))
 
     def _close(self, r: int, total: np.ndarray, memo: Dict[object, List[int]],
                rtol: float, atol: float, lo: int = 0,
@@ -501,6 +486,8 @@ class OpHandle(CollectiveHandle):
         self.ops = ops
         self.buffers = PayloadBuffers([op.mr for op in ops])
         self.send_bytes = send_bytes
+        self.chunk_size = comm.config.chunk_size
+        self.transport = comm.config.transport
         self.root = root
         self.t_submit = comm.sim.now
         #: all-ranks-finished event (``done()`` — the protocol method —
@@ -516,10 +503,21 @@ class OpHandle(CollectiveHandle):
         """The events :meth:`Communicator.run` must drain for this handle."""
         return [self.done_event]
 
+    def _live_ops(self) -> List[OpState]:
+        """The surviving ranks' ops.  Dead ranks' ops are abandoned, not
+        completed: their phase records stop at the crash instant and are
+        excluded from the statistics."""
+        return [op for op in self.ops if not op.aborted]
+
     @property
     def phases(self) -> List[PhaseStats]:
-        return [PhaseStats(str(self.kind), str(self.kind), self.t_submit,
-                           self.comm.sim.now)]
+        live = self._live_ops()
+        if self.complete and live:
+            t_begin = min(op.phases["start"] for op in live)
+            t_end = max(op.phases["final"] for op in live)
+        else:
+            t_begin, t_end = self.t_submit, self.comm.sim.now
+        return [PhaseStats(str(self.kind), str(self.kind), t_begin, t_end)]
 
     def _release(self) -> None:
         for engine in self.comm.engines:
@@ -554,13 +552,8 @@ class OpHandle(CollectiveHandle):
         return {"payload_bytes_copied": copied, "payload_bytes_placed": placed,
                 "payload_regions_materialized": materialized}
 
-    def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
-        if not self.complete:
-            raise RuntimeError("collective has not completed")
-        # Dead ranks' ops are abandoned, not completed — their phase records
-        # stop at the crash instant and are excluded from the statistics.
-        live_ops = [op for op in self.ops if not op.aborted]
+    def _outcome(self) -> Dict[str, object]:
+        live_ops = self._live_ops()
         if not live_ops:
             raise RuntimeError("collective has no surviving ranks")
         ranks = []
@@ -579,8 +572,6 @@ class OpHandle(CollectiveHandle):
                     timer_trace=list(op.timer_trace),
                 )
             )
-        t_begin = min(op.phases["start"] for op in live_ops)
-        t_end = max(op.phases["final"] for op in live_ops)
         dead = sorted(
             {op.rank for op in self.ops if op.aborted}
             | {r for op in live_ops for r in op.dead_ranks}
@@ -593,178 +584,58 @@ class OpHandle(CollectiveHandle):
                  if r in by_rank and by_rank[r].valid_mask is not None else None)
                 for r in range(self.comm.size)
             ]
-        tracer = self.comm.tracer
-        return CollectiveResult(
-            kind=self.kind,
-            comm_size=self.comm.size,
-            send_bytes=self.send_bytes,
-            chunk_size=self.comm.config.chunk_size,
-            transport=self.comm.config.transport,
-            t_begin=t_begin,
-            t_end=t_end,
-            ranks=ranks,
-            buffers=self.buffers,
-            traffic=traffic or {},
-            engine={**(engine or {}), **self._payload_cost(live_ops)},
-            trace=tracer.view(t_begin, t_end) if tracer is not None else None,
-            dead_ranks=dead,
-            validity=validity,
-            root=self.root,
-            phase_stats=[PhaseStats(str(self.kind), str(self.kind),
-                                    t_begin, t_end)],
-        )
-
-
-class BaselineHandle(CollectiveHandle):
-    """An in-flight baseline-substrate collective (Reduce-Scatter, rooted
-    Reduce, Alltoall — anything running on the RC P2P / INC datapaths
-    rather than the multicast engine).
-
-    Quacks like :class:`OpHandle` (``complete`` / ``wait_events`` /
-    ``result()``) so every kind rides the one Communicator surface —
-    including mixed waits like ``comm.run(ag_handle, rs_handle)`` for the
-    FSDP {AG, RS} pair.  ``wait_events`` exposes the underlying rank
-    processes directly (a :class:`~repro.sim.process.Process` *is* an
-    Event), deliberately not wrapping them in an ``AllOf``: resolution of
-    an AllOf schedules one extra simulator event, which would perturb the
-    exact event counts the speedometer perf gate pins.
-
-    ``coll_id`` is ``None``: baseline collectives own no immediate-data id
-    (the old negative-id convention is gone); handles are tracked by their
-    communicator-local ``handle_id``.
-
-    A fail-stop during a baseline collective tears down the dead rank's
-    process unconditionally (software dies with the host).  When the
-    communicator has a :class:`FailurePolicy`, the *whole* collective is
-    failed fast at the crash instant — a reduction missing a contributor
-    poisons every element, and the unicast exchange has no validity-mask
-    story — and :meth:`result` raises a typed
-    :class:`~repro.core.reliability.CollectiveAbortedError`.  Without a
-    policy, survivors hang until the watchdog fires, exactly like the
-    engine path with the liveness layer off.
-    """
-
-    def __init__(self, comm: "Communicator", pending) -> None:
-        self.comm = comm
-        self.kind = pending.kind
-        self.coll_id = None
-        self.pending = pending
-        self.send_bytes = pending.send_bytes
-        self.t_submit = comm.sim.now
-        self._base = None
-        self._crash_dead: Set[int] = set()
-        self._crash_aborted = False
-
-    @property
-    def complete(self) -> bool:
-        return self.pending.complete
-
-    @property
-    def wait_events(self) -> List:
-        return list(self.pending.procs)
-
-    @property
-    def phases(self) -> List[PhaseStats]:
-        t_end = self._base.t_end if self._base is not None else self.comm.sim.now
-        return [PhaseStats(str(self.kind), str(self.kind),
-                           self.pending.t_begin, t_end)]
-
-    def on_crash(self, rank: int) -> None:
-        procs = self.pending.procs
-        if self.complete or rank >= len(procs):
-            return
-        if procs[rank].alive:
-            procs[rank].kill()
-        if self.comm.config.failure_policy is not None:
-            self._crash_dead.add(rank)
-            self._crash_aborted = True
-            for p in procs:
-                if p.alive:
-                    p.kill()
-
-    def _finish(self) -> CollectiveResult:
-        """The baseline's own result (idempotent; a no-op drain when
-        everything already triggered)."""
-        if self._base is None:
-            self._base = self.pending.finish()
-        return self._base
-
-    def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
-        if not self.complete:
-            raise RuntimeError("collective has not completed")
-        if self._crash_aborted:
-            dead = sorted(self._crash_dead)
-            raise CollectiveAbortedError(
-                f"{self.kind} aborted: rank(s) {dead} fail-stopped "
-                "mid-collective and the baseline substrate cannot degrade",
-                rank=-1, coll_id=-1, kind=str(self.kind),
-                phase=str(self.kind), dead_ranks=dead,
-            )
-        base = self._finish()
-        tracer = self.comm.tracer
-        return dataclasses.replace(
-            base,
-            traffic=dict(base.traffic) if traffic is None else traffic,
-            engine=engine or {},
-            trace=(tracer.view(base.t_begin, base.t_end)
-                   if tracer is not None else None),
-        )
+        return {"ranks": ranks, "dead_ranks": dead, "validity": validity,
+                "engine": self._payload_cost(live_ops)}
 
 
 class ComposedHandle(CollectiveHandle):
-    """A collective composed from a plan of sub-collectives run
-    back-to-back inside one submission — allreduce is the INC
-    reduce-scatter chained into the multicast allgather, the reduced
-    shards serving directly as the allgather's staging buffers
-    (paper Appendix B).
+    """Allreduce: a reduce-scatter chained into an allgather inside one
+    submission, the reduced shards handed on by reference as the
+    allgather's contributions (paper Appendix B).
 
-    A driver process walks the plan: it launches phase *k+1* at the exact
-    instant phase *k*'s last rank process completes — the same instant a
-    caller chaining ``comm.reduce_scatter(...)`` then
-    ``comm.allgather(...)`` observes from ``run()`` — so the composed
-    collective is **bit-identical in virtual time** to manual chaining.
-    The driver itself never advances the clock (process resumption is a
-    zero-delay callback at the completion instant); it only sequences
-    launches.  Each phase reuses the full per-phase machinery: the
-    reliability/liveness layer and the flow-level fast-forward see one
-    ordinary collective at a time.
+    A driver process launches the reduce-scatter (*reduce_scatter*), then
+    the allgather (*allgather*, given the finished reduce-scatter handle)
+    at the exact instant the former's last rank process completes — the
+    instant a caller chaining ``comm.reduce_scatter(...)`` then
+    ``comm.allgather(...)`` observes — so the composed collective is
+    **bit-identical in virtual time** to manual chaining.  The driver never
+    advances the clock; each phase is one ordinary collective to the
+    reliability layer and the folds.  The phases are read through the
+    handle protocol only.
     """
 
-    def __init__(self, comm: "Communicator", kind: Union[str, CollectiveKind],
-                 plan: List, send_bytes: int) -> None:
+    def __init__(self, comm: "Communicator", send_bytes: int,
+                 reduce_scatter: Callable[[], CollectiveHandle],
+                 allgather: Callable[[CollectiveHandle], CollectiveHandle]) -> None:
         self.comm = comm
-        self.kind = CollectiveKind(kind)
-        self.coll_id = None
+        self.kind = CollectiveKind.ALLREDUCE
         self.send_bytes = send_bytes
-        self.t_submit = comm.sim.now
-        self._plan = list(plan)
-        self._subs: List = []  # launched (name, handle) pairs
-        self._current: Optional[CollectiveHandle] = None
-        self._abort_dead: Optional[Set[int]] = None
-        self._proc = comm.sim.spawn(self._drive(), name=f"{self.kind}-driver")
+        self.chunk_size = comm.config.chunk_size
+        self.transport = f"rc+{comm.config.transport}"
+        self._subs: List[CollectiveHandle] = []  # launched phases, in order
+        self._proc = comm.sim.spawn(self._drive(reduce_scatter, allgather),
+                                    name=f"{self.kind}-driver")
 
-    def _drive(self):
-        prev = None
-        for name, factory in self._plan:
-            sub = factory(prev)
-            self._subs.append((name, sub))
-            self._current = sub
-            for ev in sub.wait_events:
-                yield ev
-            self._current = None
-            if self._abort_dead is not None:
-                break
-            prev = sub
-        if self._abort_dead is not None:
-            dead = sorted(self._abort_dead)
-            phase = self._subs[-1][0]
+    def _drive(self, reduce_scatter, allgather):
+        rs = reduce_scatter()
+        self._subs.append(rs)
+        for ev in rs.wait_events:
+            yield ev
+        if rs.error is not None:
+            dead = list(rs.error.dead_ranks)
             raise CollectiveAbortedError(
                 f"{self.kind} aborted: rank(s) {dead} fail-stopped during "
-                f"the {phase} phase (reductions cannot degrade)",
-                rank=-1, coll_id=-1, kind=str(self.kind), phase=phase,
+                f"the {rs.kind} phase (reductions cannot degrade)",
+                rank=-1, coll_id=-1, kind=str(self.kind), phase=str(rs.kind),
                 dead_ranks=dead,
             )
+        ag = allgather(rs)
+        self._subs.append(ag)
+        # The allgather ran over the reduced shards, so every surviving
+        # rank's gather buffer *is* the full reduced vector.
+        self.buffers = PayloadBuffers(ag.buffers.regions, dtype=np.float32)
+        for ev in ag.wait_events:
+            yield ev
         return self.comm.sim.now
 
     @property
@@ -777,67 +648,34 @@ class ComposedHandle(CollectiveHandle):
 
     @property
     def phases(self) -> List[PhaseStats]:
-        return [PhaseStats(name, str(sub.kind), sub.t_submit,
-                           self.comm.sim.now)
-                for name, sub in self._subs]
+        return [ph for sub in self._subs for ph in sub.phases]
+
+    def _current(self) -> Optional[CollectiveHandle]:
+        """The phase in flight (``None`` before launch and once done)."""
+        return self._subs[-1] if self._subs and not self.complete else None
 
     def exclusive_coll_id(self) -> Optional[int]:
-        sub = self._current
+        sub = self._current()
         return sub.exclusive_coll_id() if sub is not None else None
 
     def on_crash(self, rank: int) -> None:
-        sub = self._current
-        if sub is None or self.complete:
-            return
-        sub.on_crash(rank)
-        if getattr(sub, "_crash_aborted", False):
-            # Baseline (reduction) phase: the sub-handle already tore all
-            # ranks down; surface the abort from the driver.  Engine-phase
-            # crashes are handled by the liveness protocol instead.
-            dead = set(sub._crash_dead)
-            self._abort_dead = (self._abort_dead or set()) | dead
+        # A baseline (reduction) phase applies the failure policy and
+        # records its abort, which the driver raises; engine-phase crashes
+        # are handled by the liveness protocol instead.
+        sub = self._current()
+        if sub is not None:
+            sub.on_crash(rank)
 
     def _release(self) -> None:
-        for _name, sub in self._subs:
-            sub._release()
+        for sub in self._subs:
+            self.comm.release(sub)
 
-    def result(self, traffic: Optional[Dict[str, int]] = None,
-               engine: Optional[Dict[str, int]] = None) -> CollectiveResult:
-        if not self.complete:
-            raise RuntimeError("collective has not completed")
+    def _outcome(self) -> Dict[str, object]:
         if not self._proc.ok:
             raise self._proc.value
-        (rs_name, rs), (ag_name, ag) = self._subs[0], self._subs[-1]
-        rs_base = rs._finish()
-        ag_res = ag.result()
-        tracer = self.comm.tracer
-        # The allgather ran over the reduced shards, so every surviving
-        # rank's gather buffer *is* the full reduced vector.
-        buffers = PayloadBuffers(ag_res.buffers.regions, dtype=np.float32)
-        return CollectiveResult(
-            kind=self.kind,
-            comm_size=self.comm.size,
-            send_bytes=self.send_bytes,
-            chunk_size=self.comm.config.chunk_size,
-            transport=f"rc+{self.comm.config.transport}",
-            t_begin=rs_base.t_begin,
-            t_end=ag_res.t_end,
-            ranks=ag_res.ranks,
-            buffers=buffers,
-            traffic=traffic or {},
-            # ag_res.engine holds the allgather phase's payload cost
-            engine={**ag_res.engine, **(engine or {})},
-            trace=(tracer.view(rs_base.t_begin, ag_res.t_end)
-                   if tracer is not None else None),
-            dead_ranks=ag_res.dead_ranks,
-            validity=ag_res.validity,
-            phase_stats=[
-                PhaseStats(rs_name, str(rs.kind), rs_base.t_begin,
-                           rs_base.t_end),
-                PhaseStats(ag_name, str(ag.kind), ag_res.t_begin,
-                           ag_res.t_end),
-            ],
-        )
+        ag = self._subs[-1].result()
+        return {"ranks": ag.ranks, "dead_ranks": ag.dead_ranks,
+                "validity": ag.validity, "engine": ag.engine}
 
 
 class Communicator:
@@ -1260,13 +1098,30 @@ class Communicator:
         """Build + start an Allgather over per-rank contributions.
 
         All contributions must have equal byte size, divisible by the chunk
-        size so shard boundaries align with chunk boundaries.
+        size so shard boundaries align with chunk boundaries.  A
+        :class:`PayloadBuffers` (an earlier result's regions, such as a
+        reduce-scatter's shards) is taken by reference: each rank's own
+        shard is copied region to region and nothing materialises.
         """
-        payloads = [self._as_bytes(d) for d in send_data]
-        nbytes = payloads[0].nbytes
+        if isinstance(send_data, PayloadBuffers):
+            shards = send_data.regions
+            sizes = [mr.nbytes for mr in shards]
+
+            def place_own(r: int, mr) -> None:
+                shards[r].copy_to(0, mr, r * nbytes, nbytes)
+        else:
+            payloads = [self._as_bytes(d) for d in send_data]
+            sizes = [p.nbytes for p in payloads]
+            # One snapshot of every contribution per collective: placements
+            # must never alias caller-owned memory (DESIGN.md §6h).
+            image = np.concatenate(payloads)
+
+            def place_own(r: int, mr) -> None:
+                mr.place(r * nbytes, image, r * nbytes, nbytes)
+        nbytes = sizes[0]
         if nbytes == 0:
             raise ValueError("cannot allgather empty buffers")
-        if any(p.nbytes != nbytes for p in payloads):
+        if any(n != nbytes for n in sizes):
             raise ValueError("all send buffers must have the same size")
         # Small contributions shrink the chunk so shards stay chunk-aligned.
         chunk = min(self.config.chunk_size, nbytes)
@@ -1294,16 +1149,13 @@ class Communicator:
         expected = self._expected(total, nbytes, chain_hops(
             self.fabric.topology, [self.hosts[r] for r in participants], n_chains))
         ops, procs = [], []
-        # One snapshot of every contribution per collective: placements
-        # must never alias caller-owned memory (DESIGN.md §6h).
-        image = np.concatenate(payloads)
         key = new_key()
         for r in range(self.size):
             engine = self.engines[r]
             mr = engine.nic.memory.register(total, key=key)
             # Own shard is placed locally — the paper's roots never receive
             # their own multicast back (the tree excludes the ingress port).
-            mr.place(r * nbytes, image, r * nbytes, nbytes)
+            place_own(r, mr)
             op = OpState(
                 sim=self.sim, coll_id=cid, kind="allgather", rank=r,
                 comm_size=self.size, mr=mr, plan=plan, subgroups=sub,
@@ -1345,7 +1197,7 @@ class Communicator:
         algorithm: str,
         cost: Optional[HostCostModel],
         segment_bytes: int,
-    ) -> BaselineHandle:
+    ) -> CollectiveHandle:
         from repro.core.baselines.reduce import (
             inc_reduce_scatter,
             ring_reduce_scatter,
@@ -1362,7 +1214,8 @@ class Communicator:
             )
         else:
             raise ValueError(f"unknown reduce-scatter algorithm {algorithm!r}")
-        return BaselineHandle(self, pending)
+        pending.comm = self
+        return pending
 
     def reduce_scatter(
         self,
@@ -1393,13 +1246,14 @@ class Communicator:
         root: int,
         cost: Optional[HostCostModel],
         segment_bytes: int,
-    ) -> BaselineHandle:
+    ) -> CollectiveHandle:
         from repro.core.baselines.reduce import inc_reduce
 
         pending = inc_reduce(self.fabric, send_data, root, self.hosts, cost,
                              segment_bytes=segment_bytes, defer=True,
                              exclusive=self._alone)
-        return BaselineHandle(self, pending)
+        pending.comm = self
+        return pending
 
     def reduce(
         self,
@@ -1441,21 +1295,13 @@ class Communicator:
                 f"allreduce shard size {shard_bytes} must be a multiple of "
                 f"the chunk size {chunk} so the allgather phase stays "
                 "chunk-aligned")
-
-        def rs_phase(_prev) -> BaselineHandle:
-            return self._launch_reduce_scatter(arrays, algorithm, cost,
-                                               segment_bytes)
-
-        def ag_phase(rs_handle) -> OpHandle:
-            # The reduced float32 shards feed the allgather directly —
-            # byte-for-byte the buffers a manual RS → AG chain would pass.
-            return self._launch_allgather(rs_handle._finish().buffers)
-
+        # The reduced shards feed the allgather by reference — the
+        # regions a manual RS → AG chain would pass.
         return ComposedHandle(
-            self, CollectiveKind.ALLREDUCE,
-            [("reduce_scatter", rs_phase), ("allgather", ag_phase)],
-            send_bytes=elems * 4,
-        )
+            self, elems * 4,
+            lambda: self._launch_reduce_scatter(arrays, algorithm, cost,
+                                                segment_bytes),
+            lambda rs: self._launch_allgather(rs.buffers))
 
     def allreduce(
         self,
@@ -1480,7 +1326,7 @@ class Communicator:
         send_data: Sequence[np.ndarray],
         cost: Optional[HostCostModel],
         chunk_bytes: Optional[int],
-    ) -> BaselineHandle:
+    ) -> CollectiveHandle:
         from repro.core.baselines.alltoall import p2p_alltoall
         from repro.core.baselines.base import P2PNet
 
@@ -1495,7 +1341,8 @@ class Communicator:
                 chunk_bytes = c
         pending = p2p_alltoall(self.fabric, send_data, self.hosts, cost,
                                chunk_bytes=chunk_bytes, defer=True)
-        return BaselineHandle(self, pending)
+        pending.comm = self
+        return pending
 
     def alltoall(
         self,
@@ -1607,9 +1454,10 @@ class Communicator:
             engine[key] = {reason: n - was.get(reason, 0)
                            for reason, n in eng_after[key].items()
                            if n != was.get(reason, 0)}
-        result = handle.result(traffic, engine)
-        self.release(handle)
-        return result
+        try:
+            return handle.result(traffic, engine)
+        finally:  # an aborted baseline is released too
+            self.release(handle)
 
     def broadcast(self, root: int, data: np.ndarray) -> CollectiveResult:
         """Broadcast *data* from *root*; runs the simulation to completion."""

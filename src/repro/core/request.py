@@ -2,14 +2,14 @@
 
 Every collective a :class:`~repro.core.communicator.Communicator` can run
 is described by one :class:`CollectiveRequest` — a validated, declarative
-record of *what* to run (kind, payload, root, reduction op) plus the
+record of *what* to run (kind, payload, root) plus the
 substrate knobs the baseline-backed kinds need (cost model, segment/chunk
 sizes).  ``Communicator.submit(request)`` dispatches on
 :class:`CollectiveKind` and returns a :class:`CollectiveHandle`; the
 per-kind convenience methods (``broadcast``, ``allgather``, …) are thin
 wrappers that build the request for you.
 
-Validation is *eager*: illegal kind/root/dtype/reduction-op combinations
+Validation is *eager*: illegal kind/root/dtype combinations
 raise :class:`CollectiveRequestError` at construction time, long before
 any simulator state is touched — a rejected request never half-registers
 buffers or burns a collective id.
@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.communicator import CollectiveResult
 
 __all__ = [
     "CollectiveKind",
@@ -64,7 +67,7 @@ REDUCING_KINDS = frozenset(
 
 class CollectiveRequestError(ValueError):
     """A :class:`CollectiveRequest` combined fields illegally (unknown
-    kind, missing/forbidden root, unsupported reduction op or dtype).
+    kind, missing/forbidden root, unsupported dtype).
 
     A ``ValueError`` subclass so pre-existing ``except ValueError``
     call sites keep working, but typed so new code can catch request
@@ -91,10 +94,6 @@ class CollectiveRequest:
         Required for the rooted kinds (broadcast, reduce); must be left
         ``None`` for the symmetric kinds (allgather, reduce_scatter,
         allreduce, alltoall).  Range-checked at submit time.
-    op:
-        Reduction operator for the reducing kinds; only ``"sum"`` is
-        supported (the INC substrate reduces float32 sums).  Must be left
-        ``None`` for non-reducing kinds.
     algorithm:
         Substrate selector where one exists (reduce_scatter/allreduce:
         ``"inc"`` or ``"ring"``); ``None`` picks the kind's default.
@@ -110,7 +109,6 @@ class CollectiveRequest:
     kind: CollectiveKind
     data: Any
     root: Optional[int] = None
-    op: Optional[str] = None
     algorithm: Optional[str] = None
     cost: Optional[Any] = None
     segment_bytes: int = 4096
@@ -139,22 +137,12 @@ class CollectiveRequest:
             )
 
         if kind in REDUCING_KINDS:
-            op = self.op if self.op is not None else "sum"
-            if op != "sum":
-                raise CollectiveRequestError(
-                    f"unsupported reduction op {op!r} for {kind} (only 'sum')"
-                )
-            object.__setattr__(self, "op", op)
             for arr in self._arrays():
                 dt = np.asarray(arr).dtype
                 if not (np.issubdtype(dt, np.floating) or np.issubdtype(dt, np.integer)):
                     raise CollectiveRequestError(
                         f"{kind} reduces float32 sums; dtype {dt} is not castable"
                     )
-        elif self.op is not None:
-            raise CollectiveRequestError(
-                f"{kind} takes no reduction op, got op={self.op!r}"
-            )
 
         if self.algorithm is not None and kind not in (
             CollectiveKind.REDUCE_SCATTER, CollectiveKind.ALLREDUCE
@@ -214,20 +202,27 @@ class CollectiveHandle:
     """The protocol every in-flight collective satisfies.
 
     One shape for all six kinds — engine-backed (:class:`OpHandle`),
-    baseline-substrate (:class:`BaselineHandle`) and composed
-    (:class:`ComposedHandle`) collectives all expose::
+    baseline-substrate (:class:`~repro.core.baselines.base.PendingBaseline`)
+    and composed (:class:`ComposedHandle`) collectives all expose::
 
         handle.kind          # CollectiveKind
         handle.done()        # bool, non-blocking
         handle.wait()        # advance the simulation until complete
         handle.result()      # CollectiveResult (after completion)
         handle.phases        # launched sub-phases, uniform shape
+        handle.buffers       # per-rank result regions (PayloadBuffers)
 
     ``wait_events`` is the driver-facing face: the simulator events
-    :meth:`Communicator.run` must drain for this handle.  The old
-    negative-coll_id convention is gone — handles are tracked by a
-    fabric-wide ``handle_id`` and only engine-backed (sub-)ops
+    :meth:`Communicator.run` must drain for this handle.  Handles are
+    tracked by a fabric-wide ``handle_id``; only engine-backed (sub-)ops
     carry an immediate-data ``coll_id``.
+
+    :meth:`result` is built here, once for every kind: the completion
+    check, the time span (from :attr:`phases`, which stop at each phase's
+    end once it completed), the trace view and the merge of the caller's
+    traffic / engine snapshots.  A handle supplies only what differs: the
+    attributes below and :meth:`_outcome` (rank stats, dead ranks,
+    validity masks, its own engine counters and traffic).
     """
 
     kind: CollectiveKind
@@ -235,6 +230,14 @@ class CollectiveHandle:
     handle_id: int = -1
     #: immediate-data collective id for engine-backed handles, else None
     coll_id: Optional[int] = None
+    root: Optional[int] = None
+    send_bytes: int  #: per-rank contribution (broadcast: the buffer)
+    chunk_size: int
+    transport: str
+    buffers: Any = None  #: per-rank result regions (a ``PayloadBuffers``)
+    #: the typed abort a failure policy raised for this collective, if any
+    #: (:meth:`result` raises it)
+    error: Optional[Exception] = None
 
     @property
     def complete(self) -> bool:  # pragma: no cover - overridden
@@ -246,7 +249,8 @@ class CollectiveHandle:
 
     @property
     def phases(self) -> List[PhaseStats]:
-        """Sub-phases launched so far (single entry for simple kinds)."""
+        """Sub-phases launched so far (single entry for simple kinds); a
+        phase still running ends at ``sim.now``."""
         raise NotImplementedError  # pragma: no cover - overridden
 
     def done(self) -> bool:
@@ -257,10 +261,43 @@ class CollectiveHandle:
         """Advance the simulation until this handle completes."""
         self.comm.run(self)
 
-    def result(self, traffic=None, engine=None):  # pragma: no cover
-        raise NotImplementedError
+    def result(self, traffic: Optional[Dict[str, int]] = None,
+               engine: Optional[Dict[str, object]] = None) -> CollectiveResult:
+        """The :class:`~repro.core.communicator.CollectiveResult` of a
+        completed collective.  *traffic* and *engine* are the caller's
+        fabric and simulator snapshot deltas over the run (the blocking
+        ``Communicator`` calls pass them); *traffic* defaults to what the
+        handle measured itself (a baseline: the fabric's delta since its
+        start)."""
+        if not self.complete:
+            raise RuntimeError("collective has not completed")
+        from repro.core import communicator  # it imports this module
+
+        fields = self._outcome()
+        own_traffic = fields.pop("traffic", {})
+        counters = fields.pop("engine", {})
+        phases = self.phases
+        t_begin, t_end = phases[0].t_begin, phases[-1].t_end
+        tracer = getattr(self.comm, "tracer", None)
+        return communicator.CollectiveResult(
+            kind=self.kind, comm_size=len(self.buffers),
+            send_bytes=self.send_bytes, chunk_size=self.chunk_size,
+            transport=self.transport, t_begin=t_begin, t_end=t_end,
+            buffers=self.buffers,
+            traffic=own_traffic if traffic is None else traffic,
+            engine={**(engine or {}), **counters},
+            trace=tracer.view(t_begin, t_end) if tracer is not None else None,
+            root=self.root, phase_stats=phases, **fields)
 
     # ------------------------------------------------------------- internals
+
+    def _outcome(self) -> Dict[str, Any]:  # pragma: no cover - overridden
+        """The result fields this kind of handle decides: ``ranks`` (a
+        ``RankStats`` per surviving rank), and optionally ``dead_ranks``,
+        ``validity``, ``engine`` (counters merged over the caller's) and
+        ``traffic`` (the default when the caller passes none).  Raises the
+        collective's typed failure, if it had one."""
+        raise NotImplementedError
 
     def exclusive_coll_id(self) -> Optional[int]:
         """The engine coll_id this handle is *solely* running right now, or
@@ -275,4 +312,4 @@ class CollectiveHandle:
         phases use this to apply the communicator's failure policy."""
 
     def _release(self) -> None:
-        """Free engine-side resources (rkeys, op registrations)."""
+        """Free the collective's registered memory (and engine op state)."""

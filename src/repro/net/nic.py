@@ -530,6 +530,11 @@ class Nic:
         self.qps[qpn] = qp
         return qp
 
+    def destroy_qp(self, qp: QueuePair) -> None:
+        """``ibv_destroy_qp``: packets still addressed to *qp* are dropped
+        on arrival, like any stale packet."""
+        self.qps.pop(qp.qpn, None)
+
     def attach_mcast(self, gid: int, qpn: int) -> None:
         self.fabric.register_mcast_member(gid, self.host)
         if qpn not in self._mcast_attached[gid]:

@@ -193,6 +193,36 @@ def test_abort_allgather_16_hosts():
     assert exc_info.value.dead_ranks == (9,)
 
 
+@pytest.mark.crash_smoke
+@pytest.mark.parametrize("policy", ["abort", "degrade"])
+@pytest.mark.parametrize("kind", ["reduce_scatter", "alltoall"])
+def test_baseline_kind_mid_crash_aborts_typed_and_releases(kind, policy):
+    """A fail-stop in the middle of a reduce-scatter or an alltoall fails
+    the whole collective under either policy (no baseline substrate
+    degrades): a typed error names the kind and the dead rank, the
+    blocking call still releases every region it registered, and the
+    survivors run on while the aborted writes still in flight are dropped
+    at its destroyed QPs."""
+    cfg = CollectiveConfig(failure_policy=policy)
+    comm = make_comm(config=cfg, seed=131)
+    memories = [comm.fabric.nic(h).memory for h in range(comm.fabric.n_hosts)]
+    start = [len(m) for m in memories]
+    rng = np.random.default_rng(131)
+    data = [rng.normal(size=16 * 1024).astype(np.float32) for _ in range(8)]
+    comm.fabric.schedule_crash(CrashSpec(at=6e-6, host=5))
+    with pytest.raises(CollectiveAbortedError) as exc_info:
+        getattr(comm, kind)(data)
+    err = exc_info.value
+    assert err.kind == kind
+    assert err.dead_ranks == (5,)
+    assert comm.sim.now == 6e-6  # failed at the crash instant
+    assert [len(m) for m in memories] == start
+    payload = rank_data(0, kib(64))
+    result = comm.broadcast(0, payload)
+    assert result.dead_ranks == [5]
+    assert result.verify_broadcast(payload)
+
+
 # ------------------------------------------------------- switch/link crashes
 
 

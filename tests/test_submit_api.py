@@ -3,7 +3,7 @@
 Covers the four contracts of the submission redesign:
 
 * **Request validation** — :class:`CollectiveRequest` rejects illegal
-  kind/root/dtype/op combinations eagerly, with typed errors, before any
+  kind/root/dtype combinations eagerly, with typed errors, before any
   simulator state exists.
 * **Handle uniformity** — all six kinds return handles satisfying one
   :class:`CollectiveHandle` protocol (``done()``/``wait()``/``result()``)
@@ -95,13 +95,9 @@ def test_rootless_kinds_reject_root():
 
 
 def test_reduction_op_validation():
-    # Only "sum" is supported; it is normalized onto the request.
-    req = CollectiveRequest(kind="allreduce", data=[_f32(16)])
-    assert req.op == "sum"
-    with pytest.raises(CollectiveRequestError, match="unsupported reduction"):
-        CollectiveRequest(kind="allreduce", data=[_f32(16)], op="max")
-    with pytest.raises(CollectiveRequestError, match="no reduction op"):
-        CollectiveRequest(kind="allgather", data=[_u8(64)], op="sum")
+    # Every reducing kind sums float32: a request has no reduction-op field.
+    with pytest.raises(TypeError):
+        CollectiveRequest(kind="allreduce", data=[_f32(16)], op="sum")
 
 
 def test_reducing_kinds_reject_unreducible_dtypes():
@@ -216,6 +212,62 @@ def test_no_negative_coll_id_convention():
     handle.wait()
     assert handle.result().verify_reduce_scatter(
         [_f32(1024, seed=r) for r in range(4)])
+
+
+@pytest.mark.parametrize("kind", [k.value for k in CollectiveKind])
+def test_handle_phases_stop_at_completion(kind: str):
+    """A handle's phases end where each phase ended, not at ``sim.now``:
+    once the collective completes they equal its result's, and still do
+    after a later collective has moved the clock on."""
+    comm = make_comm(8)
+    handle, _ = _submit_one(comm, kind)
+    handle.wait()
+    res = handle.result()
+    assert handle.phases == res.phases
+    comm.broadcast(0, _u8(64 * KiB))
+    assert comm.sim.now > res.t_end
+    assert handle.phases == res.phases
+
+
+def test_baseline_kinds_release_their_memory():
+    """Releasing a reduce-scatter, reduce, alltoall or allreduce frees every
+    region and QP it registered on every NIC (the blocking calls
+    release), so region and QP counts return to where they started."""
+    comm = make_comm(8)
+    nics = [comm.fabric.nic(h) for h in range(comm.fabric.n_hosts)]
+    data = [_f32(8 * 1024, seed=r) for r in range(8)]
+    comm.allreduce(data)  # builds the communicator's lazy control pairs
+
+    def held():
+        return [(len(nic.memory), len(nic.qps)) for nic in nics]
+
+    start = held()
+    comm.reduce_scatter(data)
+    comm.reduce_scatter(data, algorithm="ring")
+    comm.reduce(data, root=2)
+    comm.alltoall(data)
+    comm.allreduce(data, algorithm="ring")
+    handle = comm.submit(CollectiveRequest(kind="allreduce", data=data))
+    handle.wait()
+    assert held() != start
+    comm.release(handle)
+    assert held() == start
+
+
+def test_allreduce_hands_reduced_shards_on_by_reference():
+    """The allgather phase takes the reduce-scatter's shards region to
+    region: no reduce-scatter or allgather region materialises, and the
+    payload still verifies."""
+    comm = make_comm(8)
+    data = [_f32(8 * 1024, seed=r) for r in range(8)]
+    handle = comm.submit(CollectiveRequest(kind="allreduce", data=data))
+    handle.wait()
+    res = handle.result()
+    shards = handle._subs[0].buffers.regions  # the reduce-scatter's
+    assert sum(mr.materialized for mr in shards) == 0
+    assert res.engine["payload_regions_materialized"] == 0
+    assert res.verify_allreduce(data)
+    assert sum(mr.materialized for mr in shards) == 0
 
 
 # ------------------------------------------------------------- correctness

@@ -4,8 +4,9 @@
 needs: lazily-created RC QP pairs between ranks, a shared per-rank receive
 CQ, a pool of zero-length receives for write-with-immediate notifications,
 and generator helpers that charge :class:`HostCostModel` time for the
-software half of each operation; it records the regions it registers and
-the QPs it creates, and :meth:`P2PNet.release` frees both.
+software half of each operation; it records the regions it registers, the
+QPs it creates and the INC trees it programs, and :meth:`P2PNet.release`
+frees them.
 :class:`PendingBaseline` is the running collective's
 :class:`CollectiveHandle`, whose result is built as every kind's is.
 """
@@ -47,6 +48,7 @@ class P2PNet:
         self.rkey = new_key()  #: the op buffers' symmetric key on every rank
         self.regions: List[MemoryRegion] = []  #: every region registered
         self.qps: List[QueuePair] = []  #: every QP created
+        self.trees: list = []  #: every INC tree programmed
         self._recv_cqs: Dict[int, CompletionQueue] = {}
         self._qps: Dict[tuple, QueuePair] = {}
         self._dummy_wrs: Dict[int, RecvWR] = {}  # rank -> its cached 0-len recv
@@ -76,6 +78,13 @@ class P2PNet:
         qp = self.nic(rank).create_qp(Transport.RC, recv_cq=self.recv_cq(rank))
         self.qps.append(qp)
         return qp
+
+    def inc_tree(self, **kw):
+        """Program an INC reduction tree (:meth:`Fabric.create_inc_tree`)
+        whose owners registered their regions under the symmetric rkey."""
+        tree = self.fabric.create_inc_tree(rkey=self.rkey, **kw)
+        self.trees.append(tree)
+        return tree
 
     def qp(self, a: int, b: int) -> QueuePair:
         """Rank *a*'s RC QP toward rank *b* (pair created on first use)."""
@@ -158,15 +167,19 @@ class P2PNet:
             got += len(cq.poll(max_entries=n - got))
 
     def release(self) -> None:
-        """Deregister every region and destroy every QP of this collective
-        (packets of an aborted one still in flight are dropped at the
-        destroyed QPs, not landed in freed memory)."""
+        """Deregister every region, destroy every QP and unprogram every
+        INC tree of this collective (packets of an aborted one still in
+        flight are dropped at the destroyed QPs and the released trees,
+        not landed in freed memory)."""
         for qp in self.qps:
             qp.nic.destroy_qp(qp)
         for mr in self.regions:
             self.fabric.nic(mr.host).memory.deregister(mr.key)
+        for tree in self.trees:
+            tree.release()
         self.qps.clear()
         self.regions.clear()
+        self.trees.clear()
 
 
 def _telemetry(fabric: Fabric) -> Dict[str, int]:
@@ -201,7 +214,7 @@ class PendingBaseline(CollectiveHandle):
                  send_bytes: int, buffers: PayloadBuffers,
                  rank_procs: List[Generator], root: Optional[int] = None,
                  chunk_size: Optional[int] = None):
-        net.fabric.unfold_inc()  # a folded INC pass must see this one's packets
+        net.fabric.preempt_folds()  # a folded phase must see these packets
         if net.size == 1:  # a lone rank has nothing to exchange
             rank_procs = [_idle(net.sim)]
         self.net = net

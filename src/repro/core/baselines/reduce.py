@@ -11,7 +11,7 @@ Both implementations reduce real float32 data, so tests verify sums.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -117,16 +117,19 @@ def ring_reduce_scatter(
                         chunk_size=shard_bytes)
 
 
-def _inc_ranks(net: P2PNet, tree, arrays: List[np.ndarray],
-               owners: Dict[int, tuple], exclusive) -> List[Generator]:
-    """One process per rank of an INC pass: inject the rank's whole
-    contribution up *tree* — batched like the multicast send path and
-    *paced at link rate* (real NICs arbitrate the wire; an instantaneous
-    post of the whole buffer would starve concurrent collectives behind an
-    infinite FIFO) — then serve the notifications of the segments it owns
-    (*owners*: host → ``(qp, cached recv WR)``).  The pass folds into one
-    sleep per rank when :meth:`IncTree.begin` allows (DESIGN.md §6j); a
-    handed-back rank resumes where the packet path would be."""
+def _run_inc(net: P2PNet, tree, arrays: List[np.ndarray],
+             owners: Dict[int, tuple], algorithm: str, kind: str,
+             send_bytes: int, buffers: PayloadBuffers, defer: bool,
+             root: Optional[int] = None):
+    """Run one INC pass over *tree*: one process per rank injects the
+    rank's whole contribution up the tree — batched like the multicast send
+    path and *paced at link rate* (real NICs arbitrate the wire; an
+    instantaneous post of the whole buffer would starve concurrent
+    collectives behind an infinite FIFO) — then serves the notifications of
+    the segments it owns (*owners*: host → ``(qp, cached recv WR)``).  The
+    pass folds into one sleep per rank when :meth:`IncTree.begin` allows
+    (DESIGN.md §6j); a handed-back rank resumes where the packet path would
+    be."""
     sim, cost = net.sim, net.cost
     n = tree.n_segments
     datas = [a.view(np.uint8) for a in arrays]
@@ -137,7 +140,7 @@ def _inc_ranks(net: P2PNet, tree, arrays: List[np.ndarray],
         host, data = net.hosts[r], datas[r]
         qp, wr = owners.get(host, (None, None))
         state = (0, None, False, 0)
-        fold = tree.begin(exclusive, contrib, owners, cost.send_batch, cqe_cost)
+        fold = tree.begin(contrib, owners, cost.send_batch, cqe_cost)
         if fold is not None:
             try:
                 yield sim.wake_at(fold.done[host])
@@ -169,7 +172,11 @@ def _inc_ranks(net: P2PNet, tree, arrays: List[np.ndarray],
                 got += 1
         return sim.now
 
-    return [rank_proc(r) for r in range(net.size)]
+    pending = run_baseline(net, algorithm, kind, send_bytes, buffers,
+                           [rank_proc(r) for r in range(net.size)],
+                           defer=True, root=root, chunk_size=tree.segment_bytes)
+    tree.handle, tree.procs = pending, dict(zip(net.hosts, pending.procs))
+    return pending if defer else pending.finish()
 
 
 def inc_reduce_scatter(
@@ -179,14 +186,13 @@ def inc_reduce_scatter(
     cost: Optional[HostCostModel] = None,
     segment_bytes: int = 4096,
     defer: bool = False,
-    exclusive: Optional[Callable[[], bool]] = None,
 ):
     """SHARP-like Reduce-Scatter on the switch-reduction substrate.
 
     Each rank injects its whole contribution once (N bytes up); the tree
     reduces; each rank receives only its shard (N/P down) — the traffic
-    profile of paper Fig 3's "INC" column.  *exclusive* (the communicator's
-    "only collective in flight" test) lets the pass fold.
+    profile of paper Fig 3's "INC" column.  The pass folds only as a
+    communicator's collective, alone on the fabric (DESIGN.md §6d).
     """
     net = P2PNet(fabric, hosts, cost)
     p = net.size
@@ -209,20 +215,15 @@ def inc_reduce_scatter(
         net.post_dummies(r, qp)
         owners[net.hosts[r]] = (qp, net.dummy_wr(r))
 
-    tree = fabric.create_inc_tree(
+    tree = net.inc_tree(
         members=net.hosts,
-        rkey=net.rkey,
         qpn_of={h: qp.qpn for h, (qp, _) in owners.items()},
         shard_bytes=shard_bytes,
         segment_bytes=segment_bytes,
     )
-    pending = run_baseline(net, "inc_reduce_scatter", "reduce_scatter",
-                           p * shard_bytes,
-                           PayloadBuffers(regions, dtype=np.float32),
-                           _inc_ranks(net, tree, arrays, owners, exclusive),
-                           defer=True, chunk_size=segment_bytes)
-    tree.procs = dict(zip(net.hosts, pending.procs))
-    return pending if defer else pending.finish()
+    return _run_inc(net, tree, arrays, owners, "inc_reduce_scatter",
+                    "reduce_scatter", p * shard_bytes,
+                    PayloadBuffers(regions, dtype=np.float32), defer)
 
 
 def inc_reduce(
@@ -233,7 +234,6 @@ def inc_reduce(
     cost: Optional[HostCostModel] = None,
     segment_bytes: int = 4096,
     defer: bool = False,
-    exclusive: Optional[Callable[[], bool]] = None,
 ):
     """Rooted Reduce on the switch-reduction substrate.
 
@@ -257,9 +257,8 @@ def inc_reduce(
     regions = [net.register(r, nbytes if r == root else 0) for r in range(p)]
     qp = net.create_qp(root)
 
-    tree = fabric.create_inc_tree(
+    tree = net.inc_tree(
         members=list(net.hosts),
-        rkey=net.rkey,
         qpn_of={root_host: qp.qpn},
         shard_bytes=nbytes,
         segment_bytes=segment_bytes,
@@ -270,9 +269,5 @@ def inc_reduce(
     # scatter path would RNR-drop reliable writes on large buffers.
     net.post_dummies(root, qp, max(64, tree.n_segments))
     owners = {root_host: (qp, net.dummy_wr(root))}
-    pending = run_baseline(net, "inc_reduce", "reduce", nbytes,
-                           PayloadBuffers(regions, dtype=np.float32),
-                           _inc_ranks(net, tree, arrays, owners, exclusive),
-                           defer=True, root=root, chunk_size=segment_bytes)
-    tree.procs = dict(zip(net.hosts, pending.procs))
-    return pending if defer else pending.finish()
+    return _run_inc(net, tree, arrays, owners, "inc_reduce", "reduce", nbytes,
+                    PayloadBuffers(regions, dtype=np.float32), defer, root=root)

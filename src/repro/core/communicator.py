@@ -81,6 +81,11 @@ __all__ = [
     "PayloadBuffers",
 ]
 
+#: the ``CollectiveResult.engine`` key of each fold's misses in the
+#: fabric's ledger (``Fabric.fold_misses``)
+_MISS_KEYS = {"data": "ff_misses", "control": "ctrl_fold_misses",
+              "inc": "inc_fold_misses"}
+
 
 class FailurePolicy(str, enum.Enum):
     """What a collective does when a participant fail-stops mid-flight.
@@ -493,6 +498,8 @@ class OpHandle(CollectiveHandle):
         #: all-ranks-finished event (``done()`` — the protocol method —
         #: answers the non-blocking bool; this is the raw simulator event)
         self.done_event = AllOf(comm.sim, [op.op_done for op in ops])
+        for op in ops:
+            op.handle = self
 
     @property
     def complete(self) -> bool:
@@ -616,9 +623,15 @@ class ComposedHandle(CollectiveHandle):
         self._proc = comm.sim.spawn(self._drive(reduce_scatter, allgather),
                                     name=f"{self.kind}-driver")
 
+    def _launched(self, sub: CollectiveHandle) -> CollectiveHandle:
+        """A phase just launched: it runs under this handle's id, which the
+        folds' exclusivity rule reads (:meth:`Fabric.fold_gate`)."""
+        sub.handle_id = self.handle_id
+        self._subs.append(sub)
+        return sub
+
     def _drive(self, reduce_scatter, allgather):
-        rs = reduce_scatter()
-        self._subs.append(rs)
+        rs = self._launched(reduce_scatter())
         for ev in rs.wait_events:
             yield ev
         if rs.error is not None:
@@ -629,8 +642,7 @@ class ComposedHandle(CollectiveHandle):
                 rank=-1, coll_id=-1, kind=str(self.kind), phase=str(rs.kind),
                 dead_ranks=dead,
             )
-        ag = allgather(rs)
-        self._subs.append(ag)
+        ag = self._launched(allgather(rs))
         # The allgather ran over the reduced shards, so every surviving
         # rank's gather buffer *is* the full reduced vector.
         self.buffers = PayloadBuffers(ag.buffers.regions, dtype=np.float32)
@@ -654,10 +666,6 @@ class ComposedHandle(CollectiveHandle):
         """The phase in flight (``None`` before launch and once done)."""
         return self._subs[-1] if self._subs and not self.complete else None
 
-    def exclusive_coll_id(self) -> Optional[int]:
-        sub = self._current()
-        return sub.exclusive_coll_id() if sub is not None else None
-
     def on_crash(self, rank: int) -> None:
         # A baseline (reduction) phase applies the failure policy and
         # records its abort, which the driver raises; engine-phase crashes
@@ -668,7 +676,7 @@ class ComposedHandle(CollectiveHandle):
 
     def _release(self) -> None:
         for sub in self._subs:
-            self.comm.release(sub)
+            sub._release()
 
     def _outcome(self) -> Dict[str, object]:
         if not self._proc.ok:
@@ -757,7 +765,6 @@ class Communicator:
         self._ctrl_rail = 0
         fabric.on_crash(self._on_fabric_crash)
         fabric.sweep_listeners.append(self._on_sm_sweep)
-        fabric.admit_listeners.append(self._preempt_folds)
         self.sim.add_watchdog_diagnostic(self._watchdog_diagnostic)
 
     # ------------------------------------------------------------- plumbing
@@ -1206,7 +1213,7 @@ class Communicator:
         if algorithm == "inc":
             pending = inc_reduce_scatter(
                 self.fabric, send_data, self.hosts, cost,
-                segment_bytes=segment_bytes, defer=True, exclusive=self._alone,
+                segment_bytes=segment_bytes, defer=True,
             )
         elif algorithm == "ring":
             pending = ring_reduce_scatter(
@@ -1250,8 +1257,7 @@ class Communicator:
         from repro.core.baselines.reduce import inc_reduce
 
         pending = inc_reduce(self.fabric, send_data, root, self.hosts, cost,
-                             segment_bytes=segment_bytes, defer=True,
-                             exclusive=self._alone)
+                             segment_bytes=segment_bytes, defer=True)
         pending.comm = self
         return pending
 
@@ -1375,29 +1381,6 @@ class Communicator:
         """This communicator's handles submitted and not yet released."""
         return [h for h in self.fabric.collectives.values() if h.comm is self]
 
-    def _preempt_folds(self) -> None:
-        """Hand this communicator's folded phases back to packets: a
-        deferred-commit data session flushes, a folded control phase
-        returns its unserved tokens (a fabric admit listener)."""
-        self.ff.preempt()
-        self.cf.unfold()
-
-    def ff_exclusive(self, coll_id: int) -> bool:
-        """True when engine op *coll_id* is the only collective in flight on
-        the fabric, any communicator's — the flow-level fast-forward's
-        single-collective gate (the fold cannot serialize link contention
-        between concurrent collectives).
-        A composed collective counts as exclusive while its *current* phase
-        is exactly this engine op; a completed handle not yet released is
-        not in flight."""
-        live = [h for h in self.fabric.collectives.values() if not h.complete]
-        return (len(live) == 1 and live[0].comm is self
-                and live[0].exclusive_coll_id() == coll_id)
-
-    def _alone(self) -> bool:
-        """The INC fold's exclusivity test: one collective on the fabric."""
-        return len(self.fabric.collectives) == 1
-
     def _snapshot(self) -> Dict[str, int]:
         return {
             "switch_bytes": self.fabric.switch_egress_bytes(),
@@ -1421,9 +1404,8 @@ class Communicator:
             "stray_cqes": sum(e.stray_cqes for e in self.engines),
             "ff_phases": ff.ff_phases,
             "ff_skipped_events": ff.ff_skipped_events,
-            "ff_aborts": ff.ff_aborts,
-            # ... and the phases it declined, by gate reason
-            "ff_misses": dict(ff.misses),
+            # ... and the phases it declined (by reason: ``ff_misses``)
+            "ff_aborts": sum(self.fabric.fold_misses["data"].values()),
             # Control-plane bring-up (DESIGN.md §6g): pairs created, WRs
             # posted to the per-rank SRQs, slabs added by the low-watermark
             # rule, messages that found an SRQ dry and were parked.
@@ -1431,32 +1413,29 @@ class Communicator:
             "ctrl_recv_posted": sum(e.ctrl.srq.posted for e in self.engines),
             "ctrl_srq_refills": sum(e.ctrl.srq_refills for e in self.engines),
             "ctrl_parked": sum(e.ctrl.srq.parked_total for e in self.engines),
-            # Control-plane fold (DESIGN.md §6i): phases folded, and the
-            # phases declined by gate reason.
+            # Control-plane folds (DESIGN.md §6i) and INC folds (§6j)
             "ctrl_folds": self.cf.folds,
-            "ctrl_fold_misses": dict(self.cf.misses),
-            # INC passes folded (DESIGN.md §6j), and declined by reason
             "inc_folds": self.fabric.inc_folds,
-            "inc_fold_misses": dict(self.fabric.inc_fold_misses),
         }
 
     def _run_sync(self, handle: CollectiveHandle) -> CollectiveResult:
         before = self._snapshot()
         eng_before = self._engine_snapshot()
-        self.run(handle)
-        after = self._snapshot()
-        eng_after = self._engine_snapshot()
-        traffic = {k: after[k] - before[k] for k in before}
-        engine = {k: eng_after[k] - eng_before[k] for k in eng_before
-                  if not k.endswith("_misses")}
-        for key in ("ff_misses", "ctrl_fold_misses", "inc_fold_misses"):
-            was = eng_before[key]
-            engine[key] = {reason: n - was.get(reason, 0)
-                           for reason, n in eng_after[key].items()
-                           if n != was.get(reason, 0)}
+        ledger = {fold: dict(misses)
+                  for fold, misses in self.fabric.fold_misses.items()}
         try:
+            self.run(handle)
+            after = self._snapshot()
+            eng_after = self._engine_snapshot()
+            traffic = {k: after[k] - before[k] for k in before}
+            engine = {k: eng_after[k] - eng_before[k] for k in eng_before}
+            for fold, misses in self.fabric.fold_misses.items():
+                was = ledger[fold]
+                engine[_MISS_KEYS[fold]] = {
+                    reason: n - was.get(reason, 0)
+                    for reason, n in misses.items() if n != was.get(reason, 0)}
             return handle.result(traffic, engine)
-        finally:  # an aborted baseline is released too
+        finally:  # a collective that aborted or raised is released too
             self.release(handle)
 
     def broadcast(self, root: int, data: np.ndarray) -> CollectiveResult:

@@ -26,11 +26,13 @@ Design notes
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.sequencer import effective_chains
+from repro.net.fabric import FoldMiss
 from repro.net.link import bypass_arrival, bypass_clear, bypass_fly, bypass_tables
 from repro.net.memory import new_key
 from repro.net.nic import CompletionQueue, QueuePair, RecvWR, SendWR, SharedReceiveQueue
@@ -254,7 +256,7 @@ class ControlPlane:
                 # SRQ's capacity (beyond it RNR parking absorbs the rest).
                 self._post_slab()
             for cqe in cq.poll():
-                folded = type(cqe) is _Unfolded  # ControlFold.unfold's
+                folded = type(cqe) is _Unfolded  # ControlFold.preempt's
                 if folded and cqe.until is not None:
                     yield sim.wake_at(cqe.until)  # its service was under way
                 elif cost > 0.0:
@@ -304,7 +306,7 @@ class ControlPlane:
         list is searched.  *wait*, a generator ``wait(key, src)``, replaces
         the blocking receive of each round's token (the progress engine
         passes its liveness-bounded receive).  *resume* is the round an
-        unfolded barrier (:meth:`ControlFold.unfold`) picks up at: earlier
+        unfolded barrier (:meth:`ControlFold.preempt`) picks up at: earlier
         rounds are done and that round's token is already on the wire.
         """
         if ranks is None:
@@ -333,10 +335,6 @@ class ControlPlane:
 # --------------------------------------------------------- control-plane fold
 
 
-class _Miss(Exception):
-    """A fold gate declined; ``args[0]`` is the typed reason."""
-
-
 class _Unfolded:
     """A folded token handed back to a dispatcher's CQ in place of a CQE: the
     decoded message and, if its service was under way, when that ends."""
@@ -349,7 +347,7 @@ class _Unfolded:
 
 class _Folded:
     """One folded phase: ``ends``, when each position leaves it, and what
-    :meth:`ControlFold.unfold` needs — per round the inbox ``keys``, sender
+    :meth:`ControlFold.preempt` needs — per round the inbox ``keys``, sender
     positions ``srcs``, route matrices ``mats`` (over ``chans``) and when each
     token was ``sent``, ``arrived`` and was ``served``, by destination
     position; ``here`` marks the positions whose rank has entered."""
@@ -390,16 +388,19 @@ class ControlFold:
     CQE in arrival order.  The dissemination barrier is then ⌈log2 P⌉ array
     steps over all ranks, the ring handshake one more and an activation from
     a folded data phase one scalar step.  On any gate miss nothing is
-    committed and the packets run; :meth:`unfold` takes unserved tokens back.
+    committed and the packets run; :meth:`preempt` takes unserved tokens
+    back.
     """
+
+    #: handed back at every ``fault_epoch`` bump (:meth:`Fabric.preempt_folds`)
+    checks_epoch = False
 
     def __init__(self, comm: "Communicator") -> None:
         self.comm = comm
         self.sim = comm.sim
         self.folds = 0  #: phases folded
-        self.misses: Dict[str, int] = {}  #: gate reason → phases declined
         self._colls: Dict[int, _Coll] = {}
-        comm.fabric.epoch_listeners.append(self.unfold)
+        comm.fabric.folds.append(self)
 
     # ----------------------------------------------------------- engine hooks
 
@@ -415,10 +416,12 @@ class ControlFold:
             try:
                 st.at[phase] = f = fold(op, participants, st)
                 self.folds += 1
-                self._note(engine, phase, "messages", len(f.ctrls) * len(f.keys))
-            except _Miss as miss:
+                self.comm.fabric.fold_note("control", engine.trace, phase=phase,
+                                           messages=len(f.ctrls) * len(f.keys))
+            except FoldMiss as miss:
                 st.at[phase] = False
-                self._note(engine, phase, "miss", miss.args[0])
+                self.comm.fabric.fold_note("control", engine.trace, miss.args[0],
+                                           phase=phase)
         f = st.at[phase]
         if not f:
             return None
@@ -428,13 +431,6 @@ class ControlFold:
                                    f"{self.sim.now}, predicted {expected}")
         f.here[me] = True
         return f.ends[me]
-
-    def _note(self, engine: "RankEngine", phase: str, what: str, arg) -> None:
-        if what == "miss":
-            self.misses[arg] = self.misses.get(arg, 0) + 1
-        if engine.trace is not None:
-            engine.trace.instant("engine.ctrl_fold", self.sim.now,
-                                 {"phase": phase, what: arg})
 
     def publish(self, coll_id: int, which: str, rank: int, t: float) -> None:
         """The data fold's hook: *rank*'s ``"sent"`` (``run_send`` completion)
@@ -446,16 +442,18 @@ class ControlFold:
     def forget(self, coll_id: int) -> None:
         self._colls.pop(coll_id, None)
 
-    def unfold(self) -> None:
+    def preempt(self) -> None:
         """Hand every folded phase not over yet — barrier, handshake or
-        activation chain — back to the packet path: a collective is being
-        admitted, a recovery started or the fault state is about to change.
-        A token not yet sent is taken back out of the counters, for its
-        sender to send for real; one on the wire reaches its dispatcher's CQ
-        at the folded arrival, which the bypass lane fixes (it takes no SRQ
-        slot).  A rank asleep in a folded phase is interrupted with the
-        barrier round whose token it awaits."""
+        activation chain — back to the packet path (the hand-back of
+        :meth:`Fabric.preempt_folds`, or an activation that would land in a
+        folded window).  A token not yet sent is taken back out of the
+        counters, for its sender to send for real; one on the wire reaches
+        its dispatcher's CQ at the folded arrival, which the bypass lane
+        fixes (it takes no SRQ slot).  A rank asleep in a folded phase is
+        interrupted with the barrier round whose token it awaits."""
         now, asleep = self.sim.now, []
+        note = partial(self.comm.fabric.fold_note, "control",
+                       self.comm.engines[0].trace, "preempted")
         for cid, st in self._colls.items():
             for phase, f in st.at.items():
                 if not f or max(f.ends) <= now:
@@ -490,13 +488,13 @@ class ControlFold:
                                          _Unfolded(msg, d if mid else None))
                 asleep += [(cid, r, len(f.keys) - n) for r, here, end, n in zip(
                     f.participants, f.here, f.ends, left.tolist()) if here and end > now]
-                self._note(self.comm.engines[0], phase, "miss", "preempted")
+                note(phase=phase)
             toks = st.act
             if isinstance(toks, list) and (
                     st.acts or any(t[4] > now for t in toks)):
                 st.act = False
                 self.folds -= 1
-                self._note(self.comm.engines[0], "activate", "miss", "preempted")
+                note(phase="activate")
                 for tok in toks:  # (each chain's, in the order they were sent)
                     c, msg, a, start, served = tok
                     if served > now:
@@ -527,39 +525,41 @@ class ControlFold:
             a = bypass_arrival(self.sim.now, chans, wire)
         try:
             if st is None or st.act is False:
-                raise _Miss(None)  # the chain runs at packet level
+                raise FoldMiss(None)  # the chain runs at packet level
             horizon = comm.ff.horizon(op.coll_id)  # None unless the data fold is live
-            if comm.config.failure_policy is not None:
-                raise _Miss("live")
-            if comm.fabric.reference:
-                raise _Miss("reference")  # the data fold's first gate
+            reason = ("live" if comm.config.failure_policy is not None
+                      else comm.fabric.fold_gate(op.handle))
+            if reason:
+                raise FoldMiss(reason)
             if horizon is None:
-                raise _Miss("data_unfolded")
+                raise FoldMiss("data_unfolded")
             if c.in_flight[0] or len(c.recv_cq):
-                raise _Miss("dispatcher_busy")
+                raise FoldMiss("dispatcher_busy")
             if chans is None:
-                raise _Miss("fault")
+                raise FoldMiss("fault")
             quiet, sync = c.fold_quiet, st.at.get("sync")
             # Served in arrival order: after every folded barrier token.
             if a < quiet and not (sync and a > sync.arrived[-1][me + 1]):
-                raise _Miss("overlap")
+                raise FoldMiss("overlap")
             start = a if a > quiet else quiet
             served = start + c.per_message_cost
             if served >= horizon:
-                raise _Miss("deadline")  # a cutoff could fire first
-        except _Miss as miss:
+                raise FoldMiss("deadline")  # a cutoff could fire first
+        except FoldMiss as miss:
             if miss.args[0] is not None:
                 self.folds -= st.act is not None  # folded so far: packets on
                 st.act = False
-                self._note(engine, "activate", "miss", miss.args[0])
+                comm.fabric.fold_note("control", engine.trace, miss.args[0],
+                                      phase="activate")
             if self.sim.now < c.fold_quiet and not (chans and a >= c.fold_quiet):
-                self.unfold()  # the packet would land in a folded window
+                self.preempt()  # the packet would land in a folded window
             return False
         if st.act is None:
             self.folds += 1
             st.act, st.acts = [], len(participants) - effective_chains(
                 len(participants), comm.config.n_chains)
-            self._note(engine, "activate", "messages", st.acts)
+            comm.fabric.fold_note("control", engine.trace, phase="activate",
+                                  messages=st.acts)
         for ch in chans:
             self._charge(ch, 1, wire)
         comm.engines[src].ctrl.messages_sent += 1
@@ -592,7 +592,7 @@ class ControlFold:
 
     @staticmethod
     def _deliver(tok: list) -> None:
-        """A folded activation's service ends, unless :meth:`unfold` took it:
+        """A folded activation's service ends, unless :meth:`preempt` took it:
         a successor waiting for it resumes in this event."""
         c, msg = tok[0], tok[1]
         if c is not None:
@@ -606,18 +606,18 @@ class ControlFold:
         """The gates that need no route; returns ``(planes, wire)``."""
         comm = self.comm
         if comm.config.failure_policy is not None:
-            raise _Miss("live")  # every receive is liveness-bounded
-        reason = comm.ff.gate(op, participants) or (
+            raise FoldMiss("live")  # every receive is liveness-bounded
+        reason = comm.ff.gate(op) or (
             comm.fabric.stragglers_armed and "straggler")
         if reason:
-            raise _Miss(reason)
+            raise FoldMiss(reason)
         ctrls = [comm.engines[r].ctrl for r in participants]
         for c in ctrls:  # in flight, queued or mid-service
             if c.in_flight[0] or len(c.recv_cq):
-                raise _Miss("dispatcher_busy")
+                raise FoldMiss("dispatcher_busy")
             free = len(c.srq.recv_queue) if c._slabs else _SLAB_SLOTS
             if free - fan_in < _LOW_WATERMARK:
-                raise _Miss("srq_depth")  # a slab would be posted mid-phase
+                raise FoldMiss("srq_depth")  # a slab would be posted mid-phase
         return ctrls, _WORDS * 4 + ctrls[0].nic.header_bytes
 
     # ----------------------------------------------------------------- routes
@@ -646,7 +646,7 @@ class ControlFold:
         used = np.unique(mats)
         used = used[used != 0].tolist()
         if not ok.all() or not all(bypass_clear(chans[i], wire) for i in used):
-            raise _Miss("fault")
+            raise FoldMiss("fault")
         return bypass_tables(chans, used, wire)
 
     # ------------------------------------------------------------------ folds
@@ -669,7 +669,7 @@ class ControlFold:
             a = bypass_fly(sent[-1], mat, tables)
             # A later round's token overtaking an earlier is served first.
             if not (a > arrived[-1]).all():
-                raise _Miss("reorder")
+                raise FoldMiss("reorder")
             arrived.append(a)
             cursor = np.maximum(a, cursor) + ctrls[0].per_message_cost
             served.append(cursor)
@@ -685,7 +685,7 @@ class ControlFold:
             leave[root] = s[root]
         # It must find the receiving dispatcher past its folded tokens.
         if not (cursor <= bypass_fly(leave[right], after, tables)).all():
-            raise _Miss("overlap")
+            raise FoldMiss("overlap")
         keys = [(MSG_BARRIER, (op.coll_id << 6) | k) for k in range(rounds)]
         return self._commit(_Folded(
             ends=s.tolist(), participants=participants, ctrls=ctrls, wire=wire,
@@ -703,7 +703,7 @@ class ControlFold:
             if (o.stats["recoveries"] or sync is False
                     or (r not in st.done and o.own_chunks != o.n_chunks)
                     or (r not in st.sent and o.is_sender)):
-                raise _Miss("data_unfolded")
+                raise FoldMiss("data_unfolded")
             t_data[i] = max(sync, st.done.get(r, sync), st.sent.get(r, sync))
         _, srcs, walked, ok = self._walk(st, participants)
         right, mat = srcs[-1], walked[-1]  # each rank sends MSG_FINAL leftwards

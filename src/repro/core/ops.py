@@ -21,6 +21,7 @@ from repro.core.subgroups import SubgroupPlan
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.request import CollectiveHandle
     from repro.net.memory import MemoryRegion
     from repro.sim.engine import Simulator
 
@@ -79,6 +80,11 @@ class OpState:
     #: commits its bitmap bits eagerly but the phase only *ends* at the
     #: fold's finisher event, so ``data_done`` must not fire in between
     ff_hold: int = field(init=False, default=0)
+    #: the collective's handle, set when it is built; the folds' one
+    #: exclusivity rule (:meth:`Fabric.fold_gate`) reads its ``handle_id``.
+    #: Created in ``__post_init__``: an attribute first set later unshares
+    #: the instance dict of every op (about 1.5 KB each)
+    handle: Optional["CollectiveHandle"] = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.plan.n_chunks
@@ -101,6 +107,7 @@ class OpState:
         self.retry_histogram = []
         self.timer_trace = []
         self.dead_ranks = set()
+        self.handle = None
         # This rank's own chunks are present by construction.
         self.bitmap.set_range(self.send_lo, self.send_hi - self.send_lo)
         self.placed.set_range(self.send_lo, self.send_hi - self.send_lo)

@@ -512,9 +512,8 @@ class RankEngine:
         # An unscheduled crash (no fault_epoch hook between the crash and
         # this cutoff) can leave a deferred-commit session live; recovery
         # traffic must see fully committed channel state — and no folded
-        # control token may be served around it.
-        self.comm.ff.preempt()
-        self.comm.cf.unfold()
+        # token or INC pass may be served around it.
+        self.comm.fabric.preempt_folds()
         trc = self.trace
         recovery_t0 = self.sim.now
         # Escalation order: the ring-left neighbor first, then progressively
@@ -932,7 +931,7 @@ class RankEngine:
         if t_sync is not None and not stamp:
             try:
                 yield sim.wake_at(t_sync)
-            except Interrupt as unfolded:  # ControlFold.unfold
+            except Interrupt as unfolded:  # ControlFold.preempt
                 t_sync, resume = None, unfolded.cause
         if t_sync is None and multi:
             # Live: a token black-holed by a switch that died mid-barrier
@@ -1049,7 +1048,7 @@ class RankEngine:
                         and due[0].succeed_now())
             try:
                 yield op.op_done
-            except Interrupt:  # ControlFold.unfold: await the real token
+            except Interrupt:  # ControlFold.preempt: await the real token
                 due.clear()
                 t_final = None
         if t_final is None and multi:

@@ -299,13 +299,6 @@ class CollectiveHandle:
         collective's typed failure, if it had one."""
         raise NotImplementedError
 
-    def exclusive_coll_id(self) -> Optional[int]:
-        """The engine coll_id this handle is *solely* running right now, or
-        ``None`` when it has no engine phase in flight (baseline substrate,
-        or a composed collective currently in a baseline phase).  The
-        flow-level fast-forward uses this for its single-collective gate."""
-        return self.coll_id
-
     def on_crash(self, rank: int) -> None:
         """Fabric-crash notification (the dead host's software is already
         torn down by the communicator); handles with baseline-substrate

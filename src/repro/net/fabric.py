@@ -36,7 +36,12 @@ from repro.units import US, gbit_per_s
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
 
-__all__ = ["Fabric", "McastGroup", "RouteTable"]
+__all__ = ["Fabric", "FoldMiss", "McastGroup", "RouteTable"]
+
+
+class FoldMiss(Exception):
+    """A fold's gate declined; ``args[0]`` is the reason
+    (:meth:`Fabric.fold_note` records it)."""
 
 
 @dataclass
@@ -183,21 +188,18 @@ class Fabric:
         self._gid_counter = itertools.count(0)
         self._inc_gid_counter = itertools.count(1 << 16)  # disjoint from mcast gids
         self._inc_trees: Dict[int, object] = {}
-        #: INC passes folded into closed form (DESIGN.md §6j), passes that
-        #: ran at packet level by gate reason, and the folds still in flight
+        #: INC passes folded into closed form (DESIGN.md §6j)
         self.inc_folds = 0
-        self.inc_fold_misses: Dict[str, int] = {}
-        self._inc_live: list = []
-        #: callbacks run at every fault_epoch bump, before the change (a
-        #: communicator's control fold hands its unserved tokens back)
-        self.epoch_listeners: list = []
         #: every communicator's collectives submitted and not yet released,
-        #: by handle id — the folds' exclusivity tests read this one table
+        #: by handle id — the folds' one exclusivity rule reads this table
         self.collectives: Dict[int, object] = {}
         self._handle_ids = itertools.count(0)
-        #: callbacks that hand a communicator's folded phases back when a
-        #: collective is admitted anywhere on the fabric
-        self.admit_listeners: list = []
+        #: the fold protocol (DESIGN.md §6d): the owners that hand folded
+        #: phases back (each communicator's data and control folds, each
+        #: INC tree), and the one miss ledger, fold → gate reason → count
+        self.folds: list = []
+        self.fold_misses: Dict[str, Dict[str, int]] = {
+            "data": {}, "control": {}, "inc": {}}
 
         # --- build nodes ---
         #: host → per-rail NICs (index = rail); ``nics[h]`` stays the
@@ -320,20 +322,10 @@ class Fabric:
 
     def _new_fault_epoch(self) -> None:
         """A fault, straggler or crash is about to change: bump the epoch
-        the folds check, and hand any folded INC pass — and, through the
-        listeners, any folded control token — back to packets."""
+        the folds check, and hand the control and INC folds back to
+        packets (a data session checks the epoch at its next phase)."""
         self.fault_epoch += 1
-        self.unfold_inc()
-        for listener in self.epoch_listeners:
-            listener()
-
-    def preempt_folds(self) -> None:
-        """A collective is being admitted: hand every folded phase on the
-        fabric back to packets — each communicator's data and control
-        folds, then every INC pass."""
-        for listener in self.admit_listeners:
-            listener()
-        self.unfold_inc()
+        self.preempt_folds(epoch=True)
 
     def admit(self, handle) -> int:
         """Record *handle* as in flight; returns its fabric-wide id."""
@@ -341,11 +333,45 @@ class Fabric:
         self.collectives[handle_id] = handle
         return handle_id
 
-    def unfold_inc(self) -> None:
-        """Hand every in-flight INC fold back to the packet path, at the
-        current instant (a collective is being admitted beside it)."""
-        for fold in list(self._inc_live):
-            fold.unfold()
+    # ------------------------------------------------------ fold protocol
+
+    def fold_gate(self, handle, dead: bool = False) -> Optional[str]:
+        """The O(1) gates every fold applies, in order: ``reference``,
+        ``not_exclusive`` — *handle* (a composed collective's phase carries
+        its parent's id) is not the only incomplete collective in
+        :attr:`collectives` — ``dead`` (*dead*: the fold's own evidence)
+        and ``pending_crash``.  The reason of the first miss, or ``None``."""
+        if self.reference:
+            return "reference"
+        live = [i for i, h in self.collectives.items() if not h.complete]
+        if handle is None or live != [handle.handle_id]:
+            return "not_exclusive"
+        if dead or self.dead_hosts or self.dead_switches or self.dead_links:
+            return "dead"
+        if self.pending_crashes:
+            return "pending_crash"
+        return None
+
+    def fold_note(self, fold: str, track, miss: Optional[str] = None,
+                  **args) -> None:
+        """The one fold ledger: count a phase *fold* (``data``, ``control``
+        or ``inc``) declined under *miss*, and trace an ``engine.fold``
+        instant with *args* on *track* (folded phases are traced too)."""
+        if miss is not None:
+            misses = self.fold_misses[fold]
+            misses[miss] = misses.get(miss, 0) + 1
+            args["miss"] = miss
+        if track is not None:
+            track.instant("engine.fold", self.sim.now, {"fold": fold, **args})
+
+    def preempt_folds(self, epoch: bool = False) -> None:
+        """Hand every folded phase on the fabric back to packets, in the
+        order the owners registered: a collective is being admitted, a
+        recovery or a baseline is starting, or (*epoch*) the fault state is
+        about to change — which a data session checks lazily instead."""
+        for fold in list(self.folds):
+            if not (epoch and fold.checks_epoch):
+                fold.preempt()
 
     def set_fault(self, src: str, dst: str, fault: Optional[FaultSpec]) -> None:
         """Install a fault spec on one directed channel."""

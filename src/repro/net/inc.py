@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.net.fabric import FoldMiss
 from repro.net.link import serialize
 from repro.net.nic import CQE, Opcode
 from repro.net.packet import MCAST_FLAG, Packet, PacketKind
@@ -80,6 +81,9 @@ class IncTree:
         other members receive nothing.
     """
 
+    #: a live fold is handed back at every ``fault_epoch`` bump
+    checks_epoch = False
+
     def __init__(
         self,
         fabric: "Fabric",
@@ -119,17 +123,35 @@ class IncTree:
         self.order: List[str] = []  #: tree switches, root first (BFS)
         self._host_root: Optional[int] = None  # back-to-back fallback
         #: this pass's fold: None until its first rank asks, then False (the
-        #: packets run) or the :class:`IncFold`; ``procs`` (host → rank
-        #: process) is filled in by the collective running the pass
+        #: packets run) or the :class:`IncFold`; ``handle`` (whose
+        #: ``handle_id`` the exclusivity gate reads) and ``procs`` (host →
+        #: rank process) are filled in by the collective running the pass
         self._fold = None
+        self.handle = None
         self.procs: Dict[int, object] = {}
         self._build()
+
+    def preempt(self) -> None:
+        """:meth:`Fabric.preempt_folds`: hand a live fold back to packets."""
+        if self._fold:
+            self._fold.unfold()
+
+    def release(self) -> None:
+        """Unprogram the tree once its collective is released: its gid, its
+        switch roles and its per-(switch, PSN) state go, and a packet of the
+        pass still in flight is dropped at the switch (or host root) it
+        reaches."""
+        del self.fabric._inc_trees[self.gid]
+        self.fabric.folds.remove(self)
+        self.roles.clear()
+        self._state.clear()
 
     # ----------------------------------------------------------------- build
 
     def _build(self) -> None:
         topo = self.fabric.topology
         self.fabric._inc_trees[self.gid] = self
+        self.fabric.folds.append(self)
         tree = topo.mcast_tree(self.gid, self.members)
         root = topo.mcast_root(self.gid)
         if root is None:
@@ -256,38 +278,25 @@ class IncTree:
 
     # ------------------------------------------------------------------ fold
 
-    def begin(self, exclusive, contrib: Dict[int, np.ndarray],
-              owners: Dict[int, tuple], send_batch, cqe_cost: float):
+    def begin(self, contrib: Dict[int, np.ndarray], owners: Dict[int, tuple],
+              send_batch, cqe_cost: float):
         """Whether this pass folds: the first rank to ask decides for all.
         Returns the :class:`IncFold`, or ``None`` for the packet path.
 
-        *exclusive* answers "is this the only collective in flight"
-        (``None``: nobody vouches); *contrib* is each member's whole
-        contribution, *owners* each owner's ``(qp, cached recv WR)``,
-        *send_batch* / *cqe_cost* the ranks' host costs."""
+        *contrib* is each member's whole contribution, *owners* each
+        owner's ``(qp, cached recv WR)``, *send_batch* / *cqe_cost* the
+        ranks' host costs."""
         if self._fold is None:
             fabric = self.fabric
-            try:
-                self._fold = IncFold(self, exclusive, contrib, owners,
-                                     send_batch, cqe_cost)
-                fabric.inc_folds += 1
-                note = {"psns": self.n_segments}
-            except _Miss as miss:
-                self._fold = False
-                note = {"miss": _count_miss(fabric, miss.args[0])}
             trc = fabric.nic(self.members[0]).trace
-            if trc is not None:
-                trc.instant("engine.inc_fold", fabric.sim.now, note)
+            try:
+                self._fold = IncFold(self, contrib, owners, send_batch, cqe_cost)
+                fabric.inc_folds += 1
+                fabric.fold_note("inc", trc, psns=self.n_segments)
+            except FoldMiss as miss:
+                self._fold = False
+                fabric.fold_note("inc", trc, miss.args[0])
         return self._fold or None
-
-
-class _Miss(Exception):
-    """A fold gate declined; ``args[0]`` is the typed reason."""
-
-
-def _count_miss(fabric: "Fabric", reason: str) -> str:
-    fabric.inc_fold_misses[reason] = fabric.inc_fold_misses.get(reason, 0) + 1
-    return reason
 
 
 class IncFold:
@@ -303,22 +312,16 @@ class IncFold:
     now and hands the rest back to the packet path.
     """
 
-    def __init__(self, tree: IncTree, exclusive, contrib, owners,
-                 send_batch, cqe_cost: float) -> None:
+    def __init__(self, tree: IncTree, contrib, owners, send_batch,
+                 cqe_cost: float) -> None:
         fabric = tree.fabric
         self.tree, self.sim = tree, fabric.sim
         self.contrib, self.owners = contrib, owners
         now = self.sim.now
-        if fabric.reference:
-            raise _Miss("reference")
-        if tree.root is None:
-            raise _Miss("switchless")
-        if exclusive is None or not exclusive():
-            raise _Miss("not_exclusive")
-        if fabric.dead_hosts or fabric.dead_switches or fabric.dead_links:
-            raise _Miss("dead")
-        if fabric.pending_crashes:
-            raise _Miss("pending_crash")
+        reason = fabric.fold_gate(tree.handle) or (
+            "switchless" if tree.root is None else None)
+        if reason:
+            raise FoldMiss(reason)
         self.index = {h: i for i, h in enumerate(tree.members)}
         self.egress = [fabric.nic(h).egress for h in tree.members]
         self.ups = {x: fabric.switches[x].ports[tree.roles[x].parent]
@@ -332,11 +335,11 @@ class IncFold:
             f = ch.fault
             if f is not None and (not f.protect_reliable or any(
                     w.end > now for w in f.bandwidth_windows)):
-                raise _Miss("timing_fault")
+                raise FoldMiss("timing_fault")
         if any(ch.busy_until > now or ch.horizon > now for ch in chans):
-            raise _Miss("busy")
+            raise FoldMiss("busy")
         if any(tree.owned(o) > len(qp.recv_queue) for o, (qp, _) in owners.items()):
-            raise _Miss("rq_depth")
+            raise FoldMiss("rq_depth")
 
         n = tree.n_segments
         self.owner = [tree.owner_of(p) for p in range(n)]
@@ -363,7 +366,6 @@ class IncFold:
             self.done[o] = t
         self.vec = self._reduce(tree.root, 0, len(next(iter(contrib.values()))) // 4)
         self.woken: set = set()
-        fabric._inc_live.append(self)
 
     # ------------------------------------------------------------ the pass
 
@@ -371,7 +373,7 @@ class IncFold:
         """Channels of the root's unicast write to *owner*."""
         walk = self.tree.fabric.unicast_route(self.tree.root, owner)
         if walk is None:
-            raise _Miss("dead")
+            raise FoldMiss("dead")
         return walk
 
     def _inject(self, t0: float, send_batch) -> None:
@@ -485,7 +487,6 @@ class IncFold:
 
     def _end(self) -> None:
         """The pass is over (or handed back): nothing holds the fold now."""
-        self.tree.fabric._inc_live.remove(self)
         self.tree._fold = False
         self.tree.procs = {}
 
@@ -567,8 +568,8 @@ class IncFold:
     # ----------------------------------------------------------- hand-back
 
     def unfold(self) -> None:
-        """Hand the pass back to the packet path at *now*: a collective is
-        being admitted, or the fault state is about to change.  What
+        """Hand the pass back to the packet path at *now*
+        (:meth:`Fabric.preempt_folds`).  What
         happened before now is committed; a packet on the wire gets its
         arrival event, a partially reduced PSN its switch accumulator, and
         every rank still asleep resumes from the ``(psn, wake, owed, got)``
@@ -579,7 +580,7 @@ class IncFold:
         now, tree = self.sim.now, self.tree
         fabric = tree.fabric
         fabric.inc_folds -= 1
-        _count_miss(fabric, "preempted")
+        fabric.fold_note("inc", fabric.nic(tree.members[0]).trace, "preempted")
         self._commit(now)
         post = self.sim.post_at
         for x in tree.order:

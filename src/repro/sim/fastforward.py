@@ -48,7 +48,7 @@ time, counters and payloads.
 
 Declines and re-entry
 ---------------------
-Every gate that declines names its reason in :attr:`FlowFastForward.misses`
+Every gate that declines names its reason in the fabric's fold ledger
 (``CollectiveResult.engine["ff_misses"]``), once per phase offered.  The
 gates a collective fails for its whole life (``transport``,
 ``subgroups``, ``segmented``, ``tree``) are evaluated once, at its first
@@ -68,6 +68,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.sequencer import effective_chains
+from repro.net.fabric import FoldMiss
 from repro.net.link import serialize
 from repro.net.topology import host_id, is_host
 from repro.sim.parallel import (ReceiverLanes, TreeDrops, TreeEdges,
@@ -84,12 +85,12 @@ _INF = float("inf")
 _NEG_INF = float("-inf")
 
 
-class _Miss(Exception):
-    """A fold gate declined; ``args[0]`` is the reason."""
-
-
 class FlowFastForward:
     """Data-fold entry point of one communicator."""
+
+    #: a session checks ``fault_epoch`` at its next phase instead of being
+    #: handed back at the bump (:meth:`Fabric.preempt_folds`)
+    checks_epoch = True
 
     def __init__(self, comm: "Communicator") -> None:
         self.comm = comm
@@ -97,26 +98,20 @@ class FlowFastForward:
         # --- telemetry (summed into CollectiveResult.engine) ---
         self.ff_phases = 0  #: phases folded analytically
         self.ff_skipped_events = 0  #: estimated packet-level events avoided
-        self.misses: Dict[str, int] = {}  #: gate reason → phases declined
         #: coll_id → its current session; ``None`` after a decline, until
         #: a later phase finds the fabric quiescent and starts another
         self._sessions: Dict[int, Optional[_Session]] = {}
         #: coll_id → the static gate it fails (``None``: it passes them)
         self._static: Dict[int, Optional[str]] = {}
         self._tree: Optional[_Tree] = None
-
-    @property
-    def ff_aborts(self) -> int:
-        """Phases that ran at packet level although offered to the fold."""
-        return sum(self.misses.values())
+        comm.fabric.folds.append(self)
 
     def _miss(self, reason: str, engine: Optional["RankEngine"] = None) -> None:
-        """Count one declined phase under *reason*, and trace it on
-        *engine*'s track (rank 0's when the decline is no rank's hook)."""
-        self.misses[reason] = self.misses.get(reason, 0) + 1
-        trc = (engine or self.comm.engines[0]).trace
-        if trc is not None:
-            trc.instant("engine.ff_miss", self.sim.now, {"reason": reason})
+        """Record one declined phase under *reason* in the fabric's ledger,
+        traced on *engine*'s track (rank 0's when the decline is no rank's
+        hook)."""
+        self.comm.fabric.fold_note(
+            "data", (engine or self.comm.engines[0]).trace, reason)
 
     def preempt(self) -> None:
         """Flush every live session *now* — called before a second
@@ -147,18 +142,18 @@ class FlowFastForward:
             sessions[cid] = None
         sess = sessions[cid]
         try:
-            reason = self.gate(op, participants)
+            reason = self.gate(op)
             if reason is None:
                 if cid not in self._static:
                     self._static[cid] = _static_miss(self, op, participants)
                 reason = self._static[cid]
             if reason is not None:
-                raise _Miss(reason)
+                raise FoldMiss(reason)
             if sess is None or not sess.live:
                 sess = sessions[cid] = _Session(self, engine, op,
                                                 participants)
             done = sess.phase(engine, op)
-        except _Miss as miss:
+        except FoldMiss as miss:
             if sess is not None:
                 sess.abort()
             sessions[cid] = None
@@ -180,24 +175,15 @@ class FlowFastForward:
             return None
         return sess._deadline(self.sim.now)
 
-    def gate(self, op: "OpState", participants: List[int]) -> Optional[str]:
-        """The O(1) fault-inert gates the data fold and the control fold
-        share; the reason of the first miss, or ``None``.  A reference
-        fabric declines first, with the word the INC fold uses too."""
+    def gate(self, op: "OpState") -> Optional[str]:
+        """The O(1) gates the data fold and the control fold share: the
+        fabric's (:meth:`Fabric.fold_gate`), then ``rails``; the reason of
+        the first miss, or ``None``."""
         comm = self.comm
         fabric = comm.fabric
-        if fabric.reference:
-            return "reference"
-        if fabric.topology.rails != 1:
-            return "rails"
-        if not comm.ff_exclusive(op.coll_id):
-            return "not_exclusive"
-        if (comm.dead_ranks or fabric.dead_hosts or fabric.dead_switches
-                or fabric.dead_links or op.aborted or op.dead_ranks):
-            return "dead"
-        if fabric.pending_crashes:
-            return "pending_crash"
-        return None
+        return fabric.fold_gate(op.handle, bool(
+            comm.dead_ranks or op.aborted or op.dead_ranks)) or (
+            "rails" if fabric.topology.rails != 1 else None)
 
     def tree(self, gid: int) -> "_Tree":
         """Multicast group *gid*'s compiled tree for the current epoch."""
@@ -228,7 +214,7 @@ class _Tree:
                 for name, p in ports.items()}
         if not ports or any(m not in ports or name not in ports[m]
                             for name, ns in nbrs.items() for m in ns):
-            raise _Miss("tree")
+            raise FoldMiss("tree")
         root = max(sorted(nbrs), key=lambda name: len(nbrs[name]))
         names, par, idx = [root], [0], {root: 0}
         bounds = []  # [lo, hi) of each level below the root
@@ -240,7 +226,7 @@ class _Tree:
                     if p and m == names[par[p]]:
                         continue
                     if m in idx:
-                        raise _Miss("tree")  # a cycle
+                        raise FoldMiss("tree")  # a cycle
                     idx[m] = len(names)
                     names.append(m)
                     par.append(p)
@@ -248,14 +234,14 @@ class _Tree:
                 bounds.append((hi, len(names)))
             lo = hi
         if len(names) != len(ports):
-            raise _Miss("tree")  # disconnected
+            raise FoldMiss("tree")  # disconnected
         sws = [fabric.switches[name] for name in names]
         up = [None] + [sws[c].ports.get(names[par[c]])
                        for c in range(1, len(names))]
         down = [None] + [sws[par[c]].ports.get(names[c])
                          for c in range(1, len(names))]
         if None in up[1:] or None in down[1:]:
-            raise _Miss("tree")
+            raise FoldMiss("tree")
         self.host: Dict[int, tuple] = {}
         for c, name in enumerate(names):
             for p in ports[name]:
@@ -266,7 +252,7 @@ class _Tree:
                 eg = fabric.nics[h].egress if h in fabric.nics else None
                 if (h in self.host or hd is None or eg is None
                         or eg.dst_name != name):
-                    raise _Miss("tree")
+                    raise FoldMiss("tree")
                 self.host[h] = (c, hd, eg)
         self.S = len(names)
         self.par = par
@@ -318,7 +304,7 @@ def _static_miss(ff: FlowFastForward, op: "OpState",
         return "segmented"  # one wire segment per chunk
     try:
         T = ff.tree(comm.mcast_gids[0])
-    except _Miss as miss:
+    except FoldMiss as miss:
         return miss.args[0]
     if sorted(comm.host_of(r) for r in participants) != sorted(T.host):
         return "tree"  # receivers must be exactly the tree's hosts
@@ -349,19 +335,19 @@ class _Session:
         engines = [comm.engines[r] for r in ranks]
         ops = [e.ops.get(op.coll_id) for e in engines]
         if any(o is None or o.aborted for o in ops):
-            raise _Miss("dead")
+            raise FoldMiss("dead")
         if any(o.stats["recoveries"] for o in ops):
-            raise _Miss("recovery")
+            raise FoldMiss("recovery")
         drops = {ch.fold_drops() for ch in T.chans}
         if "fault" in drops or "lossy" in drops or ("drops" in drops and (
                 op.kind != "broadcast" and effective_chains(len(ranks), cfg.n_chains) > 1)):
             # (concurrent chains draw in an order only a merge of them knows)
-            raise _Miss("fault" if "fault" in drops else "lossy")
+            raise FoldMiss("fault" if "fault" in drops else "lossy")
         #: senders whose phase already ran, folded or at packet level
         sent = [o.is_sender and "send_done" in o.phases for o in ops]
         reason = _unsettled(ff.sim.now, T, engines, ops, sent)
         if reason is not None:
-            raise _Miss(reason)
+            raise FoldMiss(reason)
         self.ff = ff
         self.sim = ff.sim
         self.fabric = fabric
@@ -376,7 +362,7 @@ class _Session:
         self.ops = ops
         hosts = [comm.host_of(r) for r in ranks]
         if any(h not in T.host for h in hosts):
-            raise _Miss("tree")  # recompiled in a later epoch without one
+            raise FoldMiss("tree")  # recompiled in a later epoch without one
         self.hosts = hosts
         att = [T.host[h] for h in hosts]
         self.sw_of = [a[0] for a in att]
@@ -462,24 +448,24 @@ class _Session:
 
     def phase(self, engine: "RankEngine", op: "OpState") -> float:
         """Fold one phase and commit it to the session; returns the
-        sender's ``run_send`` done instant.  Raises :class:`_Miss`, with
+        sender's ``run_send`` done instant.  Raises :class:`FoldMiss`, with
         nothing committed, when a gate declines."""
         sim = self.sim
         t_hook = sim.now
         T = self.T
         if self.fabric.fault_epoch != self.epoch:
-            raise _Miss("fault_epoch")
+            raise FoldMiss("fault_epoch")
         i = self.pos.get(engine.rank, -1)
         if i < 0 or not self.live or self.sent[i] or op is not self.ops[i]:
-            raise _Miss("order")
+            raise FoldMiss("order")
         if engine._send_lock.in_use:  # another send owns the send path
-            raise _Miss("send_busy")
+            raise FoldMiss("send_busy")
         if len(engine.send_cq):  # stale completions would skew the replay
-            raise _Miss("stale_cq")
+            raise FoldMiss("stale_cq")
         eg = self.eg[i]
         deadline = self._deadline(t_hook)
         if deadline <= t_hook:
-            raise _Miss("deadline")
+            raise FoldMiss("deadline")
         lens = [op.plan.bounds(p)[1] for p in range(op.send_lo, op.send_hi)]
         n = len(lens)
         self._advance(t_hook)
@@ -502,9 +488,9 @@ class _Session:
         lanes = self.lanes
         if flight > self.qlen and not (
                 self.qlen > 2 and lanes.c1 + lanes.c2 <= min(wires) / self.hd_bw):
-            raise _Miss("qlen")
+            raise FoldMiss("qlen")
         if min(wires) <= self.bypass:
-            raise _Miss("bypass")  # every data packet rides the bulk queue
+            raise FoldMiss("bypass")  # every data packet rides the bulk queue
 
         # --- the sender, then every tree edge ----------------------------
         send_done, eg_fins, batches = _fold_sender(
@@ -514,7 +500,7 @@ class _Session:
             reach, got, lost = self.loss.phase(i, op.send_lo, wires, lens)
         pend, rows = edges.add(i, eg_fins, wires, lens, reach)
         if pend is None:
-            raise _Miss("tie" if reach is None else "lossy")
+            raise FoldMiss("tie" if reach is None else "lossy")
         # --- receivers ---------------------------------------------------
         eager = rows is not None and not self.deferred
         end = len(self.phases) + 1 == self.senders
@@ -539,7 +525,7 @@ class _Session:
         for j in self.strag:
             if j != i and not self.fabric.straggler_inert(
                     self.hosts[j], t_hook, float(fins[j])):
-                raise _Miss("straggler")
+                raise FoldMiss("straggler")
         fin_all = fin_rx if fin_rx > send_done else send_done
         if reach is not None:  # every forward, host edges' losses included
             fin_all = max(fin_all, float(rows.max()))
@@ -551,9 +537,9 @@ class _Session:
                 span = o.own_chunks * (o.plan.bounds(o.send_hi - 1)[1] + header)
                 if not self.loss.clear(pend[4], j, first,
                                        first + span / self.eg[j].bandwidth + b):
-                    raise _Miss("lossy")  # their draws could meet these packets
+                    raise FoldMiss("lossy")  # their draws could meet these packets
         if fin_all >= deadline:
-            raise _Miss("deadline")
+            raise FoldMiss("deadline")
 
         # ------------------------------------------------------- commit
         self.eg_busy[i] = eg_fins[-1]

@@ -452,6 +452,12 @@ def _left_behind(comm, res):
     }
 
 
+def _fold_notes(res, fold):
+    """*res*'s ``engine.fold`` instants of *fold*, without the ``fold`` arg."""
+    return [{k: v for k, v in r.args.items() if k != "fold"}
+            for r in res.trace.select(name="engine.fold") if r.args["fold"] == fold]
+
+
 def _phases(kind):
     """Control phases a collective of *kind* offers to the fold."""
     return 2 if kind.startswith("bcast") else 3
@@ -605,7 +611,7 @@ def test_fold_declines_two_overlapping_collectives():
         return comm, [[op.phases for op in h.ops] for h in handles]
     comm, phases = both(False)
     assert phases == both(True)[1]
-    assert comm.cf.folds == 0 and comm.cf.misses == {"not_exclusive": 4}
+    assert comm.cf.folds == 0 and comm.fabric.fold_misses["control"] == {"not_exclusive": 4}
 
 
 def _admit_second(reference, delay, kinds):
@@ -635,7 +641,7 @@ def _admit_second(reference, delay, kinds):
     left = _left_behind(comm, res)
     del left["traffic"], left["duration"]
     left["phases"] = [[op.phases for op in h.ops] for h in handles]
-    return comm, left, [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+    return comm, left, _fold_notes(res, "control")
 
 
 @pytest.mark.parametrize("kinds,handshake", [("bb", 17e-6), ("ab", 70e-6), ("ba", 17e-6)])
@@ -644,7 +650,7 @@ def test_a_collective_admitted_mid_fold_gets_the_unserved_tokens_back(
     # The first collective's barrier (0-10 µs in) or handshake (from
     # *handshake* on) has folded when the second is submitted: its tokens
     # would reach dispatchers that still have folded ones to serve, so the
-    # fold hands those back (ControlFold.unfold).
+    # fold hands those back (ControlFold.preempt).
     mid_service = []
     init = control._Unfolded.__init__
     monkeypatch.setattr(control._Unfolded, "__init__", lambda self, msg, until: (
@@ -657,10 +663,10 @@ def test_a_collective_admitted_mid_fold_gets_the_unserved_tokens_back(
         for key in want:
             assert got[key] == want[key], (delay, key)
         phases = [n["phase"] for n in notes if n.get("miss") == "preempted"]
-        assert comm.cf.misses.get("preempted", 0) == len(phases)
+        assert comm.fabric.fold_misses["control"].get("preempted", 0) == len(phases)
         preempted += phases
         # a handed-back phase no longer counts as folded
-        assert comm.cf.folds + sum(comm.cf.misses.values()) == sum(
+        assert comm.cf.folds + sum(comm.fabric.fold_misses["control"].values()) == sum(
             _phases("bcast" if k == "b" else "ag") for k in kinds)
     assert preempted.count("sync") >= 11 and "final" in preempted
     assert any(mid_service) and not all(mid_service)
@@ -762,7 +768,7 @@ def test_a_queued_activation_is_handed_back_behind_the_barrier_tokens():
     _, want = run(True, at)
     for key in want:
         assert got[key] == want[key], key
-    assert comm.cf.misses["preempted"] == 2  # the barrier and the chain
+    assert comm.fabric.fold_misses["control"]["preempted"] == 2  # the barrier and the chain
 
 
 def test_an_activation_overtaking_a_folded_barrier_token_unfolds_the_barrier():
@@ -832,13 +838,12 @@ def test_ctrl_fold_tracepoint_and_zero_perturbation():
     plain_comm, plain = run(None)
     assert [r.phases for r in res.ranks] == [r.phases for r in plain.ranks]
     assert comm.sim.events_processed == plain_comm.sim.events_processed
-    folds = [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+    folds = _fold_notes(res, "control")
     assert folds == [{"phase": "sync", "messages": 16 * 4},
                      {"phase": "final", "messages": 16}]
     assert res.engine["ctrl_folds"] == len(folds)
     _, slow = run(TraceConfig(), _slow("h0", "leaf000", 10e-6))
-    assert {"phase": "sync", "miss": "reorder"} in [
-        r.args for r in slow.trace.select(name="engine.ctrl_fold")]
+    assert {"phase": "sync", "miss": "reorder"} in _fold_notes(slow, "control")
 
     # An allgather's 15 activations fold as one phase: one instant, not one
     # per token, and every rank's seq.activate where the packet path has it.
@@ -847,7 +852,7 @@ def test_ctrl_fold_tracepoint_and_zero_perturbation():
     _, ref = run(TraceConfig(), kind="ag", reference=True)
     assert [r.phases for r in res.ranks] == [r.phases for r in plain.ranks]
     assert comm.sim.events_processed == plain_comm.sim.events_processed
-    folds = [r.args for r in res.trace.select(name="engine.ctrl_fold")]
+    folds = _fold_notes(res, "control")
     assert folds == [{"phase": "sync", "messages": 16 * 4},
                      {"phase": "activate", "messages": 15},
                      {"phase": "final", "messages": 16}]

@@ -217,10 +217,40 @@ def test_baseline_kind_mid_crash_aborts_typed_and_releases(kind, policy):
     assert err.dead_ranks == (5,)
     assert comm.sim.now == 6e-6  # failed at the crash instant
     assert [len(m) for m in memories] == start
+    assert comm.fabric.collectives == {} and comm.fabric._inc_trees == {}
     payload = rank_data(0, kib(64))
     result = comm.broadcast(0, payload)
     assert result.dead_ranks == [5]
     assert result.verify_broadcast(payload)
+
+
+@pytest.mark.crash_smoke
+@pytest.mark.parametrize("kind,n_hosts,host,at", [
+    ("broadcast", 4, 1, 10e-6), ("allreduce", 16, 9, 5e-6)])
+def test_an_aborted_blocking_call_releases_its_handle(kind, n_hosts, host, at):
+    """A blocking call whose run raises — a broadcast's rank process under
+    ``ABORT``, an allreduce's driver in its reduce-scatter phase — still
+    releases its handle: nothing stays on the fabric, and every NIC holds
+    the regions it held before, besides the receive slabs its rank's
+    control plane posted on first use (the communicator's, not the
+    collective's)."""
+    cfg = CollectiveConfig(failure_policy=FailurePolicy.ABORT)
+    comm = make_comm(n_hosts, topo=Topology.star(4) if kind == "broadcast"
+                     else None, config=cfg, seed=111)
+    fabric = comm.fabric
+    memories = [fabric.nic(h).memory for h in range(n_hosts)]
+    start = [len(m) for m in memories]
+    fabric.schedule_crash(CrashSpec(at=at, host=host))
+    with pytest.raises(CollectiveAbortedError):
+        if kind == "broadcast":
+            comm.broadcast(0, rank_data(0, kib(128)))
+        else:
+            rng = np.random.default_rng(131)
+            comm.allreduce([rng.normal(size=16 * 1024).astype(np.float32)
+                            for _ in range(n_hosts)])
+    assert fabric.collectives == {}
+    assert [len(m) - len(e.ctrl._slabs)
+            for m, e in zip(memories, comm.engines)] == start
 
 
 # ------------------------------------------------------- switch/link crashes

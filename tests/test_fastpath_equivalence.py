@@ -406,8 +406,9 @@ def test_ff_misses_name_their_reason(kind: str, setup, misses) -> None:
     assert res.engine["ff_phases"] == (0 if misses else P)
     assert res.engine["ff_misses"] == misses
     traced: Dict[str, int] = {}
-    for ev in res.trace.select(name="engine.ff_miss"):
-        traced[ev.args["reason"]] = traced.get(ev.args["reason"], 0) + 1
+    for ev in res.trace.select(name="engine.fold"):
+        if ev.args["fold"] == "data":
+            traced[ev.args["miss"]] = traced.get(ev.args["miss"], 0) + 1
     assert traced == misses
     if not misses:
         _assert_ff_exact(kind, 0, **setup)
@@ -575,8 +576,8 @@ def test_a_collective_admitted_mid_chain_gets_the_activations_back(
     _, want = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
                                     transport, at)
     assert got == want
-    assert comm.cf.misses.get("preempted", 0) >= 1
-    assert comm.cf.folds + sum(comm.cf.misses.values()) == 5
+    assert comm.fabric.fold_misses["control"].get("preempted", 0) >= 1
+    assert comm.cf.folds + sum(comm.fabric.fold_misses["control"].values()) == 5
 
 
 _CHAINS_WINDOW: Dict[Tuple[str, str, int], Tuple[float, float]] = {}
@@ -642,7 +643,7 @@ def test_a_collective_admitted_mid_chains_gets_every_chains_activations_back(
     _, want = _chain_then_broadcast(True, _FF_TOPOLOGIES[topology],
                                     transport, at, n_chains)
     assert got == want
-    assert comm.ff.ff_phases or comm.cf.misses.get("preempted")  # folds ran
+    assert comm.ff.ff_phases or comm.fabric.fold_misses["control"].get("preempted")  # folds ran
 
 
 @pytest.mark.parametrize("transport", ["ud", "uc"])
@@ -780,7 +781,7 @@ def test_ff_folded_send_holds_the_send_path_for_a_later_collective() -> None:
 
     comm, got = run(False)
     _, want = run(True)
-    assert comm.ff.ff_phases == 1 and comm.ff.misses == {"not_exclusive": 2}
+    assert comm.ff.ff_phases == 1 and comm.fabric.fold_misses["data"] == {"not_exclusive": 2}
     assert got == want
 
 

@@ -116,7 +116,7 @@ def test_a_chain_interrupted_mid_way_leaves_what_the_packet_path_leaves(act):
     handed_back = 0
     for at in _MID_CHAIN:
         comm = _assert_as_reference("allgather", at, act)
-        handed_back += comm.cf.misses.get("preempted", 0)
+        handed_back += comm.fabric.fold_misses["control"].get("preempted", 0)
     assert handed_back >= len(_MID_CHAIN)  # each one took the chain back
 
 

@@ -262,19 +262,78 @@ _DECLINES = {
 def test_inc_fold_declines_with_a_reason(reason):
     comm, _ = _same_as_packets(**_DECLINES[reason])
     assert comm.fabric.inc_folds == 0
-    assert set(comm.fabric.inc_fold_misses) == {reason}
+    assert set(comm.fabric.fold_misses["inc"]) == {reason}
+
+
+def _after_a_completed_broadcast(reference):
+    """A reduce-scatter on a fabric where a submitted broadcast has
+    completed but is not yet released."""
+    fabric = Fabric(Simulator(), Topology.leaf_spine(8, 2, 2),
+                    link_bandwidth=gbit_per_s(56), reference=reference)
+    comm = Communicator(fabric)
+    done = comm.submit(CollectiveRequest(
+        kind="broadcast", data=np.arange(16 * KiB, dtype=np.uint8), root=0))
+    comm.run(done)
+    rng = np.random.default_rng(0)
+    res = comm.reduce_scatter([rng.normal(size=8 * 1024).astype(np.float32)
+                               for _ in range(8)])
+    assert list(fabric.collectives.values()) == [done]
+    return res
+
+
+def test_a_completed_collective_does_not_hold_back_the_inc_fold():
+    # One exclusivity rule for every fold: only an incomplete collective
+    # on the fabric counts, so a finished broadcast awaiting its release
+    # leaves the pass alone.
+    folded, packets = (_after_a_completed_broadcast(r) for r in (False, True))
+    assert folded.engine["inc_folds"] == 1
+    assert folded.engine["inc_fold_misses"] == {}
+    assert packets.engine["inc_fold_misses"] == {"reference": 1}
+    assert ([(p.name, p.t_begin, p.t_end) for p in folded.phases]
+            == [(p.name, p.t_begin, p.t_end) for p in packets.phases])
+    assert [r.phases for r in folded.ranks] == [r.phases for r in packets.ranks]
+    assert folded.traffic == packets.traffic
+    assert ([np.asarray(b).tobytes() for b in folded.buffers]
+            == [np.asarray(b).tobytes() for b in packets.buffers])
+
+
+def test_released_passes_unprogram_their_trees():
+    fabric = Fabric(Simulator(), Topology.leaf_spine(8, 2, 2),
+                    link_bandwidth=gbit_per_s(56))
+    comm = Communicator(fabric)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        res = comm.reduce_scatter([rng.normal(size=8 * 1024).astype(np.float32)
+                                   for _ in range(8)])
+        assert res.engine["inc_folds"] == 1
+        assert fabric._inc_trees == {}
+    assert fabric.folds == [comm.ff, comm.cf]
+
+
+def test_a_direct_inc_call_never_folds():
+    # No communicator, no handle on the fabric: nothing vouches for the
+    # pass being alone.
+    from repro.core.baselines import inc_reduce_scatter
+
+    fabric = Fabric(Simulator(), _ls16(), link_bandwidth=gbit_per_s(56))
+    rng = np.random.default_rng(0)
+    res = inc_reduce_scatter(fabric, [rng.normal(size=16 * 1024).astype(np.float32)
+                                      for _ in range(16)])
+    assert fabric.inc_folds == 0
+    assert fabric.fold_misses["inc"] == {"not_exclusive": 1}
+    assert res.duration > 0
 
 
 def test_inc_fold_declines_on_the_reference_path():
     comm, _, _ = _inc(True)
     assert comm.fabric.inc_folds == 0
-    assert comm.fabric.inc_fold_misses == {"reference": 1}
+    assert comm.fabric.fold_misses["inc"] == {"reference": 1}
 
 
 def test_unprotected_fault_spec_is_a_timing_fault():
     comm, _ = _same_as_packets(prepare=lambda f: f.set_fault(
         "leaf000", "spine000", FaultSpec(protect_reliable=False)))
-    assert comm.fabric.inc_fold_misses == {"timing_fault": 1}
+    assert comm.fabric.fold_misses["inc"] == {"timing_fault": 1}
 
 
 def _after(delay, then):
@@ -293,7 +352,7 @@ def test_admission_mid_fold_hands_back(monkeypatch):
         comm, _ = _same_as_packets(kind=kind, admit=_after(
             17e-6, lambda c, d: [c.submit(CollectiveRequest(kind="reduce_scatter", data=d))]))
         assert calls[-1] == 17e-6
-        assert comm.fabric.inc_fold_misses == {"preempted": 1, "not_exclusive": 1}
+        assert comm.fabric.fold_misses["inc"] == {"preempted": 1, "not_exclusive": 1}
     assert len(calls) == 3
 
 
@@ -306,7 +365,7 @@ def test_bandwidth_window_installed_mid_fold(delay):
         comm.fabric.set_fault("spine000", "leaf001", FaultSpec(
             bandwidth_windows=[(now, now + 9e-6, 0.25)]))
     comm, _ = _same_as_packets(admit=_after(delay, degrade))
-    assert comm.fabric.inc_fold_misses == {"preempted": 1}
+    assert comm.fabric.fold_misses["inc"] == {"preempted": 1}
 
 
 @settings(max_examples=12, deadline=None)
@@ -335,7 +394,7 @@ def test_folded_pass_keeps_link_traces_and_reports_itself():
                 == packets.trace.link_utilization(port, t0=packets.t_begin,
                                                   t1=packets.t_end))
     assert folded.trace.count("nic.cqe") == packets.trace.count("nic.cqe")
-    assert [r.args for r in folded.trace.select(name="engine.inc_fold")] == [
-        {"psns": 64}]
-    assert [r.args for r in packets.trace.select(name="engine.inc_fold")] == [
-        {"miss": "reference"}]
+    assert [r.args for r in folded.trace.select(name="engine.fold")] == [
+        {"fold": "inc", "psns": 64}]
+    assert [r.args for r in packets.trace.select(name="engine.fold")] == [
+        {"fold": "inc", "miss": "reference"}]

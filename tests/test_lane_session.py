@@ -186,7 +186,7 @@ def test_mid_run_second_collective_preempts_bitwise(chunks=1):
 
     ref, res = run(True), run(False)
     ff, folded_at_preemption = res[3], res[4]
-    assert ff.misses["preempted"] == 1  # a live session was preempted
+    assert ff.comm.fabric.fold_misses["data"]["preempted"] == 1  # a live session was preempted
     assert ff.ff_phases > folded_at_preemption  # ... and a later one folds
     assert res[:3] == ref[:3]
 

@@ -195,5 +195,5 @@ def test_a_broadcast_admitted_into_a_lossy_session(t_submit, transport) -> None:
 
     folded, ff = run(False)
     packets, _ = run(True)
-    assert ff.ff_phases > 0 and ff.misses.get("preempted") == 1
+    assert ff.ff_phases > 0 and ff.comm.fabric.fold_misses["data"].get("preempted") == 1
     _assert_same(folded, packets)

@@ -18,6 +18,7 @@ rejects unknown kinds, and ``phase_means()`` tolerates empty rank lists.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -139,13 +140,30 @@ def test_all_emitted_names_are_catalogued(lossy_traced):
         assert r.name in TRACEPOINTS, r.name
 
 
-def test_tracepoint_lint_tool_passes(capsys):
+def _lint_tool():
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "check_tracepoints", root / "tools" / "check_tracepoints.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod, root
+
+
+def test_tracepoint_lint_tool_passes(capsys):
+    mod, _ = _lint_tool()
     assert mod.main() == 0, capsys.readouterr().out
+
+
+def test_tracepoint_lint_sees_every_emission():
+    # A call spanning lines and the tracer's dispatch-histogram record are
+    # emissions too: every catalogued name has a site under src/repro.
+    mod, root = _lint_tool()
+    assert list(mod.emissions(ast.parse(
+        'track.instant(\n    "comm.submit", now,\n    {"kind": k})'))) == [
+        (1, "comm.submit")]
+    used = {name for path in (root / "src" / "repro").rglob("*.py")
+            for _, name in mod.emissions(ast.parse(path.read_text()))}
+    assert used == set(TRACEPOINTS)
 
 
 # ------------------------------------------------------------- reconciliation

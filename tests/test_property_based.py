@@ -383,7 +383,7 @@ def test_a_collective_admitted_at_any_instant_leaves_the_oracles_state(
         family, p, ctrl_cost, first, delay, root):
     # Whatever the first collective has folded when the second is submitted
     # — nothing yet, a barrier half served, a handshake — both finish as
-    # they do on the reference engine (ControlFold.unfold hands the rest
+    # they do on the reference engine (ControlFold.preempt hands the rest
     # back).
     def run(reference):
         fabric = Fabric(Simulator(), _family(family, p),

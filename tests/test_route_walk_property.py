@@ -109,4 +109,4 @@ def test_an_unroutable_control_message_declines_the_fold_with_fault():
     comm.submit(CollectiveRequest(
         kind="broadcast", data=np.arange(kib(16), dtype=np.uint8), root=0))
     comm.sim.run(until=0.0)  # every rank has reached its barrier
-    assert comm.cf.misses == {"fault": 1} and comm.cf.folds == 0
+    assert comm.fabric.fold_misses["control"] == {"fault": 1} and comm.cf.folds == 0

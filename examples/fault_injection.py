@@ -3,8 +3,10 @@
 
 Injects packet drops and adaptive-routing reordering into the fabric and
 broadcasts through it.  The multicast fast path delivers what survives;
-the cutoff timer fires; missing chunks are fetched from ring neighbors
-with selective RDMA READs — and the data always arrives intact.
+the cutoff timer fires; missing chunks are fetched with selective RDMA
+READs over a per-switch recovery tree — each switch's delegate from the
+chunk's owner, its peers from the delegate — and the data always arrives
+intact.
 
 Time-varying schedules (Gilbert–Elliott burst loss, link flaps, degraded
 bandwidth, slow receivers) and the adaptive cutoff estimator are described
@@ -59,9 +61,9 @@ def main() -> None:
              lambda s, d: FaultSpec(reorder_jitter=20e-6))
     run_case("3% drops + 10 µs reordering",
              lambda s, d: FaultSpec(drop_prob=0.03, reorder_jitter=10e-6))
-    # A pathological case: the same chunks dropped toward *adjacent* ranks,
-    # forcing the recursive fetch chain (a rank fetches from a neighbor
-    # that is itself still recovering).
+    # The same chunks dropped toward two adjacent ranks: on the paper's
+    # ring the second would fetch from the first while it still recovers;
+    # here both sit on the root's leaf and read the root directly.
     def adjacent_drops(src, dst):
         if dst in ("h1", "h2"):
             return FaultSpec(drop_packet_seqs={0, 1, 2})
@@ -83,8 +85,8 @@ def main() -> None:
              straggler=(3, StragglerSpec(windows=[(0.0, 60e-6)],
                                          extra_poll_delay=4e-6)))
     print("\nEvery case delivered bit-identical data: the fast path is "
-          "lossless most of the\ntime, and the ring fetch layer repairs "
-          "the rest without incasting the root.")
+          "lossless most of the\ntime, and the recovery tree repairs "
+          "the rest, crossing the spine once per switch.")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ from repro.net.nic import QueuePair, RecvWR, Transport
 from repro.net.topology import host_name
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceConfig, Tracer, TraceView
-from repro.sim.events import AllOf
+from repro.sim.events import AllOf, Event
 from repro.sim.fastforward import FlowFastForward
 
 __all__ = [
@@ -326,8 +326,11 @@ class CollectiveResult:
 
     def reliability_summary(self) -> Dict[str, object]:
         """Aggregate slow-path telemetry across ranks: recovery/round
-        counters, escalations, and the retry histogram — ``{fetch rounds:
-        recovery invocations}`` over every rank's invocations."""
+        counters, escalations, the fetch rounds by the peer they read
+        (``fetch_sources``: a chunk's ``owner``, a switch's ``delegate``, or
+        the ``ring`` fallback; DESIGN.md §7), and the retry histogram —
+        ``{fetch rounds: recovery invocations}`` over every rank's
+        invocations."""
         histogram: Dict[int, int] = {}
         for r in self.ranks:
             for rounds in r.retry_histogram:
@@ -336,6 +339,8 @@ class CollectiveResult:
             "recoveries": self.counter_total("recoveries"),
             "recovered_chunks": self.counter_total("recovered_chunks"),
             "fetch_rounds": self.counter_total("fetch_rounds"),
+            "fetch_sources": {via: self.counter_total(f"fetch_via_{via}")
+                              for via in ("owner", "delegate", "ring")},
             "fetch_ack_timeouts": self.counter_total("fetch_ack_timeouts"),
             "neighbor_escalations": self.counter_total("neighbor_escalations"),
             "retry_histogram": dict(sorted(histogram.items())),
@@ -763,6 +768,12 @@ class Communicator:
         #: migrated by the SM sweep when its plane stops spanning the
         #: survivors — IB-style automatic path migration)
         self._ctrl_rail = 0
+        #: per rank, the ranks on its attachment switch (the recovery
+        #: tree's groups), built at the first recovery
+        self._switch_groups: Optional[List[Tuple[int, ...]]] = None
+        #: ``(rank, event)`` of the recoveries starting at this instant
+        #: (:meth:`recovery_turn`)
+        self._recovery_turns: List[Tuple[int, Event]] = []
         fabric.on_crash(self._on_fabric_crash)
         fabric.sweep_listeners.append(self._on_sm_sweep)
         self.sim.add_watchdog_diagnostic(self._watchdog_diagnostic)
@@ -771,6 +782,45 @@ class Communicator:
 
     def host_of(self, rank: int) -> int:
         return self.hosts[rank]
+
+    def switch_group(self, rank: int) -> Tuple[int, ...]:
+        """The ranks attached to *rank*'s switch, in rank order: its group
+        of the recovery tree (DESIGN.md §7).  Ranks of one group share the
+        tuple, so ``switch_group(a) is switch_group(b)`` tests membership."""
+        groups = self._switch_groups
+        if groups is None:
+            topo = self.fabric.topology
+            by_switch: Dict[str, List[int]] = {}
+            for r in range(self.size):
+                by_switch.setdefault(topo.attach_point(self.host_of(r)), []).append(r)
+            groups = self._switch_groups = [()] * self.size
+            for members in by_switch.values():
+                group = tuple(members)
+                for r in group:
+                    groups[r] = group
+        return groups[rank]
+
+    def recovery_turn(self, rank: int) -> Event:
+        """An event that fires, in rank order, once every recovery that
+        starts at this instant has asked for its turn.
+
+        Cutoff timers of ranks that left the barrier together fire at one
+        instant, in the order the timers were created — the barrier's
+        delivery order at packet level, the rank order when the barrier
+        folded.  Their first fetch requests meet at one delegate, whose
+        fetch server serves them in arrival order, so recovery starts in
+        rank order on both paths (DESIGN.md §7)."""
+        turns = self._recovery_turns
+        if not turns:
+            self.sim.post_later(0.0, self._start_recoveries)
+        ev = Event(self.sim)
+        turns.append((rank, ev))
+        return ev
+
+    def _start_recoveries(self) -> None:
+        turns, self._recovery_turns = self._recovery_turns, []
+        for _, ev in sorted(turns, key=lambda turn: turn[0]):
+            ev.succeed_now()
 
     def ensure_ctrl_pair(self, a: int, b: int) -> QueuePair:
         """Return rank *a*'s control QP toward rank *b*, creating the

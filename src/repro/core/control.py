@@ -2,8 +2,9 @@
 
 The slow path of the protocol (paper §III-C) runs over reliable connected
 QPs: the RNR synchronization barrier before multicasting, activation
-signals between chain neighbors (§IV-A), fetch requests/ACKs of the
-recovery layer, and the final-handshake packets in the virtual ring.
+signals between chain neighbors (§IV-A), fetch requests, ACKs and
+wake-ups of the recovery layer, and the final-handshake packets in the
+virtual ring.
 
 Design notes
 ------------
@@ -48,7 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ControlPlane", "ControlFold", "ControlFoldError", "CtrlMessage",
            "MSG_BARRIER", "MSG_ACTIVATE", "MSG_FETCH_REQ", "MSG_FETCH_ACK",
-           "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH", "MESSAGE_BYTES"]
+           "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH", "MSG_FETCH_READY",
+           "FETCH_WAKE", "MESSAGE_BYTES"]
 
 MSG_BARRIER = 1
 MSG_ACTIVATE = 2
@@ -62,6 +64,13 @@ MSG_PONG = 7
 #: death notice: ``key`` = the communicator rank confirmed dead.  Consumed
 #: by the engine-installed ``on_death`` callback, never by an inbox.
 MSG_DEATH = 8
+#: a recovery delegate's wake-up: ``key`` = the FETCH_REQ (flagged
+#: :data:`FETCH_WAKE`) whose FETCH_ACK said the delegate was still short of
+#: chunks; sent when its data phase completes, to the parked requester
+MSG_FETCH_READY = 9
+#: FETCH_REQ argument: "if you are still short of chunks, wake me with
+#: MSG_FETCH_READY once you have them all"
+FETCH_WAKE = 1
 
 #: message types delivered to an any-source inbox (servers listen for
 #: requests regardless of the requester's rank)

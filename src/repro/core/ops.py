@@ -101,6 +101,10 @@ class OpState:
             "recoveries": 0,
             "chunks_received": 0,
             "fetch_rounds": 0,
+            # fetch rounds by the peer they read (``RankEngine._fetch_round``)
+            "fetch_via_owner": 0,
+            "fetch_via_delegate": 0,
+            "fetch_via_ring": 0,
             "fetch_ack_timeouts": 0,
             "neighbor_escalations": 0,
         }

@@ -14,7 +14,8 @@ One :class:`RankEngine` is the software stack of one participant:
 * the **op controller** — one process per collective: barrier → (optional)
   multicast send → cutoff-timed wait for data → recovery if needed →
   final handshake,
-* a **fetch server** answering FETCH_REQ from the right ring neighbor.
+* a **fetch server** answering FETCH_REQ from the recovery tree's
+  requesters (and, as the fallback, the right ring neighbor).
 
 Everything charges virtual time through :class:`HostCostModel`, so a
 single engine parameterization covers both the "fast CPU, cheap ops" and
@@ -28,9 +29,11 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.chunking import ImmLayout
 from repro.core.control import (
+    FETCH_WAKE,
     MSG_ACTIVATE,
     MSG_BARRIER,
     MSG_FETCH_ACK,
+    MSG_FETCH_READY,
     MSG_FETCH_REQ,
     MSG_FINAL,
     MSG_PING,
@@ -59,7 +62,7 @@ from repro.core.reliability import (
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
 from repro.net.nic import RecvWR, SendWR, Transport
-from repro.sim.events import PASSIVE_WAIT, AnyOf, Interrupt, Timeout
+from repro.sim.events import PASSIVE_WAIT, AnyOf, Event, Interrupt, Timeout
 
 _INF = float("inf")
 
@@ -200,6 +203,10 @@ class RankEngine:
         # --- liveness layer (only active when config.failure_policy set) ---
         #: peers this rank knows to be dead (own probes or MSG_DEATH notices)
         self.confirmed_dead: Set[int] = set()
+        #: fires at this rank's next death confirmation, then is replaced
+        #: (:meth:`_add_dead`); liveness-bounded waits end on it
+        #: (:meth:`_wait_live`)
+        self._membership = Event(self.sim)
         self._probe_nonce = 0
         self._shutdown = False
         self.ctrl.on_death = self._on_death_notice
@@ -481,23 +488,39 @@ class RankEngine:
     def run_recovery(self, op: OpState, participants: List[int], me: int,
                      deadline_abs: float, monitor: Optional[List[int]] = None):
         """Slow path (§III-C), hardened: selective zero-copy fetch of
-        missing chunks from ring neighbors.
+        missing chunks over a two-level recovery tree.
 
-        The fetch is **chunk-granular**: each round inspects which missing
-        chunks the neighbor has *placed* (its own may still be recovering)
-        and RDMA-READs exactly those.  Chunks a neighbor lacks propagate
-        around the ring as it recovers them itself — the paper's "worst
-        case degenerates to ring Allgather".  A whole-buffer ACK handshake
-        would deadlock when every rank of an Allgather lost something.
+        The fetch is **chunk-granular**: each round reads which of our
+        missing chunks the peer has *placed* (its own may still be
+        recovering) and RDMA-READs exactly those.  A whole-buffer ACK
+        handshake would deadlock when every rank of an Allgather lost
+        something.
+
+        Every rank derives its peer without a message
+        (:meth:`_tree_peer`): ranks are grouped by attachment switch, each
+        group's **delegate** — the owner of the lowest missing chunk when
+        it is in the group, else the group's first live rank of
+        *participants* — fetches from that
+        owner (a broadcast's root, an allgather chunk's source rank), and
+        every other rank fetches from its delegate.  A drop above a leaf
+        then crosses the spine once per switch instead of sending each
+        rank of the leaf round the ring, whose ring-left neighbour lacks
+        the same chunk.  A requester whose delegate has nothing new does
+        not poll: it parks until the delegate's ``MSG_FETCH_READY``
+        (:meth:`_await_ready`).
+
+        The paper's ring — the ring-left neighbour first, then farther left,
+        escalating past one that yields nothing for ``FETCH_STALL_ROUNDS``
+        rounds — is the fallback only: it finishes what the tree could not,
+        when the tree's peer is dead, absent from *participants*, silent,
+        or has nothing for us.  Degraded completion runs the same tree over
+        the survivors.
 
         Hardening beyond the paper's description:
 
         * the FETCH_ACK rendezvous is timeout-bounded — an unresponsive
-          neighbor costs ``FETCH_ACK_TIMEOUT``, not a hang;
-        * a neighbor that yields nothing for ``FETCH_STALL_ROUNDS`` rounds
-          (unresponsive, or itself unrecovered) is **escalated past**: the
-          requester rotates to the next-farther left ring neighbor;
-        * re-polls back off exponentially with deterministic per-rank
+          peer costs ``FETCH_ACK_TIMEOUT``, not a hang;
+        * ring re-polls back off exponentially with deterministic per-rank
           jitter so stalled ranks neither thrash nor retry in lockstep;
         * the whole recovery is bounded by *deadline_abs* — on expiry a
           :class:`ReliabilityError` with diagnostic counters is raised
@@ -516,31 +539,31 @@ class RankEngine:
         self.comm.fabric.preempt_folds()
         trc = self.trace
         recovery_t0 = self.sim.now
-        # Escalation order: the ring-left neighbor first, then progressively
-        # farther-left ranks (under the chain schedule those are the ranks
-        # most likely to already hold what we miss), wrapping the full ring.
-        order = [
-            participants[(me - d) % len(participants)]
-            for d in range(1, len(participants))
-        ]
         rounds_used = 0
         yield self._recovery_lock.acquire()
         try:
+            yield self.comm.recovery_turn(self.rank)
+            rounds_used = yield from self._tree_recovery(
+                op, participants, deadline_abs, monitor)
+            # What the tree could not finish, the ring does; falling back
+            # counts as one escalation.
+            order = [
+                participants[(me - d) % len(participants)]
+                for d in range(1, len(participants))
+            ]
             attempt = 0
             while not op.data_done.triggered:
                 if monitor is not None:
                     self._check_live(op, monitor, "data")
                 self._check_recovery_deadline(op, deadline_abs)
                 peer = order[attempt % len(order)]
-                if attempt > 0 and len(order) > 1:
+                if attempt == 0 or len(order) > 1:
                     op.stats["neighbor_escalations"] += 1
                     if trc is not None:
                         trc.instant("reliability.escalate", self.sim.now,
                                     {"peer": peer})
-                _progressed, rounds = yield from self._fetch_attempt(
-                    op, peer, deadline_abs, monitor=monitor
-                )
-                rounds_used += rounds
+                rounds_used += yield from self._fetch_attempt(
+                    op, peer, deadline_abs, monitor=monitor)
                 attempt += 1
         finally:
             self._recovery_lock.release()
@@ -549,6 +572,65 @@ class RankEngine:
                 trc.complete("reliability.recover", recovery_t0,
                              self.sim.now - recovery_t0,
                              {"rounds": rounds_used})
+
+    def _tree_peer(self, op: OpState,
+                   participants: List[int]) -> Tuple[int, str]:
+        """The peer this rank fetches its lowest missing chunk from, and
+        how it reaches it: ``(owner, "owner")`` when the owner is in this
+        rank's switch group or this rank is the group's delegate — its
+        first rank that is in *participants* and not confirmed dead — else
+        ``(delegate, "delegate")``.  The owner comes from the chunk plan:
+        the root of a broadcast, else the rank whose send range holds the
+        chunk."""
+        owner = op.root
+        if owner is None:
+            owner = op.bitmap.missing_runs()[0][0] // op.own_chunks
+        group = self.comm.switch_group(self.rank)
+        if self.comm.switch_group(owner) is group:
+            return owner, "owner"
+        delegate = next(r for r in group if r not in self.confirmed_dead
+                        and r in participants)
+        if delegate == self.rank:
+            return owner, "owner"
+        return delegate, "delegate"
+
+    def _tree_recovery(self, op: OpState, participants: List[int],
+                       deadline_abs: float, monitor: Optional[List[int]]):
+        """Fetch over the recovery tree until the op completes, or until
+        the ring must finish it: the tree's peer is dead or absent, its
+        fetch server stays silent, or it has nothing for us.  Returns the
+        fetch rounds spent.
+
+        Each round is one rendezvous and one read.  An owner holds what it
+        owns; a delegate still short of chunks parks us until it has them
+        all, so its one round serves everything we miss.  After a
+        productive round the next goes straight to the next lowest missing
+        chunk's peer, with no backoff."""
+        rounds = 0
+        while not op.data_done.triggered:
+            if monitor is not None:
+                self._check_live(op, monitor, "data")
+            self._check_recovery_deadline(op, deadline_abs)
+            if op.missing_chunks == 0:
+                # every chunk tracked: the last staging copies are landing
+                yield AnyOf(self.sim, [op.data_done, Timeout(
+                    self.sim, max(deadline_abs - self.sim.now, 1e-9))])
+                continue
+            peer, via = self._tree_peer(op, participants)
+            if peer in self.confirmed_dead or peer not in participants:
+                break
+            ack = yield from self._rendezvous(op, peer, deadline_abs, monitor,
+                                              wake=via == "delegate")
+            if ack is None:
+                break
+            if ack.args[0] and not (
+                    yield from self._await_ready(op, ack, deadline_abs, monitor)):
+                continue  # our own op completed meanwhile
+            got = yield from self._fetch_round(op, peer, via, deadline_abs)
+            rounds += 1
+            if got is None and not op.data_done.triggered:
+                break
+        return rounds
 
     def _check_recovery_deadline(self, op: OpState, deadline_abs: float) -> None:
         if self.sim.now < deadline_abs:
@@ -567,77 +649,129 @@ class RankEngine:
             retry_histogram=op.retry_histogram,
         )
 
-    def _fetch_attempt(self, op: OpState, peer: int, deadline_abs: float,
-                       monitor: Optional[List[int]] = None):
-        """One bounded fetch session against *peer*.
-
-        Returns ``(progressed, rounds)``; the caller escalates to the next
-        ring neighbor when a session ends without the op completing.
-        """
+    def _fetch_key(self, op: OpState) -> int:
+        """A fresh rendezvous key: the collective and a nonce, so a late
+        reply to an abandoned request can never satisfy a newer one."""
         self._fetch_nonce = (self._fetch_nonce + 1) & 0xFF
-        # Rendezvous key carries a nonce so a late ACK from an abandoned
-        # attempt can never satisfy a newer one.
-        key = (op.coll_id << 8) | self._fetch_nonce
-        self.ctrl.send(peer, MSG_FETCH_REQ, key)
+        return (op.coll_id << 8) | self._fetch_nonce
+
+    def _rendezvous(self, op: OpState, peer: int, deadline_abs: float,
+                    monitor: Optional[List[int]], wake: bool = False):
+        """FETCH_REQ → FETCH_ACK with *peer*, bounded by
+        ``FETCH_ACK_TIMEOUT``: the ACK (a :class:`CtrlMessage`), or
+        ``None`` when the op completed meanwhile or the peer stayed silent
+        (under a *monitor* it is probed first, and a dead peer raises
+        :class:`PeerDeadError`).  With *wake*, the ACK's first argument
+        says whether the peer is still short of chunks and will send
+        ``MSG_FETCH_READY`` once it has them all (:meth:`_fetch_server`).
+        """
+        key = self._fetch_key(op)
+        self.ctrl.send(peer, MSG_FETCH_REQ, key, (FETCH_WAKE,) if wake else ())
         ack = self.ctrl.recv(MSG_FETCH_ACK, key, peer)
         wait = min(FETCH_ACK_TIMEOUT, max(deadline_abs - self.sim.now, 1e-9))
-        yield AnyOf(self.sim, [ack, op.data_done, Timeout(self.sim, wait)])
+        yield from self._wait_live(op, [ack, op.data_done], wait, monitor)
         if op.data_done.triggered:
-            return True, 0
-        if not ack.triggered:
-            op.stats["fetch_ack_timeouts"] += 1
-            if self.trace is not None:
-                self.trace.instant("reliability.timeout", self.sim.now,
-                                   {"peer": peer})
-            if monitor is not None:
-                # A silent fetch server is exactly what a fail-stopped host
-                # looks like from the data phase — probe before escalating
-                # so a dead peer is detected promptly, not only when some
-                # rank blocks on it in a control-plane wait.
-                if (yield from self._probe(peer)):
-                    raise PeerDeadError(
-                        f"peer {peer} fail-stopped during fetch",
-                        rank=self.rank, coll_id=op.coll_id, phase="data",
-                        dead=self._dead_in(monitor) or {peer},
-                    )
-            self._check_recovery_deadline(op, deadline_abs)
-            return False, 0
+            return None
+        if ack.triggered:
+            # discard stale read completions of abandoned attempts
+            self.comm.ensure_ctrl_pair(self.rank, peer).send_cq.poll()
+            return ack.value
+        op.stats["fetch_ack_timeouts"] += 1
+        if self.trace is not None:
+            self.trace.instant("reliability.timeout", self.sim.now,
+                               {"peer": peer})
+        if monitor is not None:
+            # A silent fetch server is exactly what a fail-stopped host
+            # looks like from the data phase — probe before escalating
+            # so a dead peer is detected promptly, not only when some
+            # rank blocks on it in a control-plane wait.
+            yield from self._probe_fetch_peer(op, peer, monitor)
+        self._check_recovery_deadline(op, deadline_abs)
+        return None
+
+    def _probe_fetch_peer(self, op: OpState, peer: int, monitor: List[int]):
+        """Probe a fetch peer that stays silent; :class:`PeerDeadError`
+        when it is dead."""
+        if (yield from self._probe(peer)):
+            raise PeerDeadError(
+                f"peer {peer} fail-stopped during fetch",
+                rank=self.rank, coll_id=op.coll_id, phase="data",
+                dead=self._dead_in(monitor) or {peer},
+            )
+
+    def _fetch_round(self, op: OpState, peer: int, via: str, deadline_abs: float):
+        """One fetch round against *peer*, reached *via* ``"owner"``,
+        ``"delegate"`` or ``"ring"``: read its bitmap, then RDMA-READ our
+        missing chunks it has placed.  Returns the chunks newly recovered,
+        or ``None`` when it had none of ours."""
+        self._check_recovery_deadline(op, deadline_abs)
+        op.stats["fetch_rounds"] += 1
+        op.stats["fetch_via_" + via] += 1
+        if self.trace is not None:
+            self.trace.instant("reliability.fetch", self.sim.now,
+                               {"peer": peer, "via": via})
+        # The peer's bitmap: one small RDMA read (RTT + bitmap bytes on
+        # the wire).
+        rtt = 2 * self.fabric.one_way_delay(self.nic.host, self.comm.host_of(peer))
+        bitmap_bytes = max(op.n_chunks // 8, 8)
+        yield Timeout(self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth)
+        runs = self._fetchable_runs(op, self.comm.engines[peer].ops.get(op.coll_id))
+        if not runs:
+            return None
         qp = self.comm.ensure_ctrl_pair(self.rank, peer)
-        qp.send_cq.poll()  # discard stale completions of abandoned attempts
-        peer_host = self.comm.host_of(peer)
-        rtt = 2 * self.fabric.one_way_delay(self.nic.host, peer_host)
+        got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
+        op.maybe_complete()
+        return got
+
+    def _await_ready(self, op: OpState, ack, deadline_abs: float,
+                     monitor: Optional[List[int]]):
+        """Park until the delegate that sent *ack* has all its chunks: its
+        ``MSG_FETCH_READY`` under the ACK's key.  Returns True once woken,
+        False when our own op completed first; raises at the recovery
+        deadline.  Under a *monitor* a death among it ends the wait at once,
+        and the delegate is probed after every ``FETCH_ACK_TIMEOUT`` of
+        silence (:class:`PeerDeadError` either way)."""
+        peer = ack.src
+        ready = self.ctrl.recv(MSG_FETCH_READY, ack.key, peer)
+        t0 = self.sim.now
+        while True:
+            wait = max(deadline_abs - self.sim.now, 1e-9)
+            if monitor is not None:
+                wait = min(wait, FETCH_ACK_TIMEOUT)
+            yield from self._wait_live(op, [ready, op.data_done], wait, monitor)
+            if ready.triggered or op.data_done.triggered:
+                break
+            self._check_recovery_deadline(op, deadline_abs)
+            if monitor is not None:
+                yield from self._probe_fetch_peer(op, peer, monitor)
+        if ready.triggered and self.trace is not None:
+            self.trace.instant("reliability.wake", self.sim.now,
+                               {"peer": peer, "waited": self.sim.now - t0})
+        return ready.triggered
+
+    def _fetch_attempt(self, op: OpState, peer: int, deadline_abs: float,
+                       monitor: Optional[List[int]] = None):
+        """One bounded ring fetch session against *peer*; returns its
+        rounds.  It ends when the op completes, when *peer* stays silent,
+        or after ``FETCH_STALL_ROUNDS`` rounds with nothing to read; the
+        caller then escalates to the next ring neighbour."""
+        if (yield from self._rendezvous(op, peer, deadline_abs, monitor)) is None:
+            return 0
         stalls = 0
         rounds = 0
-        progressed = False
         # Named stream — recovery jitter is reproducible and per-rank.
         jitter_rng = self.fabric.streams.stream(f"recovery:r{self.rank}")
         while not op.data_done.triggered:
-            self._check_recovery_deadline(op, deadline_abs)
+            got = yield from self._fetch_round(op, peer, "ring", deadline_abs)
             rounds += 1
-            op.stats["fetch_rounds"] += 1
-            if self.trace is not None:
-                self.trace.instant("reliability.fetch", self.sim.now,
-                                   {"peer": peer})
-            # Fetch the neighbor's bitmap (modeled as one small RDMA
-            # read: RTT + bitmap bytes on the wire).
-            bitmap_bytes = max(op.n_chunks // 8, 8)
-            yield Timeout(
-                self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth
-            )
-            peer_engine = self.comm.engines[peer]
-            runs = self._fetchable_runs(op, peer_engine.ops.get(op.coll_id))
-            if runs:
-                got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
-                if got:
-                    progressed = True
-                    stalls = 0
-                op.maybe_complete()
-                if op.data_done.triggered:
-                    break
-            else:
+            if op.data_done.triggered:
+                break
+            if got is None:
                 stalls += 1
                 if stalls >= FETCH_STALL_ROUNDS:
-                    return progressed, rounds
+                    break
+            elif got:
+                stalls = 0
             # Nothing (more) available yet: let the multicast path and the
             # neighbor's own recovery make progress, then retry — backing
             # off while stalled, waking immediately if the fast path
@@ -649,17 +783,17 @@ class RankEngine:
             delay = min(delay, max(deadline_abs - self.sim.now, 1e-9))
             op.record_timer(delay, "recovery-rearm")
             yield AnyOf(self.sim, [op.data_done, Timeout(self.sim, delay)])
-        return True, rounds
+        return rounds
 
     @staticmethod
     def _fetchable_runs(op: OpState, peer_op: Optional[OpState]):
-        """Our missing chunks the neighbor has placed, as contiguous runs."""
+        """Our missing chunks the peer has placed, as contiguous runs."""
         if peer_op is None:
             return []
         return op.bitmap.missing_runs(among=peer_op.placed)
 
     def _fetch_runs(self, op: OpState, qp, runs, deadline_abs: float):
-        """RDMA-READ the given (start, count) chunk runs from the neighbor
+        """RDMA-READ the given (start, count) chunk runs from the peer
         behind *qp*; returns the number of newly recovered chunks."""
         expected = 0
         for start, count in runs:
@@ -691,13 +825,25 @@ class RankEngine:
         return got
 
     def _fetch_server(self):
-        """Answer FETCH_REQs: acknowledge the rendezvous immediately — the
-        requester then pulls whatever chunks are placed, re-polling as our
-        own receive/recovery paths fill the buffer."""
+        """Answer FETCH_REQs at once with a FETCH_ACK — the requester then
+        pulls whatever chunks are placed.  A request flagged ``FETCH_WAKE``
+        while our data phase is still short of chunks is remembered
+        instead: the ACK says so (argument 1), and ``MSG_FETCH_READY``
+        wakes the requester when the phase completes."""
         _, msg = self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].try_get()  # the one that woke us
         while True:
-            self.ctrl.send(msg.src, MSG_FETCH_ACK, msg.key)
+            pending = 0
+            if msg.args[0] == FETCH_WAKE:
+                op = self.ops.get(msg.key >> 8)
+                if op is not None and not op.data_done.triggered:
+                    pending = 1
+                    op.data_done.subscribe(lambda _ev, msg=msg: self._send_ready(msg))
+            self.ctrl.send(msg.src, MSG_FETCH_ACK, msg.key, (pending,))
             msg = yield self.ctrl.recv(MSG_FETCH_REQ)
+
+    def _send_ready(self, msg) -> None:
+        if not self._shutdown:
+            self.ctrl.send(msg.src, MSG_FETCH_READY, msg.key)
 
     # ------------------------------------------------------------- liveness
 
@@ -708,7 +854,7 @@ class RankEngine:
         rank = msg.key
         if rank in self.confirmed_dead:
             return
-        self.confirmed_dead.add(rank)
+        self._add_dead(rank)
         if self.trace is not None:
             self.trace.instant("liveness.confirm", self.sim.now,
                                {"rank": rank, "via": "notice", "src": msg.src})
@@ -758,7 +904,7 @@ class RankEngine:
         dead and excludes its result."""
         if peer in self.confirmed_dead:
             return
-        self.confirmed_dead.add(peer)
+        self._add_dead(peer)
         if self.trace is not None:
             self.trace.instant("liveness.confirm", self.sim.now,
                                {"rank": peer, "via": "probe"})
@@ -769,6 +915,11 @@ class RankEngine:
                 continue
             self.ctrl.send(r, MSG_DEATH, peer)
         self.comm.note_death(peer)
+
+    def _add_dead(self, rank: int) -> None:
+        self.confirmed_dead.add(rank)
+        changed, self._membership = self._membership, Event(self.sim)
+        changed.succeed()
 
     def _dead_in(self, participants: List[int]) -> Set[int]:
         return self.confirmed_dead.intersection(participants)
@@ -781,6 +932,29 @@ class RankEngine:
                 rank=self.rank, coll_id=op.coll_id, phase=phase, dead=dead,
             )
 
+    def _wait_live(self, op: OpState, events: List[Event], wait: float,
+                   monitor: Optional[List[int]], phase: str = "data"):
+        """Wait for the first of *events*, at most *wait* seconds.  Under a
+        *monitor*, a death confirmation among those ranks ends the wait at
+        once (:class:`PeerDeadError`); one outside them waits on for the
+        time left."""
+        if monitor is None:
+            yield AnyOf(self.sim, events + [Timeout(self.sim, wait)])
+            return
+        until = self.sim.now + wait
+        while True:
+            changed = self._membership
+            cond = AnyOf(self.sim, events + [Timeout(self.sim, wait), changed])
+            yield cond
+            if cond.value is not changed:
+                if changed.callbacks:  # still pending: take the wait off it
+                    changed.callbacks.remove(cond._on_child)
+                return
+            self._check_live(op, monitor, phase)
+            if any(ev.triggered for ev in events):
+                return
+            wait = max(until - self.sim.now, 0.0)
+
     def _recv_live(self, op: OpState, participants: List[int], mtype: int,
                    key: int, src: int, phase: str,
                    escalate_live: Optional[int] = None,
@@ -788,9 +962,9 @@ class RankEngine:
         """Liveness-bounded control receive: wait for the message, but
         convert silence into a typed :class:`PeerDeadError`.
 
-        Any confirmed death among *participants* aborts the wait — not just
-        *src*'s: a rank blocked on a live peer that itself detoured into
-        repair would otherwise wait forever, so every membership change
+        Any confirmed death among *participants* aborts the wait at once —
+        not just *src*'s: a rank blocked on a live peer that itself detoured
+        into repair would otherwise wait forever, so every membership change
         sends everyone to the (idempotent) repair path.  Silence from *src*
         past the suspicion timer is checked against the heartbeat
         piggyback (any control message counts) before spending probes.
@@ -812,10 +986,9 @@ class RankEngine:
         live_probes = 0
         while True:
             self._check_live(op, participants, phase)
-            yield AnyOf(self.sim, [ev, Timeout(self.sim, wait)])
+            yield from self._wait_live(op, [ev], wait, participants, phase)
             if ev.triggered:
                 return ev.value
-            self._check_live(op, participants, phase)
             if self.trace is not None:
                 self.trace.instant("liveness.suspect", self.sim.now,
                                    {"rank": src, "phase": phase})
@@ -1151,8 +1324,8 @@ class RankEngine:
 
     def _degraded_fetch(self, op: OpState, survivors: List[int], dead: Set[int]):
         """Finish the data phase among *survivors*: void chunks whose only
-        source died, then pull everything else through the normal fetch
-        ring restricted to the survivors."""
+        source died, then pull everything else through the normal
+        recovery (:meth:`run_recovery`) restricted to the survivors."""
         cfg = self.config
         self._void_unrecoverable(op, survivors, dead)
         op.maybe_complete()

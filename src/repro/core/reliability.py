@@ -54,10 +54,11 @@ RECOVERY_ALPHA = 200e-6
 RECOVERY_BACKOFF = 2.0
 RECOVERY_ALPHA_MAX = 2e-3
 RECOVERY_JITTER = 0.25
-#: how long a requester waits for a neighbor's FETCH_ACK before treating
-#: it as unresponsive and escalating to the next neighbor
+#: how long a requester waits for a peer's FETCH_ACK before treating it as
+#: unresponsive and escalating round the ring; also how long a requester
+#: parked on a delegate waits between liveness probes of it
 FETCH_ACK_TIMEOUT = 500e-6
-#: fetch rounds with zero recovered chunks tolerated on one neighbor
+#: ring fetch rounds with zero recovered chunks tolerated on one neighbor
 #: before escalating to the next ring neighbor
 FETCH_STALL_ROUNDS = 3
 #: one PING round-trip allowance before a probe retry (scaled up by the

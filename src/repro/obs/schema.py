@@ -49,8 +49,9 @@ TRACEPOINTS: Dict[str, Any] = {
     "reliability.arm": ("i", "cutoff timer armed (args: timeout seconds)"),
     "reliability.fire": ("i", "cutoff fired with chunks still missing"),
     "reliability.recover": ("X", "one recovery round (fetch slow path)"),
-    "reliability.fetch": ("i", "fetch round issued to a parent/neighbor"),
-    "reliability.escalate": ("i", "fetch escalated to an alternate neighbor"),
+    "reliability.fetch": ("i", "fetch round issued (args: peer, via owner/delegate/ring)"),
+    "reliability.wake": ("i", "delegate's FETCH_READY woke a parked requester"),
+    "reliability.escalate": ("i", "fetch fell back to / escalated round the ring"),
     "reliability.timeout": ("i", "fetch ACK timed out; round re-armed"),
     # -- fail-stop fault tolerance ----------------------------------------
     "liveness.suspect": ("i", "peer silent past the suspicion timer "

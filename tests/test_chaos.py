@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from repro.core import CollectiveConfig, Communicator
+from repro.obs import TraceConfig
 from repro.core.reliability import CUTOFF_ALPHA_MAX, FETCH_ACK_TIMEOUT, ReliabilityError
-from repro.net import Fabric, GilbertElliott, StragglerSpec, Topology
+from repro.net import CrashSpec, Fabric, GilbertElliott, StragglerSpec, Topology
 from repro.net.link import FaultSpec
 from repro.sim import RandomStreams, Simulator
 from repro.units import gbit_per_s, kib
 
 
-def make_comm(n_hosts=8, topo=None, config=None, seed=0):
+def make_comm(n_hosts=8, topo=None, config=None, seed=0, trace=None):
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -29,7 +30,7 @@ def make_comm(n_hosts=8, topo=None, config=None, seed=0):
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed=seed),
     )
-    return Communicator(fabric, config=config)
+    return Communicator(fabric, config=config, trace=trace)
 
 
 def rank_data(rank, nbytes):
@@ -42,6 +43,9 @@ GE_5PCT = GilbertElliott(p_good_bad=0.0105, p_bad_good=0.2, drop_bad=1.0)
 #: heavier chain for the short smoke runs, so bursts are certain to occur
 #: within a few dozen packets.
 GE_SMOKE = GilbertElliott(p_good_bad=0.05, p_bad_good=0.25, drop_bad=1.0)
+#: the speedometer's ``lossy188`` chain: ~0.4 % stationary loss, bursty
+GE_SPEEDOMETER = GilbertElliott(p_good_bad=0.01, p_bad_good=0.3,
+                                drop_good=0.001, drop_bad=0.10)
 
 
 # ------------------------------------------------------------------- smoke
@@ -142,16 +146,24 @@ def test_smoke_reliability_telemetry_populated():
         assert any(reason == "cutoff-arm" for _, _, reason in r.timer_trace)
 
 
+def _lossy_allgather(trace=None):
+    """An 8-rank allgather under 5 % loss: each rank misses chunks of
+    several owners."""
+    comm = make_comm(seed=2, trace=trace)
+    comm.fabric.set_fault_all(lambda src, dst: FaultSpec(drop_prob=0.05))
+    data = [rank_data(r, kib(32)) for r in range(8)]
+    result = comm.allgather(data)
+    assert result.verify_allgather(data)
+    return result
+
+
 def test_retry_histogram_counts_invocations_by_rounds():
     """``retry_histogram`` is ``{fetch rounds: recovery invocations}`` over
     every rank: its counts sum to the recoveries and its weighted sum to
-    the fetch rounds.  On this lossy broadcast the ranks escalate
-    differently, so several round counts show up."""
-    comm = make_comm(seed=2)
-    comm.fabric.set_fault_all(lambda src, dst: FaultSpec(drop_prob=0.05))
-    data = rank_data(0, kib(256))
-    result = comm.broadcast(0, data)
-    assert result.verify_broadcast(data)
+    the fetch rounds.  On this lossy allgather a delegate reads one owner
+    per round, and the ranks miss chunks of different numbers of owners,
+    so several round counts show up."""
+    result = _lossy_allgather()
     summary = result.reliability_summary()
     by_hand: dict = {}
     for r in result.ranks:
@@ -161,6 +173,61 @@ def test_retry_histogram_counts_invocations_by_rounds():
     assert len(by_hand) > 1
     assert sum(by_hand.values()) == summary["recoveries"]
     assert sum(k * n for k, n in by_hand.items()) == summary["fetch_rounds"]
+
+
+def test_fetch_sources_count_rounds_by_the_peer_they_read():
+    """``fetch_sources`` splits the fetch rounds by the peer they read — a
+    chunk's owner, the switch's delegate, or the ring fallback — and every
+    ``reliability.fetch`` instant names the same kind in ``via``."""
+    result = _lossy_allgather(trace=TraceConfig())
+    summary = result.reliability_summary()
+    sources = summary["fetch_sources"]
+    assert set(sources) == {"owner", "delegate", "ring"}
+    assert sum(sources.values()) == summary["fetch_rounds"]
+    assert sources["owner"] > 0 and sources["delegate"] > 0
+    assert sources["ring"] == summary["neighbor_escalations"] == 0
+    traced = {via: 0 for via in sources}
+    for ev in result.trace.select(name="reliability.fetch"):
+        traced[ev.args["via"]] += 1
+    assert traced == sources
+
+
+@pytest.mark.chaos_smoke
+@pytest.mark.parametrize("members", ["all", "survivors"])
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+def test_recovery_costs_what_was_lost(kind, members):
+    """The recovery budget on a 64-host leaf-spine under the speedometer's
+    loss.  A drop above a leaf hits every rank below it; the leaf's
+    delegate fetches the chunk from its owner once, and the other ranks
+    read it from the delegate when it wakes them.  So no rank falls back
+    to the ring, and recoveries average at most two fetch rounds.  In the
+    *survivors* case rank 16, leaf 1's first rank, died in an earlier
+    collective, and the collective runs over the other 63: rank 17 is the
+    leaf's delegate."""
+    topo = Topology.leaf_spine(64, n_leaf=4, n_spine=2)
+    if members == "all":
+        comm = make_comm(64, topo=topo)
+    else:
+        comm = make_comm(64, topo=topo,
+                         config=CollectiveConfig(failure_policy="degrade"))
+        comm.fabric.schedule_crash(CrashSpec(at=1e-6, host=16))
+        assert comm.broadcast(0, rank_data(0, kib(16))).dead_ranks == [16]
+    comm.fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=GE_SPEEDOMETER))
+    if kind == "broadcast":
+        data = rank_data(0, kib(256))
+        result = comm.broadcast(0, data)
+        assert result.verify_broadcast(data)
+    else:
+        data = [rank_data(r, kib(16)) for r in range(64)]
+        result = comm.allgather(data)
+        if members == "all":
+            assert result.verify_allgather(data)
+        else:
+            assert result.verify_allgather_degraded(data)
+    summary = result.reliability_summary()
+    assert summary["recoveries"] > 0  # the loss reached the slow path
+    assert summary["fetch_rounds"] <= 2 * summary["recoveries"]
+    assert summary["neighbor_escalations"] == 0
 
 
 # -------------------------------------------------------------------- soak
@@ -316,17 +383,17 @@ def test_unreachable_neighbors_raise_reliability_error():
 
 
 def test_escalation_past_unresponsive_neighbor():
-    """The preferred (ring-left) neighbor never answers FETCH_REQ; the
-    requester must time out its FETCH_ACK and escalate to the next
-    neighbor rather than retrying the dead one forever."""
+    """The peer asked first (on one switch, the root: it owns every chunk)
+    never answers FETCH_REQ; the requester must time out its FETCH_ACK and
+    escalate to the ring rather than retrying the silent one forever."""
     from repro.core.control import MSG_FETCH_REQ
 
     comm = make_comm(4, topo=Topology.star(4), seed=43)
     data = rank_data(0, kib(128))
 
-    # Surgical outage: only rank 3's fetch requests toward rank 2 die (a
+    # Surgical outage: only rank 3's fetch requests toward the root die (a
     # wedged fetch server); every other packet — barrier, final handshake,
-    # rank 2's own traffic — is untouched.
+    # the root's own traffic — is untouched.
     def is_r3_fetch_req(p, seq):
         if p.src != 3 or p.payload is None or p.payload.nbytes < 4:
             return False
@@ -334,7 +401,7 @@ def test_escalation_past_unresponsive_neighbor():
 
     comm.fabric.set_fault("sw000", "h3", FaultSpec(drop_packet_seqs=set(range(8))))
     comm.fabric.set_fault(
-        "sw000", "h2",
+        "sw000", "h0",
         FaultSpec(drop_predicate=is_r3_fetch_req, protect_reliable=False),
     )
     result = comm.broadcast(0, data)

@@ -13,16 +13,21 @@ import numpy as np
 import pytest
 
 from repro.core import CollectiveConfig, Communicator, FailurePolicy
-from repro.core.reliability import SUSPICION_TIMEOUT, CollectiveAbortedError
+from repro.core.reliability import (
+    LIVENESS_PROBE_TIMEOUT,
+    SUSPICION_TIMEOUT,
+    CollectiveAbortedError,
+)
 from repro.net import CrashSpec, Fabric, GilbertElliott, StragglerSpec, Topology
 from repro.net.faults import normalize_windows
 from repro.net.link import FaultSpec
+from repro.obs import TraceConfig
 from repro.sim import RandomStreams, Simulator
 from repro.sim.engine import WatchdogError
 from repro.units import gbit_per_s, kib
 
 
-def make_comm(n_hosts=8, topo=None, config=None, seed=0):
+def make_comm(n_hosts=8, topo=None, config=None, seed=0, trace=None):
     sim = Simulator()
     fabric = Fabric(
         sim,
@@ -30,7 +35,7 @@ def make_comm(n_hosts=8, topo=None, config=None, seed=0):
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed=seed),
     )
-    return Communicator(fabric, config=config)
+    return Communicator(fabric, config=config, trace=trace)
 
 
 def rank_data(rank, nbytes):
@@ -163,6 +168,85 @@ def test_rank_dead_before_submission_is_pre_voided():
     # Dead root is rejected loudly, not hung.
     with pytest.raises(ValueError):
         comm.broadcast(2, rank_data(2, kib(16)))
+
+
+def _delegate_crash_run(kind, policy, crash_at=None):
+    """A lossy 16-host leaf-spine collective whose first packets die above
+    leaf 1, so every rank there recovers: rank 8 as the leaf's delegate,
+    the others from it.  Host 8 fail-stops at *crash_at*, if given.
+    Returns the result and the payload."""
+    cfg = CollectiveConfig(failure_policy=policy)
+    comm = make_comm(16, topo=Topology.leaf_spine(16, 2, 2), config=cfg,
+                     seed=141, trace=TraceConfig())
+    fabric = comm.fabric
+    fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=GilbertElliott(
+        p_good_bad=0.02, p_bad_good=0.3, drop_bad=0.5)))
+    for spine in ("spine000", "spine001"):
+        fabric.set_fault(spine, "leaf001", FaultSpec(drop_packet_seqs=set(range(4))))
+    if crash_at is not None:
+        fabric.schedule_crash(CrashSpec(at=crash_at, host=8))
+    if kind == "broadcast":
+        data = rank_data(0, kib(128))
+        return comm.broadcast(0, data), data
+    data = [rank_data(r, kib(16)) for r in range(16)]
+    return comm.allgather(data), data
+
+
+@pytest.mark.crash_smoke
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+def test_a_delegate_dying_mid_recovery_hands_over_to_the_next(kind):
+    """Leaf 1's delegate fail-stops a microsecond into its recovery, while
+    its peers wait to read from it.  Under DEGRADE they confirm it dead and
+    finish with verified payloads, reading rank 9 — the leaf's next live
+    rank, now its delegate — instead of falling back to the ring; under
+    ABORT they raise the typed error."""
+    clean, _ = _delegate_crash_run(kind, "degrade")
+    delegate = next(r for r in clean.ranks if r.rank == 8)
+    assert clean.reliability_summary()["fetch_sources"]["delegate"] > 0
+    crash_at = delegate.phases["recovery"] + 1e-6
+    assert crash_at < delegate.phases["data"]  # it dies mid-recovery
+
+    result, data = _delegate_crash_run(kind, "degrade", crash_at)
+    assert result.dead_ranks == [8]
+    if kind == "broadcast":
+        assert result.verify_broadcast(data)
+    else:
+        assert result.verify_allgather_degraded(data)
+    summary = result.reliability_summary()
+    assert summary["fetch_ack_timeouts"] > 0  # they waited on the dead one
+    assert summary["fetch_sources"]["ring"] == summary["neighbor_escalations"] == 0
+    confirmed = min(ev.ts for ev in result.trace.select(name="liveness.confirm"))
+    later = [ev.args for ev in result.trace.select(name="reliability.fetch")
+             if ev.ts > confirmed and ev.args["via"] == "delegate"]
+    assert later and all(args["peer"] == 9 for args in later)
+
+    with pytest.raises(CollectiveAbortedError) as exc_info:
+        _delegate_crash_run(kind, "abort", crash_at)
+    assert exc_info.value.dead_ranks == (8,)
+    assert exc_info.value.kind == kind
+
+
+@pytest.mark.crash_smoke
+def test_a_death_confirmation_ends_the_survivors_waits():
+    """Host 9 fail-stops in the barrier.  The ranks that got the data wait
+    in the final handshake on neighbours still stuck in the barrier; the
+    confirmation of the death ends those waits at once, instead of after
+    their own suspicion timers, so every survivor finishes within a probe
+    timeout of the last confirmation."""
+    cfg = CollectiveConfig(failure_policy="degrade")
+    fabric = Fabric(Simulator(), Topology.leaf_spine(16, 2, 2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=151))
+    comm = Communicator(fabric, config=cfg, trace=TraceConfig())
+    fabric.schedule_crash(CrashSpec(at=1e-6, host=9))
+    data = rank_data(0, kib(128))
+    result = comm.broadcast(0, data)
+    assert result.dead_ranks == [9]
+    assert result.verify_broadcast(data)
+    confirmed = max(ev.ts for ev in result.trace.select(name="liveness.confirm"))
+    early = [r for r in result.ranks if r.phases["data"] < confirmed]
+    assert early  # some survivors were waiting in the handshake
+    last = max(r.phases["final"] for r in result.ranks)
+    assert last - confirmed < LIVENESS_PROBE_TIMEOUT
 
 
 # ----------------------------------------------------------------- ABORT

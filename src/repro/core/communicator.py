@@ -208,7 +208,7 @@ class RankStats:
     counters: Dict[str, int]
     #: fetch rounds spent per recovery invocation on this rank
     retry_histogram: List[int] = field(default_factory=list)
-    #: (virtual time, timeout armed, reason) — cutoff/recovery decisions
+    #: (virtual time, timeout armed, reason) — the cutoff timer's arms
     timer_trace: List[tuple] = field(default_factory=list)
 
 
@@ -328,9 +328,10 @@ class CollectiveResult:
         """Aggregate slow-path telemetry across ranks: recovery/round
         counters, escalations, the fetch rounds by the peer they read
         (``fetch_sources``: a chunk's ``owner``, a switch's ``delegate``, or
-        the ``ring`` fallback; DESIGN.md §7), and the retry histogram —
+        the ``ring`` fallback; DESIGN.md §7), the retry histogram —
         ``{fetch rounds: recovery invocations}`` over every rank's
-        invocations."""
+        invocations — and ``max_timer_rearms``, the most cutoff arms on
+        one rank (a recovery re-arms no timer: it completes or raises)."""
         histogram: Dict[int, int] = {}
         for r in self.ranks:
             for rounds in r.retry_histogram:

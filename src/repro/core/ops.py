@@ -61,7 +61,7 @@ class OpState:
     stats: Dict[str, int] = field(init=False)
     #: fetch rounds spent per recovery invocation (index = invocation)
     retry_histogram: List[int] = field(init=False)
-    #: cutoff/recovery timer decisions: (virtual time, timeout armed, why)
+    #: cutoff timer arms: (virtual time, timeout armed, ``"cutoff-arm"``)
     timer_trace: List[Tuple[float, float, str]] = field(init=False)
     #: absolute instant the controller's cutoff timer will next fire
     #: (+inf until armed).  A receive worker publishes no step end past
@@ -139,10 +139,6 @@ class OpState:
 
     def mark_phase(self, name: str) -> None:
         self.phases[name] = self.sim.now
-
-    def record_timer(self, timeout: float, reason: str) -> None:
-        """Log one cutoff/recovery timer decision for post-mortem telemetry."""
-        self.timer_trace.append((self.sim.now, timeout, reason))
 
     @property
     def missing_chunks(self) -> int:

@@ -45,19 +45,13 @@ from repro.core.costmodel import HostCostModel
 from repro.core.ops import OpState
 from repro.core.reliability import (
     FETCH_ACK_TIMEOUT,
-    FETCH_STALL_ROUNDS,
     LIVENESS_PROBE_RETRIES,
     LIVENESS_PROBE_TIMEOUT,
-    RECOVERY_ALPHA,
-    RECOVERY_ALPHA_MAX,
-    RECOVERY_BACKOFF,
-    RECOVERY_JITTER,
     SUSPICION_TIMEOUT,
     CollectiveAbortedError,
     CutoffEstimator,
     PeerDeadError,
     ReliabilityError,
-    backoff_delay,
 )
 from repro.core.staging import StagingRing
 from repro.net.dma import DmaEngine
@@ -488,7 +482,8 @@ class RankEngine:
     def run_recovery(self, op: OpState, participants: List[int], me: int,
                      deadline_abs: float, monitor: Optional[List[int]] = None):
         """Slow path (§III-C), hardened: selective zero-copy fetch of
-        missing chunks over a two-level recovery tree.
+        missing chunks over a two-level recovery tree, then round the ring.
+        Returns once ``data_done`` has fired, or raises.
 
         The fetch is **chunk-granular**: each round reads which of our
         missing chunks the peer has *placed* (its own may still be
@@ -505,23 +500,25 @@ class RankEngine:
         every other rank fetches from its delegate.  A drop above a leaf
         then crosses the spine once per switch instead of sending each
         rank of the leaf round the ring, whose ring-left neighbour lacks
-        the same chunk.  A requester whose delegate has nothing new does
-        not poll: it parks until the delegate's ``MSG_FETCH_READY``
-        (:meth:`_await_ready`).
+        the same chunk.  After a productive round the next goes straight to
+        the next lowest missing chunk's peer.
 
-        The paper's ring — the ring-left neighbour first, then farther left,
-        escalating past one that yields nothing for ``FETCH_STALL_ROUNDS``
-        rounds — is the fallback only: it finishes what the tree could not,
-        when the tree's peer is dead, absent from *participants*, silent,
-        or has nothing for us.  Degraded completion runs the same tree over
-        the survivors.
+        The paper's ring — the ring-left neighbour first, then farther
+        left, one round each — is the fallback only: it finishes what the
+        tree could not, when the tree's peer is dead, absent from
+        *participants*, silent, or has nothing for us.  Degraded completion
+        runs the same tree over the survivors.
+
+        Each round is one rendezvous, a park if the peer is still short of
+        chunks, and one read.  Nobody polls: a delegate or ring peer still
+        short of chunks wakes us with ``MSG_FETCH_READY`` once it has them
+        all (:meth:`_await_ready`).  A delegate's park lasts until the
+        recovery deadline, a ring peer's ``FETCH_ACK_TIMEOUT`` at most.
 
         Hardening beyond the paper's description:
 
         * the FETCH_ACK rendezvous is timeout-bounded — an unresponsive
           peer costs ``FETCH_ACK_TIMEOUT``, not a hang;
-        * ring re-polls back off exponentially with deterministic per-rank
-          jitter so stalled ranks neither thrash nor retry in lockstep;
         * the whole recovery is bounded by *deadline_abs* — on expiry a
           :class:`ReliabilityError` with diagnostic counters is raised
           instead of hanging the simulation.
@@ -539,39 +536,55 @@ class RankEngine:
         self.comm.fabric.preempt_folds()
         trc = self.trace
         recovery_t0 = self.sim.now
-        rounds_used = 0
+        rounds = 0
+        ring = [participants[(me - d) % len(participants)]
+                for d in range(1, len(participants))]
+        hop = -1  # ring rounds taken; -1 while the tree serves
         yield self._recovery_lock.acquire()
         try:
             yield self.comm.recovery_turn(self.rank)
-            rounds_used = yield from self._tree_recovery(
-                op, participants, deadline_abs, monitor)
-            # What the tree could not finish, the ring does; falling back
-            # counts as one escalation.
-            order = [
-                participants[(me - d) % len(participants)]
-                for d in range(1, len(participants))
-            ]
-            attempt = 0
             while not op.data_done.triggered:
                 if monitor is not None:
                     self._check_live(op, monitor, "data")
                 self._check_recovery_deadline(op, deadline_abs)
-                peer = order[attempt % len(order)]
-                if attempt == 0 or len(order) > 1:
-                    op.stats["neighbor_escalations"] += 1
-                    if trc is not None:
-                        trc.instant("reliability.escalate", self.sim.now,
-                                    {"peer": peer})
-                rounds_used += yield from self._fetch_attempt(
-                    op, peer, deadline_abs, monitor=monitor)
-                attempt += 1
+                if op.missing_chunks == 0:
+                    # every chunk tracked: the last staging copies are landing
+                    yield AnyOf(self.sim, [op.data_done, Timeout(
+                        self.sim, max(deadline_abs - self.sim.now, 1e-9))])
+                    continue
+                if hop < 0:
+                    peer, via = self._tree_peer(op, participants)
+                    if peer in self.confirmed_dead or peer not in participants:
+                        hop = 0
+                if hop >= 0:
+                    # Falling back counts as one escalation, and so does
+                    # every further ring peer.
+                    peer, via = ring[hop % len(ring)], "ring"
+                    if hop == 0 or len(ring) > 1:
+                        op.stats["neighbor_escalations"] += 1
+                        if trc is not None:
+                            trc.instant("reliability.escalate", self.sim.now,
+                                        {"peer": peer})
+                    hop += 1
+                ack = yield from self._rendezvous(
+                    op, peer, deadline_abs, monitor, wake=via != "owner")
+                if ack is None:
+                    hop = max(hop, 0)  # a silent tree peer: on round the ring
+                    continue
+                if ack.args[0] and not (yield from self._await_ready(
+                        op, ack, deadline_abs, monitor, via)):
+                    continue  # our own op completed meanwhile
+                got = yield from self._fetch_round(op, peer, via, deadline_abs)
+                rounds += 1
+                if got is None:
+                    hop = max(hop, 0)  # nothing for us: likewise
         finally:
             self._recovery_lock.release()
-            op.retry_histogram.append(rounds_used)
+            op.retry_histogram.append(rounds)
             if trc is not None:
                 trc.complete("reliability.recover", recovery_t0,
                              self.sim.now - recovery_t0,
-                             {"rounds": rounds_used})
+                             {"rounds": rounds})
 
     def _tree_peer(self, op: OpState,
                    participants: List[int]) -> Tuple[int, str]:
@@ -593,44 +606,6 @@ class RankEngine:
         if delegate == self.rank:
             return owner, "owner"
         return delegate, "delegate"
-
-    def _tree_recovery(self, op: OpState, participants: List[int],
-                       deadline_abs: float, monitor: Optional[List[int]]):
-        """Fetch over the recovery tree until the op completes, or until
-        the ring must finish it: the tree's peer is dead or absent, its
-        fetch server stays silent, or it has nothing for us.  Returns the
-        fetch rounds spent.
-
-        Each round is one rendezvous and one read.  An owner holds what it
-        owns; a delegate still short of chunks parks us until it has them
-        all, so its one round serves everything we miss.  After a
-        productive round the next goes straight to the next lowest missing
-        chunk's peer, with no backoff."""
-        rounds = 0
-        while not op.data_done.triggered:
-            if monitor is not None:
-                self._check_live(op, monitor, "data")
-            self._check_recovery_deadline(op, deadline_abs)
-            if op.missing_chunks == 0:
-                # every chunk tracked: the last staging copies are landing
-                yield AnyOf(self.sim, [op.data_done, Timeout(
-                    self.sim, max(deadline_abs - self.sim.now, 1e-9))])
-                continue
-            peer, via = self._tree_peer(op, participants)
-            if peer in self.confirmed_dead or peer not in participants:
-                break
-            ack = yield from self._rendezvous(op, peer, deadline_abs, monitor,
-                                              wake=via == "delegate")
-            if ack is None:
-                break
-            if ack.args[0] and not (
-                    yield from self._await_ready(op, ack, deadline_abs, monitor)):
-                continue  # our own op completed meanwhile
-            got = yield from self._fetch_round(op, peer, via, deadline_abs)
-            rounds += 1
-            if got is None and not op.data_done.triggered:
-                break
-        return rounds
 
     def _check_recovery_deadline(self, op: OpState, deadline_abs: float) -> None:
         if self.sim.now < deadline_abs:
@@ -724,66 +699,37 @@ class RankEngine:
         return got
 
     def _await_ready(self, op: OpState, ack, deadline_abs: float,
-                     monitor: Optional[List[int]]):
-        """Park until the delegate that sent *ack* has all its chunks: its
-        ``MSG_FETCH_READY`` under the ACK's key.  Returns True once woken,
-        False when our own op completed first; raises at the recovery
-        deadline.  Under a *monitor* a death among it ends the wait at once,
-        and the delegate is probed after every ``FETCH_ACK_TIMEOUT`` of
-        silence (:class:`PeerDeadError` either way)."""
+                     monitor: Optional[List[int]], via: str):
+        """Park until the peer that sent *ack*, reached *via* ``"delegate"``
+        or ``"ring"``, has all its chunks: its ``MSG_FETCH_READY`` under
+        the ACK's key.  Returns False when our own op completed first, else
+        True: woken, or a ring peer's park of at most ``FETCH_ACK_TIMEOUT``
+        is over (we read what it has).  A delegate's park is bounded only
+        by the recovery deadline, where it raises; under a *monitor* a
+        death among it ends the wait at once, and the delegate is probed
+        after every ``FETCH_ACK_TIMEOUT`` of silence
+        (:class:`PeerDeadError` either way)."""
         peer = ack.src
+        ring = via == "ring"
         ready = self.ctrl.recv(MSG_FETCH_READY, ack.key, peer)
         t0 = self.sim.now
         while True:
             wait = max(deadline_abs - self.sim.now, 1e-9)
-            if monitor is not None:
+            if monitor is not None or ring:
                 wait = min(wait, FETCH_ACK_TIMEOUT)
             yield from self._wait_live(op, [ready, op.data_done], wait, monitor)
             if ready.triggered or op.data_done.triggered:
                 break
             self._check_recovery_deadline(op, deadline_abs)
+            if ring:
+                break
             if monitor is not None:
                 yield from self._probe_fetch_peer(op, peer, monitor)
         if ready.triggered and self.trace is not None:
             self.trace.instant("reliability.wake", self.sim.now,
-                               {"peer": peer, "waited": self.sim.now - t0})
-        return ready.triggered
-
-    def _fetch_attempt(self, op: OpState, peer: int, deadline_abs: float,
-                       monitor: Optional[List[int]] = None):
-        """One bounded ring fetch session against *peer*; returns its
-        rounds.  It ends when the op completes, when *peer* stays silent,
-        or after ``FETCH_STALL_ROUNDS`` rounds with nothing to read; the
-        caller then escalates to the next ring neighbour."""
-        if (yield from self._rendezvous(op, peer, deadline_abs, monitor)) is None:
-            return 0
-        stalls = 0
-        rounds = 0
-        # Named stream — recovery jitter is reproducible and per-rank.
-        jitter_rng = self.fabric.streams.stream(f"recovery:r{self.rank}")
-        while not op.data_done.triggered:
-            got = yield from self._fetch_round(op, peer, "ring", deadline_abs)
-            rounds += 1
-            if op.data_done.triggered:
-                break
-            if got is None:
-                stalls += 1
-                if stalls >= FETCH_STALL_ROUNDS:
-                    break
-            elif got:
-                stalls = 0
-            # Nothing (more) available yet: let the multicast path and the
-            # neighbor's own recovery make progress, then retry — backing
-            # off while stalled, waking immediately if the fast path
-            # completes meanwhile.
-            delay = backoff_delay(
-                stalls, RECOVERY_ALPHA, RECOVERY_BACKOFF,
-                RECOVERY_ALPHA_MAX, RECOVERY_JITTER, jitter_rng,
-            )
-            delay = min(delay, max(deadline_abs - self.sim.now, 1e-9))
-            op.record_timer(delay, "recovery-rearm")
-            yield AnyOf(self.sim, [op.data_done, Timeout(self.sim, delay)])
-        return rounds
+                               {"peer": peer, "via": via,
+                                "waited": self.sim.now - t0})
+        return ready.triggered or not op.data_done.triggered
 
     @staticmethod
     def _fetchable_runs(op: OpState, peer_op: Optional[OpState]):
@@ -1179,31 +1125,24 @@ class RankEngine:
                 if not cf.activate(self, op, participants, me):
                     self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
                 op.mark_phase("activated")
-        recovery_deadline_abs: Optional[float] = None
-        # (a receiver's stamped first wait may have ended at its cutoff)
-        waited = first is not None and not op.is_sender
-        while not op.data_done.triggered:
+        # Wait for the data or the cutoff (a receiver's stamped first wait
+        # may have ended at its cutoff already), then one recovery that
+        # completes or raises.
+        if not op.data_done.triggered and (first is None or op.is_sender):
             if live:
                 self._check_live(op, participants, "data")
-            if not waited:
-                remaining = max(deadline - sim.now, 1e-9)
-                yield AnyOf(sim, [op.data_done, Timeout(sim, remaining)])
-                if op.data_done.triggered:
-                    break
-            waited = False
+            yield AnyOf(sim, [op.data_done,
+                              Timeout(sim, max(deadline - sim.now, 1e-9))])
+        if not op.data_done.triggered:
             if live:
                 self._check_live(op, participants, "data")
             if trc is not None:
                 trc.instant("reliability.fire", sim.now)
-            if recovery_deadline_abs is None:
-                op.mark_phase("recovery")
-                recovery_deadline_abs = sim.now + cfg.recovery_deadline
+            op.mark_phase("recovery")
             yield from self.run_recovery(
-                op, participants, me, recovery_deadline_abs,
+                op, participants, me, sim.now + cfg.recovery_deadline,
                 monitor=participants if live else None,
             )
-            deadline = sim.now + RECOVERY_ALPHA
-            op.cutoff_deadline = deadline
         if cfg.adaptive_cutoff:
             if op.stats["recoveries"]:
                 self.cutoff.on_recovery()

@@ -16,9 +16,6 @@ recovery ring.  This module provides:
 * :class:`ReliabilityError` — the typed, diagnostic-rich failure raised
   when an op's recovery deadline expires; the alternative is a silent
   simulation hang.
-* :func:`backoff_delay` — bounded exponential backoff with deterministic
-  jitter (the caller passes its named RNG stream) used between recovery
-  rounds so retries neither thrash nor synchronize across ranks.
 
 The constants below are the slow path's and the liveness layer's fixed
 policy; only the starting slack (``CollectiveConfig.cutoff_alpha``), the
@@ -30,14 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = [
     "ReliabilityError",
     "PeerDeadError",
     "CollectiveAbortedError",
     "CutoffEstimator",
-    "backoff_delay",
 ]
 
 #: clamp range of the adaptive cutoff slack
@@ -47,20 +41,11 @@ CUTOFF_ALPHA_MAX = 2e-3
 CUTOFF_GAIN = 0.125
 CUTOFF_VAR_GAIN = 0.25
 CUTOFF_VAR_WEIGHT = 4.0
-#: re-arm slack between recovery rounds, its exponential backoff across
-#: stalled rounds, the backoff's cap, and a deterministic jitter on each
-#: re-arm as a fraction of the delay
-RECOVERY_ALPHA = 200e-6
-RECOVERY_BACKOFF = 2.0
-RECOVERY_ALPHA_MAX = 2e-3
-RECOVERY_JITTER = 0.25
 #: how long a requester waits for a peer's FETCH_ACK before treating it as
-#: unresponsive and escalating round the ring; also how long a requester
-#: parked on a delegate waits between liveness probes of it
+#: unresponsive and escalating round the ring; also the longest it parks on
+#: a ring peer's FETCH_READY, and how long a requester parked on a delegate
+#: waits between liveness probes of it
 FETCH_ACK_TIMEOUT = 500e-6
-#: ring fetch rounds with zero recovered chunks tolerated on one neighbor
-#: before escalating to the next ring neighbor
-FETCH_STALL_ROUNDS = 3
 #: one PING round-trip allowance before a probe retry (scaled up by the
 #: fabric diameter at probe time), and the unanswered PINGs before a peer
 #: is confirmed dead
@@ -237,23 +222,3 @@ class CutoffEstimator:
         self.spurious += 1
         self.trace.append((float("nan"), self.slack()))
 
-
-def backoff_delay(
-    round_idx: int,
-    base: float,
-    factor: float,
-    cap: float,
-    jitter_frac: float,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Bounded exponential backoff with deterministic jitter.
-
-    ``base · factor^round`` clamped to ``cap``, plus a uniform jitter of up
-    to ``jitter_frac`` of the clamped delay drawn from *rng* (a named
-    :class:`~repro.sim.random.RandomStreams` stream, so reruns are
-    bit-identical and ranks don't retry in lockstep).
-    """
-    delay = min(base * (factor ** max(round_idx, 0)), cap)
-    if jitter_frac > 0.0 and rng is not None:
-        delay += float(rng.uniform(0.0, jitter_frac * delay))
-    return delay

@@ -50,9 +50,11 @@ TRACEPOINTS: Dict[str, Any] = {
     "reliability.fire": ("i", "cutoff fired with chunks still missing"),
     "reliability.recover": ("X", "one recovery round (fetch slow path)"),
     "reliability.fetch": ("i", "fetch round issued (args: peer, via owner/delegate/ring)"),
-    "reliability.wake": ("i", "delegate's FETCH_READY woke a parked requester"),
+    "reliability.wake": ("i", "a peer's FETCH_READY woke a parked requester "
+                              "(args: peer, via delegate/ring, waited)"),
     "reliability.escalate": ("i", "fetch fell back to / escalated round the ring"),
-    "reliability.timeout": ("i", "fetch ACK timed out; round re-armed"),
+    "reliability.timeout": ("i", "fetch ACK timed out; the fetch moves on "
+                                 "round the ring"),
     # -- fail-stop fault tolerance ----------------------------------------
     "liveness.suspect": ("i", "peer silent past the suspicion timer "
                               "(args: rank, phase)"),

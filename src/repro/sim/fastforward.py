@@ -50,10 +50,10 @@ Declines and re-entry
 ---------------------
 Every gate that declines names its reason in the fabric's fold ledger
 (``CollectiveResult.engine["ff_misses"]``), once per phase offered.  The
-gates a collective fails for its whole life (``transport``,
-``subgroups``, ``segmented``, ``tree``) are evaluated once, at its first
-phase.  After any other decline the collective is not latched to packet
-level: a later phase starts a new session as soon as the fabric is
+gates a collective fails for its whole life (``subgroups``,
+``segmented``, ``tree``) are evaluated once, at its first phase.  After
+any other decline the collective is not latched to packet level: a
+later phase starts a new session as soon as the fabric is
 quiescent (:func:`_unsettled` — ``busy`` while an earlier phase's
 packets, CQEs, copies or sends are still under way, ``missing`` while a
 rank lacks a chunk of a phase already sent), counting only the senders
@@ -295,10 +295,7 @@ def _static_miss(ff: FlowFastForward, op: "OpState",
     once, at the first phase the shared gates let through, and the reason
     of every phase it offers after that."""
     comm = ff.comm
-    cfg = comm.config
-    if cfg.transport not in ("ud", "uc"):
-        return "transport"
-    if cfg.n_subgroups != 1:
+    if comm.config.n_subgroups != 1:
         return "subgroups"
     if op.plan.chunk_size > comm.fabric.mtu:
         return "segmented"  # one wire segment per chunk

@@ -358,6 +358,7 @@ def test_concurrent_recoveries_share_fetch_servers():
     assert summary["recovered_chunks"] >= 12
 
 
+@pytest.mark.chaos_smoke
 def test_unreachable_neighbors_raise_reliability_error():
     """When the whole fabric (including RC) dies mid-collective, recovery
     cannot succeed; the op must fail loudly within the configured deadline
@@ -382,6 +383,7 @@ def test_unreachable_neighbors_raise_reliability_error():
     assert comm.sim.now < 0.1
 
 
+@pytest.mark.chaos_smoke
 def test_escalation_past_unresponsive_neighbor():
     """The peer asked first (on one switch, the root: it owns every chunk)
     never answers FETCH_REQ; the requester must time out its FETCH_ACK and
@@ -410,6 +412,42 @@ def test_escalation_past_unresponsive_neighbor():
     assert stats["fetch_ack_timeouts"] >= 1
     assert stats["neighbor_escalations"] >= 1
     assert stats["recovered_chunks"] >= 1
+
+
+@pytest.mark.chaos_smoke
+def test_ring_peer_short_of_chunks_wakes_the_requester():
+    """Ranks 2 and 3 lose the same chunks and the root never answers
+    either's FETCH_REQ, so both fall back to the ring.  Rank 3's ring-left
+    neighbour is rank 2, still recovering from rank 1 when asked: rank 3
+    parks on rank 2's FETCH_READY instead of polling it, and reads
+    everything in that one round."""
+    from repro.core.control import MSG_FETCH_REQ
+
+    comm = make_comm(4, topo=Topology.star(4), seed=44, trace=TraceConfig())
+    data = rank_data(0, kib(128))
+
+    def wedged_fetch_req(p, seq):
+        if p.src not in (2, 3) or p.payload is None or p.payload.nbytes < 4:
+            return False
+        return int(np.asarray(p.payload[:4]).view(np.uint32)[0]) == MSG_FETCH_REQ
+
+    for host in ("h2", "h3"):
+        comm.fabric.set_fault("sw000", host,
+                              FaultSpec(drop_packet_seqs=set(range(8))))
+    comm.fabric.set_fault(
+        "sw000", "h0",
+        FaultSpec(drop_predicate=wedged_fetch_req, protect_reliable=False),
+    )
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    stats = result.ranks[3].counters
+    assert stats["neighbor_escalations"] >= 1
+    wakes = result.trace.select(name="reliability.wake", track="r3")
+    assert [(ev.args["peer"], ev.args["via"]) for ev in wakes] == [(2, "ring")]
+    fetches = result.trace.select(name="reliability.fetch", track="r3")
+    peers = [ev.args["peer"] for ev in fetches]
+    assert all(ev.args["via"] == "ring" for ev in fetches)
+    assert peers and len(peers) == len(set(peers))  # one round per ring peer
 
 
 # ------------------------------------------- stragglers & degraded bandwidth

@@ -371,6 +371,7 @@ def test_spine_down_mid_allgather_completes():
     assert result.dead_ranks == []  # every host survived the switch death
 
 
+@pytest.mark.crash_smoke
 def test_link_down_heals_via_recovery():
     """A single host's access link hard-down is indistinguishable from a
     host death to its peers; with DEGRADE the survivors complete around

@@ -13,10 +13,9 @@ from repro.core.reliability import (
     SUSPICION_TIMEOUT,
     CutoffEstimator,
     ReliabilityError,
-    backoff_delay,
 )
 from repro.net import Fabric, Topology
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator
 from repro.units import MiB
 
 
@@ -88,19 +87,6 @@ def test_negative_samples_clamped():
     est.observe(-5.0)  # delivery faster than the N/B ideal: clamp to 0
     assert est.srtt == 0.0
     assert est.slack() == CUTOFF_ALPHA_MIN
-
-
-def test_backoff_delay_growth_and_cap():
-    assert backoff_delay(0, 100e-6, 2.0, 1e-3, 0.0) == pytest.approx(100e-6)
-    assert backoff_delay(2, 100e-6, 2.0, 1e-3, 0.0) == pytest.approx(400e-6)
-    assert backoff_delay(10, 100e-6, 2.0, 1e-3, 0.0) == pytest.approx(1e-3)
-
-
-def test_backoff_delay_jitter_deterministic():
-    a = backoff_delay(1, 100e-6, 2.0, 1e-3, 0.5, RandomStreams(seed=3).stream("x"))
-    b = backoff_delay(1, 100e-6, 2.0, 1e-3, 0.5, RandomStreams(seed=3).stream("x"))
-    assert a == b
-    assert 200e-6 <= a <= 300e-6  # jitter adds at most 50%
 
 
 def test_reliability_error_renders_diagnostics():

@@ -3,7 +3,9 @@
 
 Injects packet drops and adaptive-routing reordering into the fabric and
 broadcasts through it.  The multicast fast path delivers what survives;
-the cutoff timer fires; missing chunks are fetched with selective RDMA
+recovery starts once a receiver's last chunk is in (the tail trigger),
+or, when that one was lost or the fabric reorders, when the cutoff timer
+fires; missing chunks are fetched with selective RDMA
 READs over a per-switch recovery tree — each switch's delegate from the
 chunk's owner, its peers from the delegate — and the data always arrives
 intact.

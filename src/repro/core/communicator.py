@@ -208,8 +208,11 @@ class RankStats:
     counters: Dict[str, int]
     #: fetch rounds spent per recovery invocation on this rank
     retry_histogram: List[int] = field(default_factory=list)
-    #: (virtual time, timeout armed, reason) — the cutoff timer's arms
-    timer_trace: List[tuple] = field(default_factory=list)
+    #: the cutoff timer's armed timeout (expected + slack)
+    armed_timeout: float = 0.0
+    #: what started this rank's recovery: ``"tail"`` (its last tail came
+    #: in with chunks missing), ``"cutoff"``, or None (none did)
+    trigger: Optional[str] = None
 
 
 @dataclass
@@ -330,8 +333,9 @@ class CollectiveResult:
         (``fetch_sources``: a chunk's ``owner``, a switch's ``delegate``, or
         the ``ring`` fallback; DESIGN.md §7), the retry histogram —
         ``{fetch rounds: recovery invocations}`` over every rank's
-        invocations — and ``max_timer_rearms``, the most cutoff arms on
-        one rank (a recovery re-arms no timer: it completes or raises)."""
+        invocations — and ``recovery_triggers``, how many ranks' recoveries
+        the tail trigger and the cutoff started (DESIGN.md §7 "Tail
+        trigger"; a degraded completion's recovery counts under neither)."""
         histogram: Dict[int, int] = {}
         for r in self.ranks:
             for rounds in r.retry_histogram:
@@ -345,9 +349,8 @@ class CollectiveResult:
             "fetch_ack_timeouts": self.counter_total("fetch_ack_timeouts"),
             "neighbor_escalations": self.counter_total("neighbor_escalations"),
             "retry_histogram": dict(sorted(histogram.items())),
-            "max_timer_rearms": max(
-                (len(r.timer_trace) for r in self.ranks), default=0
-            ),
+            "recovery_triggers": {by: sum(r.trigger == by for r in self.ranks)
+                                  for by in ("tail", "cutoff")},
         }
 
     def _holds(self, r: int, expected: np.ndarray, memo: Dict[object, List[int]],
@@ -582,7 +585,7 @@ class OpHandle(CollectiveHandle):
                 RankStats(
                     op.rank, dict(ph), breakdown, dict(op.stats),
                     retry_histogram=list(op.retry_histogram),
-                    timer_trace=list(op.timer_trace),
+                    armed_timeout=op.armed_timeout, trigger=op.trigger,
                 )
             )
         dead = sorted(
@@ -805,12 +808,14 @@ class Communicator:
         """An event that fires, in rank order, once every recovery that
         starts at this instant has asked for its turn.
 
-        Cutoff timers of ranks that left the barrier together fire at one
-        instant, in the order the timers were created — the barrier's
-        delivery order at packet level, the rank order when the barrier
-        folded.  Their first fetch requests meet at one delegate, whose
-        fetch server serves them in arrival order, so recovery starts in
-        rank order on both paths (DESIGN.md §7)."""
+        Recoveries can start at one instant — the cutoff timers of ranks
+        that left the barrier together, tail triggers that coincide — in
+        an order the two paths do not share: the barrier's delivery order
+        at packet level, the rank order when the barrier folded, the
+        fold's posting order for a trigger.  Their first fetch requests
+        meet at one delegate, whose fetch server serves them in arrival
+        order, so recovery starts in rank order on both paths (DESIGN.md
+        §7)."""
         turns = self._recovery_turns
         if not turns:
             self.sim.post_later(0.0, self._start_recoveries)
@@ -995,12 +1000,12 @@ class Communicator:
                     hole_str += f", … (+{len(holes) - 4} runs)"
                 last_phase = max(op.phases.items(), key=lambda kv: kv[1])[0] \
                     if op.phases else "-"
-                last_timer = op.timer_trace[-1] if op.timer_trace else None
                 lines.append(
                     f"  op c{cid} {op.kind}: {op.bitmap.count}/{op.n_chunks} chunks "
                     f"({op.placed.count} placed, {op.outstanding_copies} copies in "
                     f"flight), holes: {hole_str or 'none'}; last phase: {last_phase}; "
-                    f"last timer: {last_timer}"
+                    f"cutoff armed {op.armed_timeout * 1e6:.1f}µs, "
+                    f"{op.tails_left} tails due, recovery by: {op.trigger or '-'}"
                 )
         return "\n".join(lines)
 
@@ -1104,6 +1109,14 @@ class Communicator:
             link_latency=fabric.link_latency,
             switch_delay=fabric.switch_delay).expected
 
+    def _tail_epoch(self) -> Optional[int]:
+        """The fault epoch a collective launched now arms its tail trigger
+        for, or None when a channel of its multicast trees may reorder
+        datagrams: then a tail may overtake a chunk of its block, and only
+        the cutoff starts recovery (DESIGN.md §7 "Tail trigger")."""
+        fabric = self.fabric
+        return None if fabric.reorders(self.mcast_gids) else fabric.fault_epoch
+
     # ------------------------------------------------------------ broadcast
 
     def _launch_broadcast(self, root: int, data: np.ndarray) -> OpHandle:
@@ -1127,6 +1140,7 @@ class Communicator:
         # caller-owned memory (DESIGN.md §6h).
         image = payload.copy()
         key = new_key()
+        epoch = self._tail_epoch()
         for r in range(self.size):
             engine = self.engines[r]
             mr = engine.nic.memory.register(nbytes, key=key)
@@ -1138,6 +1152,8 @@ class Communicator:
                 send_lo=0, send_hi=plan.n_chunks if r == root else 0, root=root,
                 expected=expected,
             )
+            if r != root:
+                op.expect_tails(1, epoch)
             if r in self.dead_ranks:
                 op.abandon()  # a dead host runs no software
             else:
@@ -1208,6 +1224,7 @@ class Communicator:
             self.fabric.topology, [self.hosts[r] for r in participants], n_chains))
         ops, procs = [], []
         key = new_key()
+        epoch = self._tail_epoch()
         for r in range(self.size):
             engine = self.engines[r]
             mr = engine.nic.memory.register(total, key=key)
@@ -1228,6 +1245,7 @@ class Communicator:
                 op.mark_void(d * chunks_per_rank, chunks_per_rank)
                 op.dead_ranks.add(d)
             op.maybe_complete()
+            op.expect_tails(len(participants) - 1, epoch)
             idx = chain_index[r]
             pred = seq.predecessor(idx)
             succ = seq.successor(idx)

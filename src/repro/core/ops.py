@@ -11,7 +11,7 @@ own shard of the global receive buffer and whose bitmap spans all shards
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -61,13 +61,24 @@ class OpState:
     stats: Dict[str, int] = field(init=False)
     #: fetch rounds spent per recovery invocation (index = invocation)
     retry_histogram: List[int] = field(init=False)
-    #: cutoff timer arms: (virtual time, timeout armed, ``"cutoff-arm"``)
-    timer_trace: List[Tuple[float, float, str]] = field(init=False)
-    #: absolute instant the controller's cutoff timer will next fire
-    #: (+inf until armed).  A receive worker publishes no step end past
-    #: it (``RankEngine._plan_step``), nor does the data fold fold a phase
-    #: past it: a recovery may set bits from then on.
-    cutoff_deadline: float = field(init=False, default=float("inf"))
+    #: the cutoff timer's armed timeout, expected + slack (0 until armed)
+    armed_timeout: float = field(init=False)
+    #: the earliest instant a recovery may start, from which it may set
+    #: bits — the cutoff's deadline once armed, or the tail trigger's
+    #: instant if earlier (+inf until either): a receive worker publishes
+    #: no step end past it (``RankEngine._plan_step``), nor does the data
+    #: fold fold a phase past it
+    recovery_at: float = field(init=False, default=float("inf"))
+    # --- the tail trigger (DESIGN.md §7 "Tail trigger") ---------------
+    #: tails (``SubgroupPlan.is_tail``) a receive worker or a fold has
+    #: still to deliver
+    tails_left: int = field(init=False)
+    #: the fault epoch at launch, or None when a tree channel may reorder:
+    #: the trigger fires only while the fabric is still in that epoch
+    tail_epoch: Optional[int] = field(init=False)
+    #: fires, with its instant, when the last tail has arrived and chunks
+    #: are still missing
+    tail: Event = field(init=False)
     #: per-chunk validity (True = real payload landed).  ``None`` until the
     #: first :meth:`mark_void` — the healthy path never allocates it.
     valid_mask: Optional[np.ndarray] = field(init=False, default=None)
@@ -109,7 +120,9 @@ class OpState:
             "neighbor_escalations": 0,
         }
         self.retry_histogram = []
-        self.timer_trace = []
+        self.armed_timeout = 0.0
+        self.tails_left, self.tail_epoch = 0, None
+        self.tail = Event(self.sim)
         self.dead_ranks = set()
         self.handle = None
         # This rank's own chunks are present by construction.
@@ -143,6 +156,25 @@ class OpState:
     @property
     def missing_chunks(self) -> int:
         return self.n_chunks - self.bitmap.count
+
+    @property
+    def tail_at(self) -> float:
+        """When the tail trigger fired (+inf until it does)."""
+        return self.tail.value if self.tail.triggered else float("inf")
+
+    @property
+    def trigger(self) -> Optional[str]:
+        """What started this rank's recovery: ``"tail"``, ``"cutoff"``, or
+        None when none did."""
+        if "recovery" not in self.phases:
+            return None
+        return "tail" if self.tail.triggered else "cutoff"
+
+    def expect_tails(self, senders: int, epoch: Optional[int]) -> None:
+        """Expect the tails of *senders* blocks; the trigger is armed for
+        fault epoch *epoch* (None: never)."""
+        self.tails_left = senders * len(self.subgroups.tails)
+        self.tail_epoch = epoch
 
     def maybe_complete(self, at_once: bool = False) -> None:
         """Trigger ``data_done`` once every chunk is present *and* every

@@ -305,6 +305,8 @@ class RankEngine:
                     if op.bitmap.set(psn):
                         op.stats["chunks_received"] += 1
                         op.placed.set(psn)  # UC: NIC placed it already
+                        if op.subgroups.is_tail(psn):
+                            self._tail_in(op)
                     else:
                         op.stats["duplicates"] += 1
                     op.maybe_complete()
@@ -326,6 +328,8 @@ class RankEngine:
                         trc.counter("staging.hold", self.sim.now, staging.held)
                     continue
                 op.stats["chunks_received"] += 1
+                if op.subgroups.is_tail(psn):
+                    self._tail_in(op)
                 # Counted with its bitmap bit: an earlier copy landing
                 # while this one is being issued must not complete the
                 # op ahead of this chunk's bytes.
@@ -343,6 +347,27 @@ class RankEngine:
                     self._make_copy_callback(op, staging, slot, qp, psn)
                 )
 
+    def _tail_in(self, op: OpState) -> None:
+        """A receive worker set the bit of one of *op*'s tails; at the last
+        one, fire the trigger (:meth:`fire_tail`)."""
+        op.tails_left -= 1
+        if not op.tails_left:
+            self.fire_tail(op)
+
+    def fire_tail(self, op: OpState) -> None:
+        """Every tail of *op* is in: over FIFO channels a chunk still
+        missing now is lost, so recovery may start at once instead of at
+        the cutoff — unless a recovery is under way, the fault state
+        changed since launch, or a tree channel reorders (``op.tail_epoch``
+        is then None).  Called by the receive worker and, for a folded
+        phase, at the instant its worker would have set the last tail's
+        bit (``sim/fastforward.py``)."""
+        if (op.missing_chunks and not op.tail.triggered
+                and not op.stats["recoveries"]
+                and op.tail_epoch == self.fabric.fault_epoch):
+            op.tail.succeed(self.sim.now)
+            op.recovery_at = min(op.recovery_at, self.sim.now)
+
     def unset(self, op: OpState) -> int:
         """Chunks of *op* that subgroup 0's worker sets in its step under
         way and has not set yet."""
@@ -355,9 +380,10 @@ class RankEngine:
         costs, per CQE, ``cqe_poll + cqe_process``, then ``copy_issue +
         recv_repost`` for a new UD chunk and ``recv_repost`` for anything
         else — unless a straggler window may stall a poll, a CQE is for no
-        registered collective (one may register meanwhile), or the cutoff
-        may start a recovery that sets a bit the step expects to set: then
-        the step's end is unknown."""
+        registered collective (one may register meanwhile), or a recovery
+        may start and set a bit the step expects to set — the cutoff fires,
+        or the trigger has fired or fires at a tail the step sets: then the
+        step's end is unknown."""
         cost = self.cost
         now = t = self.sim.now
         c1 = cost.cqe_poll + cost.cqe_process
@@ -381,19 +407,29 @@ class RankEngine:
                 continue
             seen.add((cid, psn))
             new.append((op, psn))
+            if op.subgroups.is_tail(psn) and self._fires(op, new):
+                break  # the trigger fires inside the step
             if uc:
                 t = t + cost.recv_repost
             else:
                 t = t + (cost.copy_issue + cost.recv_repost)
                 copies.append((t, op.plan.bounds(psn)[1]))
         else:
-            if not any(op.stats["recoveries"] or op.cutoff_deadline <= t
+            if not any(op.stats["recoveries"] or op.recovery_at <= t
                        for op, _ in new) \
                     and self.fabric.straggler_inert(self.nic.host, now, t):
                 step.free = t
                 return
         new.clear()
         copies.clear()
+
+    @staticmethod
+    def _fires(op: OpState, new) -> bool:
+        """Whether the tail of *op* that *new* ends with is its last, with
+        chunks still missing after the step's: the trigger fires then."""
+        mine = [psn for o, psn in new if o is op]
+        tails = sum(map(op.subgroups.is_tail, mine))
+        return tails == op.tails_left and op.missing_chunks > len(mine)
 
     def _make_copy_callback(self, op: OpState, staging: StagingRing, slot: int, qp,
                             psn: int):
@@ -1018,12 +1054,14 @@ class RankEngine:
 
     def _arm(self, op: OpState, t: float) -> Tuple[float, float, float]:
         """Leave the barrier at *t* and arm the cutoff timer from there (its
-        deadline published for :meth:`_plan_step` and the data fold):
+        deadline, or an earlier tail trigger, published as
+        ``op.recovery_at`` for :meth:`_plan_step` and the data fold):
         ``(expected, slack, deadline)``."""
         op.phases["sync"] = t
         expected, slack = self.cutoff_allowance(op)
-        op.cutoff_deadline = deadline = t + expected + slack
-        op.timer_trace.append((t, expected + slack, "cutoff-arm"))
+        deadline = t + expected + slack
+        op.recovery_at = min(deadline, op.tail_at)
+        op.armed_timeout = expected + slack
         return expected, slack, deadline
 
     def _run_op_inner(
@@ -1066,7 +1104,7 @@ class RankEngine:
         first = None  # the stamped first wait: the activation, or the data
         if stamp:
             first = (self.ctrl.recv(MSG_ACTIVATE, op.coll_id, activation_pred)
-                     if op.is_sender else AnyOf(sim, [op.data_done, sim.wake_at(
+                     if op.is_sender else AnyOf(sim, [op.data_done, op.tail, sim.wake_at(
                          armed_at + max(deadline - armed_at, 1e-9))]))
             try:
                 if not first.triggered:
@@ -1075,8 +1113,7 @@ class RankEngine:
                     yield sim.wake_at(t_sync)
             except Interrupt as unfolded:  # before the exit: unstamp it
                 del op.phases["sync"]
-                op.timer_trace.pop()
-                op.cutoff_deadline = _INF
+                op.recovery_at = op.tail_at
                 yield from self.ctrl.barrier(op.coll_id, participants, me,
                                              resume=unfolded.cause)
                 armed_at = sim.now
@@ -1125,20 +1162,21 @@ class RankEngine:
                 if not cf.activate(self, op, participants, me):
                     self.ctrl.send(activation_succ, MSG_ACTIVATE, op.coll_id)
                 op.mark_phase("activated")
-        # Wait for the data or the cutoff (a receiver's stamped first wait
-        # may have ended at its cutoff already), then one recovery that
-        # completes or raises.
-        if not op.data_done.triggered and (first is None or op.is_sender):
+        # Wait for the data, the tail trigger or the cutoff (a receiver's
+        # stamped first wait may have ended at either already), then one
+        # recovery that completes or raises.
+        if not (op.data_done.triggered or op.tail.triggered) and (
+                first is None or op.is_sender):
             if live:
                 self._check_live(op, participants, "data")
-            yield AnyOf(sim, [op.data_done,
+            yield AnyOf(sim, [op.data_done, op.tail,
                               Timeout(sim, max(deadline - sim.now, 1e-9))])
         if not op.data_done.triggered:
             if live:
                 self._check_live(op, participants, "data")
-            if trc is not None:
-                trc.instant("reliability.fire", sim.now)
             op.mark_phase("recovery")
+            if trc is not None:
+                trc.instant("reliability.fire", sim.now, {"by": op.trigger})
             yield from self.run_recovery(
                 op, participants, me, sim.now + cfg.recovery_deadline,
                 monitor=participants if live else None,
@@ -1275,15 +1313,10 @@ class RankEngine:
                 op.mark_void(start, count)
             op.maybe_complete()
             return
-        deadline_abs = self.sim.now + cfg.recovery_deadline
-        me = survivors.index(self.rank)
-        while not op.data_done.triggered:
-            yield from self.run_recovery(op, survivors, me, deadline_abs,
-                                         monitor=survivors)
-            # New chunks may have propagated to (or died with) peers since
-            # the last sweep; re-derive what is permanently gone.
-            self._void_unrecoverable(op, survivors, dead)
-            op.maybe_complete()
+        if not op.data_done.triggered:
+            yield from self.run_recovery(
+                op, survivors, survivors.index(self.rank),
+                self.sim.now + cfg.recovery_deadline, monitor=survivors)
 
     def _void_unrecoverable(self, op: OpState, survivors: List[int],
                             dead: Set[int]) -> None:

@@ -1,10 +1,14 @@
 """Adaptive reliability machinery for the slow path (paper §III-C).
 
-The paper's cutoff timer is ``N/B + α`` with a *fixed* slack α.  A fixed
-slack is wrong in both directions: on a healthy fabric it waits far longer
-than delivery ever takes (adding the full α to every lossy collective's
-tail), and on a degraded fabric it can fire spuriously and thrash the
-recovery ring.  This module provides:
+The paper's cutoff timer is ``N/B + α`` with a *fixed* slack α.  A
+recovery need not wait for it: a receiver whose last expected chunk of
+every sender block has arrived starts recovery at once (the tail
+trigger, ``RankEngine.fire_tail``; DESIGN.md §7), and the cutoff is the
+backstop for a lost tail or a reordering fabric.  There a fixed slack is
+wrong in both directions: on a healthy fabric it waits far longer than
+delivery ever takes (adding the full α to the tail of every collective
+whose last chunk was lost), and on a degraded fabric it can fire
+spuriously.  This module provides:
 
 * :class:`CutoffEstimator` — a TCP-RTO-style adaptive slack: an EWMA of
   the observed slack (actual data-phase duration minus the expected time)

@@ -14,7 +14,8 @@ buffer travels on which subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Tuple
 
 from repro.core.chunking import ChunkPlan
 
@@ -58,6 +59,18 @@ class SubgroupPlan:
         lo = min(subgroup * step, self.n_chunks)
         hi = min(lo + step, self.n_chunks)
         return lo, hi
+
+    @cached_property
+    def tails(self) -> FrozenSet[int]:
+        """The last chunk of every non-empty subgroup's block: where a
+        sender's datagrams on that subgroup end."""
+        ranges = map(self.chunk_range, range(self.n_subgroups))
+        return frozenset(hi - 1 for lo, hi in ranges if hi > lo)
+
+    def is_tail(self, psn: int) -> bool:
+        """Whether chunk *psn* of a buffer of sender blocks of this plan's
+        size is the last of its block's subgroup: a *tail*."""
+        return psn % self.n_chunks in self.tails
 
     def chunks_in(self, subgroup: int) -> int:
         lo, hi = self.chunk_range(subgroup)

@@ -159,6 +159,9 @@ class Fabric:
         #: the channels out of a host, in build order (NIC egresses)
         self._host_channels: List[Channel] = []
         self._stragglers: Dict[int, StragglerSpec] = {}
+        #: the channels whose fault spec reorders datagrams
+        #: (``reorder_jitter``): :meth:`reorders` reads them
+        self._jittery: Set[Channel] = set()
         #: bumped on every fault/straggler/crash mutation.  The vectorized
         #: fast-forward hoists its O(P) per-phase eligibility scans to
         #: session start and re-checks only this counter per phase: any
@@ -319,6 +322,16 @@ class Fabric:
         if fault is not None and ch.rng is None:
             ch.rng = self.streams.stream(f"chan:{ch.name}")
         ch.fault = fault
+        if fault is not None and fault.reorder_jitter > 0.0:
+            self._jittery.add(ch)
+        else:
+            self._jittery.discard(ch)
+
+    def reorders(self, gids: Sequence[int]) -> bool:
+        """Whether a channel of a multicast tree in *gids* may deliver
+        datagrams out of order (its fault spec has ``reorder_jitter``)."""
+        return any(ch.dst_name in self.mcast_groups[gid].tree.get(ch.src_name, ())
+                   for ch in self._jittery for gid in gids)
 
     def _new_fault_epoch(self) -> None:
         """A fault, straggler or crash is about to change: bump the epoch

@@ -47,7 +47,8 @@ TRACEPOINTS: Dict[str, Any] = {
     "phase.handshake": ("X", "data done -> final completion handshake"),
     # -- reliability ------------------------------------------------------
     "reliability.arm": ("i", "cutoff timer armed (args: timeout seconds)"),
-    "reliability.fire": ("i", "cutoff fired with chunks still missing"),
+    "reliability.fire": ("i", "recovery started with chunks still missing "
+                              "(args: by tail trigger or cutoff)"),
     "reliability.recover": ("X", "one recovery round (fetch slow path)"),
     "reliability.fetch": ("i", "fetch round issued (args: peer, via owner/delegate/ring)"),
     "reliability.wake": ("i", "a peer's FETCH_READY woke a parked requester "

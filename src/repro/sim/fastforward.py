@@ -63,14 +63,14 @@ not yet sent.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.sequencer import effective_chains
 from repro.net.fabric import FoldMiss
 from repro.net.link import serialize
-from repro.net.topology import host_id, is_host
+from repro.net.topology import host_id, host_name, is_host
 from repro.sim.parallel import (ReceiverLanes, TreeDrops, TreeEdges,
                                 count_channel, forward_packet, without)
 
@@ -264,6 +264,8 @@ class _Tree:
             self.depth[c] = self.depth[par[c]] + 1
             self.anc[c] |= self.anc[par[c]]
             self.kids[par[c]].append(c)
+        #: the switches that forward down onto a switch-to-switch channel
+        self.inner = np.array([bool(k) for k in self.kids])
         self.switches = sws
         self.nports = [len(ports[name]) for name in names]
         self.up = up
@@ -405,8 +407,8 @@ class _Session:
         for j, o in enumerate(ops):
             if o.data_done.triggered:
                 continue
-            if o.cutoff_deadline < _INF:
-                self.md = min(self.md, o.cutoff_deadline)
+            if o.recovery_at < _INF:
+                self.md = min(self.md, o.recovery_at)
             else:
                 expected, slack = engines[j].cutoff_allowance(o)
                 self.unarmed[j] = expected + slack
@@ -439,6 +441,24 @@ class _Session:
         self.ptr = 0  # phases wholly finished by the current hook
         self.gather = np.empty(op.plan.buffer_len, dtype=np.uint8)
         self._run_memo = (0, [])
+        # --- the tail trigger (DESIGN.md §7 "Tail trigger") ---------------
+        #: per lane, the tails it awaits, and when its worker stepped the
+        #: latest one a lossy phase of the session delivered
+        self.left = [o.tails_left for o in ops]
+        self.tail_at = np.full(len(ranks), _NEG_INF)
+        #: the earliest recovery start a tail trigger of the session decided
+        self.trig = _INF
+        #: the lanes whose trigger fired before their own phase was sent,
+        #: and the switches the session's packets went up from
+        self.early: Set[int] = set()
+        self.paths = np.zeros(T.S, dtype=bool)
+        #: a lossy allgather's ranks read their chunks' owners without
+        #: waiting for their data: per phase whose packets may still be
+        #: landing, its first PSN and when each packet lands in each lane
+        #: (``ReceiverLanes.phase``'s ``land``), so that a lane shows a
+        #: chunk as placed only from then on (:meth:`abort`)
+        self.lands: Optional[List[tuple]] = (
+            [] if self.loss is not None and op.root is None else None)
         self.live = True
 
     # ------------------------------------------------------------ per phase
@@ -492,7 +512,7 @@ class _Session:
         # --- the sender, then every tree edge ----------------------------
         send_done, eg_fins, batches = _fold_sender(
             engine, t_hook, wires, eg.bandwidth, self.eg_busy[i])
-        edges, reach, got = self.edges, None, None
+        edges, reach, got, tail, land = self.edges, None, None, None, None
         if self.loss is not None:
             reach, got, lost = self.loss.phase(i, op.send_lo, wires, lens)
         pend, rows = edges.add(i, eg_fins, wires, lens, reach)
@@ -502,7 +522,8 @@ class _Session:
         eager = rows is not None and not self.deferred
         end = len(self.phases) + 1 == self.senders
         if eager:
-            state, fins = lanes.phase(rows, wires, lens, i, got)
+            state, fins, tail, land = lanes.phase(rows, wires, lens, i, got,
+                                                  self.lands is not None)
         else:
             # From the lanes before the oldest pending phase, every packet
             # not yet served: exactly at the last phase, else bounded — on
@@ -526,15 +547,18 @@ class _Session:
         fin_all = fin_rx if fin_rx > send_done else send_done
         if reach is not None:  # every forward, host edges' losses included
             fin_all = max(fin_all, float(rows.max()))
+            sent = _INF  # when the next root's send ends, at the soonest
             if not end:  # the chain's next root
                 k = self.order.index(engine.rank)
                 j = self.pos[self.order[k + 1]]
                 o, b = self.ops[j], engine.cost.send_batch(1)
                 first = self.ff.comm.cf.activation_floor(op, self.order, k, send_done) + b
                 span = o.own_chunks * (o.plan.bounds(o.send_hi - 1)[1] + header)
-                if not self.loss.clear(pend[4], j, first,
-                                       first + span / self.eg[j].bandwidth + b):
+                sent = first + span / self.eg[j].bandwidth
+                if not self.loss.clear(pend[4], j, first, sent + b):
                     raise FoldMiss("lossy")  # their draws could meet these packets
+            trig, early = self._triggers(i, send_done, sent, got[-1], lost[5],
+                                         tail, pend[4])
         if fin_all >= deadline:
             raise FoldMiss("deadline")
 
@@ -543,6 +567,15 @@ class _Session:
         edges.commit(pend)
         if got is not None:
             self.loss.commit(lost)
+            for j in np.flatnonzero(got[-1]).tolist():
+                self.left[j] -= 1
+            self.paths |= T.anc[self.sw_of[i]]
+            if self.lands is not None:
+                self.lands = [x for x in self.lands if x[1].max() > t_hook]
+                self.lands.append((op.send_lo, land))
+            self.tail_at = np.maximum(self.tail_at, tail)
+            self.trig = min([self.trig, *trig.values()])
+            self.early.update(early)
         if eager:
             self.snaps.append((rows[n - 1].max(), n, lanes.state, edges.up,
                                edges.down))
@@ -643,20 +676,70 @@ class _Session:
             self.drops = [] if not self.deferred else self.drops + [
                 (float(lanes.cursor.max()), int(final.sum()))]
 
+    def _triggers(self, i: int, send_done: float, sent: float, got, holes,
+                  tail, last) -> Tuple[Dict[int, float], List[int]]:
+        """The recoveries the tail trigger starts as lane *i*'s lossy phase
+        folds, gated against the fold: ``{lane: start}``.
+
+        A lane whose last tail the phase delivers (*got*) with chunks still
+        missing (*holes*: the phase's) fires at the instant its worker sets
+        that tail's bit (*tail*); it recovers from then on — or, a sender
+        whose own phase is still to come, from the end of that phase's send
+        (no sooner than *sent*, the next root's), as lane *i* does if it
+        fired earlier (at *send_done*).  A recovery first reads a peer's
+        bitmap, or puts a packet on a channel, no sooner than two control
+        messages and a bitmap read's round trip later:
+        ``2 · ctrl_message + 2 · hops · link_latency``, two hops or more
+        from a host with no host neighbour.  By then every switch must
+        have put the session's packets on its switch-to-switch channels
+        (*last*: its latest forward), else :class:`FoldMiss` ``deadline``;
+        what it reads of a peer's placed chunks is as on the packet path
+        (:meth:`abort`).  Returns the starts but those of the senders still
+        to send, and those senders; :meth:`abort` posts the triggers
+        (``self.tail_at``)."""
+        T, fabric, starts, early = self.T, self.fabric, {}, []
+        for j in np.flatnonzero(got).tolist():
+            o = self.ops[j]
+            if self.left[j] == 1 and (j in self.holes or j in holes) and (
+                    o.tail_epoch == self.epoch):
+                if o.is_sender and not self.sent[j]:
+                    early.append(j)
+                    starts[j] = sent
+                else:
+                    starts[j] = float(tail[j])
+        if i in self.early:
+            starts[i] = send_done
+        if not starts:
+            return starts, early
+        up = T.inner | self.paths | T.anc[self.sw_of[i]]
+        up[0] = T.inner[0]  # (the root forwards nothing up)
+        forwards = float(last[up].max(initial=_NEG_INF))
+        for j, start in starts.items():
+            adj = fabric.topology.adjacency[host_name(self.hosts[j])]
+            hops = 1 if any(is_host(x) for x in adj) else 2
+            soonest = start + 2 * (self.engines[j].ctrl.per_message_cost
+                                   + hops * fabric.link_latency)
+            if forwards >= soonest:
+                raise FoldMiss("deadline")
+        for j in early:
+            del starts[j]
+        return starts, early
+
     def _deadline(self, t_hook: float) -> float:
-        """A lower bound on every waiting rank's cutoff deadline: armed
-        ones exactly, unarmed ones by the controller's own allowance from
-        now (the deadline arms at or after the hook)."""
+        """A lower bound on every waiting rank's recovery start: the armed
+        cutoffs and decided tail triggers exactly, unarmed cutoffs by the
+        controller's own allowance from now (the deadline arms at or after
+        the hook)."""
         if not self.unarmed:
-            return self.md
+            return min(self.md, self.trig)
         ops = self.ops
-        armed = [j for j in self.unarmed if ops[j].cutoff_deadline < _INF]
+        armed = [j for j in self.unarmed if ops[j].recovery_at < _INF]
         for j in armed:
-            self.md = min(self.md, ops[j].cutoff_deadline)
+            self.md = min(self.md, ops[j].recovery_at)
             del self.unarmed[j]
         if self.unarmed:
-            return min(self.md, t_hook + min(self.unarmed.values()))
-        return self.md
+            return min(self.md, self.trig, t_hook + min(self.unarmed.values()))
+        return min(self.md, self.trig)
 
     # --------------------------------------------------------- completion
 
@@ -678,6 +761,7 @@ class _Session:
                     if x < y:
                         o.mr.place(x, self.gather, x, y - x)
         o.stats["chunks_received"] += newly
+        o.tails_left = 0
         o.maybe_complete(at_once=True)  # a waiting rank resumes in this event
 
     def _release(self, j: int) -> None:
@@ -692,7 +776,9 @@ class _Session:
         phase, then give each rank still waiting, or left with holes, the
         chunks it has received so far (bitmap, payload, stats), holding its
         completion until its last folded receive finishes.  The packet path
-        resumes from this state."""
+        resumes from this state.  In a lossy allgather, whose ranks read
+        their chunks' owners without waiting for them to complete, every
+        rank's chunks show as placed when they land (``self.lands``)."""
         if not self.live:
             return
         self.live = False
@@ -702,21 +788,43 @@ class _Session:
             self._settle(_INF)
         self._flush()
         now = self.sim.now
+        late: Dict[int, Dict[int, float]] = {}  # lane -> psn -> when it lands
+        for psn, land in self.lands or ():
+            for k, j in zip(*np.nonzero(land > now)):
+                late.setdefault(int(j), {})[psn + int(k)] = float(land[k, j])
         for j, o in enumerate(self.ops):
+            lost = self.holes.get(j, ())
             if self.finished[j]:
-                continue  # its completion event commits everything
-            got = 0
-            for psn, n in without(self._runs(), self.holes.get(j, ())):
-                got += o.bitmap.set_range(psn, n)
-                o.placed.set_range(psn, n)
-                lo = o.plan.bounds(psn)[0]
-                hi = sum(o.plan.bounds(psn + n - 1))
-                o.mr.place(lo, self.gather, lo, hi - lo)
-            o.stats["chunks_received"] += got
+                if self.lands is not None:  # (its completion commits the rest)
+                    self._show(j, self._runs(), late.get(j, {}))
+                continue
+            runs = without(self._runs(), lost)
+            o.stats["chunks_received"] += sum(o.bitmap.set_range(psn, n)
+                                              for psn, n in runs)
+            self._show(j, runs, late.get(j, {}))
+            # The tails it got: at the last, with chunks missing, the
+            # trigger fires where its worker stepped that tail.
+            o.tails_left -= sum(o.subgroups.is_tail(lo + n - 1) and lo + n - 1 not in lost
+                                for k, lo, n, *_ in self.phases if k != j)
+            if not o.tails_left and lost:
+                self.sim.post_at(max(float(self.tail_at[j]), now),
+                                 self.engines[j].fire_tail, o)
             fin = float(self.lanes.last_fin[j])
             if fin > now:
                 o.ff_hold += 1
                 self.sim.post_at(fin, self._release, j)
+
+    def _show(self, j: int, runs, late: Dict[int, float]) -> None:
+        """Place the chunks of *runs* in lane *j*'s buffer and set them
+        placed — now, or those in *late* when they land."""
+        o = self.ops[j]
+        for psn, n in runs:
+            lo = o.plan.bounds(psn)[0]
+            o.mr.place(lo, self.gather, lo, sum(o.plan.bounds(psn + n - 1)) - lo)
+        for psn, n in without(runs, late):
+            o.placed.set_range(psn, n)
+        for psn, t in late.items():
+            self.sim.post_at(t, o.placed.set, psn)
 
     def _runs(self) -> List[List[int]]:
         """The folded phases' chunks as ascending ``[first psn, count]``

@@ -83,16 +83,23 @@ class ReceiverLanes:
         return LaneState(self.hd_busy, self.cursor, self.last_fin,
                          self.dma_busy, self.hold)
 
-    def phase(self, rows: np.ndarray, wires, lens, sender: int, got=None):
+    def phase(self, rows: np.ndarray, wires, lens, sender: int, got=None,
+              landed: bool = False):
         """One phase of ``len(wires)`` packets that reach every lane's edge
-        after all packets before them.  Returns ``(state, fins)``: the new
-        lane state for :meth:`commit` and each lane's finish, ``-inf`` on
-        the sender's, which receives nothing and keeps its state.  Under
-        loss, ``got[k]`` masks the lanes packet *k* survives to: its edge
-        serves it if its switch forwards it (``rows`` not ``-inf``), the
-        worker only if the edge delivers it."""
+        after all packets before them.  Returns ``(state, fins, tail)``:
+        the new lane state for :meth:`commit` and each lane's finish,
+        ``-inf`` on the sender's, which receives nothing and keeps its
+        state.  Under loss, ``got[k]`` masks the lanes packet *k* survives
+        to: its edge serves it if its switch forwards it (``rows`` not
+        ``-inf``), the worker only if the edge delivers it; ``tail`` is
+        when each lane's worker sets the bit of the phase's last packet —
+        its block's tail — after ``poll+process`` (UD) or after the repost
+        too (UC), and, if *landed*, ``land[k]`` when packet *k* is placed in
+        each lane's buffer (its copy done, or its bit set), ``-inf`` where
+        it is lost (``None`` without loss or *landed*)."""
         s = sender
         hd, cur, dma, hold = self.hd_busy, self.cursor, self.dma_busy, self.hold
+        tail, land = None, [] if landed and got is not None else None
         for k, w in enumerate(wires):
             ser = self._ser.get(w)
             if ser is None:
@@ -112,6 +119,12 @@ class ReceiverLanes:
                 cur, dma = c, d
             else:  # (``max(-inf, cursor) + c1 + c2`` would still step)
                 g = got[k]
+                if k == len(wires) - 1:  # (the sender's lane gets nothing)
+                    tail = np.where(g, c if dma is None else (
+                        np.maximum(a, cur) + self.c1), _NEG_INF)
+                if land is not None:
+                    land.append(np.where(g, c if d is None else d + self.dma_lat,
+                                         _NEG_INF))
                 cur = np.where(g, c, cur)
                 dma = None if d is None else np.where(g, d, dma)
                 if take is not None:
@@ -127,7 +140,8 @@ class ReceiverLanes:
                                           self.last_fin[s], _NEG_INF)
         if dma is not None:
             dma[s] = self.dma_busy[s]
-        return LaneState(hd, cur, fins, dma, hold), out
+        return (LaneState(hd, cur, fins, dma, hold), out, tail,
+                None if land is None else np.array(land))
 
     def settle(self, state: LaneState, packets: tuple, lo: float, hi: float,
                lanes=None) -> LaneState:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core import CollectiveConfig, Communicator
+from repro.core.progress import RankEngine
+from repro.core.request import CollectiveRequest
 from repro.obs import TraceConfig
 from repro.core.reliability import CUTOFF_ALPHA_MAX, FETCH_ACK_TIMEOUT, ReliabilityError
 from repro.net import CrashSpec, Fabric, GilbertElliott, StragglerSpec, Topology
@@ -140,10 +142,12 @@ def test_smoke_reliability_telemetry_populated():
     assert summary["recovered_chunks"] >= 2
     assert summary["fetch_rounds"] >= 1
     assert sum(summary["retry_histogram"].values()) >= 1
-    # Every rank armed a cutoff timer and logged the decision.
-    assert summary["max_timer_rearms"] >= 1
+    # Every rank armed a cutoff timer, and every recovery records what
+    # started it: here h1's tail arrives behind the two lost chunks.
     for r in result.ranks:
-        assert any(reason == "cutoff-arm" for _, _, reason in r.timer_trace)
+        assert r.armed_timeout > 0
+    assert summary["recovery_triggers"] == {"tail": summary["recoveries"],
+                                            "cutoff": 0}
 
 
 def _lossy_allgather(trace=None):
@@ -290,18 +294,29 @@ def test_soak_back_to_back_collectives_on_degrading_fabric():
 # -------------------------------------------------- adaptive vs static alpha
 
 
+def lose_a_tail(comm, n_chunks, host="h5"):
+    """5 % burst loss on every link, and *host*'s link also loses the last
+    chunk of an *n_chunks* broadcast: that rank's tail never arrives, so
+    its cutoff, not the tail trigger, starts its recovery."""
+    def tail(packet, _seq):
+        return packet.imm is not None and comm.imm.decode(packet.imm)[0] == n_chunks - 1
+
+    comm.fabric.set_fault_all(lambda s, d: FaultSpec(
+        gilbert_elliott=GE_5PCT, drop_predicate=tail if d == host else None))
+
+
 def _chaotic_broadcast_duration(adaptive, seed=31, warmups=2):
     """Same seed, same fault schedule, same op sequence — only the cutoff
-    policy differs."""
+    policy differs.  One receiver loses the tail, so a cutoff fires."""
     cfg = CollectiveConfig(adaptive_cutoff=adaptive)
     comm = make_comm(8, config=cfg, seed=seed)
     data = rank_data(0, kib(256))
     for _ in range(warmups):  # fault-free: no channel RNG draws, identical
         assert comm.broadcast(0, data).verify_broadcast(data)
-    comm.fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=GE_5PCT))
+    lose_a_tail(comm, kib(256) // cfg.chunk_size)
     result = comm.broadcast(0, data)
     assert result.verify_broadcast(data)
-    assert result.reliability_summary()["recoveries"] >= 1
+    assert result.reliability_summary()["recovery_triggers"]["cutoff"] >= 1
     return result
 
 
@@ -315,17 +330,145 @@ def test_adaptive_cutoff_tightens_vs_static_alpha():
 
     # The armed timeout itself is demonstrably tighter than N/B + α ...
     def armed_cutoff(result):
-        return max(
-            timeout
-            for r in result.ranks
-            for _, timeout, reason in r.timer_trace
-            if reason == "cutoff-arm"
-        )
+        return max(r.armed_timeout for r in result.ranks)
 
     assert armed_cutoff(adaptive) < armed_cutoff(static)
     assert armed_cutoff(static) >= cfg.cutoff_alpha  # includes full static α
     # ... and the end-to-end completion is faster.
     assert adaptive.duration < static.duration
+
+
+# ----------------------------------------------------------- tail trigger
+
+
+def _into(comm, host):
+    """The switch whose link into *host* the fault goes on."""
+    return next(src for src, dst in comm.fabric.channels if dst == host)
+
+
+def _tail_run(reference, kind="broadcast", lose=(), host="h3", fault=None,
+              **config):
+    """A 256 KiB broadcast (or a 32 KiB-per-rank allgather) on an 8-host
+    leaf-spine whose link into *host* loses its datagrams *lose* (by their
+    index on that link), on the reference or the production engine: its
+    handle and result."""
+    fabric = Fabric(Simulator(), Topology.leaf_spine(8, n_leaf=2, n_spine=2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=5),
+                    reference=reference)
+    comm = Communicator(fabric, config=CollectiveConfig(**config))
+    if fault is not None:
+        fabric.set_fault_all(fault)
+    if lose:
+        fabric.set_fault(_into(comm, host), host, FaultSpec(drop_packet_seqs=set(lose)))
+    if kind == "broadcast":
+        data = rank_data(0, kib(256))
+        request = CollectiveRequest(kind=kind, data=data, root=0)
+    else:
+        data = [rank_data(r, kib(32)) for r in range(8)]
+        request = CollectiveRequest(kind=kind, data=data)
+    handle = comm.submit(request)
+    comm.run(handle)
+    result = handle.result()
+    assert (result.verify_broadcast(data) if kind == "broadcast"
+            else result.verify_allgather(data))
+    return handle, result
+
+
+def _same_runs(folded, reference):
+    (_, a), (_, b) = folded, reference
+    assert a.t_end == b.t_end
+    assert [r.phases for r in a.ranks] == [r.phases for r in b.ranks]
+    assert [r.counters for r in a.ranks] == [r.counters for r in b.ranks]
+    assert a.reliability_summary() == b.reliability_summary()
+
+
+@pytest.mark.chaos_smoke
+def test_a_mid_stream_drop_recovers_from_the_tail_before_the_cutoff():
+    # h3 loses chunk 10 of 64: its tail (chunk 63) comes in behind the
+    # hole, and its recovery starts there, long before its cutoff — on
+    # the folded broadcast exactly as on the reference engine.
+    runs = [_tail_run(reference, lose={10}) for reference in (False, True)]
+    for handle, result in runs:
+        op = handle.ops[3]
+        assert op.trigger == "tail" and op.tails_left == 0
+        assert op.phases["recovery"] == op.tail_at == op.recovery_at
+        assert op.tail_at < op.phases["sync"] + op.armed_timeout
+        assert result.reliability_summary()["recovery_triggers"] == {
+            "tail": 1, "cutoff": 0}
+        assert result.counter_total("recovered_chunks") == 1
+    assert runs[0][0].comm.ff.ff_phases == 1
+    _same_runs(*runs)
+
+
+def test_a_lost_tail_falls_back_to_the_cutoff():
+    # h3 loses a mid-stream chunk and the tail: nothing tells it the
+    # stream ended, so its cutoff starts the recovery, at its deadline.
+    runs = [_tail_run(reference, lose={10, 63}) for reference in (False, True)]
+    for handle, result in runs:
+        op = handle.ops[3]
+        assert op.trigger == "cutoff" and op.tails_left == 1
+        assert op.phases["recovery"] == op.recovery_at  # the cutoff's deadline
+        assert op.tail_at == float("inf")
+        assert result.reliability_summary()["recovery_triggers"] == {
+            "tail": 0, "cutoff": 1}
+    assert runs[0][0].comm.ff.ff_phases == 1
+    _same_runs(*runs)
+
+
+def test_reordering_channels_never_trigger(monkeypatch):
+    # With reorder jitter on the tree a tail can overtake its block's
+    # chunks: the trigger stays off, and a fabric that only reorders
+    # recovers nothing ...
+    jitter = lambda s, d: FaultSpec(reorder_jitter=3e-6)
+    for kind in ("broadcast", "allgather"):
+        handle, result = _tail_run(True, kind, fault=jitter)
+        assert all(op.tail_epoch is None for op in handle.ops)
+        assert result.reliability_summary()["recoveries"] == 0
+        # ... and a drop is left to the cutoff
+        handle, result = _tail_run(True, kind, lose={1}, fault=jitter)
+        assert result.reliability_summary()["recovery_triggers"]["tail"] == 0
+    # Without the gate the same jitter starts recoveries with nothing lost.
+    monkeypatch.setattr(Communicator, "_tail_epoch",
+                        lambda self: self.fabric.fault_epoch)
+    handle, result = _tail_run(True, "allgather", fault=jitter)
+    assert result.reliability_summary()["recovery_triggers"]["tail"] > 0
+    assert not any(ch.packets_dropped for ch in handle.comm.fabric.channels.values())
+
+
+def test_a_fault_change_after_launch_disarms_the_trigger():
+    # A fault installed while the collective runs may reroute or reorder
+    # what is in flight: from then on only the cutoff starts recovery.
+    fabric = Fabric(Simulator(), Topology.leaf_spine(8, n_leaf=2, n_spine=2),
+                    link_bandwidth=gbit_per_s(56), streams=RandomStreams(seed=5))
+    comm = Communicator(fabric)
+    data = rank_data(0, kib(256))
+    handle = comm.submit(CollectiveRequest(kind="broadcast", data=data, root=0))
+    fabric.set_fault(_into(comm, "h3"), "h3", FaultSpec(drop_packet_seqs={10}))
+    comm.run(handle)
+    result = handle.result()
+    assert result.verify_broadcast(data)
+    assert handle.ops[3].trigger == "cutoff"
+
+
+@pytest.mark.parametrize("kind,config,tails", [
+    ("allgather", {}, 7), ("broadcast", {"n_subgroups": 2}, 2)])
+def test_the_trigger_waits_for_every_block_and_subgroup_tail(
+        kind, config, tails, monkeypatch):
+    # h3 loses an early chunk (the broadcast's first, or the first of
+    # rank 1's block): it fires only at the last of its tails — one per
+    # other rank's block, or one per subgroup — and at no earlier one.
+    stepped = []
+    real = RankEngine._tail_in
+    monkeypatch.setattr(RankEngine, "_tail_in", lambda self, op: (
+        stepped.append((self.rank, self.sim.now, op.tail.triggered)),
+        real(self, op))[1])
+    handle, _ = _tail_run(True, kind, lose={0 if kind == "broadcast" else 8},
+                          **config)
+    op = handle.ops[3]
+    mine = [(t, fired) for rank, t, fired in stepped if rank == 3]
+    assert len(mine) == tails and not any(fired for _, fired in mine)
+    assert op.trigger == "tail" and op.tail_at == max(t for t, _ in mine)
+    assert op.phases["recovery"] >= op.tail_at
 
 
 def test_adaptive_cutoff_backs_off_after_spurious_recovery():

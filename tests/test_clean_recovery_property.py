@@ -105,7 +105,7 @@ def _armed(cfg, request):
     comm.run(handle)
     rate = min(fabric.link_bandwidth, cfg.cost.recv_rate(
         cfg.chunk_size, uc=cfg.transport == "uc") * cfg.n_subgroups)
-    return [op.timer_trace[0][1] for op in handle.ops], rate
+    return [op.armed_timeout for op in handle.ops], rate
 
 
 def test_a_broadcast_arms_at_n_over_b_plus_alpha():

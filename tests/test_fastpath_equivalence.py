@@ -600,7 +600,7 @@ def _chains_window(topology: str, transport: str, n_chains: int
 #: cases whose folded run differs from the packet path: the broadcast
 #: preempts a session whose folded packets are still in flight, and the
 #: flush commits their channel watermarks ahead of packet-level packets
-#: that reach those channels first (ROADMAP item 7(i))
+#: that reach those channels first (ROADMAP item 6(i))
 _IN_FLIGHT_AT_ABORT = {
     ("dragonfly", "ud", 8, 0), ("dragonfly", "ud", 16, 0),
     ("dragonfly", "ud", 16, 1), ("dragonfly", "uc", 8, 0),
@@ -621,7 +621,7 @@ def _mid_chains_cases():
                 for k, frac in enumerate(rng.uniform(0.0, 1.0, 2).tolist()):
                     key = (topology, transport, n_chains, k)
                     marks = [pytest.mark.xfail(
-                        strict=True, reason="ROADMAP item 7(i): in-flight "
+                        strict=True, reason="ROADMAP item 6(i): in-flight "
                         "folded packets flushed ahead of packet-level ones")
                     ] if key in _IN_FLIGHT_AT_ABORT else []
                     yield pytest.param(*key[:3], frac, marks=marks,

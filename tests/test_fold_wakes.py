@@ -58,7 +58,7 @@ def _left_behind(comm, handles):
     fabric = comm.fabric
     return {
         "phases": [[op.phases for op in h.ops] for h in handles],
-        "timers": [[op.timer_trace for op in h.ops] for h in handles],
+        "timers": [[op.armed_timeout for op in h.ops] for h in handles],
         "channels": {key: (ch.bytes_sent, ch.packets_sent, ch.busy_until)
                      for key, ch in fabric.channels.items()},
         "forwarded": {name: sw.packets_forwarded
@@ -137,7 +137,7 @@ def test_an_unfold_before_a_stamped_barrier_exit_rearms_there(first, monkeypatch
         assert len(arms) == 16 + 15 + 16, at
         _assert_as_reference(first, at, _admit)
         # ... where the reference engine's packet barrier exits and arms
-        arms_at = [[(phases["sync"], timers[0]) for phases, timers in zip(
+        arms_at = [[(phases["sync"], timeout) for phases, timeout in zip(
             left["phases"][0], left["timers"][0])] for _, left in (
                 _interrupted(oracle, first, at, _admit) for oracle in (None, "reference"))]
         assert arms_at[0] == arms_at[1], at

@@ -197,3 +197,33 @@ def test_a_broadcast_admitted_into_a_lossy_session(t_submit, transport) -> None:
     packets, _ = run(True)
     assert ff.ff_phases > 0 and ff.comm.fabric.fold_misses["data"].get("preempted") == 1
     _assert_same(folded, packets)
+
+
+@pytest.mark.parametrize("lost,rounds", [({0, 2}, 1), ({0, 28}, 2)])
+def test_a_folded_owner_shows_its_chunks_as_they_land(lost, rounds) -> None:
+    # h3 loses the first chunk of rank 0's block and of rank 1's (datagrams
+    # 0 and 2 on its link) or of rank 15's (datagram 28), and its tail
+    # trigger has it read rank 0's placed chunks a few µs after the last
+    # phase — while h0's link, at 1/16 of the bandwidth, still lands that
+    # phase.  The folded lanes show each chunk as placed when it lands, as
+    # the packet path does: rank 0 has rank 1's chunk (one fetch round),
+    # not yet rank 15's (a second round, from rank 15).
+    def run(reference: bool):
+        fabric = Fabric(Simulator(), Topology.leaf_spine(16, 4, 2),
+                        link_bandwidth=gbit_per_s(56), streams=RandomStreams(1),
+                        reference=reference)
+        comm = Communicator(fabric, config=CollectiveConfig(chunk_size=1024))
+        fabric.set_fault("leaf000", "h3", FaultSpec(drop_packet_seqs=lost))
+        fabric.channel("leaf000", "h0").bandwidth /= 16
+        data = [np.full(2048, r + 1, dtype=np.uint8) for r in range(16)]
+        res = comm.allgather(data)
+        assert res.verify_allgather(data)
+        return comm, res
+
+    comm, res = run(False)
+    ref_comm, ref = run(True)
+    assert res.engine["ff_phases"] == 16 and res.engine["ff_misses"] == {}
+    summary = res.reliability_summary()
+    assert summary["recovery_triggers"] == {"tail": 1, "cutoff": 0}
+    assert summary["fetch_rounds"] == rounds
+    _assert_same(_left(comm, res), _left(ref_comm, ref))

@@ -1,4 +1,4 @@
-"""Adaptive reliability machinery for the slow path (paper §III-C).
+"""The slow path (paper §III-C): the cutoff timer, recovery and liveness.
 
 The paper's cutoff timer is ``N/B + α`` with a *fixed* slack α.  A
 recovery need not wait for it: a receiver whose last expected chunk of
@@ -17,6 +17,10 @@ spuriously.  This module provides:
   again by clean ops.  Karn's rule applies: ops that entered recovery do
   not contribute samples (their elapsed time measures the slow path, not
   delivery).
+* :class:`SlowPath` — the per-rank half that :class:`RankEngine
+  <repro.core.progress.RankEngine>` derives from: arming the cutoff, the
+  fetch rounds over the per-switch recovery tree and round the ring, the
+  fetch server, and the liveness layer's probes and death notices.
 * :class:`ReliabilityError` — the typed, diagnostic-rich failure raised
   when an op's recovery deadline expires; the alternative is a silent
   simulation hang.
@@ -29,13 +33,30 @@ configurable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+
+from repro.core.control import (
+    FETCH_WAKE,
+    MSG_DEATH,
+    MSG_FETCH_ACK,
+    MSG_FETCH_READY,
+    MSG_FETCH_REQ,
+    MSG_PING,
+    MSG_PONG,
+)
+from repro.net.nic import SendWR
+from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.primitives import Resource
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.ops import OpState
 
 __all__ = [
     "ReliabilityError",
     "PeerDeadError",
     "CollectiveAbortedError",
     "CutoffEstimator",
+    "SlowPath",
 ]
 
 #: clamp range of the adaptive cutoff slack
@@ -193,8 +214,6 @@ class CutoffEstimator:
         self.backoff = 1.0
         self.samples = 0
         self.spurious = 0
-        #: adaptation trace: (sample_or_nan, resulting slack) per update
-        self.trace: List[Tuple[float, float]] = []
 
     def slack(self) -> float:
         if self.srtt is None:
@@ -217,12 +236,550 @@ class CutoffEstimator:
         # A clean op halves any recovery backoff (slow-start style decay).
         self.backoff = max(1.0, self.backoff / 2.0)
         self.samples += 1
-        self.trace.append((sample, self.slack()))
 
     def on_recovery(self) -> None:
         """An op needed the slow path: back the timer off (Karn — no
         sample is taken, the elapsed time measured recovery, not delivery)."""
         self.backoff = min(self.backoff * 2.0, 64.0)
         self.spurious += 1
-        self.trace.append((float("nan"), self.slack()))
 
+
+class SlowPath:
+    """The slow path of one rank (§III-C): arming the cutoff timer, the
+    recovery's fetch rounds — owner, delegate, ring — and the fetch server
+    that answers them, and the liveness layer's probes and death notices.
+
+    :class:`~repro.core.progress.RankEngine` derives from it; these methods
+    read the engine's ``comm``, ``rank``, ``sim``, ``fabric``, ``config``,
+    ``nic``, ``ctrl``, ``ops``, ``trace`` and ``_shutdown``.
+    """
+
+    def __init__(self) -> None:
+        self._fetch_proc = self.sim.spawn(self._fetch_server(),
+                                          name=f"fetchsrv-r{self.rank}", parked=True)
+        self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].notify = self._fetch_proc.wake
+        # Serializes recoveries so read completions on the shared control
+        # QP's send CQ are attributable to exactly one controller.
+        self._recovery_lock = Resource(self.sim, 1)
+        #: adaptive cutoff slack, persistent across this rank's collectives
+        self.cutoff = CutoffEstimator(self.config.cutoff_alpha)
+        self._fetch_nonce = 0
+
+        # --- liveness layer (only active when config.failure_policy set) ---
+        #: peers this rank knows to be dead (own probes or MSG_DEATH notices)
+        self.confirmed_dead: Set[int] = set()
+        #: fires at this rank's next death confirmation, then is replaced
+        #: (:meth:`_add_dead`); liveness-bounded waits end on it
+        #: (:meth:`_wait_live`)
+        self._membership = Event(self.sim)
+        self._probe_nonce = 0
+        self.ctrl.on_death = self._on_death_notice
+
+    # --------------------------------------------------------------- cutoff
+
+    def cutoff_allowance(self, op: OpState) -> Tuple[float, float]:
+        """The cutoff timer's arming bound (§III-C) as ``(expected, slack)``.
+
+        ``expected`` is the collective's chain schedule from the arm
+        (:mod:`repro.models.schedule`, computed once at launch); a
+        Broadcast's is the paper's N/B.  ``slack`` is the adaptive α
+        (core/reliability.py): starts at the static α, tightens toward
+        SRTT + K·RTTVAR as clean ops accumulate, backs off after spurious
+        recoveries; ``adaptive_cutoff=False`` is the paper's fixed α.  The
+        fast-forward's deadline gates call this too, so they cannot drift
+        from the timer they predict.
+        """
+        cfg = self.config
+        slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha
+        return op.expected, slack
+
+    def _arm(self, op: OpState, t: float) -> Tuple[float, float, float]:
+        """Leave the barrier at *t* and arm the cutoff timer from there (its
+        deadline, or an earlier tail trigger, published as
+        ``op.recovery_at`` for :meth:`_plan_step` and the data fold):
+        ``(expected, slack, deadline)``."""
+        op.phases["sync"] = t
+        expected, slack = self.cutoff_allowance(op)
+        deadline = t + expected + slack
+        op.recovery_at = min(deadline, op.tail_at)
+        op.armed_timeout = expected + slack
+        return expected, slack, deadline
+    # ------------------------------------------------------------- recovery
+
+    def run_recovery(self, op: OpState, participants: List[int], me: int,
+                     deadline_abs: float, monitor: Optional[List[int]] = None):
+        """Slow path (§III-C), hardened: selective zero-copy fetch of
+        missing chunks over a two-level recovery tree, then round the ring.
+        Returns once ``data_done`` has fired, or raises.
+
+        The fetch is **chunk-granular**: each round reads which of our
+        missing chunks the peer has *placed* (its own may still be
+        recovering) and RDMA-READs exactly those.  A whole-buffer ACK
+        handshake would deadlock when every rank of an Allgather lost
+        something.
+
+        Every rank derives its peer without a message
+        (:meth:`_tree_peer`): ranks are grouped by attachment switch, each
+        group's **delegate** — the owner of the lowest missing chunk when
+        it is in the group, else the group's first live rank of
+        *participants* — fetches from that
+        owner (a broadcast's root, an allgather chunk's source rank), and
+        every other rank fetches from its delegate.  A drop above a leaf
+        then crosses the spine once per switch instead of sending each
+        rank of the leaf round the ring, whose ring-left neighbour lacks
+        the same chunk.  After a productive round the next goes straight to
+        the next lowest missing chunk's peer.
+
+        The paper's ring — the ring-left neighbour first, then farther
+        left, one round each — is the fallback only: it finishes what the
+        tree could not, when the tree's peer is dead, absent from
+        *participants*, silent, or has nothing for us.  Degraded completion
+        runs the same tree over the survivors.
+
+        Each round is one rendezvous, a park if the peer is still short of
+        chunks, and one read.  Nobody polls: a delegate or ring peer still
+        short of chunks wakes us with ``MSG_FETCH_READY`` once it has them
+        all (:meth:`_await_ready`).  A delegate's park lasts until the
+        recovery deadline, a ring peer's ``FETCH_ACK_TIMEOUT`` at most.
+
+        Hardening beyond the paper's description:
+
+        * the FETCH_ACK rendezvous is timeout-bounded — an unresponsive
+          peer costs ``FETCH_ACK_TIMEOUT``, not a hang;
+        * the whole recovery is bounded by *deadline_abs* — on expiry a
+          :class:`ReliabilityError` with diagnostic counters is raised
+          instead of hanging the simulation.
+
+        When *monitor* is set (liveness layer active), any confirmed death
+        among those ranks raises :class:`PeerDeadError` out of the loop so
+        the controller can re-plan instead of fetching from a corpse.
+        *me* is this rank's position in *participants*.
+        """
+        op.stats["recoveries"] += 1
+        # An unscheduled crash (no fault_epoch hook between the crash and
+        # this cutoff) can leave a deferred-commit session live; recovery
+        # traffic must see fully committed channel state — and no folded
+        # token or INC pass may be served around it.
+        self.comm.fabric.preempt_folds()
+        trc = self.trace
+        recovery_t0 = self.sim.now
+        rounds = 0
+        ring = [participants[(me - d) % len(participants)]
+                for d in range(1, len(participants))]
+        hop = -1  # ring rounds taken; -1 while the tree serves
+        yield self._recovery_lock.acquire()
+        try:
+            yield self.comm.recovery_turn(self.rank)
+            while not op.data_done.triggered:
+                if monitor is not None:
+                    self._check_live(op, monitor, "data")
+                self._check_recovery_deadline(op, deadline_abs)
+                if op.missing_chunks == 0:
+                    # every chunk tracked: the last staging copies are landing
+                    yield AnyOf(self.sim, [op.data_done, Timeout(
+                        self.sim, max(deadline_abs - self.sim.now, 1e-9))])
+                    continue
+                if hop < 0:
+                    peer, via = self._tree_peer(op, participants)
+                    if peer in self.confirmed_dead or peer not in participants:
+                        hop = 0
+                if hop >= 0:
+                    # Falling back counts as one escalation, and so does
+                    # every further ring peer.
+                    peer, via = ring[hop % len(ring)], "ring"
+                    if hop == 0 or len(ring) > 1:
+                        op.stats["neighbor_escalations"] += 1
+                        if trc is not None:
+                            trc.instant("reliability.escalate", self.sim.now,
+                                        {"peer": peer})
+                    hop += 1
+                ack = yield from self._rendezvous(
+                    op, peer, deadline_abs, monitor, wake=via != "owner")
+                if ack is None:
+                    hop = max(hop, 0)  # a silent tree peer: on round the ring
+                    continue
+                if ack.args[0] and not (yield from self._await_ready(
+                        op, ack, deadline_abs, monitor, via)):
+                    continue  # our own op completed meanwhile
+                got = yield from self._fetch_round(op, peer, via, deadline_abs)
+                rounds += 1
+                if got is None:
+                    hop = max(hop, 0)  # nothing for us: likewise
+        finally:
+            self._recovery_lock.release()
+            op.retry_histogram.append(rounds)
+            if trc is not None:
+                trc.complete("reliability.recover", recovery_t0,
+                             self.sim.now - recovery_t0,
+                             {"rounds": rounds})
+
+    def _tree_peer(self, op: OpState,
+                   participants: List[int]) -> Tuple[int, str]:
+        """The peer this rank fetches its lowest missing chunk from, and
+        how it reaches it: ``(owner, "owner")`` when the owner is in this
+        rank's switch group or this rank is the group's delegate — its
+        first rank that is in *participants* and not confirmed dead — else
+        ``(delegate, "delegate")``.  The owner comes from the chunk plan:
+        the root of a broadcast, else the rank whose send range holds the
+        chunk."""
+        owner = op.root
+        if owner is None:
+            owner = op.bitmap.missing_runs()[0][0] // op.own_chunks
+        group = self.comm.switch_group(self.rank)
+        if self.comm.switch_group(owner) is group:
+            return owner, "owner"
+        delegate = next(r for r in group if r not in self.confirmed_dead
+                        and r in participants)
+        if delegate == self.rank:
+            return owner, "owner"
+        return delegate, "delegate"
+
+    def _check_recovery_deadline(self, op: OpState, deadline_abs: float) -> None:
+        if self.sim.now < deadline_abs:
+            return
+        started = op.phases.get("recovery", deadline_abs - self.config.recovery_deadline)
+        raise ReliabilityError(
+            f"recovery deadline exceeded on rank {self.rank}",
+            rank=self.rank,
+            coll_id=op.coll_id,
+            kind=op.kind,
+            missing_chunks=op.missing_chunks,
+            n_chunks=op.n_chunks,
+            elapsed=self.sim.now - started,
+            deadline=self.config.recovery_deadline,
+            counters=op.stats,
+            retry_histogram=op.retry_histogram,
+        )
+
+    def _fetch_key(self, op: OpState) -> int:
+        """A fresh rendezvous key: the collective and a nonce, so a late
+        reply to an abandoned request can never satisfy a newer one."""
+        self._fetch_nonce = (self._fetch_nonce + 1) & 0xFF
+        return (op.coll_id << 8) | self._fetch_nonce
+
+    def _rendezvous(self, op: OpState, peer: int, deadline_abs: float,
+                    monitor: Optional[List[int]], wake: bool = False):
+        """FETCH_REQ → FETCH_ACK with *peer*, bounded by
+        ``FETCH_ACK_TIMEOUT``: the ACK (a :class:`CtrlMessage`), or
+        ``None`` when the op completed meanwhile or the peer stayed silent
+        (under a *monitor* it is probed first, and a dead peer raises
+        :class:`PeerDeadError`).  With *wake*, the ACK's first argument
+        says whether the peer is still short of chunks and will send
+        ``MSG_FETCH_READY`` once it has them all (:meth:`_fetch_server`).
+        """
+        key = self._fetch_key(op)
+        self.ctrl.send(peer, MSG_FETCH_REQ, key, (FETCH_WAKE,) if wake else ())
+        ack = self.ctrl.recv(MSG_FETCH_ACK, key, peer)
+        wait = min(FETCH_ACK_TIMEOUT, max(deadline_abs - self.sim.now, 1e-9))
+        yield from self._wait_live(op, [ack, op.data_done], wait, monitor)
+        if op.data_done.triggered:
+            return None
+        if ack.triggered:
+            # discard stale read completions of abandoned attempts
+            self.comm.ensure_ctrl_pair(self.rank, peer).send_cq.poll()
+            return ack.value
+        op.stats["fetch_ack_timeouts"] += 1
+        if self.trace is not None:
+            self.trace.instant("reliability.timeout", self.sim.now,
+                               {"peer": peer})
+        if monitor is not None:
+            # A silent fetch server is exactly what a fail-stopped host
+            # looks like from the data phase — probe before escalating
+            # so a dead peer is detected promptly, not only when some
+            # rank blocks on it in a control-plane wait.
+            yield from self._probe_fetch_peer(op, peer, monitor)
+        self._check_recovery_deadline(op, deadline_abs)
+        return None
+
+    def _probe_fetch_peer(self, op: OpState, peer: int, monitor: List[int]):
+        """Probe a fetch peer that stays silent; :class:`PeerDeadError`
+        when it is dead."""
+        if (yield from self._probe(peer)):
+            raise PeerDeadError(
+                f"peer {peer} fail-stopped during fetch",
+                rank=self.rank, coll_id=op.coll_id, phase="data",
+                dead=self._dead_in(monitor) or {peer},
+            )
+
+    def _fetch_round(self, op: OpState, peer: int, via: str, deadline_abs: float):
+        """One fetch round against *peer*, reached *via* ``"owner"``,
+        ``"delegate"`` or ``"ring"``: read its bitmap, then RDMA-READ our
+        missing chunks it has placed.  Returns the chunks newly recovered,
+        or ``None`` when it had none of ours."""
+        self._check_recovery_deadline(op, deadline_abs)
+        op.stats["fetch_rounds"] += 1
+        op.stats["fetch_via_" + via] += 1
+        if self.trace is not None:
+            self.trace.instant("reliability.fetch", self.sim.now,
+                               {"peer": peer, "via": via})
+        # The peer's bitmap: one small RDMA read (RTT + bitmap bytes on
+        # the wire).
+        rtt = 2 * self.fabric.one_way_delay(self.nic.host, self.comm.host_of(peer))
+        bitmap_bytes = max(op.n_chunks // 8, 8)
+        yield Timeout(self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth)
+        runs = self._fetchable_runs(op, self.comm.engines[peer].ops.get(op.coll_id))
+        if not runs:
+            return None
+        qp = self.comm.ensure_ctrl_pair(self.rank, peer)
+        got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
+        op.maybe_complete()
+        return got
+
+    def _await_ready(self, op: OpState, ack, deadline_abs: float,
+                     monitor: Optional[List[int]], via: str):
+        """Park until the peer that sent *ack*, reached *via* ``"delegate"``
+        or ``"ring"``, has all its chunks: its ``MSG_FETCH_READY`` under
+        the ACK's key.  Returns False when our own op completed first, else
+        True: woken, or a ring peer's park of at most ``FETCH_ACK_TIMEOUT``
+        is over (we read what it has).  A delegate's park is bounded only
+        by the recovery deadline, where it raises; under a *monitor* a
+        death among it ends the wait at once, and the delegate is probed
+        after every ``FETCH_ACK_TIMEOUT`` of silence
+        (:class:`PeerDeadError` either way)."""
+        peer = ack.src
+        ring = via == "ring"
+        ready = self.ctrl.recv(MSG_FETCH_READY, ack.key, peer)
+        t0 = self.sim.now
+        while True:
+            wait = max(deadline_abs - self.sim.now, 1e-9)
+            if monitor is not None or ring:
+                wait = min(wait, FETCH_ACK_TIMEOUT)
+            yield from self._wait_live(op, [ready, op.data_done], wait, monitor)
+            if ready.triggered or op.data_done.triggered:
+                break
+            self._check_recovery_deadline(op, deadline_abs)
+            if ring:
+                break
+            if monitor is not None:
+                yield from self._probe_fetch_peer(op, peer, monitor)
+        if ready.triggered and self.trace is not None:
+            self.trace.instant("reliability.wake", self.sim.now,
+                               {"peer": peer, "via": via,
+                                "waited": self.sim.now - t0})
+        return ready.triggered or not op.data_done.triggered
+
+    @staticmethod
+    def _fetchable_runs(op: OpState, peer_op: Optional[OpState]):
+        """Our missing chunks the peer has placed, as contiguous runs."""
+        if peer_op is None:
+            return []
+        return op.bitmap.missing_runs(among=peer_op.placed)
+
+    def _fetch_runs(self, op: OpState, qp, runs, deadline_abs: float):
+        """RDMA-READ the given (start, count) chunk runs from the peer
+        behind *qp*; returns the number of newly recovered chunks."""
+        expected = 0
+        for start, count in runs:
+            offset = start * op.plan.chunk_size
+            length = min(count * op.plan.chunk_size,
+                         op.plan.buffer_len - offset)
+            qp.post_send(
+                SendWR(
+                    wr_id=start, verb="read", mr_key=op.mr.key,
+                    offset=offset, length=length,
+                    remote_key=op.mr.key, remote_offset=offset,
+                )
+            )
+            expected += 1
+        while expected > 0:
+            # READ responses ride RC, but a dead link (flap with
+            # protect_reliable=False) would strand us — bound the wait.
+            remaining = max(deadline_abs - self.sim.now, 1e-9)
+            yield AnyOf(self.sim, [qp.send_cq.wait(), Timeout(self.sim, remaining)])
+            done = len(qp.send_cq.poll())
+            if done == 0:
+                self._check_recovery_deadline(op, deadline_abs)
+            expected -= done
+        got = 0
+        for start, count in runs:
+            got += op.bitmap.set_range(start, count)
+            op.placed.set_range(start, count)
+        op.stats["recovered_chunks"] += got
+        return got
+
+    def _fetch_server(self):
+        """Answer FETCH_REQs at once with a FETCH_ACK — the requester then
+        pulls whatever chunks are placed.  A request flagged ``FETCH_WAKE``
+        while our data phase is still short of chunks is remembered
+        instead: the ACK says so (argument 1), and ``MSG_FETCH_READY``
+        wakes the requester when the phase completes."""
+        _, msg = self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].try_get()  # the one that woke us
+        while True:
+            pending = 0
+            if msg.args[0] == FETCH_WAKE:
+                op = self.ops.get(msg.key >> 8)
+                if op is not None and not op.data_done.triggered:
+                    pending = 1
+                    op.data_done.subscribe(lambda _ev, msg=msg: self._send_ready(msg))
+            self.ctrl.send(msg.src, MSG_FETCH_ACK, msg.key, (pending,))
+            msg = yield self.ctrl.recv(MSG_FETCH_REQ)
+
+    def _send_ready(self, msg) -> None:
+        if not self._shutdown:
+            self.ctrl.send(msg.src, MSG_FETCH_READY, msg.key)
+
+    # ------------------------------------------------------------- liveness
+
+    def _on_death_notice(self, msg) -> None:
+        """Reliable MSG_DEATH notice from a peer that confirmed a death.
+        RC delivery makes membership agreement trivial: every survivor
+        eventually holds the same (monotonically growing) dead set."""
+        rank = msg.key
+        if rank in self.confirmed_dead:
+            return
+        self._add_dead(rank)
+        if self.trace is not None:
+            self.trace.instant("liveness.confirm", self.sim.now,
+                               {"rank": rank, "via": "notice", "src": msg.src})
+        self.comm.note_death(rank)
+
+    def _suspicion_timeout(self) -> float:
+        """No-progress suspicion timer: the ``SUSPICION_TIMEOUT`` floor,
+        widened by the adaptive cutoff estimator so a congested-but-healthy
+        fabric that legitimately slows delivery also slows suspicion.  The
+        floor must exceed the fabric's SM reroute delay (2 ms clears the
+        1 ms sweep), so a switch-down blackout window cannot confirm a live
+        peer dead."""
+        return max(SUSPICION_TIMEOUT, 4.0 * self.cutoff.slack())
+
+    def _probe(self, peer: int):
+        """PING *peer* until it answers or the retry budget is exhausted.
+        Returns True when the peer is (now) confirmed dead."""
+        if peer in self.confirmed_dead:
+            return True
+        peer_host = self.comm.host_of(peer)
+        wait = max(LIVENESS_PROBE_TIMEOUT,
+                   4.0 * self.fabric.one_way_delay(self.nic.host, peer_host))
+        for _ in range(LIVENESS_PROBE_RETRIES):
+            self._probe_nonce = (self._probe_nonce + 1) & 0xFFFF
+            key = self._probe_nonce
+            pong = self.ctrl.recv(MSG_PONG, key, peer)
+            self.ctrl.send(peer, MSG_PING, key)
+            yield AnyOf(self.sim, [pong, Timeout(self.sim, wait)])
+            if pong.triggered:
+                return False
+            if peer in self.confirmed_dead:
+                return True  # someone else confirmed while we probed
+        self._confirm_death(peer)
+        return True
+
+    def _confirm_death(self, peer: int) -> None:
+        """Local death confirmation: record it, tell every other survivor
+        (reliable RC notices → agreement), update the communicator.
+
+        An *isolated* rank — one whose own NIC or access links are down, so
+        every peer looks dead from its side — keeps its confirmation local:
+        its notices could never leave the host, and the communicator-level
+        membership update is a simulation shortcut that a partitioned
+        minority must not be allowed to abuse (it would "kill" the healthy
+        majority).  The isolated rank still repairs locally (degrading to a
+        sole-survivor completion); the majority independently confirms *it*
+        dead and excludes its result."""
+        if peer in self.confirmed_dead:
+            return
+        self._add_dead(peer)
+        if self.trace is not None:
+            self.trace.instant("liveness.confirm", self.sim.now,
+                               {"rank": peer, "via": "probe"})
+        if self.fabric.host_isolated(self.nic.host):
+            return
+        for r in range(self.comm.size):
+            if r in (self.rank, peer) or r in self.comm.dead_ranks:
+                continue
+            self.ctrl.send(r, MSG_DEATH, peer)
+        self.comm.note_death(peer)
+
+    def _add_dead(self, rank: int) -> None:
+        self.confirmed_dead.add(rank)
+        changed, self._membership = self._membership, Event(self.sim)
+        changed.succeed()
+
+    def _dead_in(self, participants: List[int]) -> Set[int]:
+        return self.confirmed_dead.intersection(participants)
+
+    def _check_live(self, op: OpState, participants: List[int], phase: str) -> None:
+        dead = self._dead_in(participants)
+        if dead:
+            raise PeerDeadError(
+                f"peer(s) fail-stopped during {phase}",
+                rank=self.rank, coll_id=op.coll_id, phase=phase, dead=dead,
+            )
+
+    def _wait_live(self, op: OpState, events: List[Event], wait: float,
+                   monitor: Optional[List[int]], phase: str = "data"):
+        """Wait for the first of *events*, at most *wait* seconds.  Under a
+        *monitor*, a death confirmation among those ranks ends the wait at
+        once (:class:`PeerDeadError`); one outside them waits on for the
+        time left."""
+        if monitor is None:
+            yield AnyOf(self.sim, events + [Timeout(self.sim, wait)])
+            return
+        until = self.sim.now + wait
+        while True:
+            changed = self._membership
+            cond = AnyOf(self.sim, events + [Timeout(self.sim, wait), changed])
+            yield cond
+            if cond.value is not changed:
+                if changed.callbacks:  # still pending: take the wait off it
+                    changed.callbacks.remove(cond._on_child)
+                return
+            self._check_live(op, monitor, phase)
+            if any(ev.triggered for ev in events):
+                return
+            wait = max(until - self.sim.now, 0.0)
+
+    def _recv_live(self, op: OpState, participants: List[int], mtype: int,
+                   key: int, src: int, phase: str,
+                   escalate_live: Optional[int] = None,
+                   min_timeout: Optional[float] = None):
+        """Liveness-bounded control receive: wait for the message, but
+        convert silence into a typed :class:`PeerDeadError`.
+
+        Any confirmed death among *participants* aborts the wait at once —
+        not just *src*'s: a rank blocked on a live peer that itself detoured
+        into repair would otherwise wait forever, so every membership change
+        sends everyone to the (idempotent) repair path.  Silence from *src*
+        past the suspicion timer is checked against the heartbeat
+        piggyback (any control message counts) before spending probes.
+
+        ``escalate_live`` bounds waits whose message can be lost forever
+        without the sender dying — an activation or final-handshake packet
+        black-holed by a switch that hard-crashed before the SM sweep
+        rerouted (the RC retransmission that would redeliver it is not
+        modeled).  After that many probes *answered alive*, the wait gives
+        up and returns ``None``; the caller proceeds without the message.
+        ``min_timeout`` floors the first suspicion period — activation
+        legitimately takes up to a full collective to arrive, so its wait
+        starts at the op's own cutoff bound rather than the generic timer.
+        """
+        ev = self.ctrl.recv(mtype, key, src)
+        suspicion = self._suspicion_timeout()
+        cap = 16.0 * suspicion
+        wait = max(suspicion, min_timeout or 0.0)
+        live_probes = 0
+        while True:
+            self._check_live(op, participants, phase)
+            yield from self._wait_live(op, [ev], wait, participants, phase)
+            if ev.triggered:
+                return ev.value
+            if self.trace is not None:
+                self.trace.instant("liveness.suspect", self.sim.now,
+                                   {"rank": src, "phase": phase})
+            last = self.ctrl.last_heard.get(src)
+            if last is not None and self.sim.now - last < suspicion:
+                # Heard from it recently on another signature — it is slow,
+                # not dead.  Widen and keep waiting without spending probes.
+                suspicion = min(suspicion * 2.0, cap)
+                wait = suspicion
+                continue
+            if (yield from self._probe(src)):
+                raise PeerDeadError(
+                    f"peer {src} fail-stopped during {phase}",
+                    rank=self.rank, coll_id=op.coll_id, phase=phase,
+                    dead=self._dead_in(participants) or {src},
+                )
+            live_probes += 1
+            if escalate_live is not None and live_probes >= escalate_live:
+                return None  # sender alive, message presumably lost
+            suspicion = min(suspicion * 2.0, cap)
+            wait = suspicion

@@ -11,7 +11,10 @@ the adaptive timer arms a tighter cutoff, enters recovery sooner, and
 completes lossy collectives faster.  A receiver whose last chunk arrives
 starts recovery at once (the tail trigger, DESIGN.md §7), so the schedule
 also drops the last chunk on one host's link: that rank waits for its
-cutoff, which is what the table compares.
+cutoff, which is what the table compares.  A third table runs four
+back-to-back lossy allgathers on one communicator with no warm-up: nearly
+every recovery there is a real loss (most of them lost tails), which must
+not back the adaptive timer off.
 
 Shape criteria: every cell completes with verified payload (the harness
 asserts data integrity, not just termination); recovery counters grow
@@ -139,12 +142,44 @@ def adaptive_rows():
     return rows, wins
 
 
+def back_to_back_rows(n_ops=4):
+    """Adaptive vs static cutoff over *n_ops* back-to-back allgathers on
+    one communicator under 5 % burst loss, with no warm-up: the total
+    time of each, per message size."""
+    rows = []
+    wins = []
+    ge = GilbertElliott(p_good_bad=0.0105, p_bad_good=0.2, drop_bad=1.0)
+    for nbytes in SIZES:
+        shard = nbytes // N_HOSTS
+        data = [np.full(shard, r % 251, dtype=np.uint8) for r in range(N_HOSTS)]
+        totals = {}
+        for adaptive in (False, True):
+            comm = make_comm(config=CollectiveConfig(adaptive_cutoff=adaptive), seed=11)
+            install_chaos(comm.fabric, ge, flap=False)
+            totals[adaptive] = 0.0
+            for _ in range(n_ops):
+                result = comm.allgather(data)
+                assert result.verify_allgather(data)
+                totals[adaptive] += result.duration
+        speedup = totals[False] / totals[True]
+        wins.append(speedup)
+        rows.append(
+            (
+                pretty_bytes(nbytes),
+                f"{totals[False] * 1e6:.1f}",
+                f"{totals[True] * 1e6:.1f}",
+                f"{speedup:.2f}x",
+            )
+        )
+    return rows, wins
+
+
 def run_chaos_sweep():
-    return sweep_rows(), adaptive_rows()
+    return sweep_rows(), adaptive_rows(), back_to_back_rows()
 
 
 def test_chaos_recovery_sweep(benchmark):
-    (rows, by_sev), (a_rows, wins) = benchmark.pedantic(
+    (rows, by_sev), (a_rows, wins), (b_rows, b_wins) = benchmark.pedantic(
         run_chaos_sweep, rounds=1, iterations=1
     )
     report(
@@ -159,6 +194,12 @@ def test_chaos_recovery_sweep(benchmark):
         "2 clean warmups, 5% burst loss, h5 loses the last chunk)\n"
         + format_table(
             ["msg", "static us", "adaptive us", "speedup"], a_rows
+        )
+        + "\n\nAdaptive vs static cutoff, 4 back-to-back allgathers on one "
+        "communicator (identical fault schedule, no warmup, 5% burst loss, "
+        "total time)\n"
+        + format_table(
+            ["msg", "static us", "adaptive us", "speedup"], b_rows
         ),
     )
     # Clean cells never enter recovery; lossy cells always complete.
@@ -168,5 +209,5 @@ def test_chaos_recovery_sweep(benchmark):
         worst = dict(cells)["10% burst"]
         assert worst["recovered_chunks"] >= clean["recovered_chunks"]
     # The adaptive cutoff never loses to the static α under loss.
-    for speedup in wins:
+    for speedup in wins + b_wins:
         assert speedup >= 1.0, f"adaptive slower than static: {speedup:.2f}x"

@@ -141,8 +141,9 @@ class CollectiveConfig:
     #: cutoff-timer slack α (§III-C): timeout = N/B_link + α
     cutoff_alpha: float = 200e-6
     #: adapt the cutoff slack from observed delivery (TCP-RTO-style EWMA,
-    #: clamped to ``[CUTOFF_ALPHA_MIN, CUTOFF_ALPHA_MAX]``); the first op
-    #: always uses the static ``cutoff_alpha``
+    #: clamped to ``[CUTOFF_ALPHA_MIN, CUTOFF_ALPHA_MAX]``), backing off
+    #: only after a recovery during which multicast data still landed; the
+    #: first op on a communicator always uses the static ``cutoff_alpha``
     adaptive_cutoff: bool = True
     #: total virtual time an op may spend in recovery before raising a
     #: :class:`~repro.core.reliability.ReliabilityError` instead of hanging

@@ -112,7 +112,7 @@ class OpState:
             "recoveries": 0,
             "chunks_received": 0,
             "fetch_rounds": 0,
-            # fetch rounds by the peer they read (``RankEngine._fetch_round``)
+            # fetch rounds by the peer they read (``SlowPath._fetch_round``)
             "fetch_via_owner": 0,
             "fetch_via_delegate": 0,
             "fetch_via_ring": 0,

@@ -13,10 +13,11 @@ spuriously.  This module provides:
 * :class:`CutoffEstimator` — a TCP-RTO-style adaptive slack: an EWMA of
   the observed slack (actual data-phase duration minus the expected time)
   plus a weighted mean-deviation term (RFC 6298's SRTT/RTTVAR), with
-  exponential backoff applied whenever an op needed recovery and decayed
-  again by clean ops.  Karn's rule applies: ops that entered recovery do
-  not contribute samples (their elapsed time measures the slow path, not
-  delivery).
+  exponential backoff applied when multicast data still landed during a
+  recovery (the timer fired early; a loss alone says nothing about it)
+  and decayed again by clean ops.  Karn's rule applies: ops that entered
+  recovery do not contribute samples (their elapsed time measures the
+  slow path, not delivery).
 * :class:`SlowPath` — the per-rank half that :class:`RankEngine
   <repro.core.progress.RankEngine>` derives from: arming the cutoff, the
   fetch rounds over the per-switch recovery tree and round the ring, the
@@ -238,8 +239,9 @@ class CutoffEstimator:
         self.samples += 1
 
     def on_recovery(self) -> None:
-        """An op needed the slow path: back the timer off (Karn — no
-        sample is taken, the elapsed time measured recovery, not delivery)."""
+        """Multicast data landed during an op's recovery — the timer fired
+        early: back it off (Karn — no sample is taken, the elapsed time
+        measured recovery, not delivery)."""
         self.backoff = min(self.backoff * 2.0, 64.0)
         self.spurious += 1
 
@@ -283,11 +285,11 @@ class SlowPath:
         ``expected`` is the collective's chain schedule from the arm
         (:mod:`repro.models.schedule`, computed once at launch); a
         Broadcast's is the paper's N/B.  ``slack`` is the adaptive α
-        (core/reliability.py): starts at the static α, tightens toward
+        (:class:`CutoffEstimator`): starts at the static α, tightens toward
         SRTT + K·RTTVAR as clean ops accumulate, backs off after spurious
-        recoveries; ``adaptive_cutoff=False`` is the paper's fixed α.  The
-        fast-forward's deadline gates call this too, so they cannot drift
-        from the timer they predict.
+        recoveries (late data, not loss); ``adaptive_cutoff=False`` is the
+        paper's fixed α.  The fast-forward's deadline gates call this too,
+        so they cannot drift from the timer they predict.
         """
         cfg = self.config
         slack = self.cutoff.slack() if cfg.adaptive_cutoff else cfg.cutoff_alpha

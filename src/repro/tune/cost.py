@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.core.control import MESSAGE_BYTES
-from repro.core.reliability import CUTOFF_ALPHA_MIN
 from repro.core.sequencer import effective_chains
 from repro.models.footprint import ProtocolFootprint
 from repro.models.schedule import Schedule, chain_hops, chain_schedule
@@ -142,7 +141,9 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
     if loss > 0.0 and scenario.collective != "alltoall":
         total_chunks = (p if scenario.collective == "allgather" else 1) * n / chunk
         expected_lost = loss * total_chunks
-        slack = CUTOFF_ALPHA_MIN if cfg.adaptive_cutoff else cfg.cutoff_alpha
+        # The evaluator runs one collective on a fresh communicator, whose
+        # first op arms the static slack whether or not it adapts.
+        slack = cfg.cutoff_alpha
         fetch_rtt = 2 * hop_latency + 2 * cfg.cost.ctrl_message
         recovery = slack + expected_lost * (fetch_rtt + chunk / bandwidth)
 

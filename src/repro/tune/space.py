@@ -110,8 +110,6 @@ class SearchSpace:
         if scenario.fault_profile != "clean":
             domains["cutoff_alpha"] = KnobDomain(
                 "cutoff_alpha", (100e-6, 200e-6, 400e-6))
-            domains["adaptive_cutoff"] = KnobDomain(
-                "adaptive_cutoff", (True, False))
         return cls(scenario=scenario, domains=domains)
 
     # --------------------------------------------------------- enumeration

@@ -471,15 +471,52 @@ def test_the_trigger_waits_for_every_block_and_subgroup_tail(
     assert op.phases["recovery"] >= op.tail_at
 
 
-def test_adaptive_cutoff_backs_off_after_spurious_recovery():
+@pytest.mark.chaos_smoke
+@pytest.mark.parametrize("lose,trigger", [({0}, "tail"), ({0, 15}, "cutoff")],
+                         ids=["tail", "cutoff"])
+def test_a_real_loss_leaves_the_adaptive_slack_unchanged(lose, trigger):
+    # h2 loses the first chunk of a 16-chunk broadcast, or the first and
+    # the last (its tail): the tail trigger or the cutoff starts its
+    # recovery, and no multicast chunk lands during it.  A loss says
+    # nothing about the timer, so the slack stays, and every op arms the
+    # same timeouts on the folded engine as on the reference.
+    armed = []
+    for reference in (False, True):
+        fabric = Fabric(Simulator(), Topology.star(4), link_bandwidth=gbit_per_s(56),
+                        streams=RandomStreams(seed=32), reference=reference)
+        comm = Communicator(fabric)
+        engine = comm.engines[2]
+        data = rank_data(0, kib(64))
+        results = [comm.broadcast(0, data)]
+        slack_before = engine.cutoff.slack()
+        fabric.set_fault("sw000", "h2", FaultSpec(drop_packet_seqs=lose))
+        results.append(comm.broadcast(0, data))
+        assert results[-1].verify_broadcast(data)
+        assert results[-1].ranks[2].trigger == trigger
+        assert engine.cutoff.spurious == 0
+        assert engine.cutoff.slack() == slack_before
+        results.append(comm.broadcast(0, data))
+        armed.append([[r.armed_timeout for r in res.ranks] for res in results])
+    assert armed[0] == armed[1]
+
+
+@pytest.mark.chaos_smoke
+def test_a_slowed_link_backs_the_adaptive_slack_off():
+    # h2's link serializes at a quarter of its rate and drops nothing: its
+    # cutoff fires with chunks still in flight, and they land during the
+    # recovery.  The timer fired early, so the slack doubles.
     comm = make_comm(4, topo=Topology.star(4), seed=32)
+    engine = comm.engines[2]
     data = rank_data(0, kib(64))
     comm.broadcast(0, data)
-    slack_before = comm.engines[2].cutoff.slack()
-    comm.fabric.set_fault("sw000", "h2", FaultSpec(drop_packet_seqs={0}))
-    comm.broadcast(0, data)
-    assert comm.engines[2].cutoff.spurious == 1
-    assert comm.engines[2].cutoff.slack() > slack_before
+    slack_before = engine.cutoff.slack()
+    comm.fabric.set_fault("sw000", "h2", FaultSpec(bandwidth_windows=[(0.0, 1.0, 0.25)]))
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    assert result.traffic["fabric_drops"] == 0
+    assert result.ranks[2].trigger == "cutoff"
+    assert engine.cutoff.spurious == 1
+    assert engine.cutoff.slack() == pytest.approx(2 * slack_before)
 
 
 # ------------------------------------------------------- fetch escalation

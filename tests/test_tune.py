@@ -106,7 +106,9 @@ def test_lossy_scenarios_search_the_cutoff_family():
     lossy = SearchSpace.default(
         dataclasses.replace(TINY, fault_profile="bernoulli"))
     assert "cutoff_alpha" in lossy.domains
-    assert "adaptive_cutoff" in lossy.domains
+    # One collective per fresh communicator gives the estimator no history:
+    # adaptive and static arm the same timer, so the tuner does not search it.
+    assert "adaptive_cutoff" not in lossy.domains
     assert "cutoff_alpha" not in SearchSpace.default(TINY).domains
 
 

@@ -1,27 +1,23 @@
 """The slow path (paper §III-C): the cutoff timer, recovery and liveness.
 
 The paper's cutoff timer is ``N/B + α`` with a *fixed* slack α.  A
-recovery need not wait for it: a receiver whose last expected chunk of
-every sender block has arrived starts recovery at once (the tail
-trigger, ``RankEngine.fire_tail``; DESIGN.md §7), and the cutoff is the
-backstop for a lost tail or a reordering fabric.  There a fixed slack is
-wrong in both directions: on a healthy fabric it waits far longer than
-delivery ever takes (adding the full α to the tail of every collective
-whose last chunk was lost), and on a degraded fabric it can fire
-spuriously.  This module provides:
+receiver whose last expected chunk of every sender block has arrived
+starts recovery without it (the tail trigger, ``RankEngine.fire_tail``;
+DESIGN.md §7), so the cutoff is the backstop for a lost tail or a
+reordering fabric.  There a fixed slack is wrong in both directions: on
+a healthy fabric it waits far longer than delivery takes, and on a slow
+one it fires before delivery is done.  This module provides:
 
 * :class:`CutoffEstimator` — a TCP-RTO-style adaptive slack: an EWMA of
-  the observed slack (actual data-phase duration minus the expected time)
-  plus a weighted mean-deviation term (RFC 6298's SRTT/RTTVAR), with
-  exponential backoff applied when multicast data still landed during a
-  recovery (the timer fired early; a loss alone says nothing about it)
-  and decayed again by clean ops.  Karn's rule applies: ops that entered
-  recovery do not contribute samples (their elapsed time measures the
-  slow path, not delivery).
-* :class:`SlowPath` — the per-rank half that :class:`RankEngine
-  <repro.core.progress.RankEngine>` derives from: arming the cutoff, the
-  fetch rounds over the per-switch recovery tree and round the ring, the
-  fetch server, and the liveness layer's probes and death notices.
+  the observed slack (data-phase duration minus the expected time) plus
+  a weighted mean-deviation term (RFC 6298's SRTT/RTTVAR).  Karn's rule
+  applies: ops that entered recovery give no sample.  A recovery backs
+  the timer off only when multicast data still landed during it (it
+  fired early; a loss alone says nothing about it), and clean ops decay
+  the backoff again.
+* :class:`SlowPath` — the cutoff's arming, the fetch rounds over the
+  per-switch tree and round the ring, the fetch server, and the liveness
+  layer's probes and death notices; ``RankEngine`` derives from it.
 * :class:`ReliabilityError` — the typed, diagnostic-rich failure raised
   when an op's recovery deadline expires; the alternative is a silent
   simulation hang.
@@ -34,23 +30,14 @@ configurable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.control import (
-    FETCH_WAKE,
-    MSG_DEATH,
-    MSG_FETCH_ACK,
-    MSG_FETCH_READY,
-    MSG_FETCH_REQ,
-    MSG_PING,
-    MSG_PONG,
-)
+from repro.core.control import (FETCH_WAKE, MSG_DEATH, MSG_FETCH_ACK, MSG_FETCH_READY,
+                                MSG_FETCH_REQ, MSG_PING, MSG_PONG)
+from repro.core.ops import OpState
 from repro.net.nic import SendWR
 from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.primitives import Resource
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.ops import OpState
 
 __all__ = [
     "ReliabilityError",
@@ -247,14 +234,11 @@ class CutoffEstimator:
 
 
 class SlowPath:
-    """The slow path of one rank (§III-C): arming the cutoff timer, the
-    recovery's fetch rounds — owner, delegate, ring — and the fetch server
-    that answers them, and the liveness layer's probes and death notices.
-
-    :class:`~repro.core.progress.RankEngine` derives from it; these methods
-    read the engine's ``comm``, ``rank``, ``sim``, ``fabric``, ``config``,
-    ``nic``, ``ctrl``, ``ops``, ``trace`` and ``_shutdown``.
-    """
+    """One rank's slow path (§III-C): the cutoff's arming, the recovery's
+    fetch rounds and the fetch server, and the liveness layer.
+    :class:`~repro.core.progress.RankEngine` derives from it, and these
+    methods read its ``comm``, ``rank``, ``sim``, ``fabric``, ``config``,
+    ``nic``, ``ctrl``, ``ops``, ``trace`` and ``_shutdown``."""
 
     def __init__(self) -> None:
         self._fetch_proc = self.sim.spawn(self._fetch_server(),

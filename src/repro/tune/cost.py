@@ -141,11 +141,9 @@ def predict_time(scenario: Scenario, knobs: Dict[str, object]) -> CostEstimate:
     if loss > 0.0 and scenario.collective != "alltoall":
         total_chunks = (p if scenario.collective == "allgather" else 1) * n / chunk
         expected_lost = loss * total_chunks
-        # The evaluator runs one collective on a fresh communicator, whose
-        # first op arms the static slack whether or not it adapts.
-        slack = cfg.cutoff_alpha
+        # the evaluator's one op on a fresh communicator arms the static α
         fetch_rtt = 2 * hop_latency + 2 * cfg.cost.ctrl_message
-        recovery = slack + expected_lost * (fetch_rtt + chunk / bandwidth)
+        recovery = cfg.cutoff_alpha + expected_lost * (fetch_rtt + chunk / bandwidth)
 
     # --- staging risk: rings smaller than the in-flight demand of one
     # sender block RNR-drop under bursts; scale a mild premium by the

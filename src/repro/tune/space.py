@@ -68,9 +68,11 @@ class SearchSpace:
         powers of two from the MTU up to the message bucket.  Parallelism
         knobs stop at the paper's §IV-C operating points (4 subgroups /
         4 chains); batching and staging cover the §V-A and §III-D regimes.
-        Lossy fault profiles add the cutoff-timer family (§III-C) — on a
-        clean fabric the cutoff never fires, so searching it would waste
-        evaluations.
+        Lossy fault profiles add the cutoff slack (§III-C) — on a clean
+        fabric the cutoff never fires, so searching it would waste
+        evaluations.  ``adaptive_cutoff`` is not searched: an evaluation
+        is one collective on a fresh communicator, which arms the static
+        slack either way.
         """
         n = scenario.bucket
         chunks = (min(BASE_CHUNK, n),)

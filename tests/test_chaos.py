@@ -24,13 +24,14 @@ from repro.sim import RandomStreams, Simulator
 from repro.units import gbit_per_s, kib
 
 
-def make_comm(n_hosts=8, topo=None, config=None, seed=0, trace=None):
+def make_comm(n_hosts=8, topo=None, config=None, seed=0, trace=None, reference=False):
     sim = Simulator()
     fabric = Fabric(
         sim,
         topo or Topology.leaf_spine(n_hosts, n_leaf=2, n_spine=2),
         link_bandwidth=gbit_per_s(56),
         streams=RandomStreams(seed=seed),
+        reference=reference,
     )
     return Communicator(fabric, config=config, trace=trace)
 
@@ -482,14 +483,12 @@ def test_a_real_loss_leaves_the_adaptive_slack_unchanged(lose, trigger):
     # same timeouts on the folded engine as on the reference.
     armed = []
     for reference in (False, True):
-        fabric = Fabric(Simulator(), Topology.star(4), link_bandwidth=gbit_per_s(56),
-                        streams=RandomStreams(seed=32), reference=reference)
-        comm = Communicator(fabric)
+        comm = make_comm(4, topo=Topology.star(4), seed=32, reference=reference)
         engine = comm.engines[2]
         data = rank_data(0, kib(64))
         results = [comm.broadcast(0, data)]
         slack_before = engine.cutoff.slack()
-        fabric.set_fault("sw000", "h2", FaultSpec(drop_packet_seqs=lose))
+        comm.fabric.set_fault("sw000", "h2", FaultSpec(drop_packet_seqs=lose))
         results.append(comm.broadcast(0, data))
         assert results[-1].verify_broadcast(data)
         assert results[-1].ranks[2].trigger == trigger

@@ -6,7 +6,8 @@ reporting the simulated completion time next to the family's analytic
 single-port floor (:mod:`repro.models.traffic`) and the achieved
 fraction of that bound.  The multi-rail rows additionally report the
 measured speedup over the single-rail fat-tree base at the same size —
-the acceptance figure for Nezha-style rail striping.
+the acceptance figure for Nezha-style rail striping, asserted
+``>= MIN_BCAST_RAIL_SPEEDUP`` for every broadcast row.
 
 Every cell runs 4 KiB UD datagrams.  ``--smoke`` trims the sweep to
 the 16-host row per family for the CI ``topology-smoke`` job.
@@ -30,6 +31,10 @@ from repro.units import KiB, MiB, gbit_per_s
 LINK_GBIT = 56.0
 BCAST_PAYLOAD = 4 * MiB
 AG_SHARD = 256 * KiB
+#: the least a 2-rail broadcast may read over its single-rail base: the
+#: root feeds its subgroups' QPs round-robin, so both rails carry data
+#: at once (two rails bound it at 2x)
+MIN_BCAST_RAIL_SPEEDUP = 1.6
 
 #: family -> host count -> (topo kind, TopologySpec params, traffic model)
 SHAPES: Dict[str, Dict[int, tuple]] = {
@@ -118,6 +123,10 @@ def sweep(sizes, collectives) -> str:
                     base = base_times.get((collective, n_hosts))
                     if base:
                         speedup = f"{base / achieved:.2f}x"
+                        assert (collective != "broadcast"
+                                or base / achieved >= MIN_BCAST_RAIL_SPEEDUP), (
+                            f"2-rail broadcast at {n_hosts} hosts reads "
+                            f"{speedup} over one rail")
                 rows.append([
                     collective, family, n_hosts,
                     f"{achieved * 1e6:.1f}",

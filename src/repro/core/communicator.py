@@ -132,8 +132,6 @@ class CollectiveConfig:
     transport: str = "ud"
     #: multicast send requests per doorbell (§V-A batching)
     batch_size: int = 32
-    #: bounded in-flight batches on the send path
-    max_outstanding_batches: int = 4
     #: staging-ring slots per subgroup (receive queue depth)
     staging_slots: int = 256
 
@@ -164,7 +162,7 @@ class CollectiveConfig:
                 f"UD chunk_size {self.chunk_size} exceeds fabric MTU {fabric.mtu}"
             )
         for name in ("chunk_size", "n_subgroups", "n_chains", "batch_size",
-                     "max_outstanding_batches", "staging_slots"):
+                     "staging_slots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.cutoff_alpha < 0:

@@ -8,7 +8,8 @@ One :class:`RankEngine` is the software stack of one participant:
   issue the staging→user DMA copy, re-post the receive (flow-direction
   and packet parallelism),
 * a **send worker** path — the multicast scheduler: batched WQE posting
-  with doorbell moderation and bounded outstanding batches,
+  with doorbell moderation, one subgroup QP per doorbell, round-robin,
+  and bounded outstanding batches,
 * the **control plane** (RC): RNR barrier, chain activation, fetch
   ring, final handshake,
 * the **op controller** — one process per collective: barrier → (optional)
@@ -40,6 +41,12 @@ from repro.sim.events import PASSIVE_WAIT, AnyOf, Interrupt, Timeout
 from repro.sim.primitives import Resource
 
 _INF = float("inf")
+
+#: send batches a root may have posted and not yet seen complete
+#: (§V-A).  The bound keeps each datagram's post instant, where the
+#: channel decides its drops, flaps and bandwidth windows, close to its
+#: wire instant.
+MAX_OUTSTANDING_BATCHES = 4
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.communicator import Communicator
@@ -411,56 +418,47 @@ class RankEngine(SlowPath):
     # ----------------------------------------------------------- send worker
 
     def run_send(self, op: OpState):
-        """Multicast root datapath (§III-A): zero-copy fragmentation, batched
-        posting, doorbell moderation, bounded outstanding batches."""
-        cfg = self.config
+        """Multicast root datapath (§III-A, §IV-C): zero-copy fragmentation,
+        batched posting, doorbell moderation, bounded outstanding batches.
+        A batch is a run of at most ``batch_size`` PSNs of one subgroup's
+        block, posted with one doorbell on that subgroup's QP; batches visit
+        the subgroups round-robin, so every subgroup (and rail) is fed at
+        once."""
         cost = self.cost
+        uc = self.config.transport == "uc"
+        key = op.mr.key
+        cid = op.coll_id % self.imm.max_collectives
+        sub, bs = op.subgroups, self.config.batch_size
+        lanes = [range(op.send_lo + lo, op.send_lo + hi)
+                 for lo, hi in map(sub.chunk_range, range(sub.n_subgroups))]
+        # Every subgroup's i-th batch, then its (i+1)-th: the sort is
+        # stable, so the subgroups keep their order within a round.
+        batches = sorted(((i, sg, lane[i : i + bs]) for sg, lane in enumerate(lanes)
+                          for i in range(0, len(lane), bs)), key=lambda b: b[0])
+        trc = self.trace
         yield self._send_lock.acquire()
         try:
-            psns = list(range(op.send_lo, op.send_hi))
             outstanding = 0
-            for i in range(0, len(psns), cfg.batch_size):
-                batch = psns[i : i + cfg.batch_size]
+            for _, sg, batch in batches:
                 yield Timeout(self.sim, cost.send_batch(len(batch)))
+                qp, gid = self.sub_qps[sg], self.comm.mcast_gids[sg]
                 items = []
-                for j, psn in enumerate(batch):
+                for psn in batch:
                     off, ln = op.plan.bounds(psn)
-                    sg = op.subgroups.subgroup_of(psn - op.send_lo)
-                    qp = self.sub_qps[sg]
-                    imm = self.imm.encode(psn, op.coll_id % self.imm.max_collectives)
-                    last = j == len(batch) - 1
-                    if cfg.transport == "uc":
-                        wr = SendWR(
-                            wr_id=psn, verb="write", mr_key=op.mr.key, offset=off,
-                            length=ln, imm=imm, mcast_gid=self.comm.mcast_gids[sg],
-                            remote_key=op.mr.key, remote_offset=off, signaled=last,
-                        )
-                    else:
-                        wr = SendWR(
-                            wr_id=psn, verb="send", mr_key=op.mr.key, offset=off,
-                            length=ln, imm=imm, mcast_gid=self.comm.mcast_gids[sg],
-                            signaled=last,
-                        )
+                    wr = SendWR(
+                        wr_id=psn, verb="write" if uc else "send", mr_key=key,
+                        offset=off, length=ln, imm=self.imm.encode(psn, cid),
+                        mcast_gid=gid, remote_key=key if uc else None,
+                        remote_offset=off if uc else 0, signaled=psn == batch[-1],
+                    )
                     items.append((qp, wr))
-                # One doorbell for the whole batch (its cost is the
-                # send_batch Timeout above).
-                if self.fabric.topology.rails == 1:
-                    self.nic.post_send_batch(items)
-                else:
-                    # Multi-rail: each WR leaves through the NIC its QP
-                    # lives on; partition preserving per-NIC order (the
-                    # planes are independent, so cross-NIC order is
-                    # immaterial at this single posting instant).
-                    per_nic: Dict[object, list] = {}
-                    for item in items:
-                        per_nic.setdefault(item[0].nic, []).append(item)
-                    for nic, sub in per_nic.items():
-                        nic.post_send_batch(sub)
+                # One doorbell on one QP (its cost is the send_batch Timeout
+                # above), through the NIC of that QP's rail.
+                qp.nic.post_send_batch(items)
                 outstanding += 1
-                trc = self.trace
                 if trc is not None:
                     trc.counter("nic.outstanding", self.sim.now, outstanding)
-                while outstanding >= cfg.max_outstanding_batches:
+                while outstanding >= MAX_OUTSTANDING_BATCHES:
                     yield self.send_cq.wait()
                     outstanding -= len(self.send_cq.poll())
                     if trc is not None:
@@ -468,8 +466,8 @@ class RankEngine(SlowPath):
             while outstanding > 0:
                 yield self.send_cq.wait()
                 outstanding -= len(self.send_cq.poll())
-                if self.trace is not None:
-                    self.trace.counter("nic.outstanding", self.sim.now, outstanding)
+                if trc is not None:
+                    trc.counter("nic.outstanding", self.sim.now, outstanding)
         finally:
             self._send_lock.release()
 

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, List, Tuple
-
-from repro.core.chunking import ChunkPlan
+from typing import FrozenSet, Tuple
 
 __all__ = ["SubgroupPlan"]
 
@@ -40,22 +38,11 @@ class SubgroupPlan:
         if self.n_chunks < 0:
             raise ValueError("n_chunks must be non-negative")
 
-    @property
-    def chunks_per_subgroup(self) -> int:
-        """Block size in chunks (last block may be short)."""
-        return -(-self.n_chunks // self.n_subgroups) if self.n_chunks else 0
-
-    def subgroup_of(self, psn: int) -> int:
-        """Which subgroup carries chunk *psn* of a sender's buffer."""
-        if not 0 <= psn < self.n_chunks:
-            raise IndexError(f"psn {psn} out of range ({self.n_chunks})")
-        return min(psn // max(self.chunks_per_subgroup, 1), self.n_subgroups - 1)
-
     def chunk_range(self, subgroup: int) -> Tuple[int, int]:
         """Half-open chunk index range ``[lo, hi)`` carried by *subgroup*."""
         if not 0 <= subgroup < self.n_subgroups:
             raise IndexError(f"subgroup {subgroup} out of range ({self.n_subgroups})")
-        step = self.chunks_per_subgroup
+        step = -(-self.n_chunks // self.n_subgroups)  # the last block may be short
         lo = min(subgroup * step, self.n_chunks)
         hi = min(lo + step, self.n_chunks)
         return lo, hi
@@ -71,20 +58,3 @@ class SubgroupPlan:
         """Whether chunk *psn* of a buffer of sender blocks of this plan's
         size is the last of its block's subgroup: a *tail*."""
         return psn % self.n_chunks in self.tails
-
-    def chunks_in(self, subgroup: int) -> int:
-        lo, hi = self.chunk_range(subgroup)
-        return hi - lo
-
-    def split(self, plan: ChunkPlan) -> List[Tuple[int, int, int]]:
-        """Byte ranges per subgroup: ``(subgroup, offset, length)``."""
-        out = []
-        for sg in range(self.n_subgroups):
-            lo, hi = self.chunk_range(sg)
-            if hi <= lo:
-                out.append((sg, 0, 0))
-                continue
-            off = lo * plan.chunk_size
-            end_off, end_len = plan.bounds(hi - 1)
-            out.append((sg, off, end_off + end_len - off))
-        return out

@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.progress import MAX_OUTSTANDING_BATCHES
 from repro.core.sequencer import effective_chains
 from repro.net.fabric import FoldMiss
 from repro.net.link import serialize
@@ -960,7 +961,7 @@ def _fold_sender(engine: "RankEngine", t: float, wires: List[int],
         busy = fins[-1]
         pending.append(busy)
         outstanding += 1
-        while outstanding >= cfg.max_outstanding_batches:
+        while outstanding >= MAX_OUTSTANDING_BATCHES:
             t, k, p_lo = _drain_cq(pending, p_lo, t)
             outstanding -= k
     while outstanding > 0:

@@ -103,8 +103,6 @@ class SearchSpace:
             "n_subgroups": KnobDomain("n_subgroups", subgroups),
             "n_chains": KnobDomain("n_chains", chains),
             "batch_size": KnobDomain("batch_size", (8, 32, 64)),
-            "max_outstanding_batches": KnobDomain(
-                "max_outstanding_batches", (2, 4, 8)),
             "staging_slots": KnobDomain(
                 "staging_slots",
                 tuple(s for s in (128, 256, 512) if s <= BF3_MAX_RECV_QUEUE)),
@@ -187,7 +185,6 @@ class SearchSpace:
             "n_subgroups": default.n_subgroups,
             "n_chains": default.n_chains,
             "batch_size": default.batch_size,
-            "max_outstanding_batches": default.max_outstanding_batches,
             "staging_slots": default.staging_slots,
             "transport": self.scenario.transport,
         }

@@ -285,8 +285,6 @@ def test_subgroup_partition_contiguous():
     plan = SubgroupPlan(n_chunks=16, n_subgroups=4)
     assert plan.chunk_range(0) == (0, 4)
     assert plan.chunk_range(3) == (12, 16)
-    assert plan.subgroup_of(0) == 0
-    assert plan.subgroup_of(15) == 3
 
 
 def test_subgroup_uneven_split():
@@ -302,7 +300,8 @@ def test_subgroup_paper_example():
     chunk = 4096
     n_chunks = 8 * 1024 * 1024 // chunk
     plan = SubgroupPlan(n_chunks, 4)
-    per_subgroup_bytes = plan.chunks_in(0) * chunk
+    lo, hi = plan.chunk_range(0)
+    per_subgroup_bytes = (hi - lo) * chunk
     assert per_subgroup_bytes == 2 * 1024 * 1024
     recv_per_qp = per_subgroup_bytes * 15  # from all 15 peers
     assert recv_per_qp == 30 * 1024 * 1024
@@ -312,8 +311,6 @@ def test_subgroup_validation():
     with pytest.raises(ValueError):
         SubgroupPlan(4, 0)
     plan = SubgroupPlan(4, 2)
-    with pytest.raises(IndexError):
-        plan.subgroup_of(4)
     with pytest.raises(IndexError):
         plan.chunk_range(2)
 

@@ -835,13 +835,14 @@ def test_ff_mixed_mode_across_collectives() -> None:
 CONFIG_FIELDS = {
     # protocol
     "chunk_size", "n_subgroups", "n_chains", "transport", "batch_size",
-    "max_outstanding_batches", "staging_slots",
+    "staging_slots",
     # reliability
     "cutoff_alpha", "adaptive_cutoff", "recovery_deadline", "failure_policy",
     "cost",
 }
 
-#: fields that became constants of repro.core.reliability, or (receive
+#: fields that became constants of repro.core.reliability (or, the send
+#: path's outstanding-batch bound, of repro.core.progress), or (receive
 #: workers, PSN width, fold mode) fixed by the design: one worker per
 #: subgroup, the 24-bit immediate layout, folds that always try
 RETIRED_CONFIG_FIELDS = (
@@ -851,6 +852,7 @@ RETIRED_CONFIG_FIELDS = (
     "recovery_backoff", "recovery_alpha_max", "recovery_jitter",
     "fetch_ack_timeout", "fetch_stall_rounds",
     "liveness_probe_timeout", "liveness_probe_retries", "suspicion_timeout",
+    "max_outstanding_batches",
 )
 
 

@@ -181,8 +181,6 @@ def test_subgroups_partition_chunks(n_chunks, n_subgroups):
     for sg in range(n_subgroups):
         lo, hi = plan.chunk_range(sg)
         seen.extend(range(lo, hi))
-        for psn in range(lo, hi):
-            assert plan.subgroup_of(psn) == sg
     assert seen == list(range(n_chunks))
 
 

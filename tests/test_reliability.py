@@ -137,10 +137,6 @@ def test_a_weak_core_with_the_default_ring_needs_no_recovery():
     assert result.reliability_summary()["recoveries"] == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "with 2 or 4 subgroups the clean data phase ends well after the chain "
-    "schedule's expected time (1154.5 / 845.1 us against 860.2 / 430.1 us "
-    "at scaled(8.0)), past the cutoff's slack: 7 recoveries, no drop"))
 @pytest.mark.parametrize("n_subgroups", [2, 4])
 def test_an_8x_slower_core_with_subgroups_needs_no_recovery(n_subgroups):
     fabric = make_fabric(8, link_gbit=200)

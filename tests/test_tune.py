@@ -189,8 +189,7 @@ def test_evaluate_without_trace_same_virtual_time():
 TORUS_CHAINED = (Scenario(collective="allgather", n_hosts=16, topo="torus",
                           msg_bytes=64 * KiB, seed=0,
                           topo_params='{"dims": [4, 4], "hosts_per_node": 1}'),
-                 {"n_chains": 8, "staging_slots": 128, "batch_size": 8,
-                  "max_outstanding_batches": 2})
+                 {"n_chains": 8, "staging_slots": 128, "batch_size": 8})
 
 
 @pytest.mark.parametrize("case", ["tiny", "torus_chained"])
@@ -344,24 +343,52 @@ def test_committed_profiles_cover_the_188_node_points():
     assert ("broadcast", 188, "testbed_188") in keys
 
 
+def scenario_of(profile) -> Scenario:
+    return Scenario(
+        collective=profile.key["collective"],
+        n_hosts=profile.key["n_hosts"],
+        topo=profile.key["topology"],
+        link_gbit=profile.key["link_gbit"],
+        transport=profile.key["transport"],
+        msg_bytes=profile.key["bucket"],
+        fault_profile=profile.key["fault_profile"],
+        # Zoo profiles carry their build params in the key; the
+        # spec normalizer must round-trip them to the same digest.
+        topo_params=profile.key.get("topo_params", ""),
+    )
+
+
 def test_committed_profile_lookup_is_cache_hit():
     store, profiles = committed_store()
     for profile in profiles:
-        scn = Scenario(
-            collective=profile.key["collective"],
-            n_hosts=profile.key["n_hosts"],
-            topo=profile.key["topology"],
-            link_gbit=profile.key["link_gbit"],
-            transport=profile.key["transport"],
-            msg_bytes=profile.key["bucket"],
-            fault_profile=profile.key["fault_profile"],
-            # Zoo profiles carry their build params in the key; the
-            # spec normalizer must round-trip them to the same digest.
-            topo_params=profile.key.get("topo_params", ""),
-        )
+        scn = scenario_of(profile)
         assert scn.cache_key() == profile.cache_key
         result = autotune(scn, store=store)
         assert result.cache_hit and result.sim_events == 0
+
+
+def test_every_searched_knob_moves_the_prediction():
+    # prune sends one candidate per predicted total, tie-broken on the
+    # knobs' canonical JSON: a knob the model cannot see is never compared
+    # by the search, which pins it to whichever value sorts first.
+    _, profiles = committed_store()
+    searched, moved = set(), set()
+    for profile in profiles:
+        scn = scenario_of(profile)
+        space = SearchSpace.default(scn)
+        names = {n for n, d in space.domains.items() if len(d.values) > 1}
+        searched |= names
+        totals = [(k, predict_time(scn, k).total) for k in space.candidates()]
+        for name in names - moved:
+            levels = {}
+            for knobs, total in totals:
+                rest = json.dumps({k: v for k, v in knobs.items() if k != name},
+                                  sort_keys=True, default=str)
+                levels.setdefault(rest, set()).add(round(total, 12))
+            if any(len(v) > 1 for v in levels.values()):
+                moved.add(name)
+    assert searched - moved == set(), (
+        f"searched knobs the cost model cannot see: {sorted(searched - moved)}")
 
 
 # ---------------------------------------------------------------- resolution

@@ -7,8 +7,8 @@ recovery starts once a receiver's last chunk is in (the tail trigger),
 or, when that one was lost or the fabric reorders, when the cutoff timer
 fires; missing chunks are fetched with selective RDMA
 READs over a per-switch recovery tree — each switch's delegate from the
-chunk's owner, its peers from the delegate — and the data always arrives
-intact.
+chunk's owner, its peers down a binomial fan-out under it — and the data
+always arrives intact.
 
 Time-varying schedules (Gilbert–Elliott burst loss, link flaps, degraded
 bandwidth, slow receivers) and the adaptive cutoff estimator are described

@@ -329,8 +329,9 @@ class CollectiveResult:
     def reliability_summary(self) -> Dict[str, object]:
         """Aggregate slow-path telemetry across ranks: recovery/round
         counters, escalations, the fetch rounds by the peer they read
-        (``fetch_sources``: a chunk's ``owner``, a switch's ``delegate``, or
-        the ``ring`` fallback; DESIGN.md §7), the retry histogram —
+        (``fetch_sources``: a chunk's ``owner``, another rank of the
+        requester's switch ``group``, or the ``ring`` fallback; DESIGN.md
+        §7), the retry histogram —
         ``{fetch rounds: recovery invocations}`` over every rank's
         invocations — and ``recovery_triggers``, how many ranks' recoveries
         the tail trigger and the cutoff started (DESIGN.md §7 "Tail
@@ -344,7 +345,7 @@ class CollectiveResult:
             "recovered_chunks": self.counter_total("recovered_chunks"),
             "fetch_rounds": self.counter_total("fetch_rounds"),
             "fetch_sources": {via: self.counter_total(f"fetch_via_{via}")
-                              for via in ("owner", "delegate", "ring")},
+                              for via in ("owner", "group", "ring")},
             "fetch_ack_timeouts": self.counter_total("fetch_ack_timeouts"),
             "neighbor_escalations": self.counter_total("neighbor_escalations"),
             "retry_histogram": dict(sorted(histogram.items())),
@@ -812,7 +813,7 @@ class Communicator:
         an order the two paths do not share: the barrier's delivery order
         at packet level, the rank order when the barrier folded, the
         fold's posting order for a trigger.  Their first fetch requests
-        meet at one delegate, whose fetch server serves them in arrival
+        meet at one peer, whose fetch server serves them in arrival
         order, so recovery starts in rank order on both paths (DESIGN.md
         §7)."""
         turns = self._recovery_turns

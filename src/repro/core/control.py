@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ControlPlane", "ControlFold", "ControlFoldError", "CtrlMessage",
            "MSG_BARRIER", "MSG_ACTIVATE", "MSG_FETCH_REQ", "MSG_FETCH_ACK",
            "MSG_FINAL", "MSG_PING", "MSG_PONG", "MSG_DEATH", "MSG_FETCH_READY",
-           "FETCH_WAKE", "MESSAGE_BYTES"]
+           "FETCH_WAKE", "FETCH_WAKE_RECOVERING", "FETCH_PASS", "MESSAGE_BYTES"]
 
 MSG_BARRIER = 1
 MSG_ACTIVATE = 2
@@ -64,13 +64,19 @@ MSG_PONG = 7
 #: death notice: ``key`` = the communicator rank confirmed dead.  Consumed
 #: by the engine-installed ``on_death`` callback, never by an inbox.
 MSG_DEATH = 8
-#: a recovery delegate's wake-up: ``key`` = the FETCH_REQ (flagged
-#: :data:`FETCH_WAKE`) whose FETCH_ACK said the delegate was still short of
+#: a recovery peer's wake-up: ``key`` = the FETCH_REQ (flagged
+#: :data:`FETCH_WAKE`) whose FETCH_ACK said the peer was still short of
 #: chunks; sent when its data phase completes, to the parked requester
 MSG_FETCH_READY = 9
 #: FETCH_REQ argument: "if you are still short of chunks, wake me with
 #: MSG_FETCH_READY once you have them all"
 FETCH_WAKE = 1
+#: FETCH_REQ argument of a recovery tree child to its fan-out parent: as
+#: :data:`FETCH_WAKE` once the parent has started its own recovery, else
+#: answer :data:`FETCH_PASS`
+FETCH_WAKE_RECOVERING = 2
+#: FETCH_ACK argument: "I have not started recovering: ask my parent"
+FETCH_PASS = 2
 
 #: message types delivered to an any-source inbox (servers listen for
 #: requests regardless of the requester's rank)

@@ -114,7 +114,7 @@ class OpState:
             "fetch_rounds": 0,
             # fetch rounds by the peer they read (``SlowPath._fetch_round``)
             "fetch_via_owner": 0,
-            "fetch_via_delegate": 0,
+            "fetch_via_group": 0,
             "fetch_via_ring": 0,
             "fetch_ack_timeouts": 0,
             "neighbor_escalations": 0,

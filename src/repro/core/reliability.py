@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.control import (FETCH_WAKE, MSG_DEATH, MSG_FETCH_ACK, MSG_FETCH_READY,
-                                MSG_FETCH_REQ, MSG_PING, MSG_PONG)
+from repro.core.control import (FETCH_PASS, FETCH_WAKE, FETCH_WAKE_RECOVERING, MSG_DEATH,
+                                MSG_FETCH_ACK, MSG_FETCH_READY, MSG_FETCH_REQ, MSG_PING,
+                                MSG_PONG)
 from repro.core.ops import OpState
 from repro.net.nic import SendWR
 from repro.sim.events import AnyOf, Event, Timeout
@@ -295,8 +296,9 @@ class SlowPath:
     def run_recovery(self, op: OpState, participants: List[int], me: int,
                      deadline_abs: float, monitor: Optional[List[int]] = None):
         """Slow path (§III-C), hardened: selective zero-copy fetch of
-        missing chunks over a two-level recovery tree, then round the ring.
-        Returns once ``data_done`` has fired, or raises.
+        missing chunks over a recovery tree that fans out inside each
+        switch group, then round the ring.  Returns once ``data_done`` has
+        fired, or raises.
 
         The fetch is **chunk-granular**: each round reads which of our
         missing chunks the peer has *placed* (its own may still be
@@ -305,16 +307,16 @@ class SlowPath:
         something.
 
         Every rank derives its peer without a message
-        (:meth:`_tree_peer`): ranks are grouped by attachment switch, each
-        group's **delegate** — the owner of the lowest missing chunk when
-        it is in the group, else the group's first live rank of
-        *participants* — fetches from that
-        owner (a broadcast's root, an allgather chunk's source rank), and
-        every other rank fetches from its delegate.  A drop above a leaf
-        then crosses the spine once per switch instead of sending each
-        rank of the leaf round the ring, whose ring-left neighbour lacks
-        the same chunk.  After a productive round the next goes straight to
-        the next lowest missing chunk's peer.
+        (:meth:`_tree_peer`): ranks are grouped by attachment switch; the
+        lowest missing chunk's owner (a broadcast's root, an allgather
+        chunk's source rank) heads its own group, and each other group's
+        **delegate** — its first live rank of *participants* — heads that
+        group and fetches from the owner.  The rest of a group fetch from
+        one another in a binomial fan-out under the head, so a host link
+        serves at most ⌈log₂ |group|⌉ of its group, and every read but a
+        delegate's stays below the group's switch.  After a productive
+        round the next goes straight to the next lowest missing chunk's
+        peer.
 
         The paper's ring — the ring-left neighbour first, then farther
         left, one round each — is the fallback only: it finishes what the
@@ -322,16 +324,21 @@ class SlowPath:
         *participants*, silent, or has nothing for us.  Degraded completion
         runs the same tree over the survivors.
 
-        Each round is one rendezvous, a park if the peer is still short of
-        chunks, and one read.  Nobody polls: a delegate or ring peer still
-        short of chunks wakes us with ``MSG_FETCH_READY`` once it has them
-        all (:meth:`_await_ready`).  A delegate's park lasts until the
-        recovery deadline, a ring peer's ``FETCH_ACK_TIMEOUT`` at most.
+        A round against a source known to be complete — a broadcast's
+        root, or a peer whose ``MSG_FETCH_READY`` woke us — is one read of
+        our holes: no FETCH_REQ/ACK with the root, no bitmap read after a
+        wake.  Any other round is one rendezvous, a park if the peer is
+        still short of chunks, a bitmap read and one read.  Nobody polls: a
+        group peer or ring peer still short of chunks wakes us with
+        ``MSG_FETCH_READY`` once it has them all (:meth:`_await_ready`).  A
+        group peer's park lasts until the recovery deadline, a ring peer's
+        ``FETCH_ACK_TIMEOUT`` at most.
 
         Hardening beyond the paper's description:
 
-        * the FETCH_ACK rendezvous is timeout-bounded — an unresponsive
-          peer costs ``FETCH_ACK_TIMEOUT``, not a hang;
+        * the FETCH_ACK rendezvous, and a read from the root, are
+          timeout-bounded — an unresponsive peer costs
+          ``FETCH_ACK_TIMEOUT``, not a hang;
         * the whole recovery is bounded by *deadline_abs* — on expiry a
           :class:`ReliabilityError` with diagnostic counters is raised
           instead of hanging the simulation.
@@ -353,6 +360,7 @@ class SlowPath:
         ring = [participants[(me - d) % len(participants)]
                 for d in range(1, len(participants))]
         hop = -1  # ring rounds taken; -1 while the tree serves
+        up = 0  # fan-out parents that passed us on since the last round
         yield self._recovery_lock.acquire()
         try:
             yield self.comm.recovery_turn(self.rank)
@@ -366,31 +374,44 @@ class SlowPath:
                         self.sim, max(deadline_abs - self.sim.now, 1e-9))])
                     continue
                 if hop < 0:
-                    peer, via = self._tree_peer(op, participants)
+                    peer, via, wake = self._tree_peer(op, participants, up)
                     if peer in self.confirmed_dead or peer not in participants:
                         hop = 0
                 if hop >= 0:
                     # Falling back counts as one escalation, and so does
                     # every further ring peer.
-                    peer, via = ring[hop % len(ring)], "ring"
+                    peer, via, wake = ring[hop % len(ring)], "ring", FETCH_WAKE
                     if hop == 0 or len(ring) > 1:
                         op.stats["neighbor_escalations"] += 1
                         if trc is not None:
                             trc.instant("reliability.escalate", self.sim.now,
                                         {"peer": peer})
                     hop += 1
-                ack = yield from self._rendezvous(
-                    op, peer, deadline_abs, monitor, wake=via != "owner")
-                if ack is None:
-                    hop = max(hop, 0)  # a silent tree peer: on round the ring
-                    continue
-                if ack.args[0] and not (yield from self._await_ready(
-                        op, ack, deadline_abs, monitor, via)):
-                    continue  # our own op completed meanwhile
-                got = yield from self._fetch_round(op, peer, via, deadline_abs)
+                # The root has held every chunk since before the barrier.
+                complete = peer == op.root
+                if not complete:
+                    ack = yield from self._rendezvous(
+                        op, peer, deadline_abs, monitor, wake)
+                    if ack is None:
+                        hop = max(hop, 0)  # a silent tree peer: on round the ring
+                        continue
+                    if ack.args[0] == FETCH_PASS:
+                        up += 1  # not recovering yet: ask its own parent
+                        if trc is not None:
+                            trc.instant("reliability.pass", self.sim.now,
+                                        {"peer": peer})
+                        continue
+                    if ack.args[0]:
+                        complete = yield from self._await_ready(
+                            op, ack, deadline_abs, monitor, via)
+                        if op.data_done.triggered:
+                            continue  # our own op completed meanwhile
+                got = yield from self._fetch_round(
+                    op, peer, via, deadline_abs, monitor, complete)
                 rounds += 1
+                up = 0
                 if got is None:
-                    hop = max(hop, 0)  # nothing for us: likewise
+                    hop = max(hop, 0)  # nothing for us, or silent: likewise
         finally:
             self._recovery_lock.release()
             op.retry_histogram.append(rounds)
@@ -399,26 +420,48 @@ class SlowPath:
                              self.sim.now - recovery_t0,
                              {"rounds": rounds})
 
-    def _tree_peer(self, op: OpState,
-                   participants: List[int]) -> Tuple[int, str]:
-        """The peer this rank fetches its lowest missing chunk from, and
-        how it reaches it: ``(owner, "owner")`` when the owner is in this
-        rank's switch group or this rank is the group's delegate — its
-        first rank that is in *participants* and not confirmed dead — else
-        ``(delegate, "delegate")``.  The owner comes from the chunk plan:
-        the root of a broadcast, else the rank whose send range holds the
-        chunk."""
+    def _tree_peer(self, op: OpState, participants: List[int],
+                   up: int = 0) -> Tuple[int, str, int]:
+        """The peer this rank fetches its lowest missing chunk from, how it
+        reaches it, and the FETCH_REQ flag it asks with.  The owner comes
+        from the chunk plan: the root of a broadcast, else the rank whose
+        send range holds the chunk.
+
+        This rank's switch group is ordered with its head at position 0 —
+        the owner when it is in the group, else the group's delegate, its
+        first rank that is in *participants* and not confirmed dead — and
+        its other such ranks after it in rank order.  The delegate reads
+        the owner: ``(owner, "owner", 0)``.  In a group of *n* ranks where
+        a binomial tree at least halves the reads on the head's link
+        (⌈log₂ n⌉ ≤ (n − 1) / 2, so from seven ranks up), position *i*
+        reads position ``i − 2^⌊log₂ i⌋`` (0 serves 1, 2, 4, 8, …; 1 serves
+        3, 5, 9, …); in a smaller group every rank reads the head.  *up*
+        climbs that many parents further towards the head (the parents
+        asked before passed us on, :data:`FETCH_PASS`).  A read of the
+        owner is ``"owner"``, any other ``"group"``; a non-head parent is
+        asked with :data:`FETCH_WAKE_RECOVERING`, the head with
+        :data:`FETCH_WAKE`, the owner with no flag."""
         owner = op.root
         if owner is None:
             owner = op.bitmap.missing_runs()[0][0] // op.own_chunks
         group = self.comm.switch_group(self.rank)
-        if self.comm.switch_group(owner) is group:
-            return owner, "owner"
-        delegate = next(r for r in group if r not in self.confirmed_dead
-                        and r in participants)
-        if delegate == self.rank:
-            return owner, "owner"
-        return delegate, "delegate"
+        dead = self.confirmed_dead
+        order = [r for r in group if r != owner and r not in dead
+                 and r in participants]
+        if owner in group:
+            order.insert(0, owner)
+        i = order.index(self.rank)
+        if i == 0:
+            return owner, "owner", 0
+        fan_out = 2 * (len(order) - 1).bit_length() <= len(order) - 1
+        for _ in range(up + 1):
+            i = i - (1 << (i.bit_length() - 1)) if fan_out else 0
+            if i == 0:
+                break
+        peer = order[i]
+        if peer == owner:
+            return owner, "owner", 0
+        return peer, "group", FETCH_WAKE_RECOVERING if i else FETCH_WAKE
 
     def _check_recovery_deadline(self, op: OpState, deadline_abs: float) -> None:
         if self.sim.now < deadline_abs:
@@ -444,26 +487,32 @@ class SlowPath:
         return (op.coll_id << 8) | self._fetch_nonce
 
     def _rendezvous(self, op: OpState, peer: int, deadline_abs: float,
-                    monitor: Optional[List[int]], wake: bool = False):
+                    monitor: Optional[List[int]], wake: int):
         """FETCH_REQ → FETCH_ACK with *peer*, bounded by
         ``FETCH_ACK_TIMEOUT``: the ACK (a :class:`CtrlMessage`), or
         ``None`` when the op completed meanwhile or the peer stayed silent
-        (under a *monitor* it is probed first, and a dead peer raises
-        :class:`PeerDeadError`).  With *wake*, the ACK's first argument
+        (:meth:`_silent`).  With a *wake* flag, the ACK's first argument
         says whether the peer is still short of chunks and will send
-        ``MSG_FETCH_READY`` once it has them all (:meth:`_fetch_server`).
+        ``MSG_FETCH_READY`` once it has them all, or passes us on
+        (:meth:`_fetch_server`).
         """
         key = self._fetch_key(op)
-        self.ctrl.send(peer, MSG_FETCH_REQ, key, (FETCH_WAKE,) if wake else ())
+        self.ctrl.send(peer, MSG_FETCH_REQ, key, (wake,) if wake else ())
         ack = self.ctrl.recv(MSG_FETCH_ACK, key, peer)
         wait = min(FETCH_ACK_TIMEOUT, max(deadline_abs - self.sim.now, 1e-9))
         yield from self._wait_live(op, [ack, op.data_done], wait, monitor)
         if op.data_done.triggered:
             return None
         if ack.triggered:
-            # discard stale read completions of abandoned attempts
-            self.comm.ensure_ctrl_pair(self.rank, peer).send_cq.poll()
             return ack.value
+        yield from self._silent(op, peer, deadline_abs, monitor)
+        return None
+
+    def _silent(self, op: OpState, peer: int, deadline_abs: float,
+                monitor: Optional[List[int]]):
+        """*peer* stayed silent for ``FETCH_ACK_TIMEOUT``: count it and,
+        under a *monitor*, probe it (:class:`PeerDeadError` when it is
+        dead) before the caller escalates."""
         op.stats["fetch_ack_timeouts"] += 1
         if self.trace is not None:
             self.trace.instant("reliability.timeout", self.sim.now,
@@ -475,7 +524,6 @@ class SlowPath:
             # rank blocks on it in a control-plane wait.
             yield from self._probe_fetch_peer(op, peer, monitor)
         self._check_recovery_deadline(op, deadline_abs)
-        return None
 
     def _probe_fetch_peer(self, op: OpState, peer: int, monitor: List[int]):
         """Probe a fetch peer that stays silent; :class:`PeerDeadError`
@@ -487,40 +535,57 @@ class SlowPath:
                 dead=self._dead_in(monitor) or {peer},
             )
 
-    def _fetch_round(self, op: OpState, peer: int, via: str, deadline_abs: float):
+    def _fetch_round(self, op: OpState, peer: int, via: str, deadline_abs: float,
+                     monitor: Optional[List[int]], complete: bool):
         """One fetch round against *peer*, reached *via* ``"owner"``,
-        ``"delegate"`` or ``"ring"``: read its bitmap, then RDMA-READ our
-        missing chunks it has placed.  Returns the chunks newly recovered,
-        or ``None`` when it had none of ours."""
+        ``"group"`` or ``"ring"``: read its bitmap — unless it is
+        *complete*, holding every chunk it will ever hold — then RDMA-READ
+        our missing chunks it has placed.  Returns the chunks newly
+        recovered, or ``None`` when it had none of ours or, with no
+        rendezvous before (a broadcast's root), stayed silent
+        (:meth:`_silent`)."""
         self._check_recovery_deadline(op, deadline_abs)
         op.stats["fetch_rounds"] += 1
         op.stats["fetch_via_" + via] += 1
         if self.trace is not None:
             self.trace.instant("reliability.fetch", self.sim.now,
                                {"peer": peer, "via": via})
-        # The peer's bitmap: one small RDMA read (RTT + bitmap bytes on
-        # the wire).
-        rtt = 2 * self.fabric.one_way_delay(self.nic.host, self.comm.host_of(peer))
-        bitmap_bytes = max(op.n_chunks // 8, 8)
-        yield Timeout(self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth)
+        if not complete:
+            # The peer's bitmap: one small RDMA read (RTT + bitmap bytes on
+            # the wire).
+            rtt = 2 * self.fabric.one_way_delay(self.nic.host, self.comm.host_of(peer))
+            bitmap_bytes = max(op.n_chunks // 8, 8)
+            yield Timeout(self.sim, rtt + bitmap_bytes / self.fabric.link_bandwidth)
         runs = self._fetchable_runs(op, self.comm.engines[peer].ops.get(op.coll_id))
         if not runs:
             return None
+        until = deadline_abs
+        if peer == op.root:
+            # No ACK showed the root alive: its read responses must start
+            # within FETCH_ACK_TIMEOUT of their own serialisation time.
+            size = sum(count for _, count in runs) * op.plan.chunk_size
+            until = min(until, self.sim.now + FETCH_ACK_TIMEOUT
+                        + size / self.fabric.link_bandwidth)
         qp = self.comm.ensure_ctrl_pair(self.rank, peer)
-        got = yield from self._fetch_runs(op, qp, runs, deadline_abs)
-        op.maybe_complete()
+        got, done = yield from self._fetch_runs(op, qp, runs, until)
+        if done or got:
+            op.maybe_complete()
+        if not done:
+            self._check_recovery_deadline(op, deadline_abs)
+            yield from self._silent(op, peer, deadline_abs, monitor)
+            return None
         return got
 
     def _await_ready(self, op: OpState, ack, deadline_abs: float,
                      monitor: Optional[List[int]], via: str):
-        """Park until the peer that sent *ack*, reached *via* ``"delegate"``
+        """Park until the peer that sent *ack*, reached *via* ``"group"``
         or ``"ring"``, has all its chunks: its ``MSG_FETCH_READY`` under
-        the ACK's key.  Returns False when our own op completed first, else
-        True: woken, or a ring peer's park of at most ``FETCH_ACK_TIMEOUT``
-        is over (we read what it has).  A delegate's park is bounded only
-        by the recovery deadline, where it raises; under a *monitor* a
-        death among it ends the wait at once, and the delegate is probed
-        after every ``FETCH_ACK_TIMEOUT`` of silence
+        the ACK's key.  Returns whether it woke us; the park also ends
+        when our own op completes, or after at most ``FETCH_ACK_TIMEOUT``
+        on a ring peer (we read what it has).  A group peer's park is
+        bounded only by the recovery deadline, where it raises; under a
+        *monitor* a death among it ends the wait at once, and the peer is
+        probed after every ``FETCH_ACK_TIMEOUT`` of silence
         (:class:`PeerDeadError` either way)."""
         peer = ack.src
         ring = via == "ring"
@@ -542,7 +607,7 @@ class SlowPath:
             self.trace.instant("reliability.wake", self.sim.now,
                                {"peer": peer, "via": via,
                                 "waited": self.sim.now - t0})
-        return ready.triggered or not op.data_done.triggered
+        return ready.triggered
 
     @staticmethod
     def _fetchable_runs(op: OpState, peer_op: Optional[OpState]):
@@ -551,52 +616,67 @@ class SlowPath:
             return []
         return op.bitmap.missing_runs(among=peer_op.placed)
 
-    def _fetch_runs(self, op: OpState, qp, runs, deadline_abs: float):
+    def _fetch_runs(self, op: OpState, qp, runs, until: float):
         """RDMA-READ the given (start, count) chunk runs from the peer
-        behind *qp*; returns the number of newly recovered chunks."""
-        expected = 0
+        behind *qp*, waiting until *until* at most: the number of newly
+        recovered chunks, and whether every read completed.  Each read is
+        tagged with a fresh nonce, so a late completion of an abandoned
+        read never counts for a newer one."""
+        self._fetch_nonce = tag = (self._fetch_nonce + 1) & 0xFF
+        pending = {}
         for start, count in runs:
             offset = start * op.plan.chunk_size
             length = min(count * op.plan.chunk_size,
                          op.plan.buffer_len - offset)
+            wr_id = (tag << 32) | start
             qp.post_send(
                 SendWR(
-                    wr_id=start, verb="read", mr_key=op.mr.key,
+                    wr_id=wr_id, verb="read", mr_key=op.mr.key,
                     offset=offset, length=length,
                     remote_key=op.mr.key, remote_offset=offset,
                 )
             )
-            expected += 1
-        while expected > 0:
+            pending[wr_id] = (start, count)
+        done = []
+        while pending and self.sim.now < until:
             # READ responses ride RC, but a dead link (flap with
             # protect_reliable=False) would strand us — bound the wait.
-            remaining = max(deadline_abs - self.sim.now, 1e-9)
-            yield AnyOf(self.sim, [qp.send_cq.wait(), Timeout(self.sim, remaining)])
-            done = len(qp.send_cq.poll())
-            if done == 0:
-                self._check_recovery_deadline(op, deadline_abs)
-            expected -= done
+            yield AnyOf(self.sim, [qp.send_cq.wait(),
+                                   Timeout(self.sim, until - self.sim.now)])
+            for cqe in qp.send_cq.poll():
+                run = pending.pop(cqe.wr_id, None)
+                if run is not None:
+                    done.append(run)
         got = 0
-        for start, count in runs:
+        for start, count in done:
             got += op.bitmap.set_range(start, count)
             op.placed.set_range(start, count)
         op.stats["recovered_chunks"] += got
-        return got
+        return got, not pending
 
     def _fetch_server(self):
         """Answer FETCH_REQs at once with a FETCH_ACK — the requester then
         pulls whatever chunks are placed.  A request flagged ``FETCH_WAKE``
         while our data phase is still short of chunks is remembered
         instead: the ACK says so (argument 1), and ``MSG_FETCH_READY``
-        wakes the requester when the phase completes."""
+        wakes the requester when the phase completes.  One flagged
+        ``FETCH_WAKE_RECOVERING`` is remembered only once we have started
+        recovering; before that the ACK passes it on (``FETCH_PASS``), as
+        our data phase may yet wait for its cutoff.  A wake-up is sent last
+        in its instant (:meth:`Simulator.post_last`), after the control
+        messages of every rank whose data phase completed there, however
+        the folds order those completions."""
         _, msg = self.ctrl._inbox(MSG_FETCH_REQ, 0, None)[1].try_get()  # the one that woke us
         while True:
             pending = 0
-            if msg.args[0] == FETCH_WAKE:
-                op = self.ops.get(msg.key >> 8)
-                if op is not None and not op.data_done.triggered:
+            op = self.ops.get(msg.key >> 8) if msg.args[0] else None
+            if op is not None and not op.data_done.triggered:
+                if msg.args[0] == FETCH_WAKE_RECOVERING and not op.stats["recoveries"]:
+                    pending = FETCH_PASS
+                else:
                     pending = 1
-                    op.data_done.subscribe(lambda _ev, msg=msg: self._send_ready(msg))
+                    op.data_done.subscribe(
+                        lambda _ev, msg=msg: self.sim.post_last(self._send_ready, msg))
             self.ctrl.send(msg.src, MSG_FETCH_ACK, msg.key, (pending,))
             msg = yield self.ctrl.recv(MSG_FETCH_REQ)
 

@@ -50,12 +50,14 @@ TRACEPOINTS: Dict[str, Any] = {
     "reliability.fire": ("i", "recovery started with chunks still missing "
                               "(args: by tail trigger or cutoff)"),
     "reliability.recover": ("X", "one recovery round (fetch slow path)"),
-    "reliability.fetch": ("i", "fetch round issued (args: peer, via owner/delegate/ring)"),
+    "reliability.fetch": ("i", "fetch round issued (args: peer, via owner/group/ring)"),
     "reliability.wake": ("i", "a peer's FETCH_READY woke a parked requester "
-                              "(args: peer, via delegate/ring, waited)"),
+                              "(args: peer, via group/ring, waited)"),
+    "reliability.pass": ("i", "a fan-out parent not yet recovering passed the "
+                              "request on to its own parent (args: peer)"),
     "reliability.escalate": ("i", "fetch fell back to / escalated round the ring"),
-    "reliability.timeout": ("i", "fetch ACK timed out; the fetch moves on "
-                                 "round the ring"),
+    "reliability.timeout": ("i", "fetch ACK, or a read from the root, timed "
+                                 "out; the fetch moves on round the ring"),
     # -- fail-stop fault tolerance ----------------------------------------
     "liveness.suspect": ("i", "peer silent past the suspicion timer "
                               "(args: rank, phase)"),

@@ -33,6 +33,10 @@ from repro.sim.events import Event, Timeout
 
 __all__ = ["Simulator", "SimulationError", "WatchdogError"]
 
+#: sequence offset of :meth:`Simulator.post_last`: its calls sort after
+#: every other event of their instant
+_LAST = 1 << 62
+
 
 class SimulationError(RuntimeError):
     """Raised for structural simulation errors (negative delays, running a
@@ -202,6 +206,13 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {when} < now {self._now}")
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (when, seq, _Callback(fn, args)))
+
+    def post_last(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Invoke ``fn(*args)`` at the current instant, after every event
+        of it that is not itself posted last — whatever order those run
+        in.  Posted-last calls run in the order they were posted."""
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self._now, _LAST + seq, _Callback(fn, args)))
 
     def wake_at(self, when: float) -> Event:
         """A waitable that succeeds at the **absolute** virtual time ``when``.

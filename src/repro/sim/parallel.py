@@ -15,6 +15,7 @@ new state, which the session commits once every gate after it has passed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
@@ -771,13 +772,17 @@ def _arrived(instants: List[float], reached: np.ndarray) -> List[float]:
 
 
 def without(runs: List[List[int]], holes) -> List[List[int]]:
-    """``[first psn, count]`` *runs* without the chunks in *holes*."""
+    """Ascending ``[first psn, count]`` *runs* without the chunks in
+    *holes*: the holes are sorted once, and each run takes its own by
+    bisection."""
+    holes = sorted(holes)
     out = []
     for psn, n in runs:
-        for h in sorted(h for h in holes if psn <= h < psn + n):
+        end = psn + n
+        for h in holes[bisect_left(holes, psn):bisect_left(holes, end)]:
             if h > psn:
                 out.append([psn, h - psn])
-            n, psn = n - (h + 1 - psn), h + 1
-        if n:
-            out.append([psn, n])
+            psn = h + 1
+        if end > psn:
+            out.append([psn, end - psn])
     return out

@@ -20,6 +20,7 @@ from repro.obs import TraceConfig
 from repro.core.reliability import CUTOFF_ALPHA_MAX, FETCH_ACK_TIMEOUT, ReliabilityError
 from repro.net import CrashSpec, Fabric, GilbertElliott, StragglerSpec, Topology
 from repro.net.link import FaultSpec
+from repro.net.packet import PacketKind
 from repro.sim import RandomStreams, Simulator
 from repro.units import gbit_per_s, kib
 
@@ -182,14 +183,15 @@ def test_retry_histogram_counts_invocations_by_rounds():
 
 def test_fetch_sources_count_rounds_by_the_peer_they_read():
     """``fetch_sources`` splits the fetch rounds by the peer they read — a
-    chunk's owner, the switch's delegate, or the ring fallback — and every
-    ``reliability.fetch`` instant names the same kind in ``via``."""
+    chunk's owner, another rank of the switch group, or the ring fallback
+    — and every ``reliability.fetch`` instant names the same kind in
+    ``via``."""
     result = _lossy_allgather(trace=TraceConfig())
     summary = result.reliability_summary()
     sources = summary["fetch_sources"]
-    assert set(sources) == {"owner", "delegate", "ring"}
+    assert set(sources) == {"owner", "group", "ring"}
     assert sum(sources.values()) == summary["fetch_rounds"]
-    assert sources["owner"] > 0 and sources["delegate"] > 0
+    assert sources["owner"] > 0 and sources["group"] > 0
     assert sources["ring"] == summary["neighbor_escalations"] == 0
     traced = {via: 0 for via in sources}
     for ev in result.trace.select(name="reliability.fetch"):
@@ -233,6 +235,67 @@ def test_recovery_costs_what_was_lost(kind, members):
     assert summary["recoveries"] > 0  # the loss reached the slow path
     assert summary["fetch_rounds"] <= 2 * summary["recoveries"]
     assert summary["neighbor_escalations"] == 0
+
+
+def _fetches(result):
+    """Every fetch round of *result* as ``(requester, peer, via)``."""
+    return [(int(ev.track[1:]), ev.args["peer"], ev.args["via"])
+            for ev in result.trace.select(name="reliability.fetch")]
+
+
+@pytest.mark.chaos_smoke
+@pytest.mark.parametrize("kind", ["broadcast", "allgather"])
+def test_recovery_reads_stay_inside_the_switch_group(kind):
+    """Under the speedometer's loss on a 64-host leaf-spine (16 ranks per
+    leaf, so every group fans out), a rank reads across its switch only as
+    its group's delegate, from a chunk's owner: every other read stays
+    below one leaf switch, so the fan-out adds no switch bytes to the
+    delegates' cross-switch reads."""
+    comm = make_comm(64, topo=Topology.leaf_spine(64, n_leaf=4, n_spine=2),
+                     trace=TraceConfig())
+    comm.fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=GE_SPEEDOMETER))
+    if kind == "broadcast":
+        data = rank_data(0, kib(256))
+        result = comm.broadcast(0, data)
+        assert result.verify_broadcast(data)
+    else:
+        data = [rank_data(r, kib(16)) for r in range(64)]
+        result = comm.allgather(data)
+        assert result.verify_allgather(data)
+    assert result.reliability_summary()["fetch_sources"]["ring"] == 0
+    fetches = _fetches(result)
+    assert any(via == "group" for _, _, via in fetches)
+    for r, peer, via in fetches:
+        group = comm.switch_group(r)
+        if comm.switch_group(peer) is not group:
+            assert via == "owner" and r == group[0], (r, peer, via)
+
+
+@pytest.mark.chaos_smoke
+def test_no_rank_serves_more_than_log2_of_its_group():
+    """The ledger's lossy broadcast (188-host testbed, 1 MiB, the
+    speedometer's loss): every rank recovers, each under a parent that is
+    recovering too, so no request is passed on.  A rank then serves at
+    most ⌈log₂ |group|⌉ peers of its switch group — 4 where the star
+    served 15 — plus, as the chunks' owner, the other groups' delegates."""
+    comm = make_comm(188, topo=Topology.testbed_188(), trace=TraceConfig())
+    comm.fabric.set_fault_all(lambda s, d: FaultSpec(gilbert_elliott=GE_SPEEDOMETER))
+    data = rank_data(0, 1 << 20)
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    assert result.reliability_summary()["recoveries"] == 187
+    assert not result.trace.select(name="reliability.pass")
+    served: dict = {}
+    for r, peer, _ in _fetches(result):
+        served.setdefault(peer, set()).add(r)
+    for peer, requesters in served.items():
+        group = comm.switch_group(peer)
+        inside = {r for r in requesters if comm.switch_group(r) is group}
+        assert len(inside) <= (len(group) - 1).bit_length(), (peer, inside)
+        outside = requesters - inside
+        if outside:
+            assert peer == 0 and all(r == comm.switch_group(r)[0] for r in outside)
+    assert len(served[0]) == 4 + 11  # its fan-out, and the 11 other leaves
 
 
 # -------------------------------------------------------------------- soak
@@ -562,28 +625,30 @@ def test_unreachable_neighbors_raise_reliability_error():
     assert comm.sim.now < 0.1
 
 
+def _wedged_reads(*hosts):
+    """A drop predicate for the root's access link that loses every RDMA
+    read request from *hosts*: a root whose reads never answer them."""
+    def drop(p, seq):
+        return p.kind is PacketKind.RC_READ_REQ and p.src in hosts
+    return drop
+
+
 @pytest.mark.chaos_smoke
 def test_escalation_past_unresponsive_neighbor():
-    """The peer asked first (on one switch, the root: it owns every chunk)
-    never answers FETCH_REQ; the requester must time out its FETCH_ACK and
-    escalate to the ring rather than retrying the silent one forever."""
-    from repro.core.control import MSG_FETCH_REQ
-
+    """The peer asked first (on one switch, the root: it owns every chunk,
+    so rank 3 reads it without a rendezvous) never answers the read; the
+    requester must time it out as a FETCH_ACK and escalate to the ring
+    rather than retrying the silent one forever."""
     comm = make_comm(4, topo=Topology.star(4), seed=43)
     data = rank_data(0, kib(128))
 
-    # Surgical outage: only rank 3's fetch requests toward the root die (a
-    # wedged fetch server); every other packet — barrier, final handshake,
+    # Surgical outage: only rank 3's read requests toward the root die (a
+    # wedged responder); every other packet — barrier, final handshake,
     # the root's own traffic — is untouched.
-    def is_r3_fetch_req(p, seq):
-        if p.src != 3 or p.payload is None or p.payload.nbytes < 4:
-            return False
-        return int(np.asarray(p.payload[:4]).view(np.uint32)[0]) == MSG_FETCH_REQ
-
     comm.fabric.set_fault("sw000", "h3", FaultSpec(drop_packet_seqs=set(range(8))))
     comm.fabric.set_fault(
         "sw000", "h0",
-        FaultSpec(drop_predicate=is_r3_fetch_req, protect_reliable=False),
+        FaultSpec(drop_predicate=_wedged_reads(3), protect_reliable=False),
     )
     result = comm.broadcast(0, data)
     assert result.verify_broadcast(data)
@@ -594,28 +659,51 @@ def test_escalation_past_unresponsive_neighbor():
 
 
 @pytest.mark.chaos_smoke
-def test_ring_peer_short_of_chunks_wakes_the_requester():
-    """Ranks 2 and 3 lose the same chunks and the root never answers
-    either's FETCH_REQ, so both fall back to the ring.  Rank 3's ring-left
-    neighbour is rank 2, still recovering from rank 1 when asked: rank 3
-    parks on rank 2's FETCH_READY instead of polling it, and reads
-    everything in that one round."""
+def test_a_silent_fan_out_parent_is_escalated_past():
+    """On a 16-rank switch the fan-out sends rank 3 to rank 1 with a
+    FETCH_REQ.  Rank 1 never answers it (a wedged fetch server): rank 3
+    times out its FETCH_ACK and escalates to the ring instead of parking
+    on the silent one."""
     from repro.core.control import MSG_FETCH_REQ
 
-    comm = make_comm(4, topo=Topology.star(4), seed=44, trace=TraceConfig())
+    comm = make_comm(16, topo=Topology.star(16), seed=43, trace=TraceConfig())
     data = rank_data(0, kib(128))
 
-    def wedged_fetch_req(p, seq):
-        if p.src not in (2, 3) or p.payload is None or p.payload.nbytes < 4:
+    def is_r3_fetch_req(p, seq):
+        if p.src != 3 or p.payload is None or p.payload.nbytes < 4:
             return False
         return int(np.asarray(p.payload[:4]).view(np.uint32)[0]) == MSG_FETCH_REQ
 
+    comm.fabric.set_fault("sw000", "h3", FaultSpec(drop_packet_seqs=set(range(8))))
+    comm.fabric.set_fault(
+        "sw000", "h1",
+        FaultSpec(drop_predicate=is_r3_fetch_req, protect_reliable=False),
+    )
+    result = comm.broadcast(0, data)
+    assert result.verify_broadcast(data)
+    stats = result.ranks[3].counters
+    timeouts = result.trace.select(name="reliability.timeout", track="r3")
+    assert [ev.args["peer"] for ev in timeouts][:1] == [1]
+    assert stats["fetch_ack_timeouts"] >= 1
+    assert stats["neighbor_escalations"] >= 1
+    assert stats["recovered_chunks"] >= 1
+
+
+@pytest.mark.chaos_smoke
+def test_ring_peer_short_of_chunks_wakes_the_requester():
+    """Ranks 2 and 3 lose the same chunks and the root never answers
+    either's read, so both fall back to the ring.  Rank 3's ring-left
+    neighbour is rank 2, still recovering from rank 1 when asked: rank 3
+    parks on rank 2's FETCH_READY instead of polling it, and reads
+    everything in that one round."""
+    comm = make_comm(4, topo=Topology.star(4), seed=44, trace=TraceConfig())
+    data = rank_data(0, kib(128))
     for host in ("h2", "h3"):
         comm.fabric.set_fault("sw000", host,
                               FaultSpec(drop_packet_seqs=set(range(8))))
     comm.fabric.set_fault(
         "sw000", "h0",
-        FaultSpec(drop_predicate=wedged_fetch_req, protect_reliable=False),
+        FaultSpec(drop_predicate=_wedged_reads(2, 3), protect_reliable=False),
     )
     result = comm.broadcast(0, data)
     assert result.verify_broadcast(data)
@@ -624,9 +712,11 @@ def test_ring_peer_short_of_chunks_wakes_the_requester():
     wakes = result.trace.select(name="reliability.wake", track="r3")
     assert [(ev.args["peer"], ev.args["via"]) for ev in wakes] == [(2, "ring")]
     fetches = result.trace.select(name="reliability.fetch", track="r3")
-    peers = [ev.args["peer"] for ev in fetches]
-    assert all(ev.args["via"] == "ring" for ev in fetches)
-    assert peers and len(peers) == len(set(peers))  # one round per ring peer
+    # the silent root first, then one round per ring peer
+    assert [(ev.args["peer"], ev.args["via"]) for ev in fetches[:1]] == [(0, "owner")]
+    peers = [ev.args["peer"] for ev in fetches[1:]]
+    assert all(ev.args["via"] == "ring" for ev in fetches[1:])
+    assert peers and len(peers) == len(set(peers))
 
 
 # ------------------------------------------- stragglers & degraded bandwidth

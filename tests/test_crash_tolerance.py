@@ -173,8 +173,8 @@ def test_rank_dead_before_submission_is_pre_voided():
 def _delegate_crash_run(kind, policy, crash_at=None):
     """A lossy 16-host leaf-spine collective whose first packets die above
     leaf 1, so every rank there recovers: rank 8 as the leaf's delegate,
-    the others from it.  Host 8 fail-stops at *crash_at*, if given.
-    Returns the result and the payload."""
+    the others down the leaf's fan-out under it.  Host 8 fail-stops at
+    *crash_at*, if given.  Returns the result and the payload."""
     cfg = CollectiveConfig(failure_policy=policy)
     comm = make_comm(16, topo=Topology.leaf_spine(16, 2, 2), config=cfg,
                      seed=141, trace=TraceConfig())
@@ -192,17 +192,27 @@ def _delegate_crash_run(kind, policy, crash_at=None):
     return comm.allgather(data), data
 
 
+def _fan_out_parent(order, rank):
+    """*rank*'s parent in the binomial fan-out over *order* (head first)."""
+    i = order.index(rank)
+    return order[i - (1 << (i.bit_length() - 1))]
+
+
 @pytest.mark.crash_smoke
 @pytest.mark.parametrize("kind", ["broadcast", "allgather"])
 def test_a_delegate_dying_mid_recovery_hands_over_to_the_next(kind):
     """Leaf 1's delegate fail-stops a microsecond into its recovery, while
-    its peers wait to read from it.  Under DEGRADE they confirm it dead and
-    finish with verified payloads, reading rank 9 — the leaf's next live
-    rank, now its delegate — instead of falling back to the ring; under
-    ABORT they raise the typed error."""
+    its fan-out children wait to read from it.  Under DEGRADE they confirm
+    it dead and finish with verified payloads over the fan-out of the
+    survivors instead of falling back to the ring: rank 9 — the leaf's
+    next live rank, now its delegate — reads the owner, and every other
+    rank reads its parent under rank 9; under ABORT they raise the typed
+    error."""
     clean, _ = _delegate_crash_run(kind, "degrade")
     delegate = next(r for r in clean.ranks if r.rank == 8)
-    assert clean.reliability_summary()["fetch_sources"]["delegate"] > 0
+    children = {ev.track for ev in clean.trace.select(name="reliability.fetch")
+                if ev.args == {"peer": 8, "via": "group"}}
+    assert children == {"r9", "r10", "r12"}  # 8 serves its fan-out
     crash_at = delegate.phases["recovery"] + 1e-6
     assert crash_at < delegate.phases["data"]  # it dies mid-recovery
 
@@ -216,9 +226,16 @@ def test_a_delegate_dying_mid_recovery_hands_over_to_the_next(kind):
     assert summary["fetch_ack_timeouts"] > 0  # they waited on the dead one
     assert summary["fetch_sources"]["ring"] == summary["neighbor_escalations"] == 0
     confirmed = min(ev.ts for ev in result.trace.select(name="liveness.confirm"))
-    later = [ev.args for ev in result.trace.select(name="reliability.fetch")
-             if ev.ts > confirmed and ev.args["via"] == "delegate"]
-    assert later and all(args["peer"] == 9 for args in later)
+    later = [(int(ev.track[1:]), ev.args)
+             for ev in result.trace.select(name="reliability.fetch")
+             if ev.ts >= confirmed and 8 < int(ev.track[1:]) < 16]
+    survivors = list(range(9, 16))
+    assert {r for r, _ in later} == set(survivors)
+    for r, args in later:
+        if r == 9:
+            assert args["via"] == "owner" and args["peer"] < 8
+        else:
+            assert args == {"peer": _fan_out_parent(survivors, r), "via": "group"}
 
     with pytest.raises(CollectiveAbortedError) as exc_info:
         _delegate_crash_run(kind, "abort", crash_at)
